@@ -18,8 +18,7 @@ The package contains:
   paper's evaluation.
 
 The public compiler API (:mod:`repro.api` — ``repro.compile``, the backend
-registry, ``Program``/``Session``) and the legacy driver shim
-(:mod:`repro.compiler`) are re-exported lazily so that importing
+registry, ``Program``/``Session``) is re-exported lazily so that importing
 :mod:`repro` stays cheap.
 """
 
@@ -60,12 +59,6 @@ _LAZY_EXPORTS = {
     "FaultPlan": "repro.resilience",
     "ResilienceOptions": "repro.resilience",
     "RecoveryReport": "repro.resilience",
-    # Legacy deprecation shim.
-    "CompilerDriver": "repro.compiler",
-    "CompilerOptions": "repro.compiler",
-    "CompilationResult": "repro.compiler",
-    "Target": "repro.compiler",
-    "compile_fortran": "repro.compiler",
 }
 
 __all__ = ["__version__", *sorted(_LAZY_EXPORTS)]

@@ -15,10 +15,6 @@ through three composable layers:
   compiled artifacts by (source hash, backend, frozen options) and runs
   argument batches on the persistent thread pool via
   :meth:`Session.run_batch`.
-
-The legacy ``repro.compiler`` module (``compile_fortran``, flat
-``CompilerOptions``, ``CompilerDriver``) remains as a deprecation shim over
-this package.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """The backend registry: one pluggable :class:`Backend` per compilation target.
 
-Each backend owns three things the legacy ``CompilerDriver.compile`` five-way
-``if/elif`` used to hard-code:
+Each backend owns three things:
 
 * its **pipeline** — the mlir-opt style pass pipeline string (plus any
   coordinated module edits, e.g. the GPU data-management pass touching the FIR
@@ -11,13 +10,10 @@ Each backend owns three things the legacy ``CompilerDriver.compile`` five-way
   options are rejected with the backend's name and valid-field list);
 * its **runtime wiring** — the simulated-device defaults the interpreter
   needs (a fresh :class:`SimulatedGPU` for the gpu backend, communicator
-  passthrough for dmp), formerly hard-coded in
-  ``CompilationResult.interpreter``.
+  passthrough for dmp).
 
-``registry.get(name)`` accepts registered names (``"cpu"``, ``"openmp"``,
-``"gpu"``, ``"dmp"``, ``"flang-only"``), their legacy aliases
-(``"stencil-cpu"``, ...), and :class:`repro.compiler.Target` enum members, so
-the deprecation shim dispatches through the same table as the fluent API.
+``registry.get(name)`` accepts the registered names (``"cpu"``, ``"openmp"``,
+``"gpu"``, ``"dmp"``, ``"flang-only"``) or a :class:`Backend` object.
 """
 
 from __future__ import annotations
@@ -53,13 +49,11 @@ class UnknownBackendError(ValueError):
 class Backend:
     """One compilation target: pipeline, option schema, runtime wiring.
 
-    Subclasses set :attr:`name` (the registry key), optional legacy
-    :attr:`aliases`, and :attr:`options_cls`; stencil-flow targets override
-    :meth:`pipeline` and/or :meth:`transform`.
+    Subclasses set :attr:`name` (the registry key) and :attr:`options_cls`;
+    stencil-flow targets override :meth:`pipeline` and/or :meth:`transform`.
     """
 
     name: str = ""
-    aliases: Tuple[str, ...] = ()
     options_cls: Type[BackendOptions] = BackendOptions
     #: Whether this target runs stencil discovery/extraction at all.
     uses_stencil_flow: bool = True
@@ -176,7 +170,6 @@ class FlangOnlyBackend(Backend):
     """Plain FIR, no stencil specialisation — what Flang alone would run."""
 
     name = "flang-only"
-    aliases = ("flang",)
     options_cls = FlangOnlyOptions
     uses_stencil_flow = False
 
@@ -185,7 +178,6 @@ class CpuBackend(Backend):
     """Single-core CPU via the stencil flow."""
 
     name = "cpu"
-    aliases = ("stencil-cpu",)
     options_cls = CpuOptions
 
     def pipeline(self, options: CpuOptions) -> Optional[str]:
@@ -196,7 +188,6 @@ class OpenMPBackend(Backend):
     """Multi-threaded CPU: scf.parallel nests lowered to omp.wsloop."""
 
     name = "openmp"
-    aliases = ("stencil-openmp", "omp")
     options_cls = OpenMPOptions
 
     def pipeline(self, options: OpenMPOptions) -> Optional[str]:
@@ -209,7 +200,6 @@ class GpuBackend(Backend):
     """Nvidia GPU (simulated V100) with selectable data-management strategy."""
 
     name = "gpu"
-    aliases = ("stencil-gpu",)
     options_cls = GpuOptions
 
     _DATA_PASSES = {
@@ -278,7 +268,6 @@ class DmpBackend(Backend):
     """Distributed memory: domain decomposition + halo swaps via DMP/MPI."""
 
     name = "dmp"
-    aliases = ("stencil-dmp", "mpi")
     options_cls = DmpOptions
 
     def pipeline(self, options: DmpOptions) -> Optional[str]:
@@ -294,15 +283,14 @@ class DmpBackend(Backend):
 
 
 class BackendRegistry:
-    """Name → :class:`Backend` table with legacy-alias resolution."""
+    """Name → :class:`Backend` table."""
 
     def __init__(self):
         self._backends: Dict[str, Backend] = {}
-        self._aliases: Dict[str, str] = {}
 
     def register(self, backend: Backend, *, replace: bool = False) -> Backend:
-        """Register ``backend`` under its name (and aliases); returns it so
-        the call composes as an expression."""
+        """Register ``backend`` under its name; returns it so the call
+        composes as an expression."""
         if not backend.name:
             raise ValueError("backend must define a non-empty name")
         if backend.name in self._backends and not replace:
@@ -311,17 +299,13 @@ class BackendRegistry:
                 f"(pass replace=True to override)"
             )
         self._backends[backend.name] = backend
-        for alias in backend.aliases:
-            self._aliases[alias] = backend.name
         return backend
 
-    def get(self, name: Union[str, "Backend", object]) -> Backend:
-        """Look up a backend by name, legacy alias, or Target enum member."""
+    def get(self, name: Union[str, "Backend"]) -> Backend:
+        """Look up a backend by name (a Backend object is returned as is)."""
         if isinstance(name, Backend):
             return name
-        key = str(getattr(name, "value", name))
-        key = self._aliases.get(key, key)
-        backend = self._backends.get(key)
+        backend = self._backends.get(name)
         if backend is None:
             raise UnknownBackendError(
                 f"unknown backend {name!r}; registered backends: "

@@ -1,10 +1,7 @@
 """Per-backend option schemas.
 
-The legacy :class:`repro.compiler.CompilerOptions` mixed every target's knobs
-into one flat dataclass — GPU tile sizes sat next to OpenMP schedules and DMP
-process grids, and nothing stopped a CPU compile from carrying ``grid=(4, 4)``.
-Here each backend owns a frozen (hashable) dataclass holding exactly the
-options it understands; passing an option a backend does not define is an
+Each backend owns a frozen (hashable) dataclass holding exactly the options it
+understands (a CPU compile cannot carry ``grid=(4, 4)``); passing an option a backend does not define is an
 :class:`OptionError` at call time, and validation happens in ``__post_init__``
 so an options object can never exist in an invalid state.
 

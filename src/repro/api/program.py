@@ -52,9 +52,8 @@ def build_interpreter(
 ) -> Interpreter:
     """Construct an interpreter over compiled ``modules`` for ``backend``.
 
-    The single implementation behind both :meth:`CompiledProgram.interpreter`
-    and the legacy ``CompilationResult.interpreter`` shim: overrides are
-    validated at override time (``None`` means "use the compiled default",
+    The implementation behind :meth:`CompiledProgram.interpreter`: overrides
+    are validated at override time (``None`` means "use the compiled default",
     any other value — including falsy ones — must be valid) and the backend
     supplies its simulated-runtime defaults (e.g. a fresh
     :class:`SimulatedGPU` for the gpu backend).
@@ -101,8 +100,8 @@ class Program:
 
     def lower(self, backend="cpu", options: Optional[BackendOptions] = None,
               **overrides) -> "CompiledProgram":
-        """Compile this program for ``backend`` (name, alias, Target enum or
-        Backend object), returning a fluent compiled handle."""
+        """Compile this program for ``backend`` (name or Backend object),
+        returning a fluent compiled handle."""
         return self._session.lower(self._source, backend, options, **overrides)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -91,8 +91,8 @@ class Session:
               **overrides) -> CompiledProgram:
         """Compile ``source`` for ``backend``, reusing cached artifacts.
 
-        ``backend`` may be a registered name, a legacy alias, a Target enum
-        member, or a :class:`Backend` object; keyword ``overrides`` refine the
+        ``backend`` may be a registered name or a :class:`Backend` object;
+        keyword ``overrides`` refine the
         backend's option schema and are validated against it.
         """
         source = getattr(source, "source", source)

@@ -1,4 +1,4 @@
-"""The MPI dialect (xDSL): point-to-point and collective message passing.
+"""The MPI dialect (xDSL): point-to-point message passing and barriers.
 
 The DMP-to-MPI lowering turns ``dmp.halo_swap`` into non-blocking
 isend/irecv pairs plus waits; the simulated MPI runtime
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence, Tuple
 
-from ..ir.attributes import IntegerAttr, StringAttr
+from ..ir.attributes import IntegerAttr
 from ..ir.context import Dialect
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
@@ -167,24 +167,6 @@ class BarrierOp(Operation):
         super().__init__()
 
 
-class AllReduceOp(Operation):
-    """``mpi.allreduce`` — reduce a scalar across ranks (sum/min/max)."""
-
-    name = "mpi.allreduce"
-    traits = (HasMemoryEffect,)
-
-    def __init__(self, value: SSAValue, op: str = "sum"):
-        super().__init__(
-            operands=[value],
-            result_types=[value.type],
-            attributes={"op": StringAttr(op)},
-        )
-
-    @property
-    def reduction(self) -> str:
-        return self.get_attr("op").data  # type: ignore[union-attr]
-
-
 def _parse_request(parser) -> RequestType:
     return RequestType()
 
@@ -207,7 +189,6 @@ MPI = Dialect(
         WaitOp,
         WaitAllOp,
         BarrierOp,
-        AllReduceOp,
     ],
     type_parsers={"request": _parse_request, "status": _parse_status},
 )
@@ -226,6 +207,5 @@ __all__ = [
     "WaitOp",
     "WaitAllOp",
     "BarrierOp",
-    "AllReduceOp",
     "MPI",
 ]

@@ -160,7 +160,7 @@ def measured_openmp_scaling(
 
     Unlike the analytic series of Figures 3–4 this actually executes the
     ``omp.wsloop`` nests: the module is compiled once with
-    ``Target.STENCIL_OPENMP, lower_to_scf=True`` and each sweep runs through
+    ``"openmp", lower_to_scf=True`` and each sweep runs through
     the vectorized backend's tiled parallel executor at every requested
     thread count (best-of-``repeats`` wall clock).  Rows carry throughput in
     MCells/s plus the speedup over the *first* requested thread count (pass

@@ -36,7 +36,6 @@ from .parallel_executor import (
     ParallelExecutor,
     get_executor,
     plan_tiles,
-    tree_combine,
 )
 
 __all__ = [
@@ -74,6 +73,5 @@ __all__ = [
     "ParallelExecutor",
     "SCHEDULE_KINDS",
     "plan_tiles",
-    "tree_combine",
     "get_executor",
 ]

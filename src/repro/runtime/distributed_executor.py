@@ -328,7 +328,7 @@ class DistributedExecutor:
         # One distributed run at a time per pool: every rank task of a run
         # must be runnable at once, so runs may not interleave.
         with _rank_pool_gate(self.pool_workers):
-            pool.run_tiles(run_rank, list(range(self.num_ranks)))
+            pool.map_tiles(run_rank, list(range(self.num_ranks)))
         gathered = self.gather(locals_by_rank, decomposition)
         seconds = time.perf_counter() - started
         return DistributedRunResult(
@@ -454,7 +454,7 @@ class DistributedExecutor:
                         carried[rank]["total_seconds"] += (
                             time.perf_counter() - rank_started)
 
-                pool.run_tiles(run_iteration_rank, ranks)
+                pool.map_tiles(run_iteration_rank, ranks)
                 failures = {r: e for r, e in outcomes.items()
                             if e is not None}
                 if not failures:

@@ -25,7 +25,6 @@ integration tests.
 
 from __future__ import annotations
 
-import math as _pymath
 import time as _time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,7 +51,7 @@ from .kernel_compiler import EXECUTION_MODES, KernelCompiler
 from .memory import ElementRef, MemoryBuffer, numpy_dtype_for
 from .mpi_runtime import CartesianDecomposition, SimulatedCommunicator
 from .parallel_executor import (ParallelExecutor, get_executor, plan_boxes,
-                                plan_tiles)
+                                plan_tiles, run_boxes)
 
 
 class InterpreterError(Exception):
@@ -201,7 +200,6 @@ class Interpreter:
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._gpu_thread_ctx: List[Dict[str, Tuple[int, int, int]]] = []
-        self._pending_requests: List[dict] = []
         self._index_functions()
         self._handlers = self._build_handlers()
 
@@ -233,13 +231,24 @@ class Interpreter:
 
         Arrays are passed by reference (mutations are visible to the caller);
         scalars are wrapped in scalar cells, matching Fortran's by-reference
-        argument convention.
+        argument convention.  An array that is not Fortran-contiguous runs as
+        a Fortran-ordered copy whose contents are written back afterwards.
         """
         func_op = self.lookup(name)
-        arg_values: List[object] = []
-        for i, (arg, arg_type) in enumerate(zip(args, func_op.function_type.inputs)):
-            arg_values.append(self._wrap_argument(arg, arg_type, f"arg{i}"))
-        return self.call_function(func_op, arg_values)
+        inputs = func_op.function_type.inputs
+        if len(args) != len(inputs):
+            raise InterpreterError(
+                f"function '{name}' expects {len(inputs)} arguments, "
+                f"got {len(args)}"
+            )
+        arg_values = [self._wrap_argument(arg, arg_type, f"arg{i}")
+                      for i, (arg, arg_type) in enumerate(zip(args, inputs))]
+        results = self.call_function(func_op, arg_values)
+        for arg, value in zip(args, arg_values):
+            if isinstance(arg, np.ndarray) and value.data is not arg \
+                    and arg.flags.writeable:
+                np.copyto(arg, value.data)
+        return results
 
     def _wrap_argument(self, arg, arg_type: TypeAttribute, label: str):
         if isinstance(arg, (MemoryBuffer, ElementRef, FieldValue, TempValue)):
@@ -429,7 +438,7 @@ class Interpreter:
 
         # omp ------------------------------------------------------------------------------
         h["omp.parallel"] = self._exec_omp_parallel
-        h["omp.wsloop"] = self._exec_omp_wsloop
+        h["omp.wsloop"] = self._run_nest
         h["omp.yield"] = lambda op, f: [f.get(o) for o in op.operands]
         h["omp.terminator"] = lambda op, f: []
         h["omp.barrier"] = lambda op, f: []
@@ -481,7 +490,6 @@ class Interpreter:
         h["mpi.wait"] = self._exec_mpi_wait
         h["mpi.waitall"] = self._exec_mpi_waitall
         h["mpi.barrier"] = lambda op, f: (self.comm.barrier(self.rank) if self.comm else None) or []
-        h["mpi.allreduce"] = lambda op, f: [f.get(op.operands[0])]
 
         return h
 
@@ -702,13 +710,8 @@ class Interpreter:
         return iter_values
 
     def _exec_scf_parallel(self, op: Operation, frame: Frame):
-        rank = int(op.get_attr("rank").value)  # type: ignore[union-attr]
-        lowers = [int(_as_python(frame.get(o))) for o in op.operands[:rank]]
-        uppers = [int(_as_python(frame.get(o))) for o in op.operands[rank:2 * rank]]
-        steps = [int(_as_python(frame.get(o))) for o in op.operands[2 * rank:3 * rank]]
         self.stats["parallel_regions"] += 1
-        self._run_nest(op, frame, lowers, uppers, steps)
-        return []
+        return self._run_nest(op, frame)
 
     def _iterate_nest(self, block: Block, frame: Frame, lowers, uppers, steps,
                       dim: int, current: List[int]) -> None:
@@ -737,174 +740,153 @@ class Interpreter:
         self.run_block(op.regions[0].block, frame)
         return []
 
-    def _exec_omp_wsloop(self, op: Operation, frame: Frame):
+    # ------------------------------------------------------------------
+    # vectorized sweep dispatch (see runtime/kernel_compiler.py)
+    # ------------------------------------------------------------------
+
+    def _run_nest(self, op: Operation, frame: Frame):
+        """Execute a loop-nest op (``scf.parallel`` / ``omp.wsloop``)."""
         rank = int(op.get_attr("rank").value)  # type: ignore[union-attr]
         lowers = [int(_as_python(frame.get(o))) for o in op.operands[:rank]]
         uppers = [int(_as_python(frame.get(o))) for o in op.operands[rank:2 * rank]]
         steps = [int(_as_python(frame.get(o))) for o in op.operands[2 * rank:3 * rank]]
-        self._run_nest(op, frame, lowers, uppers, steps)
-        return []
-
-    # ------------------------------------------------------------------
-    # vectorized kernel dispatch (see runtime/kernel_compiler.py)
-    # ------------------------------------------------------------------
-
-    def _run_nest(self, op: Operation, frame: Frame,
-                  lowers: List[int], uppers: List[int], steps: List[int]) -> None:
-        """Execute a loop-nest op: compiled kernel when enabled and safe,
-        scalar iteration otherwise — both paths share one runner so the
-        crosscheck oracle and the fallback can never diverge."""
         block = op.regions[0].block
 
         def scalar_runner() -> None:
             self._iterate_nest(block, frame, lowers, uppers, steps, 0,
                                [0] * len(lowers))
 
-        if self.execution_mode != "interpret" and \
-                self._vectorize_nest(op, frame, scalar_runner):
-            return
-        scalar_runner()
+        def domain_of(kernel, externals):
+            # The kernel's own bounds: its rank includes collapsed inner
+            # loops, so they are read back through its bound slots.
+            lo, up, st = zip(*([int(_as_python(externals[slot])) for slot in dim]
+                               for dim in kernel.bound_slots))
+            return (lo, up) if kernel.guards_pass(externals, lo, up, st) else None
 
-    def _vectorize_nest(self, op: Operation, frame: Frame,
-                        scalar_runner: Callable[[], None]) -> bool:
-        """Run a loop-nest sweep through its compiled kernel.  Returns False
-        (caller interprets point by point) when the op cannot be compiled or
-        a runtime guard fails."""
-        bound = self.kernels.kernel_for(op)
-        if bound is None:
-            self.stats["vectorize_fallbacks"] += 1
-            return False
-        kernel = bound.kernel
-        externals = [frame.get(v) for v in bound.external_values]
-        lowers, uppers, steps = [], [], []
-        for lower_slot, upper_slot, step_slot in kernel.bound_slots:
-            lowers.append(int(_as_python(externals[lower_slot])))
-            uppers.append(int(_as_python(externals[upper_slot])))
-            steps.append(int(_as_python(externals[step_slot])))
-        if not kernel.guards_pass(externals, lowers, uppers, steps):
-            self.stats["vectorize_fallbacks"] += 1
-            return False
-        if any(u <= l for l, u in zip(lowers, uppers)):
-            return True  # empty iteration space: nothing to execute
-        schedule, chunk = self._nest_schedule(op)
-        tile_sizes = self._schedule_tile(op, len(lowers))
+        # The worksharing schedule clause recorded on the nest (static for
+        # plain scf.parallel, which carries no clause).
+        schedule = (op.schedule, op.chunk_size) \
+            if isinstance(op, omp_dialect.WsLoopOp) else ("static", None)
+        self._sweep(op, frame, lambda: self.kernels.kernel_for(op), domain_of,
+                    scalar_runner, schedule)
+        return []
 
-        def vector_runner() -> None:
-            self._run_nest_kernel(kernel, externals, lowers, uppers,
-                                  schedule, chunk, tile_sizes)
+    def _sweep(self, op: Operation, frame: Frame, lookup: Callable,
+               domain_of: Callable, scalar_runner: Callable,
+               schedule: Optional[Tuple[str, Optional[int]]] = None,
+               counters: Tuple[str, str] = ("vectorized_sweeps",
+                                            "vectorize_fallbacks")):
+        """The one execution path of every vectorizable sweep op: kernel
+        lookup → runtime guards → box plan → :func:`run_boxes` → crosscheck →
+        stats.  Returns the kernel's results — ``scalar_runner``'s when the
+        mode is "interpret", the op cannot be compiled or a guard fails.
 
-        if self.execution_mode == "crosscheck":
-            self._crosscheck_nest(kernel, externals, vector_runner, scalar_runner)
-        else:
-            vector_runner()
-        self.stats["vectorized_sweeps"] += 1
-        return True
-
-    @staticmethod
-    def _nest_schedule(op: Operation) -> Tuple[str, Optional[int]]:
-        """The worksharing schedule clause recorded on the nest (static for
-        plain scf.parallel, which carries no clause)."""
-        if isinstance(op, omp_dialect.WsLoopOp):
-            return op.schedule, op.chunk_size
-        return "static", None
-
-    @staticmethod
-    def _schedule_tile(op: Operation,
-                       rank: int) -> Optional[Tuple[int, ...]]:
-        """Tile sizes recorded by a ``.tile(...)`` schedule directive.
-        The attribute is placement policy (excluded from the kernel cache
-        key); a rank mismatch simply disables it — the schedule layer
-        validates ranks loudly at lower time."""
-        attr = op.get_attr_or_none("schedule.tile")
-        if attr is None:
-            return None
-        sizes = attr.as_tuple()
-        return sizes if len(sizes) == rank else None
-
-    def _run_nest_kernel(self, kernel, externals, lowers, uppers,
-                         schedule: str = "static",
-                         chunk: Optional[int] = None,
-                         tile_sizes: Optional[Tuple[int, ...]] = None) -> None:
-        """One sweep of a compiled nest kernel: tiled across the persistent
-        thread pool when a multi-thread executor is configured and the kernel
-        is provably tile-safe, single whole-domain invocation otherwise.
-
-        Tiling partitions dimension 0 — the outermost parallel dimension of
-        the source ``scf.parallel`` / ``omp.wsloop``.  A kernel whose runtime
-        guards passed writes each tile's stores into disjoint slabs (no
-        load/store aliasing, store-store aliasing only through identical
-        index maps), so tiles may run concurrently; any kernel that cannot
-        show a store on every tile falls back to the single-tile path and is
-        counted in ``stats["parallel_fallbacks"]``.
+        Callers supply only what differs per op: ``lookup()`` yields the
+        :class:`BoundKernel` (or None); ``domain_of(kernel, externals)`` the
+        ``(lowers, uppers)`` iteration domain, or None when a runtime guard
+        fails; ``scalar_runner`` is the reference semantics, used as fallback
+        and as crosscheck oracle so the two cannot diverge; ``schedule`` the
+        dim-0 thread schedule (None: the op never thread-tiles); ``counters``
+        the (vectorized, fallback) stats keys.
         """
-        start = _time.perf_counter()
-        if tile_sizes is not None:
-            boxes = plan_boxes(lowers, uppers, tile_sizes)
-            if len(boxes) > 1:
-                # A nest kernel whose guards passed has no load/store
-                # aliasing and stores that cover every dimension, so the
-                # boxes write disjoint regions and read unwritten ones: any
-                # execution order (including concurrent) is bitwise equal to
-                # the single whole-domain call.
-                def run_box(box) -> None:
-                    kernel.fn(externals, list(box[0]), list(box[1]))
+        if self.execution_mode == "interpret":
+            return scalar_runner()
+        done_key, fallback_key = counters
+        bound = lookup()
+        domain = None
+        if bound is not None:
+            kernel = bound.kernel
+            externals = [frame.get(v) for v in bound.external_values]
+            domain = domain_of(kernel, externals)
+        if domain is None:
+            self.stats[fallback_key] += 1
+            return scalar_runner()
+        lowers, uppers = domain
 
-                if (self._executor is not None and self.threads > 1
-                        and kernel.stores and all(
-                            any(dim == 0 for dim, _ in axes)
-                            for _, axes in kernel.stores)):
-                    self._executor.run_tiles(run_box, boxes)
-                else:
-                    for box in boxes:
-                        run_box(box)
+        def vector_runner():
+            start = _time.perf_counter()
+            boxes, plan = self._plan_sweep(op, kernel, lowers, uppers, schedule)
+            pool = self._executor if kernel.tileable else None
+            results = run_boxes(kernel, externals, lowers, uppers, boxes, pool)
+            if results is None:
+                # A result broadcasts along a tiled dimension, so the slabs
+                # cannot be assembled.  The defect is structural: remember
+                # the refusal and recompute whole-domain (kernels are pure).
+                kernel.tileable = False
+                self.stats[plan + "_fallbacks"] += 1
+                results = run_boxes(kernel, externals, lowers, uppers,
+                                    [(lowers, uppers)], None)
+            elif plan == "schedule":
                 self.stats["schedule_tiles"] += len(boxes)
-                if self.kernels is not None and kernel.label:
-                    self.kernels.record_invocation(
-                        kernel.label, _time.perf_counter() - start)
-                return
-        tiles = None
-        if self._executor is not None and self.threads > 1:
-            if kernel.stores and all(
-                any(dim == 0 for dim, _ in axes) for _, axes in kernel.stores
-            ):
-                tiles = plan_tiles(lowers[0], uppers[0], self.threads,
-                                   schedule, chunk)
-        if tiles is not None and len(tiles) > 1:
-            def run_tile(tile: Tuple[int, int]) -> None:
-                kernel.fn(externals, [tile[0]] + list(lowers[1:]),
-                          [tile[1]] + list(uppers[1:]))
-
-            self._executor.run_tiles(run_tile, tiles)
-            self.stats["parallel_sweeps"] += 1
-            self.stats["parallel_tiles"] += len(tiles)
-        else:
-            if self.threads > 1:
-                self.stats["parallel_fallbacks"] += 1
-            kernel.fn(externals, lowers, uppers)
-        if self.kernels is not None and kernel.label:
+            elif plan == "parallel":
+                self.stats["parallel_sweeps"] += 1
+                self.stats["parallel_tiles"] += len(boxes)
             self.kernels.record_invocation(kernel.label,
                                            _time.perf_counter() - start)
+            return results
 
-    def _crosscheck_nest(self, kernel, externals,
-                         vector_runner: Callable[[], None],
-                         scalar_runner: Callable[[], None]) -> None:
-        """Run the compiled kernel (tiled when threads > 1) AND the scalar
-        oracle; raise on divergence.  Leaves the oracle's results in memory."""
+        if self.execution_mode == "crosscheck":
+            results = self._crosscheck(kernel, externals, vector_runner,
+                                       scalar_runner)
+        else:
+            results = vector_runner()
+        self.stats[done_key] += 1
+        return results
+
+    def _plan_sweep(self, op: Operation, kernel, lowers, uppers, schedule):
+        """One sweep's box plan, as ``(boxes, plan)`` where ``plan`` names
+        the counters it feeds ("schedule", "parallel" or None).
+
+        A ``schedule.tile`` attribute (placement policy recorded by a
+        ``.tile(...)`` directive; a rank mismatch simply disables it, the
+        schedule layer validates ranks loudly at lower time) gives
+        user-shaped cache boxes.  Otherwise, with threads and a tile-safe
+        kernel, the dim-0 spans of the thread schedule are lifted into boxes
+        spanning every other dimension whole; a multi-thread sweep that ends
+        up single-box is counted in ``parallel_fallbacks``.  Otherwise the
+        single whole-domain box.
+        """
+        lowers, uppers = tuple(lowers), tuple(uppers)
+        if kernel.stores and any(u <= l for l, u in zip(lowers, uppers)):
+            return [], None  # empty iteration space: nothing to execute
+        attr = op.get_attr_or_none("schedule.tile")
+        sizes = attr.as_tuple() if attr is not None else ()
+        if len(sizes) == len(lowers) and (kernel.stores or kernel.tileable):
+            boxes = plan_boxes(lowers, uppers, sizes)
+            if len(boxes) > 1:
+                return boxes, "schedule"
+        if schedule is not None and self.threads > 1:
+            if kernel.tileable:
+                spans = plan_tiles(lowers[0], uppers[0], self.threads, *schedule)
+                if len(spans) > 1:
+                    return [((lo,) + lowers[1:], (up,) + uppers[1:])
+                            for lo, up in spans], "parallel"
+            self.stats["parallel_fallbacks"] += 1
+        return [(lowers, uppers)], None
+
+    def _crosscheck(self, kernel, externals, vector_runner: Callable,
+                    scalar_runner: Callable):
+        """Run the compiled kernel (tiled as planned) AND the scalar oracle
+        and require bitwise agreement on every stored array and returned
+        value.  Leaves the oracle's stores in memory."""
         targets = kernel.store_targets(externals)
         before = [t.copy() for t in targets]
-        vector_runner()
-        vectorized = [t.copy() for t in targets]
+        results = vector_runner()
+        vectorized = [t.copy() for t in targets] + list(results or [])
         for target, saved in zip(targets, before):
             np.copyto(target, saved)
-        scalar_runner()
-        for target, vec in zip(targets, vectorized):
-            if not np.allclose(target, vec, equal_nan=True):
-                worst = float(np.max(np.abs(np.asarray(target) - vec)))
+        reference = targets + list(scalar_runner() or [])
+        for ref, vec in zip(reference, vectorized):
+            ref, vec = np.broadcast_arrays(np.asarray(ref), np.asarray(vec))
+            if not np.array_equal(ref, vec, equal_nan=True):
+                worst = float(np.max(np.abs(ref.astype(np.float64)
+                                            - vec.astype(np.float64))))
                 raise InterpreterError(
-                    "vectorized kernel diverged from the scalar oracle "
-                    f"(max |diff| = {worst:g});\n--- kernel source ---\n"
-                    f"{kernel.source}"
+                    f"vectorized {kernel.label} diverged from the "
+                    f"scalar oracle (max |diff| = {worst:g});\n"
+                    f"--- kernel source ---\n{kernel.source}"
                 )
+        return results
 
     def _run_apply_scalar(self, op: Operation, frame: Frame,
                           lb: Tuple[int, ...], ub: Tuple[int, ...]) -> List[object]:
@@ -918,161 +900,6 @@ class Interpreter:
             return self.run_block(block, frame)
         finally:
             self._apply_stack.pop()
-
-    def _vectorize_apply(self, op: Operation, frame: Frame,
-                         lb: Tuple[int, ...], ub: Tuple[int, ...]):
-        """Execute a stencil.apply through its compiled kernel; returns the
-        list of result arrays, or None to fall back to the scalar path."""
-        bound = self.kernels.kernel_for(op)
-        if bound is None:
-            self.stats["vectorize_fallbacks"] += 1
-            return None
-        kernel = bound.kernel
-        externals = [frame.get(v) for v in bound.external_values]
-        if not kernel.apply_guards_pass(externals, lb, ub):
-            self.stats["vectorize_fallbacks"] += 1
-            return None
-        tile_sizes = self._schedule_tile(op, len(lb))
-        results = self._run_apply_kernel(kernel, externals, lb, ub, tile_sizes)
-        if self.execution_mode == "crosscheck":
-            reference = self._run_apply_scalar(op, frame, lb, ub)
-            for vec, ref in zip(results, reference):
-                if not np.allclose(np.asarray(vec, dtype=np.float64),
-                                   np.asarray(ref, dtype=np.float64),
-                                   equal_nan=True):
-                    raise InterpreterError(
-                        "vectorized stencil.apply diverged from the scalar "
-                        f"oracle;\n--- kernel source ---\n{kernel.source}"
-                    )
-        self.stats["vectorized_sweeps"] += 1
-        return results
-
-    def _run_apply_kernel(self, kernel, externals, lb: Tuple[int, ...],
-                          ub: Tuple[int, ...],
-                          tile_sizes: Optional[Tuple[int, ...]] = None
-                          ) -> List[object]:
-        """One sweep of a compiled apply kernel, tiled along dimension 0
-        across the thread pool when possible.
-
-        Apply kernels are pure (no stores), so tiles need no disjointness
-        argument: each computes its slab of every result and the slabs are
-        assembled by one concatenation per result in tile order (exact and
-        deterministic; the pairwise :func:`tree_combine` exists for genuinely
-        non-associative reduction partials, where concatenating once would
-        not apply).  Tiling requires every returned value to be a
-        whole-domain array (known statically) whose leading axis actually
-        spans the tile — a result
-        that broadcasts along dimension 0 (e.g. built purely from
-        ``stencil.index`` of another dimension) would assemble wrongly, so
-        such sweeps recompute on the single-tile path instead, counted in
-        ``stats["parallel_fallbacks"]``.  Generated arrays either span dim 0
-        fully or have size 1 there, so the per-tile shape check below
-        separates the two — provided every tile spans at least 2 rows (at
-        tile extent 1 the sizes coincide), which the plan must satisfy.
-
-        A ``.tile(...)`` schedule directive takes precedence over the
-        thread plan: the sweep runs over user-shaped cache boxes (see
-        :meth:`_run_apply_boxes`) and falls through to the paths below only
-        when a result's shape refuses box assembly.
-        """
-        start = _time.perf_counter()
-        try:
-            if (
-                tile_sizes is not None
-                and kernel.box_tileable
-                and kernel.result_is_array
-                and all(kernel.result_is_array)
-            ):
-                boxed = self._run_apply_boxes(kernel, externals, lb, ub,
-                                              tile_sizes)
-                if boxed is not None:
-                    return boxed
-            tiles = None
-            if (
-                self._executor is not None
-                and self.threads > 1
-                and kernel.tileable
-                and kernel.result_is_array
-                and all(kernel.result_is_array)
-            ):
-                tiles = plan_tiles(lb[0], ub[0], self.threads)
-                if any(tile_ub - tile_lb < 2 for tile_lb, tile_ub in tiles):
-                    tiles = None
-            if tiles is None or len(tiles) <= 1:
-                if self.threads > 1:
-                    self.stats["parallel_fallbacks"] += 1
-                return kernel.fn(externals, lb, ub)
-
-            def run_tile(tile: Tuple[int, int]) -> List[object]:
-                return kernel.fn(externals, (tile[0],) + tuple(lb[1:]),
-                                 (tile[1],) + tuple(ub[1:]))
-
-            partials = self._executor.map_tiles(run_tile, tiles)
-            for tile, partial in zip(tiles, partials):
-                if any(np.ndim(value) == 0 or np.shape(value)[0] != tile[1] - tile[0]
-                       for value in partial):
-                    # A result broadcasts along dim 0: slabs cannot be
-                    # stacked.  Recompute whole-domain (kernels are pure)
-                    # and remember the refusal — the shape defect is
-                    # structural, so later sweeps skip straight here.
-                    kernel.tileable = False
-                    self.stats["parallel_fallbacks"] += 1
-                    return kernel.fn(externals, lb, ub)
-            self.stats["parallel_sweeps"] += 1
-            self.stats["parallel_tiles"] += len(tiles)
-            return [
-                np.concatenate([partial[i] for partial in partials], axis=0)
-                for i in range(len(partials[0]))
-            ]
-        finally:
-            if self.kernels is not None and kernel.label:
-                self.kernels.record_invocation(kernel.label,
-                                               _time.perf_counter() - start)
-
-    def _run_apply_boxes(self, kernel, externals, lb: Tuple[int, ...],
-                         ub: Tuple[int, ...],
-                         tile_sizes: Tuple[int, ...]) -> Optional[List[object]]:
-        """Run an apply kernel over ``schedule.tile``-shaped sub-boxes and
-        assemble whole-domain results by slab assignment.
-
-        Pure elementwise kernels compute bit-identical values on any
-        sub-box, so assembly is exact.  Every per-box result must match the
-        box shape exactly; a result that broadcasts along a tiled dimension
-        (e.g. built purely from ``stencil.index`` of another dimension)
-        returns ``None`` — the caller recomputes whole-domain — and the
-        refusal is memoised on the kernel (``box_tileable``), mirroring the
-        dim-0 ``tileable`` flag.
-        """
-        boxes = plan_boxes(lb, ub, tile_sizes)
-        if len(boxes) <= 1:
-            return None
-
-        def run_box(box) -> List[object]:
-            return kernel.fn(externals, box[0], box[1])
-
-        if self._executor is not None and self.threads > 1:
-            partials = self._executor.map_tiles(run_box, boxes)
-        else:
-            partials = [run_box(box) for box in boxes]
-        for box, partial in zip(boxes, partials):
-            shape = tuple(u - l for l, u in zip(box[0], box[1]))
-            if any(np.shape(value) != shape for value in partial):
-                kernel.box_tileable = False
-                self.stats["schedule_fallbacks"] += 1
-                return None
-        domain = tuple(u - l for l, u in zip(lb, ub))
-        results: List[object] = []
-        for i in range(len(partials[0])):
-            out = np.empty(domain, dtype=np.asarray(partials[0][i]).dtype)
-            for box, partial in zip(boxes, partials):
-                slices = tuple(
-                    slice(box_l - l, box_u - l)
-                    for l, box_l, box_u in zip(lb, box[0], box[1])
-                )
-                out[slices] = partial[i]
-            results.append(out)
-        self.stats["schedule_tiles"] += len(boxes)
-        return results
 
     # ------------------------------------------------------------------
     # stencil handlers (vectorised execution)
@@ -1103,11 +930,12 @@ class Interpreter:
         lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
         ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
         domain = tuple(u - l for l, u in zip(lb, ub))
-        returned = None
-        if self.execution_mode != "interpret":
-            returned = self._vectorize_apply(op, frame, lb, ub)
-        if returned is None:
-            returned = self._run_apply_scalar(op, frame, lb, ub)
+        returned = self._sweep(
+            op, frame, lambda: self.kernels.kernel_for(op),
+            lambda kernel, externals:
+                (lb, ub) if kernel.apply_guards_pass(externals, lb, ub) else None,
+            lambda: self._run_apply_scalar(op, frame, lb, ub),
+            schedule=("static", None))
         self.stats["stencil_apply_executions"] += 1
         points = 1
         for extent in domain:
@@ -1235,12 +1063,26 @@ class Interpreter:
         kernel_op = self._gpu_kernels.get(kernel_name)
         if kernel_op is None:
             raise InterpreterError(f"gpu.launch_func: unknown kernel '{kernel_name}'")
+
+        def lookup():
+            if self._gpu_engine is None:
+                self._gpu_engine = GpuKernelEngine(self.kernels)
+            return self._gpu_engine.kernel_for(op, kernel_op)
+
+        def domain_of(kernel, externals):
+            # The thread lattice clipped by the compiled guards; empty when
+            # the guard rejects every thread.
+            lo, up = kernel.launch_domain(grid, block)
+            ok = kernel.guards_pass(externals, lo, up, [1] * kernel.rank)
+            return (lo, up) if ok else None
+
         start = _time.perf_counter()
         try:
-            if self.execution_mode != "interpret" and \
-                    self._vectorize_launch(op, kernel_op, args, grid, block):
-                return []
-            self._run_launch_scalar(kernel_op, args, grid, block)
+            # Launches stay single-box (no thread schedule).
+            self._sweep(op, frame, lookup, domain_of,
+                        lambda: self._run_launch_scalar(kernel_op, args, grid, block),
+                        counters=("gpu_launches_vectorized",
+                                  "gpu_launch_fallbacks"))
             return []
         finally:
             seconds = _time.perf_counter() - start
@@ -1272,63 +1114,6 @@ class Interpreter:
                                     self.run_block(body, kernel_frame)
                                 finally:
                                     self._gpu_thread_ctx.pop()
-
-    def _vectorize_launch(self, op: Operation, kernel_op: Operation,
-                          args: List[object], grid: Sequence[int],
-                          block: Sequence[int]) -> bool:
-        """Run a gpu.launch_func through its compiled whole-lattice kernel.
-        Returns False (caller runs the per-thread oracle) when the gpu.func
-        cannot be compiled or a runtime bounds/alias guard fails."""
-        if self._gpu_engine is None:
-            self._gpu_engine = GpuKernelEngine(self.kernels)
-        bound = self._gpu_engine.kernel_for(op, kernel_op)
-        if bound is None:
-            self.stats["gpu_launch_fallbacks"] += 1
-            return False
-        kernel = bound.kernel
-        externals = args
-        lowers, uppers = kernel.launch_domain(grid, block)
-        if not kernel.guards_pass(externals, lowers, uppers, [1] * kernel.rank):
-            self.stats["gpu_launch_fallbacks"] += 1
-            return False
-        if any(u <= l for l, u in zip(lowers, uppers)):
-            self.stats["gpu_launches_vectorized"] += 1
-            return True  # the guard rejects every thread: nothing to execute
-        start = _time.perf_counter()
-        try:
-            if self.execution_mode == "crosscheck":
-                self._crosscheck_launch(kernel, externals, lowers, uppers,
-                                        kernel_op, args, grid, block)
-            else:
-                kernel.fn(externals, lowers, uppers)
-        finally:
-            if self.kernels is not None and kernel.label:
-                self.kernels.record_invocation(kernel.label,
-                                               _time.perf_counter() - start)
-        self.stats["gpu_launches_vectorized"] += 1
-        return True
-
-    def _crosscheck_launch(self, kernel, externals, lowers, uppers,
-                           kernel_op: Operation, args: List[object],
-                           grid: Sequence[int], block: Sequence[int]) -> None:
-        """Run the compiled lattice kernel AND the per-thread scalar oracle;
-        require bitwise agreement.  Leaves the oracle's results in memory."""
-        targets = kernel.store_targets(externals)
-        before = [t.copy() for t in targets]
-        kernel.fn(externals, lowers, uppers)
-        vectorized = [t.copy() for t in targets]
-        for target, saved in zip(targets, before):
-            np.copyto(target, saved)
-        self._run_launch_scalar(kernel_op, args, grid, block)
-        for target, vec in zip(targets, vectorized):
-            if not np.array_equal(np.asarray(target), vec, equal_nan=True):
-                worst = float(np.max(np.abs(np.asarray(target, dtype=np.float64)
-                                            - np.asarray(vec, dtype=np.float64))))
-                raise InterpreterError(
-                    "vectorized GPU launch diverged from the per-thread "
-                    f"scalar oracle (max |diff| = {worst:g});\n"
-                    f"--- kernel source ---\n{kernel.source}"
-                )
 
     def _exec_gpu_id(self, what: str):
         dims = {"x": 0, "y": 1, "z": 2}

@@ -71,7 +71,7 @@ from ..ir.ssa import SSAValue
 from ..ir.types import FloatType, IndexType, IntegerType, MemRefType
 from .memory import MemoryBuffer, numpy_dtype_for
 
-#: Execution modes accepted by CompilerOptions / Interpreter.
+#: Execution modes accepted by the backend options / Interpreter.
 EXECUTION_MODES = ("interpret", "vectorize", "crosscheck")
 
 
@@ -292,18 +292,23 @@ class CompiledKernel:
         self.external_paths = tuple(external_paths)
         self.bound_slots = tuple(bound_slots)
         #: For apply kernels: which returned values are whole-domain arrays
-        #: (only those can be slab-assembled by the tiled executor).
+        #: (only those can be slab-assembled by ``run_boxes``).
         self.result_is_array = tuple(result_is_array)
         #: Stable display name (op name + structural-hash prefix), set by
         #: KernelCompiler.kernel_for; keys the per-kernel runtime statistics.
         self.label = ""
-        #: Cleared by the tiled executor when a sweep shows a result that
-        #: broadcasts along dim 0 (a structural property, so the refusal
-        #: holds for every later sweep of this — possibly shared — kernel).
-        self.tileable = True
-        #: Same memo for the multi-dimensional ``schedule.tile`` box path:
-        #: cleared when a per-box result shape refuses slab assembly.
-        self.box_tileable = True
+        #: Whether the sweep may be split into boxes that run concurrently.
+        #: Store kernels need every store to index dim 0 (thread tiles then
+        #: write disjoint slabs); pure kernels need every returned value to
+        #: be a whole-domain array.  The interpreter clears it when a per-box
+        #: result shape refuses slab assembly — a structural property, so the
+        #: refusal holds for every later sweep of this (possibly shared)
+        #: kernel.
+        if self.stores:
+            self.tileable = all(any(dim == 0 for dim, _ in axes)
+                                for _, axes in self.stores)
+        else:
+            self.tileable = bool(self.result_is_array) and all(self.result_is_array)
 
     # -- runtime guards ----------------------------------------------------
 
@@ -379,9 +384,6 @@ class CompiledKernel:
             if array is not None and not any(array is t for t in targets):
                 targets.append(array)
         return targets
-
-    def __call__(self, externals, lowers, uppers):
-        return self.fn(externals, lowers, uppers)
 
 
 class BoundKernel:

@@ -314,28 +314,6 @@ class SimulatedCommunicator:
             if queue
         }
 
-    def try_receive(self, source: int, dest: int, tag: int) -> Optional[np.ndarray]:
-        key = (source, dest, tag)
-        with self._lock:
-            queue = self._mailboxes.get(key)
-            if not self._resilient:
-                if queue:
-                    return queue.pop(0).payload
-                return None
-            expected = self._next_recv_seq.get(key, 0)
-            while queue and queue[0].seq < expected:
-                queue.pop(0)
-                self.stats["duplicates_dropped"] += 1
-            if queue and queue[0].seq == expected:
-                env = queue.pop(0)
-                if _checksum(env.payload) == env.checksum:
-                    self._next_recv_seq[key] = expected + 1
-                    self._ack_locked(key, expected)
-                    return env.payload
-                self.stats["corruptions_detected"] += 1
-                self._retransmit_locked(key, expected)
-        return None
-
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
@@ -372,21 +350,6 @@ class SimulatedCommunicator:
                         f"{pending if pending else 'none'} — a rank "
                         "deadlocked or never reached the barrier"
                     )
-
-    def allreduce(self, rank: int, value: float, op: str = "sum",
-                  contributions: Optional[Dict[int, float]] = None) -> float:
-        # A simplified allreduce used by sequential rank execution: the caller
-        # provides all contributions (the lockstep executor gathers them).
-        if contributions is None:
-            return value
-        values = list(contributions.values())
-        if op == "sum":
-            return float(np.sum(values))
-        if op == "min":
-            return float(np.min(values))
-        if op == "max":
-            return float(np.max(values))
-        raise MPIError(f"unsupported allreduce op '{op}'")
 
     # ------------------------------------------------------------------
 

@@ -1,35 +1,31 @@
 """Multi-core tiled execution of compiled kernels.
 
-The PR 1 kernel compiler turns a lowered ``scf.parallel`` / ``omp.wsloop``
-nest (or a ``stencil.apply`` body) into one NumPy whole-array sweep.  This
-module makes such sweeps use more than one core: the sweep's domain is
-partitioned along its **outermost parallel dimension** into tiles and the
-tiles run concurrently on a persistent :class:`ThreadPoolExecutor`.  NumPy
+The kernel compiler turns a lowered ``scf.parallel`` / ``omp.wsloop`` nest, a
+``stencil.apply`` body or an outlined ``gpu.func`` into one NumPy whole-array
+sweep.  This module splits such a sweep's domain into **boxes** and runs them,
+concurrently on a persistent :class:`ThreadPoolExecutor` when asked to (NumPy
 releases the GIL for large slice operations, so real in-process speedup is
-achievable without multiprocessing.
+achievable without multiprocessing).
 
 Three pieces, each independently testable:
 
-* :func:`plan_tiles` — turns ``[lower, upper)`` plus an OpenMP schedule
-  (kind + chunk size, as carried on ``omp.wsloop`` by
-  ``convert-scf-to-openmp``) into a list of contiguous, disjoint
-  ``(lb, ub)`` tiles that exactly cover the extent;
+* the planners — :func:`plan_tiles` turns ``[lower, upper)`` plus an OpenMP
+  schedule (kind + chunk size, as carried on ``omp.wsloop`` by
+  ``convert-scf-to-openmp``) into contiguous, disjoint ``(lb, ub)`` spans that
+  exactly cover the extent; :func:`plan_boxes` partitions a whole box into
+  ``schedule.tile``-shaped sub-boxes;
+* :func:`run_boxes` — runs a kernel over a box plan: store kernels in place,
+  pure kernels assembled by slab assignment;
 * :class:`ParallelExecutor` — a persistent worker pool executing tile
-  closures and combining per-tile partial results;
-* :func:`tree_combine` — deterministic pairwise (binary-tree) combination
-  of per-tile partials in **tile order**, so floating-point reductions give
-  the same bits on every run regardless of which tile finishes first.
-  (Nests carrying reduction values are currently refused by the kernel
-  compiler and run scalar; this is the designated combiner for when they
-  become vectorizable.)
+  closures and returning their results in tile order.
 
 Safety is the caller's job and the caller can afford it: a nest kernel that
 passed :meth:`CompiledKernel.guards_pass` has unit steps, in-bounds windows,
 no load/store aliasing and only same-array/same-index-map store pairs — so
-tiles that partition dimension 0 write provably disjoint slabs (exactly the
+boxes that partition the domain write provably disjoint regions (exactly the
 guarantee ``scf.parallel`` iteration independence gives).  Anything weaker
-must stay on the single-tile path; :class:`repro.runtime.Interpreter` counts
-those refusals in ``stats["parallel_fallbacks"]``.
+must run its boxes one after the other; :class:`repro.runtime.Interpreter`
+counts thread-plan refusals in ``stats["parallel_fallbacks"]``.
 """
 
 from __future__ import annotations
@@ -37,6 +33,11 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+#: One box of a sweep plan: ``(lowers, uppers)``, half-open per dimension.
+Box = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 #: Schedule kinds understood by :func:`plan_tiles` (OpenMP worksharing-loop
 #: schedule clause subset; "auto"/"runtime" map to "static" upstream).
@@ -114,7 +115,7 @@ def plan_boxes(
     lowers: Sequence[int],
     uppers: Sequence[int],
     sizes: Sequence[int],
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+) -> List[Box]:
     """Partition the box ``[lowers, uppers)`` into ``sizes``-shaped sub-boxes.
 
     The multi-dimensional counterpart of :func:`plan_tiles`, backing the
@@ -132,7 +133,7 @@ def plan_boxes(
         [(p, min(p + size, upper)) for p in range(lower, upper, size)]
         for lower, upper, size in zip(lowers, uppers, sizes)
     ]
-    boxes: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = [((), ())]
+    boxes: List[Box] = [((), ())]
     for spans in per_dim:
         boxes = [
             (lb + (span_lb,), ub + (span_ub,))
@@ -142,24 +143,44 @@ def plan_boxes(
     return boxes
 
 
-def tree_combine(partials: Sequence[object], combine: Callable) -> object:
-    """Combine per-tile partials pairwise in tile order.
+def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
+              uppers: Sequence[int], boxes: Sequence[Box],
+              executor: Optional["ParallelExecutor"] = None) -> Optional[List[object]]:
+    """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
+    concurrently on ``executor`` when one is given, in box order otherwise.
 
-    The combination tree depends only on ``len(partials)`` — never on
-    completion order — so non-associative combiners (floating-point sums)
-    are bit-reproducible across runs and thread counts with the same tile
-    plan.  ``combine(left, right)`` must accept two partials with ``left``
-    from earlier tiles than ``right``.
+    Store kernels write each box's region in place; the result is ``[]``.
+    Pure (``stencil.apply``) kernels return their values: a single box's are
+    passed through untouched, several boxes' are assembled into whole-domain
+    arrays by slab assignment (exact — a pure elementwise kernel computes
+    bit-identical values on any sub-box).  Assembly requires every per-box
+    value to have exactly the box's shape; a value that broadcasts along a
+    tiled dimension (e.g. built purely from ``stencil.index`` of another
+    dimension) makes the call return ``None`` and the caller recomputes
+    whole-domain.
     """
-    if not partials:
-        raise ValueError("tree_combine needs at least one partial")
-    level = list(partials)
-    while len(level) > 1:
-        level = [
-            combine(level[i], level[i + 1]) if i + 1 < len(level) else level[i]
-            for i in range(0, len(level), 2)
-        ]
-    return level[0]
+    def run(box: Box):
+        return kernel.fn(externals, box[0], box[1])
+
+    partials = executor.map_tiles(run, boxes) if executor is not None \
+        else [run(box) for box in boxes]
+    if kernel.stores:
+        return []
+    if len(boxes) == 1:
+        return partials[0]
+    for (box_lb, box_ub), partial in zip(boxes, partials):
+        shape = tuple(u - l for l, u in zip(box_lb, box_ub))
+        if any(np.shape(value) != shape for value in partial):
+            return None
+    domain = tuple(u - l for l, u in zip(lowers, uppers))
+    results: List[object] = []
+    for i, first in enumerate(partials[0]):
+        out = np.empty(domain, dtype=np.asarray(first).dtype)
+        for (box_lb, box_ub), partial in zip(boxes, partials):
+            out[tuple(slice(bl - l, bu - l)
+                      for l, bl, bu in zip(lowers, box_lb, box_ub))] = partial[i]
+        results.append(out)
+    return results
 
 
 class ParallelExecutor:
@@ -186,14 +207,6 @@ class ParallelExecutor:
             return [fn(tiles[0])]
         futures = [self._pool.submit(fn, tile) for tile in tiles]
         return [future.result() for future in futures]
-
-    def run_tiles(self, fn: Callable, tiles: Sequence) -> None:
-        """:meth:`map_tiles` for side-effecting tile closures."""
-        self.map_tiles(fn, tiles)
-
-    def map_reduce(self, fn: Callable, tiles: Sequence, combine: Callable) -> object:
-        """Run ``fn`` over every tile and :func:`tree_combine` the partials."""
-        return tree_combine(self.map_tiles(fn, tiles), combine)
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
@@ -222,7 +235,7 @@ __all__ = [
     "SCHEDULE_KINDS",
     "plan_tiles",
     "plan_boxes",
-    "tree_combine",
+    "run_boxes",
     "ParallelExecutor",
     "get_executor",
 ]

@@ -116,23 +116,6 @@ PIPELINES = {
 }
 
 
-def pipeline_for(backend, **options) -> Optional[str]:
-    """The pipeline string a registered backend would run for ``options``.
-
-    Asks the backend registry (:mod:`repro.api.backends`) — the authoritative
-    owner of per-target pipeline selection — so schedule clauses and other
-    option-dependent pipeline variations are reflected.  Returns ``None``
-    when the backend keeps the module at the stencil level.
-    """
-    from ..api.backends import registry  # local import: api depends on us
-
-    backend_obj = registry.get(backend)
-    # lower_to_scf=True because callers asking for a pipeline want the
-    # lowered form; pass explicitly to override.
-    options.setdefault("lower_to_scf", True)
-    return backend_obj.pipeline(backend_obj.make_options(**options))
-
-
 __all__ = [
     "FIR_STENCIL_PIPELINE",
     "CPU_PIPELINE",
@@ -144,7 +127,6 @@ __all__ = [
     "gpu_stencil_pipeline",
     "DMP_PIPELINE",
     "PIPELINES",
-    "pipeline_for",
     "build_pass_manager",
     "run_pipeline",
 ]

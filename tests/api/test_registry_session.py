@@ -3,8 +3,7 @@
 Covers the ISSUE 3 acceptance surface: backend registration round-trips,
 unknown-backend error messages, per-backend option schemas rejecting
 mismatched options, artifact-cache hit/miss counters, ``run_batch``
-determinism, all five targets through the fluent API, and the
-``compile_fortran`` deprecation shim producing identical modules.
+determinism and all five targets through the fluent API.
 """
 
 import numpy as np
@@ -24,8 +23,6 @@ from repro.api import (
     registry,
 )
 from repro.apps import gauss_seidel, pw_advection
-from repro.compiler import CompilerOptions, Target, compile_fortran
-from repro.ir import print_module
 
 
 @pytest.fixture
@@ -45,13 +42,11 @@ class TestBackendRegistry:
     def test_registration_round_trip(self):
         class NullBackend(Backend):
             name = "null"
-            aliases = ("nothing",)
             uses_stencil_flow = False
 
         fresh = BackendRegistry()
         backend = fresh.register(NullBackend())
         assert fresh.get("null") is backend
-        assert fresh.get("nothing") is backend          # alias resolution
         assert "null" in fresh and len(fresh) == 1
         assert list(fresh) == [backend]
 
@@ -74,11 +69,6 @@ class TestBackendRegistry:
         assert "'tpu'" in message
         for name in ("cpu", "dmp", "flang-only", "gpu", "openmp"):
             assert name in message
-
-    def test_legacy_target_enum_and_alias_resolve(self):
-        assert registry.get(Target.STENCIL_OPENMP) is registry.get("openmp")
-        assert registry.get("stencil-gpu") is registry.get("gpu")
-        assert registry.get(Target.FLANG_ONLY) is registry.get("flang-only")
 
     def test_custom_backend_compiles_through_session(self):
         """A registered backend is immediately usable by a session."""
@@ -121,17 +111,6 @@ class TestOptionSchemas:
     def test_unknown_gpu_data_strategy_rejected(self):
         with pytest.raises(OptionError, match="data_strategy"):
             GpuOptions(data_strategy="unified")
-
-    def test_legacy_gpu_data_strategy_rejected(self, small_gs_source):
-        """The silent GpuHostRegisterPass fallthrough is gone: the legacy flat
-        options now validate the strategy too."""
-        with pytest.raises(ValueError, match="gpu_data_strategy"):
-            CompilerOptions(target=Target.STENCIL_GPU,
-                            gpu_data_strategy="unified")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="gpu_data_strategy"):
-                compile_fortran(small_gs_source, Target.STENCIL_GPU,
-                                gpu_data_strategy="unified")
 
     @pytest.mark.parametrize("kwargs", [
         {"schedule": "fastest"},
@@ -347,56 +326,6 @@ class TestFluentPrograms:
             compiled.interpreter(threads=0)
         interp = compiled.interpreter(execution_mode="vectorize", threads=2)
         assert interp.execution_mode == "vectorize"
-
-
-# ---------------------------------------------------------------------------
-# Legacy compile_fortran shim
-# ---------------------------------------------------------------------------
-
-
-class TestCompatShim:
-    def test_compile_fortran_warns_deprecation(self, small_gs_source):
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            compile_fortran(small_gs_source, Target.STENCIL_CPU)
-
-    @pytest.mark.parametrize("target,backend,kwargs,new_kwargs", [
-        (Target.FLANG_ONLY, "flang-only", {}, {}),
-        (Target.STENCIL_CPU, "cpu", {"lower_to_scf": True},
-         {"lower_to_scf": True}),
-        (Target.STENCIL_OPENMP, "openmp",
-         {"lower_to_scf": True, "omp_schedule": "dynamic", "omp_chunk_size": 4},
-         {"lower_to_scf": True, "schedule": "dynamic", "chunk_size": 4}),
-        (Target.STENCIL_GPU, "gpu", {"gpu_data_strategy": "host_register"},
-         {"data_strategy": "host_register"}),
-        (Target.STENCIL_DMP, "dmp", {"grid": (2, 2)}, {"grid": (2, 2)}),
-    ])
-    def test_shim_produces_identical_modules(self, session, small_gs_source,
-                                             target, backend, kwargs,
-                                             new_kwargs):
-        with pytest.warns(DeprecationWarning):
-            legacy = compile_fortran(small_gs_source, target, **kwargs)
-        fluent = session.compile(small_gs_source).lower(backend, **new_kwargs)
-        assert print_module(legacy.fir_module) == print_module(fluent.fir_module)
-        if legacy.stencil_module is None:
-            assert fluent.stencil_module is None
-        else:
-            assert print_module(legacy.stencil_module) == print_module(
-                fluent.stencil_module)
-        assert legacy.discovered_stencils == fluent.discovered_stencils
-        assert legacy.extracted_functions == fluent.extracted_functions
-
-    def test_legacy_interpreter_rejects_falsy_overrides(self, small_gs_source):
-        with pytest.warns(DeprecationWarning):
-            result = compile_fortran(small_gs_source, Target.STENCIL_CPU,
-                                     execution_mode="vectorize", threads=2)
-        with pytest.raises(ValueError, match="execution_mode"):
-            result.interpreter(execution_mode="")
-        with pytest.raises(ValueError, match="threads"):
-            result.interpreter(threads=0)
-        # None still means "use the compiled defaults".
-        interp = result.interpreter()
-        assert interp.execution_mode == "vectorize"
-        assert interp.threads == 2
 
 
 class TestDmpCacheKeys:

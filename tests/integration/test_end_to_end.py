@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.compiler import CompilerDriver, CompilerOptions, Target, compile_fortran
 from repro.runtime import Interpreter
 
 
@@ -14,16 +14,16 @@ class TestGaussSeidelAllTargets:
     reference = staticmethod(gauss_seidel.reference_jacobi)
 
     @pytest.mark.parametrize("target,kwargs", [
-        (Target.STENCIL_CPU, {}),
-        (Target.STENCIL_CPU, {"lower_to_scf": True}),
-        (Target.STENCIL_OPENMP, {"lower_to_scf": True}),
-        (Target.STENCIL_GPU, {"gpu_data_strategy": "optimised"}),
-        (Target.STENCIL_GPU, {"gpu_data_strategy": "host_register"}),
+        ("cpu", {}),
+        ("cpu", {"lower_to_scf": True}),
+        ("openmp", {"lower_to_scf": True}),
+        ("gpu", {"data_strategy": "optimised"}),
+        ("gpu", {"data_strategy": "host_register"}),
     ])
     def test_stencil_targets_match_jacobi_reference(self, target, kwargs):
         n, iters = 10, 2
         source = gauss_seidel.generate_source(n, iters)
-        result = compile_fortran(source, target, **kwargs)
+        result = repro.compile(source).lower(target, **kwargs)
         work = gauss_seidel.initial_condition(n)
         expected = self.reference(work, iters)
         result.run("gauss_seidel", work)
@@ -32,7 +32,7 @@ class TestGaussSeidelAllTargets:
     def test_flang_only_matches_gauss_seidel_reference(self):
         n, iters = 8, 2
         source = gauss_seidel.generate_source(n, iters)
-        result = compile_fortran(source, Target.FLANG_ONLY)
+        result = repro.compile(source).lower("flang-only")
         work = gauss_seidel.initial_condition(n)
         expected = gauss_seidel.reference_gauss_seidel(work, iters)
         result.run("gauss_seidel", work)
@@ -50,16 +50,16 @@ class TestGaussSeidelAllTargets:
 
 class TestPWAdvectionAllTargets:
     @pytest.mark.parametrize("target,kwargs", [
-        (Target.FLANG_ONLY, {}),
-        (Target.STENCIL_CPU, {}),
-        (Target.STENCIL_CPU, {"fuse_stencils": False}),
-        (Target.STENCIL_CPU, {"lower_to_scf": True}),
-        (Target.STENCIL_GPU, {}),
+        ("flang-only", {}),
+        ("cpu", {}),
+        ("cpu", {"fuse_stencils": False}),
+        ("cpu", {"lower_to_scf": True}),
+        ("gpu", {}),
     ])
     def test_matches_reference(self, target, kwargs):
         n = 8
         source = pw_advection.generate_source(n)
-        result = compile_fortran(source, target, **kwargs)
+        result = repro.compile(source).lower(target, **kwargs)
         u, v, w, su, sv, sw = pw_advection.initial_fields(n)
         result.run("pw_advection", u, v, w, su, sv, sw)
         rsu, rsv, rsw = pw_advection.reference(u, v, w)
@@ -68,25 +68,25 @@ class TestPWAdvectionAllTargets:
         assert np.allclose(sw, rsw)
 
 
-class TestCompilerDriver:
+class TestCompiledProgramMetadata:
     def test_compilation_result_metadata(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_CPU)
+        result = repro.compile(small_gs_source).lower("cpu")
         assert result.discovered_stencils == {"gauss_seidel": 1}
         assert len(result.extracted_functions) == 1
         assert len(result.modules) == 2
 
     def test_flang_only_has_no_stencil_module(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.FLANG_ONLY)
+        result = repro.compile(small_gs_source).lower("flang-only")
         assert result.stencil_module is None
 
-    def test_driver_reusable(self, small_gs_source, small_pw_source):
-        driver = CompilerDriver(CompilerOptions(target=Target.STENCIL_CPU))
-        first = driver.compile(small_gs_source)
-        second = driver.compile(small_pw_source)
+    def test_session_reusable(self, small_gs_source, small_pw_source):
+        session = repro.Session()
+        first = session.lower(small_gs_source, "cpu")
+        second = session.lower(small_pw_source, "cpu")
         assert first.discovered_stencils and second.discovered_stencils
 
     def test_pass_statistics_collected_when_lowering(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_OPENMP, lower_to_scf=True)
+        result = repro.compile(small_gs_source).lower("openmp", lower_to_scf=True)
         assert any(s.name == "convert-scf-to-openmp" for s in result.pass_statistics)
 
 
@@ -143,11 +143,11 @@ class TestPropertyDifferential:
         rng = np.random.default_rng(7)
         a = np.asfortranarray(rng.random((n, n)))
 
-        flang_only = compile_fortran(source, Target.FLANG_ONLY)
+        flang_only = repro.compile(source).lower("flang-only")
         b_plain = np.zeros((n, n), order="F")
         flang_only.run("kernel", a, b_plain)
 
-        stencil_flow = compile_fortran(source, Target.STENCIL_CPU)
+        stencil_flow = repro.compile(source).lower("cpu")
         b_stencil = np.zeros((n, n), order="F")
         stencil_flow.run("kernel", a, b_stencil)
 
@@ -160,7 +160,7 @@ class TestPropertyDifferential:
     @settings(max_examples=15, deadline=None)
     def test_gauss_seidel_stencil_path_equals_jacobi_for_any_size(self, n, iters):
         source = gauss_seidel.generate_source(n, iters)
-        result = compile_fortran(source, Target.STENCIL_CPU)
+        result = repro.compile(source).lower("cpu")
         work = gauss_seidel.initial_condition(n, seed=n)
         expected = gauss_seidel.reference_jacobi(work, iters)
         result.run("gauss_seidel", work)

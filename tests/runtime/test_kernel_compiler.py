@@ -15,8 +15,9 @@ Covers the three contract areas of ``repro.runtime.kernel_compiler``:
 import numpy as np
 import pytest
 
+import repro
+from repro.api import CpuOptions, OptionError
 from repro.apps import gauss_seidel, pw_advection
-from repro.compiler import CompilerOptions, Target, compile_fortran
 from repro.dialects import arith, memref, scf, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
@@ -197,9 +198,8 @@ class TestKernelCache:
     def test_iterated_stencil_compiles_once(self):
         """niters sweeps of the same apply = one compile + (niters-1) hits."""
         niters = 4
-        result = compile_fortran(
-            gauss_seidel.generate_source(12, niters=niters), Target.STENCIL_CPU
-        )
+        result = repro.compile(
+            gauss_seidel.generate_source(12, niters=niters)).lower("cpu")
         interp = result.interpreter(execution_mode="vectorize")
         interp.kernels = KernelCompiler(use_shared_cache=False)
         interp.call("gauss_seidel", gauss_seidel.initial_condition(12))
@@ -214,11 +214,8 @@ class TestKernelCache:
 
 
 def run_gauss_seidel(mode, lower_to_scf, n=14, niters=2):
-    result = compile_fortran(
-        gauss_seidel.generate_source(n, niters=niters),
-        Target.STENCIL_CPU,
-        lower_to_scf=lower_to_scf,
-    )
+    result = repro.compile(gauss_seidel.generate_source(n, niters=niters)).lower(
+        "cpu", lower_to_scf=lower_to_scf)
     u = gauss_seidel.initial_condition(n)
     interp = result.interpreter(execution_mode=mode)
     interp.call("gauss_seidel", u)
@@ -226,9 +223,8 @@ def run_gauss_seidel(mode, lower_to_scf, n=14, niters=2):
 
 
 def run_pw_advection(mode, lower_to_scf, n=10):
-    result = compile_fortran(
-        pw_advection.generate_source(n), Target.STENCIL_CPU, lower_to_scf=lower_to_scf
-    )
+    result = repro.compile(pw_advection.generate_source(n)).lower(
+        "cpu", lower_to_scf=lower_to_scf)
     fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
     interp = result.interpreter(execution_mode=mode)
     interp.call("pw_advection", *fields)
@@ -261,11 +257,8 @@ class TestOracleEquivalence:
         assert interp.stats["vectorized_sweeps"] > 0
 
     def test_openmp_lowering_vectorizes(self):
-        result = compile_fortran(
-            gauss_seidel.generate_source(12, niters=1),
-            Target.STENCIL_OPENMP,
-            lower_to_scf=True,
-        )
+        result = repro.compile(gauss_seidel.generate_source(12, niters=1)).lower(
+            "openmp", lower_to_scf=True)
         u_ref = gauss_seidel.initial_condition(12)
         result.interpreter(execution_mode="interpret").call("gauss_seidel",
                                                             u_ref.copy(order="F"))
@@ -462,15 +455,12 @@ class TestGuardsAndFallbacks:
         module, _ = build_shift_nest_module()
         with pytest.raises(InterpreterError, match="execution mode"):
             Interpreter([module], execution_mode="warp-speed")
-        with pytest.raises(ValueError, match="execution_mode"):
-            CompilerOptions(execution_mode="warp-speed")
+        with pytest.raises(OptionError, match="execution_mode"):
+            CpuOptions(execution_mode="warp-speed")
 
     def test_options_carry_mode_to_interpreter(self):
-        result = compile_fortran(
-            gauss_seidel.generate_source(8, niters=1),
-            Target.STENCIL_CPU,
-            execution_mode="vectorize",
-        )
+        result = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower(
+            "cpu", execution_mode="vectorize")
         interp = result.interpreter()
         assert interp.execution_mode == "vectorize"
         assert result.interpreter(execution_mode="interpret").execution_mode == \
@@ -484,9 +474,8 @@ class TestGuardsAndFallbacks:
 
 class TestVectorizabilityMetadata:
     def test_discovery_tags_applies(self):
-        result = compile_fortran(
-            gauss_seidel.generate_source(10, niters=1), Target.STENCIL_CPU
-        )
+        result = repro.compile(
+            gauss_seidel.generate_source(10, niters=1)).lower("cpu")
         applies = [op for op in result.stencil_module.walk()
                    if isinstance(op, stencil.ApplyOp)]
         assert applies
@@ -495,7 +484,7 @@ class TestVectorizabilityMetadata:
     def test_fusion_preserves_metadata(self):
         """PW advection fuses three applies into one; the fused apply must
         still carry the vectorizable marker and actually compile."""
-        result = compile_fortran(pw_advection.generate_source(10), Target.STENCIL_CPU)
+        result = repro.compile(pw_advection.generate_source(10)).lower("cpu")
         applies = [op for op in result.stencil_module.walk()
                    if isinstance(op, stencil.ApplyOp)]
         assert len(applies) == 1 and len(applies[0].results) == 3  # fused

@@ -5,36 +5,34 @@ interpreter wiring:
 
 * **tile planning** — every schedule kind produces contiguous disjoint tiles
   that exactly cover the extent;
-* **deterministic reduction** — per-tile partials combine in a tile-order
-  binary tree, independent of completion order;
+* **the pool** — tile closures run concurrently, results come back in tile
+  order and exceptions propagate;
 * **dispatch and fallbacks** — tiled sweeps produce the oracle's results;
   refused tilings (no full-rank store, broadcast apply results, extent too
   small) fall back to the single-tile path and are counted; the dynamic
   alias guard still catches overlapping NumPy views of one base array;
 * **plumbing** — the schedule clause rides ``omp.wsloop`` from
   ``convert-scf-to-openmp`` without splitting the kernel cache, and the
-  ``threads=`` knob reaches the interpreter through ``CompilerOptions``.
+  ``threads=`` knob reaches the interpreter through the backend options.
 """
-
-import time
 
 import numpy as np
 import pytest
 
+import repro
+from repro.api import OpenMPOptions, OptionError
 from repro.apps import gauss_seidel
-from repro.compiler import CompilerOptions, Target, compile_fortran
 from repro.dialects import arith, omp, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder
 from repro.ir.operation import VerifyException
-from repro.runtime import Interpreter, MemoryBuffer
+from repro.runtime import Frame, Interpreter, MemoryBuffer
 from repro.runtime.kernel_compiler import structural_hash
 from repro.runtime.parallel_executor import (
     ParallelExecutor,
     get_executor,
     plan_boxes,
     plan_tiles,
-    tree_combine,
 )
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
@@ -152,50 +150,11 @@ class TestPlanBoxes:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic tree combination
+# The worker pool
 # ---------------------------------------------------------------------------
 
 
-class TestTreeCombine:
-    def test_combination_order_is_tile_order(self):
-        calls = []
-
-        def combine(a, b):
-            calls.append((a, b))
-            return f"({a}+{b})"
-
-        result = tree_combine(["a", "b", "c", "d", "e"], combine)
-        assert result == "(((a+b)+(c+d))+e)"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tree_combine([], lambda a, b: a)
-
-    def test_map_reduce_independent_of_completion_order(self):
-        """Tiles finishing out of order must not change a floating-point
-        reduction: the tree shape depends only on the tile count."""
-        executor = ParallelExecutor(4)
-        values = [1e16, 1.0, -1e16, 1.0, 3.5, -2.25, 7.0, 0.125]
-
-        def partial(index, delay):
-            def task(_tile):
-                time.sleep(delay)
-                return values[index]
-            return task
-
-        def run(delays):
-            tasks = [partial(i, d) for i, d in enumerate(delays)]
-            return executor.map_reduce(
-                lambda i: tasks[i](i), list(range(len(values))),
-                lambda a, b: a + b,
-            )
-
-        forward = run([0.001 * i for i in range(8)])
-        reverse = run([0.001 * (8 - i) for i in range(8)])
-        sequential = tree_combine(values, lambda a, b: a + b)
-        assert forward == reverse == sequential
-        executor.shutdown()
-
+class TestParallelExecutor:
     def test_map_tiles_propagates_exceptions(self):
         executor = ParallelExecutor(2)
 
@@ -284,6 +243,14 @@ class TestTiledNestExecution:
         assert np.allclose(dst[1:23, 1:23], src[0:22, 1:23] * 2.0)
 
 
+def exec_apply(interp, apply_op, temp):
+    """Execute a standalone one-operand stencil.apply the way the interpreter
+    meets it inside a function; returns the result arrays."""
+    frame = Frame()
+    frame.set(apply_op.operands[0], temp)
+    return [result.data for result in interp.exec_op(apply_op, frame)]
+
+
 class TestTiledApplyExecution:
     def test_tiled_apply_matches_single_tile(self):
         from repro.runtime import TempValue
@@ -300,8 +267,7 @@ class TestTiledApplyExecution:
         temp = TempValue(data, (0, 0))
         interp = Interpreter([module], execution_mode="vectorize", threads=4,
                              kernel_compiler=compiler)
-        lb, ub = (1, 1), (n - 1, n - 1)
-        [tiled] = interp._run_apply_kernel(bound.kernel, [temp], lb, ub)
+        [tiled] = exec_apply(interp, apply_op, temp)
         expected = (data[0:n - 2, 1:n - 1] + data[2:n, 1:n - 1]) * 0.5
         assert interp.stats["parallel_sweeps"] == 1
         assert interp.stats["parallel_tiles"] == 4
@@ -328,17 +294,14 @@ class TestTiledApplyExecution:
         temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
         interp = Interpreter([ModuleOp([])], execution_mode="vectorize",
                              threads=4, kernel_compiler=compiler)
-        [value] = interp._run_apply_kernel(bound.kernel, [temp], (1, 1),
-                                           (n - 1, n - 1))
-        assert float(value) == 4.0
+        [value] = exec_apply(interp, apply_op, temp)
+        assert value.shape == (n - 2, n - 2) and np.all(value == 4.0)
         assert interp.stats["parallel_sweeps"] == 0
         assert interp.stats["parallel_fallbacks"] == 1
 
     def test_stencil_level_crosscheck_with_threads(self):
         n = 16
-        result = compile_fortran(
-            gauss_seidel.generate_source(n, niters=2), Target.STENCIL_CPU
-        )
+        result = repro.compile(gauss_seidel.generate_source(n, niters=2)).lower("cpu")
         u = gauss_seidel.initial_condition(n)
         interp = result.interpreter(execution_mode="crosscheck", threads=4)
         interp.call("gauss_seidel", u)
@@ -355,15 +318,13 @@ class TestTiledApplyExecution:
 
 class TestSchedulePlumbing:
     def _lowered_wsloop(self, **options):
-        result = compile_fortran(
-            gauss_seidel.generate_source(10, niters=1), Target.STENCIL_OPENMP,
-            lower_to_scf=True, **options,
-        )
+        result = repro.compile(gauss_seidel.generate_source(10, niters=1)).lower(
+            "openmp", lower_to_scf=True, **options)
         return next(op for op in result.stencil_module.walk()
                     if isinstance(op, omp.WsLoopOp))
 
     def test_schedule_clause_reaches_the_wsloop(self):
-        wsloop = self._lowered_wsloop(omp_schedule="dynamic", omp_chunk_size=4)
+        wsloop = self._lowered_wsloop(schedule="dynamic", chunk_size=4)
         assert wsloop.schedule == "dynamic"
         assert wsloop.chunk_size == 4
 
@@ -375,17 +336,17 @@ class TestSchedulePlumbing:
     def test_schedule_does_not_split_the_kernel_cache(self):
         """The clause is execution policy: structurally the loops are the
         same computation and must share one compiled kernel."""
-        static = self._lowered_wsloop(omp_schedule="static")
-        guided = self._lowered_wsloop(omp_schedule="guided", omp_chunk_size=2)
+        static = self._lowered_wsloop(schedule="static")
+        guided = self._lowered_wsloop(schedule="guided", chunk_size=2)
         assert structural_hash(static) == structural_hash(guided)
 
     def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError, match="omp_schedule"):
-            CompilerOptions(omp_schedule="fastest")
-        with pytest.raises(ValueError, match="threads"):
-            CompilerOptions(threads=0)
-        with pytest.raises(ValueError, match="omp_chunk_size"):
-            CompilerOptions(omp_chunk_size=0)
+        with pytest.raises(OptionError, match="schedule"):
+            OpenMPOptions(schedule="fastest")
+        with pytest.raises(OptionError, match="threads"):
+            OpenMPOptions(threads=0)
+        with pytest.raises(OptionError, match="chunk_size"):
+            OpenMPOptions(chunk_size=0)
 
     def test_wsloop_verifier_rejects_bad_clause(self):
         wsloop = self._lowered_wsloop()
@@ -396,10 +357,8 @@ class TestSchedulePlumbing:
             wsloop.verify_()
 
     def test_threads_knob_through_options_and_override(self):
-        result = compile_fortran(
-            gauss_seidel.generate_source(8, niters=1), Target.STENCIL_CPU,
-            execution_mode="vectorize", threads=3,
-        )
+        result = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower(
+            "cpu", execution_mode="vectorize", threads=3)
         assert result.interpreter().threads == 3
         assert result.interpreter(threads=1).threads == 1
         assert result.interpreter(threads=2).threads == 2
@@ -413,9 +372,8 @@ class TestSchedulePlumbing:
 class TestKernelRuntimeStats:
     def test_per_kernel_invocations_and_seconds(self):
         niters = 3
-        result = compile_fortran(
-            gauss_seidel.generate_source(12, niters=niters), Target.STENCIL_CPU,
-        )
+        result = repro.compile(
+            gauss_seidel.generate_source(12, niters=niters)).lower("cpu")
         interp = result.interpreter(execution_mode="vectorize")
         interp.call("gauss_seidel", gauss_seidel.initial_condition(12))
         per_kernel = interp.kernels.stats["per_kernel"]
@@ -428,9 +386,8 @@ class TestKernelRuntimeStats:
     def test_kernel_stats_table_renders(self):
         from repro.harness import kernel_stats_table
 
-        result = compile_fortran(
-            gauss_seidel.generate_source(10, niters=1), Target.STENCIL_CPU,
-        )
+        result = repro.compile(
+            gauss_seidel.generate_source(10, niters=1)).lower("cpu")
         interp = result.interpreter(execution_mode="vectorize")
         interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
         table = kernel_stats_table(interp.kernels)

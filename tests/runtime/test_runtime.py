@@ -91,6 +91,24 @@ class TestInterpreterCore:
         with pytest.raises(InterpreterError):
             interp.call("f")
 
+    def test_call_writes_results_back_into_c_ordered_array(self):
+        """A C-ordered argument runs as a Fortran-ordered copy; the kernel's
+        writes must reach the caller's array, never be dropped."""
+        import repro
+        from repro.apps import gauss_seidel
+
+        compiled = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower("cpu")
+        work = np.ascontiguousarray(gauss_seidel.initial_condition(8))
+        assert not work.flags["F_CONTIGUOUS"]
+        expected = gauss_seidel.reference_jacobi(work, 1)
+        compiled.run("gauss_seidel", work)
+        assert np.array_equal(work, expected)
+
+    def test_call_rejects_surplus_arguments(self):
+        interp = Interpreter(self._make_saxpy())
+        with pytest.raises(InterpreterError, match="expects 2 arguments, got 3"):
+            interp.call("saxpy", 1.0, 2.0, 3.0)
+
     def test_scf_for_with_iter_args(self):
         # sum of 0..9 using loop-carried values
         f = func.FuncOp.build("sum10", [], [index])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.apps import gauss_seidel
-from repro.compiler import Target, compile_fortran
 from repro.dialects import dmp, mpi, stencil
 from repro.harness import distributed_functional_check
 from repro.ir import default_context
@@ -15,7 +15,8 @@ from repro.transforms import ConvertDMPToMPIPass, ConvertStencilToDMPPass
 class TestStencilToDMP:
     def _dmp_module(self, grid=(2, 2), lower_to_mpi=False):
         source = gauss_seidel.generate_source(10, niters=1)
-        result = compile_fortran(source, Target.STENCIL_CPU)
+        # A private session: the passes below mutate the compiled module.
+        result = repro.Session().lower(source, "cpu")
         ctx = default_context()
         ConvertStencilToDMPPass(grid=grid).apply(ctx, result.stencil_module)
         if lower_to_mpi:
@@ -119,7 +120,7 @@ class TestDistributedExecution:
 
     def test_unmodified_source_used_for_distribution(self):
         source = gauss_seidel.generate_source(8, niters=1)
-        serial = compile_fortran(source, Target.FLANG_ONLY)
-        distributed = compile_fortran(source, Target.STENCIL_DMP, grid=(2, 2))
+        serial = repro.compile(source).lower("flang-only")
+        distributed = repro.compile(source).lower("dmp", grid=(2, 2))
         assert serial.source == distributed.source
         assert distributed.stencil_module is not None

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.compiler import Target, compile_fortran
 from repro.dialects import fir, gpu, omp, scf, stencil
 from repro.dialects.func import FuncOp
 from repro.dialects.llvm import LLVMPointerType
@@ -20,20 +20,20 @@ from repro.transforms import (
 
 class TestExtraction:
     def test_two_module_split(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_CPU)
+        result = repro.compile(small_gs_source).lower("cpu")
         assert result.stencil_module is not None
         # FIR module keeps no stencil ops, stencil module keeps no FIR loops.
         assert not any(op.name.startswith("stencil.") for op in result.fir_module.walk())
         assert not any(isinstance(op, fir.DoLoopOp) for op in result.stencil_module.walk())
 
     def test_call_from_fir_to_extracted_function(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_CPU)
+        result = repro.compile(small_gs_source).lower("cpu")
         calls = [op for op in result.fir_module.walk() if isinstance(op, fir.CallOp)]
         assert any(c.callee in result.extracted_functions for c in calls)
 
     def test_pointer_interoperability(self, small_gs_source):
         """FIR converts refs to !fir.llvm_ptr; the stencil fn takes !llvm.ptr."""
-        result = compile_fortran(small_gs_source, Target.STENCIL_CPU)
+        result = repro.compile(small_gs_source).lower("cpu")
         converts = [
             op for op in result.fir_module.walk()
             if isinstance(op, fir.ConvertOp)
@@ -44,18 +44,19 @@ class TestExtraction:
         assert any(isinstance(t, LLVMPointerType) for t in stencil_fn.function_type.inputs)
 
     def test_declaration_added_to_fir_module(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_CPU)
+        result = repro.compile(small_gs_source).lower("cpu")
         declaration = result.fir_module.get_symbol(result.extracted_functions[0])
         assert isinstance(declaration, FuncOp) and declaration.is_declaration
 
     def test_extracted_function_is_isolated(self, small_pw_source):
-        result = compile_fortran(small_pw_source, Target.STENCIL_CPU)
+        result = repro.compile(small_pw_source).lower("cpu")
         result.stencil_module.verify()  # IsolatedFromAbove is checked here
 
 
 class TestStencilToSCF:
     def _lowered(self, source, target):
-        result = compile_fortran(source, Target.STENCIL_CPU)
+        # A private session: the pass below mutates the compiled module.
+        result = repro.Session().lower(source, "cpu")
         ConvertStencilToSCFPass(target=target).apply(default_context(), result.stencil_module)
         result.stencil_module.verify()
         return result
@@ -95,7 +96,7 @@ class TestStencilToSCF:
 
 class TestOpenMPLowering:
     def test_openmp_structure(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_OPENMP, lower_to_scf=True)
+        result = repro.compile(small_gs_source).lower("openmp", lower_to_scf=True)
         mod = result.stencil_module
         assert any(isinstance(op, omp.ParallelOp) for op in mod.walk())
         wsloops = [op for op in mod.walk() if isinstance(op, omp.WsLoopOp)]
@@ -107,7 +108,7 @@ class TestOpenMPLowering:
         )
 
     def test_openmp_execution_matches_reference(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_OPENMP, lower_to_scf=True)
+        result = repro.compile(small_gs_source).lower("openmp", lower_to_scf=True)
         data = gauss_seidel.initial_condition(10)
         work = data.copy(order="F")
         interp = Interpreter(result.modules)
@@ -117,14 +118,14 @@ class TestOpenMPLowering:
 
     def test_unmodified_source_reused(self, small_gs_source):
         """The same serial Fortran is used for every target (a key paper claim)."""
-        serial = compile_fortran(small_gs_source, Target.FLANG_ONLY)
-        openmp = compile_fortran(small_gs_source, Target.STENCIL_OPENMP)
+        serial = repro.compile(small_gs_source).lower("flang-only")
+        openmp = repro.compile(small_gs_source).lower("openmp")
         assert serial.source == openmp.source
 
 
 class TestGpuLowering:
     def test_parallel_loops_to_gpu_outlining(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_CPU)
+        result = repro.Session().lower(small_gs_source, "cpu")
         ctx = default_context()
         ConvertStencilToSCFPass(target="gpu").apply(ctx, result.stencil_module)
         ParallelLoopTilingPass((4, 4, 1)).apply(ctx, result.stencil_module)
@@ -139,7 +140,7 @@ class TestGpuLowering:
 
     def test_outlined_kernel_executes_correctly(self):
         source = gauss_seidel.generate_source(6, niters=1)
-        result = compile_fortran(source, Target.STENCIL_CPU)
+        result = repro.Session().lower(source, "cpu")
         ctx = default_context()
         ConvertStencilToSCFPass(target="gpu").apply(ctx, result.stencil_module)
         ParallelLoopTilingPass((2, 2, 2)).apply(ctx, result.stencil_module)
@@ -155,8 +156,7 @@ class TestGpuLowering:
 
 class TestGpuDataManagement:
     def test_optimised_strategy_structure(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_GPU,
-                                 gpu_data_strategy="optimised")
+        result = repro.compile(small_gs_source).lower("gpu", data_strategy="optimised")
         names = [
             op.sym_name for op in result.stencil_module.walk()
             if isinstance(op, FuncOp)
@@ -167,12 +167,11 @@ class TestGpuDataManagement:
         assert any(isinstance(op, gpu.MemcpyOp) for op in result.stencil_module.walk())
 
     def test_host_register_strategy_structure(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_GPU,
-                                 gpu_data_strategy="host_register")
+        result = repro.compile(small_gs_source).lower("gpu", data_strategy="host_register")
         assert any(isinstance(op, gpu.HostRegisterOp) for op in result.stencil_module.walk())
 
     def test_data_calls_hoisted_outside_iteration_loop(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_GPU)
+        result = repro.compile(small_gs_source).lower("gpu")
         func_op = next(
             op for op in result.fir_module.walk()
             if isinstance(op, FuncOp) and op.sym_name == "gauss_seidel"
@@ -186,8 +185,7 @@ class TestGpuDataManagement:
     def test_both_strategies_compute_identical_results(self, small_gs_source):
         reference = gauss_seidel.reference_jacobi(gauss_seidel.initial_condition(10), 2)
         for strategy in ("optimised", "host_register"):
-            result = compile_fortran(small_gs_source, Target.STENCIL_GPU,
-                                     gpu_data_strategy=strategy)
+            result = repro.compile(small_gs_source).lower("gpu", data_strategy=strategy)
             work = gauss_seidel.initial_condition(10)
             interp = result.interpreter(gpu=SimulatedGPU())
             interp.call("gauss_seidel", work)
@@ -196,8 +194,7 @@ class TestGpuDataManagement:
     def test_transfer_traffic_differs_between_strategies(self, small_gs_source):
         volumes = {}
         for strategy in ("optimised", "host_register"):
-            result = compile_fortran(small_gs_source, Target.STENCIL_GPU,
-                                     gpu_data_strategy=strategy)
+            result = repro.compile(small_gs_source).lower("gpu", data_strategy=strategy)
             device = SimulatedGPU()
             interp = result.interpreter(gpu=device)
             interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
@@ -205,7 +202,7 @@ class TestGpuDataManagement:
         assert volumes["host_register"] > volumes["optimised"]
 
     def test_kernel_launch_per_sweep(self, small_gs_source):
-        result = compile_fortran(small_gs_source, Target.STENCIL_GPU)
+        result = repro.compile(small_gs_source).lower("gpu")
         device = SimulatedGPU()
         interp = result.interpreter(gpu=device)
         interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
