@@ -1,11 +1,13 @@
-"""Schedule acceptance: a tiled schedule measurably beats the default.
+"""Cache blocking is the default; ``.tile()`` only reshapes it.
 
-The PW advection apply kernel builds dozens of whole-domain temporaries per
-sweep; at n=96 the working set leaves cache and the sweep is memory-bound.
-``fuse().tile(32, 32, 32)`` re-runs the identical NumPy expressions over
-cache-sized boxes — bitwise-equal output (proved by ``verify()``), with the
-temporaries staying resident.  Measured locally this is ~1.6x; the assertion
-demands a conservative 1.1x so scheduler noise cannot flake the suite.
+The PW advection apply kernel streams 27 windows of three fields through a
+handful of reused temporaries; at n=96 even those leave L2, so the
+*unscheduled* program already runs in cache-sized boxes (the interpreter's
+default plan, counted in ``cache_tiles``).  An explicit
+``fuse().tile(32, 32, 32)`` replaces that plan with user-shaped boxes —
+bitwise-equal output (proved by ``verify()``) — and must not be needed to
+get blocking: the default is held to no slower than the explicit tile x1.1,
+a margin wide enough that scheduler noise cannot flake the suite.
 """
 
 import time
@@ -19,7 +21,7 @@ _N = 96
 _TILE = (32, 32, 32)
 
 
-def _best_of(fn, repeats=3):
+def _best_of(fn, repeats=5):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -36,21 +38,26 @@ def pw_handles():
     return base, schedule.compiled
 
 
-def test_tiled_schedule_beats_default(pw_handles):
+def test_default_plan_blocks_and_matches_the_explicit_tile(pw_handles):
     base, tiled = pw_handles
     fields = pw_advection.initial_fields(_N)
 
     def runner(handle):
         args = [f.copy(order="F") for f in fields]
         interp = handle.vectorize()
-        return lambda: interp.run("pw_advection", *args)
+        return args, lambda: interp.run("pw_advection", *args)
 
-    default_s = _best_of(runner(base))
-    tiled_s = _best_of(runner(tiled))
-    speedup = default_s / tiled_s
-    assert speedup > 1.1, (
-        f"fuse().tile{_TILE} on pw_advection n={_N}: {tiled_s * 1e3:.1f} ms "
-        f"vs default {default_s * 1e3:.1f} ms — only {speedup:.2f}x"
+    default_out, run_default = runner(base)
+    tiled_out, run_tiled = runner(tiled)
+    stats = run_default().stats
+    assert stats["cache_tiles"] > 0 and stats["schedule_tiles"] == 0
+    run_tiled()
+    assert all(d.tobytes() == t.tobytes()
+               for d, t in zip(default_out, tiled_out))
+    default_s, tiled_s = _best_of(run_default), _best_of(run_tiled)
+    assert default_s <= tiled_s * 1.1, (
+        f"unscheduled pw_advection n={_N}: {default_s * 1e3:.1f} ms vs "
+        f"fuse().tile{_TILE} {tiled_s * 1e3:.1f} ms — the default plan lost"
     )
 
 

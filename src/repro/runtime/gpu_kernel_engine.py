@@ -48,7 +48,6 @@ from .kernel_compiler import (
     _Affine,
     _BodyTranslator,
     _Const,
-    _assemble,
     structural_hash,
 )
 
@@ -251,12 +250,8 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
     if not translator.stores:
         raise KernelUnsupported("gpu.func body performs no stores")
 
-    fn, source = _assemble("_gpu_kernel", translator.lines)
     upper_limits = tuple(guard.uppers.get(d) for d in range(rank))
-    return GpuLaunchKernel(
-        fn, source, rank, translator.loads, translator.stores,
-        translator.external_paths, upper_limits=upper_limits,
-    )
+    return GpuLaunchKernel("_gpu_kernel", translator, upper_limits=upper_limits)
 
 
 class GpuKernelEngine:

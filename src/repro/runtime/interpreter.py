@@ -51,7 +51,16 @@ from .kernel_compiler import EXECUTION_MODES, KernelCompiler
 from .memory import ElementRef, MemoryBuffer, numpy_dtype_for
 from .mpi_runtime import CartesianDecomposition, SimulatedCommunicator
 from .parallel_executor import (ParallelExecutor, get_executor, plan_boxes,
-                                plan_tiles, run_boxes)
+                                plan_cache_boxes, plan_tiles, run_boxes)
+
+
+#: Ops that may sit between a ``stencil.load`` and the last ``stencil.apply``
+#: reading its temp without making the snapshot copy observable: none of them
+#: writes memory, calls out, or holds a region that could.
+_SNAPSHOT_TRANSPARENT = frozenset({
+    "stencil.external_load", "stencil.cast", "stencil.load", "stencil.apply",
+    "arith.constant",
+})
 
 
 class InterpreterError(Exception):
@@ -180,6 +189,8 @@ class Interpreter:
             "parallel_fallbacks": 0,
             "schedule_tiles": 0,
             "schedule_fallbacks": 0,
+            "cache_tiles": 0,
+            "cache_fallbacks": 0,
             "gpu_seconds": 0.0,
             "transfer_seconds": 0.0,
             "gpu_launches_vectorized": 0,
@@ -199,6 +210,8 @@ class Interpreter:
         #: function returns.
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        #: stencil.load op -> whether its snapshot must really be copied
+        self._snapshot_copies: Dict[Operation, bool] = {}
         self._gpu_thread_ctx: List[Dict[str, Tuple[int, int, int]]] = []
         self._index_functions()
         self._handlers = self._build_handlers()
@@ -805,7 +818,8 @@ class Interpreter:
 
         def vector_runner():
             start = _time.perf_counter()
-            boxes, plan = self._plan_sweep(op, kernel, lowers, uppers, schedule)
+            boxes, plan = self._plan_sweep(op, kernel, externals, lowers,
+                                           uppers, schedule)
             pool = self._executor if kernel.tileable else None
             results = run_boxes(kernel, externals, lowers, uppers, boxes, pool)
             if results is None:
@@ -816,11 +830,10 @@ class Interpreter:
                 self.stats[plan + "_fallbacks"] += 1
                 results = run_boxes(kernel, externals, lowers, uppers,
                                     [(lowers, uppers)], None)
-            elif plan == "schedule":
-                self.stats["schedule_tiles"] += len(boxes)
-            elif plan == "parallel":
-                self.stats["parallel_sweeps"] += 1
-                self.stats["parallel_tiles"] += len(boxes)
+            elif plan is not None:
+                self.stats[plan + "_tiles"] += len(boxes)
+                if plan == "parallel":
+                    self.stats["parallel_sweeps"] += 1
             self.kernels.record_invocation(kernel.label,
                                            _time.perf_counter() - start)
             return results
@@ -833,9 +846,10 @@ class Interpreter:
         self.stats[done_key] += 1
         return results
 
-    def _plan_sweep(self, op: Operation, kernel, lowers, uppers, schedule):
+    def _plan_sweep(self, op: Operation, kernel, externals, lowers, uppers,
+                    schedule):
         """One sweep's box plan, as ``(boxes, plan)`` where ``plan`` names
-        the counters it feeds ("schedule", "parallel" or None).
+        the counters it feeds ("schedule", "parallel", "cache" or None).
 
         A ``schedule.tile`` attribute (placement policy recorded by a
         ``.tile(...)`` directive; a rank mismatch simply disables it, the
@@ -843,8 +857,11 @@ class Interpreter:
         user-shaped cache boxes.  Otherwise, with threads and a tile-safe
         kernel, the dim-0 spans of the thread schedule are lifted into boxes
         spanning every other dimension whole; a multi-thread sweep that ends
-        up single-box is counted in ``parallel_fallbacks``.  Otherwise the
-        single whole-domain box.
+        up single-box is counted in ``parallel_fallbacks``.  Otherwise a
+        tile-safe kernel whose working set overflows the cache budget gets
+        :func:`plan_cache_boxes`' default boxes, cut against the strides of
+        the first array it sweeps.  Otherwise the single whole-domain box.
+        ``schedule`` is None for ops that only ever run whole (gpu launches).
         """
         lowers, uppers = tuple(lowers), tuple(uppers)
         if kernel.stores and any(u <= l for l, u in zip(lowers, uppers)):
@@ -862,6 +879,13 @@ class Interpreter:
                     return [((lo,) + lowers[1:], (up,) + uppers[1:])
                             for lo, up in spans], "parallel"
             self.stats["parallel_fallbacks"] += 1
+        elif schedule is not None and attr is None and kernel.tileable:
+            strides = kernel.dim_strides(externals)
+            if strides is not None:
+                boxes = plan_cache_boxes(lowers, uppers, strides,
+                                         kernel.arrays_per_point)
+                if len(boxes) > 1:
+                    return boxes, "cache"
         return [(lowers, uppers)], None
 
     def _crosscheck(self, kernel, externals, vector_runner: Callable,
@@ -924,7 +948,30 @@ class Interpreter:
         field = frame.get(op.operands[0])
         if not isinstance(field, FieldValue):
             raise InterpreterError("stencil.load requires a field value")
-        return [TempValue(np.array(field.buffer.data, copy=True), field.lb)]
+        copies = self._snapshot_copies.get(op)
+        if copies is None:
+            copies = self._snapshot_copies[op] = self._snapshot_is_observable(op)
+        data = field.buffer.data
+        return [TempValue(np.array(data, copy=True) if copies else data, field.lb)]
+
+    @staticmethod
+    def _snapshot_is_observable(op: Operation) -> bool:
+        """Whether anything could tell a ``stencil.load``'s temp from the
+        field it snapshots.  Not when every user is a ``stencil.apply`` (pure,
+        with freshly allocated results) in the load's own block and only
+        :data:`_SNAPSHOT_TRANSPARENT` ops run before the last of them: the
+        field cannot change while the temp is read, so the temp may alias it.
+        """
+        block = op.parent_block()
+        users = [use.operation for use in op.results[0].uses]
+        if block is None or any(user.name != "stencil.apply"
+                                or user.parent_block() is not block
+                                for user in users):
+            return True
+        start = block.index_of(op)
+        end = max((block.index_of(user) for user in users), default=start)
+        return any(between.name not in _SNAPSHOT_TRANSPARENT
+                   for between in block.ops[start + 1:end])
 
     def _exec_stencil_apply(self, op: Operation, frame: Frame):
         lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
@@ -941,10 +988,17 @@ class Interpreter:
         for extent in domain:
             points *= extent
         self.stats["stencil_points_computed"] += points
+        inputs = [temp.data for temp in map(frame.get, op.operands)
+                  if isinstance(temp, TempValue)]
         results = []
         for value in returned:
             array = np.broadcast_to(np.asarray(value, dtype=np.float64), domain).copy() \
                 if np.ndim(value) == 0 else np.asarray(value)
+            # A body returning a bare stencil.access yields a view of its
+            # input, which may itself alias a field (see stencil.load):
+            # materialise it, so no temp outlives a store to that field.
+            if any(np.may_share_memory(array, data) for data in inputs):
+                array = array.copy(order="K")
             results.append(TempValue(array, lb))
         return results
 

@@ -24,9 +24,13 @@ Compilation translates IR to Python source:
 
 * loop induction variables become *affine index descriptors* ``iv[d] + c``;
 * ``memref.load`` / ``stencil.access`` with affine indices become NumPy basic
-  slices of the underlying array, e.g. ``a[lb0-1:ub0-1, lb1:ub1]``;
+  slices of the underlying array, e.g. ``a[lb0-1:ub0-1, lb1:ub1]`` — each
+  distinct window bound once and shared by every load of it;
 * element-wise ``arith`` / ``math`` ops become the corresponding NumPy
-  expressions over those slices;
+  ufunc calls over those slices, and a last-use pass over the translator's
+  statements lets each full-box float64 result overwrite a buffer that just
+  died (``np.add(a, b, out=c)`` rounds exactly as ``a + b``), so a sweep
+  allocates O(1) temporaries instead of one per op;
 * ``memref.store`` becomes one sliced assignment per sweep.
 
 The generated source is compiled with :func:`compile`/``exec`` and wrapped in
@@ -47,7 +51,9 @@ and non-affine indexing; in addition every invocation *dynamically* verifies,
 against the actual runtime values, that
 
 * all loop steps are 1 and all accesses stay in bounds (NumPy's negative
-  index wrap-around would silently diverge from the scalar semantics), and
+  index wrap-around would silently diverge from the scalar semantics),
+* every array has the element type the IR promises (``out=`` reuse casts
+  where a fresh allocation would have promoted), and
 * no stored-to buffer shares memory with any loaded-from buffer
   (``np.may_share_memory``) — e.g. a true in-place Gauss–Seidel nest refuses
   to vectorise and falls back.
@@ -173,52 +179,61 @@ class _Const:
 
 
 class _Expr:
-    """A generated expression bound to a local variable of the kernel.
+    """A generated expression: a local variable of the kernel, or inline code
+    for a constant or a materialised induction variable.
 
-    ``is_array`` distinguishes whole-domain arrays (slices and element-wise
-    combinations of them) from runtime scalars; scalars broadcast under
-    NumPy's rules.
+    ``is_array`` distinguishes arrays from runtime scalars (which broadcast
+    under NumPy's rules); ``full`` marks arrays whose shape is exactly the
+    sweep box.  ``owned`` marks an array the kernel itself allocated — never
+    a view of an external — which the liveness pass ``del``s at its last use
+    or, when ``reusable`` (a full-box float64 ufunc result), donates to the
+    ``out=`` free-list instead.
     """
 
-    __slots__ = ("var", "is_array")
+    __slots__ = ("var", "is_array", "full", "owned", "reusable")
 
-    def __init__(self, var: str, is_array: bool):
+    def __init__(self, var: str, is_array: bool, full: bool = False,
+                 owned: bool = False, reusable: bool = False):
         self.var = var
         self.is_array = is_array
+        self.full = full
+        self.owned = owned
+        self.reusable = reusable
 
 
-#: Element-wise binary ops -> Python/NumPy expression templates.
-_BINARY_TEMPLATES = {
-    "arith.addf": "({0} + {1})",
-    "arith.subf": "({0} - {1})",
-    "arith.mulf": "({0} * {1})",
-    "arith.divf": "({0} / {1})",
+#: Element-wise ops -> Python/NumPy expression templates over their operands.
+#: Float ufuncs are spelled as calls (``np.add(a, b)`` rounds exactly as
+#: ``a + b``) with an ``{out}`` hole the liveness pass fills with a dead
+#: buffer; templates without the hole always allocate their result.
+_TEMPLATES = {
+    "arith.addf": "np.add({0}, {1}{out})",
+    "arith.subf": "np.subtract({0}, {1}{out})",
+    "arith.mulf": "np.multiply({0}, {1}{out})",
+    "arith.divf": "np.divide({0}, {1}{out})",
     "arith.addi": "({0} + {1})",
     "arith.subi": "({0} - {1})",
     "arith.muli": "({0} * {1})",
-    "arith.maximumf": "np.maximum({0}, {1})",
-    "arith.minimumf": "np.minimum({0}, {1})",
+    "arith.maximumf": "np.maximum({0}, {1}{out})",
+    "arith.minimumf": "np.minimum({0}, {1}{out})",
     "arith.maxsi": "np.maximum({0}, {1})",
     "arith.minsi": "np.minimum({0}, {1})",
     "arith.andi": "np.logical_and({0}, {1})",
     "arith.ori": "np.logical_or({0}, {1})",
     "arith.xori": "np.not_equal({0}, {1})",
-    "math.powf": "np.power({0}, {1})",
+    "math.powf": "np.power({0}, {1}{out})",
     "arith.divsi": "_divsi({0}, {1})",
     "arith.remsi": "_remsi({0}, {1})",
-}
-
-_UNARY_TEMPLATES = {
-    "arith.negf": "(-{0})",
-    "math.sqrt": "np.sqrt({0})",
-    "math.absf": "np.abs({0})",
-    "math.sin": "np.sin({0})",
-    "math.cos": "np.cos({0})",
-    "math.tan": "np.tan({0})",
-    "math.tanh": "np.tanh({0})",
-    "math.exp": "np.exp({0})",
-    "math.log": "np.log({0})",
-    "math.log10": "np.log10({0})",
+    "arith.select": "np.where({0}, {1}, {2})",
+    "arith.negf": "np.negative({0}{out})",
+    "math.sqrt": "np.sqrt({0}{out})",
+    "math.absf": "np.abs({0}{out})",
+    "math.sin": "np.sin({0}{out})",
+    "math.cos": "np.cos({0}{out})",
+    "math.tan": "np.tan({0}{out})",
+    "math.tanh": "np.tanh({0}{out})",
+    "math.exp": "np.exp({0}{out})",
+    "math.log": "np.log({0}{out})",
+    "math.log10": "np.log10({0}{out})",
 }
 
 _CMP_TEMPLATES = {
@@ -264,33 +279,46 @@ class CompiledKernel:
     """A compiled sweep: a Python function over NumPy arrays plus the access
     metadata needed for the runtime bounds/alias guards.
 
-    ``loads`` and ``stores`` list ``(external_slot, ((dim, offset), ...))``
-    pairs: slot indexes the external vector, and each ``(dim, offset)``
-    describes the affine index ``iv[dim] + offset`` used for the
-    corresponding array axis.  ``external_paths`` locate the externals on any
-    structurally identical op (see module docstring); ``bound_slots`` names,
-    for loop-nest kernels, the (lower, upper, step) slot triple of each
-    dimension.
+    Built from a finished :class:`_BodyTranslator`, whose statements are
+    rendered (liveness pass included) and ``exec``'d here.  ``loads`` and
+    ``stores`` list ``(external_slot, ((dim, offset), ...))`` pairs — one per
+    *distinct* load window: slot indexes the external vector, and each
+    ``(dim, offset)`` describes the affine index ``iv[dim] + offset`` used for
+    the corresponding array axis.  ``external_paths`` locate the externals on
+    any structurally identical op (see module docstring); ``bound_slots``
+    names, for loop-nest kernels, the (lower, upper, step) slot triple of
+    each dimension.
     """
 
     def __init__(
         self,
-        fn: Callable,
-        source: str,
-        rank: int,
-        loads: Sequence[Tuple[int, Tuple[Tuple[int, int], ...]]],
-        stores: Sequence[Tuple[int, Tuple[Tuple[int, int], ...]]],
-        external_paths: Sequence[ExternalPath],
+        name: str,
+        translator: "_BodyTranslator",
+        prologue: Sequence[str] = (),
         bound_slots: Sequence[Tuple[int, int, int]] = (),
         result_is_array: Sequence[bool] = (),
     ):
-        self.fn = fn
-        self.source = source
-        self.rank = rank
-        self.loads = tuple(loads)
-        self.stores = tuple(stores)
-        self.external_paths = tuple(external_paths)
+        lines = list(prologue) + translator.render()
+        body = "\n".join("    " + line for line in lines) or "    pass"
+        self.source = f"def {name}(ext, lb, ub):\n{body}\n"
+        namespace = dict(_NAMESPACE)
+        exec(compile(self.source, f"<{name}>", "exec"), namespace)
+        self.fn: Callable = namespace[name]
+        self.rank = translator.rank
+        self.loads = tuple(translator.windows)
+        self.stores = tuple(translator.stores)
+        self.external_paths = tuple(translator.external_paths)
         self.bound_slots = tuple(bound_slots)
+        #: Element dtype the IR promises for each loaded/stored slot; the
+        #: guards hold the runtime arrays to it, since ``out=`` reuse would
+        #: silently cast where a fresh allocation would have promoted.
+        self.slot_dtypes = translator.slot_dtypes
+        #: Arrays one call allocates (the rest of its results land in dead
+        #: buffers) and, with the distinct arrays it loads and stores, the
+        #: arrays it touches per point: what the interpreter's default
+        #: cache-box plan sizes boxes by.
+        self.allocations = translator.allocations
+        self.arrays_per_point = self.allocations + len(self.slot_dtypes)
         #: For apply kernels: which returned values are whole-domain arrays
         #: (only those can be slab-assembled by ``run_boxes``).
         self.result_is_array = tuple(result_is_array)
@@ -321,7 +349,8 @@ class CompiledKernel:
             return False
         for slot, axes in self.loads + self.stores:
             array = self._array_of(externals[slot])
-            if array is None or array.ndim != len(axes):
+            if array is None or array.ndim != len(axes) or \
+                    array.dtype != self.slot_dtypes[slot]:
                 return False
             for axis, (dim, offset) in enumerate(axes):
                 if lowers[dim] + offset < 0 or uppers[dim] + offset > array.shape[axis]:
@@ -358,7 +387,8 @@ class CompiledKernel:
             array = getattr(temp, "data", None)
             origin = getattr(temp, "origin", None)
             if not isinstance(array, np.ndarray) or origin is None or \
-                    array.ndim != len(axes):
+                    array.ndim != len(axes) or \
+                    array.dtype != self.slot_dtypes[slot]:
                 return False
             for axis, (dim, offset) in enumerate(axes):
                 low = lb[dim] + offset - origin[dim]
@@ -366,6 +396,19 @@ class CompiledKernel:
                 if low < 0 or high > array.shape[axis]:
                     return False
         return True
+
+    def dim_strides(self, externals: Sequence[object]) -> Optional[List[int]]:
+        """Byte stride of every iteration dimension in the first array this
+        kernel sweeps through a full-rank window (None without one).  Read
+        off the runtime array, so Fortran- and C-ordered data are each seen
+        as they are."""
+        for slot, axes in self.loads + self.stores:
+            if len(axes) == self.rank:
+                strides = [0] * self.rank
+                for (dim, _), stride in zip(axes, self._array_of(externals[slot]).strides):
+                    strides[dim] = stride
+                return strides
+        return None
 
     @staticmethod
     def _array_of(value) -> Optional[np.ndarray]:
@@ -412,16 +455,23 @@ def _is_reference_type(value: SSAValue) -> bool:
 
 class _BodyTranslator:
     """Translates one straight-line block of element-wise ops into Python
-    source lines over whole-array slices."""
+    statements over whole-array slices, then renders them with a last-use
+    pass (:meth:`render`) so the kernel runs in O(1) temporaries."""
 
     def __init__(self, rank: int):
         self.rank = rank
-        self.lines: List[str] = []
+        #: (result or None, template over the uses' code, uses) per statement
+        self.stmts: List[Tuple[Optional[_Expr], str, Tuple[_Expr, ...]]] = []
         self.values: Dict[int, object] = {}  # id(SSAValue) -> _Expr/_Affine/_Const
         self.external_paths: List[ExternalPath] = []
         self.external_slots: Dict[int, int] = {}
-        self.loads: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+        #: each distinct load window (slot, axes) -> the one view bound to it
+        self.windows: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], _Expr] = {}
         self.stores: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+        self.slot_dtypes: Dict[int, np.dtype] = {}
+        #: values the kernel returns (apply kernels): live to the end
+        self.returned: List[_Expr] = []
+        self.allocations = 0  # counted by render()
         self._counter = 0
         #: set by the driver before translating each body op, so scalar
         #: externals discovered mid-expression can be given a path
@@ -455,35 +505,40 @@ class _BodyTranslator:
         if _is_reference_type(value):
             raise KernelUnsupported("reference-typed value used as a scalar")
         slot = self.external_slot(value, self._path_of_operand(value))
-        var = f"e{slot}"
-        expr = _Expr(var, is_array=False)
+        expr = _Expr(f"e{slot}", is_array=False)
         self.values[id(value)] = expr
-        self.lines.append(f"{var} = _scalar(ext[{slot}])")
+        self.stmts.append((expr, f"_scalar(ext[{slot}])", ()))
         return expr
 
-    def as_code(self, value: SSAValue) -> Tuple[str, bool]:
-        """Render an SSA value as (expression, is_array)."""
+    def operand(self, value: SSAValue) -> _Expr:
+        """Render an SSA value as an expression usable in a statement."""
         sym = self.values.get(id(value))
         if sym is None:
             sym = self.bind_external_scalar(value)
         if isinstance(sym, _Expr):
-            return sym.var, sym.is_array
+            return sym
         if isinstance(sym, _Const):
-            return repr(sym.value), False
+            return _Expr(repr(sym.value), is_array=False)
         if isinstance(sym, _Affine):
-            return self.materialise_affine(sym), True
+            # An induction variable used as a *number* (not an index):
+            # ``arange(lb+c, ub+c)`` broadcast along its dimension, inline.
+            shape = ", ".join("-1" if d == sym.dim else "1" for d in range(self.rank))
+            return _Expr(f"np.arange(lb[{sym.dim}] + {sym.offset}, "
+                         f"ub[{sym.dim}] + {sym.offset}).reshape(({shape}))",
+                         is_array=True)
         raise KernelUnsupported(f"cannot render value {value!r}")
 
-    def materialise_affine(self, sym: _Affine) -> str:
-        """An induction variable used as a *number* (not an index): broadcast
-        ``arange(lb+c, ub+c)`` along its dimension over the sweep domain."""
-        var = self.fresh()
-        shape = ", ".join("-1" if d == sym.dim else "1" for d in range(self.rank))
-        self.lines.append(
-            f"{var} = np.arange(lb[{sym.dim}] + {sym.offset}, "
-            f"ub[{sym.dim}] + {sym.offset}).reshape(({shape}))"
-        )
-        return var
+    def bind(self, result: SSAValue, template: str,
+             uses: Sequence[_Expr]) -> _Expr:
+        """Append ``t = template(uses)`` and make it ``result``'s value."""
+        is_array = any(u.is_array for u in uses)
+        full = any(u.full for u in uses)
+        is_f64 = isinstance(result.type, FloatType) and result.type.width == 64
+        expr = _Expr(self.fresh(), is_array, full, owned=is_array,
+                     reusable=full and is_f64 and "{out}" in template)
+        self.stmts.append((expr, template, tuple(uses)))
+        self.values[id(result)] = expr
+        return expr
 
     def affine_indices(self, index_values: Sequence[SSAValue]) -> Tuple[Tuple[int, int], ...]:
         """Resolve load/store indices to per-axis (dim, offset) descriptors.
@@ -501,12 +556,21 @@ class _BodyTranslator:
         return tuple(axes)
 
     def emit_load(self, result: SSAValue, slot: int,
-                  axes: Sequence[Tuple[int, int]]) -> None:
-        """Record an affine load and bind its whole-sweep slice expression."""
-        self.loads.append((slot, tuple(axes)))
-        var = self.fresh()
-        self.lines.append(f"{var} = " + self.slice_code(f"ext[{slot}].data", axes))
-        self.values[id(result)] = _Expr(var, is_array=True)
+                  axes: Sequence[Tuple[int, int]], base: Optional[str] = None,
+                  origin: Optional[str] = None) -> None:
+        """Record an affine load; each distinct window of a slot is sliced
+        once per call and shared by every load of it (the guards keep loaded
+        and stored arrays disjoint, so a view bound early reads what a later
+        one would)."""
+        key = (slot, tuple(axes))
+        expr = self.windows.get(key)
+        if expr is None:
+            expr = self.windows[key] = _Expr(self.fresh(), is_array=True,
+                                             full=len(axes) == self.rank)
+            self.slot_dtypes[slot] = numpy_dtype_for(result.type)
+            self.stmts.append((expr, self.slice_code(
+                base or f"ext[{slot}].data", axes, origin), ()))
+        self.values[id(result)] = expr
 
     def emit_store(self, value: SSAValue, slot: int,
                    axes: Sequence[Tuple[int, int]]) -> None:
@@ -518,33 +582,36 @@ class _BodyTranslator:
         axis order instead.
         """
         self.stores.append((slot, tuple(axes)))
-        value_code, value_is_array = self.as_code(value)
-        slices = ", ".join(
-            f"lb[{dim}] + {offset}:ub[{dim}] + {offset}" if offset else
-            f"lb[{dim}]:ub[{dim}]"
-            for dim, offset in axes
-        )
+        self.slot_dtypes[slot] = numpy_dtype_for(value.type)
+        stored = self.operand(value)
+        target = self.slice_code(f"ext[{slot}].data", axes, align=False)
         order = [dim for dim, _ in axes]
-        if order != sorted(order) and value_is_array:
-            value_code = f"np.transpose({value_code}, {tuple(order)})"
-        self.lines.append(f"ext[{slot}].data[{slices}] = {value_code}")
+        code = "{0}"
+        if order != sorted(order) and stored.is_array:
+            code = f"np.transpose({{0}}, {tuple(order)})"
+        self.stmts.append((None, f"{target} = {code}", (stored,)))
 
-    def slice_code(self, base: str, axes: Sequence[Tuple[int, int]]) -> str:
-        """A whole-sweep slice of ``base``, transposed/expanded so its axes
-        line up with induction-variable order for broadcasting."""
-        slices = ", ".join(
-            f"lb[{dim}] + {offset}:ub[{dim}] + {offset}" if offset else
-            f"lb[{dim}]:ub[{dim}]"
-            for dim, offset in axes
-        )
-        code = f"{base}[{slices}]"
+    def slice_code(self, base: str, axes: Sequence[Tuple[int, int]],
+                   origin: Optional[str] = None, align: bool = True) -> str:
+        """A whole-sweep slice of ``base`` (whose index space starts at
+        ``origin``, when given); with ``align``, transposed/expanded so its
+        axes line up with induction-variable order for broadcasting."""
+        def bound(which: str, dim: int, offset: int) -> str:
+            return f"{which}[{dim}]" + (f" + {offset}" if offset else "") + \
+                (f" - {origin}[{dim}]" if origin else "")
+
+        code = f"{base}[" + ", ".join(
+            f"{bound('lb', dim, offset)}:{bound('ub', dim, offset)}"
+            for dim, offset in axes) + "]"
+        if not align:
+            return code
         order = [dim for dim, _ in axes]
         if order != sorted(order):
             perm = tuple(int(i) for i in np.argsort(order))
             code = f"np.transpose({code}, {perm})"
-        missing = [d for d in range(self.rank) if d not in order]
-        for dim in missing:
-            code = f"np.expand_dims({code}, {dim})"
+        for dim in range(self.rank):
+            if dim not in order:
+                code = f"np.expand_dims({code}, {dim})"
         return code
 
     # -- op translation ----------------------------------------------------
@@ -578,74 +645,86 @@ class _BodyTranslator:
                 self.values[id(op.results[0])] = _Const(lhs.value + sign * rhs.value)
                 return
 
-        if name in _BINARY_TEMPLATES:
-            a, a_arr = self.as_code(op.operands[0])
-            b, b_arr = self.as_code(op.operands[1])
-            var = self.fresh()
-            self.lines.append(f"{var} = " + _BINARY_TEMPLATES[name].format(a, b))
-            self.values[id(op.results[0])] = _Expr(var, a_arr or b_arr)
-            return
-
-        if name in _UNARY_TEMPLATES:
-            a, a_arr = self.as_code(op.operands[0])
-            var = self.fresh()
-            self.lines.append(f"{var} = " + _UNARY_TEMPLATES[name].format(a))
-            self.values[id(op.results[0])] = _Expr(var, a_arr)
-            return
-
-        if name == "math.fma":
-            a, a_arr = self.as_code(op.operands[0])
-            b, b_arr = self.as_code(op.operands[1])
-            c, c_arr = self.as_code(op.operands[2])
-            var = self.fresh()
-            self.lines.append(f"{var} = ({a} * {b} + {c})")
-            self.values[id(op.results[0])] = _Expr(var, a_arr or b_arr or c_arr)
-            return
-
-        if name in ("arith.cmpf", "arith.cmpi"):
-            pred = op.get_attr("predicate").data  # type: ignore[union-attr]
-            if pred not in _CMP_TEMPLATES:
-                raise KernelUnsupported(f"comparison predicate '{pred}'")
-            a, a_arr = self.as_code(op.operands[0])
-            b, b_arr = self.as_code(op.operands[1])
-            var = self.fresh()
-            self.lines.append(f"{var} = {_CMP_TEMPLATES[pred]}({a}, {b})")
-            self.values[id(op.results[0])] = _Expr(var, a_arr or b_arr)
-            return
-
-        if name == "arith.select":
-            c, c_arr = self.as_code(op.operands[0])
-            a, a_arr = self.as_code(op.operands[1])
-            b, b_arr = self.as_code(op.operands[2])
-            var = self.fresh()
-            self.lines.append(f"{var} = np.where({c}, {a}, {b})")
-            self.values[id(op.results[0])] = _Expr(var, c_arr or a_arr or b_arr)
-            return
-
         if name in _CAST_OPS:
             source = self.values.get(id(op.operands[0]))
             if isinstance(source, _Affine) and name == "arith.index_cast":
                 self.values[id(op.results[0])] = source
                 return
-            a, a_arr = self.as_code(op.operands[0])
-            dtype = numpy_dtype_for(op.results[0].type)
-            var = self.fresh()
-            if a_arr:
-                self.lines.append(f"{var} = {a}.astype('{dtype.name}')")
-            else:
-                self.lines.append(f"{var} = np.dtype('{dtype.name}').type({a})")
-            self.values[id(op.results[0])] = _Expr(var, a_arr)
+            value = self.operand(op.operands[0])
+            dtype = numpy_dtype_for(op.results[0].type).name
+            self.bind(op.results[0], f"{{0}}.astype('{dtype}')" if value.is_array
+                      else f"np.dtype('{dtype}').type({{0}})", [value])
+            return
+
+        template = _TEMPLATES.get(name)
+        if name in ("arith.cmpf", "arith.cmpi"):
+            pred = op.get_attr("predicate").data  # type: ignore[union-attr]
+            if pred not in _CMP_TEMPLATES:
+                raise KernelUnsupported(f"comparison predicate '{pred}'")
+            template = _CMP_TEMPLATES[pred] + "({0}, {1})"
+        if template is not None:
+            self.bind(op.results[0], template,
+                      [self.operand(value) for value in op.operands])
+            return
+
+        if name == "math.fma":
+            # Multiply, then add — two roundings, in that order, exactly as
+            # the scalar interpreter's ``a * b + c``.
+            a, b, c = (self.operand(value) for value in op.operands)
+            product = self.bind(op.results[0], _TEMPLATES["arith.mulf"], [a, b])
+            self.bind(op.results[0], _TEMPLATES["arith.addf"], [product, c])
             return
 
         raise KernelUnsupported(f"operation '{name}' is not vectorizable")
 
+    # -- liveness and rendering --------------------------------------------
 
-def _assemble(name: str, lines: List[str]) -> Tuple[Callable, str]:
-    body = "\n".join("    " + line for line in lines) or "    pass"
-    source = f"def {name}(ext, lb, ub):\n{body}\n"
-    namespace = dict(_NAMESPACE)
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace[name], source
+    def render(self) -> List[str]:
+        """The statements as source lines, after a last-use pass over them.
+
+        A reusable result (see :class:`_Expr`) is computed ``out=`` a buffer
+        that died at or before its statement — one of its own operands, else
+        the free-list — and allocates only when there is none; every other
+        owned array is ``del``'d right after its last use.  Views, scalars,
+        inline code and values still to be returned or stored are never
+        written: they are not owned, or not dead.
+        """
+        last_use: Dict[_Expr, int] = {}
+        for index, (_, _, uses) in enumerate(self.stmts):
+            for use in uses:
+                last_use[use] = index
+        last_use.update((expr, len(self.stmts)) for expr in self.returned)
+        self.allocations = 0
+        lines: List[str] = []
+        free: List[_Expr] = []
+        for index, (result, template, uses) in enumerate(self.stmts):
+            if not uses:  # a window or scalar binding: nothing to format or free
+                lines.append(f"{result.var} = {template}")
+                continue
+            dying = [use for use in dict.fromkeys(uses)
+                     if use.owned and last_use[use] == index]
+            out = ""
+            if result is not None and result.owned:
+                donor = None
+                if result.reusable:
+                    donor = next((use for use in dying if use.reusable), None)
+                    if donor is not None:
+                        dying.remove(donor)
+                    elif free:
+                        donor = free.pop()
+                if donor is None:
+                    self.allocations += 1
+                else:
+                    out = f", out={donor.var}"
+            code = template.format(*[use.var for use in uses], out=out)
+            lines.append(f"{result.var} = {code}" if result is not None else code)
+            free.extend(use for use in dying if use.reusable)
+            dead = [use.var for use in dying if not use.reusable]
+            if dead:
+                lines.append("del " + ", ".join(dead))
+        if self.returned:
+            lines.append(f"return [{', '.join(e.var for e in self.returned)}]")
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -735,11 +814,7 @@ def compile_loop_nest(op: Operation) -> CompiledKernel:
     if not translator.stores:
         raise KernelUnsupported("loop nest performs no stores")
 
-    fn, source = _assemble("_nest_kernel", translator.lines)
-    return CompiledKernel(
-        fn, source, rank, translator.loads, translator.stores,
-        translator.external_paths, bound_slots,
-    )
+    return CompiledKernel("_nest_kernel", translator, bound_slots=bound_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -785,14 +860,9 @@ def compile_apply(op: Operation) -> CompiledKernel:
                 raise KernelUnsupported("stencil.access offset rank mismatch")
             if slot not in accessed_slots:
                 accessed_slots.append(slot)
-            var = translator.fresh()
-            slices = ", ".join(
-                f"lb[{d}] + {off} - org{slot}[{d}]:ub[{d}] + {off} - org{slot}[{d}]"
-                for d, off in enumerate(offset)
-            )
-            translator.lines.append(f"{var} = arr{slot}[{slices}]")
-            translator.values[id(body_op.results[0])] = _Expr(var, is_array=True)
-            translator.loads.append((slot, tuple(enumerate(offset))))
+            translator.emit_load(body_op.results[0], slot,
+                                 tuple(enumerate(offset)),
+                                 base=f"arr{slot}", origin=f"org{slot}")
             continue
         if name == "stencil.index":
             dim = int(body_op.get_attr("dim").value)  # type: ignore[union-attr]
@@ -808,15 +878,10 @@ def compile_apply(op: Operation) -> CompiledKernel:
     for slot in sorted(accessed_slots):
         prologue.append(f"arr{slot} = ext[{slot}].data")
         prologue.append(f"org{slot} = ext[{slot}].origin")
-    rendered = [translator.as_code(v) for v in returned]
-    result_code = ", ".join(code for code, _ in rendered)
-    translator.lines.append(f"return [{result_code}]")
-
-    fn, source = _assemble("_apply_kernel", prologue + translator.lines)
+    translator.returned = [translator.operand(value) for value in returned]
     return CompiledKernel(
-        fn, source, rank, translator.loads, stores=(),
-        external_paths=translator.external_paths,
-        result_is_array=[is_array for _, is_array in rendered],
+        "_apply_kernel", translator, prologue,
+        result_is_array=[expr.is_array for expr in translator.returned],
     )
 
 

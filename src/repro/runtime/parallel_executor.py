@@ -13,7 +13,9 @@ Three pieces, each independently testable:
   schedule (kind + chunk size, as carried on ``omp.wsloop`` by
   ``convert-scf-to-openmp``) into contiguous, disjoint ``(lb, ub)`` spans that
   exactly cover the extent; :func:`plan_boxes` partitions a whole box into
-  ``schedule.tile``-shaped sub-boxes;
+  ``schedule.tile``-shaped sub-boxes; :func:`plan_cache_boxes` picks the
+  default shape — cache-sized, unit-stride axis whole — for sweeps nobody
+  scheduled;
 * :func:`run_boxes` — runs a kernel over a box plan: store kernels in place,
   pure kernels assembled by slab assignment;
 * :class:`ParallelExecutor` — a persistent worker pool executing tile
@@ -30,6 +32,7 @@ counts thread-plan refusals in ``stats["parallel_fallbacks"]``.
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -38,6 +41,14 @@ import numpy as np
 
 #: One box of a sweep plan: ``(lowers, uppers)``, half-open per dimension.
 Box = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+#: Working-set budget of one box of the default (unscheduled, single-thread)
+#: sweep plan, see :func:`plan_cache_boxes`.  Measured, not derived: PW
+#: advection at n = 64/96/128 runs fastest on a broad plateau of boxes of
+#: roughly 15k-60k points (docs/ARCHITECTURE.md "Parallel execution" has the
+#: table), and blocking loses below it, so the budget sits where n = 32
+#: still runs whole.
+CACHE_BUDGET_BYTES = 2 << 20
 
 #: Schedule kinds understood by :func:`plan_tiles` (OpenMP worksharing-loop
 #: schedule clause subset; "auto"/"runtime" map to "static" upstream).
@@ -143,6 +154,34 @@ def plan_boxes(
     return boxes
 
 
+def plan_cache_boxes(
+    lowers: Sequence[int],
+    uppers: Sequence[int],
+    strides: Sequence[int],
+    arrays: int,
+) -> List[Box]:
+    """Partition ``[lowers, uppers)`` into boxes whose working set — box
+    points × 8 B × ``arrays``, the arrays a kernel touches per point — fits
+    :data:`CACHE_BUDGET_BYTES`; a domain already under it stays one box.
+
+    ``strides[d]`` is the byte stride of iteration dimension ``d`` in the
+    swept data.  The smallest-stride dimension is never cut (short rows
+    would waste every cache line and prefetch stream); the others are cut
+    largest stride first, each into near-equal pieces.
+    """
+    sizes = [max(1, upper - lower) for lower, upper in zip(lowers, uppers)]
+    points = CACHE_BUDGET_BYTES // (8 * max(1, arrays))
+    by_stride = sorted(range(len(sizes)), key=lambda dim: -abs(strides[dim]))
+    for dim in by_stride[:-1]:
+        total = math.prod(sizes)
+        if total <= points:
+            break
+        size = max(1, points // (total // sizes[dim]))
+        pieces = -(-sizes[dim] // size)
+        sizes[dim] = -(-sizes[dim] // pieces)
+    return plan_boxes(lowers, uppers, sizes)
+
+
 def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
               uppers: Sequence[int], boxes: Sequence[Box],
               executor: Optional["ParallelExecutor"] = None) -> Optional[List[object]]:
@@ -175,7 +214,9 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
     domain = tuple(u - l for l, u in zip(lowers, uppers))
     results: List[object] = []
     for i, first in enumerate(partials[0]):
-        out = np.empty(domain, dtype=np.asarray(first).dtype)
+        # In the partials' memory layout (Fortran order for Fortran-ordered
+        # inputs), so a tiled result is laid out exactly as an untiled one.
+        out = np.empty_like(first, shape=domain)
         for (box_lb, box_ub), partial in zip(boxes, partials):
             out[tuple(slice(bl - l, bu - l)
                       for l, bl, bu in zip(lowers, box_lb, box_ub))] = partial[i]
@@ -235,6 +276,7 @@ __all__ = [
     "SCHEDULE_KINDS",
     "plan_tiles",
     "plan_boxes",
+    "plan_cache_boxes",
     "run_boxes",
     "ParallelExecutor",
     "get_executor",

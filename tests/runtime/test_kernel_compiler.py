@@ -12,18 +12,21 @@ Covers the three contract areas of ``repro.runtime.kernel_compiler``:
   to the scalar path instead of silently corrupting results.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 import repro
 from repro.api import CpuOptions, OptionError
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import arith, memref, scf, stencil
+from repro.dialects import arith, math_dialect, memref, scf, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
-from repro.ir import Builder, MemRefType, f64, index
+from repro.ir import Builder, MemRefType, f64, i64, index
 from repro.ir.operation import Region
-from repro.runtime import Interpreter, InterpreterError, MemoryBuffer
+from repro.runtime import (Frame, Interpreter, InterpreterError, MemoryBuffer,
+                           TempValue)
 from repro.runtime.kernel_compiler import (
     KernelCompiler,
     KernelUnsupported,
@@ -146,6 +149,234 @@ class TestSliceTranslation:
         body.insert_op_at(1, scf.IfOp(cond.results[0]))
         with pytest.raises(KernelUnsupported):
             compile_loop_nest(parallel)
+
+
+# ---------------------------------------------------------------------------
+# Shared windows and the last-use pass (dead-buffer reuse through ``out=``)
+# ---------------------------------------------------------------------------
+
+_FLOAT_UFUNC = re.compile(r"np\.(add|subtract|multiply|divide|negative|maximum|"
+                          r"minimum|power|sqrt|abs|sin|cos|tan|tanh|exp|log|"
+                          r"log10)\(")
+
+
+def bindings(source):
+    """``{variable: right-hand side}`` of every assignment in a kernel."""
+    return dict(re.findall(r"^\s+(\w+) = (.*)$", source, re.M))
+
+
+def out_targets(source):
+    return re.findall(r"out=(\w+)", source)
+
+
+def assert_out_targets_are_dead_owned_buffers(source):
+    """Every ``out=`` names the result of a float ufunc — never a view, a
+    scalar, an arange, a where/astype result or a returned value — and is
+    not read again after being overwritten."""
+    bound = bindings(source)
+    returned = re.search(r"return \[(.*)\]", source)
+    returned = re.findall(r"\w+", returned.group(1)) if returned else []
+    lines = source.splitlines()
+    for number, line in enumerate(lines):
+        for target in re.findall(r"out=(\w+)", line):
+            assert _FLOAT_UFUNC.match(bound[target]), (target, bound[target])
+            assert target not in returned
+            later = "\n".join(lines[number + 1:])
+            assert not re.search(rf"\b{target}\b", later), \
+                f"{target} named again after line {number} overwrote it"
+
+
+def build_mixed_apply(n):
+    """One apply body with everything the reuse pass must leave alone: a
+    ``stencil.index`` cast to a number (arange), ``cmpf`` + ``select`` (bool
+    and ``np.where`` results), a scalar defined outside the body and
+    ``math.fma``, with ``fused`` read again after the select consumed it."""
+    scale = arith.ConstantOp.from_float(3.0).results[0]
+    apply_op = build_average_apply(n)
+    body = apply_op.body.block
+    for op in reversed(list(body.ops)):
+        op.erase()
+    b = Builder.at_end(body)
+    arg = body.args[0]
+    left = b.insert(stencil.AccessOp(arg, [-1, 0])).results[0]
+    right = b.insert(stencil.AccessOp(arg, [1, 0])).results[0]
+    row = b.insert(stencil.IndexOp(0)).results[0]
+    row = b.insert(arith.IndexCastOp(row, i64)).results[0]
+    row = b.insert(arith.SIToFPOp(row, f64)).results[0]
+    fused = b.insert(math_dialect.FmaOp(left, scale, right)).results[0]
+    below = b.insert(arith.CmpfOp("olt", fused, row)).results[0]
+    chosen = b.insert(arith.SelectOp(below, fused, row)).results[0]
+    total = b.insert(arith.AddfOp(chosen, fused)).results[0]
+    b.insert(stencil.ReturnOp([total]))
+    return apply_op, scale
+
+
+def build_broadcast_nest_module(n):
+    """func(dst, src, row): dst[i,j] = fma(src[i,j], 3, row[j]) + row[j]*3 —
+    ``row[j]`` is a missing-dim (broadcasting) load and ``3`` a scalar
+    defined outside the nest."""
+    fn = FuncOp.build("mixed", [MemRefType((n, n), f64), MemRefType((n, n), f64),
+                                MemRefType((n,), f64)], [])
+    b = Builder.at_end(fn.entry_block)
+    dst, src, row = fn.entry_block.args
+    low = b.insert(arith.ConstantOp.from_int(0, index)).results[0]
+    high = b.insert(arith.ConstantOp.from_int(n, index)).results[0]
+    one = b.insert(arith.ConstantOp.from_int(1, index)).results[0]
+    three = b.insert(arith.ConstantOp.from_float(3.0)).results[0]
+    parallel = b.insert(scf.ParallelOp([low, low], [high, high], [one, one]))
+    body = Builder.at_end(parallel.body.block)
+    i, j = parallel.body.block.args
+    centre = body.insert(memref.LoadOp(src, [i, j])).results[0]
+    edge = body.insert(memref.LoadOp(row, [j])).results[0]
+    fused = body.insert(math_dialect.FmaOp(centre, three, edge)).results[0]
+    scaled = body.insert(arith.MulfOp(edge, three)).results[0]
+    total = body.insert(arith.AddfOp(fused, scaled)).results[0]
+    body.insert(memref.StoreOp(total, dst, [i, j]))
+    parallel.body.block.add_op(scf.YieldOp([]))
+    b.insert(ReturnOp([]))
+    return ModuleOp([fn]), fn, parallel
+
+
+class TestWindowSharingAndBufferReuse:
+    def test_fused_pw_binds_each_window_once_and_allocates_o1(self):
+        """60 element-wise ops over 54 accesses of 27 distinct windows: the
+        kernel slices 27 views and allocates a handful of arrays."""
+        result = repro.Session().compile(
+            pw_advection.generate_source(10)).lower("cpu")
+        [apply_op] = [op for op in result.stencil_module.walk()
+                      if isinstance(op, stencil.ApplyOp)]
+        kernel = compile_apply(apply_op)
+        rhs = bindings(kernel.source).values()
+        assert sum(code.startswith("arr") for code in rhs) == 27
+        assert len(kernel.loads) == 27
+        ufuncs = [code for code in rhs if code.startswith("np.")]
+        allocating = [code for code in ufuncs if "out=" not in code]
+        assert len(ufuncs) == 60
+        assert len(allocating) == kernel.allocations <= 8
+        assert len(out_targets(kernel.source)) == 60 - kernel.allocations
+        assert_out_targets_are_dead_owned_buffers(kernel.source)
+
+    def test_mixed_apply_matches_the_oracle_and_spares_non_buffers(self):
+        n = 9
+        apply_op, scale = build_mixed_apply(n)
+        data = np.asfortranarray(np.random.default_rng(21).random((n, n)) * n)
+
+        def run(mode):
+            interp = Interpreter([ModuleOp([])], execution_mode=mode,
+                                 kernel_compiler=KernelCompiler(use_shared_cache=False))
+            frame = Frame()
+            frame.set(apply_op.operands[0], TempValue(data, (0, 0)))
+            frame.set(scale, np.float64(3.0))
+            values = interp.exec_op(apply_op, frame)
+            return [value.data for value in values], interp
+
+        oracle, _ = run("interpret")
+        checked, interp = run("crosscheck")
+        assert interp.stats["vectorized_sweeps"] == 1
+        for ref, vec in zip(oracle, checked):
+            assert np.asarray(ref).tobytes() == np.asarray(vec).tobytes()
+        source = interp.kernels.kernel_for(apply_op).kernel.source
+        assert "np.where" in source and "np.arange" in source
+        assert_out_targets_are_dead_owned_buffers(source)
+        # fma is multiply-then-add, the add landing in the product's buffer;
+        # the bool mask and the where result die by ``del``, not by reuse.
+        product = next(var for var, code in bindings(source).items()
+                       if code.startswith("np.multiply("))
+        assert f"out={product})" in source
+        assert source.count("del ") == 2
+
+    def test_broadcasting_load_is_never_an_out_target(self):
+        n = 7
+        module, fn, parallel = build_broadcast_nest_module(n)
+        rng = np.random.default_rng(22)
+        src = np.asfortranarray(rng.random((n, n)))
+        row = rng.random(n)
+
+        def run(mode):
+            dst = np.zeros((n, n), order="F")
+            interp = Interpreter([module], execution_mode=mode)
+            interp.call_function(fn, [MemoryBuffer.wrap(dst), MemoryBuffer.wrap(src),
+                                      MemoryBuffer.wrap(row.copy())])
+            return dst, interp
+
+        oracle, _ = run("interpret")
+        checked, interp = run("crosscheck")
+        assert interp.stats["vectorized_sweeps"] == 1
+        assert checked.tobytes() == oracle.tobytes()
+        source = compile_loop_nest(parallel).source
+        bound = bindings(source)
+        edge = next(var for var, code in bound.items() if "expand_dims" in code)
+        scaled = next(var for var, code in bound.items()
+                      if code.startswith(f"np.multiply({edge}, "))
+        assert "out=" not in bound[scaled]          # (1, n): not the full box
+        assert scaled not in out_targets(source)
+        assert f"del {scaled}" in source
+        assert_out_targets_are_dead_owned_buffers(source)
+
+    def test_value_used_again_after_an_intermediate_op_is_not_clobbered(self):
+        """x = l + r; y = x * x; z = y - x: ``x`` outlives ``y``'s statement,
+        so ``y`` may not be computed into it."""
+        n = 8
+        apply_op = build_average_apply(n)
+        body = apply_op.body.block
+        ret = body.last_op
+        total = body.ops[2].results[0]              # left + right
+        ret.erase(safe=False)
+        b = Builder.at_end(body)
+        squared = b.insert(arith.MulfOp(total, total)).results[0]
+        b.insert(stencil.ReturnOp([b.insert(arith.SubfOp(squared, total)).results[0]]))
+        kernel = compile_apply(apply_op)
+        data = np.asfortranarray(np.random.default_rng(23).random((n, n)))
+        [got] = kernel.fn([TempValue(data, (0, 0))], (1, 1), (n - 1, n - 1))
+        x = data[0:n - 2, 1:n - 1] + data[2:n, 1:n - 1]
+        assert got.tobytes() == (x * x - x).tobytes()
+        assert_out_targets_are_dead_owned_buffers(kernel.source)
+
+    def test_two_stores_through_one_buffer_keep_the_last(self):
+        """dst[i,j] = src*2 then dst[i,j] = src*2 + 1: the first value dies at
+        its store and its buffer carries the second."""
+        n = 6
+        module, fn = build_shift_nest_module(n=n, shift=0)
+        parallel = next(op for op in fn.walk() if isinstance(op, scf.ParallelOp))
+        body = parallel.body.block
+        store = body.ops[-2]
+        b = Builder.before(body.last_op)
+        one = b.insert(arith.ConstantOp.from_float(1.0)).results[0]
+        more = b.insert(arith.AddfOp(store.operands[0], one)).results[0]
+        b.insert(memref.StoreOp(more, store.operands[1], list(store.operands[2:])))
+        src = np.asfortranarray(np.random.default_rng(24).random((n, n)))
+        dst = np.zeros((n, n), order="F")
+        interp = Interpreter([module], execution_mode="crosscheck")
+        interp.call_function(fn, [MemoryBuffer.wrap(dst), MemoryBuffer.wrap(src)])
+        assert interp.stats["vectorized_sweeps"] == 1
+        assert np.array_equal(dst[1:n - 1, 1:n - 1], src[1:n - 1, 1:n - 1] * 2.0 + 1.0)
+        assert out_targets(compile_loop_nest(parallel).source)
+
+    def test_gpu_lattice_kernel_reuses_buffers_and_matches_the_oracle(self):
+        result = repro.compile(pw_advection.generate_source(8)).lower(
+            "gpu", lower_to_scf=True)
+
+        def run(mode):
+            fields = [f.copy(order="F") for f in pw_advection.initial_fields(8)]
+            return fields, result.run("pw_advection", *fields, execution_mode=mode)
+
+        oracle, _ = run("interpret")
+        checked, interp = run("crosscheck")
+        assert interp.stats["gpu_launches_vectorized"] > 0
+        assert interp.stats["gpu_launch_fallbacks"] == 0
+        assert all(o.tobytes() == c.tobytes() for o, c in zip(oracle, checked))
+
+    def test_wrong_dtype_array_falls_back_instead_of_casting(self):
+        """``out=`` would silently round a float32 input's float64 products
+        back to float32; the guard sends such a sweep to the oracle."""
+        module, fn = build_shift_nest_module(n=6)
+        src = np.asfortranarray(np.random.default_rng(25).random((6, 6)),
+                                dtype=np.float32)
+        dst = np.zeros((6, 6), order="F")
+        interp = Interpreter([module], execution_mode="vectorize")
+        interp.call_function(fn, [MemoryBuffer.wrap(dst), MemoryBuffer.wrap(src)])
+        assert interp.stats["vectorize_fallbacks"] == 1
+        assert np.array_equal(dst[1:5, 1:5], src[0:4, 1:5] * 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,13 @@ from repro.dialects import arith, omp, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder
 from repro.ir.operation import VerifyException
-from repro.runtime import Frame, Interpreter, MemoryBuffer
+from repro.runtime import Frame, Interpreter, MemoryBuffer, parallel_executor
 from repro.runtime.kernel_compiler import structural_hash
 from repro.runtime.parallel_executor import (
     ParallelExecutor,
     get_executor,
     plan_boxes,
+    plan_cache_boxes,
     plan_tiles,
 )
 
@@ -147,6 +148,47 @@ class TestPlanBoxes:
     def test_non_positive_sizes_rejected(self):
         with pytest.raises(ValueError, match="must be positive"):
             plan_boxes((0,), (4,), (0,))
+
+
+class TestPlanCacheBoxes:
+    """The default plan: boxes of at most budget / (8 B x arrays) points."""
+
+    F_STRIDES, C_STRIDES = (8, 800, 80000), (80000, 800, 8)
+
+    def test_under_budget_is_one_box(self, monkeypatch):
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 30 ** 3 * 8 * 8)
+        assert plan_cache_boxes((1, 1, 1), (31, 31, 31), self.F_STRIDES, 8) == \
+            [((1, 1, 1), (31, 31, 31))]
+        assert len(plan_cache_boxes((1, 1, 1), (31, 31, 31), self.F_STRIDES, 9)) > 1
+
+    @pytest.mark.parametrize("strides,whole", [(F_STRIDES, 0), (C_STRIDES, 2)])
+    def test_cuts_largest_strides_first_and_never_the_unit_stride(
+            self, monkeypatch, strides, whole):
+        lowers, uppers = (1, 1, 1), (95, 95, 95)
+        outer = 2 - whole                  # the largest-stride dimension
+        # Room for four planes: only the outermost dimension is cut, evenly.
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES",
+                            94 * 94 * 4 * 8 * 5)
+        boxes = plan_cache_boxes(lowers, uppers, strides, 5)
+        assert len(boxes) == 24
+        assert {ub[outer] - lb[outer] for lb, ub in boxes} == {4, 2}
+        assert all((lb[1], ub[1]) == (1, 95) for lb, ub in boxes)
+        # Not even one plane fits: the middle dimension is cut as well, and
+        # below one row the unit-stride dimension still stays whole.
+        for budget in (94 * 10 * 8 * 5, 64):
+            monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
+            boxes = plan_cache_boxes(lowers, uppers, strides, 5)
+            assert all(ub[outer] - lb[outer] == 1 for lb, ub in boxes)
+            assert all((lb[whole], ub[whole]) == (1, 95) for lb, ub in boxes)
+            cover = np.zeros((96, 96, 96), dtype=np.int8)
+            for lb, ub in boxes:
+                cover[lb[0]:ub[0], lb[1]:ub[1], lb[2]:ub[2]] += 1
+            assert (cover[1:95, 1:95, 1:95] == 1).all() and cover.sum() == 94 ** 3
+
+    def test_rank_one_and_empty_domains_are_never_cut(self, monkeypatch):
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 64)
+        assert plan_cache_boxes((0,), (1000,), (8,), 4) == [((0,), (1000,))]
+        assert plan_cache_boxes((0, 3), (10, 3), (8, 80), 4) == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +314,33 @@ class TestTiledApplyExecution:
         assert interp.stats["parallel_sweeps"] == 1
         assert interp.stats["parallel_tiles"] == 4
         assert np.allclose(tiled, expected)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_tiled_result_is_laid_out_like_the_untiled_one(self, order):
+        """Regression: slabs were gathered into a C-ordered buffer whatever
+        the inputs' layout, so every tiled result of Fortran-ordered fields
+        paid a transposing copy at the following stencil.store."""
+        from repro.ir.attributes import DenseArrayAttr
+        from repro.runtime import TempValue
+        from repro.runtime.kernel_compiler import KernelCompiler
+
+        n = 12
+        temp = TempValue(np.array(np.random.default_rng(6).random((n, n)),
+                                  order=order), (0, 0))
+        results = []
+        for tile in (None, (4, 4)):
+            apply_op = build_average_apply(n)
+            if tile is not None:
+                apply_op.attributes["schedule.tile"] = DenseArrayAttr(tile)
+            interp = Interpreter([ModuleOp([])], execution_mode="vectorize",
+                                 kernel_compiler=KernelCompiler(use_shared_cache=False))
+            results.extend(exec_apply(interp, apply_op, temp))
+            assert interp.stats["schedule_tiles"] == (9 if tile else 0)
+        untiled, tiled = results
+        assert tiled.tobytes() == untiled.tobytes()
+        assert tiled.flags["F_CONTIGUOUS"] == untiled.flags["F_CONTIGUOUS"]
+        assert tiled.flags["C_CONTIGUOUS"] == untiled.flags["C_CONTIGUOUS"]
+        assert untiled.flags["F_CONTIGUOUS"] == (order == "F")
 
     def test_scalar_result_apply_refuses_tiling(self):
         """An apply returning a non-array value (a constant) cannot be

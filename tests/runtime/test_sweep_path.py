@@ -13,7 +13,7 @@ from repro.apps import gauss_seidel
 from repro.dialects import arith, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder, f64
-from repro.runtime import Interpreter, TempValue
+from repro.runtime import Interpreter, TempValue, parallel_executor
 from repro.runtime.kernel_compiler import KernelCompiler
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
@@ -24,8 +24,12 @@ N, NITERS = 12, 2          # interior 10^3 per sweep, one sweep per iteration
 TILE = (4, 4, 4)           # 3 boxes per dimension
 COUNTERS = ("vectorized_sweeps", "vectorize_fallbacks", "parallel_sweeps",
             "parallel_tiles", "parallel_fallbacks", "schedule_tiles",
-            "schedule_fallbacks", "gpu_launches_vectorized",
-            "gpu_launch_fallbacks")
+            "schedule_fallbacks", "cache_tiles", "cache_fallbacks",
+            "gpu_launches_vectorized", "gpu_launch_fallbacks")
+#: A cache budget under which the 10^3 sweeps here are cut into ten
+#: (10, 10, 1) boxes: 100 points x 8 B x the 2 (apply) or 3 (nest) arrays a
+#: Gauss-Seidel kernel touches fit, 200 points do not.
+TINY_BUDGET = 2400
 
 #: op kind -> (backend, lowering options, the counter that counts its sweeps)
 KINDS = {
@@ -34,12 +38,18 @@ KINDS = {
     "launch": ("gpu", {"lower_to_scf": True}, "gpu_launches_vectorized"),
 }
 
-#: plan -> (threads, tiled, the counters it adds per sweep)
+#: plan -> (threads, tiled, cache budget, the counters it adds per sweep)
 PLANS = {
-    "whole": (1, False, {}),
-    "threads": (3, False, {"parallel_sweeps": 1, "parallel_tiles": 3}),
-    "boxes": (1, True, {"schedule_tiles": 27}),
-    "boxes+threads": (2, True, {"schedule_tiles": 27}),
+    "whole": (1, False, None, {}),
+    "threads": (3, False, None, {"parallel_sweeps": 1, "parallel_tiles": 3}),
+    "boxes": (1, True, None, {"schedule_tiles": 27}),
+    "boxes+threads": (2, True, None, {"schedule_tiles": 27}),
+    # The default plan once a sweep overflows the budget; every other plan
+    # (a user tile, a thread count) and every launch takes precedence.
+    "cache": (1, False, TINY_BUDGET, {"cache_tiles": 10}),
+    "threads-over-cache": (3, False, TINY_BUDGET,
+                           {"parallel_sweeps": 1, "parallel_tiles": 3}),
+    "boxes-over-cache": (1, True, TINY_BUDGET, {"schedule_tiles": 27}),
 }
 
 
@@ -56,9 +66,12 @@ def run_gauss_seidel(compiled, **interpreter_options):
     # directives, and a thread count must not tile (or count against) them.
     if not (kind == "launch" and plan.startswith("boxes"))
 ])
-def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode):
+def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
+                                                   monkeypatch):
     backend, options, sweep_counter = KINDS[kind]
-    threads, tiled, per_sweep = PLANS[plan]
+    threads, tiled, budget, per_sweep = PLANS[plan]
+    if budget is not None:
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
     compiled = repro.compile(
         gauss_seidel.generate_source(N, niters=NITERS)).lower(backend, **options)
     oracle, _ = run_gauss_seidel(compiled, execution_mode="interpret")
@@ -105,9 +118,11 @@ def build_column_index_apply(n):
 @pytest.mark.parametrize("threads,tile,fallback", [
     (2, None, "parallel_fallbacks"),
     (1, (2, 2), "schedule_fallbacks"),
+    (1, None, "cache_fallbacks"),
 ])
-def test_broadcasting_apply_result_refuses_once_and_recomputes(threads, tile,
-                                                               fallback):
+def test_broadcasting_apply_result_refuses_once_and_recomputes(
+        threads, tile, fallback, monkeypatch):
+    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 256)
     n = 8
     apply_op = build_column_index_apply(n)
     if tile is not None:
@@ -126,10 +141,52 @@ def test_broadcasting_apply_result_refuses_once_and_recomputes(threads, tile,
     assert not kernel.tileable                      # refused and memoised
     assert interp.stats[fallback] == 1
     [second] = exec_apply(interp, apply_op, temp)   # straight to whole-domain
-    assert interp.stats["schedule_fallbacks"] == (1 if tile else 0)
-    assert interp.stats["parallel_fallbacks"] == (0 if tile else 2)
-    assert interp.stats["parallel_sweeps"] == interp.stats["schedule_tiles"] == 0
+    # A thread plan is re-refused (and counted) every sweep; box plans only
+    # once, the cleared ``tileable`` keeping later sweeps whole.
+    assert interp.stats[fallback] == (2 if threads > 1 else 1)
+    assert sum(interp.stats[key] for key in (
+        "parallel_fallbacks", "schedule_fallbacks", "cache_fallbacks")) == \
+        interp.stats[fallback]
+    assert interp.stats["parallel_sweeps"] == interp.stats["schedule_tiles"] \
+        == interp.stats["cache_tiles"] == 0
     assert interp.stats["vectorized_sweeps"] == 2
     for value in (first, second):
         assert np.array_equal(np.broadcast_to(value, (n - 2, n - 2)),
                               np.broadcast_to(oracle, (n - 2, n - 2)))
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
+        order, monkeypatch):
+    """Under the budget the plan is the whole domain; over it the boxes cut
+    the largest-stride axes and never the unit-stride one — which axis that
+    is, is read off the swept array, not assumed."""
+    n = 18
+    apply_op = build_average_apply(n)
+    data = np.array(np.random.default_rng(31).random((n, n)), order=order)
+    temp = TempValue(data, (0, 0))
+    [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op, temp)
+    interp = Interpreter([ModuleOp([])], execution_mode="crosscheck",
+                         kernel_compiler=KernelCompiler(use_shared_cache=False))
+    kernel = interp.kernels.kernel_for(apply_op).kernel
+    lb, ub = (1, 1), (n - 1, n - 1)
+
+    def plan():
+        return interp._plan_sweep(apply_op, kernel, [temp], lb, ub,
+                                  ("static", None))
+
+    assert plan() == ([(lb, ub)], None)
+    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1024)
+    boxes, name = plan()
+    assert name == "cache" and len(boxes) > 1
+    whole = 0 if order == "F" else 1
+    cover = np.zeros((n, n), dtype=int)
+    for box_lb, box_ub in boxes:
+        assert (box_lb[whole], box_ub[whole]) == (lb[whole], ub[whole])
+        cover[box_lb[0]:box_ub[0], box_lb[1]:box_ub[1]] += 1
+    assert (cover[1:-1, 1:-1] == 1).all() and cover.sum() == (n - 2) ** 2
+
+    [boxed] = exec_apply(interp, apply_op, temp)
+    assert interp.stats["cache_tiles"] == len(boxes)
+    assert boxed.tobytes() == np.asarray(oracle).tobytes()
+    assert boxed.flags["F_CONTIGUOUS"] == np.asarray(oracle).flags["F_CONTIGUOUS"]
