@@ -120,8 +120,7 @@ class DistributedProgram:
                 "program.lower('dmp', grid=...)"
             )
         timeout = validate_timeout(timeout, compiled.backend_name)
-        if resilience is not None and not isinstance(resilience,
-                                                     ResilienceOptions):
+        if not isinstance(resilience, (ResilienceOptions, type(None))):
             raise OptionError(
                 "resilience must be a ResilienceOptions instance, got "
                 f"{type(resilience).__name__}"
@@ -209,9 +208,9 @@ class DistributedProgram:
         The input is not mutated; the gathered global array is
         ``result.field``, and ``result.rank_stats`` carries the per-rank
         message/byte counts and halo/kernel wall-times.  ``resilience``
-        overrides the plan's recovery policy for this run; when one is
-        active the run executes on the checkpoint/restart path and
-        ``result.recovery`` carries the :class:`~repro.resilience.RecoveryReport`.
+        overrides the plan's recovery policy for this run (fail-fast when
+        neither is set); ``result.recovery`` always carries the run's
+        :class:`~repro.resilience.RecoveryReport`.
         """
         if resilience is None:
             resilience = self._resilience

@@ -238,9 +238,9 @@ class CompiledProgram:
         The process grid comes from the compiled :class:`DmpOptions` (a
         compile-time cache-key field); ``ranks`` merely asserts the expected
         rank count, and ``pool_size`` / ``execution_mode`` / ``threads`` /
-        ``resilience`` are runtime-only.  Passing
-        ``resilience=ResilienceOptions(...)`` runs the plan on the
-        self-healing path (checkpoint/restart, retrying communicator) — like
+        ``resilience`` are runtime-only.  ``resilience=ResilienceOptions(...)``
+        is the recovery policy of the run loop (how often it checkpoints, how
+        many crashes it may roll back; fail-fast by default) — like
         ``threads`` it never enters the session cache key.  See
         :class:`repro.api.DistributedProgram`.
         """

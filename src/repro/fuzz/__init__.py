@@ -1,6 +1,8 @@
 """Differential fuzz farm: generative kernels, every backend, one oracle.
 
-The subsystem has four layers (ROADMAP open item 4):
+One :class:`Farm` drives seeds through one of three scenarios — the
+differential matrix, chaos mode, random schedules — and merges every case
+into one :class:`Report`.  The layers:
 
 * :mod:`repro.fuzz.generator` — seeded, trace-recording generation of
   *executable* stencil kernels as structured :class:`KernelSpec` trees
@@ -10,24 +12,23 @@ The subsystem has four layers (ROADMAP open item 4):
   through every registered backend via the fluent ``Program`` API, run
   across ``interpret``/``vectorize``/``crosscheck`` modes and thread /
   rank / stream counts, all outputs compared bitwise against the scalar
-  interpreter oracle;
+  interpreter oracle; home of :class:`Farm`, :class:`Report`,
+  :class:`CaseResult` and :class:`Divergence`;
 * :mod:`repro.fuzz.minimizer` — deterministic delta-debugging of any
   divergent spec while the divergence still reproduces;
 * :mod:`repro.fuzz.corpus` — the persisted ``fuzz/corpus/`` of minimized
   regression kernels that tier-1 replays;
 * :mod:`repro.fuzz.chaos` — chaos mode: each seed runs fault-free, then
   again under a seeded :class:`repro.resilience.FaultPlan`, and the
-  recovered outputs must be bitwise identical.
+  recovered outputs must be bitwise identical;
+* :mod:`repro.fuzz.schedules` — schedule mode: a random legal schedule
+  chain per seed and configuration, proved bitwise identical to the
+  unscheduled artifact.
 
-CLI: ``python -m repro.fuzz --seeds N [--time-budget S] [--chaos]``.
+CLI: ``python -m repro.fuzz --seeds N [--time-budget S] [--chaos|--schedules]``.
 """
 
-from .chaos import (
-    ChaosCaseResult,
-    ChaosFarm,
-    ChaosReport,
-    ChaosRunner,
-)
+from .chaos import ChaosRunner
 from .corpus import (
     CorpusEntry,
     DEFAULT_CORPUS_DIR,
@@ -51,28 +52,27 @@ from .runner import (
     CaseResult,
     DifferentialRunner,
     Divergence,
-    FuzzFarm,
-    FuzzReport,
+    Farm,
+    Report,
     default_matrix,
 )
+from .schedules import ScheduleRunner
 
 __all__ = [
     "BackendConfig",
     "CaseResult",
-    "ChaosCaseResult",
-    "ChaosFarm",
-    "ChaosReport",
     "ChaosRunner",
     "CorpusEntry",
     "DEFAULT_CONFIG",
     "DEFAULT_CORPUS_DIR",
     "DifferentialRunner",
     "Divergence",
-    "FuzzFarm",
-    "FuzzReport",
+    "Farm",
     "GeneratorConfig",
     "KernelSpec",
     "MinimizationResult",
+    "Report",
+    "ScheduleRunner",
     "default_matrix",
     "entry_from_divergence",
     "gen_expression",

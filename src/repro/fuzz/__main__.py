@@ -1,4 +1,4 @@
-"""CLI driver for the differential fuzz farm.
+"""CLI driver for the fuzz farm and its three scenarios.
 
 Examples::
 
@@ -37,10 +37,11 @@ import traceback
 from pathlib import Path
 
 from ..harness import fuzz_summary_table, recovery_report_table
-from .chaos import ChaosFarm
+from .chaos import ChaosRunner
 from .corpus import DEFAULT_CORPUS_DIR, load_corpus, minimize_and_save, replay_entry
 from .generator import DEFAULT_CONFIG, generate_spec
-from .runner import DifferentialRunner, FuzzFarm
+from .runner import DifferentialRunner, Farm
+from .schedules import ScheduleRunner, summary_line
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,54 +130,22 @@ def _replay_corpus(args) -> int:
     return 0 if regressions == 0 else 1
 
 
-def _schedules(args) -> int:
-    from .schedules import ScheduleFuzzFarm
-
-    session = None
-    if args.store is not None:
-        from ..api.session import Session
-        from ..serve import ArtifactStore
-
-        session = Session(store=ArtifactStore(args.store))
-    farm = ScheduleFuzzFarm(count=args.seeds, start=args.start_seed,
-                            session=session, time_budget=args.time_budget)
-
-    def on_case(result):
-        if args.quiet:
-            return
-        marker = "ok " if result.ok else "DIV"
-        chains = "; ".join(f"{label}: {chain or '-'}"
-                           for label, chain in result.chains)
-        print(f"  seed {result.spec.seed:>5} {marker} {chains}")
-
-    report = farm.run(on_case=on_case)
-    print()
-    print(report.summary())
-    for divergence in report.divergences:
-        print()
-        print(divergence.describe())
-    return 0 if report.ok else 1
-
-
-def _chaos(args) -> int:
-    farm = ChaosFarm(count=args.seeds, start=args.start_seed,
-                     time_budget=args.time_budget)
-
-    def on_case(result):
-        if args.quiet:
-            return
-        marker = "ok " if result.ok else "DIV"
-        print(f"  seed {result.spec.seed:>5} [{result.spec.style:>11}] "
-              f"{marker} ({result.scenarios_run} scenarios, "
-              f"{result.recovery.faults_injected} faults)")
-
-    report = farm.run(on_case=on_case)
-    print()
-    print(recovery_report_table(report))
-    for divergence in report.divergences:
-        print()
-        print(divergence.describe())
-    return 0 if report.ok else 1
+def _scenario(args, session):
+    """The farm scenario the flags select, how one finished case reads in
+    the progress output, and the renderer of the final report."""
+    if args.schedules:
+        return (ScheduleRunner(session),
+                lambda r: "; ".join(f"{label}: {chain or '-'}"
+                                    for label, chain in r.chains),
+                summary_line)
+    if args.chaos:
+        return (ChaosRunner(session),
+                lambda r: (f"({r.configs_run} scenarios, "
+                           f"{r.recovery.faults_injected} faults)"),
+                recovery_report_table)
+    return (DifferentialRunner(session, args.backends),
+            lambda r: f"rank {r.spec.rank} ({r.configs_run} configs)",
+            fuzz_summary_table)
 
 
 def main(argv=None) -> int:
@@ -185,10 +154,6 @@ def main(argv=None) -> int:
         return _replay_seed(args)
     if args.replay_corpus:
         return _replay_corpus(args)
-    if args.schedules:
-        return _schedules(args)
-    if args.chaos:
-        return _chaos(args)
 
     session = None
     if args.store is not None:
@@ -199,36 +164,35 @@ def main(argv=None) -> int:
         from ..serve import ArtifactStore
 
         session = Session(store=ArtifactStore(args.store))
-    farm = FuzzFarm(count=args.seeds, start=args.start_seed,
-                    backends=args.backends, time_budget=args.time_budget,
-                    session=session)
+    scenario, progress, render = _scenario(args, session)
+    farm = Farm(scenario, count=args.seeds, start=args.start_seed,
+                time_budget=args.time_budget)
 
     def on_case(result):
         if args.quiet:
             return
         marker = "ok " if result.ok else "DIV"
         print(f"  seed {result.spec.seed:>5} [{result.spec.style:>11}] "
-              f"rank {result.spec.rank} {marker} "
-              f"({result.configs_run} configs)")
+              f"{marker} {progress(result)}")
 
     report = farm.run(on_case=on_case)
     print()
-    print(fuzz_summary_table(report))
-    if report.divergences:
+    print(render(report))
+    for divergence in report.divergences:
+        print()
+        print(divergence.describe())
+    if (report.divergences and isinstance(scenario, DifferentialRunner)
+            and not args.no_minimize):
         print()
         for divergence in report.divergences:
-            print(divergence.describe())
-        if not args.no_minimize:
-            print()
-            for divergence in report.divergences:
-                entry = minimize_and_save(
-                    divergence, farm.runner,
-                    generator_config=farm.generator_config,
-                    corpus_dir=args.corpus)
-                print(f"minimized seed {divergence.seed} "
-                      f"[{divergence.config_label}]: size "
-                      f"{entry.original_size} -> {entry.spec.size()}, "
-                      f"saved {args.corpus / (entry.name + '.json')}")
+            entry = minimize_and_save(
+                divergence, scenario,
+                generator_config=farm.generator_config,
+                corpus_dir=args.corpus)
+            print(f"minimized seed {divergence.seed} "
+                  f"[{divergence.config_label}]: size "
+                  f"{entry.original_size} -> {entry.spec.size()}, "
+                  f"saved {args.corpus / (entry.name + '.json')}")
     return 0 if report.ok else 1
 
 

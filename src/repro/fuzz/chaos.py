@@ -5,10 +5,10 @@ farm catches it*.  Chaos mode applies the same discipline to runtime
 faults: each fuzz seed first runs **fault-free** to establish a baseline,
 then re-runs under a :class:`repro.resilience.FaultPlan` drawn from the
 same seed, and the recovered outputs must be **bitwise identical** to the
-baseline.  Three scenarios per case, matched to the three injectable
+baseline.  Three fault scenarios per case, matched to the three injectable
 runtime layers:
 
-* ``dmp-chaos`` (distributed-style specs): a multi-rank resilient run with
+* ``dmp-chaos`` (distributed-style specs): a multi-rank run with
   dropped/delayed/duplicated/corrupted halo messages plus one rank crash
   mid-run, recovered by the retrying communicator and checkpoint/restart;
 * ``gpu-chaos``: a gpu run whose :class:`SimulatedGPU` fails chosen device
@@ -17,16 +17,16 @@ runtime layers:
 * ``compile-chaos``: a throwaway session whose compile hook fails the first
   compile transiently, recovered by the session's single retry.
 
-Every injected fault and recovery action lands in one merged
-:class:`repro.resilience.RecoveryReport`; a chaos run is clean only when
-there are **0 divergences and 0 unrecovered faults**.
+Every injected fault and recovery action lands in the merged
+:class:`repro.resilience.RecoveryReport` of the farm's
+:class:`repro.fuzz.Report`; a chaos run is clean only when there are **0
+divergences and 0 unrecovered faults**.  :class:`ChaosRunner` is a scenario
+of :class:`repro.fuzz.Farm`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -38,55 +38,16 @@ from ..resilience import (
     FaultInjector,
     FaultPlan,
     RankCrash,
-    RecoveryReport,
     ReportSink,
     ResilienceOptions,
 )
 from ..runtime.gpu_runtime import SimulatedGPU
-from .generator import DEFAULT_CONFIG, GeneratorConfig, KernelSpec, generate_spec
-from .runner import _DMP_ITERATIONS, DifferentialRunner, Divergence
+from .generator import KernelSpec
+from .runner import _DMP_ITERATIONS, CaseResult, DifferentialRunner, Divergence
 
 #: Process grid for the distributed chaos scenario (same as the farm's
 #: widest dmp cell).
 _CHAOS_GRID = (2, 2)
-
-
-@dataclass
-class ChaosCaseResult:
-    """One seed's chaos verdict: scenarios run, divergences, recoveries."""
-
-    spec: KernelSpec
-    scenarios_run: int = 0
-    divergences: List[Divergence] = field(default_factory=list)
-    recovery: RecoveryReport = field(default_factory=RecoveryReport)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences and self.recovery.ok
-
-
-@dataclass
-class ChaosReport:
-    """Aggregated chaos results, rendered by
-    ``repro.harness.recovery_report_table``."""
-
-    cases: int = 0
-    scenarios_run: int = 0
-    divergences: List[Divergence] = field(default_factory=list)
-    recovery: RecoveryReport = field(default_factory=RecoveryReport)
-    seconds: float = 0.0
-    budget_exhausted: bool = False
-    seeds_skipped: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences and self.recovery.ok
-
-    def merge_case(self, result: ChaosCaseResult) -> None:
-        self.cases += 1
-        self.scenarios_run += result.scenarios_run
-        self.divergences.extend(result.divergences)
-        self.recovery.merge(result.recovery)
 
 
 class ChaosRunner:
@@ -111,7 +72,7 @@ class ChaosRunner:
             entry=spec.entry,
         )
 
-    def _run_dmp_chaos(self, spec: KernelSpec, result: ChaosCaseResult) -> None:
+    def _run_dmp_chaos(self, spec: KernelSpec, result: CaseResult) -> None:
         plan = self._dmp_plan(spec)
         arrays, _ = self.runner.inputs_for(spec)
         seed_field = arrays[spec.arrays[0]]
@@ -126,12 +87,12 @@ class ChaosRunner:
             seed_field, iterations=_DMP_ITERATIONS,
             resilience=ResilienceOptions(plan=fault_plan))
         result.recovery.merge(faulted.recovery)
-        result.scenarios_run += 1
+        result.configs_run += 1
         self._compare(spec, "dmp-chaos", result,
                       {spec.arrays[0]: baseline.field},
                       {spec.arrays[0]: faulted.field})
 
-    def _run_gpu_chaos(self, spec: KernelSpec, result: ChaosCaseResult) -> None:
+    def _run_gpu_chaos(self, spec: KernelSpec, result: CaseResult) -> None:
         baseline, _ = self.runner._run_plain(spec, "gpu", "vectorize", 1, {})
         sink = ReportSink(result.recovery)
         injector = FaultInjector(
@@ -152,11 +113,11 @@ class ChaosRunner:
         sink.add_counters(
             {"scalar_fallbacks": int(interp.stats.get("gpu_launch_fallbacks",
                                                       0))})
-        result.scenarios_run += 1
+        result.configs_run += 1
         self._compare(spec, "gpu-chaos", result, baseline, work)
 
     def _run_compile_chaos(self, spec: KernelSpec,
-                           result: ChaosCaseResult) -> None:
+                           result: CaseResult) -> None:
         baseline, _ = self.runner._run_plain(spec, "cpu", "vectorize", 1, {})
         sink = ReportSink(result.recovery)
         injector = FaultInjector(
@@ -175,27 +136,35 @@ class ChaosRunner:
             compiled.interpreter().call(
                 spec.entry, *self.runner._call_args(spec, work, scalar))
         sink.add_counters(scratch.resilience_stats)
-        result.scenarios_run += 1
+        result.configs_run += 1
         self._compare(spec, "compile-chaos", result, baseline, work)
 
     # -- comparison ----------------------------------------------------------
 
+    @staticmethod
+    def _diverged(spec: KernelSpec, label: str, result: CaseResult,
+                  kind: str, detail: str, **found) -> None:
+        result.recovery.unrecovered += 1
+        result.divergences.append(Divergence(
+            seed=spec.seed, config_label=label, backend="chaos", kind=kind,
+            detail=detail, spec=spec,
+            replay_flags=f"--chaos --seeds 1 --start-seed {spec.seed}",
+            **found))
+
     def _compare(self, spec: KernelSpec, label: str,
-                 result: ChaosCaseResult, expected, actual) -> None:
+                 result: CaseResult, expected, actual) -> None:
         differing, max_diff = self.runner.compare(expected, actual)
         if differing:
-            result.recovery.unrecovered += 1
-            result.divergences.append(Divergence(
-                seed=spec.seed, config_label=label, backend=label,
-                kind="bitwise",
-                detail="recovered outputs differ from the fault-free run",
-                spec=spec, arrays=differing, max_abs_diff=max_diff))
+            self._diverged(
+                spec, label, result, "bitwise",
+                "recovered outputs differ from the fault-free run",
+                arrays=differing, max_abs_diff=max_diff)
 
     # -- the per-case driver -------------------------------------------------
 
-    def run_case(self, spec: KernelSpec) -> ChaosCaseResult:
-        result = ChaosCaseResult(spec=spec)
-        scenarios: List[Callable[[KernelSpec, ChaosCaseResult], None]] = [
+    def run_case(self, spec: KernelSpec) -> CaseResult:
+        result = CaseResult(spec=spec)
+        scenarios: List[Callable[[KernelSpec, CaseResult], None]] = [
             self._run_gpu_chaos,
             self._run_compile_chaos,
         ]
@@ -205,57 +174,11 @@ class ChaosRunner:
             try:
                 scenario(spec, result)
             except Exception as err:  # noqa: BLE001 — an unhandled fault IS a finding
-                result.scenarios_run += 1
-                result.recovery.unrecovered += 1
-                result.divergences.append(Divergence(
-                    seed=spec.seed,
-                    config_label=scenario.__name__.replace("_run_", ""),
-                    backend="chaos", kind="error",
-                    detail=f"{type(err).__name__}: {err}", spec=spec))
+                result.configs_run += 1
+                self._diverged(
+                    spec, scenario.__name__.replace("_run_", ""), result,
+                    "error", f"{type(err).__name__}: {err}")
         return result
 
 
-class ChaosFarm:
-    """Drives N seeds through the chaos runner under a time budget."""
-
-    def __init__(self, seeds: Optional[Iterable[int]] = None, *,
-                 count: Optional[int] = None, start: int = 0,
-                 generator_config: GeneratorConfig = DEFAULT_CONFIG,
-                 session: Optional[Session] = None,
-                 time_budget: Optional[float] = None):
-        if seeds is None:
-            seeds = range(start, start + (count if count is not None else 10))
-        self.seeds = list(seeds)
-        self.generator_config = generator_config
-        self.time_budget = time_budget
-        self.runner = ChaosRunner(session=session)
-
-    @property
-    def session(self) -> Session:
-        return self.runner.session
-
-    def run(self, on_case: Optional[Callable[[ChaosCaseResult], None]] = None
-            ) -> ChaosReport:
-        report = ChaosReport()
-        started = time.perf_counter()
-        for position, seed in enumerate(self.seeds):
-            if (self.time_budget is not None
-                    and time.perf_counter() - started > self.time_budget):
-                report.budget_exhausted = True
-                report.seeds_skipped = len(self.seeds) - position
-                break
-            spec = generate_spec(seed, self.generator_config)
-            result = self.runner.run_case(spec)
-            report.merge_case(result)
-            if on_case is not None:
-                on_case(result)
-        report.seconds = time.perf_counter() - started
-        return report
-
-
-__all__ = [
-    "ChaosCaseResult",
-    "ChaosReport",
-    "ChaosRunner",
-    "ChaosFarm",
-]
+__all__ = ["ChaosRunner"]

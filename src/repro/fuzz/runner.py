@@ -22,9 +22,15 @@ distinct cases must miss) and executes a configuration matrix:
   every multi-rank/vectorized plan must agree bitwise.
 
 Any bitwise mismatch, crosscheck failure, or backend crash is recorded as a
-:class:`Divergence` carrying the spec and a replay command; the
-:class:`FuzzFarm` aggregates per-backend run/divergence/fallback counters
-into a :class:`FuzzReport` that ``repro.harness.fuzz_summary_table`` renders.
+:class:`Divergence` carrying the spec and a replay command.
+
+The runner is one *scenario* of the :class:`Farm`, the single seeds →
+time-budget → ``generate_spec`` → ``run_case`` → merge loop of the package;
+:class:`repro.fuzz.chaos.ChaosRunner` and
+:class:`repro.fuzz.schedules.ScheduleRunner` are the other two.  A scenario
+is anything with a ``session`` and a ``run_case(spec) -> CaseResult``; the
+farm merges every case into one :class:`Report`, which
+``repro.harness.fuzz_summary_table`` / ``recovery_report_table`` render.
 
 A **test-only fault hook** may be installed on the runner
 (``fault_hook(spec, config_label, outputs)``) to perturb a configuration's
@@ -41,6 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.session import Session
+from ..resilience import RecoveryReport
 from ..runtime.interpreter import InterpreterError
 from .generator import DEFAULT_CONFIG, GeneratorConfig, KernelSpec, generate_spec
 
@@ -130,47 +137,72 @@ class Divergence:
     config_label: str
     backend: str
     #: "bitwise" (outputs differ), "crosscheck" (the honesty mode raised),
-    #: or "error" (the backend crashed on a valid kernel).
+    #: "verify" (a schedule chain diverged from its unscheduled parent), or
+    #: "error" (the backend crashed on a valid kernel).
     kind: str
     detail: str
     spec: KernelSpec
     arrays: Tuple[str, ...] = ()
     max_abs_diff: Optional[float] = None
+    #: The schedule chain that diverged (schedule scenario only).
+    chain: Optional[str] = None
+    #: CLI flags that replay the finding; the differential matrix replay
+    #: unless the scenario that found it says otherwise.
+    replay_flags: str = ""
 
     @property
     def repro_command(self) -> str:
-        return (f"PYTHONPATH=src python -m repro.fuzz "
-                f"--replay-seed {self.seed} --config '{self.config_label}'")
+        flags = self.replay_flags or (
+            f"--replay-seed {self.seed} --config '{self.config_label}'")
+        return f"PYTHONPATH=src python -m repro.fuzz {flags}"
 
     def describe(self) -> str:
+        chain = ("" if self.chain is None
+                 else f" chain {self.chain or '<empty>'}")
         extra = f" arrays={list(self.arrays)}" if self.arrays else ""
         diff = (f" max|diff|={self.max_abs_diff:.3e}"
                 if self.max_abs_diff is not None else "")
-        return (f"seed {self.seed} [{self.config_label}] {self.kind}:"
+        return (f"seed {self.seed} [{self.config_label}]{chain} {self.kind}:"
                 f" {self.detail}{extra}{diff}\n  repro: {self.repro_command}")
+
+
+def _backend_counters() -> Dict[str, int]:
+    return {"runs": 0, "divergences": 0, "fallbacks": 0}
 
 
 @dataclass
 class CaseResult:
+    """One seed's verdict under one scenario."""
+
     spec: KernelSpec
     divergences: List[Divergence] = field(default_factory=list)
+    #: Matrix cells / fault scenarios / schedule configurations executed.
     configs_run: int = 0
     #: Per-backend counters for this case: runs / divergences / fallbacks.
     per_backend: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Faults injected and recovery work done (chaos scenario).
+    recovery: RecoveryReport = field(default_factory=RecoveryReport)
+    #: (configuration label, chain text) drawn (schedule scenario).
+    chains: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.divergences
+        return not self.divergences and self.recovery.ok
 
 
 @dataclass
-class FuzzReport:
-    """Aggregated farm results, rendered by ``harness.fuzz_summary_table``."""
+class Report:
+    """Aggregated farm results of any scenario, rendered by
+    ``harness.fuzz_summary_table`` / ``harness.recovery_report_table`` /
+    ``schedules.summary_line``."""
 
     cases: int = 0
     configs_run: int = 0
     divergences: List[Divergence] = field(default_factory=list)
     per_backend: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    recovery: RecoveryReport = field(default_factory=RecoveryReport)
+    chains_run: int = 0
+    directives_applied: int = 0
     seconds: float = 0.0
     budget_exhausted: bool = False
     seeds_skipped: int = 0
@@ -178,17 +210,20 @@ class FuzzReport:
 
     @property
     def ok(self) -> bool:
-        return not self.divergences
+        return not self.divergences and self.recovery.ok
 
     def merge_case(self, result: CaseResult) -> None:
         self.cases += 1
         self.configs_run += result.configs_run
         self.divergences.extend(result.divergences)
         for backend, counters in result.per_backend.items():
-            into = self.per_backend.setdefault(
-                backend, {"runs": 0, "divergences": 0, "fallbacks": 0})
+            into = self.per_backend.setdefault(backend, _backend_counters())
             for key, value in counters.items():
                 into[key] += value
+        self.recovery.merge(result.recovery)
+        self.chains_run += len(result.chains)
+        self.directives_applied += sum(
+            chain.count("(") for _, chain in result.chains)
 
 
 class DifferentialRunner:
@@ -307,32 +342,28 @@ class DifferentialRunner:
         oracle = self.run_oracle(spec)
         dmp_oracle: Optional[Dict[str, np.ndarray]] = None
         for cfg in default_matrix(spec, self.backends):
-            counters = result.per_backend.setdefault(
-                cfg.backend, {"runs": 0, "divergences": 0, "fallbacks": 0})
+            counters = result.per_backend.setdefault(cfg.backend,
+                                                     _backend_counters())
+            result.configs_run += 1
+            counters["runs"] += 1
+
+            def diverged(kind: str, detail: str, **found) -> None:
+                counters["divergences"] += 1
+                result.divergences.append(Divergence(
+                    seed=spec.seed, config_label=cfg.label,
+                    backend=cfg.backend, kind=kind, detail=detail, spec=spec,
+                    **found))
+
             try:
                 outputs, stats = self.run_config(spec, cfg)
             except InterpreterError as err:
                 # Crosscheck replays every vectorized sweep through the
                 # scalar oracle and raises on mismatch — a caught miscompile.
-                result.configs_run += 1
-                counters["runs"] += 1
-                counters["divergences"] += 1
-                result.divergences.append(Divergence(
-                    seed=spec.seed, config_label=cfg.label,
-                    backend=cfg.backend, kind="crosscheck",
-                    detail=str(err).splitlines()[0], spec=spec))
+                diverged("crosscheck", str(err).splitlines()[0])
                 continue
             except Exception as err:  # noqa: BLE001 — a crash IS a finding
-                result.configs_run += 1
-                counters["runs"] += 1
-                counters["divergences"] += 1
-                result.divergences.append(Divergence(
-                    seed=spec.seed, config_label=cfg.label,
-                    backend=cfg.backend, kind="error",
-                    detail=f"{type(err).__name__}: {err}", spec=spec))
+                diverged("error", f"{type(err).__name__}: {err}")
                 continue
-            result.configs_run += 1
-            counters["runs"] += 1
             counters["fallbacks"] += stats.get("fallbacks", 0)
             if cfg.backend == "dmp":
                 if dmp_oracle is None:
@@ -342,12 +373,8 @@ class DifferentialRunner:
                 expected = oracle
             differing, max_diff = self.compare(expected, outputs)
             if differing:
-                counters["divergences"] += 1
-                result.divergences.append(Divergence(
-                    seed=spec.seed, config_label=cfg.label,
-                    backend=cfg.backend, kind="bitwise",
-                    detail="outputs differ from the scalar oracle",
-                    spec=spec, arrays=differing, max_abs_diff=max_diff))
+                diverged("bitwise", "outputs differ from the scalar oracle",
+                         arrays=differing, max_abs_diff=max_diff)
         return result
 
     def reproduces(self, spec: KernelSpec, config_label: str) -> bool:
@@ -370,31 +397,33 @@ class DifferentialRunner:
         return bool(differing)
 
 
-class FuzzFarm:
-    """Drives N seeds through the differential runner under a time budget."""
+class Farm:
+    """Drives N seeds through one scenario under a time budget.
 
-    def __init__(self, seeds: Optional[Iterable[int]] = None, *,
+    ``scenario`` is a :class:`DifferentialRunner`,
+    :class:`~repro.fuzz.chaos.ChaosRunner` or
+    :class:`~repro.fuzz.schedules.ScheduleRunner`: an object with a
+    ``session`` and a ``run_case(spec)`` returning a :class:`CaseResult`.
+    """
+
+    def __init__(self, scenario, seeds: Optional[Iterable[int]] = None, *,
                  count: Optional[int] = None, start: int = 0,
                  generator_config: GeneratorConfig = DEFAULT_CONFIG,
-                 session: Optional[Session] = None,
-                 backends: Optional[Sequence[str]] = None,
-                 fault_hook: Optional[FaultHook] = None,
                  time_budget: Optional[float] = None):
         if seeds is None:
             seeds = range(start, start + (count if count is not None else 10))
+        self.scenario = scenario
         self.seeds = list(seeds)
         self.generator_config = generator_config
         self.time_budget = time_budget
-        self.runner = DifferentialRunner(session=session, backends=backends,
-                                         fault_hook=fault_hook)
 
     @property
     def session(self) -> Session:
-        return self.runner.session
+        return self.scenario.session
 
     def run(self, on_case: Optional[Callable[[CaseResult], None]] = None
-            ) -> FuzzReport:
-        report = FuzzReport()
+            ) -> Report:
+        report = Report()
         started = time.perf_counter()
         for position, seed in enumerate(self.seeds):
             if (self.time_budget is not None
@@ -403,7 +432,7 @@ class FuzzFarm:
                 report.seeds_skipped = len(self.seeds) - position
                 break
             spec = generate_spec(seed, self.generator_config)
-            result = self.runner.run_case(spec)
+            result = self.scenario.run_case(spec)
             report.merge_case(result)
             if on_case is not None:
                 on_case(result)
@@ -417,8 +446,8 @@ __all__ = [
     "default_matrix",
     "Divergence",
     "CaseResult",
-    "FuzzReport",
+    "Report",
     "DifferentialRunner",
-    "FuzzFarm",
+    "Farm",
     "FaultHook",
 ]

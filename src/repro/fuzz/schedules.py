@@ -1,7 +1,8 @@
 """Random-schedule differential fuzzing: ``python -m repro.fuzz --schedules``.
 
-For each generated :class:`KernelSpec` the farm draws a random schedule
-chain per backend configuration — directives in canonical order
+For each generated :class:`KernelSpec` the :class:`ScheduleRunner` (a
+scenario of :class:`repro.fuzz.Farm`) draws a random schedule chain per
+backend configuration — directives in canonical order
 (``fuse`` → ``tile`` → ``reorder`` → ``unroll``), each kept only if the
 kernel structurally admits it — and asks :meth:`repro.schedule.Schedule.verify`
 to prove the scheduled artifact **bitwise identical** to its unscheduled
@@ -23,14 +24,14 @@ those two values, so every finding replays from the seed alone.
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..api.session import Session
 from ..schedule.directives import ScheduleError, describe_chain
 from ..schedule.schedule import Schedule, ScheduleVerificationError
-from .generator import DEFAULT_CONFIG, GeneratorConfig, KernelSpec, generate_spec
+from .generator import KernelSpec
+from .runner import CaseResult, Divergence, Report
 
 #: Tile sizes the chain generator draws from (mixing degenerate, small and
 #: extent-crossing sizes so clipped edge boxes are exercised).
@@ -104,81 +105,37 @@ def draw_chain(rng: random.Random, spec: KernelSpec,
     return schedule
 
 
-@dataclass
-class ScheduleDivergence:
-    """A schedule chain whose execution diverged from the unscheduled
-    parent (or crashed after structural acceptance)."""
-
-    seed: int
-    config_label: str
-    chain: str
-    kind: str  # "verify" | "error"
-    detail: str
-
-    @property
-    def repro_command(self) -> str:
-        return (f"PYTHONPATH=src python -m repro.fuzz --schedules "
-                f"--seeds 1 --start-seed {self.seed}")
-
-    def describe(self) -> str:
-        return (f"seed {self.seed} [{self.config_label}] chain "
-                f"{self.chain or '<empty>'} {self.kind}: {self.detail}\n"
-                f"  repro: {self.repro_command}")
+def summary_line(report: Report) -> str:
+    """The one-line verdict ``--schedules`` prints for a farm report."""
+    status = "OK" if report.ok else "DIVERGED"
+    return (f"schedule fuzz: {report.cases} cases, {report.chains_run} "
+            f"chains ({report.directives_applied} directives applied), "
+            f"{len(report.divergences)} divergences, "
+            f"{report.seconds:.1f}s [{status}]")
 
 
-@dataclass
-class ScheduleCaseResult:
-    spec: KernelSpec
-    chains: List[Tuple[str, str]] = field(default_factory=list)
-    divergences: List[ScheduleDivergence] = field(default_factory=list)
+class ScheduleRunner:
+    """Draws one random legal chain per configuration and verify()s it."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-
-@dataclass
-class ScheduleFuzzReport:
-    cases: int = 0
-    chains_run: int = 0
-    directives_applied: int = 0
-    divergences: List[ScheduleDivergence] = field(default_factory=list)
-    seconds: float = 0.0
-    budget_exhausted: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else "DIVERGED"
-        return (f"schedule fuzz: {self.cases} cases, {self.chains_run} "
-                f"chains ({self.directives_applied} directives applied), "
-                f"{len(self.divergences)} divergences, "
-                f"{self.seconds:.1f}s [{status}]")
-
-
-class ScheduleFuzzFarm:
-    """Drives N seeds through random legal schedule chains + verify()."""
-
-    def __init__(self, seeds=None, *, count: Optional[int] = None,
-                 start: int = 0,
-                 generator_config: GeneratorConfig = DEFAULT_CONFIG,
-                 session: Optional[Session] = None,
-                 time_budget: Optional[float] = None):
-        if seeds is None:
-            seeds = range(start, start + (count if count is not None else 25))
-        self.seeds = list(seeds)
-        self.generator_config = generator_config
+    def __init__(self, session: Optional[Session] = None):
         self.session = session if session is not None else Session()
-        self.time_budget = time_budget
 
-    def run_case(self, spec: KernelSpec) -> ScheduleCaseResult:
-        result = ScheduleCaseResult(spec=spec)
+    def run_case(self, spec: KernelSpec) -> CaseResult:
+        result = CaseResult(spec=spec)
         program = self.session.compile(spec.render())
         for config in default_schedule_matrix(spec):
             rng = random.Random(f"{spec.seed}/{config.label}")
             chain_text = "<underived>"
+            result.configs_run += 1
+
+            def diverged(kind: str, detail: str) -> None:
+                result.divergences.append(Divergence(
+                    seed=spec.seed, config_label=config.label,
+                    backend=config.backend, kind=kind, detail=detail,
+                    spec=spec, chain=chain_text,
+                    replay_flags=(f"--schedules --seeds 1 "
+                                  f"--start-seed {spec.seed}")))
+
             try:
                 base = program.lower(config.backend, **dict(config.options))
                 schedule = draw_chain(rng, spec, base.schedule(),
@@ -189,44 +146,16 @@ class ScheduleFuzzFarm:
                     continue
                 schedule.verify(entry=spec.entry)
             except ScheduleVerificationError as err:
-                result.divergences.append(ScheduleDivergence(
-                    seed=spec.seed, config_label=config.label,
-                    chain=chain_text, kind="verify",
-                    detail=str(err).splitlines()[0]))
+                diverged("verify", str(err).splitlines()[0])
             except Exception as err:  # noqa: BLE001 — a crash IS a finding
-                result.divergences.append(ScheduleDivergence(
-                    seed=spec.seed, config_label=config.label,
-                    chain=chain_text, kind="error",
-                    detail=f"{type(err).__name__}: {err}"))
+                diverged("error", f"{type(err).__name__}: {err}")
         return result
-
-    def run(self, on_case=None) -> ScheduleFuzzReport:
-        report = ScheduleFuzzReport()
-        started = time.perf_counter()
-        for position, seed in enumerate(self.seeds):
-            if (self.time_budget is not None
-                    and time.perf_counter() - started > self.time_budget):
-                report.budget_exhausted = True
-                break
-            spec = generate_spec(seed, self.generator_config)
-            result = self.run_case(spec)
-            report.cases += 1
-            report.chains_run += len(result.chains)
-            report.directives_applied += sum(
-                chain.count("(") for _, chain in result.chains)
-            report.divergences.extend(result.divergences)
-            if on_case is not None:
-                on_case(result)
-        report.seconds = time.perf_counter() - started
-        return report
 
 
 __all__ = [
     "ScheduleConfig",
-    "ScheduleDivergence",
-    "ScheduleCaseResult",
-    "ScheduleFuzzReport",
-    "ScheduleFuzzFarm",
+    "ScheduleRunner",
     "default_schedule_matrix",
     "draw_chain",
+    "summary_line",
 ]

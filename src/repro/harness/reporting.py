@@ -70,7 +70,7 @@ def kernel_stats_table(kernels) -> str:
 
 
 def fuzz_summary_table(report) -> str:
-    """Render a :class:`repro.fuzz.FuzzReport` as an aligned text table:
+    """Render a differential :class:`repro.fuzz.Report` as an aligned text table:
     one row per backend (runs, divergences, interpreter fallbacks) plus
     totals, session cache counters and timing in the notes."""
     from .experiments import ExperimentResult
@@ -152,9 +152,9 @@ def service_metrics_table(metrics) -> str:
 def recovery_report_table(report) -> str:
     """Render a chaos run's recovery accounting as an aligned text table.
 
-    Accepts a :class:`repro.fuzz.ChaosReport` (the farm's aggregate — cases,
+    Accepts a chaos :class:`repro.fuzz.Report` (the farm's aggregate — cases,
     scenarios and timing land in the notes) or a bare
-    :class:`repro.resilience.RecoveryReport` from a single resilient run.
+    :class:`repro.resilience.RecoveryReport` from a single distributed run.
     One row per injected fault kind and per non-zero recovery mechanism, so
     the table answers the chaos question at a glance: everything injected,
     and everything the runtime did to survive it.
@@ -175,9 +175,9 @@ def recovery_report_table(report) -> str:
             result.add(name, value)
     if not recovery.injected:
         result.notes["empty"] = "no faults injected"
-    if report is not recovery:  # a ChaosReport aggregate
+    if report is not recovery:  # a farm aggregate
         result.notes["cases"] = report.cases
-        result.notes["scenarios"] = report.scenarios_run
+        result.notes["scenarios"] = report.configs_run
         result.notes["divergences"] = len(report.divergences)
         result.notes["seconds"] = f"{report.seconds:.2f}"
         if report.budget_exhausted:

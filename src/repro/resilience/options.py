@@ -19,14 +19,14 @@ class ResilienceError(ValueError):
 
 @dataclass(frozen=True)
 class ResilienceOptions:
-    """Recovery policy for one resilient run.
+    """Recovery policy for one distributed run.
 
     ``checkpoint_interval`` is in distributed iterations (1 = checkpoint
     every iteration boundary); ``max_restarts`` bounds how many rollbacks a
-    run may perform before giving up; the backoff pair shapes the
-    communicator's receive retry loop.  ``plan`` optionally attaches a
-    :class:`FaultPlan` so tests and chaos runs configure injection and
-    recovery in one object.
+    run may perform before giving up (0 = fail fast, and no checkpoint is
+    taken); the backoff pair shapes the communicator's receive retry loop.
+    ``plan`` optionally attaches a :class:`FaultPlan` so tests and chaos
+    runs configure injection and recovery in one object.
     """
 
     checkpoint_interval: int = 1

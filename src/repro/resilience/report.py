@@ -1,6 +1,6 @@
 """Recovery accounting: what was injected, what was survived, and how.
 
-Every resilient component keeps plain integer counters while it runs (the
+Every recovering component keeps plain integer counters while it runs (the
 communicator's retry/retransmit counts, the device pool's degradation
 rungs, the session's compile retries); a :class:`RecoveryReport` is where
 those counters meet the injector's record of *injected* faults, so one
@@ -112,7 +112,7 @@ class RecoveryReport:
 
 class ReportSink:
     """Thread-safe shared report: rank tasks, pool callbacks and the session
-    may record concurrently during one resilient run."""
+    may record concurrently during one run."""
 
     def __init__(self, report: RecoveryReport = None):
         self.report = report if report is not None else RecoveryReport()

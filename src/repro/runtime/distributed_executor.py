@@ -37,6 +37,7 @@ import numpy as np
 
 from ..resilience import (
     FaultInjector,
+    FaultPlan,
     InjectedFault,
     RecoveryReport,
     ReportSink,
@@ -89,10 +90,10 @@ class DistributedRunResult:
     bytes: int = 0
     #: Wall-clock of the whole scatter→ranks→gather run.
     seconds: float = 0.0
-    #: Checkpoint rollbacks performed (resilient runs only).
+    #: Checkpoint rollbacks performed.
     restarts: int = 0
-    #: Recovery accounting when the run executed resiliently.
-    recovery: Optional[RecoveryReport] = None
+    #: Recovery accounting of the run (all-zero when nothing went wrong).
+    recovery: RecoveryReport = field(default_factory=RecoveryReport)
 
     def max_interior_error(self, reference: np.ndarray, margin: int = 1) -> float:
         """Max |field − reference| at least ``margin`` cells from the global
@@ -112,6 +113,10 @@ class DistributedRunResult:
             )
         return float(np.abs(self.field[interior] - reference[interior]).max())
 
+
+#: The policy of a run given no ``resilience``: the first crash is final, so
+#: no checkpoint is ever taken.
+FAIL_FAST = ResilienceOptions(max_restarts=0)
 
 #: Rank-orchestration pools, one per worker count.  Deliberately NOT the
 #: process-wide tile pools of ``get_executor``: rank tasks block in
@@ -271,7 +276,7 @@ class DistributedExecutor:
             make_interpreter: InterpreterFactory, entry: str,
             iterations: int = 1,
             resilience: Optional[ResilienceOptions] = None,
-            report_sink: Optional[ReportSink] = None) -> DistributedRunResult:
+            ) -> DistributedRunResult:
         """One distributed run: scatter, execute, exchange halos, gather.
 
         ``entry`` is called ``iterations`` times per rank on that rank's
@@ -280,120 +285,54 @@ class DistributedExecutor:
         input field is never mutated; the gathered result comes back on the
         :class:`DistributedRunResult`.
 
-        Passing ``resilience`` switches to the self-healing path: ranks run
-        in lockstep one iteration at a time, locals are checkpointed at
-        iteration boundaries, a crashed rank aborts the communicator and the
-        whole fleet rolls back to the last checkpoint with a fresh
-        communicator and fresh interpreters (bounded by ``max_restarts``).
-        The fault-free resilient result is bitwise identical to the default
-        path because halo messages never cross iteration boundaries.
+        The run is a sequence of *waves*.  A wave dispatches every rank once
+        to run the iterations up to the next checkpoint boundary of the
+        ``resilience`` policy (``None`` is :data:`FAIL_FAST`) — all of them
+        when the policy allows no restart, because a checkpoint that can
+        never be restored is dead work and is not taken.  Rank tasks catch
+        their own outcome instead of raising — tasks mutate
+        ``locals_by_rank`` in place, so every task of the wave must finish
+        before a rollback may restore those arrays.  A rank that fails for
+        any reason aborts the communicator (waking every peer blocked in a
+        receive); an injected crash then retires the generation's
+        communicator and interpreters with their statistics carried over
+        and restarts a fresh generation from the wave's checkpoint (bounded
+        by ``max_restarts``), any other failure is re-raised.  Rolling back
+        is consistent because at a wave boundary every rank has finished the
+        same iterations: nothing in flight belongs to a later one, so
+        discarding the communicator there loses no live message.  Within a
+        wave per-channel FIFO and sequence numbers keep a fast rank's next
+        halo behind the one its neighbour still has to consume, so the
+        policy never changes the computed bits.
         """
         if iterations < 1:
             raise MPIError(f"iterations must be >= 1, got {iterations}")
-        if resilience is not None:
-            return self._run_resilient(global_field, make_interpreter, entry,
-                                       iterations, resilience, report_sink)
+        policy = FAIL_FAST if resilience is None else resilience
         started = time.perf_counter()
-        global_field = np.asfortranarray(global_field)
-        decomposition = self.decomposition_for(global_field.shape)
-        comm = SimulatedCommunicator(self.num_ranks, timeout=self.timeout)
-        locals_by_rank = self.scatter(global_field, decomposition)
-        stats_by_rank: Dict[int, RankStats] = {}
-
-        def run_rank(rank: int) -> None:
-            local = locals_by_rank[rank]
-            rank_started = time.perf_counter()
-            interp = make_interpreter(rank, local.shape, comm, decomposition)
-            for _ in range(iterations):
-                interp.call(entry, local)
-            total = time.perf_counter() - rank_started
-            kernel_seconds = 0.0
-            if interp.kernels is not None:
-                per_kernel = interp.kernels.stats.get("per_kernel", {})
-                kernel_seconds = sum(
-                    entry_stats["seconds"] for entry_stats in per_kernel.values()
-                )
-            stats_by_rank[rank] = RankStats(
-                rank=rank,
-                bounds=tuple(decomposition.local_bounds(rank)),
-                local_shape=tuple(local.shape),
-                messages=int(interp.stats["mpi_messages"]),
-                bytes=int(interp.stats["mpi_bytes"]),
-                halo_seconds=float(interp.stats["halo_seconds"]),
-                kernel_seconds=kernel_seconds,
-                total_seconds=total,
-            )
-
-        pool = get_rank_pool(self.pool_workers)
-        # One distributed run at a time per pool: every rank task of a run
-        # must be runnable at once, so runs may not interleave.
-        with _rank_pool_gate(self.pool_workers):
-            pool.map_tiles(run_rank, list(range(self.num_ranks)))
-        gathered = self.gather(locals_by_rank, decomposition)
-        seconds = time.perf_counter() - started
-        return DistributedRunResult(
-            field=gathered,
-            grid=self.grid,
-            ranks=self.num_ranks,
-            iterations=iterations,
-            rank_stats=[stats_by_rank[r] for r in range(self.num_ranks)],
-            messages=comm.message_count,
-            bytes=comm.bytes_sent,
-            seconds=seconds,
-        )
-
-    def _run_resilient(self, global_field: np.ndarray,
-                       make_interpreter: InterpreterFactory, entry: str,
-                       iterations: int,
-                       resilience: ResilienceOptions,
-                       report_sink: Optional[ReportSink] = None,
-                       ) -> DistributedRunResult:
-        """Lockstep execution with iteration-boundary checkpoint/restart.
-
-        Ranks are dispatched one iteration at a time (the executor is the
-        barrier), so a crash can only lose work since the last checkpoint.
-        Rank tasks catch their own outcome instead of raising — tasks mutate
-        ``locals_by_rank`` in place, so every task of the wave must finish
-        before a rollback may restore those arrays.  A crashed rank aborts
-        the communicator (waking every peer blocked in a receive), the dead
-        generation's communicator and interpreters are retired with their
-        statistics carried over, and a fresh generation restarts from the
-        checkpoint.  This is consistent because each iteration's halo
-        receives consume that same iteration's sends: nothing in flight ever
-        belongs to a future iteration, so discarding the communicator at a
-        boundary loses no live message.
-        """
-        started = time.perf_counter()
-        sink = report_sink if report_sink is not None else ReportSink()
-        injector = (FaultInjector(resilience.plan, sink)
-                    if resilience.plan is not None
-                    and not resilience.plan.empty else None)
+        sink = ReportSink()
+        injector = FaultInjector(
+            FaultPlan() if policy.plan is None else policy.plan, sink)
         global_field = np.asfortranarray(global_field)
         decomposition = self.decomposition_for(global_field.shape)
         locals_by_rank = self.scatter(global_field, decomposition)
         ranks = list(range(self.num_ranks))
-
-        carried = {r: {"messages": 0, "bytes": 0, "halo_seconds": 0.0,
-                       "kernel_seconds": 0.0, "total_seconds": 0.0}
-                   for r in ranks}
+        carried = {
+            r: RankStats(rank=r,
+                         bounds=tuple(decomposition.local_bounds(r)),
+                         local_shape=tuple(locals_by_rank[r].shape))
+            for r in ranks
+        }
         total_messages = 0
         total_bytes = 0
         restarts = 0
 
-        def kernel_seconds_of(interp: Interpreter) -> float:
-            if interp.kernels is None:
-                return 0.0
-            per_kernel = interp.kernels.stats.get("per_kernel", {})
-            return sum(s["seconds"] for s in per_kernel.values())
-
         def new_generation():
             comm = SimulatedCommunicator(
                 self.num_ranks, timeout=self.timeout,
-                fault_hook=injector.on_send if injector is not None else None,
-                resilient=True,
-                max_receive_retries=resilience.max_receive_retries,
-                backoff_initial=resilience.backoff_initial,
-                backoff_cap=resilience.backoff_cap,
+                fault_hook=injector.on_send,
+                max_receive_retries=policy.max_receive_retries,
+                backoff_initial=policy.backoff_initial,
+                backoff_cap=policy.backoff_cap,
             )
             interps = {
                 r: make_interpreter(r, locals_by_rank[r].shape, comm,
@@ -402,7 +341,7 @@ class DistributedExecutor:
             }
             return comm, interps
 
-        def retire_generation(comm, interps):
+        def retire_generation():
             # Fold the generation's communication accounting into the run
             # totals so respawns never lose measured traffic.
             nonlocal total_messages, total_bytes
@@ -411,107 +350,88 @@ class DistributedExecutor:
             sink.add_counters(comm.stats)
             for r in ranks:
                 interp = interps[r]
-                carried[r]["messages"] += int(interp.stats["mpi_messages"])
-                carried[r]["bytes"] += int(interp.stats["mpi_bytes"])
-                carried[r]["halo_seconds"] += float(
-                    interp.stats["halo_seconds"])
-                carried[r]["kernel_seconds"] += kernel_seconds_of(interp)
+                carried[r].messages += int(interp.stats["mpi_messages"])
+                carried[r].bytes += int(interp.stats["mpi_bytes"])
+                carried[r].halo_seconds += float(interp.stats["halo_seconds"])
+                if interp.kernels is not None:
+                    per_kernel = interp.kernels.stats.get("per_kernel", {})
+                    carried[r].kernel_seconds += sum(
+                        s["seconds"] for s in per_kernel.values())
 
+        def run_rank(rank: int) -> None:
+            rank_started = time.perf_counter()
+            try:
+                for i in range(iteration, wave_end):
+                    if injector.should_crash(rank, i):
+                        raise InjectedFault(
+                            f"rank {rank} crashed at iteration {i}")
+                    interps[rank].call(entry, locals_by_rank[rank])
+            except BaseException as exc:  # noqa: BLE001 — triaged by the dispatcher
+                # Peers blocked on this rank's halo unwind with MPIAbort
+                # now instead of waiting out their receive timeout.
+                comm.abort(f"rank {rank} failed: {exc}")
+                failures[rank] = exc
+            finally:
+                carried[rank].total_seconds += (
+                    time.perf_counter() - rank_started)
+
+        restartable = policy.max_restarts > 0
+        interval = policy.checkpoint_interval
         comm, interps = new_generation()
-        checkpoint_iteration = 0
-        checkpoint = {r: locals_by_rank[r].copy(order="F") for r in ranks}
-        sink.bump("checkpoint_saves")
-
+        checkpoint: Optional[Dict[int, np.ndarray]] = None
         iteration = 0
         pool = get_rank_pool(self.pool_workers)
+        # One distributed run at a time per pool: every rank task of a run
+        # must be runnable at once, so runs may not interleave.
         with _rank_pool_gate(self.pool_workers):
             while iteration < iterations:
-                if (iteration != checkpoint_iteration
-                        and iteration % resilience.checkpoint_interval == 0):
-                    checkpoint_iteration = iteration
-                    checkpoint = {r: locals_by_rank[r].copy(order="F")
-                                  for r in ranks}
-                    sink.bump("checkpoint_saves")
-                outcomes: Dict[int, Optional[BaseException]] = {}
-
-                def run_iteration_rank(rank, _iteration=iteration,
-                                       _comm=comm, _interps=interps,
-                                       _outcomes=outcomes):
-                    rank_started = time.perf_counter()
-                    try:
-                        if (injector is not None
-                                and injector.should_crash(rank, _iteration)):
-                            _comm.abort(f"rank {rank} crashed at iteration "
-                                        f"{_iteration}")
-                            raise InjectedFault(
-                                f"rank {rank} crashed at iteration "
-                                f"{_iteration}")
-                        _interps[rank].call(entry, locals_by_rank[rank])
-                        _outcomes[rank] = None
-                    except BaseException as exc:  # noqa: BLE001 — triaged by the dispatcher
-                        _outcomes[rank] = exc
-                    finally:
-                        carried[rank]["total_seconds"] += (
-                            time.perf_counter() - rank_started)
-
-                pool.map_tiles(run_iteration_rank, ranks)
-                failures = {r: e for r, e in outcomes.items()
-                            if e is not None}
+                wave_end = iterations
+                if restartable:
+                    wave_end = min(iterations,
+                                   (iteration // interval + 1) * interval)
+                    if checkpoint is None:
+                        checkpoint = {r: locals_by_rank[r].copy(order="F")
+                                      for r in ranks}
+                        sink.bump("checkpoint_saves")
+                failures: Dict[int, BaseException] = {}
+                pool.map_tiles(run_rank, ranks)
                 if not failures:
-                    iteration += 1
+                    iteration = wave_end
+                    checkpoint = None
                     continue
-                hard = [e for e in failures.values()
-                        if not isinstance(e, (MPIAbort, InjectedFault))]
-                if hard:
-                    sink.bump("unrecovered")
-                    retire_generation(comm, interps)
-                    raise hard[0]
-                sink.bump("crashes_detected",
-                          sum(1 for e in failures.values()
-                              if isinstance(e, InjectedFault)))
-                if restarts >= resilience.max_restarts:
-                    sink.bump("unrecovered")
-                    retire_generation(comm, interps)
+                retire_generation()
+                outcomes = [failures[r] for r in sorted(failures)]
+                for exc in outcomes:
+                    if not isinstance(exc, (MPIAbort, InjectedFault)):
+                        raise exc
+                crashes = [exc for exc in outcomes
+                           if isinstance(exc, InjectedFault)]
+                sink.bump("crashes_detected", len(crashes))
+                if restarts >= policy.max_restarts:
                     raise MPIError(
                         f"distributed run gave up after {restarts} restarts "
-                        f"(max_restarts={resilience.max_restarts}); last "
-                        f"crash: {next(iter(failures.values()))}")
+                        f"(max_restarts={policy.max_restarts}); last "
+                        f"crash: {crashes[-1]}")
                 restarts += 1
-                retire_generation(comm, interps)
                 for r in ranks:
                     np.copyto(locals_by_rank[r], checkpoint[r])
-                iteration = checkpoint_iteration
                 comm, interps = new_generation()
                 sink.bump("checkpoint_restores")
                 sink.bump("rank_respawns", self.num_ranks)
                 sink.record_event(
-                    f"rolled back to iteration {checkpoint_iteration} "
+                    f"rolled back to iteration {iteration} "
                     f"(restart {restarts})")
-        retire_generation(comm, interps)
+        retire_generation()
         gathered = self.gather(locals_by_rank, decomposition)
-        seconds = time.perf_counter() - started
-        rank_stats = [
-            RankStats(
-                rank=r,
-                bounds=tuple(decomposition.local_bounds(r)),
-                local_shape=tuple(locals_by_rank[r].shape),
-                messages=carried[r]["messages"],
-                bytes=carried[r]["bytes"],
-                halo_seconds=carried[r]["halo_seconds"],
-                kernel_seconds=carried[r]["kernel_seconds"],
-                total_seconds=carried[r]["total_seconds"],
-            )
-            for r in ranks
-        ]
         return DistributedRunResult(
             field=gathered,
             grid=self.grid,
             ranks=self.num_ranks,
             iterations=iterations,
-            rank_stats=rank_stats,
+            rank_stats=[carried[r] for r in ranks],
             messages=total_messages,
             bytes=total_bytes,
-            seconds=seconds,
+            seconds=time.perf_counter() - started,
             restarts=restarts,
             recovery=sink.report,
         )

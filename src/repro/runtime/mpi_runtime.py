@@ -6,16 +6,14 @@ separate threads): sends copy data into a mailbox, receives block until a
 matching message is available, and every message is accounted (count + bytes)
 so the distributed-memory cost model can be driven by observed communication.
 
-The communicator can also run *resiliently*: every message carries a
-per-channel sequence number and a crc32 checksum, the sender keeps a pristine
-copy of in-flight messages in an outbox, and a receive that times out a
-backoff slice NACKs the channel — releasing artificially delayed messages and
-retransmitting the missing sequence number from the outbox.  Duplicates are
-deduplicated by sequence number and corrupted payloads are detected by
-checksum and retransmitted.  Faults are injected deterministically through a
-``fault_hook`` (see :class:`repro.resilience.FaultInjector`); with no hook
-and ``resilient=False`` the legacy fail-fast behaviour is bit-for-bit
-unchanged.
+Every message carries a per-channel sequence number and a crc32 checksum,
+the sender keeps a pristine copy of in-flight messages in an outbox, and a
+receive that times out a backoff slice NACKs the channel — releasing
+artificially delayed messages and retransmitting the missing sequence number
+from the outbox.  Duplicates are deduplicated by sequence number and
+corrupted payloads are detected by checksum and retransmitted.  Faults are
+injected deterministically through a ``fault_hook`` (see
+:class:`repro.resilience.FaultInjector`), the only injection point.
 """
 
 from __future__ import annotations
@@ -40,14 +38,6 @@ class MPIAbort(MPIError):
 
 
 @dataclass
-class Message:
-    source: int
-    dest: int
-    tag: int
-    payload: np.ndarray
-
-
-@dataclass
 class _Envelope:
     """A message in flight: payload plus the metadata recovery needs."""
 
@@ -56,28 +46,26 @@ class _Envelope:
     checksum: int
 
 
-@dataclass
-class PendingReceive:
-    """An irecv that has been posted but not yet completed."""
-
-    source: int
-    tag: int
-    completion: Callable[[np.ndarray], None]
-    done: bool = False
+def _memory_order(data: np.ndarray) -> np.ndarray:
+    """``data`` flattened in memory order: a view, not a copy, for the C- or
+    Fortran-contiguous payloads the communicator holds."""
+    return data.reshape(-1, order="A")
 
 
 def _checksum(data: np.ndarray) -> int:
-    return zlib.crc32(data.tobytes())
+    # Verification runs on every receive, so crc32 reads the array's buffer
+    # in place instead of serialising the payload first.
+    return zlib.crc32(_memory_order(data))
 
 
 def _corrupted_copy(data: np.ndarray) -> np.ndarray:
     """A copy with one byte flipped (crc32 always catches a single-byte
     error, so the receiver is guaranteed to detect it)."""
-    raw = bytearray(data.tobytes())
-    if not raw:
-        return np.array(data, copy=True)
-    raw[0] ^= 0xFF
-    return np.frombuffer(bytes(raw), dtype=data.dtype).reshape(data.shape)
+    corrupted = np.array(data, copy=True, order="A")
+    raw = _memory_order(corrupted).view(np.uint8)
+    if raw.size:
+        raw[0] ^= 0xFF
+    return corrupted
 
 
 class SimulatedCommunicator:
@@ -86,7 +74,6 @@ class SimulatedCommunicator:
     def __init__(self, size: int, timeout: float = 30.0, *,
                  fault_hook: Optional[Callable[[int, int, int],
                                                Optional[str]]] = None,
-                 resilient: bool = False,
                  max_receive_retries: int = 8,
                  backoff_initial: float = 0.005,
                  backoff_cap: float = 0.05):
@@ -100,7 +87,6 @@ class SimulatedCommunicator:
         #: diagnostic in milliseconds instead of stalling CI for 30 s.
         self.timeout = timeout
         self._fault_hook = fault_hook
-        self._resilient = resilient or fault_hook is not None
         self._max_receive_retries = max_receive_retries
         self._backoff_initial = backoff_initial
         self._backoff_cap = backoff_cap
@@ -121,7 +107,7 @@ class SimulatedCommunicator:
         self._barrier_ranks: List[int] = []
         self._aborted: Optional[str] = None
         #: Recovery-mechanism counters, folded into a RecoveryReport by the
-        #: resilient executor / chaos runner.
+        #: distributed executor.
         self.stats: Dict[str, int] = {
             "receive_retries": 0,
             "retransmissions": 0,
@@ -166,8 +152,7 @@ class SimulatedCommunicator:
             seq = self._next_send_seq.get(key, 0)
             self._next_send_seq[key] = seq + 1
             checksum = _checksum(data)
-            if self._resilient:
-                self._outbox[(key, seq)] = data
+            self._outbox[(key, seq)] = data
             # Logical sends are accounted once; retransmissions and
             # duplicates are recovery traffic tracked in self.stats so the
             # observed communication volume matches the fault-free run.
@@ -191,26 +176,6 @@ class SimulatedCommunicator:
 
     def receive(self, source: int, dest: int, tag: int,
                 timeout: Optional[float] = None) -> np.ndarray:
-        self._check_rank(source)
-        self._check_rank(dest)
-        if timeout is None:
-            timeout = self.timeout
-        key = (source, dest, tag)
-        if self._resilient:
-            return self._receive_resilient(key, timeout)
-        with self._lock:
-            deadline_ok = self._lock.wait_for(
-                lambda: self._mailboxes.get(key) or self._aborted is not None,
-                timeout=timeout,
-            )
-            self._raise_if_aborted_locked()
-            if not deadline_ok:
-                raise MPIError(self._receive_timeout_message_locked(
-                    key, timeout))
-            return self._mailboxes[key].pop(0).payload
-
-    def _receive_resilient(self, key: Tuple[int, int, int],
-                           timeout: float) -> np.ndarray:
         """Receive with dedup, checksum verification, and NACK recovery.
 
         The loop scans the mailbox for the expected sequence number: stale
@@ -220,6 +185,11 @@ class SimulatedCommunicator:
         Backoff doubles up to a cap; the overall ``timeout`` still bounds the
         whole receive.
         """
+        self._check_rank(source)
+        self._check_rank(dest)
+        if timeout is None:
+            timeout = self.timeout
+        key = (source, dest, tag)
         deadline = time.monotonic() + timeout
         backoff = self._backoff_initial
         retries = 0
@@ -430,7 +400,6 @@ class CartesianDecomposition:
 __all__ = [
     "SimulatedCommunicator",
     "CartesianDecomposition",
-    "Message",
     "MPIError",
     "MPIAbort",
 ]

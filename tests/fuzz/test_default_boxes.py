@@ -7,7 +7,7 @@ through ``plan_cache_boxes`` — many boxes per sweep, slab assembly for apply
 kernels, in-place boxes for nests — against the same scalar oracle.
 """
 
-from repro.fuzz import FuzzFarm
+from repro.fuzz import DifferentialRunner, Farm
 from repro.runtime import Interpreter, parallel_executor
 
 
@@ -23,7 +23,7 @@ def test_differential_fuzz_through_default_boxes(fuzz_seeds, monkeypatch):
         return boxes, plan
 
     monkeypatch.setattr(Interpreter, "_plan_sweep", counting_plan)
-    report = FuzzFarm(count=fuzz_seeds, start=0).run()
+    report = Farm(DifferentialRunner(), count=fuzz_seeds).run()
     assert report.cases == fuzz_seeds
     details = "\n".join(d.describe() for d in report.divergences)
     assert report.ok, f"divergences under the default box plan:\n{details}"

@@ -6,12 +6,12 @@ while a deep run is one flag away.  Any divergence fails the test with the
 replay command in the message.
 """
 
-from repro.fuzz import FuzzFarm, default_matrix, generate_spec
+from repro.fuzz import DifferentialRunner, Farm, default_matrix, generate_spec
 from repro.harness import fuzz_summary_table
 
 
 def test_differential_fuzz_zero_divergences(fuzz_seeds):
-    farm = FuzzFarm(count=fuzz_seeds, start=0)
+    farm = Farm(DifferentialRunner(), count=fuzz_seeds, start=0)
     report = farm.run()
     assert report.cases == fuzz_seeds
     details = "\n".join(d.describe() for d in report.divergences)
@@ -26,7 +26,7 @@ def test_differential_fuzz_zero_divergences(fuzz_seeds):
 def test_single_session_cache_is_exercised():
     """One Session per farm run: runtime-mode derivations of a case hit the
     artifact cache, distinct kernels miss."""
-    farm = FuzzFarm(count=4, start=0)
+    farm = Farm(DifferentialRunner(), count=4, start=0)
     report = farm.run()
     assert report.cache_stats["hits"] > 0
     assert report.cache_stats["misses"] > 0
@@ -55,7 +55,7 @@ def test_distributed_specs_add_dmp_configs():
 
 
 def test_time_budget_stops_early():
-    farm = FuzzFarm(count=500, start=0, time_budget=0.0)
+    farm = Farm(DifferentialRunner(), count=500, start=0, time_budget=0.0)
     report = farm.run()
     assert report.budget_exhausted
     assert report.cases < 500
@@ -63,7 +63,7 @@ def test_time_budget_stops_early():
 
 
 def test_fuzz_summary_table_renders(fuzz_seeds):
-    report = FuzzFarm(count=min(3, fuzz_seeds), start=0).run()
+    report = Farm(DifferentialRunner(), count=min(3, fuzz_seeds)).run()
     table = fuzz_summary_table(report)
     assert "fuzz_summary" in table
     assert "divergences" in table

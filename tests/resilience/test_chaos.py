@@ -7,9 +7,15 @@ scenario, zero divergences and zero unrecovered faults.  The CLI contract
 
 import pytest
 
-from repro.fuzz import ChaosFarm, ChaosReport, generate_spec, DEFAULT_CONFIG
+from repro.fuzz import (
+    DEFAULT_CONFIG,
+    ChaosRunner,
+    Divergence,
+    Farm,
+    Report,
+    generate_spec,
+)
 from repro.fuzz.__main__ import main as fuzz_main, run as fuzz_run
-from repro.fuzz.runner import Divergence
 from repro.harness import recovery_report_table
 from repro.resilience import RecoveryReport
 
@@ -18,9 +24,9 @@ class TestChaosFarm:
     def test_smoke_recovers_every_seed_bitwise(self):
         # Seeds 0-5 cover both general and distributed-style specs, so all
         # three scenarios (dmp, gpu, compile) run at least once.
-        report = ChaosFarm(count=6).run()
+        report = Farm(ChaosRunner(), count=6).run()
         assert report.cases == 6
-        assert report.scenarios_run >= 12
+        assert report.configs_run >= 12
         assert report.divergences == []
         assert report.recovery.unrecovered == 0
         assert report.recovery.faults_injected > 0
@@ -30,19 +36,19 @@ class TestChaosFarm:
         styles = {generate_spec(seed, DEFAULT_CONFIG).style
                   for seed in range(6)}
         assert "distributed" in styles  # the smoke above covered dmp-chaos
-        report = ChaosFarm(seeds=[1]).run()  # seed 1 is distributed-style
+        report = Farm(ChaosRunner(), seeds=[1]).run()  # seed 1 is distributed-style
         assert report.recovery.injected.get("crash", 0) >= 1
         assert report.recovery.checkpoint_restores >= 1
         assert report.ok
 
     def test_chaos_is_deterministic(self):
-        first = ChaosFarm(count=3).run()
-        second = ChaosFarm(count=3).run()
+        first = Farm(ChaosRunner(), count=3).run()
+        second = Farm(ChaosRunner(), count=3).run()
         assert first.recovery.injected == second.recovery.injected
-        assert first.scenarios_run == second.scenarios_run
+        assert first.configs_run == second.configs_run
 
     def test_time_budget_skips_remaining_seeds(self):
-        report = ChaosFarm(count=5, time_budget=0.0).run()
+        report = Farm(ChaosRunner(), count=5, time_budget=0.0).run()
         assert report.budget_exhausted
         assert report.seeds_skipped == 5
         assert report.cases == 0
@@ -50,7 +56,7 @@ class TestChaosFarm:
 
 class TestRecoveryReportTable:
     def test_renders_injections_mechanisms_and_verdict(self):
-        report = ChaosFarm(count=2).run()
+        report = Farm(ChaosRunner(), count=2).run()
         table = recovery_report_table(report)
         assert "chaos_recovery" in table
         assert "injected[" in table
@@ -84,34 +90,37 @@ class TestCliExitCodes:
         import repro.fuzz.__main__ as cli
 
         class DivergingFarm:
-            def __init__(self, **kwargs):
+            def __init__(self, scenario, **kwargs):
                 pass
 
             def run(self, on_case=None):
-                report = ChaosReport(cases=1, scenarios_run=1)
+                report = Report(cases=1, configs_run=1)
                 report.divergences.append(Divergence(
-                    seed=0, config_label="gpu-chaos", backend="gpu-chaos",
+                    seed=0, config_label="gpu-chaos", backend="chaos",
                     kind="bitwise", detail="recovered outputs differ",
-                    spec=generate_spec(0, DEFAULT_CONFIG)))
+                    spec=generate_spec(0, DEFAULT_CONFIG),
+                    replay_flags="--chaos --seeds 1 --start-seed 0"))
                 return report
 
-        monkeypatch.setattr(cli, "ChaosFarm", DivergingFarm)
+        monkeypatch.setattr(cli, "Farm", DivergingFarm)
         assert cli.main(["--chaos", "--quiet"]) == 1
-        assert "recovered outputs differ" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "recovered outputs differ" in out
+        assert "repro.fuzz --chaos --seeds 1 --start-seed 0" in out
 
     def test_unrecovered_fault_exits_one(self, monkeypatch):
         import repro.fuzz.__main__ as cli
 
         class UnrecoveredFarm:
-            def __init__(self, **kwargs):
+            def __init__(self, scenario, **kwargs):
                 pass
 
             def run(self, on_case=None):
-                report = ChaosReport(cases=1, scenarios_run=1)
+                report = Report(cases=1, configs_run=1)
                 report.recovery.unrecovered = 1
                 return report
 
-        monkeypatch.setattr(cli, "ChaosFarm", UnrecoveredFarm)
+        monkeypatch.setattr(cli, "Farm", UnrecoveredFarm)
         assert cli.main(["--chaos", "--quiet"]) == 1
 
     def test_harness_crash_exits_two(self, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Checkpoint/restart: rank crashes recovered at iteration boundaries.
+"""Checkpoint/restart: rank crashes recovered at wave boundaries.
 
 The acceptance bar for the whole resilience subsystem: a distributed
 Gauss-Seidel run under a serialized FaultPlan — message faults plus a
@@ -15,6 +15,7 @@ from repro.resilience import (
     CommFault,
     FaultPlan,
     RankCrash,
+    RecoveryReport,
     ResilienceError,
     ResilienceOptions,
 )
@@ -53,17 +54,6 @@ class TestCrashRecovery:
         assert crashed.recovery.rank_respawns == 2
         assert crashed.recovery.ok
 
-    def test_fault_free_resilient_run_matches_legacy_bitwise(self, session):
-        field = global_field(12)
-        plan = plan_for(session, (2, 2), 12)
-        legacy = plan.run(field, iterations=2)
-        resilient = plan.run(field, iterations=2,
-                             resilience=ResilienceOptions())
-        np.testing.assert_array_equal(resilient.field, legacy.field)
-        assert resilient.restarts == 0
-        assert resilient.recovery.checkpoint_saves >= 1
-        assert resilient.recovery.faults_injected == 0
-
     def test_crash_at_iteration_zero_recovers(self, session):
         field = global_field(12)
         plan = plan_for(session, (2, 1), 12)
@@ -101,6 +91,72 @@ class TestCrashRecovery:
         crashed = plan.run(field, iterations=3, resilience=ResilienceOptions(
             plan=FaultPlan(rank_crashes=(RankCrash(rank=1, iteration=1),))))
         assert crashed.messages >= baseline.messages
+
+
+class TestPolicyIsNotAFork:
+    """One run loop: the recovery policy decides how often the fleet meets
+    and checkpoints, never what it computes."""
+
+    def test_policy_never_changes_bits(self, session):
+        field = global_field(12)
+        plan = plan_for(session, (2, 2), 12)
+        policies = {
+            "none": None,
+            "default": ResilienceOptions(),
+            "interval-3": ResilienceOptions(checkpoint_interval=3),
+            "no-restart": ResilienceOptions(max_restarts=0),
+        }
+        runs = {name: plan.run(field, iterations=4, resilience=policy)
+                for name, policy in policies.items()}
+        for name, run in runs.items():
+            np.testing.assert_array_equal(run.field, runs["none"].field,
+                                          err_msg=name)
+            assert run.messages == runs["none"].messages, name
+            assert run.restarts == 0
+            assert isinstance(run.recovery, RecoveryReport)
+            assert run.recovery.faults_injected == 0 and run.recovery.ok
+        # A checkpoint that can never be restored is not taken.
+        assert runs["none"].recovery.checkpoint_saves == 0
+        assert runs["no-restart"].recovery.checkpoint_saves == 0
+        # One per wave: [0,1) [1,2) [2,3) [3,4) and [0,3) [3,4).
+        assert runs["default"].recovery.checkpoint_saves == 4
+        assert runs["interval-3"].recovery.checkpoint_saves == 2
+        # Nothing went wrong, so the fail-fast report is all zeros.
+        zero = RecoveryReport().to_dict()
+        quiet = runs["none"].recovery.to_dict()
+        quiet["receive_retries"] = 0  # honest waiting on a slow peer
+        assert quiet == zero
+
+    @pytest.mark.parametrize("crash_iteration", [2, 3],
+                             ids=["wave-start", "mid-wave"])
+    def test_crash_inside_a_multi_iteration_wave(self, session,
+                                                 crash_iteration):
+        """checkpoint_interval=2 over 4 iterations is the waves [0,2) and
+        [2,4): a crash at 2 fires on the second wave's first iteration, a
+        crash at 3 after rank 1 already ran (and exchanged halos for)
+        iteration 2.  Both roll back to iteration 2 exactly once."""
+        field = global_field(12)
+        plan = plan_for(session, (2, 2), 12)
+        baseline = plan.run(field, iterations=4)
+        crashed = plan.run(field, iterations=4, resilience=ResilienceOptions(
+            checkpoint_interval=2,
+            plan=FaultPlan(rank_crashes=(
+                RankCrash(rank=1, iteration=crash_iteration),))))
+        np.testing.assert_array_equal(crashed.field, baseline.field)
+        assert crashed.restarts == 1
+        assert crashed.recovery.checkpoint_saves == 2
+        assert crashed.recovery.checkpoint_restores == 1
+        assert "rolled back to iteration 2" in " ".join(
+            crashed.recovery.events)
+        assert crashed.messages >= baseline.messages
+
+    def test_fail_fast_policy_does_not_survive_a_crash(self, session):
+        field = global_field(12)
+        plan = plan_for(session, (2, 1), 12)
+        with pytest.raises(MPIError, match="gave up after 0 restarts"):
+            plan.run(field, iterations=2, resilience=ResilienceOptions(
+                max_restarts=0,
+                plan=FaultPlan(rank_crashes=(RankCrash(rank=0, iteration=1),))))
 
 
 class TestCombinedAcceptance:

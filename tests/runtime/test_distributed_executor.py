@@ -8,12 +8,15 @@ everywhere else — across process grids, odd non-divisible domains, pool
 sizes and repeated runs.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 import repro
 from repro.api import OptionError, Session
 from repro.apps import gauss_seidel
+from repro.resilience import ResilienceOptions
 from repro.runtime import (
     CartesianDecomposition,
     DistributedExecutor,
@@ -187,6 +190,40 @@ class TestExecutorMechanics:
         executor = DistributedExecutor((4, 1))
         with pytest.raises(MPIError, match="cannot split"):
             executor.decomposition_for((3, 8, 8))
+
+    @pytest.mark.parametrize("policy", [None, ResilienceOptions()],
+                             ids=["fail-fast", "restartable"])
+    def test_failing_rank_aborts_the_fleet_with_its_own_error(self, session,
+                                                              policy):
+        """Regression: a rank that dies of anything but an injected crash
+        must wake its peers at once and surface *its* exception — not leave
+        them to wait out the receive timeout and report that instead."""
+        n = 8
+        compiled = session.compile(
+            gauss_seidel.generate_source_shaped((n // 2 + 2, n + 2, n + 2))
+        ).lower("dmp", grid=(2, 1), execution_mode="vectorize")
+
+        class Exploding:
+            kernels = None
+            stats = {"mpi_messages": 0, "mpi_bytes": 0, "halo_seconds": 0.0}
+
+            def call(self, entry, local):
+                raise RuntimeError("rank 1 fell over")
+
+        def make_interpreter(rank, local_shape, comm, decomposition):
+            if rank == 1:
+                return Exploding()
+            return compiled.interpreter(comm=comm, rank=rank,
+                                        decomposition=decomposition)
+
+        timeout = 5.0
+        executor = DistributedExecutor((2, 1), timeout=timeout)
+        field = np.asfortranarray(np.random.default_rng(41).random((n, n, n)))
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="rank 1 fell over"):
+            executor.run(field, make_interpreter, "gauss_seidel",
+                         iterations=2, resilience=policy)
+        assert time.perf_counter() - started < timeout / 5
 
     def test_bad_iterations_rejected(self):
         executor = DistributedExecutor((1, 1))

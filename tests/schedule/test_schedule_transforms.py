@@ -21,7 +21,12 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel
-from repro.fuzz.schedules import ScheduleFuzzFarm, default_schedule_matrix
+from repro.fuzz import Farm
+from repro.fuzz.schedules import (
+    ScheduleRunner,
+    default_schedule_matrix,
+    summary_line,
+)
 from repro.fuzz.generator import DEFAULT_CONFIG, generate_spec
 from repro.schedule import ScheduleError
 
@@ -191,15 +196,20 @@ class TestTiledExecution:
 
 class TestScheduleFuzzSmoke:
     def test_small_run_is_clean(self):
-        report = ScheduleFuzzFarm(count=4).run()
+        report = Farm(ScheduleRunner(), count=4).run()
         assert report.ok
         assert report.cases == 4
         assert report.chains_run > 0
-        assert "0 divergences" in report.summary()
+        assert "0 divergences" in summary_line(report)
+
+    def test_time_budget_reports_skipped_seeds(self):
+        report = Farm(ScheduleRunner(), count=5, time_budget=0.0).run()
+        assert report.budget_exhausted
+        assert report.seeds_skipped == 5
 
     def test_chains_are_deterministic_per_seed(self):
-        first = ScheduleFuzzFarm(count=2)
-        second = ScheduleFuzzFarm(count=2)
+        first = ScheduleRunner()
+        second = ScheduleRunner()
         spec = generate_spec(0, DEFAULT_CONFIG)
         assert first.run_case(spec).chains == second.run_case(spec).chains
 
