@@ -18,9 +18,8 @@ scatters a global Fortran-ordered field, runs one interpreter per simulated
 rank on the persistent rank pool of
 :mod:`repro.runtime.distributed_executor`, and gathers the result.  The
 process grid lives in the frozen :class:`repro.api.DmpOptions` (part of the
-session cache key — a new grid is a recompile); rank count, pool size,
-execution mode and per-rank threads are runtime-only knobs that never force
-one.
+session cache key — a new grid is a recompile); execution mode and per-rank
+threads are runtime-only knobs that never force one.
 
 Rank-local compilation goes back through the bound session: with no
 ``source_builder`` every rank runs the program's own source (so the
@@ -106,7 +105,6 @@ class DistributedProgram:
 
     def __init__(self, compiled: "CompiledProgram", *,
                  ranks: Optional[int] = None,
-                 pool_size: Optional[int] = None,
                  source_builder: Optional[SourceBuilder] = None,
                  entry: Optional[str] = None,
                  execution_mode: Optional[str] = None,
@@ -142,9 +140,7 @@ class DistributedProgram:
         self._threads = threads
         self._resilience = resilience
         self._executor = DistributedExecutor(
-            grid, halo=detect_halo(compiled), pool_size=pool_size,
-            timeout=timeout,
-        )
+            grid, halo=detect_halo(compiled), timeout=timeout)
 
     # -- identity ------------------------------------------------------------
 
@@ -176,20 +172,10 @@ class DistributedProgram:
 
     # -- derivation ----------------------------------------------------------
 
-    def with_pool_size(self, pool_size: int) -> "DistributedProgram":
-        """A plan with a different rank-pool size (runtime-only: reuses every
-        cached artifact)."""
-        return DistributedProgram(
-            self._compiled, pool_size=pool_size,
-            source_builder=self._source_builder, entry=self._entry,
-            execution_mode=self._execution_mode, threads=self._threads,
-            timeout=self._executor.timeout, resilience=self._resilience,
-        )
-
     def with_resilience(self, resilience: Optional[ResilienceOptions]
                         ) -> "DistributedProgram":
         """A plan with a different recovery policy (runtime-only: reuses
-        every cached artifact, exactly like ``with_pool_size``)."""
+        every cached artifact)."""
         return DistributedProgram(
             self._compiled,
             source_builder=self._source_builder, entry=self._entry,
@@ -265,10 +251,7 @@ class DistributedProgram:
                                   resilience=resilience)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<DistributedProgram grid={self.grid} ranks={self.ranks} "
-            f"pool={self._executor.pool_workers}>"
-        )
+        return f"<DistributedProgram grid={self.grid} ranks={self.ranks}>"
 
 
 __all__ = ["DistributedProgram", "SourceBuilder", "detect_halo",

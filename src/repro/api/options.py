@@ -141,14 +141,11 @@ class OpenMPOptions(BackendOptions):
 
     ``schedule``/``chunk_size`` become the ``schedule(...)`` clause that
     ``convert-scf-to-openmp`` records on each ``omp.wsloop`` and the tiled
-    parallel executor honours; ``num_threads`` is the thread count recorded
-    in the lowered module for the analytic cost model (unlike ``threads`` it
-    does not change real execution).
+    parallel executor honours.
     """
 
     schedule: str = "static"
     chunk_size: Optional[int] = None
-    num_threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()

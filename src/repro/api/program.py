@@ -94,10 +94,6 @@ class Program:
     def fingerprint(self) -> str:
         return source_fingerprint(self._source)
 
-    def with_session(self, session: "Session") -> "Program":
-        """The same source bound to a different session (separate cache)."""
-        return Program(self._source, session)
-
     def lower(self, backend="cpu", options: Optional[BackendOptions] = None,
               **overrides) -> "CompiledProgram":
         """Compile this program for ``backend`` (name or Backend object),
@@ -226,7 +222,6 @@ class CompiledProgram:
         return Schedule(self)
 
     def distribute(self, ranks: Optional[int] = None, *,
-                   pool_size: Optional[int] = None,
                    source_builder=None,
                    entry: Optional[str] = None,
                    execution_mode: Optional[str] = None,
@@ -237,8 +232,8 @@ class CompiledProgram:
 
         The process grid comes from the compiled :class:`DmpOptions` (a
         compile-time cache-key field); ``ranks`` merely asserts the expected
-        rank count, and ``pool_size`` / ``execution_mode`` / ``threads`` /
-        ``resilience`` are runtime-only.  ``resilience=ResilienceOptions(...)``
+        rank count, and ``execution_mode`` / ``threads`` / ``resilience`` are
+        runtime-only.  ``resilience=ResilienceOptions(...)``
         is the recovery policy of the run loop (how often it checkpoints, how
         many crashes it may roll back; fail-fast by default) — like
         ``threads`` it never enters the session cache key.  See
@@ -249,8 +244,7 @@ class CompiledProgram:
 
         validate_timeout(timeout, self.backend_name)
         return DistributedProgram(
-            self, ranks=ranks, pool_size=pool_size,
-            source_builder=source_builder, entry=entry,
+            self, ranks=ranks, source_builder=source_builder, entry=entry,
             execution_mode=execution_mode, threads=threads, timeout=timeout,
             resilience=resilience,
         )

@@ -373,9 +373,6 @@ class KernelSpec:
             read |= expr_arrays(s.expr)
         return read
 
-    def referenced_arrays(self) -> frozenset:
-        return self.written_arrays() | self.read_arrays()
-
     def uses_scalar(self) -> bool:
         return self.has_scalar and any(expr_uses_scalar(s.expr)
                                        for s in self.statements)

@@ -62,11 +62,6 @@ class ExperimentResult:
     def series(self, label_column: int, value_column: int) -> Dict[object, float]:
         return {row[label_column]: row[value_column] for row in self.rows}
 
-    def to_text(self) -> str:
-        from .reporting import format_table
-
-        return format_table(self)
-
 
 _PAPER_SIZES = {
     "256^3 (16M)": 256**3,
@@ -418,8 +413,7 @@ _NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 _MEASURED_RANK_GRIDS = ((1, 1), (2, 1), (2, 2), (4, 2))
 
 
-def _distributed_plan(grid: Tuple[int, int], global_shape: Tuple[int, int, int],
-                      pool_size=None):
+def _distributed_plan(grid: Tuple[int, int], global_shape: Tuple[int, int, int]):
     """A vectorized multi-rank execution plan for the Gauss-Seidel kernel.
 
     The base program is generated at rank 0's padded local shape for this
@@ -437,8 +431,7 @@ def _distributed_plan(grid: Tuple[int, int], global_shape: Tuple[int, int, int],
         gauss_seidel.generate_source_shaped(rank0_padded, niters=1)
     )
     return program.lower("dmp", grid=grid, execution_mode="vectorize").distribute(
-        source_builder=gauss_seidel.generate_source_shaped, pool_size=pool_size,
-    )
+        source_builder=gauss_seidel.generate_source_shaped)
 
 
 def measured_distributed_scaling(
@@ -538,8 +531,7 @@ def figure6_distributed(validate: bool = True,
 
 
 def distributed_functional_check(n_local: int = 8, ranks: Tuple[int, int] = (2, 2),
-                                 niters: int = 2,
-                                 pool_size=None) -> Dict[str, float]:
+                                 niters: int = 2) -> Dict[str, float]:
     """Run the DMP/MPI-lowered Gauss-Seidel on a simulated communicator and
     compare against the single-process Jacobi reference on the global domain.
 
@@ -558,7 +550,7 @@ def distributed_functional_check(n_local: int = 8, ranks: Tuple[int, int] = (2, 
     global_field = np.asfortranarray(rng.random(global_shape))
     reference = gauss_seidel.reference_jacobi(global_field, niters)
 
-    plan = _distributed_plan(grid, global_shape, pool_size=pool_size)
+    plan = _distributed_plan(grid, global_shape)
     run = plan.run(global_field, iterations=niters)
 
     margin = niters

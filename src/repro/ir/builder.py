@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, TypeVar
 
-from .operation import Block, IRError, Operation, Region
+from .operation import Block, IRError, Operation
 
 OpT = TypeVar("OpT", bound=Operation)
 
@@ -109,13 +109,6 @@ class Builder:
     @staticmethod
     def after(op: Operation) -> "Builder":
         return Builder(InsertPoint.after(op))
-
-    def create_block(self, region: Region, arg_types: Sequence = ()) -> Block:
-        """Append a fresh block to ``region`` and move the insertion point there."""
-        block = Block(arg_types=arg_types)
-        region.add_block(block)
-        self.set_insertion_point_to_end(block)
-        return block
 
 
 __all__ = ["Builder", "InsertPoint"]

@@ -107,19 +107,9 @@ class PatternRewriter:
         op.erase()
         self.has_done_action = True
 
-    def replace_matched_op(
-        self,
-        new_ops: Sequence[Operation] = (),
-        new_results: Optional[Sequence[Optional[SSAValue]]] = None,
-    ) -> None:
-        self.replace_op(self.current_op, new_ops, new_results)
-
     def erase_op(self, op: Optional[Operation] = None, *, safe: bool = True) -> None:
         (op or self.current_op).erase(safe=safe)
         self.has_done_action = True
-
-    def erase_matched_op(self, *, safe: bool = True) -> None:
-        self.erase_op(self.current_op, safe=safe)
 
     def replace_all_uses_with(self, old: SSAValue, new: SSAValue) -> None:
         old.replace_all_uses_with(new)
@@ -141,10 +131,6 @@ class PatternRewriter:
         for op in list(block.ops):
             op.detach()
             target.insert_op_before(op, anchor)
-        self.has_done_action = True
-
-    def notify_change(self) -> None:
-        """Mark that the pattern modified the IR through some other mechanism."""
         self.has_done_action = True
 
 

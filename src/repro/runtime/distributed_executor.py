@@ -156,10 +156,8 @@ class DistributedExecutor:
     global field are decomposed over (``(2, 2)`` → four ranks, dimensions 0
     and 1 split in two).  ``halo`` is the ghost-plane width every local
     array is padded with on *every* dimension (the stencil's widest access
-    offset).  ``pool_size`` requests extra pool workers beyond the rank
-    count — the effective worker total is ``max(num_ranks, pool_size)``,
-    never below the rank count, because a rank blocked in a halo receive
-    must not starve the neighbour whose send it waits for.
+    offset).  Every rank runs on its own pool worker, because a rank blocked
+    in a halo receive must not starve the neighbour whose send it waits for.
     ``timeout`` bounds every blocking receive/barrier so a genuinely
     deadlocked configuration fails with the communicator's pending-message
     diagnostic instead of hanging.
@@ -167,7 +165,6 @@ class DistributedExecutor:
 
     def __init__(self, grid: Sequence[int], *, halo: int = 1,
                  decomposed_dims: Optional[Sequence[int]] = None,
-                 pool_size: Optional[int] = None,
                  timeout: float = 30.0):
         self.grid = tuple(int(g) for g in grid)
         if not self.grid or any(g < 1 for g in self.grid):
@@ -187,10 +184,6 @@ class DistributedExecutor:
         self.num_ranks = 1
         for extent in self.grid:
             self.num_ranks *= extent
-        if pool_size is not None and pool_size < 1:
-            raise MPIError(f"pool_size must be >= 1, got {pool_size}")
-        self.pool_workers = max(self.num_ranks,
-                                pool_size if pool_size is not None else 1)
         self.timeout = float(timeout)
 
     # ------------------------------------------------------------------
@@ -380,10 +373,10 @@ class DistributedExecutor:
         comm, interps = new_generation()
         checkpoint: Optional[Dict[int, np.ndarray]] = None
         iteration = 0
-        pool = get_rank_pool(self.pool_workers)
+        pool = get_rank_pool(self.num_ranks)
         # One distributed run at a time per pool: every rank task of a run
         # must be runnable at once, so runs may not interleave.
-        with _rank_pool_gate(self.pool_workers):
+        with _rank_pool_gate(self.num_ranks):
             while iteration < iterations:
                 wave_end = iterations
                 if restartable:
@@ -437,10 +430,7 @@ class DistributedExecutor:
         )
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<DistributedExecutor grid={self.grid} ranks={self.num_ranks} "
-            f"pool={self.pool_workers}>"
-        )
+        return f"<DistributedExecutor grid={self.grid} ranks={self.num_ranks}>"
 
 
 __all__ = [

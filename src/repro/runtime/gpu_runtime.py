@@ -52,12 +52,6 @@ class KernelLaunch:
     #: once the kernel body — vectorized or scalar — has run).
     seconds: float = 0.0
 
-    @property
-    def total_threads(self) -> int:
-        g = self.grid
-        b = self.block
-        return g[0] * g[1] * g[2] * b[0] * b[1] * b[2]
-
 
 @dataclass
 class StreamEvent:
@@ -413,18 +407,6 @@ class SimulatedGPU:
                 continue
             total += t.nbytes
         return total
-
-    def transfer_time(self) -> float:
-        """Modelled PCIe time for every recorded transfer."""
-        return sum(t.nbytes for t in self.transfers) / self.pcie_bandwidth
-
-    def reset_statistics(self) -> None:
-        self.transfers.clear()
-        self.launches.clear()
-        self.streams.clear()
-        self.stats["per_kernel"] = {}
-        self._last_h2d_done = 0.0
-        self._last_launch_done = 0.0
 
     def summary(self) -> Dict[str, object]:
         per_kernel: Dict[str, Dict[str, float]] = self.stats["per_kernel"]  # type: ignore[assignment]

@@ -39,6 +39,7 @@ from ..ir.attributes import DenseArrayAttr, FloatAttr, IntegerAttr, StringAttr
 from ..ir.operation import Block, Operation
 from ..ir.ssa import SSAValue
 from ..ir.types import (
+    DYNAMIC,
     FloatType,
     IndexType,
     IntegerType,
@@ -50,8 +51,8 @@ from .gpu_runtime import SimulatedGPU
 from .kernel_compiler import EXECUTION_MODES, KernelCompiler
 from .memory import ElementRef, MemoryBuffer, numpy_dtype_for
 from .mpi_runtime import CartesianDecomposition, SimulatedCommunicator
-from .parallel_executor import (ParallelExecutor, get_executor, plan_boxes,
-                                plan_cache_boxes, plan_tiles, run_boxes)
+from .parallel_executor import (ParallelExecutor, get_executor, plan_sweep,
+                                run_boxes)
 
 
 #: Ops that may sit between a ``stencil.load`` and the last ``stencil.apply``
@@ -267,6 +268,16 @@ class Interpreter:
         if isinstance(arg, (MemoryBuffer, ElementRef, FieldValue, TempValue)):
             return arg
         if isinstance(arg, np.ndarray):
+            declared = arg_type.element_type \
+                if fir_dialect.is_reference_like(arg_type) else arg_type
+            if isinstance(declared, fir_dialect.SequenceType) and (
+                    arg.dtype != numpy_dtype_for(declared.element_type)
+                    or arg.ndim != declared.rank
+                    or any(extent not in (DYNAMIC, got)
+                           for extent, got in zip(declared.shape, arg.shape))):
+                raise InterpreterError(
+                    f"argument {label} is declared {declared.print()}, got "
+                    f"an array of shape {arg.shape} and dtype {arg.dtype}")
             if not arg.flags["F_CONTIGUOUS"]:
                 arg = np.asfortranarray(arg)
             return MemoryBuffer.wrap(arg, label=label)
@@ -487,7 +498,6 @@ class Interpreter:
         h["dmp.grid"] = self._exec_dmp_grid
         h["dmp.rank"] = self._exec_dmp_rank
         h["dmp.local_domain"] = self._exec_dmp_local_domain
-        h["dmp.halo_swap"] = self._exec_dmp_halo_swap
         h["dmp.neighbour_rank"] = self._exec_dmp_neighbour_rank
         h["dmp.gather"] = lambda op, f: []
         h["mpi.init"] = lambda op, f: []
@@ -786,7 +796,7 @@ class Interpreter:
 
     def _sweep(self, op: Operation, frame: Frame, lookup: Callable,
                domain_of: Callable, scalar_runner: Callable,
-               schedule: Optional[Tuple[str, Optional[int]]] = None,
+               schedule: Tuple[str, Optional[int]],
                counters: Tuple[str, str] = ("vectorized_sweeps",
                                             "vectorize_fallbacks")):
         """The one execution path of every vectorizable sweep op: kernel
@@ -799,7 +809,7 @@ class Interpreter:
         ``(lowers, uppers)`` iteration domain, or None when a runtime guard
         fails; ``scalar_runner`` is the reference semantics, used as fallback
         and as crosscheck oracle so the two cannot diverge; ``schedule`` the
-        dim-0 thread schedule (None: the op never thread-tiles); ``counters``
+        OpenMP (kind, chunk) clause shaping the thread slabs; ``counters``
         the (vectorized, fallback) stats keys.
         """
         if self.execution_mode == "interpret":
@@ -814,12 +824,14 @@ class Interpreter:
         if domain is None:
             self.stats[fallback_key] += 1
             return scalar_runner()
-        lowers, uppers = domain
+        lowers, uppers = tuple(domain[0]), tuple(domain[1])
 
         def vector_runner():
             start = _time.perf_counter()
-            boxes, plan = self._plan_sweep(op, kernel, externals, lowers,
-                                           uppers, schedule)
+            boxes, slabs, shape = self._plan_sweep(op, kernel, externals,
+                                                   lowers, uppers, schedule)
+            if self.threads > 1 and slabs == 1:
+                self.stats["parallel_fallbacks"] += 1
             pool = self._executor if kernel.tileable else None
             results = run_boxes(kernel, externals, lowers, uppers, boxes, pool)
             if results is None:
@@ -827,13 +839,18 @@ class Interpreter:
                 # cannot be assembled.  The defect is structural: remember
                 # the refusal and recompute whole-domain (kernels are pure).
                 kernel.tileable = False
-                self.stats[plan + "_fallbacks"] += 1
+                if slabs > 1:
+                    self.stats["parallel_fallbacks"] += 1
+                if shape is not None:
+                    self.stats[shape + "_fallbacks"] += 1
                 results = run_boxes(kernel, externals, lowers, uppers,
                                     [(lowers, uppers)], None)
-            elif plan is not None:
-                self.stats[plan + "_tiles"] += len(boxes)
-                if plan == "parallel":
+            else:
+                if slabs > 1:
                     self.stats["parallel_sweeps"] += 1
+                    self.stats["parallel_tiles"] += slabs
+                if shape is not None:
+                    self.stats[shape + "_tiles"] += len(boxes)
             self.kernels.record_invocation(kernel.label,
                                            _time.perf_counter() - start)
             return results
@@ -848,45 +865,23 @@ class Interpreter:
 
     def _plan_sweep(self, op: Operation, kernel, externals, lowers, uppers,
                     schedule):
-        """One sweep's box plan, as ``(boxes, plan)`` where ``plan`` names
-        the counters it feeds ("schedule", "parallel", "cache" or None).
-
-        A ``schedule.tile`` attribute (placement policy recorded by a
-        ``.tile(...)`` directive; a rank mismatch simply disables it, the
-        schedule layer validates ranks loudly at lower time) gives
-        user-shaped cache boxes.  Otherwise, with threads and a tile-safe
-        kernel, the dim-0 spans of the thread schedule are lifted into boxes
-        spanning every other dimension whole; a multi-thread sweep that ends
-        up single-box is counted in ``parallel_fallbacks``.  Otherwise a
-        tile-safe kernel whose working set overflows the cache budget gets
-        :func:`plan_cache_boxes`' default boxes, cut against the strides of
-        the first array it sweeps.  Otherwise the single whole-domain box.
-        ``schedule`` is None for ops that only ever run whole (gpu launches).
+        """One sweep's :func:`plan_sweep`, fed from the op (its
+        ``schedule.tile`` attribute, recorded by a ``.tile(...)`` directive;
+        the schedule layer validates ranks loudly at lower time), the kernel
+        (the strides of the first array it sweeps, the arrays it touches per
+        point) and the thread count.  A kernel whose boxes cannot run
+        independently (``tileable`` false) runs the whole domain; so does a
+        pure kernel over an empty one, which still owes its (empty) results.
         """
-        lowers, uppers = tuple(lowers), tuple(uppers)
-        if kernel.stores and any(u <= l for l, u in zip(lowers, uppers)):
-            return [], None  # empty iteration space: nothing to execute
+        whole = [(lowers, uppers)], 1, None
+        if not kernel.tileable:
+            return whole
         attr = op.get_attr_or_none("schedule.tile")
-        sizes = attr.as_tuple() if attr is not None else ()
-        if len(sizes) == len(lowers) and (kernel.stores or kernel.tileable):
-            boxes = plan_boxes(lowers, uppers, sizes)
-            if len(boxes) > 1:
-                return boxes, "schedule"
-        if schedule is not None and self.threads > 1:
-            if kernel.tileable:
-                spans = plan_tiles(lowers[0], uppers[0], self.threads, *schedule)
-                if len(spans) > 1:
-                    return [((lo,) + lowers[1:], (up,) + uppers[1:])
-                            for lo, up in spans], "parallel"
-            self.stats["parallel_fallbacks"] += 1
-        elif schedule is not None and attr is None and kernel.tileable:
-            strides = kernel.dim_strides(externals)
-            if strides is not None:
-                boxes = plan_cache_boxes(lowers, uppers, strides,
-                                         kernel.arrays_per_point)
-                if len(boxes) > 1:
-                    return boxes, "cache"
-        return [(lowers, uppers)], None
+        plan = plan_sweep(lowers, uppers, self.threads, *schedule,
+                          strides=kernel.dim_strides(externals),
+                          tile=attr.as_tuple() if attr else (),
+                          arrays=kernel.arrays_per_point)
+        return plan if plan[0] or kernel.stores else whole
 
     def _crosscheck(self, kernel, externals, vector_runner: Callable,
                     scalar_runner: Callable):
@@ -982,7 +977,7 @@ class Interpreter:
             lambda kernel, externals:
                 (lb, ub) if kernel.apply_guards_pass(externals, lb, ub) else None,
             lambda: self._run_apply_scalar(op, frame, lb, ub),
-            schedule=("static", None))
+            ("static", None))
         self.stats["stencil_apply_executions"] += 1
         points = 1
         for extent in domain:
@@ -1132,9 +1127,9 @@ class Interpreter:
 
         start = _time.perf_counter()
         try:
-            # Launches stay single-box (no thread schedule).
             self._sweep(op, frame, lookup, domain_of,
                         lambda: self._run_launch_scalar(kernel_op, args, grid, block),
+                        ("static", None),
                         counters=("gpu_launches_vectorized",
                                   "gpu_launch_fallbacks"))
             return []
@@ -1218,56 +1213,10 @@ class Interpreter:
         coords[dim] += direction
         return [np.int32(decomposition.rank_of(coords))]
 
-    def _exec_dmp_halo_swap(self, op: Operation, frame: Frame):
-        """Exchange halo slabs of the field with grid neighbours."""
-        if self.comm is None:
-            return []
-        decomposition = self._require_decomposition()
-        field = frame.get(op.operands[0])
-        buffer = field.buffer if isinstance(field, FieldValue) else field
-        halo = op.get_attr("halo").as_tuple()  # type: ignore[union-attr]
-        neighbours = decomposition.neighbours(self.rank)
-        ndim = buffer.data.ndim
-
-        def slab(dim: int, where: str) -> Tuple[slice, ...]:
-            slices = [slice(None)] * ndim
-            width = halo[dim]
-            if where == "low_interior":
-                slices[dim] = slice(width, 2 * width)
-            elif where == "high_interior":
-                slices[dim] = slice(-2 * width, -width)
-            elif where == "low_ghost":
-                slices[dim] = slice(0, width)
-            elif where == "high_ghost":
-                slices[dim] = slice(-width, None)
-            return tuple(slices)
-
-        # Post all sends first, then receive (buffered sends cannot deadlock).
-        start = _time.perf_counter()
-        for (dim, direction), neighbour in neighbours.items():
-            if neighbour < 0 or halo[dim] == 0:
-                continue
-            where = "low_interior" if direction < 0 else "high_interior"
-            payload = buffer.data[slab(dim, where)]
-            tag = dim * 2 + (0 if direction < 0 else 1)
-            self.comm.send(self.rank, neighbour, tag, payload)
-            self.stats["mpi_messages"] += 1
-            self.stats["mpi_bytes"] += payload.nbytes
-        for (dim, direction), neighbour in neighbours.items():
-            if neighbour < 0 or halo[dim] == 0:
-                continue
-            # A message sent from the neighbour's opposite face.
-            tag = dim * 2 + (1 if direction < 0 else 0)
-            data = self.comm.receive(neighbour, self.rank, tag)
-            where = "low_ghost" if direction < 0 else "high_ghost"
-            buffer.data[slab(dim, where)] = data
-        self.stats["halo_seconds"] += _time.perf_counter() - start
-        return []
-
     def _buffer_slices(self, op: Operation, buffer: MemoryBuffer):
         lb_attr = op.get_attr_or_none("slice_lb")
         ub_attr = op.get_attr_or_none("slice_ub")
-        if lb_attr is None or ub_attr is None:
+        if None in (lb_attr, ub_attr):
             return tuple(slice(None) for _ in buffer.data.shape)
         return tuple(
             slice(l, u) for l, u in zip(lb_attr.as_tuple(), ub_attr.as_tuple())

@@ -326,15 +326,14 @@ class CompiledKernel:
         #: KernelCompiler.kernel_for; keys the per-kernel runtime statistics.
         self.label = ""
         #: Whether the sweep may be split into boxes that run concurrently.
-        #: Store kernels need every store to index dim 0 (thread tiles then
-        #: write disjoint slabs); pure kernels need every returned value to
-        #: be a whole-domain array.  The interpreter clears it when a per-box
-        #: result shape refuses slab assembly — a structural property, so the
-        #: refusal holds for every later sweep of this (possibly shared)
-        #: kernel.
+        #: Store kernels need every store to index every iteration dimension
+        #: (boxes that partition the domain then write disjoint regions);
+        #: pure kernels need every returned value to be a whole-domain
+        #: array.  The interpreter clears it when a per-box result shape
+        #: refuses slab assembly — a structural property, so the refusal
+        #: holds for every later sweep of this (possibly shared) kernel.
         if self.stores:
-            self.tileable = all(any(dim == 0 for dim, _ in axes)
-                                for _, axes in self.stores)
+            self.tileable = all(len(axes) == self.rank for _, axes in self.stores)
         else:
             self.tileable = bool(self.result_is_array) and all(self.result_is_array)
 

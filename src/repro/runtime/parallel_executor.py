@@ -14,8 +14,9 @@ Three pieces, each independently testable:
   ``convert-scf-to-openmp``) into contiguous, disjoint ``(lb, ub)`` spans that
   exactly cover the extent; :func:`plan_boxes` partitions a whole box into
   ``schedule.tile``-shaped sub-boxes; :func:`plan_cache_boxes` picks the
-  default shape — cache-sized, unit-stride axis whole — for sweeps nobody
-  scheduled;
+  default shape — cache-sized, unit-stride axis whole; :func:`plan_sweep`
+  composes them into the one plan every sweep runs — thread slabs along the
+  outermost dimension, each cut into ``schedule.tile`` or cache boxes;
 * :func:`run_boxes` — runs a kernel over a box plan: store kernels in place,
   pure kernels assembled by slab assignment;
 * :class:`ParallelExecutor` — a persistent worker pool executing tile
@@ -26,8 +27,8 @@ passed :meth:`CompiledKernel.guards_pass` has unit steps, in-bounds windows,
 no load/store aliasing and only same-array/same-index-map store pairs — so
 boxes that partition the domain write provably disjoint regions (exactly the
 guarantee ``scf.parallel`` iteration independence gives).  Anything weaker
-must run its boxes one after the other; :class:`repro.runtime.Interpreter`
-counts thread-plan refusals in ``stats["parallel_fallbacks"]``.
+runs the whole domain as one box; :class:`repro.runtime.Interpreter` counts
+a multi-thread sweep that ran as one slab in ``stats["parallel_fallbacks"]``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ import numpy as np
 #: One box of a sweep plan: ``(lowers, uppers)``, half-open per dimension.
 Box = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-#: Working-set budget of one box of the default (unscheduled, single-thread)
-#: sweep plan, see :func:`plan_cache_boxes`.  Measured, not derived: PW
+#: Working-set budget of one box of the default (no ``schedule.tile``) sweep
+#: plan, see :func:`plan_cache_boxes`.  Measured, not derived: PW
 #: advection at n = 64/96/128 runs fastest on a broad plateau of boxes of
 #: roughly 15k-60k points (docs/ARCHITECTURE.md "Parallel execution" has the
 #: table), and blocking loses below it, so the budget sits where n = 32
@@ -182,6 +183,53 @@ def plan_cache_boxes(
     return plan_boxes(lowers, uppers, sizes)
 
 
+def plan_sweep(
+    lowers: Sequence[int],
+    uppers: Sequence[int],
+    threads: int = 1,
+    schedule: str = "static",
+    chunk: Optional[int] = None,
+    strides: Optional[Sequence[int]] = None,
+    tile: Sequence[int] = (),
+    arrays: int = 1,
+) -> Tuple[List[Box], int, Optional[str]]:
+    """The box plan of one sweep over ``[lowers, uppers)``: *who* × *how big*,
+    as ``(boxes, slabs, shape)``.
+
+    *Who*: with ``threads > 1``, :func:`plan_tiles` cuts the outermost swept
+    dimension — the largest ``|strides[d]|``, the loop a real ``omp parallel
+    do`` workshares; dimension 0 when no stride is known — into ``slabs``
+    slabs under the OpenMP ``schedule`` / ``chunk``; otherwise there is one
+    slab.  *How big*: every slab is cut by :func:`plan_boxes` when ``tile``
+    (a ``schedule.tile`` attribute) matches the rank, else by
+    :func:`plan_cache_boxes` when the strides are known, else stays whole.
+    ``shape`` names the cut that produced more boxes than slabs — "schedule",
+    "cache" or None.  The boxes partition the domain, slab after slab; an
+    empty domain has none.
+    """
+    lowers, uppers = tuple(lowers), tuple(uppers)
+    if any(upper <= lower for lower, upper in zip(lowers, uppers)):
+        return [], 0, None
+    slabs: List[Box] = [(lowers, uppers)]
+    if threads > 1:
+        dim = 0 if strides is None else \
+            max(range(len(lowers)), key=lambda d: abs(strides[d]))
+        slabs = [(lowers[:dim] + (lo,) + lowers[dim + 1:],
+                  uppers[:dim] + (up,) + uppers[dim + 1:])
+                 for lo, up in plan_tiles(lowers[dim], uppers[dim], threads,
+                                          schedule, chunk)]
+    if len(tile) == len(lowers):
+        shape = "schedule"
+        boxes = [box for slab in slabs for box in plan_boxes(*slab, tile)]
+    elif strides is not None:
+        shape = "cache"
+        boxes = [box for slab in slabs
+                 for box in plan_cache_boxes(*slab, strides, arrays)]
+    else:
+        shape, boxes = None, slabs
+    return boxes, len(slabs), shape if len(boxes) > len(slabs) else None
+
+
 def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
               uppers: Sequence[int], boxes: Sequence[Box],
               executor: Optional["ParallelExecutor"] = None) -> Optional[List[object]]:
@@ -277,6 +325,7 @@ __all__ = [
     "plan_tiles",
     "plan_boxes",
     "plan_cache_boxes",
+    "plan_sweep",
     "run_boxes",
     "ParallelExecutor",
     "get_executor",

@@ -402,7 +402,6 @@ class CompileService:
         while True:
             task = self._queue.get()
             if task is None:
-                self._queue.task_done()
                 return
             with self._lock:
                 self._latency["queue_wait"].append(
@@ -427,8 +426,6 @@ class CompileService:
                 self._bump("failed")
                 if not task.future.done():
                     task.future.set_exception(exc)
-            finally:
-                self._queue.task_done()
 
     # -- introspection / lifecycle ---------------------------------------------
 
@@ -459,10 +456,6 @@ class CompileService:
             store=store.stats if store is not None else {},
             latency=latency,
         )
-
-    def drain(self) -> None:
-        """Block until every admitted request has been processed."""
-        self._queue.join()
 
     def close(self) -> None:
         """Stop accepting requests and shut the worker threads down."""

@@ -23,8 +23,6 @@ from .pipelines import (
     GPU_STENCIL_PIPELINE,
     OPENMP_PIPELINE,
     PIPELINES,
-    build_pass_manager,
-    run_pipeline,
 )
 from .stencil_discovery import StencilDiscoveryPass
 from .stencil_extraction import ExtractStencilsPass
@@ -58,6 +56,4 @@ __all__ = [
     "DMP_PIPELINE",
     "FIR_STENCIL_PIPELINE",
     "PIPELINES",
-    "build_pass_manager",
-    "run_pipeline",
 ]

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..ir.context import Context
-from ..ir.pass_manager import PassManager
-
 # Ensure every pass referenced by the pipelines below is registered.
 from . import cleanup  # noqa: F401
 from . import distributed  # noqa: F401
@@ -94,19 +91,6 @@ GPU_STENCIL_PIPELINE = gpu_stencil_pipeline()
 DMP_PIPELINE = "convert-stencil-to-dmp,convert-dmp-to-mpi,canonicalize"
 
 
-def build_pass_manager(pipeline: str, ctx: Optional[Context] = None,
-                       verify_each: bool = True) -> PassManager:
-    """Create a pass manager from an mlir-opt style pipeline string."""
-    pm = PassManager(ctx, verify_each=verify_each)
-    pm.add_pipeline(pipeline)
-    return pm
-
-
-def run_pipeline(module, pipeline: str, ctx: Optional[Context] = None) -> None:
-    """Parse ``pipeline`` and run it on ``module`` in place."""
-    build_pass_manager(pipeline, ctx).run(module)
-
-
 PIPELINES = {
     "fir-stencil": FIR_STENCIL_PIPELINE,
     "cpu": CPU_PIPELINE,
@@ -127,6 +111,4 @@ __all__ = [
     "gpu_stencil_pipeline",
     "DMP_PIPELINE",
     "PIPELINES",
-    "build_pass_manager",
-    "run_pipeline",
 ]

@@ -28,15 +28,14 @@ GRIDS = [(1, 1), (2, 1), (2, 2), (4, 1)]
 
 
 def run_distributed(session, grid, global_field, niters, execution_mode,
-                    pool_size=None, threads=None):
+                    threads=None):
     """One executor run of Gauss-Seidel through the fluent API."""
     n = global_field.shape[0]
     program = session.compile(
         gauss_seidel.generate_source_shaped((n + 2,) * 3, niters=1)
     )
     plan = program.lower("dmp", grid=grid, execution_mode=execution_mode).distribute(
-        source_builder=gauss_seidel.generate_source_shaped,
-        pool_size=pool_size, threads=threads,
+        source_builder=gauss_seidel.generate_source_shaped, threads=threads,
     )
     return plan.run(global_field, iterations=niters)
 
@@ -99,16 +98,14 @@ class TestDifferentialAgreement:
 
 
 class TestDeterminism:
-    def test_identical_bits_across_pool_sizes(self, session):
-        """Two runs with different rank-pool sizes (and hence different
-        worker interleavings) must produce identical bits: rank execution is
-        synchronised by messages, never by scheduling."""
+    def test_identical_bits_across_runs(self, session):
+        """Two runs (and hence two worker interleavings) must produce
+        identical bits: rank execution is synchronised by messages, never by
+        scheduling."""
         rng = np.random.default_rng(23)
         field = np.asfortranarray(rng.random((12, 12, 12)))
-        first = run_distributed(session, (2, 2), field, 2, "vectorize",
-                                pool_size=4)
-        second = run_distributed(session, (2, 2), field, 2, "vectorize",
-                                 pool_size=9)
+        first = run_distributed(session, (2, 2), field, 2, "vectorize")
+        second = run_distributed(session, (2, 2), field, 2, "vectorize")
         np.testing.assert_array_equal(first.field, second.field)
         assert first.messages == second.messages
         assert first.bytes == second.bytes
@@ -178,13 +175,6 @@ class TestExecutorMechanics:
             assert stats.local_shape == (6, 10, 10)
         assert run.messages == sum(s.messages for s in run.rank_stats)
         assert run.bytes == sum(s.bytes for s in run.rank_stats)
-
-    def test_pool_never_smaller_than_rank_count(self):
-        # A pool with fewer workers than ranks would let a blocked receive
-        # starve the very neighbour it waits for.
-        executor = DistributedExecutor((2, 2), pool_size=1)
-        assert executor.pool_workers == 4
-        assert DistributedExecutor((2, 2), pool_size=7).pool_workers == 7
 
     def test_indivisible_extent_rejected(self):
         executor = DistributedExecutor((4, 1))
@@ -317,12 +307,6 @@ class TestCommunicatorDiagnostics:
         comm = SimulatedCommunicator(2, timeout=0.05)
         with pytest.raises(MPIError, match="barrier timed out.*1 of 2"):
             comm.barrier(0)
-
-    def test_invalid_pool_size_rejected(self):
-        with pytest.raises(MPIError, match="pool_size"):
-            DistributedExecutor((2, 2), pool_size=0)
-        with pytest.raises(MPIError, match="pool_size"):
-            DistributedExecutor((2, 2), pool_size=-8)
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(MPIError, match="timeout"):

@@ -33,6 +33,7 @@ from repro.runtime.parallel_executor import (
     get_executor,
     plan_boxes,
     plan_cache_boxes,
+    plan_sweep,
     plan_tiles,
 )
 
@@ -189,6 +190,67 @@ class TestPlanCacheBoxes:
         monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 64)
         assert plan_cache_boxes((0,), (1000,), (8,), 4) == [((0,), (1000,))]
         assert plan_cache_boxes((0, 3), (10, 3), (8, 80), 4) == []
+
+
+class TestPlanSweep:
+    """The composed plan: thread slabs along the outermost dimension, each
+    cut into ``schedule.tile`` boxes or cache boxes."""
+
+    F_STRIDES, C_STRIDES = (8, 96, 1152), (1152, 96, 8)
+    LOWERS, UPPERS = (1, 1, 1), (11, 11, 11)
+
+    def test_one_thread_under_budget_is_the_whole_domain(self):
+        assert plan_sweep(self.LOWERS, self.UPPERS, strides=self.F_STRIDES) == \
+            ([(self.LOWERS, self.UPPERS)], 1, None)
+        assert plan_sweep(self.LOWERS, self.UPPERS) == \
+            ([(self.LOWERS, self.UPPERS)], 1, None)
+        assert plan_sweep((1, 4), (9, 4), threads=2, strides=(8, 80)) == ([], 0, None)
+
+    @pytest.mark.parametrize("strides,outer", [
+        (F_STRIDES, 2), (C_STRIDES, 0), ((96, 1152, 8), 1), (None, 0)])
+    def test_slabs_cut_the_largest_stride_dimension(self, strides, outer):
+        boxes, slabs, shape = plan_sweep(self.LOWERS, self.UPPERS, threads=2,
+                                         strides=strides)
+        assert (slabs, shape) == (2, None)
+        for (lb, ub), span in zip(boxes, [(1, 6), (6, 11)]):
+            assert (lb[outer], ub[outer]) == span
+            assert all((lb[d], ub[d]) == (1, 11) for d in range(3) if d != outer)
+
+    def test_dynamic_chunk_gives_chunk_thick_slabs_of_one_box_each(self):
+        """The OpenMP clause keeps its meaning: chunk-sized pieces of the
+        workshared loop.  Under the real budget a slab is one box."""
+        boxes, slabs, shape = plan_sweep(
+            self.LOWERS, self.UPPERS, threads=4, schedule="dynamic", chunk=2,
+            strides=self.F_STRIDES, arrays=3)
+        assert (slabs, shape) == (5, None)
+        assert boxes == [((1, 1, lo), (11, 11, lo + 2)) for lo in range(1, 11, 2)]
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
+    @pytest.mark.parametrize("tile", [(), (4, 4, 4)], ids=["cache", "tile"])
+    @pytest.mark.parametrize("strides", [F_STRIDES, C_STRIDES], ids=["F", "C"])
+    def test_threaded_boxes_partition_the_domain(self, schedule, tile, strides,
+                                                 monkeypatch):
+        # Half a plane fits: even dynamic's one-plane slabs are cut again.
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1200)
+        boxes, slabs, shape = plan_sweep(
+            self.LOWERS, self.UPPERS, threads=3, schedule=schedule,
+            strides=strides, tile=tile, arrays=3)
+        assert slabs >= 3 and len(boxes) > slabs
+        assert shape == ("schedule" if tile else "cache")
+        cover = np.zeros((12, 12, 12), dtype=int)
+        for lb, ub in boxes:
+            cover[lb[0]:ub[0], lb[1]:ub[1], lb[2]:ub[2]] += 1
+        assert (cover[1:11, 1:11, 1:11] == 1).all() and cover.sum() == 1000
+        if not tile:    # cache boxes never cut the unit-stride dimension
+            whole = 0 if strides is self.F_STRIDES else 2
+            assert all((lb[whole], ub[whole]) == (1, 11) for lb, ub in boxes)
+
+    def test_tile_of_another_rank_leaves_the_default_shape(self, monkeypatch):
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 2400)
+        boxes, slabs, shape = plan_sweep(self.LOWERS, self.UPPERS,
+                                         strides=self.F_STRIDES, tile=(4, 4),
+                                         arrays=3)
+        assert (len(boxes), slabs, shape) == (10, 1, "cache")
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,42 @@ class TestInterpreterCore:
         with pytest.raises(InterpreterError, match="expects 2 arguments, got 3"):
             interp.call("saxpy", 1.0, 2.0, 3.0)
 
+    @pytest.mark.parametrize("mode", ["interpret", "vectorize"])
+    @pytest.mark.parametrize("array,received", [
+        (np.zeros((8, 8, 8), dtype=np.float32, order="F"), "dtype float32"),
+        (np.zeros((10, 10, 10), order="F"), "shape (10, 10, 10)"),
+        (np.zeros((6, 6, 6), order="F"), "shape (6, 6, 6)"),
+        (np.zeros((8, 8), order="F"), "shape (8, 8)"),
+    ], ids=["dtype", "larger", "smaller", "rank"])
+    def test_call_holds_arrays_to_the_declared_fir_type(self, array, received,
+                                                        mode):
+        """Wrong dtype, extent or rank is refused at the boundary with the
+        declared type — never computed on, never a NumPy error from inside a
+        kernel."""
+        import repro
+        from repro.apps import gauss_seidel
+
+        compiled = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower("cpu")
+        with pytest.raises(InterpreterError) as error:
+            compiled.run("gauss_seidel", array, execution_mode=mode)
+        message = str(error.value)
+        assert "arg0" in message and "!fir.array<8x8x8xf64>" in message
+        assert received in message
+        assert not array.any()
+
+    def test_dynamic_extents_match_any_size(self):
+        from repro.dialects import fir
+        from repro.ir.types import DYNAMIC
+
+        f = func.FuncOp.build(
+            "f", [fir.ReferenceType(fir.SequenceType([DYNAMIC, 5], f64))], [])
+        f.entry_block.add_op(func.ReturnOp([]))
+        interp = Interpreter(ModuleOp([f]))
+        interp.call("f", np.zeros((3, 5), order="F"))
+        interp.call("f", np.zeros((9, 5), order="F"))
+        with pytest.raises(InterpreterError, match=r"!fir.array<\?x5xf64>"):
+            interp.call("f", np.zeros((3, 4), order="F"))
+
     def test_scf_for_with_iter_args(self):
         # sum of 0..9 using loop-carried values
         f = func.FuncOp.build("sum10", [], [index])

@@ -3,6 +3,8 @@ run kernel lookup → guards → box plan → ``run_boxes`` → crosscheck → s
 
 Every op kind × every box plan must be bitwise equal to the scalar oracle
 (``execution_mode="interpret"``) and feed exactly the counters its plan names.
+The plan is one composition — thread slabs × (``schedule.tile`` or cache)
+boxes — so the counters of a row that engages both simply add.
 """
 
 import numpy as np
@@ -43,13 +45,16 @@ PLANS = {
     "whole": (1, False, None, {}),
     "threads": (3, False, None, {"parallel_sweeps": 1, "parallel_tiles": 3}),
     "boxes": (1, True, None, {"schedule_tiles": 27}),
-    "boxes+threads": (2, True, None, {"schedule_tiles": 27}),
-    # The default plan once a sweep overflows the budget; every other plan
-    # (a user tile, a thread count) and every launch takes precedence.
+    # Two 5-plane slabs, each cut into 3 x 3 x 2 tile boxes.
+    "boxes+threads": (2, True, None, {"parallel_sweeps": 1, "parallel_tiles": 2,
+                                      "schedule_tiles": 36}),
     "cache": (1, False, TINY_BUDGET, {"cache_tiles": 10}),
-    "threads-over-cache": (3, False, TINY_BUDGET,
-                           {"parallel_sweeps": 1, "parallel_tiles": 3}),
-    "boxes-over-cache": (1, True, TINY_BUDGET, {"schedule_tiles": 27}),
+    # Three slabs of 4, 3 and 3 planes, each cut into one-plane cache boxes.
+    "threads+cache": (3, False, TINY_BUDGET,
+                      {"parallel_sweeps": 1, "parallel_tiles": 3,
+                       "cache_tiles": 10}),
+    # A ``schedule.tile`` is the box shape; the budget then shapes nothing.
+    "boxes-not-cache": (1, True, TINY_BUDGET, {"schedule_tiles": 27}),
 }
 
 
@@ -62,8 +67,7 @@ def run_gauss_seidel(compiled, **interpreter_options):
 @pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
 @pytest.mark.parametrize("kind,plan", [
     (kind, plan) for kind in KINDS for plan in PLANS
-    # Launches stay single-box: the gpu backend takes no loop schedule
-    # directives, and a thread count must not tile (or count against) them.
+    # The gpu backend refuses loop schedule directives at lower time.
     if not (kind == "launch" and plan.startswith("boxes"))
 ])
 def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
@@ -81,8 +85,7 @@ def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
                                         threads=threads)
     assert result.tobytes() == oracle.tobytes()
     expected = {sweep_counter: NITERS}
-    if kind != "launch":
-        expected.update({key: count * NITERS for key, count in per_sweep.items()})
+    expected.update({key: count * NITERS for key, count in per_sweep.items()})
     assert counters == expected
 
 
@@ -115,13 +118,14 @@ def build_column_index_apply(n):
     return apply_op
 
 
-@pytest.mark.parametrize("threads,tile,fallback", [
-    (2, None, "parallel_fallbacks"),
-    (1, (2, 2), "schedule_fallbacks"),
-    (1, None, "cache_fallbacks"),
+@pytest.mark.parametrize("threads,tile,engaged", [
+    (2, None, {"parallel", "cache"}),
+    (2, (2, 2), {"parallel", "schedule"}),
+    (1, (2, 2), {"schedule"}),
+    (1, None, {"cache"}),
 ])
 def test_broadcasting_apply_result_refuses_once_and_recomputes(
-        threads, tile, fallback, monkeypatch):
+        threads, tile, engaged, monkeypatch):
     monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 256)
     n = 8
     apply_op = build_column_index_apply(n)
@@ -137,16 +141,20 @@ def test_broadcasting_apply_result_refuses_once_and_recomputes(
     kernel = compiler.kernel_for(apply_op).kernel
     assert kernel.tileable
 
+    def fallbacks():
+        return {plan: interp.stats[plan + "_fallbacks"]
+                for plan in ("parallel", "schedule", "cache")}
+
     [first] = exec_apply(interp, apply_op, temp)
     assert not kernel.tileable                      # refused and memoised
-    assert interp.stats[fallback] == 1
+    # Every plan the composition engaged is refused once, no other.
+    assert fallbacks() == {plan: int(plan in engaged) for plan in fallbacks()}
     [second] = exec_apply(interp, apply_op, temp)   # straight to whole-domain
-    # A thread plan is re-refused (and counted) every sweep; box plans only
-    # once, the cleared ``tileable`` keeping later sweeps whole.
-    assert interp.stats[fallback] == (2 if threads > 1 else 1)
-    assert sum(interp.stats[key] for key in (
-        "parallel_fallbacks", "schedule_fallbacks", "cache_fallbacks")) == \
-        interp.stats[fallback]
+    # Only a thread count keeps counting: a sweep that runs as one slab
+    # although threads > 1.  The cleared ``tileable`` plans no boxes at all.
+    assert fallbacks() == {"parallel": 2 * int(threads > 1),
+                           "schedule": int("schedule" in engaged),
+                           "cache": int("cache" in engaged)}
     assert interp.stats["parallel_sweeps"] == interp.stats["schedule_tiles"] \
         == interp.stats["cache_tiles"] == 0
     assert interp.stats["vectorized_sweeps"] == 2
@@ -159,34 +167,85 @@ def test_broadcasting_apply_result_refuses_once_and_recomputes(
 def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
         order, monkeypatch):
     """Under the budget the plan is the whole domain; over it the boxes cut
-    the largest-stride axes and never the unit-stride one — which axis that
-    is, is read off the swept array, not assumed."""
+    the largest-stride axes and never the unit-stride one, and thread slabs
+    cut the largest-stride axis — which axis that is, is read off the swept
+    array, not assumed."""
     n = 18
     apply_op = build_average_apply(n)
     data = np.array(np.random.default_rng(31).random((n, n)), order=order)
     temp = TempValue(data, (0, 0))
     [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op, temp)
+    compiler = KernelCompiler(use_shared_cache=False)
     interp = Interpreter([ModuleOp([])], execution_mode="crosscheck",
+                         kernel_compiler=compiler)
+    threaded = Interpreter([ModuleOp([])], execution_mode="crosscheck",
+                           threads=2, kernel_compiler=compiler)
+    kernel = compiler.kernel_for(apply_op).kernel
+    lb, ub = (1, 1), (n - 1, n - 1)
+    whole = 0 if order == "F" else 1
+
+    def plan(interpreter):
+        return interpreter._plan_sweep(apply_op, kernel, [temp], lb, ub,
+                                       ("static", None))
+
+    assert plan(interp) == ([(lb, ub)], 1, None)
+    boxes, slabs, name = plan(threaded)
+    assert (slabs, name) == (2, None)
+    assert [(box_lb[1 - whole], box_ub[1 - whole]) for box_lb, box_ub in boxes] \
+        == [(1, 9), (9, 17)]
+    assert all((box_lb[whole], box_ub[whole]) == (1, 17) for box_lb, box_ub in boxes)
+    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1024)
+    for interpreter, slabs in ((interp, 1), (threaded, 2)):
+        boxes, planned_slabs, name = plan(interpreter)
+        assert (planned_slabs, name) == (slabs, "cache") and len(boxes) > slabs
+        cover = np.zeros((n, n), dtype=int)
+        for box_lb, box_ub in boxes:
+            assert (box_lb[whole], box_ub[whole]) == (lb[whole], ub[whole])
+            cover[box_lb[0]:box_ub[0], box_lb[1]:box_ub[1]] += 1
+        assert (cover[1:-1, 1:-1] == 1).all() and cover.sum() == (n - 2) ** 2
+
+        [boxed] = exec_apply(interpreter, apply_op, temp)
+        assert interpreter.stats["cache_tiles"] == len(boxes)
+        assert interpreter.stats["parallel_tiles"] == (slabs if slabs > 1 else 0)
+        assert boxed.tobytes() == np.asarray(oracle).tobytes()
+        assert boxed.flags["F_CONTIGUOUS"] == \
+            np.asarray(oracle).flags["F_CONTIGUOUS"]
+
+
+def test_kernel_without_a_full_rank_window_is_sliced_along_dimension_zero():
+    """No swept array, no strides: the thread slabs cut dimension 0 and no
+    cache boxes are planned."""
+    n = 10
+    apply_op = build_average_apply(n)
+    body = apply_op.body.block
+    for op in reversed(list(body.ops)):
+        op.erase(safe=False)
+    b = Builder.at_end(body)
+    row, column = (b.insert(arith.SIToFPOp(b.insert(stencil.IndexOp(dim)).results[0],
+                                           f64)).results[0] for dim in (0, 1))
+    b.insert(stencil.ReturnOp([b.insert(arith.AddfOp(row, column)).results[0]]))
+    temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
+    [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op, temp)
+    interp = Interpreter([ModuleOp([])], execution_mode="crosscheck", threads=2,
                          kernel_compiler=KernelCompiler(use_shared_cache=False))
     kernel = interp.kernels.kernel_for(apply_op).kernel
-    lb, ub = (1, 1), (n - 1, n - 1)
+    assert kernel.dim_strides([temp]) is None
+    assert interp._plan_sweep(apply_op, kernel, [temp], (1, 1), (n - 1, n - 1),
+                              ("static", None)) == \
+        ([((1, 1), (5, n - 1)), ((5, 1), (n - 1, n - 1))], 2, None)
+    [sliced] = exec_apply(interp, apply_op, temp)
+    assert interp.stats["parallel_tiles"] == 2
+    assert sliced.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
-    def plan():
-        return interp._plan_sweep(apply_op, kernel, [temp], lb, ub,
-                                  ("static", None))
 
-    assert plan() == ([(lb, ub)], None)
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1024)
-    boxes, name = plan()
-    assert name == "cache" and len(boxes) > 1
-    whole = 0 if order == "F" else 1
-    cover = np.zeros((n, n), dtype=int)
-    for box_lb, box_ub in boxes:
-        assert (box_lb[whole], box_ub[whole]) == (lb[whole], ub[whole])
-        cover[box_lb[0]:box_ub[0], box_lb[1]:box_ub[1]] += 1
-    assert (cover[1:-1, 1:-1] == 1).all() and cover.sum() == (n - 2) ** 2
-
-    [boxed] = exec_apply(interp, apply_op, temp)
-    assert interp.stats["cache_tiles"] == len(boxes)
-    assert boxed.tobytes() == np.asarray(oracle).tobytes()
-    assert boxed.flags["F_CONTIGUOUS"] == np.asarray(oracle).flags["F_CONTIGUOUS"]
+def test_openmp_clause_shapes_the_slabs_of_the_outermost_loop():
+    """``schedule(dynamic, 2)`` on a Fortran-ordered 10^3 sweep: five slabs two
+    planes thick along dimension 2, each one box under the real budget."""
+    compiled = repro.compile(gauss_seidel.generate_source(N, niters=NITERS)).lower(
+        "openmp", lower_to_scf=True, schedule="dynamic", chunk_size=2)
+    oracle, _ = run_gauss_seidel(compiled, execution_mode="interpret")
+    result, counters = run_gauss_seidel(compiled, execution_mode="crosscheck",
+                                        threads=4)
+    assert result.tobytes() == oracle.tobytes()
+    assert counters == {"vectorized_sweeps": NITERS, "parallel_sweeps": NITERS,
+                        "parallel_tiles": 5 * NITERS}

@@ -37,6 +37,18 @@ class TestStencilToDMP:
         )
         assert swap_index < load_index
 
+    def test_unlowered_halo_swap_is_not_executable(self):
+        """``convert-dmp-to-mpi`` is the one halo exchange: a ``dmp.halo_swap``
+        that skipped it has no interpreter handler."""
+        from repro.runtime import Interpreter, InterpreterError
+
+        result = self._dmp_module()
+        interp = Interpreter(result.modules,
+                             decomposition=CartesianDecomposition((20, 20, 10), (2, 2), (0, 1)))
+        with pytest.raises(InterpreterError,
+                           match="no interpreter handler for operation 'dmp.halo_swap'"):
+            interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
+
     def test_grid_string_option(self):
         p = ConvertStencilToDMPPass(grid="4x8")
         assert p.grid == (4, 8)
