@@ -8,7 +8,7 @@ from ..ir.attributes import Attribute, StringAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region
 from ..ir.ssa import SSAValue
-from ..ir.traits import IsolatedFromAbove, NoTerminator, SingleBlockRegion
+from ..ir.traits import IsolatedFromAbove, NoTerminator, Pure, SingleBlockRegion
 from ..ir.types import TypeAttribute
 
 
@@ -50,6 +50,7 @@ class UnrealizedConversionCastOp(Operation):
     """Type-system escape hatch converting values between incompatible types."""
 
     name = "builtin.unrealized_conversion_cast"
+    traits = (Pure,)
 
     def __init__(self, inputs: Sequence[SSAValue], result_types: Sequence[TypeAttribute]):
         super().__init__(operands=inputs, result_types=result_types)

@@ -21,7 +21,7 @@ from ..ir.attributes import StringAttr, TypeAttr, UnitAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import BlockArgument, SSAValue
-from ..ir.traits import HasMemoryEffect, IsTerminator, SingleBlockRegion
+from ..ir.traits import HasMemoryEffect, IsTerminator, Pure, ReadOnly, SingleBlockRegion
 from ..ir.types import DYNAMIC, IndexType, TypeAttribute, index
 
 
@@ -237,6 +237,7 @@ class DeclareOp(Operation):
     """``fir.declare`` — bind a memory reference to a source-level variable name."""
 
     name = "fir.declare"
+    traits = (Pure,)
 
     def __init__(self, memref: SSAValue, uniq_name: str):
         super().__init__(
@@ -258,7 +259,7 @@ class LoadOp(Operation):
     """``fir.load`` — read a value from a reference."""
 
     name = "fir.load"
-    traits = (HasMemoryEffect,)
+    traits = (ReadOnly,)
 
     def __init__(self, memref: SSAValue):
         if not is_reference_like(memref.type):
@@ -305,6 +306,7 @@ class CoordinateOfOp(Operation):
     """
 
     name = "fir.coordinate_of"
+    traits = (Pure,)
 
     def __init__(self, ref: SSAValue, indices: Sequence[SSAValue]):
         elem = element_type_of(ref.type)
@@ -425,6 +427,7 @@ class ConvertOp(Operation):
     """
 
     name = "fir.convert"
+    traits = (Pure,)
 
     def __init__(self, value: SSAValue, result_type: TypeAttribute):
         super().__init__(operands=[value], result_types=[result_type])
@@ -438,6 +441,7 @@ class NoReassocOp(Operation):
     """``fir.no_reassoc`` — barrier preventing reassociation of its operand."""
 
     name = "fir.no_reassoc"
+    traits = (Pure,)
 
     def __init__(self, value: SSAValue):
         super().__init__(operands=[value], result_types=[value.type])

@@ -8,7 +8,7 @@ from ..ir.attributes import IntegerAttr, UnitAttr
 from ..ir.context import Dialect
 from ..ir.operation import Operation, VerifyException
 from ..ir.ssa import SSAValue
-from ..ir.traits import HasMemoryEffect
+from ..ir.traits import HasMemoryEffect, Pure, ReadOnly
 from ..ir.types import DYNAMIC, IndexType, MemRefType, i64, index
 
 
@@ -61,7 +61,7 @@ class LoadOp(Operation):
     """``memref.load`` — read one element."""
 
     name = "memref.load"
-    traits = (HasMemoryEffect,)
+    traits = (ReadOnly,)
 
     def __init__(self, memref: SSAValue, indices: Sequence[SSAValue]):
         if not isinstance(memref.type, MemRefType):
@@ -130,6 +130,7 @@ class DimOp(Operation):
     """``memref.dim`` — query the extent of one dimension."""
 
     name = "memref.dim"
+    traits = (Pure,)
 
     def __init__(self, memref: SSAValue, dimension: SSAValue):
         super().__init__(operands=[memref, dimension], result_types=[index])
@@ -165,6 +166,7 @@ class CastOp(Operation):
     """``memref.cast`` — reinterpret a memref with a compatible type."""
 
     name = "memref.cast"
+    traits = (Pure,)
 
     def __init__(self, source: SSAValue, result_type: MemRefType):
         super().__init__(operands=[source], result_types=[result_type])

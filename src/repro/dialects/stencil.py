@@ -22,7 +22,7 @@ from ..ir.attributes import DenseArrayAttr, IntegerAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
-from ..ir.traits import IsTerminator, SingleBlockRegion
+from ..ir.traits import IsTerminator, Pure, ReadOnly, SingleBlockRegion
 from ..ir.types import TypeAttribute, i64, index
 
 
@@ -111,6 +111,7 @@ class ExternalLoadOp(Operation):
     llvm_ptr) as a stencil field."""
 
     name = "stencil.external_load"
+    traits = (ReadOnly,)
 
     def __init__(self, source: SSAValue, field_type: FieldType):
         super().__init__(operands=[source], result_types=[field_type])
@@ -137,6 +138,7 @@ class CastOp(Operation):
     """``stencil.cast`` — constrain a field to static bounds."""
 
     name = "stencil.cast"
+    traits = (ReadOnly,)
 
     def __init__(self, field: SSAValue, result_type: FieldType):
         super().__init__(operands=[field], result_types=[result_type])
@@ -150,6 +152,7 @@ class LoadOp(Operation):
     """``stencil.load`` — take a read-only temp snapshot of a field."""
 
     name = "stencil.load"
+    traits = (ReadOnly,)
 
     def __init__(self, field: SSAValue, result_type: Optional[TempType] = None):
         if result_type is None:
@@ -249,6 +252,7 @@ class AccessOp(Operation):
     current grid point."""
 
     name = "stencil.access"
+    traits = (Pure,)
 
     def __init__(self, temp: SSAValue, offset: Sequence[int]):
         ttype = temp.type
@@ -283,6 +287,7 @@ class IndexOp(Operation):
     """``stencil.index`` — the current grid point's index along ``dim``."""
 
     name = "stencil.index"
+    traits = (Pure,)
 
     def __init__(self, dim: int, offset: Sequence[int] = ()):
         super().__init__(

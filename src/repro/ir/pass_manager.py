@@ -7,13 +7,17 @@ A pass pipeline can be described textually, e.g.::
 which mirrors how the paper drives ``mlir-opt`` (Listing 4).  Options are
 parsed into strings / ints / int-lists and passed to the pass constructor as
 keyword arguments (dashes become underscores).
+
+A name in a pipeline is either *implemented* (a registered pass, scheduled and
+run) or *accepted*: an MLIR pass the paper's pipelines name that has nothing to
+do on this substrate.  Accepted names are parsed and recorded, never run.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type, Union
 
 from .context import Context
 from .operation import Operation
@@ -55,6 +59,8 @@ class PassRegistry:
 
     def __init__(self):
         self._passes: Dict[str, Callable[..., ModulePass]] = {}
+        #: Names a pipeline may mention that have nothing to do here.
+        self.accepted: Set[str] = set()
 
     def register(self, pass_class: Type[ModulePass], name: Optional[str] = None) -> None:
         key = name or pass_class.name
@@ -66,7 +72,8 @@ class PassRegistry:
     def get(self, name: str) -> Callable[..., ModulePass]:
         if name not in self._passes:
             raise KeyError(
-                f"unknown pass '{name}'; registered passes: {sorted(self._passes)}"
+                f"unknown pass '{name}'; implemented passes: {self.names()}; "
+                f"accepted (parsed, nothing to run): {sorted(self.accepted)}"
             )
         return self._passes[name]
 
@@ -166,17 +173,19 @@ class PassManager:
         self.verify_each = verify_each
         self.registry = registry or GLOBAL_PASS_REGISTRY
         self.passes: List[ModulePass] = []
+        #: Accepted names the pipeline mentioned, in order; none is scheduled.
+        self.accepted: List[str] = []
         self.statistics: List[PassStatistics] = []
 
     # -- building the pipeline ---------------------------------------------
 
     def add(self, pass_or_name: Union[ModulePass, str], **options: PassOption) -> "PassManager":
-        if isinstance(pass_or_name, str):
-            factory = self.registry.get(pass_or_name)
-            pass_instance = factory(**options)
+        if not isinstance(pass_or_name, str):
+            self.passes.append(pass_or_name)
+        elif pass_or_name in self.registry.accepted:
+            self.accepted.append(pass_or_name)
         else:
-            pass_instance = pass_or_name
-        self.passes.append(pass_instance)
+            self.passes.append(self.registry.get(pass_or_name)(**options))
         return self
 
     def add_pipeline(self, pipeline: str) -> "PassManager":
@@ -188,8 +197,9 @@ class PassManager:
 
     def run(self, module: Operation) -> List[PassStatistics]:
         self.statistics = []
+        ops_after = sum(1 for _ in module.walk())
         for pass_instance in self.passes:
-            ops_before = sum(1 for _ in module.walk())
+            ops_before = ops_after
             start = time.perf_counter()
             pass_instance.apply(self.ctx, module)
             elapsed = time.perf_counter() - start

@@ -1,18 +1,21 @@
-"""Pattern rewriting infrastructure.
+"""Pattern rewriting and dead-op erasure on one use-driven worklist.
 
 Mirrors MLIR's greedy pattern rewriter at the granularity this project needs:
 patterns match single operations and mutate the IR through a
-:class:`PatternRewriter`, and :func:`apply_patterns` walks the module applying
-patterns until a fixed point (or an iteration cap) is reached.
+:class:`PatternRewriter`, and :func:`apply_patterns` visits each seeded
+operation once, erasing it if it :func:`~repro.ir.traits.is_trivially_dead`
+and otherwise offering it to the patterns; an operation is visited again only
+when a rewrite or an erasure touched something it uses or is used by.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .builder import Builder, InsertPoint
-from .operation import Block, IRError, Operation, Region
-from .ssa import SSAValue
+from .operation import IRError, Operation
+from .ssa import OpResult, SSAValue
+from .traits import is_trivially_dead
 
 
 class RewritePattern:
@@ -20,7 +23,7 @@ class RewritePattern:
 
     Subclasses implement :meth:`match_and_rewrite`; they must call methods on
     the rewriter (rather than mutating the IR directly) so that the driver can
-    detect progress.
+    detect progress and knows which operations to visit again.
     """
 
     #: Optional operation name filter; if set, the driver only calls the
@@ -31,12 +34,26 @@ class RewritePattern:
         raise NotImplementedError
 
 
+def _definers(op: Operation) -> Iterator[Operation]:
+    """The operations defining an operand of ``op`` or of anything nested in
+    it — what may become dead once ``op`` is erased.  The body of a
+    region-carrying op uses values defined outside it, so its own operands
+    are not enough."""
+    for inner in op.walk():
+        for operand in inner.operands:
+            if isinstance(operand, OpResult):
+                yield operand.op
+
+
 class PatternRewriter:
-    """Mutation interface handed to patterns; records whether anything changed."""
+    """Mutation interface handed to patterns; records whether anything changed
+    and which operations the driver has to visit again because of it."""
 
     def __init__(self, current_op: Operation):
         self.current_op = current_op
         self.has_done_action = False
+        #: New ops, users of replaced values and definers of dropped operands.
+        self.revisit: List[Operation] = []
 
     # -- insertion ---------------------------------------------------------
 
@@ -46,15 +63,7 @@ class PatternRewriter:
         if block is None:
             raise IRError("anchor operation is not attached to a block")
         block.insert_op_before(new_op, anchor)
-        self.has_done_action = True
-        return new_op
-
-    def insert_op_after(self, new_op: Operation, anchor: Optional[Operation] = None) -> Operation:
-        anchor = anchor or self.current_op
-        block = anchor.parent_block()
-        if block is None:
-            raise IRError("anchor operation is not attached to a block")
-        block.insert_op_after(new_op, anchor)
+        self.revisit.append(new_op)
         self.has_done_action = True
         return new_op
 
@@ -95,6 +104,9 @@ class PatternRewriter:
                 f"replace_op: {op.name} has {len(op.results)} results but "
                 f"{len(new_results)} replacements were given"
             )
+        self.revisit.extend(new_ops)
+        self.revisit.extend(use.operation for old in op.results for use in old.uses)
+        self.revisit.extend(_definers(op))
         for old, new in zip(op.results, new_results):
             if new is None:
                 if old.has_uses:
@@ -108,68 +120,76 @@ class PatternRewriter:
         self.has_done_action = True
 
     def erase_op(self, op: Optional[Operation] = None, *, safe: bool = True) -> None:
-        (op or self.current_op).erase(safe=safe)
-        self.has_done_action = True
-
-    def replace_all_uses_with(self, old: SSAValue, new: SSAValue) -> None:
-        old.replace_all_uses_with(new)
-        self.has_done_action = True
-
-    # -- region surgery ----------------------------------------------------------
-
-    def inline_block_before(self, block: Block, anchor: Operation,
-                            arg_values: Sequence[SSAValue] = ()) -> None:
-        """Move the operations of ``block`` before ``anchor``, substituting the
-        block arguments with ``arg_values``."""
-        if len(arg_values) != len(block.args):
-            raise IRError("inline_block_before: argument count mismatch")
-        for arg, value in zip(block.args, arg_values):
-            arg.replace_all_uses_with(value)
-        target = anchor.parent_block()
-        if target is None:
-            raise IRError("anchor operation is not attached to a block")
-        for op in list(block.ops):
-            op.detach()
-            target.insert_op_before(op, anchor)
+        op = op or self.current_op
+        self.revisit.extend(_definers(op))
+        op.erase(safe=safe)
         self.has_done_action = True
 
 
 class GreedyRewriteResult:
-    """Outcome of :func:`apply_patterns`."""
+    """Outcome of :func:`apply_patterns`: pattern applications, dead ops
+    erased, and whether the worklist drained before the rewrite cap."""
 
-    def __init__(self, converged: bool, iterations: int, rewrites: int):
+    def __init__(self, converged: bool, rewrites: int, erased: int):
         self.converged = converged
-        self.iterations = iterations
         self.rewrites = rewrites
+        self.erased = erased
 
 
 def apply_patterns(
     root: Operation,
     patterns: Iterable[RewritePattern],
     *,
-    max_iterations: int = 32,
+    seeds: Optional[Iterable[Operation]] = None,
+    max_rewrites: int = 100_000,
 ) -> GreedyRewriteResult:
-    """Greedily apply ``patterns`` to every op under ``root`` until fixpoint."""
+    """Erase trivially dead ops and greedily apply ``patterns`` until nothing
+    is left to visit.
+
+    The worklist starts with ``seeds`` (default: every op under ``root``) and
+    is popped last-in first-out, so users are visited before the ops defining
+    their operands and a chain of dead ops goes in one pass.  Erasing an op
+    pushes the definers of its operands; a rewrite pushes what the
+    :class:`PatternRewriter` recorded.  ``max_rewrites`` only guards against
+    patterns that undo each other.
+    """
     patterns = list(patterns)
-    total_rewrites = 0
-    for iteration in range(1, max_iterations + 1):
-        changed = False
-        # Snapshot the op list: patterns may add/remove operations while we walk.
-        for op in list(root.walk(include_self=False)):
-            if op.parent is None:
-                continue  # erased by an earlier rewrite in this sweep
-            for pattern in patterns:
-                if pattern.op_name is not None and op.name != pattern.op_name:
-                    continue
-                rewriter = PatternRewriter(op)
-                pattern.match_and_rewrite(op, rewriter)
-                if rewriter.has_done_action:
-                    changed = True
-                    total_rewrites += 1
-                    break  # the op may no longer exist; move to the next op
-        if not changed:
-            return GreedyRewriteResult(True, iteration, total_rewrites)
-    return GreedyRewriteResult(False, max_iterations, total_rewrites)
+    # A list plus id-keyed membership, never a set of ops: the visiting order
+    # decides where rewrites insert, and the printed IR is content-hashed.
+    worklist: List[Operation] = []
+    queued = set()
+
+    def push(ops: Iterable[Operation]) -> None:
+        for op in ops:
+            if id(op) not in queued:
+                queued.add(id(op))
+                worklist.append(op)
+
+    push(root.walk(include_self=False) if seeds is None else seeds)
+    rewrites = erased = 0
+    while worklist:
+        op = worklist.pop()
+        queued.discard(id(op))
+        if op.parent is None:
+            continue  # erased since it was pushed
+        if is_trivially_dead(op):
+            definers = list(_definers(op))
+            op.erase()
+            erased += 1
+            push(definers)
+            continue
+        for pattern in patterns:
+            if pattern.op_name is not None and op.name != pattern.op_name:
+                continue
+            rewriter = PatternRewriter(op)
+            pattern.match_and_rewrite(op, rewriter)
+            if rewriter.has_done_action:
+                rewrites += 1
+                if rewrites >= max_rewrites:
+                    return GreedyRewriteResult(False, rewrites, erased)
+                push(rewriter.revisit)
+                break  # the op may no longer exist
+    return GreedyRewriteResult(True, rewrites, erased)
 
 
 __all__ = [

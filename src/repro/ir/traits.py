@@ -27,11 +27,17 @@ class NoTerminator:
 
 
 class Pure:
-    """The operation has no side effects and can be freely removed when unused."""
+    """The operation has no side effects: it may be erased when unused and
+    merged with an identical operation (CSE)."""
+
+
+class ReadOnly:
+    """The operation only reads memory: it may be erased when unused, but is
+    never merged — a store between two identical loads changes the second."""
 
 
 class HasMemoryEffect:
-    """The operation reads or writes memory and must not be removed by DCE."""
+    """The operation writes or allocates memory and is never erased as dead."""
 
 
 class SingleBlockRegion:
@@ -91,13 +97,28 @@ def has_trait(op: Operation, trait: type) -> bool:
     return trait in type(op).traits
 
 
+def is_trivially_dead(op: Operation) -> bool:
+    """The compile path's one notion of dead code: an attached, region-free
+    operation that declares :class:`Pure` or :class:`ReadOnly` and whose
+    results (it has some) are all unused."""
+    return (
+        op.parent is not None
+        and bool(op.results)
+        and not op.regions
+        and (has_trait(op, Pure) or has_trait(op, ReadOnly))
+        and not any(result.uses for result in op.results)
+    )
+
+
 __all__ = [
     "IsTerminator",
     "NoTerminator",
     "Pure",
+    "ReadOnly",
     "HasMemoryEffect",
     "SingleBlockRegion",
     "IsolatedFromAbove",
     "SymbolOpInterface",
     "has_trait",
+    "is_trivially_dead",
 ]

@@ -7,51 +7,29 @@ between the structural lowerings (``canonicalize``, ``cse``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..dialects import arith
 from ..dialects.builtin import UnrealizedConversionCastOp
 from ..ir.context import Context
 from ..ir.operation import Operation
 from ..ir.pass_manager import ModulePass, register_pass
-from ..ir.traits import HasMemoryEffect, IsTerminator, has_trait
+from ..ir.rewriting import PatternRewriter, RewritePattern, apply_patterns
+from ..ir.traits import Pure, has_trait
 
 
-def _is_pure(op: Operation) -> bool:
-    if op.regions:
-        return False
-    if has_trait(op, HasMemoryEffect) or has_trait(op, IsTerminator):
-        return False
-    if not op.results:
-        return False
-    side_effect_free_prefixes = ("arith.", "math.", "builtin.unrealized", "stencil.index")
-    pure_names = {
-        "fir.convert", "fir.no_reassoc", "fir.declare", "fir.coordinate_of",
-        "memref.cast", "memref.dim", "stencil.access",
-    }
-    return op.name.startswith(side_effect_free_prefixes) or op.name in pure_names
-
-
-def eliminate_dead_code(root: Operation) -> int:
-    """Remove pure operations whose results are unused; returns removal count."""
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for op in list(root.walk(include_self=False)):
-            if op.parent is None or not _is_pure(op):
-                continue
-            if any(r.has_uses for r in op.results):
-                continue
-            op.erase()
-            removed += 1
-            changed = True
-    return removed
+def eliminate_dead_code(
+    root: Operation, seeds: Optional[Iterable[Operation]] = None
+) -> int:
+    """Erase every :func:`~repro.ir.traits.is_trivially_dead` operation
+    reachable from ``seeds`` (default: everything under ``root``) through
+    operand definers; returns the removal count."""
+    return apply_patterns(root, (), seeds=seeds).erased
 
 
 @register_pass
 class DeadCodeEliminationPass(ModulePass):
-    """``dce`` — drop unused pure operations."""
+    """``dce`` — drop trivially dead operations."""
 
     name = "dce"
 
@@ -59,15 +37,8 @@ class DeadCodeEliminationPass(ModulePass):
         eliminate_dead_code(module)
 
 
-@register_pass
-class CanonicalizePass(ModulePass):
-    """``canonicalize`` — constant folding of arith ops plus DCE."""
-
-    name = "canonicalize"
-
-    def apply(self, ctx: Context, module: Operation) -> None:
-        self._fold_constants(module)
-        eliminate_dead_code(module)
+class _FoldConstants(RewritePattern):
+    """Replace an arith op whose operands are all constants by its value."""
 
     _FOLDERS = {
         "arith.addi": lambda a, b: a + b,
@@ -79,31 +50,26 @@ class CanonicalizePass(ModulePass):
         "arith.divf": lambda a, b: a / b if b != 0 else None,
     }
 
-    def _fold_constants(self, module: Operation) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for op in list(module.walk(include_self=False)):
-                if op.parent is None or op.name not in self._FOLDERS:
-                    continue
-                operands = []
-                for operand in op.operands:
-                    defining = getattr(operand, "op", None)
-                    if isinstance(defining, arith.ConstantOp):
-                        operands.append(defining.literal)
-                    else:
-                        operands.append(None)
-                if any(v is None for v in operands):
-                    continue
-                folded = self._FOLDERS[op.name](*operands)
-                if folded is None:
-                    continue
-                block = op.parent_block()
-                constant = arith.ConstantOp(folded, op.results[0].type)
-                block.insert_op_before(constant, op)
-                op.results[0].replace_all_uses_with(constant.results[0])
-                op.erase()
-                changed = True
+    def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> None:
+        folder = self._FOLDERS.get(op.name)
+        if folder is None:
+            return
+        definers = [getattr(operand, "op", None) for operand in op.operands]
+        if not all(isinstance(d, arith.ConstantOp) for d in definers):
+            return
+        folded = folder(*(d.literal for d in definers))
+        if folded is not None:
+            rewriter.replace_op(op, [arith.ConstantOp(folded, op.results[0].type)])
+
+
+@register_pass
+class CanonicalizePass(ModulePass):
+    """``canonicalize`` — constant folding of arith ops plus DCE."""
+
+    name = "canonicalize"
+
+    def apply(self, ctx: Context, module: Operation) -> None:
+        apply_patterns(module, [_FoldConstants()])
 
 
 @register_pass
@@ -122,7 +88,7 @@ class CSEPass(ModulePass):
     def _run_on_block(self, block) -> None:
         seen: Dict[Tuple, Operation] = {}
         for op in list(block.ops):
-            if not _is_pure(op):
+            if not has_trait(op, Pure):  # loads are not mergeable across stores
                 continue
             key = (
                 op.name,
@@ -158,44 +124,6 @@ class ReconcileUnrealizedCastsPass(ModulePass):
                     result.replace_all_uses_with(operand)
                 op.erase()
         eliminate_dead_code(module)
-
-
-# Stand-ins for MLIR passes that appear in the paper's pipelines but whose
-# effect is either irrelevant to the simulated execution or folded into other
-# passes here.  Registering them keeps the textual pipelines of Listing 4 valid.
-class _NoOpPass(ModulePass):
-    def __init__(self, **_options):
-        pass
-
-    def apply(self, ctx: Context, module: Operation) -> None:
-        return
-
-
-def _register_noop(name: str) -> None:
-    cls = type(f"_NoOp_{name.replace('-', '_')}", (_NoOpPass,), {"name": name})
-    register_pass(cls)
-
-
-for _name in (
-    "test-math-algebraic-simplification",
-    "test-expand-math",
-    "fold-memref-alias-ops",
-    "finalize-memref-to-llvm",
-    "lower-affine",
-    "gpu-kernel-outlining",
-    "gpu-async-region",
-    "convert-arith-to-llvm",
-    "convert-scf-to-cf",
-    "convert-cf-to-llvm",
-    "convert-gpu-to-nvvm",
-    "gpu-to-cubin",
-    "gpu-to-llvm",
-    "scf-for-loop-specialization",
-    "scf-parallel-loop-specialization",
-    "func.func",
-    "gpu.module",
-):
-    _register_noop(_name)
 
 
 __all__ = [

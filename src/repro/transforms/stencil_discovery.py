@@ -34,6 +34,7 @@ from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
+from ..ir.rewriting import PatternRewriter, RewritePattern, apply_patterns
 from ..ir.ssa import BlockArgument, OpResult, SSAValue
 from ..ir.types import FloatType, IndexType, IntegerType, f64, index
 from .stencil_fusion import merge_adjacent_applies
@@ -377,7 +378,6 @@ class StencilDiscoveryPass(ModulePass):
             inserted += 1
 
         if inserted:
-            _erase_dead_arithmetic(func_op)
             _remove_empty_loops(func_op)
             if self.merge:
                 merge_adjacent_applies(func_op)
@@ -627,42 +627,23 @@ class StencilDiscoveryPass(ModulePass):
 # Cleanup helpers
 # ---------------------------------------------------------------------------
 
-_SIDE_EFFECT_FREE = (
-    "arith.", "math.", "fir.convert", "fir.no_reassoc", "fir.coordinate_of",
-    "fir.load", "fir.declare",
-)
+class _EraseEmptyLoop(RewritePattern):
+    op_name = "fir.do_loop"
 
-
-def _erase_dead_arithmetic(func_op: FuncOp) -> None:
-    """Remove now-unused arithmetic / address / load operations (local DCE)."""
-    changed = True
-    while changed:
-        changed = False
-        for op in list(func_op.walk()):
-            if op is func_op:
-                continue
-            if any(res.has_uses for res in op.results):
-                continue
-            if not op.results:
-                continue
-            if any(op.name.startswith(prefix) for prefix in _SIDE_EFFECT_FREE):
-                op.erase()
-                changed = True
+    def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> None:
+        if _loop_is_empty(op):
+            rewriter.erase_op(op, safe=False)
 
 
 def _remove_empty_loops(func_op: FuncOp) -> None:
-    """Erase ``fir.do_loop`` nests whose bodies only maintain their loop variable."""
-    changed = True
-    while changed:
-        changed = False
-        for op in list(func_op.walk()):
-            if not isinstance(op, fir.DoLoopOp):
-                continue
-            if _loop_is_empty(op):
-                op.erase(safe=False)
-                changed = True
-                # The loop bounds may now be dead as well.
-                _erase_dead_arithmetic(func_op)
+    """Erase the now-unused arithmetic / address / load operations and every
+    ``fir.do_loop`` nest whose body only maintains its loop variable.
+
+    One worklist run: it visits inner loops before the loops around them, and
+    erasing a loop revisits the definers of everything its body used, so
+    bounds computed in an outer body die before that outer loop is looked at.
+    """
+    apply_patterns(func_op, [_EraseEmptyLoop()])
 
 
 def _loop_is_empty(loop: fir.DoLoopOp) -> bool:

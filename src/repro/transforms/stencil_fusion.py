@@ -21,6 +21,7 @@ from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
+from .cleanup import eliminate_dead_code
 
 
 def _source_root(value: SSAValue) -> Optional[SSAValue]:
@@ -162,20 +163,14 @@ def merge_adjacent_applies(func_op: FuncOp) -> int:
                     break
             if changed:
                 break
-    _erase_dead_loads(func_op)
-    return fused_count
-
-
-def _erase_dead_loads(func_op: FuncOp) -> None:
-    """Erase ``stencil.load`` ops nothing uses — the duplicates operand
-    deduplication strands, each of which would still execute as a whole-field
-    snapshot copy — and the external_load/cast ops only they kept alive."""
+    # Operand deduplication strands duplicate stencil.load ops, each of which
+    # would still execute as a whole-field snapshot copy; erase them and the
+    # external_load/cast ops only they kept alive.
     chain = (stencil.LoadOp, stencil.CastOp, stencil.ExternalLoadOp)
-    candidates = [op for op in func_op.walk() if isinstance(op, chain)]
-    for kind in chain:  # users before their producers
-        for op in candidates:
-            if isinstance(op, kind) and not op.results[0].has_uses:
-                op.erase()
+    eliminate_dead_code(
+        func_op, seeds=[op for op in func_op.walk() if isinstance(op, chain)]
+    )
+    return fused_count
 
 
 def _blocks_of(func_op: FuncOp):

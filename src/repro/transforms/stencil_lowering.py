@@ -28,6 +28,7 @@ from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import SSAValue
 from ..ir.types import MemRefType, index
+from .cleanup import eliminate_dead_code
 
 
 class LoweringError(Exception):
@@ -91,18 +92,11 @@ class ConvertStencilToSCFPass(ModulePass):
                 elif isinstance(op, stencil.ApplyOp):
                     self._lower_apply(op, memref_of, origin_of)
 
-        # Second sweep: the stencil ops themselves are now dead; erase them
-        # bottom-up (stores/applies were erased during the first sweep).
-        changed = True
-        while changed:
-            changed = False
-            for op in list(func_op.walk()):
-                if not op.name.startswith("stencil."):
-                    continue
-                if any(r.has_uses for r in op.results):
-                    continue
-                op.erase(safe=False)
-                changed = True
+        # The stencil loads and casts are now dead (stores/applies were
+        # erased above).
+        eliminate_dead_code(func_op, seeds=[
+            op for op in func_op.walk() if op.name.startswith("stencil.")
+        ])
 
     @staticmethod
     def _blocks(func_op: FuncOp) -> List[Block]:

@@ -2,21 +2,32 @@
 
 import pytest
 
-from repro.dialects import arith, func
+import repro
+from repro.api import get_backend
+from repro.apps import gauss_seidel
+from repro.dialects import arith, fir, func, memref
 from repro.dialects.builtin import ModuleOp
 from repro.ir import (
     Builder,
+    MemRefType,
     ModulePass,
     PassManager,
     PatternRewriter,
     RewritePattern,
+    VerifyException,
     apply_patterns,
     f64,
     index,
     parse_pipeline,
 )
 from repro.ir.pass_manager import GLOBAL_PASS_REGISTRY
-from repro.transforms import CanonicalizePass, CSEPass, DeadCodeEliminationPass
+from repro.transforms import (
+    GPU_PIPELINE,
+    GPU_STENCIL_PIPELINE,
+    CanonicalizePass,
+    CSEPass,
+    DeadCodeEliminationPass,
+)
 from repro.ir import default_context
 
 
@@ -94,6 +105,46 @@ class TestCleanupPasses:
         assert 5 in constants
         assert not any(isinstance(op, arith.AddiOp) for op in module.walk())
 
+    @staticmethod
+    def build_memory_module():
+        """``f(buf, x)``: load buf[0], store x to buf[0], load buf[0] again,
+        return the sum; plus an unused load, alloc, copy and fir.call."""
+        buffer_type = MemRefType((4,), f64)
+        f = func.FuncOp.build("f", [buffer_type, f64], [f64])
+        buf, x = f.entry_block.args
+        b = Builder.at_end(f.entry_block)
+        zero = b.insert(arith.ConstantOp.from_int(0, index)).result
+        first = b.insert(memref.LoadOp(buf, [zero]))
+        b.insert(memref.StoreOp(x, buf, [zero]))
+        second = b.insert(memref.LoadOp(buf, [zero]))
+        b.insert(memref.LoadOp(buf, [zero]))  # unused
+        scratch = b.insert(memref.AllocOp(buffer_type))  # unused but for the copy
+        b.insert(memref.CopyOp(buf, scratch.results[0]))
+        b.insert(fir.CallOp("side_effect", [x], [f64]))  # result unused
+        total = b.insert(arith.AddfOp(first.results[0], second.results[0]))
+        b.insert(func.ReturnOp([total.result]))
+        return ModuleOp([f])
+
+    @staticmethod
+    def assert_only_the_unused_load_went(module):
+        names = [op.name for op in module.walk()]
+        assert names.count("memref.load") == 2
+        for survivor in ("memref.alloc", "memref.store", "memref.copy", "fir.call"):
+            assert names.count(survivor) == 1, survivor
+        module.verify()
+
+    def test_dce_erases_an_unused_load_and_nothing_that_writes(self):
+        module = self.build_memory_module()
+        DeadCodeEliminationPass().apply(default_context(), module)
+        self.assert_only_the_unused_load_went(module)
+
+    def test_cse_never_merges_loads_across_a_store(self):
+        module = self.build_memory_module()
+        CSEPass().apply(default_context(), module)
+        self.assert_only_the_unused_load_went(module)
+        add = next(op for op in module.walk() if isinstance(op, arith.AddfOp))
+        assert add.operands[0] is not add.operands[1]
+
     def test_canonicalize_idempotent(self):
         module = build_module_with_redundancy()
         ctx = default_context()
@@ -114,8 +165,66 @@ class TestPassManager:
 
     def test_unknown_pass_rejected(self):
         pm = PassManager()
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as error:
             pm.add("definitely-not-a-pass")
+        assert "implemented passes" in str(error.value)
+        assert "accepted" in str(error.value)
+        for dropped in ("gpu-to-cubin", "func.func"):  # nothing parses these
+            with pytest.raises(KeyError):
+                pm.add(dropped)
+
+    def test_accepted_names_are_recorded_not_scheduled(self):
+        pm = PassManager().add_pipeline(GPU_STENCIL_PIPELINE)
+        assert [p.name for p in pm.passes] == [
+            "convert-stencil-to-scf", "scf-parallel-loop-tiling", "canonicalize",
+            "gpu-map-parallel-loops", "convert-parallel-loops-to-gpu",
+            "canonicalize", "reconcile-unrealized-casts",
+        ]
+        assert len(pm.accepted) == 10
+        assert set(pm.accepted) <= GLOBAL_PASS_REGISTRY.accepted
+        assert not any(name in GLOBAL_PASS_REGISTRY for name in pm.accepted)
+
+    def test_listing4_pipeline_parses_and_runs(self):
+        """The paper's Listing 4 mlir-opt pipeline: every name is implemented
+        or accepted, only the implemented ones run, and a GPU launch comes
+        out of an extracted Gauss-Seidel module."""
+        pipeline = "convert-stencil-to-scf{target=gpu}," + GPU_PIPELINE
+        names = [name for name, _ in parse_pipeline(pipeline)]
+        implemented = [n for n in names if n in GLOBAL_PASS_REGISTRY]
+        accepted = [n for n in names if n in GLOBAL_PASS_REGISTRY.accepted]
+        assert sorted(implemented + accepted) == sorted(names)
+        module = repro.Session().compile(
+            gauss_seidel.generate_source(8, niters=1)).lower("cpu").stencil_module
+        pm = PassManager().add_pipeline(pipeline)
+        stats = pm.run(module)
+        assert [p.name for p in pm.passes] == implemented
+        assert pm.accepted == accepted
+        assert [s.name for s in stats] == implemented
+        assert any(op.name == "gpu.launch_func" for op in module.walk())
+
+    def test_pass_statistics_list_only_passes_that_ran(self):
+        program = repro.Session().compile(gauss_seidel.generate_source(8, niters=1))
+        assert len(program.lower("gpu", lower_to_scf=True).pass_statistics) == 7
+        assert [s.name for s in program.lower("cpu", lower_to_scf=True).pass_statistics] \
+            == ["convert-stencil-to-scf", "canonicalize", "cse"]
+
+    @pytest.mark.parametrize("pipeline", [
+        "corrupt-module,test-expand-math", "test-expand-math,corrupt-module",
+    ])
+    def test_a_corrupting_pass_next_to_an_accepted_name_is_still_caught(
+            self, pipeline, monkeypatch):
+        class CorruptModule(ModulePass):
+            name = "corrupt-module"
+
+            def apply(self, ctx, module):
+                next(op for op in module.walk()
+                     if any(r.has_uses for r in op.results)).erase(safe=False)
+
+        monkeypatch.setitem(GLOBAL_PASS_REGISTRY._passes, "corrupt-module", CorruptModule)
+        backend = get_backend("cpu")
+        artifact = backend.lower(gauss_seidel.generate_source(8, niters=1))
+        with pytest.raises(VerifyException):
+            backend.run_pipeline(artifact, pipeline, default_context())
 
     def test_custom_pass_instance(self):
         class CountOps(ModulePass):

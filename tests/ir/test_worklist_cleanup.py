@@ -1,0 +1,209 @@
+"""The one cleanup engine: ``is_trivially_dead`` + the worklist driver behind
+``apply_patterns`` / ``eliminate_dead_code``."""
+
+import repro
+from repro.apps import gauss_seidel, pw_advection
+from repro.dialects import arith, fir, func
+from repro.dialects.builtin import ModuleOp
+from repro.frontend import compile_to_fir
+from repro.fuzz import DEFAULT_CONFIG, generate_spec
+from repro.ir import (
+    Builder,
+    RewritePattern,
+    apply_patterns,
+    default_context,
+    i32,
+    index,
+    print_module,
+)
+from repro.ir import rewriting
+from repro.ir.traits import Pure, ReadOnly, is_trivially_dead
+from repro.transforms import StencilDiscoveryPass, eliminate_dead_code
+from repro.transforms.cleanup import _FoldConstants
+from repro.transforms.stencil_discovery import _EraseEmptyLoop, _remove_empty_loops
+
+
+def naive_dce(root):
+    """Reference: re-walk the whole root until a walk erases nothing."""
+    removed, changed = 0, True
+    while changed:
+        changed = False
+        for op in list(root.walk(include_self=False)):
+            if is_trivially_dead(op):
+                op.erase()
+                removed, changed = removed + 1, True
+    return removed
+
+
+def _fir_modules(source):
+    """The post-discovery FIR, and the frontend's FIR with every store erased
+    (whole right-hand-side expression trees become dead at once)."""
+    discovered = compile_to_fir(source)
+    StencilDiscoveryPass().apply(default_context(), discovered)
+    storeless = compile_to_fir(source)
+    for op in list(storeless.walk()):
+        if isinstance(op, fir.StoreOp):
+            op.erase()
+    return discovered, storeless
+
+
+def _sources(fuzz_seeds):
+    yield pw_advection.generate_source(8)
+    yield gauss_seidel.generate_source(8, niters=2)
+    for seed in range(fuzz_seeds):
+        yield generate_spec(seed, DEFAULT_CONFIG).render()
+
+
+def test_worklist_dce_matches_the_naive_fixpoint(fuzz_seeds):
+    erased_anything = False
+    for source in _sources(fuzz_seeds):
+        for module in _fir_modules(source):
+            reference = module.clone()
+            expected = naive_dce(reference)
+            assert eliminate_dead_code(module) == expected
+            assert print_module(module) == print_module(reference)
+            assert eliminate_dead_code(module) == 0
+            module.verify()
+            erased_anything |= expected > 0
+    assert erased_anything
+
+
+# -- loops left empty by discovery ---------------------------------------------
+
+def _loop(builder, lb, ub, step, storage):
+    """An "empty" fir.do_loop: its body only stores the induction value."""
+    loop = builder.insert(fir.DoLoopOp(lb, ub, step))
+    body = Builder.at_end(loop.body.block)
+    converted = body.insert(fir.ConvertOp(loop.induction_variable, i32))
+    body.insert(fir.StoreOp(converted.results[0], storage))
+    return loop, body
+
+
+def _function():
+    f = func.FuncOp.build("f", [], [])
+    return f, Builder.at_end(f.entry_block)
+
+
+def _names(f):
+    return [op.name for op in f.walk(include_self=False)]
+
+
+def test_values_used_only_inside_an_erased_loop_go_with_it(monkeypatch):
+    """Trap (a): the declare below is no operand of the loop — only the store
+    in its body uses it."""
+
+    def build():
+        f, b = _function()
+        slot = b.insert(fir.AllocaOp(i32, "i"))
+        declared = b.insert(fir.DeclareOp(slot.results[0], "_QFfEi"))
+        one = b.insert(arith.ConstantOp.from_int(1, index)).result
+        eight = b.insert(arith.ConstantOp.from_int(8, index)).result
+        _, body = _loop(b, one, eight, one, declared.results[0])
+        body.insert(fir.ResultOp([]))
+        b.insert(func.ReturnOp([]))
+        return f
+
+    f = build()
+    _remove_empty_loops(f)
+    assert _names(f) == ["fir.alloca", "func.return"]
+    ModuleOp([f]).verify()
+
+    # The same from the loop alone: erasing it has to hand over the definers
+    # of everything its body used ...
+    def erase_from_the_loop_only():
+        f = build()
+        loop = next(f.walk_type(fir.DoLoopOp))
+        apply_patterns(f, [_EraseEmptyLoop()], seeds=[loop])
+        return _names(f)
+
+    assert erase_from_the_loop_only() == ["fir.alloca", "func.return"]
+    # ... because handing over the loop's own operands leaves the declare.
+    monkeypatch.setattr(rewriting, "_definers",
+                        lambda op: [v.op for v in op.operands if hasattr(v, "op")])
+    assert erase_from_the_loop_only() == ["fir.alloca", "fir.declare", "func.return"]
+
+
+def test_bounds_computed_in_the_outer_body_empty_the_outer_loop_too():
+    f, b = _function()
+    slot_i = b.insert(fir.AllocaOp(i32, "i")).results[0]
+    slot_j = b.insert(fir.AllocaOp(i32, "j")).results[0]
+    one = b.insert(arith.ConstantOp.from_int(1, index)).result
+    eight = b.insert(arith.ConstantOp.from_int(8, index)).result
+    _, outer_body = _loop(b, one, eight, one, slot_i)
+    upper = outer_body.insert(arith.SubiOp(eight, one))  # computed per outer iteration
+    _, inner_body = _loop(outer_body, one, upper.result, one, slot_j)
+    inner_body.insert(fir.ResultOp([]))
+    outer_body.insert(fir.ResultOp([]))
+    b.insert(func.ReturnOp([]))
+
+    _remove_empty_loops(f)
+    assert _names(f) == ["fir.alloca", "fir.alloca", "func.return"]
+    ModuleOp([f]).verify()
+
+
+# -- patterns on the same worklist --------------------------------------------
+
+def _constant_chain():
+    """``return ((2 + 3) * 4) - 1``."""
+    f = func.FuncOp.build("g", [], [index])
+    b = Builder.at_end(f.entry_block)
+    two, three, four, one = (
+        b.insert(arith.ConstantOp.from_int(v, index)).result for v in (2, 3, 4, 1))
+    add = b.insert(arith.AddiOp(two, three))
+    mul = b.insert(arith.MuliOp(add.result, four))
+    sub = b.insert(arith.SubiOp(mul.result, one))
+    b.insert(func.ReturnOp([sub.result]))
+    return ModuleOp([f])
+
+
+def test_fold_pattern_folds_a_chain_in_one_call():
+    module = _constant_chain()
+    result = apply_patterns(module, [_FoldConstants()])
+    assert result.converged and result.rewrites == 3
+    # Users were revisited after each fold and every dead input erased.
+    assert [getattr(op, "literal", op.name) for op in module.walk()][2:] == [19, "func.return"]
+    module.verify()
+
+
+def test_a_pattern_that_always_rewrites_hits_the_cap():
+    class Respawn(RewritePattern):
+        op_name = "arith.constant"
+
+        def match_and_rewrite(self, op, rewriter):
+            rewriter.replace_op(op, [arith.ConstantOp(op.literal, op.results[0].type)])
+
+    result = apply_patterns(_constant_chain(), [Respawn()], max_rewrites=20)
+    assert not result.converged and result.rewrites == 20
+
+
+# -- the predicate's inputs ----------------------------------------------------
+
+def test_every_op_the_old_name_tables_covered_declares_its_trait():
+    dialects = default_context().dialects
+    pure = [op for name in ("arith", "math") for op in dialects[name].operations]
+    assert len(pure) > 30
+    by_name = {op.name: op for d in dialects.values() for op in d.operations}
+    pure += [by_name[name] for name in (
+        "fir.convert", "fir.no_reassoc", "fir.declare", "fir.coordinate_of",
+        "memref.cast", "memref.dim", "stencil.access", "stencil.index",
+        "builtin.unrealized_conversion_cast",
+    )]
+    read_only = [by_name[name] for name in (
+        "fir.load", "memref.load", "stencil.load", "stencil.cast",
+        "stencil.external_load",
+    )]
+    assert [op.name for op in pure if Pure not in op.traits] == []
+    assert [op.name for op in read_only if ReadOnly not in op.traits] == []
+    # Nothing is both: CSE keys on Pure alone.
+    assert [op.name for op in by_name.values()
+            if Pure in op.traits and ReadOnly in op.traits] == []
+
+
+def test_two_fresh_sessions_print_identical_modules():
+    source = pw_advection.generate_source(8)
+
+    def printed():
+        compiled = repro.Session().compile(source).lower("gpu", lower_to_scf=True)
+        return print_module(compiled.fir_module) + print_module(compiled.stencil_module)
+
+    assert printed() == printed()
