@@ -158,9 +158,7 @@ class GatherOp(Operation):
 
 def _parse_grid_type(parser) -> GridType:
     parser.expect("<")
-    shape = [parser.parse_integer()]
-    while parser.try_consume("x"):
-        shape.append(parser.parse_integer())
+    shape = parser._parse_dims() + [parser.parse_integer()]
     parser.expect(">")
     return GridType(shape)
 

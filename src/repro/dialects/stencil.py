@@ -372,21 +372,14 @@ class BufferOp(Operation):
 # Textual type parsers
 # ---------------------------------------------------------------------------
 
-import re as _re
-
-_BOUND_RE = _re.compile(r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]x")
-
-
 def _parse_bounded_body(parser) -> Tuple[List[Tuple[int, int]], TypeAttribute]:
     parser.expect("<")
     bounds: List[Tuple[int, int]] = []
-    while True:
-        parser._skip_ws()
-        match = _BOUND_RE.match(parser.text, parser.pos)
-        if match is None:
-            break
-        parser.pos = match.end()
-        bounds.append((int(match.group(1)), int(match.group(2))))
+    while parser.try_consume("["):
+        lower = parser.parse_integer()
+        parser.expect(",")
+        bounds.append((lower, parser.parse_integer()))
+        parser.expect("]x")
     elem = parser.parse_type()
     parser.expect(">")
     return bounds, elem

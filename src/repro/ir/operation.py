@@ -262,35 +262,79 @@ class Operation:
         """Per-operation verification hook; subclasses override."""
 
     def verify(self) -> None:
-        """Verify this operation and everything nested within it."""
-        for i, operand in enumerate(self._operands):
-            found = any(
-                use.operation is self and use.index == i for use in operand.uses
-            )
-            if not found:
-                raise VerifyException(
-                    f"{self.name}: operand {i} does not have a registered use"
-                )
-        for region in self.regions:
-            if region.parent is not self:
-                raise VerifyException(f"{self.name}: region has wrong parent")
-            for block in region.blocks:
-                if block.parent is not region:
-                    raise VerifyException(f"{self.name}: block has wrong parent region")
-                for op in block.ops:
-                    if op.parent is not block:
-                        raise VerifyException(
-                            f"{self.name}: nested op {op.name} has wrong parent block"
+        """Verify this operation and everything nested within it.
+
+        One iterative pre-order pass checks the structure of the whole
+        subtree — every operand's use is registered on its value (looked up in
+        a per-value set built once), every region / block / operation points
+        at its parent — and records where each value is defined.  A second
+        loop over the same pre-order then checks ``IsolatedFromAbove`` (an
+        operation may only use values defined inside its innermost isolated
+        ancestor; the outermost violated ancestor is the one named) and calls
+        each operation's trait verifiers and ``verify_`` hook exactly once.
+        """
+        from .traits import IsolatedFromAbove
+
+        #: (operation, its isolated ancestors outermost first), in pre-order.
+        order: List[Tuple[Operation, Tuple[Operation, ...]]] = []
+        defined_in: Dict[int, Tuple[Operation, ...]] = {}
+        registered: Dict[int, set] = {}
+        stack: List[Tuple[Operation, Tuple[Operation, ...]]] = [(self, ())]
+        while stack:
+            entry = stack.pop()
+            order.append(entry)
+            op, isolated = entry
+            for i, value in enumerate(op._operands):
+                uses = registered.get(id(value))
+                if uses is None:
+                    uses = registered[id(value)] = {
+                        (id(use.operation), use.index) for use in value.uses
+                    }
+                if (id(op), i) not in uses:
+                    raise VerifyException(
+                        f"{op.name}: operand {i} does not have a registered use"
+                    )
+            for result in op.results:
+                defined_in[id(result)] = isolated
+            if not op.regions:
+                continue
+            if IsolatedFromAbove in op.traits:
+                isolated = isolated + (op,)
+            children: List[Tuple[Operation, Tuple[Operation, ...]]] = []
+            for region in op.regions:
+                if region.parent is not op:
+                    raise VerifyException(f"{op.name}: region has wrong parent")
+                for block in region.blocks:
+                    if block.parent is not region:
+                        raise VerifyException(f"{op.name}: block has wrong parent region")
+                    for arg in block.args:
+                        defined_in[id(arg)] = isolated
+                    for child in block._ops:
+                        if child.parent is not block:
+                            raise VerifyException(
+                                f"{op.name}: nested op {child.name} has wrong parent block"
+                            )
+                        children.append((child, isolated))
+            stack.extend(reversed(children))
+
+        for op, isolated in order:
+            if isolated:
+                for operand in op._operands:
+                    scope = defined_in.get(id(operand), ())
+                    if scope is not isolated and scope[: len(isolated)] != isolated:
+                        violated = next(
+                            anc for k, anc in enumerate(isolated)
+                            if k >= len(scope) or scope[k] is not anc
                         )
-        for trait in self.traits:
-            verifier = getattr(trait, "verify_trait", None)
-            if verifier is not None:
-                verifier(self)
-        self.verify_()
-        for region in self.regions:
-            for block in region.blocks:
-                for op in block.ops:
-                    op.verify()
+                        raise VerifyException(
+                            f"{violated.name}: operation {op.name} references a value "
+                            "defined outside of an IsolatedFromAbove region"
+                        )
+            for trait in op.traits:
+                verifier = getattr(trait, "verify_trait", None)
+                if verifier is not None:
+                    verifier(op)
+            op.verify_()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} '{self.name}'>"

@@ -1,13 +1,34 @@
 """Textual IR parser for the generic operation syntax emitted by the printer.
 
-The parser is character-based recursive descent.  It accepts the output of
-:mod:`repro.ir.printer` (round-trip stable) as well as modestly hand-written
-generic-syntax IR used in tests.
+The text is lexed **once**, by one compiled master pattern (``_TOKEN_RE``):
+``findall`` turns it into a list of token strings and the recursive-descent
+parser below only ever compares and consumes whole tokens.  Token offsets are
+not kept; the error path re-lexes to turn a token index into line / column.
+
+Each :class:`IRParser` carries two memos, private to that parse:
+
+* ``_types`` shares one instance per type spelling.  Types are immutable
+  value objects compared through ``_key()`` (the compile path already shares
+  instances), so sharing changes no result — it only makes the use-site
+  ``value.type != expected`` check an identity test.
+* ``_signatures`` maps the spelling of an operation's trailing
+  ``: (...) -> (...)`` to its parsed types.  The lexer emits such a tail as a
+  single token only when it follows ``) `` / ``} ``, runs to the end of its
+  line and contains nothing but two flat parenthesised lists (what the printer
+  writes).  The first time a spelling is seen the token is re-lexed and goes
+  through the ordinary type-list path; anything else — a trailing ``//``
+  comment, two ops on a line, a function type in the list, other spacing — is
+  never lexed as one token and takes the ordinary path every time, yielding
+  the same objects.
+
+It accepts the output of :mod:`repro.ir.printer` (round-trip stable) as well
+as modestly hand-written generic-syntax IR used in tests.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .attributes import (
@@ -52,12 +73,35 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.$\-]*")
-_VALUE_ID_RE = re.compile(r"[A-Za-z0-9_.$\-]+")
-_NUMBER_RE = re.compile(
-    r"-?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+|inf|nan)"
+_NUMBER = r"-?(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|inf|nan)"
+_TOKEN_RE = re.compile(
+    r"\s*(?://[^\n]*(?:\n\s*|\Z))*("  # whitespace and comments separate tokens
+    r'"(?:[^"\\]|\\[\s\S])*"'  # string literal
+    r"|[%@^][A-Za-z0-9_.$\-]*"  # value id, symbol, block label
+    # a whole operation signature, as the printer writes it (module docstring)
+    r"|(?<=[)}] ):[ \t]*\([^\n\"{}()/]*\)[ \t]*->[ \t]*\([^\n\"{}()/]*\)(?=[ \t\r]*(?:\n|\Z))"
+    r"|![A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*"  # dialect type head
+    r"|[A-Za-z_][A-Za-z0-9_.$\-]*"  # identifier / keyword
+    r"|(?:(?:\?|\d+)x)+"  # shape extents "64x?x"
+    rf"|{_NUMBER}|->|::|\]x"
+    # anything else one character at a time; the empty token closes the input
+    # (and, as lexing never fails, there is nothing to backtrack over)
+    r"|\S|\Z)"
 )
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.$\-]*")
+_NUMBER_RE = re.compile(_NUMBER)
 _INT_RE = re.compile(r"-?\d+")
+_DIMS_RE = re.compile(r"(?:(?:\?|\d+)x)+")
+_INT_TYPE_RE = re.compile(r"(u?)i(\d+)")
+_FLOAT_TYPE_RE = re.compile(r"f(16|32|64)")
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+
+
+def _token_start(text: str, index: int, begin: int = 0) -> int:
+    """Offset of the ``index``-th token lexed from ``text[begin:]``."""
+    match = next(islice(_TOKEN_RE.finditer(text, begin), index, None), None)
+    return len(text) if match is None else match.start(1)
 
 
 class IRParser:
@@ -65,178 +109,172 @@ class IRParser:
 
     def __init__(self, text: str, context: Optional[Context] = None):
         self.text = text
-        self.pos = 0
+        #: Token strings, closed by the empty end-of-input token.
+        self.toks: List[str] = _TOKEN_RE.findall(text)
+        self.i = 0
         if context is None:
             from .context import default_context
 
             context = default_context()
         self.context = context
         self.values: Dict[str, SSAValue] = {}
+        self._types: Dict[str, TypeAttribute] = {}
+        self._signatures: Dict[str, Tuple[list, list]] = {}
+        #: ``(tokens, index)`` of the module while a signature token is re-lexed.
+        self._outer: Optional[Tuple[List[str], int]] = None
 
     # ------------------------------------------------------------------
-    # Low-level cursor helpers
+    # Token helpers
     # ------------------------------------------------------------------
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl == -1 else nl
-            else:
-                break
 
     def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
+        # Token offsets are not kept while parsing: re-lex to find this one.
+        if self._outer is None:
+            pos = _token_start(self.text, self.i)
+        else:
+            toks, i = self._outer
+            pos = _token_start(self.text, i) + _token_start(toks[i], self.i, 1)
+        return ParseError(message, self.text, pos)
 
     def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
+        return not self.toks[self.i]
 
     def peek(self, literal: str) -> bool:
-        self._skip_ws()
-        return self.text.startswith(literal, self.pos)
+        return self.toks[self.i] == literal
 
     def try_consume(self, literal: str) -> bool:
-        if self.peek(literal):
-            self.pos += len(literal)
+        if self.toks[self.i] == literal:
+            self.i += 1
             return True
         return False
 
     def expect(self, literal: str) -> None:
-        if not self.try_consume(literal):
+        if self.toks[self.i] != literal:
             raise self._error(f"expected '{literal}'")
-
-    def _consume_regex(self, pattern: re.Pattern) -> Optional[str]:
-        self._skip_ws()
-        match = pattern.match(self.text, self.pos)
-        if match is None:
-            return None
-        self.pos = match.end()
-        return match.group(0)
+        self.i += 1
 
     def parse_ident(self) -> str:
-        ident = self._consume_regex(_IDENT_RE)
-        if ident is None:
+        tok = self.toks[self.i]
+        if not _IDENT_RE.fullmatch(tok):
             raise self._error("expected identifier")
-        return ident
+        self.i += 1
+        return tok
 
     def parse_string_literal(self) -> str:
-        self._skip_ws()
-        if not self.try_consume('"'):
+        tok = self.toks[self.i]
+        if tok[:1] != '"':
             raise self._error("expected string literal")
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated string literal")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == "\\":
-                nxt = self.text[self.pos]
-                self.pos += 1
-                out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            elif ch == '"':
-                break
-            else:
-                out.append(ch)
-        return "".join(out)
+        if len(tok) < 2:  # the lexer found no closing quote
+            raise self._error("unterminated string literal")
+        self.i += 1
+        body = tok[1:-1]
+        if "\\" in body:
+            body = _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), body)
+        return body
 
     def parse_integer(self) -> int:
-        token = self._consume_regex(_INT_RE)
-        if token is None:
+        tok = self.toks[self.i]
+        if not _INT_RE.fullmatch(tok):
             raise self._error("expected integer")
-        return int(token)
+        self.i += 1
+        return int(tok)
+
+    def _parse_float(self) -> float:
+        tok = self.toks[self.i]
+        if not _NUMBER_RE.fullmatch(tok):
+            raise self._error("expected number")
+        self.i += 1
+        return float(tok)
+
+    def _parse_sigil_name(self, sigil: str) -> str:
+        """A ``%value`` / ``@symbol`` token, returned without its sigil."""
+        tok = self.toks[self.i]
+        if tok[:1] != sigil or len(tok) < 2:
+            raise self._error(f"expected a name after '{sigil}'")
+        self.i += 1
+        return tok[1:]
 
     # ------------------------------------------------------------------
     # Types
     # ------------------------------------------------------------------
 
     def parse_type(self) -> TypeAttribute:
-        self._skip_ws()
-        if self.try_consume("!"):
-            return self._parse_dialect_type()
-        if self.peek("("):
-            return self._parse_function_type()
-        ident = self._consume_regex(re.compile(r"[A-Za-z][A-Za-z0-9_]*"))
-        if ident is None:
-            raise self._error("expected a type")
-        if ident == "index":
-            return IndexType()
-        if ident == "none":
-            return NoneType()
-        if re.fullmatch(r"i\d+", ident):
-            return IntegerType(int(ident[1:]))
-        if re.fullmatch(r"ui\d+", ident):
-            return IntegerType(int(ident[2:]), signed=False)
-        if re.fullmatch(r"f(16|32|64)", ident):
-            return FloatType(int(ident[1:]))
-        if ident == "memref":
-            shape, elem = self._parse_shaped_body()
-            return MemRefType(shape, elem)
-        if ident == "tensor":
-            shape, elem = self._parse_shaped_body()
-            return TensorType(shape, elem)
-        raise self._error(f"unknown type '{ident}'")
+        toks, start = self.toks, self.i
+        tok = toks[start]
+        shared = self._types.get(tok)
+        # A one-token spelling followed by '<' may open a longer one (!llvm.ptr).
+        if shared is not None and toks[start + 1] != "<":
+            self.i = start + 1
+            return shared
+        if tok == "(":
+            built: TypeAttribute = FunctionType(*self._parse_functional_type())
+        elif tok[:1] == "!":
+            built = self._parse_dialect_type(tok)
+        else:
+            self.i += 1
+            if tok == "index":
+                built = IndexType()
+            elif tok == "none":
+                built = NoneType()
+            elif tok == "memref":
+                built = MemRefType(*self._parse_shaped_body())
+            elif tok == "tensor":
+                built = TensorType(*self._parse_shaped_body())
+            elif match := _INT_TYPE_RE.fullmatch(tok):
+                built = IntegerType(int(match.group(2)), signed=not match.group(1))
+            elif _FLOAT_TYPE_RE.fullmatch(tok):
+                built = FloatType(int(tok[1:]))
+            else:
+                self.i = start
+                known = _IDENT_RE.fullmatch(tok)
+                raise self._error(f"unknown type '{tok}'" if known else "expected a type")
+        return self._types.setdefault(" ".join(toks[start : self.i]), built)
+
+    def _parse_dims(self) -> List[int]:
+        """Zero or more extents-with-``x`` (``64x?x``); ``?`` is :data:`DYNAMIC`."""
+        shape: List[int] = []
+        while _DIMS_RE.fullmatch(self.toks[self.i]):
+            for dim in self.toks[self.i][:-1].split("x"):
+                shape.append(DYNAMIC if dim == "?" else int(dim))
+            self.i += 1
+        return shape
 
     def _parse_shaped_body(self) -> Tuple[List[int], TypeAttribute]:
         self.expect("<")
-        shape: List[int] = []
-        dim_re = re.compile(r"(\?|\d+)x")
-        while True:
-            self._skip_ws()
-            match = dim_re.match(self.text, self.pos)
-            if match is None:
-                break
-            self.pos = match.end()
-            token = match.group(1)
-            shape.append(DYNAMIC if token == "?" else int(token))
+        shape = self._parse_dims()
         elem = self.parse_type()
         self.expect(">")
         return shape, elem
 
-    def _parse_function_type(self) -> FunctionType:
-        self.expect("(")
-        inputs: List[TypeAttribute] = []
-        if not self.peek(")"):
-            inputs.append(self.parse_type())
-            while self.try_consume(","):
-                inputs.append(self.parse_type())
-        self.expect(")")
+    def _parse_functional_type(self) -> Tuple[List[TypeAttribute], List[TypeAttribute]]:
+        """``(inputs) -> (results)`` or ``(inputs) -> result``."""
+        inputs = self.parse_type_list()
         self.expect("->")
-        results: List[TypeAttribute] = []
-        if self.try_consume("("):
-            if not self.peek(")"):
-                results.append(self.parse_type())
-                while self.try_consume(","):
-                    results.append(self.parse_type())
-            self.expect(")")
-        else:
-            results.append(self.parse_type())
-        return FunctionType(inputs, results)
+        if self.peek("("):
+            return inputs, self.parse_type_list()
+        return inputs, [self.parse_type()]
 
-    def _parse_dialect_type(self) -> TypeAttribute:
-        dialect_name = self._consume_regex(re.compile(r"[A-Za-z_][A-Za-z0-9_]*"))
-        if dialect_name is None:
-            raise self._error("expected dialect name after '!'")
-        self.expect(".")
-        mnemonic = self._consume_regex(re.compile(r"[A-Za-z_][A-Za-z0-9_]*"))
-        if mnemonic is None:
-            raise self._error("expected dialect type mnemonic")
+    def _parse_dialect_type(self, tok: str) -> TypeAttribute:
+        dialect_name, _, mnemonic = tok[1:].partition(".")
+        if not mnemonic:
+            raise self._error("expected '!dialect.mnemonic'")
         parser_fn = self.context.get_type_parser(dialect_name, mnemonic)
         if parser_fn is None:
-            raise self._error(f"unknown dialect type '!{dialect_name}.{mnemonic}'")
-        return parser_fn(self)
+            raise self._error(f"unknown dialect type '{tok}'")
+        self.i += 1
+        try:
+            return parser_fn(self)
+        except ValueError as exc:  # a type constructor rejected its parameters
+            raise self._error(str(exc)) from None
 
     def parse_type_list(self) -> List[TypeAttribute]:
         self.expect("(")
         types: List[TypeAttribute] = []
-        if not self.peek(")"):
+        if not self.try_consume(")"):
             types.append(self.parse_type())
             while self.try_consume(","):
                 types.append(self.parse_type())
-        self.expect(")")
+            self.expect(")")
         return types
 
     # ------------------------------------------------------------------
@@ -244,46 +282,38 @@ class IRParser:
     # ------------------------------------------------------------------
 
     def parse_attribute(self) -> Attribute:
-        self._skip_ws()
-        if self.peek('"'):
+        tok = self.toks[self.i]
+        first = tok[:1]
+        if first == '"':
             return StringAttr(self.parse_string_literal())
-        if self.try_consume("unit"):
-            return UnitAttr()
-        if self.try_consume("true"):
-            return BoolAttr(True)
-        if self.try_consume("false"):
-            return BoolAttr(False)
-        if self.peek("@"):
+        if first == "@":
             return self._parse_symbol_ref()
-        if self.peek("array<"):
-            return self._parse_dense_array()
-        if self.peek("dense<"):
-            return self._parse_dense_elements()
-        if self.peek("["):
+        if tok == "[":
             return self._parse_array_attr()
-        if self.peek("{"):
+        if tok == "{":
             return DictionaryAttr(self.parse_attr_dict_body())
-        number = self._try_parse_number_attr()
-        if number is not None:
-            return number
+        if tok == "unit":
+            self.i += 1
+            return UnitAttr()
+        if tok in ("true", "false"):
+            self.i += 1
+            return BoolAttr(tok == "true")
+        if tok in ("array", "dense") and self.toks[self.i + 1] == "<":
+            self.i += 2
+            return self._parse_dense_array() if tok == "array" else self._parse_dense_elements()
+        if _NUMBER_RE.fullmatch(tok):
+            return self._parse_number_attr(tok)
         # Fall back to a type attribute.
         return TypeAttr(self.parse_type())
 
     def _parse_symbol_ref(self) -> SymbolRefAttr:
-        self.expect("@")
-        root = self._consume_regex(_VALUE_ID_RE)
-        if root is None:
-            raise self._error("expected symbol name after '@'")
+        root = self._parse_sigil_name("@")
         nested: List[str] = []
-        while self.try_consume("::@"):
-            part = self._consume_regex(_VALUE_ID_RE)
-            if part is None:
-                raise self._error("expected nested symbol name")
-            nested.append(part)
+        while self.try_consume("::"):
+            nested.append(self._parse_sigil_name("@"))
         return SymbolRefAttr(root, nested)
 
     def _parse_dense_array(self) -> DenseArrayAttr:
-        self.expect("array<")
         self.expect("i64")
         values: List[int] = []
         if self.try_consume(":"):
@@ -294,18 +324,16 @@ class IRParser:
         return DenseArrayAttr(values)
 
     def _parse_dense_elements(self) -> DenseElementsAttr:
-        self.expect("dense<")
         self.expect("[")
         values: List[float] = []
         if not self.peek("]"):
-            values.append(float(self._consume_regex(_NUMBER_RE)))
+            values.append(self._parse_float())
             while self.try_consume(","):
-                values.append(float(self._consume_regex(_NUMBER_RE)))
+                values.append(self._parse_float())
         self.expect("]")
         self.expect(">")
         self.expect(":")
-        elem_type = self.parse_type()
-        return DenseElementsAttr(values, elem_type)
+        return DenseElementsAttr(values, self.parse_type())
 
     def _parse_array_attr(self) -> ArrayAttr:
         self.expect("[")
@@ -317,30 +345,27 @@ class IRParser:
         self.expect("]")
         return ArrayAttr(values)
 
-    def _try_parse_number_attr(self) -> Optional[Attribute]:
-        self._skip_ws()
-        match = _NUMBER_RE.match(self.text, self.pos)
-        if match is None:
-            return None
-        token = match.group(0)
-        self.pos = match.end()
-        is_float = any(c in token for c in ".eE") or token.lstrip("-") in ("inf", "nan")
-        if self.try_consume(":"):
-            attr_type = self.parse_type()
-            if isinstance(attr_type, FloatType):
-                return FloatAttr(float(token), attr_type)
-            return IntegerAttr(int(float(token)), attr_type)
-        if is_float:
-            return FloatAttr.from_float(float(token))
-        return IntegerAttr.from_int(int(token))
+    def _parse_number_attr(self, tok: str) -> Attribute:
+        self.i += 1
+        is_int = _INT_RE.fullmatch(tok) is not None
+        if not self.try_consume(":"):
+            return IntegerAttr.from_int(int(tok)) if is_int else FloatAttr.from_float(float(tok))
+        attr_type = self.parse_type()
+        if isinstance(attr_type, FloatType):
+            return FloatAttr(float(tok), attr_type)
+        if is_int:  # never through float: i64 values above 2**53 must survive
+            return IntegerAttr(int(tok), attr_type)
+        try:
+            return IntegerAttr(int(float(tok)), attr_type)
+        except (OverflowError, ValueError):
+            raise self._error(f"'{tok}' is not a value of {attr_type.print()}") from None
 
     def parse_attr_dict_body(self) -> Dict[str, Attribute]:
         self.expect("{")
         attrs: Dict[str, Attribute] = {}
         if not self.peek("}"):
             while True:
-                self._skip_ws()
-                if self.peek('"'):
+                if self.toks[self.i][:1] == '"':
                     key = self.parse_string_literal()
                 else:
                     key = self.parse_ident()
@@ -357,34 +382,31 @@ class IRParser:
 
     def parse_module(self) -> Operation:
         op = self.parse_operation()
-        self._skip_ws()
         if not self.at_end():
             raise self._error("unexpected trailing input after top-level operation")
         return op
 
+    def _parse_value_ids(self) -> List[str]:
+        names = [self._parse_sigil_name("%")]
+        while self.try_consume(","):
+            names.append(self._parse_sigil_name("%"))
+        return names
+
     def parse_operation(self) -> Operation:
         result_names: List[str] = []
-        self._skip_ws()
-        if self.peek("%"):
-            result_names.append(self._parse_value_id())
-            while self.try_consume(","):
-                result_names.append(self._parse_value_id())
+        if self.toks[self.i][:1] == "%":
+            result_names = self._parse_value_ids()
             self.expect("=")
         op_name = self.parse_string_literal()
 
         # Operand list
         self.expect("(")
-        operand_names: List[str] = []
-        if not self.peek(")"):
-            operand_names.append(self._parse_value_id())
-            while self.try_consume(","):
-                operand_names.append(self._parse_value_id())
+        operand_names = [] if self.peek(")") else self._parse_value_ids()
         self.expect(")")
 
         # Optional regions
         regions: List[Region] = []
-        if self.peek("({") or self.peek("( {"):
-            self.expect("(")
+        if self.try_consume("("):
             regions.append(self.parse_region())
             while self.try_consume(","):
                 regions.append(self.parse_region())
@@ -395,14 +417,7 @@ class IRParser:
         if self.peek("{"):
             attributes = self.parse_attr_dict_body()
 
-        # Functional type
-        self.expect(":")
-        operand_types = self.parse_type_list()
-        self.expect("->")
-        if self.peek("("):
-            result_types = self.parse_type_list()
-        else:
-            result_types = [self.parse_type()]
+        operand_types, result_types = self._parse_signature()
 
         if len(operand_types) != len(operand_names):
             raise self._error(
@@ -433,12 +448,22 @@ class IRParser:
             self.values[name] = res
         return op
 
-    def _parse_value_id(self) -> str:
-        self.expect("%")
-        name = self._consume_regex(_VALUE_ID_RE)
-        if name is None:
-            raise self._error("expected value name after '%'")
-        return name
+    def _parse_signature(self) -> Tuple[List[TypeAttribute], List[TypeAttribute]]:
+        """``: (operand types) -> result types``, once per whole-line spelling."""
+        tok = self.toks[self.i]
+        signature = self._signatures.get(tok)
+        if signature is None:
+            if tok[:1] != ":" or len(tok) < 3:  # ':' token by token, or an error
+                self.expect(":")
+                return self._parse_functional_type()
+            # A signature token not seen before: re-lex it, take the same path.
+            self._outer = self.toks, self.i
+            self.toks, self.i = _TOKEN_RE.findall(tok, 1), 0
+            signature = self._signatures[tok] = self._parse_functional_type()
+            self.toks, self.i = self._outer
+            self._outer = None
+        self.i += 1
+        return signature
 
     def _build_operation(
         self,
@@ -462,9 +487,8 @@ class IRParser:
     def parse_region(self) -> Region:
         self.expect("{")
         region = Region()
-        self._skip_ws()
-        if self.peek("^"):
-            while self.peek("^"):
+        if self.toks[self.i][:1] == "^":
+            while self.toks[self.i][:1] == "^":
                 region.add_block(self.parse_block())
         elif not self.peek("}"):
             block = Block()
@@ -475,26 +499,23 @@ class IRParser:
         return region
 
     def parse_block(self) -> Block:
-        self.expect("^")
-        self._consume_regex(_VALUE_ID_RE)  # block label (names are not referenced)
+        if self.toks[self.i][:1] != "^":
+            raise self._error("expected '^'")
+        self.i += 1  # the label; block names are not referenced
         block = Block()
         if self.try_consume("("):
             if not self.peek(")"):
                 while True:
-                    name = self._parse_value_id()
+                    name = self._parse_sigil_name("%")
                     self.expect(":")
-                    arg_type = self.parse_type()
-                    arg = block.add_arg(arg_type)
+                    arg = block.add_arg(self.parse_type())
                     arg.name_hint = name
                     self.values[name] = arg
                     if not self.try_consume(","):
                         break
             self.expect(")")
         self.expect(":")
-        while True:
-            self._skip_ws()
-            if self.peek("^") or self.peek("}") or self.at_end():
-                break
+        while self.toks[self.i][:1] not in ("^", "}", ""):
             block.add_op(self.parse_operation())
         return block
 

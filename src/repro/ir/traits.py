@@ -54,33 +54,10 @@ class SingleBlockRegion:
 
 
 class IsolatedFromAbove:
-    """Operations inside regions may not reference values defined outside."""
+    """Operations inside regions may not reference values defined outside.
 
-    @staticmethod
-    def verify_trait(op: Operation) -> None:
-        inner_values = set()
-        for region in op.regions:
-            for block in region.blocks:
-                inner_values.update(id(a) for a in block.args)
-                for inner in block.walk():
-                    inner_values.update(id(r) for r in inner.results)
-                    for b in _nested_block_args(inner):
-                        inner_values.add(id(b))
-        for region in op.regions:
-            for block in region.blocks:
-                for inner in block.walk():
-                    for operand in inner.operands:
-                        if id(operand) not in inner_values:
-                            raise VerifyException(
-                                f"{op.name}: operation {inner.name} references a value "
-                                "defined outside of an IsolatedFromAbove region"
-                            )
-
-
-def _nested_block_args(op: Operation):
-    for region in op.regions:
-        for block in region.blocks:
-            yield from block.args
+    A marker: :meth:`Operation.verify` enforces it for every isolated ancestor
+    at once, in the same pass that records where values are defined."""
 
 
 class SymbolOpInterface:

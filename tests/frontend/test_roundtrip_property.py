@@ -11,14 +11,18 @@ identity).
 
 import random
 
-import pytest
-
 from repro.frontend import compile_to_fir, parse_source, tokenize
 from repro.fuzz.generator import gen_expression, gen_kernel
 from repro.ir import parse_module, print_module
 
 
-@pytest.mark.parametrize("seed", range(40))
+def pytest_generate_tests(metafunc):
+    # 40 seeds in tier-1; ``--fuzz-seeds N`` deepens the sweep (CI: 100).
+    if "seed" in metafunc.fixturenames:
+        depth = max(40, metafunc.config.getoption("--fuzz-seeds"))
+        metafunc.parametrize("seed", range(depth))
+
+
 def test_generated_kernel_roundtrips(seed):
     source = gen_kernel(seed)
     # lex → parse → FIR generation must all succeed...

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dialects import arith, func, scf
+from repro.dialects import arith, func, gpu, scf
 from repro.dialects.builtin import ModuleOp
 from repro.ir import (
     Block,
@@ -162,6 +162,133 @@ class TestVerification:
         bi.insert(func.ReturnOp([]))
         with pytest.raises(VerifyException):
             inner.verify()
+
+
+def make_nested_module():
+    """builtin.module { %c; func.func @host; gpu.module { gpu.func { ... } } }."""
+    kernel = gpu.GPUFuncOp("kernel", [f64])
+    kb = Builder.at_end(kernel.entry_block)
+    neg = kb.insert(arith.NegfOp(kernel.entry_block.args[0]))
+    ret = kb.insert(gpu.ReturnOp())
+    device = gpu.GPUModuleOp("device", [kernel])
+    host, add = make_add_function()
+    const = arith.ConstantOp.from_float(1.0)
+    return ModuleOp([const, host, device]), const, host, add, device, kernel, neg, ret
+
+
+class TestVerifierRejects:
+    """One defect per module; the message is the one the recursive verifier
+    gave, so the single-pass one provably still checks the same things."""
+
+    def test_nested_module_verifies_from_every_level(self):
+        module, _, host, _, device, kernel, _, _ = make_nested_module()
+        for op in (module, host, device, kernel):
+            op.verify()
+
+    def test_operand_without_registered_use(self):
+        module, _, host, add, *_ = make_nested_module()
+        host.entry_block.args[1].uses.pop()
+        with pytest.raises(VerifyException, match="arith.addf: operand 1 does not have a registered use"):
+            module.verify()
+
+    def test_region_with_wrong_parent(self):
+        module, _, host, *_ = make_nested_module()
+        host.regions[0].parent = module
+        with pytest.raises(VerifyException, match="func.func: region has wrong parent"):
+            module.verify()
+
+    def test_block_with_wrong_parent(self):
+        module, _, host, _, device, *_ = make_nested_module()
+        host.entry_block.parent = device.regions[0]
+        with pytest.raises(VerifyException, match="func.func: block has wrong parent region"):
+            module.verify()
+
+    def test_op_with_wrong_parent(self):
+        module, _, host, add, _, kernel, *_ = make_nested_module()
+        add.parent = kernel.entry_block
+        with pytest.raises(
+            VerifyException, match="func.func: nested op arith.addf has wrong parent block"
+        ):
+            module.verify()
+
+    def test_terminator_not_last(self):
+        module, _, _, _, _, kernel, *_ = make_nested_module()
+        kernel.entry_block.add_op(arith.ConstantOp.from_float(2.0))
+        with pytest.raises(
+            VerifyException,
+            match="terminator gpu.return must be the last operation in its block",
+        ):
+            module.verify()
+
+    def test_single_block_region_with_two_blocks(self):
+        module, _, _, _, device, *_ = make_nested_module()
+        device.regions[0].add_block(Block())
+        with pytest.raises(
+            VerifyException,
+            match="gpu.module: region 0 must contain exactly one block, found 2",
+        ):
+            module.verify()
+
+    def test_symbol_without_sym_name(self):
+        module, _, _, _, _, kernel, *_ = make_nested_module()
+        del kernel.attributes["sym_name"]
+        with pytest.raises(
+            VerifyException, match="gpu.func: symbol operation requires 'sym_name'"
+        ):
+            module.verify()
+
+    def test_failing_hook_on_deeply_nested_op(self):
+        module, *_, neg, _ = make_nested_module()
+
+        def failing_hook():
+            raise VerifyException("arith.negf: injected failure")
+
+        neg.verify_ = failing_hook
+        with pytest.raises(VerifyException, match="arith.negf: injected failure"):
+            module.verify()
+
+    def test_every_hook_runs_exactly_once_in_pre_order(self):
+        module = make_nested_module()[0]
+        seen = []
+        for op in module.walk():
+            def recording_hook(op=op, hook=op.verify_):
+                seen.append(op)
+                hook()
+            op.verify_ = recording_hook
+        module.verify()
+        assert seen == list(module.walk())
+
+    def test_isolation_violated_at_depth_1(self):
+        module, const, host, add, *_ = make_nested_module()
+        add.set_operand(0, const.result)
+        with pytest.raises(
+            VerifyException,
+            match="func.func: operation arith.addf references a value defined outside "
+                  "of an IsolatedFromAbove region",
+        ):
+            module.verify()
+        with pytest.raises(VerifyException, match="func.func: operation arith.addf"):
+            host.verify()
+
+    def test_isolation_violated_at_depth_3_names_the_outermost_ancestor(self):
+        module, const, _, _, device, kernel, neg, _ = make_nested_module()
+        neg.set_operand(0, const.result)
+        with pytest.raises(
+            VerifyException,
+            match="gpu.module: operation arith.negf references a value defined outside "
+                  "of an IsolatedFromAbove region",
+        ):
+            module.verify()
+        # Verified on its own, the kernel is the outermost ancestor in sight.
+        with pytest.raises(VerifyException, match="gpu.func: operation arith.negf"):
+            kernel.verify()
+
+    def test_definition_order_inside_a_block_does_not_matter(self):
+        module, _, host, add, *_ = make_nested_module()
+        late = arith.ConstantOp.from_float(3.0)
+        host.entry_block.insert_op_after(late, add)
+        add.set_operand(0, late.result)
+        module.verify()
 
 
 class TestBuilder:
