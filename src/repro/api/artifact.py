@@ -5,7 +5,9 @@ stores — everything downstream execution needs (the FIR module, the extracted
 stencil module after the backend's lowering, discovery/extraction metadata and
 per-pass statistics), with no runtime state attached.  Interpreters built from
 one artifact never mutate its modules, so a single artifact is safely shared
-by any number of fluent handles and concurrent batch runs.
+by any number of fluent handles and concurrent batch runs — and so is what
+linking those modules yields (:attr:`CompiledArtifact.linked`): derived from
+them on the first run, never compared, printed or persisted.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..dialects.builtin import ModuleOp
+from ..runtime.interpreter import LinkTable
 from .options import BackendOptions
 
 
@@ -37,6 +40,13 @@ class CompiledArtifact:
         if self.stencil_module is not None:
             mods.append(self.stencil_module)
         return mods
+
+    @property
+    def linked(self) -> LinkTable:
+        """:attr:`modules` linked once, when first run (§3, Figure 1)."""
+        if "_linked" not in self.__dict__:  # racing first runs keep one table
+            self.__dict__.setdefault("_linked", LinkTable(self.modules))
+        return self.__dict__["_linked"]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -260,13 +260,14 @@ class CompiledProgram:
         execution_mode: Optional[str] = None,
         threads: Optional[int] = None,
     ) -> Interpreter:
-        """Build an interpreter with the FIR and stencil modules linked.
+        """Build an interpreter (a fresh one per call: it carries the run's
+        stats and device) over the artifact's linked FIR and stencil modules.
 
         ``execution_mode`` and ``threads`` override the handle's options when
         given; see :func:`build_interpreter` for the override semantics.
         """
         return build_interpreter(
-            self._backend, self._options, self._artifact.modules,
+            self._backend, self._options, self._artifact.linked,
             gpu=gpu, comm=comm, rank=rank, decomposition=decomposition,
             execution_mode=execution_mode, threads=threads,
         )

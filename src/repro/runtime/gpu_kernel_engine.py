@@ -23,8 +23,8 @@ Caching, guards and the oracle follow the kernel-compiler contract:
 * kernels are cached by the **structural hash of the gpu.func** (not the
   launch site — two launches of structurally identical kernels, even across
   modules, share one compiled function), stored through
-  :meth:`KernelCompiler.compile_cached` in the same structural cache and
-  stats counters as every other kernel kind;
+  :meth:`KernelCompiler.bound_for` in the same caches and stats counters as
+  every other kernel kind;
 * every launch re-validates the runtime **bounds/alias guards**
   (:meth:`CompiledKernel.guards_pass`) against the actual argument buffers —
   aliased store/load arguments or out-of-window accesses fall back to the
@@ -48,7 +48,6 @@ from .kernel_compiler import (
     _Affine,
     _BodyTranslator,
     _Const,
-    structural_hash,
 )
 
 _DIM_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -257,38 +256,23 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
 class GpuKernelEngine:
     """Per-interpreter facade over gpu.func compilation.
 
-    Mirrors :class:`KernelCompiler`'s two cache levels: an identity memo on
-    the launch op (one dict probe per sweep) and the compiler's structural
-    cache keyed on the **gpu.func body** hash — the launch site's grid/block
-    attributes are runtime geometry, not kernel identity, so reshaped
-    launches of one kernel share a compiled function.
+    A launch site binds through :meth:`KernelCompiler.bound_for`, so it shares
+    both of the compiler's cache levels: the identity memo on the launch op
+    (one dict probe per sweep) and the structural cache keyed on the
+    **gpu.func body** hash — the launch site's grid/block attributes are
+    runtime geometry, not kernel identity, so reshaped launches of one kernel
+    share a compiled function.
     """
 
     def __init__(self, kernels: KernelCompiler):
         self.kernels = kernels
-        self._memo: Dict[int, Tuple[Operation, Optional[BoundKernel]]] = {}
 
     def kernel_for(self, launch_op: Operation,
                    func_op: Operation) -> Optional[BoundKernel]:
         """The compiled whole-lattice kernel bound to one launch site, or
         None when the gpu.func cannot be vectorized."""
-        entry = self._memo.get(id(launch_op))
-        if entry is not None:
-            self.kernels.stats["cache_hits"] += 1
-            return entry[1]
-        key = structural_hash(func_op)
-        kernel = self.kernels.compile_cached(key,
-                                             lambda: compile_gpu_func(func_op))
-        bound = None
-        if isinstance(kernel, GpuLaunchKernel):
-            if not kernel.label:
-                name_attr = func_op.get_attr_or_none("sym_name")
-                name = getattr(name_attr, "data", "gpu.func")
-                kernel.label = f"gpu.func:{name}@{key[:10]}"
-            if len(launch_op.operands) >= len(kernel.external_paths):
-                bound = BoundKernel(kernel, list(launch_op.operands))
-        self._memo[id(launch_op)] = (launch_op, bound)
-        return bound
+        return self.kernels.bound_for(launch_op, func_op,
+                                      lambda: compile_gpu_func(func_op))
 
 
 __all__ = [

@@ -126,12 +126,59 @@ def _as_python(value):
     return value
 
 
+class LinkTable:
+    """Linked modules and what is a pure function of their (immutable) IR,
+    computed once for every interpreter over them: the function index (one
+    walk, here), each sweep op's kernel binding (``bindings``, filled by
+    :meth:`KernelCompiler.bound_for`) and each ``stencil.load``'s snapshot
+    verdict.  Entries are keyed by the op they describe and die with the
+    table's owner — a :class:`repro.api.CompiledArtifact`, or the interpreter
+    built over raw modules.  Nothing about a run (stats, device) is here.
+    """
+
+    def __init__(self, modules: Sequence[ModuleOp]):
+        self.modules: List[ModuleOp] = list(modules)
+        self.functions: Dict[str, FuncOp] = {}
+        self.gpu_kernels: Dict[str, Operation] = {}
+        #: Functions whose bodies contain gpu.launch_func ops: the launch is
+        #: accounted at the launch site, so the function-level gpu.launch
+        #: annotation must not record a second one.
+        self.funcs_with_launch_ops: set = set()
+        self.bindings: Dict[Operation, Tuple] = {}
+        #: stencil.load op -> whether its snapshot must really be copied
+        self.snapshot_copies: Dict[Operation, bool] = {}
+        for module in self.modules:
+            enclosing = None
+            for op in module.walk():
+                if isinstance(op, FuncOp):
+                    enclosing = op.sym_name
+                    if not op.is_declaration:
+                        self._define(self.functions, enclosing, op)
+                elif op.name == "gpu.launch_func":
+                    self.funcs_with_launch_ops.add(enclosing)
+                elif op.name == "gpu.func":
+                    name_attr = op.get_attr_or_none("sym_name")
+                    if isinstance(name_attr, StringAttr):
+                        self._define(self.gpu_kernels, name_attr.data, op)
+
+    def _define(self, table: Dict[str, Operation], name: str, op: Operation) -> None:
+        """Two definitions of one symbol are a link error; a declaration
+        beside its definition, or one op linked twice, is not."""
+        first = table.setdefault(name, op)
+        if first is not op:
+            homes = [repr(getattr(m.get_attr_or_none("sym_name"), "data", None))
+                     for o in (first, op) for m in self.modules if m.is_ancestor_of(o)]
+            raise InterpreterError(
+                f"symbol '{name}' is defined twice: in modules " + " and ".join(homes))
+
+
 class Interpreter:
-    """Executes functions from one or more linked modules."""
+    """Executes functions from one or more linked modules (or the
+    :class:`LinkTable` of an artifact that linked them before)."""
 
     def __init__(
         self,
-        modules: Union[ModuleOp, Sequence[ModuleOp]],
+        modules: Union[ModuleOp, Sequence[ModuleOp], LinkTable],
         gpu: Optional[SimulatedGPU] = None,
         comm: Optional[SimulatedCommunicator] = None,
         rank: int = 0,
@@ -141,14 +188,14 @@ class Interpreter:
         threads: int = 1,
         parallel_executor: Optional[ParallelExecutor] = None,
     ):
-        if isinstance(modules, ModuleOp):
-            modules = [modules]
         if execution_mode not in EXECUTION_MODES:
             raise InterpreterError(
                 f"unknown execution mode '{execution_mode}'; "
                 f"expected one of {EXECUTION_MODES}"
             )
-        self.modules: List[ModuleOp] = list(modules)
+        link = modules if isinstance(modules, LinkTable) else LinkTable(
+            [modules] if isinstance(modules, ModuleOp) else modules)
+        self.modules: List[ModuleOp] = link.modules
         self.gpu = gpu
         self.comm = comm
         self.rank = rank
@@ -159,7 +206,8 @@ class Interpreter:
         #: raises if they diverge.
         self.execution_mode = execution_mode
         self.kernels = kernel_compiler if kernel_compiler is not None else (
-            KernelCompiler() if execution_mode != "interpret" else None
+            KernelCompiler(bindings=link.bindings)
+            if execution_mode != "interpret" else None
         )
         #: Worker threads for tiled sweep execution (1 = single-tile).  The
         #: executor is the persistent process-wide pool for that count unless
@@ -200,38 +248,21 @@ class Interpreter:
         #: Lazily built whole-lattice compiler for gpu.launch_func (shares the
         #: kernel compiler's structural cache and counters).
         self._gpu_engine: Optional[GpuKernelEngine] = None
-        self._functions: Dict[str, FuncOp] = {}
-        self._gpu_kernels: Dict[str, Operation] = {}
-        #: Functions whose bodies contain gpu.launch_func ops: the launch is
-        #: accounted at the launch site, so the function-level gpu.launch
-        #: annotation must not record a second one.
-        self._funcs_with_launch_ops: set = set()
+        self._functions = link.functions
+        self._gpu_kernels = link.gpu_kernels
+        self._funcs_with_launch_ops = link.funcs_with_launch_ops
         #: Per-invocation device scratch (memref.alloc inside gpu.launch
         #: functions): allocated from the device pool, released when the
         #: function returns.
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        #: stencil.load op -> whether its snapshot must really be copied
-        self._snapshot_copies: Dict[Operation, bool] = {}
+        self._snapshot_copies = link.snapshot_copies
         self._gpu_thread_ctx: List[Dict[str, Tuple[int, int, int]]] = []
-        self._index_functions()
         self._handlers = self._build_handlers()
 
     # ------------------------------------------------------------------
     # Linking / entry points
     # ------------------------------------------------------------------
-
-    def _index_functions(self) -> None:
-        for module in self.modules:
-            for op in module.walk():
-                if isinstance(op, FuncOp) and not op.is_declaration:
-                    self._functions[op.sym_name] = op
-                    if any(inner.name == "gpu.launch_func" for inner in op.walk()):
-                        self._funcs_with_launch_ops.add(op.sym_name)
-                elif op.name == "gpu.func":
-                    name_attr = op.get_attr_or_none("sym_name")
-                    if isinstance(name_attr, StringAttr):
-                        self._gpu_kernels[name_attr.data] = op
 
     def lookup(self, name: str) -> FuncOp:
         if name not in self._functions:
@@ -1287,6 +1318,7 @@ class Interpreter:
 
 __all__ = [
     "Interpreter",
+    "LinkTable",
     "InterpreterError",
     "Frame",
     "FieldValue",

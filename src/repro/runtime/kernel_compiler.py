@@ -17,8 +17,8 @@ keyed on the *structural hash* of the source operation (op names, attributes,
 types and internal dataflow, with external SSA values numbered in first-use
 order), so two structurally identical sweeps — the same ``scf.parallel``
 executed once per time step, or the same stencil compiled into a second
-module — share one compiled kernel.  A per-op identity memo makes the
-per-sweep lookup a single dict probe.
+module — share one compiled kernel.  A per-op identity memo (the linked
+artifact's ``LinkTable``) makes the per-sweep lookup a single dict probe.
 
 Compilation translates IR to Python source:
 
@@ -893,13 +893,8 @@ def apply_is_vectorizable(op: Operation) -> bool:
     ``execution_mode="vectorize"`` run of the same stencil starts with a
     cache hit instead of compiling at first sweep.
     """
-    key = structural_hash(op)
-    if key not in _SHARED_CACHE:
-        try:
-            _SHARED_CACHE[key] = compile_apply(op)
-        except Exception:
-            _SHARED_CACHE[key] = None
-    return _SHARED_CACHE[key] is not None
+    return KernelCompiler().compile_cached(
+        structural_hash(op), lambda: compile_apply(op)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -908,32 +903,39 @@ def apply_is_vectorizable(op: Operation) -> bool:
 
 
 #: Process-wide cache shared across interpreter instances: structural hash ->
-#: CompiledKernel (or None for ops that failed to compile).  Compilation is
-#: deterministic and kernels are bound per-op through external paths, so
-#: sharing across modules is safe.
+#: CompiledKernel (or None for ops that failed to compile, _SHARED_REASONS
+#: saying why).  Compilation is deterministic and kernels are bound per-op
+#: through external paths, so sharing across modules is safe.
 _SHARED_CACHE: Dict[str, Optional[CompiledKernel]] = {}
+_SHARED_REASONS: Dict[str, str] = {}
 
 
 class KernelCompiler:
     """Per-interpreter facade over kernel compilation.
 
-    Two cache levels: an identity memo (``id(op)`` -> :class:`BoundKernel`)
+    Two cache levels: an identity memo (sweep op -> its :class:`BoundKernel`)
     that makes the per-sweep lookup a single dict probe, and the structural
     cache (process-wide by default) so identical stencils compiled into
-    different modules share one kernel.
+    different modules share one kernel.  ``bindings`` is the memo all
+    interpreters over one ``LinkTable`` share; it serves and is filled from
+    the process-wide structural cache only, so a compiler with a private one
+    keeps private bindings.  The counters are always this compiler's own.
     """
 
-    def __init__(self, use_shared_cache: bool = True):
-        # The memo holds a reference to each op so its id() stays valid.
-        self._memo: Dict[int, Tuple[Operation, Optional[BoundKernel]]] = {}
-        self._structural: Dict[str, Optional[CompiledKernel]] = (
-            _SHARED_CACHE if use_shared_cache else {}
-        )
-        #: Counters plus a per-kernel breakdown: ``stats["per_kernel"]`` maps
-        #: each kernel label to its invocation count and cumulative wall time
-        #: (seconds) as recorded by the interpreter around every sweep.
+    def __init__(self, use_shared_cache: bool = True,
+                 bindings: Optional[Dict] = None):
+        #: op -> (BoundKernel or None, label, why the op runs scalar or None)
+        self._memo: Dict[Operation, Tuple] = \
+            bindings if use_shared_cache and bindings is not None else {}
+        self._structural, self._reasons = (
+            (_SHARED_CACHE, _SHARED_REASONS) if use_shared_cache else ({}, {}))
+        #: Counters, why each looked-up op that cannot be vectorized cannot
+        #: (``stats["reasons"]``: label -> "ExceptionClass: message") and
+        #: ``stats["per_kernel"]``: each kernel label's invocation count and
+        #: cumulative wall time (seconds) as recorded around every sweep.
         self.stats: Dict[str, object] = {
-            "compiled": 0, "cache_hits": 0, "unsupported": 0, "per_kernel": {},
+            "compiled": 0, "cache_hits": 0, "unsupported": 0, "reasons": {},
+            "per_kernel": {},
         }
 
     def record_invocation(self, label: str, seconds: float) -> None:
@@ -945,50 +947,57 @@ class KernelCompiler:
 
     def compile_cached(self, key: str,
                        builder: Callable[[], CompiledKernel]) -> Optional[CompiledKernel]:
-        """Structural-cache lookup with counted compile-on-miss.
-
-        Shared by :meth:`kernel_for` and the GPU launch engine
-        (:mod:`repro.runtime.gpu_kernel_engine`), so gpu.func kernels live in
-        the same structural cache — and the same stats counters — as loop-nest
-        and apply kernels.  Any compile failure — including codegen bugs
-        surfacing as SyntaxError from exec — must degrade to scalar
-        interpretation, never crash the run.
-        """
+        """Structural-cache lookup with counted compile-on-miss.  Any compile
+        failure — including codegen bugs surfacing as SyntaxError from exec —
+        must degrade to scalar interpretation, never crash the run: the cache
+        then holds None, and why is kept beside it."""
         if key in self._structural:
             self.stats["cache_hits"] += 1
             return self._structural[key]
         try:
             kernel: Optional[CompiledKernel] = builder()
             self.stats["compiled"] += 1
-        except Exception:
+        except Exception as exc:
             kernel = None
             self.stats["unsupported"] += 1
+            self._reasons[key] = f"{type(exc).__name__}: {exc}"
         self._structural[key] = kernel
         return kernel
 
     def kernel_for(self, op: Operation) -> Optional[BoundKernel]:
         """The compiled kernel bound to ``op``, or None when the op is not
         vectorizable."""
-        entry = self._memo.get(id(op))
+        return self.bound_for(
+            op, op, lambda: compile_apply(op) if op.name == "stencil.apply"
+            else compile_loop_nest(op))
+
+    def bound_for(self, site: Operation, source: Operation,
+                  builder: Callable[[], CompiledKernel]) -> Optional[BoundKernel]:
+        """The kernel ``builder`` compiles from ``source`` (cached under its
+        structural hash) bound to ``site``'s operands — from the identity memo
+        after the first lookup.  A launch site binds to its ``gpu.func``
+        here, so all kernel kinds share both cache levels and the counters."""
+        entry = self._memo.get(site)
         if entry is not None:
             self.stats["cache_hits"] += 1
-            return entry[1]
-        key = structural_hash(op)
-        kernel = self.compile_cached(
-            key,
-            lambda: compile_apply(op) if op.name == "stencil.apply"
-            else compile_loop_nest(op),
-        )
-        if kernel is not None and not kernel.label:
-            kernel.label = f"{op.name}@{key[:10]}"
-        bound = None
-        if kernel is not None:
-            try:
-                bound = self._bind(op, kernel)
-            except Exception:
-                self.stats["unsupported"] += 1
-        self._memo[id(op)] = (op, bound)
-        return bound
+        else:
+            key = structural_hash(source)
+            sym = source.get_attr_or_none("sym_name")
+            label = f"{source.name}{':' + sym.data if sym else ''}@{key[:10]}"
+            kernel = self.compile_cached(key, builder)
+            bound, reason = None, self._reasons.get(key)
+            if kernel is not None:
+                kernel.label = kernel.label or label
+                try:
+                    bound = self._bind(site, kernel)
+                except Exception as exc:
+                    self.stats["unsupported"] += 1
+                    reason = f"{type(exc).__name__}: {exc}"
+            # setdefault: racing first lookups all leave with one binding.
+            entry = self._memo.setdefault(site, (bound, label, reason))
+        if entry[2] is not None:
+            self.stats["reasons"][entry[1]] = entry[2]
+        return entry[0]
 
     @staticmethod
     def _bind(op: Operation, kernel: CompiledKernel) -> BoundKernel:

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,23 @@ def rng():
 def fuzz_seeds(request):
     """Seed count for the differential fuzz smoke, set by ``--fuzz-seeds``."""
     return request.config.getoption("--fuzz-seeds")
+
+
+@pytest.fixture
+def python_calls():
+    """``python_calls(fn)``: the number of Python-level function calls
+    ``fn()`` makes — a count, so the same on every machine (unlike a timing)."""
+    def count(fn):
+        calls = [0]
+
+        def profiler(frame, event, arg):
+            calls[0] += event == "call"
+
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return calls[0]
+
+    return count

@@ -1,7 +1,6 @@
 """Printer/parser round-trip tests, including property-based ones."""
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -301,23 +300,6 @@ class TestTypedErrors:
                 self._parses_or_fails_typed(text[:at] + rng.choice(alphabet) + text[at + 1:])
 
 
-def python_calls(fn):
-    """Number of Python-level function calls ``fn()`` makes: a count, so
-    the same on every machine (unlike a timing)."""
-    calls = [0]
-
-    def profiler(frame, event, arg):
-        if event == "call":
-            calls[0] += 1
-
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls[0]
-
-
 def fan_out_module_text(n):
     """One ``arith.constant`` feeding ``n`` ``arith.addi`` operations."""
     lines = ['"builtin.module"() ({', "  ^bb0():", '    "func.func"() ({', "      ^bb1():",
@@ -333,18 +315,18 @@ class TestLinearCost:
     """The machine-independent gates on the reload path: both whole-module
     traversals stay linear, and the parser's constant stays small."""
 
-    def test_parse_calls_grow_linearly_with_fan_out(self):
+    def test_parse_calls_grow_linearly_with_fan_out(self, python_calls):
         small, large = (fan_out_module_text(n) for n in (200, 800))
         assert print_module(parse_module(small)) == small
         ratio = python_calls(lambda: parse_module(large)) / python_calls(lambda: parse_module(small))
         assert ratio <= 4.5
 
-    def test_verify_calls_grow_linearly_with_fan_out(self):
+    def test_verify_calls_grow_linearly_with_fan_out(self, python_calls):
         small, large = (parse_module(fan_out_module_text(n)) for n in (200, 800))
         ratio = python_calls(large.verify) / python_calls(small.verify)
         assert ratio <= 4.5  # 15.1 when every operand scanned its value's use list
 
-    def test_gpu_payload_parse_call_budget(self, pw_gpu_sections):
+    def test_gpu_payload_parse_call_budget(self, pw_gpu_sections, python_calls):
         # What the character-cursor parser of PR 16 (e13c88f) made on this
         # exact payload (365 op lines, 34.8 KB; Python 3.11).
         parent_calls = 82_235

@@ -23,6 +23,7 @@ from repro.dialects import arith, gpu, memref, scf
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.ir import Builder, MemRefType, default_context, f64, index
+from repro.ir.attributes import StringAttr
 from repro.runtime import (
     Interpreter,
     InterpreterError,
@@ -179,11 +180,48 @@ class TestLaunchExecution:
         assert interp.stats["gpu_launch_fallbacks"] == 1
         assert interp.stats["gpu_launches_vectorized"] == 0
 
+    def test_alias_guard_judges_every_run_over_one_link_table(self):
+        """Aliasing that only the arguments show: the launch binding is
+        linked once, the guard still sees each run's own buffers."""
+        from repro.runtime.interpreter import LinkTable
+
+        table = LinkTable([build_launch_module()])
+        init = np.asfortranarray(np.random.default_rng(4).random((8, 8)))
+        seen = []
+        for aliased in (False, True, False):
+            results = {}
+            for mode in ("interpret", "vectorize"):
+                src = init.copy(order="F")
+                dst = src if aliased else np.zeros((8, 8), order="F")
+                interp = Interpreter(table, gpu=SimulatedGPU(),
+                                     execution_mode=mode)
+                interp.call("shift", dst, src)
+                results[mode] = dst
+            assert np.array_equal(results["interpret"], results["vectorize"])
+            seen.append((interp.stats["gpu_launches_vectorized"],
+                         interp.stats["gpu_launch_fallbacks"]))
+        assert seen == [(1, 0), (0, 1), (1, 0)]
+        assert len(table.bindings) == 1
+
     def test_unsupported_body_falls_back_to_scalar(self):
         module = build_launch_module(with_barrier=True)
         dst, src, interp = run_shift(module, "vectorize")
         assert np.array_equal(dst[1:7, 1:7], 2 * src[0:6, 1:7])
         assert interp.stats["gpu_launch_fallbacks"] == 1
+        (label, why), = interp.kernels.stats["reasons"].items()
+        assert label.startswith("gpu.func:") and "@" in label
+        assert why == "KernelUnsupported: operation 'gpu.barrier' is not vectorizable"
+
+    def test_two_gpu_funcs_of_one_name_are_a_link_error(self):
+        first, second = build_launch_module(), build_launch_module()
+        host = next(op for op in second.walk() if isinstance(op, FuncOp))
+        host.attributes["sym_name"] = StringAttr("shift_again")
+        kernel = next(op for op in first.walk() if op.name == "gpu.func")
+        name = kernel.get_attr("sym_name").data
+        with pytest.raises(InterpreterError,
+                           match=f"symbol '{name}' is defined twice"):
+            Interpreter([first, second], gpu=SimulatedGPU())
+        Interpreter([first, first], gpu=SimulatedGPU())     # one op, twice
 
     def test_kernel_compiles_once_across_sweeps_and_interpreters(self):
         module = build_launch_module()

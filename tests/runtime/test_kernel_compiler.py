@@ -41,19 +41,23 @@ from repro.runtime.kernel_compiler import (
 # ---------------------------------------------------------------------------
 
 
-def build_shift_nest_module(n=8, shift=-1, in_place=False):
+def build_shift_nest_module(n=8, shift=-1, in_place=False, row_range_args=False):
     """func(dst, src): scf.parallel nest computing dst[i,j] = src[i+shift,j]*2
-    over [1, n-1)²; with ``in_place`` the source is the destination memref."""
+    over [1, n-1)²; with ``in_place`` the source is the destination memref,
+    with ``row_range_args`` the rows are ``range(low, high, step)`` of three
+    more (index) arguments."""
     mtype = MemRefType((n, n), f64)
-    fn = FuncOp.build("shift", [mtype, mtype], [])
+    fn = FuncOp.build("shift", [mtype, mtype] + [index] * 3 * row_range_args, [])
     b = Builder.at_end(fn.entry_block)
-    dst, src = fn.entry_block.args
+    dst, src = fn.entry_block.args[:2]
     if in_place:
         src = dst
     low = b.insert(arith.ConstantOp.from_int(1, index)).results[0]
     high = b.insert(arith.ConstantOp.from_int(n - 1, index)).results[0]
     one = b.insert(arith.ConstantOp.from_int(1, index)).results[0]
-    parallel = b.insert(scf.ParallelOp([low, low], [high, high], [one, one]))
+    rows = fn.entry_block.args[2:] if row_range_args else (low, high, one)
+    parallel = b.insert(scf.ParallelOp([rows[0], low], [rows[1], high],
+                                       [rows[2], one]))
     body = Builder.at_end(parallel.body.block)
     i, j = parallel.body.block.args
     amount = body.insert(arith.ConstantOp.from_int(abs(shift), index)).results[0]
@@ -681,6 +685,118 @@ class TestGuardsAndFallbacks:
         [result] = bound.kernel.fn(externals, lb, ub)
         expected = (temp.data[0:n - 2, 1:n - 1] + temp.data[2:n, 1:n - 1]) * 0.5 * 3.0
         assert np.allclose(result, expected)
+
+    def test_guards_judge_every_run_over_one_link_table(self):
+        """The binding is linked once; the alias, window, step and dtype
+        guards still see each run's own arguments."""
+        from repro.runtime.interpreter import LinkTable
+
+        n = 6
+        module, fn = build_shift_nest_module(n=n, row_range_args=True)
+        table = LinkTable([module])
+        src = np.asfortranarray(np.random.default_rng(26).random((n, n)))
+
+        def run(dst, source, low=1, high=n - 1, step=1):
+            interp = Interpreter(table, execution_mode="vectorize")
+            interp.call_function(fn, [MemoryBuffer.wrap(dst), MemoryBuffer.wrap(source)]
+                                 + [np.int64(v) for v in (low, high, step)])
+            return interp.stats["vectorized_sweeps"], interp.stats["vectorize_fallbacks"]
+
+        def zeros():
+            return np.zeros((n, n), order="F")
+
+        dst = zeros()
+        assert run(dst, src) == (1, 0)
+        assert np.array_equal(dst[1:5, 1:5], src[0:4, 1:5] * 2.0)
+        assert len(table.bindings) == 1
+        aliased = src.copy(order="F")
+        assert run(aliased, aliased) == (0, 1)                  # alias guard
+        assert np.array_equal(aliased[4, 1:5], src[0, 1:5] * 16.0)
+        dst = zeros()
+        assert run(dst, src, step=2) == (0, 1)                  # step guard
+        assert np.array_equal(dst[1:5:2, 1:5], src[0:4:2, 1:5] * 2.0)
+        assert not dst[2].any()
+        dst = zeros()
+        assert run(dst, src, low=0) == (0, 1)                   # window guard
+        assert np.array_equal(dst[0, 1:5], src[-1, 1:5] * 2.0)  # as the oracle wraps
+        dst = zeros()
+        assert run(dst, src.astype(np.float32)) == (0, 1)       # dtype guard
+        dst = zeros()
+        assert run(dst, src) == (1, 0)
+        assert np.array_equal(dst[1:5, 1:5], src[0:4, 1:5] * 2.0)
+        assert len(table.bindings) == 1
+
+    @staticmethod
+    def _nest_with_an_if(n=6):
+        """The shift nest with an (empty) ``scf.if`` ahead of its store."""
+        module, fn = build_shift_nest_module(n=n)
+        parallel = next(op for op in fn.walk() if isinstance(op, scf.ParallelOp))
+        body = parallel.body.block
+        store = next(op for op in body.ops if op.name == "memref.store")
+        cond = arith.CmpiOp("slt", *body.args)
+        body.insert_op_before(cond, store)
+        body.insert_op_before(scf.IfOp(cond.results[0]), store)
+        return module, fn, parallel
+
+    def test_a_fallback_keeps_its_reason_on_every_interpreter(self):
+        """The verdict is recorded once per op — with why, for the first
+        interpreter, later ones over the same link table, and another
+        module's op that hits the same structural-cache None."""
+        from repro.runtime.interpreter import LinkTable
+
+        module, fn, parallel = self._nest_with_an_if()
+        label = f"scf.parallel@{structural_hash(parallel)[:10]}"
+        why = "KernelUnsupported: operation 'scf.if' is not vectorizable"
+        table = LinkTable([module])
+        src = np.asfortranarray(np.random.default_rng(4).random((6, 6)))
+        for run in range(2):
+            dst = np.zeros((6, 6), order="F")
+            interp = Interpreter(table, execution_mode="vectorize")
+            interp.call_function(fn, [MemoryBuffer.wrap(dst), MemoryBuffer.wrap(src)])
+            assert interp.stats["vectorize_fallbacks"] == 1
+            assert np.array_equal(dst[1:5, 1:5], src[0:4, 1:5] * 2.0)
+            assert interp.kernels.stats["reasons"] == {label: why}
+        assert interp.kernels.stats["cache_hits"] == 1      # the table's verdict
+        assert interp.kernels.stats["unsupported"] == 0
+        other_module, other_fn, _ = self._nest_with_an_if()
+        other = Interpreter([other_module], execution_mode="vectorize")
+        other.call_function(other_fn, [MemoryBuffer.wrap(np.zeros((6, 6), order="F")),
+                                       MemoryBuffer.wrap(src)])
+        assert other.kernels.stats["reasons"] == {label: why}
+        assert other.kernels.stats["unsupported"] == 0      # structural None
+
+    def test_apply_refused_by_the_analysis_reports_why_at_run_time(self):
+        from repro.runtime.kernel_compiler import apply_is_vectorizable
+
+        apply_op = build_average_apply()
+        body = apply_op.body.block
+        zero = arith.ConstantOp.from_int(0, index)
+        body.insert_op_before(zero, body.last_op)
+        body.insert_op_before(
+            stencil.DynAccessOp(body.args[0], [zero.results[0]] * 2), body.last_op)
+        assert not apply_is_vectorizable(apply_op)
+        compiler = KernelCompiler()
+        assert compiler.kernel_for(apply_op) is None
+        assert compiler.stats["reasons"] == {
+            f"stencil.apply@{structural_hash(apply_op)[:10]}":
+                "KernelUnsupported: operation 'stencil.dyn_access' is not "
+                "vectorizable"}
+
+    def test_bind_failure_reports_the_exception_class(self):
+        """A kernel whose external paths do not resolve on the op (here: a
+        nest kernel planted under an apply's hash) is a counted fallback
+        with the binder's exception as its reason."""
+        _, fn = build_shift_nest_module()
+        parallel = next(op for op in fn.walk() if isinstance(op, scf.ParallelOp))
+        apply_op = build_average_apply()
+        compiler = KernelCompiler(use_shared_cache=False)
+        compiler._structural[structural_hash(apply_op)] = compile_loop_nest(parallel)
+        assert compiler.kernel_for(apply_op) is None
+        assert compiler.kernel_for(apply_op) is None
+        assert compiler.stats["unsupported"] == 1 and compiler.stats["cache_hits"] == 2
+        (label, why), = compiler.stats["reasons"].items()
+        assert label == f"stencil.apply@{structural_hash(apply_op)[:10]}"
+        assert why.startswith("IndexError: ")
 
     def test_unknown_execution_mode_rejected(self):
         module, _ = build_shift_nest_module()

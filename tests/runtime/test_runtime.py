@@ -6,6 +6,7 @@ import pytest
 from repro.dialects import arith, func, memref, scf
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder, MemRefType, f64, index
+from repro.ir.attributes import StringAttr
 from repro.runtime import (
     ElementRef,
     Interpreter,
@@ -78,6 +79,26 @@ class TestInterpreterCore:
         interp = Interpreter(self._make_saxpy())
         with pytest.raises(InterpreterError):
             interp.lookup("nope")
+
+    def test_two_definitions_of_one_symbol_are_a_link_error(self):
+        """Not "last one wins": the error names the symbol and both modules."""
+        first, second = self._make_saxpy(), self._make_saxpy()
+        first.attributes["sym_name"] = StringAttr("fir_side")
+        second.attributes["sym_name"] = StringAttr("stencil_side")
+        with pytest.raises(InterpreterError) as failure:
+            Interpreter([first, second])
+        message = str(failure.value)
+        assert "'saxpy'" in message and "defined twice" in message
+        assert "'fir_side'" in message and "'stencil_side'" in message
+
+    def test_one_op_linked_twice_and_a_declaration_beside_it_stay_legal(self):
+        module = self._make_saxpy()
+        declaring = ModuleOp([func.FuncOp.declaration("saxpy", [f64, f64], [f64])])
+        for modules in ([module, module], [declaring, module], [module, declaring]):
+            interp = Interpreter(modules)
+            (result,) = interp.call_function(
+                interp.lookup("saxpy"), [np.float64(3.0), np.float64(1.0)])
+            assert result == 7.0
 
     def test_unknown_operation_rejected(self):
         from repro.ir import Operation
@@ -247,9 +268,13 @@ class TestSnapshotElision:
             runs[mode] = start.copy(order="F")
             interp = compiled.run("gauss_seidel", runs[mode], execution_mode=mode)
             assert list(interp._snapshot_copies.values()) == [False]
+        # The verdict is linked into the artifact once, so the always-copy
+        # oracle is a fresh artifact (its own session), not a later run.
         self._always_copy(monkeypatch)
         copied = start.copy(order="F")
-        compiled.run("gauss_seidel", copied, execution_mode="interpret")
+        oracle = repro.Session().lower(compiled.source, "cpu").run(
+            "gauss_seidel", copied, execution_mode="interpret")
+        assert list(oracle._snapshot_copies.values()) == [True]
         assert runs["vectorize"].tobytes() == runs["interpret"].tobytes() \
             == copied.tobytes() == gauss_seidel.reference_jacobi(start, 3).tobytes()
 
@@ -278,8 +303,10 @@ class TestSnapshotElision:
         self._always_copy(monkeypatch)
         oracle = u.copy(order="F")
         sv3, sw3 = np.zeros_like(sv), np.zeros_like(sw)
-        compiled.run("pw_advection", oracle, v, w, oracle, sv3, sw3,
-                     execution_mode="interpret")
+        copying = repro.Session().lower(compiled.source, "cpu").run(
+            "pw_advection", oracle, v, w, oracle, sv3, sw3,
+            execution_mode="interpret")
+        assert set(copying._snapshot_copies.values()) == {True}
         for got, want in ((aliased, oracle), (sv2, sv3), (sw2, sw3)):
             assert got.tobytes() == want.tobytes()
         assert aliased[1:-1, 1:-1, 1:-1].tobytes() == su[1:-1, 1:-1, 1:-1].tobytes()
