@@ -174,7 +174,9 @@ def tokenize(source: str) -> List[Token]:
             tokens.append(Token(kind, value, lineno, column + 1))
             column = match.end()
         tokens.append(Token("NEWLINE", "\n", lineno, len(line) + 1))
-    tokens.append(Token("EOF", "", len(tokens), 0))
+    # EOF sits just past the last logical line (line 1 of an empty source).
+    line, column = (tokens[-1].line, tokens[-1].column + 1) if tokens else (1, 1)
+    tokens.append(Token("EOF", "", line, column))
     return tokens
 
 

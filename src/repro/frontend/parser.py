@@ -88,7 +88,10 @@ class FortranParser:
     # ------------------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:  # past the end: the EOF token
+            return self.tokens[-1]
 
     def advance(self) -> Token:
         token = self.peek()

@@ -7,6 +7,8 @@ contain blocks, blocks contain operations) and therefore live in one module.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import (
     Dict,
     Iterable,
@@ -29,6 +31,16 @@ class VerifyException(IRError):
     """Raised when an operation or module fails verification."""
 
 
+_BLOCKS, _OPS = attrgetter("blocks"), attrgetter("ops")
+
+
+def _nested_ops(op: "Operation") -> Iterator["Operation"]:
+    """The operations directly inside ``op``, block after block; each block's
+    list is copied when the iteration reaches that block, not before."""
+    return chain.from_iterable(
+        map(_OPS, chain.from_iterable(map(_BLOCKS, op.regions))))
+
+
 class Operation:
     """A generic SSA operation.
 
@@ -43,6 +55,10 @@ class Operation:
     #: Trait classes attached to the operation (see :mod:`repro.ir.traits`).
     traits: Tuple[type, ...] = ()
 
+    # ``__dict__`` stays for an unregistered operation's own ``name``.
+    __slots__ = ("_operands", "_uses", "results", "attributes", "regions",
+                 "parent", "__dict__")
+
     def __init__(
         self,
         operands: Sequence[SSAValue] = (),
@@ -51,6 +67,8 @@ class Operation:
         regions: Sequence["Region"] = (),
     ):
         self._operands: List[SSAValue] = []
+        #: One :class:`Use` per operand slot, registered on ``_operands[i]``.
+        self._uses: List[Use] = []
         self.results: List[OpResult] = [
             OpResult(t, self, i) for i, t in enumerate(result_types)
         ]
@@ -76,28 +94,28 @@ class Operation:
             raise IRError(
                 f"operand of {self.name} must be an SSAValue, got {type(value).__name__}"
             )
-        index = len(self._operands)
+        use = Use(self, len(self._operands))
         self._operands.append(value)
-        value.add_use(Use(self, index))
+        self._uses.append(use)
+        value.uses[use] = None
 
     def set_operand(self, index: int, value: SSAValue) -> None:
-        old = self._operands[index]
-        old.remove_use(Use(self, index))
+        use = self._uses[index]
+        self._operands[index].remove_use(use)
         self._operands[index] = value
-        value.add_use(Use(self, index))
+        value.uses[use] = None
 
     def set_operands(self, values: Sequence[SSAValue]) -> None:
         """Replace the whole operand list."""
-        for i, operand in enumerate(self._operands):
-            operand.remove_use(Use(self, i))
-        self._operands = []
+        self.drop_all_operand_uses()
         for value in values:
             self.add_operand(value)
 
     def drop_all_operand_uses(self) -> None:
-        for i, operand in enumerate(self._operands):
-            operand.remove_use(Use(self, i))
+        for operand, use in zip(self._operands, self._uses):
+            operand.remove_use(use)
         self._operands = []
+        self._uses = []
 
     # ------------------------------------------------------------------
     # Results / attributes
@@ -183,11 +201,13 @@ class Operation:
     def detach(self) -> "Operation":
         """Remove the operation from its parent block without destroying it."""
         if self.parent is not None:
-            self.parent._detach_op(self)
+            self.parent._ops.remove(self)
+            self.parent = None
         return self
 
     def erase(self, *, safe: bool = True) -> None:
-        """Remove the operation from the IR and drop its operand uses.
+        """Remove the operation from the IR and drop its operand uses and
+        those of everything nested in it (one pass; nested blocks end empty).
 
         With ``safe=True`` (the default) erasing an operation whose results are
         still used raises :class:`IRError`.
@@ -199,26 +219,48 @@ class Operation:
                         f"cannot erase {self.name}: result %{res.index} still has "
                         f"{len(res.uses)} use(s)"
                     )
-        self.detach()
-        self.drop_all_operand_uses()
-        # Recursively erase nested operations so their operand uses are released.
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.ops):
-                    op.erase(safe=False)
+        if self.parent is not None:
+            self.parent._ops.remove(self)
+            self.parent = None
+        doomed = [self]
+        try:
+            while doomed:
+                op = doomed.pop()
+                for operand, use in zip(op._operands, op._uses):
+                    del operand.uses[use]
+                op._operands = []
+                op._uses = []
+                for region in op.regions:
+                    for block in region.blocks:
+                        for child in block._ops:
+                            child.parent = None
+                        doomed.extend(block._ops)
+                        block._ops = []
+        except KeyError:
+            raise ValueError(
+                "attempting to remove a use that is not registered") from None
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
 
     def walk(self, *, include_self: bool = True) -> Iterator["Operation"]:
-        """Pre-order walk over this operation and everything nested inside it."""
+        """Pre-order walk over this operation and everything nested inside it.
+        The IR may change under it: a block's operations are those it held
+        when the walk reached it (one erased since is still yielded, with
+        nothing under it), and an operation is opened after its consumer ran.
+        """
         if include_self:
             yield self
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.ops):
-                    yield from op.walk(include_self=True)
+        open_blocks = [_nested_ops(self)]
+        while open_blocks:
+            for op in open_blocks[-1]:
+                yield op
+                if op.regions:
+                    open_blocks.append(_nested_ops(op))
+                    break
+            else:
+                open_blocks.pop()
 
     def walk_type(self, op_type: type) -> Iterator["Operation"]:
         for op in self.walk():
@@ -265,10 +307,12 @@ class Operation:
         """Verify this operation and everything nested within it.
 
         One iterative pre-order pass checks the structure of the whole
-        subtree — every operand's use is registered on its value (looked up in
-        a per-value set built once), every region / block / operation points
-        at its parent — and records where each value is defined.  A second
-        loop over the same pre-order then checks ``IsolatedFromAbove`` (an
+        subtree — every operand slot's use is registered on its value, every
+        region / block / operation points at its parent — and records where
+        each value is defined; an operand whose definition the pass only
+        meets later is a use before its definition (a value defined outside
+        the subtree is never met and stays legal).  A second loop over the
+        same pre-order then checks ``IsolatedFromAbove`` (an
         operation may only use values defined inside its innermost isolated
         ancestor; the outermost violated ancestor is the one named) and calls
         each operation's trait verifiers and ``verify_`` hook exactly once.
@@ -278,22 +322,20 @@ class Operation:
         #: (operation, its isolated ancestors outermost first), in pre-order.
         order: List[Tuple[Operation, Tuple[Operation, ...]]] = []
         defined_in: Dict[int, Tuple[Operation, ...]] = {}
-        registered: Dict[int, set] = {}
+        #: (operation, operand index, value) not defined when it was used.
+        not_yet_defined: List[Tuple[Operation, int, SSAValue]] = []
         stack: List[Tuple[Operation, Tuple[Operation, ...]]] = [(self, ())]
         while stack:
             entry = stack.pop()
             order.append(entry)
             op, isolated = entry
-            for i, value in enumerate(op._operands):
-                uses = registered.get(id(value))
-                if uses is None:
-                    uses = registered[id(value)] = {
-                        (id(use.operation), use.index) for use in value.uses
-                    }
-                if (id(op), i) not in uses:
+            for value, use in zip(op._operands, op._uses):
+                if use not in value.uses:
                     raise VerifyException(
-                        f"{op.name}: operand {i} does not have a registered use"
+                        f"{op.name}: operand {use.index} does not have a registered use"
                     )
+                if id(value) not in defined_in:
+                    not_yet_defined.append((op, use.index, value))
             for result in op.results:
                 defined_in[id(result)] = isolated
             if not op.regions:
@@ -316,6 +358,12 @@ class Operation:
                             )
                         children.append((child, isolated))
             stack.extend(reversed(children))
+
+        for op, index, value in not_yet_defined:
+            if id(value) in defined_in:
+                raise VerifyException(
+                    f"{op.name}: operand {index} is used before its definition"
+                )
 
         for op, isolated in order:
             if isolated:
@@ -410,10 +458,6 @@ class Block:
     ) -> None:
         for op in new_ops:
             self.insert_op_before(op, existing)
-
-    def _detach_op(self, op: Operation) -> None:
-        self._ops.remove(op)
-        op.parent = None
 
     def erase_op(self, op: Operation, *, safe: bool = True) -> None:
         if op.parent is not self:

@@ -10,7 +10,7 @@ when a rewrite or an erasure touched something it uses or is used by.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .builder import Builder, InsertPoint
 from .operation import IRError, Operation
@@ -34,15 +34,14 @@ class RewritePattern:
         raise NotImplementedError
 
 
-def _definers(op: Operation) -> Iterator[Operation]:
+def _definers(op: Operation) -> List[Operation]:
     """The operations defining an operand of ``op`` or of anything nested in
     it — what may become dead once ``op`` is erased.  The body of a
     region-carrying op uses values defined outside it, so its own operands
-    are not enough."""
-    for inner in op.walk():
-        for operand in inner.operands:
-            if isinstance(operand, OpResult):
-                yield operand.op
+    are not enough (and only such an op is worth a walk)."""
+    return [operand.op
+            for inner in (op.walk() if op.regions else (op,))
+            for operand in inner._operands if isinstance(operand, OpResult)]
 
 
 class PatternRewriter:
@@ -173,7 +172,7 @@ def apply_patterns(
         if op.parent is None:
             continue  # erased since it was pushed
         if is_trivially_dead(op):
-            definers = list(_definers(op))
+            definers = _definers(op)
             op.erase()
             erased += 1
             push(definers)

@@ -7,7 +7,7 @@ rewrites can replace values globally and the verifier can detect dangling uses.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .attributes import TypeAttribute
 
@@ -16,23 +16,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Use:
-    """A single use of an SSA value: operand ``index`` of ``operation``."""
+    """One operand slot: operand ``index`` of ``operation``, which creates
+    it once and owns it (``op._uses[index]``); a value's ``uses`` is keyed by
+    that object, so a slot is found by identity, never compared."""
 
     __slots__ = ("operation", "index")
 
     def __init__(self, operation: "Operation", index: int):
         self.operation = operation
         self.index = index
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Use)
-            and self.operation is other.operation
-            and self.index == other.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.operation), self.index))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Use({self.operation.name}, operand {self.index})"
@@ -41,27 +33,28 @@ class Use:
 class SSAValue:
     """Base class for any value usable as an operand."""
 
+    __slots__ = ("type", "uses", "name_hint")
+
     def __init__(self, type: TypeAttribute):
         if not isinstance(type, TypeAttribute):
             raise TypeError(
                 f"SSA value type must be a TypeAttribute, got {type!r}"
             )
         self.type = type
-        self.uses: List[Use] = []
+        #: The operand slots using this value, in registration order: a
+        #: mapping, so add / remove / ``in`` are O(1); iterate or ``len()`` it.
+        self.uses: Dict[Use, None] = {}
         #: Optional human-readable name used by the printer (e.g. ``%result``).
         self.name_hint: Optional[str] = None
 
     # -- use management ------------------------------------------------
 
-    def add_use(self, use: Use) -> None:
-        self.uses.append(use)
-
     def remove_use(self, use: Use) -> None:
-        for i, existing in enumerate(self.uses):
-            if existing == use:
-                del self.uses[i]
-                return
-        raise ValueError("attempting to remove a use that is not registered")
+        try:
+            del self.uses[use]
+        except KeyError:
+            raise ValueError(
+                "attempting to remove a use that is not registered") from None
 
     def replace_all_uses_with(self, new_value: "SSAValue") -> None:
         """Rewrite every operand currently referencing ``self`` to ``new_value``."""
@@ -88,6 +81,8 @@ class SSAValue:
 class OpResult(SSAValue):
     """An SSA value produced by an operation."""
 
+    __slots__ = ("op", "index")
+
     def __init__(self, type: TypeAttribute, op: "Operation", index: int):
         super().__init__(type)
         self.op = op
@@ -99,6 +94,8 @@ class OpResult(SSAValue):
 
 class BlockArgument(SSAValue):
     """An SSA value introduced as a block argument (e.g. a loop induction var)."""
+
+    __slots__ = ("block", "index")
 
     def __init__(self, type: TypeAttribute, block: "Block", index: int):
         super().__init__(type)

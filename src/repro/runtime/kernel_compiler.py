@@ -33,13 +33,13 @@ Compilation translates IR to Python source:
   allocates O(1) temporaries instead of one per op;
 * ``memref.store`` becomes one sliced assignment per sweep.
 
-The generated source is compiled with :func:`compile`/``exec`` and wrapped in
-a :class:`CompiledKernel`; ``kernel.source`` keeps the generated text for
-inspection.  Because a cached kernel may be reused for a *different* op
-instance with the same structure, the kernel references its inputs through
-**external paths** (operand positions within the op) which
-:meth:`KernelCompiler.kernel_for` resolves against the concrete op, rather
-than through SSA values captured at compile time.
+A :class:`CompiledKernel` is built *translated* and is *materialised* —
+rendered and passed to :func:`compile`/``exec`` — when an interpreter first
+looks it up to run it or something reads ``kernel.source``.  Because a cached
+kernel may be reused for a *different* op instance with the same structure,
+it references its inputs through **external paths** (operand positions within
+the op) which :meth:`KernelCompiler.kernel_for` resolves against the concrete
+op, rather than through SSA values captured at compile time.
 
 Correctness guards and the interpreter oracle
 =============================================
@@ -279,8 +279,9 @@ class CompiledKernel:
     """A compiled sweep: a Python function over NumPy arrays plus the access
     metadata needed for the runtime bounds/alias guards.
 
-    Built from a finished :class:`_BodyTranslator`, whose statements are
-    rendered (liveness pass included) and ``exec``'d here.  ``loads`` and
+    Built from a finished :class:`_BodyTranslator`, whose statements
+    :meth:`materialise` renders (liveness pass included) and ``exec``s into
+    ``fn`` / ``source`` / ``allocations`` / ``arrays_per_point``.  ``loads`` and
     ``stores`` list ``(external_slot, ((dim, offset), ...))`` pairs — one per
     *distinct* load window: slot indexes the external vector, and each
     ``(dim, offset)`` describes the affine index ``iv[dim] + offset`` used for
@@ -298,12 +299,7 @@ class CompiledKernel:
         bound_slots: Sequence[Tuple[int, int, int]] = (),
         result_is_array: Sequence[bool] = (),
     ):
-        lines = list(prologue) + translator.render()
-        body = "\n".join("    " + line for line in lines) or "    pass"
-        self.source = f"def {name}(ext, lb, ub):\n{body}\n"
-        namespace = dict(_NAMESPACE)
-        exec(compile(self.source, f"<{name}>", "exec"), namespace)
-        self.fn: Callable = namespace[name]
+        self._pending: Optional[Tuple] = (name, tuple(prologue), translator)
         self.rank = translator.rank
         self.loads = tuple(translator.windows)
         self.stores = tuple(translator.stores)
@@ -313,12 +309,6 @@ class CompiledKernel:
         #: guards hold the runtime arrays to it, since ``out=`` reuse would
         #: silently cast where a fresh allocation would have promoted.
         self.slot_dtypes = translator.slot_dtypes
-        #: Arrays one call allocates (the rest of its results land in dead
-        #: buffers) and, with the distinct arrays it loads and stores, the
-        #: arrays it touches per point: what the interpreter's default
-        #: cache-box plan sizes boxes by.
-        self.allocations = translator.allocations
-        self.arrays_per_point = self.allocations + len(self.slot_dtypes)
         #: For apply kernels: which returned values are whole-domain arrays
         #: (only those can be slab-assembled by ``run_boxes``).
         self.result_is_array = tuple(result_is_array)
@@ -336,6 +326,33 @@ class CompiledKernel:
             self.tileable = all(len(axes) == self.rank for _, axes in self.stores)
         else:
             self.tileable = bool(self.result_is_array) and all(self.result_is_array)
+
+    def materialise(self) -> None:
+        """Render and ``compile()`` the statements, once.  Racing first
+        callers each build an equal function; the translation is let go
+        last, so whoever finds it gone finds a whole kernel."""
+        pending = self._pending
+        if pending is None:
+            return
+        name, prologue, translator = pending
+        lines, allocations = translator.render()
+        body = "\n".join("    " + line for line in prologue + tuple(lines)) or "    pass"
+        self.source = f"def {name}(ext, lb, ub):\n{body}\n"
+        #: Arrays one call allocates (its other results land in dead buffers)
+        #: and, with the distinct arrays it loads and stores, the arrays it
+        #: touches per point: what the default cache-box plan sizes boxes by.
+        self.allocations = allocations
+        self.arrays_per_point = allocations + len(self.slot_dtypes)
+        namespace = dict(_NAMESPACE)
+        exec(compile(self.source, f"<{name}>", "exec"), namespace)
+        self.fn: Callable = namespace[name]
+        self._pending = None
+
+    def __getattr__(self, name: str):
+        if name in ("fn", "source", "allocations", "arrays_per_point"):
+            self.materialise()
+            return self.__dict__[name]
+        raise AttributeError(name)
 
     # -- runtime guards ----------------------------------------------------
 
@@ -470,7 +487,6 @@ class _BodyTranslator:
         self.slot_dtypes: Dict[int, np.dtype] = {}
         #: values the kernel returns (apply kernels): live to the end
         self.returned: List[_Expr] = []
-        self.allocations = 0  # counted by render()
         self._counter = 0
         #: set by the driver before translating each body op, so scalar
         #: externals discovered mid-expression can be given a path
@@ -678,8 +694,9 @@ class _BodyTranslator:
 
     # -- liveness and rendering --------------------------------------------
 
-    def render(self) -> List[str]:
-        """The statements as source lines, after a last-use pass over them.
+    def render(self) -> Tuple[List[str], int]:
+        """The statements as source lines, after a last-use pass over them,
+        and how many arrays those lines allocate per call.
 
         A reusable result (see :class:`_Expr`) is computed ``out=`` a buffer
         that died at or before its statement — one of its own operands, else
@@ -693,7 +710,7 @@ class _BodyTranslator:
             for use in uses:
                 last_use[use] = index
         last_use.update((expr, len(self.stmts)) for expr in self.returned)
-        self.allocations = 0
+        allocations = 0
         lines: List[str] = []
         free: List[_Expr] = []
         for index, (result, template, uses) in enumerate(self.stmts):
@@ -712,7 +729,7 @@ class _BodyTranslator:
                     elif free:
                         donor = free.pop()
                 if donor is None:
-                    self.allocations += 1
+                    allocations += 1
                 else:
                     out = f", out={donor.var}"
             code = template.format(*[use.var for use in uses], out=out)
@@ -723,7 +740,7 @@ class _BodyTranslator:
                 lines.append("del " + ", ".join(dead))
         if self.returned:
             lines.append(f"return [{', '.join(e.var for e in self.returned)}]")
-        return lines
+        return lines, allocations
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +905,9 @@ def apply_is_vectorizable(op: Operation) -> bool:
     """Static analysis used by the transforms layer: can this apply's body be
     compiled to a whole-array kernel?  (Pure IR check — no runtime values.)
 
-    The result — kernel or failure — is recorded in the process-wide
-    structural cache, so the analysis doubles as *pre-compilation*: a later
-    ``execution_mode="vectorize"`` run of the same stencil starts with a
-    cache hit instead of compiling at first sweep.
+    The result — translated kernel or failure — is recorded in the
+    process-wide structural cache, so a later ``execution_mode="vectorize"``
+    run of the same stencil starts with a cache hit to materialise.
     """
     return KernelCompiler().compile_cached(
         structural_hash(op), lambda: compile_apply(op)) is not None
@@ -947,10 +963,10 @@ class KernelCompiler:
 
     def compile_cached(self, key: str,
                        builder: Callable[[], CompiledKernel]) -> Optional[CompiledKernel]:
-        """Structural-cache lookup with counted compile-on-miss.  Any compile
-        failure — including codegen bugs surfacing as SyntaxError from exec —
-        must degrade to scalar interpretation, never crash the run: the cache
-        then holds None, and why is kept beside it."""
+        """Structural-cache lookup with counted translate-on-miss.  Any
+        failure must degrade to scalar interpretation, never crash the run:
+        the cache then holds None, and why is kept beside it (a codegen bug
+        surfacing as SyntaxError from ``exec``: see :meth:`bound_for`)."""
         if key in self._structural:
             self.stats["cache_hits"] += 1
             return self._structural[key]
@@ -975,8 +991,9 @@ class KernelCompiler:
                   builder: Callable[[], CompiledKernel]) -> Optional[BoundKernel]:
         """The kernel ``builder`` compiles from ``source`` (cached under its
         structural hash) bound to ``site``'s operands — from the identity memo
-        after the first lookup.  A launch site binds to its ``gpu.func``
-        here, so all kernel kinds share both cache levels and the counters."""
+        after the first lookup, which also materialises the kernel (a failure
+        of either is a counted fallback).  A launch site binds to its
+        ``gpu.func`` here, so all kernel kinds share both cache levels."""
         entry = self._memo.get(site)
         if entry is not None:
             self.stats["cache_hits"] += 1
@@ -989,6 +1006,7 @@ class KernelCompiler:
             if kernel is not None:
                 kernel.label = kernel.label or label
                 try:
+                    kernel.materialise()
                     bound = self._bind(site, kernel)
                 except Exception as exc:
                     self.stats["unsupported"] += 1

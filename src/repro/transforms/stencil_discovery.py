@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import arith, fir, math_dialect, stencil
 from ..dialects.func import FuncOp
-from ..ir.attributes import StringAttr, UnitAttr
+from ..ir.attributes import StringAttr
 from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
@@ -37,7 +37,7 @@ from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import PatternRewriter, RewritePattern, apply_patterns
 from ..ir.ssa import BlockArgument, OpResult, SSAValue
 from ..ir.types import FloatType, IndexType, IntegerType, f64, index
-from .stencil_fusion import merge_adjacent_applies
+from .stencil_fusion import merge_adjacent_applies, tag_vectorizable
 
 
 class DiscoveryError(Exception):
@@ -381,6 +381,8 @@ class StencilDiscoveryPass(ModulePass):
             _remove_empty_loops(func_op)
             if self.merge:
                 merge_adjacent_applies(func_op)
+            # The applies fusion left standing (it tagged the ones it made).
+            tag_vectorizable(op for _, generated in pairs for op in generated.ops)
         return inserted
 
     # ------------------------------------------------------------------
@@ -566,15 +568,6 @@ class StencilDiscoveryPass(ModulePass):
             [result_temp_type],
             Region([body_block]),
         )
-        # Record whether the body can be compiled to a whole-array kernel
-        # (execution_mode="vectorize"); fusion keeps this metadata intact.
-        # The analysis stores its kernel in the process-wide structural cache,
-        # so this is pre-compilation, not throwaway work: a vectorize-mode
-        # interpreter starts with a cache hit for every tagged stencil.
-        from ..runtime.kernel_compiler import apply_is_vectorizable
-
-        if apply_is_vectorizable(apply_op):
-            apply_op.attributes["stencil.vectorizable"] = UnitAttr()
         generated.append(apply_op)
         generated.append(
             stencil.StoreOp(apply_op.results[0], output_field, candidate.lb, candidate.ub)

@@ -12,7 +12,7 @@ read-after-write through memory would change meaning).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..dialects import stencil
 from ..dialects.func import FuncOp
@@ -119,16 +119,6 @@ def _fuse_pair(first: stencil.ApplyOp, second: stencil.ApplyOp) -> stencil.Apply
         [r.type for r in first.results] + [r.type for r in second.results],
         Region([fused_block]),
     )
-    # Vectorizability metadata must survive fusion: a fused body built from
-    # two whole-array-compilable bodies is itself compilable (it is the same
-    # op set over the union of the operands), so carry the marker over — and
-    # re-verify against the kernel compiler's static analysis to be safe.
-    if "stencil.vectorizable" in first.attributes and \
-            "stencil.vectorizable" in second.attributes:
-        from ..runtime.kernel_compiler import apply_is_vectorizable
-
-        if apply_is_vectorizable(fused):
-            fused.attributes["stencil.vectorizable"] = UnitAttr()
     # Insert at the position of the *second* apply: every operand of both
     # applies is defined by then.
     block.insert_op_before(fused, second)
@@ -147,9 +137,23 @@ def _fuse_pair(first: stencil.ApplyOp, second: stencil.ApplyOp) -> stencil.Apply
     return fused
 
 
+def tag_vectorizable(ops: Iterable[Operation]) -> None:
+    """Tag each ``stencil.apply`` of ``ops`` still in the IR whose body
+    translates to a whole-array kernel (``execution_mode="vectorize"``).
+    Called where applies stop changing — the end of discovery, of a merge —
+    so one that fusion consumes is never analysed and a fused one is judged
+    by its own body; the analysis leaves the kernel in the structural cache."""
+    from ..runtime.kernel_compiler import apply_is_vectorizable
+
+    for op in ops:
+        if isinstance(op, stencil.ApplyOp) and op.parent is not None \
+                and apply_is_vectorizable(op):
+            op.attributes["stencil.vectorizable"] = UnitAttr()
+
+
 def merge_adjacent_applies(func_op: FuncOp) -> int:
     """Fuse eligible applies within every block of ``func_op``; returns count."""
-    fused_count = 0
+    fused: List[stencil.ApplyOp] = []
     changed = True
     while changed:
         changed = False
@@ -157,8 +161,7 @@ def merge_adjacent_applies(func_op: FuncOp) -> int:
             applies = [op for op in block.ops if isinstance(op, stencil.ApplyOp)]
             for first, second in zip(applies, applies[1:]):
                 if _can_fuse(first, second):
-                    _fuse_pair(first, second)
-                    fused_count += 1
+                    fused.append(_fuse_pair(first, second))
                     changed = True
                     break
             if changed:
@@ -170,7 +173,8 @@ def merge_adjacent_applies(func_op: FuncOp) -> int:
     eliminate_dead_code(
         func_op, seeds=[op for op in func_op.walk() if isinstance(op, chain)]
     )
-    return fused_count
+    tag_vectorizable(fused)
+    return len(fused)
 
 
 def _blocks_of(func_op: FuncOp):

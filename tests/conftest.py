@@ -48,6 +48,20 @@ def fuzz_seeds(request):
 
 
 @pytest.fixture
+def empty_kernel_cache():
+    """The process-wide kernel cache emptied, and put back afterwards, the
+    way ``bench/measure.py`` does around every cold start."""
+    from repro.runtime import kernel_compiler
+
+    cache = kernel_compiler._SHARED_CACHE
+    held = dict(cache)
+    cache.clear()
+    yield cache
+    cache.clear()
+    cache.update(held)
+
+
+@pytest.fixture
 def python_calls():
     """``python_calls(fn)``: the number of Python-level function calls
     ``fn()`` makes — a count, so the same on every machine (unlike a timing)."""

@@ -111,6 +111,19 @@ end subroutine r
         with pytest.raises(FortranSyntaxError):
             parse_source("subroutine s(\n")
 
+    def test_truncated_source_reports_the_line_it_ends_on(self):
+        """EOF carries the last logical line's number (it was the token count:
+        ``at line 41`` for this five-line source)."""
+        src = ("subroutine s(a)\n  real(kind=8), intent(inout) :: a(4)\n"
+               "  integer :: i\n  do i = 1, 4\n    a(i) = 1.0\n")
+        eof = tokenize(src)[-1]
+        assert (eof.kind, eof.line) == ("EOF", 5) and eof.column > len("a(i) = 1.0")
+        with pytest.raises(FortranSyntaxError, match=r"expected 'end' at line 5 "):
+            parse_source(src)
+        assert tokenize("")[-1] == ("EOF", "", 1, 1)
+        assert tokenize("\n\n! only a comment\n")[-1] == ("EOF", "", 1, 1)
+        assert parse_source("").units == []
+
     def test_program_unit(self):
         src = """
 program main

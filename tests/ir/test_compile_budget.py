@@ -1,0 +1,159 @@
+"""The compile path as deterministic counts, not timings.
+
+What a cold compile pays for IR bookkeeping (use-def chains, ``walk``,
+``erase``, ``verify``) and for generated kernels is pinned as Python ``call``
+events, ``builtins.compile`` calls and translator constructions: the same
+numbers on every machine.
+"""
+
+import builtins
+import tracemalloc
+
+import pytest
+
+import repro
+from repro.apps import gauss_seidel, pw_advection
+from repro.dialects import arith, func, stencil
+from repro.dialects.builtin import ModuleOp
+from repro.ir import Builder, Operation, f64
+from repro.ir.ssa import Use
+from repro.runtime import SimulatedGPU, kernel_compiler
+
+N = 8
+
+#: name -> (source, backend, lower options, Python calls one ``lower()`` with
+#: a warm kernel cache made at the parent commit 6c2b831).
+CONFIGS = {
+    "pw-cpu": (pw_advection.generate_source(N), "cpu", {}, 124_860),
+    "pw-cpu-scf": (pw_advection.generate_source(N), "cpu",
+                   {"lower_to_scf": True}, 155_212),
+    "pw-gpu-scf": (pw_advection.generate_source(N, niters=2), "gpu",
+                   {"lower_to_scf": True}, 190_149),
+    "gs-openmp-scf": (gauss_seidel.generate_source(N, niters=3), "openmp",
+                      {"lower_to_scf": True}, 24_187),
+    "gs-dmp": (gauss_seidel.generate_source_shaped((N, N, N), niters=1), "dmp",
+               {"grid": (2, 2)}, 18_925),
+}
+
+
+def lower(name):
+    source, backend, options, _ = CONFIGS[name]
+    return repro.Session().compile(source).lower(backend, **options)
+
+
+@pytest.fixture
+def compile_spy(monkeypatch):
+    """The file names ``builtins.compile`` was called with."""
+    seen = []
+    real = builtins.compile
+
+    def spy(source, filename, *args, **kwargs):
+        seen.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_one_lower_makes_at_most_65_percent_of_the_parents_calls(name, python_calls):
+    lower(name)  # warm kernel cache
+    calls = python_calls(lambda: lower(name))
+    assert calls <= 0.65 * CONFIGS[name][3], calls
+
+
+@pytest.mark.parametrize("name", ["pw-cpu", "pw-cpu-scf", "pw-gpu-scf", "gs-openmp-scf"])
+def test_lower_compiles_no_kernel_and_the_first_run_one_per_kernel(
+        name, empty_kernel_cache, compile_spy):
+    handle = lower(name)
+    assert compile_spy == []
+    if name.startswith("pw"):
+        args = [f.copy(order="F") for f in pw_advection.initial_fields(N)]
+        entry = "pw_advection"
+    else:
+        args = [gauss_seidel.initial_condition(N).copy(order="F")]
+        entry = "gauss_seidel"
+    kwargs = {"gpu": SimulatedGPU()} if name == "pw-gpu-scf" else {}
+    interp = handle.run(entry, *args, execution_mode="vectorize", **kwargs)
+    stats = interp.kernels.stats
+    assert stats["unsupported"] == 0 and stats["reasons"] == {}
+    kernels = [k for k in empty_kernel_cache.values() if "fn" in vars(k)]
+    assert len(kernels) >= 1
+    assert sorted(compile_spy) == sorted(
+        f"<{k.fn.__name__}>" for k in kernels)  # one compile() per kernel run
+    del compile_spy[:]
+    handle.run(entry, *args, execution_mode="vectorize", **kwargs)
+    assert compile_spy == []
+
+
+@pytest.mark.parametrize("options, surviving", [({}, 1), ({"fuse_stencils": False}, 3)])
+def test_one_translation_per_apply_that_survives(monkeypatch, options, surviving):
+    built = []
+    real = kernel_compiler._BodyTranslator.__init__
+
+    def spy(self, rank):
+        built.append(rank)
+        real(self, rank)
+
+    monkeypatch.setattr(kernel_compiler._BodyTranslator, "__init__", spy)
+    # A source of its own, so the structural cache cannot answer for it.
+    source = pw_advection.generate_source(N + 3)
+    handle = repro.Session().compile(source).lower("cpu", **options)
+    applies = [op for op in handle.stencil_module.walk()
+               if isinstance(op, stencil.ApplyOp)]
+    assert len(applies) == surviving == len(built)
+    assert all("stencil.vectorizable" in op.attributes for op in applies)
+
+
+def test_erasing_users_in_reverse_order_compares_no_uses(monkeypatch):
+    """200 users of one value erased last-first: at the parent every removal
+    scanned the use list to its far end through ``Use.__eq__``."""
+    compared = []
+    f = func.FuncOp.build("f", [f64], [])
+    b = Builder.at_end(f.entry_block)
+    users = [b.insert(arith.NegfOp(f.entry_block.args[0])) for _ in range(200)]
+    b.insert(func.ReturnOp([]))
+    assert "__eq__" not in vars(Use) and "__hash__" not in vars(Use)
+    monkeypatch.setattr(Use, "__eq__", lambda a, b: compared.append(a) or a is b,
+                        raising=False)
+    monkeypatch.setattr(Use, "__hash__", object.__hash__, raising=False)
+    arg = f.entry_block.args[0]
+    assert len(arg.uses) == 200
+    for op in reversed(users):
+        op.erase()
+    assert not arg.uses and compared == []
+    f.verify()
+
+
+def test_verify_of_a_1000_op_block_builds_no_set_per_value(python_calls):
+    def chain(n):
+        f = func.FuncOp.build("f", [f64], [])
+        b = Builder.at_end(f.entry_block)
+        value = f.entry_block.args[0]
+        for _ in range(n):
+            # Every op also uses the argument: one value with n uses.
+            value = b.insert(arith.AddfOp(value, f.entry_block.args[0])).result
+        b.insert(func.ReturnOp([]))
+        return ModuleOp([f])
+
+    small, large = chain(250), chain(1000)
+    small.verify(), large.verify()
+    assert python_calls(large.verify) <= 4.2 * python_calls(small.verify)
+    # The pass keeps its pre-order list and one dict of definitions (97 KB
+    # here); a {(id(op), index)} set per value on top of that was 525 KB.
+    tracemalloc.start()
+    try:
+        large.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 1000, peak
+
+
+def test_operations_and_values_carry_no_instance_dict():
+    op = arith.ConstantOp.from_float(1.0)
+    assert not vars(op)
+    for value in (op.result, func.FuncOp.build("f", [f64], []).entry_block.args[0]):
+        assert not hasattr(value, "__dict__")
+    assert not hasattr(Use(op, 0), "__dict__")
+    assert not vars(Operation())

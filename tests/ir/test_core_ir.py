@@ -1,19 +1,25 @@
 """Unit tests for SSA values, operations, blocks, regions, builder and traits."""
 
+import random
+
 import pytest
 
 from repro.dialects import arith, func, gpu, scf
 from repro.dialects.builtin import ModuleOp
+from repro.ir.ssa import Use
 from repro.ir import (
     Block,
     Builder,
     IRError,
     InsertPoint,
     Operation,
+    ParseError,
     Region,
     VerifyException,
     f64,
     index,
+    parse_module,
+    print_module,
 )
 
 
@@ -59,6 +65,158 @@ class TestUseDefChains:
         add.set_operand(0, arg1)
         assert not any(u.operation is add for u in arg0.uses)
         assert sum(1 for u in arg1.uses if u.operation is add) == 2
+
+
+    def test_removing_an_unregistered_use_raises(self):
+        f, add = make_add_function()
+        arg0, arg1 = f.entry_block.args
+        with pytest.raises(ValueError, match="not registered"):
+            arg0.remove_use(Use(add, 0))  # a look-alike is not the slot's own use
+        arg1.uses.popitem()
+        with pytest.raises(ValueError, match="not registered"):
+            add.set_operand(1, arg0)
+        with pytest.raises(ValueError, match="not registered"):
+            add.drop_all_operand_uses()
+        f.entry_block.last_op.erase()
+        with pytest.raises(ValueError, match="not registered"):
+            add.erase()
+
+    def test_uses_keep_insertion_order_under_seeded_mutation(self, fuzz_seeds):
+        """``uses`` against the plain list it replaced (append on register,
+        remove the matching entry on release), after every step of a random
+        interleaving of every operand mutation; ``verify()`` holds throughout."""
+        for seed in range(fuzz_seeds):
+            rng = random.Random(seed)
+            f = func.FuncOp.build("f", [f64] * 3, [])
+            block = f.entry_block
+            ret = func.ReturnOp([])
+            block.add_op(ret)
+            module = ModuleOp([f])
+            model = {arg: [] for arg in block.args}  # value -> [(op, index)]
+
+            def visible(op):
+                """Values defined before ``op``: the arguments, earlier results."""
+                return list(block.args) + [
+                    o.result for o in block.ops[:block.index_of(op)] if o.results]
+
+            def release(op):
+                for i, old in enumerate(op.operands):
+                    model[old].remove((op, i))
+
+            def set_operand(op, i, value):
+                model[op.operands[i]].remove((op, i))
+                model[value].append((op, i))
+                op.set_operand(i, value)
+
+            for _ in range(60):
+                ops = [op for op in block.ops if op is not ret]
+                step = rng.choice(["new", "add", "set", "set_all", "rauw", "erase"])
+                if step == "new" or not ops:
+                    op = Operation(result_types=[f64])
+                    block.insert_op_before(op, ret)
+                    model[op.result] = []
+                    ops.append(op)
+                    step = "set_all"
+                op = rng.choice(ops)
+                if step == "add":
+                    value = rng.choice(visible(op))
+                    model[value].append((op, len(op.operands)))
+                    op.add_operand(value)
+                elif step == "set" and op.operands:
+                    set_operand(op, rng.randrange(len(op.operands)),
+                                rng.choice(visible(op)))
+                elif step == "set_all":
+                    values = rng.choices(visible(op), k=rng.randrange(4))
+                    release(op)
+                    for i, value in enumerate(values):
+                        model[value].append((op, i))
+                    op.set_operands(values)
+                elif step == "rauw":
+                    new = rng.choice(visible(op))
+                    for user, i in list(model[op.result]):
+                        model[op.result].remove((user, i))
+                        model[new].append((user, i))
+                    op.result.replace_all_uses_with(new)
+                elif step == "erase" and not model[op.result]:
+                    release(op)
+                    del model[op.result]
+                    op.erase()
+                for value, expected in model.items():
+                    assert [(u.operation, u.index) for u in value.uses] == expected
+                    assert len(value.uses) == len(expected)
+                    assert bool(value.uses) == value.has_uses == bool(expected)
+                module.verify()
+
+
+def reference_walk(op, include_self=True):
+    """``Operation.walk`` as a recursive generator, a frame per nesting level:
+    what the single iterative generator replaced and must agree with."""
+    if include_self:
+        yield op
+    for region in op.regions:
+        for block in region.blocks:
+            for inner in list(block.ops):
+                yield from reference_walk(inner)
+
+
+class TestWalk:
+    @staticmethod
+    def nest():
+        """module { func { c0 c1 c2; for { for { neg; neg; yield }; neg; yield };
+        if { neg } else { neg; neg }; return } } — two regions on the if."""
+        f = func.FuncOp.build("f", [f64], [])
+        b = Builder.at_end(f.entry_block)
+        bounds = [b.insert(arith.ConstantOp.from_int(v, index)).result for v in (0, 4, 1)]
+        outer = b.insert(scf.ForOp(*bounds))
+        ob = Builder.at_end(outer.regions[0].block)
+        inner = ob.insert(scf.ForOp(*bounds))
+        ib = Builder.at_end(inner.regions[0].block)
+        for builder, count in ((ib, 2), (ob, 1)):
+            for _ in range(count):
+                builder.insert(arith.NegfOp(f.entry_block.args[0]))
+            builder.insert(scf.YieldOp([]))
+        cond = b.insert(arith.CmpiOp("slt", bounds[0], bounds[1]))
+        branch = b.insert(scf.IfOp(cond.result, else_region=Region([Block()])))
+        for region, count in zip(branch.regions, (1, 2)):
+            for _ in range(count):
+                region.block.add_op(arith.NegfOp(f.entry_block.args[0]))
+        b.insert(func.ReturnOp([]))
+        return ModuleOp([f])
+
+    SCRIPTS = {
+        "read only": lambda op, k: None,
+        "erase the yielded op": lambda op, k: op.erase()
+        if op.name in ("arith.negf", "scf.for") and k % 2 else None,
+        "erase its next sibling": lambda op, k: op.next_op().erase()
+        if op.next_op() and op.next_op().name in ("arith.negf", "scf.for") else None,
+        "insert before it": lambda op, k: op.parent.insert_op_before(
+            arith.ConstantOp.from_float(float(k)), op) if op.parent else None,
+        "insert after it": lambda op, k: op.parent.insert_op_after(
+            arith.ConstantOp.from_float(float(k)), op)
+        if op.parent and op is not op.parent.last_op else None,
+    }
+
+    @pytest.mark.parametrize("script", SCRIPTS)
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_same_sequence_as_the_recursive_walk_under_mutation(self, script, include_self):
+        sequences = []
+        for walk in (Operation.walk, reference_walk):
+            module = self.nest()
+            position = {op: i for i, op in enumerate(reference_walk(module))}
+            seen = []
+            for k, op in enumerate(walk(module, include_self=include_self)):
+                seen.append((position.get(op, "new"), op.name, op.parent is None))
+                self.SCRIPTS[script](op, k)
+            module.verify()
+            sequences.append(seen)
+        assert sequences[0] == sequences[1]
+        assert len(sequences[0]) > 10
+
+    def test_block_and_region_walks_go_through_the_same_walk(self):
+        module = self.nest()
+        body = module.regions[0]
+        assert list(body.walk()) == list(body.block.walk()) == \
+            list(module.walk(include_self=False))
 
 
 class TestStructure:
@@ -187,7 +345,7 @@ class TestVerifierRejects:
 
     def test_operand_without_registered_use(self):
         module, _, host, add, *_ = make_nested_module()
-        host.entry_block.args[1].uses.pop()
+        host.entry_block.args[1].uses.popitem()
         with pytest.raises(VerifyException, match="arith.addf: operand 1 does not have a registered use"):
             module.verify()
 
@@ -283,12 +441,36 @@ class TestVerifierRejects:
         with pytest.raises(VerifyException, match="gpu.func: operation arith.negf"):
             kernel.verify()
 
-    def test_definition_order_inside_a_block_does_not_matter(self):
+    def test_use_before_definition_is_rejected(self):
+        """What the parser refuses on reload ("use of undefined value") the
+        verifier refuses before the module is ever printed."""
         module, _, host, add, *_ = make_nested_module()
         late = arith.ConstantOp.from_float(3.0)
         host.entry_block.insert_op_after(late, add)
-        add.set_operand(0, late.result)
-        module.verify()
+        add.set_operand(1, late.result)
+        for root in (module, host):
+            with pytest.raises(
+                VerifyException,
+                match="arith.addf: operand 1 is used before its definition",
+            ):
+                root.verify()
+        with pytest.raises(ParseError, match="use of undefined value"):
+            parse_module(print_module(module))
+
+    def test_module_level_use_before_definition(self):
+        a = arith.ConstantOp.from_float(1.0)
+        b = arith.ConstantOp.from_float(2.0)
+        with pytest.raises(VerifyException, match="arith.addf: operand 0 is used before"):
+            ModuleOp([arith.AddfOp(a.result, b.result), a, b]).verify()
+
+    def test_value_defined_outside_the_verified_subtree_stays_legal(self):
+        const = arith.ConstantOp.from_float(1.0)
+        loop = scf.ForOp(*(arith.ConstantOp.from_int(v, index).result
+                           for v in (0, 4, 1)))
+        body = loop.regions[0].block
+        body.add_op(arith.NegfOp(const.result))
+        body.add_op(scf.YieldOp([]))
+        loop.verify()  # const and the bounds are not under ``loop``
 
 
 class TestBuilder:

@@ -1,6 +1,8 @@
 """The one cleanup engine: ``is_trivially_dead`` + the worklist driver behind
 ``apply_patterns`` / ``eliminate_dead_code``."""
 
+import pytest
+
 import repro
 from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import arith, fir, func
@@ -9,6 +11,7 @@ from repro.frontend import compile_to_fir
 from repro.fuzz import DEFAULT_CONFIG, generate_spec
 from repro.ir import (
     Builder,
+    IRError,
     RewritePattern,
     apply_patterns,
     default_context,
@@ -139,6 +142,49 @@ def test_bounds_computed_in_the_outer_body_empty_the_outer_loop_too():
     _remove_empty_loops(f)
     assert _names(f) == ["fir.alloca", "fir.alloca", "func.return"]
     ModuleOp([f]).verify()
+
+
+def test_erasing_a_three_deep_nest_releases_every_nested_use():
+    f, b = _function()
+    slots = [b.insert(fir.AllocaOp(i32, name)).results[0] for name in "ijk"]
+    one = b.insert(arith.ConstantOp.from_int(1, index)).result
+    eight = b.insert(arith.ConstantOp.from_int(8, index)).result
+    builder, loops = b, []
+    for slot in slots:
+        loop, builder = _loop(builder, one, eight, one, slot)
+        loops.append(loop)
+    total = builder.insert(arith.AddiOp(one, eight))  # outer values, three deep
+    builder.insert(arith.MuliOp(total.result, eight))
+    for loop in reversed(loops):
+        Builder.at_end(loop.body.block).insert(fir.ResultOp([]))
+    b.insert(func.ReturnOp([]))
+    module = ModuleOp([f])
+    module.verify()
+    outer = loops[0]
+    nested = list(outer.walk(include_self=False))
+    assert len(nested) == 2 + 3 * 3 + 2 and all(v.uses for v in (one, eight, *slots))
+
+    with pytest.raises(IRError, match="arith.addi: result %0 still has 1 use"):
+        total.erase()
+    outer.erase()
+
+    assert not any(v.uses for v in (one, eight, *slots))
+    assert all(op.parent is None and not op.operands for op in nested)
+    assert all(not block.ops for loop in loops
+               for region in loop.regions for block in region.blocks)
+    assert not any(result.uses for op in nested for result in op.results)
+    # The worklist treats every one of them as gone, not as work.
+    offered = []
+
+    class Record(RewritePattern):
+        def match_and_rewrite(self, op, rewriter):
+            offered.append(op)
+
+    outcome = apply_patterns(f, [Record()], seeds=[outer, *nested])
+    assert offered == [] and outcome.erased == 0
+    eliminate_dead_code(f)
+    assert _names(f) == ["fir.alloca"] * 3 + ["func.return"]
+    module.verify()
 
 
 # -- patterns on the same worklist --------------------------------------------

@@ -838,3 +838,119 @@ class TestVectorizabilityMetadata:
         assert "stencil.vectorizable" in applies[0].attributes
         kernel = compile_apply(applies[0])
         assert kernel.source.count("return [") == 1
+
+
+# ---------------------------------------------------------------------------
+# Translated at analysis, materialised at the first lookup-to-run
+# ---------------------------------------------------------------------------
+
+
+class TestMaterialisation:
+    N = 8
+
+    def handle(self, **options):
+        return repro.Session().compile(
+            pw_advection.generate_source(self.N)).lower("cpu", **options)
+
+    def run(self, handle, mode="vectorize"):
+        fields = [f.copy(order="F") for f in pw_advection.initial_fields(self.N)]
+        interp = handle.run("pw_advection", *fields, execution_mode=mode)
+        return interp, b"".join(f.tobytes() for f in fields[3:])
+
+    def test_translation_is_enough_for_the_analysis_and_the_guards(self, empty_kernel_cache):
+        kernel = compile_apply(build_average_apply())
+        assert "fn" not in vars(kernel) and "source" not in vars(kernel)
+        assert kernel.loads and kernel.tileable and kernel.rank == 2
+        assert "def _apply_kernel(ext, lb, ub):" in kernel.source  # the first read
+        assert callable(vars(kernel)["fn"]) and kernel.arrays_per_point >= 2
+        with pytest.raises(AttributeError):
+            kernel.no_such_field
+
+    def test_a_render_bug_is_a_counted_fallback_at_the_first_run(
+            self, empty_kernel_cache, monkeypatch):
+        from repro.runtime.kernel_compiler import _BodyTranslator
+
+        _, oracle = self.run(self.handle(), mode="interpret")
+        empty_kernel_cache.clear()
+        monkeypatch.setattr(_BodyTranslator, "render", lambda self: (["def"], 0))
+        handle = self.handle()
+        [apply_op] = [op for op in handle.stencil_module.walk()
+                      if isinstance(op, stencil.ApplyOp)]
+        assert "stencil.vectorizable" in apply_op.attributes  # the body translates
+        for sweep in range(2):
+            interp, got = self.run(handle)
+            assert got == oracle
+            assert interp.stats["vectorize_fallbacks"] == 1
+            (label, why), = interp.kernels.stats["reasons"].items()
+            assert label == f"stencil.apply@{structural_hash(apply_op)[:10]}"
+            assert why.startswith("SyntaxError")
+            # Counted where it failed; later interpreters read the verdict.
+            assert interp.kernels.stats["unsupported"] == (1 if sweep == 0 else 0)
+            assert interp.kernels.stats["compiled"] == 0
+
+    def test_two_threads_first_calling_one_shared_kernel(self, empty_kernel_cache):
+        import sys
+        import threading
+
+        _, oracle = self.run(self.handle(), mode="interpret")
+        results, errors = {}, []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(5):
+                empty_kernel_cache.clear()
+                handle = self.handle()
+                barrier = threading.Barrier(2)
+
+                def first_call(who):
+                    try:
+                        barrier.wait(timeout=10)
+                        interp, got = self.run(handle)
+                        results[attempt, who] = (
+                            got, interp.kernels.stats["unsupported"],
+                            interp.stats["vectorize_fallbacks"])
+                    except Exception as exc:  # reported below, in the main thread
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=first_call, args=(who,))
+                           for who in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 10
+        assert all(outcome == (oracle, 0, 0) for outcome in results.values())
+
+    @pytest.mark.parametrize("materialised", [False, True])
+    def test_a_kernel_put_back_into_the_cache_runs(self, empty_kernel_cache, materialised):
+        """``run → empty _SHARED_CACHE → run → restore → run`` on one handle,
+        then a fresh handle that finds the put-back kernel — which the first
+        run had materialised, or which nobody had."""
+        _, oracle = self.run(self.handle(), mode="interpret")
+        empty_kernel_cache.clear()
+        handle = self.handle()  # parks the translated apply kernel
+        [parked] = empty_kernel_cache.values()
+        assert "fn" not in vars(parked)
+        if materialised:
+            assert self.run(handle)[1] == oracle
+            assert "fn" in vars(parked)
+        held = dict(empty_kernel_cache)
+        empty_kernel_cache.clear()
+        first, got = self.run(handle)
+        assert got == oracle
+        # An emptied cache is a compile for a handle that never ran, and the
+        # handle's own binding for one that did.
+        assert first.kernels.stats["compiled"] == (0 if materialised else 1)
+        empty_kernel_cache.update(held)
+        assert empty_kernel_cache[structural_hash(
+            next(op for op in handle.stencil_module.walk()
+                 if isinstance(op, stencil.ApplyOp)))] is parked
+        assert self.run(handle)[1] == oracle
+        again, got = self.run(self.handle())
+        assert got == oracle and "fn" in vars(parked)
+        assert again.kernels.stats["compiled"] == 0
+        assert again.kernels.stats["unsupported"] == 0

@@ -344,7 +344,7 @@ class TestSnapshotElision:
         # A user outside the load's own block (an apply inside a loop whose
         # body may store) is out of the rule's sight.
         module, load = build_shift_chain(6)
-        apply_op = load.results[0].uses[0].operation
+        apply_op = next(iter(load.results[0].uses)).operation
         loop = scf.ForOp(*(arith.ConstantOp.from_int(v, index).results[0]
                            for v in (0, 1, 1)))
         apply_op.parent_block().insert_op_before(loop, apply_op)
