@@ -162,6 +162,19 @@ class CopyOp(Operation):
         return self.operands[1]
 
 
+class SnapshotOp(Operation):
+    """``memref.snapshot`` — ``source`` as it is now, for a reader that runs
+    while ``written`` are stored to: a private copy when ``source`` may share
+    memory with one of them at run time, ``source`` itself when it cannot.
+    (Not upstream: ``bufferization.clone`` told which writers to survive.)"""
+
+    name = "memref.snapshot"
+    traits = (ReadOnly,)
+
+    def __init__(self, source: SSAValue, written: Sequence[SSAValue]):
+        super().__init__(operands=[source, *written], result_types=[source.type])
+
+
 class CastOp(Operation):
     """``memref.cast`` — reinterpret a memref with a compatible type."""
 
@@ -178,7 +191,8 @@ class CastOp(Operation):
 
 MemRef = Dialect(
     "memref",
-    [AllocOp, AllocaOp, DeallocOp, LoadOp, StoreOp, DimOp, CopyOp, CastOp],
+    [AllocOp, AllocaOp, DeallocOp, LoadOp, StoreOp, DimOp, CopyOp, SnapshotOp,
+     CastOp],
 )
 
 __all__ = [
@@ -189,6 +203,7 @@ __all__ = [
     "StoreOp",
     "DimOp",
     "CopyOp",
+    "SnapshotOp",
     "CastOp",
     "MemRef",
 ]

@@ -124,6 +124,20 @@ class ExternalLoadOp(Operation):
     def field(self) -> SSAValue:
         return self.results[0]
 
+    @property
+    def read_only(self) -> bool:
+        """Whether nothing in this function writes the field: every use of
+        it, through ``stencil.cast``, is a ``stencil.load`` — no store, no
+        halo swap, no call."""
+        pending = [self.results[0]]
+        while pending:
+            for use in pending.pop().uses:
+                if isinstance(use.operation, CastOp):
+                    pending.append(use.operation.results[0])
+                elif not isinstance(use.operation, LoadOp):
+                    return False
+        return True
+
 
 class ExternalStoreOp(Operation):
     """``stencil.external_store`` — write a field back to external memory."""

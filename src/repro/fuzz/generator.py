@@ -384,6 +384,14 @@ class KernelSpec:
         snapshot (Jacobi) and in-place semantics coincide."""
         return not (self.written_arrays() & self.read_arrays())
 
+    @property
+    def alias_pair(self) -> Optional[Tuple[str, str]]:
+        """A (read-only, written) pair of arrays one ndarray may be passed
+        for — every array of a spec has the same shape — or None."""
+        written = self.written_arrays()
+        read_only = self.read_arrays() - written
+        return (min(read_only), min(written)) if read_only and written else None
+
     def size(self) -> int:
         """Structural size: statement count plus expression weights (the
         minimizer's primary shrink metric)."""

@@ -15,6 +15,11 @@ distinct cases must miss) and executes a configuration matrix:
 * **flang-only** — plain-FIR in-place execution, compared only for specs
   where snapshot and in-place semantics provably coincide
   (:attr:`KernelSpec.flang_comparable`);
+* **aliased** — for specs with a read-only and a written array
+  (:attr:`KernelSpec.alias_pair`), the lowered and unlowered stencil paths
+  once more with one ndarray passed for both, against the oracle run the
+  same way (flang-only excluded: in-place semantics legitimately differ;
+  gpu ``optimised`` too: the device copies of one host array are two buffers);
 * **dmp** — distributed-style specs run through ``distribute(...)`` over
   1/2/4-rank process grids with real halo exchanges.  Rank-padded arrays
   carry ghost planes the plain-cpu loop does not have, so the dmp island
@@ -66,7 +71,8 @@ class BackendConfig:
     ``options`` are compile-time backend options (frozen into the session
     cache key); ``threads`` and ``execution_mode`` are runtime-only.  dmp
     cells set ``grid`` and run through the distributed executor with
-    ``iterations`` entry calls per rank.
+    ``iterations`` entry calls per rank.  ``aliased`` cells pass one ndarray
+    for both arrays of the spec's ``alias_pair``.
     """
 
     label: str
@@ -76,6 +82,7 @@ class BackendConfig:
     threads: int = 1
     grid: Optional[Tuple[int, ...]] = None
     iterations: int = 1
+    aliased: bool = False
 
     def option_dict(self) -> Dict[str, object]:
         return dict(self.options)
@@ -83,10 +90,11 @@ class BackendConfig:
 
 def _cfg(label: str, backend: str, mode: str, threads: int = 1,
          grid: Optional[Tuple[int, ...]] = None, iterations: int = 1,
-         **options) -> BackendConfig:
+         aliased: bool = False, **options) -> BackendConfig:
     return BackendConfig(label=label, backend=backend, execution_mode=mode,
                          options=tuple(sorted(options.items())),
-                         threads=threads, grid=grid, iterations=iterations)
+                         threads=threads, grid=grid, iterations=iterations,
+                         aliased=aliased)
 
 
 #: dmp entry calls per rank — >1 so halo exchanges between snapshots run.
@@ -114,6 +122,17 @@ def default_matrix(spec: KernelSpec,
     ]
     if spec.flang_comparable:
         configs.append(_cfg("flang-only/interpret", "flang-only", "interpret"))
+    if spec.alias_pair is not None:
+        configs.extend([
+            _cfg("cpu-aliased/vectorize", "cpu", "vectorize", aliased=True),
+            _cfg("cpu-scf-aliased/vectorize", "cpu", "vectorize", aliased=True,
+                 lower_to_scf=True),
+            _cfg("openmp-t2-aliased/crosscheck", "openmp", "crosscheck",
+                 threads=2, aliased=True, lower_to_scf=True),
+            _cfg("gpu-scf-host-aliased/vectorize", "gpu", "vectorize",
+                 aliased=True, lower_to_scf=True,
+                 data_strategy="host_register"),
+        ])
     if spec.style == "distributed":
         configs.extend([
             _cfg("dmp-1x1/vectorize", "dmp", "vectorize", grid=(1, 1),
@@ -259,12 +278,16 @@ class DifferentialRunner:
     # -- execution -----------------------------------------------------------
 
     def _run_plain(self, spec: KernelSpec, backend: str, mode: str,
-                   threads: int, options: Dict[str, object],
-                   calls: int = 1) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
+                   threads: int, options: Dict[str, object], calls: int = 1,
+                   aliased: bool = False
+                   ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
         compiled = self.session.compile(spec.render()).lower(
             backend, execution_mode=mode, threads=threads, **options)
         arrays, scalar = self.inputs_for(spec)
         work = {name: arr.copy(order="F") for name, arr in arrays.items()}
+        if aliased:
+            read_only, written = spec.alias_pair
+            work[written] = work[read_only]
         interp = compiled.interpreter()
         # Repeated exp under a sweep loop can saturate to inf/NaN; that is
         # deterministic and bitwise-compared like any other value, so the
@@ -289,9 +312,11 @@ class DifferentialRunner:
         result = plan.run(arrays[spec.arrays[0]], iterations=cfg.iterations)
         return {spec.arrays[0]: result.field}, {"fallbacks": 0}
 
-    def run_oracle(self, spec: KernelSpec) -> Dict[str, np.ndarray]:
+    def run_oracle(self, spec: KernelSpec,
+                   aliased: bool = False) -> Dict[str, np.ndarray]:
         """The scalar reference: cpu backend, pure interpretation."""
-        outputs, _ = self._run_plain(spec, "cpu", "interpret", 1, {})
+        outputs, _ = self._run_plain(spec, "cpu", "interpret", 1, {},
+                                     aliased=aliased)
         return outputs
 
     def run_dmp_oracle(self, spec: KernelSpec,
@@ -310,7 +335,7 @@ class DifferentialRunner:
         else:
             outputs, stats = self._run_plain(
                 spec, cfg.backend, cfg.execution_mode, cfg.threads,
-                cfg.option_dict())
+                cfg.option_dict(), aliased=cfg.aliased)
         if self.fault_hook is not None:
             self.fault_hook(spec, cfg.label, outputs)
         return outputs, stats
@@ -337,10 +362,18 @@ class DifferentialRunner:
 
     # -- the per-case driver -------------------------------------------------
 
+    def _expected(self, spec: KernelSpec, cfg: BackendConfig,
+                  known: Dict) -> Dict[str, np.ndarray]:
+        """The oracle outputs ``cfg`` is judged against, run once a case."""
+        key = (cfg.backend == "dmp", cfg.aliased)
+        if key not in known:
+            known[key] = self.run_dmp_oracle(spec, cfg.iterations) if key[0] \
+                else self.run_oracle(spec, cfg.aliased)
+        return known[key]
+
     def run_case(self, spec: KernelSpec) -> CaseResult:
         result = CaseResult(spec=spec)
-        oracle = self.run_oracle(spec)
-        dmp_oracle: Optional[Dict[str, np.ndarray]] = None
+        oracles = {(False, False): self.run_oracle(spec)}
         for cfg in default_matrix(spec, self.backends):
             counters = result.per_backend.setdefault(cfg.backend,
                                                      _backend_counters())
@@ -365,13 +398,8 @@ class DifferentialRunner:
                 diverged("error", f"{type(err).__name__}: {err}")
                 continue
             counters["fallbacks"] += stats.get("fallbacks", 0)
-            if cfg.backend == "dmp":
-                if dmp_oracle is None:
-                    dmp_oracle = self.run_dmp_oracle(spec, cfg.iterations)
-                expected = dmp_oracle
-            else:
-                expected = oracle
-            differing, max_diff = self.compare(expected, outputs)
+            differing, max_diff = self.compare(
+                self._expected(spec, cfg, oracles), outputs)
             if differing:
                 diverged("bitwise", "outputs differ from the scalar oracle",
                          arrays=differing, max_abs_diff=max_diff)
@@ -389,11 +417,7 @@ class DifferentialRunner:
             outputs, _ = self.run_config(spec, cfg)
         except Exception:  # noqa: BLE001 — crash still reproduces the finding
             return True
-        if cfg.backend == "dmp":
-            expected = self.run_dmp_oracle(spec, cfg.iterations)
-        else:
-            expected = self.run_oracle(spec)
-        differing, _ = self.compare(expected, outputs)
+        differing, _ = self.compare(self._expected(spec, cfg, {}), outputs)
         return bool(differing)
 
 

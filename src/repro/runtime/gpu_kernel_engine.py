@@ -220,34 +220,12 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
         translator.external_slots[id(arg)] = i
         translator.external_paths.append(("root", i))
 
-    then_block = guarded.regions[0].block
-    for op_index, body_op in enumerate(then_block.ops):
-        translator.current_body_op = (body_op, op_index)
-        name = body_op.name
-        if name == "scf.yield":
-            if body_op.operands:
-                raise KernelUnsupported("guarded body yields values")
-            continue
-        if name == "memref.load":
-            axes = translator.affine_indices(body_op.operands[1:])
-            slot = translator.external_slots.get(id(body_op.operands[0]))
-            if slot is None:
-                raise KernelUnsupported("load from a non-argument memref")
-            translator.emit_load(body_op.results[0], slot, axes)
-            continue
-        if name == "memref.store":
-            axes = translator.affine_indices(body_op.operands[2:])
-            if len(axes) != rank:
-                raise KernelUnsupported("store does not cover every lattice dimension")
-            slot = translator.external_slots.get(id(body_op.operands[1]))
-            if slot is None:
-                raise KernelUnsupported("store to a non-argument memref")
-            translator.emit_store(body_op.operands[0], slot, axes)
-            continue
-        translator.translate_op(body_op)
+    def slot_of(value, op_index, operand_index) -> int:
+        if id(value) not in translator.external_slots:
+            raise KernelUnsupported("access to a non-argument memref")
+        return translator.external_slots[id(value)]
 
-    if not translator.stores:
-        raise KernelUnsupported("gpu.func body performs no stores")
+    translator.translate_memory_body(guarded.regions[0].block, slot_of)
 
     upper_limits = tuple(guard.uppers.get(d) for d in range(rank))
     return GpuLaunchKernel("_gpu_kernel", translator, upper_limits=upper_limits)

@@ -240,6 +240,8 @@ class Interpreter:
             "schedule_fallbacks": 0,
             "cache_tiles": 0,
             "cache_fallbacks": 0,
+            "snapshots_copied": 0,
+            "snapshots_elided": 0,
             "gpu_seconds": 0.0,
             "transfer_seconds": 0.0,
             "gpu_launches_vectorized": 0,
@@ -483,6 +485,7 @@ class Interpreter:
         h["memref.store"] = self._exec_memref_store
         h["memref.dim"] = self._exec_memref_dim
         h["memref.copy"] = self._exec_memref_copy
+        h["memref.snapshot"] = self._exec_memref_snapshot
         h["memref.cast"] = lambda op, f: [f.get(op.operands[0])]
 
         # scf ---------------------------------------------------------------------------
@@ -707,6 +710,11 @@ class Interpreter:
         dynamic = [int(_as_python(frame.get(o))) for o in op.operands]
         it = iter(dynamic)
         shape = [next(it) if s < 0 else s for s in shape]
+        return [self._alloc_scratch(op, shape, mtype.element_type)]
+
+    def _alloc_scratch(self, op: Operation, shape: Sequence[int],
+                       element_type: TypeAttribute) -> MemoryBuffer:
+        """A buffer allocated by ``op``, wherever its function runs."""
         # Scratch allocated inside a GPU-launch-tagged function lives on the
         # device (it is kernel-local staging, e.g. the stencil snapshot of a
         # lowered sweep) — tagging it host would fabricate on-demand PCIe
@@ -717,11 +725,11 @@ class Interpreter:
             # Degraded allocation: a device OOM walks the recovery ladder
             # (evict idle → host staging) instead of killing the launch.
             buffer = self._require_gpu().alloc_degraded(
-                shape, mtype.element_type, label="gpu_scratch")
+                shape, element_type, label="gpu_scratch")
             if self._device_scratch_stack:
                 self._device_scratch_stack[-1].append(buffer)
-            return [buffer]
-        return [MemoryBuffer.for_array(shape, mtype.element_type)]
+            return buffer
+        return MemoryBuffer.for_array(shape, element_type)
 
     def _exec_memref_load(self, op: Operation, frame: Frame):
         buffer = frame.get(op.operands[0])
@@ -745,6 +753,20 @@ class Interpreter:
         target = frame.get(op.operands[1])
         target.copy_from(source)
         return []
+
+    def _exec_memref_snapshot(self, op: Operation, frame: Frame):
+        """The source itself, unless a buffer the function writes may share
+        its memory — the same array passed for an input and an output."""
+        source, *written = [frame.get(o) for o in op.operands]
+        if not any(np.may_share_memory(source.data, buffer.data)
+                   for buffer in written):
+            self.stats["snapshots_elided"] += 1
+            return [source]
+        self.stats["snapshots_copied"] += 1
+        copy = self._alloc_scratch(op, source.data.shape,
+                                   op.results[0].type.element_type)
+        copy.copy_from(source)
+        return [copy]
 
     # ------------------------------------------------------------------
     # scf handlers
@@ -864,7 +886,9 @@ class Interpreter:
             if self.threads > 1 and slabs == 1:
                 self.stats["parallel_fallbacks"] += 1
             pool = self._executor if kernel.tileable else None
-            results = run_boxes(kernel, externals, lowers, uppers, boxes, pool)
+            chosen: List[str] = []
+            results = run_boxes(kernel, externals, lowers, uppers, boxes, pool,
+                                chosen)
             if results is None:
                 # A result broadcasts along a tiled dimension, so the slabs
                 # cannot be assembled.  The defect is structural: remember
@@ -875,7 +899,7 @@ class Interpreter:
                 if shape is not None:
                     self.stats[shape + "_fallbacks"] += 1
                 results = run_boxes(kernel, externals, lowers, uppers,
-                                    [(lowers, uppers)], None)
+                                    [(lowers, uppers)], None, chosen)
             else:
                 if slabs > 1:
                     self.stats["parallel_sweeps"] += 1
@@ -883,7 +907,7 @@ class Interpreter:
                 if shape is not None:
                     self.stats[shape + "_tiles"] += len(boxes)
             self.kernels.record_invocation(kernel.label,
-                                           _time.perf_counter() - start)
+                                           _time.perf_counter() - start, chosen)
             return results
 
         if self.execution_mode == "crosscheck":
@@ -978,6 +1002,7 @@ class Interpreter:
         if copies is None:
             copies = self._snapshot_copies[op] = self._snapshot_is_observable(op)
         data = field.buffer.data
+        self.stats["snapshots_copied" if copies else "snapshots_elided"] += 1
         return [TempValue(np.array(data, copy=True) if copies else data, field.lb)]
 
     @staticmethod

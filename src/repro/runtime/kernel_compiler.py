@@ -31,7 +31,10 @@ Compilation translates IR to Python source:
   statements lets each full-box float64 result overwrite a buffer that just
   died (``np.add(a, b, out=c)`` rounds exactly as ``a + b``), so a sweep
   allocates O(1) temporaries instead of one per op;
-* ``memref.store`` becomes one sliced assignment per sweep.
+* ``memref.store`` becomes one sliced assignment per sweep;
+* arrays that are congruent at call time take a second rendering of the same
+  statements, in which every slice is 1-D and contiguous (the *flat* body,
+  see :class:`CompiledKernel`).
 
 A :class:`CompiledKernel` is built *translated* and is *materialised* —
 rendered and passed to :func:`compile`/``exec`` — when an interpreter first
@@ -267,7 +270,19 @@ def _scalar(value):
     return value
 
 
-_NAMESPACE = {"np": np, "_divsi": _divsi, "_remsi": _remsi, "_scalar": _scalar}
+def _box(span: np.ndarray, shape, strides) -> np.ndarray:
+    """The box's lattice points within a flat span, as an N-D strided view
+    (``strides`` in elements): the lanes between rows are not in it."""
+    return np.ndarray(shape, span.dtype, span, 0,
+                      [stride * span.itemsize for stride in strides])
+
+
+_NAMESPACE = {"np": np, "_divsi": _divsi, "_remsi": _remsi, "_scalar": _scalar,
+              "_box": _box}
+
+#: The flat body runs boxes whose span — first to last lattice point in memory
+#: — is at most this many lanes per point; past it most lanes are waste.
+_FLAT_SPAN_PER_POINT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +295,26 @@ class CompiledKernel:
     metadata needed for the runtime bounds/alias guards.
 
     Built from a finished :class:`_BodyTranslator`, whose statements
-    :meth:`materialise` renders (liveness pass included) and ``exec``s into
-    ``fn`` / ``source`` / ``allocations`` / ``arrays_per_point``.  ``loads`` and
-    ``stores`` list ``(external_slot, ((dim, offset), ...))`` pairs — one per
+    :meth:`materialise` renders (liveness pass included) into ``source`` /
+    ``flat_source`` / ``allocations`` / ``arrays_per_point``, with ``fn`` the
+    function that runs one box through either.  ``loads``
+    and ``stores`` list ``(external_slot, ((dim, offset), ...))`` pairs — one per
     *distinct* load window: slot indexes the external vector, and each
     ``(dim, offset)`` describes the affine index ``iv[dim] + offset`` used for
     the corresponding array axis.  ``external_paths`` locate the externals on
     any structurally identical op (see module docstring); ``bound_slots``
     names, for loop-nest kernels, the (lower, upper, step) slot triple of
     each dimension.
+
+    One translation has two renderings, chosen per call by :meth:`flat_plan`.
+    The *windowed* body slices an N-D window per access and serves any arrays
+    the guards admit.  The *flat* body serves congruent arrays — contiguous,
+    one shape, one set of strides: each access is the 1-D slice of the
+    flattened array from the box's first to its last lattice point, shifted
+    by the access's offset in elements, so every ufunc sweeps contiguous
+    memory; the lanes that wrap across rows are computed and left out of the
+    :func:`_box` view that is stored or returned, and the lanes kept see the
+    operands they always did, hence the same bits.
     """
 
     def __init__(
@@ -299,7 +325,9 @@ class CompiledKernel:
         bound_slots: Sequence[Tuple[int, int, int]] = (),
         result_is_array: Sequence[bool] = (),
     ):
-        self._pending: Optional[Tuple] = (name, tuple(prologue), translator)
+        self.name = name
+        self._pending: Optional[Tuple] = (tuple(prologue), translator)
+        self._flat: Optional[Callable] = None
         self.rank = translator.rank
         self.loads = tuple(translator.windows)
         self.stores = tuple(translator.stores)
@@ -309,6 +337,8 @@ class CompiledKernel:
         #: guards hold the runtime arrays to it, since ``out=`` reuse would
         #: silently cast where a fresh allocation would have promoted.
         self.slot_dtypes = translator.slot_dtypes
+        #: Why no call can take the flat body (None: congruent arrays can).
+        self.flat_refusal: Optional[str] = translator.flat_refusal()
         #: For apply kernels: which returned values are whole-domain arrays
         #: (only those can be slab-assembled by ``run_boxes``).
         self.result_is_array = tuple(result_is_array)
@@ -328,31 +358,87 @@ class CompiledKernel:
             self.tileable = bool(self.result_is_array) and all(self.result_is_array)
 
     def materialise(self) -> None:
-        """Render and ``compile()`` the statements, once.  Racing first
-        callers each build an equal function; the translation is let go
-        last, so whoever finds it gone finds a whole kernel."""
+        """Render both bodies and ``compile()`` the windowed one, once; the
+        flat one waits for the first call that chooses it.  Racing first
+        callers each build an equal kernel; the translation is let go last,
+        so whoever finds it gone finds a whole kernel."""
         pending = self._pending
         if pending is None:
             return
-        name, prologue, translator = pending
-        lines, allocations = translator.render()
-        body = "\n".join("    " + line for line in prologue + tuple(lines)) or "    pass"
-        self.source = f"def {name}(ext, lb, ub):\n{body}\n"
+        prologue, translator = pending
+
+        def render(flat: bool, signature: str) -> str:
+            lines, self.allocations = translator.render(flat)
+            body = "\n".join("    " + line for line in prologue + tuple(lines)) or "    pass"
+            return f"def {self.name}({signature}):\n{body}\n"
+
+        self.flat_source = None if self.flat_refusal is not None else \
+            render(True, "ext, lb, ub, s, lo, n, shape")
+        self.source = render(False, "ext, lb, ub")
         #: Arrays one call allocates (its other results land in dead buffers)
         #: and, with the distinct arrays it loads and stores, the arrays it
         #: touches per point: what the default cache-box plan sizes boxes by.
-        self.allocations = allocations
-        self.arrays_per_point = allocations + len(self.slot_dtypes)
-        namespace = dict(_NAMESPACE)
-        exec(compile(self.source, f"<{name}>", "exec"), namespace)
-        self.fn: Callable = namespace[name]
+        self.arrays_per_point = self.allocations + len(self.slot_dtypes)
+        self._windowed = self._compile(self.source)
+        self.fn: Callable = self._run
         self._pending = None
 
+    def _compile(self, source: str) -> Callable:
+        namespace = dict(_NAMESPACE)
+        exec(compile(source, f"<{self.name}>", "exec"), namespace)
+        return namespace[self.name]
+
     def __getattr__(self, name: str):
-        if name in ("fn", "source", "allocations", "arrays_per_point"):
+        if name in ("fn", "source", "flat_source", "allocations",
+                    "arrays_per_point"):
             self.materialise()
             return self.__dict__[name]
         raise AttributeError(name)
+
+    def _run(self, ext, lb, ub, chosen: Optional[List[str]] = None):
+        """One box through the body :meth:`flat_plan` chooses, appending
+        "flat" or the reason for the windowed one to ``chosen``."""
+        plan = self.flat_plan(ext, lb, ub)
+        flat = not isinstance(plan, str)
+        if chosen is not None:
+            chosen.append("flat" if flat else plan)
+        if not flat:
+            return self._windowed(ext, lb, ub)
+        if self._flat is None:
+            self._flat = self._compile(self.flat_source)
+        # What the dropped lanes overflow or divide by is nobody's data.
+        with np.errstate(all="ignore"):
+            return self._flat(ext, lb, ub, *plan)
+
+    def flat_plan(self, ext: Sequence[object], lb: Sequence[int],
+                  ub: Sequence[int]):
+        """The flat body's arguments for one box — the arrays' strides in
+        elements, the first lattice point's position, the span to the last,
+        the box's shape — or, as a string, why the box runs windowed."""
+        if self.flat_refusal is not None:
+            return self.flat_refusal
+        first = None
+        for slot in self.slot_dtypes:
+            array = self._array_of(ext[slot])
+            if first is None:
+                first = array
+                if not (array.flags.f_contiguous or array.flags.c_contiguous):
+                    return "strided array"
+            elif array.shape != first.shape:
+                return "differing shapes"
+            elif array.strides != first.strides:
+                return "mixed memory order"
+        s, shape, lo, n, points = [], [], 0, 1, 1
+        for l, u, stride in zip(lb, ub, first.strides):
+            stride //= first.itemsize
+            s.append(stride)
+            shape.append(u - l)
+            lo += l * stride
+            n += (u - l - 1) * stride
+            points *= max(u - l, 0)
+        if not 0 < n <= _FLAT_SPAN_PER_POINT * points:
+            return "sparse box"
+        return s, lo, n, shape
 
     # -- runtime guards ----------------------------------------------------
 
@@ -476,13 +562,18 @@ class _BodyTranslator:
 
     def __init__(self, rank: int):
         self.rank = rank
-        #: (result or None, template over the uses' code, uses) per statement
-        self.stmts: List[Tuple[Optional[_Expr], str, Tuple[_Expr, ...]]] = []
+        #: (result or None, template over the uses' code, uses) per statement;
+        #: loads and stores carry a (windowed, flat) pair of templates
+        self.stmts: List[Tuple[Optional[_Expr], object, Tuple[_Expr, ...]]] = []
         self.values: Dict[int, object] = {}  # id(SSAValue) -> _Expr/_Affine/_Const
         self.external_paths: List[ExternalPath] = []
         self.external_slots: Dict[int, int] = {}
         #: each distinct load window (slot, axes) -> the one view bound to it
         self.windows: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], _Expr] = {}
+        #: loaded slot -> (code of its array, code of its origin or None)
+        self.bases: Dict[int, Tuple[str, Optional[str]]] = {}
+        #: an induction value is used as a number somewhere in the body
+        self.index_as_data = False
         self.stores: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
         self.slot_dtypes: Dict[int, np.dtype] = {}
         #: values the kernel returns (apply kernels): live to the end
@@ -537,6 +628,7 @@ class _BodyTranslator:
         if isinstance(sym, _Affine):
             # An induction variable used as a *number* (not an index):
             # ``arange(lb+c, ub+c)`` broadcast along its dimension, inline.
+            self.index_as_data = True
             shape = ", ".join("-1" if d == sym.dim else "1" for d in range(self.rank))
             return _Expr(f"np.arange(lb[{sym.dim}] + {sym.offset}, "
                          f"ub[{sym.dim}] + {sym.offset}).reshape(({shape}))",
@@ -583,8 +675,12 @@ class _BodyTranslator:
             expr = self.windows[key] = _Expr(self.fresh(), is_array=True,
                                              full=len(axes) == self.rank)
             self.slot_dtypes[slot] = numpy_dtype_for(result.type)
-            self.stmts.append((expr, self.slice_code(
-                base or f"ext[{slot}].data", axes, origin), ()))
+            base = base or f"ext[{slot}].data"
+            self.bases[slot] = (base, origin)
+            start = " + ".join([f"b{slot}" if origin else "lo"] + [
+                f"{offset}*s[{dim}]" for dim, offset in axes if offset])
+            self.stmts.append((expr, (self.slice_code(base, axes, origin),
+                                      f"f{slot}[{start}:{start} + n]"), ()))
         self.values[id(result)] = expr
 
     def emit_store(self, value: SSAValue, slot: int,
@@ -604,7 +700,9 @@ class _BodyTranslator:
         code = "{0}"
         if order != sorted(order) and stored.is_array:
             code = f"np.transpose({{0}}, {tuple(order)})"
-        self.stmts.append((None, f"{target} = {code}", (stored,)))
+        boxed = "_box({0}, shape, s)" if stored.is_array else "{0}"
+        self.stmts.append((None, (f"{target} = {code}", f"{target} = {boxed}"),
+                           (stored,)))
 
     def slice_code(self, base: str, axes: Sequence[Tuple[int, int]],
                    origin: Optional[str] = None, align: bool = True) -> str:
@@ -692,11 +790,53 @@ class _BodyTranslator:
 
         raise KernelUnsupported(f"operation '{name}' is not vectorizable")
 
+    def translate_memory_body(self, block, slot_of: Callable) -> None:
+        """Translate the innermost block of a nest or an outlined kernel:
+        element-wise ops between ``memref.load``s and at least one
+        ``memref.store``, ``slot_of(memref, op_index, operand_index)``
+        naming the external slot of each memref."""
+        for op_index, body_op in enumerate(block.ops):
+            self.current_body_op = (body_op, op_index)
+            name = body_op.name
+            if name in ("scf.yield", "omp.yield"):
+                if body_op.operands:
+                    raise KernelUnsupported("body yields values")
+            elif name == "memref.load":
+                self.emit_load(body_op.results[0],
+                               slot_of(body_op.operands[0], op_index, 0),
+                               self.affine_indices(body_op.operands[1:]))
+            elif name == "memref.store":
+                axes = self.affine_indices(body_op.operands[2:])
+                if len(axes) != self.rank:
+                    raise KernelUnsupported("store does not cover every dimension")
+                self.emit_store(body_op.operands[0],
+                                slot_of(body_op.operands[1], op_index, 1), axes)
+            else:
+                self.translate_op(body_op)
+        if not self.stores:
+            raise KernelUnsupported("body performs no stores")
+
     # -- liveness and rendering --------------------------------------------
 
-    def render(self) -> Tuple[List[str], int]:
-        """The statements as source lines, after a last-use pass over them,
-        and how many arrays those lines allocate per call.
+    def flat_refusal(self) -> Optional[str]:
+        """Why these statements have no flat rendering (None: they have one).
+        A lane of a flat span is one position in *every* array: each access
+        indexes all dimensions in order, no value depends on where a lane
+        is, all elements are one size."""
+        for _, axes in list(self.windows) + self.stores:
+            if [dim for dim, _ in axes] != list(range(self.rank)):
+                return "lower-rank operand" if len(axes) < self.rank \
+                    else "permuted access"
+        if self.index_as_data:
+            return "induction value as data"
+        if len(set(self.slot_dtypes.values())) != 1:
+            return "dtype mix" if self.slot_dtypes else "no array operand"
+        return None
+
+    def render(self, flat: bool = False) -> Tuple[List[str], int]:
+        """The statements as source lines — the windowed or the flat body,
+        see :class:`CompiledKernel` — after a last-use pass over them, and
+        how many arrays those lines allocate per call.
 
         A reusable result (see :class:`_Expr`) is computed ``out=`` a buffer
         that died at or before its statement — one of its own operands, else
@@ -713,7 +853,18 @@ class _BodyTranslator:
         allocations = 0
         lines: List[str] = []
         free: List[_Expr] = []
+        if flat:
+            # Each loaded array flattened in memory order, and the position
+            # in it of the box's first lattice point.
+            for slot, (base, origin) in self.bases.items():
+                lines.append(f"f{slot} = {base}.ravel('K')")
+                if origin:
+                    lines.append(f"b{slot} = lo - " + " - ".join(
+                        f"{origin}[{dim}]*s[{dim}]" for dim in range(self.rank)))
+
         for index, (result, template, uses) in enumerate(self.stmts):
+            if isinstance(template, tuple):
+                template = template[flat]
             if not uses:  # a window or scalar binding: nothing to format or free
                 lines.append(f"{result.var} = {template}")
                 continue
@@ -739,7 +890,9 @@ class _BodyTranslator:
             if dead:
                 lines.append("del " + ", ".join(dead))
         if self.returned:
-            lines.append(f"return [{', '.join(e.var for e in self.returned)}]")
+            lines.append("return [" + ", ".join(
+                f"_box({e.var}, shape, s)" if flat and e.is_array else e.var
+                for e in self.returned) + "]")
         return lines, allocations
 
 
@@ -793,43 +946,22 @@ def compile_loop_nest(op: Operation) -> CompiledKernel:
     # root operands; inner scf.for bounds are located through the nest walk,
     # which _resolve_path replays on cache hits.
     bound_slots: List[Tuple[int, int, int]] = []
+    base_rank = int(op.get_attr("rank").value)  # type: ignore[union-attr]
     for dim, dim_bounds in enumerate(bounds):
         slots = []
         for which, value in enumerate(dim_bounds):
             if translator.values.get(id(value)) is not None:
                 raise KernelUnsupported("loop bound defined inside the nest")
-            if dim < int(op.get_attr("rank").value):  # type: ignore[union-attr]
-                base_rank = int(op.get_attr("rank").value)  # type: ignore[union-attr]
-                path: ExternalPath = ("root", which * base_rank + dim)
-            else:
-                # Bounds of an inner scf.for: find them at runtime by
-                # re-peeling the nest (path kind "for").
-                path = ("for", dim, which)
+            # Bounds of an inner scf.for are found at runtime by re-peeling
+            # the nest (path kind "for").
+            path: ExternalPath = ("root", which * base_rank + dim) \
+                if dim < base_rank else ("for", dim, which)
             slots.append(translator.external_slot(value, path))
         bound_slots.append(tuple(slots))
 
-    for op_index, body_op in enumerate(body.ops):
-        translator.current_body_op = (body_op, op_index)
-        name = body_op.name
-        if name in ("scf.yield", "omp.yield"):
-            continue
-        if name == "memref.load":
-            axes = translator.affine_indices(body_op.operands[1:])
-            slot = translator.external_slot(body_op.operands[0], ("body", op_index, 0))
-            translator.emit_load(body_op.results[0], slot, axes)
-            continue
-        if name == "memref.store":
-            axes = translator.affine_indices(body_op.operands[2:])
-            if len(axes) != rank:
-                raise KernelUnsupported("store does not cover every loop dimension")
-            slot = translator.external_slot(body_op.operands[1], ("body", op_index, 1))
-            translator.emit_store(body_op.operands[0], slot, axes)
-            continue
-        translator.translate_op(body_op)
-
-    if not translator.stores:
-        raise KernelUnsupported("loop nest performs no stores")
-
+    translator.translate_memory_body(
+        body, lambda value, op_index, operand_index: translator.external_slot(
+            value, ("body", op_index, operand_index)))
     return CompiledKernel("_nest_kernel", translator, bound_slots=bound_slots)
 
 
@@ -949,17 +1081,24 @@ class KernelCompiler:
         #: (``stats["reasons"]``: label -> "ExceptionClass: message") and
         #: ``stats["per_kernel"]``: each kernel label's invocation count and
         #: cumulative wall time (seconds) as recorded around every sweep.
+        #: ``stats["renderings"]`` counts the boxes run by body: "flat", or
+        #: the reason :meth:`CompiledKernel.flat_plan` gave for the windowed.
         self.stats: Dict[str, object] = {
             "compiled": 0, "cache_hits": 0, "unsupported": 0, "reasons": {},
-            "per_kernel": {},
+            "renderings": {}, "per_kernel": {},
         }
 
-    def record_invocation(self, label: str, seconds: float) -> None:
-        """Accumulate one sweep's wall time against the kernel's label."""
+    def record_invocation(self, label: str, seconds: float,
+                          chosen: Sequence[str] = ()) -> None:
+        """Accumulate one sweep's wall time against the kernel's label, and
+        the body each of its boxes ran."""
         per_kernel: Dict[str, Dict[str, float]] = self.stats["per_kernel"]  # type: ignore[assignment]
         entry = per_kernel.setdefault(label, {"invocations": 0, "seconds": 0.0})
         entry["invocations"] += 1
         entry["seconds"] += seconds
+        renderings: Dict[str, int] = self.stats["renderings"]  # type: ignore[assignment]
+        for body in chosen:
+            renderings[body] = renderings.get(body, 0) + 1
 
     def compile_cached(self, key: str,
                        builder: Callable[[], CompiledKernel]) -> Optional[CompiledKernel]:

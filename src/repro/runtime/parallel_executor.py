@@ -232,9 +232,11 @@ def plan_sweep(
 
 def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
               uppers: Sequence[int], boxes: Sequence[Box],
-              executor: Optional["ParallelExecutor"] = None) -> Optional[List[object]]:
+              executor: Optional["ParallelExecutor"] = None,
+              chosen: Optional[List[str]] = None) -> Optional[List[object]]:
     """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
-    concurrently on ``executor`` when one is given, in box order otherwise.
+    concurrently on ``executor`` when one is given, in box order otherwise;
+    the body each box ran ("flat", or why windowed) is appended to ``chosen``.
 
     Store kernels write each box's region in place; the result is ``[]``.
     Pure (``stencil.apply``) kernels return their values: a single box's are
@@ -247,7 +249,7 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
     whole-domain.
     """
     def run(box: Box):
-        return kernel.fn(externals, box[0], box[1])
+        return kernel.fn(externals, box[0], box[1], chosen)
 
     partials = executor.map_tiles(run, boxes) if executor is not None \
         else [run(box) for box in boxes]

@@ -193,7 +193,8 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
     """The paper's bespoke optimised data-management transformation.
 
     For every extracted stencil function the pass adds, to the stencil module,
-    an allocation+copy-in function and a copy-back+deallocation function, and
+    an allocation+copy-in function and a deallocation function that first
+    copies back every field the stencil function does not only read, and
     rewrites the FIR module to (a) call the allocation function once before the
     outermost iteration loop, (b) pass the returned device pointers to the
     stencil invocations inside the loop, and (c) copy results back and free
@@ -260,13 +261,19 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
         for i in range(n):
             device_arg = free_func.entry_block.args[i]
             host_arg = free_func.entry_block.args[n + i]
-            host_view = builder.insert(
-                UnrealizedConversionCastOp([host_arg], [MemRefType(shapes[i], elem_types[i])])
-            )
+            memref_type = MemRefType(shapes[i], elem_types[i])
+            # Only what the stencil function may have written comes back.
+            stencil_arg = func_op.entry_block.args[ptr_indices[i]]
+            copies_back = not all(isinstance(use.operation, stencil.ExternalLoadOp)
+                                  and use.operation.read_only
+                                  for use in stencil_arg.uses)
+            if copies_back:
+                host_view = builder.insert(
+                    UnrealizedConversionCastOp([host_arg], [memref_type]))
             device_view = builder.insert(
-                UnrealizedConversionCastOp([device_arg], [MemRefType(shapes[i], elem_types[i])])
-            )
-            builder.insert(gpu.MemcpyOp(host_view.results[0], device_view.results[0]))
+                UnrealizedConversionCastOp([device_arg], [memref_type]))
+            if copies_back:
+                builder.insert(gpu.MemcpyOp(host_view.results[0], device_view.results[0]))
             builder.insert(gpu.DeallocOp(device_view.results[0]))
         builder.insert(ReturnOp([]))
         stencil_module.add_op(free_func)

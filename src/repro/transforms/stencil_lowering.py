@@ -9,10 +9,14 @@ Mirrors the xDSL/Open Earth stencil lowering described in §3 of the paper:
   ``scf.parallel`` nest, which ``convert-parallel-loops-to-gpu`` then maps to
   a kernel launch.
 
-``stencil.load`` becomes an explicit snapshot copy (``memref.alloc`` +
-``memref.copy``), preserving the dialect's value semantics, and every
-``stencil.apply`` result is written straight into the memref backing the field
-its ``stencil.store`` targets.
+``stencil.load`` becomes a snapshot, preserving the dialect's value
+semantics: of a field the function also writes (Gauss–Seidel), an explicit copy
+(``memref.alloc`` + ``memref.copy``); of a field it only reads
+(:attr:`stencil.ExternalLoadOp.read_only`), a ``memref.snapshot`` naming the
+written fields' buffers, which copies only when, at run time, the field shares
+memory with one of them — an argument passed twice.  Every ``stencil.apply``
+result is written straight into the memref backing the field its
+``stencil.store`` targets.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
-from ..ir.ssa import SSAValue
+from ..ir.ssa import BlockArgument, SSAValue
 from ..ir.types import MemRefType, index
 from .cleanup import eliminate_dead_code
 
@@ -60,6 +64,16 @@ class ConvertStencilToSCFPass(ModulePass):
     def _lower_function(self, func_op: FuncOp) -> None:
         memref_of: Dict[SSAValue, SSAValue] = {}
         origin_of: Dict[SSAValue, Tuple[int, ...]] = {}
+        # Judged before anything is erased.  The buffers the function writes
+        # are named by every snapshot; one that is no function argument could
+        # be defined after a snapshot's position, and then every load copies.
+        read_only: Dict[SSAValue, bool] = {
+            op.results[0]: op.read_only for op in func_op.walk()
+            if isinstance(op, stencil.ExternalLoadOp)}
+        written = [field.op.operands[0] for field, ro in read_only.items() if not ro]
+        if not all(isinstance(value, BlockArgument)
+                   and value.block is func_op.entry_block for value in written):
+            read_only = dict.fromkeys(read_only, False)
 
         # First sweep: materialise memrefs for fields and temp snapshots, and
         # lower every apply/store pair into loop nests.
@@ -77,17 +91,21 @@ class ConvertStencilToSCFPass(ModulePass):
                     origin_of[op.results[0]] = tuple(b[0] for b in field_type.bounds)
                 elif isinstance(op, stencil.CastOp):
                     memref_of[op.results[0]] = memref_of[op.field]
+                    read_only[op.results[0]] = read_only[op.field]
                     origin_of[op.results[0]] = tuple(
                         b[0] for b in op.results[0].type.bounds  # type: ignore[union-attr]
                     )
                 elif isinstance(op, stencil.LoadOp):
                     source = memref_of[op.field]
                     temp_type: stencil.TempType = op.results[0].type  # type: ignore[assignment]
-                    alloc = memref.AllocOp(MemRefType(temp_type.shape, temp_type.element_type))
-                    copy = memref.CopyOp(source, alloc.results[0])
-                    block.insert_op_before(alloc, op)
-                    block.insert_op_before(copy, op)
-                    memref_of[op.results[0]] = alloc.results[0]
+                    if read_only[op.field]:
+                        snapshot = memref.SnapshotOp(source, written)
+                        block.insert_op_before(snapshot, op)
+                    else:
+                        snapshot = memref.AllocOp(MemRefType(temp_type.shape, temp_type.element_type))
+                        block.insert_op_before(snapshot, op)
+                        block.insert_op_before(memref.CopyOp(source, snapshot.results[0]), op)
+                    memref_of[op.results[0]] = snapshot.results[0]
                     origin_of[op.results[0]] = tuple(b[0] for b in temp_type.bounds)
                 elif isinstance(op, stencil.ApplyOp):
                     self._lower_apply(op, memref_of, origin_of)

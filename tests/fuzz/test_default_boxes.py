@@ -5,7 +5,8 @@ they only ever exercise whole slabs.  Shrinking the budget to a hundred-odd
 bytes sends every generated kernel's sweeps — single-thread, thread-slabbed
 and GPU launches alike — through ``plan_cache_boxes``: many boxes per sweep,
 slab assembly for apply kernels, in-place boxes for nests and launches,
-against the same scalar oracle.
+against the same scalar oracle.  A box that small is one unit-stride row, so
+whatever kernel has a flat body runs it, box after box.
 """
 
 from collections import defaultdict
@@ -18,12 +19,14 @@ def test_differential_fuzz_through_default_boxes(fuzz_seeds, monkeypatch):
     monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 128)
     #: matrix cell -> the (boxes, slabs, shape) of every sweep it planned
     plans = defaultdict(list)
+    interpreters = defaultdict(set)
     cell = [None]
     plan_sweep = Interpreter._plan_sweep
 
     def recording_plan(self, *args):
         boxes, slabs, shape = plan_sweep(self, *args)
         plans[cell[0]].append((len(boxes), slabs, shape))
+        interpreters[cell[0]].add(self)
         return boxes, slabs, shape
 
     class RecordingRunner(DifferentialRunner):
@@ -51,5 +54,8 @@ def test_differential_fuzz_through_default_boxes(fuzz_seeds, monkeypatch):
                   "openmp-static-t2/vectorize", "openmp-dynamic-t4/crosscheck"):
         assert cache_tiles(label) >= fuzz_seeds, label
         assert (parallel_tiles(label) > 0) == label.startswith("openmp"), label
+        flat = sum(interp.kernels.stats["renderings"].get("flat", 0)
+                   for interp in interpreters[label])
+        assert flat >= cache_tiles(label) // 2, label
     assert all(boxes > slabs for cell_plans in plans.values()
                for boxes, slabs, shape in cell_plans if shape == "cache")

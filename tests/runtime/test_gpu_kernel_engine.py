@@ -123,6 +123,49 @@ class TestCompileGpuFunc:
         with pytest.raises(KernelUnsupported):
             compile_gpu_func(fn)
 
+    def test_outlined_pw_kernel_is_the_nest_kernel_it_was_outlined_from(self):
+        """The launch kernel re-derived from the outlined, tiled ``gpu.func``
+        of lowered PW advection is, statement for statement, the kernel of
+        the ``scf.parallel`` before tiling and outlining: the same windows,
+        the same NumPy calls in the same order into the same ``out=``
+        buffers.  Only the names differ — a nest kernel's first externals
+        are its loop bounds, and its induction values start at the loop's
+        lower bound 1 where the thread lattice starts at 0."""
+        import re
+
+        from repro.runtime.kernel_compiler import compile_loop_nest
+        from repro.transforms import ConvertStencilToSCFPass
+
+        def statements(kernel, lattice_shift):
+            slots = {}
+
+            def slot(match):
+                return f"ext[{slots.setdefault(match.group(1), len(slots))}]"
+
+            def bound(match):
+                offset = int(match.group(3) or 0) + lattice_shift
+                return f"{match.group(1)}[{match.group(2)}]{offset:+d}"
+
+            return [re.sub(r"(lb|ub)\[(\d)\](?: \+ (-?\d+))?", bound,
+                           re.sub(r"ext\[(\d+)\]", slot, line))
+                    for line in kernel.source.splitlines()[1:]]
+
+        source = pw_advection.generate_source(8)
+        lowered = repro.Session().compile(source).lower("gpu", lower_to_scf=True)
+        [func_op] = [op for op in lowered.stencil_module.walk()
+                     if op.name == "gpu.func"]
+        unlowered = repro.Session().compile(source).lower("gpu")
+        ConvertStencilToSCFPass(target="gpu").apply(
+            default_context(), unlowered.stencil_module)
+        [nest] = [op for op in unlowered.stencil_module.walk()
+                  if op.name == "scf.parallel"]
+        launch_kernel, nest_kernel = compile_gpu_func(func_op), compile_loop_nest(nest)
+        assert statements(launch_kernel, 0) == statements(nest_kernel, 1)
+        assert len(launch_kernel.source.splitlines()) == 91
+        assert launch_kernel.source.count("np.") == 60   # and 27 windows
+        assert len(launch_kernel.loads) == len(nest_kernel.loads) == 27
+        assert launch_kernel.allocations == nest_kernel.allocations
+
 
 # ---------------------------------------------------------------------------
 # Oracle equivalence on the synthetic kernel
@@ -153,7 +196,7 @@ class TestLaunchExecution:
         _, _, interp = run_shift(module, "vectorize", kernel_compiler=compiler)
         kernel = next(k for k in compiler._structural.values() if k is not None)
 
-        def wrong(ext, lb, ub):
+        def wrong(ext, lb, ub, chosen=None):
             ext[1].data[lb[0]:ub[0], lb[1]:ub[1]] += 1.0
 
         kernel.fn = wrong

@@ -872,7 +872,8 @@ class TestMaterialisation:
 
         _, oracle = self.run(self.handle(), mode="interpret")
         empty_kernel_cache.clear()
-        monkeypatch.setattr(_BodyTranslator, "render", lambda self: (["def"], 0))
+        monkeypatch.setattr(_BodyTranslator, "render",
+                            lambda self, flat=False: (["def"], 0))
         handle = self.handle()
         [apply_op] = [op for op in handle.stencil_module.walk()
                       if isinstance(op, stencil.ApplyOp)]
@@ -954,3 +955,237 @@ class TestMaterialisation:
         assert got == oracle and "fn" in vars(parked)
         assert again.kernels.stats["compiled"] == 0
         assert again.kernels.stats["unsupported"] == 0
+
+
+# ---------------------------------------------------------------------------
+# One translation, two renderings: the flat body and when it is refused
+# ---------------------------------------------------------------------------
+
+
+def shift_externals(kernel, src, dst, n):
+    """The external vector of the ``build_shift_nest_module`` kernel."""
+    externals = [None] * len(kernel.external_paths)
+    for low, high, step in kernel.bound_slots:
+        externals[low], externals[high], externals[step] = 1, n - 1, 1
+    externals[kernel.loads[0][0]] = MemoryBuffer.wrap(src)
+    externals[kernel.stores[0][0]] = MemoryBuffer.wrap(dst)
+    return externals
+
+
+def windowed_only(monkeypatch):
+    from repro.runtime.kernel_compiler import CompiledKernel
+
+    monkeypatch.setattr(CompiledKernel, "flat_plan",
+                        lambda self, ext, lb, ub: "switched off")
+
+
+class TestFlatRendering:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("backend, options", [
+        ("cpu", {}), ("cpu", {"lower_to_scf": True}),
+        ("openmp", {"lower_to_scf": True}),
+        ("gpu", {"lower_to_scf": True})])
+    @pytest.mark.parametrize("app", [gauss_seidel, pw_advection])
+    def test_both_apps_run_flat_and_bitwise_as_windowed(
+            self, app, backend, options, threads, monkeypatch):
+        n = 12
+        entry = app.__name__.rsplit(".", 1)[1]
+        handle = repro.Session().compile(app.generate_source(n, niters=2)).lower(
+            backend, **options)
+
+        def run():
+            args = [gauss_seidel.initial_condition(n)] if app is gauss_seidel \
+                else [f.copy(order="F") for f in pw_advection.initial_fields(n)]
+            interp = handle.run(entry, *args, execution_mode="vectorize",
+                                threads=threads)
+            assert interp.kernels.stats["reasons"] == {}
+            return b"".join(a.tobytes() for a in args), \
+                interp.kernels.stats["renderings"]
+
+        flat, renderings = run()
+        assert set(renderings) == {"flat"}      # thread slabs included
+        assert renderings["flat"] >= (threads if backend == "openmp" else 1)
+        with monkeypatch.context() as patched:
+            windowed_only(patched)
+            windowed, renderings = run()
+        assert set(renderings) == {"switched off"}
+        assert flat == windowed
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_generated_kernels_of_every_rank(self, rank, monkeypatch):
+        from repro.fuzz import DifferentialRunner, generate_spec
+
+        runner = DifferentialRunner()
+        specs = [spec for spec in map(generate_spec, range(60))
+                 if spec.rank == rank and spec.style == "general"][:6]
+        assert len(specs) == 6
+        ran_flat = 0
+        for spec in specs:
+            spec = spec.replace(extents=(11, 9, 8)[:rank])
+            oracle = runner.run_oracle(spec)
+            for lowered in (False, True):
+                options = {"lower_to_scf": True} if lowered else {}
+                handle = runner.session.compile(spec.render()).lower(
+                    "cpu", execution_mode="vectorize", **options)
+                outputs = []
+                for flat in (True, False):
+                    with monkeypatch.context() as patched:
+                        if not flat:
+                            windowed_only(patched)
+                        arrays, scalar = runner.inputs_for(spec)
+                        work = {k: v.copy(order="F") for k, v in arrays.items()}
+                        interp = handle.interpreter()
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            interp.call(spec.entry,
+                                        *runner._call_args(spec, work, scalar))
+                        outputs.append(work)
+                        if flat:
+                            ran_flat += interp.kernels.stats["renderings"].get("flat", 0)
+                for name, want in oracle.items():
+                    assert outputs[0][name].tobytes() == want.tobytes() \
+                        == outputs[1][name].tobytes()
+        assert ran_flat >= 6
+
+    @pytest.mark.parametrize("reason, src_of, dst_of", [
+        ("flat", np.asfortranarray, np.asfortranarray),
+        ("flat", np.ascontiguousarray, np.ascontiguousarray),
+        ("mixed memory order", np.ascontiguousarray, np.asfortranarray),
+        ("differing shapes", lambda a: np.asfortranarray(np.vstack([a, a])),
+         np.asfortranarray),
+        ("strided array", lambda a: np.asfortranarray(np.hstack([a, a]))[:, ::2],
+         lambda a: np.asfortranarray(np.hstack([a, a]))[:, ::2]),
+    ], ids=["F", "C", "mixed-C-F", "shapes", "strided"])
+    def test_array_properties_choose_the_body_per_call(self, reason, src_of, dst_of):
+        n = 9
+        module, fn = build_shift_nest_module(n=n)
+        rng = np.random.default_rng(5)
+        data = rng.random((n, n))
+        src, dst = src_of(data), dst_of(np.zeros((n, n)))
+        compiler = KernelCompiler(use_shared_cache=False)
+        interp = Interpreter(module, execution_mode="crosscheck",
+                             kernel_compiler=compiler)
+        interp.call("shift", MemoryBuffer.wrap(dst), MemoryBuffer.wrap(src))
+        assert interp.stats["vectorized_sweeps"] == 1
+        assert compiler.stats["renderings"] == {reason: 1}
+        assert np.array_equal(dst[1:n - 1, 1:n - 1], 2 * src[0:n - 2, 1:n - 1])
+        kernel, = (k for k in compiler._structural.values())
+        assert (kernel._flat is not None) == (reason == "flat")
+
+    def test_translations_with_no_flat_rendering_say_why(self):
+        n = 7
+        _, _, broadcast = build_broadcast_nest_module(n)
+        indexed, _ = build_mixed_apply(n)
+        assert compile_loop_nest(broadcast).flat_refusal == "lower-rank operand"
+        assert compile_apply(indexed).flat_refusal == "induction value as data"
+        assert compile_apply(build_average_apply()).flat_refusal is None
+        for kernel in (compile_loop_nest(broadcast), compile_apply(indexed)):
+            assert kernel.flat_source is None and "def " in kernel.source
+
+        # dst[i] = extf(src[i]): one element size per flat span.
+        f32 = repro.ir.FloatType(32)
+        fn = FuncOp.build("widen", [MemRefType((n,), f64), MemRefType((n,), f32)], [])
+        b = Builder.at_end(fn.entry_block)
+        dst, src = fn.entry_block.args
+        low = b.insert(arith.ConstantOp.from_int(0, index)).results[0]
+        high = b.insert(arith.ConstantOp.from_int(n, index)).results[0]
+        one = b.insert(arith.ConstantOp.from_int(1, index)).results[0]
+        parallel = b.insert(scf.ParallelOp([low], [high], [one]))
+        body = Builder.at_end(parallel.body.block)
+        i, = parallel.body.block.args
+        narrow = body.insert(memref.LoadOp(src, [i])).results[0]
+        wide = body.insert(arith.ExtFOp(narrow, f64)).results[0]
+        body.insert(memref.StoreOp(wide, dst, [i]))
+        parallel.body.block.add_op(scf.YieldOp([]))
+        b.insert(ReturnOp([]))
+        compiler = KernelCompiler(use_shared_cache=False)
+        interp = Interpreter(ModuleOp([fn]), execution_mode="crosscheck",
+                             kernel_compiler=compiler)
+        values = np.arange(n, dtype=np.float32) / 3
+        out = np.zeros(n)
+        interp.call("widen", out, values)
+        assert out.tobytes() == values.astype(np.float64).tobytes()
+        assert compiler.stats["renderings"] == {"dtype mix": 1}
+
+    def test_refused_translations_are_counted_where_they_run(self):
+        n = 7
+        module, fn, parallel = build_broadcast_nest_module(n)
+        compiler = KernelCompiler(use_shared_cache=False)
+        interp = Interpreter(module, execution_mode="vectorize",
+                             kernel_compiler=compiler)
+        interp.call("mixed", np.zeros((n, n), order="F"),
+                    np.asfortranarray(np.ones((n, n))), np.ones(n))
+        assert compiler.stats["renderings"] == {"lower-rank operand": 1}
+
+    def test_a_tile_cutting_the_middle_dimension_runs_windowed(self):
+        """A ``schedule.tile`` box two planes thick in the middle dimension
+        spans n/2 lanes per point; boxes whole in it are dense."""
+        from repro.ir.attributes import DenseArrayAttr
+
+        n = 12
+        fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
+        want = pw_advection.reference(*fields[:3])
+        for tile, expected in (((n, 2, n), {"sparse box": 5}),
+                               ((n, n, 2), {"flat": 5})):
+            handle = repro.Session().lower(pw_advection.generate_source(n), "cpu")
+            [apply_op] = [op for op in handle.stencil_module.walk()
+                          if isinstance(op, stencil.ApplyOp)]
+            apply_op.attributes["schedule.tile"] = DenseArrayAttr(tile)
+            args = [f.copy(order="F") for f in fields]
+            interp = handle.run("pw_advection", *args, execution_mode="crosscheck")
+            assert interp.stats["schedule_tiles"] == 5
+            assert interp.kernels.stats["renderings"] == expected
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(args[3:], want))
+
+    def test_lanes_between_rows_neither_leak_nor_warn(self):
+        """The flat span of ``dst[i, j] = 2 * src[i-1, j]`` over [1, n-1)² also
+        multiplies rows n-2 and n-1 of ``src``, which no lattice point reads:
+        NaN, inf and a value that overflows there change nothing and report
+        nothing."""
+        import warnings
+
+        n = 8
+        _, fn = build_shift_nest_module(n=n)
+        parallel = next(op for op in fn.walk() if isinstance(op, scf.ParallelOp))
+        kernel = compile_loop_nest(parallel)
+        rng = np.random.default_rng(9)
+        clean = np.asfortranarray(rng.random((n, n)))
+        dirty = clean.copy(order="F")
+        dirty[n - 2, :] = [np.nan, np.inf, -np.inf, 1.7e308] * 2
+        dirty[n - 1, :] = 1.7e308
+        outputs = []
+        for src in (clean, dirty):
+            dst = np.full((n, n), -1.0, order="F")
+            chosen = []
+            with warnings.catch_warnings(), np.errstate(all="warn"):
+                warnings.simplefilter("error")
+                kernel.fn(shift_externals(kernel, src, dst, n),
+                          (1, 1), (n - 1, n - 1), chosen)
+            assert chosen == ["flat"]
+            assert np.all(dst[[0, n - 1], :] == -1.0) and np.all(dst[:, [0, n - 1]] == -1.0)
+            outputs.append(dst)
+        assert outputs[0].tobytes() == outputs[1].tobytes()
+        assert np.isfinite(outputs[1]).all()
+        # The windowed body over the same operands does warn: it is the
+        # lanes, not the filter, that the flat body is quiet about.
+        overflowing = clean.copy(order="F")
+        overflowing[2, 2] = 1.7e308
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning):
+                kernel._windowed(shift_externals(
+                    kernel, overflowing, np.zeros((n, n), order="F"), n),
+                    (1, 1), (n - 1, n - 1))
+
+    def test_pure_kernel_returns_the_box_of_its_span(self):
+        n = 10
+        kernel = compile_apply(build_average_apply(n))
+        data = np.asfortranarray(np.random.default_rng(12).random((n, n)))
+        chosen = []
+        [flat] = kernel.fn([TempValue(data, (0, 0))], (1, 1), (n - 1, n - 1), chosen)
+        [windowed] = kernel._windowed([TempValue(data, (0, 0))], (1, 1), (n - 1, n - 1))
+        assert chosen == ["flat"] and flat.shape == windowed.shape == (n - 2, n - 2)
+        assert flat.tobytes() == windowed.tobytes()
+        assert flat.strides == data.strides and flat.base.size == (n - 3) * (n + 1) + 1
+        # An origin shifts where the span starts, not what it holds.
+        [shifted] = kernel.fn([TempValue(data, (-3, 2))], (-2, 3), (n - 4, n + 1))
+        assert shifted.tobytes() == windowed.tobytes()

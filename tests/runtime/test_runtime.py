@@ -279,34 +279,61 @@ class TestSnapshotElision:
             == copied.tobytes() == gauss_seidel.reference_jacobi(start, 3).tobytes()
 
     @pytest.mark.parametrize("mode", ["vectorize", "crosscheck", "interpret"])
+    @pytest.mark.parametrize("backend, options", [
+        ("cpu", {}),
+        ("cpu", {"lower_to_scf": True}),
+        ("openmp", {"lower_to_scf": True, "threads": 2}),
+        ("gpu", {"lower_to_scf": True, "data_strategy": "host_register"}),
+        ("gpu", {"lower_to_scf": True, "data_strategy": "optimised"}),
+    ], ids=["cpu", "cpu-scf", "openmp-scf-2t", "gpu-host-register", "gpu-optimised"])
     def test_one_array_as_input_and_output_and_inputs_left_untouched(
-            self, mode, monkeypatch):
-        """PW advection with ``su`` aliasing ``u``: the elided snapshot of
-        ``u`` is read by the (fused) apply before any store lands in it.
-        With distinct arrays, the inputs come back byte-identical."""
+            self, backend, options, mode, monkeypatch):
+        """PW advection with ``su`` aliasing ``u``: the snapshot of ``u`` —
+        elided at the apply level because the (fused) apply reads it before
+        any store lands, taken at run time on the lowered paths because the
+        nest stores while it reads — keeps the always-copy answer.  With
+        distinct arrays nothing is copied, the inputs come back byte-identical
+        and only the written fields cross back from the device."""
         import repro
         from repro.apps import pw_advection
 
-        compiled = repro.compile(pw_advection.generate_source(9)).lower("cpu")
+        compiled = repro.Session().compile(
+            pw_advection.generate_source(9)).lower(backend, **options)
         u, v, w, su, sv, sw = (f.copy(order="F")
                                for f in pw_advection.initial_fields(9))
         before = [a.copy() for a in (u, v, w)]
         interp = compiled.run("pw_advection", u, v, w, su, sv, sw,
                               execution_mode=mode)
-        assert set(interp._snapshot_copies.values()) == {False}
+        assert interp.stats["snapshots_copied"] == 0
+        assert interp.stats["snapshots_elided"] == 3
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, w), before))
+        if backend == "gpu":
+            # Copied back: the written fields, when they live on the device.
+            # Paged on demand: all six, both ways, when they live on the host.
+            optimised = options["data_strategy"] == "optimised"
+            assert interp.gpu.transferred_bytes("d2h", "memcpy") == \
+                (su.nbytes + sv.nbytes + sw.nbytes if optimised else 0)
+            assert interp.gpu.transferred_bytes(reason="on_demand") == \
+                (0 if optimised else 12 * u.nbytes)
+            assert interp.gpu.allocated_bytes == 0
 
         aliased = u.copy(order="F")
         sv2, sw2 = np.zeros_like(sv), np.zeros_like(sw)
-        compiled.run("pw_advection", aliased, v, w, aliased, sv2, sw2,
-                     execution_mode=mode)
+        interp = compiled.run("pw_advection", aliased, v, w, aliased, sv2, sw2,
+                              execution_mode=mode)
+        # Device buffers of one host array are distinct; host ones are not.
+        on_host = options.get("data_strategy") != "optimised"
+        assert interp.stats["snapshots_copied"] == \
+            (1 if options and on_host else 0)
+        if backend == "gpu":
+            assert interp.gpu.allocated_bytes == 0   # the scratch copy too
         self._always_copy(monkeypatch)
         oracle = u.copy(order="F")
         sv3, sw3 = np.zeros_like(sv), np.zeros_like(sw)
         copying = repro.Session().lower(compiled.source, "cpu").run(
             "pw_advection", oracle, v, w, oracle, sv3, sw3,
             execution_mode="interpret")
-        assert set(copying._snapshot_copies.values()) == {True}
+        assert copying.stats["snapshots_copied"] == 3
         for got, want in ((aliased, oracle), (sv2, sv3), (sw2, sw3)):
             assert got.tobytes() == want.tobytes()
         assert aliased[1:-1, 1:-1, 1:-1].tobytes() == su[1:-1, 1:-1, 1:-1].tobytes()
