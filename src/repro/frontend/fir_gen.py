@@ -12,6 +12,12 @@ those idioms:
 * array element accesses are ``fir.coordinate_of`` + ``fir.load`` /
   ``fir.store`` with zero-based index expressions built from ``fir.load`` of
   the driving variables, ``fir.convert`` casts and ``arith`` offset maths.
+
+The op *kinds* are Flang's; their multiplicity is not.  Flang re-emits every
+constant and every subscript chain at each use; here a constant is built once
+per function and a scalar-pure subscript chain once per block (see
+``_constant`` and ``_element_address``), so discovery does not construct,
+verify and erase hundreds of duplicates.
 """
 
 from __future__ import annotations
@@ -83,6 +89,20 @@ def _array_type(symbol: Symbol) -> fir.SequenceType:
     return fir.SequenceType(shape, _scalar_type(symbol))
 
 
+def _scalar_pure_key(expr: Expr):
+    """A hashable structural key of ``expr`` when it is built only from integer
+    literals, parameters, scalar variables and ``+ - *`` (so its value can only
+    change when a scalar is stored to); ``None`` otherwise."""
+    if isinstance(expr, IntLiteral):
+        return expr.value
+    if isinstance(expr, VarRef):
+        return None if expr.subscripts else expr.name
+    if isinstance(expr, BinaryOp) and expr.op in ("+", "-", "*"):
+        lhs, rhs = _scalar_pure_key(expr.lhs), _scalar_pure_key(expr.rhs)
+        return None if lhs is None or rhs is None else (expr.op, lhs, rhs)
+    return None
+
+
 class _FunctionCodegen:
     """Generates one ``func.func`` containing FIR for one program unit."""
 
@@ -94,6 +114,10 @@ class _FunctionCodegen:
         self.storage: Dict[str, SSAValue] = {}
         self.builder = Builder()
         self.func_op: Optional[func.FuncOp] = None
+        #: (IR type, repr of the value) -> the function's one ``arith.constant``
+        self._constants: Dict[Tuple[TypeAttribute, str], SSAValue] = {}
+        #: (block, lower bound, subscript key) -> its zero-based index value
+        self._subscripts: Dict[tuple, SSAValue] = {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -169,6 +193,8 @@ class _FunctionCodegen:
     def gen_statement(self, stmt: Statement) -> None:
         if isinstance(stmt, Assignment):
             self.gen_assignment(stmt)
+            if stmt.target.is_array_ref:
+                return  # variables do not alias: every scalar still has its value
         elif isinstance(stmt, DoLoop):
             self.gen_do_loop(stmt)
         elif isinstance(stmt, IfBlock):
@@ -182,13 +208,16 @@ class _FunctionCodegen:
         elif isinstance(stmt, (PrintStmt, ReturnStmt)):
             # Output has no effect on the kernels; RETURN at the end of a unit
             # coincides with the implicit return the generator always emits.
-            return
+            pass
         elif isinstance(stmt, DoWhile):
             raise CodegenError("do while loops are not supported by the FIR generator")
         elif isinstance(stmt, (ExitStmt, CycleStmt)):
             raise CodegenError("exit/cycle are not supported by the FIR generator")
         else:
             raise CodegenError(f"unsupported statement {type(stmt).__name__}")
+        # A scalar may now hold another value (scalar store, call, allocate, a
+        # nested region's stores): the subscript chains lowered so far are stale.
+        self._subscripts.clear()
 
     def gen_assignment(self, stmt: Assignment) -> None:
         symbol = self.symtab[stmt.target.name]
@@ -215,7 +244,7 @@ class _FunctionCodegen:
             step_value, _ = self.gen_expression(stmt.step)
             step = self._to_index(step_value)
         else:
-            step = self.builder.insert(arith.ConstantOp.from_int(1, index)).results[0]
+            step = self._constant(1, index)
 
         loop = self.builder.insert(fir.DoLoopOp(lower, upper, step))
         with self.builder.guarded():
@@ -309,14 +338,11 @@ class _FunctionCodegen:
 
     def gen_expression(self, expr: Expr) -> Tuple[SSAValue, TypeAttribute]:
         if isinstance(expr, IntLiteral):
-            op = self.builder.insert(arith.ConstantOp.from_int(expr.value, i32))
-            return op.results[0], i32
+            return self._constant(expr.value, i32), i32
         if isinstance(expr, RealLiteral):
-            op = self.builder.insert(arith.ConstantOp.from_float(expr.value, f64))
-            return op.results[0], f64
+            return self._constant(expr.value, f64), f64
         if isinstance(expr, LogicalLiteral):
-            op = self.builder.insert(arith.ConstantOp.from_int(int(expr.value), i1))
-            return op.results[0], i1
+            return self._constant(int(expr.value), i1), i1
         if isinstance(expr, VarRef):
             return self.gen_var_ref(expr)
         if isinstance(expr, UnaryOp):
@@ -332,10 +358,8 @@ class _FunctionCodegen:
         if symbol.is_parameter:
             value = symbol.parameter_value
             if symbol.base_type == "integer":
-                op = self.builder.insert(arith.ConstantOp.from_int(int(value), i32))
-                return op.results[0], i32
-            op = self.builder.insert(arith.ConstantOp.from_float(float(value), f64))
-            return op.results[0], f64
+                return self._constant(int(value), i32), i32
+            return self._constant(float(value), f64), f64
         if expr.is_array_ref:
             address = self._element_address(expr, symbol)
             load = self.builder.insert(fir.LoadOp(address))
@@ -349,12 +373,10 @@ class _FunctionCodegen:
             if isinstance(value_type, FloatType):
                 op = self.builder.insert(arith.NegfOp(value))
                 return op.results[0], value_type
-            zero = self.builder.insert(arith.ConstantOp.from_int(0, value_type))
-            op = self.builder.insert(arith.SubiOp(zero.results[0], value))
+            op = self.builder.insert(arith.SubiOp(self._constant(0, value_type), value))
             return op.results[0], value_type
         if expr.op == ".not.":
-            one = self.builder.insert(arith.ConstantOp.from_int(1, i1))
-            op = self.builder.insert(arith.XOrIOp(value, one.results[0]))
+            op = self.builder.insert(arith.XOrIOp(value, self._constant(1, i1)))
             return op.results[0], i1
         raise CodegenError(f"unsupported unary operator '{expr.op}'")
 
@@ -462,7 +484,7 @@ class _FunctionCodegen:
             sign_source, _ = self.gen_expression(expr.args[1])
             magnitude = self._convert_to(magnitude, f64)
             sign_source = self._convert_to(sign_source, f64)
-            zero = self.builder.insert(arith.ConstantOp.from_float(0.0, f64)).results[0]
+            zero = self._constant(0.0, f64)
             absval = self.builder.insert(math.AbsFOp(magnitude)).results[0]
             neg = self.builder.insert(arith.NegfOp(absval)).results[0]
             is_neg = self.builder.insert(arith.CmpfOp("olt", sign_source, zero)).results[0]
@@ -493,6 +515,19 @@ class _FunctionCodegen:
         target = i64 if max(lhs_width, rhs_width) > 32 else i32
         return self._convert_to(lhs, target), self._convert_to(rhs, target), target
 
+    def _constant(self, value: Union[int, float], type: TypeAttribute) -> SSAValue:
+        """The function's one ``arith.constant`` of ``value``: created at first
+        use at the top of the entry block, where it dominates every region."""
+        key = (type, repr(value))  # repr: 0.0 and -0.0 compare equal
+        found = self._constants.get(key)
+        if found is None:
+            build = arith.ConstantOp.from_float if isinstance(type, FloatType) \
+                else arith.ConstantOp.from_int
+            op = build(value, type)
+            self.func_op.entry_block.insert_op_at(len(self._constants), op)
+            found = self._constants[key] = op.results[0]
+        return found
+
     def _convert_to(self, value: SSAValue, target: TypeAttribute) -> SSAValue:
         if value.type == target:
             return value
@@ -512,15 +547,23 @@ class _FunctionCodegen:
                 "subscripts were given"
             )
         indices: List[SSAValue] = []
+        block = self.builder.insertion_point.block
         for sub, dim in zip(ref.subscripts, symbol.dims):
-            value, _ = self.gen_expression(sub)
-            as_index = self._to_index(value)
             lower = dim.lower if dim.lower is not None else 1
-            if lower != 0:
-                bound = self.builder.insert(
-                    arith.ConstantOp.from_int(lower, index)
-                ).results[0]
-                as_index = self.builder.insert(arith.SubiOp(as_index, bound)).results[0]
+            # A scalar-pure subscript already lowered in this block still has
+            # its value: gen_statement drops the memo wherever a scalar may differ.
+            pure = _scalar_pure_key(sub)
+            key = None if pure is None else (block, lower, pure)
+            as_index = self._subscripts.get(key)
+            if as_index is None:
+                value, _ = self.gen_expression(sub)
+                as_index = self._to_index(value)
+                if lower != 0:
+                    as_index = self.builder.insert(
+                        arith.SubiOp(as_index, self._constant(lower, index))
+                    ).results[0]
+                if key is not None:
+                    self._subscripts[key] = as_index
             indices.append(as_index)
         storage = self.storage[ref.name]
         coord = self.builder.insert(fir.CoordinateOfOp(storage, indices))

@@ -110,6 +110,8 @@ _MASTER_RE = re.compile(
 
 def _strip_comment(line: str) -> str:
     """Remove a trailing ``!`` comment, respecting string literals."""
+    if "!" not in line:
+        return line
     in_single = in_double = False
     for i, ch in enumerate(line):
         if ch == "'" and not in_double:

@@ -679,8 +679,13 @@ class Interpreter:
         step = int(_as_python(frame.get(op.operands[2])))
         block = op.regions[0].block
         induction = block.args[0]
-        # Fortran DO semantics: upper bound inclusive.
-        for value in range(lower, upper + 1, step):
+        if step == 0:
+            raise InterpreterError(
+                f"fir.do_loop over '{induction.name_hint or '?'}' has a zero step")
+        # Fortran DO semantics: the bound is inclusive in the step's direction
+        # (range(lower, upper + 1, step) drops the tail of a negative step).
+        trips = max(0, (upper - lower + step) // step)
+        for value in range(lower, lower + trips * step, step):
             self.stats["fir_loop_iterations"] += 1
             frame.set(induction, np.int64(value))
             self.run_block(block, frame)

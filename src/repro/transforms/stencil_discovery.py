@@ -247,13 +247,22 @@ def _enclosing_loops(op: Operation) -> List[fir.DoLoopOp]:
     return loops
 
 
+#: index value -> its (variable storage, constant offset), for one function:
+#: the frontend emits a subscript chain once per block and every access of
+#: that block shares it, so most index values have been traced before.
+IndexTraces = Dict[SSAValue, Tuple[Optional[SSAValue], int]]
+
+
 def _classify_access(
-    coord: fir.CoordinateOfOp, loops_by_storage: Dict[int, LoopInfo]
+    coord: fir.CoordinateOfOp, loops_by_storage: Dict[int, LoopInfo], traced: IndexTraces
 ) -> ArrayAccess:
     root, name = _array_root_and_name(coord.ref)
     access = ArrayAccess(root=root, name=name)
     for index_value in coord.indices:
-        storage, offset = _trace_index_expression(index_value)
+        found = traced.get(index_value)
+        if found is None:
+            found = traced[index_value] = _trace_index_expression(index_value)
+        storage, offset = found
         if storage is None:
             access.dims.append((None, offset))
             continue
@@ -278,22 +287,28 @@ def enclosing_loop_map(store_op: fir.StoreOp, loops: Sequence[LoopInfo]) -> Dict
     return mapping
 
 
-def is_indexed_by_loops(store_op: fir.StoreOp, loops: Sequence[LoopInfo]) -> bool:
-    """Paper Listing 3's predicate: every store index is loop-variable driven."""
+def _indexed_by_loops(
+    store_op: fir.StoreOp, loops: Sequence[LoopInfo], traced: IndexTraces
+) -> Optional[Tuple[ArrayAccess, Dict[int, LoopInfo]]]:
+    """The store's access and enclosing-loop map when every store index is
+    loop-variable driven (paper Listing 3's predicate), else ``None``."""
     ref = store_op.memref
     if not (isinstance(ref, OpResult) and isinstance(ref.op, fir.CoordinateOfOp)):
-        return False
+        return None
     loops_by_storage = enclosing_loop_map(store_op, loops)
     try:
-        access = _classify_access(ref.op, loops_by_storage)
+        access = _classify_access(ref.op, loops_by_storage, traced)
     except DiscoveryError:
-        return False
+        return None
     for loop, _offset in access.dims:
-        if loop is None:
-            return False
-        if not loop.has_constant_bounds:
-            return False
-    return True
+        if loop is None or not loop.has_constant_bounds:
+            return None
+    return access, loops_by_storage
+
+
+def is_indexed_by_loops(store_op: fir.StoreOp, loops: Sequence[LoopInfo]) -> bool:
+    """Paper Listing 3's predicate: every store index is loop-variable driven."""
+    return _indexed_by_loops(store_op, loops, {}) is not None
 
 
 def get_array_read_data_ops(store_op: fir.StoreOp) -> List[fir.LoadOp]:
@@ -350,12 +365,14 @@ class StencilDiscoveryPass(ModulePass):
             return 0
 
         candidates: List[StencilCandidate] = []
+        traced: IndexTraces = {}
         for op in list(func_op.walk()):
             if not isinstance(op, fir.StoreOp):
                 continue
-            if not is_indexed_by_loops(op, loops):
+            indexed = _indexed_by_loops(op, loops, traced)
+            if indexed is None:
                 continue
-            candidate = self._analyse_store(op, enclosing_loop_map(op, loops))
+            candidate = self._analyse_store(op, *indexed, traced)
             if candidate is not None:
                 candidates.append(candidate)
 
@@ -388,15 +405,13 @@ class StencilDiscoveryPass(ModulePass):
     # ------------------------------------------------------------------
 
     def _analyse_store(
-        self, store_op: fir.StoreOp, loops_by_storage: Dict[int, LoopInfo]
+        self, store_op: fir.StoreOp, output: ArrayAccess,
+        loops_by_storage: Dict[int, LoopInfo], traced: IndexTraces,
     ) -> Optional[StencilCandidate]:
-        coord = store_op.memref.op  # type: ignore[union-attr]
         try:
-            output = _classify_access(coord, loops_by_storage)
-            read_loads = get_array_read_data_ops(store_op)
             reads = []
-            for load in read_loads:
-                access = _classify_access(load.memref.op, loops_by_storage)  # type: ignore[union-attr]
+            for load in get_array_read_data_ops(store_op):
+                access = _classify_access(load.memref.op, loops_by_storage, traced)  # type: ignore[union-attr]
                 access.load_op = load
                 reads.append(access)
         except DiscoveryError:
@@ -416,9 +431,7 @@ class StencilDiscoveryPass(ModulePass):
         driving_loops: List[LoopInfo] = []
         lb: List[int] = []
         ub: List[int] = []
-        for loop, offset in output.dims:
-            if loop is None or not loop.has_constant_bounds:
-                return None
+        for loop, offset in output.dims:  # each a constant-bound loop: _indexed_by_loops
             driving_loops.append(loop)
             # Stencil index space == zero-based array index space of the output:
             # Fortran loop bounds are inclusive, stencil bounds are half open.

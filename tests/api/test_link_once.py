@@ -304,11 +304,11 @@ def test_forgetting_the_structural_cache_keeps_the_bindings(hash_spy):
 def test_store_round_trip_starts_with_an_empty_table(tmp_path):
     warm = repro.Session(store=ArtifactStore(tmp_path))
     first = lowered(warm)
+    as_lowered = warm.store.total_bytes()
     run_pw(first)
     assert len(first.artifact.linked.bindings) == 1
-    # The printed IR as lowered (17738 B before the three memref.alloc +
-    # memref.copy became memref.snapshot): linking leaves no trace in it.
-    assert warm.store.total_bytes() == 17752
+    # The stored text is the printed IR as lowered: linking leaves no trace in it.
+    assert warm.store.total_bytes() == as_lowered > 0
     cold = repro.Session(store=ArtifactStore(tmp_path))
     reloaded = lowered(cold)
     assert cold.cache_stats["disk_hits"] == 1
@@ -316,7 +316,7 @@ def test_store_round_trip_starts_with_an_empty_table(tmp_path):
     assert reloaded.artifact.linked.bindings == {}
     assert reloaded.artifact.linked is not first.artifact.linked
     assert bitwise(run_pw(reloaded), expected(pw_advection, 1))
-    assert cold.store.total_bytes() == 17752
+    assert cold.store.total_bytes() == as_lowered
 
 
 # ---------------------------------------------------------------------------

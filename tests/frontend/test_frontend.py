@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dialects import fir
+import repro
+from repro.dialects import arith, fir
 from repro.dialects.func import FuncOp
 from repro.frontend import (
     FortranSyntaxError,
@@ -31,6 +32,14 @@ class TestLexer:
     def test_comments_stripped(self):
         tokens = tokenize("x = 1 ! a comment with = signs\n")
         assert all("comment" not in t.value for t in tokens)
+
+    def test_a_quoted_bang_is_not_a_comment(self):
+        from repro.frontend.lexer import _strip_comment
+
+        assert _strip_comment("print *, 'a ! b', \"c ! d\" ! gone") == \
+            "print *, 'a ! b', \"c ! d\" "
+        untouched = "a(i) = b(i) + 'it''s'"
+        assert _strip_comment(untouched) is untouched
 
     def test_continuation_lines_folded(self):
         tokens = tokenize("x = 1 + &\n    2")
@@ -316,3 +325,195 @@ end subroutine s
 """
         with pytest.raises(CodegenError):
             compile_to_fir(src)
+
+
+# ---------------------------------------------------------------------------
+# Shared constants and subscript chains
+# ---------------------------------------------------------------------------
+
+
+def run_everywhere(source, entry, make_args):
+    """``entry`` through flang-only and cpu, interpreted and vectorized: the
+    argument lists after the call (all four must agree with the caller's
+    hand-computed expectation)."""
+    for backend in ("flang-only", "cpu"):
+        handle = repro.Session().compile(source).lower(backend)
+        for mode in ("interpret", "vectorize"):
+            args = make_args()
+            handle.run(entry, *args, execution_mode=mode)
+            yield args
+
+
+def index_values(module, array):
+    """The index operands of every ``fir.coordinate_of`` of ``array``, in order."""
+    return [op.indices for op in module.walk()
+            if isinstance(op, fir.CoordinateOfOp)
+            and op.ref.op.uniq_name.endswith("E" + array)]
+
+
+def subroutine(body, decls="real(kind=8), intent(inout) :: a(8)", args="a"):
+    return f"""
+subroutine s({args})
+  implicit none
+  {decls}
+  integer :: i, j, k
+{body}
+end subroutine s
+"""
+
+
+class TestSharedSubscripts:
+    def test_a_scalar_store_between_equal_subscripts_relowers_them(self):
+        source = subroutine("""
+  k = 2
+  a(k) = 1.0
+  k = k + 1
+  a(k) = 2.0
+  a(k + 1) = a(k) + a(k - 1)
+""")
+        first, second, read, below, target = index_values(compile_to_fir(source), "a")
+        assert first[0] is not second[0]  # k was stored to in between
+        assert read[0] is second[0]  # nothing was: one chain, two users
+        assert len({id(v[0]) for v in (second, below, target)}) == 3
+        for (a,) in run_everywhere(source, "s", lambda: [np.zeros(8)]):
+            assert list(a) == [0, 1, 2, 3, 0, 0, 0, 0]
+
+    def test_a_loop_body_that_advances_its_own_subscript(self):
+        source = subroutine("""
+  do i = 1, 4
+    k = i
+    a(k) = 1.0
+    k = k + 4
+    a(k) = 2.0
+  end do
+""")
+        low, high = index_values(compile_to_fir(source), "a")
+        assert low[0] is not high[0]
+        for (a,) in run_everywhere(source, "s", lambda: [np.zeros(8)]):
+            assert list(a) == [1, 1, 1, 1, 2, 2, 2, 2]
+
+    def test_a_call_between_equal_subscripts(self):
+        source = """
+subroutine bump(k)
+  implicit none
+  integer, intent(inout) :: k
+  k = k + 1
+end subroutine bump
+""" + subroutine("""
+  k = 1
+  a(k) = 1.0
+  call bump(k)
+  a(k) = 2.0
+""")
+        before, after = index_values(compile_to_fir(source), "a")
+        assert before[0] is not after[0]
+        for (a,) in run_everywhere(source, "s", lambda: [np.zeros(8)]):
+            assert list(a) == [1, 2, 0, 0, 0, 0, 0, 0]
+
+    def test_a_nested_region_that_assigns_the_scalar(self):
+        source = subroutine("""
+  k = 1
+  a(k) = 1.0
+  if (a(1) > 0.0) then
+    k = k + 2
+  end if
+  a(k) = 2.0
+  do j = 1, 2
+    k = k + 1
+  end do
+  a(k) = 3.0
+""")
+        module = compile_to_fir(source)
+        # a(k), a(1) of the condition, a(k), a(k): the three a(k) all differ.
+        chains = [v[0] for v in index_values(module, "a")]
+        assert len(chains) == 4 and len({id(v) for v in chains}) == 4
+        for (a,) in run_everywhere(source, "s", lambda: [np.zeros(8)]):
+            assert list(a) == [1, 0, 2, 0, 3, 0, 0, 0]
+
+    def test_an_indirect_subscript_is_never_shared(self):
+        source = subroutine("""
+  do i = 1, 4
+    k = i
+    a(idx(k)) = 1.0
+    idx(k) = idx(k) + 4
+    a(idx(k)) = 2.0
+  end do
+""", decls="real(kind=8), intent(inout) :: a(8)\n  integer, intent(inout) :: idx(8)",
+            args="a, idx")
+        module = compile_to_fir(source)
+        low, high = index_values(module, "a")
+        assert low[0] is not high[0]
+        # ... while the scalar-pure idx(k) is one chain with four users.  (k, not
+        # i: discovery would lift ``idx(i) = idx(i) + 4`` out of the loop.)
+        assert len({id(v[0]) for v in index_values(module, "idx")}) == 1
+
+        def make_args():
+            return [np.zeros(8), np.arange(1, 9, dtype=np.int32)]
+
+        for a, idx in run_everywhere(source, "s", make_args):
+            assert list(a) == [1, 1, 1, 1, 2, 2, 2, 2]
+            assert list(idx) == [5, 6, 7, 8, 5, 6, 7, 8]
+
+    def test_arrays_with_different_lower_bounds_do_not_share_the_subi(self):
+        source = subroutine("""
+  k = 3
+  a(k) = 1.0
+  b(k) = 2.0
+  c(k) = 3.0
+  c(k) = c(k) + a(k)
+""", decls="real(kind=8), intent(inout) :: a(8), b(0:7), c(2:9)", args="a, b, c")
+        module = compile_to_fir(source)
+        (a_index,), (b_index,), (c_index,) = (
+            {v[0] for v in index_values(module, name)} for name in "abc")
+        assert isinstance(a_index.op, arith.SubiOp) and isinstance(c_index.op, arith.SubiOp)
+        assert isinstance(b_index.op, fir.ConvertOp)  # lower bound 0: no subi at all
+        assert a_index.op.rhs.op.literal == 1 and c_index.op.rhs.op.literal == 2
+        for a, b, c in run_everywhere(source, "s", lambda: [np.zeros(8) for _ in "abc"]):
+            assert (a[2], b[3], c[1]) == (1.0, 2.0, 4.0)
+            assert a.sum() + b.sum() + c.sum() == 7.0
+
+    def test_one_constant_per_value_and_type_before_every_user(self, small_pw_source):
+        module = compile_to_fir(small_pw_source)
+        func_op = next(op for op in module.walk() if isinstance(op, FuncOp))
+        entry = func_op.entry_block.ops
+        constants = [op for op in module.walk() if isinstance(op, arith.ConstantOp)]
+        assert constants == list(entry[:len(constants)])
+        keys = [(repr(op.literal), op.result.type) for op in constants]
+        assert len(set(keys)) == len(keys)
+        module.verify()  # use-before-def included
+
+
+@pytest.mark.parametrize("start, stop, step, visited", [
+    (8, 1, -1, [8, 7, 6, 5, 4, 3, 2, 1]),
+    (8, 1, -3, [8, 5, 2]),
+    (1, 8, 2, [1, 3, 5, 7]),
+    (1, 8, 3, [1, 4, 7]),
+    (5, 4, 1, []),
+    (4, 5, -1, []),
+    (3, 3, -1, [3]),
+])
+def test_do_loop_trip_count_is_fortrans(start, stop, step, visited):
+    source = subroutine(f"""
+  k = 0
+  do i = {start}, {stop}, {step}
+    k = k + 1
+    a(i) = k
+  end do
+""")
+    expected = np.zeros(8)
+    for count, i in enumerate(visited, start=1):
+        expected[i - 1] = count
+    for (a,) in run_everywhere(source, "s", lambda: [np.zeros(8)]):
+        assert list(a) == list(expected)
+
+
+def test_a_zero_step_names_the_loop():
+    from repro.runtime import InterpreterError
+
+    source = subroutine("""
+  do i = 1, 8, 0
+    a(i) = 1.0
+  end do
+""")
+    with pytest.raises(InterpreterError, match="'i' has a zero step"):
+        Interpreter(compile_to_fir(source)).call("s", np.zeros(8))
