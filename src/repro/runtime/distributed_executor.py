@@ -248,11 +248,11 @@ class DistributedExecutor:
     def gather(self, locals_by_rank: Dict[int, np.ndarray],
                decomposition: CartesianDecomposition,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Assemble the owned interiors back into one global array."""
+        """Assemble the owned interiors, which tile it, into one global array."""
         h = self.halo
         if out is None:
             sample = locals_by_rank[0]
-            out = np.zeros(decomposition.global_shape, dtype=sample.dtype,
+            out = np.empty(decomposition.global_shape, dtype=sample.dtype,
                            order="F")
         for rank in range(self.num_ranks):
             bounds = decomposition.local_bounds(rank)

@@ -94,6 +94,11 @@ class TempValue:
         return f"<TempValue shape={self.data.shape} origin={self.origin}>"
 
 
+#: Runtime value of a ``stencil.apply`` result that the sweep already wrote
+#: where its one ``stencil.store`` puts it; that store then has nothing to do.
+DELIVERED = object()
+
+
 class Frame:
     """SSA value environment for one function invocation (shared across regions)."""
 
@@ -130,10 +135,10 @@ class LinkTable:
     """Linked modules and what is a pure function of their (immutable) IR,
     computed once for every interpreter over them: the function index (one
     walk, here), each sweep op's kernel binding (``bindings``, filled by
-    :meth:`KernelCompiler.bound_for`) and each ``stencil.load``'s snapshot
-    verdict.  Entries are keyed by the op they describe and die with the
-    table's owner — a :class:`repro.api.CompiledArtifact`, or the interpreter
-    built over raw modules.  Nothing about a run (stats, device) is here.
+    :meth:`KernelCompiler.bound_for`), each ``stencil.load``'s snapshot verdict
+    and each ``stencil.apply``'s result stores.  Entries are keyed by their op
+    and die with the table's owner — a :class:`repro.api.CompiledArtifact`, or
+    the interpreter built over raw modules.  Nothing about a run is here.
     """
 
     def __init__(self, modules: Sequence[ModuleOp]):
@@ -147,6 +152,8 @@ class LinkTable:
         self.bindings: Dict[Operation, Tuple] = {}
         #: stencil.load op -> whether its snapshot must really be copied
         self.snapshot_copies: Dict[Operation, bool] = {}
+        #: stencil.apply op -> Interpreter._stores_of_results(op)
+        self.result_stores: Dict[Operation, Optional[Tuple[Operation, ...]]] = {}
         for module in self.modules:
             enclosing = None
             for op in module.walk():
@@ -259,6 +266,7 @@ class Interpreter:
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._snapshot_copies = link.snapshot_copies
+        self._result_stores = link.result_stores
         self._gpu_thread_ctx: List[Dict[str, Tuple[int, int, int]]] = []
         self._handlers = self._build_handlers()
 
@@ -768,6 +776,8 @@ class Interpreter:
             self.stats["snapshots_elided"] += 1
             return [source]
         self.stats["snapshots_copied"] += 1
+        if self._enclosing_func_attr(op, "gpu.launch") is None:
+            return [MemoryBuffer.wrap(source.data.copy(order="K"))]
         copy = self._alloc_scratch(op, source.data.shape,
                                    op.results[0].type.element_type)
         copy.copy_from(source)
@@ -856,7 +866,8 @@ class Interpreter:
                domain_of: Callable, scalar_runner: Callable,
                schedule: Tuple[str, Optional[int]],
                counters: Tuple[str, str] = ("vectorized_sweeps",
-                                            "vectorize_fallbacks")):
+                                            "vectorize_fallbacks"),
+               delivery: Tuple[Optional[List[np.ndarray]], bool] = (None, False)):
         """The one execution path of every vectorizable sweep op: kernel
         lookup → runtime guards → box plan → :func:`run_boxes` → crosscheck →
         stats.  Returns the kernel's results — ``scalar_runner``'s when the
@@ -868,7 +879,8 @@ class Interpreter:
         fails; ``scalar_runner`` is the reference semantics, used as fallback
         and as crosscheck oracle so the two cannot diverge; ``schedule`` the
         OpenMP (kind, chunk) clause shaping the thread slabs; ``counters``
-        the (vectorized, fallback) stats keys.
+        the (vectorized, fallback) stats keys; ``delivery`` the (destinations,
+        deferred) of :func:`run_boxes`: used destinations are what comes back.
         """
         if self.execution_mode == "interpret":
             return scalar_runner()
@@ -893,10 +905,10 @@ class Interpreter:
             pool = self._executor if kernel.tileable else None
             chosen: List[str] = []
             results = run_boxes(kernel, externals, lowers, uppers, boxes, pool,
-                                chosen)
+                                chosen, *delivery)
             if results is None:
-                # A result broadcasts along a tiled dimension, so the slabs
-                # cannot be assembled.  The defect is structural: remember
+                # A result broadcasts along a tiled dimension, so the boxes
+                # cannot be delivered.  The defect is structural: remember
                 # the refusal and recompute whole-domain (kernels are pure).
                 kernel.tileable = False
                 if slabs > 1:
@@ -904,7 +916,7 @@ class Interpreter:
                 if shape is not None:
                     self.stats[shape + "_fallbacks"] += 1
                 results = run_boxes(kernel, externals, lowers, uppers,
-                                    [(lowers, uppers)], None, chosen)
+                                    [(lowers, uppers)], None, chosen, *delivery)
             else:
                 if slabs > 1:
                     self.stats["parallel_sweeps"] += 1
@@ -917,7 +929,7 @@ class Interpreter:
 
         if self.execution_mode == "crosscheck":
             results = self._crosscheck(kernel, externals, vector_runner,
-                                       scalar_runner)
+                                       scalar_runner, delivery[0])
         else:
             results = vector_runner()
         self.stats[done_key] += 1
@@ -944,18 +956,21 @@ class Interpreter:
         return plan if plan[0] or kernel.stores else whole
 
     def _crosscheck(self, kernel, externals, vector_runner: Callable,
-                    scalar_runner: Callable):
+                    scalar_runner: Callable, destinations=None):
         """Run the compiled kernel (tiled as planned) AND the scalar oracle
         and require bitwise agreement on every stored array and returned
-        value.  Leaves the oracle's stores in memory."""
+        value.  Leaves the oracle's stores in memory: results delivered into
+        ``destinations`` are read back, the destinations restored and the
+        oracle's values returned for their stores to write."""
         targets = kernel.store_targets(externals)
-        before = [t.copy() for t in targets]
+        saved = targets + (destinations or [])
+        before = [t.copy() for t in saved]
         results = vector_runner()
-        vectorized = [t.copy() for t in targets] + list(results or [])
-        for target, saved in zip(targets, before):
-            np.copyto(target, saved)
-        reference = targets + list(scalar_runner() or [])
-        for ref, vec in zip(reference, vectorized):
+        vectorized = [np.copy(v) for v in targets + list(results or [])]
+        for target, copy in zip(saved, before):
+            np.copyto(target, copy)
+        oracle = list(scalar_runner() or [])
+        for ref, vec in zip(targets + oracle, vectorized):
             ref, vec = np.broadcast_arrays(np.asarray(ref), np.asarray(vec))
             if not np.array_equal(ref, vec, equal_nan=True):
                 worst = float(np.max(np.abs(ref.astype(np.float64)
@@ -965,7 +980,7 @@ class Interpreter:
                     f"scalar oracle (max |diff| = {worst:g});\n"
                     f"--- kernel source ---\n{kernel.source}"
                 )
-        return results
+        return oracle if results is destinations is not None else results
 
     def _run_apply_scalar(self, op: Operation, frame: Frame,
                           lb: Tuple[int, ...], ub: Tuple[int, ...]) -> List[object]:
@@ -1029,23 +1044,70 @@ class Interpreter:
         return any(between.name not in _SNAPSHOT_TRANSPARENT
                    for between in block.ops[start + 1:end])
 
+    @staticmethod
+    def _stores_of_results(op: Operation) -> Optional[Tuple[Operation, ...]]:
+        """The ``stencil.store`` of each result of a ``stencil.apply`` whose
+        results are simply stored — one use each, a store over the apply's
+        ``lb``/``ub``, these the next ops of its block: into fields defined
+        before it, and written by the sweep or after it nobody can tell."""
+        stores = [use.operation for result in op.results for use in result.uses]
+        block = op.parent_block()
+        if block is None or not all(
+                len(result.uses) == 1 and store.name == "stencil.store"
+                and store.operands[0] is result
+                and all(store.get_attr(k) == op.get_attr(k) for k in ("lb", "ub"))
+                for result, store in zip(op.results, stores)):
+            return None
+        following = block.ops[block.index_of(op) + 1:][:len(stores)]
+        return tuple(stores) if {id(o) for o in following} \
+            == {id(store) for store in stores} else None
+
+    @staticmethod
+    def _store_window(op: Operation, origin: Tuple[int, ...]) -> Tuple[slice, ...]:
+        """A ``stencil.store``'s ``[lb, ub)`` in an array starting at ``origin``."""
+        lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
+        ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
+        return tuple(slice(l - o, u - o) for l, u, o in zip(lb, ub, origin))
+
+    def _delivery(self, op: Operation, frame: Frame, domain, inputs):
+        """``(destinations, deferred)`` of an apply sweep: the window each
+        result's store writes, if the results are simply stored and the
+        windows whole and pairwise disjoint; and whether one shares memory
+        with an input (in-place Gauss-Seidel), so all boxes must read first."""
+        if op not in self._result_stores:
+            self._result_stores[op] = self._stores_of_results(op)
+        windows: List[np.ndarray] = []
+        for store in self._result_stores[op] or ():
+            field = frame.get(store.operands[1])
+            window = field.buffer.data[self._store_window(store, field.lb)]
+            if window.shape != domain or any(
+                    np.may_share_memory(window, other) for other in windows):
+                return None, False
+            windows.append(window)
+        return windows or None, any(np.may_share_memory(window, data)
+                                    for window in windows for data in inputs)
+
     def _exec_stencil_apply(self, op: Operation, frame: Frame):
         lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
         ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
         domain = tuple(u - l for l, u in zip(lb, ub))
+        inputs = [temp.data for temp in map(frame.get, op.operands)
+                  if isinstance(temp, TempValue)]
+        delivery = (None, False) if self.execution_mode == "interpret" \
+            else self._delivery(op, frame, domain, inputs)
         returned = self._sweep(
             op, frame, lambda: self.kernels.kernel_for(op),
             lambda kernel, externals:
                 (lb, ub) if kernel.apply_guards_pass(externals, lb, ub) else None,
             lambda: self._run_apply_scalar(op, frame, lb, ub),
-            ("static", None))
+            ("static", None), delivery=delivery)
         self.stats["stencil_apply_executions"] += 1
         points = 1
         for extent in domain:
             points *= extent
         self.stats["stencil_points_computed"] += points
-        inputs = [temp.data for temp in map(frame.get, op.operands)
-                  if isinstance(temp, TempValue)]
+        if returned is delivery[0] is not None:
+            return [DELIVERED] * len(returned)
         results = []
         for value in returned:
             array = np.broadcast_to(np.asarray(value, dtype=np.float64), domain).copy() \
@@ -1085,16 +1147,10 @@ class Interpreter:
 
     def _exec_stencil_store(self, op: Operation, frame: Frame):
         temp = frame.get(op.operands[0])
-        field = frame.get(op.operands[1])
-        lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
-        ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
-        field_slices = tuple(
-            slice(l - fl, u - fl) for l, u, fl in zip(lb, ub, field.lb)
-        )
-        temp_slices = tuple(
-            slice(l - to, u - to) for l, u, to in zip(lb, ub, temp.origin)
-        )
-        field.buffer.data[field_slices] = temp.data[temp_slices]
+        if temp is not DELIVERED:
+            field = frame.get(op.operands[1])
+            field.buffer.data[self._store_window(op, field.lb)] = \
+                temp.data[self._store_window(op, temp.origin)]
         return []
 
     # ------------------------------------------------------------------

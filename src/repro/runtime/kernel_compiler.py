@@ -340,7 +340,7 @@ class CompiledKernel:
         #: Why no call can take the flat body (None: congruent arrays can).
         self.flat_refusal: Optional[str] = translator.flat_refusal()
         #: For apply kernels: which returned values are whole-domain arrays
-        #: (only those can be slab-assembled by ``run_boxes``).
+        #: (only those can be delivered per box by ``run_boxes``).
         self.result_is_array = tuple(result_is_array)
         #: Stable display name (op name + structural-hash prefix), set by
         #: KernelCompiler.kernel_for; keys the per-kernel runtime statistics.
@@ -350,7 +350,7 @@ class CompiledKernel:
         #: (boxes that partition the domain then write disjoint regions);
         #: pure kernels need every returned value to be a whole-domain
         #: array.  The interpreter clears it when a per-box result shape
-        #: refuses slab assembly — a structural property, so the refusal
+        #: refuses delivery — a structural property, so the refusal
         #: holds for every later sweep of this (possibly shared) kernel.
         if self.stores:
             self.tileable = all(len(axes) == self.rank for _, axes in self.stores)

@@ -18,7 +18,7 @@ Three pieces, each independently testable:
   composes them into the one plan every sweep runs — thread slabs along the
   outermost dimension, each cut into ``schedule.tile`` or cache boxes;
 * :func:`run_boxes` — runs a kernel over a box plan: store kernels in place,
-  pure kernels assembled by slab assignment;
+  pure kernels delivered box by box where their values are stored;
 * :class:`ParallelExecutor` — a persistent worker pool executing tile
   closures and returning their results in tile order.
 
@@ -233,45 +233,62 @@ def plan_sweep(
 def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
               uppers: Sequence[int], boxes: Sequence[Box],
               executor: Optional["ParallelExecutor"] = None,
-              chosen: Optional[List[str]] = None) -> Optional[List[object]]:
+              chosen: Optional[List[str]] = None,
+              destinations: Optional[List[np.ndarray]] = None,
+              deferred: bool = False) -> Optional[List[object]]:
     """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
     concurrently on ``executor`` when one is given, in box order otherwise;
     the body each box ran ("flat", or why windowed) is appended to ``chosen``.
 
     Store kernels write each box's region in place; the result is ``[]``.
-    Pure (``stencil.apply``) kernels return their values: a single box's are
-    passed through untouched, several boxes' are assembled into whole-domain
-    arrays by slab assignment (exact — a pure elementwise kernel computes
-    bit-identical values on any sub-box).  Assembly requires every per-box
-    value to have exactly the box's shape; a value that broadcasts along a
-    tiled dimension (e.g. built purely from ``stencil.index`` of another
-    dimension) makes the call return ``None`` and the caller recomputes
-    whole-domain.
+    Pure (``stencil.apply``) kernels return their values, and each box's are
+    written into its window of ``destinations`` — where the results are
+    stored: one domain-shaped array each, pairwise disjoint — which is then
+    the result: the moment the box finishes, its values dropped, or, when
+    ``deferred`` (a destination shares memory with an input), once every box
+    has read.  Without destinations one box's values are passed through and
+    several boxes' delivered into fresh whole-domain arrays (exact — a pure
+    elementwise kernel computes bit-identical values on any sub-box).  A
+    value must have its box's shape: one that broadcasts along a cut dimension
+    (e.g. built purely from ``stencil.index`` of another) makes the call
+    return ``None`` and the caller recompute whole-domain, passed through.
     """
+    def fits(box: Box, values) -> bool:
+        shape = tuple(u - l for l, u in zip(*box))
+        return all(np.shape(value) == shape for value in values)
+
+    def deliver(outs, box: Box, values) -> None:
+        window = tuple(slice(bl - l, bu - l) for l, bl, bu in zip(lowers, *box))
+        for out, value in zip(outs, values):
+            out[window] = value
+
     def run(box: Box):
-        return kernel.fn(externals, box[0], box[1], chosen)
+        values = kernel.fn(externals, box[0], box[1], chosen)
+        if kernel.stores or destinations is None or not fits(box, values):
+            return values
+        if deferred:  # keep no view of memory that a delivery overwrites
+            return [np.copy(value) if any(np.may_share_memory(value, out)
+                                          for out in destinations) else value
+                    for value in values]
+        return deliver(destinations, box, values)
 
     partials = executor.map_tiles(run, boxes) if executor is not None \
         else [run(box) for box in boxes]
     if kernel.stores:
         return []
-    if len(boxes) == 1:
-        return partials[0]
-    for (box_lb, box_ub), partial in zip(boxes, partials):
-        shape = tuple(u - l for l, u in zip(box_lb, box_ub))
-        if any(np.shape(value) != shape for value in partial):
-            return None
-    domain = tuple(u - l for l, u in zip(lowers, uppers))
-    results: List[object] = []
-    for i, first in enumerate(partials[0]):
+    pending = [pair for pair in zip(boxes, partials) if pair[1] is not None]
+    if not all(fits(*pair) for pair in pending):
+        return partials[0] if len(boxes) == 1 else None
+    if destinations is None:
+        if len(boxes) == 1:
+            return partials[0]
         # In the partials' memory layout (Fortran order for Fortran-ordered
         # inputs), so a tiled result is laid out exactly as an untiled one.
-        out = np.empty_like(first, shape=domain)
-        for (box_lb, box_ub), partial in zip(boxes, partials):
-            out[tuple(slice(bl - l, bu - l)
-                      for l, bl, bu in zip(lowers, box_lb, box_ub))] = partial[i]
-        results.append(out)
-    return results
+        destinations = [np.empty_like(first, shape=tuple(
+            u - l for l, u in zip(lowers, uppers))) for first in partials[0]]
+    for box, values in pending:
+        deliver(destinations, box, values)
+    return destinations
 
 
 class ParallelExecutor:

@@ -381,6 +381,7 @@ class StencilDiscoveryPass(ModulePass):
             generated = self._generate_stencil_ops(candidate)
             if generated is not None:
                 pairs.append((candidate, generated))
+        pairs = self._independent_of_remainder(pairs)
 
         # Insert the generated operations directly before the outermost loop
         # involved in each stencil, then drop the original store.
@@ -401,6 +402,32 @@ class StencilDiscoveryPass(ModulePass):
             # The applies fusion left standing (it tagged the ones it made).
             tag_vectorizable(op for _, generated in pairs for op in generated.ops)
         return inserted
+
+    def _independent_of_remainder(self, pairs):
+        """The candidates that may run before their loop nest: no op left
+        behind in it loads or stores the array they write, or stores an array
+        they read (``a(idx(i)) = 1; idx(i) = idx(i) + 4; a(idx(i)) = 2``).  A
+        refused candidate is itself left behind, so repeat until none is."""
+        def disturbed(candidate, generated) -> bool:
+            reads = {id(read.root) for read in candidate.reads}
+            nest = self._find_top_level_loop(generated.applicable_loops).op
+            for op in nest.walk():
+                ref = op.memref if isinstance(op, (fir.LoadOp, fir.StoreOp)) \
+                    and id(op) not in lifted else None
+                if isinstance(ref, OpResult) and isinstance(ref.op, fir.CoordinateOfOp):
+                    root, _ = _array_root_and_name(ref.op.ref)
+                    if root is candidate.output.root or (
+                            isinstance(op, fir.StoreOp) and id(root) in reads):
+                        return True
+            return False
+
+        while True:
+            lifted = {id(op) for candidate, _ in pairs for op in
+                      [candidate.store_op] + [r.load_op for r in candidate.reads]}
+            kept = [pair for pair in pairs if not disturbed(*pair)]
+            if len(kept) == len(pairs):
+                return kept
+            pairs = kept
 
     # ------------------------------------------------------------------
 

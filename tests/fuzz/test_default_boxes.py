@@ -4,7 +4,7 @@ Fuzz and tier-1 domains sit far under ``CACHE_BUDGET_BYTES``, so on their own
 they only ever exercise whole slabs.  Shrinking the budget to a hundred-odd
 bytes sends every generated kernel's sweeps — single-thread, thread-slabbed
 and GPU launches alike — through ``plan_cache_boxes``: many boxes per sweep,
-slab assembly for apply kernels, in-place boxes for nests and launches,
+apply results delivered box by box, in-place boxes for nests and launches,
 against the same scalar oracle.  A box that small is one unit-stride row, so
 whatever kernel has a flat body runs it, box after box.
 """

@@ -1,5 +1,5 @@
-"""Two bugs planted where this repository's two copy-avoiding shortcuts live,
-each caught by the farm and delta-debugged to a one-statement kernel.
+"""Four bugs planted where this repository's three copy-avoiding shortcuts
+live, each caught by the farm and delta-debugged to a one-statement kernel.
 
 * ``convert-stencil-to-scf`` lowers the ``stencil.load`` of a field the
   function only reads to a ``memref.snapshot`` that copies when, at run time,
@@ -8,15 +8,25 @@ each caught by the farm and delta-debugged to a one-statement kernel.
   elided too.
 * The flat kernel body reads each access as the span from the box's first to
   its last lattice point.  Planted: the span ends one lane early.
+* A ``stencil.apply`` sweep writes each box into its ``stencil.store`` window
+  as soon as the box is done, unless a window shares memory with an input: then
+  every box is computed before any is written.  Planted: (a) the sharing is
+  never seen, so a box reads what an earlier box wrote; (b) every deferred
+  write lands in the next box's window.
 
-The minimized kernels are the ``seed23-cpu-scf-aliased-vectorize`` and
-``seed10-cpu-scf-vectorize`` entries of ``fuzz/corpus/``.
+The minimized kernels of the first two are the
+``seed23-cpu-scf-aliased-vectorize`` and ``seed10-cpu-scf-vectorize`` entries
+of ``fuzz/corpus/``.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.dialects import stencil
 from repro.fuzz import DifferentialRunner, Farm, default_matrix, generate_spec, minimize
+from repro.runtime import Interpreter, parallel_executor
+from repro.runtime import interpreter as interpreter_module
 from repro.runtime.kernel_compiler import CompiledKernel
 
 SEEDS = 12
@@ -36,6 +46,28 @@ def plant_short_span(monkeypatch):
             plan[0], plan[1], plan[2] - 1, plan[3])
 
     monkeypatch.setattr(CompiledKernel, "flat_plan", short)
+
+
+def plant_immediate_despite_aliasing(monkeypatch):
+    real = Interpreter._delivery
+    monkeypatch.setattr(Interpreter, "_delivery",
+                        lambda *args: (real(*args)[0], False))
+
+
+def plant_deferred_writes_one_box_off(monkeypatch):
+    real = interpreter_module.run_boxes
+
+    def shifted(kernel, externals, lowers, uppers, boxes, executor, chosen,
+                destinations, deferred):
+        if deferred:
+            successor = dict(zip(boxes, boxes[1:] + boxes[:1]))
+            kernel = SimpleNamespace(
+                stores=kernel.stores, fn=lambda ext, lb, ub, chosen, fn=kernel.fn:
+                fn(ext, *successor[lb, ub], chosen))
+        return real(kernel, externals, lowers, uppers, boxes, executor, chosen,
+                    destinations, deferred)
+
+    monkeypatch.setattr(interpreter_module, "run_boxes", shifted)
 
 
 def test_aliased_cells_exist_exactly_for_specs_with_an_alias_pair():
@@ -87,3 +119,29 @@ def test_planted_bug_is_caught_and_minimized(monkeypatch, plant, backends,
         assert minimized.size() <= 5 and len(minimized.statements) == 1
         assert runner.reproduces(minimized, label)
     assert not DifferentialRunner(backends=backends).reproduces(minimized, label)
+
+
+@pytest.mark.parametrize("plant", [plant_immediate_despite_aliasing,
+                                   plant_deferred_writes_one_box_off])
+def test_planted_delivery_bug_is_caught_and_minimized(monkeypatch, plant):
+    """Both live where an in-place statement's sweep is cut into boxes."""
+    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 128)
+    label = "cpu/vectorize"
+    runner = DifferentialRunner(backends=("cpu",))
+    assert Farm(runner, count=SEEDS).run().ok
+    with monkeypatch.context() as planted:
+        plant(planted)
+        report = Farm(runner, count=SEEDS).run()
+        found = [d for d in report.divergences if d.config_label == label]
+        assert found and {d.kind for d in found} == {"bitwise"}
+        # In this cell only a statement that reads what it writes aliases.
+        assert not any(d.spec.flang_comparable for d in found)
+        # Crosscheck runs the same delivery and refuses it.
+        assert {d.config_label for d in report.divergences} >= {
+            label, "cpu/crosscheck"}
+        minimized = minimize(
+            found[0].spec, lambda s: runner.reproduces(s, label)).minimized
+        assert minimized.size() <= 6 and len(minimized.statements) == 1
+        assert not minimized.flang_comparable
+        assert runner.reproduces(minimized, label)
+    assert not runner.reproduces(minimized, label)

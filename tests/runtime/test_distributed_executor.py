@@ -163,6 +163,21 @@ class TestExecutorMechanics:
         gathered = executor.gather(locals_by_rank, decomposition)
         np.testing.assert_array_equal(gathered, field)
 
+    def test_gather_writes_every_cell_of_an_uneven_grid(self):
+        """``gather`` allocates its result uninitialised: the owned boxes
+        must tile the global array, remainders included."""
+        executor = DistributedExecutor((2, 3))
+        field = np.asfortranarray(np.random.default_rng(7).random((7, 8, 3)))
+        decomposition = executor.decomposition_for(field.shape)
+        covered = np.zeros(field.shape, dtype=int)
+        for rank in range(executor.num_ranks):
+            covered[tuple(slice(lb, ub)
+                          for lb, ub in decomposition.local_bounds(rank))] += 1
+        assert np.all(covered == 1)
+        gathered = executor.gather(executor.scatter(field, decomposition),
+                                   decomposition)
+        np.testing.assert_array_equal(gathered, field)
+
     def test_rank_stats_accounting(self, session):
         rng = np.random.default_rng(31)
         field = np.asfortranarray(rng.random((8, 8, 8)))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import fir, stencil
 from repro.dialects.func import FuncOp
 from repro.frontend import compile_to_fir
+from repro.fuzz import DEFAULT_CORPUS_DIR
 from repro.ir import default_context
 from repro.runtime import Interpreter
 from repro.transforms import StencilDiscoveryPass, merge_adjacent_applies
@@ -180,6 +182,51 @@ end subroutine dyn
 """
         _, discovery = discover(src)
         assert discovery.discovered == {}
+
+
+class TestLeftBehindOpsKeepTheirOrder:
+    """A statement is lifted out of its loop nest only if what stays behind
+    neither touches the array it writes nor writes an array it reads."""
+
+    #: Hand-written, not a KernelSpec (indirect subscripts): no .json beside it.
+    SOURCE = (DEFAULT_CORPUS_DIR / "hoisted-indirect-store.f90").read_text()
+
+    @pytest.mark.parametrize("mode", ["interpret", "vectorize"])
+    @pytest.mark.parametrize("backend", ["flang-only", "cpu"])
+    def test_a_store_between_two_uses_of_its_array_stays(self, backend, mode):
+        a, idx = np.zeros(12), np.arange(1, 9, dtype=np.int32)
+        repro.Session().lower(self.SOURCE, backend).run(
+            "hoisted_indirect_store", a, idx, execution_mode=mode)
+        assert list(a) == [1.0] * 8 + [2.0] * 4
+        assert list(idx) == list(range(5, 13))
+
+    @pytest.mark.parametrize("body,lifted", [
+        # idx is read by the stores left behind, before and after.
+        ("a(idx(i)) = 1.0\n idx(i) = idx(i) + 4\n a(idx(i)) = 2.0", 0),
+        # a is written by the store left behind.
+        ("b(i) = a(i)\n a(idx(i)) = 0.0", 0),
+        # b is read by the store left behind.
+        ("b(i) = 3.0\n a(idx(i)) = b(i)", 0),
+        # Refusing a(i) = b(i) leaves its read of b behind: b(i) stays too.
+        ("b(i) = 3.0\n a(idx(i)) = 0.0\n a(i) = b(i)", 0),
+        # Nothing left behind touches b or c.
+        ("a(idx(i)) = 1.0\n b(i) = c(i) * 2.0", 1),
+    ])
+    def test_only_independent_statements_are_lifted(self, body, lifted):
+        module, discovery = discover(f"""
+subroutine s(a, b, c, idx)
+  implicit none
+  integer, parameter :: n = 8
+  real(kind=8), intent(inout) :: a(12), b(n), c(n)
+  integer, intent(inout) :: idx(n)
+  integer :: i
+  do i = 1, n
+    {body}
+  end do
+end subroutine s
+""")
+        assert discovery.discovered == ({"s": lifted} if lifted else {})
+        assert any(isinstance(op, fir.DoLoopOp) for op in module.walk())
 
 
 class TestDiscoveryPreservesSemantics:
