@@ -1,12 +1,5 @@
 """Repo-level pytest configuration.
 
-Registers the ``slow_figure`` marker and the ``--figures`` flag that opts the
-paper-figure benchmarks back in; the skip logic itself lives in
-``benchmarks/conftest.py`` so it only applies to the benchmark tree.  The
-tier-1 command (``PYTHONPATH=src python -m pytest -x -q``) therefore runs the
-full correctness suite plus the fast benchmark smoke checks, while the
-pytest-benchmark timing runs stay behind ``--figures``.
-
 ``--fuzz-seeds N`` scales the differential fuzz test
 (``tests/fuzz/test_differential_fuzz.py``) from the fast tier-1 smoke
 (default 10 seeds) to a deep local run without code edits, e.g.::
@@ -17,24 +10,10 @@ pytest-benchmark timing runs stay behind ``--figures``.
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--figures",
-        action="store_true",
-        default=False,
-        help="run the slow paper-figure benchmarks (skipped by default)",
-    )
-    parser.addoption(
         "--fuzz-seeds",
         action="store",
         type=int,
         default=10,
         metavar="N",
         help="seeds for the differential fuzz smoke test (default: 10)",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "slow_figure: a slow paper-figure benchmark, skipped unless --figures "
-        "is passed",
     )

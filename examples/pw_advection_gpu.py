@@ -11,7 +11,6 @@ import numpy as np
 
 import repro
 from repro.apps import pw_advection
-from repro.harness import figure5_gpu, format_table
 from repro.runtime import SimulatedGPU
 
 N = 24
@@ -53,9 +52,6 @@ def main() -> None:
           f"gpu={interp.stats['gpu_seconds']*1e3:.2f} ms "
           f"transfers={interp.stats['transfer_seconds']*1e3:.2f} ms "
           f"per-kernel={summary['kernel_invocations']}")
-
-    print()
-    print(format_table(figure5_gpu(validate=False)))
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ The package contains:
   Flang does,
 * :mod:`repro.transforms` — the paper's stencil discovery/extraction passes
   and the lowerings to each target,
-* :mod:`repro.runtime` — interpreters, simulated GPU/MPI substrates and the
-  machine performance models,
+* :mod:`repro.runtime` — interpreters, NumPy kernels and simulated
+  GPU/MPI substrates,
 * :mod:`repro.apps` — the Gauss-Seidel and PW advection benchmarks,
-* :mod:`repro.harness` — experiment drivers regenerating every figure of the
-  paper's evaluation.
+* :mod:`repro.harness` — experiment drivers that measure every figure of the
+  paper's evaluation at reduced sizes.
 
 The public compiler API (:mod:`repro.api` — ``repro.compile``, the backend
 registry, ``Program``/``Session``) is re-exported lazily so that importing

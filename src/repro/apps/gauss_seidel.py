@@ -167,15 +167,6 @@ def residual(u: np.ndarray) -> float:
     return float(np.abs(lap).max())
 
 
-#: Problem sizes used in the paper's single-core figure (total grid cells).
-PAPER_PROBLEM_SIZES = {
-    "16M": 16_777_216,       # 256^3
-    "134M": 134_217_728,     # 512^3
-    "1.1B": 1_073_741_824,   # 1024^3
-    "2.1B": 2_147_483_648,   # 1290^3 (approximately; paper quotes 2.1 billion)
-}
-
-
 __all__ = [
     "GaussSeidelProblem",
     "generate_source",
@@ -186,5 +177,4 @@ __all__ = [
     "residual",
     "FLOPS_PER_CELL",
     "BYTES_PER_CELL",
-    "PAPER_PROBLEM_SIZES",
 ]

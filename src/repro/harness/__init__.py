@@ -1,22 +1,17 @@
-"""Experiment harness: one driver per paper figure plus ablations."""
+"""Experiment harness: one measured driver per paper figure plus ablations."""
 
 from .experiments import (
     ALL_EXPERIMENTS,
-    ExperimentResult,
-    distributed_functional_check,
-    figure2_single_core,
-    figure3_openmp_gauss_seidel,
-    figure4_openmp_pw_advection,
-    figure5_gpu,
-    figure6_distributed,
     fusion_ablation,
     gpu_data_ablation,
     harness_session,
     measured_distributed_scaling,
     measured_gpu_scaling,
     measured_openmp_scaling,
+    measured_single_core,
 )
 from .reporting import (
+    ExperimentResult,
     format_table,
     fuzz_summary_table,
     kernel_stats_table,
@@ -28,17 +23,12 @@ from .reporting import (
 __all__ = [
     "ExperimentResult",
     "harness_session",
-    "figure2_single_core",
-    "figure3_openmp_gauss_seidel",
-    "figure4_openmp_pw_advection",
+    "measured_single_core",
     "measured_openmp_scaling",
-    "figure5_gpu",
     "measured_gpu_scaling",
-    "figure6_distributed",
     "measured_distributed_scaling",
     "gpu_data_ablation",
     "fusion_ablation",
-    "distributed_functional_check",
     "ALL_EXPERIMENTS",
     "format_table",
     "fuzz_summary_table",

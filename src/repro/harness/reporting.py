@@ -2,21 +2,36 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .experiments import ExperimentResult
+
+@dataclass
+class ExperimentResult:
+    """Rows of one table or figure plus provenance metadata."""
+
+    experiment: str
+    description: str
+    columns: Tuple[str, ...]
+    rows: List[Tuple] = field(default_factory=list)
+    notes: Dict[str, object] = field(default_factory=dict)
+
+    def add(self, *values) -> None:
+        self.rows.append(tuple(values))
 
 
 def _format_value(value) -> str:
+    """Floats to three significant digits (``0.00612``, ``12.0``), or to
+    whole digits with separators once that rounds to 100 or more in
+    magnitude."""
     if isinstance(value, float):
-        if value >= 100:
+        if abs(value) >= 99.95:
             return f"{value:,.0f}"
-        return f"{value:.2f}"
+        return f"{value:#.3g}"
     return str(value)
 
 
-def format_table(result: "ExperimentResult") -> str:
+def format_table(result: ExperimentResult) -> str:
     """Render an ExperimentResult as an aligned text table."""
     header = [str(c) for c in result.columns]
     rows = [[_format_value(v) for v in row] for row in result.rows]
@@ -48,8 +63,6 @@ def kernel_stats_table(kernels) -> str:
     vectorized GPU launch engine, recorded by the interpreter around every
     sweep) or a :class:`repro.runtime.SimulatedGPU` (per-launch wall time by
     kernel name)."""
-    from .experiments import ExperimentResult
-
     result = ExperimentResult(
         experiment="kernel_stats",
         description="per-kernel runtime statistics",
@@ -60,10 +73,8 @@ def kernel_stats_table(kernels) -> str:
                                key=lambda item: -item[1]["seconds"]):
         invocations = int(entry["invocations"])
         seconds = float(entry["seconds"])
-        # Pre-formatted strings: sweep times are often sub-millisecond, below
-        # format_table's generic two-decimal float rendering.
-        result.add(label, invocations, f"{seconds:.4f}",
-                   f"{seconds / invocations * 1e3:.3f}" if invocations else "-")
+        result.add(label, invocations, seconds,
+                   seconds / invocations * 1e3 if invocations else "-")
     if not result.rows:
         result.notes["empty"] = "no kernels executed"
     return format_table(result)
@@ -73,8 +84,6 @@ def fuzz_summary_table(report) -> str:
     """Render a differential :class:`repro.fuzz.Report` as an aligned text table:
     one row per backend (runs, divergences, interpreter fallbacks) plus
     totals, session cache counters and timing in the notes."""
-    from .experiments import ExperimentResult
-
     result = ExperimentResult(
         experiment="fuzz_summary",
         description=(f"{report.cases} cases x differential matrix "
@@ -108,8 +117,6 @@ def service_metrics_table(metrics) -> str:
     text table: request/coalescing/backpressure counters, the cache layers
     (memory, disk, true backend lowers) and per-stage latency percentiles.
     """
-    from .experiments import ExperimentResult
-
     result = ExperimentResult(
         experiment="service_metrics",
         description="compile/run service counters and stage latencies",
@@ -159,8 +166,6 @@ def recovery_report_table(report) -> str:
     the table answers the chaos question at a glance: everything injected,
     and everything the runtime did to survive it.
     """
-    from .experiments import ExperimentResult
-
     recovery = getattr(report, "recovery", report)
     result = ExperimentResult(
         experiment="chaos_recovery",
@@ -193,8 +198,8 @@ def run_all(names: Iterable[str] = ()) -> str:
 
     The final line reports the shared harness session's measured artifact
     cache counters: experiments that recompile a (source, backend, options)
-    combination another experiment already compiled — e.g. the GPU data
-    ablation running standalone and again inside Figure 5 — hit the cache
+    combination another experiment already compiled — e.g. PW advection on
+    ``cpu`` in Figure 2 and again in the fusion ablation — hit the cache
     instead of re-running discovery/extraction.
     """
     from .experiments import ALL_EXPERIMENTS, harness_session
@@ -211,5 +216,5 @@ def run_all(names: Iterable[str] = ()) -> str:
     return "\n\n".join(sections)
 
 
-__all__ = ["format_table", "fuzz_summary_table", "kernel_stats_table",
-           "recovery_report_table", "run_all"]
+__all__ = ["ExperimentResult", "format_table", "fuzz_summary_table",
+           "kernel_stats_table", "recovery_report_table", "run_all"]

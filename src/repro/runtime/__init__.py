@@ -1,4 +1,4 @@
-"""Execution substrates: IR interpreter, simulated GPU/MPI and machine models."""
+"""Execution substrates: IR interpreter, NumPy kernels, simulated GPU and MPI."""
 
 from .distributed_executor import (
     DistributedExecutor,

@@ -283,15 +283,16 @@ class TestFluentPrograms:
         program.lower("flang-only").run("gauss_seidel", work)
         assert np.allclose(work, expected)
 
-    def test_dmp_backend_through_functional_check(self):
+    def test_dmp_backend_through_measured_driver(self):
         """The dmp target compiles and runs through the new API end to end
-        (the harness functional check is fully migrated)."""
-        from repro.harness import distributed_functional_check
+        (the harness's measured Figure 6 driver is on it)."""
+        from repro.harness import measured_distributed_scaling
 
-        summary = distributed_functional_check(n_local=6, ranks=(2, 2),
-                                               niters=1)
-        assert summary["max_interior_error"] < 1e-12
-        assert summary["messages"] > 0
+        result = measured_distributed_scaling(rank_grids=[(2, 2)], n=12,
+                                              niters=1, repeats=1)
+        [(_, _, _, _, _, error)] = result.rows
+        assert error < 1e-12
+        assert result.notes["ranks=4"]["messages"] > 0
 
     def test_issue_fluent_chain(self, session):
         """The exact derivation chain from the issue: lower with schedule

@@ -6,14 +6,15 @@ import pytest
 from repro.apps import gauss_seidel, pw_advection
 from repro.harness import (
     ALL_EXPERIMENTS,
-    figure2_single_core,
-    figure3_openmp_gauss_seidel,
-    figure4_openmp_pw_advection,
-    figure5_gpu,
-    figure6_distributed,
+    ExperimentResult,
     format_table,
     fusion_ablation,
     gpu_data_ablation,
+    harness_session,
+    measured_openmp_scaling,
+    measured_single_core,
+    reporting,
+    run_all,
 )
 
 
@@ -55,38 +56,28 @@ class TestApps:
 
 
 class TestHarness:
-    def test_figure2_rows_and_validation(self):
-        result = figure2_single_core(validate=True)
-        assert len(result.rows) == 2 * 4 * 3
-        for bench in ("gauss_seidel", "pw_advection"):
-            validation = result.notes[f"{bench}_validation"]
-            assert validation["max_error"] < 1e-12
-            assert validation["stencils"] >= 1
+    def test_single_core_flang_vs_stencil(self):
+        result = measured_single_core()
+        assert [row[:2] for row in result.rows] == [
+            ("gauss_seidel", "flang-only"), ("gauss_seidel", "cpu"),
+            ("pw_advection", "flang-only"), ("pw_advection", "cpu"),
+        ]
+        for _, compiler, _, _, speedup, error in result.rows:
+            assert error < 1e-12
+            if compiler == "cpu":
+                assert speedup > 1.0
 
-    def test_figure3_and_4_thread_series(self):
-        for fig in (figure3_openmp_gauss_seidel(), figure4_openmp_pw_advection()):
-            threads = sorted({row[1] for row in fig.rows})
-            assert threads == [1, 2, 4, 8, 16, 32, 64, 128]
-            assert {row[2] for row in fig.rows} == {"cray", "flang", "stencil"}
-
-    def test_figure4_crossover_present_in_rows(self):
-        fig = figure4_openmp_pw_advection()
-        at_128 = {row[2]: row[3] for row in fig.rows if row[1] == 128}
-        assert at_128["stencil"] > at_128["cray"] > at_128["flang"]
-
-    def test_figure5_rows(self):
-        fig = figure5_gpu(validate=False)
-        assert len(fig.rows) == 2 * 3 * 3
-        strategies = {row[2] for row in fig.rows}
-        assert strategies == {"openacc_nvidia", "stencil_host_register", "stencil_optimised"}
-
-    def test_figure6_rows_and_shape(self):
-        fig = figure6_distributed(validate=False)
-        hand = [row[3] for row in fig.rows if row[2] == "hand_parallelised"]
-        auto = [row[3] for row in fig.rows if row[2] == "stencil_auto_parallelised"]
-        assert len(hand) == len(auto) == 7
-        assert all(h > a for h, a in zip(hand, auto))
-        assert hand == sorted(hand) and auto == sorted(auto)
+    @pytest.mark.parametrize("app", ["gauss_seidel", "pw_advection"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_openmp_throughput_counts_the_interior_cells(self, app, threads):
+        """Both apps update the (n-2)^3 cells of loops running 2..n-1, however
+        many threads share them."""
+        n = 12
+        result = measured_openmp_scaling(app, (threads,), n=n, repeats=1)
+        [(_, ran, seconds, mcells, _, error)] = result.rows
+        assert ran == threads
+        assert mcells * seconds * 1e6 == pytest.approx((n - 2) ** 3)
+        assert error < 1e-12
 
     def test_gpu_data_ablation_traffic(self):
         result = gpu_data_ablation(n=8, niters=2)
@@ -94,19 +85,85 @@ class TestHarness:
         assert by_strategy["host_register"][4] > 0            # on-demand traffic
         assert by_strategy["optimised"][4] == 0
         assert by_strategy["optimised"][2] < by_strategy["host_register"][2]
+        assert all(row[5] < 1e-12 for row in result.rows)
 
     def test_fusion_ablation(self):
         result = fusion_ablation(n=8)
         by_variant = {row[0]: row for row in result.rows}
         assert by_variant["fused"][1] == 1
         assert by_variant["unfused"][1] == 3
-        assert by_variant["fused"][2] > by_variant["unfused"][2]
+        for _, _, seconds, error in result.rows:
+            assert seconds > 0 and error < 1e-12
 
     def test_format_table_renders_all_rows(self):
-        fig = figure3_openmp_gauss_seidel()
+        fig = fusion_ablation()
         text = format_table(fig)
         assert text.count("\n") >= len(fig.rows)
-        assert "figure3" in text
+        assert "fusion_ablation" in text
+
+    @pytest.mark.parametrize("value,text", [
+        (0.000432, "0.000432"), (0.00612, "0.00612"), (0.5, "0.500"),
+        (12.0, "12.0"), (99.94, "99.9"), (99.96, "100"), (1234.5, "1,234"),
+        (-0.00612, "-0.00612"), (-99.96, "-100"), (-1234.5, "-1,234"),
+        (7, "7"), ("cpu", "cpu"),
+    ])
+    def test_format_table_keeps_three_significant_digits(self, value, text):
+        result = ExperimentResult("timings", "sub-millisecond", ("label", "value"))
+        result.add("row", value)
+        assert format_table(result).splitlines()[-1].split(" | ")[1].rstrip() == text
+
+    @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
+    def test_a_run_off_the_reference_raises(self, name, monkeypatch):
+        """No driver reports a row whose run missed its reference by 1e-9."""
+        def shifted(exact):
+            def reference(*args):
+                out = exact(*args)
+                if isinstance(out, np.ndarray):
+                    return out + 1e-9
+                return [field + 1e-9 for field in out]
+            return reference
+
+        for module, attr in ((gauss_seidel, "reference_jacobi"),
+                             (gauss_seidel, "reference_gauss_seidel"),
+                             (pw_advection, "reference")):
+            monkeypatch.setattr(module, attr, shifted(getattr(module, attr)))
+        with pytest.raises(ValueError, match="diverged from the NumPy reference"):
+            ALL_EXPERIMENTS[name]()
+
+    def test_every_figure_is_measured_and_validated(self, monkeypatch):
+        """run_all() runs every registered driver for real: each table holds
+        the series its paper figure plots, its rows carry the deviation of an
+        executed run from the NumPy reference, and the shared session serves
+        at least one compile from its cache."""
+        series = {
+            "figure2": ("compiler", ["flang-only", "cpu"] * 2),
+            "figure3": ("threads", [1, 2, 4]),
+            "figure4": ("threads", [1, 2, 4]),
+            "figure5": ("strategy", ["optimised", "host_register"]),
+            "figure6": ("ranks", [1, 2, 4, 8]),
+            "gpu_data_ablation": ("strategy", ["optimised", "host_register"]),
+            "fusion_ablation": ("variant", ["fused", "unfused"]),
+        }
+        tables = []
+        render = reporting.format_table
+
+        def spy(result):
+            tables.append(result)
+            return render(result)
+
+        monkeypatch.setattr(reporting, "format_table", spy)
+        hits = harness_session().cache_stats["hits"]
+        text = run_all()
+        assert len(tables) == len(ALL_EXPERIMENTS)
+        for name, result in zip(ALL_EXPERIMENTS, tables):
+            column, plotted = series[name]
+            assert [row[result.columns.index(column)]
+                    for row in result.rows] == plotted, name
+            column = result.columns.index("max_error")
+            errors = [row[column] for row in result.rows]
+            assert errors and max(errors) < 1e-12, name
+        assert harness_session().cache_stats["hits"] > hits
+        assert text.endswith("artifacts")
 
     def test_experiment_registry_complete(self):
         assert set(ALL_EXPERIMENTS) == {

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.api import OptionError, Session
 from repro.apps import gauss_seidel
+from repro.harness import measured_distributed_scaling
 from repro.resilience import ResilienceOptions
 from repro.runtime import (
     CartesianDecomposition,
@@ -95,6 +96,23 @@ class TestDifferentialAgreement:
         saved = field.copy()
         run_distributed(session, (2, 2), field, self.NITERS, "vectorize")
         np.testing.assert_array_equal(field, saved)
+
+    def test_measured_multirank_scaling_series(self):
+        """The harness's measured 1→8-rank series: every rank count reproduces
+        the global reference to 1e-12 on the interior, with halo traffic
+        growing with the number of rank-rank interfaces."""
+        measured = measured_distributed_scaling(
+            rank_grids=((1, 1), (2, 1), (2, 2), (4, 2)), n=16, niters=2, repeats=1
+        )
+        ranks_seen = [row[0] for row in measured.rows]
+        assert ranks_seen == [1, 2, 4, 8]
+        for ranks, grid, seconds, mcells, speedup, error in measured.rows:
+            assert error < 1e-12, (ranks, error)
+            assert seconds > 0 and mcells > 0
+        messages = {row[0]: measured.notes[f"ranks={row[0]}"]["messages"]
+                    for row in measured.rows}
+        assert messages[1] == 0
+        assert messages[2] < messages[4] < messages[8]
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.apps import gauss_seidel
 from repro.dialects import dmp, mpi, stencil
-from repro.harness import distributed_functional_check
+from repro.harness import measured_distributed_scaling
 from repro.ir import default_context
 from repro.runtime.mpi_runtime import CartesianDecomposition, MPIError, SimulatedCommunicator
 from repro.transforms import ConvertDMPToMPIPass, ConvertStencilToDMPPass
@@ -125,10 +125,17 @@ class TestSimulatedCommunicator:
 
 
 class TestDistributedExecution:
-    def test_multi_rank_gauss_seidel_matches_reference(self):
-        outcome = distributed_functional_check(n_local=6, ranks=(2, 2), niters=2)
-        assert outcome["max_interior_error"] < 1e-12
-        assert outcome["messages"] > 0
+    @pytest.mark.parametrize("ranks", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+    def test_multi_rank_gauss_seidel_matches_reference(self, ranks):
+        """The measured Figure 6 driver raises when a rank grid misses the
+        global Jacobi reference on the interior."""
+        result = measured_distributed_scaling(rank_grids=[ranks], n=12,
+                                              niters=2, repeats=1)
+        [(count, _, _, _, _, error)] = result.rows
+        assert count == ranks[0] * ranks[1]
+        assert error < 1e-12
+        messages = result.notes[f"ranks={count}"]["messages"]
+        assert (messages > 0) == (ranks != (1, 1))
 
     def test_unmodified_source_used_for_distribution(self):
         source = gauss_seidel.generate_source(8, niters=1)
