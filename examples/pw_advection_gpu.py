@@ -41,7 +41,7 @@ def main() -> None:
     # executing each gpu.launch_func as one batched whole-lattice sweep.
     lowered = program.lower("gpu", data_strategy="optimised",
                             lower_to_scf=True, execution_mode="vectorize")
-    device = SimulatedGPU(num_streams=2)
+    device = SimulatedGPU()
     fields = [f.copy(order="F") for f in pw_advection.initial_fields(N)]
     interp = lowered.run("pw_advection", *fields, gpu=device)
     rsu, _, _ = pw_advection.reference(fields[0], fields[1], fields[2])

@@ -258,9 +258,7 @@ class GpuBackend(Backend):
 
     def interpreter_kwargs(self, options, overrides):
         if overrides.get("gpu") is None:
-            overrides["gpu"] = SimulatedGPU(
-                num_streams=getattr(options, "streams", 1)
-            )
+            overrides["gpu"] = SimulatedGPU()
         return overrides
 
 

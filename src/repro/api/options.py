@@ -27,9 +27,8 @@ GPU_DATA_STRATEGIES = ("optimised", "host_register")
 
 #: Option fields that select how compiled modules *execute*, not what is
 #: compiled.  Excluded from the artifact cache key so runtime derivations
-#: (``.vectorize()``, ``.with_threads()``, a different GPU stream count)
-#: never force a recompile.
-RUNTIME_ONLY_FIELDS = frozenset({"execution_mode", "threads", "streams"})
+#: (``.vectorize()``, ``.with_threads()``) never force a recompile.
+RUNTIME_ONLY_FIELDS = frozenset({"execution_mode", "threads"})
 
 
 class OptionError(ValueError):
@@ -170,15 +169,11 @@ class GpuOptions(BackendOptions):
     at lower time, while an explicit tuple is validated against every
     lowered loop nest's rank (a mismatch is a loud :class:`OptionError`
     naming the kernel, never a silently ignored dimension).  Both are
-    compile-time cache-key material.  ``streams`` is **runtime-only**: how
-    many ordered device streams the simulated GPU exposes for the async
-    transfer/launch overlap model — changing it derives a new handle without
-    recompiling, exactly like ``execution_mode`` / ``threads``.
+    compile-time cache-key material.
     """
 
     data_strategy: str = "optimised"
     tile_sizes: Optional[Tuple[int, ...]] = None
-    streams: int = 2
 
     def __post_init__(self) -> None:
         if self.tile_sizes is not None:
@@ -195,8 +190,6 @@ class GpuOptions(BackendOptions):
             raise OptionError(
                 f"tile_sizes must be positive, got {self.tile_sizes}"
             )
-        if not isinstance(self.streams, int) or self.streams < 1:
-            raise OptionError(f"streams must be >= 1, got {self.streams!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ into one :class:`Report`.  The layers:
 * :mod:`repro.fuzz.runner` — the differential matrix: each spec compiled
   through every registered backend via the fluent ``Program`` API, run
   across ``interpret``/``vectorize``/``crosscheck`` modes and thread /
-  rank / stream counts, all outputs compared bitwise against the scalar
+  rank counts, all outputs compared bitwise against the scalar
   interpreter oracle; home of :class:`Farm`, :class:`Report`,
   :class:`CaseResult` and :class:`Divergence`;
 * :mod:`repro.fuzz.minimizer` — deterministic delta-debugging of any

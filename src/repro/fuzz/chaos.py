@@ -99,8 +99,7 @@ class ChaosRunner:
             FaultPlan(seed=spec.seed,
                       alloc_faults=(AllocFault(index=spec.seed % 2),)),
             sink)
-        gpu = SimulatedGPU(num_streams=2,
-                           alloc_hook=injector.on_device_alloc)
+        gpu = SimulatedGPU(alloc_hook=injector.on_device_alloc)
         compiled = self.session.compile(spec.render()).lower(
             "gpu", execution_mode="vectorize")
         arrays, scalar = self.runner.inputs_for(spec)

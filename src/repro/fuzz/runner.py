@@ -9,9 +9,8 @@ distinct cases must miss) and executes a configuration matrix:
 * **oracle** — the cpu backend in ``interpret`` mode: pure op-by-op scalar
   execution, the reference semantics every other path is judged against;
 * **cpu / openmp / gpu** — vectorized and crosscheck modes, lowered and
-  unlowered pipelines, thread counts, OpenMP schedules and GPU stream
-  counts — each compared **bitwise** (``ndarray.tobytes()``) against the
-  oracle's output arrays;
+  unlowered pipelines, thread counts and OpenMP schedules — each compared
+  **bitwise** (``ndarray.tobytes()``) against the oracle's output arrays;
 * **flang-only** — plain-FIR in-place execution, compared only for specs
   where snapshot and in-place semantics provably coincide
   (:attr:`KernelSpec.flang_comparable`);
@@ -26,7 +25,8 @@ distinct cases must miss) and executes a configuration matrix:
   has its own oracle: the 1-rank *interpret* distributed run, against which
   every multi-rank/vectorized plan must agree bitwise.
 
-Any bitwise mismatch, crosscheck failure, or backend crash is recorded as a
+Any bitwise mismatch, crosscheck failure, backend crash, or kernel codegen
+crash the runtime absorbed as a scalar fallback is recorded as a
 :class:`Divergence` carrying the spec and a replay command.
 
 The runner is one *scenario* of the :class:`Farm`, the single seeds →
@@ -117,8 +117,7 @@ def default_matrix(spec: KernelSpec,
         _cfg("openmp-dynamic-t4/crosscheck", "openmp", "crosscheck",
              threads=4, lower_to_scf=True, schedule="dynamic", chunk_size=2),
         _cfg("gpu/vectorize", "gpu", "vectorize"),
-        _cfg("gpu-scf-s2/vectorize", "gpu", "vectorize", lower_to_scf=True,
-             streams=2),
+        _cfg("gpu-scf/vectorize", "gpu", "vectorize", lower_to_scf=True),
     ]
     if spec.flang_comparable:
         configs.append(_cfg("flang-only/interpret", "flang-only", "interpret"))
@@ -156,8 +155,10 @@ class Divergence:
     config_label: str
     backend: str
     #: "bitwise" (outputs differ), "crosscheck" (the honesty mode raised),
-    #: "verify" (a schedule chain diverged from its unscheduled parent), or
-    #: "error" (the backend crashed on a valid kernel).
+    #: "verify" (a schedule chain diverged from its unscheduled parent),
+    #: "error" (the backend crashed on a valid kernel), or "codegen" (kernel
+    #: generation raised something other than KernelUnsupported and the
+    #: sweep fell back to scalar execution).
     kind: str
     detail: str
     spec: KernelSpec
@@ -280,7 +281,7 @@ class DifferentialRunner:
     def _run_plain(self, spec: KernelSpec, backend: str, mode: str,
                    threads: int, options: Dict[str, object], calls: int = 1,
                    aliased: bool = False
-                   ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
+                   ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
         compiled = self.session.compile(spec.render()).lower(
             backend, execution_mode=mode, threads=threads, **options)
         arrays, scalar = self.inputs_for(spec)
@@ -297,7 +298,13 @@ class DifferentialRunner:
                 interp.call(spec.entry, *self._call_args(spec, work, scalar))
         fallbacks = sum(int(interp.stats.get(key, 0))
                         for key in _FALLBACK_STATS)
-        return work, {"fallbacks": fallbacks}
+        # An op that cannot be vectorized says KernelUnsupported; any other
+        # reason is a crash in kernel codegen the run degraded around.
+        reasons = interp.kernels.stats["reasons"].values() \
+            if interp.kernels is not None else ()
+        codegen = sorted(r for r in reasons
+                         if not r.startswith("KernelUnsupported"))
+        return work, {"fallbacks": fallbacks, "codegen": codegen}
 
     def _run_dmp(self, spec: KernelSpec, cfg: BackendConfig
                  ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
@@ -329,7 +336,7 @@ class DifferentialRunner:
         return outputs
 
     def run_config(self, spec: KernelSpec, cfg: BackendConfig
-                   ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
+                   ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
         if cfg.backend == "dmp":
             outputs, stats = self._run_dmp(spec, cfg)
         else:
@@ -398,6 +405,8 @@ class DifferentialRunner:
                 diverged("error", f"{type(err).__name__}: {err}")
                 continue
             counters["fallbacks"] += stats.get("fallbacks", 0)
+            if stats.get("codegen"):
+                diverged("codegen", "; ".join(stats["codegen"]))
             differing, max_diff = self.compare(
                 self._expected(spec, cfg, oracles), outputs)
             if differing:
@@ -414,8 +423,10 @@ class DifferentialRunner:
             return False
         cfg = matching[0]
         try:
-            outputs, _ = self.run_config(spec, cfg)
+            outputs, stats = self.run_config(spec, cfg)
         except Exception:  # noqa: BLE001 — crash still reproduces the finding
+            return True
+        if stats.get("codegen"):
             return True
         differing, _ = self.compare(self._expected(spec, cfg, {}), outputs)
         return bool(differing)

@@ -186,23 +186,21 @@ def measured_gpu_scaling(
     n: int = 24,
     niters: int = 2,
     repeats: int = 3,
-    streams: int = 2,
 ) -> ExperimentResult:
     """Throughput of the vectorized GPU execution engine per data strategy.
 
     The module is compiled with ``lower_to_scf=True`` — tiling, GPU mapping
     and kernel outlining, exactly the paper's Listing 4 pipeline — and every
     ``gpu.launch_func`` runs through :class:`repro.runtime.GpuKernelEngine`'s
-    batched whole-lattice NumPy kernels against the simulated V100's stream
-    timeline.  The notes record the device summary — PCIe traffic,
-    per-kernel invocation counts, modelled stream span/overlap — per
-    strategy.
+    batched whole-lattice NumPy kernels on the simulated V100.  The notes
+    record the device summary — PCIe traffic, per-kernel invocation counts,
+    measured launch seconds — per strategy.
     """
     result = ExperimentResult(
         experiment="measured_gpu",
         description=(
             f"Measured vectorized GPU engine throughput of lowered "
-            f"Gauss-Seidel (n={n}, {niters} sweeps, {streams} streams)"
+            f"Gauss-Seidel (n={n}, {niters} sweeps)"
         ),
         columns=("strategy", "seconds", "mcells_per_s", "launches",
                  "vectorized_launches", "max_error"),
@@ -212,7 +210,7 @@ def measured_gpu_scaling(
     for strategy in strategies:
         compiled = _SESSION.compile(source).lower(
             "gpu", data_strategy=strategy, lower_to_scf=True,
-            execution_mode="vectorize", streams=streams,
+            execution_mode="vectorize",
         )
         interp = compiled.interpreter()
         seconds, args = _best_of(interp, "gauss_seidel", make_args, repeats)

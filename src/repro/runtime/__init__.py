@@ -9,11 +9,9 @@ from .distributed_executor import (
 from .gpu_kernel_engine import GpuKernelEngine, GpuLaunchKernel, compile_gpu_func
 from .gpu_runtime import (
     DeviceMemoryPool,
-    GpuStream,
     GPUTransfer,
     KernelLaunch,
     SimulatedGPU,
-    StreamEvent,
 )
 from .interpreter import FieldValue, Frame, Interpreter, InterpreterError, TempValue
 from .kernel_compiler import (
@@ -56,8 +54,6 @@ __all__ = [
     "SimulatedGPU",
     "GPUTransfer",
     "KernelLaunch",
-    "GpuStream",
-    "StreamEvent",
     "DeviceMemoryPool",
     "GpuKernelEngine",
     "GpuLaunchKernel",

@@ -350,10 +350,8 @@ class Interpreter:
             block = self._dense_attr_or(func_op, "gpu.block", (1, 1, 1))
             buffers = [a.buffer if isinstance(a, FieldValue) else a for a in args]
             buffers = [b for b in buffers if isinstance(b, MemoryBuffer) and not b.is_scalar]
-            stream_attr = func_op.get_attr_or_none("gpu.stream")
-            stream = int(stream_attr.value) if stream_attr is not None else 0
             launch = self.gpu.record_launch(func_op.sym_name, grid, block,
-                                            buffers, stream=stream)
+                                            buffers)
             self.stats["kernel_launches"] += 1
         if is_gpu_func:
             self._device_scratch_stack.append([])
@@ -1196,12 +1194,8 @@ class Interpreter:
         if isinstance(src, FieldValue):
             src = src.buffer
         gpu = self._require_gpu()
-        # Copies inside a prefetch-tagged data-management function go to the
-        # device's copy stream so the model can overlap them with compute.
-        stream = SimulatedGPU.COPY_STREAM \
-            if self._enclosing_func_attr(op, "gpu.prefetch") is not None else 0
         start = _time.perf_counter()
-        gpu.memcpy(dst, src, stream=stream)
+        gpu.memcpy(dst, src)
         self.stats["transfer_seconds"] += _time.perf_counter() - start
         return []
 
@@ -1220,11 +1214,7 @@ class Interpreter:
         block = op.get_attr("block_size").as_tuple()  # type: ignore[union-attr]
         args = [frame.get(o) for o in op.operands]
         buffers = [a for a in args if isinstance(a, MemoryBuffer) and not a.is_scalar]
-        stream_attr = op.get_attr_or_none("gpu.stream") or \
-            self._enclosing_func_attr(op, "gpu.stream")
-        stream = int(stream_attr.value) if stream_attr is not None else 0
-        launch = gpu.record_launch(kernel_name, grid, block, buffers,
-                                   stream=stream)
+        launch = gpu.record_launch(kernel_name, grid, block, buffers)
         self.stats["kernel_launches"] += 1
         kernel_op = self._gpu_kernels.get(kernel_name)
         if kernel_op is None:

@@ -100,11 +100,9 @@ class KernelUnsupported(Exception):
 #: stencil.vectorizable after analysis) does not invalidate its cache entry.
 #: The omp schedule clause is an execution *policy* — two wsloops differing
 #: only in schedule compute the same function and share one kernel; the
-#: interpreter reads the policy off the op at dispatch time.  The gpu stream
-#: assignment and prefetch tags are likewise runtime placement policy.
+#: interpreter reads the policy off the op at dispatch time.
 _METADATA_ATTRS = frozenset({"stencil.vectorizable", "omp.schedule",
-                             "omp.chunk_size", "gpu.stream", "gpu.prefetch",
-                             "schedule.tile"})
+                             "omp.chunk_size", "schedule.tile"})
 
 
 def structural_hash(op: Operation) -> str:

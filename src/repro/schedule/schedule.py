@@ -7,7 +7,7 @@ the handle; every directive derives a **new immutable handle** through the
 session, with the directive chain recorded on
 ``BackendOptions.schedule_chain`` — compile-time cache-key material, so two
 handles with different schedules are distinct artifacts while runtime knobs
-(``streams``) stay runtime-only:
+(``execution_mode``, ``threads``) stay runtime-only:
 
 .. code-block:: python
 
@@ -172,12 +172,6 @@ class Schedule:
         self._require_backend("blocks", "gpu")
         return Schedule(
             self._compiled.with_options(tile_sizes=self._flatten(shape)))
-
-    def streams(self, n: int) -> "Schedule":
-        """Set the simulated GPU's stream count — runtime-only: the derived
-        handle shares the parent's compiled artifact (gpu backend)."""
-        self._require_backend("streams", "gpu")
-        return Schedule(self._compiled.with_options(streams=n))
 
     def grid(self, *shape) -> "Schedule":
         """Set the distributed process grid (dmp backend)."""

@@ -26,13 +26,13 @@ from ..dialects import fir, gpu, memref, stencil
 from ..dialects.builtin import ModuleOp, UnrealizedConversionCastOp
 from ..dialects.func import FuncOp, ReturnOp
 from ..dialects.llvm import LLVMPointerType
-from ..ir.attributes import DenseArrayAttr, IntegerAttr, UnitAttr
+from ..ir.attributes import DenseArrayAttr, UnitAttr
 from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
-from ..ir.types import MemRefType, i64
+from ..ir.types import MemRefType
 
 
 def _stencil_functions(stencil_module: ModuleOp) -> List[FuncOp]:
@@ -67,24 +67,14 @@ def _array_shape_of_argument(value: SSAValue) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _annotate_kernel_launch(func_op: FuncOp, tile: Sequence[int] = (32, 32, 1),
-                            stream: int = 0) -> None:
-    """Tag an extracted stencil function as a GPU kernel launch wrapper.
-
-    ``stream`` is the launch's *stream assignment*: independent stencil
-    functions get distinct assignments so the runtime's stream model can
-    overlap their launches (the device folds the assignment onto a physical
-    stream modulo its configured stream count).  Later lowering
-    (``convert-parallel-loops-to-gpu``) propagates the assignment onto the
-    ``gpu.launch_func`` ops it outlines from this function.
-    """
+def _annotate_kernel_launch(func_op: FuncOp, tile: Sequence[int] = (32, 32, 1)) -> None:
+    """Tag an extracted stencil function as a GPU kernel launch wrapper."""
     domain: Optional[Tuple[int, ...]] = None
     for op in func_op.walk():
         if isinstance(op, stencil.ApplyOp):
             domain = op.domain_shape
             break
     func_op.attributes["gpu.launch"] = UnitAttr()
-    func_op.attributes["gpu.stream"] = IntegerAttr(int(stream), i64)
     if domain is None:
         func_op.attributes["gpu.grid"] = DenseArrayAttr((1, 1, 1))
         func_op.attributes["gpu.block"] = DenseArrayAttr((1, 1, 1))
@@ -157,8 +147,8 @@ class GpuHostRegisterPass(GpuDataManagementBase):
     name = "gpu-data-host-register"
 
     def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
-        for stream, func_op in enumerate(_stencil_functions(stencil_module)):
-            _annotate_kernel_launch(func_op, self.tile, stream=stream)
+        for func_op in _stencil_functions(stencil_module):
+            _annotate_kernel_launch(func_op, self.tile)
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:
                 continue
@@ -204,8 +194,8 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
     name = "gpu-data-optimised"
 
     def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
-        for stream, func_op in enumerate(_stencil_functions(stencil_module)):
-            _annotate_kernel_launch(func_op, self.tile, stream=stream)
+        for func_op in _stencil_functions(stencil_module):
+            _annotate_kernel_launch(func_op, self.tile)
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:
                 continue
@@ -231,10 +221,6 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
         alloc_name = f"_gpu_alloc_{func_op.sym_name}"
         alloc_func = FuncOp.build(alloc_name, ptr_types, ptr_types)
         alloc_func.attributes["gpu.data_management"] = UnitAttr()
-        # The copy-in is a *prefetch point*: its h2d transfers carry no
-        # dependency on prior launches, so the runtime issues them on the
-        # device's copy stream where the model can overlap them with compute.
-        alloc_func.attributes["gpu.prefetch"] = UnitAttr()
         builder = Builder.at_end(alloc_func.entry_block)
         device_values: List[SSAValue] = []
         for arg, shape, elem, ptr_type in zip(

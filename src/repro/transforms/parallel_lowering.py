@@ -244,16 +244,6 @@ class ConvertParallelLoopsToGpuPass(ModulePass):
         builder.insert(gpu.ReturnOp())
 
         launch = gpu.LaunchFuncOp(kernel_name, grid_size, block_size, externals)
-        # Propagate the enclosing function's stream assignment (set by the
-        # GPU data-management pass) onto the launch site, so the runtime's
-        # stream model places this kernel where the transform decided.
-        func_op = parallel.parent_op()
-        while func_op is not None and not isinstance(func_op, FuncOp):
-            func_op = func_op.parent_op()
-        if func_op is not None:
-            stream_attr = func_op.get_attr_or_none("gpu.stream")
-            if stream_attr is not None:
-                launch.attributes["gpu.stream"] = stream_attr
         block.insert_op_before(launch, parallel)
         parallel.erase(safe=False)
 

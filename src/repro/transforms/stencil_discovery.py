@@ -334,6 +334,40 @@ def get_array_read_data_ops(store_op: fir.StoreOp) -> List[fir.LoadOp]:
     return reads
 
 
+def _sweeps_keep_order(first: StencilCandidate, second: StencilCandidate) -> bool:
+    """May ``first``, a statement before ``second`` in one loop nest, run as a
+    whole sweep before ``second``'s?  Only if every element both touch, one
+    of them writing it, was touched by ``first`` first in the nest too: the
+    offset of ``second``'s access minus ``first``'s, over their shared loops
+    outermost first, must be lexicographically <= 0.  ``b(i) = a(i);
+    c(i) = b(i+1)`` (+1: the loop read the old ``b``) and ``c(i) = b(i-1);
+    b(i) = a(i)`` (+1: the loop read the new one) are refused; a distance
+    that is not a constant counts as refused.  A statement's reads of the
+    array it writes follow the Jacobi policy instead (``apps/gauss_seidel``):
+    they see the array as its sweep began."""
+    def ordered(candidate: StencilCandidate) -> List[ArrayAccess]:
+        return [candidate.output] + [read for read in candidate.reads
+                                     if read.root is not candidate.output.root]
+
+    shared = {id(loop.op) for loop in first.loops} & {id(loop.op) for loop in second.loops}
+    for a in ordered(first):
+        for b in ordered(second):
+            if a.root is not b.root or (a is not first.output and b is not second.output):
+                continue
+            distance = []
+            for (la, oa), (lb, ob) in zip(a.dims, b.dims):
+                if la is lb and la is None and oa != ob:
+                    break  # a constant subscript apart: never the same element
+                if la is lb and la is not None:
+                    distance.append((len(_enclosing_loops(la.op)), ob - oa))
+                elif {id(l.op) for l in (la, lb) if l is not None} & shared:
+                    return False
+            else:
+                if [d for _, d in sorted(distance)] > [0] * len(distance):
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # The pass
 # ---------------------------------------------------------------------------
@@ -406,8 +440,20 @@ class StencilDiscoveryPass(ModulePass):
     def _independent_of_remainder(self, pairs):
         """The candidates that may run before their loop nest: no op left
         behind in it loads or stores the array they write, or stores an array
-        they read (``a(idx(i)) = 1; idx(i) = idx(i) + 4; a(idx(i)) = 2``).  A
-        refused candidate is itself left behind, so repeat until none is."""
+        they read (``a(idx(i)) = 1; idx(i) = idx(i) + 4; a(idx(i)) = 2``),
+        and no other lifted candidate of the nest depends on them in a way
+        separate sweeps reverse (:func:`_sweeps_keep_order`).  A refused
+        candidate is itself left behind, so repeat until none is."""
+        def conflicting(pairs) -> set:
+            refused = set()
+            for j, (first, _) in enumerate(pairs):
+                nest = self._find_top_level_loop(first.loops).op
+                for second, _ in pairs[j + 1:]:
+                    if self._find_top_level_loop(second.loops).op is nest \
+                            and not _sweeps_keep_order(first, second):
+                        refused |= {id(first), id(second)}
+            return refused
+
         def disturbed(candidate, generated) -> bool:
             reads = {id(read.root) for read in candidate.reads}
             nest = self._find_top_level_loop(generated.applicable_loops).op
@@ -424,7 +470,9 @@ class StencilDiscoveryPass(ModulePass):
         while True:
             lifted = {id(op) for candidate, _ in pairs for op in
                       [candidate.store_op] + [r.load_op for r in candidate.reads]}
-            kept = [pair for pair in pairs if not disturbed(*pair)]
+            refused = conflicting(pairs)
+            kept = [pair for pair in pairs
+                    if id(pair[0]) not in refused and not disturbed(*pair)]
             if len(kept) == len(pairs):
                 return kept
             pairs = kept

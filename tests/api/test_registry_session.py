@@ -405,8 +405,8 @@ class TestDmpCacheKeys:
 
 
 class TestGpuCacheKeys:
-    """GPU data strategy and tile sizes are compile-time identity; streams,
-    execution mode and threads are runtime-only (mirrors TestDmpCacheKeys)."""
+    """GPU data strategy and tile sizes are compile-time identity; execution
+    mode and threads are runtime-only (mirrors TestDmpCacheKeys)."""
 
     def test_data_strategy_change_recompiles(self, session, small_gs_source):
         program = session.compile(small_gs_source)
@@ -420,18 +420,19 @@ class TestGpuCacheKeys:
         assert again.artifact is host_register.artifact
 
     def test_runtime_knobs_do_not_recompile(self, session, small_gs_source):
-        """streams / execution_mode / threads derive handles from the one
-        compiled artifact — measured as cache hits, zero new misses."""
+        """execution_mode / threads derive handles from the one compiled
+        artifact — measured as cache hits, zero new misses."""
         program = session.compile(small_gs_source)
         base = program.lower("gpu", data_strategy="optimised")
         baseline = session.cache_stats["misses"]  # 1: the base compile
         derived = [
-            program.lower("gpu", data_strategy="optimised", streams=4),
             program.lower("gpu", data_strategy="optimised",
                           execution_mode="vectorize"),
             program.lower("gpu", data_strategy="optimised", threads=2),
+            program.lower("gpu", data_strategy="optimised",
+                          execution_mode="crosscheck", threads=4),
             base.vectorize(threads=2),
-            base.with_options(streams=8),
+            base.with_options(threads=8),
         ]
         assert session.cache_stats["misses"] == baseline
         assert session.cache_stats["hits"] == len(derived)
@@ -444,17 +445,18 @@ class TestGpuCacheKeys:
         program.lower("gpu", tile_sizes=(4, 4, 4))
         assert session.cache_stats == {"hits": 0, "misses": 2, "artifacts": 2}
 
-    def test_streams_excluded_from_cache_key_and_validated(self):
+    def test_runtime_knobs_excluded_from_cache_key_and_validated(self):
         key_fields = {name for name, _ in GpuOptions().cache_key()}
         assert "data_strategy" in key_fields and "tile_sizes" in key_fields
-        assert "streams" not in key_fields
+        assert "threads" not in key_fields
         assert "execution_mode" not in key_fields
         with pytest.raises(OptionError):
-            GpuOptions(streams=0)
+            GpuOptions(threads=0)
+        with pytest.raises(OptionError):
+            GpuOptions(execution_mode="fast")
 
-    def test_streams_reach_the_simulated_device(self, small_gs_source):
-        compiled = repro.Session().compile(small_gs_source).lower(
-            "gpu", streams=3
-        )
-        interp = compiled.interpreter()
-        assert interp.gpu.num_streams == 3
+    def test_streams_is_an_unknown_option(self, small_gs_source):
+        """Launches run synchronously: there is no stream count to set."""
+        assert "streams" not in GpuOptions.field_names()
+        with pytest.raises(OptionError, match="streams"):
+            repro.Session().compile(small_gs_source).lower("gpu", streams=2)

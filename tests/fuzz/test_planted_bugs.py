@@ -1,5 +1,6 @@
-"""Four bugs planted where this repository's three copy-avoiding shortcuts
-live, each caught by the farm and delta-debugged to a one-statement kernel.
+"""Five bugs planted where this repository's three copy-avoiding shortcuts
+and its kernel codegen live, each caught by the farm and delta-debugged to a
+one-statement kernel.
 
 * ``convert-stencil-to-scf`` lowers the ``stencil.load`` of a field the
   function only reads to a ``memref.snapshot`` that copies when, at run time,
@@ -13,6 +14,9 @@ live, each caught by the farm and delta-debugged to a one-statement kernel.
   every box is computed before any is written.  Planted: (a) the sharing is
   never seen, so a box reads what an earlier box wrote; (b) every deferred
   write lands in the next box's window.
+* Kernel codegen that raises anything but ``KernelUnsupported`` is absorbed
+  by the runtime as a scalar fallback, whose answer is right.  Planted: every
+  rendered kernel body ends in a line that is not Python.
 
 The minimized kernels of the first two are the
 ``seed23-cpu-scf-aliased-vectorize`` and ``seed10-cpu-scf-vectorize`` entries
@@ -27,7 +31,8 @@ from repro.dialects import stencil
 from repro.fuzz import DifferentialRunner, Farm, default_matrix, generate_spec, minimize
 from repro.runtime import Interpreter, parallel_executor
 from repro.runtime import interpreter as interpreter_module
-from repro.runtime.kernel_compiler import CompiledKernel
+from repro.runtime import kernel_compiler
+from repro.runtime.kernel_compiler import CompiledKernel, _BodyTranslator
 
 SEEDS = 12
 
@@ -68,6 +73,19 @@ def plant_deferred_writes_one_box_off(monkeypatch):
                     destinations, deferred)
 
     monkeypatch.setattr(interpreter_module, "run_boxes", shifted)
+
+
+def plant_codegen_syntax_error(monkeypatch):
+    real = _BodyTranslator.render
+
+    def broken(self, flat=False):
+        lines, allocations = real(self, flat)
+        return lines + ["return )"], allocations
+
+    monkeypatch.setattr(_BodyTranslator, "render", broken)
+    # Kernels materialised before the plant are shared process-wide.
+    monkeypatch.setattr(kernel_compiler, "_SHARED_CACHE", {})
+    monkeypatch.setattr(kernel_compiler, "_SHARED_REASONS", {})
 
 
 def test_aliased_cells_exist_exactly_for_specs_with_an_alias_pair():
@@ -145,3 +163,22 @@ def test_planted_delivery_bug_is_caught_and_minimized(monkeypatch, plant):
         assert not minimized.flang_comparable
         assert runner.reproduces(minimized, label)
     assert not runner.reproduces(minimized, label)
+
+
+def test_planted_codegen_crash_is_caught_and_minimized(monkeypatch):
+    """The run degrades to a bitwise-right scalar sweep, and the farm still
+    reports the crash it degraded around."""
+    label = "cpu/vectorize"
+    assert Farm(DifferentialRunner(backends=("cpu",)), count=SEEDS).run().ok
+    with monkeypatch.context() as planted:
+        plant_codegen_syntax_error(planted)
+        runner = DifferentialRunner(backends=("cpu",))
+        report = Farm(runner, count=SEEDS).run()
+        found = [d for d in report.divergences if d.config_label == label]
+        assert found and {d.kind for d in report.divergences} == {"codegen"}
+        assert all(d.detail.startswith("SyntaxError") for d in found)
+        minimized = minimize(
+            found[0].spec, lambda s: runner.reproduces(s, label)).minimized
+        assert minimized.size() <= 3 and len(minimized.statements) == 1
+        assert runner.reproduces(minimized, label)
+    assert not DifferentialRunner(backends=("cpu",)).reproduces(minimized, label)

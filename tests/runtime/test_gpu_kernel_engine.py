@@ -392,19 +392,11 @@ class TestLoweredBenchmarks:
             f"faster than the per-thread scalar path"
         )
 
-    @pytest.mark.parametrize("streams", [1, 2, 4])
-    def test_measured_gpu_series_validates_against_reference(self, streams):
+    def test_measured_gpu_series_validates_against_reference(self):
         """Both data strategies run for real through the vectorized engine; every
         row must sit < 1e-12 from the NumPy reference (the harness raises
-        otherwise) and every launch must have gone through the engine.  Only
-        the optimised strategy's staged copies can hide behind a second
-        stream."""
-        result = measured_gpu_scaling(streams=streams)
-        for note in (result.notes["optimised"], result.notes["host_register"]):
-            assert 1 <= note["streams"] <= streams
-        overlap = result.notes["optimised"]["modelled_overlap_seconds"]
-        assert (overlap > 0) == (streams > 1)
-        assert result.notes["host_register"]["modelled_overlap_seconds"] == 0
+        otherwise) and every launch must have gone through the engine."""
+        result = measured_gpu_scaling()
         strategies = {row[0] for row in result.rows}
         assert strategies == {"optimised", "host_register"}
         for _, _, _, launches, vectorized, error in result.rows:

@@ -7,12 +7,12 @@ Five contract areas of ``repro.schedule``:
   ``OptionError`` when they arrive through ``lower(schedule_chain=...)``;
 * **derivation & caching** — every loop directive derives a *new* artifact
   through the session cache (the chain is cache-key material), while
-  runtime-only knobs (threads, streams) share the parent's artifact;
+  runtime-only knobs (threads, execution mode) share the parent's artifact;
 * **oracle-proven equivalence** — multi-transform chains on both paper
   benchmarks verify bitwise against the unscheduled parent on every
   targeted backend, and semantically illegal schedules (a reordered
   loop-carried dependence) are rejected by ``verify()``;
-* **backend knobs** — ``omp``/``blocks``/``streams``/``grid`` set the
+* **backend knobs** — ``omp``/``blocks``/``grid`` set the
   corresponding backend options and refuse the wrong backend;
 * **persistence** — scheduled artifacts land in the on-disk store under
   schedule-extended keys and reload bitwise-identical.
@@ -346,12 +346,9 @@ class TestBackendKnobs:
                     .lower("gpu")
                     .schedule().blocks(4, 4, 4))
         assert schedule.compiled.options.tile_sizes == (4, 4, 4)
-
-    def test_streams_is_runtime_only(self, session, small_gs_source):
-        base = session.compile(small_gs_source).lower("gpu")
-        schedule = base.schedule().streams(4)
-        assert schedule.compiled.options.streams == 4
-        assert schedule.compiled.artifact is base.artifact
+        # Tile sizes are the gpu's only knob: launches run synchronously,
+        # so there is no stream count to schedule.
+        assert not hasattr(schedule, "streams")
 
     def test_grid_sets_the_process_grid(self, session, small_gs_source):
         schedule = (session.compile(small_gs_source)
@@ -362,7 +359,6 @@ class TestBackendKnobs:
     @pytest.mark.parametrize("knob, call", [
         ("omp", lambda s: s.omp(schedule="static")),
         ("blocks", lambda s: s.blocks(4, 4, 4)),
-        ("streams", lambda s: s.streams(2)),
         ("grid", lambda s: s.grid(2, 1)),
     ])
     def test_knobs_refuse_the_wrong_backend(self, session, small_gs_source,

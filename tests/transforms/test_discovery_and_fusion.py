@@ -1,5 +1,7 @@
 """Tests for the stencil discovery pass (paper Listing 3) and fusion."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import fir, stencil
 from repro.dialects.func import FuncOp
 from repro.frontend import compile_to_fir
-from repro.fuzz import DEFAULT_CORPUS_DIR
+from repro.fuzz import DEFAULT_CORPUS_DIR, CorpusEntry
+from repro.fuzz.generator import Access, Statement
 from repro.ir import default_context
 from repro.runtime import Interpreter
 from repro.transforms import StencilDiscoveryPass, merge_adjacent_applies
@@ -227,6 +230,96 @@ end subroutine s
 """)
         assert discovery.discovered == ({"s": lifted} if lifted else {})
         assert any(isinstance(op, fir.DoLoopOp) for op in module.walk())
+
+
+def _corpus_spec(name):
+    return CorpusEntry.from_dict(
+        json.loads((DEFAULT_CORPUS_DIR / f"{name}.json").read_text())).spec
+
+
+def _with_offset(spec, statement, offset):
+    """``spec`` with the one array read of ``statement`` moved to ``offset``."""
+    statements = list(spec.statements)
+    read = statements[statement].expr
+    statements[statement] = Statement(statements[statement].target,
+                                      Access(read.array, (offset,)))
+    return spec.replace(statements=tuple(statements))
+
+
+class TestLiftedStatementsKeepTheirOrder:
+    """Two lifted statements of one nest run as two whole sweeps, so each
+    element both touch must be touched in the order the loop did."""
+
+    FLOW = _corpus_spec("lifted-flow-dependence")   # b(i) = a(i); c(i) = b(i+1)
+    ANTI = _corpus_spec("lifted-anti-dependence")   # c(i) = b(i-1); b(i) = a(i)
+    CASES = {
+        "flow+1": (FLOW, 0),
+        "flow-1": (_with_offset(FLOW, 1, -1), 2),
+        "anti-1": (ANTI, 0),
+        "anti+1": (_with_offset(ANTI, 0, 1), 2),
+    }
+
+    @staticmethod
+    def _run(spec, backend, **options):
+        a, b, c = np.arange(1.0, 17.0), np.full(16, -1.0), np.zeros(16)
+        repro.Session().lower(spec.render(), backend, **options).run(
+            spec.entry, a, b, c)
+        return np.concatenate([a, b, c])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_only_order_keeping_pairs_are_lifted(self, case):
+        spec, lifted = self.CASES[case]
+        _, discovery = discover(spec.render())
+        assert discovery.discovered == ({spec.entry: lifted} if lifted else {})
+
+    @pytest.mark.parametrize("backend,options", [
+        ("cpu", {"execution_mode": "interpret"}),
+        ("cpu", {"execution_mode": "vectorize"}),
+        ("openmp", {"lower_to_scf": True, "threads": 2,
+                    "execution_mode": "vectorize"}),
+        ("gpu", {"execution_mode": "vectorize"}),
+    ], ids=["cpu-interpret", "cpu-vectorize", "openmp-scf-t2", "gpu"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bitwise_equal_to_flang_only(self, case, backend, options):
+        spec, _ = self.CASES[case]
+        expected = self._run(spec, "flang-only")
+        assert self._run(spec, backend, **options).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("loops,body,lifted", [
+        # Output dependence: the loop's last write to b(i+1) is b(i) = a(i).
+        ("j,i", "b(i, j) = a(i, j)\n b(i+1, j) = c(i, j)", 0),
+        ("j,i", "b(i, j) = a(i, j)\n b(i-1, j) = c(i, j)", 2),
+        # Lexicographic in loop order: the outer j decides before i.
+        ("j,i", "b(i, j) = a(i, j)\n c(i, j) = b(i-1, j+1)", 0),
+        ("j,i", "b(i, j) = a(i, j)\n c(i, j) = b(i+1, j-1)", 2),
+        ("i,j", "b(i, j) = a(i, j)\n c(i, j) = b(i-1, j+1)", 2),
+        # A constant subscript meeting a loop-driven one: not a constant distance.
+        ("j,i", "b(i, 3) = a(i, j)\n c(i, j) = b(i, 4)", 0),
+    ], ids=["output+1", "output-1", "outer-j+1", "outer-j-1", "outer-i-1",
+            "constant-subscript"])
+    def test_two_dimensional_pairs(self, loops, body, lifted):
+        outer, inner = loops.split(",")
+        src = f"""
+subroutine s(a, b, c)
+  implicit none
+  real(kind=8), intent(inout) :: a(8, 8), b(8, 8), c(8, 8)
+  integer :: i, j
+  do {outer} = 3, 6
+    do {inner} = 3, 6
+      {body}
+    end do
+  end do
+end subroutine s
+"""
+        _, discovery = discover(src)
+        assert discovery.discovered == ({"s": lifted} if lifted else {})
+        results = []
+        for backend in ("flang-only", "cpu"):
+            rng = np.random.default_rng(0)
+            arrays = [np.asfortranarray(rng.random((8, 8))) for _ in range(3)]
+            repro.Session().lower(src, backend).run("s", *arrays)
+            results.append(b"".join(x.tobytes() for x in arrays))
+        assert results[0] == results[1]
 
 
 class TestDiscoveryPreservesSemantics:

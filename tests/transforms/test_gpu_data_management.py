@@ -5,8 +5,8 @@ tiles) is covered in ``test_extraction_lowering.py``; these tests pin the
 branches around it: call sites with **no enclosing loop** (anchor falls back
 to the call itself), **multiple call sites** of one stencil function (every
 site must be rewritten to the device pointers), **non-3-D tile annotations**
-(short/long tile tuples and sub-3-D domains), and the **stream/prefetch
-annotations** consumed by the runtime's stream model.
+(short/long tile tuples and sub-3-D domains), and the absence of any
+stream/prefetch placement attribute.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import repro
 from repro.apps import gauss_seidel
 from repro.dialects import fir, gpu
 from repro.dialects.func import FuncOp
-from repro.ir import default_context
+from repro.ir import default_context, print_module
 from repro.runtime import SimulatedGPU
 from repro.transforms.gpu_data_management import (
     GpuOptimisedDataPass,
@@ -188,39 +188,19 @@ class TestTileAnnotations:
         assert fn.get_attr_or_none("gpu.launch") is not None
 
 
-class TestStreamAndPrefetchAnnotations:
-    def test_distinct_stencils_get_distinct_stream_assignments(self):
-        from repro.apps import pw_advection
+class TestNoPlacementAttributes:
+    """Launches run synchronously, so the passes tag nothing for a stream
+    model: the printed IR of either strategy carries no stream assignment
+    and no prefetch point."""
 
-        # Two subroutines -> two extracted stencil functions.
-        source = (gauss_seidel.generate_source(8, niters=1)
-                  + pw_advection.generate_source(8))
-        compiled = repro.Session().compile(source).lower("gpu")
-        streams = sorted(
-            int(compiled.stencil_module.get_symbol(name).get_attr("gpu.stream").value)
-            for name in compiled.extracted_functions
-        )
-        assert streams == list(range(len(streams)))
-        assert len(streams) >= 2
-
-    def test_optimised_alloc_function_is_a_prefetch_point(self, small_gs_source):
+    @pytest.mark.parametrize("lower_to_scf", [False, True])
+    @pytest.mark.parametrize("strategy", ["optimised", "host_register"])
+    def test_printed_ir_has_no_stream_or_prefetch(self, small_gs_source,
+                                                  strategy, lower_to_scf):
         compiled = repro.Session().compile(small_gs_source).lower(
-            "gpu", data_strategy="optimised"
-        )
-        alloc_funcs = [
-            op for op in compiled.stencil_module.walk()
-            if isinstance(op, FuncOp) and op.sym_name.startswith("_gpu_alloc_")
-        ]
-        assert alloc_funcs
-        assert all(f.get_attr_or_none("gpu.prefetch") is not None
-                   for f in alloc_funcs)
-
-    def test_outlined_launch_inherits_stream_assignment(self, small_gs_source):
-        compiled = repro.Session().compile(small_gs_source).lower(
-            "gpu", data_strategy="optimised", lower_to_scf=True
-        )
-        launches = [op for op in compiled.stencil_module.walk()
-                    if isinstance(op, gpu.LaunchFuncOp)]
-        assert launches
-        assert all(op.get_attr_or_none("gpu.stream") is not None
-                   for op in launches)
+            "gpu", data_strategy=strategy, lower_to_scf=lower_to_scf)
+        text = (print_module(compiled.fir_module)
+                + print_module(compiled.stencil_module))
+        assert "gpu.launch" in text
+        assert "gpu.stream" not in text
+        assert "gpu.prefetch" not in text
