@@ -12,7 +12,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 from ..ir.attributes import DenseArrayAttr, IntegerAttr
 from ..ir.context import Dialect
-from ..ir.operation import Operation, VerifyException
+from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
 from ..ir.traits import HasMemoryEffect
 from ..ir.types import TypeAttribute, i64, index
@@ -66,42 +66,6 @@ class RankOp(Operation):
         return int(self.get_attr("dim").value)  # type: ignore[union-attr]
 
 
-class LocalDomainOp(Operation):
-    """``dmp.local_domain`` — the sub-domain bounds owned by this rank.
-
-    Results are ``(lb, ub)`` pairs for each decomposed dimension of the global
-    iteration space described by the ``global_lb`` / ``global_ub`` attributes.
-    """
-
-    name = "dmp.local_domain"
-
-    def __init__(self, grid: SSAValue, global_lb: Sequence[int], global_ub: Sequence[int]):
-        rank = len(global_lb)
-        super().__init__(
-            operands=[grid],
-            result_types=[index] * (2 * rank),
-            attributes={
-                "global_lb": DenseArrayAttr(global_lb),
-                "global_ub": DenseArrayAttr(global_ub),
-            },
-        )
-
-    @property
-    def global_lb(self) -> Tuple[int, ...]:
-        return self.get_attr("global_lb").as_tuple()  # type: ignore[union-attr]
-
-    @property
-    def global_ub(self) -> Tuple[int, ...]:
-        return self.get_attr("global_ub").as_tuple()  # type: ignore[union-attr]
-
-    def verify_(self) -> None:
-        rank = len(self.global_lb)
-        if len(self.results) != 2 * rank:
-            raise VerifyException(
-                "dmp.local_domain: must produce a (lb, ub) pair per dimension"
-            )
-
-
 class HaloSwapOp(Operation):
     """``dmp.halo_swap`` — exchange halo regions of a field with neighbours.
 
@@ -146,16 +110,6 @@ class HaloSwapOp(Operation):
         return self.get_attr("decomposed_dims").as_tuple()  # type: ignore[union-attr]
 
 
-class GatherOp(Operation):
-    """``dmp.gather`` — gather a distributed field onto the root rank."""
-
-    name = "dmp.gather"
-    traits = (HasMemoryEffect,)
-
-    def __init__(self, field: SSAValue, grid: SSAValue):
-        super().__init__(operands=[field, grid])
-
-
 def _parse_grid_type(parser) -> GridType:
     parser.expect("<")
     shape = parser._parse_dims() + [parser.parse_integer()]
@@ -165,7 +119,7 @@ def _parse_grid_type(parser) -> GridType:
 
 DMP = Dialect(
     "dmp",
-    [GridOp, RankOp, LocalDomainOp, HaloSwapOp, GatherOp],
+    [GridOp, RankOp, HaloSwapOp],
     type_parsers={"grid": _parse_grid_type},
 )
 
@@ -173,8 +127,6 @@ __all__ = [
     "GridType",
     "GridOp",
     "RankOp",
-    "LocalDomainOp",
     "HaloSwapOp",
-    "GatherOp",
     "DMP",
 ]

@@ -10,7 +10,8 @@ Flang lowers parsed Fortran to FIR; our mini-Flang frontend
 * array element addresses are computed with ``fir.coordinate_of``,
 * counted loops are ``fir.do_loop`` with an ``index`` block argument,
 * ``fir.convert`` performs Fortran's implicit numeric conversions and
-  ``fir.no_reassoc`` blocks reassociation exactly as described in §3.
+  reduces array references to ``!fir.llvm_ptr`` for extracted functions (§3),
+* ``fir.if`` holds conditionals and ``fir.call`` calls.
 """
 
 from __future__ import annotations
@@ -437,20 +438,6 @@ class ConvertOp(Operation):
         return self.operands[0]
 
 
-class NoReassocOp(Operation):
-    """``fir.no_reassoc`` — barrier preventing reassociation of its operand."""
-
-    name = "fir.no_reassoc"
-    traits = (Pure,)
-
-    def __init__(self, value: SSAValue):
-        super().__init__(operands=[value], result_types=[value.type])
-
-    @property
-    def value(self) -> SSAValue:
-        return self.operands[0]
-
-
 class CallOp(Operation):
     """``fir.call`` — call a function from FIR."""
 
@@ -473,16 +460,6 @@ class CallOp(Operation):
     @property
     def callee(self) -> str:
         return self.get_attr("callee").root  # type: ignore[union-attr]
-
-
-class UnreachableOp(Operation):
-    """``fir.unreachable`` — marks unreachable control flow."""
-
-    name = "fir.unreachable"
-    traits = (IsTerminator,)
-
-    def __init__(self):
-        super().__init__()
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +507,7 @@ FIR = Dialect(
         DoLoopOp,
         IfOp,
         ConvertOp,
-        NoReassocOp,
         CallOp,
-        UnreachableOp,
     ],
     type_parsers={
         "ref": _parse_ref,
@@ -561,8 +536,6 @@ __all__ = [
     "DoLoopOp",
     "IfOp",
     "ConvertOp",
-    "NoReassocOp",
     "CallOp",
-    "UnreachableOp",
     "FIR",
 ]

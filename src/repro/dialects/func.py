@@ -1,10 +1,10 @@
-"""The ``func`` dialect: functions, calls and returns."""
+"""The ``func`` dialect: functions and returns."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import StringAttr, SymbolRefAttr, TypeAttr
+from ..ir.attributes import StringAttr, TypeAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
@@ -112,28 +112,6 @@ class ReturnOp(Operation):
                 )
 
 
-class CallOp(Operation):
-    """``func.call`` — direct call to a symbol."""
+Func = Dialect("func", [FuncOp, ReturnOp])
 
-    name = "func.call"
-
-    def __init__(
-        self,
-        callee: str,
-        arguments: Sequence[SSAValue],
-        result_types: Sequence[TypeAttribute] = (),
-    ):
-        super().__init__(
-            operands=arguments,
-            result_types=result_types,
-            attributes={"callee": SymbolRefAttr(callee)},
-        )
-
-    @property
-    def callee(self) -> str:
-        return self.get_attr("callee").root  # type: ignore[union-attr]
-
-
-Func = Dialect("func", [FuncOp, ReturnOp, CallOp])
-
-__all__ = ["FuncOp", "ReturnOp", "CallOp", "Func"]
+__all__ = ["FuncOp", "ReturnOp", "Func"]

@@ -186,16 +186,6 @@ class HostRegisterOp(Operation):
         super().__init__(operands=[memref])
 
 
-class HostUnregisterOp(Operation):
-    """``gpu.host_unregister`` — undo ``gpu.host_register``."""
-
-    name = "gpu.host_unregister"
-    traits = (HasMemoryEffect,)
-
-    def __init__(self, memref: SSAValue):
-        super().__init__(operands=[memref])
-
-
 class _IdOp(Operation):
     """Base of thread/block id and dim queries; the dimension is x, y or z."""
 
@@ -223,19 +213,6 @@ class BlockDimOp(_IdOp):
     name = "gpu.block_dim"
 
 
-class GridDimOp(_IdOp):
-    name = "gpu.grid_dim"
-
-
-class GPUBarrierOp(Operation):
-    """``gpu.barrier`` — synchronise threads within a block."""
-
-    name = "gpu.barrier"
-
-    def __init__(self):
-        super().__init__()
-
-
 GPU = Dialect(
     "gpu",
     [
@@ -247,12 +224,9 @@ GPU = Dialect(
         DeallocOp,
         MemcpyOp,
         HostRegisterOp,
-        HostUnregisterOp,
         ThreadIdOp,
         BlockIdOp,
         BlockDimOp,
-        GridDimOp,
-        GPUBarrierOp,
     ],
 )
 
@@ -265,11 +239,8 @@ __all__ = [
     "DeallocOp",
     "MemcpyOp",
     "HostRegisterOp",
-    "HostUnregisterOp",
     "ThreadIdOp",
     "BlockIdOp",
     "BlockDimOp",
-    "GridDimOp",
-    "GPUBarrierOp",
     "GPU",
 ]

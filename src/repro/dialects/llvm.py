@@ -1,4 +1,4 @@
-"""A minimal ``llvm`` dialect: pointer type and calls.
+"""A minimal ``llvm`` dialect: the pointer type.
 
 Only the pieces needed to mirror the paper's FIR/LLVM pointer interoperability
 trick are modelled: the extracted stencil functions accept ``!llvm.ptr``
@@ -8,12 +8,9 @@ semantically identical (§3).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
-from ..ir.attributes import SymbolRefAttr
 from ..ir.context import Dialect
-from ..ir.operation import Operation
-from ..ir.ssa import SSAValue
 from ..ir.types import TypeAttribute
 
 
@@ -38,28 +35,6 @@ class LLVMPointerType(TypeAttribute):
         return f"!llvm.ptr<{self.pointee.print()}>"
 
 
-class CallOp(Operation):
-    """``llvm.call`` — call into a linked symbol."""
-
-    name = "llvm.call"
-
-    def __init__(
-        self,
-        callee: str,
-        arguments: Sequence[SSAValue],
-        result_types: Sequence[TypeAttribute] = (),
-    ):
-        super().__init__(
-            operands=arguments,
-            result_types=result_types,
-            attributes={"callee": SymbolRefAttr(callee)},
-        )
-
-    @property
-    def callee(self) -> str:
-        return self.get_attr("callee").root  # type: ignore[union-attr]
-
-
 def _parse_ptr(parser) -> LLVMPointerType:
     if parser.try_consume("<"):
         if parser.try_consume(">"):
@@ -70,6 +45,6 @@ def _parse_ptr(parser) -> LLVMPointerType:
     return LLVMPointerType(None)
 
 
-LLVM = Dialect("llvm", [CallOp], type_parsers={"ptr": _parse_ptr})
+LLVM = Dialect("llvm", [], type_parsers={"ptr": _parse_ptr})
 
-__all__ = ["LLVMPointerType", "CallOp", "LLVM"]
+__all__ = ["LLVMPointerType", "LLVM"]

@@ -83,19 +83,9 @@ class PowFOp(Operation):
         return self.operands[1]
 
 
-class FmaOp(Operation):
-    """``math.fma`` — fused multiply add ``a*b + c``."""
-
-    name = "math.fma"
-    traits = (Pure,)
-
-    def __init__(self, a: SSAValue, b: SSAValue, c: SSAValue):
-        super().__init__(operands=[a, b, c], result_types=[a.type])
-
-
 Math = Dialect(
     "math",
-    [SqrtOp, AbsFOp, SinOp, CosOp, TanOp, TanhOp, ExpOp, LogOp, Log10Op, PowFOp, FmaOp],
+    [SqrtOp, AbsFOp, SinOp, CosOp, TanOp, TanhOp, ExpOp, LogOp, Log10Op, PowFOp],
 )
 
 __all__ = [
@@ -109,6 +99,5 @@ __all__ = [
     "LogOp",
     "Log10Op",
     "PowFOp",
-    "FmaOp",
     "Math",
 ]

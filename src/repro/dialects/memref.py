@@ -1,15 +1,14 @@
-"""The ``memref`` dialect: allocation, load/store and shape queries."""
+"""The ``memref`` dialect: allocation, load/store and copies."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..ir.attributes import IntegerAttr, UnitAttr
 from ..ir.context import Dialect
 from ..ir.operation import Operation, VerifyException
 from ..ir.ssa import SSAValue
-from ..ir.traits import HasMemoryEffect, Pure, ReadOnly
-from ..ir.types import DYNAMIC, IndexType, MemRefType, i64, index
+from ..ir.traits import HasMemoryEffect, ReadOnly
+from ..ir.types import DYNAMIC, IndexType, MemRefType
 
 
 class AllocOp(Operation):
@@ -35,26 +34,6 @@ class AllocOp(Operation):
                 f"{self.name}: expected {dynamic} dynamic size operands, "
                 f"got {len(self.operands)}"
             )
-
-
-class AllocaOp(AllocOp):
-    """``memref.alloca`` — stack allocation of a memref."""
-
-    name = "memref.alloca"
-
-
-class DeallocOp(Operation):
-    """``memref.dealloc`` — free a heap allocation."""
-
-    name = "memref.dealloc"
-    traits = (HasMemoryEffect,)
-
-    def __init__(self, memref: SSAValue):
-        super().__init__(operands=[memref])
-
-    @property
-    def memref(self) -> SSAValue:
-        return self.operands[0]
 
 
 class LoadOp(Operation):
@@ -126,24 +105,6 @@ class StoreOp(Operation):
             )
 
 
-class DimOp(Operation):
-    """``memref.dim`` — query the extent of one dimension."""
-
-    name = "memref.dim"
-    traits = (Pure,)
-
-    def __init__(self, memref: SSAValue, dimension: SSAValue):
-        super().__init__(operands=[memref, dimension], result_types=[index])
-
-    @property
-    def memref(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def dimension(self) -> SSAValue:
-        return self.operands[1]
-
-
 class CopyOp(Operation):
     """``memref.copy`` — copy the contents of one memref into another."""
 
@@ -175,35 +136,16 @@ class SnapshotOp(Operation):
         super().__init__(operands=[source, *written], result_types=[source.type])
 
 
-class CastOp(Operation):
-    """``memref.cast`` — reinterpret a memref with a compatible type."""
-
-    name = "memref.cast"
-    traits = (Pure,)
-
-    def __init__(self, source: SSAValue, result_type: MemRefType):
-        super().__init__(operands=[source], result_types=[result_type])
-
-    @property
-    def source(self) -> SSAValue:
-        return self.operands[0]
-
-
 MemRef = Dialect(
     "memref",
-    [AllocOp, AllocaOp, DeallocOp, LoadOp, StoreOp, DimOp, CopyOp, SnapshotOp,
-     CastOp],
+    [AllocOp, LoadOp, StoreOp, CopyOp, SnapshotOp],
 )
 
 __all__ = [
     "AllocOp",
-    "AllocaOp",
-    "DeallocOp",
     "LoadOp",
     "StoreOp",
-    "DimOp",
     "CopyOp",
     "SnapshotOp",
-    "CastOp",
     "MemRef",
 ]

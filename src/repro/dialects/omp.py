@@ -148,15 +148,6 @@ class TerminatorOp(Operation):
         super().__init__()
 
 
-class BarrierOp(Operation):
-    """``omp.barrier`` — synchronise the thread team."""
+OMP = Dialect("omp", [ParallelOp, WsLoopOp, YieldOp, TerminatorOp])
 
-    name = "omp.barrier"
-
-    def __init__(self):
-        super().__init__()
-
-
-OMP = Dialect("omp", [ParallelOp, WsLoopOp, YieldOp, TerminatorOp, BarrierOp])
-
-__all__ = ["ParallelOp", "WsLoopOp", "YieldOp", "TerminatorOp", "BarrierOp", "OMP"]
+__all__ = ["ParallelOp", "WsLoopOp", "YieldOp", "TerminatorOp", "OMP"]

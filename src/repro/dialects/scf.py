@@ -6,7 +6,7 @@ coalesced ``scf.parallel`` on GPUs, exactly as described in §3 of the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..ir.attributes import IntegerAttr, StringAttr
 from ..ir.context import Dialect
@@ -177,37 +177,12 @@ class IfOp(Operation):
         return self.regions[1].blocks[0] if self.regions[1].blocks else None
 
 
-class ReduceOp(Operation):
-    """``scf.reduce`` — declares a reduction inside ``scf.parallel`` (modelled
-    but unused by the main flow; kept for completeness of the dialect)."""
-
-    name = "scf.reduce"
-
-    def __init__(self, operand: SSAValue, body: Optional[Region] = None):
-        if body is None:
-            body = Region([Block(arg_types=[operand.type, operand.type])])
-        super().__init__(operands=[operand], regions=[body])
-
-
-class ExecuteRegionOp(Operation):
-    """``scf.execute_region`` — an inline region producing values."""
-
-    name = "scf.execute_region"
-
-    def __init__(self, result_types: Sequence[TypeAttribute], body: Optional[Region] = None):
-        if body is None:
-            body = Region([Block()])
-        super().__init__(result_types=result_types, regions=[body])
-
-
-Scf = Dialect("scf", [YieldOp, ForOp, ParallelOp, IfOp, ReduceOp, ExecuteRegionOp])
+Scf = Dialect("scf", [YieldOp, ForOp, ParallelOp, IfOp])
 
 __all__ = [
     "YieldOp",
     "ForOp",
     "ParallelOp",
     "IfOp",
-    "ReduceOp",
-    "ExecuteRegionOp",
     "Scf",
 ]

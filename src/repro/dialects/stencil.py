@@ -85,22 +85,6 @@ class TempType(_BoundedType):
         return f"!stencil.temp<{self._print_body()}>"
 
 
-class ResultType(TypeAttribute):
-    """``!stencil.result<T>`` — the per-cell result inside an apply (kept for
-    dialect parity; our flow returns element types directly)."""
-
-    name = "stencil.result"
-
-    def __init__(self, element_type: TypeAttribute):
-        self.element_type = element_type
-
-    def _key(self) -> Tuple[Any, ...]:
-        return (self.element_type,)
-
-    def print(self) -> str:
-        return f"!stencil.result<{self.element_type.print()}>"
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -127,39 +111,8 @@ class ExternalLoadOp(Operation):
     @property
     def read_only(self) -> bool:
         """Whether nothing in this function writes the field: every use of
-        it, through ``stencil.cast``, is a ``stencil.load`` — no store, no
-        halo swap, no call."""
-        pending = [self.results[0]]
-        while pending:
-            for use in pending.pop().uses:
-                if isinstance(use.operation, CastOp):
-                    pending.append(use.operation.results[0])
-                elif not isinstance(use.operation, LoadOp):
-                    return False
-        return True
-
-
-class ExternalStoreOp(Operation):
-    """``stencil.external_store`` — write a field back to external memory."""
-
-    name = "stencil.external_store"
-
-    def __init__(self, field: SSAValue, target: SSAValue):
-        super().__init__(operands=[field, target])
-
-
-class CastOp(Operation):
-    """``stencil.cast`` — constrain a field to static bounds."""
-
-    name = "stencil.cast"
-    traits = (ReadOnly,)
-
-    def __init__(self, field: SSAValue, result_type: FieldType):
-        super().__init__(operands=[field], result_types=[result_type])
-
-    @property
-    def field(self) -> SSAValue:
-        return self.operands[0]
+        it is a ``stencil.load`` — no store, no halo swap, no call."""
+        return all(isinstance(use.operation, LoadOp) for use in self.results[0].uses)
 
 
 class LoadOp(Operation):
@@ -317,18 +270,6 @@ class IndexOp(Operation):
         return int(self.get_attr("dim").value)  # type: ignore[union-attr]
 
 
-class DynAccessOp(Operation):
-    """``stencil.dyn_access`` — access at a runtime-computed offset."""
-
-    name = "stencil.dyn_access"
-
-    def __init__(self, temp: SSAValue, offsets: Sequence[SSAValue]):
-        ttype = temp.type
-        if not isinstance(ttype, TempType):
-            raise TypeError("stencil.dyn_access expects a !stencil.temp operand")
-        super().__init__(operands=[temp, *offsets], result_types=[ttype.element_type])
-
-
 class StoreOp(Operation):
     """``stencil.store`` — write a computed temp into a field over ``[lb, ub)``."""
 
@@ -373,15 +314,6 @@ class ReturnOp(Operation):
         super().__init__(operands=values)
 
 
-class BufferOp(Operation):
-    """``stencil.buffer`` — materialise a temp into its own storage."""
-
-    name = "stencil.buffer"
-
-    def __init__(self, temp: SSAValue):
-        super().__init__(operands=[temp], result_types=[temp.type])
-
-
 # ---------------------------------------------------------------------------
 # Textual type parsers
 # ---------------------------------------------------------------------------
@@ -409,45 +341,29 @@ def _parse_temp(parser) -> TempType:
     return TempType(bounds, elem)
 
 
-def _parse_result(parser) -> ResultType:
-    parser.expect("<")
-    elem = parser.parse_type()
-    parser.expect(">")
-    return ResultType(elem)
-
-
 Stencil = Dialect(
     "stencil",
     [
         ExternalLoadOp,
-        ExternalStoreOp,
-        CastOp,
         LoadOp,
         ApplyOp,
         AccessOp,
         IndexOp,
-        DynAccessOp,
         StoreOp,
         ReturnOp,
-        BufferOp,
     ],
-    type_parsers={"field": _parse_field, "temp": _parse_temp, "result": _parse_result},
+    type_parsers={"field": _parse_field, "temp": _parse_temp},
 )
 
 __all__ = [
     "FieldType",
     "TempType",
-    "ResultType",
     "ExternalLoadOp",
-    "ExternalStoreOp",
-    "CastOp",
     "LoadOp",
     "ApplyOp",
     "AccessOp",
     "IndexOp",
-    "DynAccessOp",
     "StoreOp",
     "ReturnOp",
-    "BufferOp",
     "Stencil",
 ]

@@ -42,8 +42,6 @@ from .generator import (
     DEFAULT_CONFIG,
     GeneratorConfig,
     KernelSpec,
-    gen_expression,
-    gen_kernel,
     generate_spec,
 )
 from .minimizer import MinimizationResult, minimize
@@ -75,8 +73,6 @@ __all__ = [
     "ScheduleRunner",
     "default_matrix",
     "entry_from_divergence",
-    "gen_expression",
-    "gen_kernel",
     "generate_spec",
     "load_corpus",
     "minimize",

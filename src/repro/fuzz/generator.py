@@ -1,33 +1,26 @@
-"""Generative Fortran kernels: the round-trip generator and the spec-based
-executable generator behind the differential fuzz farm.
+"""Generative Fortran kernels: the spec-based generator behind the
+differential fuzz farm and the frontend's round-trip test.
 
-Two generators live here:
+:func:`generate_spec` builds a structured :class:`KernelSpec` — rank,
+extents, sweeps, stencil offsets, intrinsics, expression trees — that
+*renders* to Fortran instead of being generated as text.  Specs are the unit
+the whole fuzz farm operates on:
 
-* the **legacy round-trip generator** (:func:`gen_kernel` /
-  :func:`gen_expression`), moved verbatim from
-  ``tests/frontend/test_roundtrip_property.py`` — it produces parse-only
-  kernels whose printed IR must re-parse, and the round-trip test imports it
-  from this module;
-* the **executable spec generator** (:func:`generate_spec`), which builds a
-  structured :class:`KernelSpec` — rank, extents, sweeps, stencil offsets,
-  intrinsics, expression trees — that *renders* to Fortran instead of being
-  generated as text.  Specs are the unit the whole fuzz farm operates on:
-
-  - **replayable**: a spec is a pure function of ``(seed, GeneratorConfig)``
-    and records its decision trace, so any case reproduces from two integers
-    and a config; specs also serialise to JSON (:meth:`KernelSpec.to_dict`)
-    for the persisted corpus.
-  - **executable everywhere**: generated expressions are NaN/Inf-free by
-    construction (``sqrt`` renders over ``abs``, division denominators are
-    clamped, ``exp`` only applies to leaves), so bitwise comparison against
-    the scalar oracle is meaningful on every backend.
-  - **minimizable**: the delta-debugging minimizer shrinks specs
-    structurally (drop statements, hoist subexpressions, zero offsets,
-    shrink extents) via :func:`expr_paths` / :func:`expr_replace`, then
-    re-renders — no fragile text surgery.
-  - **shape-parameterizable**: :meth:`KernelSpec.render` accepts a shape
-    override, which is what lets the dmp backend compile one kernel per
-    rank-local padded shape through ``distribute(source_builder=...)``.
+* **replayable**: a spec is a pure function of ``(seed, GeneratorConfig)``
+  and records its decision trace, so any case reproduces from two integers
+  and a config; specs also serialise to JSON (:meth:`KernelSpec.to_dict`)
+  for the persisted corpus.
+* **executable everywhere**: generated expressions are NaN/Inf-free by
+  construction (``sqrt`` renders over ``abs``, division denominators are
+  clamped, ``exp`` only applies to leaves), so bitwise comparison against
+  the scalar oracle is meaningful on every backend.
+* **minimizable**: the delta-debugging minimizer shrinks specs
+  structurally (drop statements, hoist subexpressions, zero offsets,
+  shrink extents) via :func:`expr_paths` / :func:`expr_replace`, then
+  re-renders — no fragile text surgery.
+* **shape-parameterizable**: :meth:`KernelSpec.render` accepts a shape
+  override, which is what lets the dmp backend compile one kernel per
+  rank-local padded shape through ``distribute(source_builder=...)``.
 
 ``style="distributed"`` specs are constrained to what the DMP halo-exchange
 machinery supports — a single array, orthogonal (star) offsets of at most
@@ -43,90 +36,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Loop index variables, innermost first (dimension order).
 LOOP_VARS = ("i", "j", "k")
-#: Unary intrinsics that lower to single math ops (safe at any nesting).
-UNARY_INTRINSICS = ("sqrt", "abs", "exp", "sin", "cos", "tan", "tanh")
-BINARY_OPS = ("+", "-", "*", "/")
-
-
-# ---------------------------------------------------------------------------
-# Legacy round-trip generator (imported by tests/frontend/test_roundtrip_property.py)
-# ---------------------------------------------------------------------------
-
-
-def gen_expression(rng: random.Random, arrays, indices, depth: int) -> str:
-    """A random scalar-valued Fortran expression over array accesses."""
-    if depth <= 0 or rng.random() < 0.3:
-        kind = rng.randrange(3)
-        if kind == 0 and arrays:
-            name, rank = rng.choice(arrays)
-            subscripts = []
-            for dim in range(rank):
-                offset = rng.choice((-1, 0, 1))
-                var = indices[dim]
-                if offset == 0:
-                    subscripts.append(var)
-                else:
-                    subscripts.append(f"{var}{'+' if offset > 0 else '-'}{abs(offset)}")
-            return f"{name}({', '.join(subscripts)})"
-        if kind == 1:
-            return f"{rng.uniform(0.5, 4.0):.3f}d0"
-        return "s"
-    choice = rng.randrange(4)
-    if choice == 0:
-        intrinsic = rng.choice(UNARY_INTRINSICS)
-        return f"{intrinsic}({gen_expression(rng, arrays, indices, depth - 1)})"
-    if choice == 1:
-        fn = rng.choice(("min", "max"))
-        lhs = gen_expression(rng, arrays, indices, depth - 1)
-        rhs = gen_expression(rng, arrays, indices, depth - 1)
-        return f"{fn}({lhs}, {rhs})"
-    op = rng.choice(BINARY_OPS)
-    lhs = gen_expression(rng, arrays, indices, depth - 1)
-    rhs = gen_expression(rng, arrays, indices, depth - 1)
-    return f"({lhs} {op} {rhs})"
-
-
-def gen_kernel(seed: int) -> str:
-    """A random small Fortran subroutine: rank-1..3 arrays, a loop nest over
-    every dimension, 1-2 assignments with neighbour accesses and intrinsics."""
-    rng = random.Random(seed)
-    rank = rng.randrange(1, 4)
-    extents = [rng.randrange(5, 9) for _ in range(rank)]
-    indices = LOOP_VARS[:rank]
-    arrays = [("a", rank)]
-    if rng.random() < 0.6:
-        arrays.append(("b", rank))
-    dim_params = ", ".join(f"n{d + 1} = {extent}" for d, extent in enumerate(extents))
-    dim_names = ", ".join(f"n{d + 1}" for d in range(rank))
-    declarations = "\n".join(
-        f"  real(kind=8), intent(inout) :: {name}({dim_names})"
-        for name, _ in arrays
-    )
-    statements = []
-    for _ in range(rng.randrange(1, 3)):
-        target, target_rank = arrays[0]
-        lhs = f"{target}({', '.join(indices)})"
-        rhs = gen_expression(rng, arrays, indices, depth=rng.randrange(1, 4))
-        statements.append(f"{lhs} = {rhs}")
-    body = "\n".join("      " + s for s in statements)
-    # Offsets reach at most one cell, so 2..n-1 loop bounds stay in bounds.
-    opening = "\n".join(
-        f"  do {var} = 2, n{dim + 1} - 1"
-        for dim, var in reversed(list(enumerate(indices)))
-    )
-    closing = "\n".join("  end do" for _ in indices)
-    return f"""
-subroutine kernel{seed}({', '.join(name for name, _ in arrays)}, s)
-  implicit none
-  integer, parameter :: {dim_params}
-  real(kind=8), intent(inout) :: s
-{declarations}
-  integer :: {', '.join(indices)}
-{opening}
-{body}
-{closing}
-end subroutine kernel{seed}
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +572,6 @@ def generate_spec(seed: int,
 
 __all__ = [
     "LOOP_VARS",
-    "UNARY_INTRINSICS",
-    "BINARY_OPS",
-    "gen_expression",
-    "gen_kernel",
     "EXECUTABLE_INTRINSICS",
     "EXECUTABLE_BINARY_OPS",
     "Access",

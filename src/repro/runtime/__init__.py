@@ -19,7 +19,6 @@ from .kernel_compiler import (
     CompiledKernel,
     KernelCompiler,
     KernelUnsupported,
-    apply_is_vectorizable,
     structural_hash,
 )
 from .memory import ElementRef, MemoryBuffer, numpy_dtype_for
@@ -43,7 +42,6 @@ __all__ = [
     "CompiledKernel",
     "KernelCompiler",
     "KernelUnsupported",
-    "apply_is_vectorizable",
     "structural_hash",
     "Frame",
     "FieldValue",

@@ -158,7 +158,7 @@ class DistributedExecutor:
     array is padded with on *every* dimension (the stencil's widest access
     offset).  Every rank runs on its own pool worker, because a rank blocked
     in a halo receive must not starve the neighbour whose send it waits for.
-    ``timeout`` bounds every blocking receive/barrier so a genuinely
+    ``timeout`` bounds every blocking receive so a genuinely
     deadlocked configuration fails with the communicator's pending-message
     diagnostic instead of hanging.
     """

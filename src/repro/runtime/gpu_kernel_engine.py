@@ -54,7 +54,7 @@ _DIM_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 class _IdSym:
-    """A raw gpu id/dim query (thread_id, block_id, block_dim, grid_dim)."""
+    """A raw gpu id/dim query (thread_id, block_id, block_dim)."""
 
     __slots__ = ("kind", "dim")
 
@@ -117,8 +117,8 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
     whole-lattice NumPy sweep.
 
     Raises :class:`KernelUnsupported` for anything outside the outlined shape
-    (barriers, unguarded bodies, non-affine indexing, …); the caller falls
-    back to the per-thread scalar interpreter.
+    (nested control flow, unguarded bodies, non-affine indexing, …); the
+    caller falls back to the per-thread scalar interpreter.
     """
     if func_op.name != "gpu.func":
         raise KernelUnsupported(f"'{func_op.name}' is not a gpu.func")
@@ -135,8 +135,7 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
 
     for op in body.ops:
         name = op.name
-        if name in ("gpu.thread_id", "gpu.block_id", "gpu.block_dim",
-                    "gpu.grid_dim"):
+        if name in ("gpu.thread_id", "gpu.block_id", "gpu.block_dim"):
             dim = _DIM_INDEX[op.get_attr("dimension").data]  # type: ignore[union-attr]
             dims_seen = max(dims_seen, dim)
             symbols[id(op.results[0])] = _IdSym(name.split(".")[1], dim)

@@ -8,8 +8,7 @@ pipeline against numpy-backed memory:
   whole output domain using numpy slicing, which is this reproduction's
   analogue of the optimised code the stencil compilation flow generates,
 * scf / OpenMP / GPU / MPI dialects — functional execution plus event
-  accounting (kernel launches, PCIe transfers, messages) that feeds the
-  performance models.
+  accounting (kernel launches, PCIe transfers, messages) of what ran.
 
 The interpreter has three execution modes (see
 :mod:`repro.runtime.kernel_compiler`): ``"interpret"`` — the scalar op-by-op
@@ -59,8 +58,7 @@ from .parallel_executor import (ParallelExecutor, get_executor, plan_sweep,
 #: reading its temp without making the snapshot copy observable: none of them
 #: writes memory, calls out, or holds a region that could.
 _SNAPSHOT_TRANSPARENT = frozenset({
-    "stencil.external_load", "stencil.cast", "stencil.load", "stencil.apply",
-    "arith.constant",
+    "stencil.external_load", "stencil.load", "stencil.apply", "arith.constant",
 })
 
 
@@ -193,7 +191,6 @@ class Interpreter:
         execution_mode: str = "interpret",
         kernel_compiler: Optional[KernelCompiler] = None,
         threads: int = 1,
-        parallel_executor: Optional[ParallelExecutor] = None,
     ):
         if execution_mode not in EXECUTION_MODES:
             raise InterpreterError(
@@ -217,17 +214,12 @@ class Interpreter:
             if execution_mode != "interpret" else None
         )
         #: Worker threads for tiled sweep execution (1 = single-tile).  The
-        #: executor is the persistent process-wide pool for that count unless
-        #: an explicit one is injected; pure "interpret" mode never tiles, so
-        #: it never touches (or creates) a pool.
+        #: executor is the persistent process-wide pool for that count; pure
+        #: "interpret" mode never tiles, so it never touches (or creates) a
+        #: pool.
         self.threads = max(1, int(threads))
-        if parallel_executor is not None:
-            self._executor: Optional[ParallelExecutor] = parallel_executor
-            self.threads = max(self.threads, parallel_executor.threads)
-        elif self.threads > 1 and execution_mode != "interpret":
-            self._executor = get_executor(self.threads)
-        else:
-            self._executor = None
+        self._executor: Optional[ParallelExecutor] = get_executor(self.threads) \
+            if self.threads > 1 and execution_mode != "interpret" else None
         self.stats: Dict[str, float] = {
             "stencil_apply_executions": 0,
             "stencil_points_computed": 0,
@@ -308,14 +300,19 @@ class Interpreter:
     def _wrap_argument(self, arg, arg_type: TypeAttribute, label: str):
         if isinstance(arg, (MemoryBuffer, ElementRef, FieldValue, TempValue)):
             return arg
+        declared = arg_type.element_type \
+            if fir_dialect.is_reference_like(arg_type) else arg_type
+        is_array = isinstance(declared, fir_dialect.SequenceType)
         if isinstance(arg, np.ndarray):
-            declared = arg_type.element_type \
-                if fir_dialect.is_reference_like(arg_type) else arg_type
-            if isinstance(declared, fir_dialect.SequenceType) and (
-                    arg.dtype != numpy_dtype_for(declared.element_type)
-                    or arg.ndim != declared.rank
-                    or any(extent not in (DYNAMIC, got)
-                           for extent, got in zip(declared.shape, arg.shape))):
+            if is_array:
+                wrong = (arg.dtype != numpy_dtype_for(declared.element_type)
+                         or arg.ndim != declared.rank
+                         or any(extent not in (DYNAMIC, got)
+                                for extent, got in zip(declared.shape, arg.shape)))
+            else:  # a 0-d array is a scalar cell the caller reads back
+                wrong = arg.ndim > 0 and isinstance(
+                    declared, (FloatType, IntegerType, IndexType))
+            if wrong:
                 raise InterpreterError(
                     f"argument {label} is declared {declared.print()}, got "
                     f"an array of shape {arg.shape} and dtype {arg.dtype}")
@@ -323,10 +320,11 @@ class Interpreter:
                 arg = np.asfortranarray(arg)
             return MemoryBuffer.wrap(arg, label=label)
         if isinstance(arg, (int, float, np.integer, np.floating)):
-            element = arg_type
-            if fir_dialect.is_reference_like(arg_type):
-                element = arg_type.element_type  # type: ignore[union-attr]
-            return MemoryBuffer.for_scalar(element, arg, label=label)
+            if is_array:
+                raise InterpreterError(
+                    f"argument {label} is declared {declared.print()}, got "
+                    f"the scalar {arg!r}")
+            return MemoryBuffer.for_scalar(declared, arg, label=label)
         raise InterpreterError(f"cannot pass argument of type {type(arg).__name__}")
 
     def call_function(self, func_op: FuncOp, args: Sequence[object]) -> List[object]:
@@ -413,9 +411,7 @@ class Interpreter:
             f.get(o) for o in op.operands
         ]
         h["func.return"] = self._exec_func_return
-        h["func.call"] = self._exec_call
         h["fir.call"] = self._exec_call
-        h["llvm.call"] = self._exec_call
 
         # arith ---------------------------------------------------------------
         h["arith.constant"] = self._exec_constant
@@ -464,9 +460,6 @@ class Interpreter:
         for name, ufunc in unary_math.items():
             h[name] = self._make_unary(ufunc)
         h["math.powf"] = self._make_binary(np.power)
-        h["math.fma"] = lambda op, f: [
-            f.get(op.operands[0]) * f.get(op.operands[1]) + f.get(op.operands[2])
-        ]
 
         # fir --------------------------------------------------------------------
         h["fir.alloca"] = self._exec_fir_alloca
@@ -480,19 +473,13 @@ class Interpreter:
         h["fir.if"] = self._exec_fir_if
         h["fir.result"] = lambda op, f: [f.get(o) for o in op.operands]
         h["fir.convert"] = self._exec_fir_convert
-        h["fir.no_reassoc"] = lambda op, f: [f.get(op.operands[0])]
-        h["fir.unreachable"] = lambda op, f: []
 
         # memref ---------------------------------------------------------------------
         h["memref.alloc"] = self._exec_memref_alloc
-        h["memref.alloca"] = self._exec_memref_alloc
-        h["memref.dealloc"] = lambda op, f: []
         h["memref.load"] = self._exec_memref_load
         h["memref.store"] = self._exec_memref_store
-        h["memref.dim"] = self._exec_memref_dim
         h["memref.copy"] = self._exec_memref_copy
         h["memref.snapshot"] = self._exec_memref_snapshot
-        h["memref.cast"] = lambda op, f: [f.get(op.operands[0])]
 
         # scf ---------------------------------------------------------------------------
         h["scf.for"] = self._exec_scf_for
@@ -505,19 +492,15 @@ class Interpreter:
         h["omp.wsloop"] = self._run_nest
         h["omp.yield"] = lambda op, f: [f.get(o) for o in op.operands]
         h["omp.terminator"] = lambda op, f: []
-        h["omp.barrier"] = lambda op, f: []
 
         # stencil -----------------------------------------------------------------------------
         h["stencil.external_load"] = self._exec_stencil_external_load
-        h["stencil.external_store"] = lambda op, f: []
-        h["stencil.cast"] = self._exec_stencil_cast
         h["stencil.load"] = self._exec_stencil_load
         h["stencil.apply"] = self._exec_stencil_apply
         h["stencil.access"] = self._exec_stencil_access
         h["stencil.index"] = self._exec_stencil_index
         h["stencil.store"] = self._exec_stencil_store
         h["stencil.return"] = lambda op, f: [f.get(o) for o in op.operands]
-        h["stencil.buffer"] = lambda op, f: [f.get(op.operands[0])]
 
         # gpu ----------------------------------------------------------------------------------
         h["gpu.module"] = lambda op, f: []
@@ -525,34 +508,19 @@ class Interpreter:
         h["gpu.dealloc"] = self._exec_gpu_dealloc
         h["gpu.memcpy"] = self._exec_gpu_memcpy
         h["gpu.host_register"] = self._exec_gpu_host_register
-        h["gpu.host_unregister"] = self._exec_gpu_host_unregister
         h["gpu.launch_func"] = self._exec_gpu_launch_func
         h["gpu.thread_id"] = self._exec_gpu_id("thread_id")
         h["gpu.block_id"] = self._exec_gpu_id("block_id")
         h["gpu.block_dim"] = self._exec_gpu_id("block_dim")
-        h["gpu.grid_dim"] = self._exec_gpu_id("grid_dim")
-        h["gpu.barrier"] = lambda op, f: []
         h["gpu.return"] = lambda op, f: []
 
         # dmp / mpi -------------------------------------------------------------------------------
         h["dmp.grid"] = self._exec_dmp_grid
         h["dmp.rank"] = self._exec_dmp_rank
-        h["dmp.local_domain"] = self._exec_dmp_local_domain
         h["dmp.neighbour_rank"] = self._exec_dmp_neighbour_rank
-        h["dmp.gather"] = lambda op, f: []
-        h["mpi.init"] = lambda op, f: []
-        h["mpi.finalize"] = lambda op, f: []
-        h["mpi.comm.rank"] = lambda op, f: [np.int32(self.rank)]
-        h["mpi.comm.size"] = lambda op, f: [
-            np.int32(self.comm.size if self.comm else 1)
-        ]
         h["mpi.isend"] = self._exec_mpi_isend
         h["mpi.irecv"] = self._exec_mpi_irecv
-        h["mpi.send"] = self._exec_mpi_send
-        h["mpi.recv"] = self._exec_mpi_recv
-        h["mpi.wait"] = self._exec_mpi_wait
         h["mpi.waitall"] = self._exec_mpi_waitall
-        h["mpi.barrier"] = lambda op, f: (self.comm.barrier(self.rank) if self.comm else None) or []
 
         return h
 
@@ -754,11 +722,6 @@ class Interpreter:
         buffer.data[indices] = _as_python(value)
         return []
 
-    def _exec_memref_dim(self, op: Operation, frame: Frame):
-        buffer = frame.get(op.operands[0])
-        dim = int(_as_python(frame.get(op.operands[1])))
-        return [np.int64(buffer.data.shape[dim])]
-
     def _exec_memref_copy(self, op: Operation, frame: Frame):
         source = frame.get(op.operands[0])
         target = frame.get(op.operands[1])
@@ -821,7 +784,8 @@ class Interpreter:
         return self.run_block(region.block, frame)
 
     # ------------------------------------------------------------------
-    # omp handlers (functionally serial; parallelism feeds the cost model)
+    # omp handlers (a parallel region runs its body once; the worksharing
+    # loops inside it are what the tiled executor parallelises)
     # ------------------------------------------------------------------
 
     def _exec_omp_parallel(self, op: Operation, frame: Frame):
@@ -1006,11 +970,6 @@ class Interpreter:
         ftype: stencil_dialect.FieldType = op.results[0].type  # type: ignore[assignment]
         lb = tuple(b[0] for b in ftype.bounds)
         return [FieldValue(buffer, lb)]
-
-    def _exec_stencil_cast(self, op: Operation, frame: Frame):
-        field = frame.get(op.operands[0])
-        ftype: stencil_dialect.FieldType = op.results[0].type  # type: ignore[assignment]
-        return [FieldValue(field.buffer, tuple(b[0] for b in ftype.bounds))]
 
     def _exec_stencil_load(self, op: Operation, frame: Frame):
         field = frame.get(op.operands[0])
@@ -1203,10 +1162,6 @@ class Interpreter:
         self._require_gpu().host_register(frame.get(op.operands[0]))
         return []
 
-    def _exec_gpu_host_unregister(self, op: Operation, frame: Frame):
-        self._require_gpu().host_unregister(frame.get(op.operands[0]))
-        return []
-
     def _exec_gpu_launch_func(self, op: Operation, frame: Frame):
         gpu = self._require_gpu()
         kernel_name = op.get_attr("kernel").root  # type: ignore[union-attr]
@@ -1260,7 +1215,6 @@ class Interpreter:
                                     "thread_id": (tx, ty, tz),
                                     "block_id": (bx, by, bz),
                                     "block_dim": tuple(block),
-                                    "grid_dim": tuple(grid),
                                 }
                                 self._gpu_thread_ctx.append(ctx)
                                 kernel_frame = Frame()
@@ -1303,15 +1257,6 @@ class Interpreter:
         coords = decomposition.coords_of(self.rank)
         return [np.int64(coords[dim])]
 
-    def _exec_dmp_local_domain(self, op: Operation, frame: Frame):
-        decomposition = self._require_decomposition()
-        bounds = decomposition.local_bounds(self.rank)
-        flat: List[object] = []
-        for lb, ub in bounds:
-            flat.append(np.int64(lb))
-            flat.append(np.int64(ub))
-        return flat
-
     def _exec_dmp_neighbour_rank(self, op: Operation, frame: Frame):
         decomposition = self._require_decomposition()
         dim = int(op.get_attr("dim").value)  # grid dimension (position)
@@ -1346,10 +1291,6 @@ class Interpreter:
         self.stats["mpi_bytes"] += payload.nbytes
         return [{"type": "send"}]
 
-    def _exec_mpi_send(self, op: Operation, frame: Frame):
-        self._exec_mpi_isend(op, frame)
-        return []
-
     def _exec_mpi_irecv(self, op: Operation, frame: Frame):
         buffer = frame.get(op.operands[0])
         if isinstance(buffer, FieldValue):
@@ -1367,11 +1308,6 @@ class Interpreter:
         }
         return [request]
 
-    def _exec_mpi_recv(self, op: Operation, frame: Frame):
-        request = self._exec_mpi_irecv(op, frame)[0]
-        self._complete_request(request)
-        return []
-
     def _complete_request(self, request) -> None:
         if not isinstance(request, dict) or request.get("type") != "recv":
             return
@@ -1381,10 +1317,6 @@ class Interpreter:
         data = self.comm.receive(request["source"], self.rank, request["tag"])
         self.stats["halo_seconds"] += _time.perf_counter() - start
         request["buffer"].data[request["slices"]] = data
-
-    def _exec_mpi_wait(self, op: Operation, frame: Frame):
-        self._complete_request(frame.get(op.operands[0]))
-        return []
 
     def _exec_mpi_waitall(self, op: Operation, frame: Frame):
         for operand in op.operands:

@@ -49,7 +49,7 @@ Correctness guards and the interpreter oracle
 
 Vectorising a sequential loop nest is only sound when no iteration observes a
 write performed by another iteration.  Compilation *statically* rejects
-unsupported ops (``scf.if``, ``stencil.dyn_access``, calls, nested regions)
+unsupported ops (``scf.if``, calls, nested regions)
 and non-affine indexing; in addition every invocation *dynamically* verifies,
 against the actual runtime values, that
 
@@ -63,8 +63,8 @@ against the actual runtime values, that
 
 When a kernel cannot be built or a guard fails, the caller falls back to the
 scalar interpreter, which therefore remains the semantic *oracle*: execution
-mode ``"crosscheck"`` (see :mod:`repro.compiler`) runs both paths on every
-sweep and raises if their results diverge beyond ``np.allclose``.
+mode ``"crosscheck"`` (see :mod:`repro.runtime.interpreter`) runs both paths
+on every sweep and raises unless their results agree bitwise.
 """
 
 from __future__ import annotations
@@ -95,14 +95,11 @@ class KernelUnsupported(Exception):
 # ---------------------------------------------------------------------------
 
 
-#: Attributes that carry metadata about an op rather than defining its
-#: semantics; excluded from the structural hash so tagging an op (e.g. with
-#: stencil.vectorizable after analysis) does not invalidate its cache entry.
-#: The omp schedule clause is an execution *policy* — two wsloops differing
-#: only in schedule compute the same function and share one kernel; the
-#: interpreter reads the policy off the op at dispatch time.
-_METADATA_ATTRS = frozenset({"stencil.vectorizable", "omp.schedule",
-                             "omp.chunk_size", "schedule.tile"})
+#: Attributes that carry execution *policy* rather than semantics; excluded
+#: from the structural hash.  Two wsloops differing only in their omp schedule
+#: clause or schedule tiles compute the same function and share one kernel;
+#: the interpreter reads the policy off the op at dispatch time.
+_METADATA_ATTRS = frozenset({"omp.schedule", "omp.chunk_size", "schedule.tile"})
 
 
 def structural_hash(op: Operation) -> str:
@@ -778,14 +775,6 @@ class _BodyTranslator:
                       [self.operand(value) for value in op.operands])
             return
 
-        if name == "math.fma":
-            # Multiply, then add — two roundings, in that order, exactly as
-            # the scalar interpreter's ``a * b + c``.
-            a, b, c = (self.operand(value) for value in op.operands)
-            product = self.bind(op.results[0], _TEMPLATES["arith.mulf"], [a, b])
-            self.bind(op.results[0], _TEMPLATES["arith.addf"], [product, c])
-            return
-
         raise KernelUnsupported(f"operation '{name}' is not vectorizable")
 
     def translate_memory_body(self, block, slot_of: Callable) -> None:
@@ -1031,18 +1020,6 @@ def compile_apply(op: Operation) -> CompiledKernel:
     )
 
 
-def apply_is_vectorizable(op: Operation) -> bool:
-    """Static analysis used by the transforms layer: can this apply's body be
-    compiled to a whole-array kernel?  (Pure IR check — no runtime values.)
-
-    The result — translated kernel or failure — is recorded in the
-    process-wide structural cache, so a later ``execution_mode="vectorize"``
-    run of the same stencil starts with a cache hit to materialise.
-    """
-    return KernelCompiler().compile_cached(
-        structural_hash(op), lambda: compile_apply(op)) is not None
-
-
 # ---------------------------------------------------------------------------
 # The compiler facade with its structural-hash kernel cache
 # ---------------------------------------------------------------------------
@@ -1188,6 +1165,5 @@ __all__ = [
     "KernelCompiler",
     "compile_loop_nest",
     "compile_apply",
-    "apply_is_vectorizable",
     "structural_hash",
 ]

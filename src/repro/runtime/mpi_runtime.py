@@ -4,7 +4,7 @@ The real system runs one MPI process per core on ARCHER2.  Offline we simulate
 a communicator whose ranks live in the same Python process (optionally on
 separate threads): sends copy data into a mailbox, receives block until a
 matching message is available, and every message is accounted (count + bytes)
-so the distributed-memory cost model can be driven by observed communication.
+so a distributed run reports the communication it actually performed.
 
 Every message carries a per-channel sequence number and a crc32 checksum,
 the sender keeps a pristine copy of in-flight messages in an outbox, and a
@@ -82,7 +82,7 @@ class SimulatedCommunicator:
         if timeout <= 0:
             raise MPIError(f"timeout must be positive, got {timeout!r}")
         self.size = size
-        #: Default blocking-receive / barrier timeout in seconds.  Tests that
+        #: Default blocking-receive timeout in seconds.  Tests that
         #: provoke deadlocks shrink this so a missing send surfaces its
         #: diagnostic in milliseconds instead of stalling CI for 30 s.
         self.timeout = timeout
@@ -102,9 +102,6 @@ class SimulatedCommunicator:
         self._lock = threading.Condition()
         self.message_count = 0
         self.bytes_sent = 0
-        self._barrier_count = 0
-        self._barrier_generation = 0
-        self._barrier_ranks: List[int] = []
         self._aborted: Optional[str] = None
         #: Recovery-mechanism counters, folded into a RecoveryReport by the
         #: distributed executor.
@@ -125,7 +122,7 @@ class SimulatedCommunicator:
         return self._aborted
 
     def abort(self, reason: str) -> None:
-        """Fail-fast broadcast: wake every blocked receive/barrier so the
+        """Fail-fast broadcast: wake every blocked receive so the
         whole fleet unwinds immediately instead of timing out one rank at a
         time (the executor then rolls back to the last checkpoint)."""
         with self._lock:
@@ -285,43 +282,6 @@ class SimulatedCommunicator:
         }
 
     # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
-
-    def barrier(self, rank: int) -> None:
-        with self._lock:
-            self._raise_if_aborted_locked()
-            generation = self._barrier_generation
-            self._barrier_count += 1
-            self._barrier_ranks.append(rank)
-            if self._barrier_count == self.size:
-                self._barrier_count = 0
-                self._barrier_generation += 1
-                self._barrier_ranks = []
-                self._lock.notify_all()
-            else:
-                arrived = self._lock.wait_for(
-                    lambda: self._barrier_generation != generation
-                    or self._aborted is not None,
-                    timeout=self.timeout,
-                )
-                self._raise_if_aborted_locked()
-                if not arrived:
-                    waiting = self._barrier_count
-                    arrived_ranks = sorted(self._barrier_ranks)
-                    missing = sorted(set(range(self.size))
-                                     - set(arrived_ranks))
-                    pending = self._pending_snapshot_locked()
-                    raise MPIError(
-                        f"barrier timed out after {self.timeout:g}s: rank "
-                        f"{rank} waiting with {waiting} of {self.size} ranks "
-                        f"arrived (arrived: {arrived_ranks}; missing: "
-                        f"{missing}); pending messages: "
-                        f"{pending if pending else 'none'} — a rank "
-                        "deadlocked or never reached the barrier"
-                    )
-
-    # ------------------------------------------------------------------
 
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.size):
@@ -343,13 +303,6 @@ class CartesianDecomposition:
     def __post_init__(self):
         if len(self.grid_shape) != len(self.decomposed_dims):
             raise MPIError("grid_shape and decomposed_dims must have equal length")
-
-    @property
-    def num_ranks(self) -> int:
-        n = 1
-        for p in self.grid_shape:
-            n *= p
-        return n
 
     def coords_of(self, rank: int) -> Tuple[int, ...]:
         coords = []
@@ -384,17 +337,6 @@ class CartesianDecomposition:
             else:
                 bounds.append((0, extent))
         return bounds
-
-    def neighbours(self, rank: int) -> Dict[Tuple[int, int], int]:
-        """Map (decomposed dim, direction ±1) -> neighbour rank (or -1)."""
-        coords = list(self.coords_of(rank))
-        result: Dict[Tuple[int, int], int] = {}
-        for position, dim in enumerate(self.decomposed_dims):
-            for direction in (-1, +1):
-                shifted = list(coords)
-                shifted[position] += direction
-                result[(dim, direction)] = self.rank_of(shifted)
-        return result
 
 
 __all__ = [

@@ -59,7 +59,7 @@ def _array_shape_of_argument(value: SSAValue) -> Optional[Tuple[int, ...]]:
         if shape is not None and all(s >= 0 for s in shape):
             return tuple(shape)
         if isinstance(current, OpResult) and isinstance(
-            current.op, (fir.ConvertOp, fir.DeclareOp, fir.NoReassocOp)
+            current.op, (fir.ConvertOp, fir.DeclareOp)
         ):
             current = current.op.operands[0]
             continue

@@ -107,8 +107,7 @@ class ParallelLoopTilingPass(ModulePass):
 
     The tile sizes are recorded on each ``scf.parallel`` and consumed by the
     GPU mapping below to size thread blocks; the paper reports both
-    performance sensitivity and runtime failures for badly chosen values,
-    which the GPU cost model reproduces.
+    performance sensitivity and runtime failures for badly chosen values.
     """
 
     name = "scf-parallel-loop-tiling"

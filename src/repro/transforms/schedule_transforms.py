@@ -54,7 +54,7 @@ TILE_ATTR = "schedule.tile"
 #: Operation names that may be cloned when hoisting a loop bound out of a
 #: ``fir.do_loop`` band (pure value computations only — a bound that needs
 #: memory or control flow is "dynamic" and cannot be reordered across).
-_PURE_BOUND_OPS = ("fir.convert", "fir.no_reassoc")
+_PURE_BOUND_OPS = ("fir.convert",)
 
 
 def apply_schedule_chain(artifact, ctx, phase: str) -> None:

@@ -37,7 +37,7 @@ from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import PatternRewriter, RewritePattern, apply_patterns
 from ..ir.ssa import BlockArgument, OpResult, SSAValue
 from ..ir.types import FloatType, IndexType, IntegerType, f64, index
-from .stencil_fusion import merge_adjacent_applies, tag_vectorizable
+from .stencil_fusion import merge_adjacent_applies
 
 
 class DiscoveryError(Exception):
@@ -140,7 +140,7 @@ def _trace_constant(value: SSAValue) -> Optional[int]:
         if isinstance(op, arith.ConstantOp):
             literal = op.literal
             return int(literal) if float(literal).is_integer() else None
-        if isinstance(op, (fir.ConvertOp, fir.NoReassocOp)):
+        if isinstance(op, fir.ConvertOp):
             value = op.operands[0]
             continue
         if isinstance(op, arith.AddiOp):
@@ -184,7 +184,7 @@ def _trace_index_expression(value: SSAValue) -> Tuple[Optional[SSAValue], int]:
     op = value.op
     if isinstance(op, arith.ConstantOp):
         return None, int(op.literal)
-    if isinstance(op, (fir.ConvertOp, fir.NoReassocOp)):
+    if isinstance(op, fir.ConvertOp):
         return _trace_index_expression(op.operands[0])
     if isinstance(op, fir.LoadOp):
         ref = op.memref
@@ -212,7 +212,7 @@ def _array_root_and_name(ref: SSAValue) -> Tuple[SSAValue, str]:
             op = current.op
             if isinstance(op, fir.DeclareOp):
                 return current, op.uniq_name.split("E")[-1]
-            if isinstance(op, (fir.ConvertOp, fir.NoReassocOp)):
+            if isinstance(op, fir.ConvertOp):
                 current = op.operands[0]
                 continue
             if isinstance(op, (fir.AllocaOp, fir.AllocMemOp)):
@@ -433,8 +433,6 @@ class StencilDiscoveryPass(ModulePass):
             _remove_empty_loops(func_op)
             if self.merge:
                 merge_adjacent_applies(func_op)
-            # The applies fusion left standing (it tagged the ones it made).
-            tag_vectorizable(op for _, generated in pairs for op in generated.ops)
         return inserted
 
     def _independent_of_remainder(self, pairs):
@@ -624,8 +622,6 @@ class StencilDiscoveryPass(ModulePass):
             elif isinstance(op, arith.ConstantOp):
                 clone = builder.insert(arith.ConstantOp(op.get_attr("value")))
                 result = clone.results[0]
-            elif isinstance(op, fir.NoReassocOp):
-                result = rebuild(op.operands[0])
             elif isinstance(op, fir.ConvertOp):
                 result = self._rebuild_convert(builder, rebuild(op.operands[0]), value.type)
             elif op.name.startswith("arith.") or op.name.startswith("math."):

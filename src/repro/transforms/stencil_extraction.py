@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import fir, stencil
 from ..dialects.builtin import ModuleOp
-from ..dialects.func import CallOp, FuncOp, ReturnOp
+from ..dialects.func import FuncOp, ReturnOp
 from ..dialects.llvm import LLVMPointerType
 from ..ir.attributes import UnitAttr
 from ..ir.context import Context

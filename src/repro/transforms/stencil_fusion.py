@@ -12,11 +12,10 @@ read-after-write through memory would change meaning).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dialects import stencil
 from ..dialects.func import FuncOp
-from ..ir.attributes import UnitAttr
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
@@ -63,12 +62,7 @@ def _can_fuse(first: stencil.ApplyOp, second: stencil.ApplyOp) -> bool:
     ops = block.ops
     start = block.index_of(first)
     end = block.index_of(second)
-    allowed = (
-        stencil.ExternalLoadOp,
-        stencil.LoadOp,
-        stencil.StoreOp,
-        stencil.CastOp,
-    )
+    allowed = (stencil.ExternalLoadOp, stencil.LoadOp, stencil.StoreOp)
     for op in ops[start + 1 : end]:
         if not isinstance(op, allowed) and not op.name.startswith(("arith.", "fir.load")):
             return False
@@ -137,23 +131,9 @@ def _fuse_pair(first: stencil.ApplyOp, second: stencil.ApplyOp) -> stencil.Apply
     return fused
 
 
-def tag_vectorizable(ops: Iterable[Operation]) -> None:
-    """Tag each ``stencil.apply`` of ``ops`` still in the IR whose body
-    translates to a whole-array kernel (``execution_mode="vectorize"``).
-    Called where applies stop changing — the end of discovery, of a merge —
-    so one that fusion consumes is never analysed and a fused one is judged
-    by its own body; the analysis leaves the kernel in the structural cache."""
-    from ..runtime.kernel_compiler import apply_is_vectorizable
-
-    for op in ops:
-        if isinstance(op, stencil.ApplyOp) and op.parent is not None \
-                and apply_is_vectorizable(op):
-            op.attributes["stencil.vectorizable"] = UnitAttr()
-
-
 def merge_adjacent_applies(func_op: FuncOp) -> int:
     """Fuse eligible applies within every block of ``func_op``; returns count."""
-    fused: List[stencil.ApplyOp] = []
+    fused = 0
     changed = True
     while changed:
         changed = False
@@ -161,20 +141,20 @@ def merge_adjacent_applies(func_op: FuncOp) -> int:
             applies = [op for op in block.ops if isinstance(op, stencil.ApplyOp)]
             for first, second in zip(applies, applies[1:]):
                 if _can_fuse(first, second):
-                    fused.append(_fuse_pair(first, second))
+                    _fuse_pair(first, second)
+                    fused += 1
                     changed = True
                     break
             if changed:
                 break
     # Operand deduplication strands duplicate stencil.load ops, each of which
     # would still execute as a whole-field snapshot copy; erase them and the
-    # external_load/cast ops only they kept alive.
-    chain = (stencil.LoadOp, stencil.CastOp, stencil.ExternalLoadOp)
+    # external_load ops only they kept alive.
+    chain = (stencil.LoadOp, stencil.ExternalLoadOp)
     eliminate_dead_code(
         func_op, seeds=[op for op in func_op.walk() if isinstance(op, chain)]
     )
-    tag_vectorizable(fused)
-    return len(fused)
+    return fused
 
 
 def _blocks_of(func_op: FuncOp):

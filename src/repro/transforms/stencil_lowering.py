@@ -89,12 +89,6 @@ class ConvertStencilToSCFPass(ModulePass):
                     block.insert_op_before(cast, op)
                     memref_of[op.results[0]] = cast.results[0]
                     origin_of[op.results[0]] = tuple(b[0] for b in field_type.bounds)
-                elif isinstance(op, stencil.CastOp):
-                    memref_of[op.results[0]] = memref_of[op.field]
-                    read_only[op.results[0]] = read_only[op.field]
-                    origin_of[op.results[0]] = tuple(
-                        b[0] for b in op.results[0].type.bounds  # type: ignore[union-attr]
-                    )
                 elif isinstance(op, stencil.LoadOp):
                     source = memref_of[op.field]
                     temp_type: stencil.TempType = op.results[0].type  # type: ignore[assignment]

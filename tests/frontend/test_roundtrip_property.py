@@ -1,19 +1,22 @@
 """Seeded generative round-trip tests for the frontend and the IR text.
 
-The deterministic kernel generator lives in :mod:`repro.fuzz.generator`
-(it started here and was promoted when the differential fuzz farm grew
-around it); these tests keep its parse-only contract pinned: for every
-seed the full frontend must succeed (lex → parse → FIR generation +
-verification), and the printed IR must re-parse to a structurally equal
-module (equal printed form, which for the generic syntax is a structural
-identity).
+The kernels are the fuzz farm's own: :func:`repro.fuzz.generate_spec`
+rendered to Fortran, with ``tan`` added to the intrinsics since nothing here
+executes them.  For every seed the full frontend must succeed (lex → parse →
+FIR generation + verification), and the printed IR must re-parse to a
+structurally equal module (equal printed form, which for the generic syntax
+is a structural identity).
 """
 
-import random
-
 from repro.frontend import compile_to_fir, parse_source, tokenize
-from repro.fuzz.generator import gen_expression, gen_kernel
+from repro.fuzz.generator import EXECUTABLE_INTRINSICS, GeneratorConfig, generate_spec
 from repro.ir import parse_module, print_module
+
+CONFIG = GeneratorConfig(intrinsics=EXECUTABLE_INTRINSICS + ("tan",))
+
+
+def render(seed):
+    return generate_spec(seed, CONFIG).render()
 
 
 def pytest_generate_tests(metafunc):
@@ -24,7 +27,7 @@ def pytest_generate_tests(metafunc):
 
 
 def test_generated_kernel_roundtrips(seed):
-    source = gen_kernel(seed)
+    source = render(seed)
     # lex → parse → FIR generation must all succeed...
     assert tokenize(source)
     assert parse_source(source).units
@@ -38,18 +41,10 @@ def test_generated_kernel_roundtrips(seed):
 
 
 def test_generator_is_deterministic():
-    assert gen_kernel(7) == gen_kernel(7)
-    assert gen_kernel(7) != gen_kernel(8)
+    assert render(7) == render(7)
+    assert render(7) != render(8)
 
 
 def test_generator_covers_every_rank():
-    ranks = {random.Random(seed).randrange(1, 4) for seed in range(40)}
+    ranks = {generate_spec(seed, CONFIG).rank for seed in range(40)}
     assert ranks == {1, 2, 3}
-
-
-def test_gen_expression_importable_and_deterministic():
-    rng_a, rng_b = random.Random(3), random.Random(3)
-    arrays = [("a", 2)]
-    expr_a = gen_expression(rng_a, arrays, ("i", "j"), depth=3)
-    expr_b = gen_expression(rng_b, arrays, ("i", "j"), depth=3)
-    assert expr_a == expr_b

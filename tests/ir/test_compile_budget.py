@@ -43,6 +43,18 @@ def lower(name):
     return repro.Session().compile(source).lower(backend, **options)
 
 
+def run_vectorized(name, handle):
+    """One ``execution_mode="vectorize"`` run of ``handle`` on fresh fields."""
+    if name.startswith("pw"):
+        args = [f.copy(order="F") for f in pw_advection.initial_fields(N)]
+        entry = "pw_advection"
+    else:
+        args = [gauss_seidel.initial_condition(N).copy(order="F")]
+        entry = "gauss_seidel"
+    kwargs = {"gpu": SimulatedGPU()} if name == "pw-gpu-scf" else {}
+    return handle.run(entry, *args, execution_mode="vectorize", **kwargs)
+
+
 @pytest.fixture
 def compile_spy(monkeypatch):
     """The file names ``builtins.compile`` was called with."""
@@ -80,14 +92,7 @@ def test_lower_compiles_no_kernel_and_the_first_run_one_per_kernel(
         name, empty_kernel_cache, compile_spy):
     handle = lower(name)
     assert compile_spy == []
-    if name.startswith("pw"):
-        args = [f.copy(order="F") for f in pw_advection.initial_fields(N)]
-        entry = "pw_advection"
-    else:
-        args = [gauss_seidel.initial_condition(N).copy(order="F")]
-        entry = "gauss_seidel"
-    kwargs = {"gpu": SimulatedGPU()} if name == "pw-gpu-scf" else {}
-    interp = handle.run(entry, *args, execution_mode="vectorize", **kwargs)
+    interp = run_vectorized(name, handle)
     stats = interp.kernels.stats
     assert stats["unsupported"] == 0 and stats["reasons"] == {}
     kernels = [k for k in empty_kernel_cache.values() if "fn" in vars(k)]
@@ -97,7 +102,7 @@ def test_lower_compiles_no_kernel_and_the_first_run_one_per_kernel(
     assert all(k._flat is not None for k in kernels)
     assert sorted(compile_spy) == sorted(f"<{k.name}>" for k in kernels * 2)
     del compile_spy[:]
-    handle.run(entry, *args, execution_mode="vectorize", **kwargs)
+    run_vectorized(name, handle)
     assert compile_spy == []
 
 
@@ -116,8 +121,28 @@ def test_one_translation_per_apply_that_survives(monkeypatch, options, surviving
     handle = repro.Session().compile(source).lower("cpu", **options)
     applies = [op for op in handle.stencil_module.walk()
                if isinstance(op, stencil.ApplyOp)]
-    assert len(applies) == surviving == len(built)
-    assert all("stencil.vectorizable" in op.attributes for op in applies)
+    assert len(applies) == surviving and built == []  # lower() translates nothing
+    args = [f.copy(order="F") for f in pw_advection.initial_fields(N + 3)]
+    for _ in range(2):
+        handle.run("pw_advection", *args, execution_mode="vectorize")
+    assert len(built) == surviving
+
+
+@pytest.mark.parametrize("name", ["pw-cpu-scf", "gs-openmp-scf"])
+def test_an_apply_lowered_away_is_never_translated(monkeypatch, name, empty_kernel_cache):
+    """At ``lower_to_scf`` discovery's applies become loop nests: neither the
+    compile nor the runs translate an apply body, only the nests that run."""
+    translated = []
+    real = kernel_compiler.compile_apply
+    monkeypatch.setattr(kernel_compiler, "compile_apply",
+                        lambda op: translated.append(op) or real(op))
+    handle = lower(name)
+    assert not any(isinstance(op, stencil.ApplyOp) for op in handle.stencil_module.walk())
+    for _ in range(2):
+        interp = run_vectorized(name, handle)
+    assert interp.kernels.stats["unsupported"] == 0
+    assert any("fn" in vars(k) for k in empty_kernel_cache.values())
+    assert translated == []
 
 
 def test_erasing_users_in_reverse_order_compares_no_uses(monkeypatch):

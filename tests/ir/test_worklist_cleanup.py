@@ -230,13 +230,11 @@ def test_every_op_the_old_name_tables_covered_declares_its_trait():
     assert len(pure) > 30
     by_name = {op.name: op for d in dialects.values() for op in d.operations}
     pure += [by_name[name] for name in (
-        "fir.convert", "fir.no_reassoc", "fir.declare", "fir.coordinate_of",
-        "memref.cast", "memref.dim", "stencil.access", "stencil.index",
-        "builtin.unrealized_conversion_cast",
+        "fir.convert", "fir.declare", "fir.coordinate_of", "stencil.access",
+        "stencil.index", "builtin.unrealized_conversion_cast",
     )]
     read_only = [by_name[name] for name in (
-        "fir.load", "memref.load", "stencil.load", "stencil.cast",
-        "stencil.external_load",
+        "fir.load", "memref.load", "stencil.load", "stencil.external_load",
     )]
     assert [op.name for op in pure if Pure not in op.traits] == []
     assert [op.name for op in read_only if ReadOnly not in op.traits] == []

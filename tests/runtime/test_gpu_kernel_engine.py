@@ -9,7 +9,8 @@ Covers the contract areas of :mod:`repro.runtime.gpu_kernel_engine`:
   per-thread scalar interpreter on the lowered benchmark, and crosscheck
   mode replays every launch through that oracle;
 * **guards and fallbacks** — aliased launch arguments and unsupported bodies
-  (barriers) fall back to the scalar path, counted in the interpreter stats;
+  (a nested ``scf.if``) fall back to the scalar path, counted in the
+  interpreter stats;
 * **caching** — structurally identical kernels compile once, across sweeps
   and across interpreters sharing one :class:`KernelCompiler`;
 * **the measured series** — the engine is >= 5x faster than the scalar
@@ -23,11 +24,11 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import arith, gpu, memref, scf
+from repro.dialects import arith, memref, scf
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.harness import measured_gpu_scaling
-from repro.ir import Builder, MemRefType, default_context, f64, index
+from repro.ir import Builder, MemRefType, default_context, f64, i1, index
 from repro.ir.attributes import StringAttr
 from repro.runtime import (
     Interpreter,
@@ -45,7 +46,7 @@ from repro.transforms import ConvertParallelLoopsToGpuPass, ParallelLoopTilingPa
 # ---------------------------------------------------------------------------
 
 
-def build_launch_module(n=8, in_place=False, with_barrier=False,
+def build_launch_module(n=8, in_place=False, with_nested_if=False,
                         tile=(4, 4)):
     """A module whose func 'shift' launches an outlined gpu.func computing
     ``dst[i, j] = src[i-1, j] * 2`` over ``[1, n-1)²``."""
@@ -75,12 +76,14 @@ def build_launch_module(n=8, in_place=False, with_barrier=False,
     ParallelLoopTilingPass(tile).apply(ctx, module)
     ConvertParallelLoopsToGpuPass().apply(ctx, module)
     module.verify()
-    if with_barrier:
+    if with_nested_if:
         kernel = next(op for op in module.walk() if op.name == "gpu.func")
         guarded = next(op for op in kernel.walk() if op.name == "scf.if")
-        store = next(op for op in guarded.regions[0].block.ops
-                     if op.name == "memref.store")
-        guarded.regions[0].block.insert_op_before(gpu.GPUBarrierOp(), store)
+        block = guarded.regions[0].block
+        store = next(op for op in block.ops if op.name == "memref.store")
+        true = arith.ConstantOp.from_int(1, i1)
+        block.insert_op_before(true, store)
+        block.insert_op_before(scf.IfOp(true.results[0]), store)
     return module
 
 
@@ -116,8 +119,8 @@ class TestCompileGpuFunc:
         assert kernel.stores[0][1] == ((0, 1), (1, 1))
         assert kernel.loads[0][1] == ((0, 0), (1, 1))
 
-    def test_barrier_body_is_unsupported(self):
-        module = build_launch_module(with_barrier=True)
+    def test_nested_if_body_is_unsupported(self):
+        module = build_launch_module(with_nested_if=True)
         func_op = next(op for op in module.walk() if op.name == "gpu.func")
         with pytest.raises(KernelUnsupported):
             compile_gpu_func(func_op)
@@ -252,13 +255,13 @@ class TestLaunchExecution:
         assert len(table.bindings) == 1
 
     def test_unsupported_body_falls_back_to_scalar(self):
-        module = build_launch_module(with_barrier=True)
+        module = build_launch_module(with_nested_if=True)
         dst, src, interp = run_shift(module, "vectorize")
         assert np.array_equal(dst[1:7, 1:7], 2 * src[0:6, 1:7])
         assert interp.stats["gpu_launch_fallbacks"] == 1
         (label, why), = interp.kernels.stats["reasons"].items()
         assert label.startswith("gpu.func:") and "@" in label
-        assert why == "KernelUnsupported: operation 'gpu.barrier' is not vectorizable"
+        assert why == "KernelUnsupported: operation 'scf.if' is not vectorizable"
 
     def test_two_gpu_funcs_of_one_name_are_a_link_error(self):
         first, second = build_launch_module(), build_launch_module()

@@ -154,6 +154,41 @@ class TestInterpreterCore:
         with pytest.raises(InterpreterError, match=r"!fir.array<\?x5xf64>"):
             interp.call("f", np.zeros((3, 4), order="F"))
 
+    @pytest.mark.parametrize("path", ["flang-only", "cpu-vectorize", "service"])
+    def test_an_array_for_a_scalar_or_a_scalar_for_an_array_is_refused(self, path):
+        """Both wrong kinds fail at the boundary naming the position and the
+        declared type, not with a TypeError from inside the run."""
+        import repro
+        from repro.serve import CompileService
+
+        source = """
+subroutine scale(a, s)
+  implicit none
+  real(kind=8), intent(inout) :: a(8)
+  real(kind=8), intent(in) :: s
+  integer :: i
+  do i = 1, 8
+    a(i) = a(i) * s
+  end do
+end subroutine scale
+"""
+        backend, mode = ("flang-only", "interpret") if path == "flang-only" \
+            else ("cpu", "vectorize")
+        array = np.ones(8)
+        for args, position, declared in (((array, array.copy()), "arg1", "f64"),
+                                         ((2.0, 2.0), "arg0", "!fir.array<8xf64>"),
+                                         ((np.int64(2), 2.0), "arg0", "!fir.array<8xf64>")):
+            with pytest.raises(InterpreterError) as error:
+                if path == "service":
+                    with CompileService(repro.Session(), workers=1) as service:
+                        service.run(source, "scale", args, execution_mode=mode)
+                else:
+                    repro.compile(source).lower(backend).run(
+                        "scale", *args, execution_mode=mode)
+            message = str(error.value)
+            assert f"argument {position} is declared {declared}," in message
+        assert np.array_equal(array, np.ones(8))
+
     def test_scf_for_with_iter_args(self):
         # sum of 0..9 using loop-carried values
         f = func.FuncOp.build("sum10", [], [index])
@@ -340,7 +375,7 @@ class TestSnapshotElision:
         assert np.array_equal(b[:n - 1], shifted)   # the snapshot, not a's new contents
 
     def test_anything_that_could_write_in_between_keeps_the_copy(self):
-        from repro.dialects import dmp, stencil
+        from repro.dialects import dmp, fir, stencil
 
         observable = Interpreter._snapshot_is_observable
         _, load = build_shift_chain(6)
@@ -351,7 +386,7 @@ class TestSnapshotElision:
         grid = dmp.GridOp([2]).results[0]
         for between in (
             lambda field, temp: dmp.HaloSwapOp(field, grid, [1]),
-            lambda field, temp: func.CallOp("elsewhere", [field], []),
+            lambda field, temp: fir.CallOp("elsewhere", [field]),
             lambda field, temp: stencil.StoreOp(temp, field, [0], [1]),
         ):
             _, load = build_shift_chain(6, between)

