@@ -22,9 +22,9 @@ Caching, guards and the oracle follow the kernel-compiler contract:
 
 * kernels are cached by the **structural hash of the gpu.func** (not the
   launch site — two launches of structurally identical kernels, even across
-  modules, share one compiled function), stored through
-  :meth:`KernelCompiler.bound_for` in the same caches and stats counters as
-  every other kernel kind;
+  modules, share one compiled function; its float literals are parameters,
+  bound from the gpu.func), stored through :meth:`KernelCompiler.bound_for`
+  in the same caches and stats counters as every other kernel kind;
 * every launch re-validates the runtime **bounds/alias guards**
   (:meth:`CompiledKernel.guards_pass`) against the actual argument buffers —
   aliased store/load arguments or out-of-window accesses fall back to the
@@ -48,6 +48,7 @@ from .kernel_compiler import (
     _Affine,
     _BodyTranslator,
     _Const,
+    _is_float_literal,
 )
 
 _DIM_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -126,6 +127,7 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
 
     # -- pass 1: symbolic prologue ------------------------------------------
     symbols: Dict[int, object] = {}
+    literals: List[Operation] = []  # float constants: the body's parameters
     guarded: Optional[Operation] = None
     guard: Optional[_GuardSym] = None
     dims_seen = -1
@@ -142,7 +144,10 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
             continue
         if name == "arith.constant":
             attr = op.get_attr("value")
-            symbols[id(op.results[0])] = _Const(int(attr.value))  # type: ignore[union-attr]
+            if _is_float_literal(op):
+                literals.append(op)
+            else:
+                symbols[id(op.results[0])] = _Const(int(attr.value))  # type: ignore[union-attr]
             continue
         if name == "arith.muli":
             a, b = sym(op.operands[0]), sym(op.operands[1])
@@ -209,11 +214,13 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
         raise KernelUnsupported("gpu.func uses no lattice dimensions")
 
     # -- pass 2: translate the guarded body ---------------------------------
-    translator = _BodyTranslator(rank)
+    translator = _BodyTranslator(rank, func_op)
     translator.values.update(
         (key, value) for key, value in symbols.items()
         if isinstance(value, (_Affine, _Const))
     )
+    for op in literals:
+        translator.translate_op(op)
     # Kernel block args are the externals, in operand order of the launch.
     for i, arg in enumerate(body.args):
         translator.external_slots[id(arg)] = i

@@ -851,7 +851,7 @@ class Interpreter:
         domain = None
         if bound is not None:
             kernel = bound.kernel
-            externals = [frame.get(v) for v in bound.external_values]
+            externals = [frame.get(v) for v in bound.external_values] + bound.constants
             domain = domain_of(kernel, externals)
         if domain is None:
             self.stats[fallback_key] += 1
@@ -937,11 +937,14 @@ class Interpreter:
             if not np.array_equal(ref, vec, equal_nan=True):
                 worst = float(np.max(np.abs(ref.astype(np.float64)
                                             - vec.astype(np.float64))))
+                # The parameters are the last externals.
+                constants = externals[len(externals) - len(kernel.parameters):]
                 raise InterpreterError(
                     f"vectorized {kernel.label} diverged from the "
                     f"scalar oracle (max |diff| = {worst:g});\n"
                     f"--- kernel source ---\n{kernel.source}"
-                )
+                    "--- parameters ---\n" + ", ".join(
+                        f"c{k} = {value!r}" for k, value in enumerate(constants)))
         return oracle if results is destinations is not None else results
 
     def _run_apply_scalar(self, op: Operation, frame: Frame,

@@ -16,9 +16,13 @@ Architecture
 keyed on the *structural hash* of the source operation (op names, attributes,
 types and internal dataflow, with external SSA values numbered in first-use
 order), so two structurally identical sweeps — the same ``scf.parallel``
-executed once per time step, or the same stencil compiled into a second
-module — share one compiled kernel.  A per-op identity memo (the linked
-artifact's ``LinkTable``) makes the per-sweep lookup a single dict probe.
+executed once per time step, the same stencil compiled into a second module,
+or one stencil compiled with other grid spacings — share one compiled kernel.
+Integer and index constants are structure (they fold into slice offsets,
+loop bounds and GPU guards); float literals are not: the key holds only
+their type, the kernel reads each as a *parameter* ``c0, c1, …`` and the
+values are bound per op.  A per-op identity memo (the linked artifact's
+``LinkTable``) makes the per-sweep lookup a single dict probe.
 
 Compilation translates IR to Python source:
 
@@ -42,7 +46,8 @@ looks it up to run it or something reads ``kernel.source``.  Because a cached
 kernel may be reused for a *different* op instance with the same structure,
 it references its inputs through **external paths** (operand positions within
 the op) which :meth:`KernelCompiler.kernel_for` resolves against the concrete
-op, rather than through SSA values captured at compile time.
+op, rather than through SSA values captured at compile time; its parameters
+likewise by position among the op's float literals in walk order.
 
 Correctness guards and the interpreter oracle
 =============================================
@@ -75,6 +80,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dialects import fir, scf, stencil
+from ..ir.attributes import FloatAttr
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
 from ..ir.types import FloatType, IndexType, IntegerType, MemRefType
@@ -102,11 +108,23 @@ class KernelUnsupported(Exception):
 _METADATA_ATTRS = frozenset({"omp.schedule", "omp.chunk_size", "schedule.tile"})
 
 
+def _is_float_literal(op: Operation) -> bool:
+    return op.name == "arith.constant" and isinstance(op.get_attr("value"), FloatAttr)
+
+
+def _float_literals(op: Operation) -> List[Operation]:
+    """The float ``arith.constant``s within ``op`` in walk order — an order
+    structurally identical ops share, so a kernel's parameters are named by
+    position in it."""
+    return [inner for inner in op.walk() if _is_float_literal(inner)]
+
+
 def structural_hash(op: Operation) -> str:
     """A hash of the operation's *structure*: names, semantic attributes,
     types and internal dataflow.  External SSA values are numbered in
     first-use order, so two structurally identical ops — even from different
-    modules — map to the same digest."""
+    modules — map to the same digest.  A float literal counts by its type
+    alone: the kernel takes its value as a parameter."""
     parts: List[str] = []
     tokens: Dict[int, str] = {}
 
@@ -119,7 +137,8 @@ def structural_hash(op: Operation) -> str:
 
     def visit(current: Operation) -> None:
         parts.append(current.name)
-        for attr_name in sorted(current.attributes):
+        # A float literal's type is its result's, printed below.
+        for attr_name in () if _is_float_literal(current) else sorted(current.attributes):
             if attr_name in _METADATA_ATTRS:
                 continue
             parts.append(f"{attr_name}={current.attributes[attr_name].print()}")
@@ -168,7 +187,8 @@ class _Affine:
 
 
 class _Const:
-    """A compile-time constant (from ``arith.constant`` inside the body)."""
+    """An integer or index ``arith.constant`` inside the body: structure,
+    folded into slice offsets and bounds."""
 
     __slots__ = ("value",)
 
@@ -297,9 +317,11 @@ class CompiledKernel:
     *distinct* load window: slot indexes the external vector, and each
     ``(dim, offset)`` describes the affine index ``iv[dim] + offset`` used for
     the corresponding array axis.  ``external_paths`` locate the externals on
-    any structurally identical op (see module docstring); ``bound_slots``
-    names, for loop-nest kernels, the (lower, upper, step) slot triple of
-    each dimension.
+    any structurally identical op (see module docstring), and ``parameters``
+    the position of parameter ``ck`` among its float literals: the body reads
+    ``ck`` from the external slot after the paths'.  ``bound_slots`` names,
+    for loop-nest kernels, the (lower, upper, step) slot triple of each
+    dimension.
 
     One translation has two renderings, chosen per call by :meth:`flat_plan`.
     The *windowed* body slices an N-D window per access and serves any arrays
@@ -327,6 +349,7 @@ class CompiledKernel:
         self.loads = tuple(translator.windows)
         self.stores = tuple(translator.stores)
         self.external_paths = tuple(translator.external_paths)
+        self.parameters = tuple(translator.parameters)
         self.bound_slots = tuple(bound_slots)
         #: Element dtype the IR promises for each loaded/stored slot; the
         #: guards hold the runtime arrays to it, since ``out=`` reuse would
@@ -528,13 +551,16 @@ class CompiledKernel:
 
 class BoundKernel:
     """A compiled kernel bound to one op instance: the kernel plus the SSA
-    values (resolved from the kernel's external paths) to read per sweep."""
+    values (resolved from the kernel's external paths) to read per sweep and
+    the values of its parameters, which follow them in the externals."""
 
-    __slots__ = ("kernel", "external_values")
+    __slots__ = ("kernel", "external_values", "constants")
 
-    def __init__(self, kernel: CompiledKernel, external_values: List[SSAValue]):
+    def __init__(self, kernel: CompiledKernel, external_values: List[SSAValue],
+                 constants: List[float]):
         self.kernel = kernel
         self.external_values = external_values
+        self.constants = constants
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +581,7 @@ class _BodyTranslator:
     statements over whole-array slices, then renders them with a last-use
     pass (:meth:`render`) so the kernel runs in O(1) temporaries."""
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int, source: Operation):
         self.rank = rank
         #: (result or None, template over the uses' code, uses) per statement;
         #: loads and stores carry a (windowed, flat) pair of templates
@@ -563,6 +589,10 @@ class _BodyTranslator:
         self.values: Dict[int, object] = {}  # id(SSAValue) -> _Expr/_Affine/_Const
         self.external_paths: List[ExternalPath] = []
         self.external_slots: Dict[int, int] = {}
+        #: id of each float literal in ``source`` -> its position in walk order
+        self.literal_positions = {id(op): i for i, op in enumerate(_float_literals(source))}
+        #: parameter k -> the position of the literal it stands for
+        self.parameters: List[int] = []
         #: each distinct load window (slot, axes) -> the one view bound to it
         self.windows: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], _Expr] = {}
         #: loaded slot -> (code of its array, code of its origin or None)
@@ -728,10 +758,14 @@ class _BodyTranslator:
         name = op.name
         if name == "arith.constant":
             attr = op.get_attr("value")
-            if isinstance(getattr(attr, "type", None), (IntegerType, IndexType)):
+            if _is_float_literal(op):
+                # A parameter, not source text: KernelCompiler.bound_for
+                # binds each op's value, so one kernel serves every value.
+                self.values[id(op.results[0])] = _Expr(f"c{len(self.parameters)}",
+                                                       is_array=False)
+                self.parameters.append(self.literal_positions[id(op)])
+            elif isinstance(getattr(attr, "type", None), (IntegerType, IndexType)):
                 self.values[id(op.results[0])] = _Const(int(attr.value))
-            elif isinstance(getattr(attr, "type", None), FloatType):
-                self.values[id(op.results[0])] = _Const(float(attr.value))
             else:
                 raise KernelUnsupported("constant of unsupported type")
             return
@@ -838,7 +872,9 @@ class _BodyTranslator:
                 last_use[use] = index
         last_use.update((expr, len(self.stmts)) for expr in self.returned)
         allocations = 0
-        lines: List[str] = []
+        # The parameters follow the externals the paths resolve.
+        lines = [f"c{k} = ext[{len(self.external_paths) + k}]"
+                 for k in range(len(self.parameters))]
         free: List[_Expr] = []
         if flat:
             # Each loaded array flattened in memory order, and the position
@@ -924,7 +960,7 @@ def compile_loop_nest(op: Operation) -> CompiledKernel:
     inner ``scf.for`` loops) into a whole-array sweep."""
     bounds, ivs, body = _nest_structure(op)
     rank = len(bounds)
-    translator = _BodyTranslator(rank)
+    translator = _BodyTranslator(rank, op)
     for dim, iv in enumerate(ivs):
         translator.values[id(iv)] = _Affine(dim, 0)
 
@@ -970,7 +1006,7 @@ def compile_apply(op: Operation) -> CompiledKernel:
         raise KernelUnsupported(f"'{op.name}' is not a stencil.apply")
     block = op.regions[0].block
     rank = len(op.get_attr("lb").as_tuple())  # type: ignore[union-attr]
-    translator = _BodyTranslator(rank)
+    translator = _BodyTranslator(rank, op)
     # Operand order fixes the external layout: slot i <-> operand i, and the
     # body block args are aliases of those slots.
     for i, arg in enumerate(block.args):
@@ -1104,10 +1140,11 @@ class KernelCompiler:
     def bound_for(self, site: Operation, source: Operation,
                   builder: Callable[[], CompiledKernel]) -> Optional[BoundKernel]:
         """The kernel ``builder`` compiles from ``source`` (cached under its
-        structural hash) bound to ``site``'s operands — from the identity memo
-        after the first lookup, which also materialises the kernel (a failure
-        of either is a counted fallback).  A launch site binds to its
-        ``gpu.func`` here, so all kernel kinds share both cache levels."""
+        structural hash) bound to ``site``'s operands and ``source``'s float
+        literals — from the identity memo after the first lookup, which also
+        materialises the kernel (a failure of either is a counted fallback).
+        A launch site binds to its ``gpu.func`` here, so all kernel kinds
+        share both cache levels."""
         entry = self._memo.get(site)
         if entry is not None:
             self.stats["cache_hits"] += 1
@@ -1121,7 +1158,7 @@ class KernelCompiler:
                 kernel.label = kernel.label or label
                 try:
                     kernel.materialise()
-                    bound = self._bind(site, kernel)
+                    bound = self._bind(site, source, kernel)
                 except Exception as exc:
                     self.stats["unsupported"] += 1
                     reason = f"{type(exc).__name__}: {exc}"
@@ -1132,8 +1169,10 @@ class KernelCompiler:
         return entry[0]
 
     @staticmethod
-    def _bind(op: Operation, kernel: CompiledKernel) -> BoundKernel:
-        """Resolve the kernel's external paths against this op instance."""
+    def _bind(op: Operation, source: Operation,
+              kernel: CompiledKernel) -> BoundKernel:
+        """Resolve the kernel's external paths against this op instance and
+        its parameters against the float literals of ``source``."""
         values: List[SSAValue] = []
         nest = None
         for path in kernel.external_paths:
@@ -1154,7 +1193,11 @@ class KernelCompiler:
                     nest = _nest_structure(op)
                 _, op_index, operand_index = path
                 values.append(nest[2].ops[op_index].operands[operand_index])
-        return BoundKernel(kernel, values)
+        # Python floats, as the literal was: a NumPy scalar would promote
+        # float32 arithmetic (NEP 50).
+        literals = _float_literals(source) if kernel.parameters else []
+        return BoundKernel(kernel, values, [
+            float(literals[i].get_attr("value").value) for i in kernel.parameters])
 
 
 __all__ = [

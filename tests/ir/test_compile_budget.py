@@ -106,26 +106,49 @@ def test_lower_compiles_no_kernel_and_the_first_run_one_per_kernel(
     assert compile_spy == []
 
 
+@pytest.mark.parametrize("name", ["pw-cpu", "pw-cpu-scf", "pw-gpu-scf"])
+def test_a_catalogue_of_spacings_compiles_each_kernel_body_once(
+        name, empty_kernel_cache, compile_spy):
+    """PW sources that differ only in ``dx``/``dy``/``dz`` differ only in
+    float literals, which kernels take as parameters: four of them compile
+    each kernel body once in total, and a fifth translates nothing."""
+    _, backend, options, _ = CONFIGS[name]
+
+    def first_run(i):
+        source = pw_advection.generate_source(N, dx=50.0 + i, dy=60.0 + 7 * i,
+                                              dz=150.0 - 3 * i)
+        interp = run_vectorized(name, repro.Session().compile(source).lower(
+            backend, **options))
+        assert interp.kernels.stats["reasons"] == {}
+        return interp.kernels.stats["compiled"]
+
+    translated = [first_run(i) for i in range(4)]
+    kernels = [k for k in empty_kernel_cache.values() if "fn" in vars(k)]
+    assert translated == [len(empty_kernel_cache), 0, 0, 0] and kernels
+    assert sorted(compile_spy) == sorted(f"<{k.name}>" for k in kernels * 2)
+    assert first_run(4) == 0
+
+
 @pytest.mark.parametrize("options, surviving", [({}, 1), ({"fuse_stencils": False}, 3)])
-def test_one_translation_per_apply_that_survives(monkeypatch, options, surviving):
+def test_one_translation_per_apply_that_survives(monkeypatch, options, surviving,
+                                                 empty_kernel_cache):
     built = []
     real = kernel_compiler._BodyTranslator.__init__
 
-    def spy(self, rank):
-        built.append(rank)
-        real(self, rank)
+    def spy(self, rank, source):
+        built.append(source.name)
+        real(self, rank, source)
 
     monkeypatch.setattr(kernel_compiler._BodyTranslator, "__init__", spy)
-    # A source of its own, so the structural cache cannot answer for it.
-    source = pw_advection.generate_source(N + 3)
-    handle = repro.Session().compile(source).lower("cpu", **options)
+    handle = repro.Session().compile(pw_advection.generate_source(N)).lower(
+        "cpu", **options)
     applies = [op for op in handle.stencil_module.walk()
                if isinstance(op, stencil.ApplyOp)]
     assert len(applies) == surviving and built == []  # lower() translates nothing
-    args = [f.copy(order="F") for f in pw_advection.initial_fields(N + 3)]
+    args = [f.copy(order="F") for f in pw_advection.initial_fields(N)]
     for _ in range(2):
         handle.run("pw_advection", *args, execution_mode="vectorize")
-    assert len(built) == surviving
+    assert built == ["stencil.apply"] * surviving
 
 
 @pytest.mark.parametrize("name", ["pw-cpu-scf", "gs-openmp-scf"])

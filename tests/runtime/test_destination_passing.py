@@ -324,13 +324,16 @@ def test_crosscheck_raises_when_a_box_lands_in_the_wrong_window(monkeypatch, app
         return real(shim, externals, lowers, uppers, boxes, *rest)
 
     monkeypatch.setattr(interpreter_module, "run_boxes", shifted)
-    with pytest.raises(InterpreterError, match="diverged from the scalar oracle"):
+    with pytest.raises(InterpreterError, match="diverged from the scalar oracle") as caught:
         if app == "pw_advection":
             run_pw(lower(pw_advection.generate_source(N)), "crosscheck")
         else:
             lower(gauss_seidel.generate_source(N, niters=1)).run(
                 "gauss_seidel", gauss_seidel.initial_condition(N),
                 execution_mode="crosscheck")
+    # The source names its float literals; the message gives their values.
+    assert str(caught.value).endswith("--- parameters ---\n" + (
+        "c0 = 0.005, c1 = 0.005, c2 = 0.005" if app == "pw_advection" else "c0 = 6.0"))
 
 
 def test_crosscheck_reads_delivered_values_back_and_restores_the_windows(

@@ -47,9 +47,10 @@ from repro.transforms import ConvertParallelLoopsToGpuPass, ParallelLoopTilingPa
 
 
 def build_launch_module(n=8, in_place=False, with_nested_if=False,
-                        tile=(4, 4)):
+                        tile=(4, 4), literal=2.0, literal_in_prologue=False):
     """A module whose func 'shift' launches an outlined gpu.func computing
-    ``dst[i, j] = src[i-1, j] * 2`` over ``[1, n-1)²``."""
+    ``dst[i, j] = src[i-1, j] * 2`` (``* literal``) over ``[1, n-1)²``; with
+    ``literal_in_prologue`` the literal is defined before the bounds guard."""
     mtype = MemRefType((n, n), f64)
     fn = FuncOp.build("shift", [mtype, mtype], [])
     b = Builder.at_end(fn.entry_block)
@@ -65,7 +66,7 @@ def build_launch_module(n=8, in_place=False, with_nested_if=False,
     amount = body.insert(arith.ConstantOp.from_int(1, index)).results[0]
     shifted = body.insert(arith.SubiOp(i, amount)).results[0]
     load = body.insert(memref.LoadOp(src, [shifted, j])).results[0]
-    two = body.insert(arith.ConstantOp.from_float(2.0)).results[0]
+    two = body.insert(arith.ConstantOp.from_float(literal)).results[0]
     value = body.insert(arith.MulfOp(load, two)).results[0]
     body.insert(memref.StoreOp(value, dst, [i, j]))
     parallel.body.block.add_op(scf.YieldOp([]))
@@ -76,6 +77,12 @@ def build_launch_module(n=8, in_place=False, with_nested_if=False,
     ParallelLoopTilingPass(tile).apply(ctx, module)
     ConvertParallelLoopsToGpuPass().apply(ctx, module)
     module.verify()
+    if literal_in_prologue:
+        kernel = next(op for op in module.walk() if op.name == "gpu.func")
+        constant = next(op for op in kernel.walk()
+                        if op.name == "arith.constant" and op.results[0].type == f64)
+        kernel.regions[0].block.insert_op_at(0, constant.detach())
+        module.verify()
     if with_nested_if:
         kernel = next(op for op in module.walk() if op.name == "gpu.func")
         guarded = next(op for op in kernel.walk() if op.name == "scf.if")
@@ -169,7 +176,8 @@ class TestCompileGpuFunc:
                   if op.name == "scf.parallel"]
         launch_kernel, nest_kernel = compile_gpu_func(func_op), compile_loop_nest(nest)
         assert statements(launch_kernel, 0) == statements(nest_kernel, 1)
-        assert len(launch_kernel.source.splitlines()) == 91
+        assert launch_kernel.parameters == nest_kernel.parameters == (0, 1, 2)
+        assert len(launch_kernel.source.splitlines()) == 94  # 3 bind c0, c1, c2
         assert launch_kernel.source.count("np.") == 60   # and 27 windows
         assert len(launch_kernel.loads) == len(nest_kernel.loads) == 27
         assert launch_kernel.allocations == nest_kernel.allocations
@@ -190,6 +198,16 @@ class TestLaunchExecution:
         assert interp.stats["gpu_launches_vectorized"] == 1
         assert interp.stats["gpu_launch_fallbacks"] == 0
         assert interp.stats["kernel_launches"] == 1
+
+    def test_a_float_literal_before_the_guard_is_a_parameter(self):
+        """The prologue folds index constants into the lattice; a float
+        literal there is the body's parameter, not an int."""
+        module = build_launch_module(literal=2.5, literal_in_prologue=True)
+        scalar_dst, _, _ = run_shift(module, "interpret")
+        vector_dst, src, interp = run_shift(module, "vectorize")
+        assert vector_dst.tobytes() == scalar_dst.tobytes()
+        assert np.array_equal(vector_dst[1:7, 1:7], 2.5 * src[0:6, 1:7])
+        assert interp.stats["gpu_launches_vectorized"] == 1
 
     def test_crosscheck_replays_through_oracle(self):
         module = build_launch_module()

@@ -25,10 +25,10 @@ from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import arith, memref, scf, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
-from repro.ir import Builder, MemRefType, f64, i64, index
+from repro.ir import Builder, MemRefType, f32, f64, i64, index
 from repro.ir.operation import Region
 from repro.runtime import (Frame, Interpreter, InterpreterError, MemoryBuffer,
-                           TempValue)
+                           SimulatedGPU, TempValue)
 from repro.runtime.kernel_compiler import (
     KernelCompiler,
     KernelUnsupported,
@@ -43,11 +43,13 @@ from repro.runtime.kernel_compiler import (
 # ---------------------------------------------------------------------------
 
 
-def build_shift_nest_module(n=8, shift=-1, in_place=False, row_range_args=False):
+def build_shift_nest_module(n=8, shift=-1, in_place=False, row_range_args=False,
+                            literal=2.0, literal_type=f64, combine=arith.MulfOp):
     """func(dst, src): scf.parallel nest computing dst[i,j] = src[i+shift,j]*2
     over [1, n-1)²; with ``in_place`` the source is the destination memref,
     with ``row_range_args`` the rows are ``range(low, high, step)`` of three
-    more (index) arguments."""
+    more (index) arguments.  ``literal``, ``literal_type`` and ``combine``
+    replace the 2.0, its f64 and the multiply."""
     mtype = MemRefType((n, n), f64)
     fn = FuncOp.build("shift", [mtype, mtype] + [index] * 3 * row_range_args, [])
     b = Builder.at_end(fn.entry_block)
@@ -67,24 +69,25 @@ def build_shift_nest_module(n=8, shift=-1, in_place=False, row_range_args=False)
         (arith.AddiOp if shift >= 0 else arith.SubiOp)(i, amount)
     ).results[0]
     load = body.insert(memref.LoadOp(src, [shifted, j])).results[0]
-    two = body.insert(arith.ConstantOp.from_float(2.0)).results[0]
-    value = body.insert(arith.MulfOp(load, two)).results[0]
+    two = body.insert(arith.ConstantOp.from_float(literal, literal_type)).results[0]
+    value = body.insert(combine(load, two)).results[0]
     body.insert(memref.StoreOp(value, dst, [i, j]))
     parallel.body.block.add_op(scf.YieldOp([]))
     b.insert(ReturnOp([]))
     return ModuleOp([fn]), fn
 
 
-def build_average_apply(n=8):
+def build_average_apply(n=8, element=f64, half=0.5):
     """A standalone stencil.apply averaging left/right neighbours of its one
-    temp operand (fed by a detached cast so the operand list is populated)."""
+    temp operand (fed by a detached cast so the operand list is populated);
+    ``element`` and ``half`` replace its f64 and the 0.5 it scales by."""
     from repro.dialects.builtin import UnrealizedConversionCastOp
 
-    temp_type = stencil.TempType([[0, n], [0, n]], f64)
+    temp_type = stencil.TempType([[0, n], [0, n]], element)
     producer = UnrealizedConversionCastOp([], [temp_type])
     apply_op = stencil.ApplyOp(
         [producer.results[0]], [1, 1], [n - 1, n - 1],
-        [stencil.TempType([[1, n - 1], [1, n - 1]], f64)],
+        [stencil.TempType([[1, n - 1], [1, n - 1]], element)],
     )
     block = apply_op.body.block
     arg = block.args[0]
@@ -92,7 +95,7 @@ def build_average_apply(n=8):
     left = b.insert(stencil.AccessOp(arg, [-1, 0])).results[0]
     right = b.insert(stencil.AccessOp(arg, [1, 0])).results[0]
     total = b.insert(arith.AddfOp(left, right)).results[0]
-    half = b.insert(arith.ConstantOp.from_float(0.5)).results[0]
+    half = b.insert(arith.ConstantOp.from_float(half, element)).results[0]
     value = b.insert(arith.MulfOp(total, half)).results[0]
     b.insert(stencil.ReturnOp([value]))
     return apply_op
@@ -132,6 +135,7 @@ class TestSliceTranslation:
         store_slot = kernel.stores[0][0]
         externals[load_slot] = src
         externals[store_slot] = dst
+        externals.append(2.0)  # parameter c0, the body's float literal
         assert kernel.guards_pass(externals, [1, 1], [5, 5], [1, 1])
         kernel.fn(externals, [1, 1], [5, 5])
         assert np.allclose(dst.data[1:5, 1:5], src.data[0:4, 1:5] * 2.0)
@@ -335,7 +339,7 @@ class TestWindowSharingAndBufferReuse:
         b.insert(stencil.ReturnOp([b.insert(arith.SubfOp(squared, total)).results[0]]))
         kernel = compile_apply(apply_op)
         data = np.asfortranarray(np.random.default_rng(23).random((n, n)))
-        [got] = kernel.fn([TempValue(data, (0, 0))], (1, 1), (n - 1, n - 1))
+        [got] = kernel.fn([TempValue(data, (0, 0)), 0.5], (1, 1), (n - 1, n - 1))
         x = data[0:n - 2, 1:n - 1] + data[2:n, 1:n - 1]
         assert got.tobytes() == (x * x - x).tobytes()
         assert_out_targets_are_dead_owned_buffers(kernel.source)
@@ -445,6 +449,128 @@ class TestKernelCache:
         assert interp.stats["vectorized_sweeps"] == niters
         assert interp.kernels.stats["compiled"] == 1
         assert interp.kernels.stats["cache_hits"] == niters - 1
+
+
+# ---------------------------------------------------------------------------
+# Float literals are kernel parameters
+# ---------------------------------------------------------------------------
+
+NON_FINITE_SOURCE = """
+subroutine scale(a, b)
+  implicit none
+  integer, parameter :: n = 8
+  real(kind=8), intent(in) :: a(n)
+  real(kind=8), intent(inout) :: b(n)
+  integer :: i
+  do i = 2, n
+    b(i) = a(i) * 1.0d999 + a(i-1)
+  end do
+end subroutine scale
+"""
+
+#: name -> (backend, lower options, execution mode) of the vectorized paths
+VECTORIZED = {
+    "cpu-vectorize": ("cpu", {}, "vectorize"),
+    "cpu-crosscheck": ("cpu", {}, "crosscheck"),
+    "cpu-scf": ("cpu", {"lower_to_scf": True}, "vectorize"),
+    "openmp-scf": ("openmp", {"lower_to_scf": True}, "vectorize"),
+    "gpu-scf": ("gpu", {"lower_to_scf": True}, "vectorize"),
+}
+
+
+def shift_nest(**options):
+    _, fn = build_shift_nest_module(**options)
+    return next(op for op in fn.walk() if isinstance(op, scf.ParallelOp))
+
+
+def gpu_for(backend):
+    return {"gpu": SimulatedGPU()} if backend == "gpu" else {}
+
+
+class TestFloatLiteralsAreParameters:
+    def test_the_key_holds_a_float_literals_type_not_its_value(self):
+        key = structural_hash(shift_nest())
+        for value in (3.25, -0.0, float("inf"), float("nan")):
+            assert structural_hash(shift_nest(literal=value)) == key
+        assert structural_hash(shift_nest(shift=-2)) != key  # an index constant
+        assert structural_hash(shift_nest(literal_type=f32)) != key
+        assert structural_hash(shift_nest(combine=arith.AddfOp)) != key
+
+    def test_one_kernel_binds_each_ops_own_literals(self):
+        compiler = KernelCompiler(use_shared_cache=False)
+        two, tenth = (compiler.kernel_for(shift_nest(literal=v)) for v in (2.0, 0.1))
+        assert two.kernel is tenth.kernel and compiler.stats["compiled"] == 1
+        assert (two.constants, tenth.constants) == ([2.0], [0.1])
+        assert type(tenth.constants[0]) is float
+        assert "c0 = ext[" in two.kernel.source and "2.0" not in two.kernel.source
+
+    @pytest.mark.parametrize("config", VECTORIZED)
+    def test_a_non_finite_literal_runs_like_the_oracle(self, config):
+        """``1.0d999`` is inf, which has no Python literal (``repr`` gives
+        the name ``inf``): only as a bound parameter can a kernel read it."""
+        def run(backend, options, mode):
+            a = np.linspace(1.0, 2.0, 8)  # positive: no 0 * inf NaN
+            b = np.zeros(8)
+            interp = repro.Session().compile(NON_FINITE_SOURCE).lower(
+                backend, **options).run("scale", a, b, execution_mode=mode,
+                                        **gpu_for(backend))
+            return b, interp
+
+        oracle, _ = run("cpu", {}, "interpret")
+        got, interp = run(*VECTORIZED[config])
+        assert np.isinf(oracle[1:]).all() and got.tobytes() == oracle.tobytes()
+        assert interp.stats["vectorized_sweeps"] + \
+            interp.stats["gpu_launches_vectorized"] == 1
+        assert interp.kernels.stats["reasons"] == {}
+
+    @pytest.mark.parametrize("config", ["cpu-vectorize", "cpu-scf", "gpu-scf"])
+    def test_sources_differing_in_spacing_share_kernels_not_answers(self, config):
+        """PW with spacings A, B, A, each a session of its own: B and the
+        second A translate nothing, and each run (crosscheck too) is its own
+        reference, bit for bit — no binding sees another op's constants."""
+        backend, options, mode = VECTORIZED[config]
+        n = 10
+        spacings = {"A": (50.0, 75.0, 120.0), "B": (180.0, 60.0, 90.0)}
+        compiled = []
+        for name in "ABA":
+            dx, dy, dz = spacings[name]
+            handle = repro.Session().compile(pw_advection.generate_source(
+                n, dx=dx, dy=dy, dz=dz)).lower(backend, **options)
+            want = pw_advection.reference(*pw_advection.initial_fields(n)[:3],
+                                          dx=dx, dy=dy, dz=dz)
+            for run_mode in (mode, "crosscheck"):
+                fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
+                interp = handle.run("pw_advection", *fields, execution_mode=run_mode,
+                                    **gpu_for(backend))
+                assert all(got.tobytes() == ref.tobytes()
+                           for got, ref in zip(fields[3:], want)), (name, run_mode)
+                assert interp.kernels.stats["reasons"] == {}
+                compiled.append(interp.kernels.stats["compiled"])
+        assert compiled[2:] == [0] * 4
+
+    def test_a_float32_literal_keeps_float32_arithmetic(self):
+        """The value binds as a Python float, as the literal in the source
+        did: a NumPy float64 would promote the float32 sweep (NEP 50)."""
+        n = 9
+        apply_op = build_average_apply(n, element=f32, half=0.1)
+        data = np.asfortranarray(np.random.default_rng(31).random((n, n)),
+                                 dtype=np.float32)
+
+        def run(mode):
+            interp = Interpreter([ModuleOp([])], execution_mode=mode,
+                                 kernel_compiler=KernelCompiler(use_shared_cache=False))
+            frame = Frame()
+            frame.set(apply_op.operands[0], TempValue(data, (0, 0)))
+            [value] = interp.exec_op(apply_op, frame)
+            return value.data, interp
+
+        oracle, _ = run("interpret")
+        got, interp = run("vectorize")
+        assert interp.stats["vectorized_sweeps"] == 1
+        [tenth] = interp.kernels.kernel_for(apply_op).constants
+        assert type(tenth) is float and tenth == 0.1
+        assert oracle.dtype == got.dtype == np.float32
+        assert got.tobytes() == oracle.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +863,8 @@ class TestGuardsAndFallbacks:
         externals = []
         for path in bound.kernel.external_paths:
             externals.append(temp if path == ("root", 0) else np.float64(3.0))
+        assert bound.constants == [0.5]  # the body's own literal
+        externals += bound.constants
         lb, ub = (1, 1), (n - 1, n - 1)
         assert bound.kernel.apply_guards_pass(externals, lb, ub)
         [result] = bound.kernel.fn(externals, lb, ub)
@@ -992,13 +1120,14 @@ class TestMaterialisation:
 
 
 def shift_externals(kernel, src, dst, n):
-    """The external vector of the ``build_shift_nest_module`` kernel."""
+    """The external vector of the ``build_shift_nest_module`` kernel, its
+    parameter (the 2.0 literal) last."""
     externals = [None] * len(kernel.external_paths)
     for low, high, step in kernel.bound_slots:
         externals[low], externals[high], externals[step] = 1, n - 1, 1
     externals[kernel.loads[0][0]] = MemoryBuffer.wrap(src)
     externals[kernel.stores[0][0]] = MemoryBuffer.wrap(dst)
-    return externals
+    return externals + [2.0]
 
 
 def windowed_only(monkeypatch):
@@ -1210,11 +1339,11 @@ class TestFlatRendering:
         kernel = compile_apply(build_average_apply(n))
         data = np.asfortranarray(np.random.default_rng(12).random((n, n)))
         chosen = []
-        [flat] = kernel.fn([TempValue(data, (0, 0))], (1, 1), (n - 1, n - 1), chosen)
-        [windowed] = kernel._windowed([TempValue(data, (0, 0))], (1, 1), (n - 1, n - 1))
+        [flat] = kernel.fn([TempValue(data, (0, 0)), 0.5], (1, 1), (n - 1, n - 1), chosen)
+        [windowed] = kernel._windowed([TempValue(data, (0, 0)), 0.5], (1, 1), (n - 1, n - 1))
         assert chosen == ["flat"] and flat.shape == windowed.shape == (n - 2, n - 2)
         assert flat.tobytes() == windowed.tobytes()
         assert flat.strides == data.strides and flat.base.size == (n - 3) * (n + 1) + 1
         # An origin shifts where the span starts, not what it holds.
-        [shifted] = kernel.fn([TempValue(data, (-3, 2))], (-2, 3), (n - 4, n + 1))
+        [shifted] = kernel.fn([TempValue(data, (-3, 2)), 0.5], (-2, 3), (n - 4, n + 1))
         assert shifted.tobytes() == windowed.tobytes()
