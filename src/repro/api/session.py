@@ -21,20 +21,16 @@ backend lowers only.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.context import Context, default_context
 from ..resilience import InjectedFault
-from ..runtime.parallel_executor import ParallelExecutor
+from ..runtime.parallel_executor import ParallelExecutor, usable_cpus
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
 from .options import BackendOptions
 from .program import CompiledProgram, Program, source_fingerprint
-
-#: Upper bound on default batch workers (explicit ``workers=`` overrides it).
-_MAX_DEFAULT_BATCH_WORKERS = max(1, os.cpu_count() or 1)
 
 
 class Session:
@@ -246,6 +242,8 @@ class Session:
         Results come back **in input order** — deterministic regardless of
         completion order — and arrays are mutated in place per Fortran
         by-reference semantics, so each argument set should own its arrays.
+        ``workers`` defaults to one per argument set, at most one per CPU the
+        process may use now (:func:`usable_cpus`).
         """
         arg_sets = list(arg_sets)
         if not arg_sets:
@@ -255,7 +253,7 @@ class Session:
             return compiled.interpreter().call(entry, *args)
 
         if workers is None:
-            workers = min(len(arg_sets), _MAX_DEFAULT_BATCH_WORKERS)
+            workers = min(len(arg_sets), usable_cpus())
         if workers <= 1 or len(arg_sets) == 1:
             return [run_one(args) for args in arg_sets]
         with self._lock:

@@ -1,4 +1,4 @@
-"""The ``memref`` dialect: allocation, load/store and copies."""
+"""The ``memref`` dialect: element load/store and snapshots."""
 
 from __future__ import annotations
 
@@ -8,32 +8,7 @@ from ..ir.context import Dialect
 from ..ir.operation import Operation, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import HasMemoryEffect, ReadOnly
-from ..ir.types import DYNAMIC, IndexType, MemRefType
-
-
-class AllocOp(Operation):
-    """``memref.alloc`` — heap allocation of a memref."""
-
-    name = "memref.alloc"
-    traits = (HasMemoryEffect,)
-
-    def __init__(self, result_type: MemRefType, dynamic_sizes: Sequence[SSAValue] = ()):
-        super().__init__(operands=dynamic_sizes, result_types=[result_type])
-
-    @property
-    def memref_type(self) -> MemRefType:
-        return self.results[0].type  # type: ignore[return-value]
-
-    def verify_(self) -> None:
-        mtype = self.results[0].type
-        if not isinstance(mtype, MemRefType):
-            raise VerifyException(f"{self.name}: result must be a memref")
-        dynamic = sum(1 for s in mtype.shape if s == DYNAMIC)
-        if dynamic != len(self.operands):
-            raise VerifyException(
-                f"{self.name}: expected {dynamic} dynamic size operands, "
-                f"got {len(self.operands)}"
-            )
+from ..ir.types import IndexType, MemRefType
 
 
 class LoadOp(Operation):
@@ -105,24 +80,6 @@ class StoreOp(Operation):
             )
 
 
-class CopyOp(Operation):
-    """``memref.copy`` — copy the contents of one memref into another."""
-
-    name = "memref.copy"
-    traits = (HasMemoryEffect,)
-
-    def __init__(self, source: SSAValue, target: SSAValue):
-        super().__init__(operands=[source, target])
-
-    @property
-    def source(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def target(self) -> SSAValue:
-        return self.operands[1]
-
-
 class SnapshotOp(Operation):
     """``memref.snapshot`` — ``source`` as it is now, for a reader that runs
     while ``written`` are stored to: a private copy when ``source`` may share
@@ -138,14 +95,12 @@ class SnapshotOp(Operation):
 
 MemRef = Dialect(
     "memref",
-    [AllocOp, LoadOp, StoreOp, CopyOp, SnapshotOp],
+    [LoadOp, StoreOp, SnapshotOp],
 )
 
 __all__ = [
-    "AllocOp",
     "LoadOp",
     "StoreOp",
-    "CopyOp",
     "SnapshotOp",
     "MemRef",
 ]

@@ -50,8 +50,7 @@ from .gpu_runtime import SimulatedGPU
 from .kernel_compiler import EXECUTION_MODES, KernelCompiler
 from .memory import ElementRef, MemoryBuffer, numpy_dtype_for
 from .mpi_runtime import CartesianDecomposition, SimulatedCommunicator
-from .parallel_executor import (ParallelExecutor, get_executor, plan_sweep,
-                                run_boxes)
+from .parallel_executor import plan_sweep, run_boxes
 
 
 #: Ops that may sit between a ``stencil.load`` and the last ``stencil.apply``
@@ -213,13 +212,11 @@ class Interpreter:
             KernelCompiler(bindings=link.bindings)
             if execution_mode != "interpret" else None
         )
-        #: Worker threads for tiled sweep execution (1 = single-tile).  The
-        #: executor is the persistent process-wide pool for that count; pure
-        #: "interpret" mode never tiles, so it never touches (or creates) a
-        #: pool.
+        #: Worker threads for tiled sweep execution (1 = single-tile): the
+        #: slabs each sweep is cut into.  :func:`run_boxes` runs them on at
+        #: most as many pool threads as the process has CPUs; pure
+        #: "interpret" mode never tiles, so it never touches a pool.
         self.threads = max(1, int(threads))
-        self._executor: Optional[ParallelExecutor] = get_executor(self.threads) \
-            if self.threads > 1 and execution_mode != "interpret" else None
         self.stats: Dict[str, float] = {
             "stencil_apply_executions": 0,
             "stencil_points_computed": 0,
@@ -252,9 +249,9 @@ class Interpreter:
         self._functions = link.functions
         self._gpu_kernels = link.gpu_kernels
         self._funcs_with_launch_ops = link.funcs_with_launch_ops
-        #: Per-invocation device scratch (memref.alloc inside gpu.launch
-        #: functions): allocated from the device pool, released when the
-        #: function returns.
+        #: Per-invocation device scratch (the copies memref.snapshot takes
+        #: inside gpu.launch functions): allocated from the device pool,
+        #: released when the function returns.
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._snapshot_copies = link.snapshot_copies
@@ -475,10 +472,8 @@ class Interpreter:
         h["fir.convert"] = self._exec_fir_convert
 
         # memref ---------------------------------------------------------------------
-        h["memref.alloc"] = self._exec_memref_alloc
         h["memref.load"] = self._exec_memref_load
         h["memref.store"] = self._exec_memref_store
-        h["memref.copy"] = self._exec_memref_copy
         h["memref.snapshot"] = self._exec_memref_snapshot
 
         # scf ---------------------------------------------------------------------------
@@ -683,33 +678,6 @@ class Interpreter:
     # memref handlers
     # ------------------------------------------------------------------
 
-    def _exec_memref_alloc(self, op: Operation, frame: Frame):
-        mtype: MemRefType = op.results[0].type  # type: ignore[assignment]
-        shape = list(mtype.shape)
-        dynamic = [int(_as_python(frame.get(o))) for o in op.operands]
-        it = iter(dynamic)
-        shape = [next(it) if s < 0 else s for s in shape]
-        return [self._alloc_scratch(op, shape, mtype.element_type)]
-
-    def _alloc_scratch(self, op: Operation, shape: Sequence[int],
-                       element_type: TypeAttribute) -> MemoryBuffer:
-        """A buffer allocated by ``op``, wherever its function runs."""
-        # Scratch allocated inside a GPU-launch-tagged function lives on the
-        # device (it is kernel-local staging, e.g. the stencil snapshot of a
-        # lowered sweep) — tagging it host would fabricate on-demand PCIe
-        # traffic when it is passed to a gpu.launch_func.  It comes out of
-        # the accounted device pool and is released when the function
-        # returns (the lowering emits no dealloc for it).
-        if self._enclosing_func_attr(op, "gpu.launch") is not None:
-            # Degraded allocation: a device OOM walks the recovery ladder
-            # (evict idle → host staging) instead of killing the launch.
-            buffer = self._require_gpu().alloc_degraded(
-                shape, element_type, label="gpu_scratch")
-            if self._device_scratch_stack:
-                self._device_scratch_stack[-1].append(buffer)
-            return buffer
-        return MemoryBuffer.for_array(shape, element_type)
-
     def _exec_memref_load(self, op: Operation, frame: Frame):
         buffer = frame.get(op.operands[0])
         indices = tuple(int(_as_python(frame.get(o))) for o in op.operands[1:])
@@ -722,15 +690,10 @@ class Interpreter:
         buffer.data[indices] = _as_python(value)
         return []
 
-    def _exec_memref_copy(self, op: Operation, frame: Frame):
-        source = frame.get(op.operands[0])
-        target = frame.get(op.operands[1])
-        target.copy_from(source)
-        return []
-
     def _exec_memref_snapshot(self, op: Operation, frame: Frame):
         """The source itself, unless a buffer the function writes may share
-        its memory — the same array passed for an input and an output."""
+        its memory — the same array passed for an input and an output, or a
+        field the function writes, which names itself."""
         source, *written = [frame.get(o) for o in op.operands]
         if not any(np.may_share_memory(source.data, buffer.data)
                    for buffer in written):
@@ -739,8 +702,16 @@ class Interpreter:
         self.stats["snapshots_copied"] += 1
         if self._enclosing_func_attr(op, "gpu.launch") is None:
             return [MemoryBuffer.wrap(source.data.copy(order="K"))]
-        copy = self._alloc_scratch(op, source.data.shape,
-                                   op.results[0].type.element_type)
+        # Inside a GPU-launch-tagged function the copy is kernel-local staging
+        # and lives on the device — tagging it host would fabricate on-demand
+        # PCIe traffic when it is passed to a gpu.launch_func.  It comes out of
+        # the accounted device pool (a device OOM walks the recovery ladder:
+        # evict idle → host staging) and is released when the function returns.
+        copy = self._require_gpu().alloc_degraded(
+            source.data.shape, op.results[0].type.element_type,
+            label="gpu_scratch")
+        if self._device_scratch_stack:
+            self._device_scratch_stack[-1].append(copy)
         copy.copy_from(source)
         return [copy]
 
@@ -864,10 +835,9 @@ class Interpreter:
                                                    lowers, uppers, schedule)
             if self.threads > 1 and slabs == 1:
                 self.stats["parallel_fallbacks"] += 1
-            pool = self._executor if kernel.tileable else None
             chosen: List[str] = []
-            results = run_boxes(kernel, externals, lowers, uppers, boxes, pool,
-                                chosen, *delivery)
+            results = run_boxes(kernel, externals, lowers, uppers, boxes,
+                                self.threads, chosen, *delivery)
             if results is None:
                 # A result broadcasts along a tiled dimension, so the boxes
                 # cannot be delivered.  The defect is structural: remember
@@ -878,7 +848,7 @@ class Interpreter:
                 if shape is not None:
                     self.stats[shape + "_fallbacks"] += 1
                 results = run_boxes(kernel, externals, lowers, uppers,
-                                    [(lowers, uppers)], None, chosen, *delivery)
+                                    [(lowers, uppers)], 1, chosen, *delivery)
             else:
                 if slabs > 1:
                     self.stats["parallel_sweeps"] += 1

@@ -17,8 +17,9 @@ Three pieces, each independently testable:
   default shape — cache-sized, unit-stride axis whole; :func:`plan_sweep`
   composes them into the one plan every sweep runs — thread slabs along the
   outermost dimension, each cut into ``schedule.tile`` or cache boxes;
-* :func:`run_boxes` — runs a kernel over a box plan: store kernels in place,
-  pure kernels delivered box by box where their values are stored;
+* :func:`run_boxes` — runs a kernel over a box plan, on no more threads than
+  the process has CPUs: store kernels in place, pure kernels delivered box by
+  box where their values are stored;
 * :class:`ParallelExecutor` — a persistent worker pool executing tile
   closures and returning their results in tile order.
 
@@ -34,6 +35,7 @@ a multi-thread sweep that ran as one slab in ``stats["parallel_fallbacks"]``.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -230,15 +232,24 @@ def plan_sweep(
     return boxes, len(slabs), shape if len(boxes) > len(slabs) else None
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on now: its affinity mask where the
+    platform has one (a pinned process has fewer than ``os.cpu_count()``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
-              uppers: Sequence[int], boxes: Sequence[Box],
-              executor: Optional["ParallelExecutor"] = None,
+              uppers: Sequence[int], boxes: Sequence[Box], threads: int = 1,
               chosen: Optional[List[str]] = None,
               destinations: Optional[List[np.ndarray]] = None,
               deferred: bool = False) -> Optional[List[object]]:
     """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
-    concurrently on ``executor`` when one is given, in box order otherwise;
-    the body each box ran ("flat", or why windowed) is appended to ``chosen``.
+    on the shared pool of ``min(threads, usable_cpus())`` workers, read at
+    every call; with one, in box order on the calling thread (threads that
+    time-slice one CPU only add switches).  The body each box ran ("flat",
+    or why windowed) is appended to ``chosen``.
 
     Store kernels write each box's region in place; the result is ``[]``.
     Pure (``stencil.apply``) kernels return their values, and each box's are
@@ -272,7 +283,8 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
                     for value in values]
         return deliver(destinations, box, values)
 
-    partials = executor.map_tiles(run, boxes) if executor is not None \
+    workers = min(threads, usable_cpus()) if threads > 1 else 1
+    partials = get_executor(workers).map_tiles(run, boxes) if workers > 1 \
         else [run(box) for box in boxes]
     if kernel.stores:
         return []
@@ -345,6 +357,7 @@ __all__ = [
     "plan_boxes",
     "plan_cache_boxes",
     "plan_sweep",
+    "usable_cpus",
     "run_boxes",
     "ParallelExecutor",
     "get_executor",

@@ -43,12 +43,13 @@ from typing import Dict, List, Optional, Tuple
 
 from ..api.artifact import CompiledArtifact
 from ..dialects.builtin import ModuleOp
+from ..ir.context import default_context
 from ..ir.parser import parse_module
 from ..ir.printer import print_module
 
 #: On-disk layout version; bump on any incompatible change.  A mismatched
 #: entry is a (counted) miss, never an error.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 #: Separator between the FIR module and the stencil module inside one ``.ir``
 #: payload.  The printer only emits generic-syntax operations, so this line
@@ -95,8 +96,9 @@ def deserialize_artifact(payload: str, meta: Dict, *, source: str,
                          backend: str, options) -> CompiledArtifact:
     """Rebuild a :class:`CompiledArtifact` from its persistent form.
 
-    Raises on any malformation (parse error, wrong module count, failed
-    verification) — the store catches and converts to a miss.
+    Raises on any malformation (parse error, an operation this build does
+    not register, wrong module count, failed verification) — the store
+    catches and converts to a miss.
     """
     sections = payload.split("\n" + _MODULE_SEPARATOR + "\n")
     expected = 2 if meta["has_stencil_module"] else 1
@@ -106,7 +108,11 @@ def deserialize_artifact(payload: str, meta: Dict, *, source: str,
         )
     modules: List[ModuleOp] = []
     for text in sections:
-        module = parse_module(text)
+        # Strict: an op a later build deleted must fail here, as a corrupt
+        # miss, not as a missing interpreter handler in the first run.
+        context = default_context()
+        context.allow_unregistered = False
+        module = parse_module(text, context)
         if not isinstance(module, ModuleOp):
             raise ValueError(f"payload section is not a module: {module.name}")
         module.verify()
@@ -127,7 +133,7 @@ def deserialize_artifact(payload: str, meta: Dict, *, source: str,
 class ArtifactStore:
     """A content-addressed, size-capped, crash-safe artifact store on disk.
 
-    One entry per key, two files per entry under ``root/v1/``:
+    One entry per key, two files per entry under ``root/v2/``:
 
     * ``<digest>.ir``   — printed-IR payload (FIR module, then the stencil
       module separated by a sentinel line);

@@ -9,12 +9,12 @@ Mirrors the xDSL/Open Earth stencil lowering described in §3 of the paper:
   ``scf.parallel`` nest, which ``convert-parallel-loops-to-gpu`` then maps to
   a kernel launch.
 
-``stencil.load`` becomes a snapshot, preserving the dialect's value
-semantics: of a field the function also writes (Gauss–Seidel), an explicit copy
-(``memref.alloc`` + ``memref.copy``); of a field it only reads
-(:attr:`stencil.ExternalLoadOp.read_only`), a ``memref.snapshot`` naming the
-written fields' buffers, which copies only when, at run time, the field shares
-memory with one of them — an argument passed twice.  Every ``stencil.apply``
+``stencil.load`` becomes a ``memref.snapshot``, preserving the dialect's value
+semantics.  A field the function only reads
+(:attr:`stencil.ExternalLoadOp.read_only`) names the written fields' buffers, so
+it copies only when, at run time, it shares memory with one of them — an
+argument passed twice.  A field the function also writes (Gauss–Seidel) names
+itself, so it always copies, in one pass.  Every ``stencil.apply``
 result is written straight into the memref backing the field its
 ``stencil.store`` targets.
 """
@@ -92,13 +92,9 @@ class ConvertStencilToSCFPass(ModulePass):
                 elif isinstance(op, stencil.LoadOp):
                     source = memref_of[op.field]
                     temp_type: stencil.TempType = op.results[0].type  # type: ignore[assignment]
-                    if read_only[op.field]:
-                        snapshot = memref.SnapshotOp(source, written)
-                        block.insert_op_before(snapshot, op)
-                    else:
-                        snapshot = memref.AllocOp(MemRefType(temp_type.shape, temp_type.element_type))
-                        block.insert_op_before(snapshot, op)
-                        block.insert_op_before(memref.CopyOp(source, snapshot.results[0]), op)
+                    snapshot = memref.SnapshotOp(
+                        source, written if read_only[op.field] else [source])
+                    block.insert_op_before(snapshot, op)
                     memref_of[op.results[0]] = snapshot.results[0]
                     origin_of[op.results[0]] = tuple(b[0] for b in temp_type.bounds)
                 elif isinstance(op, stencil.ApplyOp):

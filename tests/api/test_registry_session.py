@@ -6,6 +6,8 @@ mismatched options, artifact-cache hit/miss counters, ``run_batch``
 determinism and all five targets through the fluent API.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,24 @@ class TestRunBatch:
         results = session.run_batch(compiled, "gauss_seidel", arg_sets,
                                     workers=3)
         assert len(results) == 5      # one (empty) return list per arg set
+
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (3, [3])])
+    def test_default_workers_follow_the_cpus_the_process_may_use(
+            self, session, monkeypatch, cpus, pools):
+        """Read at every call from the affinity mask, which a pinned process
+        narrows below ``os.cpu_count()``: on one CPU the batch runs in order."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        n = 8
+        compiled = session.compile(
+            gauss_seidel.generate_source(n, niters=1)).lower("cpu")
+        batch = [(gauss_seidel.initial_condition(n, seed=i),) for i in range(4)]
+        compiled.run_batch("gauss_seidel", batch)
+        assert sorted(session._batch_executors) == pools
+        for i, (work,) in enumerate(batch):
+            want = gauss_seidel.reference_jacobi(
+                gauss_seidel.initial_condition(n, seed=i), 1)
+            assert work.tobytes() == want.tobytes(), f"arg set {i}"
 
     def test_empty_batch(self, session, small_gs_source):
         compiled = session.compile(small_gs_source).lower("cpu")

@@ -62,14 +62,14 @@ def plant_immediate_despite_aliasing(monkeypatch):
 def plant_deferred_writes_one_box_off(monkeypatch):
     real = interpreter_module.run_boxes
 
-    def shifted(kernel, externals, lowers, uppers, boxes, executor, chosen,
+    def shifted(kernel, externals, lowers, uppers, boxes, threads, chosen,
                 destinations, deferred):
         if deferred:
             successor = dict(zip(boxes, boxes[1:] + boxes[:1]))
             kernel = SimpleNamespace(
                 stores=kernel.stores, fn=lambda ext, lb, ub, chosen, fn=kernel.fn:
                 fn(ext, *successor[lb, ub], chosen))
-        return real(kernel, externals, lowers, uppers, boxes, executor, chosen,
+        return real(kernel, externals, lowers, uppers, boxes, threads, chosen,
                     destinations, deferred)
 
     monkeypatch.setattr(interpreter_module, "run_boxes", shifted)

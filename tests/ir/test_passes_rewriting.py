@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.api import get_backend
 from repro.apps import gauss_seidel
-from repro.dialects import arith, fir, func, memref
+from repro.dialects import arith, fir, func, gpu, memref
 from repro.dialects.builtin import ModuleOp
 from repro.ir import (
     Builder,
@@ -108,7 +108,8 @@ class TestCleanupPasses:
     @staticmethod
     def build_memory_module():
         """``f(buf, x)``: load buf[0], store x to buf[0], load buf[0] again,
-        return the sum; plus an unused load, alloc, copy and fir.call."""
+        return the sum; plus an unused load, gpu.alloc, gpu.memcpy and
+        fir.call."""
         buffer_type = MemRefType((4,), f64)
         f = func.FuncOp.build("f", [buffer_type, f64], [f64])
         buf, x = f.entry_block.args
@@ -118,8 +119,8 @@ class TestCleanupPasses:
         b.insert(memref.StoreOp(x, buf, [zero]))
         second = b.insert(memref.LoadOp(buf, [zero]))
         b.insert(memref.LoadOp(buf, [zero]))  # unused
-        scratch = b.insert(memref.AllocOp(buffer_type))  # unused but for the copy
-        b.insert(memref.CopyOp(buf, scratch.results[0]))
+        scratch = b.insert(gpu.AllocOp(buffer_type))  # unused but for the copy
+        b.insert(gpu.MemcpyOp(scratch.results[0], buf))
         b.insert(fir.CallOp("side_effect", [x], [f64]))  # result unused
         total = b.insert(arith.AddfOp(first.results[0], second.results[0]))
         b.insert(func.ReturnOp([total.result]))
@@ -129,7 +130,7 @@ class TestCleanupPasses:
     def assert_only_the_unused_load_went(module):
         names = [op.name for op in module.walk()]
         assert names.count("memref.load") == 2
-        for survivor in ("memref.alloc", "memref.store", "memref.copy", "fir.call"):
+        for survivor in ("gpu.alloc", "memref.store", "gpu.memcpy", "fir.call"):
             assert names.count(survivor) == 1, survivor
         module.verify()
 

@@ -40,9 +40,9 @@ def sweeps(monkeypatch):
     calls = []
     real = interpreter_module.run_boxes
 
-    def recording(kernel, externals, lowers, uppers, boxes, executor=None,
+    def recording(kernel, externals, lowers, uppers, boxes, threads=1,
                   chosen=None, destinations=None, deferred=False):
-        results = real(kernel, externals, lowers, uppers, boxes, executor,
+        results = real(kernel, externals, lowers, uppers, boxes, threads,
                        chosen, destinations, deferred)
         mode = None if destinations is None else \
             "deferred" if deferred else "immediate"

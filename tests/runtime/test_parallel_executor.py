@@ -20,7 +20,9 @@ interpreter wiring:
 """
 
 import os
+import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder
 from repro.ir.operation import VerifyException
 from repro.runtime import Frame, Interpreter, MemoryBuffer, parallel_executor
+from repro.runtime import interpreter as interpreter_module
 from repro.runtime.kernel_compiler import structural_hash
 from repro.runtime.parallel_executor import (
     ParallelExecutor,
@@ -42,6 +45,7 @@ from repro.runtime.parallel_executor import (
     plan_cache_boxes,
     plan_sweep,
     plan_tiles,
+    run_boxes,
 )
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
@@ -279,6 +283,106 @@ class TestParallelExecutor:
     def test_get_executor_shares_pools(self):
         assert get_executor(3) is get_executor(3)
         assert get_executor(3) is not get_executor(5)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)``: the process may run on k CPUs (its affinity mask)."""
+    def pin(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    return pin
+
+
+def recording(kernel, seen, meet=1):
+    """``kernel`` whose boxes record the thread that runs them and the peak
+    of boxes in flight; with ``meet`` > 1 a box waits until that many run."""
+    lock = threading.Lock()
+    barrier = threading.Barrier(meet, timeout=10) if meet > 1 else None
+    live = [0]
+
+    def fn(externals, lb, ub, chosen):
+        with lock:
+            live[0] += 1
+            seen["peak"] = max(seen.get("peak", 0), live[0])
+            seen.setdefault("threads", set()).add(threading.get_ident())
+        try:
+            if barrier is not None:
+                barrier.wait()
+            return kernel.fn(externals, lb, ub, chosen)
+        finally:
+            with lock:
+                live[0] -= 1
+
+    return SimpleNamespace(stores=kernel.stores, fn=fn)
+
+
+class TestDispatchFollowsTheCpus:
+    """``run_boxes`` keeps at most ``min(threads, CPUs)`` boxes in flight,
+    reading the affinity mask at every dispatch; the plan and the counters
+    follow ``threads`` alone."""
+
+    @pytest.mark.parametrize("threads, count, workers",
+                             [(2, 1, 1), (4, 2, 2), (2, 8, 2)])
+    def test_boxes_in_flight_are_capped_by_the_cpus(self, cpus, threads,
+                                                   count, workers):
+        cpus(count)
+        seen = {}
+        kernel = recording(SimpleNamespace(stores=True, fn=lambda *args: []),
+                           seen, meet=workers)
+        boxes = [((i,), (i + 1,)) for i in range(8)]
+        assert run_boxes(kernel, [], (0,), (8,), boxes, threads) == []
+        assert seen["peak"] == workers == len(seen["threads"])
+        assert (seen["threads"] == {threading.get_ident()}) == (workers == 1)
+
+    def test_one_cpu_runs_every_box_in_order_and_changes_no_bit(
+            self, cpus, monkeypatch):
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 2048)
+        n = 12
+        handle = repro.Session().lower(
+            gauss_seidel.generate_source(n, niters=2), "openmp",
+            lower_to_scf=True, execution_mode="vectorize")
+        seen = {}
+        meet = [1]
+        real = interpreter_module.run_boxes
+        monkeypatch.setattr(
+            interpreter_module, "run_boxes",
+            lambda kernel, *rest: real(recording(kernel, seen, meet[0]), *rest))
+        runs = {}
+        # Two CPUs last: two boxes then meet, so both workers must take one.
+        for label, count, threads in (("one thread", 2, 1),
+                                      ("one cpu", 1, 2), ("two cpus", 2, 2)):
+            cpus(count)
+            seen.clear()
+            meet[0] = 2 if label == "two cpus" else 1
+            u = gauss_seidel.initial_condition(n)
+            stats = handle.run("gauss_seidel", u, threads=threads).stats
+            runs[label] = (u.tobytes(), seen["threads"], {
+                key: stats[key] for key in
+                ("parallel_sweeps", "parallel_tiles", "cache_tiles")})
+        main = {threading.get_ident()}
+        assert runs["one thread"][0] == runs["one cpu"][0] == runs["two cpus"][0]
+        assert runs["one thread"][1] == runs["one cpu"][1] == main
+        assert len(runs["two cpus"][1]) == 2 and not runs["two cpus"][1] & main
+        assert runs["one cpu"][2] == runs["two cpus"][2]
+        assert runs["one cpu"][2]["parallel_tiles"] == 4
+        assert runs["one cpu"][2]["cache_tiles"] > 4
+
+    def test_ranks_still_run_together_on_one_cpu(self, cpus):
+        """Ranks block on each other's halos, so their pool keeps every rank
+        live whatever the CPUs: capped like boxes, a 2x2 grid on one CPU
+        would wait out its receive timeout."""
+        field = np.asfortranarray(
+            np.random.default_rng(7).random((12, 12, 6)))
+        plan = repro.Session().lower(
+            gauss_seidel.generate_source_shaped((8, 8, 8)), "dmp",
+            grid=(2, 2), execution_mode="vectorize").distribute(
+            source_builder=gauss_seidel.generate_source_shaped, timeout=5)
+        want = plan.run(field.copy(order="F"), iterations=2)
+        cpus(1)
+        got = plan.run(field.copy(order="F"), iterations=2)
+        assert got.field.tobytes() == want.field.tobytes()
+        assert (got.messages, got.bytes) == (want.messages, want.bytes) != (0, 0)
 
 
 # ---------------------------------------------------------------------------

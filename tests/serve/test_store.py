@@ -6,8 +6,10 @@ must all surface as ``None`` (→ recompile), with the failure counted, and
 never as an exception to the client.
 """
 
+import hashlib
 import json
 import os
+import re
 import threading
 
 import pytest
@@ -169,6 +171,66 @@ class TestFailurePaths:
         # A version-skewed entry is left alone (an old reader must not
         # destroy a future writer's data).
         assert meta_path.exists()
+
+    @staticmethod
+    def _with_alloc_and_copy(payload):
+        """``payload`` as a build that lowered the load of a written field
+        to ``memref.alloc`` + ``memref.copy`` (store format 1) printed it."""
+        payload, count = re.subn(
+            r'(%\d+) = "memref.snapshot"\((%\d+), \2\) : '
+            r'\((memref<[^>]*>), \3\) -> \(\3\)',
+            r'\1 = "memref.alloc"() : () -> (\3)'
+            r'\n"memref.copy"(\2, \1) : (\3, \3) -> ()', payload)
+        assert count == 1
+        return payload
+
+    def _run_gs_scf(self, session):
+        u = gauss_seidel.initial_condition(6)
+        session.lower(gauss_seidel.generate_source(6), "cpu",
+                      lower_to_scf=True).run("gauss_seidel", u)
+        return u.tobytes() == gauss_seidel.reference_jacobi(
+            gauss_seidel.initial_condition(6), 1).tobytes()
+
+    def test_an_entry_of_the_previous_format_is_recompiled(self, tmp_path):
+        """Where and how format 1 stored a lowered Gauss–Seidel: this build
+        registers neither op it names, and recompiles."""
+        source = gauss_seidel.generate_source(6)
+        key, artifact, _ = _compile_artifact(source, "cpu", lower_to_scf=True)
+        payload, artifact_meta = serialize_artifact(artifact)
+        payload = self._with_alloc_and_copy(payload)
+        old = tmp_path / "v1"
+        old.mkdir()
+        meta = {"format_version": 1, "checksum": hashlib.sha256(
+            payload.encode()).hexdigest(), "artifact": artifact_meta}
+        (old / f"{key_digest(key)}.ir").write_text(payload, encoding="utf-8")
+        (old / f"{key_digest(key)}.json").write_text(json.dumps(meta),
+                                                     encoding="utf-8")
+        session = Session(store=ArtifactStore(tmp_path))
+        assert self._run_gs_scf(session)
+        assert session.cache_stats["misses"] == 1
+        assert session.cache_stats["disk_hits"] == 0
+        assert (old / f"{key_digest(key)}.json").exists()   # left alone
+
+    def test_an_op_this_build_does_not_register_is_a_corrupt_miss(
+            self, tmp_path):
+        """Stored IR parses strictly: an op deleted since the entry was
+        written is a counted miss, not a disk hit whose first run raises
+        'no interpreter handler'."""
+        Session(store=ArtifactStore(tmp_path)).lower(
+            gauss_seidel.generate_source(6), "cpu", lower_to_scf=True)
+        store = ArtifactStore(tmp_path)
+        (ir_path,) = store._dir.glob("*.ir")
+        meta_path = ir_path.with_suffix(".json")
+        payload = self._with_alloc_and_copy(ir_path.read_text())
+        meta = json.loads(meta_path.read_text())
+        meta["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
+        ir_path.write_text(payload, encoding="utf-8")
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        session = Session(store=store)
+        assert self._run_gs_scf(session)
+        assert store.stats["corrupt_entries"] == 1
+        assert session.cache_stats["misses"] == 1
+        assert session.cache_stats["disk_hits"] == 0
 
     def test_session_recompiles_through_a_corrupt_entry(self, tmp_path):
         """End to end: corruption costs one recompile, never an exception."""

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import fir, gpu, omp, scf, stencil
+from repro.dialects import fir, gpu, memref, omp, scf, stencil
 from repro.dialects.func import FuncOp
 from repro.dialects.llvm import LLVMPointerType
 from repro.ir import default_context
@@ -92,6 +92,22 @@ class TestStencilToSCF:
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):
             ConvertStencilToSCFPass(target="fpga")
+
+    @pytest.mark.parametrize("backend", ["cpu", "openmp", "gpu"])
+    def test_a_written_field_is_one_snapshot_naming_itself(
+            self, small_gs_source, backend):
+        """Gauss–Seidel writes the field it loads: each load becomes one
+        ``memref.snapshot`` that names the field as the buffer written, so it
+        always copies, in one pass — no ``memref.alloc`` + ``memref.copy``."""
+        loads = [op for op in repro.compile(small_gs_source).lower(
+            "cpu").stencil_module.walk() if isinstance(op, stencil.LoadOp)]
+        lowered = repro.compile(small_gs_source).lower(
+            backend, lower_to_scf=True).stencil_module
+        snapshots = [op for op in lowered.walk()
+                     if isinstance(op, memref.SnapshotOp)]
+        assert len(snapshots) == len(loads) == 1
+        assert all(list(op.operands) == [op.operands[0]] * 2 for op in snapshots)
+        assert not {"memref.alloc", "memref.copy"} & {op.name for op in lowered.walk()}
 
 
 class TestOpenMPLowering:
