@@ -104,8 +104,7 @@ class Backend:
             fir_module=fir_module,
         )
         if not self.uses_stencil_flow:
-            schedule_transforms.apply_schedule_chain(artifact, ctx, "pre")
-            schedule_transforms.apply_schedule_chain(artifact, ctx, "post")
+            schedule_transforms.apply_schedule_chain(artifact)
             return artifact
 
         # 1. Discover stencils in the FIR produced by "Flang".
@@ -127,19 +126,15 @@ class Backend:
             # rewrite — applying the chain raises the loud ScheduleError
             # instead of silently compiling an unscheduled artifact under a
             # schedule-extended cache key.
-            schedule_transforms.apply_schedule_chain(artifact, ctx, "pre")
-            schedule_transforms.apply_schedule_chain(artifact, ctx, "post")
+            schedule_transforms.apply_schedule_chain(artifact)
             return artifact
 
-        # 3. Schedule directives that act at the stencil level (fuse) run
-        #    before the backend pipeline; loop-level directives after it.
-        schedule_transforms.apply_schedule_chain(artifact, ctx, "pre")
-
-        # 4. Target-specific transformation of the stencil module (and, for
+        # 3. Target-specific transformation of the stencil module (and, for
         #    GPU data management / DMP, coordinated edits of the FIR module).
         self.transform(artifact, ctx)
 
-        schedule_transforms.apply_schedule_chain(artifact, ctx, "post")
+        # 4. Schedule directives rewrite the lowered loops.
+        schedule_transforms.apply_schedule_chain(artifact)
         return artifact
 
     def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:

@@ -35,7 +35,7 @@ from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..dialects import fir as fir_dialect
+from ..dialects import fir as fir_dialect, stencil
 from ..dialects.func import FuncOp
 from ..runtime.distributed_executor import (
     DistributedExecutor,
@@ -60,7 +60,7 @@ def detect_halo(compiled: "CompiledProgram") -> int:
     module = compiled.stencil_module
     widest = 0
     if module is not None:
-        for op in module.walk():
+        for op in module.walk_type(stencil.ApplyOp):
             attr = op.get_attr_or_none("dmp.halo")
             if attr is not None:
                 widest = max(widest, *attr.as_tuple())

@@ -215,7 +215,7 @@ class CompiledProgram:
 
     def schedule(self) -> "Schedule":
         """Open the fluent scheduling surface over this handle:
-        ``compiled.schedule().fuse().tile(1, 32, 16).verify().compiled`` —
+        ``compiled.schedule().tile(1, 32, 16).verify().compiled`` —
         see :class:`repro.schedule.Schedule`."""
         from ..schedule.schedule import Schedule
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-from ..ir.attributes import StringAttr, TypeAttr, UnitAttr
+from ..ir.attributes import StringAttr, TypeAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import BlockArgument, SSAValue
@@ -162,14 +162,11 @@ class AllocaOp(Operation):
         self,
         in_type: TypeAttribute,
         uniq_name: Optional[str] = None,
-        bindc_name: Optional[str] = None,
         dynamic_extents: Sequence[SSAValue] = (),
     ):
         attributes = {"in_type": TypeAttr(in_type)}
         if uniq_name is not None:
             attributes["uniq_name"] = StringAttr(uniq_name)
-        if bindc_name is not None:
-            attributes["bindc_name"] = StringAttr(bindc_name)
         super().__init__(
             operands=dynamic_extents,
             result_types=[ReferenceType(in_type)],
@@ -360,18 +357,10 @@ class DoLoopOp(Operation):
         upper_bound: SSAValue,
         step: SSAValue,
         body: Optional[Region] = None,
-        unordered: bool = False,
     ):
         if body is None:
             body = Region([Block(arg_types=[index])])
-        attributes = {}
-        if unordered:
-            attributes["unordered"] = UnitAttr()
-        super().__init__(
-            operands=[lower_bound, upper_bound, step],
-            regions=[body],
-            attributes=attributes,
-        )
+        super().__init__(operands=[lower_bound, upper_bound, step], regions=[body])
 
     @property
     def lower_bound(self) -> SSAValue:

@@ -28,12 +28,10 @@ class FuncOp(Operation):
         sym_name: str,
         function_type: FunctionType,
         body: Optional[Region] = None,
-        visibility: str = "public",
     ):
         attributes = {
             "sym_name": StringAttr(sym_name),
             "function_type": TypeAttr(function_type),
-            "sym_visibility": StringAttr(visibility),
         }
         if body is None:
             body = Region()
@@ -44,12 +42,11 @@ class FuncOp(Operation):
         sym_name: str,
         arg_types: Sequence[TypeAttribute],
         result_types: Sequence[TypeAttribute],
-        visibility: str = "public",
     ) -> "FuncOp":
         """Create a function with an entry block whose args match the signature."""
         func_type = FunctionType(arg_types, result_types)
         region = Region([Block(arg_types=arg_types)])
-        return FuncOp(sym_name, func_type, region, visibility)
+        return FuncOp(sym_name, func_type, region)
 
     @staticmethod
     def declaration(
@@ -57,9 +54,7 @@ class FuncOp(Operation):
         arg_types: Sequence[TypeAttribute],
         result_types: Sequence[TypeAttribute],
     ) -> "FuncOp":
-        return FuncOp(
-            sym_name, FunctionType(arg_types, result_types), Region(), "private"
-        )
+        return FuncOp(sym_name, FunctionType(arg_types, result_types))
 
     @property
     def sym_name(self) -> str:

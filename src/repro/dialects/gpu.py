@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import DenseArrayAttr, StringAttr, SymbolRefAttr, UnitAttr
+from ..ir.attributes import DenseArrayAttr, StringAttr, SymbolRefAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
@@ -26,24 +26,18 @@ from ..ir.traits import (
     SingleBlockRegion,
     SymbolOpInterface,
 )
-from ..ir.types import FunctionType, MemRefType, TypeAttribute, index
+from ..ir.types import MemRefType, TypeAttribute, index
 
 
 class GPUModuleOp(Operation):
-    """``gpu.module`` — container of device kernels."""
+    """``gpu.module`` — container of device kernels.  Kernels are looked up
+    by their own ``sym_name``; the container needs none."""
 
     name = "gpu.module"
-    traits = (SingleBlockRegion, NoTerminator, IsolatedFromAbove, SymbolOpInterface)
+    traits = (SingleBlockRegion, NoTerminator, IsolatedFromAbove)
 
-    def __init__(self, sym_name: str, ops: Sequence[Operation] = ()):
-        super().__init__(
-            attributes={"sym_name": StringAttr(sym_name)},
-            regions=[Region([Block(ops=ops)])],
-        )
-
-    @property
-    def sym_name(self) -> str:
-        return self.get_attr("sym_name").data  # type: ignore[union-attr]
+    def __init__(self, ops: Sequence[Operation] = ()):
+        super().__init__(regions=[Region([Block(ops=ops)])])
 
 
 class GPUFuncOp(Operation):
@@ -54,14 +48,8 @@ class GPUFuncOp(Operation):
 
     def __init__(self, sym_name: str, arg_types: Sequence[TypeAttribute]):
         region = Region([Block(arg_types=arg_types)])
-        super().__init__(
-            attributes={
-                "sym_name": StringAttr(sym_name),
-                "function_type": _function_type_attr(arg_types),
-                "kernel": UnitAttr(),
-            },
-            regions=[region],
-        )
+        super().__init__(attributes={"sym_name": StringAttr(sym_name)},
+                         regions=[region])
 
     @property
     def sym_name(self) -> str:
@@ -70,12 +58,6 @@ class GPUFuncOp(Operation):
     @property
     def entry_block(self) -> Block:
         return self.body.block
-
-
-def _function_type_attr(arg_types: Sequence[TypeAttribute]):
-    from ..ir.attributes import TypeAttr
-
-    return TypeAttr(FunctionType(arg_types, ()))
 
 
 class ReturnOp(Operation):
@@ -103,15 +85,12 @@ class LaunchFuncOp(Operation):
         grid_size: Sequence[int],
         block_size: Sequence[int],
         arguments: Sequence[SSAValue] = (),
-        asynchronous: bool = False,
     ):
         attributes = {
             "kernel": SymbolRefAttr(kernel),
             "grid_size": DenseArrayAttr(grid_size),
             "block_size": DenseArrayAttr(block_size),
         }
-        if asynchronous:
-            attributes["async"] = UnitAttr()
         super().__init__(operands=arguments, attributes=attributes)
 
     @property

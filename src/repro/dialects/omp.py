@@ -23,18 +23,10 @@ class ParallelOp(Operation):
     name = "omp.parallel"
     traits = (SingleBlockRegion,)
 
-    def __init__(self, body: Optional[Region] = None, num_threads: Optional[int] = None):
+    def __init__(self, body: Optional[Region] = None):
         if body is None:
             body = Region([Block()])
-        attributes = {}
-        if num_threads is not None:
-            attributes["num_threads"] = IntegerAttr(num_threads, i64)
-        super().__init__(regions=[body], attributes=attributes)
-
-    @property
-    def num_threads(self) -> Optional[int]:
-        attr = self.get_attr_or_none("num_threads")
-        return int(attr.value) if attr is not None else None
+        super().__init__(regions=[body])
 
 
 class WsLoopOp(Operation):

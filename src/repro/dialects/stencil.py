@@ -256,14 +256,8 @@ class IndexOp(Operation):
     name = "stencil.index"
     traits = (Pure,)
 
-    def __init__(self, dim: int, offset: Sequence[int] = ()):
-        super().__init__(
-            result_types=[index],
-            attributes={
-                "dim": IntegerAttr(dim, i64),
-                "offset": DenseArrayAttr(offset),
-            },
-        )
+    def __init__(self, dim: int):
+        super().__init__(result_types=[index], attributes={"dim": IntegerAttr(dim, i64)})
 
     @property
     def dim(self) -> int:

@@ -174,12 +174,11 @@ class _FunctionCodegen:
                     extent_values.append(self._to_index(upper))
             alloca = self.builder.insert(
                 fir.AllocaOp(in_type, uniq_name=self._uniq_name(symbol.name),
-                             bindc_name=symbol.name, dynamic_extents=extent_values)
+                             dynamic_extents=extent_values)
             )
         else:
             alloca = self.builder.insert(
-                fir.AllocaOp(_scalar_type(symbol), uniq_name=self._uniq_name(symbol.name),
-                             bindc_name=symbol.name)
+                fir.AllocaOp(_scalar_type(symbol), uniq_name=self._uniq_name(symbol.name))
             )
         declare = self.builder.insert(
             fir.DeclareOp(alloca.results[0], self._uniq_name(symbol.name))

@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "matrix and exit")
     parser.add_argument("--schedules", action="store_true",
                         help="schedule mode: draw a random legal schedule "
-                             "chain (fuse/tile/reorder/unroll) per seed and "
+                             "chain (tile/reorder/unroll) per seed and "
                              "backend and prove each bitwise-identical to "
                              "the unscheduled artifact via Schedule.verify()")
     parser.add_argument("--chaos", action="store_true",

@@ -12,8 +12,7 @@ runtime layers:
   dropped/delayed/duplicated/corrupted halo messages plus one rank crash
   mid-run, recovered by the retrying communicator and checkpoint/restart;
 * ``gpu-chaos``: a gpu run whose :class:`SimulatedGPU` fails chosen device
-  allocations, recovered by the graceful-degradation ladder (evict idle →
-  host staging);
+  allocations, recovered by staging the buffers in host memory;
 * ``compile-chaos``: a throwaway session whose compile hook fails the first
   compile transiently, recovered by the session's single retry.
 

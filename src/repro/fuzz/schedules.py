@@ -3,7 +3,7 @@
 For each generated :class:`KernelSpec` the :class:`ScheduleRunner` (a
 scenario of :class:`repro.fuzz.Farm`) draws a random schedule chain per
 backend configuration — directives in canonical order
-(``fuse`` → ``tile`` → ``reorder`` → ``unroll``), each kept only if the
+(``tile`` → ``reorder`` → ``unroll``), each kept only if the
 kernel structurally admits it — and asks :meth:`repro.schedule.Schedule.verify`
 to prove the scheduled artifact **bitwise identical** to its unscheduled
 parent.  Three ways a case can fall out:
@@ -47,12 +47,12 @@ class ScheduleConfig:
     backend: str
     options: Tuple[Tuple[str, object], ...] = ()
     #: Directives this configuration may draw (canonical order).
-    directives: Tuple[str, ...] = ("fuse", "tile", "reorder", "unroll")
+    directives: Tuple[str, ...] = ("tile", "reorder", "unroll")
 
 
 def default_schedule_matrix(spec: KernelSpec) -> List[ScheduleConfig]:
     configs = [
-        ScheduleConfig("cpu-stencil", "cpu", directives=("fuse", "tile")),
+        ScheduleConfig("cpu-stencil", "cpu", directives=("tile",)),
         ScheduleConfig("cpu-scf", "cpu", (("lower_to_scf", True),)),
         ScheduleConfig("openmp-scf", "openmp",
                        (("lower_to_scf", True), ("threads", 2))),
@@ -81,8 +81,6 @@ def draw_chain(rng: random.Random, spec: KernelSpec,
         except ScheduleError:
             return schedule
 
-    if "fuse" in directives and rng.random() < 0.5:
-        schedule = attempt(lambda s: s.fuse())
     if "tile" in directives and rng.random() < 0.8:
         sizes = tuple(rng.choice(_TILE_SIZES) for _ in range(spec.rank))
         schedule = attempt(lambda s: s.tile(*sizes))

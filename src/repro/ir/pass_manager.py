@@ -15,6 +15,7 @@ do on this substrate.  Accepted names are parsed and recorded, never run.
 
 from __future__ import annotations
 
+import inspect
 import re
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple, Type, Union
@@ -185,7 +186,18 @@ class PassManager:
         elif pass_or_name in self.registry.accepted:
             self.accepted.append(pass_or_name)
         else:
-            self.passes.append(self.registry.get(pass_or_name)(**options))
+            pass_cls = self.registry.get(pass_or_name)
+            try:
+                self.passes.append(pass_cls(**options))
+            except TypeError:
+                known = inspect.signature(pass_cls).parameters
+                unknown = sorted(set(options) - set(known))
+                if not unknown:
+                    raise
+                raise KeyError(
+                    f"pass '{pass_or_name}' has no option(s) {unknown}; "
+                    f"its options: {sorted(known)}"
+                ) from None
         return self
 
     def add_pipeline(self, pipeline: str) -> "PassManager":

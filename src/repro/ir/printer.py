@@ -91,10 +91,9 @@ class Printer:
 
         if op.attributes:
             self._emit(" {")
-            parts = []
-            for key in sorted(op.attributes):
-                parts.append(f'"{key}" = {self.print_attribute(op.attributes[key])}')
-            self._emit(", ".join(parts))
+            self._emit(", ".join(
+                f'"{key}" = {self.print_attribute(value)}'
+                for key, value in sorted(op.attributes.items())))
             self._emit("}")
 
         operand_types = ", ".join(o.type.print() for o in op.operands)

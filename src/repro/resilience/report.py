@@ -1,8 +1,8 @@
 """Recovery accounting: what was injected, what was survived, and how.
 
 Every recovering component keeps plain integer counters while it runs (the
-communicator's retry/retransmit counts, the device pool's degradation
-rungs, the session's compile retries); a :class:`RecoveryReport` is where
+communicator's retry/retransmit counts, the device's host stagings, the
+session's compile retries); a :class:`RecoveryReport` is where
 those counters meet the injector's record of *injected* faults, so one
 object answers the chaos question: were all injected faults detected and
 recovered, and by which mechanism?  Rendered as an aligned text table by
@@ -40,9 +40,8 @@ class RecoveryReport:
     checkpoint_restores: int = 0
     rank_respawns: int = 0
     crashes_detected: int = 0
-    #: GPU degradation ladder rungs.
+    #: GPU graceful degradation.
     oom_detected: int = 0
-    oom_evictions: int = 0
     oom_host_staged: int = 0
     scalar_fallbacks: int = 0
     #: Session compile resilience.
@@ -58,7 +57,7 @@ class RecoveryReport:
         "receive_retries", "retransmissions", "duplicates_dropped",
         "corruptions_detected", "delays_released", "checkpoint_saves",
         "checkpoint_restores", "rank_respawns", "crashes_detected",
-        "oom_detected", "oom_evictions", "oom_host_staged",
+        "oom_detected", "oom_host_staged",
         "scalar_fallbacks", "compile_retries", "compiles_quarantined",
         "quarantine_hits", "unrecovered",
     )
@@ -106,7 +105,7 @@ class RecoveryReport:
                 f"(retries={self.receive_retries} "
                 f"retransmits={self.retransmissions} "
                 f"restores={self.checkpoint_restores} "
-                f"degradations={self.oom_evictions + self.oom_host_staged} "
+                f"degradations={self.oom_host_staged} "
                 f"compile_retries={self.compile_retries})")
 
 

@@ -101,17 +101,10 @@ class SimulatedGPU:
         #: before every device allocation; returning True simulates an OOM
         #: (see :class:`repro.resilience.FaultInjector.on_device_alloc`).
         self.alloc_hook = alloc_hook
-        #: Live device buffers flagged reusable: the first eviction rung of
-        #: :meth:`alloc_degraded` reclaims them under memory pressure.
-        self._idle: List[MemoryBuffer] = []
-        #: Graceful-degradation ladder counters (each rung of
+        #: Graceful-degradation counters (each step of
         #: :meth:`alloc_degraded`), folded into a RecoveryReport by chaos
         #: runs.
-        self.degradation: Dict[str, int] = {
-            "oom_detected": 0,
-            "oom_evictions": 0,
-            "oom_host_staged": 0,
-        }
+        self.degradation: Dict[str, int] = {"oom_detected": 0, "oom_host_staged": 0}
 
         self.pool = DeviceMemoryPool(memory_bytes)
         self.registered_buffers: List[MemoryBuffer] = []
@@ -134,7 +127,7 @@ class SimulatedGPU:
               label: str = "") -> MemoryBuffer:
         """Strict device allocation: a capacity miss (or an injected
         allocation failure) raises :class:`MemoryError` — the fail-fast
-        baseline.  Callers wanting the recovery ladder use
+        baseline.  Callers wanting host staging on OOM use
         :meth:`alloc_degraded`."""
         if self.alloc_hook is not None and self.alloc_hook(label):
             raise MemoryError(
@@ -147,64 +140,35 @@ class SimulatedGPU:
 
     def alloc_degraded(self, shape: Sequence[int], element_type: TypeAttribute,
                        label: str = "") -> MemoryBuffer:
-        """Device allocation with the graceful-degradation ladder.
+        """Device allocation that degrades instead of failing.
 
-        Rung 0 is a plain :meth:`alloc`.  On OOM (real or injected): rung 1
-        evicts idle pool buffers and retries on device; rung 2 stages the
-        buffer in registered host memory instead — the kernel still runs
+        A plain :meth:`alloc` first.  On OOM (real or injected) the buffer is
+        staged in registered host memory instead — the kernel still runs
         (host-space arguments drag their data across PCIe on demand at every
         launch, visible in the transfer stats), and because host staging
         zero-fills exactly like a device allocation the computed results
-        stay bitwise identical.  Every rung taken is counted in
-        ``self.degradation``.
+        stay bitwise identical.  Both the miss and the staging are counted
+        in ``self.degradation``.  Nothing frees a device buffer before its
+        ``gpu.dealloc`` (or its launch function's return), so there is no
+        idle buffer to evict first.
         """
         try:
             return self.alloc(shape, element_type, label=label)
         except MemoryError:
             self.degradation["oom_detected"] += 1
-        if self.evict_idle() > 0:
-            try:
-                return self.alloc(shape, element_type, label=label)
-            except MemoryError:
-                self.degradation["oom_detected"] += 1
         staged = MemoryBuffer.for_array(shape, element_type, space="host",
                                         label=label or "oom_staged")
         self.host_register(staged)
         self.degradation["oom_host_staged"] += 1
         return staged
 
-    def mark_idle(self, buffer: MemoryBuffer) -> None:
-        """Flag a live device buffer as reusable: it stays allocated (and
-        keeps its contents) but may be evicted by :meth:`alloc_degraded`
-        under memory pressure."""
-        if buffer not in self._idle:
-            self._idle.append(buffer)
-
-    def mark_busy(self, buffer: MemoryBuffer) -> None:
-        """Withdraw a buffer from the eviction candidates."""
-        if buffer in self._idle:
-            self._idle.remove(buffer)
-
-    def evict_idle(self) -> int:
-        """Free every idle device buffer; returns the bytes reclaimed."""
-        reclaimed = 0
-        evicted, self._idle = self._idle, []
-        for buffer in evicted:
-            freed = self.dealloc(buffer)
-            reclaimed += freed
-            if freed:
-                self.degradation["oom_evictions"] += 1
-        return reclaimed
-
     def dealloc(self, buffer: MemoryBuffer) -> int:
         """Free a device buffer, returning its bytes to the accounting pool;
-        returns the number of bytes reclaimed.  Host-staged buffers from the
-        degradation ladder are unregistered instead (they never held pool
+        returns the number of bytes reclaimed.  Host-staged buffers from
+        :meth:`alloc_degraded` are unregistered instead (they never held pool
         bytes)."""
         if buffer.registered and buffer.space == "host":
             self.host_unregister(buffer)
-        if buffer in self._idle:
-            self._idle.remove(buffer)
         return self.pool.release(buffer)
 
     def memcpy(self, dst: MemoryBuffer, src: MemoryBuffer) -> None:

@@ -34,7 +34,7 @@ from ..dialects import omp as omp_dialect
 from ..dialects import stencil as stencil_dialect
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
-from ..ir.attributes import DenseArrayAttr, FloatAttr, IntegerAttr, StringAttr
+from ..ir.attributes import FloatAttr, IntegerAttr, StringAttr
 from ..ir.operation import Block, Operation
 from ..ir.ssa import SSAValue
 from ..ir.types import (
@@ -341,8 +341,8 @@ class Interpreter:
         is_gpu_func = func_op.get_attr_or_none("gpu.launch") is not None
         if is_gpu_func and self.gpu is not None \
                 and func_op.sym_name not in self._funcs_with_launch_ops:
-            grid = self._dense_attr_or(func_op, "gpu.grid", (1, 1, 1))
-            block = self._dense_attr_or(func_op, "gpu.block", (1, 1, 1))
+            grid = func_op.get_attr("gpu.grid").as_tuple()  # type: ignore[union-attr]
+            block = func_op.get_attr("gpu.block").as_tuple()  # type: ignore[union-attr]
             buffers = [a.buffer if isinstance(a, FieldValue) else a for a in args]
             buffers = [b for b in buffers if isinstance(b, MemoryBuffer) and not b.is_scalar]
             launch = self.gpu.record_launch(func_op.sym_name, grid, block,
@@ -364,13 +364,6 @@ class Interpreter:
                 self.gpu.finish_launch(launch, seconds)
                 self.stats["gpu_seconds"] += seconds
         return []
-
-    @staticmethod
-    def _dense_attr_or(op: Operation, name: str, default):
-        attr = op.get_attr_or_none(name)
-        if isinstance(attr, DenseArrayAttr):
-            return attr.as_tuple()
-        return default
 
     # ------------------------------------------------------------------
     # Execution core
@@ -705,8 +698,8 @@ class Interpreter:
         # Inside a GPU-launch-tagged function the copy is kernel-local staging
         # and lives on the device — tagging it host would fabricate on-demand
         # PCIe traffic when it is passed to a gpu.launch_func.  It comes out of
-        # the accounted device pool (a device OOM walks the recovery ladder:
-        # evict idle → host staging) and is released when the function returns.
+        # the accounted device pool (a device OOM stages it in host memory)
+        # and is released when the function returns.
         copy = self._require_gpu().alloc_degraded(
             source.data.shape, op.results[0].type.element_type,
             label="gpu_scratch")

@@ -138,10 +138,10 @@ def structural_hash(op: Operation) -> str:
     def visit(current: Operation) -> None:
         parts.append(current.name)
         # A float literal's type is its result's, printed below.
-        for attr_name in () if _is_float_literal(current) else sorted(current.attributes):
-            if attr_name in _METADATA_ATTRS:
-                continue
-            parts.append(f"{attr_name}={current.attributes[attr_name].print()}")
+        if not _is_float_literal(current):
+            parts.extend(f"{name}={value.print()}"
+                         for name, value in sorted(current.attributes.items())
+                         if name not in _METADATA_ATTRS)
         parts.append("(" + ",".join(token(o) for o in current.operands) + ")")
         for result in current.results:
             parts.append("->" + result.type.print())

@@ -3,7 +3,6 @@
 A schedule chain is a tuple of directives, each a tuple whose first element
 names the transform:
 
-* ``("fuse",)`` — merge adjacent stencil applies (stencil level);
 * ``("tile", (t0, ..., tr))`` — tile the loop nest, one size per dimension;
 * ``("reorder", (p0, ..., pm))`` — permute the innermost ``m`` serial loops;
 * ``("unroll", (dim, factor))`` — unroll loop ``dim`` by ``factor``.
@@ -20,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 #: The transform names a schedule chain may contain.
-DIRECTIVES = ("fuse", "tile", "reorder", "unroll")
+DIRECTIVES = ("tile", "reorder", "unroll")
 
 
 class ScheduleError(ValueError):
@@ -48,15 +47,13 @@ def normalize_schedule_chain(chain) -> Tuple[Tuple, ...]:
     """Validate and canonicalise a schedule chain to nested tuples.
 
     Accepts lists (e.g. from JSON-carried options) and returns hashable
-    tuples; raises :class:`ScheduleError` on malformed directives.  One
-    ordering rule is enforced here because it is phase-structural, not
-    nest-structural: ``fuse`` rewrites the stencil level before lowering,
-    so it must precede every loop transform in the chain.
+    tuples; raises :class:`ScheduleError` on malformed directives.  Adjacent
+    stencils are fused by discovery (the ``fuse_stencils`` compile option),
+    not by a directive.
     """
     if chain is None:
         return ()
     normalized = []
-    seen_loop_directive = False
     for entry in chain:
         if isinstance(entry, str):
             entry = (entry,)
@@ -74,18 +71,6 @@ def normalize_schedule_chain(chain) -> Tuple[Tuple, ...]:
                 f"unknown schedule directive {name!r}; expected one of "
                 f"{DIRECTIVES}"
             )
-        if name == "fuse":
-            if len(parts) != 1:
-                raise ScheduleError("fuse takes no arguments")
-            if seen_loop_directive:
-                raise ScheduleError(
-                    "fuse must precede loop transforms (tile/reorder/unroll) "
-                    "in a schedule chain: it rewrites the stencil level "
-                    "before the loops exist"
-                )
-            normalized.append(("fuse",))
-            continue
-        seen_loop_directive = True
         if name == "tile":
             if len(parts) != 2:
                 raise ScheduleError("tile takes exactly one argument: sizes")

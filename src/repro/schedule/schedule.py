@@ -13,7 +13,6 @@ handles with different schedules are distinct artifacts while runtime knobs
 
     fast = (program.lower("openmp", lower_to_scf=True)
                    .schedule()
-                   .fuse()
                    .tile(1, 32, 16)
                    .reorder(1, 0)
                    .verify()          # bitwise-proven against the oracle
@@ -120,11 +119,6 @@ class Schedule:
         if len(values) == 1 and isinstance(values[0], (tuple, list)):
             values = tuple(values[0])
         return tuple(values)
-
-    def fuse(self) -> "Schedule":
-        """Merge adjacent compatible stencils into one sweep (stencil level;
-        must precede loop-level directives)."""
-        return self._derive(("fuse",))
 
     def tile(self, *sizes) -> "Schedule":
         """Execute the sweep in ``sizes``-shaped sub-boxes of the domain

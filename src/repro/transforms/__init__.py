@@ -12,7 +12,6 @@ from .gpu_data_management import GpuHostRegisterPass, GpuOptimisedDataPass
 from .parallel_lowering import (
     ConvertParallelLoopsToGpuPass,
     ConvertSCFToOpenMPPass,
-    GpuMapParallelLoopsPass,
     ParallelLoopTilingPass,
 )
 from .pipelines import (
@@ -26,18 +25,16 @@ from .pipelines import (
 )
 from .stencil_discovery import StencilDiscoveryPass
 from .stencil_extraction import ExtractStencilsPass
-from .stencil_fusion import StencilFusionPass, merge_adjacent_applies
+from .stencil_fusion import merge_adjacent_applies
 from .stencil_lowering import ConvertStencilToSCFPass
 
 __all__ = [
     "StencilDiscoveryPass",
     "ExtractStencilsPass",
-    "StencilFusionPass",
     "merge_adjacent_applies",
     "ConvertStencilToSCFPass",
     "ConvertSCFToOpenMPPass",
     "ParallelLoopTilingPass",
-    "GpuMapParallelLoopsPass",
     "ConvertParallelLoopsToGpuPass",
     "GpuHostRegisterPass",
     "GpuOptimisedDataPass",

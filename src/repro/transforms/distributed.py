@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..dialects import arith, dmp, mpi, stencil
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
-from ..ir.attributes import DenseArrayAttr, IntegerAttr, UnitAttr
+from ..ir.attributes import DenseArrayAttr, IntegerAttr
 from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Operation
@@ -48,8 +48,6 @@ class ConvertStencilToDMPPass(ModulePass):
         applies = [op for op in func_op.walk() if isinstance(op, stencil.ApplyOp)]
         if not applies:
             return
-        func_op.attributes["dmp.distributed"] = UnitAttr()
-        func_op.attributes["dmp.grid"] = DenseArrayAttr(self.grid)
 
         builder = Builder(None)
         builder.set_insertion_point_to_start(func_op.entry_block)
@@ -68,7 +66,6 @@ class ConvertStencilToDMPPass(ModulePass):
                 if isinstance(op, stencil.AccessOp):
                     for d, offset in enumerate(op.offset):
                         halo[d] = max(halo[d], abs(int(offset)))
-            apply_op.attributes["dmp.decomposed_dims"] = DenseArrayAttr(decomposed)
             apply_op.attributes["dmp.halo"] = DenseArrayAttr(halo)
             # Swap halos of every input field before its snapshot is taken
             # (stencil.load copies the field, so the exchange must precede it).
@@ -143,12 +140,10 @@ class ConvertDMPToMPIPass(ModulePass):
                 isend = mpi.ISendOp(field, neighbour.results[0], tag_value)
                 isend.attributes["slice_lb"] = DenseArrayAttr(send_lb)
                 isend.attributes["slice_ub"] = DenseArrayAttr(send_ub)
-                isend.attributes["dmp.direction"] = IntegerAttr(direction, i64)
                 builder.insert(isend)
                 irecv = mpi.IRecvOp(field, neighbour.results[0], recv_tag_value)
                 irecv.attributes["slice_lb"] = DenseArrayAttr(recv_lb)
                 irecv.attributes["slice_ub"] = DenseArrayAttr(recv_ub)
-                irecv.attributes["dmp.direction"] = IntegerAttr(direction, i64)
                 builder.insert(irecv)
                 requests.append(irecv.results[0])
         if requests:

@@ -158,7 +158,6 @@ class GpuHostRegisterPass(GpuDataManagementBase):
                 (i, t) for i, t in enumerate(arg_types) if isinstance(t, LLVMPointerType)
             ]
             register_func = FuncOp.build(register_name, [t for _, t in ptr_args], [])
-            register_func.attributes["gpu.data_management"] = UnitAttr()
             builder = Builder.at_end(register_func.entry_block)
             for arg in register_func.entry_block.args:
                 builder.insert(gpu.HostRegisterOp(arg))
@@ -220,7 +219,6 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
         # ---- allocation + copy-in function --------------------------------
         alloc_name = f"_gpu_alloc_{func_op.sym_name}"
         alloc_func = FuncOp.build(alloc_name, ptr_types, ptr_types)
-        alloc_func.attributes["gpu.data_management"] = UnitAttr()
         builder = Builder.at_end(alloc_func.entry_block)
         device_values: List[SSAValue] = []
         for arg, shape, elem, ptr_type in zip(
@@ -241,7 +239,6 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
         # ---- copy-back + deallocation function -----------------------------
         free_name = f"_gpu_free_{func_op.sym_name}"
         free_func = FuncOp.build(free_name, ptr_types + ptr_types, [])
-        free_func.attributes["gpu.data_management"] = UnitAttr()
         builder = Builder.at_end(free_func.entry_block)
         n = len(ptr_indices)
         for i in range(n):

@@ -7,9 +7,11 @@ These reproduce the existing MLIR passes the paper leans on in §3:
 * ``scf-parallel-loop-tiling{parallel-loop-tile-sizes=...}`` — records the
   tile sizes on the loop (used by the GPU mapping to choose thread-block
   shapes; the paper notes these had to be found empirically);
-* ``gpu-map-parallel-loops`` + ``convert-parallel-loops-to-gpu`` +
-  ``gpu-kernel-outlining`` — outline each ``scf.parallel`` into a ``gpu.func``
-  kernel launched over a grid/block decomposition of the iteration space.
+* ``convert-parallel-loops-to-gpu`` + ``gpu-kernel-outlining`` — outline
+  each ``scf.parallel`` into a ``gpu.func`` kernel launched over a grid/block
+  decomposition of the iteration space (the grid/block split is the whole
+  mapping, so ``gpu-map-parallel-loops`` is an accepted name that does
+  nothing here).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..dialects import arith, gpu, omp, scf
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
-from ..ir.attributes import DenseArrayAttr, StringAttr
+from ..ir.attributes import DenseArrayAttr
 from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
@@ -46,14 +48,12 @@ class ConvertSCFToOpenMPPass(ModulePass):
 
     name = "convert-scf-to-openmp"
 
-    def __init__(self, num_threads: Optional[int] = None,
-                 schedule: str = "static", chunk_size: Optional[int] = None):
+    def __init__(self, schedule: str = "static", chunk_size: Optional[int] = None):
         if schedule not in omp.WsLoopOp.SCHEDULE_KINDS:
             raise ValueError(
                 f"schedule must be one of {omp.WsLoopOp.SCHEDULE_KINDS}, "
                 f"got {schedule!r}"
             )
-        self.num_threads = num_threads
         self.schedule = schedule
         self.chunk_size = chunk_size
 
@@ -91,7 +91,7 @@ class ConvertSCFToOpenMPPass(ModulePass):
         ws_body.add_op(omp.YieldOp([]))
 
         region = Region([Block(ops=[wsloop, omp.TerminatorOp()])])
-        parallel_region = omp.ParallelOp(region, num_threads=self.num_threads)
+        parallel_region = omp.ParallelOp(region)
         block.insert_op_before(parallel_region, parallel)
         parallel.erase(safe=False)
 
@@ -124,18 +124,6 @@ class ParallelLoopTilingPass(ModulePass):
                 while len(sizes) < op.rank:
                     sizes.append(1)
                 op.attributes["tile_sizes"] = DenseArrayAttr(sizes)
-
-
-@register_pass
-class GpuMapParallelLoopsPass(ModulePass):
-    """``gpu-map-parallel-loops`` — annotate loops with a GPU mapping policy."""
-
-    name = "gpu-map-parallel-loops"
-
-    def apply(self, ctx: Context, module: Operation) -> None:
-        for op in module.walk():
-            if isinstance(op, scf.ParallelOp):
-                op.attributes["mapping"] = StringAttr("gpu-thread-block")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +161,7 @@ class ConvertParallelLoopsToGpuPass(ModulePass):
             ]
             for parallel in loops:
                 if gpu_module is None:
-                    gpu_module = gpu.GPUModuleOp("stencil_kernels")
+                    gpu_module = gpu.GPUModuleOp()
                     module.add_op(gpu_module)
                 kernel_name = f"{func_op.sym_name}_kernel_{counter}"
                 counter += 1
@@ -276,6 +264,5 @@ class ConvertParallelLoopsToGpuPass(ModulePass):
 __all__ = [
     "ConvertSCFToOpenMPPass",
     "ParallelLoopTilingPass",
-    "GpuMapParallelLoopsPass",
     "ConvertParallelLoopsToGpuPass",
 ]

@@ -21,7 +21,6 @@ from . import gpu_data_management  # noqa: F401
 from . import parallel_lowering  # noqa: F401
 from . import stencil_discovery  # noqa: F401
 from . import stencil_extraction  # noqa: F401
-from . import stencil_fusion  # noqa: F401
 from . import stencil_lowering  # noqa: F401
 
 #: MLIR passes the pipelines below name that have nothing to do on this
@@ -32,6 +31,7 @@ GLOBAL_PASS_REGISTRY.accepted.update((
     "scf-parallel-loop-specialization",
     "test-math-algebraic-simplification",
     "test-expand-math",
+    "gpu-map-parallel-loops",
     "fold-memref-alias-ops",
     "finalize-memref-to-llvm",
     "lower-affine",

@@ -2,14 +2,8 @@
 
 The fluent :class:`repro.schedule.Schedule` layer records directives on
 ``BackendOptions.schedule_chain`` (compile-time cache-key material); this
-module is where those directives actually touch the IR during
-``Backend.lower``, in two phases:
-
-* **pre** — directives that operate at the stencil level *before* the
-  backend pipeline runs: ``fuse`` calls the adjacent-apply merge on every
-  extracted function (a no-op when nothing is adjacent, exactly like the
-  default ``fuse_stencils`` discovery merge).
-* **post** — loop-level directives applied *after* the backend pipeline:
+module is where those directives actually touch the IR, at the end of
+``Backend.lower``, after the backend pipeline:
 
   - ``tile`` records a ``schedule.tile`` attribute on each loop-nest root
     (``scf.parallel`` / ``omp.wsloop``, or the ``stencil.apply`` itself when
@@ -44,7 +38,6 @@ from ..ir.operation import Block, Operation
 from ..ir.ssa import BlockArgument, OpResult, SSAValue
 from ..ir.types import index
 from ..schedule.directives import ScheduleError, describe_chain
-from .stencil_fusion import merge_adjacent_applies
 
 #: Attribute carrying tile sizes on a loop-nest root / stencil.apply.  It is
 #: runtime placement policy: the kernel compiler's structural hash skips it
@@ -57,47 +50,9 @@ TILE_ATTR = "schedule.tile"
 _PURE_BOUND_OPS = ("fir.convert",)
 
 
-def apply_schedule_chain(artifact, ctx, phase: str) -> None:
-    """Apply ``artifact.options.schedule_chain`` directives for ``phase``."""
-    chain = getattr(artifact.options, "schedule_chain", ())
-    if not chain:
-        return
-    if phase == "pre":
-        _apply_pre(artifact, chain)
-    elif phase == "post":
-        _apply_post(artifact, chain)
-    else:  # pragma: no cover - internal contract
-        raise ValueError(f"unknown schedule phase {phase!r}")
-
-
-# ---------------------------------------------------------------------------
-# pre phase: stencil-level directives
-# ---------------------------------------------------------------------------
-
-
-def _apply_pre(artifact, chain) -> None:
-    fuses = sum(1 for directive in chain if directive[0] == "fuse")
-    if not fuses:
-        return
-    if artifact.stencil_module is None or not artifact.extracted_functions:
-        raise ScheduleError(
-            f"fuse: backend '{artifact.backend}' produced no extracted "
-            f"stencil functions to fuse (chain: {describe_chain(chain)})"
-        )
-    for name in artifact.extracted_functions:
-        func_op = artifact.stencil_module.get_symbol(name)
-        for _ in range(fuses):
-            merge_adjacent_applies(func_op)
-    artifact.stencil_module.verify()
-
-
-# ---------------------------------------------------------------------------
-# post phase: loop-level directives
-# ---------------------------------------------------------------------------
-
-
-def _apply_post(artifact, chain) -> None:
-    directives = [d for d in chain if d[0] != "fuse"]
+def apply_schedule_chain(artifact) -> None:
+    """Apply ``artifact.options.schedule_chain`` to the lowered artifact."""
+    directives = getattr(artifact.options, "schedule_chain", ())
     if not directives:
         return
     backend = artifact.backend

@@ -3,7 +3,8 @@
 The final step of the paper's discovery algorithm (Listing 3 line 29) merges
 stencils that sit next to each other in the IR and share the same bounds; the
 PW advection benchmark relies on this to fuse its three component stencils
-into a single stencil region (§4.1).
+into a single stencil region (§4.1).  Discovery is the one caller: the
+``fuse_stencils`` compile option turns the merge off (ablation E9).
 
 The merge is safe when the later apply does not read any field written by the
 earlier one (stencil semantics take a snapshot of their inputs, so a
@@ -16,9 +17,7 @@ from typing import Dict, List, Optional
 
 from ..dialects import stencil
 from ..dialects.func import FuncOp
-from ..ir.context import Context
-from ..ir.operation import Block, Operation, Region
-from ..ir.pass_manager import ModulePass, register_pass
+from ..ir.operation import Block, Region
 from ..ir.ssa import OpResult, SSAValue
 from .cleanup import eliminate_dead_code
 
@@ -165,19 +164,4 @@ def _blocks_of(func_op: FuncOp):
     return blocks
 
 
-@register_pass
-class StencilFusionPass(ModulePass):
-    """Standalone pass exposing the adjacent-apply merge (ablation: E9)."""
-
-    name = "stencil-fusion"
-
-    def __init__(self):
-        self.fused = 0
-
-    def apply(self, ctx: Context, module: Operation) -> None:
-        for op in list(module.walk()):
-            if isinstance(op, FuncOp) and not op.is_declaration:
-                self.fused += merge_adjacent_applies(op)
-
-
-__all__ = ["StencilFusionPass", "merge_adjacent_applies"]
+__all__ = ["merge_adjacent_applies"]

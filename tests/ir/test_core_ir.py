@@ -328,7 +328,7 @@ def make_nested_module():
     kb = Builder.at_end(kernel.entry_block)
     neg = kb.insert(arith.NegfOp(kernel.entry_block.args[0]))
     ret = kb.insert(gpu.ReturnOp())
-    device = gpu.GPUModuleOp("device", [kernel])
+    device = gpu.GPUModuleOp([kernel])
     host, add = make_add_function()
     const = arith.ConstantOp.from_float(1.0)
     return ModuleOp([const, host, device]), const, host, add, device, kernel, neg, ret

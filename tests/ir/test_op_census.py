@@ -1,4 +1,5 @@
-"""The dialects hold what the compiler emits.
+"""The dialects hold what the compiler emits, and nothing is written that
+nobody reads.
 
 Every registered operation is one the compiler constructs on some path, and
 every interpreter handler executes one of them.  An op that nothing builds is
@@ -6,18 +7,31 @@ dead code in its dialect and in the semantics reference.  The census records
 the class of every ``Operation`` constructed while a fixed corpus compiles on
 every backend configuration, intermediate ops such as ``dmp.halo_swap``
 included.  There is no allowlist: an op no construct reaches goes.
+
+The same corpus then runs, and the census also records every attribute an op
+is given (at construction or later) and every attribute some pass, runtime
+or API looks up by name.  Printing, cloning, hashing and CSE see every
+attribute without naming one, and a verifier that checks an attribute nobody
+else reads is part of the dead weight, so none of them counts as a reader.
+An attribute that is written and never read goes, with whatever wrote it.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.api.distributed import detect_entry
 from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import ALL_DIALECTS
 from repro.dialects.builtin import ModuleOp
+from repro.ir import parse_module, print_module
 from repro.ir.operation import Operation
 from repro.runtime import Interpreter
+from repro.runtime.interpreter import InterpreterError
+from repro.schedule import synthesize_args
+from repro.serve.store import ArtifactStore
 
 CORPUS = Path(__file__).resolve().parents[2] / "fuzz" / "corpus"
 
@@ -102,32 +116,130 @@ def _sources():
     yield from CONSTRUCTS.values()
 
 
+class _Traffic:
+    """What the corpus constructs, and which attributes it writes and reads,
+    as ``(op name, attribute name)`` pairs."""
+
+    def __init__(self):
+        self.constructed = set()
+        self.written = set()
+        self.read = set()
+        self.quiet = 0
+
+
+def _recording_attributes(traffic):
+    class Attributes(dict):
+        """One op's attribute dict, reporting writes and by-name lookups."""
+
+        __slots__ = ("op_name",)
+
+        def __setitem__(self, key, value):
+            traffic.written.add((self.op_name, key))
+            dict.__setitem__(self, key, value)
+
+        def _looked_up(self, key):
+            if not traffic.quiet:
+                traffic.read.add((self.op_name, key))
+
+        def __getitem__(self, key):
+            self._looked_up(key)
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            self._looked_up(key)
+            return dict.get(self, key, default)
+
+        def __contains__(self, key):
+            self._looked_up(key)
+            return dict.__contains__(self, key)
+
+    return Attributes
+
+
+def _run(compiled):
+    """Run a lowered handle on synthesized arguments, in crosscheck mode so
+    the vectorized kernels and the scalar handlers both execute."""
+    entry = detect_entry(compiled)
+    args = synthesize_args(compiled.fir_module.get_symbol(entry))
+    mode = "interpret" if compiled.backend_name == "flang-only" else "crosscheck"
+    with np.errstate(all="ignore"):
+        compiled.run(entry, *args, execution_mode=mode, threads=2)
+
+
+def _exercise(session, store_dir):
+    for source in _sources():
+        program = session.compile(source)
+        for backend, options in CONFIGS:
+            compiled = program.lower(backend, **options)
+            if backend != "dmp":
+                _run(compiled)
+    gs = session.compile(gauss_seidel.generate_source_shaped((8, 8, 8), niters=2))
+    plan = gs.lower("dmp", grid=(2, 2)).distribute(
+        source_builder=gauss_seidel.generate_source_shaped)
+    plan.run(gauss_seidel.initial_condition(12), iterations=2)
+    # Schedule tiles, at the stencil level and on a lowered nest.
+    _run(session.compile(pw_advection.generate_source(8)).lower("cpu")
+         .schedule().tile(2, 4, 4).compiled)
+    _run(gs.lower("openmp", lower_to_scf=True).schedule().tile(2, 4, 4).compiled)
+    # A store reload parses every attribute back, and linking one module
+    # twice names both modules in the error.
+    for _ in range(2):
+        reloaded = repro.Session(store=ArtifactStore(store_dir)).compile(
+            pw_advection.generate_source(8)).lower("gpu", lower_to_scf=True)
+        _run(reloaded)
+    twin = parse_module(print_module(reloaded.stencil_module))
+    with pytest.raises(InterpreterError, match="defined twice"):
+        Interpreter([reloaded.stencil_module, twin])
+
+
 @pytest.fixture(scope="module")
-def constructed():
-    """The name of every op class constructed while the corpus compiles on
-    every configuration."""
-    names = set()
-    real = Operation.__init__
+def traffic(tmp_path_factory):
+    """The census of the corpus compiling on every configuration and
+    running."""
+    traffic = _Traffic()
+    attributes_cls = _recording_attributes(traffic)
+    real_init, real_verify = Operation.__init__, Operation.verify
 
     def record(self, *args, **kwargs):
-        names.add(type(self).name)
-        real(self, *args, **kwargs)
+        traffic.constructed.add(type(self).name)
+        real_init(self, *args, **kwargs)
+        recorded = attributes_cls()
+        recorded.op_name = self.name
+        traffic.written.update((self.name, key) for key in self.attributes)
+        dict.update(recorded, self.attributes)
+        self.attributes = recorded
 
-    session = repro.Session()
+    def verify(self):
+        traffic.quiet += 1
+        try:
+            real_verify(self)
+        finally:
+            traffic.quiet -= 1
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Operation, "__init__", record)
-        for source in _sources():
-            for backend, options in CONFIGS:
-                session.compile(source).lower(backend, **options)
-    return names
+        patch.setattr(Operation, "verify", verify)
+        _exercise(repro.Session(), tmp_path_factory.mktemp("store"))
+    return traffic
 
 
-def test_every_registered_op_is_constructed(constructed):
+def test_every_registered_op_is_constructed(traffic):
     registered = {op.name for dialect in ALL_DIALECTS for op in dialect.operations}
-    assert sorted(registered - constructed) == []
-    assert sorted(constructed - registered) == []
+    assert sorted(registered - traffic.constructed) == []
+    assert sorted(traffic.constructed - registered) == []
 
 
-def test_every_interpreter_handler_runs_a_constructed_op(constructed):
+def test_every_interpreter_handler_runs_a_constructed_op(traffic):
     handlers = set(Interpreter(ModuleOp([]))._handlers)
-    assert sorted(handlers - constructed) == []
+    assert sorted(handlers - traffic.constructed) == []
+
+
+def test_every_written_attribute_is_read(traffic):
+    write_only = sorted(traffic.written - traffic.read)
+    assert not write_only, f"written, never read: {write_only}"
+
+
+def test_every_attribute_looked_up_is_one_something_writes(traffic):
+    written = {key for _, key in traffic.written}
+    never_written = sorted({key for _, key in traffic.read} - written)
+    assert not never_written, f"looked up, never written: {never_written}"

@@ -81,10 +81,9 @@ end subroutine pw_su
 class TestDirectiveGrammar:
     def test_chain_normalizes_lists_to_tuples(self):
         chain = normalize_schedule_chain(
-            ["fuse", ("tile", [4, 8]), ("reorder", [1, 0]), ("unroll", [0, 2])]
+            [("tile", [4, 8]), ("reorder", [1, 0]), ("unroll", [0, 2])]
         )
-        assert chain == (("fuse",), ("tile", (4, 8)),
-                         ("reorder", (1, 0)), ("unroll", (0, 2)))
+        assert chain == (("tile", (4, 8)), ("reorder", (1, 0)), ("unroll", (0, 2)))
 
     def test_none_is_the_empty_chain(self):
         assert normalize_schedule_chain(None) == ()
@@ -92,14 +91,13 @@ class TestDirectiveGrammar:
     @pytest.mark.parametrize("chain, message", [
         ([("warp", (2,))], "unknown schedule directive 'warp'"),
         ([()], "empty schedule directive"),
-        ([("fuse", 3)], "fuse takes no arguments"),
+        (["fuse"], "unknown schedule directive 'fuse'"),
         ([("tile", (0, 4))], "tile sizes must be positive"),
         ([("tile", ("a",))], "expected a sequence of integers"),
         ([("reorder", (0, 2))], "must be a permutation"),
         ([("reorder", (1,))], "must be a permutation"),
         ([("unroll", (0, 1))], "unroll factor must be >= 2"),
         ([("unroll", (-1, 2))], "unroll loop index must be >= 0"),
-        ([("tile", (4,)), "fuse"], "fuse must precede loop transforms"),
     ])
     def test_malformed_chains_are_loud(self, chain, message):
         with pytest.raises(ScheduleError, match=message):
@@ -107,8 +105,8 @@ class TestDirectiveGrammar:
 
     def test_describe_chain_renders_compactly(self):
         chain = normalize_schedule_chain(
-            ["fuse", ("tile", (1, 4, 8)), ("reorder", (1, 0))])
-        assert describe_chain(chain) == "fuse().tile(1,4,8).reorder(1,0)"
+            [("tile", (1, 4, 8)), ("reorder", (1, 0)), ("unroll", (0, 2))])
+        assert describe_chain(chain) == "tile(1,4,8).reorder(1,0).unroll(0,2)"
 
     def test_invalid_chain_through_lower_is_an_option_error(
             self, session, small_gs_source):
@@ -185,7 +183,7 @@ class TestVerifiedChains:
             self, session, small_gs_source, backend, options):
         schedule = (session.compile(small_gs_source)
                     .lower(backend, **options)
-                    .schedule().fuse().tile(1, 4, 8).reorder(1, 0)
+                    .schedule().tile(1, 4, 8).reorder(1, 0).unroll(1, 2)
                     .verify())
         assert len(schedule.chain) == 3
 
@@ -197,8 +195,8 @@ class TestVerifiedChains:
             self, session, small_pw_source, backend, options):
         schedule = (session.compile(small_pw_source)
                     .lower(backend, **options)
-                    .schedule().fuse().tile(2, 4, 4).reorder(1, 0)
-                    .unroll(0, 2)
+                    .schedule().tile(2, 4, 4).reorder(1, 0)
+                    .unroll(0, 2).unroll(1, 2)
                     .verify())
         assert len(schedule.chain) == 4
 
@@ -218,7 +216,7 @@ class TestVerifiedChains:
                                                      small_pw_source):
         (session.compile(small_pw_source)
          .lower("cpu")
-         .schedule().fuse().tile(4, 4, 4)
+         .schedule().tile(4, 4, 4)
          .verify())
 
     def test_empty_chain_verify_is_a_no_op(self, session, small_gs_source):

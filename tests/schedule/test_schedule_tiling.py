@@ -4,7 +4,7 @@ The PW advection apply kernel streams 27 windows of three fields through a
 handful of reused temporaries; at n=96 even those leave L2, so the
 *unscheduled* program already runs in cache-sized boxes (the interpreter's
 default plan, counted in ``cache_tiles``).  An explicit
-``fuse().tile(32, 32, 32)`` replaces that plan with user-shaped boxes —
+``tile(32, 32, 32)`` replaces that plan with user-shaped boxes —
 bitwise-equal output (proved by ``verify()``) — and must not be needed to
 get blocking: the default is held to no slower than the explicit tile x1.1,
 a margin wide enough that scheduler noise cannot flake the suite.
@@ -34,7 +34,7 @@ def _best_of(fn, repeats=5):
 def pw_handles():
     base = repro.Session().compile(
         pw_advection.generate_source(_N)).lower("cpu")
-    schedule = base.schedule().fuse().tile(*_TILE).verify()
+    schedule = base.schedule().tile(*_TILE).verify()
     return base, schedule.compiled
 
 
@@ -57,7 +57,7 @@ def test_default_plan_blocks_and_matches_the_explicit_tile(pw_handles):
     default_s, tiled_s = _best_of(run_default), _best_of(run_tiled)
     assert default_s <= tiled_s * 1.1, (
         f"unscheduled pw_advection n={_N}: {default_s * 1e3:.1f} ms vs "
-        f"fuse().tile{_TILE} {tiled_s * 1e3:.1f} ms — the default plan lost"
+        f"tile{_TILE} {tiled_s * 1e3:.1f} ms — the default plan lost"
     )
 
 
