@@ -5,24 +5,17 @@ The text is lexed **once**, by one compiled master pattern (``_TOKEN_RE``):
 parser below only ever compares and consumes whole tokens.  Token offsets are
 not kept; the error path re-lexes to turn a token index into line / column.
 
-Each :class:`IRParser` carries two memos, private to that parse:
-
-* ``_types`` shares one instance per type spelling.  Types are immutable
-  value objects compared through ``_key()`` (the compile path already shares
-  instances), so sharing changes no result — it only makes the use-site
-  ``value.type != expected`` check an identity test.
-* ``_signatures`` maps the spelling of an operation's trailing
-  ``: (...) -> (...)`` to its parsed types.  The lexer emits such a tail as a
-  single token only when it follows ``) `` / ``} ``, runs to the end of its
-  line and contains nothing but two flat parenthesised lists (what the printer
-  writes).  The first time a spelling is seen the token is re-lexed and goes
-  through the ordinary type-list path; anything else — a trailing ``//``
-  comment, two ops on a line, a function type in the list, other spacing — is
-  never lexed as one token and takes the ordinary path every time, yielding
-  the same objects.
+Each :class:`IRParser` shares one instance per type spelling (``_types``,
+private to that parse).  Types are immutable value objects compared through
+``_key()`` (the compile path already shares instances), so sharing changes no
+result — it only makes the use-site ``value.type != expected`` check an
+identity test.
 
 It accepts the output of :mod:`repro.ir.printer` (round-trip stable) as well
-as modestly hand-written generic-syntax IR used in tests.
+as modestly hand-written generic-syntax IR used in tests and by humans.  The
+artifact store does not read text: it persists op tables
+(:mod:`repro.ir.table`), whose type and attribute spellings this parser reads
+one leaf at a time.
 """
 
 from __future__ import annotations
@@ -78,8 +71,6 @@ _TOKEN_RE = re.compile(
     r"\s*(?://[^\n]*(?:\n\s*|\Z))*("  # whitespace and comments separate tokens
     r'"(?:[^"\\]|\\[\s\S])*"'  # string literal
     r"|[%@^][A-Za-z0-9_.$\-]*"  # value id, symbol, block label
-    # a whole operation signature, as the printer writes it (module docstring)
-    r"|(?<=[)}] ):[ \t]*\([^\n\"{}()/]*\)[ \t]*->[ \t]*\([^\n\"{}()/]*\)(?=[ \t\r]*(?:\n|\Z))"
     r"|![A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*"  # dialect type head
     r"|[A-Za-z_][A-Za-z0-9_.$\-]*"  # identifier / keyword
     r"|(?:(?:\?|\d+)x)+"  # shape extents "64x?x"
@@ -98,9 +89,9 @@ _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
-def _token_start(text: str, index: int, begin: int = 0) -> int:
-    """Offset of the ``index``-th token lexed from ``text[begin:]``."""
-    match = next(islice(_TOKEN_RE.finditer(text, begin), index, None), None)
+def _token_start(text: str, index: int) -> int:
+    """Offset of the ``index``-th token lexed from ``text``."""
+    match = next(islice(_TOKEN_RE.finditer(text), index, None), None)
     return len(text) if match is None else match.start(1)
 
 
@@ -119,9 +110,6 @@ class IRParser:
         self.context = context
         self.values: Dict[str, SSAValue] = {}
         self._types: Dict[str, TypeAttribute] = {}
-        self._signatures: Dict[str, Tuple[list, list]] = {}
-        #: ``(tokens, index)`` of the module while a signature token is re-lexed.
-        self._outer: Optional[Tuple[List[str], int]] = None
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -129,12 +117,7 @@ class IRParser:
 
     def _error(self, message: str) -> ParseError:
         # Token offsets are not kept while parsing: re-lex to find this one.
-        if self._outer is None:
-            pos = _token_start(self.text, self.i)
-        else:
-            toks, i = self._outer
-            pos = _token_start(self.text, i) + _token_start(toks[i], self.i, 1)
-        return ParseError(message, self.text, pos)
+        return ParseError(message, self.text, _token_start(self.text, self.i))
 
     def at_end(self) -> bool:
         return not self.toks[self.i]
@@ -417,7 +400,8 @@ class IRParser:
         if self.peek("{"):
             attributes = self.parse_attr_dict_body()
 
-        operand_types, result_types = self._parse_signature()
+        self.expect(":")
+        operand_types, result_types = self._parse_functional_type()
 
         if len(operand_types) != len(operand_names):
             raise self._error(
@@ -447,23 +431,6 @@ class IRParser:
             res.name_hint = name
             self.values[name] = res
         return op
-
-    def _parse_signature(self) -> Tuple[List[TypeAttribute], List[TypeAttribute]]:
-        """``: (operand types) -> result types``, once per whole-line spelling."""
-        tok = self.toks[self.i]
-        signature = self._signatures.get(tok)
-        if signature is None:
-            if tok[:1] != ":" or len(tok) < 3:  # ':' token by token, or an error
-                self.expect(":")
-                return self._parse_functional_type()
-            # A signature token not seen before: re-lex it, take the same path.
-            self._outer = self.toks, self.i
-            self.toks, self.i = _TOKEN_RE.findall(tok, 1), 0
-            signature = self._signatures[tok] = self._parse_functional_type()
-            self.toks, self.i = self._outer
-            self._outer = None
-        self.i += 1
-        return signature
 
     def _build_operation(
         self,

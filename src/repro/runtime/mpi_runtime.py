@@ -13,7 +13,9 @@ artificially delayed messages and retransmitting the missing sequence number
 from the outbox.  Duplicates are deduplicated by sequence number and
 corrupted payloads are detected by checksum and retransmitted.  Faults are
 injected deterministically through a ``fault_hook`` (see
-:class:`repro.resilience.FaultInjector`), the only injection point.
+:class:`repro.resilience.FaultInjector`), the only injection point: without
+one nothing can go missing, so a receive waits out its timeout with no NACK
+round and the recovery counters stay zero.
 """
 
 from __future__ import annotations
@@ -180,7 +182,8 @@ class SimulatedCommunicator:
         retransmits from the outbox, and a missing message waits one backoff
         slice before NACKing the channel (release delayed + retransmit).
         Backoff doubles up to a cap; the overall ``timeout`` still bounds the
-        whole receive.
+        whole receive.  Without a ``fault_hook`` there is no NACK round: the
+        one wait is the whole timeout.
         """
         self._check_rank(source)
         self._check_rank(dest)
@@ -224,9 +227,11 @@ class SimulatedCommunicator:
                     lambda: self._aborted is not None
                     or any(e.seq == expected
                            for e in self._mailboxes.get(key, ())),
-                    timeout=min(backoff, remaining),
+                    timeout=remaining if self._fault_hook is None
+                    else min(backoff, remaining),
                 )
-                if not got and retries < self._max_receive_retries:
+                if (not got and self._fault_hook is not None
+                        and retries < self._max_receive_retries):
                     # The cap bounds *recovery* rounds, not honest waiting:
                     # once NACKs are exhausted we keep waiting quietly until
                     # the overall timeout, so a slow-but-healthy sender is

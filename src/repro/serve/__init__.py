@@ -6,8 +6,8 @@ move):
 
 * :class:`ArtifactStore` (:mod:`repro.serve.store`) — a content-addressed
   **on-disk** artifact cache keyed by the session's own ``(source
-  fingerprint, backend, frozen options)`` triple, persisting printed-IR text
-  plus a JSON metadata sidecar.  Atomic writes, checksum-verified reads
+  fingerprint, backend, frozen options)`` triple, persisting each module as
+  a JSON op table (:mod:`repro.ir.table`) plus a JSON metadata sidecar.  Atomic writes, checksum-verified reads
   (corruption is a miss, never a crash), a versioned format and an LRU size
   cap.  Attach one via ``Session(store=ArtifactStore(path))`` and warm
   processes skip every lower a previous process already did.

@@ -4,9 +4,10 @@ The :class:`repro.api.Session` cache is an in-process memo dict: every fresh
 process re-runs discovery/extraction/lowering for every artifact it touches.
 The :class:`ArtifactStore` promotes that cache to disk so *processes* share
 compiles: an artifact is keyed by the same ``(source fingerprint, backend
-name, frozen-options cache key)`` triple the session uses, persisted as
-printed-IR text (reloaded through the existing printer→parser round-trip,
-which is property-tested to be stable) plus a JSON metadata sidecar.
+name, frozen-options cache key)`` triple the session uses, persisted as one
+JSON op table per module (:mod:`repro.ir.table`: each distinct type and
+attribute spelling is parsed once, the ops are built from data, and no IR text
+is re-read) plus a JSON metadata sidecar.
 
 Design constraints, in order:
 
@@ -15,13 +16,14 @@ Design constraints, in order:
   process/thread, so a reader never observes a half-written entry and two
   processes racing the same key simply last-write-win equivalent content.
 * **Corruption is a miss, never a crash.**  The metadata sidecar records a
-  sha256 checksum of the IR payload; a truncated IR file, a bad checksum, an
-  unparseable sidecar, a parse error in the IR itself or a module that fails
-  verification all count as ``corrupt`` misses, the entry is deleted
-  best-effort, and the client recompiles.
+  sha256 checksum of the payload; a truncated payload, a bad checksum, an
+  unparseable sidecar, a table the decoder refuses (an op this build does not
+  register, an id out of range, a use before its definition, any malformed
+  shape) or a module that fails verification all count as ``corrupt``
+  misses, the entry is deleted best-effort, and the client recompiles.
 * **The format is versioned.**  ``STORE_FORMAT_VERSION`` mismatches are
-  misses (counted separately), so a store written by a future layout never
-  feeds garbage into an old reader.
+  misses (counted separately), so a store written by another layout never
+  feeds garbage into this reader.
 * **Bounded size.**  ``max_bytes`` caps the store; eviction is LRU by
   sidecar mtime (reads touch the sidecar), oldest first.
 
@@ -44,17 +46,11 @@ from typing import Dict, List, Optional, Tuple
 from ..api.artifact import CompiledArtifact
 from ..dialects.builtin import ModuleOp
 from ..ir.context import default_context
-from ..ir.parser import parse_module
-from ..ir.printer import print_module
+from ..ir.table import decode_module, encode_module
 
 #: On-disk layout version; bump on any incompatible change.  A mismatched
 #: entry is a (counted) miss, never an error.
-STORE_FORMAT_VERSION = 2
-
-#: Separator between the FIR module and the stencil module inside one ``.ir``
-#: payload.  The printer only emits generic-syntax operations, so this line
-#: can never appear inside printed IR.
-_MODULE_SEPARATOR = "//=== repro.serve stencil-module ===//"
+STORE_FORMAT_VERSION = 3
 
 _temp_counter = itertools.count()
 
@@ -72,17 +68,16 @@ def key_digest(key: Tuple) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _checksum(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _checksum(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()
 
 
-def serialize_artifact(artifact: CompiledArtifact) -> Tuple[str, Dict]:
-    """Render an artifact to its persistent form: the IR payload text and
-    the JSON-ready metadata dict (sans checksum/size, added at write time)."""
-    sections = [print_module(artifact.fir_module)]
-    if artifact.stencil_module is not None:
-        sections.append(print_module(artifact.stencil_module))
-    payload = ("\n" + _MODULE_SEPARATOR + "\n").join(sections)
+def serialize_artifact(artifact: CompiledArtifact) -> Tuple[bytes, Dict]:
+    """Render an artifact to its persistent form: the payload (a JSON list of
+    op tables, FIR module first) and the JSON-ready metadata dict (sans
+    checksum/size, added at write time)."""
+    tables = [encode_module(module) for module in artifact.modules]
+    payload = json.dumps(tables, separators=(",", ":")).encode("utf-8")
     meta = {
         "backend": artifact.backend,
         "has_stencil_module": artifact.stencil_module is not None,
@@ -92,29 +87,26 @@ def serialize_artifact(artifact: CompiledArtifact) -> Tuple[str, Dict]:
     return payload, meta
 
 
-def deserialize_artifact(payload: str, meta: Dict, *, source: str,
+def deserialize_artifact(payload: bytes, meta: Dict, *, source: str,
                          backend: str, options) -> CompiledArtifact:
     """Rebuild a :class:`CompiledArtifact` from its persistent form.
 
-    Raises on any malformation (parse error, an operation this build does
-    not register, wrong module count, failed verification) — the store
-    catches and converts to a miss.
+    Raises on any malformation (undecodable JSON, a table the decoder
+    refuses, wrong module count, failed verification) — the store catches
+    and converts to a miss.
     """
-    sections = payload.split("\n" + _MODULE_SEPARATOR + "\n")
+    tables = json.loads(payload)
     expected = 2 if meta["has_stencil_module"] else 1
-    if len(sections) != expected:
-        raise ValueError(
-            f"expected {expected} IR section(s), found {len(sections)}"
-        )
+    if type(tables) is not list or len(tables) != expected:
+        raise ValueError(f"expected a list of {expected} op table(s)")
+    # An op a later build deleted fails to decode, as a corrupt miss, not as a
+    # missing interpreter handler in the first run.
+    context = default_context()
     modules: List[ModuleOp] = []
-    for text in sections:
-        # Strict: an op a later build deleted must fail here, as a corrupt
-        # miss, not as a missing interpreter handler in the first run.
-        context = default_context()
-        context.allow_unregistered = False
-        module = parse_module(text, context)
+    for table in tables:
+        module = decode_module(table, context)
         if not isinstance(module, ModuleOp):
-            raise ValueError(f"payload section is not a module: {module.name}")
+            raise ValueError(f"payload table is not a module: {module.name}")
         module.verify()
         modules.append(module)
     return CompiledArtifact(
@@ -133,10 +125,10 @@ def deserialize_artifact(payload: str, meta: Dict, *, source: str,
 class ArtifactStore:
     """A content-addressed, size-capped, crash-safe artifact store on disk.
 
-    One entry per key, two files per entry under ``root/v2/``:
+    One entry per key, two files per entry under ``root/v3/``:
 
-    * ``<digest>.ir``   — printed-IR payload (FIR module, then the stencil
-      module separated by a sentinel line);
+    * ``<digest>.ops``  — payload: a JSON list of op tables (FIR module, then
+      the stencil module if there is one);
     * ``<digest>.json`` — metadata sidecar: format version, the human-readable
       key components, the payload checksum and size, and artifact stats
       (stencil counts, extracted function names).
@@ -167,7 +159,7 @@ class ArtifactStore:
     # -- paths ----------------------------------------------------------------
 
     def _paths(self, digest: str) -> Tuple[Path, Path]:
-        return self._dir / f"{digest}.ir", self._dir / f"{digest}.json"
+        return self._dir / f"{digest}.ops", self._dir / f"{digest}.json"
 
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._lock:
@@ -180,26 +172,28 @@ class ArtifactStore:
         """The artifact stored under ``key``, or ``None`` (a safe miss).
 
         Every failure mode — absent entry, unreadable or unparseable sidecar,
-        version mismatch, checksum mismatch (truncation, corruption), IR
-        parse or verification failure — returns ``None``; corrupt entries are
-        additionally deleted best-effort so they stop costing read attempts.
+        version mismatch, checksum mismatch (truncation, corruption), a table
+        the decoder refuses or a failed verification — returns ``None``;
+        corrupt entries are additionally deleted best-effort so they stop
+        costing read attempts.
         """
         digest = key_digest(key)
-        ir_path, meta_path = self._paths(digest)
+        ops_path, meta_path = self._paths(digest)
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            meta = json.loads(meta_path.read_bytes())
+            version = meta.get("format_version")
+        except (OSError, ValueError, AttributeError):
             if meta_path.exists():
                 self._bump("corrupt_entries")
                 self._delete_entry(digest)
             self._bump("misses")
             return None
-        if meta.get("format_version") != STORE_FORMAT_VERSION:
+        if version != STORE_FORMAT_VERSION:
             self._bump("version_mismatches")
             self._bump("misses")
             return None
         try:
-            payload = ir_path.read_text(encoding="utf-8")
+            payload = ops_path.read_bytes()
         except OSError:
             self._bump("corrupt_entries")
             self._delete_entry(digest)
@@ -227,7 +221,8 @@ class ArtifactStore:
     # -- write path ------------------------------------------------------------
 
     def save(self, key: Tuple, artifact: CompiledArtifact) -> bool:
-        """Persist ``artifact`` under ``key``; returns False on I/O failure.
+        """Persist ``artifact`` under ``key``; returns False if it cannot
+        be encoded or written.
 
         Write order is payload-then-sidecar, each via an atomic rename, so a
         concurrent reader either sees the complete entry or a checksum
@@ -235,8 +230,12 @@ class ArtifactStore:
         the system to compile-every-process, not to broken.
         """
         digest = key_digest(key)
-        ir_path, meta_path = self._paths(digest)
-        payload, artifact_meta = serialize_artifact(artifact)
+        ops_path, meta_path = self._paths(digest)
+        try:
+            payload, artifact_meta = serialize_artifact(artifact)
+        except Exception:
+            self._bump("write_errors")
+            return False
         fingerprint, backend, options_key = key
         meta = {
             "format_version": STORE_FORMAT_VERSION,
@@ -246,12 +245,13 @@ class ArtifactStore:
                 "options": repr(options_key),
             },
             "checksum": _checksum(payload),
-            "payload_bytes": len(payload.encode("utf-8")),
+            "payload_bytes": len(payload),
             "artifact": artifact_meta,
         }
         try:
-            self._atomic_write(ir_path, payload)
-            self._atomic_write(meta_path, json.dumps(meta, indent=1, sort_keys=True))
+            self._atomic_write(ops_path, payload)
+            self._atomic_write(meta_path, json.dumps(
+                meta, indent=1, sort_keys=True).encode("utf-8"))
         except OSError:
             self._bump("write_errors")
             return False
@@ -260,12 +260,12 @@ class ArtifactStore:
             self._evict_to_cap(keep=digest)
         return True
 
-    def _atomic_write(self, path: Path, text: str) -> None:
+    def _atomic_write(self, path: Path, data: bytes) -> None:
         temp = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}"
             f".{next(_temp_counter)}.tmp"
         )
-        temp.write_text(text, encoding="utf-8")
+        temp.write_bytes(data)
         os.replace(temp, path)
 
     @staticmethod
@@ -288,11 +288,11 @@ class ArtifactStore:
         found = []
         for meta_path in self._dir.glob("*.json"):
             digest = meta_path.stem
-            ir_path = self._dir / f"{digest}.ir"
+            ops_path = self._paths(digest)[0]
             try:
                 stat = meta_path.stat()
                 size = stat.st_size + (
-                    ir_path.stat().st_size if ir_path.exists() else 0
+                    ops_path.stat().st_size if ops_path.exists() else 0
                 )
             except OSError:
                 continue

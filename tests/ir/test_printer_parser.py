@@ -194,9 +194,9 @@ class TestCompiledModulesReload:
             assert print_module(module) == text
 
     def test_hand_written_spellings_yield_the_same_module(self):
-        """Whatever keeps a signature from being lexed as one token — a
-        trailing comment, two ops on a line, other spacing, a function type
-        in the list — goes token by token and builds the same objects."""
+        """A trailing comment, two ops on a line, other spacing and the
+        optional parentheses around one result type build the same objects
+        as the printer's spelling."""
         printed = (
             '"builtin.module"() ({\n'
             "  ^bb0():\n"
@@ -230,8 +230,8 @@ class TestCompiledModulesReload:
         for op in module.walk():
             for value in list(op.results) + [a for r in op.regions for b in r.blocks for a in b.args]:
                 assert types.setdefault(value.type.print(), value.type) is value.type
-        # The memos belong to the parser object, not to the module.
-        assert IRParser("")._types == {} and IRParser("")._signatures == {}
+        # The memo belongs to the parser object, not to the module.
+        assert IRParser("")._types == {}
 
 
 class TestLargeIntegers:

@@ -112,11 +112,18 @@ class TestFaultFreeTraffic:
         np.testing.assert_array_equal(comm.receive(1, 0, 8), payload(10))
         assert comm.message_count == 5
         assert comm.bytes_sent == sum(d.nbytes for d in sent) + 4 * 8
-        # receive_retries counts honest waiting too (a slow sender), so it is
-        # the one counter a fault-free run may move.
-        idle = {name: count for name, count in comm.stats.items()
-                if name != "receive_retries"}
-        assert set(idle.values()) == {0}, idle
+        assert set(comm.stats.values()) == {0}, comm.stats
+
+    def test_a_slow_sender_is_waited_for_without_a_nack_round(self):
+        """Without a fault hook nothing can go missing: a receive that waits
+        40 ms (forty backoff slices here) for its sender is no recovery."""
+        comm = make_comm()
+        sender = threading.Timer(0.04, comm.send, args=(0, 1, 0, payload(1)))
+        sender.start()
+        np.testing.assert_array_equal(comm.receive(0, 1, 0), payload(1))
+        sender.join()
+        assert comm.stats["receive_retries"] == 0
+        assert set(comm.stats.values()) == {0}, comm.stats
 
     def test_consumed_messages_leave_the_outbox(self):
         comm = make_comm()

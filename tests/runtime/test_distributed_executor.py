@@ -17,7 +17,7 @@ import repro
 from repro.api import OptionError, Session
 from repro.apps import gauss_seidel
 from repro.harness import measured_distributed_scaling
-from repro.resilience import ResilienceOptions
+from repro.resilience import RecoveryReport, ResilienceOptions
 from repro.runtime import (
     CartesianDecomposition,
     DistributedExecutor,
@@ -247,6 +247,41 @@ class TestExecutorMechanics:
             executor.run(field, make_interpreter, "gauss_seidel",
                          iterations=2, resilience=policy)
         assert time.perf_counter() - started < timeout / 5
+
+    def test_a_slow_rank_is_waited_for_not_recovered(self, session):
+        """Nothing was injected, so a rank that starts every iteration 30 ms
+        late costs its peers time, not a recovery round: the report is all
+        zeros and the bits are those of an undelayed run."""
+        n = 12
+        compiled = session.compile(
+            gauss_seidel.generate_source_shaped((n // 2 + 2, n // 2 + 2, n + 2))
+        ).lower("dmp", grid=(2, 2), execution_mode="vectorize")
+
+        class Late:
+            def __init__(self, interp):
+                self.interp = interp
+
+            def __getattr__(self, name):
+                return getattr(self.interp, name)
+
+            def call(self, entry, local):
+                time.sleep(0.03)
+                return self.interp.call(entry, local)
+
+        def factory(late_rank):
+            def make_interpreter(rank, local_shape, comm, decomposition):
+                interp = compiled.interpreter(comm=comm, rank=rank,
+                                              decomposition=decomposition)
+                return Late(interp) if rank == late_rank else interp
+            return make_interpreter
+
+        executor = DistributedExecutor((2, 2))
+        field = np.asfortranarray(np.random.default_rng(43).random((n, n, n)))
+        late = executor.run(field, factory(1), "gauss_seidel", iterations=2)
+        prompt = executor.run(field, factory(None), "gauss_seidel",
+                              iterations=2)
+        assert late.recovery == RecoveryReport()
+        assert late.field.tobytes() == prompt.field.tobytes()
 
     def test_bad_iterations_rejected(self):
         executor = DistributedExecutor((1, 1))

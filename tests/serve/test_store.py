@@ -1,15 +1,15 @@
 """ArtifactStore: persistence round-trip and every failure path.
 
-The store's contract is "corruption is a miss, never a crash": truncated IR,
-checksum mismatches, unreadable sidecars, version skew and racing writers
-must all surface as ``None`` (→ recompile), with the failure counted, and
-never as an exception to the client.
+The store's contract is "corruption is a miss, never a crash": truncated
+payloads, checksum mismatches, unreadable sidecars, version skew, hostile
+op tables and racing writers must all surface as ``None`` (→ recompile), with
+the failure counted, and never as an exception to the client.
 """
 
 import hashlib
 import json
 import os
-import re
+import random
 import threading
 
 import pytest
@@ -18,6 +18,7 @@ from repro.api import Session
 from repro.api.backends import registry
 from repro.api.program import source_fingerprint
 from repro.apps import gauss_seidel, pw_advection
+from repro.ir import print_module
 from repro.serve import ArtifactStore, STORE_FORMAT_VERSION, key_digest
 from repro.serve.store import serialize_artifact
 
@@ -32,7 +33,26 @@ def _compile_artifact(source, backend="cpu", **overrides):
 
 def _entry_paths(store, key):
     digest = key_digest(key)
-    return (store._dir / f"{digest}.ir", store._dir / f"{digest}.json")
+    return (store._dir / f"{digest}.ops", store._dir / f"{digest}.json")
+
+
+def _write_payload(ops_path, payload):
+    """Replace an entry's payload and re-seal its sidecar checksum, so the
+    decoder, not the checksum, meets ``payload``."""
+    meta_path = ops_path.with_suffix(".json")
+    meta = json.loads(meta_path.read_text())
+    meta["checksum"] = hashlib.sha256(payload).hexdigest()
+    ops_path.write_bytes(payload)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _op_entries(entry):
+    """Every op entry of an op table's ``op``, in pre-order."""
+    yield entry
+    for blocks in entry[4]:
+        for _, ops in blocks:
+            for op in ops:
+                yield from _op_entries(op)
 
 
 class TestRoundTrip:
@@ -110,49 +130,50 @@ class TestFailurePaths:
         store.save(key, artifact)
         return store, key, source, options
 
-    def test_truncated_ir_is_a_miss_and_entry_is_dropped(self, tmp_path):
+    def test_truncated_payload_is_a_miss_and_entry_is_dropped(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
-        ir_path, meta_path = _entry_paths(store, key)
-        ir_path.write_text(ir_path.read_text()[: 100], encoding="utf-8")
+        ops_path, meta_path = _entry_paths(store, key)
+        ops_path.write_bytes(ops_path.read_bytes()[: 100])
         assert store.load(key, source=source, backend="cpu",
                           options=options) is None
         assert store.stats["corrupt_entries"] == 1
-        assert not ir_path.exists() and not meta_path.exists()
+        assert not ops_path.exists() and not meta_path.exists()
 
     def test_bad_checksum_is_a_miss(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
-        ir_path, _ = _entry_paths(store, key)
-        ir_path.write_text(ir_path.read_text() + "\n// tampered",
-                           encoding="utf-8")
+        ops_path, _ = _entry_paths(store, key)
+        ops_path.write_bytes(ops_path.read_bytes() + b" ")
         assert store.load(key, source=source, backend="cpu",
                           options=options) is None
         assert store.stats["corrupt_entries"] == 1
 
-    def test_missing_ir_file_is_a_miss(self, tmp_path):
+    def test_missing_payload_file_is_a_miss(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
-        ir_path, _ = _entry_paths(store, key)
-        ir_path.unlink()
+        ops_path, _ = _entry_paths(store, key)
+        ops_path.unlink()
         assert store.load(key, source=source, backend="cpu",
                           options=options) is None
         assert store.stats["corrupt_entries"] == 1
 
-    def test_garbage_sidecar_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("garbage", ["{not json", "[1, 2]"])
+    def test_garbage_sidecar_is_a_miss(self, tmp_path, garbage):
         store, key, source, options = self._stored(tmp_path)
         _, meta_path = _entry_paths(store, key)
-        meta_path.write_text("{not json", encoding="utf-8")
+        meta_path.write_text(garbage, encoding="utf-8")
         assert store.load(key, source=source, backend="cpu",
                           options=options) is None
         assert store.stats["corrupt_entries"] == 1
 
-    def test_checksum_matches_but_ir_unparseable_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("bogus", [
+        b"this is not an op table",
+        b"[]",
+        b'[{"types": [], "attrs": [], "hints": [], "op": 7}]',
+    ])
+    def test_checksum_matches_but_payload_undecodable_is_a_miss(
+            self, tmp_path, bogus):
         store, key, source, options = self._stored(tmp_path)
-        ir_path, meta_path = _entry_paths(store, key)
-        bogus = "this is not IR"
-        ir_path.write_text(bogus, encoding="utf-8")
-        meta = json.loads(meta_path.read_text())
-        import hashlib
-        meta["checksum"] = hashlib.sha256(bogus.encode()).hexdigest()
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        ops_path, _ = _entry_paths(store, key)
+        _write_payload(ops_path, bogus)
         assert store.load(key, source=source, backend="cpu",
                           options=options) is None
         assert store.stats["corrupt_entries"] == 1
@@ -172,18 +193,6 @@ class TestFailurePaths:
         # destroy a future writer's data).
         assert meta_path.exists()
 
-    @staticmethod
-    def _with_alloc_and_copy(payload):
-        """``payload`` as a build that lowered the load of a written field
-        to ``memref.alloc`` + ``memref.copy`` (store format 1) printed it."""
-        payload, count = re.subn(
-            r'(%\d+) = "memref.snapshot"\((%\d+), \2\) : '
-            r'\((memref<[^>]*>), \3\) -> \(\3\)',
-            r'\1 = "memref.alloc"() : () -> (\3)'
-            r'\n"memref.copy"(\2, \1) : (\3, \3) -> ()', payload)
-        assert count == 1
-        return payload
-
     def _run_gs_scf(self, session):
         u = gauss_seidel.initial_condition(6)
         session.lower(gauss_seidel.generate_source(6), "cpu",
@@ -191,41 +200,50 @@ class TestFailurePaths:
         return u.tobytes() == gauss_seidel.reference_jacobi(
             gauss_seidel.initial_condition(6), 1).tobytes()
 
-    def test_an_entry_of_the_previous_format_is_recompiled(self, tmp_path):
-        """Where and how format 1 stored a lowered Gauss–Seidel: this build
-        registers neither op it names, and recompiles."""
+    def test_a_text_entry_of_the_previous_format_is_recompiled_into_v3(
+            self, tmp_path):
+        """Where and how format 2 stored a lowered Gauss–Seidel: printed IR
+        under ``v2/``.  This build reads no text, so the entry is a miss that
+        recompiles into ``v3/`` and is left alone."""
         source = gauss_seidel.generate_source(6)
         key, artifact, _ = _compile_artifact(source, "cpu", lower_to_scf=True)
-        payload, artifact_meta = serialize_artifact(artifact)
-        payload = self._with_alloc_and_copy(payload)
-        old = tmp_path / "v1"
+        _, artifact_meta = serialize_artifact(artifact)
+        payload = "\n//=== repro.serve stencil-module ===//\n".join(
+            print_module(module) for module in artifact.modules).encode()
+        old = tmp_path / "v2"
         old.mkdir()
-        meta = {"format_version": 1, "checksum": hashlib.sha256(
-            payload.encode()).hexdigest(), "artifact": artifact_meta}
-        (old / f"{key_digest(key)}.ir").write_text(payload, encoding="utf-8")
-        (old / f"{key_digest(key)}.json").write_text(json.dumps(meta),
-                                                     encoding="utf-8")
+        digest = key_digest(key)
+        meta = {"format_version": 2,
+                "checksum": hashlib.sha256(payload).hexdigest(),
+                "payload_bytes": len(payload), "artifact": artifact_meta}
+        (old / f"{digest}.ir").write_bytes(payload)
+        (old / f"{digest}.json").write_text(json.dumps(meta), encoding="utf-8")
         session = Session(store=ArtifactStore(tmp_path))
         assert self._run_gs_scf(session)
         assert session.cache_stats["misses"] == 1
         assert session.cache_stats["disk_hits"] == 0
-        assert (old / f"{key_digest(key)}.json").exists()   # left alone
+        assert (old / f"{digest}.ir").read_bytes() == payload   # left alone
+        assert (tmp_path / "v3" / f"{digest}.ops").exists()
+        warm = Session(store=ArtifactStore(tmp_path))
+        assert self._run_gs_scf(warm)
+        assert warm.cache_stats["disk_hits"] == 1
 
-    def test_an_op_this_build_does_not_register_is_a_corrupt_miss(
+    def test_a_table_naming_an_op_this_build_does_not_register_is_a_corrupt_miss(
             self, tmp_path):
-        """Stored IR parses strictly: an op deleted since the entry was
-        written is a counted miss, not a disk hit whose first run raises
-        'no interpreter handler'."""
+        """Stored tables decode strictly: an op deleted since the entry was
+        written (``memref.alloc``, gone since stores of format 1) is a
+        counted miss, not a disk hit whose first run raises 'no interpreter
+        handler'."""
         Session(store=ArtifactStore(tmp_path)).lower(
             gauss_seidel.generate_source(6), "cpu", lower_to_scf=True)
         store = ArtifactStore(tmp_path)
-        (ir_path,) = store._dir.glob("*.ir")
-        meta_path = ir_path.with_suffix(".json")
-        payload = self._with_alloc_and_copy(ir_path.read_text())
-        meta = json.loads(meta_path.read_text())
-        meta["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
-        ir_path.write_text(payload, encoding="utf-8")
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        (ops_path,) = store._dir.glob("*.ops")
+        tables = json.loads(ops_path.read_bytes())
+        (snapshot,) = [entry for table in tables
+                       for entry in _op_entries(table["op"])
+                       if entry[0] == "memref.snapshot"]
+        snapshot[0] = "memref.alloc"
+        _write_payload(ops_path, json.dumps(tables).encode())
         session = Session(store=store)
         assert self._run_gs_scf(session)
         assert store.stats["corrupt_entries"] == 1
@@ -238,15 +256,26 @@ class TestFailurePaths:
         store = ArtifactStore(tmp_path)
         warm = Session(store=store)
         warm.lower(source, "cpu", lower_to_scf=True)
-        # Corrupt every IR payload on disk.
-        for ir_file in store._dir.glob("*.ir"):
-            ir_file.write_text("garbage", encoding="utf-8")
+        # Corrupt every payload on disk.
+        for ops_file in store._dir.glob("*.ops"):
+            ops_file.write_bytes(b"garbage")
         cold = Session(store=ArtifactStore(tmp_path))
         compiled = cold.lower(source, "cpu", lower_to_scf=True)
         assert compiled.artifact is not None
         stats = cold.cache_stats
         assert stats["misses"] == 1  # recompiled
         assert stats["disk_hits"] == 0
+
+    def test_an_artifact_that_cannot_be_encoded_is_a_write_error(
+            self, tmp_path, monkeypatch):
+        source = gauss_seidel.generate_source(6)
+        key, artifact, _ = _compile_artifact(source, "cpu")
+        # An op whose operand is defined outside it gives that value no id.
+        used = next(op for op in artifact.fir_module.walk() if op.operands)
+        monkeypatch.setattr(artifact, "fir_module", used)
+        store = ArtifactStore(tmp_path)
+        assert store.save(key, artifact) is False
+        assert store.stats["write_errors"] == 1 and len(store) == 0
 
     def test_invalid_max_bytes_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
@@ -391,3 +420,64 @@ class TestLRUEviction:
             victim = min(key_digest(key) for key, _, _ in keys)
             assert victim not in set(listed)
         assert survivors[0] == survivors[1]
+
+
+class TestHostilePayload:
+    """The payload is input too.  Every prefix (at a stride) of a stored PW
+    gpu-scf payload and ``--fuzz-seeds`` x 20 seeded byte mutations, each
+    re-sealed so the decoder meets it, load as a counted corrupt miss or as
+    modules that verify and reprint — never as an exception out of
+    ``ArtifactStore.load``."""
+
+    @pytest.fixture(scope="class")
+    def entry(self, tmp_path_factory):
+        """The stored payload, and ``load(payload)``: True when ``payload``,
+        re-sealed into the entry, loads as modules that verify and reprint,
+        False when it is a counted corrupt miss."""
+        source = pw_advection.generate_source(8)
+        key, artifact, options = _compile_artifact(source, "gpu",
+                                                   lower_to_scf=True)
+        store = ArtifactStore(tmp_path_factory.mktemp("hostile"))
+        assert store.save(key, artifact)
+        ops_path, meta_path = _entry_paths(store, key)
+        sidecar = meta_path.read_bytes()
+
+        def load(payload):
+            meta_path.write_bytes(sidecar)   # a corrupt miss deleted it
+            _write_payload(ops_path, payload)
+            corrupt = store.stats["corrupt_entries"]
+            artifact = store.load(key, source=source, backend="gpu",
+                                  options=options)
+            if artifact is None:
+                assert store.stats["corrupt_entries"] == corrupt + 1
+                return False
+            for module in artifact.modules:
+                module.verify()
+                print_module(module)
+            return True
+
+        return ops_path.read_bytes(), load
+
+    def test_the_stored_payload_itself_loads(self, entry):
+        payload, load = entry
+        assert load(payload)
+
+    def test_every_prefix_of_the_payload(self, entry, fuzz_seeds):
+        payload, load = entry
+        stride = 7 if fuzz_seeds >= 100 else 97
+        for end in range(0, len(payload) - 1, stride):
+            assert not load(payload[:end])
+
+    def test_seeded_byte_mutations_of_the_payload(self, entry, fuzz_seeds):
+        payload, load = entry
+        alphabet = b'0123456789-,[]{}":. aefilnrstu\\%!<>x'
+        loaded = 0
+        for seed in range(fuzz_seeds):
+            rng = random.Random(seed)
+            for _ in range(20):
+                at = rng.randrange(len(payload))
+                byte = rng.choice(alphabet) if rng.random() < 0.9 \
+                    else rng.randrange(256)
+                loaded += load(payload[:at] + bytes([byte]) + payload[at + 1:])
+        # Some mutations (a digit of an id, a letter of a hint) still decode.
+        assert loaded > 0
