@@ -45,10 +45,6 @@ _LAZY_EXPORTS = {
     "OpenMPOptions": "repro.api",
     "GpuOptions": "repro.api",
     "DmpOptions": "repro.api",
-    # User-schedulable kernels.
-    "Schedule": "repro.schedule",
-    "ScheduleError": "repro.schedule",
-    "ScheduleVerificationError": "repro.schedule",
     # Compilation as a service (on-disk artifact store + front door).
     "ArtifactStore": "repro.serve",
     "CompileService": "repro.serve",

@@ -25,7 +25,7 @@ from ..frontend import compile_to_fir
 from ..ir.context import Context, default_context
 from ..ir.pass_manager import PassManager
 from ..runtime.gpu_runtime import SimulatedGPU
-from ..transforms import pipelines, schedule_transforms
+from ..transforms import pipelines
 from ..transforms.distributed import ConvertDMPToMPIPass, ConvertStencilToDMPPass
 from ..transforms.gpu_data_management import GpuHostRegisterPass, GpuOptimisedDataPass
 from ..transforms.stencil_discovery import StencilDiscoveryPass
@@ -104,7 +104,6 @@ class Backend:
             fir_module=fir_module,
         )
         if not self.uses_stencil_flow:
-            schedule_transforms.apply_schedule_chain(artifact)
             return artifact
 
         # 1. Discover stencils in the FIR produced by "Flang".
@@ -122,19 +121,11 @@ class Backend:
         if artifact.stencil_module is not None:
             artifact.stencil_module.verify()
         if artifact.stencil_module is None or not artifact.extracted_functions:
-            # No stencils discovered: schedule directives have nothing to
-            # rewrite — applying the chain raises the loud ScheduleError
-            # instead of silently compiling an unscheduled artifact under a
-            # schedule-extended cache key.
-            schedule_transforms.apply_schedule_chain(artifact)
             return artifact
 
         # 3. Target-specific transformation of the stencil module (and, for
         #    GPU data management / DMP, coordinated edits of the FIR module).
         self.transform(artifact, ctx)
-
-        # 4. Schedule directives rewrite the lowered loops.
-        schedule_transforms.apply_schedule_chain(artifact)
         return artifact
 
     def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
@@ -214,9 +205,9 @@ class GpuBackend(Backend):
         )
 
     def _resolve_tile_sizes(self, artifact: CompiledArtifact) -> Tuple[int, ...]:
-        """Satellite of the schedule work: tile sizes are validated against
-        every lowered kernel's rank *here*, at lower time, instead of being
-        silently padded/truncated deep inside the tiling pass."""
+        """Tile sizes are validated against every lowered kernel's rank
+        *here*, at lower time, instead of being silently padded/truncated
+        deep inside the tiling pass."""
         kernel_ranks = []
         for name in artifact.extracted_functions:
             func_op = artifact.stencil_module.get_symbol(name)

@@ -201,6 +201,11 @@ class DistributedProgram:
         if resilience is None:
             resilience = self._resilience
         entry = self.entry
+        expected = _entry_array_shape(self._compiled, entry)
+        if expected is not None and np.ndim(global_field) != len(expected):
+            raise OptionError(
+                f"entry '{entry}' is compiled for rank-{len(expected)} arrays "
+                f"but the global field has rank {np.ndim(global_field)}")
         handles: Dict[Tuple[int, ...], "CompiledProgram"] = {}
 
         def handle_for(local_shape: Tuple[int, ...]) -> "CompiledProgram":
@@ -208,7 +213,6 @@ class DistributedProgram:
             if handle is not None:
                 return handle
             if self._source_builder is None:
-                expected = _entry_array_shape(self._compiled, entry)
                 if expected is not None and expected != local_shape:
                     raise OptionError(
                         f"entry '{entry}' is compiled for array extents "

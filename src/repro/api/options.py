@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 
 from ..runtime.kernel_compiler import EXECUTION_MODES
 from ..runtime.parallel_executor import SCHEDULE_KINDS
-from ..schedule.directives import ScheduleError, normalize_schedule_chain
 
 #: GPU host/device data-management strategies (paper Figure 5).
 GPU_DATA_STRATEGIES = ("optimised", "host_register")
@@ -89,7 +88,6 @@ class BackendOptions:
     fuse_stencils: bool = True
     execution_mode: str = "interpret"
     threads: int = 1
-    schedule_chain: Tuple[Tuple, ...] = ()
 
     def __post_init__(self) -> None:
         if self.execution_mode not in EXECUTION_MODES:
@@ -99,11 +97,6 @@ class BackendOptions:
             )
         if not isinstance(self.threads, int) or self.threads < 1:
             raise OptionError(f"threads must be >= 1, got {self.threads!r}")
-        try:
-            normalized = normalize_schedule_chain(self.schedule_chain)
-        except ScheduleError as exc:
-            raise OptionError(f"invalid schedule_chain: {exc}") from exc
-        object.__setattr__(self, "schedule_chain", normalized)
 
     # -- derivation & caching ------------------------------------------------
 

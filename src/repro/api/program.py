@@ -213,14 +213,6 @@ class CompiledProgram:
         """Compile the same source for a different backend (fresh options)."""
         return self._session.lower(self._source, backend, None, **overrides)
 
-    def schedule(self) -> "Schedule":
-        """Open the fluent scheduling surface over this handle:
-        ``compiled.schedule().tile(1, 32, 16).verify().compiled`` —
-        see :class:`repro.schedule.Schedule`."""
-        from ..schedule.schedule import Schedule
-
-        return Schedule(self)
-
     def distribute(self, ranks: Optional[int] = None, *,
                    source_builder=None,
                    entry: Optional[str] = None,

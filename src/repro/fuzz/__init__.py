@@ -1,8 +1,8 @@
 """Differential fuzz farm: generative kernels, every backend, one oracle.
 
-One :class:`Farm` drives seeds through one of three scenarios — the
-differential matrix, chaos mode, random schedules — and merges every case
-into one :class:`Report`.  The layers:
+One :class:`Farm` drives seeds through one of two scenarios — the
+differential matrix and chaos mode — and merges every case into one
+:class:`Report`.  The layers:
 
 * :mod:`repro.fuzz.generator` — seeded, trace-recording generation of
   *executable* stencil kernels as structured :class:`KernelSpec` trees
@@ -20,12 +20,9 @@ into one :class:`Report`.  The layers:
   regression kernels that tier-1 replays;
 * :mod:`repro.fuzz.chaos` — chaos mode: each seed runs fault-free, then
   again under a seeded :class:`repro.resilience.FaultPlan`, and the
-  recovered outputs must be bitwise identical;
-* :mod:`repro.fuzz.schedules` — schedule mode: a random legal schedule
-  chain per seed and configuration, proved bitwise identical to the
-  unscheduled artifact.
+  recovered outputs must be bitwise identical.
 
-CLI: ``python -m repro.fuzz --seeds N [--time-budget S] [--chaos|--schedules]``.
+CLI: ``python -m repro.fuzz --seeds N [--time-budget S] [--chaos]``.
 """
 
 from .chaos import ChaosRunner
@@ -54,7 +51,6 @@ from .runner import (
     Report,
     default_matrix,
 )
-from .schedules import ScheduleRunner
 
 __all__ = [
     "BackendConfig",
@@ -70,7 +66,6 @@ __all__ = [
     "KernelSpec",
     "MinimizationResult",
     "Report",
-    "ScheduleRunner",
     "default_matrix",
     "entry_from_divergence",
     "generate_spec",

@@ -1,4 +1,4 @@
-"""CLI driver for the fuzz farm and its three scenarios.
+"""CLI driver for the fuzz farm and its two scenarios.
 
 Examples::
 
@@ -41,7 +41,6 @@ from .chaos import ChaosRunner
 from .corpus import DEFAULT_CORPUS_DIR, load_corpus, minimize_and_save, replay_entry
 from .generator import DEFAULT_CONFIG, generate_spec
 from .runner import DifferentialRunner, Farm
-from .schedules import ScheduleRunner, summary_line
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,11 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replay-corpus", action="store_true",
                         help="replay every corpus entry through the full "
                              "matrix and exit")
-    parser.add_argument("--schedules", action="store_true",
-                        help="schedule mode: draw a random legal schedule "
-                             "chain (tile/reorder/unroll) per seed and "
-                             "backend and prove each bitwise-identical to "
-                             "the unscheduled artifact via Schedule.verify()")
     parser.add_argument("--chaos", action="store_true",
                         help="chaos mode: re-run each seed under a seeded "
                              "fault plan (message faults, rank crashes, "
@@ -133,11 +127,6 @@ def _replay_corpus(args) -> int:
 def _scenario(args, session):
     """The farm scenario the flags select, how one finished case reads in
     the progress output, and the renderer of the final report."""
-    if args.schedules:
-        return (ScheduleRunner(session),
-                lambda r: "; ".join(f"{label}: {chain or '-'}"
-                                    for label, chain in r.chains),
-                summary_line)
     if args.chaos:
         return (ChaosRunner(session),
                 lambda r: (f"({r.configs_run} scenarios, "

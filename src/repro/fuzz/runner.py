@@ -31,8 +31,7 @@ crash the runtime absorbed as a scalar fallback is recorded as a
 
 The runner is one *scenario* of the :class:`Farm`, the single seeds →
 time-budget → ``generate_spec`` → ``run_case`` → merge loop of the package;
-:class:`repro.fuzz.chaos.ChaosRunner` and
-:class:`repro.fuzz.schedules.ScheduleRunner` are the other two.  A scenario
+:class:`repro.fuzz.chaos.ChaosRunner` is the other.  A scenario
 is anything with a ``session`` and a ``run_case(spec) -> CaseResult``; the
 farm merges every case into one :class:`Report`, which
 ``repro.harness.fuzz_summary_table`` / ``recovery_report_table`` render.
@@ -155,7 +154,6 @@ class Divergence:
     config_label: str
     backend: str
     #: "bitwise" (outputs differ), "crosscheck" (the honesty mode raised),
-    #: "verify" (a schedule chain diverged from its unscheduled parent),
     #: "error" (the backend crashed on a valid kernel), or "codegen" (kernel
     #: generation raised something other than KernelUnsupported and the
     #: sweep fell back to scalar execution).
@@ -164,8 +162,6 @@ class Divergence:
     spec: KernelSpec
     arrays: Tuple[str, ...] = ()
     max_abs_diff: Optional[float] = None
-    #: The schedule chain that diverged (schedule scenario only).
-    chain: Optional[str] = None
     #: CLI flags that replay the finding; the differential matrix replay
     #: unless the scenario that found it says otherwise.
     replay_flags: str = ""
@@ -177,12 +173,10 @@ class Divergence:
         return f"PYTHONPATH=src python -m repro.fuzz {flags}"
 
     def describe(self) -> str:
-        chain = ("" if self.chain is None
-                 else f" chain {self.chain or '<empty>'}")
         extra = f" arrays={list(self.arrays)}" if self.arrays else ""
         diff = (f" max|diff|={self.max_abs_diff:.3e}"
                 if self.max_abs_diff is not None else "")
-        return (f"seed {self.seed} [{self.config_label}]{chain} {self.kind}:"
+        return (f"seed {self.seed} [{self.config_label}] {self.kind}:"
                 f" {self.detail}{extra}{diff}\n  repro: {self.repro_command}")
 
 
@@ -196,14 +190,12 @@ class CaseResult:
 
     spec: KernelSpec
     divergences: List[Divergence] = field(default_factory=list)
-    #: Matrix cells / fault scenarios / schedule configurations executed.
+    #: Matrix cells / fault scenarios executed.
     configs_run: int = 0
     #: Per-backend counters for this case: runs / divergences / fallbacks.
     per_backend: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Faults injected and recovery work done (chaos scenario).
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
-    #: (configuration label, chain text) drawn (schedule scenario).
-    chains: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -213,16 +205,13 @@ class CaseResult:
 @dataclass
 class Report:
     """Aggregated farm results of any scenario, rendered by
-    ``harness.fuzz_summary_table`` / ``harness.recovery_report_table`` /
-    ``schedules.summary_line``."""
+    ``harness.fuzz_summary_table`` / ``harness.recovery_report_table``."""
 
     cases: int = 0
     configs_run: int = 0
     divergences: List[Divergence] = field(default_factory=list)
     per_backend: Dict[str, Dict[str, int]] = field(default_factory=dict)
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
-    chains_run: int = 0
-    directives_applied: int = 0
     seconds: float = 0.0
     budget_exhausted: bool = False
     seeds_skipped: int = 0
@@ -241,9 +230,6 @@ class Report:
             for key, value in counters.items():
                 into[key] += value
         self.recovery.merge(result.recovery)
-        self.chains_run += len(result.chains)
-        self.directives_applied += sum(
-            chain.count("(") for _, chain in result.chains)
 
 
 class DifferentialRunner:
@@ -435,9 +421,8 @@ class DifferentialRunner:
 class Farm:
     """Drives N seeds through one scenario under a time budget.
 
-    ``scenario`` is a :class:`DifferentialRunner`,
-    :class:`~repro.fuzz.chaos.ChaosRunner` or
-    :class:`~repro.fuzz.schedules.ScheduleRunner`: an object with a
+    ``scenario`` is a :class:`DifferentialRunner` or a
+    :class:`~repro.fuzz.chaos.ChaosRunner`: an object with a
     ``session`` and a ``run_case(spec)`` returning a :class:`CaseResult`.
     """
 

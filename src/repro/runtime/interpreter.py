@@ -232,8 +232,6 @@ class Interpreter:
             "parallel_sweeps": 0,
             "parallel_tiles": 0,
             "parallel_fallbacks": 0,
-            "schedule_tiles": 0,
-            "schedule_fallbacks": 0,
             "cache_tiles": 0,
             "cache_fallbacks": 0,
             "snapshots_copied": 0,
@@ -276,7 +274,9 @@ class Interpreter:
         Arrays are passed by reference (mutations are visible to the caller);
         scalars are wrapped in scalar cells, matching Fortran's by-reference
         argument convention.  An array that is not Fortran-contiguous runs as
-        a Fortran-ordered copy whose contents are written back afterwards.
+        a Fortran-ordered copy whose contents are written back afterwards.  A
+        read-only array runs as a writable copy; a call that changes that
+        copy raises :class:`InterpreterError` instead of losing the results.
         """
         func_op = self.lookup(name)
         inputs = func_op.function_type.inputs
@@ -288,10 +288,15 @@ class Interpreter:
         arg_values = [self._wrap_argument(arg, arg_type, f"arg{i}")
                       for i, (arg, arg_type) in enumerate(zip(args, inputs))]
         results = self.call_function(func_op, arg_values)
-        for arg, value in zip(args, arg_values):
-            if isinstance(arg, np.ndarray) and value.data is not arg \
-                    and arg.flags.writeable:
+        for position, (arg, value) in enumerate(zip(args, arg_values)):
+            if not isinstance(arg, np.ndarray) or value.data is arg:
+                continue
+            if arg.flags.writeable:
                 np.copyto(arg, value.data)
+            elif value.data.tobytes(order="F") != arg.tobytes(order="F"):
+                raise InterpreterError(
+                    f"function '{name}' writes argument {position}, a "
+                    f"read-only array; pass a writeable one")
         return results
 
     def _wrap_argument(self, arg, arg_type: TypeAttribute, label: str):
@@ -313,8 +318,8 @@ class Interpreter:
                 raise InterpreterError(
                     f"argument {label} is declared {declared.print()}, got "
                     f"an array of shape {arg.shape} and dtype {arg.dtype}")
-            if not arg.flags["F_CONTIGUOUS"]:
-                arg = np.asfortranarray(arg)
+            if not arg.flags["F_CONTIGUOUS"] or not arg.flags.writeable:
+                arg = np.array(arg, order="F")
             return MemoryBuffer.wrap(arg, label=label)
         if isinstance(arg, (int, float, np.integer, np.floating)):
             if is_array:
@@ -784,11 +789,11 @@ class Interpreter:
         # plain scf.parallel, which carries no clause).
         schedule = (op.schedule, op.chunk_size) \
             if isinstance(op, omp_dialect.WsLoopOp) else ("static", None)
-        self._sweep(op, frame, lambda: self.kernels.kernel_for(op), domain_of,
+        self._sweep(frame, lambda: self.kernels.kernel_for(op), domain_of,
                     scalar_runner, schedule)
         return []
 
-    def _sweep(self, op: Operation, frame: Frame, lookup: Callable,
+    def _sweep(self, frame: Frame, lookup: Callable,
                domain_of: Callable, scalar_runner: Callable,
                schedule: Tuple[str, Optional[int]],
                counters: Tuple[str, str] = ("vectorized_sweeps",
@@ -824,8 +829,8 @@ class Interpreter:
 
         def vector_runner():
             start = _time.perf_counter()
-            boxes, slabs, shape = self._plan_sweep(op, kernel, externals,
-                                                   lowers, uppers, schedule)
+            boxes, slabs, shape = self._plan_sweep(kernel, externals, lowers,
+                                                   uppers, schedule)
             if self.threads > 1 and slabs == 1:
                 self.stats["parallel_fallbacks"] += 1
             chosen: List[str] = []
@@ -860,23 +865,19 @@ class Interpreter:
         self.stats[done_key] += 1
         return results
 
-    def _plan_sweep(self, op: Operation, kernel, externals, lowers, uppers,
-                    schedule):
-        """One sweep's :func:`plan_sweep`, fed from the op (its
-        ``schedule.tile`` attribute, recorded by a ``.tile(...)`` directive;
-        the schedule layer validates ranks loudly at lower time), the kernel
-        (the strides of the first array it sweeps, the arrays it touches per
-        point) and the thread count.  A kernel whose boxes cannot run
-        independently (``tileable`` false) runs the whole domain; so does a
-        pure kernel over an empty one, which still owes its (empty) results.
+    def _plan_sweep(self, kernel, externals, lowers, uppers, schedule):
+        """One sweep's :func:`plan_sweep`, fed from the kernel (the strides
+        of the first array it sweeps, the arrays it touches per point), the
+        op's OpenMP ``schedule`` clause and the thread count.  A kernel whose
+        boxes cannot run independently (``tileable`` false) runs the whole
+        domain; so does a pure kernel over an empty one, which still owes its
+        (empty) results.
         """
         whole = [(lowers, uppers)], 1, None
         if not kernel.tileable:
             return whole
-        attr = op.get_attr_or_none("schedule.tile")
         plan = plan_sweep(lowers, uppers, self.threads, *schedule,
                           strides=kernel.dim_strides(externals),
-                          tile=attr.as_tuple() if attr else (),
                           arrays=kernel.arrays_per_point)
         return plan if plan[0] or kernel.stores else whole
 
@@ -1019,7 +1020,7 @@ class Interpreter:
         delivery = (None, False) if self.execution_mode == "interpret" \
             else self._delivery(op, frame, domain, inputs)
         returned = self._sweep(
-            op, frame, lambda: self.kernels.kernel_for(op),
+            frame, lambda: self.kernels.kernel_for(op),
             lambda kernel, externals:
                 (lb, ub) if kernel.apply_guards_pass(externals, lb, ub) else None,
             lambda: self._run_apply_scalar(op, frame, lb, ub),
@@ -1155,7 +1156,7 @@ class Interpreter:
 
         start = _time.perf_counter()
         try:
-            self._sweep(op, frame, lookup, domain_of,
+            self._sweep(frame, lookup, domain_of,
                         lambda: self._run_launch_scalar(kernel_op, args, grid, block),
                         ("static", None),
                         counters=("gpu_launches_vectorized",

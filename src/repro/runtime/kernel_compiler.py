@@ -103,9 +103,9 @@ class KernelUnsupported(Exception):
 
 #: Attributes that carry execution *policy* rather than semantics; excluded
 #: from the structural hash.  Two wsloops differing only in their omp schedule
-#: clause or schedule tiles compute the same function and share one kernel;
-#: the interpreter reads the policy off the op at dispatch time.
-_METADATA_ATTRS = frozenset({"omp.schedule", "omp.chunk_size", "schedule.tile"})
+#: clause compute the same function and share one kernel; the interpreter
+#: reads the policy off the op at dispatch time.
+_METADATA_ATTRS = frozenset({"omp.schedule", "omp.chunk_size"})
 
 
 def _is_float_literal(op: Operation) -> bool:

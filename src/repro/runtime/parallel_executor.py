@@ -13,10 +13,10 @@ Three pieces, each independently testable:
   schedule (kind + chunk size, as carried on ``omp.wsloop`` by
   ``convert-scf-to-openmp``) into contiguous, disjoint ``(lb, ub)`` spans that
   exactly cover the extent; :func:`plan_boxes` partitions a whole box into
-  ``schedule.tile``-shaped sub-boxes; :func:`plan_cache_boxes` picks the
-  default shape — cache-sized, unit-stride axis whole; :func:`plan_sweep`
-  composes them into the one plan every sweep runs — thread slabs along the
-  outermost dimension, each cut into ``schedule.tile`` or cache boxes;
+  equal-shaped sub-boxes; :func:`plan_cache_boxes` picks their shape —
+  cache-sized, unit-stride axis whole; :func:`plan_sweep` composes them into
+  the one plan every sweep runs — thread slabs along the outermost
+  dimension, each cut into cache boxes;
 * :func:`run_boxes` — runs a kernel over a box plan, on no more threads than
   the process has CPUs: store kernels in place, pure kernels delivered box by
   box where their values are stored;
@@ -45,12 +45,11 @@ import numpy as np
 #: One box of a sweep plan: ``(lowers, uppers)``, half-open per dimension.
 Box = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-#: Working-set budget of one box of the default (no ``schedule.tile``) sweep
-#: plan, see :func:`plan_cache_boxes`.  Measured, not derived: PW
-#: advection at n = 64/96/128 runs fastest on a broad plateau of boxes of
-#: roughly 15k-60k points (docs/ARCHITECTURE.md "Parallel execution" has the
-#: table), and blocking loses below it, so the budget sits where n = 32
-#: still runs whole.
+#: Working-set budget of one box of a sweep plan, see :func:`plan_cache_boxes`.
+#: Measured, not derived: PW advection at n = 64/96/128 runs fastest on a
+#: broad plateau of boxes of roughly 15k-60k points (docs/ARCHITECTURE.md
+#: "Parallel execution" has the table), and blocking loses below it, so the
+#: budget sits where n = 32 still runs whole.
 CACHE_BUDGET_BYTES = 2 << 20
 
 #: Schedule kinds understood by :func:`plan_tiles` (OpenMP worksharing-loop
@@ -132,8 +131,8 @@ def plan_boxes(
 ) -> List[Box]:
     """Partition the box ``[lowers, uppers)`` into ``sizes``-shaped sub-boxes.
 
-    The multi-dimensional counterpart of :func:`plan_tiles`, backing the
-    ``schedule.tile`` directive: boxes are returned in lexicographic domain
+    The multi-dimensional counterpart of :func:`plan_tiles`, backing
+    :func:`plan_cache_boxes`: boxes are returned in lexicographic domain
     order, are mutually disjoint, and their union is exactly the input box
     (edge boxes are clipped).  Returns an empty list for an empty domain.
     """
@@ -192,7 +191,6 @@ def plan_sweep(
     schedule: str = "static",
     chunk: Optional[int] = None,
     strides: Optional[Sequence[int]] = None,
-    tile: Sequence[int] = (),
     arrays: int = 1,
 ) -> Tuple[List[Box], int, Optional[str]]:
     """The box plan of one sweep over ``[lowers, uppers)``: *who* × *how big*,
@@ -202,12 +200,10 @@ def plan_sweep(
     dimension — the largest ``|strides[d]|``, the loop a real ``omp parallel
     do`` workshares; dimension 0 when no stride is known — into ``slabs``
     slabs under the OpenMP ``schedule`` / ``chunk``; otherwise there is one
-    slab.  *How big*: every slab is cut by :func:`plan_boxes` when ``tile``
-    (a ``schedule.tile`` attribute) matches the rank, else by
-    :func:`plan_cache_boxes` when the strides are known, else stays whole.
-    ``shape`` names the cut that produced more boxes than slabs — "schedule",
-    "cache" or None.  The boxes partition the domain, slab after slab; an
-    empty domain has none.
+    slab.  *How big*: every slab is cut by :func:`plan_cache_boxes` when the
+    strides are known, else stays whole.  ``shape`` is "cache" when that cut
+    produced more boxes than slabs, else None.  The boxes partition the
+    domain, slab after slab; an empty domain has none.
     """
     lowers, uppers = tuple(lowers), tuple(uppers)
     if any(upper <= lower for lower, upper in zip(lowers, uppers)):
@@ -220,16 +216,20 @@ def plan_sweep(
                   uppers[:dim] + (up,) + uppers[dim + 1:])
                  for lo, up in plan_tiles(lowers[dim], uppers[dim], threads,
                                           schedule, chunk)]
-    if len(tile) == len(lowers):
-        shape = "schedule"
-        boxes = [box for slab in slabs for box in plan_boxes(*slab, tile)]
-    elif strides is not None:
-        shape = "cache"
-        boxes = [box for slab in slabs
-                 for box in plan_cache_boxes(*slab, strides, arrays)]
-    else:
-        shape, boxes = None, slabs
-    return boxes, len(slabs), shape if len(boxes) > len(slabs) else None
+    boxes = slabs if strides is None else \
+        [box for slab in slabs for box in plan_cache_boxes(*slab, strides, arrays)]
+    return boxes, len(slabs), "cache" if len(boxes) > len(slabs) else None
+
+
+def _layout(value) -> str:
+    """"F" when the fastest-varying axis of ``value`` that is longer than one
+    is its first, else "C".  Boxes never cut the unit-stride axis, so a box
+    one row thick still tells a Fortran-ordered sweep from a C-ordered one
+    (its flags say both)."""
+    value = np.asarray(value)
+    axes = [d for d, extent in enumerate(value.shape) if extent > 1]
+    return "F" if axes and min(axes, key=lambda d: abs(value.strides[d])) == 0 \
+        else "C"
 
 
 def usable_cpus() -> int:
@@ -296,8 +296,9 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
             return partials[0]
         # In the partials' memory layout (Fortran order for Fortran-ordered
         # inputs), so a tiled result is laid out exactly as an untiled one.
-        destinations = [np.empty_like(first, shape=tuple(
-            u - l for l, u in zip(lowers, uppers))) for first in partials[0]]
+        shape = tuple(u - l for l, u in zip(lowers, uppers))
+        destinations = [np.empty(shape, np.result_type(first), _layout(first))
+                        for first in partials[0]]
     for box, values in pending:
         deliver(destinations, box, values)
     return destinations

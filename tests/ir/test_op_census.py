@@ -24,13 +24,13 @@ import pytest
 import repro
 from repro.api.distributed import detect_entry
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import ALL_DIALECTS
+from repro.dialects import ALL_DIALECTS, fir
 from repro.dialects.builtin import ModuleOp
 from repro.ir import parse_module, print_module
 from repro.ir.operation import Operation
-from repro.runtime import Interpreter
+from repro.runtime import Interpreter, parallel_executor
 from repro.runtime.interpreter import InterpreterError
-from repro.schedule import synthesize_args
+from repro.runtime.memory import numpy_dtype_for
 from repro.serve.store import ArtifactStore
 
 CORPUS = Path(__file__).resolve().parents[2] / "fuzz" / "corpus"
@@ -156,6 +156,25 @@ def _recording_attributes(traffic):
     return Attributes
 
 
+def synthesize_args(func_op):
+    """Deterministic arguments matching ``func_op``'s static FIR signature:
+    positive Fortran-ordered random fields (one rng stream per argument
+    position) and fixed scalars."""
+    args = []
+    for position, arg_type in enumerate(func_op.function_type.inputs):
+        element = arg_type.element_type \
+            if fir.is_reference_like(arg_type) else arg_type
+        if isinstance(element, fir.SequenceType):
+            values = np.random.default_rng([0x5EED, position]).uniform(
+                0.5, 2.0, size=element.shape)
+            args.append(np.asfortranarray(
+                values.astype(numpy_dtype_for(element.element_type))))
+        else:
+            dtype = numpy_dtype_for(element)
+            args.append(dtype.type(1.5 if np.issubdtype(dtype, np.floating) else 2))
+    return args
+
+
 def _run(compiled):
     """Run a lowered handle on synthesized arguments, in crosscheck mode so
     the vectorized kernels and the scalar handlers both execute."""
@@ -177,10 +196,11 @@ def _exercise(session, store_dir):
     plan = gs.lower("dmp", grid=(2, 2)).distribute(
         source_builder=gauss_seidel.generate_source_shaped)
     plan.run(gauss_seidel.initial_condition(12), iterations=2)
-    # Schedule tiles, at the stencil level and on a lowered nest.
-    _run(session.compile(pw_advection.generate_source(8)).lower("cpu")
-         .schedule().tile(2, 4, 4).compiled)
-    _run(gs.lower("openmp", lower_to_scf=True).schedule().tile(2, 4, 4).compiled)
+    # Multi-box sweeps, at the stencil level and on a lowered nest.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 256)
+        _run(session.compile(pw_advection.generate_source(8)).lower("cpu"))
+        _run(gs.lower("openmp", lower_to_scf=True))
     # A store reload parses every attribute back, and linking one module
     # twice names both modules in the error.
     for _ in range(2):

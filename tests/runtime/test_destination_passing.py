@@ -22,6 +22,9 @@ from repro.ir import Builder, f64
 from repro.runtime import Interpreter, InterpreterError, parallel_executor
 from repro.runtime import interpreter as interpreter_module
 
+# No __init__.py in the test tree: pytest imports sibling modules top-level.
+from test_kernel_compiler import windowed_only
+
 N = 10
 
 #: One ``run_boxes`` call: its box count, how it was asked to deliver
@@ -54,17 +57,13 @@ def sweeps(monkeypatch):
     return calls
 
 
-#: plan -> (interpreter options, whether the handle is ``schedule.tile``d)
+#: plan -> (interpreter options, whether every box runs the windowed body)
 PLANS = {
     "cache": ({}, False),
     "threads": ({"threads": 2}, False),
-    "tile": ({}, True),
-    "tile+threads": ({"threads": 2}, True),
+    "windowed": ({}, True),
+    "windowed+threads": ({"threads": 2}, True),
 }
-
-
-def planned(compiled, tiled):
-    return compiled.schedule().tile(4, 4, 4).compiled if tiled else compiled
 
 
 def lower(source, backend="cpu", **options):
@@ -90,12 +89,14 @@ def assert_same_bits(result, oracle):
 
 @pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
 @pytest.mark.parametrize("plan", PLANS)
-def test_pw_advection_is_delivered_immediately(sweeps, plan, mode):
-    options, tiled = PLANS[plan]
+def test_pw_advection_is_delivered_immediately(sweeps, plan, mode, monkeypatch):
+    options, windowed = PLANS[plan]
     compiled = lower(pw_advection.generate_source(N))
     oracle = run_pw(compiled, "interpret")
     assert sweeps == []
-    u, v, w, su, sv, sw = run_pw(planned(compiled, tiled), mode, **options)
+    if windowed:
+        windowed_only(monkeypatch)
+    u, v, w, su, sv, sw = run_pw(compiled, mode, **options)
     assert_same_bits((su, sv, sw), oracle[3:])
     for got, expected in zip((su, sv, sw), pw_advection.reference(u, v, w)):
         assert np.allclose(got, expected)
@@ -105,15 +106,17 @@ def test_pw_advection_is_delivered_immediately(sweeps, plan, mode):
 
 @pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
 @pytest.mark.parametrize("plan", PLANS)
-def test_in_place_gauss_seidel_is_delivered_deferred(sweeps, plan, mode):
-    options, tiled = PLANS[plan]
+def test_in_place_gauss_seidel_is_delivered_deferred(sweeps, plan, mode,
+                                                     monkeypatch):
+    options, windowed = PLANS[plan]
     niters = 2
     compiled = lower(gauss_seidel.generate_source(N, niters=niters))
     oracle = gauss_seidel.initial_condition(N)
     compiled.run("gauss_seidel", oracle, execution_mode="interpret")
     u = gauss_seidel.initial_condition(N)
-    planned(compiled, tiled).run("gauss_seidel", u, execution_mode=mode,
-                                 **options)
+    if windowed:
+        windowed_only(monkeypatch)
+    compiled.run("gauss_seidel", u, execution_mode=mode, **options)
     assert u.tobytes() == oracle.tobytes()
     assert np.allclose(u, gauss_seidel.reference_jacobi(
         gauss_seidel.initial_condition(N), niters))

@@ -312,6 +312,14 @@ class TestFluentValidation:
         with pytest.raises(OptionError, match="source_builder"):
             plan.run(np.zeros((12, 12, 12), order="F"))
 
+    @pytest.mark.parametrize("shape", [(12, 12), (12, 12, 12, 2)])
+    def test_field_of_the_wrong_rank_names_both_ranks(self, session, shape):
+        plan = session.compile(gauss_seidel.generate_source(8)).lower(
+            "dmp", grid=(2, 2)).distribute(
+            source_builder=gauss_seidel.generate_source_shaped)
+        with pytest.raises(OptionError, match=rf"rank-3 arrays .* rank {len(shape)}$"):
+            plan.run(np.zeros(shape, order="F"))
+
     def test_uniform_domain_runs_without_source_builder(self, session):
         # (2, 1) over 8x8x8 gives every rank a (6, 10, 10) padded box, which
         # is what a (6, 10, 10) source compiles to — no builder needed.

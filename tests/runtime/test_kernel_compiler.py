@@ -1274,25 +1274,22 @@ class TestFlatRendering:
                     np.asfortranarray(np.ones((n, n))), np.ones(n))
         assert compiler.stats["renderings"] == {"lower-rank operand": 1}
 
-    def test_a_tile_cutting_the_middle_dimension_runs_windowed(self):
-        """A ``schedule.tile`` box two planes thick in the middle dimension
-        spans n/2 lanes per point; boxes whole in it are dense."""
-        from repro.ir.attributes import DenseArrayAttr
-
+    def test_a_box_narrow_in_the_unit_stride_dimension_runs_windowed(self):
+        """Rows [1, 3) of a Fortran-ordered 12 x 10 box span ~n/2 lanes per
+        point, so the box is sparse; rows [1, 11) are dense."""
         n = 12
-        fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
-        want = pw_advection.reference(*fields[:3])
-        for tile, expected in (((n, 2, n), {"sparse box": 5}),
-                               ((n, n, 2), {"flat": 5})):
-            handle = repro.Session().lower(pw_advection.generate_source(n), "cpu")
-            [apply_op] = [op for op in handle.stencil_module.walk()
-                          if isinstance(op, stencil.ApplyOp)]
-            apply_op.attributes["schedule.tile"] = DenseArrayAttr(tile)
-            args = [f.copy(order="F") for f in fields]
-            interp = handle.run("pw_advection", *args, execution_mode="crosscheck")
-            assert interp.stats["schedule_tiles"] == 5
-            assert interp.kernels.stats["renderings"] == expected
-            assert all(a.tobytes() == w.tobytes() for a, w in zip(args[3:], want))
+        module, fn = build_shift_nest_module(n=n, row_range_args=True)
+        src = np.asfortranarray(np.random.default_rng(8).random((n, n)))
+        for high, expected in ((3, {"sparse box": 1}), (n - 1, {"flat": 1})):
+            dst = np.zeros((n, n), order="F")
+            compiler = KernelCompiler(use_shared_cache=False)
+            interp = Interpreter(module, execution_mode="crosscheck",
+                                 kernel_compiler=compiler)
+            interp.call_function(fn, [MemoryBuffer.wrap(dst), MemoryBuffer.wrap(src)]
+                                 + [np.int64(v) for v in (1, high, 1)])
+            assert interp.stats["vectorized_sweeps"] == 1
+            assert compiler.stats["renderings"] == expected
+            assert np.array_equal(dst[1:high, 1:n - 1], 2 * src[0:high - 1, 1:n - 1])
 
     def test_lanes_between_rows_neither_leak_nor_warn(self):
         """The flat span of ``dst[i, j] = 2 * src[i-1, j]`` over [1, n-1)² also

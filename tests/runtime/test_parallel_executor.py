@@ -205,7 +205,7 @@ class TestPlanCacheBoxes:
 
 class TestPlanSweep:
     """The composed plan: thread slabs along the outermost dimension, each
-    cut into ``schedule.tile`` boxes or cache boxes."""
+    cut into cache boxes."""
 
     F_STRIDES, C_STRIDES = (8, 96, 1152), (1152, 96, 8)
     LOWERS, UPPERS = (1, 1, 1), (11, 11, 11)
@@ -237,31 +237,23 @@ class TestPlanSweep:
         assert boxes == [((1, 1, lo), (11, 11, lo + 2)) for lo in range(1, 11, 2)]
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
-    @pytest.mark.parametrize("tile", [(), (4, 4, 4)], ids=["cache", "tile"])
     @pytest.mark.parametrize("strides", [F_STRIDES, C_STRIDES], ids=["F", "C"])
-    def test_threaded_boxes_partition_the_domain(self, schedule, tile, strides,
+    def test_threaded_boxes_partition_the_domain(self, schedule, strides,
                                                  monkeypatch):
         # Half a plane fits: even dynamic's one-plane slabs are cut again.
         monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1200)
         boxes, slabs, shape = plan_sweep(
             self.LOWERS, self.UPPERS, threads=3, schedule=schedule,
-            strides=strides, tile=tile, arrays=3)
+            strides=strides, arrays=3)
         assert slabs >= 3 and len(boxes) > slabs
-        assert shape == ("schedule" if tile else "cache")
+        assert shape == "cache"
         cover = np.zeros((12, 12, 12), dtype=int)
         for lb, ub in boxes:
             cover[lb[0]:ub[0], lb[1]:ub[1], lb[2]:ub[2]] += 1
         assert (cover[1:11, 1:11, 1:11] == 1).all() and cover.sum() == 1000
-        if not tile:    # cache boxes never cut the unit-stride dimension
-            whole = 0 if strides is self.F_STRIDES else 2
-            assert all((lb[whole], ub[whole]) == (1, 11) for lb, ub in boxes)
-
-    def test_tile_of_another_rank_leaves_the_default_shape(self, monkeypatch):
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 2400)
-        boxes, slabs, shape = plan_sweep(self.LOWERS, self.UPPERS,
-                                         strides=self.F_STRIDES, tile=(4, 4),
-                                         arrays=3)
-        assert (len(boxes), slabs, shape) == (10, 1, "cache")
+        # Cache boxes never cut the unit-stride dimension.
+        whole = 0 if strides is self.F_STRIDES else 2
+        assert all((lb[whole], ub[whole]) == (1, 11) for lb, ub in boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +481,11 @@ class TestTiledApplyExecution:
         assert np.allclose(tiled, expected)
 
     @pytest.mark.parametrize("order", ["F", "C"])
-    def test_tiled_result_is_laid_out_like_the_untiled_one(self, order):
+    def test_tiled_result_is_laid_out_like_the_untiled_one(self, order,
+                                                           monkeypatch):
         """Regression: slabs were gathered into a C-ordered buffer whatever
         the inputs' layout, so every tiled result of Fortran-ordered fields
         paid a transposing copy at the following stencil.store."""
-        from repro.ir.attributes import DenseArrayAttr
         from repro.runtime import TempValue
         from repro.runtime.kernel_compiler import KernelCompiler
 
@@ -501,14 +493,15 @@ class TestTiledApplyExecution:
         temp = TempValue(np.array(np.random.default_rng(6).random((n, n)),
                                   order=order), (0, 0))
         results = []
-        for tile in (None, (4, 4)):
+        # Under a 256-byte budget the 10 x 10 sweep is ten one-row boxes.
+        for budget, boxes in ((parallel_executor.CACHE_BUDGET_BYTES, 0),
+                              (256, 10)):
+            monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
             apply_op = build_average_apply(n)
-            if tile is not None:
-                apply_op.attributes["schedule.tile"] = DenseArrayAttr(tile)
             interp = Interpreter([ModuleOp([])], execution_mode="vectorize",
                                  kernel_compiler=KernelCompiler(use_shared_cache=False))
             results.extend(exec_apply(interp, apply_op, temp))
-            assert interp.stats["schedule_tiles"] == (9 if tile else 0)
+            assert interp.stats["cache_tiles"] == boxes
         untiled, tiled = results
         assert tiled.tobytes() == untiled.tobytes()
         # The untiled result is the box of a flat span (strided, in the

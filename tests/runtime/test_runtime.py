@@ -113,6 +113,44 @@ class TestInterpreterCore:
         compiled.run("gauss_seidel", work)
         assert np.array_equal(work, expected)
 
+    @pytest.mark.parametrize("path", ["interpret", "vectorize", "service"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_read_only_array_is_never_silently_left_unwritten(self, order, path):
+        """A read-only array runs on a writable copy: a call that writes it
+        is refused naming the position, never a NumPy error from inside a
+        sweep and never a normal return with the results lost."""
+        import repro
+        from repro.apps import gauss_seidel
+        from repro.serve import CompileService
+
+        source = gauss_seidel.generate_source(8, niters=1)
+        u = np.array(gauss_seidel.initial_condition(8), order=order)
+        before = u.copy()
+        u.setflags(write=False)
+        with pytest.raises(InterpreterError, match="argument 0, a read-only array"):
+            if path == "service":
+                with CompileService(workers=1) as service:
+                    service.run(source, "gauss_seidel", [u], backend="cpu",
+                                execution_mode="vectorize")
+            else:
+                repro.compile(source).lower("cpu").run(
+                    "gauss_seidel", u, execution_mode=path)
+        assert u.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("mode", ["interpret", "vectorize"])
+    def test_a_read_only_array_the_call_only_reads_is_accepted(self, mode):
+        import repro
+        from repro.apps import pw_advection
+
+        n = 8
+        fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
+        for field in fields[:3]:
+            field.setflags(write=False)
+        repro.compile(pw_advection.generate_source(n)).lower("cpu").run(
+            "pw_advection", *fields, execution_mode=mode)
+        for got, want in zip(fields[3:], pw_advection.reference(*fields[:3])):
+            assert np.allclose(got, want)
+
     def test_call_rejects_surplus_arguments(self):
         interp = Interpreter(self._make_saxpy())
         with pytest.raises(InterpreterError, match="expects 2 arguments, got 3"):

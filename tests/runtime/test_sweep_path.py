@@ -3,8 +3,8 @@ run kernel lookup → guards → box plan → ``run_boxes`` → crosscheck → s
 
 Every op kind × every box plan must be bitwise equal to the scalar oracle
 (``execution_mode="interpret"``) and feed exactly the counters its plan names.
-The plan is one composition — thread slabs × (``schedule.tile`` or cache)
-boxes — so the counters of a row that engages both simply add.
+The plan is one composition — thread slabs × cache boxes — so the counters
+of a row that engages both simply add.
 """
 
 import numpy as np
@@ -23,15 +23,16 @@ from test_kernel_compiler import build_average_apply
 from test_parallel_executor import exec_apply
 
 N, NITERS = 12, 2          # interior 10^3 per sweep, one sweep per iteration
-TILE = (4, 4, 4)           # 3 boxes per dimension
 COUNTERS = ("vectorized_sweeps", "vectorize_fallbacks", "parallel_sweeps",
-            "parallel_tiles", "parallel_fallbacks", "schedule_tiles",
-            "schedule_fallbacks", "cache_tiles", "cache_fallbacks",
-            "gpu_launches_vectorized", "gpu_launch_fallbacks")
+            "parallel_tiles", "parallel_fallbacks", "cache_tiles",
+            "cache_fallbacks", "gpu_launches_vectorized", "gpu_launch_fallbacks")
 #: A cache budget under which the 10^3 sweeps here are cut into ten
 #: (10, 10, 1) boxes: 100 points x 8 B x the 2 (apply) or 3 (nest) arrays a
 #: Gauss-Seidel kernel touches fit, 200 points do not.
 TINY_BUDGET = 2400
+#: A budget that also cuts the middle dimension: 10-16 points fit, so each
+#: plane is ten (10, 1, 1) rows.
+ROW_BUDGET = 256
 
 #: op kind -> (backend, lowering options, the counter that counts its sweeps)
 KINDS = {
@@ -40,21 +41,18 @@ KINDS = {
     "launch": ("gpu", {"lower_to_scf": True}, "gpu_launches_vectorized"),
 }
 
-#: plan -> (threads, tiled, cache budget, the counters it adds per sweep)
+#: plan -> (threads, cache budget, the counters it adds per sweep)
 PLANS = {
-    "whole": (1, False, None, {}),
-    "threads": (3, False, None, {"parallel_sweeps": 1, "parallel_tiles": 3}),
-    "boxes": (1, True, None, {"schedule_tiles": 27}),
-    # Two 5-plane slabs, each cut into 3 x 3 x 2 tile boxes.
-    "boxes+threads": (2, True, None, {"parallel_sweeps": 1, "parallel_tiles": 2,
-                                      "schedule_tiles": 36}),
-    "cache": (1, False, TINY_BUDGET, {"cache_tiles": 10}),
+    "whole": (1, None, {}),
+    "threads": (3, None, {"parallel_sweeps": 1, "parallel_tiles": 3}),
+    "cache": (1, TINY_BUDGET, {"cache_tiles": 10}),
     # Three slabs of 4, 3 and 3 planes, each cut into one-plane cache boxes.
-    "threads+cache": (3, False, TINY_BUDGET,
-                      {"parallel_sweeps": 1, "parallel_tiles": 3,
-                       "cache_tiles": 10}),
-    # A ``schedule.tile`` is the box shape; the budget then shapes nothing.
-    "boxes-not-cache": (1, True, TINY_BUDGET, {"schedule_tiles": 27}),
+    "threads+cache": (3, TINY_BUDGET, {"parallel_sweeps": 1, "parallel_tiles": 3,
+                                       "cache_tiles": 10}),
+    "rows": (1, ROW_BUDGET, {"cache_tiles": 100}),
+    # Two 5-plane slabs, each cut into 50 rows.
+    "threads+rows": (2, ROW_BUDGET, {"parallel_sweeps": 1, "parallel_tiles": 2,
+                                     "cache_tiles": 100}),
 }
 
 
@@ -65,22 +63,17 @@ def run_gauss_seidel(compiled, **interpreter_options):
 
 
 @pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
-@pytest.mark.parametrize("kind,plan", [
-    (kind, plan) for kind in KINDS for plan in PLANS
-    # The gpu backend refuses loop schedule directives at lower time.
-    if not (kind == "launch" and plan.startswith("boxes"))
-])
+@pytest.mark.parametrize("kind,plan", [(kind, plan) for kind in KINDS
+                                       for plan in PLANS])
 def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
                                                    monkeypatch):
     backend, options, sweep_counter = KINDS[kind]
-    threads, tiled, budget, per_sweep = PLANS[plan]
+    threads, budget, per_sweep = PLANS[plan]
     if budget is not None:
         monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
     compiled = repro.compile(
         gauss_seidel.generate_source(N, niters=NITERS)).lower(backend, **options)
     oracle, _ = run_gauss_seidel(compiled, execution_mode="interpret")
-    if tiled:
-        compiled = compiled.schedule().tile(*TILE).compiled
     expected = {sweep_counter: NITERS}
     expected.update({key: count * NITERS for key, count in per_sweep.items()})
     # Guards and plan are per run; the first links, the second looks up
@@ -121,21 +114,15 @@ def build_column_index_apply(n):
     return apply_op
 
 
-@pytest.mark.parametrize("threads,tile,engaged", [
-    (2, None, {"parallel", "cache"}),
-    (2, (2, 2), {"parallel", "schedule"}),
-    (1, (2, 2), {"schedule"}),
-    (1, None, {"cache"}),
+@pytest.mark.parametrize("threads,engaged", [
+    (2, {"parallel", "cache"}),
+    (1, {"cache"}),
 ])
 def test_broadcasting_apply_result_refuses_once_and_recomputes(
-        threads, tile, engaged, monkeypatch):
+        threads, engaged, monkeypatch):
     monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 256)
     n = 8
     apply_op = build_column_index_apply(n)
-    if tile is not None:
-        from repro.ir.attributes import DenseArrayAttr
-
-        apply_op.attributes["schedule.tile"] = DenseArrayAttr(tile)
     temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
     [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op, temp)
     compiler = KernelCompiler(use_shared_cache=False)
@@ -146,7 +133,7 @@ def test_broadcasting_apply_result_refuses_once_and_recomputes(
 
     def fallbacks():
         return {plan: interp.stats[plan + "_fallbacks"]
-                for plan in ("parallel", "schedule", "cache")}
+                for plan in ("parallel", "cache")}
 
     [first] = exec_apply(interp, apply_op, temp)
     assert not kernel.tileable                      # refused and memoised
@@ -155,11 +142,8 @@ def test_broadcasting_apply_result_refuses_once_and_recomputes(
     [second] = exec_apply(interp, apply_op, temp)   # straight to whole-domain
     # Only a thread count keeps counting: a sweep that runs as one slab
     # although threads > 1.  The cleared ``tileable`` plans no boxes at all.
-    assert fallbacks() == {"parallel": 2 * int(threads > 1),
-                           "schedule": int("schedule" in engaged),
-                           "cache": int("cache" in engaged)}
-    assert interp.stats["parallel_sweeps"] == interp.stats["schedule_tiles"] \
-        == interp.stats["cache_tiles"] == 0
+    assert fallbacks() == {"parallel": 2 * int(threads > 1), "cache": 1}
+    assert interp.stats["parallel_sweeps"] == interp.stats["cache_tiles"] == 0
     assert interp.stats["vectorized_sweeps"] == 2
     for value in (first, second):
         assert np.array_equal(np.broadcast_to(value, (n - 2, n - 2)),
@@ -188,8 +172,7 @@ def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
     whole = 0 if order == "F" else 1
 
     def plan(interpreter):
-        return interpreter._plan_sweep(apply_op, kernel, [temp], lb, ub,
-                                       ("static", None))
+        return interpreter._plan_sweep(kernel, [temp], lb, ub, ("static", None))
 
     assert plan(interp) == ([(lb, ub)], 1, None)
     boxes, slabs, name = plan(threaded)
@@ -233,7 +216,7 @@ def test_kernel_without_a_full_rank_window_is_sliced_along_dimension_zero():
                          kernel_compiler=KernelCompiler(use_shared_cache=False))
     kernel = interp.kernels.kernel_for(apply_op).kernel
     assert kernel.dim_strides([temp]) is None
-    assert interp._plan_sweep(apply_op, kernel, [temp], (1, 1), (n - 1, n - 1),
+    assert interp._plan_sweep(kernel, [temp], (1, 1), (n - 1, n - 1),
                               ("static", None)) == \
         ([((1, 1), (5, n - 1)), ((5, 1), (n - 1, n - 1))], 2, None)
     [sliced] = exec_apply(interp, apply_op, temp)

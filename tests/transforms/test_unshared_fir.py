@@ -16,7 +16,7 @@ from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import arith, fir, stencil
 from repro.frontend import compile_to_fir
 from repro.fuzz import DifferentialRunner
-from repro.fuzz.generator import generate_spec
+from repro.fuzz.generator import Access, expr_paths, generate_spec
 from repro.ir import default_context
 from repro.runtime import Interpreter
 from repro.transforms import StencilDiscoveryPass
@@ -56,7 +56,8 @@ def discovered(module):
         for op in applies]
 
 
-def assert_same_discovery_and_answers(source, entry, make_args):
+def assert_same_discovery_and_answers(source, entry, make_args, stencils=True):
+    """``stencils``: whether discovery must find at least one, or none."""
     shared, unshared = compile_to_fir(source), unshare(compile_to_fir(source))
     multi_use = [op for op in unshared.walk()
                  if isinstance(op, (arith.ConstantOp, fir.ConvertOp, arith.SubiOp))
@@ -64,7 +65,8 @@ def assert_same_discovery_and_answers(source, entry, make_args):
     assert not multi_use
     assert sum(1 for _ in unshared.walk()) > sum(1 for _ in shared.walk())
     found = discovered(shared)
-    assert found == discovered(unshared) and sum(found[0].values()) >= 1
+    assert found == discovered(unshared)
+    assert (sum(found[0].values()) >= 1) == stencils
     results = []
     for module in (shared, unshared):
         args = make_args()
@@ -92,6 +94,36 @@ def test_unshared_pw_is_the_fir_this_repo_used_to_build():
     assert sum(counts.values()) == 1088 and counts["arith.constant"] == 267
 
 
+def lifted_pair_refused(spec):
+    """Whether discovery's lifted-pair rule (``_sweeps_keep_order``) refuses
+    the spec's nest: a later statement touches an element an earlier one
+    touches, one of them writing it, at a distance lexicographically > 0 in
+    loop order (outermost first).  A statement's reads of the array it
+    writes are outside the rule (the Jacobi policy)."""
+    def accesses(statement):
+        reads = [(node.array, node.offsets, False)
+                 for _, node in expr_paths(statement.expr)
+                 if isinstance(node, Access) and node.array != statement.target]
+        return [(statement.target, (0,) * spec.rank, True)] + reads
+
+    for position, first in enumerate(spec.statements):
+        for second in spec.statements[position + 1:]:
+            for array, before, writes in accesses(first):
+                for other, after, other_writes in accesses(second):
+                    distance = [b - a for a, b in zip(before, after)][::-1]
+                    if array == other and (writes or other_writes) \
+                            and distance > [0] * spec.rank:
+                        return True
+    return False
+
+
+def test_lifted_pair_rule_is_read_off_the_spec():
+    """Seed 26, ``a(i) = tanh(tanh(a(i-1))) - c; b(i) = a(i+1)``: the loop
+    reads the old ``a(i+1)``, a lifted sweep the new one."""
+    assert lifted_pair_refused(generate_spec(26))
+    assert not lifted_pair_refused(generate_spec(25))
+
+
 def test_generated_kernels_shared_and_unshared(fuzz_seeds):
     runner = DifferentialRunner()
     for seed in range(fuzz_seeds):
@@ -102,4 +134,5 @@ def test_generated_kernels_shared_and_unshared(fuzz_seeds):
             args = [arrays[name].copy(order="F") for name in spec.arrays]
             return args + [scalar] if spec.has_scalar else args
 
-        assert_same_discovery_and_answers(spec.render(), spec.entry, make_args)
+        assert_same_discovery_and_answers(spec.render(), spec.entry, make_args,
+                                          stencils=not lifted_pair_refused(spec))
