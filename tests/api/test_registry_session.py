@@ -106,6 +106,33 @@ class TestOptionSchemas:
         with pytest.raises(OptionError, match="backend 'openmp'.*'tile_sizes'"):
             session.compile(small_gs_source).lower("openmp", tile_sizes=(8, 8))
 
+    #: owner backend -> a valid value of each option only it defines.
+    OWN_OPTIONS = {
+        "openmp": {"schedule": "dynamic", "chunk_size": 4},
+        "gpu": {"data_strategy": "host_register", "tile_sizes": (4, 4, 4)},
+        "dmp": {"grid": (2, 1)},
+    }
+
+    @pytest.mark.parametrize("backend", ["flang-only", "cpu", "openmp", "gpu",
+                                         "dmp"])
+    @pytest.mark.parametrize("owner,option,value", [
+        (owner, option, value) for owner, own in OWN_OPTIONS.items()
+        for option, value in own.items()])
+    def test_a_backend_option_is_refused_by_every_other_backend(
+            self, session, small_gs_source, owner, option, value, backend):
+        """The owner sets the option on its compiled handle; every other
+        backend names itself and the option in an OptionError, before any
+        lowering."""
+        program = session.compile(small_gs_source)
+        if backend == owner:
+            compiled = program.lower(backend, **{option: value})
+            assert getattr(compiled.options, option) == value
+            return
+        with pytest.raises(OptionError,
+                           match=f"backend '{backend}'.*'{option}'"):
+            program.lower(backend, **{option: value})
+        assert session.cache_stats["artifacts"] == 0
+
     def test_error_lists_valid_option_names(self, session, small_gs_source):
         with pytest.raises(OptionError, match="valid options: .*lower_to_scf"):
             session.compile(small_gs_source).lower("cpu", bogus=1)

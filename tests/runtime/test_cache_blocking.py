@@ -14,7 +14,7 @@ import time
 import pytest
 
 import repro
-from repro.apps import pw_advection
+from repro.apps import gauss_seidel, pw_advection
 from repro.runtime import parallel_executor
 
 _N = 96
@@ -56,3 +56,54 @@ def test_default_plan_blocks_and_beats_the_whole_domain(pw_handle, monkeypatch):
         f"pw_advection n={_N}: {default_s * 1e3:.1f} ms in cache boxes vs "
         f"{whole_s * 1e3:.1f} ms whole-domain — blocking lost"
     )
+
+
+# ---------------------------------------------------------------------------
+# Every box plan computes the whole-domain bits
+# ---------------------------------------------------------------------------
+
+#: Budgets that cut the n=12 sweeps of both apps: a few planes' worth, and
+#: a few rows' worth (boxes one row thick in the middle dimension).
+_CUT_BUDGETS = {"planes": 2400, "rows": 256}
+#: config -> (backend, lowering options): an apply, a loop nest and a GPU
+#: launch each reach the box plan.
+_CONFIGS = {
+    "cpu": ("cpu", {}),
+    "cpu-scf": ("cpu", {"lower_to_scf": True}),
+    "openmp-scf": ("openmp", {"lower_to_scf": True}),
+    "gpu": ("gpu", {}),
+    "gpu-scf": ("gpu", {"lower_to_scf": True}),
+}
+
+
+def _run_app(app, handle, threads, n=12):
+    """Both apps' outputs as bytes, and the interpreter's stats."""
+    if app is gauss_seidel:
+        entry, args = "gauss_seidel", [gauss_seidel.initial_condition(n)]
+    else:
+        entry = "pw_advection"
+        args = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
+    interp = handle.run(entry, *args, execution_mode="vectorize",
+                        threads=threads)
+    return b"".join(a.tobytes() for a in args), interp.stats
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("budget", _CUT_BUDGETS)
+@pytest.mark.parametrize("config", _CONFIGS)
+@pytest.mark.parametrize("app", [gauss_seidel, pw_advection], ids=["gs", "pw"])
+def test_cache_boxes_are_bitwise_the_whole_domain_sweep(app, config, budget,
+                                                        threads, monkeypatch):
+    backend, options = _CONFIGS[config]
+    handle = repro.compile(app.generate_source(12, niters=2)).lower(
+        backend, **options)
+    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", _WHOLE_DOMAIN)
+    whole, whole_stats = _run_app(app, handle, threads)
+    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES",
+                        _CUT_BUDGETS[budget])
+    boxed, stats = _run_app(app, handle, threads)
+    assert whole_stats["cache_tiles"] == 0 and stats["cache_tiles"] > 0
+    assert stats["cache_fallbacks"] == 0
+    # Boxes cut the thread slabs; they never change them.
+    assert stats["parallel_tiles"] == whole_stats["parallel_tiles"]
+    assert boxed == whole

@@ -237,13 +237,14 @@ class TestPlanSweep:
         assert boxes == [((1, 1, lo), (11, 11, lo + 2)) for lo in range(1, 11, 2)]
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
+    @pytest.mark.parametrize("chunk", [None, 2], ids=["default", "chunk2"])
     @pytest.mark.parametrize("strides", [F_STRIDES, C_STRIDES], ids=["F", "C"])
-    def test_threaded_boxes_partition_the_domain(self, schedule, strides,
+    def test_threaded_boxes_partition_the_domain(self, schedule, chunk, strides,
                                                  monkeypatch):
         # Half a plane fits: even dynamic's one-plane slabs are cut again.
         monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1200)
         boxes, slabs, shape = plan_sweep(
-            self.LOWERS, self.UPPERS, threads=3, schedule=schedule,
+            self.LOWERS, self.UPPERS, threads=3, schedule=schedule, chunk=chunk,
             strides=strides, arrays=3)
         assert slabs >= 3 and len(boxes) > slabs
         assert shape == "cache"

@@ -19,7 +19,7 @@ from repro.runtime import Interpreter, TempValue, parallel_executor
 from repro.runtime.kernel_compiler import KernelCompiler
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
-from test_kernel_compiler import build_average_apply
+from test_kernel_compiler import build_average_apply, windowed_only
 from test_parallel_executor import exec_apply
 
 N, NITERS = 12, 2          # interior 10^3 per sweep, one sweep per iteration
@@ -53,13 +53,22 @@ PLANS = {
     # Two 5-plane slabs, each cut into 50 rows.
     "threads+rows": (2, ROW_BUDGET, {"parallel_sweeps": 1, "parallel_tiles": 2,
                                      "cache_tiles": 100}),
+    # The same rows, each run by the windowed body instead of a flat span:
+    # a box narrow in the unit-stride dimension's neighbours still reads and
+    # writes the windows it did.
+    "windowed-rows": (1, ROW_BUDGET, {"cache_tiles": 100}),
+    "threads+windowed-rows": (2, ROW_BUDGET, {"parallel_sweeps": 1,
+                                              "parallel_tiles": 2,
+                                              "cache_tiles": 100}),
 }
 
 
 def run_gauss_seidel(compiled, **interpreter_options):
+    """The result, the nonzero counters, and the bodies the boxes ran."""
     u = gauss_seidel.initial_condition(N)
     interp = compiled.run("gauss_seidel", u, **interpreter_options)
-    return u, {key: interp.stats[key] for key in COUNTERS if interp.stats[key]}
+    return u, {key: interp.stats[key] for key in COUNTERS if interp.stats[key]}, \
+        set(interp.kernels.stats["renderings"] if interp.kernels else ())
 
 
 @pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
@@ -73,16 +82,20 @@ def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
         monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
     compiled = repro.compile(
         gauss_seidel.generate_source(N, niters=NITERS)).lower(backend, **options)
-    oracle, _ = run_gauss_seidel(compiled, execution_mode="interpret")
+    oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
+    windowed = "windowed" in plan
+    if windowed:
+        windowed_only(monkeypatch)
     expected = {sweep_counter: NITERS}
     expected.update({key: count * NITERS for key, count in per_sweep.items()})
     # Guards and plan are per run; the first links, the second looks up
     # (crosscheck's warm runs are in tests/api/test_link_once.py).
     for run in range(2 if mode == "vectorize" else 1):
-        result, counters = run_gauss_seidel(compiled, execution_mode=mode,
-                                            threads=threads)
+        result, counters, bodies = run_gauss_seidel(
+            compiled, execution_mode=mode, threads=threads)
         assert result.tobytes() == oracle.tobytes(), run
         assert counters == expected, run
+        assert bodies == ({"switched off"} if windowed else {"flat"}), run
 
 
 def test_apply_with_one_row_thread_tiles_is_tiled_exactly():
@@ -229,8 +242,8 @@ def test_openmp_clause_shapes_the_slabs_of_the_outermost_loop():
     planes thick along dimension 2, each one box under the real budget."""
     compiled = repro.compile(gauss_seidel.generate_source(N, niters=NITERS)).lower(
         "openmp", lower_to_scf=True, schedule="dynamic", chunk_size=2)
-    oracle, _ = run_gauss_seidel(compiled, execution_mode="interpret")
-    result, counters = run_gauss_seidel(compiled, execution_mode="crosscheck",
+    oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
+    result, counters, _ = run_gauss_seidel(compiled, execution_mode="crosscheck",
                                         threads=4)
     assert result.tobytes() == oracle.tobytes()
     assert counters == {"vectorized_sweeps": NITERS, "parallel_sweeps": NITERS,
