@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Dict, Optional, Union
 
 from ..ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr
 from ..ir.context import Dialect
@@ -72,10 +72,12 @@ class _BinaryOp(Operation):
     #: Set by subclasses: result type equals operand type unless overridden.
     result_is_bool = False
 
-    def __init__(self, lhs: SSAValue, rhs: SSAValue, result_type: TypeAttribute = None):
+    def __init__(self, lhs: SSAValue, rhs: SSAValue, result_type: TypeAttribute = None,
+                 attributes: Optional[Dict[str, Attribute]] = None):
         if result_type is None:
             result_type = i1 if self.result_is_bool else lhs.type
-        super().__init__(operands=[lhs, rhs], result_types=[result_type])
+        super().__init__(operands=[lhs, rhs], result_types=[result_type],
+                         attributes=attributes)
 
     @property
     def lhs(self) -> SSAValue:
@@ -195,8 +197,7 @@ class CmpfOp(_BinaryOp):
     result_is_bool = True
 
     def __init__(self, predicate: str, lhs: SSAValue, rhs: SSAValue):
-        super().__init__(lhs, rhs, i1)
-        self.attributes["predicate"] = StringAttr(predicate)
+        super().__init__(lhs, rhs, i1, {"predicate": StringAttr(predicate)})
 
     @property
     def predicate(self) -> str:
@@ -215,8 +216,7 @@ class CmpiOp(_BinaryOp):
     result_is_bool = True
 
     def __init__(self, predicate: str, lhs: SSAValue, rhs: SSAValue):
-        super().__init__(lhs, rhs, i1)
-        self.attributes["predicate"] = StringAttr(predicate)
+        super().__init__(lhs, rhs, i1, {"predicate": StringAttr(predicate)})
 
     @property
     def predicate(self) -> str:

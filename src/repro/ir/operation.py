@@ -17,10 +17,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from .attributes import Attribute, TypeAttribute
-from .ssa import BlockArgument, OpResult, SSAValue, Use
+from .ssa import EPOCH, MUTATIONS, BlockArgument, OpResult, SSAValue, Use
 
 
 class IRError(Exception):
@@ -59,6 +60,10 @@ class Operation:
     __slots__ = ("_operands", "_uses", "results", "attributes", "regions",
                  "parent", "__dict__")
 
+    #: ``(epoch, ops walked)`` of the last successful :meth:`verify` of this
+    #: root: a Python field, never an IR attribute.
+    _verified: Tuple[int, int] = (-1, 0)
+
     def __init__(
         self,
         operands: Sequence[SSAValue] = (),
@@ -77,9 +82,9 @@ class Operation:
         self.parent: Optional[Block] = None
 
         for operand in operands:
-            self.add_operand(operand)
+            self._add_operand(operand)
         for region in regions:
-            self.add_region(region)
+            self._add_region(region)
 
     # ------------------------------------------------------------------
     # Operand management
@@ -90,6 +95,10 @@ class Operation:
         return tuple(self._operands)
 
     def add_operand(self, value: SSAValue) -> None:
+        self._add_operand(value)
+        EPOCH[0] = next(MUTATIONS)
+
+    def _add_operand(self, value: SSAValue) -> None:
         if not isinstance(value, SSAValue):
             raise IRError(
                 f"operand of {self.name} must be an SSAValue, got {type(value).__name__}"
@@ -104,18 +113,20 @@ class Operation:
         self._operands[index].remove_use(use)
         self._operands[index] = value
         value.uses[use] = None
+        EPOCH[0] = next(MUTATIONS)
 
     def set_operands(self, values: Sequence[SSAValue]) -> None:
         """Replace the whole operand list."""
         self.drop_all_operand_uses()
         for value in values:
-            self.add_operand(value)
+            self._add_operand(value)
 
     def drop_all_operand_uses(self) -> None:
         for operand, use in zip(self._operands, self._uses):
             operand.remove_use(use)
         self._operands = []
         self._uses = []
+        EPOCH[0] = next(MUTATIONS)
 
     # ------------------------------------------------------------------
     # Results / attributes
@@ -141,11 +152,24 @@ class Operation:
     def get_attr_or_none(self, name: str) -> Optional[Attribute]:
         return self.attributes.get(name)
 
+    def set_attr(self, name: str, value: Attribute) -> None:
+        self.attributes[name] = value
+        EPOCH[0] = next(MUTATIONS)
+
+    def remove_attr(self, name: str) -> Optional[Attribute]:
+        """Drop attribute ``name``; returns its value (``None`` if absent)."""
+        EPOCH[0] = next(MUTATIONS)
+        return self.attributes.pop(name, None)
+
     # ------------------------------------------------------------------
     # Region management
     # ------------------------------------------------------------------
 
     def add_region(self, region: "Region") -> None:
+        self._add_region(region)
+        EPOCH[0] = next(MUTATIONS)
+
+    def _add_region(self, region: "Region") -> None:
         if region.parent is not None:
             raise IRError("region is already attached to an operation")
         region.parent = self
@@ -203,6 +227,7 @@ class Operation:
         if self.parent is not None:
             self.parent._ops.remove(self)
             self.parent = None
+            EPOCH[0] = next(MUTATIONS)
         return self
 
     def erase(self, *, safe: bool = True) -> None:
@@ -219,6 +244,7 @@ class Operation:
                         f"cannot erase {self.name}: result %{res.index} still has "
                         f"{len(res.uses)} use(s)"
                     )
+        EPOCH[0] = next(MUTATIONS)
         if self.parent is not None:
             self.parent._ops.remove(self)
             self.parent = None
@@ -303,8 +329,15 @@ class Operation:
     def verify_(self) -> None:
         """Per-operation verification hook; subclasses override."""
 
-    def verify(self) -> None:
-        """Verify this operation and everything nested within it.
+    @property
+    def is_verified(self) -> bool:
+        """:meth:`verify` passed on this root and nothing was mutated since."""
+        return self._verified[0] == EPOCH[0]
+
+    def verify(self) -> int:
+        """Verify this operation and everything nested within it; returns the
+        number of operations in it.  A root verified at the current epoch
+        (:mod:`repro.ir.ssa`) is a state already checked: it returns at once.
 
         One iterative pre-order pass checks the structure of the whole
         subtree — every operand slot's use is registered on its value, every
@@ -319,6 +352,9 @@ class Operation:
         """
         from .traits import IsolatedFromAbove
 
+        epoch = EPOCH[0]
+        if self._verified[0] == epoch:
+            return self._verified[1]
         #: (operation, its isolated ancestors outermost first), in pre-order.
         order: List[Tuple[Operation, Tuple[Operation, ...]]] = []
         defined_in: Dict[int, Tuple[Operation, ...]] = {}
@@ -383,6 +419,8 @@ class Operation:
                 if verifier is not None:
                     verifier(op)
             op.verify_()
+        self._verified = (epoch, len(order))
+        return len(order)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} '{self.name}'>"
@@ -402,13 +440,17 @@ class Block:
         self._ops: List[Operation] = []
         self.parent: Optional[Region] = None
         for op in ops:
-            self.add_op(op)
+            if op.parent is not None:
+                raise IRError(f"operation {op.name} is already attached to a block")
+            op.parent = self
+            self._ops.append(op)
 
     # -- argument management --------------------------------------------
 
     def add_arg(self, type: TypeAttribute) -> BlockArgument:
         arg = BlockArgument(type, self, len(self.args))
         self.args.append(arg)
+        EPOCH[0] = next(MUTATIONS)
         return arg
 
     # -- op list management ----------------------------------------------
@@ -430,15 +472,16 @@ class Block:
             raise IRError(f"operation {op.name} is already attached to a block")
         op.parent = self
         self._ops.append(op)
+        EPOCH[0] = next(MUTATIONS)
 
     def add_ops(self, ops: Iterable[Operation]) -> None:
         for op in ops:
             self.add_op(op)
 
     def index_of(self, op: Operation) -> int:
-        for i, existing in enumerate(self._ops):
-            if existing is op:
-                return i
+        # An op equals only itself (no class defines ``__eq__``): a C scan.
+        if op.parent is self:
+            return self._ops.index(op)
         raise IRError(f"operation {op.name} is not in this block")
 
     def insert_op_at(self, index: int, op: Operation) -> None:
@@ -446,6 +489,7 @@ class Block:
             raise IRError(f"operation {op.name} is already attached to a block")
         op.parent = self
         self._ops.insert(index, op)
+        EPOCH[0] = next(MUTATIONS)
 
     def insert_op_before(self, new_op: Operation, existing: Operation) -> None:
         self.insert_op_at(self.index_of(existing), new_op)
@@ -463,6 +507,46 @@ class Block:
         if op.parent is not self:
             raise IRError("operation is not in this block")
         op.erase(safe=safe)
+
+    def take_ops(self, source: Union[Sequence[Operation], "Region"],
+                 value_map: Optional[Dict[SSAValue, SSAValue]] = None) -> None:
+        """Move ``source`` (consecutive ops of one block, or a single-block
+        region's ops) to the end of this block, building nothing, then remap
+        the operands of the moved ops and of everything nested in them through
+        ``value_map``.  Raises :class:`IRError`, moving nothing, if a moved
+        result is used by an op that stays behind."""
+        ops = list(source.block._ops if isinstance(source, Region) else source)
+        if not ops:
+            return
+        block = ops[0].parent
+        start = block._ops.index(ops[0]) if block is not None else -1
+        if start < 0 or block._ops[start:start + len(ops)] != ops:
+            raise IRError("take_ops moves consecutive operations of one block")
+        moved = set(map(id, ops))
+        scope = self.parent_op()
+        while scope is not None and id(scope) not in moved:
+            scope = scope.parent_op()
+        if scope is not None:
+            raise IRError(f"cannot move {scope.name} into its own region")
+        for op in ops:
+            for use in chain.from_iterable(result.uses for result in op.results):
+                top: Optional[Operation] = use.operation
+                while top is not None and top.parent is not block:
+                    top = top.parent_op()
+                if top is None or id(top) not in moved:
+                    raise IRError(f"moving {op.name} would strand its use by "
+                                  f"{use.operation.name}, which stays behind")
+        del block._ops[start:start + len(ops)]
+        for op in ops:
+            op.parent = self
+        self._ops.extend(ops)
+        EPOCH[0] = next(MUTATIONS)
+        if value_map:
+            for inner in chain.from_iterable(
+                    op.walk() if op.regions else (op,) for op in ops):
+                for index, operand in enumerate(inner._operands):
+                    if operand in value_map:
+                        inner.set_operand(index, value_map[operand])
 
     # -- queries ----------------------------------------------------------
 
@@ -484,7 +568,7 @@ class Region:
         self.blocks: List[Block] = []
         self.parent: Optional[Operation] = None
         for block in blocks:
-            self.add_block(block)
+            self._add_block(block)
 
     @property
     def block(self) -> Block:
@@ -498,6 +582,10 @@ class Region:
         return self.blocks[0] if self.blocks else None
 
     def add_block(self, block: Block) -> None:
+        self._add_block(block)
+        EPOCH[0] = next(MUTATIONS)
+
+    def _add_block(self, block: Block) -> None:
         if block.parent is not None:
             raise IRError("block is already attached to a region")
         block.parent = self

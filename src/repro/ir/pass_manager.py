@@ -40,18 +40,22 @@ class ModulePass:
 
 
 class PassStatistics:
-    """Timing and change statistics for one executed pass."""
+    """Timing and change statistics for one executed pass; ``verify_seconds``
+    is 0.0 when the pass mutated nothing, so its state was already checked."""
 
-    def __init__(self, name: str, seconds: float, ops_before: int, ops_after: int):
+    def __init__(self, name: str, seconds: float, ops_before: int, ops_after: int,
+                 verify_seconds: float = 0.0):
         self.name = name
         self.seconds = seconds
         self.ops_before = ops_before
         self.ops_after = ops_after
+        self.verify_seconds = verify_seconds
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return (
             f"<{self.name}: {self.seconds * 1e3:.2f} ms, "
-            f"{self.ops_before}->{self.ops_after} ops>"
+            f"{self.ops_before}->{self.ops_after} ops, "
+            f"verify {self.verify_seconds * 1e3:.2f} ms>"
         )
 
 
@@ -208,19 +212,23 @@ class PassManager:
     # -- execution ----------------------------------------------------------------
 
     def run(self, module: Operation) -> List[PassStatistics]:
+        """Run the passes; with ``verify_each`` the module is verified before
+        and after each one, and that walk counts its ops."""
         self.statistics = []
-        ops_after = sum(1 for _ in module.walk())
+        count = module.verify if self.verify_each else (
+            lambda: sum(1 for _ in module.walk()))
+        ops_after = count()
         for pass_instance in self.passes:
             ops_before = ops_after
             start = time.perf_counter()
             pass_instance.apply(self.ctx, module)
             elapsed = time.perf_counter() - start
-            ops_after = sum(1 for _ in module.walk())
-            self.statistics.append(
-                PassStatistics(pass_instance.name, elapsed, ops_before, ops_after)
-            )
-            if self.verify_each:
-                module.verify()
+            checked = module.is_verified or not self.verify_each
+            start = time.perf_counter()
+            ops_after = count()
+            verify_seconds = 0.0 if checked else time.perf_counter() - start
+            self.statistics.append(PassStatistics(
+                pass_instance.name, elapsed, ops_before, ops_after, verify_seconds))
         return self.statistics
 
 

@@ -3,16 +3,26 @@
 Every value in the IR is either the result of an operation (:class:`OpResult`)
 or a block argument (:class:`BlockArgument`).  Values track their uses so that
 rewrites can replace values globally and the verifier can detect dangling uses.
+
+Every mutation of the IR stores the next value of one process-wide counter as
+the IR's *epoch*; ``verify()`` does not walk again a root it passed at it.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import TYPE_CHECKING, Dict, Optional
 
 from .attributes import TypeAttribute
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operation import Block, Operation
+
+
+#: A mutation (building a detached op is none) stores ``EPOCH[0] =
+#: next(MUTATIONS)``: no Python call, and each value is stored once, so a
+#: thread that stores late can only make a verified root look stale.
+MUTATIONS, EPOCH = count(1), [0]
 
 
 class Use:
@@ -55,6 +65,7 @@ class SSAValue:
         except KeyError:
             raise ValueError(
                 "attempting to remove a use that is not registered") from None
+        EPOCH[0] = next(MUTATIONS)
 
     def replace_all_uses_with(self, new_value: "SSAValue") -> None:
         """Rewrite every operand currently referencing ``self`` to ``new_value``."""

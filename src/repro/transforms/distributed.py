@@ -66,7 +66,7 @@ class ConvertStencilToDMPPass(ModulePass):
                 if isinstance(op, stencil.AccessOp):
                     for d, offset in enumerate(op.offset):
                         halo[d] = max(halo[d], abs(int(offset)))
-            apply_op.attributes["dmp.halo"] = DenseArrayAttr(halo)
+            apply_op.set_attr("dmp.halo", DenseArrayAttr(halo))
             # Swap halos of every input field before its snapshot is taken
             # (stencil.load copies the field, so the exchange must precede it).
             swapped = set()
@@ -138,12 +138,12 @@ class ConvertDMPToMPIPass(ModulePass):
                     arith.ConstantOp.from_int(recv_tag, i32)
                 ).results[0]
                 isend = mpi.ISendOp(field, neighbour.results[0], tag_value)
-                isend.attributes["slice_lb"] = DenseArrayAttr(send_lb)
-                isend.attributes["slice_ub"] = DenseArrayAttr(send_ub)
+                isend.set_attr("slice_lb", DenseArrayAttr(send_lb))
+                isend.set_attr("slice_ub", DenseArrayAttr(send_ub))
                 builder.insert(isend)
                 irecv = mpi.IRecvOp(field, neighbour.results[0], recv_tag_value)
-                irecv.attributes["slice_lb"] = DenseArrayAttr(recv_lb)
-                irecv.attributes["slice_ub"] = DenseArrayAttr(recv_ub)
+                irecv.set_attr("slice_lb", DenseArrayAttr(recv_lb))
+                irecv.set_attr("slice_ub", DenseArrayAttr(recv_ub))
                 builder.insert(irecv)
                 requests.append(irecv.results[0])
         if requests:

@@ -74,18 +74,18 @@ def _annotate_kernel_launch(func_op: FuncOp, tile: Sequence[int] = (32, 32, 1)) 
         if isinstance(op, stencil.ApplyOp):
             domain = op.domain_shape
             break
-    func_op.attributes["gpu.launch"] = UnitAttr()
+    func_op.set_attr("gpu.launch", UnitAttr())
     if domain is None:
-        func_op.attributes["gpu.grid"] = DenseArrayAttr((1, 1, 1))
-        func_op.attributes["gpu.block"] = DenseArrayAttr((1, 1, 1))
+        func_op.set_attr("gpu.grid", DenseArrayAttr((1, 1, 1)))
+        func_op.set_attr("gpu.block", DenseArrayAttr((1, 1, 1)))
         return
     tile = list(tile) + [1, 1, 1]
     block = [max(1, min(tile[d], domain[d] if d < len(domain) else 1)) for d in range(3)]
     grid = [
         max(1, -(-domain[d] // block[d])) if d < len(domain) else 1 for d in range(3)
     ]
-    func_op.attributes["gpu.grid"] = DenseArrayAttr(grid)
-    func_op.attributes["gpu.block"] = DenseArrayAttr(block)
+    func_op.set_attr("gpu.grid", DenseArrayAttr(grid))
+    func_op.set_attr("gpu.block", DenseArrayAttr(block))
 
 
 class GpuDataManagementBase(ModulePass):

@@ -80,12 +80,14 @@ class ConvertSCFToOpenMPPass(ModulePass):
             list(parallel.lower_bounds),
             list(parallel.upper_bounds),
             list(parallel.steps),
-            body=parallel.regions[0].clone(),
             schedule=self.schedule,
             chunk_size=self.chunk_size,
         )
-        # Replace the scf.yield terminator with omp.yield in the moved body.
+        # Move the loop body over, then replace its scf.yield terminator with
+        # omp.yield.
         ws_body = wsloop.body.block
+        ws_body.take_ops(parallel.body,
+                         dict(zip(parallel.body.block.args, ws_body.args)))
         if ws_body.last_op is not None and ws_body.last_op.name == "scf.yield":
             ws_body.last_op.erase(safe=False)
         ws_body.add_op(omp.YieldOp([]))
@@ -123,7 +125,7 @@ class ParallelLoopTilingPass(ModulePass):
                 sizes = list(self.tile_sizes)[: op.rank]
                 while len(sizes) < op.rank:
                     sizes.append(1)
-                op.attributes["tile_sizes"] = DenseArrayAttr(sizes)
+                op.set_attr("tile_sizes", DenseArrayAttr(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +225,10 @@ class ConvertParallelLoopsToGpuPass(ModulePass):
         then_block = guarded.then_block
         for arg, iv in zip(parallel.body.block.args, ivs):
             value_map[arg] = iv
-        for op in parallel.body.block.ops:
-            if op.name == "scf.yield":
-                continue
-            then_block.add_op(op.clone(value_map))
+        body_ops = parallel.body.block.ops
+        if body_ops and body_ops[-1].name == "scf.yield":
+            body_ops = body_ops[:-1]
+        then_block.take_ops(body_ops, value_map)
         then_block.add_op(scf.YieldOp([]))
         builder.insert(gpu.ReturnOp())
 

@@ -14,7 +14,7 @@ function per extracted stencil region and rewrites the FIR module to call it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dialects import fir, stencil
 from ..dialects.builtin import ModuleOp
@@ -119,12 +119,13 @@ class ExtractStencilsPass(ModulePass):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _all_blocks(func_op: FuncOp) -> List[Block]:
-        blocks: List[Block] = []
+    def _all_blocks(func_op: FuncOp) -> Iterator[Block]:
+        """Every block under ``func_op``, in walk order.  A block is reached
+        after the segments of those enclosing it were moved out, so the blocks
+        of a moved operation are not reached."""
         for op in func_op.walk():
             for region in op.regions:
-                blocks.extend(region.blocks)
-        return blocks
+                yield from region.blocks
 
     def _extract_segment(
         self,
@@ -137,18 +138,13 @@ class ExtractStencilsPass(ModulePass):
         externals = _external_inputs(segment)
         arg_types = [_extracted_arg_type(v) for v in externals]
 
-        # Build the stencil function: clone the segment with externals mapped
-        # to the new block arguments.
         new_func = FuncOp.build(name, arg_types, [])
-        new_func.attributes["stencil.extracted"] = UnitAttr()
+        new_func.set_attr("stencil.extracted", UnitAttr())
         entry = new_func.entry_block
         value_map: Dict[SSAValue, SSAValue] = {}
         for external, arg in zip(externals, entry.args):
             arg.name_hint = external.name_hint
             value_map[external] = arg
-        for op in segment:
-            entry.add_op(op.clone(value_map))
-        entry.add_op(ReturnOp([]))
 
         # Rewrite the FIR side: convert array references to !fir.llvm_ptr and
         # call the extracted function in place of the segment.
@@ -166,9 +162,10 @@ class ExtractStencilsPass(ModulePass):
         call = fir.CallOp(name, call_args)
         block.insert_op_before(call, first_op)
 
-        # Remove the original segment (last-to-first so uses disappear first).
-        for op in reversed(list(segment)):
-            op.erase(safe=False)
+        # Move the segment into the stencil function, externals mapped to its
+        # arguments.
+        entry.take_ops(segment, value_map)
+        entry.add_op(ReturnOp([]))
 
         # Provide a declaration of the extracted function in the FIR module so
         # the call is resolvable when the two objects are "linked".

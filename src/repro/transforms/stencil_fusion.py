@@ -96,13 +96,14 @@ def _fuse_pair(first: stencil.ApplyOp, second: stencil.ApplyOp) -> stencil.Apply
     for arg, idx in mapping.items():
         value_map[arg] = fused_block.args[idx]
 
+    # Each body moves over whole: its terminator's operands become the
+    # fused terminator's.
     returns: List[SSAValue] = []
     for apply_op in (first, second):
-        for op in apply_op.body.block.ops:
-            if isinstance(op, stencil.ReturnOp):
-                returns.extend(value_map.get(o, o) for o in op.operands)
-                continue
-            fused_block.add_op(op.clone(value_map))
+        terminator = apply_op.body.block.last_op
+        returns.extend(value_map.get(o, o) for o in terminator.operands)
+        terminator.erase()
+        fused_block.take_ops(apply_op.body, value_map)
     fused_block.add_op(stencil.ReturnOp(returns))
 
     fused = stencil.ApplyOp(

@@ -160,34 +160,34 @@ class ConvertStencilToSCFPass(ModulePass):
                 ivs.append(for_op.induction_variable)
                 inner = Builder.at_end(for_op.body.block)
 
-        inner_builder = Builder.at_end(bodies[-1])
-
-        # Translate the apply body into the innermost loop body.
-        value_map: Dict[SSAValue, SSAValue] = {}
-        for arg, operand in zip(op.body.block.args, op.operands):
-            value_map[arg] = operand
-
-        returned: List[SSAValue] = []
-        for body_op in op.body.block.ops:
-            if isinstance(body_op, stencil.ReturnOp):
-                returned = [value_map[o] for o in body_op.operands]
-                continue
+        # Move the apply body into the innermost loop body, then rewrite its
+        # accesses into loads and its index queries into induction variables
+        # where they stand.
+        value_map: Dict[SSAValue, SSAValue] = dict(zip(op.body.block.args, op.operands))
+        terminator = op.body.block.last_op
+        returned = list(terminator.operands)
+        terminator.erase()
+        inner_body = bodies[-1]
+        inner_body.take_ops(op.body, value_map)
+        for body_op in inner_body.ops:
             if isinstance(body_op, stencil.AccessOp):
-                key = value_map.get(body_op.temp, body_op.temp)
-                source = memref_of[key]
-                origin = origin_of[key]
+                builder.set_insertion_point_before(body_op)
+                source = memref_of[body_op.temp]
+                origin = origin_of[body_op.temp]
                 indices = [
-                    self._shifted_index(inner_builder, ivs[d], offset - origin[d])
+                    self._shifted_index(builder, ivs[d], offset - origin[d])
                     for d, offset in enumerate(body_op.offset)
                 ]
-                load = inner_builder.insert(memref.LoadOp(source, indices))
-                value_map[body_op.results[0]] = load.results[0]
+                replacement = builder.insert(memref.LoadOp(source, indices)).results[0]
+            elif isinstance(body_op, stencil.IndexOp):
+                replacement = ivs[body_op.dim]
+            else:
                 continue
-            if isinstance(body_op, stencil.IndexOp):
-                value_map[body_op.results[0]] = ivs[body_op.dim]
-                continue
-            clone = body_op.clone(value_map)
-            inner_builder.insert(clone)
+            value_map[body_op.results[0]] = replacement
+            body_op.results[0].replace_all_uses_with(replacement)
+            body_op.erase()
+        returned = [value_map.get(value, value) for value in returned]
+        inner_builder = Builder.at_end(inner_body)
 
         # Store each returned value to the memref backing its target field.
         for value, store_op in zip(returned, stores):

@@ -17,7 +17,7 @@ from repro.dialects import arith, func, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.frontend import compile_to_fir
 from repro.ir import Builder, Operation, f64
-from repro.ir.ssa import Use
+from repro.ir.ssa import EPOCH, MUTATIONS, Use
 from repro.runtime import SimulatedGPU, kernel_compiler
 
 N = 8
@@ -75,6 +75,32 @@ def test_one_lower_makes_at_most_85_or_90_percent_of_the_parents_calls(name, pyt
     calls = python_calls(lambda: lower(name))
     share = 0.85 if name.startswith("pw") else 0.90  # GS has fewer duplicates to lose
     assert calls <= share * CONFIGS[name][3], calls
+
+
+def test_a_gpu_lower_builds_each_op_once_and_verifies_each_state_once(monkeypatch):
+    """At the parent commit c4d2140 one pw-gpu-scf ``lower()`` constructed
+    1,393 ops — fusion, both scf lowerings and extraction cloned what they
+    kept and erased the original — and its ``verify()`` calls walked 2,687
+    op visits, re-checking two states no pass had changed."""
+    built, visited = [], []
+    real_init, real_verify = Operation.__init__, Operation.verify
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def verify(self):
+        checked = self._verified
+        count = real_verify(self)
+        if self._verified is not checked:  # it walked
+            visited.append(count)
+        return count
+
+    monkeypatch.setattr(Operation, "__init__", init)
+    monkeypatch.setattr(Operation, "verify", verify)
+    lower("pw-gpu-scf")
+    assert len(built) <= 0.70 * 1_393, len(built)
+    assert sum(visited) <= 2_200, sum(visited)
 
 
 @pytest.mark.parametrize("source, most_ops, most_constants", [
@@ -199,14 +225,20 @@ def test_verify_of_a_1000_op_block_builds_no_set_per_value(python_calls):
         b.insert(func.ReturnOp([]))
         return ModuleOp([f])
 
+    def walk(module):
+        """``module.verify`` made to walk: the epoch moves on, the IR stays."""
+        EPOCH[0] = next(MUTATIONS)
+        return module.verify
+
     small, large = chain(250), chain(1000)
     small.verify(), large.verify()
-    assert python_calls(large.verify) <= 4.2 * python_calls(small.verify)
+    assert python_calls(walk(large)) <= 4.2 * python_calls(walk(small))
     # The pass keeps its pre-order list and one dict of definitions (97 KB
     # here); a {(id(op), index)} set per value on top of that was 525 KB.
+    verify = walk(large)
     tracemalloc.start()
     try:
-        large.verify()
+        verify()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -232,7 +232,7 @@ def traffic(tmp_path_factory):
     def verify(self):
         traffic.quiet += 1
         try:
-            real_verify(self)
+            return real_verify(self)
         finally:
             traffic.quiet -= 1
 
