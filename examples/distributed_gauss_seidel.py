@@ -5,8 +5,8 @@ The unchanged Gauss-Seidel source is compiled through the DMP and MPI dialects
 and executed on a 2x2 simulated communicator — four in-process *vectorized*
 ranks with real halo exchanges, orchestrated end to end by the fluent
 ``.distribute(...)`` handle: ``run(global_field)`` scatters the global domain
-(physical ghost planes included), runs every rank concurrently on the
-persistent rank pool, and gathers the result.  The gathered field is compared
+(physical ghost planes included), runs every rank concurrently on its own
+thread, and gathers the result.  The gathered field is compared
 against the global numpy reference, and the measured 1-8 rank scaling series
 (the paper's Figure 6, at a reduced grid size) is printed.
 """

@@ -9,12 +9,12 @@ through three composable layers:
   simulated-runtime wiring.  Register your own backend to extend the system.
 * **Fluent programs** (:mod:`repro.api.program`) — ``repro.compile(source)``
   returns an immutable :class:`Program`; ``program.lower("openmp",
-  schedule="dynamic", chunk_size=8).vectorize(threads=4).run(entry, *args)``
+  lower_to_scf=True, schedule="dynamic", chunk_size=8).vectorize(threads=4)
+  .run(entry, *args)``
   derives and executes compiled handles without mutating anything.
 * **Sessions** (:mod:`repro.api.session`) — a :class:`Session` memoizes
   compiled artifacts by (source hash, backend, frozen options) and runs
-  argument batches on the persistent thread pool via
-  :meth:`Session.run_batch`.
+  argument batches concurrently via :meth:`Session.run_batch`.
 """
 
 from __future__ import annotations

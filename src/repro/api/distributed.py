@@ -15,8 +15,8 @@
 ``CompiledProgram.distribute()`` (dmp backend only) wraps the compiled
 handle in a :class:`DistributedProgram` whose :meth:`DistributedProgram.run`
 scatters a global Fortran-ordered field, runs one interpreter per simulated
-rank on the persistent rank pool of
-:mod:`repro.runtime.distributed_executor`, and gathers the result.  The
+rank on a thread of its own (:mod:`repro.runtime.distributed_executor`),
+and gathers the result.  The
 process grid lives in the frozen :class:`repro.api.DmpOptions` (part of the
 session cache key — a new grid is a recompile); execution mode and per-rank
 threads are runtime-only knobs that never force one.

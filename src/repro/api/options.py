@@ -15,6 +15,7 @@ or multi-threaded handle from a compiled program hits the same
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -68,9 +69,22 @@ def validate_threads(value: Optional[int], default: int) -> int:
     anything else — including 0 — must be a positive integer."""
     if value is None:
         return default
-    if value < 1:
+    if not isinstance(value, int) or value < 1:
         raise OptionError(f"threads must be >= 1, got {value!r}")
     return value
+
+
+def _positive_ints(name: str, value) -> Tuple[int, ...]:
+    """``value`` as a non-empty tuple of positive integers, else an
+    :class:`OptionError` naming the option ``name``."""
+    try:
+        ints = tuple(operator.index(v) for v in value)
+    except TypeError:
+        raise OptionError(
+            f"{name} must be a sequence of integers, got {value!r}") from None
+    if not ints or any(v < 1 for v in ints):
+        raise OptionError(f"{name} must be positive, got {ints}")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -145,9 +159,16 @@ class OpenMPOptions(BackendOptions):
             raise OptionError(
                 f"schedule must be one of {SCHEDULE_KINDS}, got {self.schedule!r}"
             )
-        if self.chunk_size is not None and self.chunk_size <= 0:
+        if self.chunk_size is not None and (
+                not isinstance(self.chunk_size, int) or self.chunk_size <= 0):
             raise OptionError(
-                f"chunk_size must be positive, got {self.chunk_size}"
+                f"chunk_size must be positive, got {self.chunk_size!r}"
+            )
+        if not self.lower_to_scf and (self.schedule != "static"
+                                      or self.chunk_size is not None):
+            raise OptionError(
+                "schedule and chunk_size need lower_to_scf=True: at the "
+                "stencil level no omp.wsloop carries the schedule clause"
             )
 
 
@@ -170,18 +191,13 @@ class GpuOptions(BackendOptions):
 
     def __post_init__(self) -> None:
         if self.tile_sizes is not None:
-            object.__setattr__(self, "tile_sizes", tuple(self.tile_sizes))
+            object.__setattr__(self, "tile_sizes",
+                               _positive_ints("tile_sizes", self.tile_sizes))
         super().__post_init__()
         if self.data_strategy not in GPU_DATA_STRATEGIES:
             raise OptionError(
                 f"data_strategy must be one of {GPU_DATA_STRATEGIES}, "
                 f"got {self.data_strategy!r}"
-            )
-        if self.tile_sizes is not None and (
-            not self.tile_sizes or any(t < 1 for t in self.tile_sizes)
-        ):
-            raise OptionError(
-                f"tile_sizes must be positive, got {self.tile_sizes}"
             )
 
 
@@ -196,10 +212,8 @@ class DmpOptions(BackendOptions):
     grid: Tuple[int, ...] = (1, 1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", tuple(self.grid))
+        object.__setattr__(self, "grid", _positive_ints("grid", self.grid))
         super().__post_init__()
-        if not self.grid or any(g < 1 for g in self.grid):
-            raise OptionError(f"grid must be positive, got {self.grid}")
 
 
 __all__ = [

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 from ..runtime.interpreter import Interpreter
 from .artifact import CompiledArtifact
 from .backends import Backend
-from .options import BackendOptions, validate_execution_mode, validate_threads
+from .options import (BackendOptions, OptionError, validate_execution_mode,
+                      validate_threads)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Session
@@ -36,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def source_fingerprint(source: str) -> str:
     """Stable identity of one Fortran source (artifact-cache key component)."""
+    if not isinstance(source, str):
+        raise OptionError(
+            f"source must be Fortran source text, got {type(source).__name__}")
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
@@ -273,8 +277,8 @@ class CompiledProgram:
 
     def run_batch(self, entry: str, arg_sets: Sequence[Sequence],
                   workers: Optional[int] = None) -> List[List[object]]:
-        """Run ``entry`` once per argument set on the shared thread pool
-        (see :meth:`repro.api.Session.run_batch`)."""
+        """Run ``entry`` once per argument set, concurrently (see
+        :meth:`repro.api.Session.run_batch`)."""
         return self._session.run_batch(self, entry, arg_sets, workers=workers)
 
     def __repr__(self) -> str:  # pragma: no cover

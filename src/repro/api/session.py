@@ -5,8 +5,8 @@ A :class:`Session` is the stateful half of the fluent API.  It memoizes
 frozen compile-time options)`` so harness sweeps, ablations and serving
 workloads that compile the same source repeatedly stop re-running
 discovery/extraction from scratch — and it offers :meth:`run_batch`, which
-fans independent argument sets of one compiled program out over the
-persistent thread pool of :mod:`repro.runtime.parallel_executor`.
+fans independent argument sets of one compiled program out over a thread
+pool that lives as long as the call.
 
 Runtime-only options (``execution_mode``, ``threads``) are excluded from the
 cache key, so ``compiled.vectorize(threads=4)`` is a cache *hit* on the
@@ -22,14 +22,15 @@ backend lowers only.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.context import Context, default_context
 from ..resilience import InjectedFault
-from ..runtime.parallel_executor import ParallelExecutor, usable_cpus
+from ..runtime.parallel_executor import usable_cpus
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
-from .options import BackendOptions
+from .options import BackendOptions, OptionError
 from .program import CompiledProgram, Program, source_fingerprint
 
 
@@ -69,12 +70,6 @@ class Session:
         self._quarantined: Dict[Tuple, BaseException] = {}
         self._compile_retry_count = 0
         self._quarantine_hits = 0
-        # Batch dispatch pools, one per worker count.  Deliberately *not* the
-        # process-wide count-keyed pools of ``get_executor``: batch tasks
-        # block on tile futures from their interpreters' pools, so sharing a
-        # pool between the two layers deadlocks whenever the batch worker
-        # count equals a handle's interpreter thread count.
-        self._batch_executors: Dict[int, ParallelExecutor] = {}
 
     # -- compilation ---------------------------------------------------------
 
@@ -237,14 +232,17 @@ class Session:
         """Run ``entry`` once per argument set, concurrently.
 
         Each argument set gets its own interpreter over the shared compiled
-        modules (interpreters never mutate them), dispatched on the
-        persistent thread pool from :mod:`repro.runtime.parallel_executor`.
-        Results come back **in input order** — deterministic regardless of
-        completion order — and arrays are mutated in place per Fortran
-        by-reference semantics, so each argument set should own its arrays.
-        ``workers`` defaults to one per argument set, at most one per CPU the
-        process may use now (:func:`usable_cpus`).
+        modules (interpreters never mutate them), on a pool the call opens
+        and joins, so no item outlives it.  Results come back **in input
+        order** and arrays are mutated in place per Fortran by-reference
+        semantics, so each argument set should own its arrays.  ``workers``
+        defaults to one per argument set, at most one per CPU the process may
+        use now (:func:`usable_cpus`); one runs them on the calling thread.
         """
+        if workers is not None and (not isinstance(workers, int)
+                                    or workers < 1):
+            raise OptionError(
+                f"workers must be an integer >= 1, got {workers!r}")
         arg_sets = list(arg_sets)
         if not arg_sets:
             return []
@@ -254,14 +252,11 @@ class Session:
 
         if workers is None:
             workers = min(len(arg_sets), usable_cpus())
-        if workers <= 1 or len(arg_sets) == 1:
+        if workers == 1 or len(arg_sets) == 1:
             return [run_one(args) for args in arg_sets]
-        with self._lock:
-            executor = self._batch_executors.get(workers)
-            if executor is None:
-                executor = ParallelExecutor(workers)
-                self._batch_executors[workers] = executor
-        return executor.map_tiles(run_one, arg_sets)
+        with ThreadPoolExecutor(max_workers=workers,
+                                thread_name_prefix="repro-batch") as pool:
+            return list(pool.map(run_one, arg_sets))
 
     def __repr__(self) -> str:  # pragma: no cover
         stats = self.cache_stats

@@ -290,7 +290,7 @@ def measured_distributed_scaling(
     """Multi-rank throughput of the DMP/MPI-lowered target (Figure 6).
 
     One vectorized interpreter per simulated rank runs concurrently on the
-    :class:`repro.runtime.DistributedExecutor` rank pool with real halo
+    :class:`repro.runtime.DistributedExecutor`'s rank threads with real halo
     exchanges through the simulated communicator.  ``max_error`` against the
     single-process Jacobi reference is taken over the interior ``niters``
     cells away from the global boundary: the local kernels update every owned

@@ -1,10 +1,13 @@
-"""Execution substrates: IR interpreter, NumPy kernels, simulated GPU and MPI."""
+"""Execution substrates: IR interpreter, NumPy kernels, simulated GPU and MPI.
+
+Only a sweep's boxes run on the shared pools of :func:`get_executor`; ranks
+run on an executor each :meth:`DistributedExecutor.run` opens and closes.
+"""
 
 from .distributed_executor import (
     DistributedExecutor,
     DistributedRunResult,
     RankStats,
-    get_rank_pool,
 )
 from .gpu_kernel_engine import GpuKernelEngine, GpuLaunchKernel, compile_gpu_func
 from .gpu_runtime import (
@@ -30,7 +33,6 @@ from .mpi_runtime import (
 )
 from .parallel_executor import (
     SCHEDULE_KINDS,
-    ParallelExecutor,
     get_executor,
     plan_tiles,
 )
@@ -63,8 +65,6 @@ __all__ = [
     "DistributedExecutor",
     "DistributedRunResult",
     "RankStats",
-    "get_rank_pool",
-    "ParallelExecutor",
     "SCHEDULE_KINDS",
     "plan_tiles",
     "get_executor",

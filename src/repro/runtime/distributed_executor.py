@@ -5,10 +5,10 @@ lowered through the DMP dialect to MPI.  This module owns that execution
 path end to end: a :class:`DistributedExecutor` scatters a global
 Fortran-ordered field over a :class:`repro.runtime.CartesianDecomposition`
 (filling the *physical* ghost planes with the global data that borders each
-sub-domain), runs one interpreter per rank concurrently on a persistent
-:class:`repro.runtime.ParallelExecutor` pool, drives every halo exchange
-through one :class:`repro.runtime.SimulatedCommunicator`, and gathers the
-owned interiors back into a global array — returning per-rank statistics
+sub-domain), runs one interpreter per rank concurrently on a thread of its
+own, drives every halo exchange through one
+:class:`repro.runtime.SimulatedCommunicator`, and gathers the owned
+interiors back into a global array — returning per-rank statistics
 (messages, bytes, halo wall-time, kernel wall-time) alongside the result.
 
 The executor is deliberately compiler-agnostic: it never imports the fluent
@@ -18,18 +18,17 @@ that compiles through a session (one artifact per distinct rank-local
 shape, memoized) and builds vectorized interpreters.
 
 Rank tasks block inside ``comm.receive`` while they wait for neighbours, so
-they must **all** be runnable concurrently: the executor sizes its pool to
-at least the rank count, and keeps those pools separate from the count-keyed
-tile pools of :func:`repro.runtime.parallel_executor.get_executor` — a rank
-blocked in a receive must never occupy a worker that one of its own tiled
-sweeps needs (the same layering rule :meth:`repro.api.Session.run_batch`
-follows for batch dispatch).
+they must **all** be runnable at once: each run opens its own executor of
+one worker per rank and shuts it down when the run ends.  Only a sweep's
+boxes, which never wait, run on the shared tile pools of
+:func:`repro.runtime.parallel_executor.get_executor`; concurrent runs share
+no rank thread and never wait for each other.
 """
 
 from __future__ import annotations
 
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +49,6 @@ from .mpi_runtime import (
     MPIError,
     SimulatedCommunicator,
 )
-from .parallel_executor import ParallelExecutor
 
 #: Interpreter factory signature: (rank, padded local shape, communicator,
 #: decomposition) -> configured Interpreter for that rank.
@@ -118,37 +116,6 @@ class DistributedRunResult:
 #: no checkpoint is ever taken.
 FAIL_FAST = ResilienceOptions(max_restarts=0)
 
-#: Rank-orchestration pools, one per worker count.  Deliberately NOT the
-#: process-wide tile pools of ``get_executor``: rank tasks block in
-#: ``comm.receive`` waiting on other ranks, so sharing a pool with the tiled
-#: sweeps those ranks dispatch would deadlock the moment every worker holds
-#: a blocked rank.
-_RANK_POOLS: Dict[int, ParallelExecutor] = {}
-#: One gate per pool: a distributed run needs *every* one of its rank tasks
-#: runnable at once, so two concurrent runs must not interleave their rank
-#: tasks on one pool (the first run's blocked receives would starve the
-#: second run's queued ranks — and, transitively, their own neighbours).
-#: Runs sharing a worker count therefore execute one at a time.
-_RANK_POOL_GATES: Dict[int, threading.Lock] = {}
-_RANK_POOLS_LOCK = threading.Lock()
-
-
-def get_rank_pool(workers: int) -> ParallelExecutor:
-    """The shared persistent rank-orchestration pool for ``workers`` slots."""
-    with _RANK_POOLS_LOCK:
-        pool = _RANK_POOLS.get(workers)
-        if pool is None:
-            pool = ParallelExecutor(workers)
-            _RANK_POOLS[workers] = pool
-            _RANK_POOL_GATES[workers] = threading.Lock()
-        return pool
-
-
-def _rank_pool_gate(workers: int) -> threading.Lock:
-    with _RANK_POOLS_LOCK:
-        return _RANK_POOL_GATES.setdefault(workers, threading.Lock())
-
-
 class DistributedExecutor:
     """Orchestrates scatter → per-rank execution → halo exchange → gather.
 
@@ -156,8 +123,9 @@ class DistributedExecutor:
     global field are decomposed over (``(2, 2)`` → four ranks, dimensions 0
     and 1 split in two).  ``halo`` is the ghost-plane width every local
     array is padded with on *every* dimension (the stencil's widest access
-    offset).  Every rank runs on its own pool worker, because a rank blocked
-    in a halo receive must not starve the neighbour whose send it waits for.
+    offset).  Every rank runs on its own worker of the run's executor,
+    because a rank blocked in a halo receive must not starve the neighbour
+    whose send it waits for.
     ``timeout`` bounds every blocking receive so a genuinely
     deadlocked configuration fails with the communicator's pending-message
     diagnostic instead of hanging.
@@ -298,8 +266,9 @@ class DistributedExecutor:
         halo behind the one its neighbour still has to consume, so the
         policy never changes the computed bits.
         """
-        if iterations < 1:
-            raise MPIError(f"iterations must be >= 1, got {iterations}")
+        if not isinstance(iterations, int) or iterations < 1:
+            raise MPIError(
+                f"iterations must be an integer >= 1, got {iterations!r}")
         policy = FAIL_FAST if resilience is None else resilience
         started = time.perf_counter()
         sink = ReportSink()
@@ -377,10 +346,9 @@ class DistributedExecutor:
         comm, interps = new_generation()
         checkpoint: Optional[Dict[int, np.ndarray]] = None
         iteration = 0
-        pool = get_rank_pool(self.num_ranks)
-        # One distributed run at a time per pool: every rank task of a run
-        # must be runnable at once, so runs may not interleave.
-        with _rank_pool_gate(self.num_ranks):
+        # One worker per rank, for every wave of this run (restarts too).
+        with ThreadPoolExecutor(max_workers=self.num_ranks,
+                                thread_name_prefix="repro-rank") as pool:
             while iteration < iterations:
                 wave_end = iterations
                 if restartable:
@@ -391,7 +359,7 @@ class DistributedExecutor:
                                       for r in ranks}
                         sink.bump("checkpoint_saves")
                 failures: Dict[int, BaseException] = {}
-                pool.map_tiles(run_rank, ranks)
+                list(pool.map(run_rank, ranks))
                 if not failures:
                     iteration = wave_end
                     checkpoint = None
@@ -442,5 +410,4 @@ __all__ = [
     "DistributedRunResult",
     "RankStats",
     "InterpreterFactory",
-    "get_rank_pool",
 ]

@@ -3,11 +3,11 @@
 The kernel compiler turns a lowered ``scf.parallel`` / ``omp.wsloop`` nest, a
 ``stencil.apply`` body or an outlined ``gpu.func`` into one NumPy whole-array
 sweep.  This module splits such a sweep's domain into **boxes** and runs them,
-concurrently on a persistent :class:`ThreadPoolExecutor` when asked to (NumPy
+concurrently on a shared :class:`ThreadPoolExecutor` when asked to (NumPy
 releases the GIL for large slice operations, so real in-process speedup is
 achievable without multiprocessing).
 
-Three pieces, each independently testable:
+Two pieces, each independently testable:
 
 * the planners — :func:`plan_tiles` turns ``[lower, upper)`` plus an OpenMP
   schedule (kind + chunk size, as carried on ``omp.wsloop`` by
@@ -19,9 +19,10 @@ Three pieces, each independently testable:
   dimension, each cut into cache boxes;
 * :func:`run_boxes` — runs a kernel over a box plan, on no more threads than
   the process has CPUs: store kernels in place, pure kernels delivered box by
-  box where their values are stored;
-* :class:`ParallelExecutor` — a persistent worker pool executing tile
-  closures and returning their results in tile order.
+  box where their values are stored.
+
+The pools of :func:`get_executor`, shared process-wide, run only boxes:
+leaf work that never waits, so no worker blocks on a task queued behind it.
 
 Safety is the caller's job and the caller can afford it: a nest kernel that
 passed :meth:`CompiledKernel.guards_pass` has unit steps, in-bounds windows,
@@ -38,7 +39,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -247,9 +248,10 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
               deferred: bool = False) -> Optional[List[object]]:
     """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
     on the shared pool of ``min(threads, usable_cpus())`` workers, read at
-    every call; with one, in box order on the calling thread (threads that
-    time-slice one CPU only add switches).  The body each box ran ("flat",
-    or why windowed) is appended to ``chosen``.
+    every call; with one worker or one box, in box order on the calling
+    thread (threads that time-slice one CPU only add switches).  The first
+    box, in box order, that raises propagates its exception.  The body each
+    box ran ("flat", or why windowed) is appended to ``chosen``.
 
     Store kernels write each box's region in place; the result is ``[]``.
     Pure (``stencil.apply``) kernels return their values, and each box's are
@@ -284,8 +286,8 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
         return deliver(destinations, box, values)
 
     workers = min(threads, usable_cpus()) if threads > 1 else 1
-    partials = get_executor(workers).map_tiles(run, boxes) if workers > 1 \
-        else [run(box) for box in boxes]
+    partials = list(get_executor(workers).map(run, boxes)) \
+        if workers > 1 and len(boxes) > 1 else [run(box) for box in boxes]
     if kernel.stores:
         return []
     pending = [pair for pair in zip(boxes, partials) if pair[1] is not None]
@@ -304,50 +306,19 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
     return destinations
 
 
-class ParallelExecutor:
-    """A persistent thread pool executing tile closures.
-
-    One instance serves any number of sweeps (and interpreters): worker
-    threads are created lazily by the underlying pool and reused, so the
-    per-sweep cost is task dispatch only, not thread creation.  Exceptions
-    raised inside a tile propagate to the caller of :meth:`map_tiles`.
-    """
-
-    def __init__(self, threads: int):
-        if threads < 1:
-            raise ValueError(f"thread count must be >= 1, got {threads}")
-        self.threads = threads
-        self._pool = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="repro-tile"
-        )
-
-    def map_tiles(self, fn: Callable, tiles: Sequence) -> List[object]:
-        """Run ``fn(tile)`` for every tile concurrently; return the results
-        **in tile order** (not completion order)."""
-        if len(tiles) == 1:  # no dispatch overhead for degenerate plans
-            return [fn(tiles[0])]
-        futures = [self._pool.submit(fn, tile) for tile in tiles]
-        return [future.result() for future in futures]
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<ParallelExecutor threads={self.threads}>"
-
-
-#: Process-wide executor cache: interpreters asking for the same thread count
+#: Process-wide box pools: interpreters asking for the same thread count
 #: share one pool, keeping the total thread population bounded.
-_EXECUTORS: Dict[int, ParallelExecutor] = {}
+_EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
 _EXECUTORS_LOCK = threading.Lock()
 
 
-def get_executor(threads: int) -> ParallelExecutor:
-    """The shared persistent executor for ``threads`` workers."""
+def get_executor(threads: int) -> ThreadPoolExecutor:
+    """The shared box pool of ``threads`` workers (for boxes only)."""
     with _EXECUTORS_LOCK:
         executor = _EXECUTORS.get(threads)
         if executor is None:
-            executor = ParallelExecutor(threads)
+            executor = ThreadPoolExecutor(max_workers=threads,
+                                          thread_name_prefix="repro-tile")
             _EXECUTORS[threads] = executor
         return executor
 
@@ -360,6 +331,5 @@ __all__ = [
     "plan_sweep",
     "usable_cpus",
     "run_boxes",
-    "ParallelExecutor",
     "get_executor",
 ]

@@ -9,7 +9,8 @@ by an :class:`ArtifactStore`) into a bounded concurrent service:
   other request blocks on the winner's future and shares its outcome — result
   or exception, so a quarantined compile poisons the whole cohort exactly
   once instead of retry-storming the backend.
-* **Backpressure.**  Admission is a bounded queue; when it is full,
+* **Backpressure.**  Admission is bounded: at most ``max_queue`` accepted
+  requests wait for one of the ``workers`` threads at a time; beyond that
   :meth:`submit_compile`/:meth:`submit_run` raise a typed
   :class:`ServiceRejected` immediately (and resolve any already-coalesced
   waiters with the same rejection) instead of buffering unboundedly.
@@ -22,22 +23,22 @@ by an :class:`ArtifactStore`) into a bounded concurrent service:
   rendered by :func:`repro.harness.service_metrics_table`.
 
 Deadlock-freedom of the flight protocol: a flight's winner is always a
-thread that is *running* (never one parked in the admission queue).  A
-dequeued task that finds its key already claimed simply waits on the
-winner's future; a dequeued task that finds the flight unclaimed claims it
+thread that is *running* (never a request still waiting for a worker).  A
+started request that finds its key already claimed simply waits on the
+winner's future; a started request that finds the flight unclaimed claims it
 and computes inline.  Claiming is first-come-first-served across compile and
 run tasks, so no worker ever waits on work that only it could start.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, TimeoutError as _FutureTimeout
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..api.options import BackendOptions
 from ..api.program import CompiledProgram, source_fingerprint
@@ -147,28 +148,6 @@ class _Flight:
         self.claimed = False
 
 
-class _Task:
-    """One queued request (compile or run)."""
-
-    __slots__ = ("kind", "key", "source", "backend", "options", "entry",
-                 "args", "run_kwargs", "future", "enqueued_at")
-
-    def __init__(self, kind: str, key: Tuple, source: str, backend,
-                 options: BackendOptions, future: Future,
-                 entry: Optional[str] = None, args: Sequence = (),
-                 run_kwargs: Optional[Dict] = None):
-        self.kind = kind
-        self.key = key
-        self.source = source
-        self.backend = backend
-        self.options = options
-        self.entry = entry
-        self.args = args
-        self.run_kwargs = run_kwargs or {}
-        self.future = future
-        self.enqueued_at = time.perf_counter()
-
-
 class CompileService:
     """A concurrent compile/run server over one session and its store."""
 
@@ -191,9 +170,9 @@ class CompileService:
         self.session = session
         self.max_queue = max_queue
         self.default_timeout = default_timeout
-        self._queue: "queue.Queue[Optional[_Task]]" = queue.Queue(
-            maxsize=max_queue)
         self._lock = threading.Lock()
+        #: Accepted requests no worker has started yet (guarded by _lock).
+        self._waiting = 0
         self._inflight: Dict[Tuple, _Flight] = {}
         self._counters = {
             "submitted_compiles": 0,
@@ -212,13 +191,8 @@ class CompileService:
             "execute": deque(maxlen=_LATENCY_WINDOW),
         }
         self._closed = False
-        self._workers = [
-            threading.Thread(target=self._worker_loop, daemon=True,
-                             name=f"compile-service-{i}")
-            for i in range(workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._executor = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="compile-service")
 
     # -- request admission -----------------------------------------------------
 
@@ -234,25 +208,46 @@ class CompileService:
         with self._lock:
             self._counters[counter] += by
 
-    def _admit(self, task: _Task) -> None:
-        """Enqueue ``task`` or raise :class:`ServiceRejected` (typed)."""
-        if self._closed:
-            raise RuntimeError("CompileService is closed")
+    def _settle(self, future: Future, work: Callable[[], object]) -> None:
+        """Count ``work()``'s outcome; resolve ``future`` with it if pending."""
         try:
-            self._queue.put_nowait(task)
-        except queue.Full:
-            self._bump("rejected")
-            rejection = ServiceRejected(self._queue.qsize(), self.max_queue)
-            raise rejection from None
+            result = work()
+        except BaseException as exc:
+            self._bump("failed")
+            if not future.done():
+                future.set_exception(exc)
+            return
+        self._bump("completed")
+        if not future.done():
+            future.set_result(result)
+
+    def _admit(self, future: Future, work: Callable[[], object]) -> None:
+        """Hand ``work`` to a worker, which settles ``future`` with it, or
+        raise :class:`ServiceRejected` (typed)."""
+        enqueued_at = time.perf_counter()
+
+        def start() -> None:
+            with self._lock:
+                self._waiting -= 1
+                self._latency["queue_wait"].append(
+                    time.perf_counter() - enqueued_at)
+            self._settle(future, work)
+
         with self._lock:
-            depth = self._queue.qsize()
-            if depth > self._counters["queue_depth_high_water"]:
-                self._counters["queue_depth_high_water"] = depth
+            if self._closed:
+                raise RuntimeError("CompileService is closed")
+            if self._waiting >= self.max_queue:
+                self._counters["rejected"] += 1
+                raise ServiceRejected(self._waiting, self.max_queue)
+            self._waiting += 1
+            if self._waiting > self._counters["queue_depth_high_water"]:
+                self._counters["queue_depth_high_water"] = self._waiting
+            self._executor.submit(start)
 
     def submit_compile(self, source, backend="cpu",
                        options: Optional[BackendOptions] = None,
                        **overrides) -> Future:
-        """Enqueue a compile; returns a future resolving to the
+        """Admit a compile; returns a future resolving to the
         :class:`CompiledProgram`.
 
         Duplicate in-flight keys coalesce onto the existing flight's future
@@ -273,13 +268,8 @@ class CompileService:
         # (a memory hit) instead of burning queue capacity.
         if self.session.cached_key(key):
             future: Future = Future()
-            try:
-                future.set_result(
-                    self.session.lower(source, backend_obj, opts))
-                self._bump("completed")
-            except BaseException as exc:  # pragma: no cover - defensive
-                self._bump("failed")
-                future.set_exception(exc)
+            self._settle(future, lambda: self.session.lower(
+                source, backend_obj, opts))
             return future
         with self._lock:
             flight = self._inflight.get(key)
@@ -288,16 +278,18 @@ class CompileService:
                 return flight.future
             flight = _Flight()
             self._inflight[key] = flight
-        task = _Task("compile", key, source, backend_obj, opts, flight.future)
         try:
-            self._admit(task)
-        except ServiceRejected as rejection:
-            # Resolve the flight with the rejection so any waiter that
+            # The flight future doubles as the request future; the claimer
+            # resolves it inside _lower_single_flight.
+            self._admit(flight.future, lambda: self._lower_single_flight(
+                key, source, backend_obj, opts))
+        except RuntimeError as refusal:  # ServiceRejected, or closed
+            # Resolve the flight with the refusal so any waiter that
             # coalesced between registration and this failure unblocks with
-            # the same typed error, then retract it.
+            # the same error, then retract it.
             with self._lock:
                 self._inflight.pop(key, None)
-            flight.future.set_exception(rejection)
+            flight.future.set_exception(refusal)
             raise
         return flight.future
 
@@ -305,7 +297,7 @@ class CompileService:
                    backend="cpu", options: Optional[BackendOptions] = None,
                    execution_mode: Optional[str] = None,
                    threads: Optional[int] = None, **overrides) -> Future:
-        """Enqueue compile-if-needed + execute; the future resolves to the
+        """Admit compile-if-needed + execute; the future resolves to the
         :class:`repro.runtime.Interpreter` that ran ``entry`` (arrays in
         ``args`` are mutated in place per Fortran semantics).
 
@@ -323,10 +315,18 @@ class CompileService:
             run_kwargs["execution_mode"] = execution_mode
         if threads is not None:
             run_kwargs["threads"] = threads
+
+        def run():
+            compiled = self._lower_single_flight(key, source, backend_obj,
+                                                 opts)
+            started = time.perf_counter()
+            interp = compiled.run(entry, *args, **run_kwargs)
+            with self._lock:
+                self._latency["execute"].append(time.perf_counter() - started)
+            return interp
+
         future: Future = Future()
-        task = _Task("run", key, source, backend_obj, opts, future,
-                     entry=entry, args=args, run_kwargs=run_kwargs)
-        self._admit(task)
+        self._admit(future, run)
         return future
 
     # -- blocking convenience --------------------------------------------------
@@ -364,17 +364,18 @@ class CompileService:
 
     # -- execution -------------------------------------------------------------
 
-    def _lower_single_flight(self, task: _Task) -> CompiledProgram:
-        """Compile ``task``'s key exactly once fleet-wide.
+    def _lower_single_flight(self, key: Tuple, source: str, backend,
+                             options: BackendOptions) -> CompiledProgram:
+        """Compile ``key`` exactly once fleet-wide.
 
         The claimer computes inline; everybody else blocks on the winner's
         future and shares its outcome (including a quarantine exception).
         """
         with self._lock:
-            flight = self._inflight.get(task.key)
+            flight = self._inflight.get(key)
             if flight is None:
                 flight = _Flight()
-                self._inflight[task.key] = flight
+                self._inflight[key] = flight
             claimer = not flight.claimed
             if claimer:
                 flight.claimed = True
@@ -385,47 +386,17 @@ class CompileService:
             return flight.future.result()
         started = time.perf_counter()
         try:
-            compiled = self.session.lower(task.source, task.backend,
-                                          task.options)
+            compiled = self.session.lower(source, backend, options)
         except BaseException as exc:
             with self._lock:
-                self._inflight.pop(task.key, None)
+                self._inflight.pop(key, None)
             flight.future.set_exception(exc)
             raise
         with self._lock:
             self._latency["lower"].append(time.perf_counter() - started)
-            self._inflight.pop(task.key, None)
+            self._inflight.pop(key, None)
         flight.future.set_result(compiled)
         return compiled
-
-    def _worker_loop(self) -> None:
-        while True:
-            task = self._queue.get()
-            if task is None:
-                return
-            with self._lock:
-                self._latency["queue_wait"].append(
-                    time.perf_counter() - task.enqueued_at)
-            try:
-                if task.kind == "compile":
-                    # The flight future doubles as the request future; the
-                    # claimer resolves it inside _lower_single_flight.
-                    self._lower_single_flight(task)
-                    self._bump("completed")
-                else:
-                    compiled = self._lower_single_flight(task)
-                    started = time.perf_counter()
-                    interp = compiled.run(task.entry, *task.args,
-                                          **task.run_kwargs)
-                    with self._lock:
-                        self._latency["execute"].append(
-                            time.perf_counter() - started)
-                    task.future.set_result(interp)
-                    self._bump("completed")
-            except BaseException as exc:
-                self._bump("failed")
-                if not task.future.done():
-                    task.future.set_exception(exc)
 
     # -- introspection / lifecycle ---------------------------------------------
 
@@ -458,14 +429,11 @@ class CompileService:
         )
 
     def close(self) -> None:
-        """Stop accepting requests and shut the worker threads down."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            self._queue.put(None)
-        for worker in self._workers:
-            worker.join()
+        """Stop accepting requests, finish the accepted ones and join the
+        worker threads."""
+        with self._lock:
+            self._closed = True
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "CompileService":
         return self
@@ -475,8 +443,8 @@ class CompileService:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<CompileService workers={len(self._workers)} "
-            f"max_queue={self.max_queue} depth={self._queue.qsize()}>"
+            f"<CompileService max_queue={self.max_queue} "
+            f"depth={self._waiting}>"
         )
 
 

@@ -7,6 +7,7 @@ determinism and all five targets through the fluent API.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from repro.api import (
     registry,
 )
 from repro.apps import gauss_seidel, pw_advection
+from repro.runtime import Interpreter, InterpreterError, MPIError
+from repro.serve import CompileService
 
 
 @pytest.fixture
@@ -125,7 +128,9 @@ class TestOptionSchemas:
         lowering."""
         program = session.compile(small_gs_source)
         if backend == owner:
-            compiled = program.lower(backend, **{option: value})
+            # An omp.wsloop, which carries the schedule, needs lower_to_scf.
+            scf = {"lower_to_scf": True} if owner == "openmp" else {}
+            compiled = program.lower(backend, **scf, **{option: value})
             assert getattr(compiled.options, option) == value
             return
         with pytest.raises(OptionError,
@@ -159,6 +164,18 @@ class TestOptionSchemas:
         assert DmpOptions(grid=[2, 2]).grid == (2, 2)
         assert hash(GpuOptions(tile_sizes=[16, 16, 1])) == hash(
             GpuOptions(tile_sizes=(16, 16, 1)))
+
+    @pytest.mark.parametrize("schedule", [{"schedule": "dynamic"},
+                                          {"chunk_size": 3},
+                                          {"schedule": "guided",
+                                           "chunk_size": 3}])
+    def test_a_schedule_needs_lower_to_scf(self, session, small_gs_source,
+                                           schedule):
+        """At the stencil level no omp.wsloop carries the clause: refused,
+        not compiled as a twin of the default that runs the static plan."""
+        with pytest.raises(OptionError, match="lower_to_scf"):
+            session.compile(small_gs_source).lower("openmp", **schedule)
+        assert session.cache_stats["misses"] == 0
 
     def test_mismatch_rejected_even_with_options_object(self, session,
                                                         small_gs_source):
@@ -265,19 +282,29 @@ class TestRunBatch:
                                     workers=3)
         assert len(results) == 5      # one (empty) return list per arg set
 
-    @pytest.mark.parametrize("cpus, pools", [(1, []), (3, [3])])
+    @pytest.mark.parametrize("cpus", [1, 3])
     def test_default_workers_follow_the_cpus_the_process_may_use(
-            self, session, monkeypatch, cpus, pools):
+            self, session, monkeypatch, cpus):
         """Read at every call from the affinity mask, which a pinned process
-        narrows below ``os.cpu_count()``: on one CPU the batch runs in order."""
+        narrows below ``os.cpu_count()``: on one CPU the batch runs in order
+        on the calling thread, on three it runs on pool threads."""
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
+        ran_on = set()
+        call = Interpreter.call
+
+        def recording_call(interp, *args):
+            ran_on.add(threading.current_thread())
+            return call(interp, *args)
+
+        monkeypatch.setattr(Interpreter, "call", recording_call)
         n = 8
         compiled = session.compile(
             gauss_seidel.generate_source(n, niters=1)).lower("cpu")
         batch = [(gauss_seidel.initial_condition(n, seed=i),) for i in range(4)]
         compiled.run_batch("gauss_seidel", batch)
-        assert sorted(session._batch_executors) == pools
+        on_caller = ran_on == {threading.current_thread()}
+        assert on_caller == (cpus == 1), ran_on
         for i, (work,) in enumerate(batch):
             want = gauss_seidel.reference_jacobi(
                 gauss_seidel.initial_condition(n, seed=i), 1)
@@ -299,6 +326,75 @@ class TestRunBatch:
                  for i in range(4)]
         results = compiled.run_batch("gauss_seidel", batch, workers=2)
         assert len(results) == 4
+
+    @pytest.mark.parametrize("entry", ["gauss_seidel", "no_such_entry"])
+    def test_no_batch_thread_outlives_the_call(self, session, entry):
+        """Returned or raised, no item still writes the caller's arrays."""
+        n = 8
+        compiled = session.compile(
+            gauss_seidel.generate_source(n, niters=1)).lower("cpu")
+        batch = [(gauss_seidel.initial_condition(n, seed=i),) for i in range(4)]
+        if entry == "gauss_seidel":
+            assert len(compiled.run_batch(entry, batch, workers=2)) == 4
+        else:
+            with pytest.raises(InterpreterError, match=entry):
+                compiled.run_batch(entry, batch, workers=2)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("repro-batch")]
+
+
+# ---------------------------------------------------------------------------
+# Typed errors at the public calls
+# ---------------------------------------------------------------------------
+
+
+class TestTypedErrors:
+    """A bad value at a public call is the typed error its neighbours raise,
+    naming the argument — never a raw AttributeError or TypeError from deep
+    inside, and never silently accepted."""
+
+    N = 8
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        session = Session()
+        n = self.N
+        source = gauss_seidel.generate_source(n, niters=1)
+        service = CompileService(Session(), workers=1)
+        yield {
+            "session": session,
+            "source": source,
+            "service": service,
+            "cpu": session.compile(source).lower("cpu"),
+            "plan": session.compile(
+                gauss_seidel.generate_source_shaped((n // 2 + 2, n + 2, n + 2))
+            ).lower("dmp", grid=(2, 1)).distribute(
+                source_builder=gauss_seidel.generate_source_shaped),
+            "field": gauss_seidel.initial_condition(n, seed=0),
+        }
+        service.close()
+
+    @pytest.mark.parametrize("call, error, argument", [
+        (lambda env: repro.compile(123).lower("cpu"), OptionError, "source"),
+        (lambda env: env["service"].compile(None), OptionError, "source"),
+        (lambda env: env["plan"].run(env["field"], iterations="2"),
+         MPIError, "iterations"),
+        (lambda env: env["cpu"].interpreter(threads="2"), OptionError,
+         "threads"),
+        (lambda env: env["session"].compile(env["source"]).lower(
+            "gpu", tile_sizes=("a",)), OptionError, "tile_sizes"),
+        (lambda env: env["session"].compile(env["source"]).lower(
+            "dmp", grid="2x2"), OptionError, "grid"),
+        (lambda env: env["cpu"].run_batch(
+            "gauss_seidel", [(env["field"].copy(order="F"),)], workers=0),
+         OptionError, "workers"),
+    ], ids=["compile-int-source", "service-none-source", "iterations-str",
+            "interpreter-threads-str", "gpu-tile-sizes-str", "dmp-grid-str",
+            "run-batch-zero-workers"])
+    def test_bad_value_raises_the_typed_error_naming_it(self, env, call,
+                                                        error, argument):
+        with pytest.raises(error, match=argument):
+            call(env)
 
 
 # ---------------------------------------------------------------------------

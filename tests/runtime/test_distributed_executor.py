@@ -8,6 +8,7 @@ everywhere else — across process grids, odd non-divisible domains, pool
 sizes and repeated runs.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -19,8 +20,8 @@ from repro.apps import gauss_seidel
 from repro.harness import measured_distributed_scaling
 from repro.resilience import RecoveryReport, ResilienceOptions
 from repro.runtime import (
-    CartesianDecomposition,
     DistributedExecutor,
+    DistributedRunResult,
     MPIError,
     SimulatedCommunicator,
 )
@@ -39,6 +40,26 @@ def run_distributed(session, grid, global_field, niters, execution_mode,
         source_builder=gauss_seidel.generate_source_shaped, threads=threads,
     )
     return plan.run(global_field, iterations=niters)
+
+
+class FakeRank:
+    """An interpreter stand-in: ``call`` runs ``body(rank, comm)``."""
+
+    kernels = None
+
+    def __init__(self, body, rank, comm):
+        self.body, self.rank, self.comm = body, rank, comm
+        self.stats = {"mpi_messages": 0, "mpi_bytes": 0, "halo_seconds": 0.0}
+
+    def call(self, entry, local):
+        self.body(self.rank, self.comm)
+
+
+def fake_ranks(body):
+    """An interpreter factory whose every rank runs ``body``."""
+    def make_interpreter(rank, local_shape, comm, decomposition):
+        return FakeRank(body, rank, comm)
+    return make_interpreter
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +150,9 @@ class TestDeterminism:
         assert first.bytes == second.bytes
 
     def test_concurrent_runs_on_one_pool_complete(self, session):
-        """Two distributed runs launched concurrently with the same worker
-        count must serialise on the shared rank pool — not interleave their
-        rank tasks and deadlock until the receive timeout."""
-        import threading
-
+        """Two distributed runs launched concurrently with the same rank
+        count each run on their own rank threads — they neither interleave
+        their rank tasks nor deadlock until the receive timeout."""
         rng = np.random.default_rng(37)
         field = np.asfortranarray(rng.random((8, 8, 8)))
         results = {}
@@ -149,6 +168,41 @@ class TestDeterminism:
             t.join(timeout=20.0)
         assert len(results) == 2
         np.testing.assert_array_equal(results[0].field, results[1].field)
+
+    def test_concurrent_runs_do_not_wait_for_each_other(self):
+        """Run A's ranks wait for a rank of run B, started while A is live, on
+        the same grid: both complete, because no run holds the other back."""
+        a_live, b_started = threading.Event(), threading.Event()
+
+        def a_rank(rank, comm):
+            a_live.set()
+            if not b_started.wait(2.0):
+                raise RuntimeError("run B never started")
+
+        def b_rank(rank, comm):
+            b_started.set()
+
+        executor = DistributedExecutor((2, 1))
+        field = np.asfortranarray(np.arange(64.0).reshape(4, 4, 4))
+        outcomes = {}
+
+        def run(tag, body):
+            try:
+                outcomes[tag] = executor.run(field, fake_ranks(body), "e")
+            except BaseException as exc:  # noqa: BLE001 — asserted below
+                outcomes[tag] = exc
+
+        first = threading.Thread(target=run, args=("a", a_rank))
+        first.start()
+        assert a_live.wait(5.0)
+        second = threading.Thread(target=run, args=("b", b_rank))
+        second.start()
+        for thread in (first, second):
+            thread.join(10.0)
+            assert not thread.is_alive()
+        for tag in "ab":
+            assert isinstance(outcomes[tag], DistributedRunResult), outcomes[tag]
+            assert outcomes[tag].field.tobytes() == field.tobytes()
 
     def test_repeated_runs_identical(self, session):
         rng = np.random.default_rng(29)
@@ -363,19 +417,15 @@ class TestCommunicatorDiagnostics:
         """A rank that never sends (mismatched decomposition) fails with the
         pending-message diagnostic instead of hanging."""
         executor = DistributedExecutor((2, 1), timeout=0.1)
-        decomposition = CartesianDecomposition((8, 8, 8), (2, 1), (0, 1))
-        comm = SimulatedCommunicator(2, timeout=0.1)
 
-        def broken_receiver(rank):
+        def broken_receiver(rank, comm):
             # Rank 0 expects a message rank 1 never sends.
             if rank == 0:
                 comm.receive(source=1, dest=0, tag=3)
 
-        from repro.runtime import get_rank_pool
-
-        pool = get_rank_pool(2)
         with pytest.raises(MPIError, match="pending messages"):
-            pool.map_tiles(broken_receiver, [0, 1])
+            executor.run(np.zeros((8, 8, 8)), fake_ranks(broken_receiver),
+                         "e")
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(MPIError, match="timeout"):

@@ -5,8 +5,8 @@ interpreter wiring:
 
 * **tile planning** — every schedule kind produces contiguous disjoint tiles
   that exactly cover the extent;
-* **the pool** — tile closures run concurrently, results come back in tile
-  order and exceptions propagate;
+* **the pool** — boxes run concurrently on the shared pool, and the first
+  exception a pool worker raises propagates;
 * **dispatch and fallbacks** — tiled sweeps produce the oracle's results;
   refused tilings (no full-rank store, broadcast apply results, extent too
   small) fall back to the single-tile path and are counted; the dynamic
@@ -39,7 +39,6 @@ from repro.runtime import Frame, Interpreter, MemoryBuffer, parallel_executor
 from repro.runtime import interpreter as interpreter_module
 from repro.runtime.kernel_compiler import structural_hash
 from repro.runtime.parallel_executor import (
-    ParallelExecutor,
     get_executor,
     plan_boxes,
     plan_cache_boxes,
@@ -262,16 +261,19 @@ class TestPlanSweep:
 # ---------------------------------------------------------------------------
 
 
-class TestParallelExecutor:
-    def test_map_tiles_propagates_exceptions(self):
-        executor = ParallelExecutor(2)
+class TestThePool:
+    def test_run_boxes_propagates_a_pool_workers_exception(self, cpus):
+        cpus(2)
 
-        def boom(tile):
-            raise RuntimeError(f"tile {tile} failed")
+        def boom(externals, lb, ub, chosen):
+            raise RuntimeError(
+                f"box {lb} failed on {threading.current_thread().name}")
 
-        with pytest.raises(RuntimeError, match="tile"):
-            executor.map_tiles(boom, [(0, 1), (1, 2)])
-        executor.shutdown()
+        kernel = SimpleNamespace(stores=True, fn=boom)
+        boxes = [((0,), (1,)), ((1,), (2,))]
+        with pytest.raises(RuntimeError,
+                           match=r"box \(0,\) failed on repro-tile"):
+            run_boxes(kernel, [], (0,), (2,), boxes, threads=2)
 
     def test_get_executor_shares_pools(self):
         assert get_executor(3) is get_executor(3)

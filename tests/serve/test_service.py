@@ -5,6 +5,7 @@ private registry so a compile can be held in flight for exactly as long as a
 test needs, instead of relying on scheduler timing.
 """
 
+import sys
 import threading
 import time
 
@@ -236,6 +237,35 @@ class TestBackpressure:
             gated.gate.set()
             service.close()
 
+    def test_admission_count_survives_many_clients(self):
+        """Eight clients, one request outstanding each, never fill a
+        ``max_queue=8`` admission: a lost update of the count of requests
+        waiting for a worker would drift it up until one was rejected."""
+        service, _, _ = _make_service(workers=4, max_queue=8)
+        clients, requests = 8, 25
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client():
+                for _ in range(requests):
+                    service.run(SOURCE, "gauss_seidel",
+                                [gauss_seidel.initial_condition(6)],
+                                timeout=10.0)
+
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        metrics = service.metrics()
+        assert metrics.rejected == 0
+        assert metrics.completed == clients * requests
+        assert metrics.latency["queue_wait"]["count"] == clients * requests
+
 
 class TestTimeouts:
     def test_blocking_compile_times_out_typed(self):
@@ -286,6 +316,20 @@ class TestLifecycleAndMetrics:
         with pytest.raises(RuntimeError, match="closed"):
             service.submit_compile(SOURCE, "cpu")
         service.close()  # idempotent
+
+    def test_close_finishes_accepted_requests_and_joins_every_worker(self):
+        service, gated, _ = _make_service(workers=2)
+        gated.gate.clear()
+        futures = [service.submit_compile(source, "gated")
+                   for source in (SOURCE, OTHER_SOURCE)]
+        opener = threading.Timer(0.05, gated.gate.set)
+        opener.start()
+        service.close()
+        opener.join(5.0)
+        assert all(future.done() and future.exception() is None
+                   for future in futures)
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("compile-service")]
 
     def test_context_manager_closes(self):
         with _make_service(workers=1)[0] as service:
