@@ -37,7 +37,7 @@ WORKLOADS = [
     ("gauss_seidel/cpu", gauss_seidel.generate_source(16, niters=2),
      "cpu", {"lower_to_scf": True}),
     ("pw_advection/openmp", pw_advection.generate_source(16),
-     "openmp", {"lower_to_scf": True, "schedule": "dynamic", "chunk_size": 4}),
+     "openmp", {"lower_to_scf": True}),
 ]
 
 

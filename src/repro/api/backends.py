@@ -177,9 +177,7 @@ class OpenMPBackend(Backend):
     options_cls = OpenMPOptions
 
     def pipeline(self, options: OpenMPOptions) -> Optional[str]:
-        if not options.lower_to_scf:
-            return None
-        return pipelines.openmp_pipeline(options.schedule, options.chunk_size)
+        return pipelines.OPENMP_PIPELINE if options.lower_to_scf else None
 
 
 class GpuBackend(Backend):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from ..runtime.kernel_compiler import EXECUTION_MODES
-from ..runtime.parallel_executor import SCHEDULE_KINDS
 
 #: GPU host/device data-management strategies (paper Figure 5).
 GPU_DATA_STRATEGIES = ("optimised", "host_register")
@@ -143,33 +142,8 @@ class CpuOptions(BackendOptions):
 
 @dataclass(frozen=True)
 class OpenMPOptions(BackendOptions):
-    """Multi-threaded CPU (OpenMP).
-
-    ``schedule``/``chunk_size`` become the ``schedule(...)`` clause that
-    ``convert-scf-to-openmp`` records on each ``omp.wsloop`` and the tiled
-    parallel executor honours.
-    """
-
-    schedule: str = "static"
-    chunk_size: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.schedule not in SCHEDULE_KINDS:
-            raise OptionError(
-                f"schedule must be one of {SCHEDULE_KINDS}, got {self.schedule!r}"
-            )
-        if self.chunk_size is not None and (
-                not isinstance(self.chunk_size, int) or self.chunk_size <= 0):
-            raise OptionError(
-                f"chunk_size must be positive, got {self.chunk_size!r}"
-            )
-        if not self.lower_to_scf and (self.schedule != "static"
-                                      or self.chunk_size is not None):
-            raise OptionError(
-                "schedule and chunk_size need lower_to_scf=True: at the "
-                "stencil level no omp.wsloop carries the schedule clause"
-            )
+    """Multi-threaded CPU (OpenMP): every sweep's outermost loop is split
+    statically across ``threads``, OpenMP's default schedule."""
 
 
 @dataclass(frozen=True)

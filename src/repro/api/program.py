@@ -8,8 +8,7 @@ first-class immutable value you *derive* rather than mutate:
     import repro
 
     program = repro.compile(fortran_source)
-    compiled = (program.lower("openmp", lower_to_scf=True,
-                              schedule="dynamic", chunk_size=8)
+    compiled = (program.lower("openmp", lower_to_scf=True)
                        .vectorize(threads=4))
     compiled.run("pw_advection", u, v, w, su, sv, sw)
 

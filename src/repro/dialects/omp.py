@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import IntegerAttr, StringAttr
+from ..ir.attributes import IntegerAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
@@ -34,20 +34,13 @@ class WsLoopOp(Operation):
 
     Mirrors the structure of ``scf.parallel``: operands are lower bounds,
     upper bounds and steps; the body receives ``rank`` index arguments and is
-    terminated by ``omp.yield``.
-
-    The worksharing schedule clause is carried as the ``omp.schedule`` /
-    ``omp.chunk_size`` attributes (set by ``convert-scf-to-openmp``); the
-    tiled parallel executor honours it when partitioning the outermost loop
-    dimension across threads.  The clause is execution policy, not
-    semantics, so the kernel compiler excludes it from the structural hash.
+    terminated by ``omp.yield``.  It carries no schedule clause: the tiled
+    parallel executor always splits the outermost loop dimension statically,
+    OpenMP's default.
     """
 
     name = "omp.wsloop"
     traits = (SingleBlockRegion,)
-
-    #: Schedule kinds accepted by the ``omp.schedule`` attribute.
-    SCHEDULE_KINDS = ("static", "dynamic", "guided")
 
     def __init__(
         self,
@@ -55,36 +48,19 @@ class WsLoopOp(Operation):
         upper_bounds: Sequence[SSAValue],
         steps: Sequence[SSAValue],
         body: Optional[Region] = None,
-        schedule: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ):
         rank = len(lower_bounds)
         if body is None:
             body = Region([Block(arg_types=[index] * rank)])
-        attributes = {"rank": IntegerAttr(rank, i64)}
-        if schedule is not None:
-            attributes["omp.schedule"] = StringAttr(schedule)
-        if chunk_size is not None:
-            attributes["omp.chunk_size"] = IntegerAttr(chunk_size, i64)
         super().__init__(
             operands=[*lower_bounds, *upper_bounds, *steps],
             regions=[body],
-            attributes=attributes,
+            attributes={"rank": IntegerAttr(rank, i64)},
         )
 
     @property
     def rank(self) -> int:
         return int(self.get_attr("rank").value)  # type: ignore[union-attr]
-
-    @property
-    def schedule(self) -> str:
-        attr = self.get_attr_or_none("omp.schedule")
-        return attr.data if isinstance(attr, StringAttr) else "static"
-
-    @property
-    def chunk_size(self) -> Optional[int]:
-        attr = self.get_attr_or_none("omp.chunk_size")
-        return int(attr.value) if isinstance(attr, IntegerAttr) else None
 
     @property
     def lower_bounds(self) -> Sequence[SSAValue]:
@@ -103,21 +79,6 @@ class WsLoopOp(Operation):
             raise VerifyException("omp.wsloop: expected 3*rank operands")
         if len(self.body.block.args) != self.rank:
             raise VerifyException("omp.wsloop: body must have rank index arguments")
-        # The accessor properties degrade malformed attributes to defaults;
-        # the verifier must reject the malformed attributes themselves.
-        schedule_attr = self.get_attr_or_none("omp.schedule")
-        if schedule_attr is not None and not isinstance(schedule_attr, StringAttr):
-            raise VerifyException("omp.wsloop: omp.schedule must be a string")
-        if self.schedule not in self.SCHEDULE_KINDS:
-            raise VerifyException(
-                f"omp.wsloop: unknown schedule kind '{self.schedule}'"
-            )
-        chunk_attr = self.get_attr_or_none("omp.chunk_size")
-        if chunk_attr is not None and not isinstance(chunk_attr, IntegerAttr):
-            raise VerifyException("omp.wsloop: omp.chunk_size must be an integer")
-        chunk = self.chunk_size
-        if chunk is not None and chunk <= 0:
-            raise VerifyException("omp.wsloop: chunk size must be positive")
 
 
 class YieldOp(Operation):

@@ -9,8 +9,8 @@ distinct cases must miss) and executes a configuration matrix:
 * **oracle** — the cpu backend in ``interpret`` mode: pure op-by-op scalar
   execution, the reference semantics every other path is judged against;
 * **cpu / openmp / gpu** — vectorized and crosscheck modes, lowered and
-  unlowered pipelines, thread counts and OpenMP schedules — each compared
-  **bitwise** (``ndarray.tobytes()``) against the oracle's output arrays;
+  unlowered pipelines and thread counts — each compared **bitwise**
+  (``ndarray.tobytes()``) against the oracle's output arrays;
 * **flang-only** — plain-FIR in-place execution, compared only for specs
   where snapshot and in-place semantics provably coincide
   (:attr:`KernelSpec.flang_comparable`);
@@ -113,8 +113,8 @@ def default_matrix(spec: KernelSpec,
         _cfg("cpu-scf/vectorize", "cpu", "vectorize", lower_to_scf=True),
         _cfg("openmp-static-t2/vectorize", "openmp", "vectorize", threads=2,
              lower_to_scf=True),
-        _cfg("openmp-dynamic-t4/crosscheck", "openmp", "crosscheck",
-             threads=4, lower_to_scf=True, schedule="dynamic", chunk_size=2),
+        _cfg("openmp-t4/crosscheck", "openmp", "crosscheck", threads=4,
+             lower_to_scf=True),
         _cfg("gpu/vectorize", "gpu", "vectorize"),
         _cfg("gpu-scf/vectorize", "gpu", "vectorize", lower_to_scf=True),
     ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -134,8 +134,6 @@ def measured_openmp_scaling(
     thread_counts: Sequence[int] = (1, 2, 4),
     n: int = 64,
     repeats: int = 3,
-    schedule: str = "static",
-    chunk_size: Optional[int] = None,
 ) -> ExperimentResult:
     """Multi-thread throughput of the lowered OpenMP target (Figures 3–4).
 
@@ -150,7 +148,7 @@ def measured_openmp_scaling(
         experiment=f"measured_openmp_{benchmark}",
         description=(
             f"Measured tiled-parallel scaling of lowered {benchmark} "
-            f"(n={n}, schedule={schedule})"
+            f"(n={n})"
         ),
         columns=("benchmark", "threads", "seconds", "mcells_per_s",
                  "speedup_vs_first", "max_error"),
@@ -158,9 +156,7 @@ def measured_openmp_scaling(
     source, make_args = _problem(benchmark, n)
     cells = (n - 2) ** 3
     compiled = _SESSION.compile(source).lower(
-        "openmp", lower_to_scf=True, execution_mode="vectorize",
-        schedule=schedule, chunk_size=chunk_size,
-    )
+        "openmp", lower_to_scf=True, execution_mode="vectorize")
     baseline = None
     for threads in thread_counts:
         interp = compiled.interpreter(threads=threads)

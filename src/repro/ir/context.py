@@ -60,22 +60,11 @@ class Context:
     def get_op_class(self, name: str) -> Optional[Type[Operation]]:
         return self._op_classes.get(name)
 
-    def get_dialect(self, name: str) -> Optional[Dialect]:
-        return self.dialects.get(name)
-
     def get_type_parser(self, dialect_name: str, mnemonic: str) -> Optional[Callable]:
         dialect = self.dialects.get(dialect_name)
         if dialect is None:
             return None
         return dialect.type_parsers.get(mnemonic)
-
-    def clone(self) -> "Context":
-        ctx = Context(allow_unregistered=self.allow_unregistered)
-        for dialect in self.dialects.values():
-            ctx.register_dialect(
-                Dialect(dialect.name, list(dialect.operations), dict(dialect.type_parsers))
-            )
-        return ctx
 
 
 def default_context() -> Context:

@@ -31,11 +31,7 @@ from .mpi_runtime import (
     MPIError,
     SimulatedCommunicator,
 )
-from .parallel_executor import (
-    SCHEDULE_KINDS,
-    get_executor,
-    plan_tiles,
-)
+from .parallel_executor import get_executor
 
 __all__ = [
     "Interpreter",
@@ -65,7 +61,5 @@ __all__ = [
     "DistributedExecutor",
     "DistributedRunResult",
     "RankStats",
-    "SCHEDULE_KINDS",
-    "plan_tiles",
     "get_executor",
 ]

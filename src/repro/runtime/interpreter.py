@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..dialects import fir as fir_dialect
-from ..dialects import omp as omp_dialect
 from ..dialects import stencil as stencil_dialect
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
@@ -785,17 +784,12 @@ class Interpreter:
                                for dim in kernel.bound_slots))
             return (lo, up) if kernel.guards_pass(externals, lo, up, st) else None
 
-        # The worksharing schedule clause recorded on the nest (static for
-        # plain scf.parallel, which carries no clause).
-        schedule = (op.schedule, op.chunk_size) \
-            if isinstance(op, omp_dialect.WsLoopOp) else ("static", None)
         self._sweep(frame, lambda: self.kernels.kernel_for(op), domain_of,
-                    scalar_runner, schedule)
+                    scalar_runner)
         return []
 
     def _sweep(self, frame: Frame, lookup: Callable,
                domain_of: Callable, scalar_runner: Callable,
-               schedule: Tuple[str, Optional[int]],
                counters: Tuple[str, str] = ("vectorized_sweeps",
                                             "vectorize_fallbacks"),
                delivery: Tuple[Optional[List[np.ndarray]], bool] = (None, False)):
@@ -808,9 +802,8 @@ class Interpreter:
         :class:`BoundKernel` (or None); ``domain_of(kernel, externals)`` the
         ``(lowers, uppers)`` iteration domain, or None when a runtime guard
         fails; ``scalar_runner`` is the reference semantics, used as fallback
-        and as crosscheck oracle so the two cannot diverge; ``schedule`` the
-        OpenMP (kind, chunk) clause shaping the thread slabs; ``counters``
-        the (vectorized, fallback) stats keys; ``delivery`` the (destinations,
+        and as crosscheck oracle so the two cannot diverge; ``counters`` the
+        (vectorized, fallback) stats keys; ``delivery`` the (destinations,
         deferred) of :func:`run_boxes`: used destinations are what comes back.
         """
         if self.execution_mode == "interpret":
@@ -830,7 +823,7 @@ class Interpreter:
         def vector_runner():
             start = _time.perf_counter()
             boxes, slabs, shape = self._plan_sweep(kernel, externals, lowers,
-                                                   uppers, schedule)
+                                                   uppers)
             if self.threads > 1 and slabs == 1:
                 self.stats["parallel_fallbacks"] += 1
             chosen: List[str] = []
@@ -865,18 +858,17 @@ class Interpreter:
         self.stats[done_key] += 1
         return results
 
-    def _plan_sweep(self, kernel, externals, lowers, uppers, schedule):
+    def _plan_sweep(self, kernel, externals, lowers, uppers):
         """One sweep's :func:`plan_sweep`, fed from the kernel (the strides
-        of the first array it sweeps, the arrays it touches per point), the
-        op's OpenMP ``schedule`` clause and the thread count.  A kernel whose
-        boxes cannot run independently (``tileable`` false) runs the whole
-        domain; so does a pure kernel over an empty one, which still owes its
-        (empty) results.
+        of the first array it sweeps, the arrays it touches per point) and
+        the thread count.  A kernel whose boxes cannot run independently
+        (``tileable`` false) runs the whole domain; so does a pure kernel
+        over an empty one, which still owes its (empty) results.
         """
         whole = [(lowers, uppers)], 1, None
         if not kernel.tileable:
             return whole
-        plan = plan_sweep(lowers, uppers, self.threads, *schedule,
+        plan = plan_sweep(lowers, uppers, self.threads,
                           strides=kernel.dim_strides(externals),
                           arrays=kernel.arrays_per_point)
         return plan if plan[0] or kernel.stores else whole
@@ -1024,7 +1016,7 @@ class Interpreter:
             lambda kernel, externals:
                 (lb, ub) if kernel.apply_guards_pass(externals, lb, ub) else None,
             lambda: self._run_apply_scalar(op, frame, lb, ub),
-            ("static", None), delivery=delivery)
+            delivery=delivery)
         self.stats["stencil_apply_executions"] += 1
         points = 1
         for extent in domain:
@@ -1158,7 +1150,6 @@ class Interpreter:
         try:
             self._sweep(frame, lookup, domain_of,
                         lambda: self._run_launch_scalar(kernel_op, args, grid, block),
-                        ("static", None),
                         counters=("gpu_launches_vectorized",
                                   "gpu_launch_fallbacks"))
             return []

@@ -101,13 +101,6 @@ class KernelUnsupported(Exception):
 # ---------------------------------------------------------------------------
 
 
-#: Attributes that carry execution *policy* rather than semantics; excluded
-#: from the structural hash.  Two wsloops differing only in their omp schedule
-#: clause compute the same function and share one kernel; the interpreter
-#: reads the policy off the op at dispatch time.
-_METADATA_ATTRS = frozenset({"omp.schedule", "omp.chunk_size"})
-
-
 def _is_float_literal(op: Operation) -> bool:
     return op.name == "arith.constant" and isinstance(op.get_attr("value"), FloatAttr)
 
@@ -140,8 +133,7 @@ def structural_hash(op: Operation) -> str:
         # A float literal's type is its result's, printed below.
         if not _is_float_literal(current):
             parts.extend(f"{name}={value.print()}"
-                         for name, value in sorted(current.attributes.items())
-                         if name not in _METADATA_ATTRS)
+                         for name, value in sorted(current.attributes.items()))
         parts.append("(" + ",".join(token(o) for o in current.operands) + ")")
         for result in current.results:
             parts.append("->" + result.type.print())

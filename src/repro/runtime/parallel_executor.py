@@ -9,14 +9,11 @@ achievable without multiprocessing).
 
 Two pieces, each independently testable:
 
-* the planners — :func:`plan_tiles` turns ``[lower, upper)`` plus an OpenMP
-  schedule (kind + chunk size, as carried on ``omp.wsloop`` by
-  ``convert-scf-to-openmp``) into contiguous, disjoint ``(lb, ub)`` spans that
-  exactly cover the extent; :func:`plan_boxes` partitions a whole box into
+* the planners — :func:`plan_boxes` partitions a whole box into
   equal-shaped sub-boxes; :func:`plan_cache_boxes` picks their shape —
-  cache-sized, unit-stride axis whole; :func:`plan_sweep` composes them into
-  the one plan every sweep runs — thread slabs along the outermost
-  dimension, each cut into cache boxes;
+  cache-sized, unit-stride axis whole; :func:`plan_sweep` composes the one
+  plan every sweep runs — near-equal thread slabs along the outermost
+  dimension (OpenMP's default static partition), each cut into cache boxes;
 * :func:`run_boxes` — runs a kernel over a box plan, on no more threads than
   the process has CPUs: store kernels in place, pure kernels delivered box by
   box where their values are stored.
@@ -53,78 +50,6 @@ Box = Tuple[Tuple[int, ...], Tuple[int, ...]]
 #: budget sits where n = 32 still runs whole.
 CACHE_BUDGET_BYTES = 2 << 20
 
-#: Schedule kinds understood by :func:`plan_tiles` (OpenMP worksharing-loop
-#: schedule clause subset; "auto"/"runtime" map to "static" upstream).
-SCHEDULE_KINDS = ("static", "dynamic", "guided")
-
-
-def plan_tiles(
-    lower: int,
-    upper: int,
-    threads: int,
-    schedule: str = "static",
-    chunk: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """Partition ``[lower, upper)`` into contiguous ``(lb, ub)`` tiles.
-
-    The tiles are returned in domain order, are mutually disjoint, and their
-    union is exactly ``[lower, upper)``.  ``schedule`` follows the OpenMP
-    clause semantics as far as a shared task queue needs them:
-
-    * ``static`` without a chunk: one near-equal contiguous block per
-      thread (OpenMP's default static partition);
-    * ``static`` with a chunk / ``dynamic``: fixed ``chunk``-sized tiles —
-      on a work-queue pool the static round-robin assignment and the
-      dynamic first-come assignment execute the same tile set, the pool
-      supplying the load balancing;
-    * ``guided``: exponentially decreasing tile sizes
-      ``max(chunk, remaining / threads)``, front-loading large tiles.
-
-    ``dynamic`` without an explicit chunk uses ``extent // (8 * threads)``
-    (clamped to 1) rather than OpenMP's default of 1, which on a NumPy
-    backend would shred the sweep into per-row tasks whose dispatch overhead
-    swamps the kernel.
-    """
-    extent = upper - lower
-    if extent <= 0:
-        return []
-    threads = max(1, threads)
-    if schedule not in SCHEDULE_KINDS:
-        raise ValueError(
-            f"unknown schedule kind '{schedule}'; expected one of {SCHEDULE_KINDS}"
-        )
-    if chunk is not None and chunk <= 0:
-        raise ValueError(f"chunk size must be positive, got {chunk}")
-
-    if schedule == "static" and chunk is None:
-        tiles_wanted = min(threads, extent)
-        base, remainder = divmod(extent, tiles_wanted)
-        tiles: List[Tuple[int, int]] = []
-        position = lower
-        for i in range(tiles_wanted):
-            size = base + (1 if i < remainder else 0)
-            tiles.append((position, position + size))
-            position += size
-        return tiles
-
-    if schedule == "guided":
-        minimum = chunk if chunk is not None else 1
-        tiles = []
-        position = lower
-        while position < upper:
-            remaining = upper - position
-            size = max(minimum, -(-remaining // threads))
-            size = min(size, remaining)
-            tiles.append((position, position + size))
-            position += size
-        return tiles
-
-    # static-with-chunk and dynamic: fixed-size chunks.
-    if chunk is None:
-        chunk = max(1, extent // (8 * threads))
-    return [(p, min(p + chunk, upper)) for p in range(lower, upper, chunk)]
-
-
 def plan_boxes(
     lowers: Sequence[int],
     uppers: Sequence[int],
@@ -132,8 +57,7 @@ def plan_boxes(
 ) -> List[Box]:
     """Partition the box ``[lowers, uppers)`` into ``sizes``-shaped sub-boxes.
 
-    The multi-dimensional counterpart of :func:`plan_tiles`, backing
-    :func:`plan_cache_boxes`: boxes are returned in lexicographic domain
+    Backs :func:`plan_cache_boxes`: boxes are returned in lexicographic domain
     order, are mutually disjoint, and their union is exactly the input box
     (edge boxes are clipped).  Returns an empty list for an empty domain.
     """
@@ -189,22 +113,21 @@ def plan_sweep(
     lowers: Sequence[int],
     uppers: Sequence[int],
     threads: int = 1,
-    schedule: str = "static",
-    chunk: Optional[int] = None,
     strides: Optional[Sequence[int]] = None,
     arrays: int = 1,
 ) -> Tuple[List[Box], int, Optional[str]]:
     """The box plan of one sweep over ``[lowers, uppers)``: *who* × *how big*,
     as ``(boxes, slabs, shape)``.
 
-    *Who*: with ``threads > 1``, :func:`plan_tiles` cuts the outermost swept
-    dimension — the largest ``|strides[d]|``, the loop a real ``omp parallel
-    do`` workshares; dimension 0 when no stride is known — into ``slabs``
-    slabs under the OpenMP ``schedule`` / ``chunk``; otherwise there is one
-    slab.  *How big*: every slab is cut by :func:`plan_cache_boxes` when the
-    strides are known, else stays whole.  ``shape`` is "cache" when that cut
-    produced more boxes than slabs, else None.  The boxes partition the
-    domain, slab after slab; an empty domain has none.
+    *Who*: with ``threads > 1``, the outermost swept dimension — the largest
+    ``|strides[d]|``, the loop a real ``omp parallel do`` workshares;
+    dimension 0 when no stride is known — is cut into ``min(threads,
+    extent)`` contiguous near-equal slabs, the first ones a point longer
+    (OpenMP's default static partition); otherwise there is one slab.  *How
+    big*: every slab is cut by :func:`plan_cache_boxes` when the strides are
+    known, else stays whole.  ``shape`` is "cache" when that cut produced
+    more boxes than slabs, else None.  The boxes partition the domain, slab
+    after slab; an empty domain has none.
     """
     lowers, uppers = tuple(lowers), tuple(uppers)
     if any(upper <= lower for lower, upper in zip(lowers, uppers)):
@@ -213,10 +136,13 @@ def plan_sweep(
     if threads > 1:
         dim = 0 if strides is None else \
             max(range(len(lowers)), key=lambda d: abs(strides[d]))
+        extent = uppers[dim] - lowers[dim]
+        pieces = min(threads, extent)
+        base, longer = divmod(extent, pieces)
+        cuts = [lowers[dim] + i * base + min(i, longer) for i in range(pieces + 1)]
         slabs = [(lowers[:dim] + (lo,) + lowers[dim + 1:],
                   uppers[:dim] + (up,) + uppers[dim + 1:])
-                 for lo, up in plan_tiles(lowers[dim], uppers[dim], threads,
-                                          schedule, chunk)]
+                 for lo, up in zip(cuts, cuts[1:])]
     boxes = slabs if strides is None else \
         [box for slab in slabs for box in plan_cache_boxes(*slab, strides, arrays)]
     return boxes, len(slabs), "cache" if len(boxes) > len(slabs) else None
@@ -324,8 +250,6 @@ def get_executor(threads: int) -> ThreadPoolExecutor:
 
 
 __all__ = [
-    "SCHEDULE_KINDS",
-    "plan_tiles",
     "plan_boxes",
     "plan_cache_boxes",
     "plan_sweep",

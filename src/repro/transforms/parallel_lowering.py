@@ -39,23 +39,12 @@ from ..ir.types import index
 class ConvertSCFToOpenMPPass(ModulePass):
     """``convert-scf-to-openmp`` — multithreaded CPU execution (Figures 3/4).
 
-    ``schedule`` / ``chunk_size`` mirror the OpenMP worksharing schedule
-    clause (``schedule(static|dynamic|guided[, chunk])``); they are recorded
-    on each ``omp.wsloop`` and consumed by the runtime's tiled parallel
-    executor when it partitions the outermost loop dimension across threads.
-    Pipeline syntax: ``convert-scf-to-openmp{schedule=dynamic chunk-size=4}``.
+    Takes no options, like the paper's stock pass: the runtime's tiled
+    parallel executor splits each ``omp.wsloop``'s outermost loop dimension
+    statically across threads.
     """
 
     name = "convert-scf-to-openmp"
-
-    def __init__(self, schedule: str = "static", chunk_size: Optional[int] = None):
-        if schedule not in omp.WsLoopOp.SCHEDULE_KINDS:
-            raise ValueError(
-                f"schedule must be one of {omp.WsLoopOp.SCHEDULE_KINDS}, "
-                f"got {schedule!r}"
-            )
-        self.schedule = schedule
-        self.chunk_size = chunk_size
 
     def apply(self, ctx: Context, module: Operation) -> None:
         for parallel in [op for op in module.walk() if isinstance(op, scf.ParallelOp)]:
@@ -80,8 +69,6 @@ class ConvertSCFToOpenMPPass(ModulePass):
             list(parallel.lower_bounds),
             list(parallel.upper_bounds),
             list(parallel.steps),
-            schedule=self.schedule,
-            chunk_size=self.chunk_size,
         )
         # Move the loop body over, then replace its scf.yield terminator with
         # omp.yield.

@@ -10,7 +10,7 @@ parsed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..ir.pass_manager import GLOBAL_PASS_REGISTRY
 
@@ -52,24 +52,13 @@ CPU_PIPELINE = (
     "canonicalize,cse"
 )
 
-def openmp_pipeline(schedule: str = "static",
-                    chunk_size: Optional[int] = None) -> str:
-    """The OpenMP lowering pipeline with an explicit worksharing schedule
-    clause, e.g. ``openmp_pipeline("dynamic", 4)`` →
-    ``...,convert-scf-to-openmp{schedule=dynamic chunk-size=4},...``."""
-    options = f"schedule={schedule}"
-    if chunk_size is not None:
-        options += f" chunk-size={int(chunk_size)}"
-    return (
-        "convert-stencil-to-scf{target=cpu},"
-        f"convert-scf-to-openmp{{{options}}},"
-        "canonicalize,cse"
-    )
+#: Stencil module lowering for multi-threaded CPU execution (OpenMP).
+OPENMP_PIPELINE = (
+    "convert-stencil-to-scf{target=cpu},"
+    "convert-scf-to-openmp,"
+    "canonicalize,cse"
+)
 
-
-#: Stencil module lowering for multi-threaded CPU execution (OpenMP), with
-#: the default (static) worksharing schedule.
-OPENMP_PIPELINE = openmp_pipeline()
 
 def gpu_pipeline(tile_sizes: Sequence[int] = (32, 32, 1)) -> str:
     """The paper's GPU pipeline (Listing 4) with explicit parallel-loop tile
@@ -124,7 +113,6 @@ __all__ = [
     "FIR_STENCIL_PIPELINE",
     "CPU_PIPELINE",
     "OPENMP_PIPELINE",
-    "openmp_pipeline",
     "GPU_PIPELINE",
     "GPU_STENCIL_PIPELINE",
     "gpu_pipeline",

@@ -109,9 +109,10 @@ class TestOptionSchemas:
         with pytest.raises(OptionError, match="backend 'openmp'.*'tile_sizes'"):
             session.compile(small_gs_source).lower("openmp", tile_sizes=(8, 8))
 
-    #: owner backend -> a valid value of each option only it defines.
+    #: owner backend -> a valid value of each option only it defines; no
+    #: backend owns the deleted OpenMP schedule clause.
     OWN_OPTIONS = {
-        "openmp": {"schedule": "dynamic", "chunk_size": 4},
+        None: {"schedule": "dynamic", "chunk_size": 4},
         "gpu": {"data_strategy": "host_register", "tile_sizes": (4, 4, 4)},
         "dmp": {"grid": (2, 1)},
     }
@@ -128,9 +129,7 @@ class TestOptionSchemas:
         lowering."""
         program = session.compile(small_gs_source)
         if backend == owner:
-            # An omp.wsloop, which carries the schedule, needs lower_to_scf.
-            scf = {"lower_to_scf": True} if owner == "openmp" else {}
-            compiled = program.lower(backend, **scf, **{option: value})
+            compiled = program.lower(backend, **{option: value})
             assert getattr(compiled.options, option) == value
             return
         with pytest.raises(OptionError,
@@ -147,8 +146,6 @@ class TestOptionSchemas:
             GpuOptions(data_strategy="unified")
 
     @pytest.mark.parametrize("kwargs", [
-        {"schedule": "fastest"},
-        {"chunk_size": 0},
         {"threads": 0},
         {"execution_mode": "warp-speed"},
     ])
@@ -164,18 +161,6 @@ class TestOptionSchemas:
         assert DmpOptions(grid=[2, 2]).grid == (2, 2)
         assert hash(GpuOptions(tile_sizes=[16, 16, 1])) == hash(
             GpuOptions(tile_sizes=(16, 16, 1)))
-
-    @pytest.mark.parametrize("schedule", [{"schedule": "dynamic"},
-                                          {"chunk_size": 3},
-                                          {"schedule": "guided",
-                                           "chunk_size": 3}])
-    def test_a_schedule_needs_lower_to_scf(self, session, small_gs_source,
-                                           schedule):
-        """At the stencil level no omp.wsloop carries the clause: refused,
-        not compiled as a twin of the default that runs the static plan."""
-        with pytest.raises(OptionError, match="lower_to_scf"):
-            session.compile(small_gs_source).lower("openmp", **schedule)
-        assert session.cache_stats["misses"] == 0
 
     def test_mismatch_rejected_even_with_options_object(self, session,
                                                         small_gs_source):
@@ -438,13 +423,12 @@ class TestFluentPrograms:
         assert result.notes["ranks=4"]["messages"] > 0
 
     def test_issue_fluent_chain(self, session):
-        """The exact derivation chain from the issue: lower with schedule
-        options, derive a vectorized multi-threaded handle, run."""
+        """The fluent derivation chain: lower to scf.parallel nests, derive a
+        vectorized multi-threaded handle, run."""
         n = 16
         program = session.compile(pw_advection.generate_source(n))
         u, v, w, su, sv, sw = pw_advection.initial_fields(n)
-        interp = (program.lower("openmp", lower_to_scf=True,
-                                schedule="dynamic", chunk_size=8)
+        interp = (program.lower("openmp", lower_to_scf=True)
                          .vectorize(threads=4)
                          .run("pw_advection", u, v, w, su, sv, sw))
         rsu, rsv, rsw = pw_advection.reference(u, v, w)

@@ -51,7 +51,7 @@ def test_differential_fuzz_through_default_boxes(fuzz_seeds, monkeypatch):
     # One plan for every cell: cache boxes engage with one thread, inside
     # thread slabs and inside launches, and always cut into several boxes.
     for label in ("cpu/vectorize", "cpu-scf/vectorize", "gpu-scf/vectorize",
-                  "openmp-static-t2/vectorize", "openmp-dynamic-t4/crosscheck"):
+                  "openmp-static-t2/vectorize", "openmp-t4/crosscheck"):
         assert cache_tiles(label) >= fuzz_seeds, label
         assert (parallel_tiles(label) > 0) == label.startswith("openmp"), label
         flat = sum(interp.kernels.stats["renderings"].get("flat", 0)

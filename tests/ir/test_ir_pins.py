@@ -41,7 +41,7 @@ PINS = {
         ('canonicalize', 241, 241),
         ('cse', 241, 145),
     ]),
-    'pw-openmp-scf': ('4e2a2f26a3841aba', 'd5bf56dbaf7ddefc', [
+    'pw-openmp-scf': ('4e2a2f26a3841aba', '45be77b4fc73bde6', [
         ('convert-stencil-to-scf', 134, 241),
         ('convert-scf-to-openmp', 241, 243),
         ('canonicalize', 243, 243),
@@ -71,7 +71,7 @@ PINS = {
         ('canonicalize', 44, 44),
         ('cse', 44, 34),
     ]),
-    'gs-openmp-scf': ('08c4138c8e683902', 'b2524b3ce37ac1c2', [
+    'gs-openmp-scf': ('08c4138c8e683902', '76b6efc24268c5ad', [
         ('convert-stencil-to-scf', 21, 44),
         ('convert-scf-to-openmp', 44, 46),
         ('canonicalize', 46, 46),

@@ -42,7 +42,6 @@ CONFIGS = [
     ("cpu", {}),
     ("cpu", {"lower_to_scf": True}),
     ("openmp", {"lower_to_scf": True}),
-    ("openmp", {"lower_to_scf": True, "schedule": "dynamic", "chunk_size": 2}),
     ("gpu", {}),
     ("gpu", {"lower_to_scf": True}),
     ("gpu", {"data_strategy": "host_register"}),

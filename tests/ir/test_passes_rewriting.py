@@ -176,11 +176,14 @@ class TestPassManager:
 
     def test_unknown_pass_option_rejected(self):
         """A pass option nothing reads is a named error, not a TypeError from
-        the pass constructor."""
+        the pass constructor, and the error lists the options there are."""
         with pytest.raises(KeyError) as error:
-            PassManager().add_pipeline("convert-scf-to-openmp{num-threads=4}")
-        assert "'convert-scf-to-openmp' has no option(s) ['num_threads']" in str(error.value)
-        assert "'schedule'" in str(error.value)
+            PassManager().add_pipeline("convert-scf-to-openmp{schedule=dynamic}")
+        assert "'convert-scf-to-openmp' has no option(s) ['schedule']" in str(error.value)
+        with pytest.raises(KeyError) as error:
+            PassManager().add_pipeline("convert-stencil-to-scf{num-threads=4}")
+        assert "'convert-stencil-to-scf' has no option(s) ['num_threads']" in str(error.value)
+        assert "'target'" in str(error.value)
 
     def test_accepted_names_are_recorded_not_scheduled(self):
         pm = PassManager().add_pipeline(GPU_STENCIL_PIPELINE)

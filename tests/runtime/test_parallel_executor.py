@@ -3,8 +3,8 @@
 Five contract areas of ``repro.runtime.parallel_executor`` and its
 interpreter wiring:
 
-* **tile planning** — every schedule kind produces contiguous disjoint tiles
-  that exactly cover the extent;
+* **sweep planning** — near-equal static slabs of the outermost dimension,
+  each cut into cache boxes, that exactly cover the domain;
 * **the pool** — boxes run concurrently on the shared pool, and the first
   exception a pool worker raises propagates;
 * **dispatch and fallbacks** — tiled sweeps produce the oracle's results;
@@ -12,11 +12,11 @@ interpreter wiring:
   small) fall back to the single-tile path and are counted; the dynamic
   alias guard still catches overlapping NumPy views of one base array;
 * **the lowered benchmarks** — both apps replay through the oracle at
-  ``threads=4`` under every schedule kind, two threads run the default
-  cache-blocked plan within 1.35x of one, and four cores give >= 2x;
-* **plumbing** — the schedule clause rides ``omp.wsloop`` from
-  ``convert-scf-to-openmp`` without splitting the kernel cache, and the
-  ``threads=`` knob reaches the interpreter through the backend options.
+  several thread counts, two threads run the default cache-blocked plan
+  within 1.35x of one, and four cores give >= 2x;
+* **plumbing** — ``convert-scf-to-openmp`` builds ``omp.wsloop`` nests that
+  carry no schedule clause, and the ``threads=`` knob reaches the
+  interpreter through the backend options.
 """
 
 import os
@@ -34,16 +34,13 @@ from repro.dialects import arith, omp, stencil
 from repro.harness import measured_openmp_scaling
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder
-from repro.ir.operation import VerifyException
 from repro.runtime import Frame, Interpreter, MemoryBuffer, parallel_executor
 from repro.runtime import interpreter as interpreter_module
-from repro.runtime.kernel_compiler import structural_hash
 from repro.runtime.parallel_executor import (
     get_executor,
     plan_boxes,
     plan_cache_boxes,
     plan_sweep,
-    plan_tiles,
     run_boxes,
 )
 
@@ -52,79 +49,8 @@ from test_kernel_compiler import build_average_apply, build_shift_nest_module
 
 
 # ---------------------------------------------------------------------------
-# Tile planning
+# Sweep planning
 # ---------------------------------------------------------------------------
-
-
-def _assert_exact_cover(tiles, lower, upper):
-    assert tiles[0][0] == lower and tiles[-1][1] == upper
-    for (_, prev_ub), (lb, _) in zip(tiles, tiles[1:]):
-        assert lb == prev_ub  # contiguous and disjoint
-    assert all(ub > lb for lb, ub in tiles)
-
-
-class TestPlanTiles:
-    def test_static_splits_evenly(self):
-        tiles = plan_tiles(0, 100, 4)
-        assert tiles == [(0, 25), (25, 50), (50, 75), (75, 100)]
-
-    def test_static_distributes_remainder(self):
-        tiles = plan_tiles(1, 11, 4)  # extent 10 over 4 threads
-        _assert_exact_cover(tiles, 1, 11)
-        sizes = [ub - lb for lb, ub in tiles]
-        assert sorted(sizes) == [2, 2, 3, 3]
-
-    def test_static_never_exceeds_extent(self):
-        tiles = plan_tiles(0, 3, 8)
-        assert tiles == [(0, 1), (1, 2), (2, 3)]
-
-    def test_static_with_chunk(self):
-        tiles = plan_tiles(0, 10, 4, "static", chunk=3)
-        assert tiles == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-    def test_dynamic_uses_chunk(self):
-        tiles = plan_tiles(5, 17, 2, "dynamic", chunk=4)
-        assert tiles == [(5, 9), (9, 13), (13, 17)]
-
-    def test_dynamic_default_chunk_bounds_task_count(self):
-        tiles = plan_tiles(0, 1024, 4, "dynamic")
-        _assert_exact_cover(tiles, 0, 1024)
-        assert len(tiles) <= 8 * 4  # extent // (8 * threads) sized chunks
-
-    def test_guided_decreasing_sizes(self):
-        tiles = plan_tiles(0, 100, 4, "guided")
-        _assert_exact_cover(tiles, 0, 100)
-        sizes = [ub - lb for lb, ub in tiles]
-        assert sizes[0] == 25
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-
-    def test_guided_respects_minimum_chunk(self):
-        tiles = plan_tiles(0, 40, 4, "guided", chunk=8)
-        _assert_exact_cover(tiles, 0, 40)
-        assert all(ub - lb >= 8 for lb, ub in tiles[:-1])
-
-    def test_empty_extent(self):
-        assert plan_tiles(5, 5, 4) == []
-        assert plan_tiles(7, 3, 4) == []
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            plan_tiles(0, 10, 2, "fastest")
-        with pytest.raises(ValueError, match="chunk"):
-            plan_tiles(0, 10, 2, "dynamic", chunk=0)
-
-    @pytest.mark.parametrize("extent, threads", [
-        (5, 8),    # extent < threads
-        (10, 4),   # extent < 8 * threads: the default chunk would be 0
-        (31, 4),
-        (1, 16),
-    ])
-    def test_dynamic_default_chunk_clamps_to_one(self, extent, threads):
-        # Regression: extent // (8 * threads) == 0 for small sweeps; an
-        # unclamped chunk of 0 made range() produce no tiles at all.
-        tiles = plan_tiles(0, extent, threads, "dynamic")
-        _assert_exact_cover(tiles, 0, extent)
-        assert all(ub - lb == 1 for lb, ub in tiles)
 
 
 class TestPlanBoxes:
@@ -216,6 +142,91 @@ class TestPlanSweep:
             ([(self.LOWERS, self.UPPERS)], 1, None)
         assert plan_sweep((1, 4), (9, 4), threads=2, strides=(8, 80)) == ([], 0, None)
 
+    #: rank -> (lowers, uppers, Fortran-order strides) of the fixed plans.
+    DOMAINS = {
+        1: ((2,), (13,), (8,)),
+        2: ((1, 1), (7, 5), (8, 56)),
+        3: ((1, 1, 1), (5, 6, 4), (8, 40, 240)),
+    }
+    #: (rank, strided) -> the slab counts and boxes for threads 1..8, with
+    #: 16-point cache boxes; a box is "lo:up" per dimension.
+    FIXED_PLANS = {
+        (1, False): ([1, 2, 3, 4, 5, 6, 7, 8], [
+            "2:13",
+            "2:8 8:13",
+            "2:6 6:10 10:13",
+            "2:5 5:8 8:11 11:13",
+            "2:5 5:7 7:9 9:11 11:13",
+            "2:4 4:6 6:8 8:10 10:12 12:13",
+            "2:4 4:6 6:8 8:10 10:11 11:12 12:13",
+            "2:4 4:6 6:8 8:9 9:10 10:11 11:12 12:13",
+        ]),
+        (1, True): ([1, 2, 3, 4, 5, 6, 7, 8], [
+            "2:13",
+            "2:8 8:13",
+            "2:6 6:10 10:13",
+            "2:5 5:8 8:11 11:13",
+            "2:5 5:7 7:9 9:11 11:13",
+            "2:4 4:6 6:8 8:10 10:12 12:13",
+            "2:4 4:6 6:8 8:10 10:11 11:12 12:13",
+            "2:4 4:6 6:8 8:9 9:10 10:11 11:12 12:13",
+        ]),
+        (2, False): ([1, 2, 3, 4, 5, 6, 6, 6], [
+            "1:7,1:5",
+            "1:4,1:5 4:7,1:5",
+            "1:3,1:5 3:5,1:5 5:7,1:5",
+            "1:3,1:5 3:5,1:5 5:6,1:5 6:7,1:5",
+            "1:3,1:5 3:4,1:5 4:5,1:5 5:6,1:5 6:7,1:5",
+            "1:2,1:5 2:3,1:5 3:4,1:5 4:5,1:5 5:6,1:5 6:7,1:5",
+            "1:2,1:5 2:3,1:5 3:4,1:5 4:5,1:5 5:6,1:5 6:7,1:5",
+            "1:2,1:5 2:3,1:5 3:4,1:5 4:5,1:5 5:6,1:5 6:7,1:5",
+        ]),
+        (2, True): ([1, 2, 3, 4, 4, 4, 4, 4], [
+            "1:7,1:3 1:7,3:5",
+            "1:7,1:3 1:7,3:5",
+            "1:7,1:3 1:7,3:4 1:7,4:5",
+            "1:7,1:2 1:7,2:3 1:7,3:4 1:7,4:5",
+            "1:7,1:2 1:7,2:3 1:7,3:4 1:7,4:5",
+            "1:7,1:2 1:7,2:3 1:7,3:4 1:7,4:5",
+            "1:7,1:2 1:7,2:3 1:7,3:4 1:7,4:5",
+            "1:7,1:2 1:7,2:3 1:7,3:4 1:7,4:5",
+        ]),
+        (3, False): ([1, 2, 3, 4, 4, 4, 4, 4], [
+            "1:5,1:6,1:4",
+            "1:3,1:6,1:4 3:5,1:6,1:4",
+            "1:3,1:6,1:4 3:4,1:6,1:4 4:5,1:6,1:4",
+            "1:2,1:6,1:4 2:3,1:6,1:4 3:4,1:6,1:4 4:5,1:6,1:4",
+            "1:2,1:6,1:4 2:3,1:6,1:4 3:4,1:6,1:4 4:5,1:6,1:4",
+            "1:2,1:6,1:4 2:3,1:6,1:4 3:4,1:6,1:4 4:5,1:6,1:4",
+            "1:2,1:6,1:4 2:3,1:6,1:4 3:4,1:6,1:4 4:5,1:6,1:4",
+            "1:2,1:6,1:4 2:3,1:6,1:4 3:4,1:6,1:4 4:5,1:6,1:4",
+        ]),
+        (3, True): ([1, 2, 3, 3, 3, 3, 3, 3], [
+            "1:5,1:4,1:2 1:5,1:4,2:3 1:5,1:4,3:4 1:5,4:6,1:2 1:5,4:6,2:3 1:5,4:6,3:4",
+            "1:5,1:4,1:2 1:5,1:4,2:3 1:5,4:6,1:2 1:5,4:6,2:3 1:5,1:4,3:4 1:5,4:6,3:4",
+            "1:5,1:4,1:2 1:5,4:6,1:2 1:5,1:4,2:3 1:5,4:6,2:3 1:5,1:4,3:4 1:5,4:6,3:4",
+            "1:5,1:4,1:2 1:5,4:6,1:2 1:5,1:4,2:3 1:5,4:6,2:3 1:5,1:4,3:4 1:5,4:6,3:4",
+            "1:5,1:4,1:2 1:5,4:6,1:2 1:5,1:4,2:3 1:5,4:6,2:3 1:5,1:4,3:4 1:5,4:6,3:4",
+            "1:5,1:4,1:2 1:5,4:6,1:2 1:5,1:4,2:3 1:5,4:6,2:3 1:5,1:4,3:4 1:5,4:6,3:4",
+            "1:5,1:4,1:2 1:5,4:6,1:2 1:5,1:4,2:3 1:5,4:6,2:3 1:5,1:4,3:4 1:5,4:6,3:4",
+            "1:5,1:4,1:2 1:5,4:6,1:2 1:5,1:4,2:3 1:5,4:6,2:3 1:5,1:4,3:4 1:5,4:6,3:4",
+        ]),
+    }
+
+    @pytest.mark.parametrize("rank,strided", list(FIXED_PLANS))
+    def test_plans_are_the_fixed_static_plans(self, rank, strided):
+        """Every thread count 1..8 cuts exactly these slabs and boxes."""
+        lowers, uppers, strides = self.DOMAINS[rank]
+        slab_counts, encoded = self.FIXED_PLANS[rank, strided]
+        for threads, slabs, text in zip(range(1, 9), slab_counts, encoded):
+            expected = [tuple(zip(*(map(int, span.split(":"))
+                                    for span in box.split(","))))
+                        for box in text.split()]
+            shape = "cache" if len(expected) > slabs else None
+            assert plan_sweep(lowers, uppers, threads,
+                              strides=strides if strided else None,
+                              arrays=2 ** 14) == (expected, slabs, shape), threads
+
     @pytest.mark.parametrize("strides,outer", [
         (F_STRIDES, 2), (C_STRIDES, 0), ((96, 1152, 8), 1), (None, 0)])
     def test_slabs_cut_the_largest_stride_dimension(self, strides, outer):
@@ -226,26 +237,33 @@ class TestPlanSweep:
             assert (lb[outer], ub[outer]) == span
             assert all((lb[d], ub[d]) == (1, 11) for d in range(3) if d != outer)
 
-    def test_dynamic_chunk_gives_chunk_thick_slabs_of_one_box_each(self):
-        """The OpenMP clause keeps its meaning: chunk-sized pieces of the
-        workshared loop.  Under the real budget a slab is one box."""
-        boxes, slabs, shape = plan_sweep(
-            self.LOWERS, self.UPPERS, threads=4, schedule="dynamic", chunk=2,
-            strides=self.F_STRIDES, arrays=3)
-        assert (slabs, shape) == (5, None)
-        assert boxes == [((1, 1, lo), (11, 11, lo + 2)) for lo in range(1, 11, 2)]
+    def test_static_slabs_split_evenly(self):
+        boxes, slabs, _ = plan_sweep((0,), (100,), threads=4)
+        assert slabs == 4
+        assert boxes == [((0,), (25,)), ((25,), (50,)), ((50,), (75,)),
+                         ((75,), (100,))]
 
-    @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
-    @pytest.mark.parametrize("chunk", [None, 2], ids=["default", "chunk2"])
+    def test_static_slabs_spread_the_remainder_over_the_first(self):
+        boxes, slabs, _ = plan_sweep((1,), (11,), threads=4)  # extent 10
+        assert slabs == 4
+        assert boxes == [((1,), (4,)), ((4,), (7,)), ((7,), (9,)), ((9,), (11,))]
+
+    def test_static_slabs_never_exceed_the_extent(self):
+        boxes, slabs, _ = plan_sweep((0,), (3,), threads=8)
+        assert slabs == 3
+        assert boxes == [((0,), (1,)), ((1,), (2,)), ((2,), (3,))]
+
+    def test_an_empty_extent_has_no_slabs(self):
+        assert plan_sweep((5,), (5,), threads=4) == ([], 0, None)
+        assert plan_sweep((7,), (3,), threads=4) == ([], 0, None)
+
     @pytest.mark.parametrize("strides", [F_STRIDES, C_STRIDES], ids=["F", "C"])
-    def test_threaded_boxes_partition_the_domain(self, schedule, chunk, strides,
-                                                 monkeypatch):
-        # Half a plane fits: even dynamic's one-plane slabs are cut again.
+    def test_threaded_boxes_partition_the_domain(self, strides, monkeypatch):
+        # Half a plane fits: every slab is cut again.
         monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1200)
         boxes, slabs, shape = plan_sweep(
-            self.LOWERS, self.UPPERS, threads=3, schedule=schedule, chunk=chunk,
-            strides=strides, arrays=3)
-        assert slabs >= 3 and len(boxes) > slabs
+            self.LOWERS, self.UPPERS, threads=3, strides=strides, arrays=3)
+        assert slabs == 3 and len(boxes) > slabs
         assert shape == "cache"
         cover = np.zeros((12, 12, 12), dtype=int)
         for lb, ub in boxes:
@@ -557,18 +575,16 @@ class TestTiledApplyExecution:
 
 
 class TestLoweredBenchmarksThreaded:
-    @pytest.mark.parametrize("schedule,chunk", [
-        ("static", None), ("dynamic", 4), ("guided", 2),
-    ])
-    def test_crosscheck_passes_with_threads_gs(self, schedule, chunk):
+    @pytest.mark.parametrize("threads", [3, 4, 5])
+    def test_crosscheck_passes_with_threads_gs(self, threads):
         """Tiled parallel sweeps of the lowered Gauss-Seidel replay through the
-        scalar oracle at threads=4 under every schedule kind."""
+        scalar oracle, with even and uneven slabs."""
         n = 18
         result = repro.compile(
             gauss_seidel.generate_source(n, niters=2)
-        ).lower("openmp", lower_to_scf=True, schedule=schedule, chunk_size=chunk)
+        ).lower("openmp", lower_to_scf=True)
         u = gauss_seidel.initial_condition(n)
-        interp = result.interpreter(execution_mode="crosscheck", threads=4)
+        interp = result.interpreter(execution_mode="crosscheck", threads=threads)
         interp.call("gauss_seidel", u)
         assert interp.stats["parallel_sweeps"] >= 1
         reference = gauss_seidel.reference_jacobi(gauss_seidel.initial_condition(n), 2)
@@ -642,49 +658,21 @@ class TestLoweredBenchmarksThreaded:
 
 
 # ---------------------------------------------------------------------------
-# Schedule plumbing and the threads knob
+# OpenMP plumbing and the threads knob
 # ---------------------------------------------------------------------------
 
 
-class TestSchedulePlumbing:
-    def _lowered_wsloop(self, **options):
+class TestOpenMPPlumbing:
+    def test_the_wsloop_carries_no_schedule_clause(self):
         result = repro.compile(gauss_seidel.generate_source(10, niters=1)).lower(
-            "openmp", lower_to_scf=True, **options)
-        return next(op for op in result.stencil_module.walk()
-                    if isinstance(op, omp.WsLoopOp))
+            "openmp", lower_to_scf=True)
+        wsloop = next(op for op in result.stencil_module.walk()
+                      if isinstance(op, omp.WsLoopOp))
+        assert set(wsloop.attributes) == {"rank"}
 
-    def test_schedule_clause_reaches_the_wsloop(self):
-        wsloop = self._lowered_wsloop(schedule="dynamic", chunk_size=4)
-        assert wsloop.schedule == "dynamic"
-        assert wsloop.chunk_size == 4
-
-    def test_default_schedule_is_static(self):
-        wsloop = self._lowered_wsloop()
-        assert wsloop.schedule == "static"
-        assert wsloop.chunk_size is None
-
-    def test_schedule_does_not_split_the_kernel_cache(self):
-        """The clause is execution policy: structurally the loops are the
-        same computation and must share one compiled kernel."""
-        static = self._lowered_wsloop(schedule="static")
-        guided = self._lowered_wsloop(schedule="guided", chunk_size=2)
-        assert structural_hash(static) == structural_hash(guided)
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(OptionError, match="schedule"):
-            OpenMPOptions(schedule="fastest")
+    def test_invalid_threads_rejected(self):
         with pytest.raises(OptionError, match="threads"):
             OpenMPOptions(threads=0)
-        with pytest.raises(OptionError, match="chunk_size"):
-            OpenMPOptions(chunk_size=0)
-
-    def test_wsloop_verifier_rejects_bad_clause(self):
-        wsloop = self._lowered_wsloop()
-        from repro.ir.attributes import StringAttr
-
-        wsloop.attributes["omp.schedule"] = StringAttr("warp")
-        with pytest.raises(VerifyException, match="schedule"):
-            wsloop.verify_()
 
     def test_threads_knob_through_options_and_override(self):
         result = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower(

@@ -185,7 +185,7 @@ def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
     whole = 0 if order == "F" else 1
 
     def plan(interpreter):
-        return interpreter._plan_sweep(kernel, [temp], lb, ub, ("static", None))
+        return interpreter._plan_sweep(kernel, [temp], lb, ub)
 
     assert plan(interp) == ([(lb, ub)], 1, None)
     boxes, slabs, name = plan(threaded)
@@ -229,22 +229,21 @@ def test_kernel_without_a_full_rank_window_is_sliced_along_dimension_zero():
                          kernel_compiler=KernelCompiler(use_shared_cache=False))
     kernel = interp.kernels.kernel_for(apply_op).kernel
     assert kernel.dim_strides([temp]) is None
-    assert interp._plan_sweep(kernel, [temp], (1, 1), (n - 1, n - 1),
-                              ("static", None)) == \
+    assert interp._plan_sweep(kernel, [temp], (1, 1), (n - 1, n - 1)) == \
         ([((1, 1), (5, n - 1)), ((5, 1), (n - 1, n - 1))], 2, None)
     [sliced] = exec_apply(interp, apply_op, temp)
     assert interp.stats["parallel_tiles"] == 2
     assert sliced.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
-def test_openmp_clause_shapes_the_slabs_of_the_outermost_loop():
-    """``schedule(dynamic, 2)`` on a Fortran-ordered 10^3 sweep: five slabs two
-    planes thick along dimension 2, each one box under the real budget."""
+def test_five_threads_cut_five_slabs_of_the_outermost_loop():
+    """``threads=5`` on a Fortran-ordered 10^3 sweep: five slabs two planes
+    thick along dimension 2, each one box under the real budget."""
     compiled = repro.compile(gauss_seidel.generate_source(N, niters=NITERS)).lower(
-        "openmp", lower_to_scf=True, schedule="dynamic", chunk_size=2)
+        "openmp", lower_to_scf=True)
     oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
     result, counters, _ = run_gauss_seidel(compiled, execution_mode="crosscheck",
-                                        threads=4)
+                                        threads=5)
     assert result.tobytes() == oracle.tobytes()
     assert counters == {"vectorized_sweeps": NITERS, "parallel_sweeps": NITERS,
                         "parallel_tiles": 5 * NITERS}

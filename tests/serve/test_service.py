@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.api import Session
+from repro.api import OptionError, Session
 from repro.api.backends import (
     BackendRegistry,
     CpuBackend,
@@ -304,6 +304,26 @@ class TestLifecycleAndMetrics:
             CompileService(Session(), workers=0)
         with pytest.raises(ValueError, match="max_queue"):
             CompileService(Session(), max_queue=0)
+
+    @pytest.mark.parametrize("removed", [{"schedule": "dynamic"},
+                                         {"chunk_size": 4}])
+    def test_a_removed_openmp_option_is_refused_by_name(self, removed):
+        """No backend has an OpenMP schedule clause: a request naming it is an
+        OptionError at submission, before anything is queued."""
+        service, _, _ = _make_service(workers=1)
+        try:
+            [(option, value)] = removed.items()
+            for submit in (service.submit_compile, service.compile):
+                with pytest.raises(OptionError,
+                                   match=f"backend 'openmp'.*'{option}'"):
+                    submit(SOURCE, "openmp", lower_to_scf=True, **removed)
+            with pytest.raises(OptionError, match=f"'{option}'"):
+                service.submit_run(SOURCE, "gauss_seidel", backend="openmp",
+                                   **removed)
+            metrics = service.metrics()
+            assert (metrics.submitted_compiles, metrics.submitted_runs) == (0, 0)
+        finally:
+            service.close()
 
     def test_conflicting_store_rejected(self, tmp_path):
         session = Session(store=ArtifactStore(tmp_path / "a"))

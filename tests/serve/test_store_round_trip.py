@@ -25,9 +25,8 @@ CONFIGS = {
     "cpu-scf": ("cpu", {"lower_to_scf": True, "execution_mode": "vectorize"}),
     "openmp-scf-t2": ("openmp", {"lower_to_scf": True, "threads": 2,
                                  "execution_mode": "vectorize"}),
-    "openmp-scf-dynamic-t4": ("openmp", {
-        "lower_to_scf": True, "schedule": "dynamic", "threads": 4,
-        "execution_mode": "vectorize"}),
+    "openmp-scf-t4": ("openmp", {"lower_to_scf": True, "threads": 4,
+                                 "execution_mode": "vectorize"}),
     "gpu-apply-optimised": ("gpu", {"execution_mode": "vectorize"}),
     "gpu-scf-optimised": ("gpu", {"lower_to_scf": True,
                                   "execution_mode": "vectorize"}),

@@ -31,8 +31,7 @@ PW_SOURCE = pw_advection.generate_source(8, niters=1)
 WORKLOADS = [
     ("gs-cpu", GS_SOURCE, "cpu", {"lower_to_scf": True}),
     ("gs-gpu", GS_SOURCE, "gpu", {"lower_to_scf": True}),
-    ("pw-omp", PW_SOURCE, "openmp",
-     {"lower_to_scf": True, "schedule": "dynamic", "chunk_size": 4}),
+    ("pw-omp", PW_SOURCE, "openmp", {"lower_to_scf": True}),
 ]
 
 
