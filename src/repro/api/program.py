@@ -184,9 +184,8 @@ class CompiledProgram:
         recompile (cache miss), runtime-only changes (execution mode,
         threads) re-use the cached artifact (cache hit).
         """
-        return self._session.lower(
-            self._source, self._backend, self._options.replace(**changes)
-        )
+        return self._session.lower(self._source, self._backend, self._options,
+                                   **changes)
 
     def interpret(self) -> "CompiledProgram":
         """Derive a handle running on the scalar reference oracle."""

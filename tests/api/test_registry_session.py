@@ -141,6 +141,21 @@ class TestOptionSchemas:
         with pytest.raises(OptionError, match="valid options: .*lower_to_scf"):
             session.compile(small_gs_source).lower("cpu", bogus=1)
 
+    @pytest.mark.parametrize("option,value", [("schedule", "dynamic"),
+                                              ("chunk_size", 4),
+                                              ("grid", (2, 2))])
+    def test_with_options_refuses_an_option_the_backend_lacks(
+            self, session, small_gs_source, option, value):
+        """A derived handle validates its changes as ``lower`` does: an
+        OptionError naming the option and the backend, never a TypeError from
+        the options dataclass."""
+        handle = session.compile(small_gs_source).lower("openmp",
+                                                        lower_to_scf=True)
+        with pytest.raises(OptionError,
+                           match=f"backend 'openmp'.*'{option}'.*valid options"):
+            handle.with_options(**{option: value})
+        assert handle.with_options(threads=2).options.threads == 2
+
     def test_unknown_gpu_data_strategy_rejected(self):
         with pytest.raises(OptionError, match="data_strategy"):
             GpuOptions(data_strategy="unified")

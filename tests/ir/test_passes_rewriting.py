@@ -185,6 +185,19 @@ class TestPassManager:
         assert "'convert-stencil-to-scf' has no option(s) ['num_threads']" in str(error.value)
         assert "'target'" in str(error.value)
 
+    @pytest.mark.parametrize("option", ["schedule=dynamic", "chunk_size=4",
+                                        "num-threads=4"])
+    def test_convert_scf_to_openmp_takes_no_options(self, option):
+        """The pass has no options: each one is refused by name, and the bare
+        pass still parses."""
+        with pytest.raises(KeyError) as error:
+            PassManager().add_pipeline(f"convert-scf-to-openmp{{{option}}}")
+        name = option.split("=")[0].replace("-", "_")
+        assert f"'convert-scf-to-openmp' has no option(s) ['{name}']" in \
+            str(error.value)
+        pm = PassManager().add_pipeline("convert-scf-to-openmp")
+        assert [p.name for p in pm.passes] == ["convert-scf-to-openmp"]
+
     def test_accepted_names_are_recorded_not_scheduled(self):
         pm = PassManager().add_pipeline(GPU_STENCIL_PIPELINE)
         assert [p.name for p in pm.passes] == [

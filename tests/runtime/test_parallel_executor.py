@@ -273,6 +273,32 @@ class TestPlanSweep:
         whole = 0 if strides is self.F_STRIDES else 2
         assert all((lb[whole], ub[whole]) == (1, 11) for lb, ub in boxes)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("strides", [F_STRIDES, C_STRIDES], ids=["F", "C"])
+    def test_every_thread_count_cuts_static_slabs_into_cache_boxes(
+            self, strides, threads, monkeypatch):
+        """Any thread count gives min(threads, extent) near-equal slabs of the
+        outermost dimension, the first ones a plane thicker; each slab's
+        cache boxes stay inside it, slab by slab, and cover it once."""
+        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1200)
+        boxes, slabs, shape = plan_sweep(
+            self.LOWERS, self.UPPERS, threads=threads, strides=strides, arrays=3)
+        assert (slabs, shape) == (min(threads, 10), "cache")
+        outer, whole = (2, 0) if strides is self.F_STRIDES else (0, 2)
+        base, extra = divmod(10, slabs)
+        edges = np.cumsum([1] + [base + (i < extra) for i in range(slabs)])
+        spans = list(zip(edges[:-1], edges[1:]))
+        owner = [next((i for i, (lo, up) in enumerate(spans)
+                       if lo <= lb[outer] and ub[outer] <= up), None)
+                 for lb, ub in boxes]
+        assert None not in owner
+        assert owner == sorted(owner) and set(owner) == set(range(slabs))
+        cover = np.zeros((12, 12, 12), dtype=int)
+        for lb, ub in boxes:
+            cover[lb[0]:ub[0], lb[1]:ub[1], lb[2]:ub[2]] += 1
+        assert (cover[1:11, 1:11, 1:11] == 1).all() and cover.sum() == 1000
+        assert all((lb[whole], ub[whole]) == (1, 11) for lb, ub in boxes)
+
 
 # ---------------------------------------------------------------------------
 # The worker pool
@@ -607,6 +633,33 @@ class TestLoweredBenchmarksThreaded:
         rsu, rsv, rsw = pw_advection.reference(u, v, w)
         for field, ref in zip(fields[3:], (rsu, rsv, rsw)):
             assert np.allclose(field, ref)
+
+    @pytest.mark.parametrize("threads", [2, 3, 5, 8])
+    @pytest.mark.parametrize("app", ["gs", "pw"])
+    def test_the_slab_count_changes_no_bit(self, app, threads):
+        """Slabs only share a sweep out: both lowered apps give the bits of
+        the one-thread run at any thread count, even and uneven splits alike."""
+        n = 14
+        if app == "gs":
+            source, entry = gauss_seidel.generate_source(n, niters=2), "gauss_seidel"
+            make_args = lambda: [gauss_seidel.initial_condition(n)]
+        else:
+            source, entry = pw_advection.generate_source(n), "pw_advection"
+            make_args = lambda: [f.copy(order="F")
+                                 for f in pw_advection.initial_fields(n)]
+        handle = repro.compile(source).lower("openmp", lower_to_scf=True)
+
+        def run(threads):
+            args = make_args()
+            interp = handle.run(entry, *args, execution_mode="vectorize",
+                                threads=threads)
+            return b"".join(a.tobytes() for a in args), interp.stats
+
+        one, _ = run(1)
+        many, stats = run(threads)
+        assert stats["parallel_sweeps"] >= 1
+        assert stats["parallel_tiles"] >= 2 * stats["parallel_sweeps"]
+        assert many == one
 
     def test_two_threads_run_the_default_plan_too(self):
         """A thread count shapes *who* runs the boxes, not *how big* they are:

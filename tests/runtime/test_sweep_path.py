@@ -247,3 +247,18 @@ def test_five_threads_cut_five_slabs_of_the_outermost_loop():
     assert result.tobytes() == oracle.tobytes()
     assert counters == {"vectorized_sweeps": NITERS, "parallel_sweeps": NITERS,
                         "parallel_tiles": 5 * NITERS}
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4, 10, 16])
+def test_each_thread_count_cuts_its_slabs_of_the_outermost_loop(threads):
+    """Up to the sweep's ten planes, ``threads`` cuts that many slabs; more
+    threads than planes cut one slab a plane. Each plan crosschecks bitwise
+    against the oracle."""
+    compiled = repro.compile(gauss_seidel.generate_source(N, niters=NITERS)).lower(
+        "openmp", lower_to_scf=True)
+    oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
+    result, counters, _ = run_gauss_seidel(compiled, execution_mode="crosscheck",
+                                           threads=threads)
+    assert result.tobytes() == oracle.tobytes()
+    assert counters == {"vectorized_sweeps": NITERS, "parallel_sweeps": NITERS,
+                        "parallel_tiles": min(threads, N - 2) * NITERS}
