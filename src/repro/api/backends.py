@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple, Type, Union
 
-from ..dialects import stencil
 from ..frontend import compile_to_fir
 from ..ir.context import Context, default_context
 from ..ir.pass_manager import PassManager
@@ -136,7 +135,7 @@ class Backend:
 
     def run_pipeline(self, artifact: CompiledArtifact, pipeline: str,
                      ctx: Context) -> None:
-        pm = PassManager(ctx, verify_each=True)
+        pm = PassManager(ctx)
         pm.add_pipeline(pipeline)
         artifact.pass_statistics.extend(pm.run(artifact.stencil_module))
 
@@ -191,54 +190,16 @@ class GpuBackend(Backend):
         "host_register": GpuHostRegisterPass,
     }
 
-    #: The paper's Listing 4 tile sizes, adapted to each kernel's rank when
-    #: ``tile_sizes`` is left at its ``None`` default.
-    _DEFAULT_TILE = (32, 32, 1)
-
     def pipeline(self, options: GpuOptions) -> Optional[str]:
-        if not options.lower_to_scf:
-            return None
-        return pipelines.gpu_stencil_pipeline(
-            options.tile_sizes or self._DEFAULT_TILE
-        )
-
-    def _resolve_tile_sizes(self, artifact: CompiledArtifact) -> Tuple[int, ...]:
-        """Tile sizes are validated against every lowered kernel's rank
-        *here*, at lower time, instead of being silently padded/truncated
-        deep inside the tiling pass."""
-        kernel_ranks = []
-        for name in artifact.extracted_functions:
-            func_op = artifact.stencil_module.get_symbol(name)
-            for apply_op in func_op.walk_type(stencil.ApplyOp):
-                kernel_ranks.append((name, len(apply_op.lb)))
-        explicit = artifact.options.tile_sizes
-        if explicit is None:
-            max_rank = max((rank for _, rank in kernel_ranks), default=3)
-            default = self._DEFAULT_TILE + (1,) * max(0, max_rank - 3)
-            return default[:max_rank]
-        for name, rank in kernel_ranks:
-            if len(explicit) != rank:
-                raise OptionError(
-                    f"gpu tile_sizes {explicit} has {len(explicit)} "
-                    f"entr{'y' if len(explicit) == 1 else 'ies'} but kernel "
-                    f"'{name}' has rank {rank}; pass exactly one tile size "
-                    f"per dimension (or tile_sizes=None for the rank-adapted "
-                    f"default)"
-                )
-        return explicit
+        return pipelines.GPU_STENCIL_PIPELINE if options.lower_to_scf else None
 
     def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
-        options = artifact.options
-        tile = self._resolve_tile_sizes(artifact)
-        strategy_cls = self._DATA_PASSES[options.data_strategy]
-        strategy = strategy_cls(stencil_module=artifact.stencil_module,
-                                tile=tile)
+        strategy_cls = self._DATA_PASSES[artifact.options.data_strategy]
+        strategy = strategy_cls(stencil_module=artifact.stencil_module)
         strategy.apply(ctx, artifact.fir_module)
         artifact.fir_module.verify()
         artifact.stencil_module.verify()
-        if options.lower_to_scf:
-            self.run_pipeline(artifact, pipelines.gpu_stencil_pipeline(tile),
-                              ctx)
+        super().transform(artifact, ctx)
 
     def interpreter_kwargs(self, options, overrides):
         if overrides.get("gpu") is None:

@@ -18,8 +18,9 @@ scatters a global Fortran-ordered field, runs one interpreter per simulated
 rank on a thread of its own (:mod:`repro.runtime.distributed_executor`),
 and gathers the result.  The
 process grid lives in the frozen :class:`repro.api.DmpOptions` (part of the
-session cache key — a new grid is a recompile); execution mode and per-rank
-threads are runtime-only knobs that never force one.
+session cache key — a new grid is a recompile); every rank runs with the
+handle's execution mode and threads, runtime-only options that never force
+one.
 
 Rank-local compilation goes back through the bound session: with no
 ``source_builder`` every rank runs the program's own source (so the
@@ -107,8 +108,6 @@ class DistributedProgram:
                  ranks: Optional[int] = None,
                  source_builder: Optional[SourceBuilder] = None,
                  entry: Optional[str] = None,
-                 execution_mode: Optional[str] = None,
-                 threads: Optional[int] = None,
                  timeout: float = 30.0,
                  resilience: Optional[ResilienceOptions] = None):
         if compiled.backend_name != "dmp":
@@ -117,7 +116,8 @@ class DistributedProgram:
                 f"lowered for '{compiled.backend_name}' — use "
                 "program.lower('dmp', grid=...)"
             )
-        timeout = validate_timeout(timeout, compiled.backend_name)
+        timeout = validate_timeout(timeout,
+                                   f"the '{compiled.backend_name}' backend")
         if not isinstance(resilience, (ResilienceOptions, type(None))):
             raise OptionError(
                 "resilience must be a ResilienceOptions instance, got "
@@ -136,8 +136,6 @@ class DistributedProgram:
             )
         self._source_builder = source_builder
         self._entry = entry
-        self._execution_mode = execution_mode
-        self._threads = threads
         self._resilience = resilience
         self._executor = DistributedExecutor(
             grid, halo=detect_halo(compiled), timeout=timeout)
@@ -179,7 +177,6 @@ class DistributedProgram:
         return DistributedProgram(
             self._compiled,
             source_builder=self._source_builder, entry=self._entry,
-            execution_mode=self._execution_mode, threads=self._threads,
             timeout=self._executor.timeout, resilience=resilience,
         )
 
@@ -246,9 +243,7 @@ class DistributedProgram:
                              comm: SimulatedCommunicator,
                              decomposition: CartesianDecomposition) -> Interpreter:
             return handle_for(tuple(local_shape)).interpreter(
-                comm=comm, rank=rank, decomposition=decomposition,
-                execution_mode=self._execution_mode, threads=self._threads,
-            )
+                comm=comm, rank=rank, decomposition=decomposition)
 
         return self._executor.run(global_field, make_interpreter, entry,
                                   iterations=iterations,

@@ -46,30 +46,33 @@ def validate_execution_mode(value: Optional[str], default: str) -> str:
     return value
 
 
-def validate_timeout(value: float, backend: str) -> float:
-    """Reject a non-positive communicator timeout at the fluent layer, with
-    the backend named, instead of deep inside ``SimulatedCommunicator``
-    mid-run."""
+def validate_timeout(value: float, owner: str) -> float:
+    """Reject a non-positive timeout where it is passed in, naming its
+    ``owner`` (e.g. "the 'dmp' backend"), instead of deep inside
+    ``SimulatedCommunicator`` mid-run or as a request that can never
+    complete."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise OptionError(
-            f"timeout must be a positive number of seconds for the "
-            f"'{backend}' backend, got {value!r}"
+            f"timeout must be a positive number of seconds for {owner}, "
+            f"got {value!r}"
         )
     if value <= 0:
-        raise OptionError(
-            f"timeout must be positive for the '{backend}' backend, got "
-            f"{value!r}"
-        )
+        raise OptionError(f"timeout must be positive for {owner}, got {value!r}")
     return float(value)
+
+
+def _is_count(value) -> bool:
+    """A positive ``int`` that is not a ``bool`` (``True`` is not 1 thread)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def validate_threads(value: Optional[int], default: int) -> int:
     """Resolve a thread-count override: ``None`` means "use the default";
-    anything else — including 0 — must be a positive integer."""
+    anything else — including 0 and ``True`` — must be a positive integer."""
     if value is None:
         return default
-    if not isinstance(value, int) or value < 1:
-        raise OptionError(f"threads must be >= 1, got {value!r}")
+    if not _is_count(value):
+        raise OptionError(f"threads must be an integer >= 1, got {value!r}")
     return value
 
 
@@ -108,8 +111,9 @@ class BackendOptions:
                 f"execution_mode must be one of {EXECUTION_MODES}, "
                 f"got {self.execution_mode!r}"
             )
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise OptionError(f"threads must be >= 1, got {self.threads!r}")
+        if not _is_count(self.threads):
+            raise OptionError(
+                f"threads must be an integer >= 1, got {self.threads!r}")
 
     # -- derivation & caching ------------------------------------------------
 
@@ -151,22 +155,16 @@ class GpuOptions(BackendOptions):
     """Nvidia GPU (simulated V100).
 
     ``data_strategy`` selects the paper's bespoke host/device data-movement
-    pass (``"optimised"``) or the naive ``gpu.host_register`` strategy;
-    ``tile_sizes`` are the parallel-loop tile sizes of Listing 4 — ``None``
-    (the default) adapts the paper's ``(32, 32, 1)`` to each kernel's rank
-    at lower time, while an explicit tuple is validated against every
-    lowered loop nest's rank (a mismatch is a loud :class:`OptionError`
-    naming the kernel, never a silently ignored dimension).  Both are
-    compile-time cache-key material.
+    pass (``"optimised"``) or the naive ``gpu.host_register`` strategy, and
+    is compile-time cache-key material.  The parallel-loop tile sizes are
+    not an option: every kernel is tiled with the paper's Listing 4
+    ``(32, 32, 1)``, clipped to its domain and padded with 1s past its
+    rank.
     """
 
     data_strategy: str = "optimised"
-    tile_sizes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.tile_sizes is not None:
-            object.__setattr__(self, "tile_sizes",
-                               _positive_ints("tile_sizes", self.tile_sizes))
         super().__post_init__()
         if self.data_strategy not in GPU_DATA_STRATEGIES:
             raise OptionError(

@@ -22,6 +22,7 @@ compiled modules instead of re-running discovery/extraction.
 from __future__ import annotations
 
 import hashlib
+import inspect
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..runtime.interpreter import Interpreter
@@ -218,29 +219,25 @@ class CompiledProgram:
     def distribute(self, ranks: Optional[int] = None, *,
                    source_builder=None,
                    entry: Optional[str] = None,
-                   execution_mode: Optional[str] = None,
-                   threads: Optional[int] = None,
                    timeout: float = 30.0,
                    resilience=None):
         """Derive a multi-rank execution plan (dmp backend only).
 
         The process grid comes from the compiled :class:`DmpOptions` (a
-        compile-time cache-key field); ``ranks`` merely asserts the expected
-        rank count, and ``execution_mode`` / ``threads`` / ``resilience`` are
-        runtime-only.  ``resilience=ResilienceOptions(...)``
-        is the recovery policy of the run loop (how often it checkpoints, how
-        many crashes it may roll back; fail-fast by default) — like
+        compile-time cache-key field) and every rank runs with the handle's
+        ``execution_mode`` and ``threads`` (derive them with
+        :meth:`with_options`, a cache hit); ``ranks`` merely asserts the
+        expected rank count.  ``resilience=ResilienceOptions(...)``
+        is the recovery policy of the run loop (how many crashes it may roll
+        back, and an optional fault plan; fail-fast by default) — like
         ``threads`` it never enters the session cache key.  See
         :class:`repro.api.DistributedProgram`.
         """
         from .distributed import DistributedProgram
-        from .options import validate_timeout
 
-        validate_timeout(timeout, self.backend_name)
         return DistributedProgram(
             self, ranks=ranks, source_builder=source_builder, entry=entry,
-            execution_mode=execution_mode, threads=threads, timeout=timeout,
-            resilience=resilience,
+            timeout=timeout, resilience=resilience,
         )
 
     # -- execution -----------------------------------------------------------
@@ -267,8 +264,15 @@ class CompiledProgram:
         )
 
     def run(self, entry: str, *args, **kwargs) -> Interpreter:
-        """Convenience: build an interpreter and call ``entry`` with ``args``
-        (arrays mutate in place); returns the interpreter for stats access."""
+        """Convenience: build an interpreter (``kwargs`` are those of
+        :meth:`interpreter`) and call ``entry`` with ``args`` (arrays mutate
+        in place); returns the interpreter for stats access."""
+        unknown = sorted(set(kwargs) - set(_INTERPRETER_KEYWORDS))
+        if unknown:
+            raise OptionError(
+                f"run() does not accept keyword(s) "
+                f"{', '.join(map(repr, unknown))}; accepted: "
+                f"{', '.join(_INTERPRETER_KEYWORDS)}")
         interp = self.interpreter(**kwargs)
         interp.call(entry, *args)
         return interp
@@ -285,6 +289,11 @@ class CompiledProgram:
             f"mode={self._options.execution_mode!r} "
             f"threads={self._options.threads}>"
         )
+
+
+#: The keywords :meth:`CompiledProgram.run` passes on to ``interpreter()``.
+_INTERPRETER_KEYWORDS = tuple(
+    inspect.signature(CompiledProgram.interpreter).parameters)[1:]
 
 
 __all__ = ["source_fingerprint", "build_interpreter", "Program",

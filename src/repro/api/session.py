@@ -25,13 +25,18 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir.context import Context, default_context
+from ..ir.context import default_context
 from ..resilience import InjectedFault
 from ..runtime.parallel_executor import usable_cpus
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
 from .options import BackendOptions, OptionError
 from .program import CompiledProgram, Program, source_fingerprint
+
+#: How many times a failing compile is retried before its cache key is
+#: quarantined: one retry recovers a transient failure, a second failure is
+#: final.
+COMPILE_RETRIES = 1
 
 
 class Session:
@@ -45,9 +50,9 @@ class Session:
     """
 
     def __init__(self, registry: Optional[BackendRegistry] = None,
-                 ctx: Optional[Context] = None, store=None):
+                 store=None):
         self.registry = registry if registry is not None else default_registry
-        self._ctx = ctx or default_context()
+        self._ctx = default_context()
         self._cache: Dict[Tuple, CompiledArtifact] = {}
         self._lock = threading.Lock()
         self._hits = 0
@@ -61,9 +66,6 @@ class Session:
         #: before every backend compile; returning True simulates a transient
         #: compiler crash (see :class:`repro.resilience.FaultInjector`).
         self.compile_hook = None
-        #: How many times a failing compile is retried before its cache key
-        #: is quarantined (single retry by default).
-        self.compile_retries = 1
         #: Poisoned-artifact records: cache key -> the exception that
         #: exhausted its retries.  Further lowers of the key re-raise it
         #: immediately instead of retry-storming the backend.
@@ -139,7 +141,7 @@ class Session:
                 break
             except BaseException as exc:
                 attempt += 1
-                if attempt > self.compile_retries:
+                if attempt > COMPILE_RETRIES:
                     with self._lock:
                         self._quarantined[key] = exc
                     raise

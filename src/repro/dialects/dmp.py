@@ -8,7 +8,7 @@ operations, without committing to MPI yet.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from ..ir.attributes import DenseArrayAttr, IntegerAttr
 from ..ir.context import Dialect
@@ -69,8 +69,8 @@ class RankOp(Operation):
 class HaloSwapOp(Operation):
     """``dmp.halo_swap`` — exchange halo regions of a field with neighbours.
 
-    ``halo`` gives the halo width per dimension; ``decomposed_dims`` lists the
-    dimensions that are split across the process grid.
+    ``halo`` gives the halo width per dimension; the grid splits the
+    field's leading dimensions, one per grid dimension.
     """
 
     name = "dmp.halo_swap"
@@ -81,16 +81,10 @@ class HaloSwapOp(Operation):
         field: SSAValue,
         grid: SSAValue,
         halo: Sequence[int],
-        decomposed_dims: Optional[Sequence[int]] = None,
     ):
-        if decomposed_dims is None:
-            decomposed_dims = list(range(len(halo)))
         super().__init__(
             operands=[field, grid],
-            attributes={
-                "halo": DenseArrayAttr(halo),
-                "decomposed_dims": DenseArrayAttr(decomposed_dims),
-            },
+            attributes={"halo": DenseArrayAttr(halo)},
         )
 
     @property
@@ -104,10 +98,6 @@ class HaloSwapOp(Operation):
     @property
     def halo(self) -> Tuple[int, ...]:
         return self.get_attr("halo").as_tuple()  # type: ignore[union-attr]
-
-    @property
-    def decomposed_dims(self) -> Tuple[int, ...]:
-        return self.get_attr("decomposed_dims").as_tuple()  # type: ignore[union-attr]
 
 
 def _parse_grid_type(parser) -> GridType:

@@ -266,9 +266,7 @@ def _distributed_plan(grid: Tuple[int, int], global_shape: Tuple[int, int, int])
     """
     from ..runtime.mpi_runtime import CartesianDecomposition
 
-    decomposition = CartesianDecomposition(
-        tuple(global_shape), tuple(grid), tuple(range(len(grid)))
-    )
+    decomposition = CartesianDecomposition(tuple(global_shape), tuple(grid))
     rank0_padded = tuple(ub - lb + 2 for lb, ub in decomposition.local_bounds(0))
     program = _SESSION.compile(
         gauss_seidel.generate_source_shaped(rank0_padded, niters=1)

@@ -89,7 +89,7 @@ class PassRegistry:
         return name in self._passes
 
 
-#: The process-wide registry used by :class:`PassManager` by default.
+#: The process-wide registry every :class:`PassManager` resolves names in.
 GLOBAL_PASS_REGISTRY = PassRegistry()
 
 
@@ -161,22 +161,15 @@ def parse_pipeline(pipeline: str) -> List[Tuple[str, Dict[str, PassOption]]]:
 
 
 class PassManager:
-    """Runs a sequence of module passes, optionally verifying between passes."""
+    """Runs a sequence of module passes, verifying the module before and
+    after each one; names resolve through :data:`GLOBAL_PASS_REGISTRY`."""
 
-    def __init__(
-        self,
-        ctx: Optional[Context] = None,
-        *,
-        verify_each: bool = True,
-        registry: Optional[PassRegistry] = None,
-    ):
+    def __init__(self, ctx: Optional[Context] = None):
         if ctx is None:
             from .context import default_context
 
             ctx = default_context()
         self.ctx = ctx
-        self.verify_each = verify_each
-        self.registry = registry or GLOBAL_PASS_REGISTRY
         self.passes: List[ModulePass] = []
         #: Accepted names the pipeline mentioned, in order; none is scheduled.
         self.accepted: List[str] = []
@@ -187,10 +180,10 @@ class PassManager:
     def add(self, pass_or_name: Union[ModulePass, str], **options: PassOption) -> "PassManager":
         if not isinstance(pass_or_name, str):
             self.passes.append(pass_or_name)
-        elif pass_or_name in self.registry.accepted:
+        elif pass_or_name in GLOBAL_PASS_REGISTRY.accepted:
             self.accepted.append(pass_or_name)
         else:
-            pass_cls = self.registry.get(pass_or_name)
+            pass_cls = GLOBAL_PASS_REGISTRY.get(pass_or_name)
             try:
                 self.passes.append(pass_cls(**options))
             except TypeError:
@@ -212,20 +205,18 @@ class PassManager:
     # -- execution ----------------------------------------------------------------
 
     def run(self, module: Operation) -> List[PassStatistics]:
-        """Run the passes; with ``verify_each`` the module is verified before
-        and after each one, and that walk counts its ops."""
+        """Run the passes, verifying the module before and after each one;
+        that walk counts its ops."""
         self.statistics = []
-        count = module.verify if self.verify_each else (
-            lambda: sum(1 for _ in module.walk()))
-        ops_after = count()
+        ops_after = module.verify()
         for pass_instance in self.passes:
             ops_before = ops_after
             start = time.perf_counter()
             pass_instance.apply(self.ctx, module)
             elapsed = time.perf_counter() - start
-            checked = module.is_verified or not self.verify_each
+            checked = module.is_verified
             start = time.perf_counter()
-            ops_after = count()
+            ops_after = module.verify()
             verify_seconds = 0.0 if checked else time.perf_counter() - start
             self.statistics.append(PassStatistics(
                 pass_instance.name, elapsed, ops_before, ops_after, verify_seconds))

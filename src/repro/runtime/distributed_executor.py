@@ -132,7 +132,6 @@ class DistributedExecutor:
     """
 
     def __init__(self, grid: Sequence[int], *, halo: int = 1,
-                 decomposed_dims: Optional[Sequence[int]] = None,
                  timeout: float = 30.0):
         self.grid = tuple(int(g) for g in grid)
         if not self.grid or any(g < 1 for g in self.grid):
@@ -140,15 +139,6 @@ class DistributedExecutor:
         if halo < 0:
             raise MPIError(f"halo width must be >= 0, got {halo}")
         self.halo = int(halo)
-        self.decomposed_dims = (
-            tuple(decomposed_dims) if decomposed_dims is not None
-            else tuple(range(len(self.grid)))
-        )
-        if len(self.decomposed_dims) != len(self.grid):
-            raise MPIError(
-                "decomposed_dims and grid must have equal length, got "
-                f"{self.decomposed_dims} vs {self.grid}"
-            )
         self.num_ranks = 1
         for extent in self.grid:
             self.num_ranks *= extent
@@ -161,19 +151,18 @@ class DistributedExecutor:
     def decomposition_for(self, global_shape: Sequence[int]) -> CartesianDecomposition:
         """The block decomposition of ``global_shape`` over this grid."""
         global_shape = tuple(int(s) for s in global_shape)
-        for position, dim in enumerate(self.decomposed_dims):
-            if dim >= len(global_shape):
-                raise MPIError(
-                    f"decomposed dimension {dim} out of range for a "
-                    f"{len(global_shape)}-d field"
-                )
-            if global_shape[dim] < self.grid[position]:
+        if len(self.grid) > len(global_shape):
+            raise MPIError(
+                f"a {len(self.grid)}-d process grid cannot split a "
+                f"{len(global_shape)}-d field"
+            )
+        for dim, parts in enumerate(self.grid):
+            if global_shape[dim] < parts:
                 raise MPIError(
                     f"cannot split extent {global_shape[dim]} of dimension "
-                    f"{dim} over {self.grid[position]} ranks"
+                    f"{dim} over {parts} ranks"
                 )
-        return CartesianDecomposition(global_shape, self.grid,
-                                      self.decomposed_dims)
+        return CartesianDecomposition(global_shape, self.grid)
 
     def scatter(self, global_field: np.ndarray,
                 decomposition: CartesianDecomposition) -> Dict[int, np.ndarray]:
@@ -247,9 +236,9 @@ class DistributedExecutor:
         :class:`DistributedRunResult`.
 
         The run is a sequence of *waves*.  A wave dispatches every rank once
-        to run the iterations up to the next checkpoint boundary of the
-        ``resilience`` policy (``None`` is :data:`FAIL_FAST`) — all of them
-        when the policy allows no restart, because a checkpoint that can
+        to run one iteration from the checkpoint taken before it when the
+        ``resilience`` policy (``None`` is :data:`FAIL_FAST`) allows a
+        restart, and all of them otherwise, because a checkpoint that can
         never be restored is dead work and is not taken.  Rank tasks catch
         their own outcome instead of raising — tasks mutate
         ``locals_by_rank`` in place, so every task of the wave must finish
@@ -266,7 +255,8 @@ class DistributedExecutor:
         halo behind the one its neighbour still has to consume, so the
         policy never changes the computed bits.
         """
-        if not isinstance(iterations, int) or iterations < 1:
+        if (not isinstance(iterations, int) or isinstance(iterations, bool)
+                or iterations < 1):
             raise MPIError(
                 f"iterations must be an integer >= 1, got {iterations!r}")
         policy = FAIL_FAST if resilience is None else resilience
@@ -293,13 +283,8 @@ class DistributedExecutor:
         send_hook = injector.on_send if injector.plan.comm_faults else None
 
         def new_generation():
-            comm = SimulatedCommunicator(
-                self.num_ranks, timeout=self.timeout,
-                fault_hook=send_hook,
-                max_receive_retries=policy.max_receive_retries,
-                backoff_initial=policy.backoff_initial,
-                backoff_cap=policy.backoff_cap,
-            )
+            comm = SimulatedCommunicator(self.num_ranks, timeout=self.timeout,
+                                         fault_hook=send_hook)
             interps = {
                 r: make_interpreter(r, locals_by_rank[r].shape, comm,
                                     decomposition)
@@ -342,7 +327,6 @@ class DistributedExecutor:
                     time.perf_counter() - rank_started)
 
         restartable = policy.max_restarts > 0
-        interval = policy.checkpoint_interval
         comm, interps = new_generation()
         checkpoint: Optional[Dict[int, np.ndarray]] = None
         iteration = 0
@@ -352,8 +336,7 @@ class DistributedExecutor:
             while iteration < iterations:
                 wave_end = iterations
                 if restartable:
-                    wave_end = min(iterations,
-                                   (iteration // interval + 1) * interval)
+                    wave_end = iteration + 1
                     if checkpoint is None:
                         checkpoint = {r: locals_by_rank[r].copy(order="F")
                                       for r in ranks}

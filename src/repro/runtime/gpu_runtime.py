@@ -89,13 +89,13 @@ class DeviceMemoryPool:
 class SimulatedGPU:
     """A single simulated device (capacity of an Nvidia V100-SXM2-16GB)."""
 
+    name = "V100"
+
     def __init__(
         self,
-        name: str = "V100",
         memory_bytes: int = 16 * 1024**3,
         alloc_hook: Optional[Callable[[str], bool]] = None,
     ):
-        self.name = name
         self.memory_bytes = memory_bytes
         #: Deterministic fault injection: called with the allocation label
         #: before every device allocation; returning True simulates an OOM

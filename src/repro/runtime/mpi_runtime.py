@@ -70,15 +70,21 @@ def _corrupted_copy(data: np.ndarray) -> np.ndarray:
     return corrupted
 
 
+#: NACK rounds one receive may spend recovering a message before it waits
+#: quietly for the rest of its timeout.
+MAX_RECEIVE_RETRIES = 8
+#: Seconds of the first backoff slice of a receive under a fault hook; each
+#: NACK doubles the slice, up to :data:`BACKOFF_CAP`.
+BACKOFF_INITIAL = 0.005
+BACKOFF_CAP = 0.05
+
+
 class SimulatedCommunicator:
     """An MPI_COMM_WORLD equivalent for in-process ranks."""
 
     def __init__(self, size: int, timeout: float = 30.0, *,
                  fault_hook: Optional[Callable[[int, int, int],
-                                               Optional[str]]] = None,
-                 max_receive_retries: int = 8,
-                 backoff_initial: float = 0.005,
-                 backoff_cap: float = 0.05):
+                                               Optional[str]]] = None):
         if size < 1:
             raise MPIError("communicator size must be >= 1")
         if timeout <= 0:
@@ -89,9 +95,6 @@ class SimulatedCommunicator:
         #: diagnostic in milliseconds instead of stalling CI for 30 s.
         self.timeout = timeout
         self._fault_hook = fault_hook
-        self._max_receive_retries = max_receive_retries
-        self._backoff_initial = backoff_initial
-        self._backoff_cap = backoff_cap
         self._mailboxes: Dict[Tuple[int, int, int], List[_Envelope]] = {}
         #: Messages a "delay" fault is holding back, released on NACK.
         self._delayed: Dict[Tuple[int, int, int], List[_Envelope]] = {}
@@ -191,7 +194,7 @@ class SimulatedCommunicator:
             timeout = self.timeout
         key = (source, dest, tag)
         deadline = time.monotonic() + timeout
-        backoff = self._backoff_initial
+        backoff = BACKOFF_INITIAL
         retries = 0
         with self._lock:
             expected = self._next_recv_seq.get(key, 0)
@@ -231,7 +234,7 @@ class SimulatedCommunicator:
                     else min(backoff, remaining),
                 )
                 if (not got and self._fault_hook is not None
-                        and retries < self._max_receive_retries):
+                        and retries < MAX_RECEIVE_RETRIES):
                     # The cap bounds *recovery* rounds, not honest waiting:
                     # once NACKs are exhausted we keep waiting quietly until
                     # the overall timeout, so a slow-but-healthy sender is
@@ -239,7 +242,7 @@ class SimulatedCommunicator:
                     retries += 1
                     self.stats["receive_retries"] += 1
                     self._nack_locked(key, expected)
-                    backoff = min(backoff * 2, self._backoff_cap)
+                    backoff = min(backoff * 2, BACKOFF_CAP)
 
     def _ack_locked(self, key: Tuple[int, int, int], seq: int) -> None:
         """Consuming ``seq`` acknowledges it: drop outbox copies up to it."""
@@ -297,17 +300,13 @@ class SimulatedCommunicator:
 class CartesianDecomposition:
     """A block decomposition of an N-d global domain over a process grid.
 
-    The paper decomposes the 3-D Gauss-Seidel domain over a 2-D process grid
-    (§4.4); this helper supports any subset of decomposed dimensions.
+    The grid splits the domain's leading dimensions, one per grid dimension:
+    the paper decomposes the 3-D Gauss-Seidel domain over a 2-D process grid
+    (§4.4), splitting dimensions 0 and 1.
     """
 
     global_shape: Tuple[int, ...]
     grid_shape: Tuple[int, ...]
-    decomposed_dims: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.grid_shape) != len(self.decomposed_dims):
-            raise MPIError("grid_shape and decomposed_dims must have equal length")
 
     def coords_of(self, rank: int) -> Tuple[int, ...]:
         coords = []
@@ -330,10 +329,9 @@ class CartesianDecomposition:
         coords = self.coords_of(rank)
         bounds: List[Tuple[int, int]] = []
         for dim, extent in enumerate(self.global_shape):
-            if dim in self.decomposed_dims:
-                position = self.decomposed_dims.index(dim)
-                parts = self.grid_shape[position]
-                coord = coords[position]
+            if dim < len(self.grid_shape):
+                parts = self.grid_shape[dim]
+                coord = coords[dim]
                 base = extent // parts
                 remainder = extent % parts
                 lb = coord * base + min(coord, remainder)

@@ -40,7 +40,7 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..api.options import BackendOptions
+from ..api.options import BackendOptions, OptionError, validate_timeout
 from ..api.program import CompiledProgram, source_fingerprint
 from ..api.session import Session
 from .store import ArtifactStore
@@ -153,8 +153,7 @@ class CompileService:
 
     def __init__(self, session: Optional[Session] = None, *,
                  store: Optional[ArtifactStore] = None,
-                 workers: int = 4, max_queue: int = 64,
-                 default_timeout: Optional[float] = None):
+                 workers: int = 4, max_queue: int = 64):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         if max_queue < 1:
@@ -169,7 +168,6 @@ class CompileService:
             session.store = store
         self.session = session
         self.max_queue = max_queue
-        self.default_timeout = default_timeout
         self._lock = threading.Lock()
         #: Accepted requests no worker has started yet (guarded by _lock).
         self._waiting = 0
@@ -307,6 +305,10 @@ class CompileService:
         """
         if self._closed:
             raise RuntimeError("CompileService is closed")
+        if not isinstance(args, (list, tuple)):
+            raise OptionError(
+                f"args must be a list or tuple of the arguments of "
+                f"'{entry}', got {type(args).__name__}")
         source, backend_obj, opts, key = self._resolve(
             source, backend, options, overrides)
         self._bump("submitted_runs")
@@ -332,7 +334,6 @@ class CompileService:
     # -- blocking convenience --------------------------------------------------
 
     def _await(self, future: Future, timeout: Optional[float]):
-        timeout = timeout if timeout is not None else self.default_timeout
         try:
             return future.result(timeout)
         except _FutureTimeout:
@@ -346,7 +347,10 @@ class CompileService:
                 options: Optional[BackendOptions] = None,
                 timeout: Optional[float] = None,
                 **overrides) -> CompiledProgram:
-        """Blocking compile with per-request ``timeout``."""
+        """Blocking compile with per-request ``timeout`` (``None``: no
+        deadline), checked before the request is admitted."""
+        if timeout is not None:
+            validate_timeout(timeout, "a CompileService request")
         future = self.submit_compile(source, backend, options, **overrides)
         return self._await(future, timeout)
 
@@ -357,6 +361,8 @@ class CompileService:
             threads: Optional[int] = None, **overrides):
         """Blocking compile-if-needed + execute with per-request
         ``timeout``; returns the interpreter for stats access."""
+        if timeout is not None:
+            validate_timeout(timeout, "a CompileService request")
         future = self.submit_run(
             source, entry, args, backend=backend, options=options,
             execution_mode=execution_mode, threads=threads, **overrides)

@@ -29,15 +29,15 @@ from ..ir.types import i32, i64
 
 @register_pass
 class ConvertStencilToDMPPass(ModulePass):
-    """``convert-stencil-to-dmp{grid=PxQ}`` — decompose stencils over a process grid."""
+    """``convert-stencil-to-dmp{grid=PxQ}`` — decompose stencils over a
+    process grid, which splits the leading dimensions of every field."""
 
     name = "convert-stencil-to-dmp"
 
-    def __init__(self, grid: Sequence[int] = (1, 1), decomposed_dims: Optional[Sequence[int]] = None):
+    def __init__(self, grid: Sequence[int] = (1, 1)):
         if isinstance(grid, str):
             grid = tuple(int(p) for p in grid.split("x"))
         self.grid = tuple(int(p) for p in grid)
-        self.decomposed_dims = tuple(decomposed_dims) if decomposed_dims is not None else None
 
     def apply(self, ctx: Context, module: Operation) -> None:
         for func_op in list(module.walk()):
@@ -55,11 +55,6 @@ class ConvertStencilToDMPPass(ModulePass):
 
         for apply_op in applies:
             rank = apply_op.rank
-            decomposed = (
-                self.decomposed_dims
-                if self.decomposed_dims is not None
-                else tuple(range(min(len(self.grid), rank)))
-            )
             # Halo width per dimension: the widest access offset used.
             halo = [0] * rank
             for op in apply_op.body.walk():
@@ -78,7 +73,7 @@ class ConvertStencilToDMPPass(ModulePass):
                 load_op = operand.op  # the stencil.load producing this temp
                 builder.set_insertion_point_before(load_op)
                 builder.insert(
-                    dmp.HaloSwapOp(field, grid_op.results[0], halo, decomposed)
+                    dmp.HaloSwapOp(field, grid_op.results[0], halo)
                 )
 
     @staticmethod
@@ -112,23 +107,24 @@ class ConvertDMPToMPIPass(ModulePass):
         grid_value = swap.grid
         grid_shape = self._grid_shape(grid_value)
         halo = swap.halo
-        decomposed = swap.decomposed_dims
 
         # The field's full (local, halo-included) extents come from its type.
         bounds = getattr(field.type, "bounds", None)
         extents = [ub - lb for lb, ub in bounds] if bounds is not None else []
 
         requests: List[SSAValue] = []
-        for position, dim in enumerate(decomposed):
-            width = halo[dim] if dim < len(halo) else 0
+        # The grid splits the leading dimensions: grid position d is field
+        # dimension d.
+        for dim in range(min(len(grid_shape), len(halo))):
+            width = halo[dim]
             if width == 0:
                 continue
-            my_coord = builder.insert(dmp.RankOp(grid_value, position))
+            my_coord = builder.insert(dmp.RankOp(grid_value, dim))
             for direction in (-1, +1):
                 tag = dim * 2 + (0 if direction < 0 else 1)
                 recv_tag = dim * 2 + (1 if direction < 0 else 0)
                 neighbour = builder.insert(
-                    _NeighbourRankOp(grid_value, position, direction)
+                    _NeighbourRankOp(grid_value, dim, direction)
                 )
                 send_lb, send_ub, recv_lb, recv_ub = self._slabs(
                     extents, dim, width, direction

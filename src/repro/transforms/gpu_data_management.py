@@ -20,7 +20,7 @@ on-demand transfer traffic that made the initial strategy slow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dialects import fir, gpu, memref, stencil
 from ..dialects.builtin import ModuleOp, UnrealizedConversionCastOp
@@ -33,6 +33,7 @@ from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
 from ..ir.types import MemRefType
+from .parallel_lowering import TILE_SIZES
 
 
 def _stencil_functions(stencil_module: ModuleOp) -> List[FuncOp]:
@@ -67,7 +68,7 @@ def _array_shape_of_argument(value: SSAValue) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _annotate_kernel_launch(func_op: FuncOp, tile: Sequence[int] = (32, 32, 1)) -> None:
+def _annotate_kernel_launch(func_op: FuncOp) -> None:
     """Tag an extracted stencil function as a GPU kernel launch wrapper."""
     domain: Optional[Tuple[int, ...]] = None
     for op in func_op.walk():
@@ -79,8 +80,7 @@ def _annotate_kernel_launch(func_op: FuncOp, tile: Sequence[int] = (32, 32, 1)) 
         func_op.set_attr("gpu.grid", DenseArrayAttr((1, 1, 1)))
         func_op.set_attr("gpu.block", DenseArrayAttr((1, 1, 1)))
         return
-    tile = list(tile) + [1, 1, 1]
-    block = [max(1, min(tile[d], domain[d] if d < len(domain) else 1)) for d in range(3)]
+    block = [max(1, min(TILE_SIZES[d], domain[d] if d < len(domain) else 1)) for d in range(3)]
     grid = [
         max(1, -(-domain[d] // block[d])) if d < len(domain) else 1 for d in range(3)
     ]
@@ -91,10 +91,8 @@ def _annotate_kernel_launch(func_op: FuncOp, tile: Sequence[int] = (32, 32, 1)) 
 class GpuDataManagementBase(ModulePass):
     """Shared helpers for the two data strategies (operate on a module *pair*)."""
 
-    def __init__(self, stencil_module: Optional[ModuleOp] = None,
-                 tile: Sequence[int] = (32, 32, 1)):
+    def __init__(self, stencil_module: Optional[ModuleOp] = None):
         self.stencil_module = stencil_module
-        self.tile = tuple(tile)
 
     def apply(self, ctx: Context, module: Operation) -> None:
         if self.stencil_module is None:
@@ -148,7 +146,7 @@ class GpuHostRegisterPass(GpuDataManagementBase):
 
     def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
         for func_op in _stencil_functions(stencil_module):
-            _annotate_kernel_launch(func_op, self.tile)
+            _annotate_kernel_launch(func_op)
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:
                 continue
@@ -194,7 +192,7 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
 
     def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
         for func_op in _stencil_functions(stencil_module):
-            _annotate_kernel_launch(func_op, self.tile)
+            _annotate_kernel_launch(func_op)
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:
                 continue

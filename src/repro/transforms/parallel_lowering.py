@@ -29,6 +29,8 @@ from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import SSAValue
 from ..ir.types import index
 
+#: The paper's Listing 4 parallel-loop tile sizes (thread-block shape).
+TILE_SIZES = (32, 32, 1)
 
 # ---------------------------------------------------------------------------
 # scf.parallel -> OpenMP
@@ -101,7 +103,7 @@ class ParallelLoopTilingPass(ModulePass):
 
     name = "scf-parallel-loop-tiling"
 
-    def __init__(self, parallel_loop_tile_sizes: Sequence[int] = (32, 32, 1)):
+    def __init__(self, parallel_loop_tile_sizes: Sequence[int] = TILE_SIZES):
         if isinstance(parallel_loop_tile_sizes, int):
             parallel_loop_tile_sizes = (parallel_loop_tile_sizes,)
         self.tile_sizes = tuple(int(t) for t in parallel_loop_tile_sizes)
@@ -131,8 +133,7 @@ class ConvertParallelLoopsToGpuPass(ModulePass):
 
     name = "convert-parallel-loops-to-gpu"
 
-    def __init__(self, default_tile: Sequence[int] = (32, 32, 1)):
-        self.default_tile = tuple(default_tile)
+    def __init__(self):
         self.outlined: List[str] = []
 
     def apply(self, ctx: Context, module: Operation) -> None:
@@ -171,7 +172,7 @@ class ConvertParallelLoopsToGpuPass(ModulePass):
             return  # dynamic bounds: keep the loop on the host
         extents = [u - l for l, u in zip(lowers, uppers)]
         tile_attr = parallel.get_attr_or_none("tile_sizes")
-        tiles = list(tile_attr.as_tuple()) if tile_attr is not None else list(self.default_tile)
+        tiles = list(tile_attr.as_tuple() if tile_attr is not None else TILE_SIZES)
         while len(tiles) < 3:
             tiles.append(1)
         block_size = [max(1, min(tiles[d], extents[d] if d < rank else 1)) for d in range(3)]

@@ -10,8 +10,6 @@ parsed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..ir.pass_manager import GLOBAL_PASS_REGISTRY
 
 # Ensure every pass referenced by the pipelines below is registered.
@@ -59,42 +57,29 @@ OPENMP_PIPELINE = (
     "canonicalize,cse"
 )
 
-
-def gpu_pipeline(tile_sizes: Sequence[int] = (32, 32, 1)) -> str:
-    """The paper's GPU pipeline (Listing 4) with explicit parallel-loop tile
-    sizes, e.g. ``gpu_pipeline((16, 16))`` for a rank-2 kernel."""
-    sizes = ",".join(str(int(t)) for t in tile_sizes)
-    return (
-        "test-math-algebraic-simplification,"
-        f"scf-parallel-loop-tiling{{parallel-loop-tile-sizes={sizes}}},"
-        "canonicalize,"
-        "test-expand-math,"
-        "gpu-map-parallel-loops,"
-        "convert-parallel-loops-to-gpu,"
-        "fold-memref-alias-ops,"
-        "finalize-memref-to-llvm{index-bitwidth=64 use-opaque-pointers=false},"
-        "lower-affine,"
-        "gpu-kernel-outlining,"
-        "gpu-async-region,"
-        "canonicalize,"
-        "convert-arith-to-llvm{index-bitwidth=64},"
-        "convert-scf-to-cf,"
-        "convert-cf-to-llvm{index-bitwidth=64},"
-        "reconcile-unrealized-casts"
-    )
-
-
-def gpu_stencil_pipeline(tile_sizes: Sequence[int] = (32, 32, 1)) -> str:
-    """:func:`gpu_pipeline` operating at the stencil level."""
-    return "convert-stencil-to-scf{target=gpu}," + gpu_pipeline(tile_sizes)
-
-
 #: The paper's GPU pipeline (Listing 4), flattened: tiling, GPU mapping,
 #: kernel outlining, memref/arith/scf lowering stand-ins and cast reconciliation.
-GPU_PIPELINE = gpu_pipeline()
+GPU_PIPELINE = (
+    "test-math-algebraic-simplification,"
+    "scf-parallel-loop-tiling{parallel-loop-tile-sizes=32,32,1},"
+    "canonicalize,"
+    "test-expand-math,"
+    "gpu-map-parallel-loops,"
+    "convert-parallel-loops-to-gpu,"
+    "fold-memref-alias-ops,"
+    "finalize-memref-to-llvm{index-bitwidth=64 use-opaque-pointers=false},"
+    "lower-affine,"
+    "gpu-kernel-outlining,"
+    "gpu-async-region,"
+    "canonicalize,"
+    "convert-arith-to-llvm{index-bitwidth=64},"
+    "convert-scf-to-cf,"
+    "convert-cf-to-llvm{index-bitwidth=64},"
+    "reconcile-unrealized-casts"
+)
 
 #: GPU pipeline operating at the stencil level (coalesced parallel loops).
-GPU_STENCIL_PIPELINE = gpu_stencil_pipeline()
+GPU_STENCIL_PIPELINE = "convert-stencil-to-scf{target=gpu}," + GPU_PIPELINE
 
 #: Distributed-memory lowering via the DMP and MPI dialects.
 DMP_PIPELINE = "convert-stencil-to-dmp,convert-dmp-to-mpi,canonicalize"
@@ -115,8 +100,6 @@ __all__ = [
     "OPENMP_PIPELINE",
     "GPU_PIPELINE",
     "GPU_STENCIL_PIPELINE",
-    "gpu_pipeline",
-    "gpu_stencil_pipeline",
     "DMP_PIPELINE",
     "PIPELINES",
 ]

@@ -17,9 +17,9 @@ This is the paper's primary contribution (§3, Listing 3).  The pass:
    uses), and a ``stencil.store`` for the output;
 5. inserts the generated operations directly before the outermost driving
    loop, removes the now-dead arithmetic, and erases loops left empty;
-6. finally merges adjacent stencils with identical bounds
-   (:mod:`repro.transforms.stencil_fusion` exposes the same merge as a
-   standalone pass).
+6. finally merges adjacent stencils with identical bounds when ``merge``
+   is set (:func:`repro.transforms.stencil_fusion.merge_adjacent_applies`,
+   the one way to fuse).
 """
 
 from __future__ import annotations

@@ -92,8 +92,7 @@ class ExtractStencilsPass(ModulePass):
 
     name = "extract-stencils"
 
-    def __init__(self, prefix: str = "_stencil"):
-        self.prefix = prefix
+    def __init__(self):
         #: The module holding the extracted stencil functions (after apply()).
         self.extracted_module: Optional[ModuleOp] = None
         #: Names of the functions created, in extraction order.
@@ -107,7 +106,7 @@ class ExtractStencilsPass(ModulePass):
                 continue
             for block in self._all_blocks(func_op):
                 for segment in _stencil_segments(block):
-                    name = f"{self.prefix}_{func_op.sym_name}_{counter}"
+                    name = f"_stencil_{func_op.sym_name}_{counter}"
                     counter += 1
                     new_func = self._extract_segment(
                         module, func_op, block, segment, name

@@ -110,10 +110,11 @@ class TestOptionSchemas:
             session.compile(small_gs_source).lower("openmp", tile_sizes=(8, 8))
 
     #: owner backend -> a valid value of each option only it defines; no
-    #: backend owns the deleted OpenMP schedule clause.
+    #: backend owns the deleted OpenMP schedule clause or GPU tile sizes.
     OWN_OPTIONS = {
-        None: {"schedule": "dynamic", "chunk_size": 4},
-        "gpu": {"data_strategy": "host_register", "tile_sizes": (4, 4, 4)},
+        None: {"schedule": "dynamic", "chunk_size": 4,
+               "tile_sizes": (32, 32, 1)},
+        "gpu": {"data_strategy": "host_register"},
         "dmp": {"grid": (2, 1)},
     }
 
@@ -141,18 +142,21 @@ class TestOptionSchemas:
         with pytest.raises(OptionError, match="valid options: .*lower_to_scf"):
             session.compile(small_gs_source).lower("cpu", bogus=1)
 
-    @pytest.mark.parametrize("option,value", [("schedule", "dynamic"),
-                                              ("chunk_size", 4),
-                                              ("grid", (2, 2))])
+    @pytest.mark.parametrize("backend,option,value", [
+        ("openmp", "schedule", "dynamic"),
+        ("openmp", "chunk_size", 4),
+        ("openmp", "grid", (2, 2)),
+        ("gpu", "tile_sizes", (32, 32, 1)),
+    ])
     def test_with_options_refuses_an_option_the_backend_lacks(
-            self, session, small_gs_source, option, value):
+            self, session, small_gs_source, backend, option, value):
         """A derived handle validates its changes as ``lower`` does: an
         OptionError naming the option and the backend, never a TypeError from
         the options dataclass."""
-        handle = session.compile(small_gs_source).lower("openmp",
+        handle = session.compile(small_gs_source).lower(backend,
                                                         lower_to_scf=True)
         with pytest.raises(OptionError,
-                           match=f"backend 'openmp'.*'{option}'.*valid options"):
+                           match=f"backend '{backend}'.*'{option}'.*valid options"):
             handle.with_options(**{option: value})
         assert handle.with_options(threads=2).options.threads == 2
 
@@ -174,8 +178,7 @@ class TestOptionSchemas:
 
     def test_options_normalise_sequences_for_hashing(self):
         assert DmpOptions(grid=[2, 2]).grid == (2, 2)
-        assert hash(GpuOptions(tile_sizes=[16, 16, 1])) == hash(
-            GpuOptions(tile_sizes=(16, 16, 1)))
+        assert hash(DmpOptions(grid=[2, 2])) == hash(DmpOptions(grid=(2, 2)))
 
     def test_mismatch_rejected_even_with_options_object(self, session,
                                                         small_gs_source):
@@ -379,22 +382,40 @@ class TestTypedErrors:
         (lambda env: env["service"].compile(None), OptionError, "source"),
         (lambda env: env["plan"].run(env["field"], iterations="2"),
          MPIError, "iterations"),
+        (lambda env: env["plan"].run(env["field"], iterations=True),
+         MPIError, "iterations"),
         (lambda env: env["cpu"].interpreter(threads="2"), OptionError,
          "threads"),
+        (lambda env: env["cpu"].interpreter(threads=True), OptionError,
+         "threads"),
+        (lambda env: env["cpu"].with_threads(True), OptionError, "threads"),
         (lambda env: env["session"].compile(env["source"]).lower(
-            "gpu", tile_sizes=("a",)), OptionError, "tile_sizes"),
+            "openmp", threads=True), OptionError, "threads"),
         (lambda env: env["session"].compile(env["source"]).lower(
             "dmp", grid="2x2"), OptionError, "grid"),
         (lambda env: env["cpu"].run_batch(
             "gauss_seidel", [(env["field"].copy(order="F"),)], workers=0),
          OptionError, "workers"),
     ], ids=["compile-int-source", "service-none-source", "iterations-str",
-            "interpreter-threads-str", "gpu-tile-sizes-str", "dmp-grid-str",
+            "iterations-bool", "interpreter-threads-str",
+            "interpreter-threads-bool", "with-threads-bool",
+            "lower-threads-bool", "dmp-grid-str",
             "run-batch-zero-workers"])
     def test_bad_value_raises_the_typed_error_naming_it(self, env, call,
                                                         error, argument):
         with pytest.raises(error, match=argument):
             call(env)
+
+    def test_unknown_run_keyword_is_refused_by_name(self, env):
+        """``run()`` forwards its keywords to ``interpreter()``: a misspelt
+        one is an OptionError naming it and listing those accepted, raised
+        before the entry runs."""
+        field = env["field"].copy(order="F")
+        with pytest.raises(OptionError,
+                           match=r"'thread'; accepted: gpu, comm, rank, "
+                                 r"decomposition, execution_mode, threads$"):
+            env["cpu"].run("gauss_seidel", field, thread=2)
+        assert field.tobytes() == env["field"].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +513,9 @@ class TestDmpCacheKeys:
         assert DmpOptions(grid=[2, 2]).cache_key() == DmpOptions(grid=(2, 2)).cache_key()
 
     def test_runtime_knobs_do_not_recompile(self, session):
-        """distribute(ranks/execution_mode/threads) and repeated
-        runs reuse the artifacts compiled for the grid — zero new misses."""
+        """distribute(ranks=...), a handle derived with another execution
+        mode and thread count, and repeated runs reuse the artifacts compiled
+        for the grid — zero new misses."""
         n = 8
         program = session.compile(
             gauss_seidel.generate_source_shaped((n + 2,) * 3)
@@ -514,9 +536,8 @@ class TestDmpCacheKeys:
         assert after_first["misses"] == baseline
 
         # Different threads, execution-mode: runtime only.
-        compiled.distribute(
+        compiled.with_options(execution_mode="interpret", threads=1).distribute(
             source_builder=gauss_seidel.generate_source_shaped,
-            execution_mode="interpret", threads=1,
         ).run(field, iterations=1)
         assert session.cache_stats["misses"] == baseline
         assert session.cache_stats["hits"] > after_first["hits"]
@@ -580,18 +601,9 @@ class TestGpuCacheKeys:
         assert session.cache_stats["hits"] == len(derived)
         assert all(h.artifact is base.artifact for h in derived)
 
-    def test_tile_sizes_are_compile_time_cache_key_material(
-            self, session, small_gs_source):
-        program = session.compile(small_gs_source)
-        program.lower("gpu", tile_sizes=(32, 32, 1))
-        program.lower("gpu", tile_sizes=(4, 4, 4))
-        assert session.cache_stats == {"hits": 0, "misses": 2, "artifacts": 2}
-
     def test_runtime_knobs_excluded_from_cache_key_and_validated(self):
         key_fields = {name for name, _ in GpuOptions().cache_key()}
-        assert "data_strategy" in key_fields and "tile_sizes" in key_fields
-        assert "threads" not in key_fields
-        assert "execution_mode" not in key_fields
+        assert key_fields == {"lower_to_scf", "fuse_stencils", "data_strategy"}
         with pytest.raises(OptionError):
             GpuOptions(threads=0)
         with pytest.raises(OptionError):

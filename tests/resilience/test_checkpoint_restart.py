@@ -94,8 +94,8 @@ class TestCrashRecovery:
 
 
 class TestPolicyIsNotAFork:
-    """One run loop: the recovery policy decides how often the fleet meets
-    and checkpoints, never what it computes."""
+    """One run loop: the recovery policy decides whether the fleet meets and
+    checkpoints at every iteration, never what it computes."""
 
     def test_policy_never_changes_bits(self, session):
         field = global_field(12)
@@ -103,7 +103,6 @@ class TestPolicyIsNotAFork:
         policies = {
             "none": None,
             "default": ResilienceOptions(),
-            "interval-3": ResilienceOptions(checkpoint_interval=3),
             "no-restart": ResilienceOptions(max_restarts=0),
         }
         runs = {name: plan.run(field, iterations=4, resilience=policy)
@@ -118,33 +117,29 @@ class TestPolicyIsNotAFork:
         # A checkpoint that can never be restored is not taken.
         assert runs["none"].recovery.checkpoint_saves == 0
         assert runs["no-restart"].recovery.checkpoint_saves == 0
-        # One per wave: [0,1) [1,2) [2,3) [3,4) and [0,3) [3,4).
+        # One per wave: [0,1) [1,2) [2,3) [3,4).
         assert runs["default"].recovery.checkpoint_saves == 4
-        assert runs["interval-3"].recovery.checkpoint_saves == 2
         # Nothing went wrong, so the fail-fast report is all zeros.
         zero = RecoveryReport().to_dict()
         assert runs["none"].recovery.to_dict() == zero
 
-    @pytest.mark.parametrize("crash_iteration", [2, 3],
-                             ids=["wave-start", "mid-wave"])
-    def test_crash_inside_a_multi_iteration_wave(self, session,
-                                                 crash_iteration):
-        """checkpoint_interval=2 over 4 iterations is the waves [0,2) and
-        [2,4): a crash at 2 fires on the second wave's first iteration, a
-        crash at 3 after rank 1 already ran (and exchanged halos for)
-        iteration 2.  Both roll back to iteration 2 exactly once."""
+    @pytest.mark.parametrize("crash_iteration", [2, 3])
+    def test_a_crash_rolls_back_only_its_own_iteration(self, session,
+                                                       crash_iteration):
+        """Each wave is one iteration: a crash at iteration 2 or 3 rolls back
+        to the start of that iteration exactly once, and the retried wave
+        reuses the checkpoint taken before it (one save per iteration)."""
         field = global_field(12)
         plan = plan_for(session, (2, 2), 12)
         baseline = plan.run(field, iterations=4)
         crashed = plan.run(field, iterations=4, resilience=ResilienceOptions(
-            checkpoint_interval=2,
             plan=FaultPlan(rank_crashes=(
                 RankCrash(rank=1, iteration=crash_iteration),))))
         np.testing.assert_array_equal(crashed.field, baseline.field)
         assert crashed.restarts == 1
-        assert crashed.recovery.checkpoint_saves == 2
+        assert crashed.recovery.checkpoint_saves == 4
         assert crashed.recovery.checkpoint_restores == 1
-        assert "rolled back to iteration 2" in " ".join(
+        assert f"rolled back to iteration {crash_iteration}" in " ".join(
             crashed.recovery.events)
         assert crashed.messages >= baseline.messages
 
@@ -198,12 +193,10 @@ class TestCombinedAcceptance:
 
 class TestOptionValidation:
     def test_resilience_options_validated(self):
-        with pytest.raises(ResilienceError, match="checkpoint_interval"):
-            ResilienceOptions(checkpoint_interval=0)
         with pytest.raises(ResilienceError, match="max_restarts"):
             ResilienceOptions(max_restarts=-1)
-        with pytest.raises(ResilienceError, match="backoff"):
-            ResilienceOptions(backoff_initial=0.0)
+        with pytest.raises(ResilienceError, match="plan must be a FaultPlan"):
+            ResilienceOptions(plan={"seed": 1})
 
     def test_distribute_rejects_non_options_resilience(self, session):
         program = session.compile(

@@ -13,18 +13,22 @@ import numpy as np
 import pytest
 
 from repro.resilience import CommFault, FaultInjector, FaultPlan
-from repro.runtime import MPIAbort, MPIError, SimulatedCommunicator
+from repro.runtime import MPIAbort, MPIError, SimulatedCommunicator, mpi_runtime
 
 
 def payload(value, n=4):
     return np.full(n, float(value))
 
 
-def make_comm(size=2, timeout=5.0, fault_hook=None, **knobs):
-    """A communicator with a short backoff so NACK rounds take milliseconds."""
-    return SimulatedCommunicator(size, timeout=timeout, fault_hook=fault_hook,
-                                 backoff_initial=0.001,
-                                 backoff_cap=0.01, **knobs)
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """A short backoff so NACK rounds take milliseconds."""
+    monkeypatch.setattr(mpi_runtime, "BACKOFF_INITIAL", 0.001)
+    monkeypatch.setattr(mpi_runtime, "BACKOFF_CAP", 0.01)
+
+
+def make_comm(size=2, timeout=5.0, fault_hook=None):
+    return SimulatedCommunicator(size, timeout=timeout, fault_hook=fault_hook)
 
 
 def hook_for(*faults):

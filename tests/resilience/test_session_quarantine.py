@@ -100,12 +100,6 @@ class TestQuarantine:
         # The injector's fault window is spent, so the compile now succeeds.
         assert session.compile(SOURCE).lower("cpu") is not None
 
-    def test_configurable_retry_budget(self):
-        session = session_with((CompileFault(index=0, count=3),))
-        session.compile_retries = 3
-        assert session.compile(SOURCE).lower("cpu") is not None
-        assert session.resilience_stats["compile_retries"] == 3
-
 
 class TestDefaultBehaviourUnchanged:
     def test_hookless_session_has_zero_resilience_stats(self):

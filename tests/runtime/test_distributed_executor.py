@@ -30,15 +30,15 @@ GRIDS = [(1, 1), (2, 1), (2, 2), (4, 1)]
 
 
 def run_distributed(session, grid, global_field, niters, execution_mode,
-                    threads=None):
+                    threads=1):
     """One executor run of Gauss-Seidel through the fluent API."""
     n = global_field.shape[0]
     program = session.compile(
         gauss_seidel.generate_source_shaped((n + 2,) * 3, niters=1)
     )
-    plan = program.lower("dmp", grid=grid, execution_mode=execution_mode).distribute(
-        source_builder=gauss_seidel.generate_source_shaped, threads=threads,
-    )
+    plan = program.lower("dmp", grid=grid, execution_mode=execution_mode,
+                         threads=threads).distribute(
+        source_builder=gauss_seidel.generate_source_shaped)
     return plan.run(global_field, iterations=niters)
 
 
@@ -268,6 +268,16 @@ class TestExecutorMechanics:
         with pytest.raises(MPIError, match="cannot split"):
             executor.decomposition_for((3, 8, 8))
 
+    def test_grid_splits_the_leading_dimensions(self):
+        """The grid's dimension d splits the field's dimension d; a grid of
+        more dimensions than the field has is refused by name."""
+        executor = DistributedExecutor((2, 3))
+        decomposition = executor.decomposition_for((4, 9, 5))
+        assert [decomposition.local_bounds(r) for r in (0, 5)] == [
+            [(0, 2), (0, 3), (0, 5)], [(2, 4), (6, 9), (0, 5)]]
+        with pytest.raises(MPIError, match="3-d process grid .* 2-d field"):
+            DistributedExecutor((2, 1, 1)).decomposition_for((8, 8))
+
     @pytest.mark.parametrize("policy", [None, ResilienceOptions()],
                              ids=["fail-fast", "restartable"])
     def test_failing_rank_aborts_the_fleet_with_its_own_error(self, session,
@@ -337,10 +347,12 @@ class TestExecutorMechanics:
         assert late.recovery == RecoveryReport()
         assert late.field.tobytes() == prompt.field.tobytes()
 
-    def test_bad_iterations_rejected(self):
+    @pytest.mark.parametrize("iterations", [0, True])
+    def test_bad_iterations_rejected(self, iterations):
         executor = DistributedExecutor((1, 1))
         with pytest.raises(MPIError, match="iterations"):
-            executor.run(np.zeros((4, 4, 4)), lambda *a: None, "e", iterations=0)
+            executor.run(np.zeros((4, 4, 4)), lambda *a: None, "e",
+                         iterations=iterations)
 
 
 class TestFluentValidation:

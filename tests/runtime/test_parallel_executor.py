@@ -723,9 +723,10 @@ class TestOpenMPPlumbing:
                       if isinstance(op, omp.WsLoopOp))
         assert set(wsloop.attributes) == {"rank"}
 
-    def test_invalid_threads_rejected(self):
+    @pytest.mark.parametrize("threads", [0, True])
+    def test_invalid_threads_rejected(self, threads):
         with pytest.raises(OptionError, match="threads"):
-            OpenMPOptions(threads=0)
+            OpenMPOptions(threads=threads)
 
     def test_threads_knob_through_options_and_override(self):
         result = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower(

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.api import OptionError, Session
+from repro.api import session as session_module
 from repro.api.backends import (
     BackendRegistry,
     CpuBackend,
@@ -152,9 +153,10 @@ class TestSingleFlight:
         finally:
             service.close()
 
-    def test_failed_compile_shares_one_exception_with_the_cohort(self):
+    def test_failed_compile_shares_one_exception_with_the_cohort(
+            self, monkeypatch):
+        monkeypatch.setattr(session_module, "COMPILE_RETRIES", 0)
         service, _, failing = _make_service(workers=4)
-        service.session.compile_retries = 0
         try:
             failing.gate.clear()
             futures = [service.submit_compile(SOURCE, "failing")
@@ -287,14 +289,23 @@ class TestTimeouts:
             gated.gate.set()
             service.close()
 
-    def test_default_timeout_applies(self):
-        service, gated, _ = _make_service(workers=1, default_timeout=0.05)
+    @pytest.mark.parametrize("bad", [0, -1, "1", True])
+    def test_a_bad_timeout_is_refused_at_submission(self, bad):
+        """A timeout that can never be met is an OptionError naming it
+        before the request is admitted, not a ServiceTimeout counted later;
+        ``None`` means no deadline."""
+        service, _, _ = _make_service(workers=1)
         try:
-            gated.gate.clear()
-            with pytest.raises(ServiceTimeout):
-                service.compile(SOURCE, "gated")
+            with pytest.raises(OptionError, match="timeout"):
+                service.compile(SOURCE, "gated", timeout=bad)
+            with pytest.raises(OptionError, match="timeout"):
+                service.run(SOURCE, "gauss_seidel",
+                            [gauss_seidel.initial_condition(6)], timeout=bad)
+            metrics = service.metrics()
+            assert (metrics.submitted_compiles, metrics.submitted_runs,
+                    metrics.timeouts) == (0, 0, 0)
+            assert service.compile(SOURCE, "gated", timeout=None) is not None
         finally:
-            gated.gate.set()
             service.close()
 
 
@@ -304,6 +315,24 @@ class TestLifecycleAndMetrics:
             CompileService(Session(), workers=0)
         with pytest.raises(ValueError, match="max_queue"):
             CompileService(Session(), max_queue=0)
+
+    @pytest.mark.parametrize("args", [5, None, "field"])
+    def test_args_that_are_not_a_sequence_are_refused_at_submission(self,
+                                                                    args):
+        """``args`` is the entry's argument list: anything else is an
+        OptionError naming it at submission, not a TypeError raised from a
+        worker thread."""
+        service, _, _ = _make_service(workers=1)
+        try:
+            with pytest.raises(OptionError, match="args must be a list or "
+                                                  "tuple .*'gauss_seidel'"):
+                service.run(SOURCE, "gauss_seidel", args)
+            with pytest.raises(OptionError, match="args"):
+                service.submit_run(SOURCE, "gauss_seidel", args)
+            metrics = service.metrics()
+            assert (metrics.submitted_runs, metrics.failed) == (0, 0)
+        finally:
+            service.close()
 
     @pytest.mark.parametrize("removed", [{"schedule": "dynamic"},
                                          {"chunk_size": 4}])

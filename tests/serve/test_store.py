@@ -228,6 +228,31 @@ class TestFailurePaths:
         assert self._run_gs_scf(warm)
         assert warm.cache_stats["disk_hits"] == 1
 
+    def test_a_gpu_entry_keyed_by_the_deleted_tile_option_is_a_counted_miss(
+            self, tmp_path):
+        """Before the GPU tile became a constant, a gpu key also held
+        ``("tile_sizes", None)``.  Such an entry is never found under this
+        build's key: the lower is a counted miss that recompiles, never a
+        corrupt entry, and the old entry is left alone."""
+        source = pw_advection.generate_source(8, niters=1)
+        key, artifact, _ = _compile_artifact(source, "gpu", lower_to_scf=True)
+        fingerprint, backend, options_key = key
+        old_key = (fingerprint, backend, options_key + (("tile_sizes", None),))
+        store = ArtifactStore(tmp_path)
+        assert store.save(old_key, artifact)
+        old_ops, _ = _entry_paths(store, old_key)
+
+        session = Session(store=ArtifactStore(tmp_path))
+        session.lower(source, "gpu", lower_to_scf=True)
+        assert session.cache_stats["misses"] == 1
+        assert session.cache_stats["disk_hits"] == 0
+        assert session.store.stats["corrupt_entries"] == 0
+        assert old_ops.exists()
+        warm = Session(store=ArtifactStore(tmp_path))
+        warm.lower(source, "gpu", lower_to_scf=True)
+        assert (warm.cache_stats["disk_hits"], warm.cache_stats["misses"]) == (
+            1, 0)
+
     def test_a_table_naming_an_op_this_build_does_not_register_is_a_corrupt_miss(
             self, tmp_path):
         """Stored tables decode strictly: an op deleted since the entry was

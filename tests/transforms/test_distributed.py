@@ -44,7 +44,7 @@ class TestStencilToDMP:
 
         result = self._dmp_module()
         interp = Interpreter(result.modules,
-                             decomposition=CartesianDecomposition((20, 20, 10), (2, 2), (0, 1)))
+                             decomposition=CartesianDecomposition((20, 20, 10), (2, 2)))
         with pytest.raises(InterpreterError,
                            match="no interpreter handler for operation 'dmp.halo_swap'"):
             interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
@@ -68,12 +68,12 @@ class TestStencilToDMP:
 
 class TestCartesianDecomposition:
     def test_rank_coordinate_round_trip(self):
-        d = CartesianDecomposition((16, 16, 8), (2, 4), (0, 1))
+        d = CartesianDecomposition((16, 16, 8), (2, 4))
         for rank in range(2 * 4):
             assert d.rank_of(d.coords_of(rank)) == rank
 
     def test_local_bounds_partition_domain(self):
-        d = CartesianDecomposition((10, 9, 4), (2, 3), (0, 1))
+        d = CartesianDecomposition((10, 9, 4), (2, 3))
         covered = np.zeros((10, 9), dtype=int)
         for rank in range(2 * 3):
             (xl, xu), (yl, yu), (zl, zu) = d.local_bounds(rank)
@@ -84,7 +84,7 @@ class TestCartesianDecomposition:
     def test_neighbours_at_edges(self):
         """Rank 0's neighbours, as ``dmp.neighbour_rank`` finds them: one step
         along a grid dimension, -1 off the grid."""
-        d = CartesianDecomposition((8, 8), (2, 2), (0, 1))
+        d = CartesianDecomposition((8, 8), (2, 2))
         assert d.coords_of(0) == (0, 0)
         assert d.rank_of((-1, 0)) == -1 and d.rank_of((0, -1)) == -1
         assert d.rank_of((1, 0)) == 2 and d.rank_of((0, 1)) == 1

@@ -136,52 +136,25 @@ class TestMultipleCallSites:
 
 
 class TestTileAnnotations:
-    """``tile_sizes`` is validated against every kernel's rank at lower time;
-    ``None`` adapts the paper's (32, 32, 1) default to the kernel's rank."""
+    """The paper's Listing 4 (32, 32, 1) sizes every launch: clipped to the
+    kernel's domain, padded with 1s past its rank.  There is no tile option."""
 
-    def test_rank_mismatched_tile_sizes_rejected_at_lower_time(
-            self, small_gs_source):
-        # Historically a 1-entry tile on a rank-3 kernel was silently padded
-        # with 1s; now it is a loud error naming the kernel and its rank.
-        with pytest.raises(repro.OptionError,
-                           match=r"1 entry but kernel '\S+' has rank 3"):
-            repro.Session().compile(small_gs_source).lower(
-                "gpu", tile_sizes=(4,)
-            )
-
-    def test_three_entry_tile_on_two_d_domain_rejected(self, listing1_source):
-        with pytest.raises(repro.OptionError,
-                           match=r"3 entries but kernel '\S+' has rank 2"):
-            repro.Session().compile(listing1_source).lower(
-                "gpu", tile_sizes=(32, 32, 8)
-            )
-
-    def test_default_tile_sizes_adapt_to_kernel_rank(self, small_gs_source,
-                                                     listing1_source):
+    def test_listing4_tiles_clip_to_each_kernel(self, small_gs_source,
+                                                listing1_source):
         session = repro.Session()
         rank3 = session.compile(small_gs_source).lower("gpu")
         func_op = rank3.stencil_module.get_symbol(rank3.extracted_functions[0])
-        # (32, 32, 1) adapted to rank 3, clipped to the 8x8x8 interior.
+        # (32, 32, 1) clipped to the 8x8x8 interior.
         assert func_op.get_attr("gpu.block").as_tuple() == (8, 8, 1)
 
         rank2 = session.compile(listing1_source).lower("gpu")
         func_op = rank2.stencil_module.get_symbol(rank2.extracted_functions[0])
-        # (32, 32, 1)[:2], clipped to the (14, 14) domain by the annotator.
+        # (32, 32, 1), clipped to the (14, 14) domain by the annotator.
         assert func_op.get_attr("gpu.block").as_tuple() == (14, 14, 1)
 
-    def test_matching_explicit_tile_sizes_still_accepted(self,
-                                                         small_gs_source):
-        compiled = repro.Session().compile(small_gs_source).lower(
-            "gpu", tile_sizes=(4, 4, 4)
-        )
-        func_op = compiled.stencil_module.get_symbol(
-            compiled.extracted_functions[0]
-        )
-        assert func_op.get_attr("gpu.block").as_tuple() == (4, 4, 4)
-
-    def test_oversized_tile_tuple_is_truncated(self):
+    def test_a_kernel_without_apply_is_a_unit_launch(self):
         fn = FuncOp.build("no_apply", [], [])
-        _annotate_kernel_launch(fn, tile=(2, 2, 2, 2, 2))
+        _annotate_kernel_launch(fn)
         # No stencil.apply inside: the annotation degrades to a unit launch.
         assert fn.get_attr("gpu.grid").as_tuple() == (1, 1, 1)
         assert fn.get_attr("gpu.block").as_tuple() == (1, 1, 1)
