@@ -90,8 +90,7 @@ CENSUS = {
     # -- distributed execution -----------------------------------------------
     "DistributedExecutor.grid": ("input", "the compiled DmpOptions.grid"),
     "DistributedExecutor.halo": (
-        "two values", "detect_halo reads 1 for Gauss-Seidel, wider for "
-                      "fuzzed kernels"),
+        "input", "the compiled kernel's widest access offset (detect_halo)"),
     "DistributedExecutor.timeout": (
         "safety bound", "bounds every blocking halo receive"),
     "CompiledProgram.distribute.ranks": (
