@@ -108,8 +108,7 @@ class DistributedProgram:
                  ranks: Optional[int] = None,
                  source_builder: Optional[SourceBuilder] = None,
                  entry: Optional[str] = None,
-                 timeout: float = 30.0,
-                 resilience: Optional[ResilienceOptions] = None):
+                 timeout: float = 30.0):
         if compiled.backend_name != "dmp":
             raise OptionError(
                 "distribute() requires the 'dmp' backend; this handle was "
@@ -118,11 +117,6 @@ class DistributedProgram:
             )
         timeout = validate_timeout(timeout,
                                    f"the '{compiled.backend_name}' backend")
-        if not isinstance(resilience, (ResilienceOptions, type(None))):
-            raise OptionError(
-                "resilience must be a ResilienceOptions instance, got "
-                f"{type(resilience).__name__}"
-            )
         self._compiled = compiled
         grid = compiled.options.grid
         num_ranks = 1
@@ -136,7 +130,6 @@ class DistributedProgram:
             )
         self._source_builder = source_builder
         self._entry = entry
-        self._resilience = resilience
         self._executor = DistributedExecutor(
             grid, halo=detect_halo(compiled), timeout=timeout)
 
@@ -168,18 +161,6 @@ class DistributedProgram:
             self._entry = detect_entry(self._compiled)
         return self._entry
 
-    # -- derivation ----------------------------------------------------------
-
-    def with_resilience(self, resilience: Optional[ResilienceOptions]
-                        ) -> "DistributedProgram":
-        """A plan with a different recovery policy (runtime-only: reuses
-        every cached artifact)."""
-        return DistributedProgram(
-            self._compiled,
-            source_builder=self._source_builder, entry=self._entry,
-            timeout=self._executor.timeout, resilience=resilience,
-        )
-
     # -- execution -----------------------------------------------------------
 
     def run(self, global_field: np.ndarray,
@@ -190,13 +171,16 @@ class DistributedProgram:
 
         The input is not mutated; the gathered global array is
         ``result.field``, and ``result.rank_stats`` carries the per-rank
-        message/byte counts and halo/kernel wall-times.  ``resilience``
-        overrides the plan's recovery policy for this run (fail-fast when
-        neither is set); ``result.recovery`` always carries the run's
+        message/byte counts and halo/kernel wall-times.  ``resilience`` is
+        this run's recovery policy (``None`` fails fast on the first crash);
+        ``result.recovery`` always carries the run's
         :class:`~repro.resilience.RecoveryReport`.
         """
-        if resilience is None:
-            resilience = self._resilience
+        if not isinstance(resilience, (ResilienceOptions, type(None))):
+            raise OptionError(
+                "resilience must be a ResilienceOptions instance, got "
+                f"{type(resilience).__name__}"
+            )
         entry = self.entry
         expected = _entry_array_shape(self._compiled, entry)
         if expected is not None and np.ndim(global_field) != len(expected):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..runtime.kernel_compiler import EXECUTION_MODES
 
@@ -32,18 +32,6 @@ RUNTIME_ONLY_FIELDS = frozenset({"execution_mode", "threads"})
 
 class OptionError(ValueError):
     """An option value (or an option/backend combination) is invalid."""
-
-
-def validate_execution_mode(value: Optional[str], default: str) -> str:
-    """Resolve an execution-mode override: ``None`` means "use the default";
-    anything else — including falsy strings — must be a valid mode."""
-    if value is None:
-        return default
-    if value not in EXECUTION_MODES:
-        raise OptionError(
-            f"execution_mode must be one of {EXECUTION_MODES}, got {value!r}"
-        )
-    return value
 
 
 def validate_timeout(value: float, owner: str) -> float:
@@ -64,16 +52,6 @@ def validate_timeout(value: float, owner: str) -> float:
 def _is_count(value) -> bool:
     """A positive ``int`` that is not a ``bool`` (``True`` is not 1 thread)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def validate_threads(value: Optional[int], default: int) -> int:
-    """Resolve a thread-count override: ``None`` means "use the default";
-    anything else — including 0 and ``True`` — must be a positive integer."""
-    if value is None:
-        return default
-    if not _is_count(value):
-        raise OptionError(f"threads must be an integer >= 1, got {value!r}")
-    return value
 
 
 def _positive_ints(name: str, value) -> Tuple[int, ...]:
@@ -192,8 +170,6 @@ __all__ = [
     "GPU_DATA_STRATEGIES",
     "RUNTIME_ONLY_FIELDS",
     "OptionError",
-    "validate_execution_mode",
-    "validate_threads",
     "validate_timeout",
     "BackendOptions",
     "FlangOnlyOptions",

@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 from ..runtime.interpreter import Interpreter
 from .artifact import CompiledArtifact
 from .backends import Backend
-from .options import (BackendOptions, OptionError, validate_execution_mode,
-                      validate_threads)
+from .options import RUNTIME_ONLY_FIELDS, BackendOptions, OptionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Session
@@ -51,25 +50,20 @@ def build_interpreter(
     comm=None,
     rank: int = 0,
     decomposition=None,
-    execution_mode: Optional[str] = None,
-    threads: Optional[int] = None,
 ) -> Interpreter:
     """Construct an interpreter over compiled ``modules`` for ``backend``.
 
-    The implementation behind :meth:`CompiledProgram.interpreter`: overrides
-    are validated at override time (``None`` means "use the compiled default",
-    any other value — including falsy ones — must be valid) and the backend
+    The implementation behind :meth:`CompiledProgram.interpreter`: it runs
+    with the options' ``execution_mode`` and ``threads``, and the backend
     supplies its simulated-runtime defaults (e.g. a fresh
     :class:`SimulatedGPU` for the gpu backend).
     """
-    mode = validate_execution_mode(execution_mode, options.execution_mode)
-    workers = validate_threads(threads, options.threads)
     runtime = backend.interpreter_kwargs(options, {
         "gpu": gpu, "comm": comm, "rank": rank,
         "decomposition": decomposition,
     })
-    return Interpreter(modules, execution_mode=mode, threads=workers,
-                       **runtime)
+    return Interpreter(modules, execution_mode=options.execution_mode,
+                       threads=options.threads, **runtime)
 
 
 class Program:
@@ -219,26 +213,22 @@ class CompiledProgram:
     def distribute(self, ranks: Optional[int] = None, *,
                    source_builder=None,
                    entry: Optional[str] = None,
-                   timeout: float = 30.0,
-                   resilience=None):
+                   timeout: float = 30.0):
         """Derive a multi-rank execution plan (dmp backend only).
 
         The process grid comes from the compiled :class:`DmpOptions` (a
         compile-time cache-key field) and every rank runs with the handle's
         ``execution_mode`` and ``threads`` (derive them with
         :meth:`with_options`, a cache hit); ``ranks`` merely asserts the
-        expected rank count.  ``resilience=ResilienceOptions(...)``
-        is the recovery policy of the run loop (how many crashes it may roll
-        back, and an optional fault plan; fail-fast by default) — like
-        ``threads`` it never enters the session cache key.  See
+        expected rank count.  Each ``plan.run(field, resilience=...)``
+        chooses its own recovery policy.  See
         :class:`repro.api.DistributedProgram`.
         """
         from .distributed import DistributedProgram
 
         return DistributedProgram(
             self, ranks=ranks, source_builder=source_builder, entry=entry,
-            timeout=timeout, resilience=resilience,
-        )
+            timeout=timeout)
 
     # -- execution -----------------------------------------------------------
 
@@ -248,19 +238,15 @@ class CompiledProgram:
         comm=None,
         rank: int = 0,
         decomposition=None,
-        execution_mode: Optional[str] = None,
-        threads: Optional[int] = None,
     ) -> Interpreter:
         """Build an interpreter (a fresh one per call: it carries the run's
-        stats and device) over the artifact's linked FIR and stencil modules.
-
-        ``execution_mode`` and ``threads`` override the handle's options when
-        given; see :func:`build_interpreter` for the override semantics.
+        stats and device) over the artifact's linked FIR and stencil modules,
+        running with the handle's ``execution_mode`` and ``threads`` (derive
+        others with :meth:`with_options`, a cache hit).
         """
         return build_interpreter(
             self._backend, self._options, self._artifact.linked,
             gpu=gpu, comm=comm, rank=rank, decomposition=decomposition,
-            execution_mode=execution_mode, threads=threads,
         )
 
     def run(self, entry: str, *args, **kwargs) -> Interpreter:
@@ -272,7 +258,10 @@ class CompiledProgram:
             raise OptionError(
                 f"run() does not accept keyword(s) "
                 f"{', '.join(map(repr, unknown))}; accepted: "
-                f"{', '.join(_INTERPRETER_KEYWORDS)}")
+                f"{', '.join(_INTERPRETER_KEYWORDS)}"
+                + ("; runtime options belong to the handle: derive it with "
+                   "with_options(...)"
+                   if RUNTIME_ONLY_FIELDS.intersection(unknown) else ""))
         interp = self.interpreter(**kwargs)
         interp.call(entry, *args)
         return interp

@@ -159,7 +159,7 @@ def measured_openmp_scaling(
         "openmp", lower_to_scf=True, execution_mode="vectorize")
     baseline = None
     for threads in thread_counts:
-        interp = compiled.interpreter(threads=threads)
+        interp = compiled.with_threads(threads).interpreter()
         seconds, args = _best_of(interp, benchmark, make_args, repeats)
         baseline = baseline or seconds
         result.add(benchmark, threads, seconds, cells / seconds / 1e6,

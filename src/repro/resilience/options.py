@@ -1,4 +1,4 @@
-"""Recovery policy knobs, surfaced as ``.distribute(..., resilience=...)``.
+"""Recovery policy knobs, passed per run as ``plan.run(..., resilience=...)``.
 
 ``ResilienceOptions`` is runtime-only in the same sense as ``threads``: it
 never enters the session cache key, because it changes how a run survives

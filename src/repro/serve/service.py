@@ -293,8 +293,7 @@ class CompileService:
 
     def submit_run(self, source, entry: str, args: Sequence = (), *,
                    backend="cpu", options: Optional[BackendOptions] = None,
-                   execution_mode: Optional[str] = None,
-                   threads: Optional[int] = None, **overrides) -> Future:
+                   **overrides) -> Future:
         """Admit compile-if-needed + execute; the future resolves to the
         :class:`repro.runtime.Interpreter` that ran ``entry`` (arrays in
         ``args`` are mutated in place per Fortran semantics).
@@ -312,17 +311,17 @@ class CompileService:
         source, backend_obj, opts, key = self._resolve(
             source, backend, options, overrides)
         self._bump("submitted_runs")
-        run_kwargs = {}
-        if execution_mode is not None:
-            run_kwargs["execution_mode"] = execution_mode
-        if threads is not None:
-            run_kwargs["threads"] = threads
 
         def run():
             compiled = self._lower_single_flight(key, source, backend_obj,
                                                  opts)
+            if compiled.options != opts:
+                # Coalesced onto a flight whose runtime-only options differ
+                # (the key ignores them): this request runs with its own.
+                compiled = compiled.with_options(
+                    execution_mode=opts.execution_mode, threads=opts.threads)
             started = time.perf_counter()
-            interp = compiled.run(entry, *args, **run_kwargs)
+            interp = compiled.run(entry, *args)
             with self._lock:
                 self._latency["execute"].append(time.perf_counter() - started)
             return interp
@@ -356,16 +355,14 @@ class CompileService:
 
     def run(self, source, entry: str, args: Sequence = (), *,
             backend="cpu", options: Optional[BackendOptions] = None,
-            timeout: Optional[float] = None,
-            execution_mode: Optional[str] = None,
-            threads: Optional[int] = None, **overrides):
+            timeout: Optional[float] = None, **overrides):
         """Blocking compile-if-needed + execute with per-request
         ``timeout``; returns the interpreter for stats access."""
         if timeout is not None:
             validate_timeout(timeout, "a CompileService request")
         future = self.submit_run(
             source, entry, args, backend=backend, options=options,
-            execution_mode=execution_mode, threads=threads, **overrides)
+            **overrides)
         return self._await(future, timeout)
 
     # -- execution -------------------------------------------------------------

@@ -16,7 +16,7 @@ from ..ir.pass_manager import GLOBAL_PASS_REGISTRY
 from . import cleanup  # noqa: F401
 from . import distributed  # noqa: F401
 from . import gpu_data_management  # noqa: F401
-from . import parallel_lowering  # noqa: F401
+from .parallel_lowering import TILE_SIZES
 from . import stencil_discovery  # noqa: F401
 from . import stencil_extraction  # noqa: F401
 from . import stencil_lowering  # noqa: F401
@@ -61,7 +61,8 @@ OPENMP_PIPELINE = (
 #: kernel outlining, memref/arith/scf lowering stand-ins and cast reconciliation.
 GPU_PIPELINE = (
     "test-math-algebraic-simplification,"
-    "scf-parallel-loop-tiling{parallel-loop-tile-sizes=32,32,1},"
+    "scf-parallel-loop-tiling{parallel-loop-tile-sizes="
+    f"{','.join(map(str, TILE_SIZES))}}},"
     "canonicalize,"
     "test-expand-math,"
     "gpu-map-parallel-loops,"

@@ -10,12 +10,15 @@ exists only when it earns it:
 * ``safety bound`` — a limit that turns a hang or an unbounded queue into a
   named error;
 * ``test seam`` — tests substitute a fake or provoke a failure through it;
-* ``input`` — the data the call works on, not a choice about how.
+* ``input`` — the data the call works on, not a choice about how;
+* ``paper text`` — the paper's pipeline text spells the option; its one
+  value is a named constant.
 
 A value only one caller ever sets is a constant.  The census is the
 surface: the option dataclasses' fields, the keyword parameters of the
-public constructors and calls below and of every registered pass, and the
-public attributes of a :class:`Session`.  Adding a name means adding its
+public constructors and calls below (the runs included, so a second place
+to set a value shows) and of every registered pass, and the public
+attributes of a :class:`Session`.  Adding a name means adding its
 reason here; a name the census lists that the code no longer has fails too.
 """
 
@@ -23,7 +26,7 @@ import dataclasses
 import inspect
 
 import repro.transforms  # noqa: F401 — registers every pass
-from repro.api import CompiledProgram, Session, registry
+from repro.api import CompiledProgram, DistributedProgram, Session, registry
 from repro.api.options import BackendOptions
 from repro.ir import PassManager
 from repro.ir.pass_manager import GLOBAL_PASS_REGISTRY
@@ -32,7 +35,8 @@ from repro.runtime import SimulatedCommunicator, SimulatedGPU
 from repro.runtime.distributed_executor import DistributedExecutor
 from repro.serve import ArtifactStore, CompileService
 
-KINDS = {"two values", "deployment", "safety bound", "test seam", "input"}
+KINDS = {"two values", "deployment", "safety bound", "test seam", "input",
+         "paper text"}
 
 #: "owner.name" -> (kind, reason).
 CENSUS = {
@@ -71,6 +75,15 @@ CENSUS = {
         "deployment", "how many requests one host serves at once"),
     "CompileService.max_queue": (
         "safety bound", "backpressure: a full queue is ServiceRejected"),
+    "CompileService.run.source": ("input", "the Fortran source to run"),
+    "CompileService.run.entry": ("input", "the subroutine to call"),
+    "CompileService.run.args": ("input", "the subroutine's arguments"),
+    "CompileService.run.backend": (
+        "input", "the target the request compiles for"),
+    "CompileService.run.options": (
+        "input", "a prebuilt options object the keyword overrides refine"),
+    "CompileService.run.timeout": (
+        "safety bound", "a request that outlives it is a ServiceTimeout"),
     "ArtifactStore.root": ("deployment", "the store directory"),
     "ArtifactStore.max_bytes": (
         "safety bound", "caps the store's disk use by eviction"),
@@ -103,9 +116,13 @@ CENSUS = {
                       "be detected"),
     "CompiledProgram.distribute.timeout": (
         "safety bound", "bounds every rank's blocking receive"),
-    "CompiledProgram.distribute.resilience": (
-        "two values", "the chaos runner sets a policy, plain runs fail "
-                      "fast"),
+    "DistributedProgram.run.global_field": (
+        "input", "the global array the ranks share out"),
+    "DistributedProgram.run.iterations": (
+        "input", "how many times every rank calls the entry"),
+    "DistributedProgram.run.resilience": (
+        "two values", "the chaos runner passes a policy with a FaultPlan, "
+                      "the harness and bench runs none (fail-fast)"),
     # -- interpreters --------------------------------------------------------
     "CompiledProgram.interpreter.gpu": (
         "two values", "the chaos runner and harness Figure 5 pass a "
@@ -116,11 +133,6 @@ CENSUS = {
         "input", "each rank's number, from the distributed plan"),
     "CompiledProgram.interpreter.decomposition": (
         "input", "the run's decomposition, from the distributed plan"),
-    "CompiledProgram.interpreter.execution_mode": (
-        "two values", "bench serve_catalogue runs vectorize through "
-                      "CompileService.run, other calls keep the handle's"),
-    "CompiledProgram.interpreter.threads": (
-        "two values", "harness Figure 3 runs 1, 2 and 4 threads"),
     # -- passes --------------------------------------------------------------
     "PassManager.ctx": (
         "input", "the context of the module Backend.lower compiles"),
@@ -135,8 +147,8 @@ CENSUS = {
     "pass:gpu-data-optimised.stencil_module": (
         "input", "the extracted module edited beside the FIR module"),
     "pass:scf-parallel-loop-tiling.parallel_loop_tile_sizes": (
-        "input", "the paper's Listing 4 pipeline text spells the tile as "
-                 "this pass option"),
+        "paper text", "Listing 4 spells the tile as this pass option; "
+                      "GPU_PIPELINE renders TILE_SIZES into it"),
 }
 
 
@@ -168,7 +180,9 @@ def surface():
         ("SimulatedGPU", SimulatedGPU),
         ("SimulatedCommunicator", SimulatedCommunicator),
         ("DistributedExecutor", DistributedExecutor),
+        ("CompileService.run", CompileService.run),
         ("CompiledProgram.distribute", CompiledProgram.distribute),
+        ("DistributedProgram.run", DistributedProgram.run),
         ("CompiledProgram.interpreter", CompiledProgram.interpreter),
         ("PassManager", PassManager),
     ]:
@@ -184,7 +198,19 @@ def test_every_settable_name_is_pinned_with_a_reason():
     found = surface()
     assert sorted(found - set(CENSUS)) == [], "a knob without a reason"
     assert sorted(set(CENSUS) - found) == [], "a pinned knob no longer exists"
-    assert len(found) == 43
+    assert len(found) == 49
+
+
+def test_the_other_calls_add_no_settable_name():
+    """``submit_run`` is ``run`` without the blocking deadline, and
+    ``CompiledProgram.run`` forwards its keywords to ``interpreter``: the
+    census of those two covers them."""
+    run = set(inspect.signature(CompileService.run).parameters)
+    submit = set(inspect.signature(CompileService.submit_run).parameters)
+    assert submit == run - {"timeout"}
+    handle_run = inspect.signature(CompiledProgram.run).parameters
+    assert [p.kind for p in handle_run.values()][-2:] == [
+        inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD]
 
 
 def test_each_reason_is_one_of_the_kinds():

@@ -384,9 +384,9 @@ class TestTypedErrors:
          MPIError, "iterations"),
         (lambda env: env["plan"].run(env["field"], iterations=True),
          MPIError, "iterations"),
-        (lambda env: env["cpu"].interpreter(threads="2"), OptionError,
+        (lambda env: env["cpu"].with_options(threads="2"), OptionError,
          "threads"),
-        (lambda env: env["cpu"].interpreter(threads=True), OptionError,
+        (lambda env: env["cpu"].vectorize(threads=True), OptionError,
          "threads"),
         (lambda env: env["cpu"].with_threads(True), OptionError, "threads"),
         (lambda env: env["session"].compile(env["source"]).lower(
@@ -397,8 +397,8 @@ class TestTypedErrors:
             "gauss_seidel", [(env["field"].copy(order="F"),)], workers=0),
          OptionError, "workers"),
     ], ids=["compile-int-source", "service-none-source", "iterations-str",
-            "iterations-bool", "interpreter-threads-str",
-            "interpreter-threads-bool", "with-threads-bool",
+            "iterations-bool", "with-options-threads-str",
+            "vectorize-threads-bool", "with-threads-bool",
             "lower-threads-bool", "dmp-grid-str",
             "run-batch-zero-workers"])
     def test_bad_value_raises_the_typed_error_naming_it(self, env, call,
@@ -413,8 +413,12 @@ class TestTypedErrors:
         field = env["field"].copy(order="F")
         with pytest.raises(OptionError,
                            match=r"'thread'; accepted: gpu, comm, rank, "
-                                 r"decomposition, execution_mode, threads$"):
+                                 r"decomposition$"):
             env["cpu"].run("gauss_seidel", field, thread=2)
+        with pytest.raises(OptionError,
+                           match=r"'threads'; .* derive it with "
+                                 r"with_options\(\.\.\.\)$"):
+            env["cpu"].run("gauss_seidel", field, threads=2)
         assert field.tobytes() == env["field"].tobytes()
 
 
@@ -480,16 +484,21 @@ class TestFluentPrograms:
         assert gpu.options.data_strategy == "host_register"
         assert session.cache_stats["misses"] == 2
 
-    def test_interpreter_override_validation(self, session, small_gs_source):
-        """Overrides are validated at override time; falsy values no longer
-        silently fall back to the compiled defaults."""
+    def test_runtime_options_come_from_the_handle(self, session,
+                                                  small_gs_source):
+        """``execution_mode`` and ``threads`` are set on the handle only:
+        falsy values are refused when derived, never silently defaulted, and
+        ``interpreter()`` has no second copy of them."""
         compiled = session.compile(small_gs_source).lower("cpu")
         with pytest.raises(OptionError, match="execution_mode"):
-            compiled.interpreter(execution_mode="")
+            compiled.with_options(execution_mode="")
         with pytest.raises(OptionError, match="threads"):
-            compiled.interpreter(threads=0)
-        interp = compiled.interpreter(execution_mode="vectorize", threads=2)
-        assert interp.execution_mode == "vectorize"
+            compiled.with_options(threads=0)
+        interp = compiled.with_options(
+            execution_mode="vectorize", threads=2).interpreter()
+        assert (interp.execution_mode, interp.threads) == ("vectorize", 2)
+        with pytest.raises(TypeError, match="threads"):
+            compiled.interpreter(threads=2)
 
 
 class TestDmpCacheKeys:

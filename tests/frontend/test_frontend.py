@@ -340,7 +340,7 @@ def run_everywhere(source, entry, make_args):
         handle = repro.Session().compile(source).lower(backend)
         for mode in ("interpret", "vectorize"):
             args = make_args()
-            handle.run(entry, *args, execution_mode=mode)
+            handle.with_options(execution_mode=mode).run(entry, *args)
             yield args
 
 

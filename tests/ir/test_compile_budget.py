@@ -52,7 +52,7 @@ def run_vectorized(name, handle):
         args = [gauss_seidel.initial_condition(N).copy(order="F")]
         entry = "gauss_seidel"
     kwargs = {"gpu": SimulatedGPU()} if name == "pw-gpu-scf" else {}
-    return handle.run(entry, *args, execution_mode="vectorize", **kwargs)
+    return handle.vectorize().run(entry, *args, **kwargs)
 
 
 @pytest.fixture
@@ -173,7 +173,7 @@ def test_one_translation_per_apply_that_survives(monkeypatch, options, surviving
     assert len(applies) == surviving and built == []  # lower() translates nothing
     args = [f.copy(order="F") for f in pw_advection.initial_fields(N)]
     for _ in range(2):
-        handle.run("pw_advection", *args, execution_mode="vectorize")
+        handle.with_options(execution_mode="vectorize").run("pw_advection", *args)
     assert built == ["stencil.apply"] * surviving
 
 

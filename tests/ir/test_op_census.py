@@ -181,7 +181,7 @@ def _run(compiled):
     args = synthesize_args(compiled.fir_module.get_symbol(entry))
     mode = "interpret" if compiled.backend_name == "flang-only" else "crosscheck"
     with np.errstate(all="ignore"):
-        compiled.run(entry, *args, execution_mode=mode, threads=2)
+        compiled.with_options(execution_mode=mode, threads=2).run(entry, *args)
 
 
 def _exercise(session, store_dir):

@@ -71,15 +71,20 @@ class TestCrashRecovery:
             plan.run(field, iterations=2, resilience=ResilienceOptions(
                 max_restarts=2, plan=FaultPlan(rank_crashes=crashes)))
 
-    def test_with_resilience_fluent_derivation(self, session):
+    def test_policy_belongs_to_one_run(self, session):
+        """The recovery policy is a ``run`` argument, never stored on the
+        plan: the run after a recovered one is fail-fast again."""
         field = global_field(12)
-        base = plan_for(session, (2, 1), 12)
-        resilient = base.with_resilience(ResilienceOptions(
+        plan = plan_for(session, (2, 1), 12)
+        baseline = plan.run(field, iterations=2)
+        recovered = plan.run(field, iterations=2, resilience=ResilienceOptions(
             plan=FaultPlan(rank_crashes=(RankCrash(rank=1, iteration=0),))))
-        baseline = base.run(field, iterations=2)
-        recovered = resilient.run(field, iterations=2)
+        after = plan.run(field, iterations=2)
         np.testing.assert_array_equal(recovered.field, baseline.field)
+        np.testing.assert_array_equal(after.field, baseline.field)
         assert recovered.restarts == 1
+        assert after.restarts == 0
+        assert after.recovery.checkpoint_saves == 0
 
     def test_stats_carried_across_restart(self, session):
         """The retired generation's communication is folded into the final
@@ -198,16 +203,21 @@ class TestOptionValidation:
         with pytest.raises(ResilienceError, match="plan must be a FaultPlan"):
             ResilienceOptions(plan={"seed": 1})
 
-    def test_distribute_rejects_non_options_resilience(self, session):
+    def test_run_rejects_non_options_resilience(self, session):
+        plan = plan_for(session, (2, 1), 12)
+        with pytest.raises(OptionError,
+                           match="resilience must be a ResilienceOptions"):
+            plan.run(global_field(12), resilience={"max_restarts": 2})
+
+    def test_distribute_takes_no_resilience(self, session):
+        """The policy is set per run only: ``distribute`` has no copy."""
         program = session.compile(
             gauss_seidel.generate_source_shaped((14,) * 3, niters=1))
         compiled = program.lower("dmp", grid=(2, 1),
                                  execution_mode="vectorize")
-        with pytest.raises(OptionError,
-                           match="resilience must be a ResilienceOptions"):
-            compiled.distribute(
-                source_builder=gauss_seidel.generate_source_shaped,
-                resilience={"max_restarts": 2})
+        with pytest.raises(TypeError, match="resilience"):
+            compiled.distribute(resilience=ResilienceOptions())
+        assert not hasattr(compiled.distribute(), "with_resilience")
 
     @pytest.mark.parametrize("bad", [0, -1.5, "fast", True])
     def test_distribute_rejects_bad_timeout_naming_backend(self, session,

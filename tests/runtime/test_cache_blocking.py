@@ -83,8 +83,8 @@ def _run_app(app, handle, threads, n=12):
     else:
         entry = "pw_advection"
         args = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
-    interp = handle.run(entry, *args, execution_mode="vectorize",
-                        threads=threads)
+    interp = handle.with_options(
+        execution_mode="vectorize", threads=threads).run(entry, *args)
     return b"".join(a.tobytes() for a in args), interp.stats
 
 

@@ -57,7 +57,7 @@ def sweeps(monkeypatch):
     return calls
 
 
-#: plan -> (interpreter options, whether every box runs the windowed body)
+#: plan -> (runtime options, whether every box runs the windowed body)
 PLANS = {
     "cache": ({}, False),
     "threads": ({"threads": 2}, False),
@@ -73,7 +73,8 @@ def lower(source, backend="cpu", **options):
 
 def run_pw(compiled, mode, fields=None, **options):
     fields = pw_advection.initial_fields(N) if fields is None else fields
-    compiled.run("pw_advection", *fields, execution_mode=mode, **options)
+    compiled.with_options(execution_mode=mode, **options).run("pw_advection",
+                                                              *fields)
     return fields
 
 
@@ -112,11 +113,12 @@ def test_in_place_gauss_seidel_is_delivered_deferred(sweeps, plan, mode,
     niters = 2
     compiled = lower(gauss_seidel.generate_source(N, niters=niters))
     oracle = gauss_seidel.initial_condition(N)
-    compiled.run("gauss_seidel", oracle, execution_mode="interpret")
+    compiled.with_options(execution_mode="interpret").run("gauss_seidel", oracle)
     u = gauss_seidel.initial_condition(N)
     if windowed:
         windowed_only(monkeypatch)
-    compiled.run("gauss_seidel", u, execution_mode=mode, **options)
+    compiled.with_options(execution_mode=mode, **options).run("gauss_seidel",
+                                                              u)
     assert u.tobytes() == oracle.tobytes()
     assert np.allclose(u, gauss_seidel.reference_jacobi(
         gauss_seidel.initial_condition(N), niters))
@@ -166,7 +168,7 @@ end subroutine shift
     results = {}
     for mode in ("interpret", "vectorize", "crosscheck"):
         a = np.asfortranarray(np.arange(64, dtype=np.float64).reshape(8, 8))
-        compiled.run("shift", a, execution_mode=mode)
+        compiled.with_options(execution_mode=mode).run("shift", a)
         results[mode] = a
     expected = np.arange(64, dtype=np.float64).reshape(8, 8)
     expected[:, 1:] = expected[:, :-1].copy()
@@ -221,7 +223,7 @@ end subroutine chain
 def run_chain(compiled, mode):
     rng = np.random.default_rng(17)
     fields = [np.asfortranarray(rng.random((8, 8))) for _ in range(3)]
-    interp = compiled.run("chain", *fields, execution_mode=mode)
+    interp = compiled.with_options(execution_mode=mode).run("chain", *fields)
     return fields, interp
 
 
@@ -331,9 +333,8 @@ def test_crosscheck_raises_when_a_box_lands_in_the_wrong_window(monkeypatch, app
         if app == "pw_advection":
             run_pw(lower(pw_advection.generate_source(N)), "crosscheck")
         else:
-            lower(gauss_seidel.generate_source(N, niters=1)).run(
-                "gauss_seidel", gauss_seidel.initial_condition(N),
-                execution_mode="crosscheck")
+            lower(gauss_seidel.generate_source(N, niters=1)).crosscheck().run(
+                "gauss_seidel", gauss_seidel.initial_condition(N))
     # The source names its float literals; the message gives their values.
     assert str(caught.value).endswith("--- parameters ---\n" + (
         "c0 = 0.005, c1 = 0.005, c2 = 0.005" if app == "pw_advection" else "c0 = 6.0"))
@@ -355,7 +356,7 @@ def test_crosscheck_reads_delivered_values_back_and_restores_the_windows(
     monkeypatch.setattr(interpreter_module, "run_boxes", poisoned)
     u = gauss_seidel.initial_condition(N)
     with pytest.raises(InterpreterError, match="diverged"):
-        compiled.run("gauss_seidel", u, execution_mode="crosscheck")
+        compiled.with_options(execution_mode="crosscheck").run("gauss_seidel", u)
     assert u.tobytes() == gauss_seidel.initial_condition(N).tobytes()
 
 

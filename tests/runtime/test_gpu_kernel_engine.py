@@ -330,8 +330,8 @@ class TestLoweredBenchmarks:
         results = {}
         for mode in ("interpret", "vectorize", "crosscheck"):
             work = init.copy(order="F")
-            interp = compiled.interpreter(gpu=SimulatedGPU(),
-                                          execution_mode=mode)
+            interp = compiled.with_options(
+                execution_mode=mode).interpreter(gpu=SimulatedGPU())
             interp.call("gauss_seidel", work)
             results[mode] = (work, interp)
 
@@ -368,7 +368,8 @@ class TestLoweredBenchmarks:
             gauss_seidel.generate_source(n, niters=2)
         ).lower("gpu", data_strategy="optimised", lower_to_scf=True)
         device = SimulatedGPU()
-        interp = compiled.interpreter(gpu=device, execution_mode="vectorize")
+        interp = compiled.with_options(
+            execution_mode="vectorize").interpreter(gpu=device)
         interp.call("gauss_seidel", gauss_seidel.initial_condition(n))
         assert len(device.launches) == 2  # niters, not 2 * niters
         assert interp.stats["kernel_launches"] == 2
@@ -394,7 +395,8 @@ class TestLoweredBenchmarks:
         def timed(mode):
             # One interpreter: the warm-up compiles + binds the kernels, so the
             # timed calls measure launch execution only.
-            interp = compiled.interpreter(gpu=SimulatedGPU(), execution_mode=mode)
+            interp = compiled.with_options(
+                execution_mode=mode).interpreter(gpu=SimulatedGPU())
             interp.call("gauss_seidel", init.copy(order="F"))
             best = float("inf")
             for _ in range(3):

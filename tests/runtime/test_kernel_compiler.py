@@ -370,7 +370,8 @@ class TestWindowSharingAndBufferReuse:
 
         def run(mode):
             fields = [f.copy(order="F") for f in pw_advection.initial_fields(8)]
-            return fields, result.run("pw_advection", *fields, execution_mode=mode)
+            return fields, result.with_options(
+                execution_mode=mode).run("pw_advection", *fields)
 
         oracle, _ = run("interpret")
         checked, interp = run("crosscheck")
@@ -443,7 +444,7 @@ class TestKernelCache:
         niters = 4
         result = repro.compile(
             gauss_seidel.generate_source(12, niters=niters)).lower("cpu")
-        interp = result.interpreter(execution_mode="vectorize")
+        interp = result.with_options(execution_mode="vectorize").interpreter()
         interp.kernels = KernelCompiler(use_shared_cache=False)
         interp.call("gauss_seidel", gauss_seidel.initial_condition(12))
         assert interp.stats["vectorized_sweeps"] == niters
@@ -512,8 +513,8 @@ class TestFloatLiteralsAreParameters:
             a = np.linspace(1.0, 2.0, 8)  # positive: no 0 * inf NaN
             b = np.zeros(8)
             interp = repro.Session().compile(NON_FINITE_SOURCE).lower(
-                backend, **options).run("scale", a, b, execution_mode=mode,
-                                        **gpu_for(backend))
+                backend, execution_mode=mode, **options).run(
+                    "scale", a, b, **gpu_for(backend))
             return b, interp
 
         oracle, _ = run("cpu", {}, "interpret")
@@ -540,8 +541,8 @@ class TestFloatLiteralsAreParameters:
                                           dx=dx, dy=dy, dz=dz)
             for run_mode in (mode, "crosscheck"):
                 fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
-                interp = handle.run("pw_advection", *fields, execution_mode=run_mode,
-                                    **gpu_for(backend))
+                interp = handle.with_options(execution_mode=run_mode).run(
+                    "pw_advection", *fields, **gpu_for(backend))
                 assert all(got.tobytes() == ref.tobytes()
                            for got, ref in zip(fields[3:], want)), (name, run_mode)
                 assert interp.kernels.stats["reasons"] == {}
@@ -582,7 +583,7 @@ def run_gauss_seidel(mode, lower_to_scf, n=14, niters=2):
     result = repro.compile(gauss_seidel.generate_source(n, niters=niters)).lower(
         "cpu", lower_to_scf=lower_to_scf)
     u = gauss_seidel.initial_condition(n)
-    interp = result.interpreter(execution_mode=mode)
+    interp = result.with_options(execution_mode=mode).interpreter()
     interp.call("gauss_seidel", u)
     return u, interp
 
@@ -591,7 +592,7 @@ def run_pw_advection(mode, lower_to_scf, n=10):
     result = repro.compile(pw_advection.generate_source(n)).lower(
         "cpu", lower_to_scf=lower_to_scf)
     fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
-    interp = result.interpreter(execution_mode=mode)
+    interp = result.with_options(execution_mode=mode).interpreter()
     interp.call("pw_advection", *fields)
     return fields, interp
 
@@ -625,10 +626,10 @@ class TestOracleEquivalence:
         result = repro.compile(gauss_seidel.generate_source(12, niters=1)).lower(
             "openmp", lower_to_scf=True)
         u_ref = gauss_seidel.initial_condition(12)
-        result.interpreter(execution_mode="interpret").call("gauss_seidel",
-                                                            u_ref.copy(order="F"))
+        result.interpret().interpreter().call("gauss_seidel",
+                                              u_ref.copy(order="F"))
         u_vec = gauss_seidel.initial_condition(12)
-        interp = result.interpreter(execution_mode="vectorize")
+        interp = result.with_options(execution_mode="vectorize").interpreter()
         interp.call("gauss_seidel", u_vec)
         assert interp.stats["vectorized_sweeps"] == 1
         ref = gauss_seidel.reference_jacobi(gauss_seidel.initial_condition(12), 1)
@@ -643,7 +644,7 @@ def _time_lowered_run(result, entry, args, mode, repeats=1):
     best = float("inf")
     for _ in range(repeats):
         run_args = [a.copy(order="F") for a in args]
-        interp = result.interpreter(execution_mode=mode)
+        interp = result.with_options(execution_mode=mode).interpreter()
         start = time.perf_counter()
         interp.call(entry, *run_args)
         best = min(best, time.perf_counter() - start)
@@ -990,8 +991,7 @@ class TestGuardsAndFallbacks:
             "cpu", execution_mode="vectorize")
         interp = result.interpreter()
         assert interp.execution_mode == "vectorize"
-        assert result.interpreter(execution_mode="interpret").execution_mode == \
-            "interpret"
+        assert result.interpret().interpreter().execution_mode == "interpret"
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +1008,7 @@ class TestMaterialisation:
 
     def run(self, handle, mode="vectorize"):
         fields = [f.copy(order="F") for f in pw_advection.initial_fields(self.N)]
-        interp = handle.run("pw_advection", *fields, execution_mode=mode)
+        interp = handle.with_options(execution_mode=mode).run("pw_advection", *fields)
         return interp, b"".join(f.tobytes() for f in fields[3:])
 
     def test_translation_is_enough_for_the_analysis_and_the_guards(self, empty_kernel_cache):
@@ -1154,8 +1154,8 @@ class TestFlatRendering:
         def run():
             args = [gauss_seidel.initial_condition(n)] if app is gauss_seidel \
                 else [f.copy(order="F") for f in pw_advection.initial_fields(n)]
-            interp = handle.run(entry, *args, execution_mode="vectorize",
-                                threads=threads)
+            interp = handle.with_options(
+                execution_mode="vectorize", threads=threads).run(entry, *args)
             assert interp.kernels.stats["reasons"] == {}
             return b"".join(a.tobytes() for a in args), \
                 interp.kernels.stats["renderings"]

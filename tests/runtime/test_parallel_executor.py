@@ -395,7 +395,7 @@ class TestDispatchFollowsTheCpus:
             seen.clear()
             meet[0] = 2 if label == "two cpus" else 1
             u = gauss_seidel.initial_condition(n)
-            stats = handle.run("gauss_seidel", u, threads=threads).stats
+            stats = handle.with_options(threads=threads).run("gauss_seidel", u).stats
             runs[label] = (u.tobytes(), seen["threads"], {
                 key: stats[key] for key in
                 ("parallel_sweeps", "parallel_tiles", "cache_tiles")})
@@ -587,7 +587,8 @@ class TestTiledApplyExecution:
         n = 16
         result = repro.compile(gauss_seidel.generate_source(n, niters=2)).lower("cpu")
         u = gauss_seidel.initial_condition(n)
-        interp = result.interpreter(execution_mode="crosscheck", threads=4)
+        interp = result.with_options(
+            execution_mode="crosscheck", threads=4).interpreter()
         interp.call("gauss_seidel", u)
         assert interp.stats["parallel_sweeps"] >= 1
         reference = gauss_seidel.reference_jacobi(
@@ -610,7 +611,8 @@ class TestLoweredBenchmarksThreaded:
             gauss_seidel.generate_source(n, niters=2)
         ).lower("openmp", lower_to_scf=True)
         u = gauss_seidel.initial_condition(n)
-        interp = result.interpreter(execution_mode="crosscheck", threads=threads)
+        interp = result.with_options(
+            execution_mode="crosscheck", threads=threads).interpreter()
         interp.call("gauss_seidel", u)
         assert interp.stats["parallel_sweeps"] >= 1
         reference = gauss_seidel.reference_jacobi(gauss_seidel.initial_condition(n), 2)
@@ -624,7 +626,8 @@ class TestLoweredBenchmarksThreaded:
             pw_advection.generate_source(n)
         ).lower("openmp", lower_to_scf=True)
         fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
-        interp = result.interpreter(execution_mode="crosscheck", threads=4)
+        interp = result.with_options(
+            execution_mode="crosscheck", threads=4).interpreter()
         interp.call("pw_advection", *fields)
         assert interp.stats["vectorized_sweeps"] >= 1
         assert interp.stats["parallel_sweeps"] >= 1
@@ -651,8 +654,8 @@ class TestLoweredBenchmarksThreaded:
 
         def run(threads):
             args = make_args()
-            interp = handle.run(entry, *args, execution_mode="vectorize",
-                                threads=threads)
+            interp = handle.with_options(
+                execution_mode="vectorize", threads=threads).run(entry, *args)
             return b"".join(a.tobytes() for a in args), interp.stats
 
         one, _ = run(1)
@@ -675,7 +678,8 @@ class TestLoweredBenchmarksThreaded:
             gauss_seidel.initial_condition(n), niters)
 
         def best_of(threads, repeats=5):
-            interp = handle.interpreter(execution_mode="vectorize", threads=threads)
+            interp = handle.with_options(
+                execution_mode="vectorize", threads=threads).interpreter()
             best = float("inf")
             for _ in range(repeats + 1):       # the first call warms the kernel
                 u = gauss_seidel.initial_condition(n)
@@ -732,8 +736,8 @@ class TestOpenMPPlumbing:
         result = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower(
             "cpu", execution_mode="vectorize", threads=3)
         assert result.interpreter().threads == 3
-        assert result.interpreter(threads=1).threads == 1
-        assert result.interpreter(threads=2).threads == 2
+        assert result.with_options(threads=1).interpreter().threads == 1
+        assert result.with_options(threads=2).interpreter().threads == 2
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +750,7 @@ class TestKernelRuntimeStats:
         niters = 3
         result = repro.compile(
             gauss_seidel.generate_source(12, niters=niters)).lower("cpu")
-        interp = result.interpreter(execution_mode="vectorize")
+        interp = result.with_options(execution_mode="vectorize").interpreter()
         interp.call("gauss_seidel", gauss_seidel.initial_condition(12))
         per_kernel = interp.kernels.stats["per_kernel"]
         assert len(per_kernel) == 1
@@ -760,7 +764,7 @@ class TestKernelRuntimeStats:
 
         result = repro.compile(
             gauss_seidel.generate_source(10, niters=1)).lower("cpu")
-        interp = result.interpreter(execution_mode="vectorize")
+        interp = result.with_options(execution_mode="vectorize").interpreter()
         interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
         table = kernel_stats_table(interp.kernels)
         assert "stencil.apply@" in table

@@ -133,8 +133,8 @@ class TestInterpreterCore:
                     service.run(source, "gauss_seidel", [u], backend="cpu",
                                 execution_mode="vectorize")
             else:
-                repro.compile(source).lower("cpu").run(
-                    "gauss_seidel", u, execution_mode=path)
+                repro.compile(source).lower("cpu", execution_mode=path).run(
+                    "gauss_seidel", u)
         assert u.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("mode", ["interpret", "vectorize"])
@@ -146,8 +146,8 @@ class TestInterpreterCore:
         fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
         for field in fields[:3]:
             field.setflags(write=False)
-        repro.compile(pw_advection.generate_source(n)).lower("cpu").run(
-            "pw_advection", *fields, execution_mode=mode)
+        repro.compile(pw_advection.generate_source(n)).lower(
+            "cpu", execution_mode=mode).run("pw_advection", *fields)
         for got, want in zip(fields[3:], pw_advection.reference(*fields[:3])):
             assert np.allclose(got, want)
 
@@ -173,7 +173,7 @@ class TestInterpreterCore:
 
         compiled = repro.compile(gauss_seidel.generate_source(8, niters=1)).lower("cpu")
         with pytest.raises(InterpreterError) as error:
-            compiled.run("gauss_seidel", array, execution_mode=mode)
+            compiled.with_options(execution_mode=mode).run("gauss_seidel", array)
         message = str(error.value)
         assert "arg0" in message and "!fir.array<8x8x8xf64>" in message
         assert received in message
@@ -221,8 +221,8 @@ end subroutine scale
                     with CompileService(repro.Session(), workers=1) as service:
                         service.run(source, "scale", args, execution_mode=mode)
                 else:
-                    repro.compile(source).lower(backend).run(
-                        "scale", *args, execution_mode=mode)
+                    repro.compile(source).lower(backend, execution_mode=mode).run(
+                        "scale", *args)
             message = str(error.value)
             assert f"argument {position} is declared {declared}," in message
         assert np.array_equal(array, np.ones(8))
@@ -327,14 +327,16 @@ class TestSnapshotElision:
         runs = {}
         for mode in ("vectorize", "interpret"):
             runs[mode] = start.copy(order="F")
-            interp = compiled.run("gauss_seidel", runs[mode], execution_mode=mode)
+            interp = compiled.with_options(
+                execution_mode=mode).run("gauss_seidel", runs[mode])
             assert list(interp._snapshot_copies.values()) == [False]
         # The verdict is linked into the artifact once, so the always-copy
         # oracle is a fresh artifact (its own session), not a later run.
         self._always_copy(monkeypatch)
         copied = start.copy(order="F")
-        oracle = repro.Session().lower(compiled.source, "cpu").run(
-            "gauss_seidel", copied, execution_mode="interpret")
+        oracle = repro.Session().lower(
+            compiled.source, "cpu", execution_mode="interpret").run(
+                "gauss_seidel", copied)
         assert list(oracle._snapshot_copies.values()) == [True]
         assert runs["vectorize"].tobytes() == runs["interpret"].tobytes() \
             == copied.tobytes() == gauss_seidel.reference_jacobi(start, 3).tobytes()
@@ -363,8 +365,8 @@ class TestSnapshotElision:
         u, v, w, su, sv, sw = (f.copy(order="F")
                                for f in pw_advection.initial_fields(9))
         before = [a.copy() for a in (u, v, w)]
-        interp = compiled.run("pw_advection", u, v, w, su, sv, sw,
-                              execution_mode=mode)
+        interp = compiled.with_options(
+            execution_mode=mode).run("pw_advection", u, v, w, su, sv, sw)
         assert interp.stats["snapshots_copied"] == 0
         assert interp.stats["snapshots_elided"] == 3
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, v, w), before))
@@ -380,8 +382,8 @@ class TestSnapshotElision:
 
         aliased = u.copy(order="F")
         sv2, sw2 = np.zeros_like(sv), np.zeros_like(sw)
-        interp = compiled.run("pw_advection", aliased, v, w, aliased, sv2, sw2,
-                              execution_mode=mode)
+        interp = compiled.with_options(
+            execution_mode=mode).run("pw_advection", aliased, v, w, aliased, sv2, sw2)
         # Device buffers of one host array are distinct; host ones are not.
         on_host = options.get("data_strategy") != "optimised"
         assert interp.stats["snapshots_copied"] == \
@@ -391,9 +393,9 @@ class TestSnapshotElision:
         self._always_copy(monkeypatch)
         oracle = u.copy(order="F")
         sv3, sw3 = np.zeros_like(sv), np.zeros_like(sw)
-        copying = repro.Session().lower(compiled.source, "cpu").run(
-            "pw_advection", oracle, v, w, oracle, sv3, sw3,
-            execution_mode="interpret")
+        copying = repro.Session().lower(
+            compiled.source, "cpu", execution_mode="interpret").run(
+                "pw_advection", oracle, v, w, oracle, sv3, sw3)
         assert copying.stats["snapshots_copied"] == 3
         for got, want in ((aliased, oracle), (sv2, sv3), (sw2, sw3)):
             assert got.tobytes() == want.tobytes()

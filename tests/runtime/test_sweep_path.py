@@ -63,10 +63,10 @@ PLANS = {
 }
 
 
-def run_gauss_seidel(compiled, **interpreter_options):
+def run_gauss_seidel(compiled, **runtime_options):
     """The result, the nonzero counters, and the bodies the boxes ran."""
     u = gauss_seidel.initial_condition(N)
-    interp = compiled.run("gauss_seidel", u, **interpreter_options)
+    interp = compiled.with_options(**runtime_options).run("gauss_seidel", u)
     return u, {key: interp.stats[key] for key in COUNTERS if interp.stats[key]}, \
         set(interp.kernels.stats["renderings"] if interp.kernels else ())
 

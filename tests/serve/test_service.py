@@ -140,6 +140,34 @@ class TestSingleFlight:
         finally:
             service.close()
 
+    def test_a_coalesced_run_keeps_its_own_runtime_options(self):
+        """``execution_mode`` and ``threads`` are not in the cache key, so
+        runs that differ only there share one flight; each still runs with
+        the options it asked for."""
+        service, gated, _ = _make_service(workers=4)
+        try:
+            gated.gate.clear()
+            asked = [("interpret", 1), ("vectorize", 2), ("crosscheck", 3)]
+            futures = [
+                service.submit_run(SOURCE, "gauss_seidel",
+                                   [gauss_seidel.initial_condition(6)],
+                                   backend="gated", execution_mode=mode,
+                                   threads=threads)
+                for mode, threads in asked
+            ]
+            deadline = time.monotonic() + 5.0
+            while (service.metrics().coalesced < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert service.metrics().coalesced == 2
+            gated.gate.set()
+            interps = [f.result(10.0) for f in futures]
+            assert gated.lower_count == 1
+            assert [(i.execution_mode, i.threads) for i in interps] == asked
+        finally:
+            gated.gate.set()
+            service.close()
+
     def test_cached_key_fast_path_skips_the_queue(self):
         service, gated, _ = _make_service(workers=1)
         try:

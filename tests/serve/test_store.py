@@ -76,12 +76,11 @@ class TestRoundTrip:
         u_orig = gauss_seidel.initial_condition(8)
         u_loaded = gauss_seidel.initial_condition(8)
         backend = get_backend("cpu")
-        build_interpreter(backend, options, artifact.modules,
-                          execution_mode="vectorize").call(
-                              "gauss_seidel", u_orig)
-        build_interpreter(backend, options, loaded.modules,
-                          execution_mode="vectorize").call(
-                              "gauss_seidel", u_loaded)
+        options = options.replace(execution_mode="vectorize")
+        build_interpreter(backend, options, artifact.modules).call(
+            "gauss_seidel", u_orig)
+        build_interpreter(backend, options, loaded.modules).call(
+            "gauss_seidel", u_loaded)
         assert u_orig.tobytes() == u_loaded.tobytes()
 
     @pytest.mark.parametrize("backend,overrides", [

@@ -53,7 +53,7 @@ def _serial_reference():
     for label, source, backend, options in WORKLOADS:
         compiled = session.lower(source, backend, **options)
         entry, args = _fresh_args(label)
-        compiled.run(entry, *args, execution_mode="vectorize")
+        compiled.with_options(execution_mode="vectorize").run(entry, *args)
         reference[label] = _result_bytes(args)
     return reference
 
@@ -131,7 +131,7 @@ class TestStressAcceptance:
         for label, source, backend, options in WORKLOADS:
             compiled = cold.lower(source, backend, **options)
             entry, args = _fresh_args(label)
-            compiled.run(entry, *args, execution_mode="vectorize")
+            compiled.with_options(execution_mode="vectorize").run(entry, *args)
             assert _result_bytes(args) == serial_reference[label], (
                 f"store-reloaded workload {label} diverged"
             )
@@ -154,7 +154,7 @@ class TestStressAcceptance:
                 barrier.wait(timeout=30)
                 compiled = session.lower(source, "cpu", lower_to_scf=True)
                 entry, args = _fresh_args("gs")
-                compiled.run(entry, *args, execution_mode="vectorize")
+                compiled.with_options(execution_mode="vectorize").run(entry, *args)
                 payloads.append(_result_bytes(args))
             except BaseException as exc:  # pragma: no cover
                 failures.append((i, exc))

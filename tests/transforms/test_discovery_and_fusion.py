@@ -198,8 +198,8 @@ class TestLeftBehindOpsKeepTheirOrder:
     @pytest.mark.parametrize("backend", ["flang-only", "cpu"])
     def test_a_store_between_two_uses_of_its_array_stays(self, backend, mode):
         a, idx = np.zeros(12), np.arange(1, 9, dtype=np.int32)
-        repro.Session().lower(self.SOURCE, backend).run(
-            "hoisted_indirect_store", a, idx, execution_mode=mode)
+        repro.Session().lower(self.SOURCE, backend, execution_mode=mode).run(
+            "hoisted_indirect_store", a, idx)
         assert list(a) == [1.0] * 8 + [2.0] * 4
         assert list(idx) == list(range(5, 13))
 
