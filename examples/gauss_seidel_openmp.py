@@ -46,7 +46,7 @@ def main() -> None:
     # --- Automatic OpenMP parallelisation (no source changes) --------------
     # The omp.wsloop sweeps execute for real on a 4-worker thread pool: each
     # compiled kernel sweep is tiled along its outermost parallel dimension.
-    openmp = program.lower("openmp", lower_to_scf=True).vectorize(threads=4)
+    openmp = program.lower("openmp").vectorize(threads=4)
     omp_data = initial.copy(order="F")
     interp = openmp.interpreter()
     interp.call("gauss_seidel", omp_data)

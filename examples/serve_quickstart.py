@@ -36,8 +36,7 @@ N_CLIENTS = 8
 WORKLOADS = [
     ("gauss_seidel/cpu", gauss_seidel.generate_source(16, niters=2),
      "cpu", {"lower_to_scf": True}),
-    ("pw_advection/openmp", pw_advection.generate_source(16),
-     "openmp", {"lower_to_scf": True}),
+    ("pw_advection/openmp", pw_advection.generate_source(16), "openmp", {}),
 ]
 
 

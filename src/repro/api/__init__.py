@@ -8,9 +8,9 @@ through three composable layers:
   :class:`Backend` owning its pipeline string, its option schema and its
   simulated-runtime wiring.  Register your own backend to extend the system.
 * **Fluent programs** (:mod:`repro.api.program`) — ``repro.compile(source)``
-  returns an immutable :class:`Program`; ``program.lower("openmp",
-  lower_to_scf=True).vectorize(threads=4).run(entry, *args)`` derives and
-  executes compiled handles without mutating anything.
+  returns an immutable :class:`Program`; ``program.lower("openmp")
+  .vectorize(threads=4).run(entry, *args)`` derives and executes compiled
+  handles without mutating anything.
 * **Sessions** (:mod:`repro.api.session`) — a :class:`Session` memoizes
   compiled artifacts by (source hash, backend, frozen options) and runs
   argument batches concurrently via :meth:`Session.run_batch`.

@@ -48,12 +48,15 @@ class UnknownBackendError(ValueError):
 class Backend:
     """One compilation target: pipeline, option schema, runtime wiring.
 
-    Subclasses set :attr:`name` (the registry key) and :attr:`options_cls`;
-    stencil-flow targets override :meth:`pipeline` and/or :meth:`transform`.
+    Subclasses set :attr:`name` (the registry key), :attr:`options_cls` and
+    their one :attr:`pipeline`; :meth:`transform` edits around it.
     """
 
     name: str = ""
     options_cls: Type[BackendOptions] = BackendOptions
+    #: The pass pipeline this backend runs on the extracted stencil module
+    #: (``None`` — keep the module at the stencil level).
+    pipeline: Optional[str] = None
     #: Whether this target runs stencil discovery/extraction at all.
     uses_stencil_flow: bool = True
 
@@ -84,11 +87,6 @@ class Backend:
         return self.options_cls(**overrides)
 
     # -- compilation ---------------------------------------------------------
-
-    def pipeline(self, options: BackendOptions) -> Optional[str]:
-        """The pass-pipeline string this backend runs on the stencil module
-        (``None`` — keep the module at the stencil level)."""
-        return None
 
     def lower(self, source, options: Optional[BackendOptions] = None, *,
               ctx: Optional[Context] = None, **overrides) -> CompiledArtifact:
@@ -129,9 +127,8 @@ class Backend:
 
     def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
         """Target-specific lowering of the extracted stencil module."""
-        pipeline = self.pipeline(artifact.options)
-        if pipeline:
-            self.run_pipeline(artifact, pipeline, ctx)
+        if self.pipeline:
+            self.run_pipeline(artifact, self.pipeline, ctx)
 
     def run_pipeline(self, artifact: CompiledArtifact, pipeline: str,
                      ctx: Context) -> None:
@@ -160,13 +157,14 @@ class FlangOnlyBackend(Backend):
 
 
 class CpuBackend(Backend):
-    """Single-core CPU via the stencil flow."""
+    """Single-core CPU: the stencil level, or ``CPU_PIPELINE`` on request."""
 
     name = "cpu"
     options_cls = CpuOptions
 
-    def pipeline(self, options: CpuOptions) -> Optional[str]:
-        return pipelines.CPU_PIPELINE if options.lower_to_scf else None
+    def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
+        if artifact.options.lower_to_scf:
+            self.run_pipeline(artifact, pipelines.CPU_PIPELINE, ctx)
 
 
 class OpenMPBackend(Backend):
@@ -174,24 +172,20 @@ class OpenMPBackend(Backend):
 
     name = "openmp"
     options_cls = OpenMPOptions
-
-    def pipeline(self, options: OpenMPOptions) -> Optional[str]:
-        return pipelines.OPENMP_PIPELINE if options.lower_to_scf else None
+    pipeline = pipelines.OPENMP_PIPELINE
 
 
 class GpuBackend(Backend):
-    """Nvidia GPU (simulated V100) with selectable data-management strategy."""
+    """Nvidia GPU (simulated V100): a data strategy, then Listing 4."""
 
     name = "gpu"
     options_cls = GpuOptions
+    pipeline = pipelines.GPU_PIPELINE
 
     _DATA_PASSES = {
         "optimised": GpuOptimisedDataPass,
         "host_register": GpuHostRegisterPass,
     }
-
-    def pipeline(self, options: GpuOptions) -> Optional[str]:
-        return pipelines.GPU_STENCIL_PIPELINE if options.lower_to_scf else None
 
     def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
         strategy_cls = self._DATA_PASSES[artifact.options.data_strategy]
@@ -213,16 +207,12 @@ class DmpBackend(Backend):
     name = "dmp"
     options_cls = DmpOptions
 
-    def pipeline(self, options: DmpOptions) -> Optional[str]:
-        return pipelines.CPU_PIPELINE if options.lower_to_scf else None
-
     def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
         dmp_pass = ConvertStencilToDMPPass(grid=artifact.options.grid)
         dmp_pass.apply(ctx, artifact.stencil_module)
         mpi_pass = ConvertDMPToMPIPass()
         mpi_pass.apply(ctx, artifact.stencil_module)
         artifact.stencil_module.verify()
-        super().transform(artifact, ctx)
 
 
 class BackendRegistry:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass, fields
-from typing import Tuple
+from typing import ClassVar, Optional, Tuple
 
 from ..runtime.kernel_compiler import EXECUTION_MODES
 
@@ -71,19 +71,32 @@ def _positive_ints(name: str, value) -> Tuple[int, ...]:
 class BackendOptions:
     """Options every backend understands.
 
-    ``lower_to_scf`` chooses whether the extracted stencil module is lowered
-    all the way to scf/omp/gpu loops or kept at the stencil level (the fast
-    vectorised execution path); ``fuse_stencils`` toggles adjacent-stencil
-    fusion (ablation E9); ``execution_mode`` and ``threads`` configure the
-    interpreter that eventually runs the compiled modules.
+    ``lower_to_scf`` is a choice on cpu alone: keep the extracted stencil
+    module at the stencil level (the default, the fast vectorised execution
+    path) or lower it to scf loops.  A backend with one lowering names it in
+    :attr:`one_lowering`: the field defaults to it and refuses the other
+    value.  ``fuse_stencils`` toggles adjacent-stencil fusion (ablation E9);
+    ``execution_mode`` and ``threads`` configure the interpreter that
+    eventually runs the compiled modules.
     """
 
-    lower_to_scf: bool = False
+    lower_to_scf: Optional[bool] = None
     fuse_stencils: bool = True
     execution_mode: str = "interpret"
     threads: int = 1
 
+    #: ``(backend, value, advice)``: the one ``lower_to_scf`` value of a
+    #: backend with one lowering (``None``: a choice, default ``False``).
+    one_lowering: ClassVar[Optional[Tuple[str, bool, str]]] = None
+
     def __post_init__(self) -> None:
+        backend, fixed, advice = self.one_lowering or ("", None, "")
+        lowered = fixed if self.lower_to_scf is None else bool(self.lower_to_scf)
+        if fixed is not None and lowered != fixed:
+            raise OptionError(
+                f"backend '{backend}' has one lowering: lower_to_scf is "
+                f"always {fixed}; {advice}")
+        object.__setattr__(self, "lower_to_scf", bool(lowered))
         if self.execution_mode not in EXECUTION_MODES:
             raise OptionError(
                 f"execution_mode must be one of {EXECUTION_MODES}, "
@@ -116,31 +129,40 @@ class BackendOptions:
 class FlangOnlyOptions(BackendOptions):
     """Plain FIR, no stencil specialisation — nothing beyond the basics."""
 
+    one_lowering = ("flang-only", False, "it has no stencil module to lower")
+
 
 @dataclass(frozen=True)
 class CpuOptions(BackendOptions):
-    """Single-core CPU via the stencil flow."""
+    """Single-core CPU via the stencil flow, at either lowering level."""
 
 
 @dataclass(frozen=True)
 class OpenMPOptions(BackendOptions):
-    """Multi-threaded CPU (OpenMP): every sweep's outermost loop is split
-    statically across ``threads``, OpenMP's default schedule."""
+    """Multi-threaded CPU (OpenMP): always lowered to ``omp.wsloop`` nests,
+    each sweep's outermost loop split statically across ``threads``,
+    OpenMP's default schedule."""
+
+    one_lowering = ("openmp", True,
+                    'its stencil-level run is lower("cpu", threads=N)')
 
 
 @dataclass(frozen=True)
 class GpuOptions(BackendOptions):
     """Nvidia GPU (simulated V100).
 
-    ``data_strategy`` selects the paper's bespoke host/device data-movement
-    pass (``"optimised"``) or the naive ``gpu.host_register`` strategy, and
-    is compile-time cache-key material.  The parallel-loop tile sizes are
-    not an option: every kernel is tiled with the paper's Listing 4
-    ``(32, 32, 1)``, clipped to its domain and padded with 1s past its
-    rank.
+    Always lowered by the paper's Listing 4 pipeline to ``gpu.launch_func``
+    ops.  ``data_strategy`` selects the paper's bespoke host/device
+    data-movement pass (``"optimised"``) or the naive ``gpu.host_register``
+    strategy, and is compile-time cache-key material.  The parallel-loop
+    tile sizes are not an option: every kernel is tiled with the paper's
+    Listing 4 ``(32, 32, 1)``, clipped to its domain and padded with 1s
+    past its rank.
     """
 
     data_strategy: str = "optimised"
+
+    one_lowering = ("gpu", True, "every kernel runs as a gpu.launch_func")
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -160,6 +182,8 @@ class DmpOptions(BackendOptions):
     """
 
     grid: Tuple[int, ...] = (1, 1)
+
+    one_lowering = ("dmp", False, "every rank runs at the stencil level")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", _positive_ints("grid", self.grid))

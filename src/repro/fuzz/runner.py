@@ -8,8 +8,8 @@ distinct cases must miss) and executes a configuration matrix:
 
 * **oracle** — the cpu backend in ``interpret`` mode: pure op-by-op scalar
   execution, the reference semantics every other path is judged against;
-* **cpu / openmp / gpu** — vectorized and crosscheck modes, lowered and
-  unlowered pipelines and thread counts — each compared **bitwise**
+* **cpu / openmp / gpu** — vectorized and crosscheck modes, cpu at the
+  stencil level and lowered, thread counts — each compared **bitwise**
   (``ndarray.tobytes()``) against the oracle's output arrays;
 * **flang-only** — plain-FIR in-place execution, compared only for specs
   where snapshot and in-place semantics provably coincide
@@ -111,12 +111,9 @@ def default_matrix(spec: KernelSpec,
         _cfg("cpu/vectorize", "cpu", "vectorize"),
         _cfg("cpu/crosscheck", "cpu", "crosscheck"),
         _cfg("cpu-scf/vectorize", "cpu", "vectorize", lower_to_scf=True),
-        _cfg("openmp-static-t2/vectorize", "openmp", "vectorize", threads=2,
-             lower_to_scf=True),
-        _cfg("openmp-t4/crosscheck", "openmp", "crosscheck", threads=4,
-             lower_to_scf=True),
-        _cfg("gpu/vectorize", "gpu", "vectorize"),
-        _cfg("gpu-scf/vectorize", "gpu", "vectorize", lower_to_scf=True),
+        _cfg("openmp-static-t2/vectorize", "openmp", "vectorize", threads=2),
+        _cfg("openmp-t4/crosscheck", "openmp", "crosscheck", threads=4),
+        _cfg("gpu-scf/vectorize", "gpu", "vectorize"),
     ]
     if spec.flang_comparable:
         configs.append(_cfg("flang-only/interpret", "flang-only", "interpret"))
@@ -126,10 +123,9 @@ def default_matrix(spec: KernelSpec,
             _cfg("cpu-scf-aliased/vectorize", "cpu", "vectorize", aliased=True,
                  lower_to_scf=True),
             _cfg("openmp-t2-aliased/crosscheck", "openmp", "crosscheck",
-                 threads=2, aliased=True, lower_to_scf=True),
+                 threads=2, aliased=True),
             _cfg("gpu-scf-host-aliased/vectorize", "gpu", "vectorize",
-                 aliased=True, lower_to_scf=True,
-                 data_strategy="host_register"),
+                 aliased=True, data_strategy="host_register"),
         ])
     if spec.style == "distributed":
         configs.extend([

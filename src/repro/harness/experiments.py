@@ -137,9 +137,9 @@ def measured_openmp_scaling(
 ) -> ExperimentResult:
     """Multi-thread throughput of the lowered OpenMP target (Figures 3–4).
 
-    The module is compiled once with ``"openmp", lower_to_scf=True`` and its
-    ``omp.wsloop`` nests run through the vectorized backend's tiled parallel
-    executor at every requested thread count.  Rows carry throughput over the
+    The module is compiled once for ``"openmp"`` and its ``omp.wsloop``
+    nests run through the vectorized backend's tiled parallel executor at
+    every requested thread count.  Rows carry throughput over the
     ``(n - 2)³`` interior cells plus the speedup over the *first* requested
     thread count, and the notes record the tile/fallback counters so scaling
     anomalies can be diagnosed.
@@ -156,7 +156,7 @@ def measured_openmp_scaling(
     source, make_args = _problem(benchmark, n)
     cells = (n - 2) ** 3
     compiled = _SESSION.compile(source).lower(
-        "openmp", lower_to_scf=True, execution_mode="vectorize")
+        "openmp", execution_mode="vectorize")
     baseline = None
     for threads in thread_counts:
         interp = compiled.with_threads(threads).interpreter()
@@ -185,8 +185,8 @@ def measured_gpu_scaling(
 ) -> ExperimentResult:
     """Throughput of the vectorized GPU execution engine per data strategy.
 
-    The module is compiled with ``lower_to_scf=True`` — tiling, GPU mapping
-    and kernel outlining, exactly the paper's Listing 4 pipeline — and every
+    The gpu backend compiles the module with the paper's Listing 4 pipeline
+    — tiling, GPU mapping and kernel outlining — and every
     ``gpu.launch_func`` runs through :class:`repro.runtime.GpuKernelEngine`'s
     batched whole-lattice NumPy kernels on the simulated V100.  The notes
     record the device summary — PCIe traffic, per-kernel invocation counts,
@@ -205,9 +205,7 @@ def measured_gpu_scaling(
     cells = (n - 2) ** 3 * niters
     for strategy in strategies:
         compiled = _SESSION.compile(source).lower(
-            "gpu", data_strategy=strategy, lower_to_scf=True,
-            execution_mode="vectorize",
-        )
+            "gpu", data_strategy=strategy, execution_mode="vectorize")
         interp = compiled.interpreter()
         seconds, args = _best_of(interp, "gauss_seidel", make_args, repeats)
         error = _max_error("gauss_seidel", make_args, args, niters)
@@ -225,7 +223,8 @@ def measured_gpu_scaling(
 
 def gpu_data_ablation(n: int = 10, niters: int = 3) -> ExperimentResult:
     """Ablation E8: run both GPU data strategies for real on a small grid and
-    compare the PCIe traffic the simulated device records."""
+    compare the PCIe traffic the simulated device records (equal in every
+    execution mode)."""
     result = ExperimentResult(
         experiment="gpu_data_ablation",
         description="Observed PCIe traffic per data-management strategy",
@@ -234,7 +233,8 @@ def gpu_data_ablation(n: int = 10, niters: int = 3) -> ExperimentResult:
     )
     source, make_args = _problem("gauss_seidel", n, niters)
     for strategy in ("optimised", "host_register"):
-        compiled = _SESSION.compile(source).lower("gpu", data_strategy=strategy)
+        compiled = _SESSION.compile(source).lower(
+            "gpu", data_strategy=strategy, execution_mode="vectorize")
         gpu_device = SimulatedGPU()
         args = make_args()
         compiled.interpreter(gpu=gpu_device).call("gauss_seidel", *args)

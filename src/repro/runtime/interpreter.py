@@ -25,7 +25,7 @@ integration tests.
 from __future__ import annotations
 
 import time as _time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -141,10 +141,9 @@ class LinkTable:
         self.modules: List[ModuleOp] = list(modules)
         self.functions: Dict[str, FuncOp] = {}
         self.gpu_kernels: Dict[str, Operation] = {}
-        #: Functions whose bodies contain gpu.launch_func ops: the launch is
-        #: accounted at the launch site, so the function-level gpu.launch
-        #: annotation must not record a second one.
-        self.funcs_with_launch_ops: set = set()
+        #: Functions whose bodies contain gpu.launch_func ops: the copies
+        #: memref.snapshot takes inside one are device scratch.
+        self.kernel_launchers: Set[FuncOp] = set()
         self.bindings: Dict[Operation, Tuple] = {}
         #: stencil.load op -> whether its snapshot must really be copied
         self.snapshot_copies: Dict[Operation, bool] = {}
@@ -154,11 +153,11 @@ class LinkTable:
             enclosing = None
             for op in module.walk():
                 if isinstance(op, FuncOp):
-                    enclosing = op.sym_name
+                    enclosing = op
                     if not op.is_declaration:
-                        self._define(self.functions, enclosing, op)
+                        self._define(self.functions, op.sym_name, op)
                 elif op.name == "gpu.launch_func":
-                    self.funcs_with_launch_ops.add(enclosing)
+                    self.kernel_launchers.add(enclosing)
                 elif op.name == "gpu.func":
                     name_attr = op.get_attr_or_none("sym_name")
                     if isinstance(name_attr, StringAttr):
@@ -245,10 +244,10 @@ class Interpreter:
         self._gpu_engine: Optional[GpuKernelEngine] = None
         self._functions = link.functions
         self._gpu_kernels = link.gpu_kernels
-        self._funcs_with_launch_ops = link.funcs_with_launch_ops
+        self._kernel_launchers = link.kernel_launchers
         #: Per-invocation device scratch (the copies memref.snapshot takes
-        #: inside gpu.launch functions): allocated from the device pool,
-        #: released when the function returns.
+        #: inside kernel-launching functions): allocated from the device
+        #: pool, released when the function returns.
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._snapshot_copies = link.snapshot_copies
@@ -338,35 +337,17 @@ class Interpreter:
         frame = Frame()
         for block_arg, value in zip(entry.args, args):
             frame.set(block_arg, value)
-        # GPU-launch-tagged functions account a kernel launch per invocation —
-        # unless the lowered body carries its own gpu.launch_func sites, which
-        # do the accounting themselves.
-        launch = None
-        is_gpu_func = func_op.get_attr_or_none("gpu.launch") is not None
-        if is_gpu_func and self.gpu is not None \
-                and func_op.sym_name not in self._funcs_with_launch_ops:
-            grid = func_op.get_attr("gpu.grid").as_tuple()  # type: ignore[union-attr]
-            block = func_op.get_attr("gpu.block").as_tuple()  # type: ignore[union-attr]
-            buffers = [a.buffer if isinstance(a, FieldValue) else a for a in args]
-            buffers = [b for b in buffers if isinstance(b, MemoryBuffer) and not b.is_scalar]
-            launch = self.gpu.record_launch(func_op.sym_name, grid, block,
-                                            buffers)
-            self.stats["kernel_launches"] += 1
-        if is_gpu_func:
+        launcher = func_op in self._kernel_launchers
+        if launcher:
             self._device_scratch_stack.append([])
-        start = _time.perf_counter()
         try:
             self.run_block(entry, frame)
         except _ReturnSignal as signal:
             return signal.values
         finally:
-            if is_gpu_func:
+            if launcher:
                 for scratch in self._device_scratch_stack.pop():
                     self._require_gpu().dealloc(scratch)
-            if launch is not None:
-                seconds = _time.perf_counter() - start
-                self.gpu.finish_launch(launch, seconds)
-                self.stats["gpu_seconds"] += seconds
         return []
 
     # ------------------------------------------------------------------
@@ -697,9 +678,9 @@ class Interpreter:
             self.stats["snapshots_elided"] += 1
             return [source]
         self.stats["snapshots_copied"] += 1
-        if self._enclosing_func_attr(op, "gpu.launch") is None:
+        if self._enclosing_func(op) not in self._kernel_launchers:
             return [MemoryBuffer.wrap(source.data.copy(order="K"))]
-        # Inside a GPU-launch-tagged function the copy is kernel-local staging
+        # Inside a kernel-launching function the copy is kernel-local staging
         # and lives on the device — tagging it host would fabricate on-demand
         # PCIe traffic when it is passed to a gpu.launch_func.  It comes out of
         # the accounted device pool (a device OOM stages it in host memory)
@@ -707,8 +688,7 @@ class Interpreter:
         copy = self._require_gpu().alloc_degraded(
             source.data.shape, op.results[0].type.element_type,
             label="gpu_scratch")
-        if self._device_scratch_stack:
-            self._device_scratch_stack[-1].append(copy)
+        self._device_scratch_stack[-1].append(copy)
         copy.copy_from(source)
         return [copy]
 
@@ -1095,14 +1075,11 @@ class Interpreter:
         return []
 
     @staticmethod
-    def _enclosing_func_attr(op: Operation, attr_name: str):
-        """The named attribute on the op's enclosing function, if any."""
+    def _enclosing_func(op: Operation) -> Optional[FuncOp]:
         parent = op.parent_op()
-        while parent is not None:
-            if isinstance(parent, FuncOp):
-                return parent.get_attr_or_none(attr_name)
+        while parent is not None and not isinstance(parent, FuncOp):
             parent = parent.parent_op()
-        return None
+        return parent
 
     def _exec_gpu_memcpy(self, op: Operation, frame: Frame):
         dst = frame.get(op.operands[0])

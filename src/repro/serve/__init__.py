@@ -23,7 +23,7 @@ Quickstart::
     from repro.serve import ArtifactStore, CompileService
 
     with CompileService(store=ArtifactStore("~/.cache/repro")) as service:
-        compiled = service.compile(source, "gpu", lower_to_scf=True)
+        compiled = service.compile(source, "gpu")
         service.run(source, "gauss_seidel", [field], backend="gpu",
                     execution_mode="vectorize")
         print(service.metrics().to_dict())

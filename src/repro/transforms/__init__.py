@@ -19,7 +19,6 @@ from .pipelines import (
     DMP_PIPELINE,
     FIR_STENCIL_PIPELINE,
     GPU_PIPELINE,
-    GPU_STENCIL_PIPELINE,
     OPENMP_PIPELINE,
     PIPELINES,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "CPU_PIPELINE",
     "OPENMP_PIPELINE",
     "GPU_PIPELINE",
-    "GPU_STENCIL_PIPELINE",
     "DMP_PIPELINE",
     "FIR_STENCIL_PIPELINE",
     "PIPELINES",

@@ -12,10 +12,10 @@ The paper evaluates two strategies for getting stencil data onto the GPU
   to the stencil module which the FIR module calls *outside* the iteration
   loop, so data stays resident on the device between kernel launches.
 
-Both are implemented here.  The stencil execution functions are additionally
-annotated with ``gpu.launch`` (plus grid/block shapes) so the simulated GPU
-accounts one kernel launch per invocation and, for host-resident data, the
-on-demand transfer traffic that made the initial strategy slow.
+Both are implemented here.  The GPU pipeline then lowers each stencil
+function's applies to ``gpu.launch_func`` ops, and the simulated GPU accounts
+each launch — and, for host-resident data, the on-demand transfer traffic
+that made the initial strategy slow — where it runs.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from ..dialects import fir, gpu, memref, stencil
 from ..dialects.builtin import ModuleOp, UnrealizedConversionCastOp
 from ..dialects.func import FuncOp, ReturnOp
 from ..dialects.llvm import LLVMPointerType
-from ..ir.attributes import DenseArrayAttr, UnitAttr
 from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
 from ..ir.types import MemRefType
-from .parallel_lowering import TILE_SIZES
 
 
 def _stencil_functions(stencil_module: ModuleOp) -> List[FuncOp]:
@@ -66,26 +64,6 @@ def _array_shape_of_argument(value: SSAValue) -> Optional[Tuple[int, ...]]:
             continue
         break
     return None
-
-
-def _annotate_kernel_launch(func_op: FuncOp) -> None:
-    """Tag an extracted stencil function as a GPU kernel launch wrapper."""
-    domain: Optional[Tuple[int, ...]] = None
-    for op in func_op.walk():
-        if isinstance(op, stencil.ApplyOp):
-            domain = op.domain_shape
-            break
-    func_op.set_attr("gpu.launch", UnitAttr())
-    if domain is None:
-        func_op.set_attr("gpu.grid", DenseArrayAttr((1, 1, 1)))
-        func_op.set_attr("gpu.block", DenseArrayAttr((1, 1, 1)))
-        return
-    block = [max(1, min(TILE_SIZES[d], domain[d] if d < len(domain) else 1)) for d in range(3)]
-    grid = [
-        max(1, -(-domain[d] // block[d])) if d < len(domain) else 1 for d in range(3)
-    ]
-    func_op.set_attr("gpu.grid", DenseArrayAttr(grid))
-    func_op.set_attr("gpu.block", DenseArrayAttr(block))
 
 
 class GpuDataManagementBase(ModulePass):
@@ -146,7 +124,6 @@ class GpuHostRegisterPass(GpuDataManagementBase):
 
     def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
         for func_op in _stencil_functions(stencil_module):
-            _annotate_kernel_launch(func_op)
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:
                 continue
@@ -192,7 +169,6 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
 
     def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
         for func_op in _stencil_functions(stencil_module):
-            _annotate_kernel_launch(func_op)
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:
                 continue

@@ -57,9 +57,11 @@ OPENMP_PIPELINE = (
     "canonicalize,cse"
 )
 
-#: The paper's GPU pipeline (Listing 4), flattened: tiling, GPU mapping,
+#: The paper's GPU pipeline (Listing 4), flattened and run on the stencil
+#: module: stencil → scf (coalesced parallel loops), tiling, GPU mapping,
 #: kernel outlining, memref/arith/scf lowering stand-ins and cast reconciliation.
 GPU_PIPELINE = (
+    "convert-stencil-to-scf{target=gpu},"
     "test-math-algebraic-simplification,"
     "scf-parallel-loop-tiling{parallel-loop-tile-sizes="
     f"{','.join(map(str, TILE_SIZES))}}},"
@@ -79,9 +81,6 @@ GPU_PIPELINE = (
     "reconcile-unrealized-casts"
 )
 
-#: GPU pipeline operating at the stencil level (coalesced parallel loops).
-GPU_STENCIL_PIPELINE = "convert-stencil-to-scf{target=gpu}," + GPU_PIPELINE
-
 #: Distributed-memory lowering via the DMP and MPI dialects.
 DMP_PIPELINE = "convert-stencil-to-dmp,convert-dmp-to-mpi,canonicalize"
 
@@ -90,7 +89,7 @@ PIPELINES = {
     "fir-stencil": FIR_STENCIL_PIPELINE,
     "cpu": CPU_PIPELINE,
     "openmp": OPENMP_PIPELINE,
-    "gpu": GPU_STENCIL_PIPELINE,
+    "gpu": GPU_PIPELINE,
     "dmp": DMP_PIPELINE,
 }
 
@@ -100,7 +99,6 @@ __all__ = [
     "CPU_PIPELINE",
     "OPENMP_PIPELINE",
     "GPU_PIPELINE",
-    "GPU_STENCIL_PIPELINE",
     "DMP_PIPELINE",
     "PIPELINES",
 ]

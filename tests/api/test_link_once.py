@@ -191,8 +191,8 @@ def test_every_call_gets_its_own_interpreter_over_one_table():
     for app in (pw_advection, gauss_seidel)
     for backend, options in (
         ("cpu", {}), ("cpu", {"lower_to_scf": True}),
-        ("openmp", {"lower_to_scf": True}), ("gpu", {"lower_to_scf": True}),
-        ("dmp", {"grid": (2, 2), "lower_to_scf": True}), ("flang-only", {}))
+        ("openmp", {}), ("gpu", {}), ("dmp", {"grid": (2, 2)}),
+        ("flang-only", {}))
     # distribute() scatters one global field: Gauss-Seidel's.
     if not (backend == "dmp" and app is pw_advection)
 ], ids=lambda value: getattr(value, "__name__", str(value)).split(".")[-1])
@@ -362,8 +362,7 @@ def test_first_run_race_across_the_ranks_of_a_distributed_plan(repeats):
 
     def plan():
         compiled = repro.Session().lower(
-            source, "dmp", grid=(2, 2), lower_to_scf=True,
-            execution_mode="vectorize")
+            source, "dmp", grid=(2, 2), execution_mode="vectorize")
         return compiled, compiled.distribute(
             source_builder=gauss_seidel.generate_source_shaped)
 

@@ -42,7 +42,9 @@ KINDS = {"two values", "deployment", "safety bound", "test seam", "input",
 CENSUS = {
     # -- backend options -----------------------------------------------------
     "BackendOptions.lower_to_scf": (
-        "two values", "bench pw64_gpu lowers to scf, pw96_cpu does not"),
+        "two values", "cpu only: bench pw96_cpu runs at the apply level, "
+                      "serve_catalogue on scf; every other backend has one "
+                      "lowering and refuses the other value"),
     "BackendOptions.fuse_stencils": (
         "two values", "harness ablation E9 compiles fused and unfused"),
     "BackendOptions.execution_mode": (

@@ -69,7 +69,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_minimize_and_save_full_capture_path(tmp_path):
     """The farm's end-to-end capture: injected fault -> caught -> minimized
     -> persisted -> loadable -> replays clean without the fault."""
-    label = "gpu/vectorize"
+    label = "gpu-scf/vectorize"
 
     def fault(spec, cfg_label, outputs):
         if cfg_label == label:

@@ -1,6 +1,6 @@
 """The minimizer against a deliberately injected miscompile.
 
-A test-only fault hook perturbs the gpu/vectorize output by 1e-9 — a
+A test-only fault hook perturbs the gpu-scf/vectorize output by 1e-9 — a
 synthetic miscompile the farm must catch, delta-debug to a kernel no
 larger than a stated bound, and reproduce deterministically from its seed.
 This is the flow that produced the committed ``fuzz/corpus/`` seed entries.
@@ -15,7 +15,7 @@ from repro.fuzz import (
     minimize,
 )
 
-FAULT_LABEL = "gpu/vectorize"
+FAULT_LABEL = "gpu-scf/vectorize"
 #: The minimizer must get an injected everywhere-divergence down to a
 #: single statement of structural weight <= 4 on a minimal domain.
 SIZE_BOUND = 4

@@ -25,10 +25,9 @@ SOURCES = {
 CONFIGS = {
     "cpu": ("cpu", {}),
     "cpu-scf": ("cpu", {"lower_to_scf": True}),
-    "openmp-scf": ("openmp", {"lower_to_scf": True}),
-    "gpu-scf-optimised": ("gpu", {"lower_to_scf": True, "data_strategy": "optimised"}),
-    "gpu-scf-host_register": ("gpu", {"lower_to_scf": True,
-                                      "data_strategy": "host_register"}),
+    "openmp-scf": ("openmp", {}),
+    "gpu-scf-optimised": ("gpu", {"data_strategy": "optimised"}),
+    "gpu-scf-host_register": ("gpu", {"data_strategy": "host_register"}),
     "dmp-2x2": ("dmp", {"grid": (2, 2)}),
     "flang-only": ("flang-only", {}),
 }
@@ -47,7 +46,7 @@ PINS = {
         ('canonicalize', 243, 243),
         ('cse', 243, 147),
     ]),
-    'pw-gpu-scf-optimised': ('2add514c81d852d5', '83d9bd54797945ee', [
+    'pw-gpu-scf-optimised': ('2add514c81d852d5', '5aee26844e7cad97', [
         ('convert-stencil-to-scf', 180, 283),
         ('scf-parallel-loop-tiling', 283, 283),
         ('canonicalize', 283, 283),
@@ -55,7 +54,7 @@ PINS = {
         ('canonicalize', 316, 309),
         ('reconcile-unrealized-casts', 309, 309),
     ]),
-    'pw-gpu-scf-host_register': ('f892d6a40f3e10bf', '7713dc2fa297c299', [
+    'pw-gpu-scf-host_register': ('f892d6a40f3e10bf', 'b5d72003cde79149', [
         ('convert-stencil-to-scf', 142, 245),
         ('scf-parallel-loop-tiling', 245, 245),
         ('canonicalize', 245, 245),
@@ -77,7 +76,7 @@ PINS = {
         ('canonicalize', 46, 46),
         ('cse', 46, 36),
     ]),
-    'gs-gpu-scf-optimised': ('65d370f4d44cced4', '6001c1f7ab7b0147', [
+    'gs-gpu-scf-optimised': ('65d370f4d44cced4', 'b291962197812de3', [
         ('convert-stencil-to-scf', 33, 52),
         ('scf-parallel-loop-tiling', 52, 52),
         ('canonicalize', 52, 52),
@@ -85,7 +84,7 @@ PINS = {
         ('canonicalize', 85, 78),
         ('reconcile-unrealized-casts', 78, 78),
     ]),
-    'gs-gpu-scf-host_register': ('9f38ebdb9fa38d59', '5214a0d2946be772', [
+    'gs-gpu-scf-host_register': ('9f38ebdb9fa38d59', '6b02ea91820d494b', [
         ('convert-stencil-to-scf', 24, 43),
         ('scf-parallel-loop-tiling', 43, 43),
         ('canonicalize', 43, 43),

@@ -35,17 +35,15 @@ from repro.serve.store import ArtifactStore
 
 CORPUS = Path(__file__).resolve().parents[2] / "fuzz" / "corpus"
 
-#: The backend configurations of the fuzz matrix, both GPU data strategies at
-#: both levels, and a 2x2 process grid.
+#: Every backend configuration: cpu at both levels, both GPU data
+#: strategies, and a 2x2 process grid.
 CONFIGS = [
     ("flang-only", {}),
     ("cpu", {}),
     ("cpu", {"lower_to_scf": True}),
-    ("openmp", {"lower_to_scf": True}),
+    ("openmp", {}),
     ("gpu", {}),
-    ("gpu", {"lower_to_scf": True}),
     ("gpu", {"data_strategy": "host_register"}),
-    ("gpu", {"lower_to_scf": True, "data_strategy": "host_register"}),
     ("dmp", {"grid": (2, 2)}),
 ]
 
@@ -199,12 +197,12 @@ def _exercise(session, store_dir):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 256)
         _run(session.compile(pw_advection.generate_source(8)).lower("cpu"))
-        _run(gs.lower("openmp", lower_to_scf=True))
+        _run(gs.lower("openmp"))
     # A store reload parses every attribute back, and linking one module
     # twice names both modules in the error.
     for _ in range(2):
         reloaded = repro.Session(store=ArtifactStore(store_dir)).compile(
-            pw_advection.generate_source(8)).lower("gpu", lower_to_scf=True)
+            pw_advection.generate_source(8)).lower("gpu")
         _run(reloaded)
     twin = parse_module(print_module(reloaded.stencil_module))
     with pytest.raises(InterpreterError, match="defined twice"):

@@ -23,7 +23,6 @@ from repro.ir import (
 from repro.ir.pass_manager import GLOBAL_PASS_REGISTRY
 from repro.transforms import (
     GPU_PIPELINE,
-    GPU_STENCIL_PIPELINE,
     CanonicalizePass,
     CSEPass,
     DeadCodeEliminationPass,
@@ -199,7 +198,7 @@ class TestPassManager:
         assert [p.name for p in pm.passes] == ["convert-scf-to-openmp"]
 
     def test_accepted_names_are_recorded_not_scheduled(self):
-        pm = PassManager().add_pipeline(GPU_STENCIL_PIPELINE)
+        pm = PassManager().add_pipeline(GPU_PIPELINE)
         assert [p.name for p in pm.passes] == [
             "convert-stencil-to-scf", "scf-parallel-loop-tiling", "canonicalize",
             "convert-parallel-loops-to-gpu", "canonicalize",
@@ -213,14 +212,13 @@ class TestPassManager:
         """The paper's Listing 4 mlir-opt pipeline: every name is implemented
         or accepted, only the implemented ones run, and a GPU launch comes
         out of an extracted Gauss-Seidel module."""
-        pipeline = "convert-stencil-to-scf{target=gpu}," + GPU_PIPELINE
-        names = [name for name, _ in parse_pipeline(pipeline)]
+        names = [name for name, _ in parse_pipeline(GPU_PIPELINE)]
         implemented = [n for n in names if n in GLOBAL_PASS_REGISTRY]
         accepted = [n for n in names if n in GLOBAL_PASS_REGISTRY.accepted]
         assert sorted(implemented + accepted) == sorted(names)
         module = repro.Session().compile(
             gauss_seidel.generate_source(8, niters=1)).lower("cpu").stencil_module
-        pm = PassManager().add_pipeline(pipeline)
+        pm = PassManager().add_pipeline(GPU_PIPELINE)
         stats = pm.run(module)
         assert [p.name for p in pm.passes] == implemented
         assert pm.accepted == accepted
@@ -229,7 +227,7 @@ class TestPassManager:
 
     def test_pass_statistics_list_only_passes_that_ran(self):
         program = repro.Session().compile(gauss_seidel.generate_source(8, niters=1))
-        assert len(program.lower("gpu", lower_to_scf=True).pass_statistics) == 6
+        assert len(program.lower("gpu").pass_statistics) == 6
         assert [s.name for s in program.lower("cpu", lower_to_scf=True).pass_statistics] \
             == ["convert-stencil-to-scf", "canonicalize", "cse"]
 

@@ -178,9 +178,9 @@ class TestCompiledModulesReload:
     @pytest.mark.parametrize("backend,options", [
         ("cpu", {}),
         ("cpu", {"lower_to_scf": True}),
-        ("openmp", {"lower_to_scf": True}),
-        ("gpu", {"lower_to_scf": True}),
-        ("dmp", {"grid": (2, 2), "lower_to_scf": True}),
+        ("openmp", {}),
+        ("gpu", {}),
+        ("dmp", {"grid": (2, 2)}),
         ("flang-only", {}),
     ])
     @pytest.mark.parametrize("source", [

@@ -166,10 +166,11 @@ class TestCompileGpuFunc:
                     for line in kernel.source.splitlines()[1:]]
 
         source = pw_advection.generate_source(8)
-        lowered = repro.Session().compile(source).lower("gpu", lower_to_scf=True)
+        lowered = repro.Session().compile(source).lower("gpu")
         [func_op] = [op for op in lowered.stencil_module.walk()
                      if op.name == "gpu.func"]
-        unlowered = repro.Session().compile(source).lower("gpu")
+        # The cpu artifact keeps the same stencil function unlowered.
+        unlowered = repro.Session().compile(source).lower("cpu")
         ConvertStencilToSCFPass(target="gpu").apply(
             default_context(), unlowered.stencil_module)
         [nest] = [op for op in unlowered.stencil_module.walk()

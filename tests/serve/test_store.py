@@ -12,6 +12,7 @@ import os
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from repro.api import Session
@@ -19,6 +20,8 @@ from repro.api.backends import registry
 from repro.api.program import source_fingerprint
 from repro.apps import gauss_seidel, pw_advection
 from repro.ir import print_module
+from repro.ir.attributes import DenseArrayAttr, UnitAttr
+from repro.runtime import SimulatedGPU
 from repro.serve import ArtifactStore, STORE_FORMAT_VERSION, key_digest
 from repro.serve.store import serialize_artifact
 
@@ -251,6 +254,42 @@ class TestFailurePaths:
         warm.lower(source, "gpu", lower_to_scf=True)
         assert (warm.cache_stats["disk_hits"], warm.cache_stats["misses"]) == (
             1, 0)
+
+    def test_a_gpu_entry_with_the_deleted_launch_tags_loads_and_runs_bitwise(
+            self, tmp_path):
+        """Before each backend had one lowering, the gpu data passes also
+        tagged every stencil function with ``gpu.launch``, ``gpu.grid`` and
+        ``gpu.block``.  The gpu key is unchanged, so such an entry is a disk
+        hit: the tags load as attributes nothing reads, and the run computes
+        the same bits and the same device traffic as a fresh compile."""
+        source = pw_advection.generate_source(8, niters=2)
+        key, artifact, _ = _compile_artifact(source, "gpu")
+        for name in artifact.extracted_functions:
+            func = artifact.stencil_module.get_symbol(name)
+            func.set_attr("gpu.launch", UnitAttr())
+            func.set_attr("gpu.grid", DenseArrayAttr((1, 1, 6)))
+            func.set_attr("gpu.block", DenseArrayAttr((6, 6, 1)))
+        assert ArtifactStore(tmp_path).save(key, artifact)
+
+        def run(session):
+            compiled = session.lower(source, "gpu")
+            rng = np.random.default_rng(11)
+            fields = [np.asfortranarray(rng.random((8, 8, 8)))
+                      for _ in range(6)]
+            device = SimulatedGPU()
+            compiled.run("pw_advection", *fields, gpu=device)
+            return compiled, [f.tobytes() for f in fields], device.summary()
+
+        session = Session(store=ArtifactStore(tmp_path))
+        loaded, got, got_device = run(session)
+        assert (session.cache_stats["disk_hits"], session.cache_stats["misses"],
+                session.store.stats["corrupt_entries"]) == (1, 0, 0)
+        assert '"gpu.grid"' in print_module(loaded.stencil_module)
+        _, want, want_device = run(Session())
+        assert got == want
+        for counter in ("launches", "h2d_bytes", "d2h_bytes",
+                        "on_demand_bytes", "peak_allocated_bytes"):
+            assert got_device[counter] == want_device[counter]
 
     def test_a_table_naming_an_op_this_build_does_not_register_is_a_corrupt_miss(
             self, tmp_path):

@@ -27,11 +27,8 @@ CONFIGS = {
                                  "execution_mode": "vectorize"}),
     "openmp-scf-t4": ("openmp", {"lower_to_scf": True, "threads": 4,
                                  "execution_mode": "vectorize"}),
-    "gpu-apply-optimised": ("gpu", {"execution_mode": "vectorize"}),
     "gpu-scf-optimised": ("gpu", {"lower_to_scf": True,
                                   "execution_mode": "vectorize"}),
-    "gpu-apply-host_register": ("gpu", {"data_strategy": "host_register",
-                                        "execution_mode": "vectorize"}),
     "gpu-scf-host_register": ("gpu", {
         "lower_to_scf": True, "data_strategy": "host_register",
         "execution_mode": "vectorize"}),

@@ -4,8 +4,8 @@ The happy path (one stencil function, one call site inside a time loop, 3-D
 tiles) is covered in ``test_extraction_lowering.py``; these tests pin the
 branches around it: call sites with **no enclosing loop** (anchor falls back
 to the call itself), **multiple call sites** of one stencil function (every
-site must be rewritten to the device pointers), **non-3-D tile annotations**
-(short/long tile tuples and sub-3-D domains), and the absence of any
+site must be rewritten to the device pointers), the Listing 4 tile of each
+lowered launch on **3-D and 2-D domains**, and the absence of any
 stream/prefetch placement attribute.
 """
 
@@ -18,10 +18,7 @@ from repro.dialects import fir, gpu
 from repro.dialects.func import FuncOp
 from repro.ir import default_context, print_module
 from repro.runtime import SimulatedGPU
-from repro.transforms.gpu_data_management import (
-    GpuOptimisedDataPass,
-    _annotate_kernel_launch,
-)
+from repro.transforms.gpu_data_management import GpuOptimisedDataPass
 
 
 def _stencil_calls(fir_module, extracted):
@@ -120,11 +117,13 @@ class TestMultipleCallSites:
         assert len(data_calls) == 2
 
     def test_duplicated_call_executes_two_sweeps_per_iteration(self):
+        """Each call site of a lowered gpu artifact launches its kernel."""
         n, niters = 8, 2
-        compiled = self._artifact_with_duplicated_call(n, niters)
-        GpuOptimisedDataPass(stencil_module=compiled.stencil_module).apply(
-            default_context(), compiled.fir_module
-        )
+        compiled = repro.Session().compile(
+            gauss_seidel.generate_source(n, niters=niters)).lower("gpu")
+        call = _stencil_calls(compiled.fir_module,
+                              set(compiled.extracted_functions))[0]
+        call.parent_block().insert_op_after(call.clone({}), call)
         init = gauss_seidel.initial_condition(n)
         work = init.copy(order="F")
         device = SimulatedGPU()
@@ -139,26 +138,28 @@ class TestTileAnnotations:
     """The paper's Listing 4 (32, 32, 1) sizes every launch: clipped to the
     kernel's domain, padded with 1s past its rank.  There is no tile option."""
 
+    @staticmethod
+    def _launch_shapes(compiled):
+        return [(op.get_attr("block_size").as_tuple(),
+                 op.get_attr("grid_size").as_tuple())
+                for op in compiled.stencil_module.walk()
+                if op.name == "gpu.launch_func"]
+
     def test_listing4_tiles_clip_to_each_kernel(self, small_gs_source,
                                                 listing1_source):
         session = repro.Session()
+        # (32, 32, 1) clipped to the 8x8x8 interior: one block per plane.
         rank3 = session.compile(small_gs_source).lower("gpu")
-        func_op = rank3.stencil_module.get_symbol(rank3.extracted_functions[0])
-        # (32, 32, 1) clipped to the 8x8x8 interior.
-        assert func_op.get_attr("gpu.block").as_tuple() == (8, 8, 1)
-
+        assert self._launch_shapes(rank3) == [((8, 8, 1), (1, 1, 8))]
+        # (32, 32, 1) clipped to the (14, 14) domain, padded with a 1.
         rank2 = session.compile(listing1_source).lower("gpu")
-        func_op = rank2.stencil_module.get_symbol(rank2.extracted_functions[0])
-        # (32, 32, 1), clipped to the (14, 14) domain by the annotator.
-        assert func_op.get_attr("gpu.block").as_tuple() == (14, 14, 1)
+        assert self._launch_shapes(rank2) == [((14, 14, 1), (1, 1, 1))]
 
-    def test_a_kernel_without_apply_is_a_unit_launch(self):
-        fn = FuncOp.build("no_apply", [], [])
-        _annotate_kernel_launch(fn)
-        # No stencil.apply inside: the annotation degrades to a unit launch.
-        assert fn.get_attr("gpu.grid").as_tuple() == (1, 1, 1)
-        assert fn.get_attr("gpu.block").as_tuple() == (1, 1, 1)
-        assert fn.get_attr_or_none("gpu.launch") is not None
+    def test_a_domain_wider_than_the_tile_is_a_grid_of_whole_tiles(self):
+        wide = repro.Session().compile(
+            gauss_seidel.generate_source(40, niters=1)).lower("gpu")
+        # A 38^3 interior: ceil(38 / 32) = 2 blocks in x and y.
+        assert self._launch_shapes(wide) == [((32, 32, 1), (2, 2, 38))]
 
 
 class TestNoPlacementAttributes:
@@ -166,14 +167,13 @@ class TestNoPlacementAttributes:
     model: the printed IR of either strategy carries no stream assignment
     and no prefetch point."""
 
-    @pytest.mark.parametrize("lower_to_scf", [False, True])
     @pytest.mark.parametrize("strategy", ["optimised", "host_register"])
     def test_printed_ir_has_no_stream_or_prefetch(self, small_gs_source,
-                                                  strategy, lower_to_scf):
+                                                  strategy):
         compiled = repro.Session().compile(small_gs_source).lower(
-            "gpu", data_strategy=strategy, lower_to_scf=lower_to_scf)
+            "gpu", data_strategy=strategy)
         text = (print_module(compiled.fir_module)
                 + print_module(compiled.stencil_module))
-        assert "gpu.launch" in text
+        assert "gpu.launch_func" in text
         assert "gpu.stream" not in text
         assert "gpu.prefetch" not in text
