@@ -7,7 +7,7 @@ Source line numbers are retained for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +34,6 @@ class RealLiteral(Expr):
 @dataclass
 class LogicalLiteral(Expr):
     value: bool = False
-
-
-@dataclass
-class StringLiteral(Expr):
-    value: str = ""
 
 
 @dataclass
@@ -140,12 +135,6 @@ class DoLoop(Statement):
 
 
 @dataclass
-class DoWhile(Statement):
-    condition: Expr = None
-    body: List[Statement] = field(default_factory=list)
-
-
-@dataclass
 class IfBlock(Statement):
     """if/else-if/else construct; branches hold (condition, body) pairs and the
     final else body (possibly empty) is stored separately."""
@@ -176,18 +165,8 @@ class ReturnStmt(Statement):
 
 
 @dataclass
-class ExitStmt(Statement):
-    pass
-
-
-@dataclass
-class CycleStmt(Statement):
-    pass
-
-
-@dataclass
 class PrintStmt(Statement):
-    args: List[Expr] = field(default_factory=list)
+    """A ``print``/``write`` line: parsed past, compiled to nothing."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +176,13 @@ class PrintStmt(Statement):
 
 @dataclass
 class ProgramUnit:
-    """A ``program``, ``subroutine`` or ``function`` unit."""
+    """A ``program`` or ``subroutine`` unit."""
 
-    kind: str = "subroutine"  # 'program' | 'subroutine' | 'function'
+    kind: str = "subroutine"  # 'program' | 'subroutine'
     name: str = ""
     args: List[str] = field(default_factory=list)
     declarations: List[Declaration] = field(default_factory=list)
     body: List[Statement] = field(default_factory=list)
-    result_name: Optional[str] = None
     line: int = 0
 
 
@@ -226,7 +204,6 @@ __all__ = [
     "IntLiteral",
     "RealLiteral",
     "LogicalLiteral",
-    "StringLiteral",
     "VarRef",
     "BinaryOp",
     "UnaryOp",
@@ -237,14 +214,11 @@ __all__ = [
     "Statement",
     "Assignment",
     "DoLoop",
-    "DoWhile",
     "IfBlock",
     "CallStmt",
     "AllocateStmt",
     "DeallocateStmt",
     "ReturnStmt",
-    "ExitStmt",
-    "CycleStmt",
     "PrintStmt",
     "ProgramUnit",
     "SourceFile",

@@ -46,11 +46,8 @@ from .ast_nodes import (
     Assignment,
     BinaryOp,
     CallStmt,
-    CycleStmt,
     DeallocateStmt,
     DoLoop,
-    DoWhile,
-    ExitStmt,
     Expr,
     IfBlock,
     IntLiteral,
@@ -208,10 +205,6 @@ class _FunctionCodegen:
             # Output has no effect on the kernels; RETURN at the end of a unit
             # coincides with the implicit return the generator always emits.
             pass
-        elif isinstance(stmt, DoWhile):
-            raise CodegenError("do while loops are not supported by the FIR generator")
-        elif isinstance(stmt, (ExitStmt, CycleStmt)):
-            raise CodegenError("exit/cycle are not supported by the FIR generator")
         else:
             raise CodegenError(f"unsupported statement {type(stmt).__name__}")
         # A scalar may now hold another value (scalar store, call, allocate, a

@@ -1,30 +1,31 @@
 """Recursive-descent parser for the Fortran subset.
 
-Supports the constructs the paper's benchmarks rely on: program/subroutine
-units, ``implicit none``, type declarations with kinds, ``parameter``,
-``dimension``, ``intent`` and ``allocatable`` attributes, counted ``do`` loops
-(with optional stride), ``do while``, block and single-line ``if``,
-assignments over scalar and array references, arithmetic/relational/logical
-expressions, intrinsic calls and ``call`` statements.
+It accepts exactly what :mod:`.fir_gen` compiles: ``program`` and
+``subroutine`` units, ``implicit none``, type declarations with kinds,
+``parameter``, ``dimension``, ``intent`` and ``allocatable`` attributes,
+counted ``do`` loops (with optional stride), block and single-line ``if``,
+assignments over scalar and array references, ``allocate``/``deallocate``,
+``call``, ``return`` and ``stop``, and arithmetic/relational/logical
+expressions with intrinsic calls.  ``print``/``write`` lines are skipped.
+Anything else -- ``function`` units, ``do while``, ``exit``, ``cycle``, a
+string literal in an expression -- is a :class:`FortranSyntaxError` here,
+not a code-generation failure later.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from .ast_nodes import (
     AllocateStmt,
     Assignment,
     BinaryOp,
     CallStmt,
-    CycleStmt,
     DeallocateStmt,
     Declaration,
     DimSpec,
     DoLoop,
-    DoWhile,
     EntityDecl,
-    ExitStmt,
     Expr,
     IfBlock,
     IntLiteral,
@@ -36,11 +37,35 @@ from .ast_nodes import (
     ReturnStmt,
     SourceFile,
     Statement,
-    StringLiteral,
     UnaryOp,
     VarRef,
 )
 from .lexer import Token, tokenize
+
+T = TypeVar("T")
+
+# Binding powers, loosest first.  ``.not.`` and a sign are prefix operators
+# whose operand is parsed at _NOT and _SIGN: ``.not.`` binds tighter than
+# ``.and.`` and looser than a relation (and starts no operand of a tighter
+# operator), a sign tighter than ``*`` and looser than ``**`` (so ``-a**b``
+# is ``-(a**b)`` and ``a**-b`` is allowed).
+_OR, _AND, _NOT, _RELATION, _ADD, _MUL, _SIGN, _POW = range(1, 9)
+
+#: Binary operators: token kind (a dot-operator's value) -> (AST op, power).
+#: ``**`` associates right, a relation not at all, the rest left.
+_BINARY = {
+    ".or.": (".or.", _OR),
+    ".and.": (".and.", _AND),
+    "LT": ("<", _RELATION), ".lt.": ("<", _RELATION),
+    "LE": ("<=", _RELATION), ".le.": ("<=", _RELATION),
+    "GT": (">", _RELATION), ".gt.": (">", _RELATION),
+    "GE": (">=", _RELATION), ".ge.": (">=", _RELATION),
+    "EQ": ("==", _RELATION), ".eq.": ("==", _RELATION),
+    "NE": ("/=", _RELATION), ".ne.": ("/=", _RELATION),
+    "PLUS": ("+", _ADD), "MINUS": ("-", _ADD),
+    "STAR": ("*", _MUL), "SLASH": ("/", _MUL),
+    "POW": ("**", _POW),
+}
 
 #: Intrinsic procedures recognised by the frontend.
 INTRINSICS = frozenset(
@@ -150,26 +175,15 @@ class FortranParser:
             unit = ProgramUnit(kind="program", name=name, line=token.line)
         elif self.accept("KEYWORD", "subroutine"):
             name = self.expect("IDENT").value
-            args = self._parse_dummy_args()
+            args = self._parse_list(self._parse_name) if self.check("LPAREN") else []
             self.expect_end_of_statement()
             unit = ProgramUnit(kind="subroutine", name=name, args=args, line=token.line)
-        elif self.accept("KEYWORD", "function"):
-            name = self.expect("IDENT").value
-            args = self._parse_dummy_args()
-            result_name = name
-            if self.accept("KEYWORD", "result"):
-                self.expect("LPAREN")
-                result_name = self.expect("IDENT").value
-                self.expect("RPAREN")
-            self.expect_end_of_statement()
-            unit = ProgramUnit(
-                kind="function", name=name, args=args, result_name=result_name,
-                line=token.line,
+        elif self.check("KEYWORD", "function"):
+            raise FortranSyntaxError(
+                "'function' units are not supported (write a subroutine)", token
             )
         else:
-            raise FortranSyntaxError(
-                "expected 'program', 'subroutine' or 'function'", token
-            )
+            raise FortranSyntaxError("expected 'program' or 'subroutine'", token)
 
         # Specification part
         while True:
@@ -195,15 +209,19 @@ class FortranParser:
         self._consume_end(unit.kind, unit.name)
         return unit
 
-    def _parse_dummy_args(self) -> List[str]:
-        args: List[str] = []
-        if self.accept("LPAREN"):
-            if not self.check("RPAREN"):
-                args.append(self.expect("IDENT").value)
-                while self.accept("COMMA"):
-                    args.append(self.expect("IDENT").value)
-            self.expect("RPAREN")
-        return args
+    def _parse_list(self, item: Callable[[], T]) -> List[T]:
+        """``( item, item, ... )``; the list may be empty."""
+        self.expect("LPAREN")
+        items: List[T] = []
+        if not self.check("RPAREN"):
+            items.append(item())
+            while self.accept("COMMA"):
+                items.append(item())
+        self.expect("RPAREN")
+        return items
+
+    def _parse_name(self) -> str:
+        return self.expect("IDENT").value
 
     def _consume_end(self, kind: str, name: str) -> None:
         self.expect("KEYWORD", "end")
@@ -232,8 +250,6 @@ class FortranParser:
         else:
             decl.base_type = base
             decl.kind = 4
-            if base == "real":
-                decl.kind = 4
             # kind selectors: real(kind=8), real(8), real*8, integer(4)...
             if self.accept("STAR"):
                 decl.kind = int(self.expect("INT").value)
@@ -260,11 +276,8 @@ class FortranParser:
                 decl.intent = intent
                 self.expect("RPAREN")
             elif self.accept("KEYWORD", "dimension"):
-                self.expect("LPAREN")
-                dims = self._parse_dim_list()
-                self.expect("RPAREN")
                 decl.attributes.append("dimension")
-                decl.default_dims = dims  # type: ignore[attr-defined]
+                decl.default_dims = self._parse_list(self._parse_dim_spec)  # type: ignore[attr-defined]
             else:
                 raise FortranSyntaxError("unsupported declaration attribute", self.peek())
 
@@ -273,9 +286,8 @@ class FortranParser:
         while True:
             entity = EntityDecl(line=self.peek().line)
             entity.name = self.expect("IDENT").value
-            if self.accept("LPAREN"):
-                entity.dims = self._parse_dim_list()
-                self.expect("RPAREN")
+            if self.check("LPAREN"):
+                entity.dims = self._parse_list(self._parse_dim_spec)
             elif getattr(decl, "default_dims", None):
                 entity.dims = list(decl.default_dims)  # type: ignore[attr-defined]
             if self.accept("ASSIGN"):
@@ -285,12 +297,6 @@ class FortranParser:
                 break
         self.expect_end_of_statement()
         return decl
-
-    def _parse_dim_list(self) -> List[DimSpec]:
-        dims = [self._parse_dim_spec()]
-        while self.accept("COMMA"):
-            dims.append(self._parse_dim_spec())
-        return dims
 
     def _parse_dim_spec(self) -> DimSpec:
         if self.accept("COLON"):
@@ -327,53 +333,34 @@ class FortranParser:
             return self.parse_if()
         if self.accept("KEYWORD", "call"):
             name = self.expect("IDENT").value
-            args: List[Expr] = []
-            if self.accept("LPAREN"):
-                if not self.check("RPAREN"):
-                    args.append(self.parse_expression())
-                    while self.accept("COMMA"):
-                        args.append(self.parse_expression())
-                self.expect("RPAREN")
+            args = self._parse_list(self.parse_expression) if self.check("LPAREN") else []
             self.expect_end_of_statement()
             return CallStmt(name=name, args=args, line=token.line)
         if self.accept("KEYWORD", "return"):
             self.expect_end_of_statement()
             return ReturnStmt(line=token.line)
-        if self.accept("KEYWORD", "exit"):
-            self.expect_end_of_statement()
-            return ExitStmt(line=token.line)
-        if self.accept("KEYWORD", "cycle"):
-            self.expect_end_of_statement()
-            return CycleStmt(line=token.line)
+        if token.kind == "KEYWORD" and token.value in ("exit", "cycle"):
+            raise FortranSyntaxError(f"'{token.value}' is not supported", token)
         if self.accept("KEYWORD", "stop"):
             while not self.check("NEWLINE") and not self.check("EOF"):
                 self.advance()
             self.expect_end_of_statement()
             return ReturnStmt(line=token.line)
         if self.accept("KEYWORD", "allocate"):
-            self.expect("LPAREN")
-            allocs = [self._parse_var_ref()]
-            while self.accept("COMMA"):
-                allocs.append(self._parse_var_ref())
-            self.expect("RPAREN")
+            allocations = self._parse_list(self._parse_var_ref)
             self.expect_end_of_statement()
-            return AllocateStmt(allocations=allocs, line=token.line)
+            return AllocateStmt(allocations=allocations, line=token.line)
         if self.accept("KEYWORD", "deallocate"):
-            self.expect("LPAREN")
-            names = [self.expect("IDENT").value]
-            while self.accept("COMMA"):
-                names.append(self.expect("IDENT").value)
-            self.expect("RPAREN")
+            names = self._parse_list(self._parse_name)
             self.expect_end_of_statement()
             return DeallocateStmt(names=names, line=token.line)
         if self.accept("KEYWORD", "print") or self.accept("KEYWORD", "write"):
             # Consume the rest of the line; output statements have no effect on
             # the numerical kernels this frontend targets.
-            args: List[Expr] = []
             while not self.check("NEWLINE") and not self.check("EOF"):
                 self.advance()
             self.expect_end_of_statement()
-            return PrintStmt(args=args, line=token.line)
+            return PrintStmt(line=token.line)
         # Fallback: assignment
         return self.parse_assignment()
 
@@ -385,16 +372,10 @@ class FortranParser:
         self.expect_end_of_statement()
         return Assignment(target=target, value=value, line=token.line)
 
-    def parse_do(self) -> Statement:
+    def parse_do(self) -> DoLoop:
         token = self.expect("KEYWORD", "do")
-        if self.accept("KEYWORD", "while"):
-            self.expect("LPAREN")
-            condition = self.parse_expression()
-            self.expect("RPAREN")
-            self.expect_end_of_statement()
-            body = self.parse_statement_block(("end", "enddo"))
-            self._consume_block_end("do")
-            return DoWhile(condition=condition, body=body, line=token.line)
+        if self.check("KEYWORD", "while"):
+            raise FortranSyntaxError("'do while' is not supported", token)
         var = self.expect("IDENT").value
         self.expect("ASSIGN")
         start = self.parse_expression()
@@ -461,147 +442,66 @@ class FortranParser:
     # Expressions
     # ------------------------------------------------------------------
 
-    def parse_expression(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
-        expr = self._parse_and()
-        while self.check("DOTOP", ".or."):
-            line = self.advance().line
-            rhs = self._parse_and()
-            expr = BinaryOp(op=".or.", lhs=expr, rhs=rhs, line=line)
-        return expr
-
-    def _parse_and(self) -> Expr:
-        expr = self._parse_not()
-        while self.check("DOTOP", ".and."):
-            line = self.advance().line
-            rhs = self._parse_not()
-            expr = BinaryOp(op=".and.", lhs=expr, rhs=rhs, line=line)
-        return expr
-
-    def _parse_not(self) -> Expr:
-        if self.check("DOTOP", ".not."):
-            line = self.advance().line
-            return UnaryOp(op=".not.", operand=self._parse_not(), line=line)
-        return self._parse_comparison()
-
-    _REL_TOKENS = {
-        "LT": "<",
-        "LE": "<=",
-        "GT": ">",
-        "GE": ">=",
-        "EQ": "==",
-        "NE": "/=",
-    }
-    _REL_DOTOPS = {
-        ".lt.": "<",
-        ".le.": "<=",
-        ".gt.": ">",
-        ".ge.": ">=",
-        ".eq.": "==",
-        ".ne.": "/=",
-    }
-
-    def _parse_comparison(self) -> Expr:
-        expr = self._parse_additive()
+    def parse_expression(self, min_power: int = 0) -> Expr:
+        """Precedence climbing: an operand, extended by every binary operator
+        of :data:`_BINARY` that binds at least ``min_power``."""
         token = self.peek()
-        op: Optional[str] = None
-        if token.kind in self._REL_TOKENS:
-            op = self._REL_TOKENS[token.kind]
-        elif token.kind == "DOTOP" and token.value in self._REL_DOTOPS:
-            op = self._REL_DOTOPS[token.value]
-        if op is not None:
-            line = self.advance().line
-            rhs = self._parse_additive()
-            return BinaryOp(op=op, lhs=expr, rhs=rhs, line=line)
-        return expr
-
-    def _parse_additive(self) -> Expr:
-        expr = self._parse_multiplicative()
-        while self.check("PLUS") or self.check("MINUS"):
-            token = self.advance()
-            rhs = self._parse_multiplicative()
-            op = "+" if token.kind == "PLUS" else "-"
-            expr = BinaryOp(op=op, lhs=expr, rhs=rhs, line=token.line)
-        return expr
-
-    def _parse_multiplicative(self) -> Expr:
-        expr = self._parse_unary()
-        while self.check("STAR") or self.check("SLASH"):
-            token = self.advance()
-            rhs = self._parse_unary()
-            op = "*" if token.kind == "STAR" else "/"
-            expr = BinaryOp(op=op, lhs=expr, rhs=rhs, line=token.line)
-        return expr
-
-    def _parse_unary(self) -> Expr:
-        if self.check("MINUS"):
-            token = self.advance()
-            return UnaryOp(op="-", operand=self._parse_unary(), line=token.line)
-        if self.check("PLUS"):
+        if token.kind == "MINUS" or token.kind == "PLUS":
             self.advance()
-            return self._parse_unary()
-        return self._parse_power()
-
-    def _parse_power(self) -> Expr:
-        base = self._parse_primary()
-        if self.check("POW"):
-            token = self.advance()
-            # ** is right associative
-            exponent = self._parse_unary()
-            return BinaryOp(op="**", lhs=base, rhs=exponent, line=token.line)
-        return base
+            lhs = self.parse_expression(_SIGN)
+            if token.kind == "MINUS":
+                lhs = UnaryOp(op="-", operand=lhs, line=token.line)
+        elif token.kind == "DOTOP" and token.value == ".not." and min_power <= _NOT:
+            self.advance()
+            lhs = UnaryOp(op=".not.", operand=self.parse_expression(_NOT), line=token.line)
+        else:
+            lhs = self._parse_primary()
+        related = False
+        while True:
+            token = self.peek()
+            binding = _BINARY.get(token.value if token.kind == "DOTOP" else token.kind)
+            if binding is None or binding[1] < min_power:
+                return lhs
+            op, power = binding
+            if power == _RELATION:
+                if related:
+                    raise FortranSyntaxError("relational operators do not chain", token)
+                related = True
+            self.advance()
+            rhs = self.parse_expression(power if power == _POW else power + 1)
+            lhs = BinaryOp(op=op, lhs=lhs, rhs=rhs, line=token.line)
 
     def _parse_primary(self) -> Expr:
-        token = self.peek()
-        if self.accept("LPAREN"):
+        token = self.advance()
+        kind = token.kind
+        if kind == "LPAREN":
             expr = self.parse_expression()
             self.expect("RPAREN")
             return expr
-        if token.kind == "INT":
-            self.advance()
+        if kind == "INT":
             return IntLiteral(value=int(token.value.split("_")[0]), line=token.line)
-        if token.kind == "REAL":
-            self.advance()
-            text = token.value.split("_")[0]
-            kind = 8 if ("d" in text.lower()) else 8  # default reals to f64 precision
-            normalised = text.lower().replace("d", "e")
-            return RealLiteral(value=float(normalised), kind=kind, line=token.line)
-        if token.kind == "DOTOP" and token.value in (".true.", ".false."):
-            self.advance()
+        if kind == "REAL":
+            # Every real literal is f64 (RealLiteral's default kind).
+            text = token.value.split("_")[0].lower().replace("d", "e")
+            return RealLiteral(value=float(text), line=token.line)
+        if kind == "DOTOP" and token.value in (".true.", ".false."):
             return LogicalLiteral(value=token.value == ".true.", line=token.line)
-        if token.kind == "STRING":
-            self.advance()
-            return StringLiteral(value=token.value[1:-1], line=token.line)
-        if token.kind == "IDENT" or token.kind == "KEYWORD":
+        if kind == "IDENT" or kind == "KEYWORD":
             # Keywords like 'real' can appear as intrinsic conversions: real(x)
-            name = self.advance().value
-            if self.check("LPAREN"):
-                self.advance()
-                args: List[Expr] = []
-                if not self.check("RPAREN"):
-                    args.append(self.parse_expression())
-                    while self.accept("COMMA"):
-                        args.append(self.parse_expression())
-                self.expect("RPAREN")
-                if name in INTRINSICS:
-                    return IntrinsicCall(name=name, args=args, line=token.line)
-                return VarRef(name=name, subscripts=args, line=token.line)
-            return VarRef(name=name, line=token.line)
+            if not self.check("LPAREN"):
+                return VarRef(name=token.value, line=token.line)
+            args = self._parse_list(self.parse_expression)
+            if token.value in INTRINSICS:
+                return IntrinsicCall(name=token.value, args=args, line=token.line)
+            return VarRef(name=token.value, subscripts=args, line=token.line)
+        if kind == "STRING":
+            raise FortranSyntaxError("a string literal is not supported in an expression", token)
         raise FortranSyntaxError("unexpected token in expression", token)
 
     def _parse_var_ref(self) -> VarRef:
         token = self.expect("IDENT")
-        ref = VarRef(name=token.value, line=token.line)
-        if self.accept("LPAREN"):
-            if not self.check("RPAREN"):
-                ref.subscripts.append(self.parse_expression())
-                while self.accept("COMMA"):
-                    ref.subscripts.append(self.parse_expression())
-            self.expect("RPAREN")
-        return ref
-
+        subscripts = self._parse_list(self.parse_expression) if self.check("LPAREN") else []
+        return VarRef(name=token.value, subscripts=subscripts, line=token.line)
 
 def parse_source(source: str) -> SourceFile:
     """Parse Fortran source text into an AST."""

@@ -376,9 +376,9 @@ class IRParser:
         return names
 
     def parse_operation(self) -> Operation:
-        result_names: List[str] = []
+        bound_names: List[str] = []
         if self.toks[self.i][:1] == "%":
-            result_names = self._parse_value_ids()
+            bound_names = self._parse_value_ids()
             self.expect("=")
         op_name = self.parse_string_literal()
 
@@ -408,9 +408,9 @@ class IRParser:
                 f"operation '{op_name}' lists {len(operand_names)} operands but "
                 f"{len(operand_types)} operand types"
             )
-        if result_names and len(result_types) != len(result_names):
+        if bound_names and len(result_types) != len(bound_names):
             raise self._error(
-                f"operation '{op_name}' binds {len(result_names)} results but "
+                f"operation '{op_name}' binds {len(bound_names)} results but "
                 f"{len(result_types)} result types"
             )
 
@@ -427,7 +427,7 @@ class IRParser:
             operands.append(value)
 
         op = self._build_operation(op_name, operands, result_types, attributes, regions)
-        for name, res in zip(result_names, op.results):
+        for name, res in zip(bound_names, op.results):
             res.name_hint = name
             self.values[name] = res
         return op

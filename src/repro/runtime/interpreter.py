@@ -1068,10 +1068,7 @@ class Interpreter:
         return [gpu.alloc_degraded(shape, mtype.element_type)]
 
     def _exec_gpu_dealloc(self, op: Operation, frame: Frame):
-        buffer = frame.get(op.operands[0])
-        if isinstance(buffer, FieldValue):
-            buffer = buffer.buffer
-        self._require_gpu().dealloc(buffer)
+        self._require_gpu().dealloc(frame.get(op.operands[0]))
         return []
 
     @staticmethod
@@ -1082,15 +1079,9 @@ class Interpreter:
         return parent
 
     def _exec_gpu_memcpy(self, op: Operation, frame: Frame):
-        dst = frame.get(op.operands[0])
-        src = frame.get(op.operands[1])
-        if isinstance(dst, FieldValue):
-            dst = dst.buffer
-        if isinstance(src, FieldValue):
-            src = src.buffer
         gpu = self._require_gpu()
         start = _time.perf_counter()
-        gpu.memcpy(dst, src)
+        gpu.memcpy(frame.get(op.operands[0]), frame.get(op.operands[1]))
         self.stats["transfer_seconds"] += _time.perf_counter() - start
         return []
 

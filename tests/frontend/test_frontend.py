@@ -312,8 +312,6 @@ end subroutine driver
         assert np.allclose(a, 3.0)
 
     def test_unsupported_construct_raises(self):
-        from repro.frontend import CodegenError
-
         src = """
 subroutine s(x)
   implicit none
@@ -323,7 +321,7 @@ subroutine s(x)
   end do
 end subroutine s
 """
-        with pytest.raises(CodegenError):
+        with pytest.raises(FortranSyntaxError, match="'do while' is not supported"):
             compile_to_fir(src)
 
 
