@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import IntegerAttr, StringAttr
+from ..ir.attributes import IntegerAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import BlockArgument, SSAValue
@@ -171,10 +171,6 @@ class IfOp(Operation):
     @property
     def then_block(self) -> Block:
         return self.regions[0].block
-
-    @property
-    def else_block(self) -> Optional[Block]:
-        return self.regions[1].blocks[0] if self.regions[1].blocks else None
 
 
 Scf = Dialect("scf", [YieldOp, ForOp, ParallelOp, IfOp])

@@ -188,10 +188,6 @@ class ApplyOp(Operation):
     def rank(self) -> int:
         return len(self.lb)
 
-    @property
-    def domain_shape(self) -> Tuple[int, ...]:
-        return tuple(u - l for l, u in zip(self.lb, self.ub))
-
     def verify_(self) -> None:
         if len(self.lb) != len(self.ub):
             raise VerifyException("stencil.apply: lb and ub must have the same rank")

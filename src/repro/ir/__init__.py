@@ -6,12 +6,8 @@ rewriting and the pass manager.
 """
 
 from .attributes import (
-    ArrayAttr,
     Attribute,
-    BoolAttr,
     DenseArrayAttr,
-    DenseElementsAttr,
-    DictionaryAttr,
     FloatAttr,
     IntegerAttr,
     StringAttr,
@@ -47,17 +43,12 @@ from .types import (
     IndexType,
     IntegerType,
     MemRefType,
-    NoneType,
-    TensorType,
     f32,
     f64,
     i1,
     i32,
     i64,
     index,
-    is_float_type,
-    is_integer_like,
-    none,
 )
 
 __all__ = [
@@ -66,33 +57,24 @@ __all__ = [
     "TypeAttribute",
     "UnitAttr",
     "StringAttr",
-    "BoolAttr",
     "IntegerAttr",
     "FloatAttr",
-    "ArrayAttr",
     "DenseArrayAttr",
-    "DictionaryAttr",
     "SymbolRefAttr",
     "TypeAttr",
-    "DenseElementsAttr",
     # types
     "DYNAMIC",
     "IntegerType",
     "IndexType",
     "FloatType",
-    "NoneType",
     "FunctionType",
     "MemRefType",
-    "TensorType",
     "i1",
     "i32",
     "i64",
     "f32",
     "f64",
     "index",
-    "none",
-    "is_float_type",
-    "is_integer_like",
     # ssa & structure
     "SSAValue",
     "OpResult",

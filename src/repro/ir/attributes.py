@@ -86,21 +86,6 @@ class StringAttr(Attribute):
         return f'"{escaped}"'
 
 
-class BoolAttr(Attribute):
-    """A boolean constant."""
-
-    name = "bool"
-
-    def __init__(self, value: bool):
-        self.value = bool(value)
-
-    def _key(self) -> Tuple[Any, ...]:
-        return (self.value,)
-
-    def print(self) -> str:
-        return "true" if self.value else "false"
-
-
 class IntegerAttr(Attribute):
     """An integer constant carrying its type (width)."""
 
@@ -122,13 +107,6 @@ class IntegerAttr(Attribute):
 
         return IntegerAttr(value, IntegerType(width))
 
-    @staticmethod
-    def from_index(value: int) -> "IntegerAttr":
-        from .types import IndexType
-
-        return IntegerAttr(value, IndexType())
-
-
 class FloatAttr(Attribute):
     """A floating point constant carrying its type."""
 
@@ -149,35 +127,6 @@ class FloatAttr(Attribute):
         from .types import FloatType
 
         return FloatAttr(value, FloatType(width))
-
-
-class ArrayAttr(Attribute):
-    """An ordered list of attributes."""
-
-    name = "array"
-
-    def __init__(self, data: Iterable[Attribute]):
-        self.data: Tuple[Attribute, ...] = tuple(data)
-        for elem in self.data:
-            if not isinstance(elem, Attribute):
-                raise TypeError(
-                    f"ArrayAttr elements must be Attributes, got {type(elem).__name__}"
-                )
-
-    def __iter__(self) -> Iterator[Attribute]:
-        return iter(self.data)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, idx: int) -> Attribute:
-        return self.data[idx]
-
-    def _key(self) -> Tuple[Any, ...]:
-        return (self.data,)
-
-    def print(self) -> str:
-        return "[" + ", ".join(a.print() for a in self.data) + "]"
 
 
 class DenseArrayAttr(Attribute):
@@ -207,32 +156,6 @@ class DenseArrayAttr(Attribute):
         return "array<i64: " + ", ".join(str(v) for v in self.values) + ">"
 
 
-class DictionaryAttr(Attribute):
-    """A mapping from names to attributes."""
-
-    name = "dictionary"
-
-    def __init__(self, data: dict):
-        items = []
-        for key, value in data.items():
-            if not isinstance(key, str):
-                raise TypeError("DictionaryAttr keys must be strings")
-            if not isinstance(value, Attribute):
-                raise TypeError("DictionaryAttr values must be Attributes")
-            items.append((key, value))
-        self.data: Tuple[Tuple[str, Attribute], ...] = tuple(sorted(items))
-
-    def as_dict(self) -> dict:
-        return dict(self.data)
-
-    def _key(self) -> Tuple[Any, ...]:
-        return (self.data,)
-
-    def print(self) -> str:
-        inner = ", ".join(f"{k} = {v.print()}" for k, v in self.data)
-        return "{" + inner + "}"
-
-
 class SymbolRefAttr(Attribute):
     """A reference to a symbol (e.g. a function) by name."""
 
@@ -241,10 +164,6 @@ class SymbolRefAttr(Attribute):
     def __init__(self, root: str, nested: Sequence[str] = ()):
         self.root = root
         self.nested: Tuple[str, ...] = tuple(nested)
-
-    @property
-    def string_value(self) -> str:
-        return self.root if not self.nested else "::".join((self.root,) + self.nested)
 
     def _key(self) -> Tuple[Any, ...]:
         return (self.root, self.nested)
@@ -273,35 +192,14 @@ class TypeAttr(Attribute):
         return self.type.print()
 
 
-class DenseElementsAttr(Attribute):
-    """A dense constant over a shaped type (used for small array constants)."""
-
-    name = "dense"
-
-    def __init__(self, values: Iterable[float], type: TypeAttribute):
-        self.values: Tuple[float, ...] = tuple(values)
-        self.type = type
-
-    def _key(self) -> Tuple[Any, ...]:
-        return (self.values, self.type)
-
-    def print(self) -> str:
-        vals = ", ".join(repr(v) for v in self.values)
-        return f"dense<[{vals}]> : {self.type.print()}"
-
-
 __all__ = [
     "Attribute",
     "TypeAttribute",
     "UnitAttr",
     "StringAttr",
-    "BoolAttr",
     "IntegerAttr",
     "FloatAttr",
-    "ArrayAttr",
     "DenseArrayAttr",
-    "DictionaryAttr",
     "SymbolRefAttr",
     "TypeAttr",
-    "DenseElementsAttr",
 ]

@@ -6,7 +6,7 @@ operations there, mirroring ``mlir::OpBuilder`` / xDSL's ``Builder``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TypeVar
+from typing import Optional, TypeVar
 
 from .operation import Block, IRError, Operation
 
@@ -30,12 +30,6 @@ class InsertPoint:
             raise IRError("cannot create an insertion point before a detached op")
         return InsertPoint(op.parent, op)
 
-    @staticmethod
-    def after(op: Operation) -> "InsertPoint":
-        if op.parent is None:
-            raise IRError("cannot create an insertion point after a detached op")
-        nxt = op.next_op()
-        return InsertPoint(op.parent, nxt)
 
 
 class Builder:
@@ -60,9 +54,6 @@ class Builder:
 
     def set_insertion_point_before(self, op: Operation) -> None:
         self._insert_point = InsertPoint.before(op)
-
-    def set_insertion_point_after(self, op: Operation) -> None:
-        self._insert_point = InsertPoint.after(op)
 
     class _Guard:
         def __init__(self, builder: "Builder"):
@@ -89,9 +80,6 @@ class Builder:
             point.block.insert_op_before(op, point.anchor)
         return op
 
-    def insert_all(self, ops: Sequence[Operation]) -> List[Operation]:
-        return [self.insert(op) for op in ops]
-
     # -- convenience --------------------------------------------------------
 
     @staticmethod
@@ -105,10 +93,6 @@ class Builder:
     @staticmethod
     def before(op: Operation) -> "Builder":
         return Builder(InsertPoint.before(op))
-
-    @staticmethod
-    def after(op: Operation) -> "Builder":
-        return Builder(InsertPoint.after(op))
 
 
 __all__ = ["Builder", "InsertPoint"]

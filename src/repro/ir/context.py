@@ -35,10 +35,9 @@ class Dialect:
 class Context:
     """Registry of dialects used when parsing or verifying IR."""
 
-    def __init__(self, allow_unregistered: bool = True):
+    def __init__(self):
         self.dialects: Dict[str, Dialect] = {}
         self._op_classes: Dict[str, Type[Operation]] = {}
-        self.allow_unregistered = allow_unregistered
 
     # -- registration --------------------------------------------------------
 

@@ -45,9 +45,9 @@ def _nested_ops(op: "Operation") -> Iterator["Operation"]:
 class Operation:
     """A generic SSA operation.
 
-    Concrete operations subclass this and set :attr:`name`; the base class is
-    also usable directly for unregistered operations (e.g. round-tripping IR
-    containing dialects we do not model).
+    Concrete operations subclass this and set :attr:`name`.  Neither IR
+    decoder builds the base class: the text parser and the op table both
+    refuse an operation name no dialect registers.
     """
 
     #: Fully qualified operation name, e.g. ``"arith.addf"``.
@@ -56,7 +56,7 @@ class Operation:
     #: Trait classes attached to the operation (see :mod:`repro.ir.traits`).
     traits: Tuple[type, ...] = ()
 
-    # ``__dict__`` stays for an unregistered operation's own ``name``.
+    # ``__dict__`` stays so a bare ``Operation`` can carry its own ``name``.
     __slots__ = ("_operands", "_uses", "results", "attributes", "regions",
                  "parent", "__dict__")
 
@@ -210,13 +210,6 @@ class Operation:
         ops = self.parent.ops
         idx = ops.index(self)
         return ops[idx + 1] if idx + 1 < len(ops) else None
-
-    def prev_op(self) -> Optional["Operation"]:
-        if self.parent is None:
-            return None
-        ops = self.parent.ops
-        idx = ops.index(self)
-        return ops[idx - 1] if idx > 0 else None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -576,10 +569,6 @@ class Region:
         if len(self.blocks) != 1:
             raise IRError(f"region has {len(self.blocks)} blocks, expected exactly 1")
         return self.blocks[0]
-
-    @property
-    def first_block(self) -> Optional[Block]:
-        return self.blocks[0] if self.blocks else None
 
     def add_block(self, block: Block) -> None:
         self._add_block(block)

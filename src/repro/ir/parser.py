@@ -12,10 +12,13 @@ result — it only makes the use-site ``value.type != expected`` check an
 identity test.
 
 It accepts the output of :mod:`repro.ir.printer` (round-trip stable) as well
-as modestly hand-written generic-syntax IR used in tests and by humans.  The
-artifact store does not read text: it persists op tables
-(:mod:`repro.ir.table`), whose type and attribute spellings this parser reads
-one leaf at a time.
+as modestly hand-written generic-syntax IR used in tests and by humans.  Its
+grammar is the IR the compiler builds: registered operations only, and only
+the type and attribute leaves some compile constructs (the census in
+``tests/ir/test_op_census.py``).  The artifact store does not read text: it
+persists op tables (:mod:`repro.ir.table`), whose type and attribute
+spellings this parser reads one leaf at a time, so both decoders refuse the
+same things.
 """
 
 from __future__ import annotations
@@ -25,12 +28,8 @@ from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .attributes import (
-    ArrayAttr,
     Attribute,
-    BoolAttr,
     DenseArrayAttr,
-    DenseElementsAttr,
-    DictionaryAttr,
     FloatAttr,
     IntegerAttr,
     StringAttr,
@@ -48,8 +47,6 @@ from .types import (
     IndexType,
     IntegerType,
     MemRefType,
-    NoneType,
-    TensorType,
     TypeAttribute,
 )
 
@@ -83,7 +80,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.$\-]*")
 _NUMBER_RE = re.compile(_NUMBER)
 _INT_RE = re.compile(r"-?\d+")
 _DIMS_RE = re.compile(r"(?:(?:\?|\d+)x)+")
-_INT_TYPE_RE = re.compile(r"(u?)i(\d+)")
+_INT_TYPE_RE = re.compile(r"i\d+")
 _FLOAT_TYPE_RE = re.compile(r"f(16|32|64)")
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
@@ -162,13 +159,6 @@ class IRParser:
         self.i += 1
         return int(tok)
 
-    def _parse_float(self) -> float:
-        tok = self.toks[self.i]
-        if not _NUMBER_RE.fullmatch(tok):
-            raise self._error("expected number")
-        self.i += 1
-        return float(tok)
-
     def _parse_sigil_name(self, sigil: str) -> str:
         """A ``%value`` / ``@symbol`` token, returned without its sigil."""
         tok = self.toks[self.i]
@@ -197,14 +187,10 @@ class IRParser:
             self.i += 1
             if tok == "index":
                 built = IndexType()
-            elif tok == "none":
-                built = NoneType()
             elif tok == "memref":
                 built = MemRefType(*self._parse_shaped_body())
-            elif tok == "tensor":
-                built = TensorType(*self._parse_shaped_body())
-            elif match := _INT_TYPE_RE.fullmatch(tok):
-                built = IntegerType(int(match.group(2)), signed=not match.group(1))
+            elif _INT_TYPE_RE.fullmatch(tok):
+                built = IntegerType(int(tok[1:]))
             elif _FLOAT_TYPE_RE.fullmatch(tok):
                 built = FloatType(int(tok[1:]))
             else:
@@ -271,19 +257,12 @@ class IRParser:
             return StringAttr(self.parse_string_literal())
         if first == "@":
             return self._parse_symbol_ref()
-        if tok == "[":
-            return self._parse_array_attr()
-        if tok == "{":
-            return DictionaryAttr(self.parse_attr_dict_body())
         if tok == "unit":
             self.i += 1
             return UnitAttr()
-        if tok in ("true", "false"):
-            self.i += 1
-            return BoolAttr(tok == "true")
-        if tok in ("array", "dense") and self.toks[self.i + 1] == "<":
+        if tok == "array" and self.toks[self.i + 1] == "<":
             self.i += 2
-            return self._parse_dense_array() if tok == "array" else self._parse_dense_elements()
+            return self._parse_dense_array()
         if _NUMBER_RE.fullmatch(tok):
             return self._parse_number_attr(tok)
         # Fall back to a type attribute.
@@ -305,28 +284,6 @@ class IRParser:
                 values.append(self.parse_integer())
         self.expect(">")
         return DenseArrayAttr(values)
-
-    def _parse_dense_elements(self) -> DenseElementsAttr:
-        self.expect("[")
-        values: List[float] = []
-        if not self.peek("]"):
-            values.append(self._parse_float())
-            while self.try_consume(","):
-                values.append(self._parse_float())
-        self.expect("]")
-        self.expect(">")
-        self.expect(":")
-        return DenseElementsAttr(values, self.parse_type())
-
-    def _parse_array_attr(self) -> ArrayAttr:
-        self.expect("[")
-        values: List[Attribute] = []
-        if not self.peek("]"):
-            values.append(self.parse_attribute())
-            while self.try_consume(","):
-                values.append(self.parse_attribute())
-        self.expect("]")
-        return ArrayAttr(values)
 
     def _parse_number_attr(self, tok: str) -> Attribute:
         self.i += 1
@@ -442,11 +399,7 @@ class IRParser:
     ) -> Operation:
         op_class = self.context.get_op_class(op_name)
         if op_class is None:
-            if not self.context.allow_unregistered:
-                raise self._error(f"unregistered operation '{op_name}'")
-            op = Operation(operands, result_types, attributes, regions)
-            op.name = op_name
-            return op
+            raise self._error(f"unregistered operation '{op_name}'")
         op = object.__new__(op_class)
         Operation.__init__(op, operands, result_types, attributes, regions)
         return op

@@ -71,9 +71,6 @@ class PassRegistry:
         key = name or pass_class.name
         self._passes[key] = pass_class
 
-    def register_factory(self, name: str, factory: Callable[..., ModulePass]) -> None:
-        self._passes[name] = factory
-
     def get(self, name: str) -> Callable[..., ModulePass]:
         if name not in self._passes:
             raise KeyError(

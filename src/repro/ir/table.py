@@ -8,11 +8,13 @@
 * ``op`` — ``[name, operand ids, result type ids, [[attr name, attr id], ...],
   regions]``, a region a list of blocks ``[[[value id, type id], ...], ops]``.
 
-Decoding builds operations the way ``IRParser._build_operation`` does under a
-strict context, and refuses an unregistered op, an out-of-range id, a use
-before its definition or a hint count that differs from the values defined
-(:class:`TableError`), a leaf the parser rejects (``ParseError``) and any
-other shape (``TypeError`` / ``ValueError`` / ``KeyError``).
+Decoding builds operations the way ``IRParser._build_operation`` does and
+refuses what the text parser refuses: an unregistered op (:class:`TableError`)
+and a leaf outside the types and attributes the compiler builds
+(``ParseError``).  It also refuses an out-of-range id, a use before its
+definition or a hint count that differs from the values defined
+(:class:`TableError`) and any other shape (``TypeError`` / ``ValueError`` /
+``KeyError``).
 """
 
 from __future__ import annotations

@@ -20,16 +20,14 @@ class IntegerType(TypeAttribute):
 
     name = "builtin.integer_type"
 
-    def __init__(self, width: int, signed: bool = True):
+    def __init__(self, width: int):
         self.width = int(width)
-        self.signed = bool(signed)
 
     def _key(self) -> Tuple[Any, ...]:
-        return (self.width, self.signed)
+        return (self.width,)
 
     def print(self) -> str:
-        prefix = "i" if self.signed else "ui"
-        return f"{prefix}{self.width}"
+        return f"i{self.width}"
 
 
 class IndexType(TypeAttribute):
@@ -59,18 +57,6 @@ class FloatType(TypeAttribute):
 
     def print(self) -> str:
         return f"f{self.width}"
-
-
-class NoneType(TypeAttribute):
-    """Absence of a value."""
-
-    name = "builtin.none_type"
-
-    def _key(self) -> Tuple[Any, ...]:
-        return ()
-
-    def print(self) -> str:
-        return "none"
 
 
 class FunctionType(TypeAttribute):
@@ -132,25 +118,6 @@ class MemRefType(TypeAttribute):
         return f"memref<{self.element_type.print()}>"
 
 
-class TensorType(TypeAttribute):
-    """A value-semantics shaped type (rarely used in this flow, kept for parity)."""
-
-    name = "builtin.tensor_type"
-
-    def __init__(self, shape: Sequence[int], element_type: TypeAttribute):
-        self.shape: Tuple[int, ...] = tuple(int(s) for s in shape)
-        self.element_type = element_type
-
-    def _key(self) -> Tuple[Any, ...]:
-        return (self.shape, self.element_type)
-
-    def print(self) -> str:
-        dims = "x".join("?" if s == DYNAMIC else str(s) for s in self.shape)
-        if dims:
-            return f"tensor<{dims}x{self.element_type.print()}>"
-        return f"tensor<{self.element_type.print()}>"
-
-
 # Convenience singletons -----------------------------------------------------
 
 i1 = IntegerType(1)
@@ -159,15 +126,6 @@ i64 = IntegerType(64)
 f32 = FloatType(32)
 f64 = FloatType(64)
 index = IndexType()
-none = NoneType()
-
-
-def is_float_type(t: TypeAttribute) -> bool:
-    return isinstance(t, FloatType)
-
-
-def is_integer_like(t: TypeAttribute) -> bool:
-    return isinstance(t, (IntegerType, IndexType))
 
 
 __all__ = [
@@ -175,17 +133,12 @@ __all__ = [
     "IntegerType",
     "IndexType",
     "FloatType",
-    "NoneType",
     "FunctionType",
     "MemRefType",
-    "TensorType",
     "i1",
     "i32",
     "i64",
     "f32",
     "f64",
     "index",
-    "none",
-    "is_float_type",
-    "is_integer_like",
 ]

@@ -234,12 +234,10 @@ class TestStructure:
         names = [op.name for op in module.walk()]
         assert names == ["builtin.module", "func.func", "arith.addf", "func.return"]
 
-    def test_next_prev_op(self):
+    def test_next_op(self):
         f, add = make_add_function()
         ret = f.entry_block.last_op
         assert add.next_op() is ret
-        assert ret.prev_op() is add
-        assert add.prev_op() is None
 
     def test_block_insert_before_after(self):
         block = Block()

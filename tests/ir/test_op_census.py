@@ -14,6 +14,12 @@ or API looks up by name.  Printing, cloning, hashing and CSE see every
 attribute without naming one, and a verifier that checks an attribute nobody
 else reads is part of the dead weight, so none of them counts as a reader.
 An attribute that is written and never read goes, with whatever wrote it.
+
+The leaves under the ops are counted too: every type and attribute class
+constructed while the corpus compiles and runs is recorded, and each
+``Attribute`` class of the IR and the dialects with no subclass of its own
+must be among them.  A leaf that no compile builds exists only so a decoder
+can read it, and so goes, with its spelling in the parser.
 """
 
 from pathlib import Path
@@ -26,7 +32,7 @@ from repro.api.distributed import detect_entry
 from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import ALL_DIALECTS, fir
 from repro.dialects.builtin import ModuleOp
-from repro.ir import parse_module, print_module
+from repro.ir import Attribute, parse_module, print_module
 from repro.ir.operation import Operation
 from repro.runtime import Interpreter, parallel_executor
 from repro.runtime.interpreter import InterpreterError
@@ -113,6 +119,16 @@ def _sources():
     yield from CONSTRUCTS.values()
 
 
+def _leaf_classes(cls):
+    """The subclasses of ``cls`` in the IR and the dialects that have no
+    subclass of their own."""
+    for sub in cls.__subclasses__():
+        if sub.__subclasses__():
+            yield from _leaf_classes(sub)
+        elif sub.__module__.startswith(("repro.ir.", "repro.dialects.")):
+            yield sub
+
+
 class _Traffic:
     """What the corpus constructs, and which attributes it writes and reads,
     as ``(op name, attribute name)`` pairs."""
@@ -122,6 +138,8 @@ class _Traffic:
         self.written = set()
         self.read = set()
         self.quiet = 0
+        #: Every ``Attribute`` class (types included) constructed.
+        self.leaves = set()
 
 
 def _recording_attributes(traffic):
@@ -233,9 +251,19 @@ def traffic(tmp_path_factory):
         finally:
             traffic.quiet -= 1
 
+    def recording_init(real):
+        def init(self, *args, **kwargs):
+            traffic.leaves.add(type(self))
+            real(self, *args, **kwargs)
+        return init
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Operation, "__init__", record)
         patch.setattr(Operation, "verify", verify)
+        # Each leaf's ``__init__``, not ``Attribute.__new__``: CPython cannot
+        # restore a class's allocator once Python code has replaced it.
+        for cls in _leaf_classes(Attribute):
+            patch.setattr(cls, "__init__", recording_init(cls.__init__))
         _exercise(repro.Session(), tmp_path_factory.mktemp("store"))
     return traffic
 
@@ -260,3 +288,9 @@ def test_every_attribute_looked_up_is_one_something_writes(traffic):
     written = {key for _, key in traffic.written}
     never_written = sorted({key for _, key in traffic.read} - written)
     assert not never_written, f"looked up, never written: {never_written}"
+
+
+def test_every_type_and_attribute_class_is_constructed(traffic):
+    unbuilt = sorted(cls.__name__
+                     for cls in set(_leaf_classes(Attribute)) - traffic.leaves)
+    assert not unbuilt, f"never constructed: {unbuilt}"

@@ -544,3 +544,20 @@ class TestHostilePayload:
                 loaded += load(payload[:at] + bytes([byte]) + payload[at + 1:])
         # Some mutations (a digit of an id, a letter of a hint) still decode.
         assert loaded > 0
+
+    @staticmethod
+    def _with_module_attribute(payload, spelling):
+        """``payload`` with one more attribute on the last module op,
+        spelled ``spelling``."""
+        tables = json.loads(payload)
+        table = tables[-1]
+        table["op"][3].append(["extra", len(table["attrs"])])
+        table["attrs"].append(spelling)
+        return json.dumps(tables, separators=(",", ":")).encode("utf-8")
+
+    @pytest.mark.parametrize("spelling", [
+        "dense<[1.0]> : tensor<1xf64>", "[1 : i64, true]", "{a = none}"])
+    def test_a_leaf_no_compile_builds_is_a_corrupt_miss(self, entry, spelling):
+        payload, load = entry
+        assert load(self._with_module_attribute(payload, "1 : i64"))
+        assert not load(self._with_module_attribute(payload, spelling))
