@@ -136,24 +136,8 @@ class DistributedProgram:
     # -- identity ------------------------------------------------------------
 
     @property
-    def compiled(self) -> "CompiledProgram":
-        return self._compiled
-
-    @property
-    def grid(self) -> Tuple[int, ...]:
-        return self._executor.grid
-
-    @property
     def ranks(self) -> int:
         return self._executor.num_ranks
-
-    @property
-    def halo(self) -> int:
-        return self._executor.halo
-
-    @property
-    def executor(self) -> DistributedExecutor:
-        return self._executor
 
     @property
     def entry(self) -> str:
@@ -234,7 +218,7 @@ class DistributedProgram:
                                   resilience=resilience)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<DistributedProgram grid={self.grid} ranks={self.ranks}>"
+        return f"<DistributedProgram grid={self._executor.grid} ranks={self.ranks}>"
 
 
 __all__ = ["DistributedProgram", "SourceBuilder", "detect_halo",

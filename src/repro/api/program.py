@@ -87,10 +87,6 @@ class Program:
     def session(self) -> "Session":
         return self._session
 
-    @property
-    def fingerprint(self) -> str:
-        return source_fingerprint(self._source)
-
     def lower(self, backend="cpu", options: Optional[BackendOptions] = None,
               **overrides) -> "CompiledProgram":
         """Compile this program for ``backend`` (name or Backend object),
@@ -98,7 +94,7 @@ class Program:
         return self._session.lower(self._source, backend, options, **overrides)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Program {self.fingerprint[:12]} ({len(self._source)} chars)>"
+        return f"<Program {source_fingerprint(self._source)[:12]} ({len(self._source)} chars)>"
 
 
 class CompiledProgram:

@@ -36,10 +36,6 @@ class GaussSeidelProblem:
     niters: int = 1
 
     @property
-    def shape(self) -> Tuple[int, int, int]:
-        return (self.n, self.n, self.n)
-
-    @property
     def cells(self) -> int:
         return self.n**3
 

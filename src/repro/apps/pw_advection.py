@@ -10,9 +10,6 @@ floating point operations per grid cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 #: Floating point operations per grid cell (3 components x 21 flops each).
@@ -20,25 +17,6 @@ FLOPS_PER_CELL = 63
 
 #: Bytes moved per grid cell (6 fields read/written as doubles, cold cache).
 BYTES_PER_CELL = 8 * 12
-
-
-@dataclass
-class PWAdvectionProblem:
-    """Problem configuration: cubic grid of ``n``³ cells."""
-
-    n: int
-    niters: int = 1
-    dx: float = 100.0
-    dy: float = 100.0
-    dz: float = 100.0
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return (self.n, self.n, self.n)
-
-    @property
-    def cells(self) -> int:
-        return self.n**3
 
 
 def generate_source(n: int, niters: int = 1, name: str = "pw_advection",
@@ -161,7 +139,6 @@ def reference(u: np.ndarray, v: np.ndarray, w: np.ndarray,
 
 
 __all__ = [
-    "PWAdvectionProblem",
     "generate_source",
     "initial_fields",
     "reference",

@@ -180,10 +180,6 @@ class NegfOp(Operation):
     def __init__(self, operand: SSAValue):
         super().__init__(operands=[operand], result_types=[operand.type])
 
-    @property
-    def operand(self) -> SSAValue:
-        return self.operands[0]
-
 
 #: Valid comparison predicates for floats and integers respectively.
 FLOAT_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge")
@@ -250,10 +246,6 @@ class _CastOp(Operation):
 
     def __init__(self, operand: SSAValue, result_type: TypeAttribute):
         super().__init__(operands=[operand], result_types=[result_type])
-
-    @property
-    def operand(self) -> SSAValue:
-        return self.operands[0]
 
 
 class IndexCastOp(_CastOp):

@@ -61,10 +61,6 @@ class RankOp(Operation):
             attributes={"dim": IntegerAttr(dim, i64)},
         )
 
-    @property
-    def dim(self) -> int:
-        return int(self.get_attr("dim").value)  # type: ignore[union-attr]
-
 
 class HaloSwapOp(Operation):
     """``dmp.halo_swap`` — exchange halo regions of a field with neighbours.

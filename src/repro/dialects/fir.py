@@ -177,11 +177,6 @@ class AllocaOp(Operation):
     def in_type(self) -> TypeAttribute:
         return self.get_attr("in_type").type  # type: ignore[union-attr]
 
-    @property
-    def uniq_name(self) -> Optional[str]:
-        attr = self.get_attr_or_none("uniq_name")
-        return attr.data if isinstance(attr, StringAttr) else None
-
     def verify_(self) -> None:
         result_type = self.results[0].type
         if not isinstance(result_type, ReferenceType):
@@ -211,15 +206,6 @@ class AllocMemOp(Operation):
             attributes=attributes,
         )
 
-    @property
-    def in_type(self) -> TypeAttribute:
-        return self.get_attr("in_type").type  # type: ignore[union-attr]
-
-    @property
-    def uniq_name(self) -> Optional[str]:
-        attr = self.get_attr_or_none("uniq_name")
-        return attr.data if isinstance(attr, StringAttr) else None
-
 
 class FreeMemOp(Operation):
     """``fir.freemem`` — release a heap allocation."""
@@ -243,10 +229,6 @@ class DeclareOp(Operation):
             result_types=[memref.type],
             attributes={"uniq_name": StringAttr(uniq_name)},
         )
-
-    @property
-    def memref(self) -> SSAValue:
-        return self.operands[0]
 
     @property
     def uniq_name(self) -> str:
@@ -402,10 +384,6 @@ class IfOp(Operation):
         if else_region is None:
             else_region = Region()
         super().__init__(operands=[condition], regions=[then_region, else_region])
-
-    @property
-    def condition(self) -> SSAValue:
-        return self.operands[0]
 
 
 class ConvertOp(Operation):

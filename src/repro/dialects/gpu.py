@@ -12,7 +12,7 @@ both representable here:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..ir.attributes import DenseArrayAttr, StringAttr, SymbolRefAttr
 from ..ir.context import Dialect
@@ -50,10 +50,6 @@ class GPUFuncOp(Operation):
         region = Region([Block(arg_types=arg_types)])
         super().__init__(attributes={"sym_name": StringAttr(sym_name)},
                          regions=[region])
-
-    @property
-    def sym_name(self) -> str:
-        return self.get_attr("sym_name").data  # type: ignore[union-attr]
 
     @property
     def entry_block(self) -> Block:
@@ -94,10 +90,6 @@ class LaunchFuncOp(Operation):
         super().__init__(operands=arguments, attributes=attributes)
 
     @property
-    def kernel(self) -> str:
-        return self.get_attr("kernel").root  # type: ignore[union-attr]
-
-    @property
     def grid_size(self) -> Sequence[int]:
         return self.get_attr("grid_size").as_tuple()  # type: ignore[union-attr]
 
@@ -121,10 +113,6 @@ class AllocOp(Operation):
     def __init__(self, result_type: MemRefType, dynamic_sizes: Sequence[SSAValue] = ()):
         super().__init__(operands=dynamic_sizes, result_types=[result_type])
 
-    @property
-    def memref_type(self) -> MemRefType:
-        return self.results[0].type  # type: ignore[return-value]
-
 
 class DeallocOp(Operation):
     """``gpu.dealloc`` — free device memory."""
@@ -144,14 +132,6 @@ class MemcpyOp(Operation):
 
     def __init__(self, dst: SSAValue, src: SSAValue):
         super().__init__(operands=[dst, src])
-
-    @property
-    def dst(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def src(self) -> SSAValue:
-        return self.operands[1]
 
 
 class HostRegisterOp(Operation):
@@ -174,10 +154,6 @@ class _IdOp(Operation):
         super().__init__(
             result_types=[index], attributes={"dimension": StringAttr(dimension)}
         )
-
-    @property
-    def dimension(self) -> str:
-        return self.get_attr("dimension").data  # type: ignore[union-attr]
 
 
 class ThreadIdOp(_IdOp):

@@ -20,10 +20,6 @@ class _UnaryMathOp(Operation):
     def __init__(self, operand: SSAValue):
         super().__init__(operands=[operand], result_types=[operand.type])
 
-    @property
-    def operand(self) -> SSAValue:
-        return self.operands[0]
-
     def verify_(self) -> None:
         if not isinstance(self.operands[0].type, FloatType):
             raise VerifyException(f"{self.name}: operand must be a float")
@@ -73,14 +69,6 @@ class PowFOp(Operation):
 
     def __init__(self, base: SSAValue, exponent: SSAValue):
         super().__init__(operands=[base, exponent], result_types=[base.type])
-
-    @property
-    def lhs(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def rhs(self) -> SSAValue:
-        return self.operands[1]
 
 
 Math = Dialect(

@@ -25,10 +25,6 @@ class LoadOp(Operation):
         )
 
     @property
-    def memref(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
     def indices(self) -> Sequence[SSAValue]:
         return self.operands[1:]
 
@@ -53,14 +49,6 @@ class StoreOp(Operation):
 
     def __init__(self, value: SSAValue, memref: SSAValue, indices: Sequence[SSAValue]):
         super().__init__(operands=[value, memref, *indices])
-
-    @property
-    def value(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def memref(self) -> SSAValue:
-        return self.operands[1]
 
     @property
     def indices(self) -> Sequence[SSAValue]:

@@ -41,18 +41,6 @@ class _P2POp(Operation):
     def __init__(self, buffer: SSAValue, peer: SSAValue, tag: SSAValue):
         super().__init__(operands=[buffer, peer, tag], result_types=[RequestType()])
 
-    @property
-    def buffer(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def peer(self) -> SSAValue:
-        return self.operands[1]
-
-    @property
-    def tag(self) -> SSAValue:
-        return self.operands[2]
-
 
 class ISendOp(_P2POp):
     """``mpi.isend`` — non-blocking send returning a request."""

@@ -62,18 +62,6 @@ class WsLoopOp(Operation):
     def rank(self) -> int:
         return int(self.get_attr("rank").value)  # type: ignore[union-attr]
 
-    @property
-    def lower_bounds(self) -> Sequence[SSAValue]:
-        return self.operands[: self.rank]
-
-    @property
-    def upper_bounds(self) -> Sequence[SSAValue]:
-        return self.operands[self.rank : 2 * self.rank]
-
-    @property
-    def steps(self) -> Sequence[SSAValue]:
-        return self.operands[2 * self.rank :]
-
     def verify_(self) -> None:
         if len(self.operands) != 3 * self.rank:
             raise VerifyException("omp.wsloop: expected 3*rank operands")

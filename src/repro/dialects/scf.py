@@ -49,18 +49,6 @@ class ForOp(Operation):
         )
 
     @property
-    def lower_bound(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def upper_bound(self) -> SSAValue:
-        return self.operands[1]
-
-    @property
-    def step(self) -> SSAValue:
-        return self.operands[2]
-
-    @property
     def iter_args(self) -> Sequence[SSAValue]:
         return self.operands[3:]
 
@@ -163,10 +151,6 @@ class IfOp(Operation):
             result_types=result_types,
             regions=[then_region, else_region],
         )
-
-    @property
-    def condition(self) -> SSAValue:
-        return self.operands[0]
 
     @property
     def then_block(self) -> Block:

@@ -105,10 +105,6 @@ class ExternalLoadOp(Operation):
         return self.operands[0]
 
     @property
-    def field(self) -> SSAValue:
-        return self.results[0]
-
-    @property
     def read_only(self) -> bool:
         """Whether nothing in this function writes the field: every use of
         it is a ``stencil.load`` — no store, no halo swap, no call."""
@@ -132,10 +128,6 @@ class LoadOp(Operation):
     @property
     def field(self) -> SSAValue:
         return self.operands[0]
-
-    @property
-    def temp(self) -> SSAValue:
-        return self.results[0]
 
     def verify_(self) -> None:
         if not isinstance(self.operands[0].type, FieldType):
@@ -272,20 +264,8 @@ class StoreOp(Operation):
         )
 
     @property
-    def temp(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
     def field(self) -> SSAValue:
         return self.operands[1]
-
-    @property
-    def lb(self) -> Tuple[int, ...]:
-        return self.get_attr("lb").as_tuple()  # type: ignore[union-attr]
-
-    @property
-    def ub(self) -> Tuple[int, ...]:
-        return self.get_attr("ub").as_tuple()  # type: ignore[union-attr]
 
     def verify_(self) -> None:
         if not isinstance(self.operands[0].type, TempType):

@@ -50,10 +50,6 @@ class DimInfo:
             return None
         return self.upper - self.lower + 1
 
-    @property
-    def is_static(self) -> bool:
-        return self.extent is not None
-
 
 @dataclass
 class Symbol:
@@ -97,9 +93,6 @@ class SymbolTable:
 
     # ------------------------------------------------------------------
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.symbols
-
     def __getitem__(self, name: str) -> Symbol:
         try:
             return self.symbols[name]
@@ -108,9 +101,6 @@ class SymbolTable:
                 f"'{name}' is not declared in unit '{self.unit.name}' "
                 "(the frontend requires 'implicit none' style explicit declarations)"
             ) from None
-
-    def get(self, name: str) -> Optional[Symbol]:
-        return self.symbols.get(name)
 
     def values(self):
         return self.symbols.values()

@@ -24,8 +24,9 @@ Examples::
 
 Exit status is a contract CI pins: **0** when the run is clean, **1** when
 any divergence is found (or a corpus replay regresses, or a chaos fault
-goes unrecovered), **2** when the harness itself crashes.  New divergences
-are delta-debugged and saved into the corpus automatically unless
+goes unrecovered), **2** when the harness itself crashes or ``--config``
+names no configuration of the replayed seed.  New divergences are
+delta-debugged and saved into the corpus automatically unless
 ``--no-minimize`` is given.
 """
 
@@ -40,7 +41,7 @@ from ..harness import fuzz_summary_table, recovery_report_table
 from .chaos import ChaosRunner
 from .corpus import DEFAULT_CORPUS_DIR, load_corpus, minimize_and_save, replay_entry
 from .generator import DEFAULT_CONFIG, generate_spec
-from .runner import DifferentialRunner, Farm
+from .runner import DifferentialRunner, Farm, default_matrix
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,6 +96,12 @@ def _replay_seed(args) -> int:
     spec = generate_spec(args.replay_seed, DEFAULT_CONFIG)
     print(spec.render())
     if args.config:
+        labels = [c.label for c in default_matrix(spec, args.backends)]
+        if args.config not in labels:
+            print(f"unknown configuration {args.config!r} for seed "
+                  f"{args.replay_seed}; valid labels: {', '.join(labels)}",
+                  file=sys.stderr)
+            return 2
         diverged = runner.reproduces(spec, args.config)
         print(f"[{args.config}] {'DIVERGES' if diverged else 'ok'}")
         return 1 if diverged else 0

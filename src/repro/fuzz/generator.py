@@ -282,10 +282,6 @@ class KernelSpec:
             read |= expr_arrays(s.expr)
         return read
 
-    def uses_scalar(self) -> bool:
-        return self.has_scalar and any(expr_uses_scalar(s.expr)
-                                       for s in self.statements)
-
     @property
     def flang_comparable(self) -> bool:
         """True when the flang-only (plain FIR, in-place) execution must

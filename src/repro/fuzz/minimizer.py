@@ -51,11 +51,6 @@ class MinimizationResult:
     steps: int
     candidates_tried: int
 
-    @property
-    def reduced(self) -> bool:
-        return self.minimized.size() < self.original.size() or (
-            sum(self.minimized.extents) < sum(self.original.extents))
-
 
 def _measure(spec: KernelSpec) -> Tuple[int, int, int]:
     """The strictly-decreasing well-founded measure: structural size, then

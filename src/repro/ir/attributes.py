@@ -8,7 +8,7 @@ generic textual syntax and compares structurally.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence, Tuple
+from typing import Any, Iterable, Sequence, Tuple
 
 
 class Attribute:
@@ -46,9 +46,6 @@ class Attribute:
 
 class TypeAttribute(Attribute):
     """Marker base class: attributes that can be used as SSA value types."""
-
-    def print(self) -> str:
-        raise NotImplementedError(type(self).__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +133,6 @@ class DenseArrayAttr(Attribute):
 
     def __init__(self, values: Iterable[int]):
         self.values: Tuple[int, ...] = tuple(int(v) for v in values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def __getitem__(self, idx: int) -> int:
         return self.values[idx]

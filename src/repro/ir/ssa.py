@@ -78,10 +78,6 @@ class SSAValue:
     def has_uses(self) -> bool:
         return bool(self.uses)
 
-    def owner(self):
-        """The operation or block that defines this value."""
-        raise NotImplementedError
-
     # -- debugging -------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -112,9 +108,6 @@ class BlockArgument(SSAValue):
         super().__init__(type)
         self.block = block
         self.index = index
-
-    def owner(self) -> "Block":
-        return self.block
 
 
 __all__ = ["Use", "SSAValue", "OpResult", "BlockArgument"]

@@ -34,10 +34,6 @@ class FaultInjector:
         self._alloc_attempts = 0
         self._compile_attempts = 0
 
-    @property
-    def report(self):
-        return self.sink.report
-
     # -- communicator ------------------------------------------------------
 
     def on_send(self, source: int, dest: int, tag: int) -> Optional[str]:

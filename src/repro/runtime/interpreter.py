@@ -1174,6 +1174,13 @@ class Interpreter:
             )
         return self.decomposition
 
+    def _require_comm(self, op: Operation, peer: int):
+        if self.comm is None:
+            raise InterpreterError(
+                f"{op.name} to rank {peer} requires a communicator"
+            )
+        return self.comm
+
     def _exec_dmp_grid(self, op: Operation, frame: Frame):
         return [self._require_decomposition()]
 
@@ -1208,11 +1215,11 @@ class Interpreter:
         tag = int(_as_python(frame.get(op.operands[2])))
         if peer < 0:
             return [{"type": "send"}]
+        comm = self._require_comm(op, peer)
         payload = buffer.data[self._buffer_slices(op, buffer)]
-        if self.comm is not None:
-            start = _time.perf_counter()
-            self.comm.send(self.rank, peer, tag, payload)
-            self.stats["halo_seconds"] += _time.perf_counter() - start
+        start = _time.perf_counter()
+        comm.send(self.rank, peer, tag, payload)
+        self.stats["halo_seconds"] += _time.perf_counter() - start
         self.stats["mpi_messages"] += 1
         self.stats["mpi_bytes"] += payload.nbytes
         return [{"type": "send"}]
@@ -1234,19 +1241,16 @@ class Interpreter:
         }
         return [request]
 
-    def _complete_request(self, request) -> None:
-        if not isinstance(request, dict) or request.get("type") != "recv":
-            return
-        if self.comm is None:
-            return
-        start = _time.perf_counter()
-        data = self.comm.receive(request["source"], self.rank, request["tag"])
-        self.stats["halo_seconds"] += _time.perf_counter() - start
-        request["buffer"].data[request["slices"]] = data
-
     def _exec_mpi_waitall(self, op: Operation, frame: Frame):
         for operand in op.operands:
-            self._complete_request(frame.get(operand))
+            request = frame.get(operand)
+            if not isinstance(request, dict) or request.get("type") != "recv":
+                continue
+            comm = self._require_comm(op, request["source"])
+            start = _time.perf_counter()
+            data = comm.receive(request["source"], self.rank, request["tag"])
+            self.stats["halo_seconds"] += _time.perf_counter() - start
+            request["buffer"].data[request["slices"]] = data
         return []
 
 

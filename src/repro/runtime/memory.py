@@ -9,11 +9,11 @@ carry a ``space`` tag so transfers can be accounted.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..ir.types import FloatType, IndexType, IntegerType, MemRefType, TypeAttribute
+from ..ir.types import FloatType, IndexType, IntegerType, TypeAttribute
 from ..dialects import fir
 
 
@@ -83,10 +83,6 @@ class MemoryBuffer:
     # -- misc -----------------------------------------------------------------
 
     @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
-
-    @property
     def nbytes(self) -> int:
         return int(self.data.nbytes)
 
@@ -117,23 +113,8 @@ class ElementRef:
         return f"<ElementRef {self.buffer.label or '?'}{list(self.indices)}>"
 
 
-Reference = Union[MemoryBuffer, ElementRef]
-
-
-def load_reference(ref: Reference):
-    """Load through either a scalar buffer or an element reference."""
-    return ref.load()
-
-
-def store_reference(ref: Reference, value) -> None:
-    ref.store(value)
-
-
 __all__ = [
     "MemoryBuffer",
     "ElementRef",
-    "Reference",
     "numpy_dtype_for",
-    "load_reference",
-    "store_reference",
 ]

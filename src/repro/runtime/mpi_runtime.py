@@ -122,10 +122,6 @@ class SimulatedCommunicator:
     # Abort signalling
     # ------------------------------------------------------------------
 
-    @property
-    def aborted(self) -> Optional[str]:
-        return self._aborted
-
     def abort(self, reason: str) -> None:
         """Fail-fast broadcast: wake every blocked receive so the
         whole fleet unwinds immediately instead of timing out one rank at a

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..dialects import arith, dmp, mpi, stencil
-from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
 from ..ir.attributes import DenseArrayAttr, IntegerAttr
 from ..ir.builder import Builder
@@ -186,14 +185,6 @@ class _NeighbourRankOp(Operation):
                 "direction": IntegerAttr(direction, i64),
             },
         )
-
-    @property
-    def dim(self) -> int:
-        return int(self.get_attr("dim").value)  # type: ignore[union-attr]
-
-    @property
-    def direction(self) -> int:
-        return int(self.get_attr("direction").value)  # type: ignore[union-attr]
 
 
 # Register the helper op with the DMP dialect so parsing / interpretation work.

@@ -27,16 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dialects import arith, fir, math_dialect, stencil
+from ..dialects import arith, fir, stencil
 from ..dialects.func import FuncOp
-from ..ir.attributes import StringAttr
 from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import PatternRewriter, RewritePattern, apply_patterns
-from ..ir.ssa import BlockArgument, OpResult, SSAValue
-from ..ir.types import FloatType, IndexType, IntegerType, f64, index
+from ..ir.ssa import OpResult, SSAValue
+from ..ir.types import FloatType, IndexType, IntegerType, index
 from .stencil_fusion import merge_adjacent_applies
 
 
@@ -170,15 +169,6 @@ def _trace_index_expression(value: SSAValue) -> Tuple[Optional[SSAValue], int]:
     Returns ``(None, c)`` for pure constants and raises :class:`DiscoveryError`
     when the expression is not of the supported affine form var±const.
     """
-    if isinstance(value, BlockArgument):
-        # A do_loop induction variable used directly.
-        owner = value.owner()
-        parent = owner.parent_op() if isinstance(owner, Block) else None
-        if isinstance(parent, fir.DoLoopOp):
-            storage = _loop_variable_storage(parent)
-            if storage is not None:
-                return storage, 0
-        raise DiscoveryError("index expression uses an unsupported block argument")
     if not isinstance(value, OpResult):
         raise DiscoveryError("index expression has no defining operation")
     op = value.op
@@ -215,9 +205,6 @@ def _array_root_and_name(ref: SSAValue) -> Tuple[SSAValue, str]:
             if isinstance(op, fir.ConvertOp):
                 current = op.operands[0]
                 continue
-            if isinstance(op, (fir.AllocaOp, fir.AllocMemOp)):
-                name = op.uniq_name or "array"
-                return current, name.split("E")[-1]
         break
     name = current.name_hint or "array"
     return current, name

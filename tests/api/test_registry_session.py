@@ -202,6 +202,15 @@ class TestSessionCache:
         assert session.cache_stats == {"hits": 1, "misses": 1, "artifacts": 1}
         assert second.artifact is first.artifact
 
+    def test_a_program_lowers_under_its_source_key(self, session,
+                                                   small_gs_source):
+        program = session.compile(small_gs_source)
+        first = session.lower(program, "cpu")
+        assert first.source == small_gs_source
+        second = session.lower(small_gs_source, "cpu")
+        assert session.cache_stats == {"hits": 1, "misses": 1, "artifacts": 1}
+        assert second.artifact is first.artifact
+
     def test_different_backend_or_options_miss(self, session, small_gs_source):
         program = session.compile(small_gs_source)
         program.lower("cpu")

@@ -21,6 +21,7 @@ from repro.fuzz import (
     replay_entry,
     save_entry,
 )
+from repro.fuzz.__main__ import main as fuzz_main
 
 CORPUS = load_corpus()
 
@@ -85,3 +86,36 @@ def test_minimize_and_save_full_capture_path(tmp_path):
     assert loaded.spec == entry.spec
     # Without the hook the minimized kernel is clean across the full matrix.
     assert not replay_entry(loaded, DifferentialRunner())
+
+
+class TestReplayCli:
+    """``python -m repro.fuzz --replay-seed`` / ``--replay-corpus``."""
+
+    def test_replay_seed_checks_a_known_label(self, capsys):
+        assert fuzz_main(["--replay-seed", "3", "--config",
+                          "cpu/vectorize"]) == 0
+        assert "[cpu/vectorize] ok" in capsys.readouterr().out
+
+    def test_replay_seed_refuses_an_unknown_label(self, capsys):
+        assert fuzz_main(["--replay-seed", "3", "--config",
+                          "no/such-config"]) == 2
+        captured = capsys.readouterr()
+        assert "[no/such-config]" not in captured.out
+        assert "unknown configuration 'no/such-config'" in captured.err
+        assert "cpu/vectorize" in captured.err
+
+    def test_replay_corpus_of_one_entry(self, tmp_path, capsys):
+        entry = CORPUS[0]
+        for suffix in (".json", ".f90"):
+            name = entry.name + suffix
+            (tmp_path / name).write_text(
+                (DEFAULT_CORPUS_DIR / name).read_text())
+        assert fuzz_main(["--replay-corpus", "--corpus", str(tmp_path),
+                          "--backends", "cpu"]) == 0
+        out = capsys.readouterr().out
+        assert f"{entry.name} [{entry.config_label}] ok" in out
+        assert "1 corpus entries replayed, 0 regressions" in out
+
+    def test_replay_of_an_empty_corpus(self, tmp_path, capsys):
+        assert fuzz_main(["--replay-corpus", "--corpus", str(tmp_path)]) == 0
+        assert "is empty" in capsys.readouterr().out

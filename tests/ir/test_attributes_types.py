@@ -25,7 +25,7 @@ from repro.ir import (
     i64,
     index,
 )
-from repro.dialects import fir, stencil
+from repro.dialects import dmp, fir, mpi, stencil
 from repro.dialects.llvm import LLVMPointerType
 
 
@@ -114,6 +114,24 @@ class TestBuiltinTypes:
     def test_type_equality_structural(self):
         assert MemRefType([2, 2], f64) == MemRefType([2, 2], f64)
         assert MemRefType([2, 2], f64) != MemRefType([2, 3], f64)
+
+    @pytest.mark.parametrize("make", [
+        lambda: FunctionType([f64, i32], [f64]),
+        lambda: SymbolRefAttr("mod", ["fn"]),
+        lambda: TypeAttr(f64),
+        lambda: fir.HeapType(fir.SequenceType([4], f32)),
+        lambda: fir.LLVMPointerType(f64),
+        lambda: dmp.GridType([2, 2]),
+        lambda: mpi.RequestType(),
+        lambda: stencil.FieldType([[-1, 3], [0, 2]], f64),
+    ], ids=["function", "symbol_ref", "type", "fir.heap", "fir.llvm_ptr",
+            "dmp.grid", "mpi.request", "stencil.field"])
+    def test_equal_leaves_compare_and_hash_by_key(self, make):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
 
 
 class TestDialectTypes:

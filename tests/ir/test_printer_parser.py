@@ -174,6 +174,25 @@ def pw_gpu_sections():
     return printed_sections(pw_advection.generate_source(16), "gpu", lower_to_scf=True)
 
 
+#: An allocatable temporary: fir.allocmem and its !fir.heap type.
+HEAP_SOURCE = """
+subroutine heap(a)
+  implicit none
+  real(kind=8), intent(inout) :: a(8)
+  real(kind=8), allocatable :: t(:)
+  integer :: i
+  allocate(t(8))
+  do i = 1, 8
+    t(i) = a(i) * 2.0
+  end do
+  do i = 2, 7
+    a(i) = t(i - 1) + t(i + 1)
+  end do
+  deallocate(t)
+end subroutine heap
+"""
+
+
 class TestCompiledModulesReload:
     @pytest.mark.parametrize("backend,options", [
         ("cpu", {}),
@@ -186,7 +205,8 @@ class TestCompiledModulesReload:
     @pytest.mark.parametrize("source", [
         pw_advection.generate_source(16),
         gauss_seidel.generate_source(16, niters=2),
-    ], ids=["pw", "gs"])
+        HEAP_SOURCE,
+    ], ids=["pw", "gs", "heap"])
     def test_verifies_clean_and_reloads_byte_identical(self, source, backend, options):
         for text in printed_sections(source, backend, **options):
             module = parse_module(text)

@@ -47,6 +47,23 @@ class TestChaosFarm:
         assert first.recovery.injected == second.recovery.injected
         assert first.configs_run == second.configs_run
 
+    def test_a_mismatch_is_an_unrecovered_divergence_that_replays_in_chaos(
+            self, monkeypatch):
+        chaos = ChaosRunner()
+        monkeypatch.setattr(chaos.runner, "compare",
+                            lambda expected, actual: (("u",), 0.5))
+        result = chaos.run_case(generate_spec(2, DEFAULT_CONFIG))
+        labels = [d.config_label for d in result.divergences]
+        assert labels == ["gpu-chaos", "compile-chaos"]
+        assert result.recovery.unrecovered == 2
+        for divergence in result.divergences:
+            assert divergence.kind == "bitwise"
+            assert divergence.backend == "chaos"
+            assert divergence.arrays == ("u",)
+            assert divergence.max_abs_diff == 0.5
+            assert divergence.repro_command.endswith(
+                "repro.fuzz --chaos --seeds 1 --start-seed 2")
+
     def test_time_budget_skips_remaining_seeds(self):
         report = Farm(ChaosRunner(), count=5, time_budget=0.0).run()
         assert report.budget_exhausted

@@ -20,8 +20,10 @@ from repro.apps import gauss_seidel
 from repro.harness import measured_distributed_scaling
 from repro.resilience import RecoveryReport, ResilienceOptions
 from repro.runtime import (
+    CartesianDecomposition,
     DistributedExecutor,
     DistributedRunResult,
+    InterpreterError,
     MPIError,
     SimulatedCommunicator,
 )
@@ -346,6 +348,30 @@ class TestExecutorMechanics:
                               iterations=2)
         assert late.recovery == RecoveryReport()
         assert late.field.tobytes() == prompt.field.tobytes()
+
+    def test_a_halo_with_no_communicator_is_refused(self, session):
+        """A rank with real peers and no communicator cannot exchange its
+        halo: the send would go nowhere and the ghost planes keep stale
+        data, so the run stops with a typed error instead.  A one-rank grid
+        has no peers and runs."""
+        n = 8
+        split = session.compile(
+            gauss_seidel.generate_source_shaped((n // 2 + 2, n + 2, n + 2))
+        ).lower("dmp", grid=(2, 1), execution_mode="vectorize")
+        interp = split.interpreter(
+            rank=0, decomposition=CartesianDecomposition((n, n, n), (2, 1)))
+        with pytest.raises(InterpreterError,
+                           match="mpi.isend to rank 1 requires a communicator"):
+            interp.call("gauss_seidel",
+                        np.zeros((n // 2 + 2, n + 2, n + 2), order="F"))
+
+        whole = session.compile(
+            gauss_seidel.generate_source_shaped((n + 2,) * 3)
+        ).lower("dmp", grid=(1, 1), execution_mode="vectorize")
+        alone = whole.run(
+            "gauss_seidel", np.zeros((n + 2,) * 3, order="F"), rank=0,
+            decomposition=CartesianDecomposition((n, n, n), (1, 1)))
+        assert alone.stats["mpi_messages"] == 0
 
     @pytest.mark.parametrize("iterations", [0, True])
     def test_bad_iterations_rejected(self, iterations):

@@ -168,6 +168,20 @@ class TestSingleFlight:
             gated.gate.set()
             service.close()
 
+    def test_a_program_runs_under_its_source_key(self):
+        service, gated, _ = _make_service(workers=1)
+        try:
+            program = service.session.compile(SOURCE)
+            by_program = gauss_seidel.initial_condition(6)
+            by_source = by_program.copy(order="F")
+            service.run(program, "gauss_seidel", [by_program], backend="gated")
+            service.run(SOURCE, "gauss_seidel", [by_source], backend="gated")
+            assert gated.lower_count == 1
+            assert service.metrics().memory_hits == 1
+            assert by_program.tobytes() == by_source.tobytes()
+        finally:
+            service.close()
+
     def test_cached_key_fast_path_skips_the_queue(self):
         service, gated, _ = _make_service(workers=1)
         try:

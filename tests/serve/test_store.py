@@ -430,6 +430,21 @@ class TestLRUEviction:
         assert key_digest(keys[0][0]) in remaining
         assert key_digest(keys[2][0]) in remaining
 
+    def test_clear_deletes_every_entry_and_keeps_the_counters(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        keys = self._save_n(store, 2)
+        key, source, options = keys[0]
+        assert store.load(key, source=source, backend="cpu",
+                          options=options) is not None
+        counters = store.stats
+        store.clear()
+        assert len(store) == 0
+        assert list(store._dir.iterdir()) == []
+        assert store.stats == counters
+        assert store.load(key, source=source, backend="cpu",
+                          options=options) is None
+        assert store.stats["misses"] == counters["misses"] + 1
+
     def test_eviction_after_save_respects_cap(self, tmp_path):
         probe = ArtifactStore(tmp_path / "probe")
         self._save_n(probe, 1)

@@ -1,0 +1,163 @@
+"""Deleted names stay deleted.
+
+Each row of ``GUARDS`` is one guard: a regular expression, the paths it
+scans (and the paths it leaves out), the commit that deleted the names it
+matches, and one planted line the expression must match, so a guard that
+has stopped matching anything fails here too.  Every text file under a
+row's paths is scanned line by line, ``__pycache__`` skipped.
+
+The compiler layers' ban on importing ``repro.runtime`` is not a row:
+``tests/ir/test_layering.py`` enforces it through the AST, absolute
+imports included.
+"""
+
+import re
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Tuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: ``docs/ARCHITECTURE.md`` stays a guide, not a second copy of the code.
+ARCHITECTURE_LINE_BUDGET = 700
+
+
+@dataclass(frozen=True)
+class Guard:
+    name: str
+    pattern: str
+    paths: Tuple[str, ...]
+    deleted_in: str  # the commit that deleted the names
+    sample: str
+    excluding: Tuple[str, ...] = ()
+
+
+GUARDS = (
+    # GPU launches run synchronously and the device reports only what it
+    # moved: the modelled stream timeline stays deleted.
+    Guard("stream-model",
+          r"modelled_|GpuStream|num_streams|gpu\.stream|gpu\.prefetch",
+          ("src",), "f4efd2f", "stream = GpuStream(device)"),
+    # The write-only vectorizability tag stays deleted.
+    Guard("vectorizability-tag",
+          r"stencil\.vectorizable|apply_is_vectorizable",
+          ("src",), "0c70c40", 'op.set_attr("stencil.vectorizable", UnitAttr())'),
+    # Every stencil.load lowers to one memref.snapshot (a written field
+    # names itself, so it copies in one pass): no two-pass alloc + copy.
+    Guard("memref-alloc-copy",
+          r"memref\.(alloc|copy)\b|memref\.(AllocOp|CopyOp)",
+          ("src",), "ddfc08d", 'name = "memref.alloc"'),
+    # Nothing is written that nobody reads: the write-only attributes, the
+    # second way to fuse and the GPU's eviction rung stay deleted.
+    Guard("write-only-ir",
+          r"sym_visibility|bindc_name|gpu\.data_management"
+          r"|dmp\.(distributed|direction|decomposed_dims)"
+          r"|GpuMapParallelLoopsPass|StencilFusionPass|stencil-fusion"
+          r"|def fuse\(|mark_idle|evict_idle|oom_evictions",
+          ("src",), "de13d21", "def fuse(first, second):"),
+    # One way to plan a sweep: the schedule layer stays deleted.
+    Guard("schedule-layer",
+          r"schedule_chain|schedule\.tile|repro\.schedule|ScheduleRunner"
+          r"|def (reorder|unroll)\(",
+          ("src",), "adbe4f0", "from repro.schedule import ScheduleRunner"),
+    # ... and the OpenMP schedule clause: every sweep is cut into static
+    # slabs.
+    Guard("schedule-clause",
+          r"omp\.schedule|omp\.chunk_size|SCHEDULE_KINDS|chunk_size"
+          r"|openmp_pipeline",
+          ("src",), "68890f5", "chunk_size: int = 1"),
+    # A knob needs two values in use (tests/api/test_option_census.py): the
+    # decomposed dimensions, the checkpoint interval, the communicator's
+    # retry budget and backoff, the service's default timeout and the pass
+    # manager's verify switch are constants and stay so.
+    Guard("one-value-knobs",
+          r"decomposed_dims|checkpoint_interval|max_receive_retries"
+          r"|backoff_initial|backoff_cap|default_timeout|verify_each",
+          ("src",), "5469bcb", "checkpoint_interval: int = 1"),
+    # One lowering per backend: a launch is accounted only at its
+    # gpu.launch_func, so the function-level launch tags, their annotator
+    # and the second GPU pipeline name stay deleted.
+    Guard("function-level-launch",
+          r'"gpu\.(launch|grid|block)"|funcs_with_launch_ops'
+          r"|_annotate_kernel_launch|GPU_STENCIL_PIPELINE",
+          ("src",), "3b4547c", 'func.set_attr("gpu.launch", UnitAttr())'),
+    # The parser accepts exactly what fir_gen compiles: one precedence loop
+    # parses every expression, and no AST node exists for a refused
+    # construct.
+    Guard("parser-levels",
+          r"_parse_(or|and|not|comparison|additive|multiplicative|unary"
+          r"|power)\b|DoWhile|ExitStmt|CycleStmt|StringLiteral|result_name",
+          ("src",), "7c804e5", "    def _parse_additive(self):"),
+    # verify() skips only a state it already checked, so attributes change
+    # through set_attr / remove_attr, which advance the IR epoch.
+    Guard("attribute-writes",
+          r"\.attributes\[[^]]*\]\s*=[^=]"
+          r"|\.attributes\.(pop|popitem|update|setdefault|clear)\("
+          r"|del [^ ]*\.attributes\[",
+          ("src",), "dc949ef", 'op.attributes["halo"] = attr',
+          excluding=("src/repro/ir/",)),
+    # A lowering moves what it keeps (Block.take_ops); only discovery
+    # clones, because its FIR ops stay shared with code left behind.
+    Guard("transform-clones",
+          r"\.clone\(",
+          ("src/repro/transforms",), "dc949ef", "new_op = op.clone()",
+          excluding=("src/repro/transforms/stencil_discovery.py",)),
+    # A store hit builds ops from an op table (src/repro/ir/table.py): the
+    # store never prints or re-reads IR text.
+    Guard("store-ir-text",
+          r"parse_module|print_module",
+          ("src/repro/serve/store.py",), "cf1bbc9",
+          "from ..ir.parser import parse_module"),
+    # Every type and attribute class is one some compile constructs
+    # (tests/ir/test_op_census.py), and both IR decoders refuse an
+    # unregistered op.
+    Guard("unbuilt-leaves",
+          r"TensorType|NoneType|BoolAttr|\bArrayAttr\b|DictionaryAttr"
+          r"|DenseElementsAttr|allow_unregistered|\.signed\b"
+          r"|register_factory|prev_op",
+          ("src",), "b3584f2", "flag = BoolAttr(True)"),
+    # Only a sweep's boxes share a pool: ranks, batch items and service
+    # requests run on an executor their call or service opens and joins.
+    Guard("second-thread-owner",
+          r"get_rank_pool|_RANK_POOL|_rank_pool_gate|_batch_executors"
+          r"|class ParallelExecutor|_worker_loop|queue\.Queue",
+          ("src",), "9962726", "requests = queue.Queue()"),
+)
+
+
+def scanned_files(guard):
+    for path in guard.paths:
+        root = ROOT / path
+        files = [root] if root.is_file() else sorted(root.rglob("*"))
+        for file in files:
+            relative = file.relative_to(ROOT).as_posix()
+            if (not file.is_file() or "__pycache__" in file.parts
+                    or relative.startswith(guard.excluding)):
+                continue
+            try:
+                yield relative, file.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=lambda g: g.name)
+def test_deleted_names_stay_deleted(guard):
+    assert re.search(guard.pattern, guard.sample), (
+        f"the planted sample {guard.sample!r} no longer matches {guard.name}")
+    pattern = re.compile(guard.pattern)
+    hits = [f"{path}:{number}: {line.strip()}"
+            for path, text in scanned_files(guard)
+            for number, line in enumerate(text.splitlines(), 1)
+            if pattern.search(line)]
+    assert not hits, (
+        f"names deleted in {guard.deleted_in} are back ({guard.name}):\n"
+        + "\n".join(hits))
+
+
+def test_architecture_doc_within_budget():
+    lines = (ROOT / "docs" / "ARCHITECTURE.md").read_text().count("\n")
+    assert lines <= ARCHITECTURE_LINE_BUDGET, (
+        f"docs/ARCHITECTURE.md has {lines} lines "
+        f"(budget {ARCHITECTURE_LINE_BUDGET})")
