@@ -16,7 +16,8 @@ This is the paper's primary contribution (§3, Listing 3).  The pass:
    using ``stencil.access`` (and ``stencil.index`` for direct loop-variable
    uses), and a ``stencil.store`` for the output;
 5. inserts the generated operations directly before the outermost driving
-   loop, removes the now-dead arithmetic, and erases loops left empty;
+   loop, then erases the store with the arithmetic only it used, and the
+   loops it leaves empty;
 6. finally merges adjacent stencils with identical bounds when ``merge``
    is set (:func:`repro.transforms.stencil_fusion.merge_adjacent_applies`,
    the one way to fuse).
@@ -24,6 +25,7 @@ This is the paper's primary contribution (§3, Listing 3).  The pass:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,9 +35,10 @@ from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
-from ..ir.rewriting import PatternRewriter, RewritePattern, apply_patterns
+from ..ir.rewriting import PatternRewriter
 from ..ir.ssa import OpResult, SSAValue
 from ..ir.types import FloatType, IndexType, IntegerType, index
+from .cleanup import eliminate_dead_code
 from .stencil_fusion import merge_adjacent_applies
 
 
@@ -81,16 +84,9 @@ class StencilCandidate:
     output: ArrayAccess
     reads: List[ArrayAccess]
     loops: List[LoopInfo]  # per output dimension, the driving loop
+    nest: fir.DoLoopOp  # the outermost driving loop
     lb: Tuple[int, ...]
     ub: Tuple[int, ...]
-
-
-@dataclass
-class GeneratedStencil:
-    """The operations generated for one (or a group of) candidate stores."""
-
-    applicable_loops: List[LoopInfo]
-    ops: List[Operation]
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +96,10 @@ class GeneratedStencil:
 
 def gather_program_loops(func_op: FuncOp) -> List[LoopInfo]:
     """Collect every ``fir.do_loop`` with its loop-variable slot and bounds."""
-    loops: List[LoopInfo] = []
-    for op in func_op.walk():
-        if not isinstance(op, fir.DoLoopOp):
-            continue
-        loops.append(
-            LoopInfo(
-                op=op,
-                var_ref=_loop_variable_storage(op),
-                lower=_trace_constant(op.lower_bound),
-                upper=_trace_constant(op.upper_bound),
-                step=_trace_constant(op.step),
-            )
-        )
-    return loops
+    return [LoopInfo(op=op, var_ref=_loop_variable_storage(op),
+                     lower=_trace_constant(op.lower_bound),
+                     upper=_trace_constant(op.upper_bound), step=_trace_constant(op.step))
+            for op in func_op.walk() if isinstance(op, fir.DoLoopOp)]
 
 
 def _loop_variable_storage(loop: fir.DoLoopOp) -> Optional[SSAValue]:
@@ -122,40 +108,28 @@ def _loop_variable_storage(loop: fir.DoLoopOp) -> Optional[SSAValue]:
     for op in loop.body.block.ops:
         if isinstance(op, fir.StoreOp):
             value = op.value
-            if isinstance(value, OpResult) and isinstance(value.op, fir.ConvertOp):
-                if value.op.value is induction:
-                    return op.memref
-            if value is induction:
+            if isinstance(value, OpResult) and isinstance(value.op, fir.ConvertOp) \
+                    and value.op.value is induction:
                 return op.memref
     return None
 
 
+_INTEGER_FOLDS = {"arith.addi": operator.add, "arith.subi": operator.sub,
+                  "arith.muli": operator.mul}
+
+
 def _trace_constant(value: SSAValue) -> Optional[int]:
     """Trace a bound value back to an integer constant if possible."""
-    seen = 0
-    while isinstance(value, OpResult) and seen < 32:
-        seen += 1
-        op = value.op
-        if isinstance(op, arith.ConstantOp):
-            literal = op.literal
-            return int(literal) if float(literal).is_integer() else None
-        if isinstance(op, fir.ConvertOp):
-            value = op.operands[0]
-            continue
-        if isinstance(op, arith.AddiOp):
-            lhs = _trace_constant(op.lhs)
-            rhs = _trace_constant(op.rhs)
-            return lhs + rhs if lhs is not None and rhs is not None else None
-        if isinstance(op, arith.SubiOp):
-            lhs = _trace_constant(op.lhs)
-            rhs = _trace_constant(op.rhs)
-            return lhs - rhs if lhs is not None and rhs is not None else None
-        if isinstance(op, arith.MuliOp):
-            lhs = _trace_constant(op.lhs)
-            rhs = _trace_constant(op.rhs)
-            return lhs * rhs if lhs is not None and rhs is not None else None
+    op = value.op if isinstance(value, OpResult) else None
+    if isinstance(op, arith.ConstantOp):
+        return int(op.literal) if float(op.literal).is_integer() else None
+    if isinstance(op, fir.ConvertOp):
+        return _trace_constant(op.operands[0])
+    fold = _INTEGER_FOLDS.get(op.name) if op is not None else None
+    if fold is None:
         return None
-    return None
+    lhs, rhs = _trace_constant(op.lhs), _trace_constant(op.rhs)
+    return fold(lhs, rhs) if lhs is not None and rhs is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +170,16 @@ def _trace_index_expression(value: SSAValue) -> Tuple[Optional[SSAValue], int]:
 
 def _array_root_and_name(ref: SSAValue) -> Tuple[SSAValue, str]:
     """Resolve the storage root (declare result) and a printable name."""
-    current = ref
-    for _ in range(16):
-        if isinstance(current, OpResult):
-            op = current.op
-            if isinstance(op, fir.DeclareOp):
-                return current, op.uniq_name.split("E")[-1]
-            if isinstance(op, fir.ConvertOp):
-                current = op.operands[0]
-                continue
-        break
-    name = current.name_hint or "array"
-    return current, name
+    while isinstance(ref, OpResult) and isinstance(ref.op, fir.ConvertOp):
+        ref = ref.op.operands[0]
+    if isinstance(ref, OpResult) and isinstance(ref.op, fir.DeclareOp):
+        return ref, ref.op.uniq_name.split("E")[-1]
+    return ref, ref.name_hint or "array"
 
 
 def _array_shape(root: SSAValue) -> Optional[Tuple[int, ...]]:
     shape = fir.array_shape_of(root.type)
-    if shape is None:
-        return None
-    if any(s < 0 for s in shape):
-        return None
-    return tuple(shape)
+    return None if shape is None or any(s < 0 for s in shape) else tuple(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +360,7 @@ class StencilDiscoveryPass(ModulePass):
             if candidate is not None:
                 candidates.append(candidate)
 
-        pairs: List[Tuple[StencilCandidate, GeneratedStencil]] = []
+        pairs: List[Tuple[StencilCandidate, List[Operation]]] = []
         for candidate in candidates:
             generated = self._generate_stencil_ops(candidate)
             if generated is not None:
@@ -405,21 +368,22 @@ class StencilDiscoveryPass(ModulePass):
         pairs = self._independent_of_remainder(pairs)
 
         # Insert the generated operations directly before the outermost loop
-        # involved in each stencil, then drop the original store.
+        # involved in each stencil, then erase the original store and what
+        # it leaves dead.
         inserted = 0
+        info_of = {id(loop.op): loop for loop in loops}
         for candidate, generated in pairs:
-            top_loop = self._find_top_level_loop(generated.applicable_loops)
-            block = top_loop.op.parent_block()
+            block = candidate.nest.parent_block()
             if block is None:
                 continue
-            block.insert_ops_before(generated.ops, top_loop.op)
-            candidate.store_op.erase()
+            block.insert_ops_before(generated, candidate.nest)
+            innermost = candidate.store_op.parent_op()
+            _erase_and_sweep(candidate.store_op, func_op)
+            _erase_emptied_nest(innermost, func_op, info_of)
             inserted += 1
 
-        if inserted:
-            _remove_empty_loops(func_op)
-            if self.merge:
-                merge_adjacent_applies(func_op)
+        if inserted and self.merge:
+            merge_adjacent_applies(func_op)
         return inserted
 
     def _independent_of_remainder(self, pairs):
@@ -432,17 +396,16 @@ class StencilDiscoveryPass(ModulePass):
         def conflicting(pairs) -> set:
             refused = set()
             for j, (first, _) in enumerate(pairs):
-                nest = self._find_top_level_loop(first.loops).op
+                nest = first.nest
                 for second, _ in pairs[j + 1:]:
-                    if self._find_top_level_loop(second.loops).op is nest \
+                    if second.nest is nest \
                             and not _sweeps_keep_order(first, second):
                         refused |= {id(first), id(second)}
             return refused
 
-        def disturbed(candidate, generated) -> bool:
+        def disturbed(candidate) -> bool:
             reads = {id(read.root) for read in candidate.reads}
-            nest = self._find_top_level_loop(generated.applicable_loops).op
-            for op in nest.walk():
+            for op in candidate.nest.walk():
                 ref = op.memref if isinstance(op, (fir.LoadOp, fir.StoreOp)) \
                     and id(op) not in lifted else None
                 if isinstance(ref, OpResult) and isinstance(ref.op, fir.CoordinateOfOp):
@@ -457,7 +420,7 @@ class StencilDiscoveryPass(ModulePass):
                       [candidate.store_op] + [r.load_op for r in candidate.reads]}
             refused = conflicting(pairs)
             kept = [pair for pair in pairs
-                    if id(pair[0]) not in refused and not disturbed(*pair)]
+                    if id(pair[0]) not in refused and not disturbed(pair[0])]
             if len(kept) == len(pairs):
                 return kept
             pairs = kept
@@ -499,12 +462,19 @@ class StencilDiscoveryPass(ModulePass):
             ub.append(loop.upper + offset + 1)
         if len(set(id(l.op) for l in driving_loops)) != len(driving_loops):
             return None  # one loop drives two dimensions: not a dense stencil
+        nest = min(driving_loops, key=lambda loop: len(_enclosing_loops(loop.op))).op
+        parent = store_op.parent_op()
+        while parent is not nest:
+            if not isinstance(parent, fir.DoLoopOp):
+                return None  # a conditional store runs for some points only
+            parent = parent.parent_op()
 
         return StencilCandidate(
             store_op=store_op,
             output=output,
             reads=reads,
             loops=driving_loops,
+            nest=nest,
             lb=tuple(lb),
             ub=tuple(ub),
         )
@@ -513,7 +483,7 @@ class StencilDiscoveryPass(ModulePass):
     # Stencil op generation
     # ------------------------------------------------------------------
 
-    def _generate_stencil_ops(self, candidate: StencilCandidate) -> Optional[GeneratedStencil]:
+    def _generate_stencil_ops(self, candidate: StencilCandidate) -> Optional[List[Operation]]:
         store_op = candidate.store_op
         elem_type = store_op.value.type
         generated: List[Operation] = []
@@ -560,10 +530,8 @@ class StencilDiscoveryPass(ModulePass):
         read_by_load = {id(r.load_op): r for r in candidate.reads if r.load_op is not None}
 
         def offsets_relative_to_store(read: ArrayAccess) -> List[int]:
-            rel = []
-            for (r_loop, r_off), (o_loop, o_off) in zip(read.dims, candidate.output.dims):
-                rel.append(r_off - o_off)
-            return rel
+            return [r_off - o_off for (_, r_off), (_, o_off)
+                    in zip(read.dims, candidate.output.dims)]
 
         def rebuild(value: SSAValue) -> SSAValue:
             """Recreate the value's expression inside the apply body."""
@@ -596,8 +564,13 @@ class StencilDiscoveryPass(ModulePass):
                         cast = builder.insert(arith.IndexCastOp(result, value.type))
                         result = cast.results[0]
                 else:
-                    # A loop-invariant scalar: load it outside and pass it in.
+                    # A loop-invariant scalar: load it outside and pass it in,
+                    # unless the nest stores it (an inner loop's variable).
                     if id(ref) not in scalar_operands:
+                        if any(isinstance(use.operation, fir.StoreOp)
+                               and candidate.nest.is_ancestor_of(use.operation)
+                               for use in ref.uses):
+                            raise DiscoveryError("scalar operand stored inside the nest")
                         outer_load = fir.LoadOp(ref)
                         generated.append(outer_load)
                         scalar_operands[id(ref)] = outer_load.results[0]
@@ -643,7 +616,7 @@ class StencilDiscoveryPass(ModulePass):
         generated.append(
             stencil.StoreOp(apply_op.results[0], output_field, candidate.lb, candidate.ub)
         )
-        return GeneratedStencil(applicable_loops=candidate.loops, ops=generated)
+        return generated
 
     @staticmethod
     def _rebuild_convert(builder: Builder, value: SSAValue, target) -> SSAValue:
@@ -668,73 +641,75 @@ class StencilDiscoveryPass(ModulePass):
             f"unsupported conversion {source.print()} -> {target.print()}"
         )
 
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _find_top_level_loop(loops: Sequence[LoopInfo]) -> LoopInfo:
-        """The outermost of the given loops (the one not nested in any other)."""
-        ops = {id(l.op): l for l in loops}
-        for info in loops:
-            parent = info.op.parent_op()
-            is_nested = False
-            while parent is not None:
-                if id(parent) in ops:
-                    is_nested = True
-                    break
-                parent = parent.parent_op()
-            if not is_nested:
-                return info
-        return loops[0]
-
 
 # ---------------------------------------------------------------------------
-# Cleanup helpers
+# Erasing what a lift leaves behind
 # ---------------------------------------------------------------------------
 
-class _EraseEmptyLoop(RewritePattern):
-    op_name = "fir.do_loop"
 
-    def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> None:
-        if _loop_is_empty(op):
-            rewriter.erase_op(op, safe=False)
-
-
-def _remove_empty_loops(func_op: FuncOp) -> None:
-    """Erase the now-unused arithmetic / address / load operations and every
-    ``fir.do_loop`` nest whose body only maintains its loop variable.
-
-    One worklist run: it visits inner loops before the loops around them, and
-    erasing a loop revisits the definers of everything its body used, so
-    bounds computed in an outer body die before that outer loop is looked at.
-    """
-    apply_patterns(func_op, [_EraseEmptyLoop()])
+def _erase_and_sweep(op: Operation, func_op: FuncOp) -> None:
+    """Erase ``op``, nested ops included, and every op only it kept alive."""
+    rewriter = PatternRewriter(op)
+    rewriter.erase_op(op, safe=False)
+    eliminate_dead_code(func_op, seeds=rewriter.revisit)
 
 
-def _loop_is_empty(loop: fir.DoLoopOp) -> bool:
-    induction = loop.induction_variable
+def _erase_emptied_nest(loop: Optional[Operation], func_op: FuncOp,
+                        info_of: Dict[int, LoopInfo]) -> None:
+    """Erase ``loop`` and the loops around it, innermost first, while the
+    body is left storing its loop variable only: what a lifted store leaves.
+
+    A loop variable read where no loop storing it encloses the read (``x =
+    i`` after the nest) is stored the value the erased loop left in it, its
+    upper bound; a loop that would leave an unknown value stays."""
+    anchor, finals = None, []
+    while isinstance(loop, fir.DoLoopOp) and _only_counts(loop):
+        read = [info_of[id(op)] for op in loop.walk_type(fir.DoLoopOp)]
+        read = [info for info in read if _read_outside(info.var_ref, info_of)]
+        if not all(info.has_constant_bounds and info.lower <= info.upper
+                   for info in read):
+            break
+        for info in read:  # built before the loop goes: the slot stays used
+            last = arith.ConstantOp.from_int(info.upper, fir.element_type_of(info.var_ref.type))
+            finals += [last, fir.StoreOp(last.results[0], info.var_ref)]
+        parent, anchor = loop.parent_op(), loop.next_op()
+        _erase_and_sweep(loop, func_op)
+        loop = parent
+    if finals:
+        anchor.parent_block().insert_ops_before(finals, anchor)
+
+
+def _only_counts(loop: fir.DoLoopOp) -> bool:
+    """Does the loop's body only store its converted induction value, around
+    nested loops that do only that too?"""
     for op in loop.body.block.ops:
-        if isinstance(op, fir.ResultOp):
-            continue
-        if isinstance(op, fir.ConvertOp) and op.operands[0] is induction:
-            # Only used by the loop-variable store?
-            uses = op.results[0].uses
-            if all(isinstance(u.operation, fir.StoreOp) for u in uses):
-                continue
+        if isinstance(op, fir.StoreOp) and isinstance(op.value, OpResult):
+            op = op.value.op  # a store is judged by the value it stores
+        if not (isinstance(op, fir.ResultOp)
+                or isinstance(op, fir.ConvertOp) and op.value is loop.induction_variable
+                or isinstance(op, fir.DoLoopOp) and _only_counts(op)):
             return False
-        if isinstance(op, fir.StoreOp):
-            value = op.value
-            if value is induction:
-                continue
-            if isinstance(value, OpResult) and isinstance(value.op, fir.ConvertOp) \
-                    and value.op.operands[0] is induction:
-                continue
-            return False
-        if isinstance(op, fir.DoLoopOp):
-            if _loop_is_empty(op):
-                continue
-            return False
-        return False
     return True
+
+
+def _read_outside(slot: Optional[SSAValue], info_of: Dict[int, LoopInfo]) -> bool:
+    """Is the loop variable in ``slot`` a dummy argument (its caller reads
+    it), or loaded where no loop storing it encloses the load?"""
+    if slot is None:
+        return False
+    declared = slot.op.operands[0] if isinstance(slot, OpResult) \
+        and isinstance(slot.op, fir.DeclareOp) else slot
+    if not isinstance(declared, OpResult):
+        return True
+    for use in slot.uses:
+        if isinstance(use.operation, fir.LoadOp):
+            parent = use.operation.parent_op()
+            while parent is not None and not (
+                    id(parent) in info_of and info_of[id(parent)].var_ref is slot):
+                parent = parent.parent_op()
+            if parent is None:
+                return True
+    return False
 
 
 __all__ = [

@@ -169,13 +169,14 @@ class ConvertStencilToSCFPass(ModulePass):
         terminator.erase()
         inner_body = bodies[-1]
         inner_body.take_ops(op.body, value_map)
+        shifted: Dict[object, SSAValue] = {}
         for body_op in inner_body.ops:
             if isinstance(body_op, stencil.AccessOp):
                 builder.set_insertion_point_before(body_op)
                 source = memref_of[body_op.temp]
                 origin = origin_of[body_op.temp]
                 indices = [
-                    self._shifted_index(builder, ivs[d], offset - origin[d])
+                    self._shifted_index(builder, ivs[d], offset - origin[d], shifted)
                     for d, offset in enumerate(body_op.offset)
                 ]
                 replacement = builder.insert(memref.LoadOp(source, indices)).results[0]
@@ -194,7 +195,8 @@ class ConvertStencilToSCFPass(ModulePass):
             target = memref_of[store_op.field]
             origin = origin_of[store_op.field]
             indices = [
-                self._shifted_index(inner_builder, ivs[d], -origin[d]) for d in range(rank)
+                self._shifted_index(inner_builder, ivs[d], -origin[d], shifted)
+                for d in range(rank)
             ]
             inner_builder.insert(memref.StoreOp(value, target, indices))
 
@@ -207,13 +209,20 @@ class ConvertStencilToSCFPass(ModulePass):
         op.erase(safe=False)
 
     @staticmethod
-    def _shifted_index(builder: Builder, iv: SSAValue, shift: int) -> SSAValue:
+    def _shifted_index(builder: Builder, iv: SSAValue, shift: int,
+                       shifted: Dict[object, SSAValue]) -> SSAValue:
+        """``iv + shift``, built once per loop body where ``cse`` would keep
+        it: ``shifted`` holds the body's indices by ``(iv, shift)`` and its
+        constants by ``abs(shift)``.  The GPU pipeline runs no ``cse``."""
         if shift == 0:
             return iv
-        const = builder.insert(arith.ConstantOp.from_int(abs(shift), index)).results[0]
-        if shift > 0:
-            return builder.insert(arith.AddiOp(iv, const)).results[0]
-        return builder.insert(arith.SubiOp(iv, const)).results[0]
+        if (iv, shift) not in shifted:
+            if abs(shift) not in shifted:
+                shifted[abs(shift)] = builder.insert(
+                    arith.ConstantOp.from_int(abs(shift), index)).results[0]
+            cls = arith.AddiOp if shift > 0 else arith.SubiOp
+            shifted[iv, shift] = builder.insert(cls(iv, shifted[abs(shift)])).results[0]
+        return shifted[iv, shift]
 
 
 __all__ = ["ConvertStencilToSCFPass", "LoweringError"]

@@ -13,12 +13,15 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import arith, func, stencil
+from repro.dialects import arith, fir, func, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.frontend import compile_to_fir
-from repro.ir import Builder, Operation, f64
+from repro.ir import Builder, FloatType, Operation, default_context, f64
 from repro.ir.ssa import EPOCH, MUTATIONS, Use
+from repro.ir.traits import is_trivially_dead
 from repro.runtime import SimulatedGPU, kernel_compiler
+from repro.transforms import StencilDiscoveryPass
+from repro.transforms.cleanup import CSEPass
 
 N = 8
 
@@ -101,6 +104,72 @@ def test_a_gpu_lower_builds_each_op_once_and_verifies_each_state_once(monkeypatc
     lower("pw-gpu-scf")
     assert len(built) <= 0.70 * 1_393, len(built)
     assert sum(visited) <= 2_200, sum(visited)
+
+
+@pytest.mark.parametrize("name, most", [("pw-cpu-scf", 615), ("pw-gpu-scf", 700)])
+def test_a_lower_builds_no_duplicate_index(monkeypatch, name, most):
+    """At the parent commit 2cf6bf9 the scf lowering built every shifted
+    index once per access, and ``cse`` erased the copies (the GPU pipeline
+    runs no ``cse``, so they stayed): 701 ops for pw-cpu-scf, 788 for
+    pw-gpu-scf."""
+    built = []
+    real_init = Operation.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Operation, "__init__", init)
+    handle = lower(name)
+    assert len(built) <= most, len(built)
+    if name == "pw-cpu-scf":
+        lowered = handle.pass_statistics[0]
+        assert lowered.name == "convert-stencil-to-scf" and lowered.ops_after <= 152
+
+
+@pytest.mark.parametrize("name", ["pw-cpu-scf", "gs-openmp-scf"])
+def test_cse_merges_no_index_inside_a_lowered_loop_body(monkeypatch, name):
+    """Inside a loop body ``cse`` finds only the float literals each fused
+    statement brought along (kernels take them as parameters, by position)."""
+    merged = []
+    real = CSEPass._run_on_block
+
+    def run_on_block(self, block):
+        before = list(block.ops)
+        real(self, block)
+        if block.parent_op().name != "func.func":
+            merged.extend(op for op in before if op.parent is None)
+
+    monkeypatch.setattr(CSEPass, "_run_on_block", run_on_block)
+    lower(name)
+    assert all(isinstance(op, arith.ConstantOp) and isinstance(op.result.type, FloatType)
+               for op in merged), [op.name for op in merged]
+
+
+def test_a_nest_keeps_no_dead_op_of_the_statement_it_lifted():
+    """``b(i) = c(i) * 2.0`` is lifted and ``a(idx(i)) = 1.0`` stays: the
+    lifted statement's loads, subscripts and product go, the loop stays."""
+    module = compile_to_fir("""
+subroutine s(a, b, c, idx)
+  implicit none
+  integer, parameter :: n = 8
+  real(kind=8), intent(inout) :: a(12), b(n), c(n)
+  integer, intent(inout) :: idx(n)
+  integer :: i
+  do i = 1, n
+    a(idx(i)) = 1.0
+    b(i) = c(i) * 2.0
+  end do
+end subroutine s
+""")
+    discovery = StencilDiscoveryPass()
+    discovery.apply(default_context(), module)
+    assert discovery.discovered == {"s": 1}
+    loop = next(module.walk_type(fir.DoLoopOp))
+    assert not any(is_trivially_dead(op) for op in module.walk())
+    names = [op.name for op in loop.walk()]
+    assert "arith.mulf" not in names and names.count("fir.store") == 2  # i, a(idx(i))
+    assert names.count("fir.load") == 2 and names.count("fir.coordinate_of") == 2
 
 
 @pytest.mark.parametrize("source, most_ops, most_constants", [

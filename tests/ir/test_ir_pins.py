@@ -36,61 +36,61 @@ CONFIGS = {
 PINS = {
     'pw-cpu': ('4e2a2f26a3841aba', '4c8c44d25934147e', []),
     'pw-cpu-scf': ('4e2a2f26a3841aba', '73d59832ef690212', [
-        ('convert-stencil-to-scf', 134, 241),
-        ('canonicalize', 241, 241),
-        ('cse', 241, 145),
+        ('convert-stencil-to-scf', 134, 152),
+        ('canonicalize', 152, 152),
+        ('cse', 152, 145),
     ]),
     'pw-openmp-scf': ('4e2a2f26a3841aba', '45be77b4fc73bde6', [
-        ('convert-stencil-to-scf', 134, 241),
-        ('convert-scf-to-openmp', 241, 243),
-        ('canonicalize', 243, 243),
-        ('cse', 243, 147),
+        ('convert-stencil-to-scf', 134, 152),
+        ('convert-scf-to-openmp', 152, 154),
+        ('canonicalize', 154, 154),
+        ('cse', 154, 147),
     ]),
-    'pw-gpu-scf-optimised': ('2add514c81d852d5', '5aee26844e7cad97', [
-        ('convert-stencil-to-scf', 180, 283),
-        ('scf-parallel-loop-tiling', 283, 283),
-        ('canonicalize', 283, 283),
-        ('convert-parallel-loops-to-gpu', 283, 316),
-        ('canonicalize', 316, 309),
-        ('reconcile-unrealized-casts', 309, 309),
+    'pw-gpu-scf-optimised': ('2add514c81d852d5', 'c15812ea0ad0524d', [
+        ('convert-stencil-to-scf', 180, 194),
+        ('scf-parallel-loop-tiling', 194, 194),
+        ('canonicalize', 194, 194),
+        ('convert-parallel-loops-to-gpu', 194, 227),
+        ('canonicalize', 227, 220),
+        ('reconcile-unrealized-casts', 220, 220),
     ]),
-    'pw-gpu-scf-host_register': ('f892d6a40f3e10bf', 'b5d72003cde79149', [
-        ('convert-stencil-to-scf', 142, 245),
-        ('scf-parallel-loop-tiling', 245, 245),
-        ('canonicalize', 245, 245),
-        ('convert-parallel-loops-to-gpu', 245, 278),
-        ('canonicalize', 278, 271),
-        ('reconcile-unrealized-casts', 271, 271),
+    'pw-gpu-scf-host_register': ('f892d6a40f3e10bf', 'e8aee15298ff8d82', [
+        ('convert-stencil-to-scf', 142, 156),
+        ('scf-parallel-loop-tiling', 156, 156),
+        ('canonicalize', 156, 156),
+        ('convert-parallel-loops-to-gpu', 156, 189),
+        ('canonicalize', 189, 182),
+        ('reconcile-unrealized-casts', 182, 182),
     ]),
     'pw-dmp-2x2': ('4e2a2f26a3841aba', '413ce2592a62f065', []),
     'pw-flang-only': ('2c2383fc6f74d207', None, []),
     'gs-cpu': ('08c4138c8e683902', '868110dc73364dc1', []),
     'gs-cpu-scf': ('08c4138c8e683902', '9f53c5d5919261d2', [
-        ('convert-stencil-to-scf', 21, 44),
-        ('canonicalize', 44, 44),
-        ('cse', 44, 34),
+        ('convert-stencil-to-scf', 21, 39),
+        ('canonicalize', 39, 39),
+        ('cse', 39, 34),
     ]),
     'gs-openmp-scf': ('08c4138c8e683902', '76b6efc24268c5ad', [
-        ('convert-stencil-to-scf', 21, 44),
-        ('convert-scf-to-openmp', 44, 46),
-        ('canonicalize', 46, 46),
-        ('cse', 46, 36),
+        ('convert-stencil-to-scf', 21, 39),
+        ('convert-scf-to-openmp', 39, 41),
+        ('canonicalize', 41, 41),
+        ('cse', 41, 36),
     ]),
-    'gs-gpu-scf-optimised': ('65d370f4d44cced4', 'b291962197812de3', [
-        ('convert-stencil-to-scf', 33, 52),
-        ('scf-parallel-loop-tiling', 52, 52),
-        ('canonicalize', 52, 52),
-        ('convert-parallel-loops-to-gpu', 52, 85),
-        ('canonicalize', 85, 78),
-        ('reconcile-unrealized-casts', 78, 78),
+    'gs-gpu-scf-optimised': ('65d370f4d44cced4', '9d8c7ad3bad66e79', [
+        ('convert-stencil-to-scf', 33, 47),
+        ('scf-parallel-loop-tiling', 47, 47),
+        ('canonicalize', 47, 47),
+        ('convert-parallel-loops-to-gpu', 47, 80),
+        ('canonicalize', 80, 73),
+        ('reconcile-unrealized-casts', 73, 73),
     ]),
-    'gs-gpu-scf-host_register': ('9f38ebdb9fa38d59', '6b02ea91820d494b', [
-        ('convert-stencil-to-scf', 24, 43),
-        ('scf-parallel-loop-tiling', 43, 43),
-        ('canonicalize', 43, 43),
-        ('convert-parallel-loops-to-gpu', 43, 76),
-        ('canonicalize', 76, 69),
-        ('reconcile-unrealized-casts', 69, 69),
+    'gs-gpu-scf-host_register': ('9f38ebdb9fa38d59', '4a8892e2adfddcc6', [
+        ('convert-stencil-to-scf', 24, 38),
+        ('scf-parallel-loop-tiling', 38, 38),
+        ('canonicalize', 38, 38),
+        ('convert-parallel-loops-to-gpu', 38, 71),
+        ('canonicalize', 71, 64),
+        ('reconcile-unrealized-casts', 64, 64),
     ]),
     'gs-dmp-2x2': ('08c4138c8e683902', 'baca64fe5c3b6d76', []),
     'gs-flang-only': ('b887dd412478aaa3', None, []),

@@ -211,4 +211,4 @@ def test_the_gpu_pipeline_verifies_only_the_states_its_passes_made():
         ("reconcile-unrealized-casts", False),  # no cast to reconcile
     ]
     assert statistics[2].verify_seconds == statistics[5].verify_seconds == 0.0
-    assert repr(statistics[2]).endswith("283->283 ops, verify 0.00 ms>")
+    assert repr(statistics[2]).endswith("194->194 ops, verify 0.00 ms>")

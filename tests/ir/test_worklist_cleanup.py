@@ -23,7 +23,11 @@ from repro.ir import rewriting
 from repro.ir.traits import Pure, ReadOnly, is_trivially_dead
 from repro.transforms import StencilDiscoveryPass, eliminate_dead_code
 from repro.transforms.cleanup import _FoldConstants
-from repro.transforms.stencil_discovery import _EraseEmptyLoop, _remove_empty_loops
+from repro.transforms.stencil_discovery import (
+    _erase_and_sweep,
+    _erase_emptied_nest,
+    gather_program_loops,
+)
 
 
 def naive_dce(root):
@@ -87,6 +91,11 @@ def _function():
     return f, Builder.at_end(f.entry_block)
 
 
+def _erase_emptied(innermost, f):
+    """What discovery does once the last lifted store of a nest is erased."""
+    _erase_emptied_nest(innermost, f, {id(l.op): l for l in gather_program_loops(f)})
+
+
 def _names(f):
     return [op.name for op in f.walk(include_self=False)]
 
@@ -106,24 +115,19 @@ def test_values_used_only_inside_an_erased_loop_go_with_it(monkeypatch):
         b.insert(func.ReturnOp([]))
         return f
 
-    f = build()
-    _remove_empty_loops(f)
-    assert _names(f) == ["fir.alloca", "func.return"]
-    ModuleOp([f]).verify()
-
-    # The same from the loop alone: erasing it has to hand over the definers
-    # of everything its body used ...
-    def erase_from_the_loop_only():
+    # Erasing the loop has to hand over the definers of everything its body
+    # used ...
+    def erase_the_loop():
         f = build()
-        loop = next(f.walk_type(fir.DoLoopOp))
-        apply_patterns(f, [_EraseEmptyLoop()], seeds=[loop])
+        _erase_emptied(next(f.walk_type(fir.DoLoopOp)), f)
+        ModuleOp([f]).verify()
         return _names(f)
 
-    assert erase_from_the_loop_only() == ["fir.alloca", "func.return"]
+    assert erase_the_loop() == ["fir.alloca", "func.return"]
     # ... because handing over the loop's own operands leaves the declare.
     monkeypatch.setattr(rewriting, "_definers",
                         lambda op: [v.op for v in op.operands if hasattr(v, "op")])
-    assert erase_from_the_loop_only() == ["fir.alloca", "fir.declare", "func.return"]
+    assert erase_the_loop() == ["fir.alloca", "fir.declare", "func.return"]
 
 
 def test_bounds_computed_in_the_outer_body_empty_the_outer_loop_too():
@@ -134,12 +138,12 @@ def test_bounds_computed_in_the_outer_body_empty_the_outer_loop_too():
     eight = b.insert(arith.ConstantOp.from_int(8, index)).result
     _, outer_body = _loop(b, one, eight, one, slot_i)
     upper = outer_body.insert(arith.SubiOp(eight, one))  # computed per outer iteration
-    _, inner_body = _loop(outer_body, one, upper.result, one, slot_j)
+    inner, inner_body = _loop(outer_body, one, upper.result, one, slot_j)
     inner_body.insert(fir.ResultOp([]))
     outer_body.insert(fir.ResultOp([]))
     b.insert(func.ReturnOp([]))
 
-    _remove_empty_loops(f)
+    _erase_emptied(inner, f)
     assert _names(f) == ["fir.alloca", "fir.alloca", "func.return"]
     ModuleOp([f]).verify()
 
@@ -154,7 +158,7 @@ def test_erasing_a_three_deep_nest_releases_every_nested_use():
         loop, builder = _loop(builder, one, eight, one, slot)
         loops.append(loop)
     total = builder.insert(arith.AddiOp(one, eight))  # outer values, three deep
-    builder.insert(arith.MuliOp(total.result, eight))
+    product = builder.insert(arith.MuliOp(total.result, eight))
     for loop in reversed(loops):
         Builder.at_end(loop.body.block).insert(fir.ResultOp([]))
     b.insert(func.ReturnOp([]))
@@ -166,7 +170,9 @@ def test_erasing_a_three_deep_nest_releases_every_nested_use():
 
     with pytest.raises(IRError, match="arith.addi: result %0 still has 1 use"):
         total.erase()
-    outer.erase()
+    _erase_and_sweep(product, f)  # what a lifted statement leaves behind
+    assert [op.name for op in nested if op.parent is None] == ["arith.addi", "arith.muli"]
+    _erase_emptied(outer, f)  # one erase takes the whole nest
 
     assert not any(v.uses for v in (one, eight, *slots))
     assert all(op.parent is None and not op.operands for op in nested)

@@ -124,6 +124,11 @@ GUARDS = (
           r"get_rank_pool|_RANK_POOL|_rank_pool_gate|_batch_executors"
           r"|class ParallelExecutor|_worker_loop|queue\.Queue",
           ("src",), "9962726", "requests = queue.Queue()"),
+    # Discovery erases a lifted statement and the loops it empties where it
+    # lifts it: no second cleanup worklist over the whole function.
+    Guard("empty-loop-sweep",
+          r"_remove_empty_loops|_EraseEmptyLoop|_loop_is_empty",
+          ("src",), "after 2cf6bf9", "    _remove_empty_loops(func_op)"),
 )
 
 

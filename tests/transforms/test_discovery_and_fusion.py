@@ -151,6 +151,7 @@ class TestDiscoveryRejections:
         ("a(i) = a(idx(i)) * 2.0", "indirect indexing"),
         ("a(i) = a(2*i) + 1.0", "non-unit-stride access"),
         ("s = s + a(i)", "scalar reduction"),
+        ("if (s > 0.0) then\n a(i) = 1.0\n end if", "conditional store"),
     ])
     def test_non_stencil_loops_untouched(self, body, reason):
         src = f"""
@@ -320,6 +321,120 @@ end subroutine s
             repro.Session().lower(src, backend).run("s", *arrays)
             results.append(b"".join(x.tobytes() for x in arrays))
         assert results[0] == results[1]
+
+
+class TestLoopVariablesAfterALiftedNest:
+    """Erasing a lifted nest erases the only stores to its loop variables:
+    a variable read where no loop storing it encloses the read, or a dummy
+    argument, is stored the value the loop left, its upper bound, as
+    flang-only leaves it."""
+
+    #: Hand-written, not a KernelSpec (it reads loop variables): no .json.
+    AFTER = (DEFAULT_CORPUS_DIR / "lifted-loop-variable.f90").read_text()
+    #: ``x(j) = i`` reads the inner loop's variable inside the outer nest.
+    INSIDE = """
+subroutine s(a, b, x)
+  implicit none
+  real(kind=8), intent(inout) :: a(10, 6), b(10, 6)
+  integer, intent(inout) :: x(6)
+  integer :: i, j
+  do j = 2, 5
+    do i = 2, 9
+      a(i, j) = b(i-1, j) + b(i+1, j-1)
+    end do
+    x(j) = i
+  end do
+end subroutine s
+"""
+    #: ``i`` is the caller's ``k``.
+    DUMMY = """
+subroutine inner(a, b, i)
+  implicit none
+  real(kind=8), intent(inout) :: a(10, 6), b(10, 6)
+  integer, intent(inout) :: i
+  integer :: j
+  do j = 2, 5
+    do i = 2, 9
+      a(i, j) = b(i-1, j) + b(i+1, j-1)
+    end do
+  end do
+end subroutine inner
+
+subroutine s(a, b, x)
+  implicit none
+  real(kind=8), intent(inout) :: a(10, 6), b(10, 6)
+  integer, intent(inout) :: x(2)
+  integer :: k
+  call inner(a, b, k)
+  x(1) = k
+end subroutine s
+"""
+    #: ``do k = 1, x(2)`` leaves a value no constant states: its nest stays.
+    UNKNOWN = """
+subroutine s(a, b, x)
+  implicit none
+  real(kind=8), intent(inout) :: a(10, 6), b(10, 6)
+  integer, intent(inout) :: x(2)
+  integer :: i, j, k
+  do j = 2, 5
+    do k = 1, x(2)
+    end do
+    do i = 2, 9
+      a(i, j) = b(i-1, j) + b(i+1, j-1)
+    end do
+  end do
+  x(1) = k
+  x(2) = i
+end subroutine s
+"""
+    CASES = {  # source, entry, x before, x after
+        "after-the-nest": (AFTER, "lifted_loop_variable", [0, 0], [9, 5]),
+        "inside-the-nest": (INSIDE, "s", [0] * 6, [0, 9, 9, 9, 9, 0]),
+        "dummy-argument": (DUMMY, "s", [0, 0], [9, 0]),
+        "unknown-value": (UNKNOWN, "s", [0, 3], [3, 9]),
+    }
+
+    @staticmethod
+    def _run(source, entry, x, backend, **options):
+        a = np.zeros((10, 6), order="F")
+        b = np.asfortranarray(np.arange(60.0).reshape(10, 6))
+        x = np.array(x, dtype=np.int32)
+        repro.Session().lower(source, backend, **options).run(entry, a, b, x)
+        return list(x), a.tobytes()
+
+    @pytest.mark.parametrize("case", ["after-the-nest", "dummy-argument"])
+    def test_the_nest_goes_and_its_read_variables_keep_their_last_values(self, case):
+        source, entry, _, _ = self.CASES[case]
+        module, discovery = discover(source)
+        assert discovery.discovered == ({entry: 1} if case == "after-the-nest" else {"inner": 1})
+        assert not any(isinstance(op, fir.DoLoopOp) for op in module.walk())
+        stored = [op.value.op.literal for op in module.walk()
+                  if isinstance(op, fir.StoreOp) and op.value.op.name == "arith.constant"]
+        assert stored == ([9, 5] if case == "after-the-nest" else [9])  # j is local
+
+    @pytest.mark.parametrize("case,loops", [("inside-the-nest", 1), ("unknown-value", 2)])
+    def test_a_loop_whose_variable_it_cannot_state_stays(self, case, loops):
+        """The outer ``j`` loop stays: around ``x(j) = i``, which is not
+        lifted because ``i`` changes inside its nest, or around the ``k``
+        loop whose last value is no constant."""
+        source, entry, _, _ = self.CASES[case]
+        module, discovery = discover(source)
+        assert discovery.discovered == {entry: 1}
+        assert sum(isinstance(op, fir.DoLoopOp) for op in module.walk()) == loops
+
+    @pytest.mark.parametrize("backend,options", [
+        ("cpu", {"execution_mode": "interpret"}),
+        ("cpu", {"execution_mode": "vectorize"}),
+        ("cpu", {"lower_to_scf": True}),
+        ("openmp", {"threads": 2, "execution_mode": "vectorize"}),
+        ("gpu", {"execution_mode": "vectorize"}),
+    ], ids=["cpu-interpret", "cpu-vectorize", "cpu-scf", "openmp-t2", "gpu"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_equal_to_flang_only(self, case, backend, options):
+        source, entry, before, after = self.CASES[case]
+        expected = self._run(source, entry, before, "flang-only")
+        assert expected[0] == after
+        assert self._run(source, entry, before, backend, **options) == expected
 
 
 class TestDiscoveryPreservesSemantics:
