@@ -74,11 +74,14 @@ KEYWORDS = frozenset(
     }
 )
 
+#: Alternatives are tried in order: a longer token before its prefix (REAL
+#: before INT, ``**`` before ``*``).  IDENT, the commonest, goes first: no
+#: other token starts with a letter.
 _TOKEN_SPEC = [
+    ("IDENT", r"[A-Za-z][A-Za-z0-9_]*"),
     ("REAL", r"\d+\.\d*([dDeE][+-]?\d+)?(_\w+)?|\d+[dDeE][+-]?\d+(_\w+)?|\.\d+([dDeE][+-]?\d+)?(_\w+)?"),
     ("INT", r"\d+(_\w+)?"),
     ("DOTOP", r"\.(and|or|not|eqv|neqv|true|false|eq|ne|lt|le|gt|ge)\."),
-    ("IDENT", r"[A-Za-z][A-Za-z0-9_]*"),
     ("DCOLON", r"::"),
     ("POW", r"\*\*"),
     ("CONCAT", r"//"),
@@ -103,8 +106,11 @@ _TOKEN_SPEC = [
     ("STRING", r"'[^']*'|\"[^\"]*\""),
 ]
 
+#: One token and the blanks before it, so a line is lexed by one
+#: ``finditer``: any other character is BAD, and only blanks are left over.
 _MASTER_RE = re.compile(
-    "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC)
+    "[ \t]*(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC)
+    + r"|(?P<BAD>[^ \t]))"
 )
 
 
@@ -154,17 +160,10 @@ def tokenize(source: str) -> List[Token]:
     """Tokenise a complete Fortran source string."""
     tokens: List[Token] = []
     for line, lineno in _fold_continuations(source):
-        column = 0
-        while column < len(line):
-            ch = line[column]
-            if ch in " \t":
-                column += 1
-                continue
-            match = _MASTER_RE.match(line, column)
-            if match is None:
-                raise LexError(f"unexpected character {ch!r}", lineno, column + 1)
-            kind = match.lastgroup or ""
-            value = match.group(0)
+        for match in _MASTER_RE.finditer(line):
+            kind = match.lastgroup
+            start, end = match.span(kind)
+            value = line[start:end]
             if kind == "IDENT":
                 value = value.lower()
                 if value in KEYWORDS:
@@ -173,8 +172,9 @@ def tokenize(source: str) -> List[Token]:
                 value = value.lower()
             elif kind == "SEMI":
                 kind = "NEWLINE"
-            tokens.append(Token(kind, value, lineno, column + 1))
-            column = match.end()
+            elif kind == "BAD":
+                raise LexError(f"unexpected character {value!r}", lineno, start + 1)
+            tokens.append(Token(kind, value, lineno, start + 1))
         tokens.append(Token("NEWLINE", "\n", lineno, len(line) + 1))
     # EOF sits just past the last logical line (line 1 of an empty source).
     line, column = (tokens[-1].line, tokens[-1].column + 1) if tokens else (1, 1)

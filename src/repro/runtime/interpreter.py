@@ -35,7 +35,7 @@ from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
 from ..ir.attributes import FloatAttr, IntegerAttr, StringAttr
 from ..ir.operation import Block, Operation
-from ..ir.ssa import SSAValue
+from ..ir.ssa import OpResult, SSAValue, Use
 from ..ir.types import (
     DYNAMIC,
     FloatType,
@@ -46,7 +46,12 @@ from ..ir.types import (
 )
 from .gpu_kernel_engine import GpuKernelEngine
 from .gpu_runtime import SimulatedGPU
-from .kernel_compiler import EXECUTION_MODES, KernelCompiler
+from .kernel_compiler import (
+    EXECUTION_MODES,
+    KernelCompiler,
+    KernelUnsupported,
+    _nest_structure,
+)
 from .memory import ElementRef, MemoryBuffer, numpy_dtype_for
 from .mpi_runtime import CartesianDecomposition, SimulatedCommunicator
 from .parallel_executor import plan_sweep, run_boxes
@@ -58,6 +63,21 @@ from .parallel_executor import plan_sweep, run_boxes
 _SNAPSHOT_TRANSPARENT = frozenset({
     "stencil.external_load", "stencil.load", "stencil.apply", "arith.constant",
 })
+
+
+#: The loop nests a ``memref.snapshot`` may be read by and swapped for.
+_NESTS = frozenset({"scf.parallel", "omp.wsloop"})
+
+#: A shell that is the whole array: the window is empty or leaves it.
+_WHOLE = ((Ellipsis,),)
+
+
+def spare_like(array: np.ndarray) -> np.ndarray:
+    """The storage an in-place sweep writes while its snapshot keeps the
+    array it displaced: same shape, dtype and memory order.  Its contents are
+    undefined until the sweep writes its store window and the shell around
+    the window is copied in."""
+    return np.empty_like(array)
 
 
 class InterpreterError(Exception):
@@ -147,6 +167,8 @@ class LinkTable:
         self.bindings: Dict[Operation, Tuple] = {}
         #: stencil.load op -> whether its snapshot must really be copied
         self.snapshot_copies: Dict[Operation, bool] = {}
+        #: memref.snapshot op -> its storage swap (None: it never swaps)
+        self.snapshot_swaps: Dict[Operation, Optional[SwapPlan]] = {}
         #: stencil.apply op -> Interpreter._stores_of_results(op)
         self.result_stores: Dict[Operation, Optional[Tuple[Operation, ...]]] = {}
         for module in self.modules:
@@ -172,6 +194,167 @@ class LinkTable:
                      for o in (first, op) for m in self.modules if m.is_ancestor_of(o)]
             raise InterpreterError(
                 f"symbol '{name}' is defined twice: in modules " + " and ".join(homes))
+
+
+def _constant(value: SSAValue) -> Optional[int]:
+    """The value of an integer ``arith.constant``, else None."""
+    if isinstance(value, OpResult) and value.op.name == "arith.constant":
+        attr = value.op.get_attr("value")
+        if isinstance(attr, IntegerAttr):
+            return int(attr.value)
+    return None
+
+
+def _compares(use: Use) -> bool:
+    """Whether ``use`` names a buffer a ``memref.snapshot`` guards against:
+    its memory is compared, its contents are not read."""
+    return use.operation.name == "memref.snapshot" and use.index > 0
+
+
+def _iv_offset(value: SSAValue, ivs: Sequence[SSAValue]) -> Optional[Tuple[int, int]]:
+    """``(dim, offset)`` when ``value`` is ``ivs[dim] + offset``, else None."""
+    offset = 0
+    if isinstance(value, OpResult) and value.op.name in ("arith.addi", "arith.subi"):
+        add = value.op.name == "arith.addi"
+        base, shift = value.op.operands
+        if add and _constant(base) is not None:
+            base, shift = shift, base
+        if _constant(shift) is not None:
+            value, offset = base, _constant(shift) if add else -_constant(shift)
+    for dim, iv in enumerate(ivs):
+        if value is iv:
+            return dim, offset
+    return None
+
+
+class SwapPlan:
+    """How a ``memref.snapshot`` whose nest overwrites its source in place
+    swaps storage instead of copying (see :meth:`of`): ``nest`` is that
+    nest, ``others`` the enclosing function's other arguments (none may name
+    the source's memory at run time), ``inner`` the (lower, upper) values of
+    the nest's inner ``scf.for`` loops, ``axes`` the stores' ``(iteration
+    dim, offset)`` per memref axis, and ``shells`` the slices the stores do
+    not write, per (domain, shape), built at first use.
+    """
+
+    __slots__ = ("nest", "others", "inner", "axes", "shells")
+
+    def __init__(self, nest: Operation, others: Tuple[SSAValue, ...],
+                 inner: Tuple[SSAValue, ...], axes: Tuple[Tuple[int, int], ...]):
+        self.nest = nest
+        self.others = others
+        self.inner = inner
+        self.axes = axes
+        self.shells: Dict[Tuple[int, ...], Tuple[Tuple[slice, ...], ...]] = {}
+
+    @classmethod
+    def of(cls, op: Operation, launchers: Set[FuncOp]) -> Optional["SwapPlan"]:
+        """The plan of a ``memref.snapshot``, or None when it must copy.  It
+        swaps when every use of the snapshot is a ``memref.load`` in one
+        ``scf.parallel``/``omp.wsloop`` that follows it in its block and runs
+        exactly once (at most under ``omp.parallel``); when besides the
+        snapshot the source (and every cast it was reached through) is used
+        only by that nest's stores — affine, unit-step, each indexing every
+        iteration dimension through one map — and by snapshots that name it
+        as written, which only compare memory; and when the function launches
+        no GPU kernel."""
+        block, func = op.parent_block(), Interpreter._enclosing_func(op)
+        if block is None or func is None or func in launchers:
+            return None
+        source = root = op.operands[0]
+        while isinstance(root, OpResult) and len(root.op.operands) == 1 \
+                and root.op.name == "builtin.unrealized_conversion_cast":
+            cast, root = root.op, root.op.operands[0]
+            if any(use.operation is not cast and not _compares(use)
+                   for use in root.uses):
+                return None
+        nest = None
+        for use in op.results[0].uses:
+            reader = use.operation
+            enclosing = reader.parent_op()
+            while enclosing is not None and enclosing.name not in _NESTS:
+                enclosing = enclosing.parent_op()
+            if reader.name != "memref.load" or use.index != 0 \
+                    or enclosing is None or nest not in (None, enclosing):
+                return None
+            nest = enclosing
+        if nest is None:
+            return None
+        outer = nest
+        while outer.parent_block() is not block:
+            outer = outer.parent_op()
+            if outer is None or outer.name != "omp.parallel":
+                return None
+        if block.index_of(outer) < block.index_of(op):
+            return None
+        try:
+            bounds, ivs, body = _nest_structure(nest)
+        except KernelUnsupported:
+            return None
+        rank = int(nest.get_attr("rank").value)  # type: ignore[union-attr]
+        inner: List[SSAValue] = []
+        for dim, (lower, upper, step) in enumerate(bounds):
+            if _constant(step) != 1:
+                return None
+            if dim >= rank:
+                for value in (lower, upper):
+                    owner = value.op if isinstance(value, OpResult) \
+                        else value.block.parent_op()
+                    if owner is not None and nest.is_ancestor_of(owner):
+                        return None
+                    inner.append(value)
+        axes = None
+        for use in source.uses:
+            user = use.operation
+            if user is op or _compares(use):
+                continue
+            if user.name != "memref.store" or use.index != 1 \
+                    or user.parent_block() is not body:
+                return None
+            mapped = tuple(_iv_offset(index, ivs) for index in user.operands[2:])
+            if None in mapped or axes not in (None, mapped) or \
+                    sorted(dim for dim, _ in mapped) != list(range(len(ivs))):
+                return None
+            axes = mapped
+        if axes is None:
+            return None
+        others = tuple(arg for arg in func.entry_block.args if arg is not root)
+        return cls(nest, others, tuple(inner), axes)
+
+    def shell(self, lowers: Sequence[int], uppers: Sequence[int],
+              shape: Tuple[int, ...]) -> Tuple[Tuple[slice, ...], ...]:
+        """Disjoint slabs covering the array outside the stores' window over
+        the iteration domain ``[lowers, uppers)``: all of it when the window
+        is empty or leaves the array (the nest then writes nothing, or what
+        a full copy would)."""
+        window = []
+        for (dim, offset), extent in zip(self.axes, shape):
+            low, high = lowers[dim] + offset, uppers[dim] + offset
+            if low < 0 or high > extent or low >= high:
+                return _WHOLE
+            window.append(slice(low, high))
+        slabs = []
+        for axis, (cut, extent) in enumerate(zip(window, shape)):
+            head = tuple(window[:axis])
+            if cut.start > 0:
+                slabs.append(head + (slice(0, cut.start),))
+            if cut.stop < extent:
+                slabs.append(head + (slice(cut.stop, extent),))
+        return tuple(slabs)
+
+
+class _SwapRecord:
+    """One buffer's swaps during one :meth:`Interpreter.call`: its own array,
+    the spare its next swap writes (the array the last one displaced), and the
+    write count and (plan, domain) of the last shell fill."""
+
+    __slots__ = ("own", "spare", "stamp", "key")
+
+    def __init__(self, own: np.ndarray):
+        self.own = own
+        self.spare: Optional[np.ndarray] = None
+        self.stamp: Optional[int] = None
+        self.key: Optional[Tuple[SwapPlan, Tuple[int, ...]]] = None
 
 
 class Interpreter:
@@ -234,6 +417,7 @@ class Interpreter:
             "cache_fallbacks": 0,
             "snapshots_copied": 0,
             "snapshots_elided": 0,
+            "snapshots_swapped": 0,
             "gpu_seconds": 0.0,
             "transfer_seconds": 0.0,
             "gpu_launches_vectorized": 0,
@@ -251,6 +435,18 @@ class Interpreter:
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
         self._snapshot_copies = link.snapshot_copies
+        self._snapshot_swaps = link.snapshot_swaps
+        #: While a top-level :meth:`call` runs outside "interpret" mode: each
+        #: swapped buffer's record, and the call's arguments (a second name
+        #: of a swapped array among them keeps the copy).
+        self._swaps: Optional[Dict[MemoryBuffer, _SwapRecord]] = None
+        self._arguments: Sequence[object] = ()
+        #: nest op -> (buffer, displaced array, plan, record, shell key the
+        #: spare already holds) of each swap whose nest has not run.
+        self._unfilled: Dict[Operation, List[Tuple]] = {}
+        #: Array writes so far — every handler that stores into an array
+        #: counts — so a spare whose shell was filled since none is current.
+        self._array_writes = 0
         self._result_stores = link.result_stores
         self._gpu_thread_ctx: List[Dict[str, Tuple[int, int, int]]] = []
         self._handlers = self._build_handlers()
@@ -285,7 +481,14 @@ class Interpreter:
             )
         arg_values = [self._wrap_argument(arg, arg_type, f"arg{i}")
                       for i, (arg, arg_type) in enumerate(zip(args, inputs))]
-        results = self.call_function(func_op, arg_values)
+        swaps = self._swaps = None if self.execution_mode == "interpret" else {}
+        self._arguments = arg_values
+        try:
+            results = self.call_function(func_op, arg_values)
+        finally:
+            self._swaps, self._arguments = None, ()
+            if swaps:
+                self._swap_back(swaps)
         for position, (arg, value) in enumerate(zip(args, arg_values)):
             if not isinstance(arg, np.ndarray) or value.data is arg:
                 continue
@@ -296,6 +499,20 @@ class Interpreter:
                     f"function '{name}' writes argument {position}, a "
                     f"read-only array; pass a writeable one")
         return results
+
+    def _swap_back(self, swaps: Dict[MemoryBuffer, _SwapRecord]) -> None:
+        """Leave every swapped buffer on its own array, holding the result:
+        a swap whose nest never ran (the call raised) is undone, and a buffer
+        left on a spare (an odd number of swaps) is copied back.  The spares
+        go with the table."""
+        for pending in self._unfilled.values():
+            for buffer, displaced, *_ in pending:
+                buffer.data = displaced
+        self._unfilled.clear()
+        for buffer, record in swaps.items():
+            if buffer.data is not record.own:
+                np.copyto(record.own, buffer.data)
+                buffer.data = record.own
 
     def _wrap_argument(self, arg, arg_type: TypeAttribute, label: str):
         if isinstance(arg, (MemoryBuffer, ElementRef, FieldValue, TempValue)):
@@ -609,6 +826,7 @@ class Interpreter:
         value = frame.get(op.operands[0])
         ref = frame.get(op.operands[1])
         if isinstance(ref, (MemoryBuffer, ElementRef)):
+            self._array_writes += isinstance(ref, ElementRef)
             ref.store(_as_python(value))
             return []
         raise InterpreterError("fir.store applied to a non-reference value")
@@ -665,13 +883,27 @@ class Interpreter:
         value = frame.get(op.operands[0])
         buffer = frame.get(op.operands[1])
         indices = tuple(int(_as_python(frame.get(o))) for o in op.operands[2:])
+        self._array_writes += 1
         buffer.data[indices] = _as_python(value)
         return []
 
     def _exec_memref_snapshot(self, op: Operation, frame: Frame):
         """The source itself, unless a buffer the function writes may share
         its memory — the same array passed for an input and an output, or a
-        field the function writes, which names itself."""
+        field the function writes, which names itself.  Then, outside
+        "interpret" mode, a field only its own nest overwrites swaps storage
+        (:class:`SwapPlan`) when nothing else names its memory; other
+        snapshots copy."""
+        if self._swaps is not None:
+            plan = self._snapshot_swaps.get(op, op)
+            if plan is op:
+                plan = self._snapshot_swaps[op] = SwapPlan.of(
+                    op, self._kernel_launchers)
+            if plan is not None:
+                swapped = self._swap(frame.get(op.operands[0]), plan, frame)
+                if swapped is not None:
+                    self.stats["snapshots_swapped"] += 1
+                    return [swapped]
         source, *written = [frame.get(o) for o in op.operands]
         if not any(np.may_share_memory(source.data, buffer.data)
                    for buffer in written):
@@ -691,6 +923,69 @@ class Interpreter:
         self._device_scratch_stack[-1].append(copy)
         copy.copy_from(source)
         return [copy]
+
+    def _swap(self, source: MemoryBuffer, plan: SwapPlan,
+              frame: Frame) -> Optional[MemoryBuffer]:
+        """Point ``source`` at a spare array and return its current one,
+        read-only, as the snapshot; None when another argument of the call
+        or of the function names that memory.  After the nest,
+        :meth:`_fill_shells` copies the shell it does not write; the
+        displaced array is the buffer's next spare."""
+        data = source.data
+        names = 0
+        for argument in self._arguments:
+            holder = getattr(argument, "buffer", argument)
+            if holder is source:
+                names += 1
+            elif np.may_share_memory(holder.data, data):
+                return None
+        for value in plan.others:
+            other = frame.values.get(value)
+            if isinstance(other, MemoryBuffer) and (
+                    other is source or np.may_share_memory(other.data, data)):
+                return None
+        if names > 1:
+            return None
+        record = self._swaps.get(source)
+        if record is None:
+            record = self._swaps[source] = _SwapRecord(data)
+        # The spare is the array the last swap displaced: its shell is the
+        # one that swap's fill copied out of it, unless an array was written.
+        current = record.key if record.stamp == self._array_writes else None
+        source.data = record.spare if record.spare is not None \
+            else spare_like(data)
+        record.spare = data
+        self._unfilled.setdefault(plan.nest, []).append(
+            (source, data, plan, record, current))
+        snapshot = data.view()
+        snapshot.flags.writeable = False
+        return MemoryBuffer(snapshot)
+
+    def _fill_shells(self, swapped, frame: Frame, lowers: Sequence[int],
+                     uppers: Sequence[int]) -> None:
+        """Copy into each buffer's new array, from the array its snapshot
+        kept, the shell the nest's stores leave unwritten over this domain —
+        unless the new array holds that shell already: nothing has written
+        an array since it was filled for the same domain."""
+        values = frame.values
+        for buffer, displaced, plan, record, current in swapped:
+            key = (*lowers, *uppers, *map(int, map(values.__getitem__, plan.inner)),
+                   *displaced.shape)
+            record.stamp, record.key = self._array_writes, (plan, key)
+            if record.key == current:
+                continue
+            shell = plan.shells.get(key)
+            if shell is None:
+                bounds = list(map(int, map(values.__getitem__, plan.inner)))
+                shell = plan.shells[key] = plan.shell(
+                    list(lowers) + bounds[0::2], list(uppers) + bounds[1::2],
+                    displaced.shape)
+            if shell == _WHOLE:
+                # Stores off the array may land anywhere: never current.
+                record.stamp = None
+            data = buffer.data
+            for slab in shell:
+                data[slab] = displaced[slab]
 
     # ------------------------------------------------------------------
     # scf handlers
@@ -764,8 +1059,15 @@ class Interpreter:
                                for dim in kernel.bound_slots))
             return (lo, up) if kernel.guards_pass(externals, lo, up, st) else None
 
-        self._sweep(frame, lambda: self.kernels.kernel_for(op), domain_of,
-                    scalar_runner)
+        # A swapped field's spare gets its shell after the sweep, however the
+        # sweep ends: the displaced array it copies from is only read.
+        swapped = self._unfilled.pop(op, None)
+        try:
+            self._sweep(frame, lambda: self.kernels.kernel_for(op), domain_of,
+                        scalar_runner)
+        finally:
+            if swapped is not None:
+                self._fill_shells(swapped, frame, lowers, uppers)
         return []
 
     def _sweep(self, frame: Frame, lookup: Callable,
@@ -786,6 +1088,7 @@ class Interpreter:
         (vectorized, fallback) stats keys; ``delivery`` the (destinations,
         deferred) of :func:`run_boxes`: used destinations are what comes back.
         """
+        self._array_writes += 1
         if self.execution_mode == "interpret":
             return scalar_runner()
         done_key, fallback_key = counters
@@ -1043,6 +1346,7 @@ class Interpreter:
 
     def _exec_stencil_store(self, op: Operation, frame: Frame):
         temp = frame.get(op.operands[0])
+        self._array_writes += 1
         if temp is not DELIVERED:
             field = frame.get(op.operands[1])
             field.buffer.data[self._store_window(op, field.lb)] = \
@@ -1081,6 +1385,7 @@ class Interpreter:
     def _exec_gpu_memcpy(self, op: Operation, frame: Frame):
         gpu = self._require_gpu()
         start = _time.perf_counter()
+        self._array_writes += 1
         gpu.memcpy(frame.get(op.operands[0]), frame.get(op.operands[1]))
         self.stats["transfer_seconds"] += _time.perf_counter() - start
         return []
@@ -1250,6 +1555,7 @@ class Interpreter:
             start = _time.perf_counter()
             data = comm.receive(request["source"], self.rank, request["tag"])
             self.stats["halo_seconds"] += _time.perf_counter() - start
+            self._array_writes += 1
             request["buffer"].data[request["slices"]] = data
         return []
 

@@ -459,6 +459,7 @@ class CompiledKernel:
         scalar interpreter."""
         if any(s != 1 for s in steps):
             return False
+        arrays: List[np.ndarray] = []
         for slot, axes in self.loads + self.stores:
             array = self._array_of(externals[slot])
             if array is None or array.ndim != len(axes) or \
@@ -467,12 +468,13 @@ class CompiledKernel:
             for axis, (dim, offset) in enumerate(axes):
                 if lowers[dim] + offset < 0 or uppers[dim] + offset > array.shape[axis]:
                     return False
-        store_arrays = [self._array_of(externals[slot]) for slot, _ in self.stores]
-        load_arrays = [self._array_of(externals[slot]) for slot, _ in self.loads]
-        for stored in store_arrays:
-            for loaded in load_arrays:
-                if stored is not None and loaded is not None and \
-                        np.may_share_memory(stored, loaded):
+            arrays.append(array)
+        # Many windows of one array: each distinct pair is compared once.
+        store_arrays = arrays[len(self.loads):]
+        loaded = {id(array): array for array in arrays[:len(self.loads)]}
+        for stored in {id(array): array for array in store_arrays}.values():
+            for array in loaded.values():
+                if np.may_share_memory(stored, array):
                     return False
         # Two stores into overlapping storage interleave per point under
         # scalar semantics but sweep-at-a-time here (`a[i]=x; a[i+1]=y` ends
@@ -482,8 +484,6 @@ class CompiledKernel:
         for i, (_, axes_i) in enumerate(self.stores):
             for j in range(i + 1, len(self.stores)):
                 first, second = store_arrays[i], store_arrays[j]
-                if first is None or second is None:
-                    return False
                 if first is second and axes_i == self.stores[j][1]:
                     continue
                 if np.may_share_memory(first, second):

@@ -9,7 +9,7 @@ carry a ``space`` tag so transfers can be accounted.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 

@@ -31,8 +31,8 @@ SWEEP_OPS = ("stencil.apply", "scf.parallel", "omp.wsloop", "gpu.launch_func")
 #: non-``*_seconds`` counter of ``interp.stats`` there, kernel lookups per
 #: run there) — plus ``snapshots_elided``, counted since: every PW run reads
 #: u, v and w where they are (a ``stencil.load`` or ``memref.snapshot`` each);
-#: and ``snapshots_copied``, counted since Gauss–Seidel's copy of the field it
-#: writes is a ``memref.snapshot`` too: one per sweep, made all along.
+#: and ``snapshots_swapped``: Gauss–Seidel's snapshot of the field it writes
+#: (a ``memref.snapshot``, one per sweep, once copied) swaps storage instead.
 CONFIGS = {
     "pw-cpu": (pw_advection, 1, "cpu", {}, 3576,
                {"stencil_apply_executions": 1, "stencil_points_computed": 216,
@@ -48,7 +48,7 @@ CONFIGS = {
                       {"lower_to_scf": True, "threads": 2}, 1913,
                       {"omp_regions": 3, "fir_loop_iterations": 3,
                        "vectorized_sweeps": 3, "parallel_sweeps": 3,
-                       "parallel_tiles": 6, "snapshots_copied": 3}, 3),
+                       "parallel_tiles": 6, "snapshots_swapped": 3}, 3),
 }
 
 

@@ -56,6 +56,36 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize("x = `oops`")
 
+    def test_token_stream_and_error_columns_are_pinned(self):
+        """Blanks are skipped inside the token pattern; kinds, values, lines
+        and columns are what the blank-by-blank scanner produced."""
+        from repro.frontend.lexer import LexError
+
+        source = ("  X = a .and. b ! note; not a token\n"
+                  "  y(1) = 2.5d0 + &   \n"
+                  "    & .5E-1_8; z = 'a ! b'  &\n"
+                  "\n"
+                  "  &  ** 2\n")
+        assert [tuple(t) for t in tokenize(source)] == [
+            ("IDENT", "x", 1, 1), ("ASSIGN", "=", 1, 3), ("IDENT", "a", 1, 5),
+            ("DOTOP", ".and.", 1, 7), ("IDENT", "b", 1, 13),
+            ("NEWLINE", "\n", 1, 14),
+            ("IDENT", "y", 2, 1), ("LPAREN", "(", 2, 2), ("INT", "1", 2, 3),
+            ("RPAREN", ")", 2, 4), ("ASSIGN", "=", 2, 6),
+            ("REAL", "2.5d0", 2, 8), ("PLUS", "+", 2, 14),
+            ("REAL", ".5E-1_8", 2, 18), ("NEWLINE", ";", 2, 25),
+            ("IDENT", "z", 2, 27), ("ASSIGN", "=", 2, 29),
+            ("STRING", "'a ! b'", 2, 31), ("POW", "**", 2, 43),
+            ("INT", "2", 2, 46), ("NEWLINE", "\n", 2, 47), ("EOF", "", 2, 48)]
+        assert [tuple(t) for t in tokenize("x = 1 &")] == [
+            ("IDENT", "x", 1, 1), ("ASSIGN", "=", 1, 3), ("INT", "1", 1, 5),
+            ("NEWLINE", "\n", 1, 8), ("EOF", "", 1, 9)]
+        for bad, line, column in (("x = 1  \t @ 2", 1, 10),
+                                  ("a = 1;\n\tb = c  .or.  $", 2, 14)):
+            with pytest.raises(LexError) as caught:
+                tokenize(bad)
+            assert (caught.value.line, caught.value.column) == (line, column)
+
 
 class TestParser:
     def test_subroutine_skeleton(self, small_gs_source):
