@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import TracebackType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.context import default_context
 from ..resilience import InjectedFault
-from ..runtime.parallel_executor import usable_cpus
+from ..runtime.sweep import usable_cpus
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
 from .options import BackendOptions, OptionError
@@ -67,9 +68,11 @@ class Session:
         #: compiler crash (see :class:`repro.resilience.FaultInjector`).
         self.compile_hook = None
         #: Poisoned-artifact records: cache key -> the exception that
-        #: exhausted its retries.  Further lowers of the key re-raise it
-        #: immediately instead of retry-storming the backend.
-        self._quarantined: Dict[Tuple, BaseException] = {}
+        #: exhausted its retries and its traceback from the compile.
+        #: Further lowers of the key re-raise it immediately instead of
+        #: retry-storming the backend.
+        self._quarantined: Dict[
+            Tuple, Tuple[BaseException, Optional[TracebackType]]] = {}
         self._compile_retry_count = 0
         self._quarantine_hits = 0
 
@@ -106,9 +109,12 @@ class Session:
             if poisoned is not None:
                 # A quarantined key failed its compile *and* its retry: re-
                 # raise the original exception (same object, same type) so a
-                # bad source cannot retry-storm the backend.
+                # bad source cannot retry-storm the backend.  Each raise
+                # starts again from the compile's traceback: one that grew
+                # on every hit would keep every frame it passed alive.
                 self._quarantine_hits += 1
-                raise poisoned
+                exc, compile_tb = poisoned
+                raise exc.with_traceback(compile_tb)
         if self.store is not None:
             # Second cache layer: another process may already have lowered
             # this key.  Store failures (corruption, truncation, version
@@ -143,7 +149,7 @@ class Session:
                 attempt += 1
                 if attempt > COMPILE_RETRIES:
                     with self._lock:
-                        self._quarantined[key] = exc
+                        self._quarantined[key] = (exc, exc.__traceback__)
                     raise
                 with self._lock:
                     self._compile_retry_count += 1
@@ -205,7 +211,8 @@ class Session:
         opts = backend_obj.make_options(options, **overrides)
         key = (source_fingerprint(source), backend_obj.name, opts.cache_key())
         with self._lock:
-            return self._quarantined.get(key)
+            exc, _ = self._quarantined.get(key, (None, None))
+            return exc
 
     def clear_cache(self, keep_quarantine: bool = False) -> None:
         """Drop every cached artifact and reset the cache counters.

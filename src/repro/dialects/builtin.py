@@ -8,7 +8,7 @@ from ..ir.attributes import Attribute, StringAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region
 from ..ir.ssa import SSAValue
-from ..ir.traits import IsolatedFromAbove, NoTerminator, Pure, SingleBlockRegion
+from ..ir.traits import IsolatedFromAbove, Pure, SingleBlockRegion
 from ..ir.types import TypeAttribute
 
 
@@ -16,7 +16,7 @@ class ModuleOp(Operation):
     """Top-level container of functions and globals (``builtin.module``)."""
 
     name = "builtin.module"
-    traits = (NoTerminator, SingleBlockRegion, IsolatedFromAbove)
+    traits = (SingleBlockRegion, IsolatedFromAbove)
 
     def __init__(
         self,

@@ -14,7 +14,6 @@ from ..ir.attributes import DenseArrayAttr, IntegerAttr
 from ..ir.context import Dialect
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
-from ..ir.traits import HasMemoryEffect
 from ..ir.types import TypeAttribute, i64, index
 
 
@@ -70,7 +69,6 @@ class HaloSwapOp(Operation):
     """
 
     name = "dmp.halo_swap"
-    traits = (HasMemoryEffect,)
 
     def __init__(
         self,

@@ -22,7 +22,7 @@ from ..ir.attributes import StringAttr, TypeAttr
 from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import BlockArgument, SSAValue
-from ..ir.traits import HasMemoryEffect, IsTerminator, Pure, ReadOnly, SingleBlockRegion
+from ..ir.traits import IsTerminator, Pure, ReadOnly, SingleBlockRegion
 from ..ir.types import DYNAMIC, IndexType, TypeAttribute, index
 
 
@@ -156,7 +156,6 @@ class AllocaOp(Operation):
     """``fir.alloca`` — stack allocation; result is ``!fir.ref<in_type>``."""
 
     name = "fir.alloca"
-    traits = (HasMemoryEffect,)
 
     def __init__(
         self,
@@ -189,7 +188,6 @@ class AllocMemOp(Operation):
     """``fir.allocmem`` — heap allocation; result is ``!fir.heap<in_type>``."""
 
     name = "fir.allocmem"
-    traits = (HasMemoryEffect,)
 
     def __init__(
         self,
@@ -211,7 +209,6 @@ class FreeMemOp(Operation):
     """``fir.freemem`` — release a heap allocation."""
 
     name = "fir.freemem"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, heapref: SSAValue):
         super().__init__(operands=[heapref])
@@ -258,7 +255,6 @@ class StoreOp(Operation):
     """``fir.store`` — write a value through a reference."""
 
     name = "fir.store"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, value: SSAValue, memref: SSAValue):
         super().__init__(operands=[value, memref])

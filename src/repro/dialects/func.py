@@ -107,6 +107,14 @@ class ReturnOp(Operation):
                 )
 
 
+def enclosing_func(op: Operation) -> Optional[FuncOp]:
+    """The function whose body holds ``op`` (None outside every one)."""
+    parent = op.parent_op()
+    while parent is not None and not isinstance(parent, FuncOp):
+        parent = parent.parent_op()
+    return parent
+
+
 Func = Dialect("func", [FuncOp, ReturnOp])
 
-__all__ = ["FuncOp", "ReturnOp", "Func"]
+__all__ = ["FuncOp", "ReturnOp", "Func", "enclosing_func"]

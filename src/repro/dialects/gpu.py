@@ -19,10 +19,8 @@ from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import (
-    HasMemoryEffect,
     IsTerminator,
     IsolatedFromAbove,
-    NoTerminator,
     SingleBlockRegion,
     SymbolOpInterface,
 )
@@ -34,7 +32,7 @@ class GPUModuleOp(Operation):
     by their own ``sym_name``; the container needs none."""
 
     name = "gpu.module"
-    traits = (SingleBlockRegion, NoTerminator, IsolatedFromAbove)
+    traits = (SingleBlockRegion, IsolatedFromAbove)
 
     def __init__(self, ops: Sequence[Operation] = ()):
         super().__init__(regions=[Region([Block(ops=ops)])])
@@ -108,7 +106,6 @@ class AllocOp(Operation):
     """``gpu.alloc`` — allocate device memory."""
 
     name = "gpu.alloc"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, result_type: MemRefType, dynamic_sizes: Sequence[SSAValue] = ()):
         super().__init__(operands=dynamic_sizes, result_types=[result_type])
@@ -118,7 +115,6 @@ class DeallocOp(Operation):
     """``gpu.dealloc`` — free device memory."""
 
     name = "gpu.dealloc"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, memref: SSAValue):
         super().__init__(operands=[memref])
@@ -128,7 +124,6 @@ class MemcpyOp(Operation):
     """``gpu.memcpy`` — copy between host and device memrefs (dst, src)."""
 
     name = "gpu.memcpy"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, dst: SSAValue, src: SSAValue):
         super().__init__(operands=[dst, src])
@@ -139,7 +134,6 @@ class HostRegisterOp(Operation):
     accessible (the paper's *initial*, slow, data strategy)."""
 
     name = "gpu.host_register"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, memref: SSAValue):
         super().__init__(operands=[memref])

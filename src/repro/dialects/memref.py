@@ -7,7 +7,7 @@ from typing import Sequence
 from ..ir.context import Dialect
 from ..ir.operation import Operation, VerifyException
 from ..ir.ssa import SSAValue
-from ..ir.traits import HasMemoryEffect, ReadOnly
+from ..ir.traits import ReadOnly
 from ..ir.types import IndexType, MemRefType
 
 
@@ -45,7 +45,6 @@ class StoreOp(Operation):
     """``memref.store`` — write one element."""
 
     name = "memref.store"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, value: SSAValue, memref: SSAValue, indices: Sequence[SSAValue]):
         super().__init__(operands=[value, memref, *indices])

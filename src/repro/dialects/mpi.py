@@ -13,7 +13,6 @@ from typing import Any, Sequence, Tuple
 from ..ir.context import Dialect
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
-from ..ir.traits import HasMemoryEffect
 from ..ir.types import TypeAttribute
 
 
@@ -36,8 +35,6 @@ class _P2POp(Operation):
     (i32).  The result is the request a ``mpi.waitall`` completes.
     """
 
-    traits = (HasMemoryEffect,)
-
     def __init__(self, buffer: SSAValue, peer: SSAValue, tag: SSAValue):
         super().__init__(operands=[buffer, peer, tag], result_types=[RequestType()])
 
@@ -58,7 +55,6 @@ class WaitAllOp(Operation):
     """``mpi.waitall`` — block until all given requests complete."""
 
     name = "mpi.waitall"
-    traits = (HasMemoryEffect,)
 
     def __init__(self, requests: Sequence[SSAValue]):
         super().__init__(operands=requests)

@@ -81,7 +81,7 @@ _TOKEN_SPEC = [
     ("IDENT", r"[A-Za-z][A-Za-z0-9_]*"),
     ("REAL", r"\d+\.\d*([dDeE][+-]?\d+)?(_\w+)?|\d+[dDeE][+-]?\d+(_\w+)?|\.\d+([dDeE][+-]?\d+)?(_\w+)?"),
     ("INT", r"\d+(_\w+)?"),
-    ("DOTOP", r"\.(and|or|not|eqv|neqv|true|false|eq|ne|lt|le|gt|ge)\."),
+    ("DOTOP", r"\.(?i:and|or|not|eqv|neqv|true|false|eq|ne|lt|le|gt|ge)\."),
     ("DCOLON", r"::"),
     ("POW", r"\*\*"),
     ("CONCAT", r"//"),

@@ -22,10 +22,6 @@ class IsTerminator:
             )
 
 
-class NoTerminator:
-    """Regions of this operation do not require a terminator (e.g. builtin.module)."""
-
-
 class Pure:
     """The operation has no side effects: it may be erased when unused and
     merged with an identical operation (CSE)."""
@@ -34,10 +30,6 @@ class Pure:
 class ReadOnly:
     """The operation only reads memory: it may be erased when unused, but is
     never merged — a store between two identical loads changes the second."""
-
-
-class HasMemoryEffect:
-    """The operation writes or allocates memory and is never erased as dead."""
 
 
 class SingleBlockRegion:
@@ -89,10 +81,8 @@ def is_trivially_dead(op: Operation) -> bool:
 
 __all__ = [
     "IsTerminator",
-    "NoTerminator",
     "Pure",
     "ReadOnly",
-    "HasMemoryEffect",
     "SingleBlockRegion",
     "IsolatedFromAbove",
     "SymbolOpInterface",

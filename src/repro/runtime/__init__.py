@@ -31,7 +31,7 @@ from .mpi_runtime import (
     MPIError,
     SimulatedCommunicator,
 )
-from .parallel_executor import get_executor
+from .sweep import get_executor
 
 __all__ = [
     "Interpreter",

@@ -21,7 +21,7 @@ Rank tasks block inside ``comm.receive`` while they wait for neighbours, so
 they must **all** be runnable at once: each run opens its own executor of
 one worker per rank and shuts it down when the run ends.  Only a sweep's
 boxes, which never wait, run on the shared tile pools of
-:func:`repro.runtime.parallel_executor.get_executor`; concurrent runs share
+:func:`repro.runtime.sweep.get_executor`; concurrent runs share
 no rank thread and never wait for each other.
 """
 

@@ -1,25 +1,16 @@
-"""IR interpreter.
+"""IR interpreter: the scalar reference semantics of every dialect.
 
 Executes modules produced by the frontend and by every stage of the lowering
-pipeline against numpy-backed memory:
+pipeline against numpy-backed memory: FIR (the "Flang only" path), the
+stencil dialect (a ``stencil.apply`` over its whole domain by numpy slicing)
+and scf / OpenMP / GPU / MPI, with event accounting (kernel launches, PCIe
+transfers, messages) of what ran.
 
-* FIR (loops, loads/stores, coordinate_of) — the "Flang only" execution path,
-* the stencil dialect — ``stencil.apply`` is executed *vectorised* over the
-  whole output domain using numpy slicing, which is this reproduction's
-  analogue of the optimised code the stencil compilation flow generates,
-* scf / OpenMP / GPU / MPI dialects — functional execution plus event
-  accounting (kernel launches, PCIe transfers, messages) of what ran.
-
-The interpreter has three execution modes (see
-:mod:`repro.runtime.kernel_compiler`): ``"interpret"`` — the scalar op-by-op
-reference semantics; ``"vectorize"`` — ``stencil.apply`` bodies and
-scf/omp loop nests are dispatched to compiled, cached NumPy whole-array
-kernels, falling back to scalar execution whenever a kernel cannot be built
-or a runtime alias/bounds guard fails; ``"crosscheck"`` — every vectorized
-sweep is replayed through the scalar oracle and compared.
-
-Numerical results of every path are compared against numpy references in the
-integration tests.
+In execution mode ``"interpret"`` everything runs op by op here: the oracle.
+In ``"vectorize"`` and ``"crosscheck"`` (see
+:mod:`repro.runtime.kernel_compiler`) the handlers of the ops that can
+vectorize hand :class:`repro.runtime.sweep.Sweep` their scalar runner, its
+fallback and its crosscheck oracle.
 """
 
 from __future__ import annotations
@@ -32,10 +23,10 @@ import numpy as np
 from ..dialects import fir as fir_dialect
 from ..dialects import stencil as stencil_dialect
 from ..dialects.builtin import ModuleOp
-from ..dialects.func import FuncOp
+from ..dialects.func import FuncOp, enclosing_func
 from ..ir.attributes import FloatAttr, IntegerAttr, StringAttr
 from ..ir.operation import Block, Operation
-from ..ir.ssa import OpResult, SSAValue, Use
+from ..ir.ssa import SSAValue
 from ..ir.types import (
     DYNAMIC,
     FloatType,
@@ -44,17 +35,12 @@ from ..ir.types import (
     MemRefType,
     TypeAttribute,
 )
-from .gpu_kernel_engine import GpuKernelEngine
 from .gpu_runtime import SimulatedGPU
-from .kernel_compiler import (
-    EXECUTION_MODES,
-    KernelCompiler,
-    KernelUnsupported,
-    _nest_structure,
-)
-from .memory import ElementRef, MemoryBuffer, numpy_dtype_for
+from .kernel_compiler import EXECUTION_MODES, KernelCompiler
+from .memory import (DELIVERED, ElementRef, FieldValue, InterpreterError,
+                     MemoryBuffer, TempValue, numpy_dtype_for, store_window)
 from .mpi_runtime import CartesianDecomposition, SimulatedCommunicator
-from .parallel_executor import plan_sweep, run_boxes
+from .sweep import Sweep
 
 
 #: Ops that may sit between a ``stencil.load`` and the last ``stencil.apply``
@@ -63,56 +49,6 @@ from .parallel_executor import plan_sweep, run_boxes
 _SNAPSHOT_TRANSPARENT = frozenset({
     "stencil.external_load", "stencil.load", "stencil.apply", "arith.constant",
 })
-
-
-#: The loop nests a ``memref.snapshot`` may be read by and swapped for.
-_NESTS = frozenset({"scf.parallel", "omp.wsloop"})
-
-#: A shell that is the whole array: the window is empty or leaves it.
-_WHOLE = ((Ellipsis,),)
-
-
-def spare_like(array: np.ndarray) -> np.ndarray:
-    """The storage an in-place sweep writes while its snapshot keeps the
-    array it displaced: same shape, dtype and memory order.  Its contents are
-    undefined until the sweep writes its store window and the shell around
-    the window is copied in."""
-    return np.empty_like(array)
-
-
-class InterpreterError(Exception):
-    """Raised when the interpreter meets IR it cannot execute."""
-
-
-class FieldValue:
-    """Runtime value of a ``!stencil.field``: external storage plus its lower bound."""
-
-    __slots__ = ("buffer", "lb")
-
-    def __init__(self, buffer: MemoryBuffer, lb: Tuple[int, ...]):
-        self.buffer = buffer
-        self.lb = tuple(lb)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<FieldValue {self.buffer.label} lb={self.lb}>"
-
-
-class TempValue:
-    """Runtime value of a ``!stencil.temp``: a dense snapshot with an origin."""
-
-    __slots__ = ("data", "origin")
-
-    def __init__(self, data: np.ndarray, origin: Tuple[int, ...]):
-        self.data = data
-        self.origin = tuple(origin)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<TempValue shape={self.data.shape} origin={self.origin}>"
-
-
-#: Runtime value of a ``stencil.apply`` result that the sweep already wrote
-#: where its one ``stencil.store`` puts it; that store then has nothing to do.
-DELIVERED = object()
 
 
 class Frame:
@@ -147,14 +83,26 @@ def _as_python(value):
     return value
 
 
+class Verdicts(dict):
+    """``(judge, op) -> judge(op)``: what a pure function of the IR says of
+    one op, judged at first use and kept for every interpreter after."""
+
+    def __missing__(self, key):
+        judge, op = key
+        verdict = self[key] = judge(op)
+        return verdict
+
+
 class LinkTable:
     """Linked modules and what is a pure function of their (immutable) IR,
     computed once for every interpreter over them: the function index (one
     walk, here), each sweep op's kernel binding (``bindings``, filled by
-    :meth:`KernelCompiler.bound_for`), each ``stencil.load``'s snapshot verdict
-    and each ``stencil.apply``'s result stores.  Entries are keyed by their op
-    and die with the table's owner — a :class:`repro.api.CompiledArtifact`, or
-    the interpreter built over raw modules.  Nothing about a run is here.
+    :meth:`KernelCompiler.bound_for`), and the ``verdicts`` of the runtime:
+    whether a ``stencil.load`` must copy, how a ``memref.snapshot`` swaps,
+    where a ``stencil.apply``'s results are stored.  Entries are keyed by
+    their op and die with the table's owner — a
+    :class:`repro.api.CompiledArtifact`, or the interpreter built over raw
+    modules.  Nothing about a run is here.
     """
 
     def __init__(self, modules: Sequence[ModuleOp]):
@@ -165,12 +113,7 @@ class LinkTable:
         #: memref.snapshot takes inside one are device scratch.
         self.kernel_launchers: Set[FuncOp] = set()
         self.bindings: Dict[Operation, Tuple] = {}
-        #: stencil.load op -> whether its snapshot must really be copied
-        self.snapshot_copies: Dict[Operation, bool] = {}
-        #: memref.snapshot op -> its storage swap (None: it never swaps)
-        self.snapshot_swaps: Dict[Operation, Optional[SwapPlan]] = {}
-        #: stencil.apply op -> Interpreter._stores_of_results(op)
-        self.result_stores: Dict[Operation, Optional[Tuple[Operation, ...]]] = {}
+        self.verdicts = Verdicts()
         for module in self.modules:
             enclosing = None
             for op in module.walk():
@@ -194,167 +137,6 @@ class LinkTable:
                      for o in (first, op) for m in self.modules if m.is_ancestor_of(o)]
             raise InterpreterError(
                 f"symbol '{name}' is defined twice: in modules " + " and ".join(homes))
-
-
-def _constant(value: SSAValue) -> Optional[int]:
-    """The value of an integer ``arith.constant``, else None."""
-    if isinstance(value, OpResult) and value.op.name == "arith.constant":
-        attr = value.op.get_attr("value")
-        if isinstance(attr, IntegerAttr):
-            return int(attr.value)
-    return None
-
-
-def _compares(use: Use) -> bool:
-    """Whether ``use`` names a buffer a ``memref.snapshot`` guards against:
-    its memory is compared, its contents are not read."""
-    return use.operation.name == "memref.snapshot" and use.index > 0
-
-
-def _iv_offset(value: SSAValue, ivs: Sequence[SSAValue]) -> Optional[Tuple[int, int]]:
-    """``(dim, offset)`` when ``value`` is ``ivs[dim] + offset``, else None."""
-    offset = 0
-    if isinstance(value, OpResult) and value.op.name in ("arith.addi", "arith.subi"):
-        add = value.op.name == "arith.addi"
-        base, shift = value.op.operands
-        if add and _constant(base) is not None:
-            base, shift = shift, base
-        if _constant(shift) is not None:
-            value, offset = base, _constant(shift) if add else -_constant(shift)
-    for dim, iv in enumerate(ivs):
-        if value is iv:
-            return dim, offset
-    return None
-
-
-class SwapPlan:
-    """How a ``memref.snapshot`` whose nest overwrites its source in place
-    swaps storage instead of copying (see :meth:`of`): ``nest`` is that
-    nest, ``others`` the enclosing function's other arguments (none may name
-    the source's memory at run time), ``inner`` the (lower, upper) values of
-    the nest's inner ``scf.for`` loops, ``axes`` the stores' ``(iteration
-    dim, offset)`` per memref axis, and ``shells`` the slices the stores do
-    not write, per (domain, shape), built at first use.
-    """
-
-    __slots__ = ("nest", "others", "inner", "axes", "shells")
-
-    def __init__(self, nest: Operation, others: Tuple[SSAValue, ...],
-                 inner: Tuple[SSAValue, ...], axes: Tuple[Tuple[int, int], ...]):
-        self.nest = nest
-        self.others = others
-        self.inner = inner
-        self.axes = axes
-        self.shells: Dict[Tuple[int, ...], Tuple[Tuple[slice, ...], ...]] = {}
-
-    @classmethod
-    def of(cls, op: Operation, launchers: Set[FuncOp]) -> Optional["SwapPlan"]:
-        """The plan of a ``memref.snapshot``, or None when it must copy.  It
-        swaps when every use of the snapshot is a ``memref.load`` in one
-        ``scf.parallel``/``omp.wsloop`` that follows it in its block and runs
-        exactly once (at most under ``omp.parallel``); when besides the
-        snapshot the source (and every cast it was reached through) is used
-        only by that nest's stores — affine, unit-step, each indexing every
-        iteration dimension through one map — and by snapshots that name it
-        as written, which only compare memory; and when the function launches
-        no GPU kernel."""
-        block, func = op.parent_block(), Interpreter._enclosing_func(op)
-        if block is None or func is None or func in launchers:
-            return None
-        source = root = op.operands[0]
-        while isinstance(root, OpResult) and len(root.op.operands) == 1 \
-                and root.op.name == "builtin.unrealized_conversion_cast":
-            cast, root = root.op, root.op.operands[0]
-            if any(use.operation is not cast and not _compares(use)
-                   for use in root.uses):
-                return None
-        nest = None
-        for use in op.results[0].uses:
-            reader = use.operation
-            enclosing = reader.parent_op()
-            while enclosing is not None and enclosing.name not in _NESTS:
-                enclosing = enclosing.parent_op()
-            if reader.name != "memref.load" or use.index != 0 \
-                    or enclosing is None or nest not in (None, enclosing):
-                return None
-            nest = enclosing
-        if nest is None:
-            return None
-        outer = nest
-        while outer.parent_block() is not block:
-            outer = outer.parent_op()
-            if outer is None or outer.name != "omp.parallel":
-                return None
-        if block.index_of(outer) < block.index_of(op):
-            return None
-        try:
-            bounds, ivs, body = _nest_structure(nest)
-        except KernelUnsupported:
-            return None
-        rank = int(nest.get_attr("rank").value)  # type: ignore[union-attr]
-        inner: List[SSAValue] = []
-        for dim, (lower, upper, step) in enumerate(bounds):
-            if _constant(step) != 1:
-                return None
-            if dim >= rank:
-                for value in (lower, upper):
-                    owner = value.op if isinstance(value, OpResult) \
-                        else value.block.parent_op()
-                    if owner is not None and nest.is_ancestor_of(owner):
-                        return None
-                    inner.append(value)
-        axes = None
-        for use in source.uses:
-            user = use.operation
-            if user is op or _compares(use):
-                continue
-            if user.name != "memref.store" or use.index != 1 \
-                    or user.parent_block() is not body:
-                return None
-            mapped = tuple(_iv_offset(index, ivs) for index in user.operands[2:])
-            if None in mapped or axes not in (None, mapped) or \
-                    sorted(dim for dim, _ in mapped) != list(range(len(ivs))):
-                return None
-            axes = mapped
-        if axes is None:
-            return None
-        others = tuple(arg for arg in func.entry_block.args if arg is not root)
-        return cls(nest, others, tuple(inner), axes)
-
-    def shell(self, lowers: Sequence[int], uppers: Sequence[int],
-              shape: Tuple[int, ...]) -> Tuple[Tuple[slice, ...], ...]:
-        """Disjoint slabs covering the array outside the stores' window over
-        the iteration domain ``[lowers, uppers)``: all of it when the window
-        is empty or leaves the array (the nest then writes nothing, or what
-        a full copy would)."""
-        window = []
-        for (dim, offset), extent in zip(self.axes, shape):
-            low, high = lowers[dim] + offset, uppers[dim] + offset
-            if low < 0 or high > extent or low >= high:
-                return _WHOLE
-            window.append(slice(low, high))
-        slabs = []
-        for axis, (cut, extent) in enumerate(zip(window, shape)):
-            head = tuple(window[:axis])
-            if cut.start > 0:
-                slabs.append(head + (slice(0, cut.start),))
-            if cut.stop < extent:
-                slabs.append(head + (slice(cut.stop, extent),))
-        return tuple(slabs)
-
-
-class _SwapRecord:
-    """One buffer's swaps during one :meth:`Interpreter.call`: its own array,
-    the spare its next swap writes (the array the last one displaced), and the
-    write count and (plan, domain) of the last shell fill."""
-
-    __slots__ = ("own", "spare", "stamp", "key")
-
-    def __init__(self, own: np.ndarray):
-        self.own = own
-        self.spare: Optional[np.ndarray] = None
-        self.stamp: Optional[int] = None
-        self.key: Optional[Tuple[SwapPlan, Tuple[int, ...]]] = None
 
 
 class Interpreter:
@@ -385,18 +167,16 @@ class Interpreter:
         self.rank = rank
         self.decomposition = decomposition
         #: "interpret" executes everything op by op (the reference oracle);
-        #: "vectorize" dispatches stencil.apply / scf.parallel / omp.wsloop
-        #: sweeps to compiled whole-array kernels; "crosscheck" runs both and
-        #: raises if they diverge.
+        #: "vectorize" hands stencil.apply / scf.parallel / omp.wsloop /
+        #: gpu.launch_func sweeps to ``self.sweep``'s compiled whole-array
+        #: kernels; "crosscheck" runs both and raises if they diverge.
         self.execution_mode = execution_mode
         self.kernels = kernel_compiler if kernel_compiler is not None else (
             KernelCompiler(bindings=link.bindings)
             if execution_mode != "interpret" else None
         )
-        #: Worker threads for tiled sweep execution (1 = single-tile): the
-        #: slabs each sweep is cut into.  :func:`run_boxes` runs them on at
-        #: most as many pool threads as the process has CPUs; pure
-        #: "interpret" mode never tiles, so it never touches a pool.
+        #: The thread slabs each sweep is cut into (1 = one slab); the
+        #: interpreter alone never tiles, so "interpret" mode uses no pool.
         self.threads = max(1, int(threads))
         self.stats: Dict[str, float] = {
             "stencil_apply_executions": 0,
@@ -423,9 +203,6 @@ class Interpreter:
             "gpu_launches_vectorized": 0,
             "gpu_launch_fallbacks": 0,
         }
-        #: Lazily built whole-lattice compiler for gpu.launch_func (shares the
-        #: kernel compiler's structural cache and counters).
-        self._gpu_engine: Optional[GpuKernelEngine] = None
         self._functions = link.functions
         self._gpu_kernels = link.gpu_kernels
         self._kernel_launchers = link.kernel_launchers
@@ -434,22 +211,16 @@ class Interpreter:
         #: pool, released when the function returns.
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
         self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        self._snapshot_copies = link.snapshot_copies
-        self._snapshot_swaps = link.snapshot_swaps
-        #: While a top-level :meth:`call` runs outside "interpret" mode: each
-        #: swapped buffer's record, and the call's arguments (a second name
-        #: of a swapped array among them keeps the copy).
-        self._swaps: Optional[Dict[MemoryBuffer, _SwapRecord]] = None
-        self._arguments: Sequence[object] = ()
-        #: nest op -> (buffer, displaced array, plan, record, shell key the
-        #: spare already holds) of each swap whose nest has not run.
-        self._unfilled: Dict[Operation, List[Tuple]] = {}
+        self._verdicts = link.verdicts
         #: Array writes so far — every handler that stores into an array
-        #: counts — so a spare whose shell was filled since none is current.
-        self._array_writes = 0
-        self._result_stores = link.result_stores
+        #: counts — so the sweep's buffer swap can tell a spare whose shell
+        #: was filled since none is current.
+        self.array_writes = 0
         self._gpu_thread_ctx: List[Dict[str, Tuple[int, int, int]]] = []
         self._handlers = self._build_handlers()
+        #: What runs the sweeps fast, outside "interpret" mode.
+        self.sweep = Sweep(self, link.verdicts) \
+            if execution_mode != "interpret" else None
 
     # ------------------------------------------------------------------
     # Linking / entry points
@@ -481,14 +252,11 @@ class Interpreter:
             )
         arg_values = [self._wrap_argument(arg, arg_type, f"arg{i}")
                       for i, (arg, arg_type) in enumerate(zip(args, inputs))]
-        swaps = self._swaps = None if self.execution_mode == "interpret" else {}
-        self._arguments = arg_values
-        try:
+        if self.sweep is None:
             results = self.call_function(func_op, arg_values)
-        finally:
-            self._swaps, self._arguments = None, ()
-            if swaps:
-                self._swap_back(swaps)
+        else:
+            results = self.sweep.call(
+                arg_values, lambda: self.call_function(func_op, arg_values))
         for position, (arg, value) in enumerate(zip(args, arg_values)):
             if not isinstance(arg, np.ndarray) or value.data is arg:
                 continue
@@ -499,20 +267,6 @@ class Interpreter:
                     f"function '{name}' writes argument {position}, a "
                     f"read-only array; pass a writeable one")
         return results
-
-    def _swap_back(self, swaps: Dict[MemoryBuffer, _SwapRecord]) -> None:
-        """Leave every swapped buffer on its own array, holding the result:
-        a swap whose nest never ran (the call raised) is undone, and a buffer
-        left on a spare (an odd number of swaps) is copied back.  The spares
-        go with the table."""
-        for pending in self._unfilled.values():
-            for buffer, displaced, *_ in pending:
-                buffer.data = displaced
-        self._unfilled.clear()
-        for buffer, record in swaps.items():
-            if buffer.data is not record.own:
-                np.copyto(record.own, buffer.data)
-                buffer.data = record.own
 
     def _wrap_argument(self, arg, arg_type: TypeAttribute, label: str):
         if isinstance(arg, (MemoryBuffer, ElementRef, FieldValue, TempValue)):
@@ -826,7 +580,7 @@ class Interpreter:
         value = frame.get(op.operands[0])
         ref = frame.get(op.operands[1])
         if isinstance(ref, (MemoryBuffer, ElementRef)):
-            self._array_writes += isinstance(ref, ElementRef)
+            self.array_writes += isinstance(ref, ElementRef)
             ref.store(_as_python(value))
             return []
         raise InterpreterError("fir.store applied to a non-reference value")
@@ -883,7 +637,7 @@ class Interpreter:
         value = frame.get(op.operands[0])
         buffer = frame.get(op.operands[1])
         indices = tuple(int(_as_python(frame.get(o))) for o in op.operands[2:])
-        self._array_writes += 1
+        self.array_writes += 1
         buffer.data[indices] = _as_python(value)
         return []
 
@@ -891,26 +645,19 @@ class Interpreter:
         """The source itself, unless a buffer the function writes may share
         its memory — the same array passed for an input and an output, or a
         field the function writes, which names itself.  Then, outside
-        "interpret" mode, a field only its own nest overwrites swaps storage
-        (:class:`SwapPlan`) when nothing else names its memory; other
-        snapshots copy."""
-        if self._swaps is not None:
-            plan = self._snapshot_swaps.get(op, op)
-            if plan is op:
-                plan = self._snapshot_swaps[op] = SwapPlan.of(
-                    op, self._kernel_launchers)
-            if plan is not None:
-                swapped = self._swap(frame.get(op.operands[0]), plan, frame)
-                if swapped is not None:
-                    self.stats["snapshots_swapped"] += 1
-                    return [swapped]
+        "interpret" mode, a field only its own nest overwrites may swap
+        storage (:meth:`Sweep.snapshot`); other snapshots copy."""
+        if self.sweep is not None:
+            swapped = self.sweep.snapshot(op, frame)
+            if swapped is not None:
+                return [swapped]
         source, *written = [frame.get(o) for o in op.operands]
         if not any(np.may_share_memory(source.data, buffer.data)
                    for buffer in written):
             self.stats["snapshots_elided"] += 1
             return [source]
         self.stats["snapshots_copied"] += 1
-        if self._enclosing_func(op) not in self._kernel_launchers:
+        if enclosing_func(op) not in self._kernel_launchers:
             return [MemoryBuffer.wrap(source.data.copy(order="K"))]
         # Inside a kernel-launching function the copy is kernel-local staging
         # and lives on the device — tagging it host would fabricate on-demand
@@ -923,69 +670,6 @@ class Interpreter:
         self._device_scratch_stack[-1].append(copy)
         copy.copy_from(source)
         return [copy]
-
-    def _swap(self, source: MemoryBuffer, plan: SwapPlan,
-              frame: Frame) -> Optional[MemoryBuffer]:
-        """Point ``source`` at a spare array and return its current one,
-        read-only, as the snapshot; None when another argument of the call
-        or of the function names that memory.  After the nest,
-        :meth:`_fill_shells` copies the shell it does not write; the
-        displaced array is the buffer's next spare."""
-        data = source.data
-        names = 0
-        for argument in self._arguments:
-            holder = getattr(argument, "buffer", argument)
-            if holder is source:
-                names += 1
-            elif np.may_share_memory(holder.data, data):
-                return None
-        for value in plan.others:
-            other = frame.values.get(value)
-            if isinstance(other, MemoryBuffer) and (
-                    other is source or np.may_share_memory(other.data, data)):
-                return None
-        if names > 1:
-            return None
-        record = self._swaps.get(source)
-        if record is None:
-            record = self._swaps[source] = _SwapRecord(data)
-        # The spare is the array the last swap displaced: its shell is the
-        # one that swap's fill copied out of it, unless an array was written.
-        current = record.key if record.stamp == self._array_writes else None
-        source.data = record.spare if record.spare is not None \
-            else spare_like(data)
-        record.spare = data
-        self._unfilled.setdefault(plan.nest, []).append(
-            (source, data, plan, record, current))
-        snapshot = data.view()
-        snapshot.flags.writeable = False
-        return MemoryBuffer(snapshot)
-
-    def _fill_shells(self, swapped, frame: Frame, lowers: Sequence[int],
-                     uppers: Sequence[int]) -> None:
-        """Copy into each buffer's new array, from the array its snapshot
-        kept, the shell the nest's stores leave unwritten over this domain —
-        unless the new array holds that shell already: nothing has written
-        an array since it was filled for the same domain."""
-        values = frame.values
-        for buffer, displaced, plan, record, current in swapped:
-            key = (*lowers, *uppers, *map(int, map(values.__getitem__, plan.inner)),
-                   *displaced.shape)
-            record.stamp, record.key = self._array_writes, (plan, key)
-            if record.key == current:
-                continue
-            shell = plan.shells.get(key)
-            if shell is None:
-                bounds = list(map(int, map(values.__getitem__, plan.inner)))
-                shell = plan.shells[key] = plan.shell(
-                    list(lowers) + bounds[0::2], list(uppers) + bounds[1::2],
-                    displaced.shape)
-            if shell == _WHOLE:
-                # Stores off the array may land anywhere: never current.
-                record.stamp = None
-            data = buffer.data
-            for slab in shell:
-                data[slab] = displaced[slab]
 
     # ------------------------------------------------------------------
     # scf handlers
@@ -1037,7 +721,7 @@ class Interpreter:
         return []
 
     # ------------------------------------------------------------------
-    # vectorized sweep dispatch (see runtime/kernel_compiler.py)
+    # sweeps: each vectorizable handler hands ``self.sweep`` its scalar runner
     # ------------------------------------------------------------------
 
     def _run_nest(self, op: Operation, frame: Frame):
@@ -1052,139 +736,11 @@ class Interpreter:
             self._iterate_nest(block, frame, lowers, uppers, steps, 0,
                                [0] * len(lowers))
 
-        def domain_of(kernel, externals):
-            # The kernel's own bounds: its rank includes collapsed inner
-            # loops, so they are read back through its bound slots.
-            lo, up, st = zip(*([int(_as_python(externals[slot])) for slot in dim]
-                               for dim in kernel.bound_slots))
-            return (lo, up) if kernel.guards_pass(externals, lo, up, st) else None
-
-        # A swapped field's spare gets its shell after the sweep, however the
-        # sweep ends: the displaced array it copies from is only read.
-        swapped = self._unfilled.pop(op, None)
-        try:
-            self._sweep(frame, lambda: self.kernels.kernel_for(op), domain_of,
-                        scalar_runner)
-        finally:
-            if swapped is not None:
-                self._fill_shells(swapped, frame, lowers, uppers)
-        return []
-
-    def _sweep(self, frame: Frame, lookup: Callable,
-               domain_of: Callable, scalar_runner: Callable,
-               counters: Tuple[str, str] = ("vectorized_sweeps",
-                                            "vectorize_fallbacks"),
-               delivery: Tuple[Optional[List[np.ndarray]], bool] = (None, False)):
-        """The one execution path of every vectorizable sweep op: kernel
-        lookup → runtime guards → box plan → :func:`run_boxes` → crosscheck →
-        stats.  Returns the kernel's results — ``scalar_runner``'s when the
-        mode is "interpret", the op cannot be compiled or a guard fails.
-
-        Callers supply only what differs per op: ``lookup()`` yields the
-        :class:`BoundKernel` (or None); ``domain_of(kernel, externals)`` the
-        ``(lowers, uppers)`` iteration domain, or None when a runtime guard
-        fails; ``scalar_runner`` is the reference semantics, used as fallback
-        and as crosscheck oracle so the two cannot diverge; ``counters`` the
-        (vectorized, fallback) stats keys; ``delivery`` the (destinations,
-        deferred) of :func:`run_boxes`: used destinations are what comes back.
-        """
-        self._array_writes += 1
-        if self.execution_mode == "interpret":
-            return scalar_runner()
-        done_key, fallback_key = counters
-        bound = lookup()
-        domain = None
-        if bound is not None:
-            kernel = bound.kernel
-            externals = [frame.get(v) for v in bound.external_values] + bound.constants
-            domain = domain_of(kernel, externals)
-        if domain is None:
-            self.stats[fallback_key] += 1
-            return scalar_runner()
-        lowers, uppers = tuple(domain[0]), tuple(domain[1])
-
-        def vector_runner():
-            start = _time.perf_counter()
-            boxes, slabs, shape = self._plan_sweep(kernel, externals, lowers,
-                                                   uppers)
-            if self.threads > 1 and slabs == 1:
-                self.stats["parallel_fallbacks"] += 1
-            chosen: List[str] = []
-            results = run_boxes(kernel, externals, lowers, uppers, boxes,
-                                self.threads, chosen, *delivery)
-            if results is None:
-                # A result broadcasts along a tiled dimension, so the boxes
-                # cannot be delivered.  The defect is structural: remember
-                # the refusal and recompute whole-domain (kernels are pure).
-                kernel.tileable = False
-                if slabs > 1:
-                    self.stats["parallel_fallbacks"] += 1
-                if shape is not None:
-                    self.stats[shape + "_fallbacks"] += 1
-                results = run_boxes(kernel, externals, lowers, uppers,
-                                    [(lowers, uppers)], 1, chosen, *delivery)
-            else:
-                if slabs > 1:
-                    self.stats["parallel_sweeps"] += 1
-                    self.stats["parallel_tiles"] += slabs
-                if shape is not None:
-                    self.stats[shape + "_tiles"] += len(boxes)
-            self.kernels.record_invocation(kernel.label,
-                                           _time.perf_counter() - start, chosen)
-            return results
-
-        if self.execution_mode == "crosscheck":
-            results = self._crosscheck(kernel, externals, vector_runner,
-                                       scalar_runner, delivery[0])
+        if self.sweep is None:
+            scalar_runner()
         else:
-            results = vector_runner()
-        self.stats[done_key] += 1
-        return results
-
-    def _plan_sweep(self, kernel, externals, lowers, uppers):
-        """One sweep's :func:`plan_sweep`, fed from the kernel (the strides
-        of the first array it sweeps, the arrays it touches per point) and
-        the thread count.  A kernel whose boxes cannot run independently
-        (``tileable`` false) runs the whole domain; so does a pure kernel
-        over an empty one, which still owes its (empty) results.
-        """
-        whole = [(lowers, uppers)], 1, None
-        if not kernel.tileable:
-            return whole
-        plan = plan_sweep(lowers, uppers, self.threads,
-                          strides=kernel.dim_strides(externals),
-                          arrays=kernel.arrays_per_point)
-        return plan if plan[0] or kernel.stores else whole
-
-    def _crosscheck(self, kernel, externals, vector_runner: Callable,
-                    scalar_runner: Callable, destinations=None):
-        """Run the compiled kernel (tiled as planned) AND the scalar oracle
-        and require bitwise agreement on every stored array and returned
-        value.  Leaves the oracle's stores in memory: results delivered into
-        ``destinations`` are read back, the destinations restored and the
-        oracle's values returned for their stores to write."""
-        targets = kernel.store_targets(externals)
-        saved = targets + (destinations or [])
-        before = [t.copy() for t in saved]
-        results = vector_runner()
-        vectorized = [np.copy(v) for v in targets + list(results or [])]
-        for target, copy in zip(saved, before):
-            np.copyto(target, copy)
-        oracle = list(scalar_runner() or [])
-        for ref, vec in zip(targets + oracle, vectorized):
-            ref, vec = np.broadcast_arrays(np.asarray(ref), np.asarray(vec))
-            if not np.array_equal(ref, vec, equal_nan=True):
-                worst = float(np.max(np.abs(ref.astype(np.float64)
-                                            - vec.astype(np.float64))))
-                # The parameters are the last externals.
-                constants = externals[len(externals) - len(kernel.parameters):]
-                raise InterpreterError(
-                    f"vectorized {kernel.label} diverged from the "
-                    f"scalar oracle (max |diff| = {worst:g});\n"
-                    f"--- kernel source ---\n{kernel.source}"
-                    "--- parameters ---\n" + ", ".join(
-                        f"c{k} = {value!r}" for k, value in enumerate(constants)))
-        return oracle if results is destinations is not None else results
+            self.sweep.nest(op, frame, scalar_runner, lowers, uppers)
+        return []
 
     def _run_apply_scalar(self, op: Operation, frame: Frame,
                           lb: Tuple[int, ...], ub: Tuple[int, ...]) -> List[object]:
@@ -1217,9 +773,7 @@ class Interpreter:
         field = frame.get(op.operands[0])
         if not isinstance(field, FieldValue):
             raise InterpreterError("stencil.load requires a field value")
-        copies = self._snapshot_copies.get(op)
-        if copies is None:
-            copies = self._snapshot_copies[op] = self._snapshot_is_observable(op)
+        copies = self._verdicts[self._snapshot_is_observable, op]
         data = field.buffer.data
         self.stats["snapshots_copied" if copies else "snapshots_elided"] += 1
         return [TempValue(np.array(data, copy=True) if copies else data, field.lb)]
@@ -1243,70 +797,25 @@ class Interpreter:
         return any(between.name not in _SNAPSHOT_TRANSPARENT
                    for between in block.ops[start + 1:end])
 
-    @staticmethod
-    def _stores_of_results(op: Operation) -> Optional[Tuple[Operation, ...]]:
-        """The ``stencil.store`` of each result of a ``stencil.apply`` whose
-        results are simply stored — one use each, a store over the apply's
-        ``lb``/``ub``, these the next ops of its block: into fields defined
-        before it, and written by the sweep or after it nobody can tell."""
-        stores = [use.operation for result in op.results for use in result.uses]
-        block = op.parent_block()
-        if block is None or not all(
-                len(result.uses) == 1 and store.name == "stencil.store"
-                and store.operands[0] is result
-                and all(store.get_attr(k) == op.get_attr(k) for k in ("lb", "ub"))
-                for result, store in zip(op.results, stores)):
-            return None
-        following = block.ops[block.index_of(op) + 1:][:len(stores)]
-        return tuple(stores) if {id(o) for o in following} \
-            == {id(store) for store in stores} else None
-
-    @staticmethod
-    def _store_window(op: Operation, origin: Tuple[int, ...]) -> Tuple[slice, ...]:
-        """A ``stencil.store``'s ``[lb, ub)`` in an array starting at ``origin``."""
-        lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
-        ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
-        return tuple(slice(l - o, u - o) for l, u, o in zip(lb, ub, origin))
-
-    def _delivery(self, op: Operation, frame: Frame, domain, inputs):
-        """``(destinations, deferred)`` of an apply sweep: the window each
-        result's store writes, if the results are simply stored and the
-        windows whole and pairwise disjoint; and whether one shares memory
-        with an input (in-place Gauss-Seidel), so all boxes must read first."""
-        if op not in self._result_stores:
-            self._result_stores[op] = self._stores_of_results(op)
-        windows: List[np.ndarray] = []
-        for store in self._result_stores[op] or ():
-            field = frame.get(store.operands[1])
-            window = field.buffer.data[self._store_window(store, field.lb)]
-            if window.shape != domain or any(
-                    np.may_share_memory(window, other) for other in windows):
-                return None, False
-            windows.append(window)
-        return windows or None, any(np.may_share_memory(window, data)
-                                    for window in windows for data in inputs)
-
     def _exec_stencil_apply(self, op: Operation, frame: Frame):
         lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
         ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
         domain = tuple(u - l for l, u in zip(lb, ub))
         inputs = [temp.data for temp in map(frame.get, op.operands)
                   if isinstance(temp, TempValue)]
-        delivery = (None, False) if self.execution_mode == "interpret" \
-            else self._delivery(op, frame, domain, inputs)
-        returned = self._sweep(
-            frame, lambda: self.kernels.kernel_for(op),
-            lambda kernel, externals:
-                (lb, ub) if kernel.apply_guards_pass(externals, lb, ub) else None,
-            lambda: self._run_apply_scalar(op, frame, lb, ub),
-            delivery=delivery)
+
+        def scalar_runner() -> List[object]:
+            return self._run_apply_scalar(op, frame, lb, ub)
+
+        returned = scalar_runner() if self.sweep is None else \
+            self.sweep.apply(op, frame, scalar_runner, lb, ub, inputs)
         self.stats["stencil_apply_executions"] += 1
         points = 1
         for extent in domain:
             points *= extent
         self.stats["stencil_points_computed"] += points
-        if returned is delivery[0] is not None:
-            return [DELIVERED] * len(returned)
+        if returned is DELIVERED:
+            return [DELIVERED] * len(op.results)
         results = []
         for value in returned:
             array = np.broadcast_to(np.asarray(value, dtype=np.float64), domain).copy() \
@@ -1346,11 +855,11 @@ class Interpreter:
 
     def _exec_stencil_store(self, op: Operation, frame: Frame):
         temp = frame.get(op.operands[0])
-        self._array_writes += 1
+        self.array_writes += 1
         if temp is not DELIVERED:
             field = frame.get(op.operands[1])
-            field.buffer.data[self._store_window(op, field.lb)] = \
-                temp.data[self._store_window(op, temp.origin)]
+            field.buffer.data[store_window(op, field.lb)] = \
+                temp.data[store_window(op, temp.origin)]
         return []
 
     # ------------------------------------------------------------------
@@ -1375,17 +884,10 @@ class Interpreter:
         self._require_gpu().dealloc(frame.get(op.operands[0]))
         return []
 
-    @staticmethod
-    def _enclosing_func(op: Operation) -> Optional[FuncOp]:
-        parent = op.parent_op()
-        while parent is not None and not isinstance(parent, FuncOp):
-            parent = parent.parent_op()
-        return parent
-
     def _exec_gpu_memcpy(self, op: Operation, frame: Frame):
         gpu = self._require_gpu()
         start = _time.perf_counter()
-        self._array_writes += 1
+        self.array_writes += 1
         gpu.memcpy(frame.get(op.operands[0]), frame.get(op.operands[1]))
         self.stats["transfer_seconds"] += _time.perf_counter() - start
         return []
@@ -1407,24 +909,15 @@ class Interpreter:
         if kernel_op is None:
             raise InterpreterError(f"gpu.launch_func: unknown kernel '{kernel_name}'")
 
-        def lookup():
-            if self._gpu_engine is None:
-                self._gpu_engine = GpuKernelEngine(self.kernels)
-            return self._gpu_engine.kernel_for(op, kernel_op)
-
-        def domain_of(kernel, externals):
-            # The thread lattice clipped by the compiled guards; empty when
-            # the guard rejects every thread.
-            lo, up = kernel.launch_domain(grid, block)
-            ok = kernel.guards_pass(externals, lo, up, [1] * kernel.rank)
-            return (lo, up) if ok else None
+        def scalar_runner() -> None:
+            self._run_launch_scalar(kernel_op, args, grid, block)
 
         start = _time.perf_counter()
         try:
-            self._sweep(frame, lookup, domain_of,
-                        lambda: self._run_launch_scalar(kernel_op, args, grid, block),
-                        counters=("gpu_launches_vectorized",
-                                  "gpu_launch_fallbacks"))
+            if self.sweep is None:
+                scalar_runner()
+            else:
+                self.sweep.launch(op, kernel_op, frame, scalar_runner, grid, block)
             return []
         finally:
             seconds = _time.perf_counter() - start
@@ -1555,7 +1048,7 @@ class Interpreter:
             start = _time.perf_counter()
             data = comm.receive(request["source"], self.rank, request["tag"])
             self.stats["halo_seconds"] += _time.perf_counter() - start
-            self._array_writes += 1
+            self.array_writes += 1
             request["buffer"].data[request["slices"]] = data
         return []
 

@@ -68,7 +68,7 @@ against the actual runtime values, that
 
 When a kernel cannot be built or a guard fails, the caller falls back to the
 scalar interpreter, which therefore remains the semantic *oracle*: execution
-mode ``"crosscheck"`` (see :mod:`repro.runtime.interpreter`) runs both paths
+mode ``"crosscheck"`` (see :mod:`repro.runtime.sweep`) runs both paths
 on every sweep and raises unless their results agree bitwise.
 """
 
@@ -359,7 +359,7 @@ class CompiledKernel:
         #: Store kernels need every store to index every iteration dimension
         #: (boxes that partition the domain then write disjoint regions);
         #: pure kernels need every returned value to be a whole-domain
-        #: array.  The interpreter clears it when a per-box result shape
+        #: array.  :meth:`Sweep.run` clears it when a per-box result shape
         #: refuses delivery — a structural property, so the refusal
         #: holds for every later sweep of this (possibly shared) kernel.
         if self.stores:
@@ -453,19 +453,23 @@ class CompiledKernel:
     # -- runtime guards ----------------------------------------------------
 
     def guards_pass(self, externals: Sequence[object], lowers: Sequence[int],
-                    uppers: Sequence[int], steps: Sequence[int]) -> bool:
+                    uppers: Sequence[int], steps: Sequence[int] = ()) -> bool:
         """Check unit steps, in-bounds slices, and load/store aliasing against
-        the actual runtime values.  Returning False sends the caller to the
-        scalar interpreter."""
+        the actual runtime values.  A temp's window is shifted by its origin.
+        Returning False sends the caller to the scalar interpreter."""
         if any(s != 1 for s in steps):
             return False
         arrays: List[np.ndarray] = []
         for slot, axes in self.loads + self.stores:
-            array = self._array_of(externals[slot])
+            value = externals[slot]
+            array = self._array_of(value)
             if array is None or array.ndim != len(axes) or \
                     array.dtype != self.slot_dtypes[slot]:
                 return False
+            origin = getattr(value, "origin", None)
             for axis, (dim, offset) in enumerate(axes):
+                if origin is not None:
+                    offset -= origin[dim]
                 if lowers[dim] + offset < 0 or uppers[dim] + offset > array.shape[axis]:
                     return False
             arrays.append(array)
@@ -487,25 +491,6 @@ class CompiledKernel:
                 if first is second and axes_i == self.stores[j][1]:
                     continue
                 if np.may_share_memory(first, second):
-                    return False
-        return True
-
-    def apply_guards_pass(self, externals: Sequence[object], lb: Sequence[int],
-                          ub: Sequence[int]) -> bool:
-        """Bounds guard for ``stencil.apply`` kernels: every access window
-        ``[lb+off-origin, ub+off-origin)`` must fall inside its temp's data."""
-        for slot, axes in self.loads:
-            temp = externals[slot]
-            array = getattr(temp, "data", None)
-            origin = getattr(temp, "origin", None)
-            if not isinstance(array, np.ndarray) or origin is None or \
-                    array.ndim != len(axes) or \
-                    array.dtype != self.slot_dtypes[slot]:
-                return False
-            for axis, (dim, offset) in enumerate(axes):
-                low = lb[dim] + offset - origin[dim]
-                high = ub[dim] + offset - origin[dim]
-                if low < 0 or high > array.shape[axis]:
                     return False
         return True
 

@@ -1,0 +1,761 @@
+"""How a sweep runs fast: compiled kernels over a box plan.
+
+The interpreter is the scalar reference.  Outside "interpret" mode it builds
+one :class:`Sweep`, and the handlers of the ops that can vectorize — loop
+nests, ``stencil.apply``, ``gpu.launch_func`` and ``memref.snapshot`` — hand
+it the op, the frame and their scalar runner, which is both the fallback and
+the crosscheck oracle, so the two cannot diverge.  Every sweep takes one
+path, :meth:`Sweep.run`; beside it:
+
+* the planners — :func:`plan_boxes` partitions a whole box into
+  equal-shaped sub-boxes; :func:`plan_cache_boxes` picks their shape —
+  cache-sized, unit-stride axis whole; :func:`plan_sweep` composes the one
+  plan every sweep runs — near-equal thread slabs along the outermost
+  dimension (OpenMP's default static partition), each cut into cache boxes;
+* :func:`run_boxes` — runs a kernel over a box plan on no more threads than
+  the process has CPUs (NumPy releases the GIL for large slice operations):
+  store kernels in place, pure kernels delivered box by box where their
+  values are stored;
+* the buffer swap — a ``memref.snapshot`` whose nest overwrites its source
+  in place swaps storage instead of copying (:class:`SwapPlan`).
+
+The pools of :func:`get_executor`, shared process-wide, run only boxes:
+leaf work that never waits, so no worker blocks on a task queued behind it.
+
+Boxes are safe because the guards are: a nest kernel that passed
+:meth:`CompiledKernel.guards_pass` has unit steps, in-bounds windows, no
+load/store aliasing and only same-array/same-index-map store pairs — so
+boxes that partition the domain write provably disjoint regions (exactly the
+guarantee ``scf.parallel`` iteration independence gives).  Anything weaker
+runs the whole domain as one box.  This module never imports the
+interpreter: the values both use live in :mod:`repro.runtime.memory`.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import threading
+import time as _time
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..dialects.func import enclosing_func
+from ..ir.attributes import IntegerAttr
+from ..ir.operation import Operation
+from ..ir.ssa import OpResult, SSAValue, Use
+from .gpu_kernel_engine import GpuKernelEngine
+from .kernel_compiler import KernelUnsupported, _nest_structure
+from .memory import DELIVERED, InterpreterError, MemoryBuffer, store_window
+
+#: One box of a sweep plan: ``(lowers, uppers)``, half-open per dimension.
+Box = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+#: Working-set budget of one box of a sweep plan, see :func:`plan_cache_boxes`.
+#: Measured, not derived: PW advection at n = 64/96/128 runs fastest on a
+#: broad plateau of boxes of roughly 15k-60k points (docs/ARCHITECTURE.md
+#: "Parallel execution" has the table), and blocking loses below it, so the
+#: budget sits where n = 32 still runs whole.
+CACHE_BUDGET_BYTES = 2 << 20
+
+def plan_boxes(
+    lowers: Sequence[int],
+    uppers: Sequence[int],
+    sizes: Sequence[int],
+) -> List[Box]:
+    """Partition the box ``[lowers, uppers)`` into ``sizes``-shaped sub-boxes.
+
+    Backs :func:`plan_cache_boxes`: boxes are returned in lexicographic domain
+    order, are mutually disjoint, and their union is exactly the input box
+    (edge boxes are clipped).  Returns an empty list for an empty domain.
+    """
+    if len(lowers) != len(uppers) or len(lowers) != len(sizes):
+        raise ValueError("plan_boxes: lowers/uppers/sizes rank mismatch")
+    if any(s < 1 for s in sizes):
+        raise ValueError(f"plan_boxes: tile sizes must be positive, got {sizes}")
+    if any(u <= l for l, u in zip(lowers, uppers)):
+        return []
+    per_dim = [
+        [(p, min(p + size, upper)) for p in range(lower, upper, size)]
+        for lower, upper, size in zip(lowers, uppers, sizes)
+    ]
+    boxes: List[Box] = [((), ())]
+    for spans in per_dim:
+        boxes = [
+            (lb + (span_lb,), ub + (span_ub,))
+            for lb, ub in boxes
+            for span_lb, span_ub in spans
+        ]
+    return boxes
+
+
+def plan_cache_boxes(
+    lowers: Sequence[int],
+    uppers: Sequence[int],
+    strides: Sequence[int],
+    arrays: int,
+) -> List[Box]:
+    """Partition ``[lowers, uppers)`` into boxes whose working set — box
+    points × 8 B × ``arrays``, the arrays a kernel touches per point — fits
+    :data:`CACHE_BUDGET_BYTES`; a domain already under it stays one box.
+
+    ``strides[d]`` is the byte stride of iteration dimension ``d`` in the
+    swept data.  The smallest-stride dimension is never cut (short rows
+    would waste every cache line and prefetch stream); the others are cut
+    largest stride first, each into near-equal pieces.
+    """
+    sizes = [max(1, upper - lower) for lower, upper in zip(lowers, uppers)]
+    points = CACHE_BUDGET_BYTES // (8 * max(1, arrays))
+    by_stride = sorted(range(len(sizes)), key=lambda dim: -abs(strides[dim]))
+    for dim in by_stride[:-1]:
+        total = math.prod(sizes)
+        if total <= points:
+            break
+        size = max(1, points // (total // sizes[dim]))
+        pieces = -(-sizes[dim] // size)
+        sizes[dim] = -(-sizes[dim] // pieces)
+    return plan_boxes(lowers, uppers, sizes)
+
+
+def plan_sweep(
+    lowers: Sequence[int],
+    uppers: Sequence[int],
+    threads: int = 1,
+    strides: Optional[Sequence[int]] = None,
+    arrays: int = 1,
+) -> Tuple[List[Box], int, Optional[str]]:
+    """The box plan of one sweep over ``[lowers, uppers)``: *who* × *how big*,
+    as ``(boxes, slabs, shape)``.
+
+    *Who*: with ``threads > 1``, the outermost swept dimension — the largest
+    ``|strides[d]|``, the loop a real ``omp parallel do`` workshares;
+    dimension 0 when no stride is known — is cut into ``min(threads,
+    extent)`` contiguous near-equal slabs, the first ones a point longer
+    (OpenMP's default static partition); otherwise there is one slab.  *How
+    big*: every slab is cut by :func:`plan_cache_boxes` when the strides are
+    known, else stays whole.  ``shape`` is "cache" when that cut produced
+    more boxes than slabs, else None.  The boxes partition the domain, slab
+    after slab; an empty domain has none.
+    """
+    lowers, uppers = tuple(lowers), tuple(uppers)
+    if any(upper <= lower for lower, upper in zip(lowers, uppers)):
+        return [], 0, None
+    slabs: List[Box] = [(lowers, uppers)]
+    if threads > 1:
+        dim = 0 if strides is None else \
+            max(range(len(lowers)), key=lambda d: abs(strides[d]))
+        extent = uppers[dim] - lowers[dim]
+        pieces = min(threads, extent)
+        base, longer = divmod(extent, pieces)
+        cuts = [lowers[dim] + i * base + min(i, longer) for i in range(pieces + 1)]
+        slabs = [(lowers[:dim] + (lo,) + lowers[dim + 1:],
+                  uppers[:dim] + (up,) + uppers[dim + 1:])
+                 for lo, up in zip(cuts, cuts[1:])]
+    boxes = slabs if strides is None else \
+        [box for slab in slabs for box in plan_cache_boxes(*slab, strides, arrays)]
+    return boxes, len(slabs), "cache" if len(boxes) > len(slabs) else None
+
+
+def _layout(value) -> str:
+    """"F" when the fastest-varying axis of ``value`` that is longer than one
+    is its first, else "C".  Boxes never cut the unit-stride axis, so a box
+    one row thick still tells a Fortran-ordered sweep from a C-ordered one
+    (its flags say both)."""
+    value = np.asarray(value)
+    axes = [d for d, extent in enumerate(value.shape) if extent > 1]
+    return "F" if axes and min(axes, key=lambda d: abs(value.strides[d])) == 0 \
+        else "C"
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on now: its affinity mask where the
+    platform has one (a pinned process has fewer than ``os.cpu_count()``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
+              uppers: Sequence[int], boxes: Sequence[Box], threads: int = 1,
+              chosen: Optional[List[str]] = None,
+              destinations: Optional[List[np.ndarray]] = None,
+              deferred: bool = False) -> Optional[List[object]]:
+    """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
+    on the shared pool of ``min(threads, usable_cpus())`` workers, read at
+    every call; with one worker or one box, in box order on the calling
+    thread (threads that time-slice one CPU only add switches).  The first
+    box, in box order, that raises propagates its exception.  The body each
+    box ran ("flat", or why windowed) is appended to ``chosen``.
+
+    Store kernels write each box's region in place; the result is ``[]``.
+    Pure (``stencil.apply``) kernels return their values, and each box's are
+    written into its window of ``destinations`` — where the results are
+    stored: one domain-shaped array each, pairwise disjoint — which is then
+    the result: the moment the box finishes, its values dropped, or, when
+    ``deferred`` (a destination shares memory with an input), once every box
+    has read.  Without destinations one box's values are passed through and
+    several boxes' delivered into fresh whole-domain arrays (exact — a pure
+    elementwise kernel computes bit-identical values on any sub-box).  A
+    value must have its box's shape: one that broadcasts along a cut dimension
+    (e.g. built purely from ``stencil.index`` of another) makes the call
+    return ``None`` and the caller recompute whole-domain, passed through.
+    """
+    def fits(box: Box, values) -> bool:
+        shape = tuple(u - l for l, u in zip(*box))
+        return all(np.shape(value) == shape for value in values)
+
+    def deliver(outs, box: Box, values) -> None:
+        window = tuple(slice(bl - l, bu - l) for l, bl, bu in zip(lowers, *box))
+        for out, value in zip(outs, values):
+            out[window] = value
+
+    def run(box: Box):
+        values = kernel.fn(externals, box[0], box[1], chosen)
+        if kernel.stores or destinations is None or not fits(box, values):
+            return values
+        if deferred:  # keep no view of memory that a delivery overwrites
+            return [np.copy(value) if any(np.may_share_memory(value, out)
+                                          for out in destinations) else value
+                    for value in values]
+        return deliver(destinations, box, values)
+
+    workers = min(threads, usable_cpus()) if threads > 1 else 1
+    partials = list(get_executor(workers).map(run, boxes)) \
+        if workers > 1 and len(boxes) > 1 else [run(box) for box in boxes]
+    if kernel.stores:
+        return []
+    pending = [pair for pair in zip(boxes, partials) if pair[1] is not None]
+    if not all(fits(*pair) for pair in pending):
+        return partials[0] if len(boxes) == 1 else None
+    if destinations is None:
+        if len(boxes) == 1:
+            return partials[0]
+        # In the partials' memory layout (Fortran order for Fortran-ordered
+        # inputs), so a tiled result is laid out exactly as an untiled one.
+        shape = tuple(u - l for l, u in zip(lowers, uppers))
+        destinations = [np.empty(shape, np.result_type(first), _layout(first))
+                        for first in partials[0]]
+    for box, values in pending:
+        deliver(destinations, box, values)
+    return destinations
+
+
+#: Process-wide box pools: interpreters asking for the same thread count
+#: share one pool, keeping the total thread population bounded.
+_EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
+_EXECUTORS_LOCK = threading.Lock()
+
+
+def get_executor(threads: int) -> ThreadPoolExecutor:
+    """The shared box pool of ``threads`` workers (for boxes only)."""
+    with _EXECUTORS_LOCK:
+        executor = _EXECUTORS.get(threads)
+        if executor is None:
+            executor = ThreadPoolExecutor(max_workers=threads,
+                                          thread_name_prefix="repro-tile")
+            _EXECUTORS[threads] = executor
+        return executor
+
+
+
+
+#: The loop nests a ``memref.snapshot`` may be read by and swapped for.
+_NESTS = frozenset({"scf.parallel", "omp.wsloop"})
+
+#: A shell that is the whole array: the window is empty or leaves it.
+_WHOLE = ((Ellipsis,),)
+
+
+def spare_like(array: np.ndarray) -> np.ndarray:
+    """The storage an in-place sweep writes while its snapshot keeps the
+    array it displaced: same shape, dtype and memory order.  Its contents are
+    undefined until the sweep writes its store window and the shell around
+    the window is copied in."""
+    return np.empty_like(array)
+
+
+def _constant(value: SSAValue) -> Optional[int]:
+    """The value of an integer ``arith.constant``, else None."""
+    if isinstance(value, OpResult) and value.op.name == "arith.constant":
+        attr = value.op.get_attr("value")
+        if isinstance(attr, IntegerAttr):
+            return int(attr.value)
+    return None
+
+
+def _compares(use: Use) -> bool:
+    """Whether ``use`` names a buffer a ``memref.snapshot`` guards against:
+    its memory is compared, its contents are not read."""
+    return use.operation.name == "memref.snapshot" and use.index > 0
+
+
+def _iv_offset(value: SSAValue, ivs: Sequence[SSAValue]) -> Optional[Tuple[int, int]]:
+    """``(dim, offset)`` when ``value`` is ``ivs[dim] + offset``, else None."""
+    offset = 0
+    if isinstance(value, OpResult) and value.op.name in ("arith.addi", "arith.subi"):
+        add = value.op.name == "arith.addi"
+        base, shift = value.op.operands
+        if add and _constant(base) is not None:
+            base, shift = shift, base
+        if _constant(shift) is not None:
+            value, offset = base, _constant(shift) if add else -_constant(shift)
+    for dim, iv in enumerate(ivs):
+        if value is iv:
+            return dim, offset
+    return None
+
+
+class SwapPlan:
+    """How a ``memref.snapshot`` whose nest overwrites its source in place
+    swaps storage instead of copying (see :meth:`of`): ``nest`` is that
+    nest, ``others`` the enclosing function's other arguments (none may name
+    the source's memory at run time), ``inner`` the (lower, upper) values of
+    the nest's inner ``scf.for`` loops, ``axes`` the stores' ``(iteration
+    dim, offset)`` per memref axis, and ``shells`` the slices the stores do
+    not write, per (domain, shape), built at first use.
+    """
+
+    __slots__ = ("nest", "others", "inner", "axes", "shells")
+
+    def __init__(self, nest: Operation, others: Tuple[SSAValue, ...],
+                 inner: Tuple[SSAValue, ...], axes: Tuple[Tuple[int, int], ...]):
+        self.nest = nest
+        self.others = others
+        self.inner = inner
+        self.axes = axes
+        self.shells: Dict[Tuple[int, ...], Tuple[Tuple[slice, ...], ...]] = {}
+
+    @classmethod
+    def of(cls, op: Operation) -> Optional["SwapPlan"]:
+        """The plan of a ``memref.snapshot``, or None when it must copy.  It
+        swaps when every use of the snapshot is a ``memref.load`` in one
+        ``scf.parallel``/``omp.wsloop`` that follows it in its block and runs
+        exactly once (at most under ``omp.parallel``); when besides the
+        snapshot the source (and every cast it was reached through) is used
+        only by that nest's stores — affine, unit-step, each indexing every
+        iteration dimension through one map — and by snapshots that name it
+        as written, which only compare memory; and when the function launches
+        no GPU kernel (its snapshots are device scratch)."""
+        block, func = op.parent_block(), enclosing_func(op)
+        if block is None or func is None or any(
+                inner.name == "gpu.launch_func" for inner in func.walk()):
+            return None
+        source = root = op.operands[0]
+        while isinstance(root, OpResult) and len(root.op.operands) == 1 \
+                and root.op.name == "builtin.unrealized_conversion_cast":
+            cast, root = root.op, root.op.operands[0]
+            if any(use.operation is not cast and not _compares(use)
+                   for use in root.uses):
+                return None
+        nest = None
+        for use in op.results[0].uses:
+            reader = use.operation
+            enclosing = reader.parent_op()
+            while enclosing is not None and enclosing.name not in _NESTS:
+                enclosing = enclosing.parent_op()
+            if reader.name != "memref.load" or use.index != 0 \
+                    or enclosing is None or nest not in (None, enclosing):
+                return None
+            nest = enclosing
+        if nest is None:
+            return None
+        outer = nest
+        while outer.parent_block() is not block:
+            outer = outer.parent_op()
+            if outer is None or outer.name != "omp.parallel":
+                return None
+        if block.index_of(outer) < block.index_of(op):
+            return None
+        try:
+            bounds, ivs, body = _nest_structure(nest)
+        except KernelUnsupported:
+            return None
+        rank = int(nest.get_attr("rank").value)  # type: ignore[union-attr]
+        inner: List[SSAValue] = []
+        for dim, (lower, upper, step) in enumerate(bounds):
+            if _constant(step) != 1:
+                return None
+            if dim >= rank:
+                for value in (lower, upper):
+                    owner = value.op if isinstance(value, OpResult) \
+                        else value.block.parent_op()
+                    if owner is not None and nest.is_ancestor_of(owner):
+                        return None
+                    inner.append(value)
+        axes = None
+        for use in source.uses:
+            user = use.operation
+            if user is op or _compares(use):
+                continue
+            if user.name != "memref.store" or use.index != 1 \
+                    or user.parent_block() is not body:
+                return None
+            mapped = tuple(_iv_offset(index, ivs) for index in user.operands[2:])
+            if None in mapped or axes not in (None, mapped) or \
+                    sorted(dim for dim, _ in mapped) != list(range(len(ivs))):
+                return None
+            axes = mapped
+        if axes is None:
+            return None
+        others = tuple(arg for arg in func.entry_block.args if arg is not root)
+        return cls(nest, others, tuple(inner), axes)
+
+    def shell(self, lowers: Sequence[int], uppers: Sequence[int],
+              shape: Tuple[int, ...]) -> Tuple[Tuple[slice, ...], ...]:
+        """Disjoint slabs covering the array outside the stores' window over
+        the iteration domain ``[lowers, uppers)``: all of it when the window
+        is empty or leaves the array (the nest then writes nothing, or what
+        a full copy would)."""
+        window = []
+        for (dim, offset), extent in zip(self.axes, shape):
+            low, high = lowers[dim] + offset, uppers[dim] + offset
+            if low < 0 or high > extent or low >= high:
+                return _WHOLE
+            window.append(slice(low, high))
+        slabs = []
+        for axis, (cut, extent) in enumerate(zip(window, shape)):
+            head = tuple(window[:axis])
+            if cut.start > 0:
+                slabs.append(head + (slice(0, cut.start),))
+            if cut.stop < extent:
+                slabs.append(head + (slice(cut.stop, extent),))
+        return tuple(slabs)
+
+
+class _SwapRecord:
+    """One buffer's swaps during one top-level call: its own array, the spare
+    its next swap writes (the array the last one displaced), and the write
+    count and (plan, domain) of the last shell fill."""
+
+    __slots__ = ("own", "spare", "stamp", "key")
+
+    def __init__(self, own: np.ndarray):
+        self.own = own
+        self.spare: Optional[np.ndarray] = None
+        self.stamp: Optional[int] = None
+        self.key: Optional[Tuple[SwapPlan, Tuple[int, ...]]] = None
+
+
+def _nest_domain(kernel, externals):
+    """A nest kernel's own (lowers, uppers, steps): its rank counts collapsed
+    inner loops, read back through its bound slots."""
+    return tuple(zip(*([int(externals[slot]) for slot in dim]
+                       for dim in kernel.bound_slots)))
+
+
+class Sweep:
+    """One interpreter's sweeps outside "interpret" mode.  The handlers of
+    the ops that can vectorize call :meth:`nest`, :meth:`apply`,
+    :meth:`launch` and :meth:`snapshot`; each top-level call goes through
+    :meth:`call`.  The mode, kernel compiler, thread count and array-write
+    count are read off ``interp`` when used; ``verdicts`` is its link
+    table's memo."""
+
+    def __init__(self, interp, verdicts: Dict):
+        self.interp = interp
+        self.stats = interp.stats
+        self._verdicts = verdicts
+        #: Built at the first gpu.launch_func.
+        self._gpu_engine: Optional[GpuKernelEngine] = None
+        #: While a top-level call runs: each swapped buffer's record, and the
+        #: call's arguments (a second name of a swapped array among them
+        #: keeps the copy).
+        self._swaps: Optional[Dict[MemoryBuffer, _SwapRecord]] = None
+        self._arguments: Sequence[object] = ()
+        #: nest op -> (buffer, displaced array, plan, record, shell key the
+        #: spare already holds) of each swap whose nest has not run.
+        self._unfilled: Dict[Operation, List[Tuple]] = {}
+
+    def call(self, arguments: Sequence[object], body: Callable):
+        """``body()``, a top-level call of ``arguments`` whose snapshots may
+        swap.  It leaves every swapped buffer on its own array, holding the
+        result: a swap whose nest never ran (the call raised) is undone, and
+        a buffer left on a spare (an odd number of swaps) is copied back.
+        The spares go with the table."""
+        self._swaps, self._arguments = {}, arguments
+        try:
+            return body()
+        finally:
+            swaps, self._swaps, self._arguments = self._swaps, None, ()
+            for pending in self._unfilled.values():
+                for buffer, displaced, *_ in pending:
+                    buffer.data = displaced
+            self._unfilled.clear()
+            for buffer, record in swaps.items():
+                if buffer.data is not record.own:
+                    np.copyto(record.own, buffer.data)
+                    buffer.data = record.own
+
+    def nest(self, op: Operation, frame, scalar_runner: Callable,
+             lowers: Sequence[int], uppers: Sequence[int]) -> None:
+        """Run a loop nest.  A swapped field's spare gets its shell after the
+        sweep, however the sweep ends: the displaced array it copies from is
+        only read."""
+        swapped = self._unfilled.pop(op, None)
+        try:
+            self.run(frame, self.interp.kernels.kernel_for(op), _nest_domain,
+                     scalar_runner)
+        finally:
+            if swapped is not None:
+                self._fill_shells(swapped, frame, lowers, uppers)
+
+    def apply(self, op: Operation, frame, scalar_runner: Callable,
+              lb: Tuple[int, ...], ub: Tuple[int, ...],
+              inputs: Sequence[np.ndarray]):
+        """The results, or :data:`DELIVERED` when the sweep wrote them where
+        their stores put them (``inputs``: the arrays of the temps read)."""
+        delivery = self._delivery(op, frame, tuple(u - l for l, u in zip(lb, ub)),
+                                  inputs)
+        returned = self.run(
+            frame, self.interp.kernels.kernel_for(op),
+            lambda kernel, externals: (lb, ub), scalar_runner, delivery=delivery)
+        return DELIVERED if returned is delivery[0] is not None else returned
+
+    def launch(self, op: Operation, kernel_op: Operation, frame,
+               scalar_runner: Callable, grid: Sequence[int],
+               block: Sequence[int]) -> None:
+        """The thread lattice, clipped by the compiled guards."""
+        if self._gpu_engine is None:
+            self._gpu_engine = GpuKernelEngine(self.interp.kernels)
+        self.run(frame, self._gpu_engine.kernel_for(op, kernel_op),
+                 lambda kernel, externals: kernel.launch_domain(grid, block),
+                 scalar_runner, ("gpu_launches_vectorized", "gpu_launch_fallbacks"))
+
+    def snapshot(self, op: Operation, frame) -> Optional[MemoryBuffer]:
+        """The swapped-out array a ``memref.snapshot`` keeps
+        (:class:`SwapPlan`); None when it copies or aliases."""
+        if self._swaps is None:
+            return None
+        plan = self._verdicts[SwapPlan.of, op]
+        swapped = None if plan is None else \
+            self._swap(frame.get(op.operands[0]), plan, frame)
+        if swapped is not None:
+            self.stats["snapshots_swapped"] += 1
+        return swapped
+
+    def run(self, frame, bound, domain_of: Callable, scalar_runner: Callable,
+            counters: Tuple[str, str] = ("vectorized_sweeps",
+                                         "vectorize_fallbacks"),
+            delivery: Tuple[Optional[List[np.ndarray]], bool] = (None, False)):
+        """The one execution path of every vectorizable sweep op: runtime
+        guards → box plan → :func:`run_boxes` → crosscheck → stats.  Returns
+        the kernel's results — ``scalar_runner``'s when there is no kernel
+        or a guard fails.
+
+        Callers supply only what differs per op: ``bound`` is the op's
+        :class:`BoundKernel` (or None); ``domain_of(kernel, externals)`` the
+        ``(lowers, uppers[, steps])`` iteration domain the runtime guards
+        check; ``scalar_runner`` is the reference semantics, used as fallback
+        and as crosscheck oracle so the two cannot diverge; ``counters`` the
+        (vectorized, fallback) stats keys; ``delivery`` the (destinations,
+        deferred) of :func:`run_boxes`: used destinations are what comes back.
+        """
+        interp = self.interp
+        interp.array_writes += 1
+        done_key, fallback_key = counters
+        if bound is not None:
+            kernel = bound.kernel
+            externals = [frame.get(v) for v in bound.external_values] + bound.constants
+            domain = domain_of(kernel, externals)
+            if not kernel.guards_pass(externals, *domain):
+                bound = None
+        if bound is None:
+            self.stats[fallback_key] += 1
+            return scalar_runner()
+        lowers, uppers = tuple(domain[0]), tuple(domain[1])
+        threads = interp.threads
+
+        def vector_runner():
+            start = _time.perf_counter()
+            boxes, slabs, shape = self._plan_sweep(kernel, externals, lowers,
+                                                   uppers)
+            if threads > 1 and slabs == 1:
+                self.stats["parallel_fallbacks"] += 1
+            chosen: List[str] = []
+            results = run_boxes(kernel, externals, lowers, uppers, boxes,
+                                threads, chosen, *delivery)
+            if results is None:
+                # A result broadcasts along a tiled dimension, so the boxes
+                # cannot be delivered.  The defect is structural: remember
+                # the refusal and recompute whole-domain (kernels are pure).
+                kernel.tileable = False
+                if slabs > 1:
+                    self.stats["parallel_fallbacks"] += 1
+                if shape is not None:
+                    self.stats[shape + "_fallbacks"] += 1
+                results = run_boxes(kernel, externals, lowers, uppers,
+                                    [(lowers, uppers)], 1, chosen, *delivery)
+            else:
+                if slabs > 1:
+                    self.stats["parallel_sweeps"] += 1
+                    self.stats["parallel_tiles"] += slabs
+                if shape is not None:
+                    self.stats[shape + "_tiles"] += len(boxes)
+            interp.kernels.record_invocation(kernel.label,
+                                             _time.perf_counter() - start, chosen)
+            return results
+
+        if interp.execution_mode == "crosscheck":
+            results = self._crosscheck(kernel, externals, vector_runner,
+                                       scalar_runner, delivery[0])
+        else:
+            results = vector_runner()
+        self.stats[done_key] += 1
+        return results
+
+    def _plan_sweep(self, kernel, externals, lowers, uppers):
+        """One sweep's :func:`plan_sweep`, fed from the kernel (the strides
+        of the first array it sweeps, the arrays it touches per point) and
+        the thread count.  A kernel whose boxes cannot run independently
+        (``tileable`` false) runs the whole domain; so does a pure kernel
+        over an empty one, which still owes its (empty) results.
+        """
+        whole = [(lowers, uppers)], 1, None
+        if not kernel.tileable:
+            return whole
+        plan = plan_sweep(lowers, uppers, self.interp.threads,
+                          strides=kernel.dim_strides(externals),
+                          arrays=kernel.arrays_per_point)
+        return plan if plan[0] or kernel.stores else whole
+
+    def _crosscheck(self, kernel, externals, vector_runner: Callable,
+                    scalar_runner: Callable, destinations=None):
+        """Run the compiled kernel (tiled as planned) AND the scalar oracle
+        and require bitwise agreement on every stored array and returned
+        value.  Leaves the oracle's stores in memory: results delivered into
+        ``destinations`` are read back, the destinations restored and the
+        oracle's values returned for their stores to write."""
+        targets = kernel.store_targets(externals)
+        saved = targets + (destinations or [])
+        before = [t.copy() for t in saved]
+        results = vector_runner()
+        vectorized = [np.copy(v) for v in targets + list(results or [])]
+        for target, copy in zip(saved, before):
+            np.copyto(target, copy)
+        oracle = list(scalar_runner() or [])
+        for ref, vec in zip(targets + oracle, vectorized):
+            ref, vec = np.broadcast_arrays(np.asarray(ref), np.asarray(vec))
+            if not np.array_equal(ref, vec, equal_nan=True):
+                worst = float(np.max(np.abs(ref.astype(np.float64)
+                                            - vec.astype(np.float64))))
+                # The parameters are the last externals.
+                constants = externals[len(externals) - len(kernel.parameters):]
+                raise InterpreterError(
+                    f"vectorized {kernel.label} diverged from the "
+                    f"scalar oracle (max |diff| = {worst:g});\n"
+                    f"--- kernel source ---\n{kernel.source}"
+                    "--- parameters ---\n" + ", ".join(
+                        f"c{k} = {value!r}" for k, value in enumerate(constants)))
+        return oracle if results is destinations is not None else results
+
+    @staticmethod
+    def _stores_of_results(op: Operation) -> Optional[Tuple[Operation, ...]]:
+        """The ``stencil.store`` of each result of a ``stencil.apply`` whose
+        results are simply stored — one use each, a store over the apply's
+        ``lb``/``ub``, these the next ops of its block: into fields defined
+        before it, and written by the sweep or after it nobody can tell."""
+        stores = [use.operation for result in op.results for use in result.uses]
+        block = op.parent_block()
+        if block is None or not all(
+                len(result.uses) == 1 and store.name == "stencil.store"
+                and store.operands[0] is result
+                and all(store.get_attr(k) == op.get_attr(k) for k in ("lb", "ub"))
+                for result, store in zip(op.results, stores)):
+            return None
+        following = block.ops[block.index_of(op) + 1:][:len(stores)]
+        return tuple(stores) if {id(o) for o in following} \
+            == {id(store) for store in stores} else None
+
+    def _delivery(self, op: Operation, frame, domain, inputs):
+        """``(destinations, deferred)`` of an apply sweep: the window each
+        result's store writes, if the results are simply stored and the
+        windows whole and pairwise disjoint; and whether one shares memory
+        with an input (in-place Gauss-Seidel), so all boxes must read first."""
+        windows: List[np.ndarray] = []
+        for store in self._verdicts[self._stores_of_results, op] or ():
+            field = frame.get(store.operands[1])
+            window = field.buffer.data[store_window(store, field.lb)]
+            if window.shape != domain or any(
+                    np.may_share_memory(window, other) for other in windows):
+                return None, False
+            windows.append(window)
+        return windows or None, any(np.may_share_memory(window, data)
+                                    for window in windows for data in inputs)
+
+    def _swap(self, source: MemoryBuffer, plan: SwapPlan,
+              frame) -> Optional[MemoryBuffer]:
+        """Point ``source`` at a spare array and return its current one,
+        read-only, as the snapshot; None when another argument of the call
+        or of the function names that memory.  After the nest,
+        :meth:`_fill_shells` copies the shell it does not write; the
+        displaced array is the buffer's next spare."""
+        data = source.data
+        names = 0
+        for argument in self._arguments:
+            holder = getattr(argument, "buffer", argument)
+            if holder is source:
+                names += 1
+            elif np.may_share_memory(holder.data, data):
+                return None
+        for value in plan.others:
+            other = frame.values.get(value)
+            if isinstance(other, MemoryBuffer) and (
+                    other is source or np.may_share_memory(other.data, data)):
+                return None
+        if names > 1:
+            return None
+        record = self._swaps.get(source)
+        if record is None:
+            record = self._swaps[source] = _SwapRecord(data)
+        # The spare is the array the last swap displaced: its shell is the
+        # one that swap's fill copied out of it, unless an array was written.
+        current = record.key if record.stamp == self.interp.array_writes \
+            else None
+        source.data = record.spare if record.spare is not None \
+            else spare_like(data)
+        record.spare = data
+        self._unfilled.setdefault(plan.nest, []).append(
+            (source, data, plan, record, current))
+        snapshot = data.view()
+        snapshot.flags.writeable = False
+        return MemoryBuffer(snapshot)
+
+    def _fill_shells(self, swapped, frame, lowers: Sequence[int],
+                     uppers: Sequence[int]) -> None:
+        """Copy into each buffer's new array, from the array its snapshot
+        kept, the shell the nest's stores leave unwritten over this domain —
+        unless the new array holds that shell already: nothing has written
+        an array since it was filled for the same domain."""
+        values = frame.values
+        for buffer, displaced, plan, record, current in swapped:
+            key = (*lowers, *uppers, *map(int, map(values.__getitem__, plan.inner)),
+                   *displaced.shape)
+            record.stamp, record.key = self.interp.array_writes, (plan, key)
+            if record.key == current:
+                continue
+            shell = plan.shells.get(key)
+            if shell is None:
+                bounds = list(map(int, map(values.__getitem__, plan.inner)))
+                shell = plan.shells[key] = plan.shell(
+                    list(lowers) + bounds[0::2], list(uppers) + bounds[1::2],
+                    displaced.shape)
+            if shell == _WHOLE:
+                # Stores off the array may land anywhere: never current.
+                record.stamp = None
+            data = buffer.data
+            for slab in shell:
+                data[slab] = displaced[slab]
+
+
+__all__ = [
+    "plan_boxes",
+    "plan_cache_boxes",
+    "plan_sweep",
+    "usable_cpus",
+    "run_boxes",
+    "get_executor",
+    "SwapPlan",
+    "Sweep",
+]

@@ -183,7 +183,7 @@ def test_every_call_gets_its_own_interpreter_over_one_table():
     assert a is not b and a.stats is not b.stats
     assert a.kernels is not b.kernels and a.kernels.stats is not b.kernels.stats
     assert a.kernels._memo is b.kernels._memo is handle.artifact.linked.bindings
-    assert a._snapshot_copies is handle.artifact.linked.snapshot_copies
+    assert a._verdicts is a.sweep._verdicts is handle.artifact.linked.verdicts
 
 
 @pytest.mark.parametrize("app,backend,options", [

@@ -15,6 +15,7 @@ from repro.frontend import (
     tokenize,
 )
 from repro.frontend.ast_nodes import Assignment, BinaryOp, DoLoop, IfBlock, IntrinsicCall
+from repro.ir import print_module
 from repro.runtime import Interpreter
 
 
@@ -49,6 +50,42 @@ class TestLexer:
     def test_relational_operators(self):
         kinds = [t.kind for t in tokenize("if (a <= b .and. c /= d) then")]
         assert "LE" in kinds and "NE" in kinds and "DOTOP" in kinds
+
+    @pytest.mark.parametrize("spelling", [".AND.", ".Eq.", ".TRUE.", ".nOt.",
+                                          ".NEQV.", ".Ge."])
+    def test_dotted_operators_in_any_case(self, spelling):
+        token = tokenize(f"x = a {spelling} b")[3]
+        assert (token.kind, token.value) == ("DOTOP", spelling.lower())
+
+    def test_upper_case_kernel_compiles_to_its_lower_case_twin(self):
+        lower = """
+subroutine mask(a, b)
+  implicit none
+  real(kind=8), intent(in) :: a(8)
+  real(kind=8), intent(inout) :: b(8)
+  logical :: flag
+  integer :: i
+  flag = .true.
+  do i = 2, 7
+    if (a(i) .gt. 0.0d0 .and. .not. (a(i) .eq. b(i)) .or. .false.) then
+      b(i) = a(i - 1) + a(i + 1)
+    end if
+    if (flag .and. a(i) .le. b(i) .or. a(i) .ne. 1.0d0 .and. &
+        a(i) .ge. 0.5d0 .or. a(i) .lt. 0.0d0) then
+      b(i) = b(i) * 2.0d0
+    end if
+  end do
+end subroutine mask
+"""
+        upper = lower
+        for word, spelling in (("true", "TRUE"), ("gt", "GT"), ("and", "AND"),
+                               ("not", "Not"), ("eq", "Eq"), ("or", "OR"),
+                               ("false", "FALSE"), ("le", "lE"), ("ne", "NE"),
+                               ("ge", "GE"), ("lt", "Lt")):
+            upper = upper.replace(f".{word}.", f".{spelling}.")
+        assert upper != lower
+        assert print_module(compile_to_fir(upper)) == \
+            print_module(compile_to_fir(lower))
 
     def test_unexpected_character(self):
         from repro.frontend.lexer import LexError

@@ -12,21 +12,21 @@ whatever kernel has a flat body runs it, box after box.
 from collections import defaultdict
 
 from repro.fuzz import DifferentialRunner, Farm
-from repro.runtime import Interpreter, parallel_executor
+from repro.runtime import sweep
 
 
 def test_differential_fuzz_through_default_boxes(fuzz_seeds, monkeypatch):
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 128)
+    monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 128)
     #: matrix cell -> the (boxes, slabs, shape) of every sweep it planned
     plans = defaultdict(list)
     interpreters = defaultdict(set)
     cell = [None]
-    plan_sweep = Interpreter._plan_sweep
+    plan_sweep = sweep.Sweep._plan_sweep
 
     def recording_plan(self, *args):
         boxes, slabs, shape = plan_sweep(self, *args)
         plans[cell[0]].append((len(boxes), slabs, shape))
-        interpreters[cell[0]].add(self)
+        interpreters[cell[0]].add(self.interp)
         return boxes, slabs, shape
 
     class RecordingRunner(DifferentialRunner):
@@ -34,7 +34,7 @@ def test_differential_fuzz_through_default_boxes(fuzz_seeds, monkeypatch):
             cell[0] = cfg.label
             return super().run_config(spec, cfg)
 
-    monkeypatch.setattr(Interpreter, "_plan_sweep", recording_plan)
+    monkeypatch.setattr(sweep.Sweep, "_plan_sweep", recording_plan)
     report = Farm(RecordingRunner(), count=fuzz_seeds).run()
     assert report.cases == fuzz_seeds
     details = "\n".join(d.describe() for d in report.divergences)

@@ -29,8 +29,8 @@ import pytest
 
 from repro.dialects import stencil
 from repro.fuzz import DifferentialRunner, Farm, default_matrix, generate_spec, minimize
-from repro.runtime import Interpreter, parallel_executor
-from repro.runtime import interpreter as interpreter_module
+from repro.runtime import sweep as sweep_module
+from repro.runtime.sweep import Sweep
 from repro.runtime import kernel_compiler
 from repro.runtime.kernel_compiler import CompiledKernel, _BodyTranslator
 
@@ -54,13 +54,13 @@ def plant_short_span(monkeypatch):
 
 
 def plant_immediate_despite_aliasing(monkeypatch):
-    real = Interpreter._delivery
-    monkeypatch.setattr(Interpreter, "_delivery",
+    real = Sweep._delivery
+    monkeypatch.setattr(Sweep, "_delivery",
                         lambda *args: (real(*args)[0], False))
 
 
 def plant_deferred_writes_one_box_off(monkeypatch):
-    real = interpreter_module.run_boxes
+    real = sweep_module.run_boxes
 
     def shifted(kernel, externals, lowers, uppers, boxes, threads, chosen,
                 destinations, deferred):
@@ -72,7 +72,7 @@ def plant_deferred_writes_one_box_off(monkeypatch):
         return real(kernel, externals, lowers, uppers, boxes, threads, chosen,
                     destinations, deferred)
 
-    monkeypatch.setattr(interpreter_module, "run_boxes", shifted)
+    monkeypatch.setattr(sweep_module, "run_boxes", shifted)
 
 
 def plant_codegen_syntax_error(monkeypatch):
@@ -143,7 +143,7 @@ def test_planted_bug_is_caught_and_minimized(monkeypatch, plant, backends,
                                    plant_deferred_writes_one_box_off])
 def test_planted_delivery_bug_is_caught_and_minimized(monkeypatch, plant):
     """Both live where an in-place statement's sweep is cut into boxes."""
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 128)
+    monkeypatch.setattr(sweep_module, "CACHE_BUDGET_BYTES", 128)
     label = "cpu/vectorize"
     runner = DifferentialRunner(backends=("cpu",))
     assert Farm(runner, count=SEEDS).run().ok

@@ -22,6 +22,7 @@ must be among them.  A leaf that no compile builds exists only so a decoder
 can read it, and so goes, with its spelling in the parser.
 """
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,15 @@ from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import ALL_DIALECTS, fir
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Attribute, parse_module, print_module
+from repro.ir import traits as traits_module
 from repro.ir.operation import Operation
-from repro.runtime import Interpreter, parallel_executor
+from repro.runtime import Interpreter, sweep
 from repro.runtime.interpreter import InterpreterError
 from repro.runtime.memory import numpy_dtype_for
 from repro.serve.store import ArtifactStore
 
 CORPUS = Path(__file__).resolve().parents[2] / "fuzz" / "corpus"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Every backend configuration: cpu at both levels, both GPU data
 #: strategies, and a 2x2 process grid.
@@ -213,7 +216,7 @@ def _exercise(session, store_dir):
     plan.run(gauss_seidel.initial_condition(12), iterations=2)
     # Multi-box sweeps, at the stencil level and on a lowered nest.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 256)
+        patch.setattr(sweep, "CACHE_BUDGET_BYTES", 256)
         _run(session.compile(pw_advection.generate_source(8)).lower("cpu"))
         _run(gs.lower("openmp"))
     # A store reload parses every attribute back, and linking one module
@@ -294,3 +297,25 @@ def test_every_type_and_attribute_class_is_constructed(traffic):
     unbuilt = sorted(cls.__name__
                      for cls in set(_leaf_classes(Attribute)) - traffic.leaves)
     assert not unbuilt, f"never constructed: {unbuilt}"
+
+
+def test_every_trait_is_read_or_verifies():
+    """A trait is a check (``verify_trait``) or a question some code asks
+    (its name read in ``src``); one only ever declared in ``traits = (...)``
+    tuples and imports says nothing."""
+    declared = {name: cls for name, cls in vars(traits_module).items()
+                if isinstance(cls, type)
+                and cls.__module__ == traits_module.__name__}
+    read = set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_declarations = {
+            id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+            and any(getattr(target, "id", None) == "traits" for target in assign.targets)
+            for node in ast.walk(assign.value)}
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id in declared
+                 and id(node) not in in_declarations}
+    idle = sorted(name for name, cls in declared.items()
+                  if name not in read and not hasattr(cls, "verify_trait"))
+    assert not idle, f"declared, never read or verified: {idle}"

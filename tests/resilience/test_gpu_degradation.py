@@ -188,7 +188,7 @@ class TestForcedLaunchFallback:
         forced_dst = np.zeros((n, n), order="F")
         forced = Interpreter(module, gpu=SimulatedGPU(),
                              execution_mode="vectorize")
-        forced._gpu_engine = RefusingEngine()
+        forced.sweep._gpu_engine = RefusingEngine()
         forced.call("shift", forced_dst, src)
         assert forced.stats["gpu_launch_fallbacks"] >= 1
         assert forced.stats["gpu_launches_vectorized"] == 0

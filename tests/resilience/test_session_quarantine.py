@@ -69,6 +69,18 @@ class TestQuarantine:
         # The quarantine hit never reached the backend: no retry storm.
         assert stats["compile_retries"] == 1
 
+    def test_quarantine_hits_do_not_grow_the_traceback(self):
+        """Each hit re-raises from the compile's traceback: the 2nd and the
+        50th hit carry equally many frames."""
+        session = session_with((CompileFault(index=0, count=2),))
+        depths = []
+        for _ in range(50):
+            with pytest.raises(InjectedFault) as caught:
+                session.compile(SOURCE).lower("cpu")
+            depths.append(len(caught.traceback))
+        assert depths[1] == depths[49]
+        assert session.resilience_stats["quarantine_hits"] == 49
+
     def test_quarantine_is_per_cache_key(self):
         session = session_with((CompileFault(index=0, count=2),))
         with pytest.raises(InjectedFault):

@@ -3,7 +3,7 @@
 A lowered nest that overwrites the field its ``memref.snapshot`` reads points
 the field's buffer at a spare array, keeps the old one as the snapshot and
 copies only the boundary shell its stores leave unwritten
-(:class:`repro.runtime.interpreter.SwapPlan`).  Every spare here comes out of
+(:class:`repro.runtime.sweep.SwapPlan`).  Every spare here comes out of
 ``spare_like`` filled with NaN, so a cell the swap forgets to fill reads as
 NaN and the bitwise comparison against ``interpret`` mode (which always
 copies) fails.  ``--fuzz-seeds N`` deepens the generated in-place specs
@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.apps import gauss_seidel
 from repro.fuzz import DifferentialRunner, generate_spec
-from repro.runtime import interpreter as interpreter_module
+from repro.runtime import sweep as sweep_module
 from repro.runtime import kernel_compiler
 from repro.runtime.kernel_compiler import _BodyTranslator
 
@@ -32,7 +32,7 @@ def spares(monkeypatch):
         made.append(np.full_like(array, np.nan))
         return made[-1]
 
-    monkeypatch.setattr(interpreter_module, "spare_like", poisoned)
+    monkeypatch.setattr(sweep_module, "spare_like", poisoned)
     return made
 
 
@@ -229,10 +229,10 @@ def test_one_n96_operation_copies_at_most_one_field(niters, spares,
     n = 96
     copies, current = [], []
     real_copyto = np.copyto
-    monkeypatch.setattr(interpreter_module.np, "copyto", lambda dst, src, **kw: (
+    monkeypatch.setattr(sweep_module.np, "copyto", lambda dst, src, **kw: (
         copies.append(dst.shape), real_copyto(dst, src, **kw)))
-    real_fill = interpreter_module.Interpreter._fill_shells
-    monkeypatch.setattr(interpreter_module.Interpreter, "_fill_shells",
+    real_fill = sweep_module.Sweep._fill_shells
+    monkeypatch.setattr(sweep_module.Sweep, "_fill_shells",
                         lambda self, swapped, *args: (
         current.extend(entry[-1] is not None for entry in swapped),
         real_fill(self, swapped, *args)))
@@ -247,8 +247,8 @@ def test_one_n96_operation_copies_at_most_one_field(niters, spares,
     assert len(spares) == 1
     assert copies.count(field.shape) == niters % 2
     assert current == [False] + [True] * (niters - 1)
-    plan, = [plan for plan in handle.artifact.linked.snapshot_swaps.values()
-             if plan is not None]
+    plan, = [plan for plan in handle.artifact.linked.verdicts.values()
+             if isinstance(plan, sweep_module.SwapPlan)]
     shell, = plan.shells.values()
     cells = sum(field[slab].size for slab in shell)
     assert cells == n ** 3 - (n - 2) ** 3           # 6.1 % of the field

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.runtime import parallel_executor
+from repro.runtime import sweep
 
 _N = 96
 #: A budget no n=96 working set reaches: every sweep is one box.
@@ -47,7 +47,7 @@ def test_default_plan_blocks_and_beats_the_whole_domain(pw_handle, monkeypatch):
     whole_out, run_whole = _runner(pw_handle)
     assert run_default().stats["cache_tiles"] > 0
     default_s = _best_of(run_default)
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", _WHOLE_DOMAIN)
+    monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", _WHOLE_DOMAIN)
     assert run_whole().stats["cache_tiles"] == 0
     whole_s = _best_of(run_whole)
     assert all(d.tobytes() == w.tobytes()
@@ -97,9 +97,9 @@ def test_cache_boxes_are_bitwise_the_whole_domain_sweep(app, config, budget,
     backend, options = _CONFIGS[config]
     handle = repro.compile(app.generate_source(12, niters=2)).lower(
         backend, **options)
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", _WHOLE_DOMAIN)
+    monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", _WHOLE_DOMAIN)
     whole, whole_stats = _run_app(app, handle, threads)
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES",
+    monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES",
                         _CUT_BUDGETS[budget])
     boxed, stats = _run_app(app, handle, threads)
     assert whole_stats["cache_tiles"] == 0 and stats["cache_tiles"] > 0

@@ -19,8 +19,8 @@ from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import arith, stencil
 from repro.fuzz import DifferentialRunner, Farm
 from repro.ir import Builder, f64
-from repro.runtime import Interpreter, InterpreterError, parallel_executor
-from repro.runtime import interpreter as interpreter_module
+from repro.runtime import InterpreterError
+from repro.runtime import sweep as sweep_module
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
 from test_kernel_compiler import windowed_only
@@ -35,13 +35,13 @@ Sweep = namedtuple("Sweep", "boxes mode delivered")
 
 @pytest.fixture(autouse=True)
 def tiny_boxes(monkeypatch):
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 128)
+    monkeypatch.setattr(sweep_module, "CACHE_BUDGET_BYTES", 128)
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
     calls = []
-    real = interpreter_module.run_boxes
+    real = sweep_module.run_boxes
 
     def recording(kernel, externals, lowers, uppers, boxes, threads=1,
                   chosen=None, destinations=None, deferred=False):
@@ -53,7 +53,7 @@ def sweeps(monkeypatch):
                            destinations is not None and results is destinations))
         return results
 
-    monkeypatch.setattr(interpreter_module, "run_boxes", recording)
+    monkeypatch.setattr(sweep_module, "run_boxes", recording)
     return calls
 
 
@@ -187,16 +187,21 @@ def test_the_verdict_is_the_applys_stores_in_result_order_and_is_kept():
     compiled = lower(pw_advection.generate_source(N))
     [apply_op] = [op for op in compiled.stencil_module.walk()
                   if op.name == "stencil.apply"]
-    stores = Interpreter._stores_of_results(apply_op)
+    stores = sweep_module.Sweep._stores_of_results(apply_op)
     assert [store.operands[0] for store in stores] == list(apply_op.results)
-    table = compiled._artifact.linked.result_stores
-    assert table == {}
+    verdicts = compiled._artifact.linked.verdicts
+
+    def table():
+        return {op: verdict for (judge, op), verdict in verdicts.items()
+                if judge is sweep_module.Sweep._stores_of_results}
+
+    assert table() == {}
     run_pw(compiled, "vectorize")
-    assert table == {apply_op: stores}
+    assert table() == {apply_op: stores}
     # Interpret mode never asks, and a second run finds the answer.
     run_pw(compiled, "interpret")
     run_pw(compiled, "vectorize")
-    assert table == {apply_op: stores}
+    assert table() == {apply_op: stores}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +325,7 @@ def test_an_output_that_is_also_an_input_defers(sweeps):
 def test_crosscheck_raises_when_a_box_lands_in_the_wrong_window(monkeypatch, app):
     """Every box computes its successor's values (all boxes here have one
     shape), so each delivery — immediate or deferred — lands one box off."""
-    real = interpreter_module.run_boxes
+    real = sweep_module.run_boxes
 
     def shifted(kernel, externals, lowers, uppers, boxes, *rest):
         successor = dict(zip(boxes, boxes[1:] + boxes[:1]))
@@ -328,7 +333,7 @@ def test_crosscheck_raises_when_a_box_lands_in_the_wrong_window(monkeypatch, app
                                kernel.fn(ext, *successor[lb, ub], chosen))
         return real(shim, externals, lowers, uppers, boxes, *rest)
 
-    monkeypatch.setattr(interpreter_module, "run_boxes", shifted)
+    monkeypatch.setattr(sweep_module, "run_boxes", shifted)
     with pytest.raises(InterpreterError, match="diverged from the scalar oracle") as caught:
         if app == "pw_advection":
             run_pw(lower(pw_advection.generate_source(N)), "crosscheck")
@@ -345,7 +350,7 @@ def test_crosscheck_reads_delivered_values_back_and_restores_the_windows(
     """Poison what the sweep delivers: the run raises, and the memory it
     leaves is the input's (without the poison the stores then write the
     oracle's values, which every crosscheck case above compares)."""
-    real = interpreter_module.run_boxes
+    real = sweep_module.run_boxes
 
     def poisoned(*args):
         results = real(*args)
@@ -353,7 +358,7 @@ def test_crosscheck_reads_delivered_values_back_and_restores_the_windows(
         return results
 
     compiled = lower(gauss_seidel.generate_source(N, niters=1))
-    monkeypatch.setattr(interpreter_module, "run_boxes", poisoned)
+    monkeypatch.setattr(sweep_module, "run_boxes", poisoned)
     u = gauss_seidel.initial_condition(N)
     with pytest.raises(InterpreterError, match="diverged"):
         compiled.with_options(execution_mode="crosscheck").run("gauss_seidel", u)

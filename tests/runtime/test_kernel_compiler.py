@@ -867,7 +867,7 @@ class TestGuardsAndFallbacks:
         assert bound.constants == [0.5]  # the body's own literal
         externals += bound.constants
         lb, ub = (1, 1), (n - 1, n - 1)
-        assert bound.kernel.apply_guards_pass(externals, lb, ub)
+        assert bound.kernel.guards_pass(externals, lb, ub)
         [result] = bound.kernel.fn(externals, lb, ub)
         expected = (temp.data[0:n - 2, 1:n - 1] + temp.data[2:n, 1:n - 1]) * 0.5 * 3.0
         assert np.allclose(result, expected)

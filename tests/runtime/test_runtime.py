@@ -280,6 +280,12 @@ end subroutine scale
         assert np.isclose(out, expected)
 
 
+def load_verdicts(interp):
+    """``stencil.load`` op -> whether it copies, as linked for ``interp``."""
+    return {op: verdict for (_, op), verdict in interp._verdicts.items()
+            if op.name == "stencil.load"}
+
+
 def build_shift_chain(n, between=None):
     """func(a, b): ``t = load(a)``; optionally one op in between; an apply
     whose body returns ``t[i + 1]`` *unmodified*; then the result is stored
@@ -329,7 +335,7 @@ class TestSnapshotElision:
             runs[mode] = start.copy(order="F")
             interp = compiled.with_options(
                 execution_mode=mode).run("gauss_seidel", runs[mode])
-            assert list(interp._snapshot_copies.values()) == [False]
+            assert list(load_verdicts(interp).values()) == [False]
         # The verdict is linked into the artifact once, so the always-copy
         # oracle is a fresh artifact (its own session), not a later run.
         self._always_copy(monkeypatch)
@@ -337,7 +343,7 @@ class TestSnapshotElision:
         oracle = repro.Session().lower(
             compiled.source, "cpu", execution_mode="interpret").run(
                 "gauss_seidel", copied)
-        assert list(oracle._snapshot_copies.values()) == [True]
+        assert list(load_verdicts(oracle).values()) == [True]
         assert runs["vectorize"].tobytes() == runs["interpret"].tobytes() \
             == copied.tobytes() == gauss_seidel.reference_jacobi(start, 3).tobytes()
 
@@ -409,7 +415,7 @@ class TestSnapshotElision:
         b = np.zeros(n)
         interp = Interpreter([module], execution_mode=mode)
         interp.call("shift", a, b)
-        assert interp._snapshot_copies == {load: False}
+        assert load_verdicts(interp) == {load: False}
         shifted = np.arange(1, n, dtype=np.float64)
         assert np.array_equal(a[:n - 1], shifted) and a[n - 1] == n - 1
         assert np.array_equal(b[:n - 1], shifted)   # the snapshot, not a's new contents

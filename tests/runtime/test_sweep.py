@@ -1,6 +1,6 @@
 """Tests for the multi-core tiled kernel execution engine.
 
-Five contract areas of ``repro.runtime.parallel_executor`` and its
+Five contract areas of ``repro.runtime.sweep`` and its
 interpreter wiring:
 
 * **sweep planning** — near-equal static slabs of the outermost dimension,
@@ -34,9 +34,8 @@ from repro.dialects import arith, omp, stencil
 from repro.harness import measured_openmp_scaling
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder
-from repro.runtime import Frame, Interpreter, MemoryBuffer, parallel_executor
-from repro.runtime import interpreter as interpreter_module
-from repro.runtime.parallel_executor import (
+from repro.runtime import Frame, Interpreter, MemoryBuffer, sweep
+from repro.runtime.sweep import (
     get_executor,
     plan_boxes,
     plan_cache_boxes,
@@ -93,7 +92,7 @@ class TestPlanCacheBoxes:
     F_STRIDES, C_STRIDES = (8, 800, 80000), (80000, 800, 8)
 
     def test_under_budget_is_one_box(self, monkeypatch):
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 30 ** 3 * 8 * 8)
+        monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 30 ** 3 * 8 * 8)
         assert plan_cache_boxes((1, 1, 1), (31, 31, 31), self.F_STRIDES, 8) == \
             [((1, 1, 1), (31, 31, 31))]
         assert len(plan_cache_boxes((1, 1, 1), (31, 31, 31), self.F_STRIDES, 9)) > 1
@@ -104,7 +103,7 @@ class TestPlanCacheBoxes:
         lowers, uppers = (1, 1, 1), (95, 95, 95)
         outer = 2 - whole                  # the largest-stride dimension
         # Room for four planes: only the outermost dimension is cut, evenly.
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES",
+        monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES",
                             94 * 94 * 4 * 8 * 5)
         boxes = plan_cache_boxes(lowers, uppers, strides, 5)
         assert len(boxes) == 24
@@ -113,7 +112,7 @@ class TestPlanCacheBoxes:
         # Not even one plane fits: the middle dimension is cut as well, and
         # below one row the unit-stride dimension still stays whole.
         for budget in (94 * 10 * 8 * 5, 64):
-            monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
+            monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", budget)
             boxes = plan_cache_boxes(lowers, uppers, strides, 5)
             assert all(ub[outer] - lb[outer] == 1 for lb, ub in boxes)
             assert all((lb[whole], ub[whole]) == (1, 95) for lb, ub in boxes)
@@ -123,7 +122,7 @@ class TestPlanCacheBoxes:
             assert (cover[1:95, 1:95, 1:95] == 1).all() and cover.sum() == 94 ** 3
 
     def test_rank_one_and_empty_domains_are_never_cut(self, monkeypatch):
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 64)
+        monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 64)
         assert plan_cache_boxes((0,), (1000,), (8,), 4) == [((0,), (1000,))]
         assert plan_cache_boxes((0, 3), (10, 3), (8, 80), 4) == []
 
@@ -260,7 +259,7 @@ class TestPlanSweep:
     @pytest.mark.parametrize("strides", [F_STRIDES, C_STRIDES], ids=["F", "C"])
     def test_threaded_boxes_partition_the_domain(self, strides, monkeypatch):
         # Half a plane fits: every slab is cut again.
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1200)
+        monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 1200)
         boxes, slabs, shape = plan_sweep(
             self.LOWERS, self.UPPERS, threads=3, strides=strides, arrays=3)
         assert slabs == 3 and len(boxes) > slabs
@@ -280,7 +279,7 @@ class TestPlanSweep:
         """Any thread count gives min(threads, extent) near-equal slabs of the
         outermost dimension, the first ones a plane thicker; each slab's
         cache boxes stay inside it, slab by slab, and cover it once."""
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1200)
+        monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 1200)
         boxes, slabs, shape = plan_sweep(
             self.LOWERS, self.UPPERS, threads=threads, strides=strides, arrays=3)
         assert (slabs, shape) == (min(threads, 10), "cache")
@@ -376,16 +375,16 @@ class TestDispatchFollowsTheCpus:
 
     def test_one_cpu_runs_every_box_in_order_and_changes_no_bit(
             self, cpus, monkeypatch):
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 2048)
+        monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 2048)
         n = 12
         handle = repro.Session().lower(
             gauss_seidel.generate_source(n, niters=2), "openmp",
             lower_to_scf=True, execution_mode="vectorize")
         seen = {}
         meet = [1]
-        real = interpreter_module.run_boxes
+        real = sweep.run_boxes
         monkeypatch.setattr(
-            interpreter_module, "run_boxes",
+            sweep, "run_boxes",
             lambda kernel, *rest: real(recording(kernel, seen, meet[0]), *rest))
         runs = {}
         # Two CPUs last: two boxes then meet, so both workers must take one.
@@ -541,9 +540,9 @@ class TestTiledApplyExecution:
                                   order=order), (0, 0))
         results = []
         # Under a 256-byte budget the 10 x 10 sweep is ten one-row boxes.
-        for budget, boxes in ((parallel_executor.CACHE_BUDGET_BYTES, 0),
+        for budget, boxes in ((sweep.CACHE_BUDGET_BYTES, 0),
                               (256, 10)):
-            monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
+            monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", budget)
             apply_op = build_average_apply(n)
             interp = Interpreter([ModuleOp([])], execution_mode="vectorize",
                                  kernel_compiler=KernelCompiler(use_shared_cache=False))

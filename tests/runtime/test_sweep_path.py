@@ -15,12 +15,12 @@ from repro.apps import gauss_seidel
 from repro.dialects import arith, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Builder, f64
-from repro.runtime import Interpreter, TempValue, parallel_executor
+from repro.runtime import Interpreter, TempValue, sweep
 from repro.runtime.kernel_compiler import KernelCompiler
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
 from test_kernel_compiler import build_average_apply, windowed_only
-from test_parallel_executor import exec_apply
+from test_sweep import exec_apply
 
 N, NITERS = 12, 2          # interior 10^3 per sweep, one sweep per iteration
 COUNTERS = ("vectorized_sweeps", "vectorize_fallbacks", "parallel_sweeps",
@@ -79,7 +79,7 @@ def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
     backend, options, sweep_counter = KINDS[kind]
     threads, budget, per_sweep = PLANS[plan]
     if budget is not None:
-        monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", budget)
+        monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", budget)
     compiled = repro.compile(
         gauss_seidel.generate_source(N, niters=NITERS)).lower(backend, **options)
     oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
@@ -133,7 +133,7 @@ def build_column_index_apply(n):
 ])
 def test_broadcasting_apply_result_refuses_once_and_recomputes(
         threads, engaged, monkeypatch):
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 256)
+    monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 256)
     n = 8
     apply_op = build_column_index_apply(n)
     temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
@@ -185,7 +185,7 @@ def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
     whole = 0 if order == "F" else 1
 
     def plan(interpreter):
-        return interpreter._plan_sweep(kernel, [temp], lb, ub)
+        return interpreter.sweep._plan_sweep(kernel, [temp], lb, ub)
 
     assert plan(interp) == ([(lb, ub)], 1, None)
     boxes, slabs, name = plan(threaded)
@@ -193,7 +193,7 @@ def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
     assert [(box_lb[1 - whole], box_ub[1 - whole]) for box_lb, box_ub in boxes] \
         == [(1, 9), (9, 17)]
     assert all((box_lb[whole], box_ub[whole]) == (1, 17) for box_lb, box_ub in boxes)
-    monkeypatch.setattr(parallel_executor, "CACHE_BUDGET_BYTES", 1024)
+    monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 1024)
     for interpreter, slabs in ((interp, 1), (threaded, 2)):
         boxes, planned_slabs, name = plan(interpreter)
         assert (planned_slabs, name) == (slabs, "cache") and len(boxes) > slabs
@@ -229,7 +229,7 @@ def test_kernel_without_a_full_rank_window_is_sliced_along_dimension_zero():
                          kernel_compiler=KernelCompiler(use_shared_cache=False))
     kernel = interp.kernels.kernel_for(apply_op).kernel
     assert kernel.dim_strides([temp]) is None
-    assert interp._plan_sweep(kernel, [temp], (1, 1), (n - 1, n - 1)) == \
+    assert interp.sweep._plan_sweep(kernel, [temp], (1, 1), (n - 1, n - 1)) == \
         ([((1, 1), (5, n - 1)), ((5, 1), (n - 1, n - 1))], 2, None)
     [sliced] = exec_apply(interp, apply_op, temp)
     assert interp.stats["parallel_tiles"] == 2

@@ -129,6 +129,18 @@ GUARDS = (
     Guard("empty-loop-sweep",
           r"_remove_empty_loops|_EraseEmptyLoop|_loop_is_empty",
           ("src",), "after 2cf6bf9", "    _remove_empty_loops(func_op)"),
+    # Every trait is verified or asked for (tests/ir/test_op_census.py):
+    # the two only ever declared stay deleted.
+    Guard("idle-traits",
+          r"HasMemoryEffect|NoTerminator",
+          ("src", "docs"), "after 3661737", "    traits = (HasMemoryEffect,)"),
+    # The interpreter is the scalar reference: what runs a sweep fast lives
+    # in runtime/sweep.py.
+    Guard("sweep-in-interpreter",
+          r"run_boxes|plan_sweep|SwapPlan|spare_like|_crosscheck|_delivery"
+          r"|_fill_shells",
+          ("src/repro/runtime/interpreter.py",), "after 3661737",
+          "from .sweep import SwapPlan, run_boxes"),
 )
 
 
