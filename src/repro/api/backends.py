@@ -1,16 +1,16 @@
 """The backend registry: one pluggable :class:`Backend` per compilation target.
 
-Each backend owns three things:
+Each backend owns two things:
 
 * its **pipeline** — the mlir-opt style pass pipeline string (plus any
   coordinated module edits, e.g. the GPU data-management pass touching the FIR
-  module or the DMP decomposition passes);
+  module);
 * its **option schema** — the frozen dataclass from :mod:`repro.api.options`
   naming exactly the knobs this target understands (unknown or mismatched
-  options are rejected with the backend's name and valid-field list);
-* its **runtime wiring** — the simulated-device defaults the interpreter
-  needs (a fresh :class:`SimulatedGPU` for the gpu backend, communicator
-  passthrough for dmp).
+  options are rejected with the backend's name and valid-field list).
+
+The interpreter needs no backend wiring: it makes its simulated GPU on the
+first gpu op it runs.
 
 ``registry.get(name)`` accepts the registered names (``"cpu"``, ``"openmp"``,
 ``"gpu"``, ``"dmp"``, ``"flang-only"``) or a :class:`Backend` object.
@@ -23,9 +23,7 @@ from typing import Dict, Iterator, Optional, Tuple, Type, Union
 from ..frontend import compile_to_fir
 from ..ir.context import Context, default_context
 from ..ir.pass_manager import PassManager
-from ..runtime.gpu_runtime import SimulatedGPU
 from ..transforms import pipelines
-from ..transforms.distributed import ConvertDMPToMPIPass, ConvertStencilToDMPPass
 from ..transforms.gpu_data_management import GpuHostRegisterPass, GpuOptimisedDataPass
 from ..transforms.stencil_discovery import StencilDiscoveryPass
 from ..transforms.stencil_extraction import ExtractStencilsPass
@@ -46,7 +44,7 @@ class UnknownBackendError(ValueError):
 
 
 class Backend:
-    """One compilation target: pipeline, option schema, runtime wiring.
+    """One compilation target: pipeline and option schema.
 
     Subclasses set :attr:`name` (the registry key), :attr:`options_cls` and
     their one :attr:`pipeline`; :meth:`transform` edits around it.
@@ -136,14 +134,6 @@ class Backend:
         pm.add_pipeline(pipeline)
         artifact.pass_statistics.extend(pm.run(artifact.stencil_module))
 
-    # -- runtime wiring ------------------------------------------------------
-
-    def interpreter_kwargs(self, options: BackendOptions,
-                           overrides: Dict[str, object]) -> Dict[str, object]:
-        """Fill in this target's simulated-runtime defaults (gpu device,
-        communicator, ...) for interpreter construction."""
-        return overrides
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -195,11 +185,6 @@ class GpuBackend(Backend):
         artifact.stencil_module.verify()
         super().transform(artifact, ctx)
 
-    def interpreter_kwargs(self, options, overrides):
-        if overrides.get("gpu") is None:
-            overrides["gpu"] = SimulatedGPU()
-        return overrides
-
 
 class DmpBackend(Backend):
     """Distributed memory: domain decomposition + halo swaps via DMP/MPI."""
@@ -208,11 +193,9 @@ class DmpBackend(Backend):
     options_cls = DmpOptions
 
     def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
-        dmp_pass = ConvertStencilToDMPPass(grid=artifact.options.grid)
-        dmp_pass.apply(ctx, artifact.stencil_module)
-        mpi_pass = ConvertDMPToMPIPass()
-        mpi_pass.apply(ctx, artifact.stencil_module)
-        artifact.stencil_module.verify()
+        grid = "x".join(map(str, artifact.options.grid))
+        self.run_pipeline(artifact, pipelines.DMP_PIPELINE.replace(
+            "convert-stencil-to-dmp", f"convert-stencil-to-dmp{{grid={grid}}}", 1), ctx)
 
 
 class BackendRegistry:

@@ -41,30 +41,6 @@ def source_fingerprint(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-def build_interpreter(
-    backend: Backend,
-    options: BackendOptions,
-    modules,
-    gpu=None,
-    comm=None,
-    rank: int = 0,
-    decomposition=None,
-) -> Interpreter:
-    """Construct an interpreter over compiled ``modules`` for ``backend``.
-
-    The implementation behind :meth:`CompiledProgram.interpreter`: it runs
-    with the options' ``execution_mode`` and ``threads``, and the backend
-    supplies its simulated-runtime defaults (e.g. a fresh
-    :class:`SimulatedGPU` for the gpu backend).
-    """
-    runtime = backend.interpreter_kwargs(options, {
-        "gpu": gpu, "comm": comm, "rank": rank,
-        "decomposition": decomposition,
-    })
-    return Interpreter(modules, execution_mode=options.execution_mode,
-                       threads=options.threads, **runtime)
-
-
 class Program:
     """An immutable handle on one Fortran source, bound to a session.
 
@@ -239,10 +215,10 @@ class CompiledProgram:
         running with the handle's ``execution_mode`` and ``threads`` (derive
         others with :meth:`with_options`, a cache hit).
         """
-        return build_interpreter(
-            self._backend, self._options, self._artifact.linked,
-            gpu=gpu, comm=comm, rank=rank, decomposition=decomposition,
-        )
+        return Interpreter(
+            self._artifact.linked, execution_mode=self._options.execution_mode,
+            threads=self._options.threads, gpu=gpu, comm=comm, rank=rank,
+            decomposition=decomposition)
 
     def run(self, entry: str, *args, **kwargs) -> Interpreter:
         """Convenience: build an interpreter (``kwargs`` are those of
@@ -280,5 +256,5 @@ _INTERPRETER_KEYWORDS = tuple(
     inspect.signature(CompiledProgram.interpreter).parameters)[1:]
 
 
-__all__ = ["source_fingerprint", "build_interpreter", "Program",
+__all__ = ["source_fingerprint", "Program",
            "CompiledProgram"]

@@ -461,6 +461,8 @@ class FortranParser:
             token = self.peek()
             binding = _BINARY.get(token.value if token.kind == "DOTOP" else token.kind)
             if binding is None or binding[1] < min_power:
+                if token.value in (".eqv.", ".neqv."):  # lexed, never compiled
+                    raise FortranSyntaxError(f"'{token.value}' is not supported", token)
                 return lhs
             op, power = binding
             if power == _RELATION:

@@ -1,8 +1,8 @@
 """Core SSA IR framework (the project's xDSL/MLIR equivalent).
 
 Exports the structural classes (values, operations, blocks, regions), the
-attribute/type system, the builder, the textual printer/parser, pattern
-rewriting and the pass manager.
+attribute/type system, the builder, the textual printer/parser, the dead-op
+and constant-fold worklist and the pass manager.
 """
 
 from .attributes import (
@@ -29,12 +29,7 @@ from .pass_manager import (
     register_pass,
 )
 from .printer import Printer, print_module, print_op
-from .rewriting import (
-    GreedyRewriteResult,
-    PatternRewriter,
-    RewritePattern,
-    apply_patterns,
-)
+from .rewriting import erase_and_fold
 from .ssa import BlockArgument, OpResult, SSAValue, Use
 from .types import (
     DYNAMIC,
@@ -97,10 +92,7 @@ __all__ = [
     "IRParser",
     "ParseError",
     "parse_module",
-    "RewritePattern",
-    "PatternRewriter",
-    "GreedyRewriteResult",
-    "apply_patterns",
+    "erase_and_fold",
     "ModulePass",
     "PassManager",
     "PassRegistry",

@@ -3,7 +3,6 @@
 from .cleanup import (
     CanonicalizePass,
     CSEPass,
-    DeadCodeEliminationPass,
     ReconcileUnrealizedCastsPass,
     eliminate_dead_code,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "NeighbourRankOp",
     "CanonicalizePass",
     "CSEPass",
-    "DeadCodeEliminationPass",
     "ReconcileUnrealizedCastsPass",
     "eliminate_dead_code",
     "CPU_PIPELINE",

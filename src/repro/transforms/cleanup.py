@@ -1,8 +1,9 @@
-"""Generic cleanup passes: canonicalisation, CSE and dead code elimination.
+"""Generic cleanup passes: canonicalisation, CSE and cast reconciliation,
+each ending in dead code elimination on :func:`~repro.ir.rewriting.erase_and_fold`.
 
 These stand in for the standard MLIR passes the paper's pipelines invoke
 between the structural lowerings (``canonicalize``, ``cse``,
-``reconcile-unrealized-casts``, ...).
+``reconcile-unrealized-casts``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from ..dialects.builtin import UnrealizedConversionCastOp
 from ..ir.context import Context
 from ..ir.operation import Operation
 from ..ir.pass_manager import ModulePass, register_pass
-from ..ir.rewriting import PatternRewriter, RewritePattern, apply_patterns
+from ..ir.rewriting import erase_and_fold
 from ..ir.traits import Pure, has_trait
 
 
@@ -24,42 +25,30 @@ def eliminate_dead_code(
     """Erase every :func:`~repro.ir.traits.is_trivially_dead` operation
     reachable from ``seeds`` (default: everything under ``root``) through
     operand definers; returns the removal count."""
-    return apply_patterns(root, (), seeds=seeds).erased
+    return erase_and_fold(root, seeds=seeds)
 
 
-@register_pass
-class DeadCodeEliminationPass(ModulePass):
-    """``dce`` — drop trivially dead operations."""
+_FOLDERS = {
+    "arith.addi": lambda a, b: a + b,
+    "arith.subi": lambda a, b: a - b,
+    "arith.muli": lambda a, b: a * b,
+    "arith.addf": lambda a, b: a + b,
+    "arith.subf": lambda a, b: a - b,
+    "arith.mulf": lambda a, b: a * b,
+    "arith.divf": lambda a, b: a / b if b != 0 else None,
+}
 
-    name = "dce"
 
-    def apply(self, ctx: Context, module: Operation) -> None:
-        eliminate_dead_code(module)
-
-
-class _FoldConstants(RewritePattern):
-    """Replace an arith op whose operands are all constants by its value."""
-
-    _FOLDERS = {
-        "arith.addi": lambda a, b: a + b,
-        "arith.subi": lambda a, b: a - b,
-        "arith.muli": lambda a, b: a * b,
-        "arith.addf": lambda a, b: a + b,
-        "arith.subf": lambda a, b: a - b,
-        "arith.mulf": lambda a, b: a * b,
-        "arith.divf": lambda a, b: a / b if b != 0 else None,
-    }
-
-    def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> None:
-        folder = self._FOLDERS.get(op.name)
-        if folder is None:
-            return
-        definers = [getattr(operand, "op", None) for operand in op.operands]
-        if not all(isinstance(d, arith.ConstantOp) for d in definers):
-            return
-        folded = folder(*(d.literal for d in definers))
-        if folded is not None:
-            rewriter.replace_op(op, [arith.ConstantOp(folded, op.results[0].type)])
+def _fold_constant(op: Operation) -> Optional[Operation]:
+    """The constant an arith op whose operands are all constants folds to."""
+    folder = _FOLDERS.get(op.name)
+    if folder is None:
+        return None
+    definers = [getattr(operand, "op", None) for operand in op.operands]
+    if not all(isinstance(d, arith.ConstantOp) for d in definers):
+        return None
+    folded = folder(*(d.literal for d in definers))
+    return None if folded is None else arith.ConstantOp(folded, op.results[0].type)
 
 
 @register_pass
@@ -69,7 +58,7 @@ class CanonicalizePass(ModulePass):
     name = "canonicalize"
 
     def apply(self, ctx: Context, module: Operation) -> None:
-        apply_patterns(module, [_FoldConstants()])
+        erase_and_fold(module, fold=_fold_constant)
 
 
 @register_pass
@@ -83,7 +72,7 @@ class CSEPass(ModulePass):
             for region in op.regions:
                 for block in region.blocks:
                     self._run_on_block(block)
-        eliminate_dead_code(module)
+        erase_and_fold(module)
 
     def _run_on_block(self, block) -> None:
         seen: Dict[Tuple, Operation] = {}
@@ -123,11 +112,10 @@ class ReconcileUnrealizedCastsPass(ModulePass):
                 for result, operand in zip(op.results, op.operands):
                     result.replace_all_uses_with(operand)
                 op.erase()
-        eliminate_dead_code(module)
+        erase_and_fold(module)
 
 
 __all__ = [
-    "DeadCodeEliminationPass",
     "CanonicalizePass",
     "CSEPass",
     "ReconcileUnrealizedCastsPass",

@@ -34,8 +34,8 @@ class ConvertStencilToDMPPass(ModulePass):
     name = "convert-stencil-to-dmp"
 
     def __init__(self, grid: Sequence[int] = (1, 1)):
-        if isinstance(grid, str):
-            grid = tuple(int(p) for p in grid.split("x"))
+        if isinstance(grid, (str, int)):  # pipeline text: "2x2", or 4
+            grid = tuple(int(p) for p in str(grid).split("x"))
         self.grid = tuple(int(p) for p in grid)
 
     def apply(self, ctx: Context, module: Operation) -> None:

@@ -81,8 +81,9 @@ GPU_PIPELINE = (
     "reconcile-unrealized-casts"
 )
 
-#: Distributed-memory lowering via the DMP and MPI dialects.
-DMP_PIPELINE = "convert-stencil-to-dmp,convert-dmp-to-mpi,canonicalize"
+#: Distributed-memory lowering via the DMP and MPI dialects; the dmp backend
+#: adds ``{grid=PxQ}`` from its options.
+DMP_PIPELINE = "convert-stencil-to-dmp,convert-dmp-to-mpi"
 
 
 PIPELINES = {

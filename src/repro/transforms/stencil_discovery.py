@@ -35,10 +35,9 @@ from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
-from ..ir.rewriting import PatternRewriter
+from ..ir.rewriting import definers, erase_and_fold
 from ..ir.ssa import OpResult, SSAValue
 from ..ir.types import FloatType, IndexType, IntegerType, index
-from .cleanup import eliminate_dead_code
 from .stencil_fusion import merge_adjacent_applies
 
 
@@ -649,9 +648,9 @@ class StencilDiscoveryPass(ModulePass):
 
 def _erase_and_sweep(op: Operation, func_op: FuncOp) -> None:
     """Erase ``op``, nested ops included, and every op only it kept alive."""
-    rewriter = PatternRewriter(op)
-    rewriter.erase_op(op, safe=False)
-    eliminate_dead_code(func_op, seeds=rewriter.revisit)
+    revisit = definers(op)
+    op.erase(safe=False)
+    erase_and_fold(func_op, seeds=revisit)
 
 
 def _erase_emptied_nest(loop: Optional[Operation], func_op: FuncOp,

@@ -8,6 +8,8 @@ parser accepts exactly what ``fir_gen`` compiles; every other construct is
 a ``FortranSyntaxError`` that names it.
 """
 
+import re
+
 import pytest
 
 import repro
@@ -99,6 +101,24 @@ FUNCTION = """function twice(x) result(y)
   y = 2.0d0 * x
 end function twice
 """
+
+
+@pytest.mark.parametrize("spelling", [
+    ".eqv.", ".EQV.", ".Eqv.", ".neqv.", ".NEQV.", ".nEqV.",
+])
+def test_logical_equivalence_is_refused_by_name(spelling):
+    """``.eqv.`` and ``.neqv.`` lex as operators but compile to nothing; they
+    used to fail as a missing ``)``."""
+    source = ("subroutine s(a, b, n)\n  implicit none\n  integer :: n, i\n"
+              "  real(kind=8), intent(inout) :: a(n), b(n)\n  logical :: flag\n"
+              "  flag = .true.\n  do i = 1, n\n"
+              f"    if (flag {spelling} (a(i) .le. b(i))) a(i) = b(i)\n"
+              "  end do\nend subroutine s\n")
+    message = re.escape(f"'{spelling.lower()}' is not supported at line 8")
+    with pytest.raises(FortranSyntaxError, match=message):
+        parse_source(source)
+    with pytest.raises(FortranSyntaxError, match=message):
+        compile_to_fir(source)
 
 
 def test_a_function_unit_is_refused_not_compiled_without_its_result():

@@ -62,7 +62,10 @@ PINS = {
         ('canonicalize', 189, 182),
         ('reconcile-unrealized-casts', 182, 182),
     ]),
-    'pw-dmp-2x2': ('4e2a2f26a3841aba', '413ce2592a62f065', []),
+    'pw-dmp-2x2': ('4e2a2f26a3841aba', '413ce2592a62f065', [
+        ('convert-stencil-to-dmp', 134, 138),
+        ('convert-dmp-to-mpi', 138, 204),
+    ]),
     'pw-flang-only': ('2c2383fc6f74d207', None, []),
     'gs-cpu': ('08c4138c8e683902', '868110dc73364dc1', []),
     'gs-cpu-scf': ('08c4138c8e683902', '9f53c5d5919261d2', [
@@ -92,7 +95,10 @@ PINS = {
         ('canonicalize', 71, 64),
         ('reconcile-unrealized-casts', 64, 64),
     ]),
-    'gs-dmp-2x2': ('08c4138c8e683902', 'baca64fe5c3b6d76', []),
+    'gs-dmp-2x2': ('08c4138c8e683902', 'baca64fe5c3b6d76', [
+        ('convert-stencil-to-dmp', 21, 23),
+        ('convert-dmp-to-mpi', 23, 45),
+    ]),
     'gs-flang-only': ('b887dd412478aaa3', None, []),
 }
 

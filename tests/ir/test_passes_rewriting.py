@@ -1,4 +1,4 @@
-"""Pass manager, pipeline parsing, rewriting and cleanup pass tests."""
+"""Pass manager, pipeline parsing and cleanup pass tests."""
 
 import pytest
 
@@ -12,20 +12,18 @@ from repro.ir import (
     MemRefType,
     ModulePass,
     PassManager,
-    PatternRewriter,
-    RewritePattern,
     VerifyException,
-    apply_patterns,
     f64,
     index,
     parse_pipeline,
 )
 from repro.ir.pass_manager import GLOBAL_PASS_REGISTRY
 from repro.transforms import (
+    DMP_PIPELINE,
     GPU_PIPELINE,
     CanonicalizePass,
     CSEPass,
-    DeadCodeEliminationPass,
+    eliminate_dead_code,
 )
 from repro.ir import default_context
 
@@ -67,16 +65,17 @@ class TestPipelineParsing:
             "discover-stencils", "extract-stencils", "convert-stencil-to-scf",
             "convert-scf-to-openmp", "convert-parallel-loops-to-gpu",
             "scf-parallel-loop-tiling", "convert-stencil-to-dmp", "convert-dmp-to-mpi",
-            "canonicalize", "cse", "dce",
+            "canonicalize", "cse",
         ):
             assert name in GLOBAL_PASS_REGISTRY, name
+        assert "dce" not in GLOBAL_PASS_REGISTRY  # no pipeline names it
 
 
 class TestCleanupPasses:
     def test_dce_removes_unused(self):
         module = build_module_with_redundancy()
         before = sum(1 for _ in module.walk())
-        DeadCodeEliminationPass().apply(default_context(), module)
+        eliminate_dead_code(module)
         after = sum(1 for _ in module.walk())
         assert after == before - 1  # the unused constant disappears
         module.verify()
@@ -135,7 +134,7 @@ class TestCleanupPasses:
 
     def test_dce_erases_an_unused_load_and_nothing_that_writes(self):
         module = self.build_memory_module()
-        DeadCodeEliminationPass().apply(default_context(), module)
+        eliminate_dead_code(module)
         self.assert_only_the_unused_load_went(module)
 
     def test_cse_never_merges_loads_across_a_store(self):
@@ -158,9 +157,10 @@ class TestPassManager:
     def test_run_pipeline_collects_statistics(self):
         module = build_module_with_redundancy()
         pm = PassManager()
-        pm.add_pipeline("canonicalize,cse,dce")
+        pm.add_pipeline("canonicalize,cse,reconcile-unrealized-casts")
         stats = pm.run(module)
-        assert [s.name for s in stats] == ["canonicalize", "cse", "dce"]
+        assert [s.name for s in stats] == [
+            "canonicalize", "cse", "reconcile-unrealized-casts"]
         assert all(s.seconds >= 0 for s in stats)
 
     def test_unknown_pass_rejected(self):
@@ -231,6 +231,15 @@ class TestPassManager:
         assert [s.name for s in program.lower("cpu", lower_to_scf=True).pass_statistics] \
             == ["convert-stencil-to-scf", "canonicalize", "cse"]
 
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 2), (4,)])
+    def test_the_dmp_pipeline_string_is_what_runs(self, grid):
+        handle = repro.Session().compile(
+            gauss_seidel.generate_source(8, niters=1)).lower("dmp", grid=grid)
+        assert [s.name for s in handle.pass_statistics] \
+            == DMP_PIPELINE.split(",") == ["convert-stencil-to-dmp", "convert-dmp-to-mpi"]
+        grid_op = next(op for op in handle.stencil_module.walk() if op.name == "dmp.grid")
+        assert grid_op.shape == grid
+
     @pytest.mark.parametrize("pipeline", [
         "corrupt-module,test-expand-math", "test-expand-math,corrupt-module",
     ])
@@ -265,49 +274,10 @@ class TestPassManager:
         assert counter.count > 0
 
 
-class TestPatternRewriting:
-    def test_pattern_replaces_op(self):
-        class FoldMulByTwo(RewritePattern):
-            op_name = "arith.mulf"
-
-            def match_and_rewrite(self, op, rewriter):
-                rhs = op.operands[1]
-                defining = getattr(rhs, "op", None)
-                if isinstance(defining, arith.ConstantOp) and defining.literal == 2.0:
-                    double = arith.AddfOp(op.operands[0], op.operands[0])
-                    rewriter.replace_op(op, [double])
-
-        module = build_module_with_redundancy()
-        result = apply_patterns(module, [FoldMulByTwo()])
-        assert result.converged
-        assert result.rewrites >= 2
-        assert not any(isinstance(op, arith.MulfOp) for op in module.walk())
-        module.verify()
-
-    def test_rewriter_insert_before_counts_as_action(self):
-        module = build_module_with_redundancy()
-        target = next(op for op in module.walk() if isinstance(op, arith.AddfOp))
-        rewriter = PatternRewriter(target)
-        rewriter.insert_op_before(arith.ConstantOp.from_float(0.0))
-        assert rewriter.has_done_action
-
-    def test_insert_ops_before_preserves_order(self):
-        """Multi-op inserts must land in sequence order (not reversed):
-        ``insert_ops_before([a, b, c], anchor)`` yields ``a, b, c, anchor``."""
-        module = build_module_with_redundancy()
-        target = next(op for op in module.walk() if isinstance(op, arith.AddfOp))
-        new_ops = [arith.ConstantOp.from_float(float(i)) for i in range(3)]
-        rewriter = PatternRewriter(target)
-        inserted = rewriter.insert_ops_before(new_ops, target)
-        assert inserted == new_ops
-        block = target.parent_block()
-        index = block.index_of(target)
-        assert list(block.ops[index - 3:index]) == new_ops
-        assert [op.literal for op in block.ops[index - 3:index]] == [0.0, 1.0, 2.0]
-        module.verify()
-
+class TestBlockInsertion:
     def test_block_insert_ops_before_preserves_order(self):
-        """The Block-level primitive used by the rewriter keeps order too."""
+        """Multi-op inserts land in sequence order (not reversed):
+        ``insert_ops_before([a, b, c], anchor)`` yields ``a, b, c, anchor``."""
         module = build_module_with_redundancy()
         target = next(op for op in module.walk() if isinstance(op, arith.AddfOp))
         block = target.parent_block()

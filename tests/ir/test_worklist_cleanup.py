@@ -1,5 +1,5 @@
-"""The one cleanup engine: ``is_trivially_dead`` + the worklist driver behind
-``apply_patterns`` / ``eliminate_dead_code``."""
+"""The one cleanup engine: ``is_trivially_dead`` + the worklist of
+``erase_and_fold``, behind ``eliminate_dead_code`` and ``canonicalize``."""
 
 import pytest
 
@@ -12,17 +12,15 @@ from repro.fuzz import DEFAULT_CONFIG, generate_spec
 from repro.ir import (
     Builder,
     IRError,
-    RewritePattern,
-    apply_patterns,
     default_context,
+    erase_and_fold,
     i32,
     index,
     print_module,
 )
-from repro.ir import rewriting
 from repro.ir.traits import Pure, ReadOnly, is_trivially_dead
-from repro.transforms import StencilDiscoveryPass, eliminate_dead_code
-from repro.transforms.cleanup import _FoldConstants
+from repro.transforms import StencilDiscoveryPass, eliminate_dead_code, stencil_discovery
+from repro.transforms.cleanup import _fold_constant
 from repro.transforms.stencil_discovery import (
     _erase_and_sweep,
     _erase_emptied_nest,
@@ -125,7 +123,7 @@ def test_values_used_only_inside_an_erased_loop_go_with_it(monkeypatch):
 
     assert erase_the_loop() == ["fir.alloca", "func.return"]
     # ... because handing over the loop's own operands leaves the declare.
-    monkeypatch.setattr(rewriting, "_definers",
+    monkeypatch.setattr(stencil_discovery, "definers",
                         lambda op: [v.op for v in op.operands if hasattr(v, "op")])
     assert erase_the_loop() == ["fir.alloca", "fir.declare", "func.return"]
 
@@ -181,19 +179,14 @@ def test_erasing_a_three_deep_nest_releases_every_nested_use():
     assert not any(result.uses for op in nested for result in op.results)
     # The worklist treats every one of them as gone, not as work.
     offered = []
-
-    class Record(RewritePattern):
-        def match_and_rewrite(self, op, rewriter):
-            offered.append(op)
-
-    outcome = apply_patterns(f, [Record()], seeds=[outer, *nested])
-    assert offered == [] and outcome.erased == 0
+    assert erase_and_fold(f, seeds=[outer, *nested], fold=offered.append) == 0
+    assert offered == []
     eliminate_dead_code(f)
     assert _names(f) == ["fir.alloca"] * 3 + ["func.return"]
     module.verify()
 
 
-# -- patterns on the same worklist --------------------------------------------
+# -- folds on the same worklist -----------------------------------------------
 
 def _constant_chain():
     """``return ((2 + 3) * 4) - 1``."""
@@ -208,24 +201,22 @@ def _constant_chain():
     return ModuleOp([f])
 
 
-def test_fold_pattern_folds_a_chain_in_one_call():
+def test_fold_folds_a_chain_in_one_call():
     module = _constant_chain()
-    result = apply_patterns(module, [_FoldConstants()])
-    assert result.converged and result.rewrites == 3
-    # Users were revisited after each fold and every dead input erased.
+    folded = []
+
+    def fold(op):
+        constant = _fold_constant(op)
+        if constant is not None:
+            folded.append((op.name, constant.literal))
+        return constant
+
+    # Each fold revisits the new constant, then the users, then the definers:
+    # the users fold in turn and every dead input and interim constant goes.
+    assert erase_and_fold(module, fold=fold) == 6
+    assert folded == [("arith.addi", 5), ("arith.muli", 20), ("arith.subi", 19)]
     assert [getattr(op, "literal", op.name) for op in module.walk()][2:] == [19, "func.return"]
     module.verify()
-
-
-def test_a_pattern_that_always_rewrites_hits_the_cap():
-    class Respawn(RewritePattern):
-        op_name = "arith.constant"
-
-        def match_and_rewrite(self, op, rewriter):
-            rewriter.replace_op(op, [arith.ConstantOp(op.literal, op.results[0].type)])
-
-    result = apply_patterns(_constant_chain(), [Respawn()], max_rewrites=20)
-    assert not result.converged and result.rewrites == 20
 
 
 # -- the predicate's inputs ----------------------------------------------------

@@ -21,7 +21,7 @@ from repro.api.program import source_fingerprint
 from repro.apps import gauss_seidel, pw_advection
 from repro.ir import print_module
 from repro.ir.attributes import DenseArrayAttr, UnitAttr
-from repro.runtime import SimulatedGPU
+from repro.runtime import Interpreter, SimulatedGPU
 from repro.serve import ArtifactStore, STORE_FORMAT_VERSION, key_digest
 from repro.serve.store import serialize_artifact
 
@@ -73,16 +73,11 @@ class TestRoundTrip:
         assert loaded.extracted_functions == artifact.extracted_functions
 
         # The reloaded artifact must execute bitwise-identically.
-        from repro.api.backends import get_backend
-        from repro.api.program import build_interpreter
-
         u_orig = gauss_seidel.initial_condition(8)
         u_loaded = gauss_seidel.initial_condition(8)
-        backend = get_backend("cpu")
-        options = options.replace(execution_mode="vectorize")
-        build_interpreter(backend, options, artifact.modules).call(
+        Interpreter(artifact.modules, execution_mode="vectorize").call(
             "gauss_seidel", u_orig)
-        build_interpreter(backend, options, loaded.modules).call(
+        Interpreter(loaded.modules, execution_mode="vectorize").call(
             "gauss_seidel", u_loaded)
         assert u_orig.tobytes() == u_loaded.tobytes()
 

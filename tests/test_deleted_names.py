@@ -141,6 +141,15 @@ GUARDS = (
           r"|_fill_shells",
           ("src/repro/runtime/interpreter.py",), "after 3661737",
           "from .sweep import SwapPlan, run_boxes"),
+    # An extension point needs two implementations
+    # (tests/test_extension_points.py): the pattern framework around one
+    # fold, the dce pass no pipeline names and the interpreter hook only the
+    # gpu backend overrode stay deleted.
+    Guard("single-implementation-hooks",
+          r"RewritePattern|PatternRewriter|GreedyRewriteResult|apply_patterns"
+          r"|interpreter_kwargs|build_interpreter|DeadCodeEliminationPass",
+          ("src", "docs"), "after 32b4417",
+          "    def interpreter_kwargs(self, options, overrides):"),
 )
 
 
