@@ -54,6 +54,13 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def require_count(name: str, value) -> None:
+    """Reject a thread, worker or queue count that is not :func:`_is_count`
+    with an :class:`OptionError` naming the parameter ``name``."""
+    if not _is_count(value):
+        raise OptionError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _positive_ints(name: str, value) -> Tuple[int, ...]:
     """``value`` as a non-empty tuple of positive integers, else an
     :class:`OptionError` naming the option ``name``."""
@@ -102,9 +109,7 @@ class BackendOptions:
                 f"execution_mode must be one of {EXECUTION_MODES}, "
                 f"got {self.execution_mode!r}"
             )
-        if not _is_count(self.threads):
-            raise OptionError(
-                f"threads must be an integer >= 1, got {self.threads!r}")
+        require_count("threads", self.threads)
 
     # -- derivation & caching ------------------------------------------------
 

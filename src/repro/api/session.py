@@ -31,7 +31,7 @@ from ..resilience import InjectedFault
 from ..runtime.sweep import usable_cpus
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
-from .options import BackendOptions, OptionError
+from .options import BackendOptions, require_count
 from .program import CompiledProgram, Program, source_fingerprint
 
 #: How many times a failing compile is retried before its cache key is
@@ -248,10 +248,8 @@ class Session:
         defaults to one per argument set, at most one per CPU the process may
         use now (:func:`usable_cpus`); one runs them on the calling thread.
         """
-        if workers is not None and (not isinstance(workers, int)
-                                    or workers < 1):
-            raise OptionError(
-                f"workers must be an integer >= 1, got {workers!r}")
+        if workers is not None:
+            require_count("workers", workers)
         arg_sets = list(arg_sets)
         if not arg_sets:
             return []

@@ -103,10 +103,9 @@ def _scalar_pure_key(expr: Expr):
 class _FunctionCodegen:
     """Generates one ``func.func`` containing FIR for one program unit."""
 
-    def __init__(self, unit: ProgramUnit, module_units: Dict[str, ProgramUnit]):
+    def __init__(self, unit: ProgramUnit):
         self.unit = unit
         self.symtab = SymbolTable(unit)
-        self.module_units = module_units
         #: name -> reference-like SSA value addressing the variable's storage
         self.storage: Dict[str, SSAValue] = {}
         self.builder = Builder()
@@ -564,11 +563,8 @@ class _FunctionCodegen:
 
 def generate_fir(source_file: SourceFile) -> ModuleOp:
     """Generate a FIR module from a parsed source file (all program units)."""
-    units = {unit.name: unit for unit in source_file.units}
-    functions = []
-    for unit in source_file.units:
-        functions.append(_FunctionCodegen(unit, units).generate())
-    module = ModuleOp(functions)
+    module = ModuleOp([_FunctionCodegen(unit).generate()
+                       for unit in source_file.units])
     module.verify()
     return module
 

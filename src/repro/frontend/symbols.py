@@ -41,7 +41,6 @@ class DimInfo:
 
     lower: Optional[int] = 1
     upper: Optional[int] = None
-    lower_expr: Optional[Expr] = None
     upper_expr: Optional[Expr] = None
 
     @property
@@ -147,7 +146,6 @@ class SymbolTable:
         if spec.lower is None:
             info.lower = 1
         else:
-            info.lower_expr = spec.lower
             info.lower = self.try_evaluate_constant(spec.lower)
         if spec.upper is None:
             info.upper = None

@@ -37,7 +37,6 @@ from ..resilience import (
     FaultInjector,
     FaultPlan,
     RankCrash,
-    ReportSink,
     ResilienceOptions,
 )
 from ..runtime.gpu_runtime import SimulatedGPU
@@ -93,11 +92,11 @@ class ChaosRunner:
 
     def _run_gpu_chaos(self, spec: KernelSpec, result: CaseResult) -> None:
         baseline, _ = self.runner._run_plain(spec, "gpu", "vectorize", 1, {})
-        sink = ReportSink(result.recovery)
+        report = result.recovery
         injector = FaultInjector(
             FaultPlan(seed=spec.seed,
                       alloc_faults=(AllocFault(index=spec.seed % 2),)),
-            sink)
+            report)
         gpu = SimulatedGPU(alloc_hook=injector.on_device_alloc)
         compiled = self.session.compile(spec.render()).lower(
             "gpu", execution_mode="vectorize")
@@ -107,8 +106,8 @@ class ChaosRunner:
         with np.errstate(over="ignore", invalid="ignore"):
             interp.call(spec.entry,
                         *self.runner._call_args(spec, work, scalar))
-        sink.add_counters(gpu.degradation)
-        sink.add_counters(
+        report.add_counters(gpu.degradation)
+        report.add_counters(
             {"scalar_fallbacks": int(interp.stats.get("gpu_launch_fallbacks",
                                                       0))})
         result.configs_run += 1
@@ -117,11 +116,11 @@ class ChaosRunner:
     def _run_compile_chaos(self, spec: KernelSpec,
                            result: CaseResult) -> None:
         baseline, _ = self.runner._run_plain(spec, "cpu", "vectorize", 1, {})
-        sink = ReportSink(result.recovery)
+        report = result.recovery
         injector = FaultInjector(
             FaultPlan(seed=spec.seed,
                       compile_faults=(CompileFault(index=0, count=1),)),
-            sink)
+            report)
         # A throwaway session: its compiles must actually run (no warm cache)
         # and its quarantine records must not leak into the shared session.
         scratch = Session(registry=self.session.registry)
@@ -133,7 +132,7 @@ class ChaosRunner:
         with np.errstate(over="ignore", invalid="ignore"):
             compiled.interpreter().call(
                 spec.entry, *self.runner._call_args(spec, work, scalar))
-        sink.add_counters(scratch.resilience_stats)
+        report.add_counters(scratch.resilience_stats)
         result.configs_run += 1
         self._compare(spec, "compile-chaos", result, baseline, work)
 

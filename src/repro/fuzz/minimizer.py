@@ -49,7 +49,6 @@ class MinimizationResult:
     original: KernelSpec
     minimized: KernelSpec
     steps: int
-    candidates_tried: int
 
 
 def _measure(spec: KernelSpec) -> Tuple[int, int, int]:
@@ -162,13 +161,11 @@ def minimize(spec: KernelSpec,
     that still reproduces, restart the pass list, stop at a fixed point."""
     current = spec
     steps = 0
-    tried = 0
     for _ in range(max_rounds):
         improved = False
         for candidate in _candidates(current):
             if _measure(candidate) >= _measure(current):
                 continue
-            tried += 1
             if reproduces(candidate):
                 current = candidate
                 steps += 1
@@ -176,8 +173,7 @@ def minimize(spec: KernelSpec,
                 break
         if not improved:
             break
-    return MinimizationResult(original=spec, minimized=current,
-                              steps=steps, candidates_tried=tried)
+    return MinimizationResult(original=spec, minimized=current, steps=steps)
 
 
 __all__ = ["minimize", "MinimizationResult"]

@@ -19,7 +19,7 @@ from .faults import (
 )
 from .injector import FaultInjector, InjectedFault
 from .options import ResilienceError, ResilienceOptions
-from .report import RecoveryReport, ReportSink
+from .report import RecoveryReport
 
 __all__ = [
     "COMM_FAULT_KINDS",
@@ -34,5 +34,4 @@ __all__ = [
     "ResilienceError",
     "ResilienceOptions",
     "RecoveryReport",
-    "ReportSink",
 ]

@@ -7,7 +7,7 @@ session's ``compile_hook``, the executor's crash schedule) and consulted
 inline.  It is thread-safe — rank tasks fire sends concurrently — and
 stateful: each comm fault fires exactly once, alloc/compile faults count
 global attempt indices.  Everything it injects is recorded on its
-:class:`~repro.resilience.report.ReportSink` so the chaos runner can match
+:class:`~repro.resilience.report.RecoveryReport` so the chaos runner can match
 injections against recoveries.
 """
 
@@ -17,15 +17,15 @@ import threading
 from typing import Dict, Optional, Set
 
 from .faults import FaultPlan
-from .report import ReportSink
+from .report import RecoveryReport
 
 
 class FaultInjector:
     """Consults a :class:`FaultPlan` and tracks which faults have fired."""
 
-    def __init__(self, plan: FaultPlan, sink: Optional[ReportSink] = None):
+    def __init__(self, plan: FaultPlan, report: Optional[RecoveryReport] = None):
         self.plan = plan
-        self.sink = sink if sink is not None else ReportSink()
+        self.report = report if report is not None else RecoveryReport()
         self._lock = threading.Lock()
         #: Per-comm-fault count of sends matching that fault's filter.
         self._match_counts: Dict[int, int] = {}
@@ -56,7 +56,7 @@ class FaultInjector:
                     self._fired_comm.add(i)
                     chosen = fault.kind
         if chosen is not None:
-            self.sink.record_injected(
+            self.report.record_injected(
                 chosen, f"message src={source} dest={dest} tag={tag}")
         return chosen
 
@@ -73,7 +73,7 @@ class FaultInjector:
                     hit = crash
                     break
         if hit is not None:
-            self.sink.record_injected(
+            self.report.record_injected(
                 "crash", f"rank {rank} at iteration {iteration}")
             return True
         return False
@@ -88,7 +88,7 @@ class FaultInjector:
             fail = any(f.index <= index < f.index + f.count
                        for f in self.plan.alloc_faults)
         if fail:
-            self.sink.record_injected(
+            self.report.record_injected(
                 "alloc", f"allocation #{index}"
                          + (f" ({label})" if label else ""))
         return fail
@@ -103,7 +103,7 @@ class FaultInjector:
             fail = any(f.index <= index < f.index + f.count
                        for f in self.plan.compile_faults)
         if fail:
-            self.sink.record_injected(
+            self.report.record_injected(
                 "compile", f"compile #{index}"
                            + (f" ({fingerprint[:12]})" if fingerprint else ""))
         return fail

@@ -12,13 +12,15 @@ recovered, and by which mechanism?  Rendered as an aligned text table by
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 
 @dataclass
 class RecoveryReport:
-    """Counters for one run (or one merged chaos campaign).
+    """Counters for one run (or one merged chaos campaign), thread-safe to
+    record into: rank tasks, pool callbacks and the session may record
+    concurrently during one run.
 
     ``injected`` counts faults by kind as the injector fires them
     (``drop``/``delay``/``duplicate``/``corrupt``/``crash``/``alloc``/
@@ -52,15 +54,9 @@ class RecoveryReport:
     unrecovered: int = 0
     #: Human-readable event trail (bounded by the caller's appetite).
     events: List[str] = field(default_factory=list)
-
-    _COUNTER_FIELDS = (
-        "receive_retries", "retransmissions", "duplicates_dropped",
-        "corruptions_detected", "delays_released", "checkpoint_saves",
-        "checkpoint_restores", "rank_respawns", "crashes_detected",
-        "oom_detected", "oom_host_staged",
-        "scalar_fallbacks", "compile_retries", "compiles_quarantined",
-        "quarantine_hits", "unrecovered",
-    )
+    #: Held by the four recording methods; not part of the report's value.
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  compare=False, repr=False)
 
     @property
     def faults_injected(self) -> int:
@@ -72,19 +68,26 @@ class RecoveryReport:
         return self.unrecovered == 0
 
     def record_injected(self, kind: str, detail: str = "") -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
-        if detail:
-            self.events.append(f"injected {kind}: {detail}")
+        with self._lock:
+            self.injected[kind] = self.injected.get(kind, 0) + 1
+            if detail:
+                self.events.append(f"injected {kind}: {detail}")
 
     def record_event(self, message: str) -> None:
-        self.events.append(message)
+        with self._lock:
+            self.events.append(message)
 
     def add_counters(self, counters: Dict[str, int]) -> None:
         """Fold a component's stats dict into the matching counters; unknown
         keys are ignored so components can keep extra private stats."""
-        for name in self._COUNTER_FIELDS:
-            if name in counters:
-                setattr(self, name, getattr(self, name) + int(counters[name]))
+        with self._lock:
+            for name in self._COUNTER_FIELDS:
+                if name in counters:
+                    setattr(self, name, getattr(self, name) + int(counters[name]))
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            setattr(self, name, getattr(self, name) + amount)
 
     def merge(self, other: "RecoveryReport") -> None:
         for kind, count in other.injected.items():
@@ -109,29 +112,9 @@ class RecoveryReport:
                 f"compile_retries={self.compile_retries})")
 
 
-class ReportSink:
-    """Thread-safe shared report: rank tasks, pool callbacks and the session
-    may record concurrently during one run."""
-
-    def __init__(self, report: RecoveryReport = None):
-        self.report = report if report is not None else RecoveryReport()
-        self._lock = threading.Lock()
-
-    def record_injected(self, kind: str, detail: str = "") -> None:
-        with self._lock:
-            self.report.record_injected(kind, detail)
-
-    def record_event(self, message: str) -> None:
-        with self._lock:
-            self.report.record_event(message)
-
-    def add_counters(self, counters: Dict[str, int]) -> None:
-        with self._lock:
-            self.report.add_counters(counters)
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self.report, name, getattr(self.report, name) + amount)
+#: The mechanism counters: every int field, in declaration order.
+RecoveryReport._COUNTER_FIELDS = tuple(
+    f.name for f in fields(RecoveryReport) if f.type in ("int", int))
 
 
-__all__ = ["RecoveryReport", "ReportSink"]
+__all__ = ["RecoveryReport"]

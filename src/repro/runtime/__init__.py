@@ -9,7 +9,7 @@ from .distributed_executor import (
     DistributedRunResult,
     RankStats,
 )
-from .gpu_kernel_engine import GpuKernelEngine, GpuLaunchKernel, compile_gpu_func
+from .gpu_kernel_engine import GpuKernelEngine, compile_gpu_func
 from .gpu_runtime import (
     DeviceMemoryPool,
     GPUTransfer,
@@ -52,7 +52,6 @@ __all__ = [
     "KernelLaunch",
     "DeviceMemoryPool",
     "GpuKernelEngine",
-    "GpuLaunchKernel",
     "compile_gpu_func",
     "SimulatedCommunicator",
     "CartesianDecomposition",

@@ -39,7 +39,6 @@ from ..resilience import (
     FaultPlan,
     InjectedFault,
     RecoveryReport,
-    ReportSink,
     ResilienceOptions,
 )
 from .interpreter import Interpreter
@@ -261,9 +260,9 @@ class DistributedExecutor:
                 f"iterations must be an integer >= 1, got {iterations!r}")
         policy = FAIL_FAST if resilience is None else resilience
         started = time.perf_counter()
-        sink = ReportSink()
+        report = RecoveryReport()
         injector = FaultInjector(
-            FaultPlan() if policy.plan is None else policy.plan, sink)
+            FaultPlan() if policy.plan is None else policy.plan, report)
         global_field = np.asfortranarray(global_field)
         decomposition = self.decomposition_for(global_field.shape)
         locals_by_rank = self.scatter(global_field, decomposition)
@@ -298,7 +297,7 @@ class DistributedExecutor:
             nonlocal total_messages, total_bytes
             total_messages += comm.message_count
             total_bytes += int(comm.bytes_sent)
-            sink.add_counters(comm.stats)
+            report.add_counters(comm.stats)
             for r in ranks:
                 interp = interps[r]
                 carried[r].messages += int(interp.stats["mpi_messages"])
@@ -340,7 +339,7 @@ class DistributedExecutor:
                     if checkpoint is None:
                         checkpoint = {r: locals_by_rank[r].copy(order="F")
                                       for r in ranks}
-                        sink.bump("checkpoint_saves")
+                        report.bump("checkpoint_saves")
                 failures: Dict[int, BaseException] = {}
                 list(pool.map(run_rank, ranks))
                 if not failures:
@@ -354,7 +353,7 @@ class DistributedExecutor:
                         raise exc
                 crashes = [exc for exc in outcomes
                            if isinstance(exc, InjectedFault)]
-                sink.bump("crashes_detected", len(crashes))
+                report.bump("crashes_detected", len(crashes))
                 if restarts >= policy.max_restarts:
                     raise MPIError(
                         f"distributed run gave up after {restarts} restarts "
@@ -364,9 +363,9 @@ class DistributedExecutor:
                 for r in ranks:
                     np.copyto(locals_by_rank[r], checkpoint[r])
                 comm, interps = new_generation()
-                sink.bump("checkpoint_restores")
-                sink.bump("rank_respawns", self.num_ranks)
-                sink.record_event(
+                report.bump("checkpoint_restores")
+                report.bump("rank_respawns", self.num_ranks)
+                report.record_event(
                     f"rolled back to iteration {iteration} "
                     f"(restart {restarts})")
         retire_generation()
@@ -381,7 +380,7 @@ class DistributedExecutor:
             bytes=total_bytes,
             seconds=time.perf_counter() - started,
             restarts=restarts,
-            recovery=sink.report,
+            recovery=report,
         )
 
     def __repr__(self) -> str:  # pragma: no cover

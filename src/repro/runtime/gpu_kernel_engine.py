@@ -37,7 +37,7 @@ Caching, guards and the oracle follow the kernel-compiler contract:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..ir.operation import Operation
 from .kernel_compiler import (
@@ -90,32 +90,11 @@ class _GuardSym:
         return _GuardSym(uppers)
 
 
-class GpuLaunchKernel(CompiledKernel):
-    """A compiled gpu.func: a whole-lattice NumPy sweep plus the per-dimension
-    guard bounds needed to clip the ``grid × block`` lattice at launch time."""
-
-    def __init__(self, *args, upper_limits: Tuple[Optional[int], ...] = (),
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        #: Tightest ``iv < upper`` guard per lattice dimension (lattice
-        #: coordinates; None when a dimension carries no guard).
-        self.upper_limits = tuple(upper_limits)
-
-    def launch_domain(self, grid, block) -> Tuple[List[int], List[int]]:
-        """The effective iteration domain of one launch: the thread lattice
-        ``[0, grid*block)`` clipped by the compiled guards."""
-        lowers = [0] * self.rank
-        uppers = []
-        for dim in range(self.rank):
-            extent = int(grid[dim]) * int(block[dim])
-            limit = self.upper_limits[dim] if dim < len(self.upper_limits) else None
-            uppers.append(extent if limit is None else min(extent, limit))
-        return lowers, uppers
-
-
-def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
+def compile_gpu_func(func_op: Operation, label: str = "") -> CompiledKernel:
     """Compile a ``gpu.func`` produced by kernel outlining into one
-    whole-lattice NumPy sweep.
+    whole-lattice NumPy sweep, with the per-dimension guard bounds that clip
+    the ``grid × block`` lattice at launch time
+    (:meth:`CompiledKernel.launch_domain`).
 
     Raises :class:`KernelUnsupported` for anything outside the outlined shape
     (nested control flow, unguarded bodies, non-affine indexing, …); the
@@ -233,8 +212,8 @@ def compile_gpu_func(func_op: Operation) -> GpuLaunchKernel:
 
     translator.translate_memory_body(guarded.regions[0].block, slot_of)
 
-    upper_limits = tuple(guard.uppers.get(d) for d in range(rank))
-    return GpuLaunchKernel("_gpu_kernel", translator, upper_limits=upper_limits)
+    return CompiledKernel("_gpu_kernel", translator, label, upper_limits=[
+        guard.uppers.get(d) for d in range(rank)])
 
 
 class GpuKernelEngine:
@@ -255,12 +234,10 @@ class GpuKernelEngine:
                    func_op: Operation) -> Optional[BoundKernel]:
         """The compiled whole-lattice kernel bound to one launch site, or
         None when the gpu.func cannot be vectorized."""
-        return self.kernels.bound_for(launch_op, func_op,
-                                      lambda: compile_gpu_func(func_op))
+        return self.kernels.bound_for(launch_op, func_op, compile_gpu_func)
 
 
 __all__ = [
     "GpuKernelEngine",
-    "GpuLaunchKernel",
     "compile_gpu_func",
 ]

@@ -194,7 +194,6 @@ class Interpreter:
             "parallel_tiles": 0,
             "parallel_fallbacks": 0,
             "cache_tiles": 0,
-            "cache_fallbacks": 0,
             "snapshots_copied": 0,
             "snapshots_elided": 0,
             "snapshots_swapped": 0,

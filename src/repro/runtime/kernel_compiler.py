@@ -40,14 +40,14 @@ Compilation translates IR to Python source:
   statements, in which every slice is 1-D and contiguous (the *flat* body,
   see :class:`CompiledKernel`).
 
-A :class:`CompiledKernel` is built *translated* and is *materialised* —
-rendered and passed to :func:`compile`/``exec`` — when an interpreter first
-looks it up to run it or something reads ``kernel.source``.  Because a cached
-kernel may be reused for a *different* op instance with the same structure,
-it references its inputs through **external paths** (operand positions within
-the op) which :meth:`KernelCompiler.kernel_for` resolves against the concrete
-op, rather than through SSA values captured at compile time; its parameters
-likewise by position among the op's float literals in walk order.
+A :class:`CompiledKernel` is built whole — translated, rendered and passed to
+:func:`compile`/``exec`` — when an interpreter first looks it up to run it,
+and never changes afterwards.  Because a cached kernel may be reused for a
+*different* op instance with the same structure, it references its inputs
+through **external paths** (operand positions within the op) which
+:meth:`KernelCompiler.kernel_for` resolves against the concrete op, rather
+than through SSA values captured at compile time; its parameters likewise by
+position among the op's float literals in walk order.
 
 Correctness guards and the interpreter oracle
 =============================================
@@ -75,7 +75,7 @@ on every sweep and raises unless their results agree bitwise.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -193,20 +193,21 @@ class _Expr:
     for a constant or a materialised induction variable.
 
     ``is_array`` distinguishes arrays from runtime scalars (which broadcast
-    under NumPy's rules); ``full`` marks arrays whose shape is exactly the
-    sweep box.  ``owned`` marks an array the kernel itself allocated — never
-    a view of an external — which the liveness pass ``del``s at its last use
-    or, when ``reusable`` (a full-box float64 ufunc result), donates to the
-    ``out=`` free-list instead.
+    under NumPy's rules); ``dims`` is the bitmask of the iteration dimensions
+    an array extends along — all of them (:attr:`_BodyTranslator.box`) when
+    its shape is exactly the sweep box.  ``owned`` marks an array the kernel
+    itself allocated — never a view of an external — which the liveness pass
+    ``del``s at its last use or, when ``reusable`` (a full-box float64 ufunc
+    result), donates to the ``out=`` free-list instead.
     """
 
-    __slots__ = ("var", "is_array", "full", "owned", "reusable")
+    __slots__ = ("var", "is_array", "dims", "owned", "reusable")
 
-    def __init__(self, var: str, is_array: bool, full: bool = False,
+    def __init__(self, var: str, is_array: bool, dims: int = 0,
                  owned: bool = False, reusable: bool = False):
         self.var = var
         self.is_array = is_array
-        self.full = full
+        self.dims = dims
         self.owned = owned
         self.reusable = reusable
 
@@ -299,21 +300,25 @@ _FLAT_SPAN_PER_POINT = 2
 
 class CompiledKernel:
     """A compiled sweep: a Python function over NumPy arrays plus the access
-    metadata needed for the runtime bounds/alias guards.
+    metadata needed for the runtime bounds/alias guards.  A value: the
+    constructor builds it whole from a finished :class:`_BodyTranslator` and
+    nothing writes to it afterwards, so one kernel is shared by every sweep
+    of every interpreter.
 
-    Built from a finished :class:`_BodyTranslator`, whose statements
-    :meth:`materialise` renders (liveness pass included) into ``source`` /
-    ``flat_source`` / ``allocations`` / ``arrays_per_point``, with ``fn`` the
-    function that runs one box through either.  ``loads``
-    and ``stores`` list ``(external_slot, ((dim, offset), ...))`` pairs — one per
-    *distinct* load window: slot indexes the external vector, and each
-    ``(dim, offset)`` describes the affine index ``iv[dim] + offset`` used for
-    the corresponding array axis.  ``external_paths`` locate the externals on
-    any structurally identical op (see module docstring), and ``parameters``
-    the position of parameter ``ck`` among its float literals: the body reads
-    ``ck`` from the external slot after the paths'.  ``bound_slots`` names,
-    for loop-nest kernels, the (lower, upper, step) slot triple of each
-    dimension.
+    The constructor renders the statements (liveness pass included) into
+    ``source`` / ``flat_source`` / ``allocations`` / ``arrays_per_point`` and
+    ``compile()``s both bodies; :meth:`fn` runs one box through either.
+    ``loads`` and ``stores`` list ``(external_slot, ((dim, offset), ...))``
+    pairs — one per *distinct* load window: slot indexes the external
+    vector, and each ``(dim, offset)`` describes the affine index ``iv[dim] +
+    offset`` used for the corresponding array axis.  ``external_paths``
+    locate the externals on any structurally identical op (see module
+    docstring), and ``parameters`` the position of parameter ``ck`` among its
+    float literals: the body reads ``ck`` from the external slot after the
+    paths'.  ``bound_slots`` names, for loop-nest kernels, the (lower, upper,
+    step) slot triple of each dimension; ``upper_limits``, for gpu.func
+    kernels, the tightest ``iv < upper`` guard per lattice dimension (None
+    where a dimension carries none), see :meth:`launch_domain`.
 
     One translation has two renderings, chosen per call by :meth:`flat_plan`.
     The *windowed* body slices an N-D window per access and serves any arrays
@@ -330,57 +335,41 @@ class CompiledKernel:
         self,
         name: str,
         translator: "_BodyTranslator",
+        label: str = "",
         prologue: Sequence[str] = (),
         bound_slots: Sequence[Tuple[int, int, int]] = (),
-        result_is_array: Sequence[bool] = (),
+        upper_limits: Sequence[Optional[int]] = (),
     ):
         self.name = name
-        self._pending: Optional[Tuple] = (tuple(prologue), translator)
-        self._flat: Optional[Callable] = None
+        #: Stable display name (op name + structural-hash prefix); keys the
+        #: per-kernel runtime statistics.
+        self.label = label
         self.rank = translator.rank
         self.loads = tuple(translator.windows)
         self.stores = tuple(translator.stores)
         self.external_paths = tuple(translator.external_paths)
         self.parameters = tuple(translator.parameters)
         self.bound_slots = tuple(bound_slots)
+        self.upper_limits = tuple(upper_limits)
         #: Element dtype the IR promises for each loaded/stored slot; the
         #: guards hold the runtime arrays to it, since ``out=`` reuse would
         #: silently cast where a fresh allocation would have promoted.
         self.slot_dtypes = translator.slot_dtypes
         #: Why no call can take the flat body (None: congruent arrays can).
         self.flat_refusal: Optional[str] = translator.flat_refusal()
-        #: For apply kernels: which returned values are whole-domain arrays
-        #: (only those can be delivered per box by ``run_boxes``).
-        self.result_is_array = tuple(result_is_array)
-        #: Stable display name (op name + structural-hash prefix), set by
-        #: KernelCompiler.kernel_for; keys the per-kernel runtime statistics.
-        self.label = ""
         #: Whether the sweep may be split into boxes that run concurrently.
-        #: Store kernels need every store to index every iteration dimension
-        #: (boxes that partition the domain then write disjoint regions);
-        #: pure kernels need every returned value to be a whole-domain
-        #: array.  :meth:`Sweep.run` clears it when a per-box result shape
-        #: refuses delivery — a structural property, so the refusal
-        #: holds for every later sweep of this (possibly shared) kernel.
-        if self.stores:
-            self.tileable = all(len(axes) == self.rank for _, axes in self.stores)
-        else:
-            self.tileable = bool(self.result_is_array) and all(self.result_is_array)
-
-    def materialise(self) -> None:
-        """Render both bodies and ``compile()`` the windowed one, once; the
-        flat one waits for the first call that chooses it.  Racing first
-        callers each build an equal kernel; the translation is let go last,
-        so whoever finds it gone finds a whole kernel."""
-        pending = self._pending
-        if pending is None:
-            return
-        prologue, translator = pending
+        #: A store kernel always may: every store indexes every iteration
+        #: dimension (``translate_memory_body`` refuses one that does not),
+        #: so boxes that partition the domain write disjoint regions.  A pure
+        #: kernel may when every returned value has the box's shape — not
+        #: one that broadcasts, e.g. built from ``stencil.index`` alone.
+        self.tileable = bool(self.stores) or \
+            all(expr.dims == translator.box for expr in translator.returned)
 
         def render(flat: bool, signature: str) -> str:
             lines, self.allocations = translator.render(flat)
-            body = "\n".join("    " + line for line in prologue + tuple(lines)) or "    pass"
-            return f"def {self.name}({signature}):\n{body}\n"
+            body = "\n".join("    " + line for line in [*prologue, *lines]) or "    pass"
+            return f"def {name}({signature}):\n{body}\n"
 
         self.flat_source = None if self.flat_refusal is not None else \
             render(True, "ext, lb, ub, s, lo, n, shape")
@@ -390,22 +379,15 @@ class CompiledKernel:
         #: touches per point: what the default cache-box plan sizes boxes by.
         self.arrays_per_point = self.allocations + len(self.slot_dtypes)
         self._windowed = self._compile(self.source)
-        self.fn: Callable = self._run
-        self._pending = None
+        self._flat = None if self.flat_source is None else \
+            self._compile(self.flat_source)
 
     def _compile(self, source: str) -> Callable:
         namespace = dict(_NAMESPACE)
         exec(compile(source, f"<{self.name}>", "exec"), namespace)
         return namespace[self.name]
 
-    def __getattr__(self, name: str):
-        if name in ("fn", "source", "flat_source", "allocations",
-                    "arrays_per_point"):
-            self.materialise()
-            return self.__dict__[name]
-        raise AttributeError(name)
-
-    def _run(self, ext, lb, ub, chosen: Optional[List[str]] = None):
+    def fn(self, ext, lb, ub, chosen: Optional[List[str]] = None):
         """One box through the body :meth:`flat_plan` chooses, appending
         "flat" or the reason for the windowed one to ``chosen``."""
         plan = self.flat_plan(ext, lb, ub)
@@ -414,11 +396,19 @@ class CompiledKernel:
             chosen.append("flat" if flat else plan)
         if not flat:
             return self._windowed(ext, lb, ub)
-        if self._flat is None:
-            self._flat = self._compile(self.flat_source)
         # What the dropped lanes overflow or divide by is nobody's data.
         with np.errstate(all="ignore"):
             return self._flat(ext, lb, ub, *plan)
+
+    def launch_domain(self, grid, block) -> Tuple[List[int], List[int]]:
+        """The effective iteration domain of one GPU launch: the thread
+        lattice ``[0, grid*block)`` clipped by the compiled guards."""
+        uppers = []
+        for dim in range(self.rank):
+            extent = int(grid[dim]) * int(block[dim])
+            limit = self.upper_limits[dim] if dim < len(self.upper_limits) else None
+            uppers.append(extent if limit is None else min(extent, limit))
+        return [0] * self.rank, uppers
 
     def flat_plan(self, ext: Sequence[object], lb: Sequence[int],
                   ub: Sequence[int]):
@@ -560,6 +550,8 @@ class _BodyTranslator:
 
     def __init__(self, rank: int, source: Operation):
         self.rank = rank
+        #: The ``dims`` of a box-shaped array: every iteration dimension.
+        self.box = (1 << rank) - 1
         #: (result or None, template over the uses' code, uses) per statement;
         #: loads and stores carry a (windowed, flat) pair of templates
         self.stmts: List[Tuple[Optional[_Expr], object, Tuple[_Expr, ...]]] = []
@@ -634,17 +626,19 @@ class _BodyTranslator:
             shape = ", ".join("-1" if d == sym.dim else "1" for d in range(self.rank))
             return _Expr(f"np.arange(lb[{sym.dim}] + {sym.offset}, "
                          f"ub[{sym.dim}] + {sym.offset}).reshape(({shape}))",
-                         is_array=True)
+                         is_array=True, dims=1 << sym.dim)
         raise KernelUnsupported(f"cannot render value {value!r}")
 
     def bind(self, result: SSAValue, template: str,
              uses: Sequence[_Expr]) -> _Expr:
         """Append ``t = template(uses)`` and make it ``result``'s value."""
         is_array = any(u.is_array for u in uses)
-        full = any(u.full for u in uses)
+        dims = 0
+        for use in uses:
+            dims |= use.dims
         is_f64 = isinstance(result.type, FloatType) and result.type.width == 64
-        expr = _Expr(self.fresh(), is_array, full, owned=is_array,
-                     reusable=full and is_f64 and "{out}" in template)
+        expr = _Expr(self.fresh(), is_array, dims, owned=is_array,
+                     reusable=dims == self.box and is_f64 and "{out}" in template)
         self.stmts.append((expr, template, tuple(uses)))
         self.values[id(result)] = expr
         return expr
@@ -675,7 +669,7 @@ class _BodyTranslator:
         expr = self.windows.get(key)
         if expr is None:
             expr = self.windows[key] = _Expr(self.fresh(), is_array=True,
-                                             full=len(axes) == self.rank)
+                                             dims=sum(1 << dim for dim, _ in axes))
             self.slot_dtypes[slot] = numpy_dtype_for(result.type)
             base = base or f"ext[{slot}].data"
             self.bases[slot] = (base, origin)
@@ -932,7 +926,7 @@ def _nest_structure(op: Operation):
         return bounds, ivs, block
 
 
-def compile_loop_nest(op: Operation) -> CompiledKernel:
+def compile_loop_nest(op: Operation, label: str = "") -> CompiledKernel:
     """Compile an ``scf.parallel`` / ``omp.wsloop`` (with perfectly nested
     inner ``scf.for`` loops) into a whole-array sweep."""
     bounds, ivs, body = _nest_structure(op)
@@ -962,7 +956,8 @@ def compile_loop_nest(op: Operation) -> CompiledKernel:
     translator.translate_memory_body(
         body, lambda value, op_index, operand_index: translator.external_slot(
             value, ("body", op_index, operand_index)))
-    return CompiledKernel("_nest_kernel", translator, bound_slots=bound_slots)
+    return CompiledKernel("_nest_kernel", translator, label,
+                          bound_slots=bound_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +965,7 @@ def compile_loop_nest(op: Operation) -> CompiledKernel:
 # ---------------------------------------------------------------------------
 
 
-def compile_apply(op: Operation) -> CompiledKernel:
+def compile_apply(op: Operation, label: str = "") -> CompiledKernel:
     """Compile the body region of a ``stencil.apply`` into one function that
     computes every result over the whole ``[lb, ub)`` domain per sweep.
 
@@ -1027,10 +1022,7 @@ def compile_apply(op: Operation) -> CompiledKernel:
         prologue.append(f"arr{slot} = ext[{slot}].data")
         prologue.append(f"org{slot} = ext[{slot}].origin")
     translator.returned = [translator.operand(value) for value in returned]
-    return CompiledKernel(
-        "_apply_kernel", translator, prologue,
-        result_is_array=[expr.is_array for expr in translator.returned],
-    )
+    return CompiledKernel("_apply_kernel", translator, label, prologue)
 
 
 # ---------------------------------------------------------------------------
@@ -1039,11 +1031,10 @@ def compile_apply(op: Operation) -> CompiledKernel:
 
 
 #: Process-wide cache shared across interpreter instances: structural hash ->
-#: CompiledKernel (or None for ops that failed to compile, _SHARED_REASONS
-#: saying why).  Compilation is deterministic and kernels are bound per-op
-#: through external paths, so sharing across modules is safe.
-_SHARED_CACHE: Dict[str, Optional[CompiledKernel]] = {}
-_SHARED_REASONS: Dict[str, str] = {}
+#: its CompiledKernel, or why there is none ("ExceptionClass: message").
+#: Compilation is deterministic and kernels are bound per-op through
+#: external paths, so sharing across modules is safe.
+_SHARED_CACHE: Dict[str, Union[CompiledKernel, str]] = {}
 
 
 class KernelCompiler:
@@ -1063,8 +1054,7 @@ class KernelCompiler:
         #: op -> (BoundKernel or None, label, why the op runs scalar or None)
         self._memo: Dict[Operation, Tuple] = \
             bindings if use_shared_cache and bindings is not None else {}
-        self._structural, self._reasons = (
-            (_SHARED_CACHE, _SHARED_REASONS) if use_shared_cache else ({}, {}))
+        self._structural = _SHARED_CACHE if use_shared_cache else {}
         #: Counters, why each looked-up op that cannot be vectorized cannot
         #: (``stats["reasons"]``: label -> "ExceptionClass: message") and
         #: ``stats["per_kernel"]``: each kernel label's invocation count and
@@ -1088,40 +1078,23 @@ class KernelCompiler:
         for body in chosen:
             renderings[body] = renderings.get(body, 0) + 1
 
-    def compile_cached(self, key: str,
-                       builder: Callable[[], CompiledKernel]) -> Optional[CompiledKernel]:
-        """Structural-cache lookup with counted translate-on-miss.  Any
-        failure must degrade to scalar interpretation, never crash the run:
-        the cache then holds None, and why is kept beside it (a codegen bug
-        surfacing as SyntaxError from ``exec``: see :meth:`bound_for`)."""
-        if key in self._structural:
-            self.stats["cache_hits"] += 1
-            return self._structural[key]
-        try:
-            kernel: Optional[CompiledKernel] = builder()
-            self.stats["compiled"] += 1
-        except Exception as exc:
-            kernel = None
-            self.stats["unsupported"] += 1
-            self._reasons[key] = f"{type(exc).__name__}: {exc}"
-        self._structural[key] = kernel
-        return kernel
-
     def kernel_for(self, op: Operation) -> Optional[BoundKernel]:
         """The compiled kernel bound to ``op``, or None when the op is not
         vectorizable."""
-        return self.bound_for(
-            op, op, lambda: compile_apply(op) if op.name == "stencil.apply"
-            else compile_loop_nest(op))
+        return self.bound_for(op, op, compile_apply if op.name == "stencil.apply"
+                              else compile_loop_nest)
 
     def bound_for(self, site: Operation, source: Operation,
-                  builder: Callable[[], CompiledKernel]) -> Optional[BoundKernel]:
-        """The kernel ``builder`` compiles from ``source`` (cached under its
-        structural hash) bound to ``site``'s operands and ``source``'s float
-        literals — from the identity memo after the first lookup, which also
-        materialises the kernel (a failure of either is a counted fallback).
-        A launch site binds to its ``gpu.func`` here, so all kernel kinds
-        share both cache levels."""
+                  build: Callable[[Operation, str], CompiledKernel]
+                  ) -> Optional[BoundKernel]:
+        """The kernel ``build(source, label)`` compiles — cached under the
+        structural hash of ``source`` — bound to ``site``'s operands and
+        ``source``'s float literals, from the identity memo after the first
+        lookup.  A launch site binds to its ``gpu.func`` here, so all kernel
+        kinds share both cache levels.  Any failure to build (translate,
+        render, ``compile()``: a codegen bug surfaces as SyntaxError) or to
+        bind is one counted fallback to scalar interpretation, never a crash;
+        a failed build caches its reason in the kernel's place."""
         entry = self._memo.get(site)
         if entry is not None:
             self.stats["cache_hits"] += 1
@@ -1129,16 +1102,24 @@ class KernelCompiler:
             key = structural_hash(source)
             sym = source.get_attr_or_none("sym_name")
             label = f"{source.name}{':' + sym.data if sym else ''}@{key[:10]}"
-            kernel = self.compile_cached(key, builder)
-            bound, reason = None, self._reasons.get(key)
+            kernel = self._structural.get(key)
             if kernel is not None:
-                kernel.label = kernel.label or label
+                self.stats["cache_hits"] += 1
+            bound = None
+            reason = kernel if isinstance(kernel, str) else None
+            if reason is None:
                 try:
-                    kernel.materialise()
+                    if kernel is None:
+                        # Racing first builders all leave with the kernel
+                        # published first.
+                        kernel = self._structural.setdefault(key, build(source, label))
+                        self.stats["compiled"] += 1
                     bound = self._bind(site, source, kernel)
                 except Exception as exc:
-                    self.stats["unsupported"] += 1
                     reason = f"{type(exc).__name__}: {exc}"
+                    self.stats["unsupported"] += 1
+                    if kernel is None:
+                        self._structural.setdefault(key, reason)
             # setdefault: racing first lookups all leave with one binding.
             entry = self._memo.setdefault(site, (bound, label, reason))
         if entry[2] is not None:

@@ -181,7 +181,7 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
               uppers: Sequence[int], boxes: Sequence[Box], threads: int = 1,
               chosen: Optional[List[str]] = None,
               destinations: Optional[List[np.ndarray]] = None,
-              deferred: bool = False) -> Optional[List[object]]:
+              deferred: bool = False) -> List[object]:
     """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
     on the shared pool of ``min(threads, usable_cpus())`` workers, read at
     every call; with one worker or one box, in box order on the calling
@@ -197,15 +197,10 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
     ``deferred`` (a destination shares memory with an input), once every box
     has read.  Without destinations one box's values are passed through and
     several boxes' delivered into fresh whole-domain arrays (exact — a pure
-    elementwise kernel computes bit-identical values on any sub-box).  A
-    value must have its box's shape: one that broadcasts along a cut dimension
-    (e.g. built purely from ``stencil.index`` of another) makes the call
-    return ``None`` and the caller recompute whole-domain, passed through.
+    elementwise kernel computes bit-identical values on any sub-box).  Only
+    a ``tileable`` kernel, whose values have their box's shape, is given
+    several boxes; one box's values may broadcast into its window.
     """
-    def fits(box: Box, values) -> bool:
-        shape = tuple(u - l for l, u in zip(*box))
-        return all(np.shape(value) == shape for value in values)
-
     def deliver(outs, box: Box, values) -> None:
         window = tuple(slice(bl - l, bu - l) for l, bl, bu in zip(lowers, *box))
         for out, value in zip(outs, values):
@@ -213,7 +208,7 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
 
     def run(box: Box):
         values = kernel.fn(externals, box[0], box[1], chosen)
-        if kernel.stores or destinations is None or not fits(box, values):
+        if kernel.stores or destinations is None:
             return values
         if deferred:  # keep no view of memory that a delivery overwrites
             return [np.copy(value) if any(np.may_share_memory(value, out)
@@ -226,9 +221,6 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
         if workers > 1 and len(boxes) > 1 else [run(box) for box in boxes]
     if kernel.stores:
         return []
-    pending = [pair for pair in zip(boxes, partials) if pair[1] is not None]
-    if not all(fits(*pair) for pair in pending):
-        return partials[0] if len(boxes) == 1 else None
     if destinations is None:
         if len(boxes) == 1:
             return partials[0]
@@ -237,8 +229,9 @@ def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
         shape = tuple(u - l for l, u in zip(lowers, uppers))
         destinations = [np.empty(shape, np.result_type(first), _layout(first))
                         for first in partials[0]]
-    for box, values in pending:
-        deliver(destinations, box, values)
+    for box, values in zip(boxes, partials):
+        if values is not None:  # not delivered yet
+            deliver(destinations, box, values)
     return destinations
 
 
@@ -576,23 +569,11 @@ class Sweep:
             chosen: List[str] = []
             results = run_boxes(kernel, externals, lowers, uppers, boxes,
                                 threads, chosen, *delivery)
-            if results is None:
-                # A result broadcasts along a tiled dimension, so the boxes
-                # cannot be delivered.  The defect is structural: remember
-                # the refusal and recompute whole-domain (kernels are pure).
-                kernel.tileable = False
-                if slabs > 1:
-                    self.stats["parallel_fallbacks"] += 1
-                if shape is not None:
-                    self.stats[shape + "_fallbacks"] += 1
-                results = run_boxes(kernel, externals, lowers, uppers,
-                                    [(lowers, uppers)], 1, chosen, *delivery)
-            else:
-                if slabs > 1:
-                    self.stats["parallel_sweeps"] += 1
-                    self.stats["parallel_tiles"] += slabs
-                if shape is not None:
-                    self.stats[shape + "_tiles"] += len(boxes)
+            if slabs > 1:
+                self.stats["parallel_sweeps"] += 1
+                self.stats["parallel_tiles"] += slabs
+            if shape is not None:
+                self.stats[shape + "_tiles"] += len(boxes)
             interp.kernels.record_invocation(kernel.label,
                                              _time.perf_counter() - start, chosen)
             return results

@@ -40,7 +40,7 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..api.options import BackendOptions, OptionError, validate_timeout
+from ..api.options import BackendOptions, OptionError, require_count, validate_timeout
 from ..api.program import CompiledProgram, source_fingerprint
 from ..api.session import Session
 from .store import ArtifactStore
@@ -154,10 +154,8 @@ class CompileService:
     def __init__(self, session: Optional[Session] = None, *,
                  store: Optional[ArtifactStore] = None,
                  workers: int = 4, max_queue: int = 64):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue!r}")
+        require_count("workers", workers)
+        require_count("max_queue", max_queue)
         if session is None:
             session = Session(store=store)
         elif store is not None:

@@ -4,7 +4,6 @@ from .cleanup import (
     CanonicalizePass,
     CSEPass,
     ReconcileUnrealizedCastsPass,
-    eliminate_dead_code,
 )
 from .distributed import ConvertDMPToMPIPass, ConvertStencilToDMPPass, NeighbourRankOp
 from .gpu_data_management import GpuHostRegisterPass, GpuOptimisedDataPass
@@ -42,7 +41,6 @@ __all__ = [
     "CanonicalizePass",
     "CSEPass",
     "ReconcileUnrealizedCastsPass",
-    "eliminate_dead_code",
     "CPU_PIPELINE",
     "OPENMP_PIPELINE",
     "GPU_PIPELINE",

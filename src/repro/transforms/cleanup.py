@@ -8,7 +8,7 @@ between the structural lowerings (``canonicalize``, ``cse``,
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..dialects import arith
 from ..dialects.builtin import UnrealizedConversionCastOp
@@ -17,15 +17,6 @@ from ..ir.operation import Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import erase_and_fold
 from ..ir.traits import Pure, has_trait
-
-
-def eliminate_dead_code(
-    root: Operation, seeds: Optional[Iterable[Operation]] = None
-) -> int:
-    """Erase every :func:`~repro.ir.traits.is_trivially_dead` operation
-    reachable from ``seeds`` (default: everything under ``root``) through
-    operand definers; returns the removal count."""
-    return erase_and_fold(root, seeds=seeds)
 
 
 _FOLDERS = {
@@ -119,5 +110,4 @@ __all__ = [
     "CanonicalizePass",
     "CSEPass",
     "ReconcileUnrealizedCastsPass",
-    "eliminate_dead_code",
 ]

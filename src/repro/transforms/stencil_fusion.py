@@ -18,8 +18,8 @@ from typing import Dict, List, Optional
 from ..dialects import stencil
 from ..dialects.func import FuncOp
 from ..ir.operation import Block, Region
+from ..ir.rewriting import erase_and_fold
 from ..ir.ssa import OpResult, SSAValue
-from .cleanup import eliminate_dead_code
 
 
 def _source_root(value: SSAValue) -> Optional[SSAValue]:
@@ -151,7 +151,7 @@ def merge_adjacent_applies(func_op: FuncOp) -> int:
     # would still execute as a whole-field snapshot copy; erase them and the
     # external_load ops only they kept alive.
     chain = (stencil.LoadOp, stencil.ExternalLoadOp)
-    eliminate_dead_code(
+    erase_and_fold(
         func_op, seeds=[op for op in func_op.walk() if isinstance(op, chain)]
     )
     return fused

@@ -30,9 +30,9 @@ from ..ir.builder import Builder
 from ..ir.context import Context
 from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
+from ..ir.rewriting import erase_and_fold
 from ..ir.ssa import BlockArgument, SSAValue
 from ..ir.types import MemRefType, index
-from .cleanup import eliminate_dead_code
 
 
 class LoweringError(Exception):
@@ -102,7 +102,7 @@ class ConvertStencilToSCFPass(ModulePass):
 
         # The stencil loads and casts are now dead (stores/applies were
         # erased above).
-        eliminate_dead_code(func_op, seeds=[
+        erase_and_fold(func_op, seeds=[
             op for op in func_op.walk() if op.name.startswith("stencil.")
         ])
 

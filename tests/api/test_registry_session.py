@@ -294,6 +294,15 @@ class TestRunBatch:
                                     workers=3)
         assert len(results) == 5      # one (empty) return list per arg set
 
+    @pytest.mark.parametrize("workers", [True, 2.5, "2", 0])
+    def test_a_worker_count_that_is_not_a_positive_int_is_refused(
+            self, session, workers):
+        """``True`` is not one worker: the rule ``threads`` follows."""
+        compiled = session.compile(gauss_seidel.generate_source(6)).lower("cpu")
+        batch = [(gauss_seidel.initial_condition(6),)]
+        with pytest.raises(OptionError, match="^workers must be an integer"):
+            session.run_batch(compiled, "gauss_seidel", batch, workers=workers)
+
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_default_workers_follow_the_cpus_the_process_may_use(
             self, session, monkeypatch, cpus):

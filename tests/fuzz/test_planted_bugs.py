@@ -83,9 +83,8 @@ def plant_codegen_syntax_error(monkeypatch):
         return lines + ["return )"], allocations
 
     monkeypatch.setattr(_BodyTranslator, "render", broken)
-    # Kernels materialised before the plant are shared process-wide.
+    # Kernels built before the plant are shared process-wide.
     monkeypatch.setattr(kernel_compiler, "_SHARED_CACHE", {})
-    monkeypatch.setattr(kernel_compiler, "_SHARED_REASONS", {})
 
 
 def test_aliased_cells_exist_exactly_for_specs_with_an_alias_pair():

@@ -23,9 +23,8 @@ from repro.transforms import (
     GPU_PIPELINE,
     CanonicalizePass,
     CSEPass,
-    eliminate_dead_code,
 )
-from repro.ir import default_context
+from repro.ir import default_context, erase_and_fold
 
 
 def build_module_with_redundancy():
@@ -75,7 +74,7 @@ class TestCleanupPasses:
     def test_dce_removes_unused(self):
         module = build_module_with_redundancy()
         before = sum(1 for _ in module.walk())
-        eliminate_dead_code(module)
+        erase_and_fold(module)
         after = sum(1 for _ in module.walk())
         assert after == before - 1  # the unused constant disappears
         module.verify()
@@ -134,7 +133,7 @@ class TestCleanupPasses:
 
     def test_dce_erases_an_unused_load_and_nothing_that_writes(self):
         module = self.build_memory_module()
-        eliminate_dead_code(module)
+        erase_and_fold(module)
         self.assert_only_the_unused_load_went(module)
 
     def test_cse_never_merges_loads_across_a_store(self):

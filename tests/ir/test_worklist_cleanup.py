@@ -1,5 +1,5 @@
 """The one cleanup engine: ``is_trivially_dead`` + the worklist of
-``erase_and_fold``, behind ``eliminate_dead_code`` and ``canonicalize``."""
+``erase_and_fold``, called directly and behind ``canonicalize``."""
 
 import pytest
 
@@ -19,7 +19,7 @@ from repro.ir import (
     print_module,
 )
 from repro.ir.traits import Pure, ReadOnly, is_trivially_dead
-from repro.transforms import StencilDiscoveryPass, eliminate_dead_code, stencil_discovery
+from repro.transforms import StencilDiscoveryPass, stencil_discovery
 from repro.transforms.cleanup import _fold_constant
 from repro.transforms.stencil_discovery import (
     _erase_and_sweep,
@@ -65,9 +65,9 @@ def test_worklist_dce_matches_the_naive_fixpoint(fuzz_seeds):
         for module in _fir_modules(source):
             reference = module.clone()
             expected = naive_dce(reference)
-            assert eliminate_dead_code(module) == expected
+            assert erase_and_fold(module) == expected
             assert print_module(module) == print_module(reference)
-            assert eliminate_dead_code(module) == 0
+            assert erase_and_fold(module) == 0
             module.verify()
             erased_anything |= expected > 0
     assert erased_anything
@@ -181,7 +181,7 @@ def test_erasing_a_three_deep_nest_releases_every_nested_use():
     offered = []
     assert erase_and_fold(f, seeds=[outer, *nested], fold=offered.append) == 0
     assert offered == []
-    eliminate_dead_code(f)
+    erase_and_fold(f)
     assert _names(f) == ["fir.alloca"] * 3 + ["func.return"]
     module.verify()
 

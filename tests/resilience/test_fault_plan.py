@@ -17,7 +17,6 @@ from repro.resilience import (
     FaultPlanError,
     RankCrash,
     RecoveryReport,
-    ReportSink,
 )
 
 
@@ -112,11 +111,11 @@ class TestFaultInjector:
         assert injector.on_compile("abc")
         assert not injector.on_compile("abc")
 
-    def test_injections_recorded_on_sink(self):
+    def test_injections_recorded_on_the_report(self):
         report = RecoveryReport()
         injector = FaultInjector(FaultPlan(
             comm_faults=(CommFault("drop", 0),),
-            alloc_faults=(AllocFault(index=0),)), ReportSink(report))
+            alloc_faults=(AllocFault(index=0),)), report)
         injector.on_send(0, 1, 0)
         injector.on_device_alloc("scratch")
         assert report.injected == {"drop": 1, "alloc": 1}

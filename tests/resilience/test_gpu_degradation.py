@@ -13,7 +13,7 @@ from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.fuzz import DEFAULT_CONFIG, DifferentialRunner, generate_spec
 from repro.ir import Builder, MemRefType, default_context, f64, index
-from repro.resilience import AllocFault, FaultInjector, FaultPlan, ReportSink
+from repro.resilience import AllocFault, FaultInjector, FaultPlan, RecoveryReport
 from repro.runtime import Interpreter, SimulatedGPU
 from repro.runtime.gpu_runtime import DeviceMemoryPool
 from repro.runtime.memory import MemoryBuffer
@@ -149,7 +149,7 @@ class TestDegradationLadder:
         runner = DifferentialRunner()
         spec = generate_spec(0, DEFAULT_CONFIG)
         baseline, _ = runner._run_plain(spec, "gpu", "vectorize", 1, {})
-        report = ReportSink()
+        report = RecoveryReport()
         injector = FaultInjector(
             FaultPlan(alloc_faults=(AllocFault(index=0, count=2),)), report)
         gpu = SimulatedGPU(alloc_hook=injector.on_device_alloc)

@@ -164,7 +164,6 @@ def test_the_scalar_fallback_swaps_the_same_way(monkeypatch):
     monkeypatch.setattr(_BodyTranslator, "render", lambda self, flat=False: (
         real(self, flat)[0] + ["return )"], real(self, flat)[1]))
     monkeypatch.setattr(kernel_compiler, "_SHARED_CACHE", {})
-    monkeypatch.setattr(kernel_compiler, "_SHARED_REASONS", {})
     stats = assert_swaps_like_interpret(sweep_source(niters=3), 3)
     assert stats["vectorized_sweeps"] == 0
     assert stats["vectorize_fallbacks"] == 3

@@ -103,7 +103,6 @@ def test_cache_boxes_are_bitwise_the_whole_domain_sweep(app, config, budget,
                         _CUT_BUDGETS[budget])
     boxed, stats = _run_app(app, handle, threads)
     assert whole_stats["cache_tiles"] == 0 and stats["cache_tiles"] > 0
-    assert stats["cache_fallbacks"] == 0
     # Boxes cut the thread slabs; they never change them.
     assert stats["parallel_tiles"] == whole_stats["parallel_tiles"]
     assert boxed == whole

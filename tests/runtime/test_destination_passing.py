@@ -269,9 +269,6 @@ def return_the_column_index(compiled):
 @pytest.mark.parametrize("edit, first_apply", [
     (narrow_the_first_store, Sweep(6, None, False)),
     (feed_the_second_apply_from_the_first, Sweep(6, None, False)),
-    # Asked to deliver, refused by the first box, recomputed whole and
-    # handed back as it is for the store to broadcast.
-    (return_the_column_index, Sweep(6, "immediate", False)),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_results_that_are_not_simply_stored_take_todays_path(
         sweeps, empty_kernel_cache, edit, first_apply, mode):
@@ -282,10 +279,21 @@ def test_results_that_are_not_simply_stored_take_todays_path(
     assert_same_bits(fields, oracle)
     assert sweeps[0] == first_apply
     # The second apply, untouched by every edit, still delivers.
-    assert sweeps[-1] == Sweep(6, "immediate", True)
-    refused = edit is return_the_column_index
-    assert interp.stats["cache_fallbacks"] == refused
-    assert sweeps[1:-1] == ([Sweep(1, "immediate", False)] if refused else [])
+    assert sweeps[1:] == [Sweep(6, "immediate", True)]
+
+
+@pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
+def test_a_result_that_broadcasts_is_delivered_from_one_box(
+        sweeps, empty_kernel_cache, mode):
+    """Its kernel is built untileable, so the sweep is one box whatever the
+    budget, and the value broadcasts into its store window."""
+    compiled = lower(CHAIN, fuse_stencils=False)
+    return_the_column_index(compiled)
+    oracle, _ = run_chain(compiled, "interpret")
+    fields, interp = run_chain(compiled, mode)
+    assert_same_bits(fields, oracle)
+    assert sweeps == [Sweep(1, "immediate", True), Sweep(6, "immediate", True)]
+    assert interp.stats["cache_tiles"] == 6
 
 
 @pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])

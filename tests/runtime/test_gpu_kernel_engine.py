@@ -37,7 +37,8 @@ from repro.runtime import (
     SimulatedGPU,
     compile_gpu_func,
 )
-from repro.runtime.gpu_kernel_engine import GpuLaunchKernel, KernelUnsupported
+from repro.runtime.gpu_kernel_engine import KernelUnsupported
+from repro.runtime.kernel_compiler import CompiledKernel
 from repro.transforms import ConvertParallelLoopsToGpuPass, ParallelLoopTilingPass
 
 
@@ -114,7 +115,7 @@ class TestCompileGpuFunc:
         module = build_launch_module(n=8, tile=(4, 4))
         func_op = next(op for op in module.walk() if op.name == "gpu.func")
         kernel = compile_gpu_func(func_op)
-        assert isinstance(kernel, GpuLaunchKernel)
+        assert isinstance(kernel, CompiledKernel)
         assert kernel.rank == 2
         # iv = lattice + 1, guard iv < 7  =>  lattice upper limit 6.
         assert kernel.upper_limits == (6, 6)
@@ -221,7 +222,8 @@ class TestLaunchExecution:
         compiler = KernelCompiler(use_shared_cache=False)
         # Prime the cache, then corrupt the compiled kernel's function.
         _, _, interp = run_shift(module, "vectorize", kernel_compiler=compiler)
-        kernel = next(k for k in compiler._structural.values() if k is not None)
+        kernel = next(k for k in compiler._structural.values()
+                      if isinstance(k, CompiledKernel))
 
         def wrong(ext, lb, ub, chosen=None):
             ext[1].data[lb[0]:ub[0], lb[1]:ub[1]] += 1.0

@@ -514,7 +514,7 @@ class TestTiledApplyExecution:
         module = ModuleOp([])
         compiler = KernelCompiler(use_shared_cache=False)
         bound = compiler.kernel_for(apply_op)
-        assert bound.kernel.result_is_array == (True,)
+        assert bound.kernel.tileable
 
         data = np.asfortranarray(np.random.default_rng(5).random((n, n)))
         temp = TempValue(data, (0, 0))
@@ -557,8 +557,8 @@ class TestTiledApplyExecution:
         assert tiled.flags[f"{order}_CONTIGUOUS"]
 
     def test_scalar_result_apply_refuses_tiling(self):
-        """An apply returning a non-array value (a constant) cannot be
-        slab-assembled; tiling is refused and counted."""
+        """An apply returning a non-array value (a constant) is built
+        untileable: its sweeps run as one slab, counted."""
         from repro.runtime import TempValue
         from repro.runtime.kernel_compiler import KernelCompiler
 
@@ -573,7 +573,7 @@ class TestTiledApplyExecution:
 
         compiler = KernelCompiler(use_shared_cache=False)
         bound = compiler.kernel_for(apply_op)
-        assert bound.kernel.result_is_array == (False,)
+        assert not bound.kernel.tileable
         temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
         interp = Interpreter([ModuleOp([])], execution_mode="vectorize",
                              threads=4, kernel_compiler=compiler)

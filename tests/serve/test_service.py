@@ -358,6 +358,18 @@ class TestLifecycleAndMetrics:
         with pytest.raises(ValueError, match="max_queue"):
             CompileService(Session(), max_queue=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("workers", "2"), ("workers", 2.5), ("workers", True),
+        ("max_queue", None), ("max_queue", 1.5), ("max_queue", True),
+    ])
+    def test_counts_that_are_not_positive_ints_name_their_parameter(
+            self, name, value):
+        """The rule ``threads`` follows: no raw TypeError from a comparison,
+        and no float or bool taken for a count."""
+        with pytest.raises(OptionError, match=f"^{name} must be an integer "
+                                              f">= 1, got {value!r}"):
+            CompileService(Session(), **{name: value})
+
     @pytest.mark.parametrize("args", [5, None, "field"])
     def test_args_that_are_not_a_sequence_are_refused_at_submission(self,
                                                                     args):

@@ -150,6 +150,14 @@ GUARDS = (
           r"|interpreter_kwargs|build_interpreter|DeadCodeEliminationPass",
           ("src", "docs"), "after 32b4417",
           "    def interpreter_kwargs(self, options, overrides):"),
+    # A compiled kernel is built whole and never changes: its deferred
+    # second build step, the GPU kernel subclass, the run-time tiling
+    # refusal and its counter, the second cache of reasons, the recovery
+    # report's locking wrapper and the dead-code pass-through stay deleted.
+    Guard("one-step-kernel",
+          r"materialise\(|GpuLaunchKernel|_SHARED_REASONS|cache_fallbacks"
+          r"|ReportSink|eliminate_dead_code",
+          ("src", "docs"), "after 298c47f", "                kernel.materialise()"),
 )
 
 

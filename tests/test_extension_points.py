@@ -28,8 +28,6 @@ SINGLE = {
     "Backend.uses_stencil_flow": (
         "two values: flang-only runs no stencil flow, every other backend "
         "does"),
-    "CompiledKernel": (
-        "only a gpu launch clips its lattice by the launch's guards"),
 }
 
 
@@ -225,6 +223,17 @@ def test_the_deleted_pattern_framework_planted_back_fails_the_census():
     found = Census(sources).report()
     assert found["RewritePattern"] == 1
     assert found["RewritePattern.match_and_rewrite"] == 1
+
+
+def test_the_folded_gpu_kernel_subclass_planted_back_fails_the_census():
+    sources = _plant(module_sources(), "repro.runtime.gpu_kernel_engine", None, [
+        "class GpuLaunchKernel(CompiledKernel):",
+        "    def launch_domain(self, grid, block):",
+        "        return [], []"])
+    found = Census(sources).report()
+    assert found["CompiledKernel"] == 1
+    assert found["CompiledKernel.launch_domain"] == 1
+    assert "CompiledKernel" not in SINGLE
 
 
 def test_bases_resolve_by_module_not_by_bare_name():
