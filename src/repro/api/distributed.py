@@ -171,6 +171,9 @@ class DistributedProgram:
             raise OptionError(
                 f"entry '{entry}' is compiled for rank-{len(expected)} arrays "
                 f"but the global field has rank {np.ndim(global_field)}")
+        # One handle per distinct rank-local shape.  The executor builds
+        # every rank's interpreter on this thread before any rank starts, so
+        # no rank races a shape's first compile.
         handles: Dict[Tuple[int, ...], "CompiledProgram"] = {}
 
         def handle_for(local_shape: Tuple[int, ...]) -> "CompiledProgram":
@@ -194,18 +197,6 @@ class DistributedProgram:
                 )
             handles[local_shape] = handle
             return handle
-
-        # Pre-compile every distinct local shape on the calling thread so
-        # rank workers never race the (lock-guarded but slow) first compile.
-        decomposition = self._executor.decomposition_for(
-            np.shape(global_field)
-        )
-        for rank in range(self.ranks):
-            bounds = decomposition.local_bounds(rank)
-            padded = tuple(
-                (ub - lb) + 2 * self._executor.halo for lb, ub in bounds
-            )
-            handle_for(padded)
 
         def make_interpreter(rank: int, local_shape: Tuple[int, ...],
                              comm: SimulatedCommunicator,

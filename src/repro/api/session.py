@@ -63,9 +63,9 @@ class Session:
         self.store = store
         self._disk_hits = 0
         self._disk_misses = 0
-        #: Deterministic fault injection: called with the source fingerprint
-        #: before every backend compile; returning True simulates a transient
-        #: compiler crash (see :class:`repro.resilience.FaultInjector`).
+        #: Deterministic fault injection: called before every backend
+        #: compile; returning True simulates a transient compiler crash
+        #: (see :class:`repro.resilience.FaultInjector`).
         self.compile_hook = None
         #: Poisoned-artifact records: cache key -> the exception that
         #: exhausted its retries and its traceback from the compile.
@@ -91,15 +91,24 @@ class Session:
         keyword ``overrides`` refine the
         backend's option schema and are validated against it.
         """
+        source, backend_obj, opts, key = self.resolve(
+            source, backend, options, **overrides)
+        artifact = self._artifact_for(key, source, backend_obj, opts)
+        return CompiledProgram(self, source, backend_obj, opts, artifact)
+
+    def resolve(self, source, backend="cpu",
+                options: Optional[BackendOptions] = None, **overrides
+                ) -> Tuple[str, Backend, BackendOptions, Tuple]:
+        """A request's ``(source text, backend, validated options, cache
+        key)``; the key ignores the runtime-only options."""
         source = getattr(source, "source", source)
         backend_obj = self.registry.get(backend)
         opts = backend_obj.make_options(options, **overrides)
-        artifact = self._artifact_for(source, backend_obj, opts)
-        return CompiledProgram(self, source, backend_obj, opts, artifact)
+        key = (source_fingerprint(source), backend_obj.name, opts.cache_key())
+        return source, backend_obj, opts, key
 
-    def _artifact_for(self, source: str, backend: Backend,
+    def _artifact_for(self, key: Tuple, source: str, backend: Backend,
                       options: BackendOptions) -> CompiledArtifact:
-        key = (source_fingerprint(source), backend.name, options.cache_key())
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
@@ -138,7 +147,7 @@ class Session:
         attempt = 0
         while True:
             try:
-                if self.compile_hook is not None and self.compile_hook(key[0]):
+                if self.compile_hook is not None and self.compile_hook():
                     raise InjectedFault(
                         f"injected transient compile failure for source "
                         f"{key[0][:12]} on backend '{backend.name}'"
@@ -206,10 +215,7 @@ class Session:
                            **overrides) -> Optional[BaseException]:
         """The poisoned-artifact record for a (source, backend, options)
         triple, or None if the key is healthy."""
-        source = getattr(source, "source", source)
-        backend_obj = self.registry.get(backend)
-        opts = backend_obj.make_options(options, **overrides)
-        key = (source_fingerprint(source), backend_obj.name, opts.cache_key())
+        key = self.resolve(source, backend, options, **overrides)[3]
         with self._lock:
             exc, _ = self._quarantined.get(key, (None, None))
             return exc

@@ -22,12 +22,12 @@ verify and erase hundreds of duplicates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..dialects import arith, fir, func, math_dialect as math
 from ..dialects.builtin import ModuleOp
 from ..ir.builder import Builder
-from ..ir.operation import Block, Operation, Region
+from ..ir.operation import Block, Region
 from ..ir.ssa import SSAValue
 from ..ir.types import (
     DYNAMIC,
@@ -62,7 +62,7 @@ from .ast_nodes import (
     UnaryOp,
     VarRef,
 )
-from .symbols import SemanticError, Symbol, SymbolTable
+from .symbols import Symbol, SymbolTable
 
 
 class CodegenError(Exception):

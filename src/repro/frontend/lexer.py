@@ -9,7 +9,7 @@ NEWLINE token at each statement boundary (newline or ``;``).
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 
 class LexError(Exception):

@@ -4,7 +4,7 @@ One :class:`Farm` drives seeds through one of two scenarios — the
 differential matrix and chaos mode — and merges every case into one
 :class:`Report`.  The layers:
 
-* :mod:`repro.fuzz.generator` — seeded, trace-recording generation of
+* :mod:`repro.fuzz.generator` — seeded, replayable generation of
   *executable* stencil kernels as structured :class:`KernelSpec` trees
   (rank, nest depth, offsets, intrinsics, sweeps, grid shapes), rendered
   to Fortran on demand;

@@ -27,12 +27,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..api.session import Session
 from ..resilience import (
     AllocFault,
-    CommFault,
     CompileFault,
     FaultInjector,
     FaultPlan,
@@ -98,14 +95,8 @@ class ChaosRunner:
                       alloc_faults=(AllocFault(index=spec.seed % 2),)),
             report)
         gpu = SimulatedGPU(alloc_hook=injector.on_device_alloc)
-        compiled = self.session.compile(spec.render()).lower(
-            "gpu", execution_mode="vectorize")
-        arrays, scalar = self.runner.inputs_for(spec)
-        work = {name: arr.copy(order="F") for name, arr in arrays.items()}
-        interp = compiled.interpreter(gpu=gpu)
-        with np.errstate(over="ignore", invalid="ignore"):
-            interp.call(spec.entry,
-                        *self.runner._call_args(spec, work, scalar))
+        work, interp = self.runner._run_plain(spec, "gpu", "vectorize", 1, {},
+                                              gpu=gpu)
         report.add_counters(gpu.degradation)
         report.add_counters(
             {"scalar_fallbacks": int(interp.stats.get("gpu_launch_fallbacks",
@@ -125,13 +116,8 @@ class ChaosRunner:
         # and its quarantine records must not leak into the shared session.
         scratch = Session(registry=self.session.registry)
         scratch.compile_hook = injector.on_compile
-        compiled = scratch.compile(spec.render()).lower(
-            "cpu", execution_mode="vectorize")
-        arrays, scalar = self.runner.inputs_for(spec)
-        work = {name: arr.copy(order="F") for name, arr in arrays.items()}
-        with np.errstate(over="ignore", invalid="ignore"):
-            compiled.interpreter().call(
-                spec.entry, *self.runner._call_args(spec, work, scalar))
+        work, _ = self.runner._run_plain(spec, "cpu", "vectorize", 1, {},
+                                         session=scratch)
         report.add_counters(scratch.resilience_stats)
         result.configs_run += 1
         self._compare(spec, "compile-chaos", result, baseline, work)

@@ -6,10 +6,9 @@ extents, sweeps, stencil offsets, intrinsics, expression trees — that
 *renders* to Fortran instead of being generated as text.  Specs are the unit
 the whole fuzz farm operates on:
 
-* **replayable**: a spec is a pure function of ``(seed, GeneratorConfig)``
-  and records its decision trace, so any case reproduces from two integers
-  and a config; specs also serialise to JSON (:meth:`KernelSpec.to_dict`)
-  for the persisted corpus.
+* **replayable**: a spec is a pure function of ``(seed, GeneratorConfig)``,
+  so any case reproduces from two integers and a config; specs also
+  serialise to JSON (:meth:`KernelSpec.to_dict`) for the persisted corpus.
 * **executable everywhere**: generated expressions are NaN/Inf-free by
   construction (``sqrt`` renders over ``abs``, division denominators are
   clamped, ``exp`` only applies to leaves), so bitwise comparison against
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 #: Loop index variables, innermost first (dimension order).
 LOOP_VARS = ("i", "j", "k")
@@ -252,15 +251,11 @@ class KernelSpec:
     has_scalar: bool
     max_offset: int
     statements: Tuple[Statement, ...]
-    #: The generator's recorded decision trace (label, value) — replay
-    #: provenance, not identity: minimized specs carry an empty trace.
-    trace: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
         object.__setattr__(self, "arrays", tuple(self.arrays))
         object.__setattr__(self, "statements", tuple(self.statements))
-        object.__setattr__(self, "trace", tuple(tuple(t) for t in self.trace))
 
     # -- identity ------------------------------------------------------------
 
@@ -377,7 +372,6 @@ class KernelSpec:
                 {"target": s.target, "expr": _expr_to_dict(s.expr)}
                 for s in self.statements
             ],
-            "trace": [list(t) for t in self.trace],
         }
 
     @classmethod
@@ -395,7 +389,6 @@ class KernelSpec:
                 Statement(s["target"], _expr_from_dict(s["expr"]))
                 for s in data["statements"]
             ),
-            trace=tuple(tuple(t) for t in data.get("trace", [])),
         )
 
 
@@ -436,83 +429,51 @@ def _expr_from_dict(data: Dict[str, object]) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-class _TracedRandom:
-    """A ``random.Random`` facade that records every decision it hands out,
-    so a generated spec carries its own provenance."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-        self.trace: List[Tuple[str, object]] = []
-
-    def random(self, label: str) -> float:
-        value = self._rng.random()
-        self.trace.append((label, round(value, 6)))
-        return value
-
-    def randrange(self, label: str, start: int, stop: int) -> int:
-        value = self._rng.randrange(start, stop)
-        self.trace.append((label, value))
-        return value
-
-    def choice(self, label: str, seq: Sequence):
-        value = seq[self._rng.randrange(len(seq))]
-        self.trace.append((label, value))
-        return value
-
-    def uniform(self, label: str, lo: float, hi: float) -> float:
-        value = round(self._rng.uniform(lo, hi), 3)
-        self.trace.append((label, value))
-        return value
-
-
-def _gen_offsets(t: _TracedRandom, label: str, rank: int, max_offset: int,
+def _gen_offsets(rng: random.Random, rank: int, max_offset: int,
                  star: bool) -> Tuple[int, ...]:
     if star:
         # Orthogonal only: centre, or exactly one dimension displaced by one
         # (what the DMP scatter/halo machinery fills — corner ghosts stay 0).
-        pick = t.randrange(f"{label}.star", 0, rank + 1)
+        pick = rng.randrange(0, rank + 1)
         if pick == rank:
             return (0,) * rank
-        sign = t.choice(f"{label}.sign", (-1, 1))
+        sign = rng.choice((-1, 1))
         return tuple(sign if d == pick else 0 for d in range(rank))
-    return tuple(
-        t.randrange(f"{label}.off{d}", -max_offset, max_offset + 1)
-        for d in range(rank)
-    )
+    return tuple(rng.randrange(-max_offset, max_offset + 1)
+                 for _ in range(rank))
 
 
-def _gen_leaf(t: _TracedRandom, label: str, arrays: Sequence[str], rank: int,
+def _gen_leaf(rng: random.Random, arrays: Sequence[str], rank: int,
               max_offset: int, star: bool, has_scalar: bool) -> Expr:
-    kind = t.randrange(f"{label}.leaf", 0, 4)
+    kind = rng.randrange(0, 4)
     if kind <= 1:
-        name = t.choice(f"{label}.array", arrays)
-        return Access(name, _gen_offsets(t, label, rank, max_offset, star))
+        name = rng.choice(arrays)
+        return Access(name, _gen_offsets(rng, rank, max_offset, star))
     if kind == 2 or not has_scalar:
-        return Const(t.uniform(f"{label}.const", 0.5, 4.0))
+        return Const(round(rng.uniform(0.5, 4.0), 3))
     return ScalarRef()
 
 
-def _gen_expr(t: _TracedRandom, label: str, arrays: Sequence[str], rank: int,
+def _gen_expr(rng: random.Random, arrays: Sequence[str], rank: int,
               max_offset: int, star: bool, has_scalar: bool,
               intrinsics: Sequence[str], depth: int) -> Expr:
-    if depth <= 0 or t.random(f"{label}.stop") < 0.3:
-        return _gen_leaf(t, label, arrays, rank, max_offset, star, has_scalar)
-    kind = t.randrange(f"{label}.kind", 0, 3)
+    if depth <= 0 or rng.random() < 0.3:
+        return _gen_leaf(rng, arrays, rank, max_offset, star, has_scalar)
+    kind = rng.randrange(0, 3)
     if kind == 0:
-        fn = t.choice(f"{label}.fn", intrinsics)
+        fn = rng.choice(intrinsics)
         # exp only ever applies to a leaf: bounded argument, no overflow.
         if fn == "exp":
-            arg = _gen_leaf(t, f"{label}.0", arrays, rank, max_offset, star,
-                            has_scalar)
+            arg = _gen_leaf(rng, arrays, rank, max_offset, star, has_scalar)
         else:
-            arg = _gen_expr(t, f"{label}.0", arrays, rank, max_offset, star,
-                            has_scalar, intrinsics, depth - 1)
+            arg = _gen_expr(rng, arrays, rank, max_offset, star, has_scalar,
+                            intrinsics, depth - 1)
         return Unary(fn, arg)
-    op = t.choice(f"{label}.op", EXECUTABLE_BINARY_OPS)
-    lhs = _gen_expr(t, f"{label}.0", arrays, rank, max_offset, star,
-                    has_scalar, intrinsics, depth - 1)
-    rhs = _gen_expr(t, f"{label}.1", arrays, rank, max_offset, star,
-                    has_scalar, intrinsics, depth - 1)
+    op = rng.choice(EXECUTABLE_BINARY_OPS)
+    lhs = _gen_expr(rng, arrays, rank, max_offset, star, has_scalar,
+                    intrinsics, depth - 1)
+    rhs = _gen_expr(rng, arrays, rank, max_offset, star, has_scalar,
+                    intrinsics, depth - 1)
     return Binary(op, lhs, rhs)
 
 
@@ -521,48 +482,42 @@ def generate_spec(seed: int,
     """Generate the executable kernel spec for ``(seed, config)``.
 
     Deterministic: the same pair always yields the same spec (asserted in
-    the generator tests), and the decisions taken are recorded on
-    ``spec.trace``.
+    the generator tests).
     """
-    t = _TracedRandom(seed)
-    distributed = t.random("style") < config.distributed_fraction
+    rng = random.Random(seed)
+    distributed = rng.random() < config.distributed_fraction
     if distributed:
         style = "distributed"
-        rank = t.choice("rank", (2, 3))
+        rank = rng.choice((2, 3))
         max_offset = 1
         arrays: Tuple[str, ...] = ("a",)
         has_scalar = False
         star = True
     else:
         style = "general"
-        rank = t.randrange("rank", 1, config.max_rank + 1)
-        wide = t.random("wide") < config.wide_offset_fraction
+        rank = rng.randrange(1, config.max_rank + 1)
+        wide = rng.random() < config.wide_offset_fraction
         max_offset = 2 if wide else 1
-        two = t.random("second_array") < config.second_array_fraction
+        two = rng.random() < config.second_array_fraction
         arrays = ("a", "b") if two else ("a",)
-        has_scalar = t.random("scalar") < config.scalar_fraction
+        has_scalar = rng.random() < config.scalar_fraction
         star = False
     min_extent = 2 * max_offset + 3
-    extents = tuple(
-        t.randrange(f"extent{d}", min_extent, min_extent + 5)
-        for d in range(rank)
-    )
-    sweeps = 2 if t.random("sweeps") < config.sweep_fraction else 1
-    n_statements = t.randrange("statements", 1, config.max_statements + 1)
+    extents = tuple(rng.randrange(min_extent, min_extent + 5)
+                    for _ in range(rank))
+    sweeps = 2 if rng.random() < config.sweep_fraction else 1
+    n_statements = rng.randrange(1, config.max_statements + 1)
     statements = []
-    for idx in range(n_statements):
-        if style == "distributed":
-            target = "a"
-        else:
-            target = t.choice(f"target{idx}", arrays)
-        depth = t.randrange(f"depth{idx}", 1, config.max_depth + 1)
-        expr = _gen_expr(t, f"s{idx}", arrays, rank, max_offset, star,
-                         has_scalar, config.intrinsics, depth)
+    for _ in range(n_statements):
+        target = "a" if style == "distributed" else rng.choice(arrays)
+        depth = rng.randrange(1, config.max_depth + 1)
+        expr = _gen_expr(rng, arrays, rank, max_offset, star, has_scalar,
+                         config.intrinsics, depth)
         statements.append(Statement(target, expr))
     return KernelSpec(
         seed=seed, style=style, rank=rank, extents=extents, sweeps=sweeps,
         arrays=arrays, has_scalar=has_scalar, max_offset=max_offset,
-        statements=tuple(statements), trace=tuple(t.trace),
+        statements=tuple(statements),
     )
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from ..api.session import Session
 from ..resilience import RecoveryReport
-from ..runtime.interpreter import InterpreterError
+from ..runtime.interpreter import Interpreter, InterpreterError
 from .generator import DEFAULT_CONFIG, GeneratorConfig, KernelSpec, generate_spec
 
 #: Interpreter stat counters summed into the per-backend fallback column.
@@ -262,22 +262,30 @@ class DifferentialRunner:
 
     def _run_plain(self, spec: KernelSpec, backend: str, mode: str,
                    threads: int, options: Dict[str, object], calls: int = 1,
-                   aliased: bool = False
-                   ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-        compiled = self.session.compile(spec.render()).lower(
+                   aliased: bool = False, session: Optional[Session] = None,
+                   gpu=None) -> Tuple[Dict[str, np.ndarray], Interpreter]:
+        """Compile ``spec`` on ``session`` (the runner's own by default), run
+        it on fresh inputs ``calls`` times, on ``gpu`` when one is given;
+        returns the outputs and the interpreter that ran them."""
+        session = self.session if session is None else session
+        compiled = session.compile(spec.render()).lower(
             backend, execution_mode=mode, threads=threads, **options)
         arrays, scalar = self.inputs_for(spec)
         work = {name: arr.copy(order="F") for name, arr in arrays.items()}
         if aliased:
             read_only, written = spec.alias_pair
             work[written] = work[read_only]
-        interp = compiled.interpreter()
+        interp = compiled.interpreter(gpu=gpu)
         # Repeated exp under a sweep loop can saturate to inf/NaN; that is
         # deterministic and bitwise-compared like any other value, so the
         # overflow warnings are noise, not findings.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(calls):
                 interp.call(spec.entry, *self._call_args(spec, work, scalar))
+        return work, interp
+
+    @staticmethod
+    def _run_stats(interp: Interpreter) -> Dict[str, object]:
         fallbacks = sum(int(interp.stats.get(key, 0))
                         for key in _FALLBACK_STATS)
         # An op that cannot be vectorized says KernelUnsupported; any other
@@ -286,7 +294,7 @@ class DifferentialRunner:
             if interp.kernels is not None else ()
         codegen = sorted(r for r in reasons
                          if not r.startswith("KernelUnsupported"))
-        return work, {"fallbacks": fallbacks, "codegen": codegen}
+        return {"fallbacks": fallbacks, "codegen": codegen}
 
     def _run_dmp(self, spec: KernelSpec, cfg: BackendConfig
                  ) -> Tuple[Dict[str, np.ndarray], Dict[str, int]]:
@@ -322,9 +330,10 @@ class DifferentialRunner:
         if cfg.backend == "dmp":
             outputs, stats = self._run_dmp(spec, cfg)
         else:
-            outputs, stats = self._run_plain(
+            outputs, interp = self._run_plain(
                 spec, cfg.backend, cfg.execution_mode, cfg.threads,
                 cfg.option_dict(), aliased=cfg.aliased)
+            stats = self._run_stats(interp)
         if self.fault_hook is not None:
             self.fault_hook(spec, cfg.label, outputs)
         return outputs, stats

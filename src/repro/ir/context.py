@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Type
 
-from .attributes import TypeAttribute
 from .operation import Operation
 
 

@@ -13,7 +13,7 @@ round-trip stable (property-tested).
 from __future__ import annotations
 
 from io import StringIO
-from typing import Dict, Optional
+from typing import Dict
 
 from .attributes import Attribute
 from .operation import Block, Operation, Region

@@ -56,8 +56,7 @@ class FaultInjector:
                     self._fired_comm.add(i)
                     chosen = fault.kind
         if chosen is not None:
-            self.report.record_injected(
-                chosen, f"message src={source} dest={dest} tag={tag}")
+            self.report.record_injected(chosen)
         return chosen
 
     # -- distributed executor ----------------------------------------------
@@ -65,22 +64,19 @@ class FaultInjector:
     def should_crash(self, rank: int, iteration: int) -> bool:
         """True once per plan entry when ``rank`` reaches ``iteration``."""
         with self._lock:
-            hit = None
             for i, crash in enumerate(self.plan.rank_crashes):
                 if (i not in self._fired_crashes and crash.rank == rank
                         and crash.iteration == iteration):
                     self._fired_crashes.add(i)
-                    hit = crash
                     break
-        if hit is not None:
-            self.report.record_injected(
-                "crash", f"rank {rank} at iteration {iteration}")
-            return True
-        return False
+            else:
+                return False
+        self.report.record_injected("crash")
+        return True
 
     # -- device memory pool ------------------------------------------------
 
-    def on_device_alloc(self, label: str = "") -> bool:
+    def on_device_alloc(self) -> bool:
         """True when the plan fails this (globally indexed) allocation."""
         with self._lock:
             index = self._alloc_attempts
@@ -88,14 +84,12 @@ class FaultInjector:
             fail = any(f.index <= index < f.index + f.count
                        for f in self.plan.alloc_faults)
         if fail:
-            self.report.record_injected(
-                "alloc", f"allocation #{index}"
-                         + (f" ({label})" if label else ""))
+            self.report.record_injected("alloc")
         return fail
 
     # -- session compiles --------------------------------------------------
 
-    def on_compile(self, fingerprint: str = "") -> bool:
+    def on_compile(self) -> bool:
         """True when the plan fails this (globally indexed) compile."""
         with self._lock:
             index = self._compile_attempts
@@ -103,9 +97,7 @@ class FaultInjector:
             fail = any(f.index <= index < f.index + f.count
                        for f in self.plan.compile_faults)
         if fail:
-            self.report.record_injected(
-                "compile", f"compile #{index}"
-                           + (f" ({fingerprint[:12]})" if fingerprint else ""))
+            self.report.record_injected("compile")
         return fail
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from typing import Dict
 
 
 @dataclass
@@ -52,9 +52,7 @@ class RecoveryReport:
     quarantine_hits: int = 0
     #: Faults that defeated every recovery mechanism.
     unrecovered: int = 0
-    #: Human-readable event trail (bounded by the caller's appetite).
-    events: List[str] = field(default_factory=list)
-    #: Held by the four recording methods; not part of the report's value.
+    #: Held by the three recording methods; not part of the report's value.
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                   compare=False, repr=False)
 
@@ -67,15 +65,9 @@ class RecoveryReport:
         """No fault defeated its recovery path."""
         return self.unrecovered == 0
 
-    def record_injected(self, kind: str, detail: str = "") -> None:
+    def record_injected(self, kind: str) -> None:
         with self._lock:
             self.injected[kind] = self.injected.get(kind, 0) + 1
-            if detail:
-                self.events.append(f"injected {kind}: {detail}")
-
-    def record_event(self, message: str) -> None:
-        with self._lock:
-            self.events.append(message)
 
     def add_counters(self, counters: Dict[str, int]) -> None:
         """Fold a component's stats dict into the matching counters; unknown
@@ -94,22 +86,12 @@ class RecoveryReport:
             self.injected[kind] = self.injected.get(kind, 0) + count
         for name in self._COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.events.extend(other.events)
 
     def to_dict(self) -> Dict[str, object]:
         data: Dict[str, object] = {"injected": dict(self.injected)}
         for name in self._COUNTER_FIELDS:
             data[name] = getattr(self, name)
         return data
-
-    def summary_line(self) -> str:
-        return (f"{self.faults_injected} faults injected, "
-                f"{self.unrecovered} unrecovered "
-                f"(retries={self.receive_retries} "
-                f"retransmits={self.retransmissions} "
-                f"restores={self.checkpoint_restores} "
-                f"degradations={self.oom_host_staged} "
-                f"compile_retries={self.compile_retries})")
 
 
 #: The mechanism counters: every int field, in declaration order.

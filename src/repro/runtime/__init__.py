@@ -10,12 +10,7 @@ from .distributed_executor import (
     RankStats,
 )
 from .gpu_kernel_engine import GpuKernelEngine, compile_gpu_func
-from .gpu_runtime import (
-    DeviceMemoryPool,
-    GPUTransfer,
-    KernelLaunch,
-    SimulatedGPU,
-)
+from .gpu_runtime import DeviceMemoryPool, SimulatedGPU
 from .interpreter import FieldValue, Frame, Interpreter, InterpreterError, TempValue
 from .kernel_compiler import (
     EXECUTION_MODES,
@@ -48,8 +43,6 @@ __all__ = [
     "ElementRef",
     "numpy_dtype_for",
     "SimulatedGPU",
-    "GPUTransfer",
-    "KernelLaunch",
     "DeviceMemoryPool",
     "GpuKernelEngine",
     "compile_gpu_func",

@@ -82,15 +82,21 @@ class DistributedRunResult:
     ranks: int
     iterations: int
     rank_stats: List[RankStats] = field(default_factory=list)
-    #: Communicator-wide totals (every halo message of every rank).
-    messages: int = 0
-    bytes: int = 0
     #: Wall-clock of the whole scatter→ranks→gather run.
     seconds: float = 0.0
-    #: Checkpoint rollbacks performed.
-    restarts: int = 0
-    #: Recovery accounting of the run (all-zero when nothing went wrong).
+    #: Recovery accounting of the run (all-zero when nothing went wrong);
+    #: ``recovery.checkpoint_restores`` counts the rollbacks.
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
+
+    @property
+    def messages(self) -> int:
+        """Halo messages sent by every rank."""
+        return sum(r.messages for r in self.rank_stats)
+
+    @property
+    def bytes(self) -> int:
+        """Halo bytes sent by every rank."""
+        return sum(r.bytes for r in self.rank_stats)
 
     def max_interior_error(self, reference: np.ndarray, margin: int = 1) -> float:
         """Max |field − reference| at least ``margin`` cells from the global
@@ -273,9 +279,6 @@ class DistributedExecutor:
                          local_shape=tuple(locals_by_rank[r].shape))
             for r in ranks
         }
-        total_messages = 0
-        total_bytes = 0
-        restarts = 0
 
         # A plan that perturbs no message installs no hook, so an honest wait
         # is never counted as a recovery round.
@@ -292,11 +295,8 @@ class DistributedExecutor:
             return comm, interps
 
         def retire_generation():
-            # Fold the generation's communication accounting into the run
-            # totals so respawns never lose measured traffic.
-            nonlocal total_messages, total_bytes
-            total_messages += comm.message_count
-            total_bytes += int(comm.bytes_sent)
+            # Fold the generation's accounting into the run's so respawns
+            # never lose measured traffic.
             report.add_counters(comm.stats)
             for r in ranks:
                 interp = interps[r]
@@ -354,20 +354,17 @@ class DistributedExecutor:
                 crashes = [exc for exc in outcomes
                            if isinstance(exc, InjectedFault)]
                 report.bump("crashes_detected", len(crashes))
-                if restarts >= policy.max_restarts:
+                if report.checkpoint_restores >= policy.max_restarts:
                     raise MPIError(
-                        f"distributed run gave up after {restarts} restarts "
+                        f"distributed run gave up after "
+                        f"{report.checkpoint_restores} restarts "
                         f"(max_restarts={policy.max_restarts}); last "
                         f"crash: {crashes[-1]}")
-                restarts += 1
                 for r in ranks:
                     np.copyto(locals_by_rank[r], checkpoint[r])
                 comm, interps = new_generation()
                 report.bump("checkpoint_restores")
                 report.bump("rank_respawns", self.num_ranks)
-                report.record_event(
-                    f"rolled back to iteration {iteration} "
-                    f"(restart {restarts})")
         retire_generation()
         gathered = self.gather(locals_by_rank, decomposition)
         return DistributedRunResult(
@@ -376,10 +373,7 @@ class DistributedExecutor:
             ranks=self.num_ranks,
             iterations=iterations,
             rank_stats=[carried[r] for r in ranks],
-            messages=total_messages,
-            bytes=total_bytes,
             seconds=time.perf_counter() - started,
-            restarts=restarts,
             recovery=report,
         )
 

@@ -3,42 +3,22 @@
 There is no physical GPU (nor CUDA toolchain) available, so the ``gpu``
 dialect is executed against an in-process device: device allocations are
 ordinary numpy buffers tagged ``space="device"`` drawn from an accounted
-:class:`DeviceMemoryPool`, every transfer between host and device is recorded,
-and every launch carries its measured wall time.  The paper's data-management
-comparison (Figure 5: ``gpu.host_register`` vs the bespoke optimised data
-pass) is reproduced in bytes moved and launches run.
+:class:`DeviceMemoryPool`, the bytes moved between host and device are
+counted by direction and reason, and each kernel's launches and measured wall
+time are summed.  The paper's data-management comparison (Figure 5:
+``gpu.host_register`` vs the bespoke optimised data pass) is reproduced in
+bytes moved and launches run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir.types import TypeAttribute
 from .memory import MemoryBuffer
-
-
-@dataclass
-class GPUTransfer:
-    """One host<->device transfer event."""
-
-    direction: str  # 'h2d' or 'd2h'
-    nbytes: int
-    reason: str = "memcpy"  # 'memcpy' | 'on_demand' | 'register'
-
-
-@dataclass
-class KernelLaunch:
-    """One kernel launch event."""
-
-    kernel: str
-    grid: Tuple[int, int, int]
-    block: Tuple[int, int, int]
-    #: Measured wall time of the launch's execution (set by the interpreter
-    #: once the kernel body — vectorized or scalar — has run).
-    seconds: float = 0.0
 
 
 class DeviceMemoryPool:
@@ -94,11 +74,11 @@ class SimulatedGPU:
     def __init__(
         self,
         memory_bytes: int = 16 * 1024**3,
-        alloc_hook: Optional[Callable[[str], bool]] = None,
+        alloc_hook: Optional[Callable[[], bool]] = None,
     ):
         self.memory_bytes = memory_bytes
-        #: Deterministic fault injection: called with the allocation label
-        #: before every device allocation; returning True simulates an OOM
+        #: Deterministic fault injection: called before every device
+        #: allocation; returning True simulates an OOM
         #: (see :class:`repro.resilience.FaultInjector.on_device_alloc`).
         self.alloc_hook = alloc_hook
         #: Graceful-degradation counters (each step of
@@ -107,10 +87,10 @@ class SimulatedGPU:
         self.degradation: Dict[str, int] = {"oom_detected": 0, "oom_host_staged": 0}
 
         self.pool = DeviceMemoryPool(memory_bytes)
-        self.registered_buffers: List[MemoryBuffer] = []
-        self.transfers: List[GPUTransfer] = []
-        self.launches: List[KernelLaunch] = []
-        #: Per-kernel invocation counts and cumulative measured wall time, in
+        #: Bytes moved between host and device, keyed by (direction,
+        #: reason): 'h2d' or 'd2h', by 'memcpy' or 'on_demand'.
+        self.moved_bytes: Counter[Tuple[str, str]] = Counter()
+        #: Per-kernel launch counts and cumulative measured wall time, in
         #: the same shape as ``KernelCompiler.stats`` so
         #: :func:`repro.harness.kernel_stats_table` renders either.
         self.stats: Dict[str, object] = {"per_kernel": {}}
@@ -129,7 +109,7 @@ class SimulatedGPU:
         allocation failure) raises :class:`MemoryError` — the fail-fast
         baseline.  Callers wanting host staging on OOM use
         :meth:`alloc_degraded`."""
-        if self.alloc_hook is not None and self.alloc_hook(label):
+        if self.alloc_hook is not None and self.alloc_hook():
             raise MemoryError(
                 f"injected device allocation failure for "
                 f"'{label or '<unnamed>'}' on {self.name}"
@@ -167,58 +147,38 @@ class SimulatedGPU:
         returns the number of bytes reclaimed.  Host-staged buffers from
         :meth:`alloc_degraded` are unregistered instead (they never held pool
         bytes)."""
-        if buffer.registered and buffer.space == "host":
-            self.host_unregister(buffer)
+        if buffer.space == "host":
+            buffer.registered = False
         return self.pool.release(buffer)
 
     def memcpy(self, dst: MemoryBuffer, src: MemoryBuffer) -> None:
         np.copyto(dst.data, src.data)
         if dst.space == "device" and src.space == "host":
-            self.transfers.append(GPUTransfer("h2d", src.nbytes))
+            self.moved_bytes["h2d", "memcpy"] += src.nbytes
         elif dst.space == "host" and src.space == "device":
-            self.transfers.append(GPUTransfer("d2h", src.nbytes))
+            self.moved_bytes["d2h", "memcpy"] += src.nbytes
 
     def host_register(self, buffer: MemoryBuffer) -> None:
         buffer.registered = True
-        if buffer not in self.registered_buffers:
-            self.registered_buffers.append(buffer)
-        self.transfers.append(GPUTransfer("h2d", 0, reason="register"))
-
-    def host_unregister(self, buffer: MemoryBuffer) -> None:
-        buffer.registered = False
-        if buffer in self.registered_buffers:
-            self.registered_buffers.remove(buffer)
 
     # ------------------------------------------------------------------
     # Kernel execution accounting
     # ------------------------------------------------------------------
 
-    def record_launch(self, kernel: str, grid: Sequence[int], block: Sequence[int],
-                      arg_buffers: Sequence[MemoryBuffer] = ()) -> KernelLaunch:
-        launch = KernelLaunch(kernel, tuple(grid), tuple(block))
-        for buffer in arg_buffers:
+    def record_launch(self, kernel: str, buffers: Sequence[MemoryBuffer],
+                      seconds: float) -> None:
+        """Account one finished launch of ``kernel`` over ``buffers`` that
+        took ``seconds`` of wall time."""
+        for buffer in buffers:
             if buffer.space == "host":
                 # A kernel touching registered / paged host memory drags the
                 # data across PCIe on demand — both directions, every launch,
                 # which is exactly why the paper's initial strategy was slow.
-                self.transfers.append(
-                    GPUTransfer("h2d", buffer.nbytes, reason="on_demand")
-                )
-                self.transfers.append(
-                    GPUTransfer("d2h", buffer.nbytes, reason="on_demand")
-                )
-        self.launches.append(launch)
+                self.moved_bytes["h2d", "on_demand"] += buffer.nbytes
+                self.moved_bytes["d2h", "on_demand"] += buffer.nbytes
         per_kernel: Dict[str, Dict[str, float]] = self.stats["per_kernel"]  # type: ignore[assignment]
         entry = per_kernel.setdefault(kernel, {"invocations": 0, "seconds": 0.0})
         entry["invocations"] += 1
-        return launch
-
-    def finish_launch(self, launch: KernelLaunch, seconds: float) -> None:
-        """Attach the measured wall time of a launch's execution."""
-        launch.seconds += seconds
-        per_kernel: Dict[str, Dict[str, float]] = self.stats["per_kernel"]  # type: ignore[assignment]
-        entry = per_kernel.setdefault(launch.kernel,
-                                      {"invocations": 0, "seconds": 0.0})
         entry["seconds"] += seconds
 
     # ------------------------------------------------------------------
@@ -227,25 +187,19 @@ class SimulatedGPU:
 
     def transferred_bytes(self, direction: Optional[str] = None,
                           reason: Optional[str] = None) -> int:
-        total = 0
-        for t in self.transfers:
-            if direction is not None and t.direction != direction:
-                continue
-            if reason is not None and t.reason != reason:
-                continue
-            total += t.nbytes
-        return total
+        return sum(nbytes for (d, r), nbytes in self.moved_bytes.items()
+                   if direction in (None, d) and reason in (None, r))
 
     def summary(self) -> Dict[str, object]:
         per_kernel: Dict[str, Dict[str, float]] = self.stats["per_kernel"]  # type: ignore[assignment]
         return {
-            "launches": len(self.launches),
+            "launches": sum(int(e["invocations"]) for e in per_kernel.values()),
             "h2d_bytes": self.transferred_bytes("h2d"),
             "d2h_bytes": self.transferred_bytes("d2h"),
             "on_demand_bytes": self.transferred_bytes(reason="on_demand"),
             "allocated_bytes": self.allocated_bytes,
             "peak_allocated_bytes": self.pool.peak_bytes,
-            "launch_seconds": sum(l.seconds for l in self.launches),
+            "launch_seconds": sum(e["seconds"] for e in per_kernel.values()),
             "kernel_invocations": {
                 name: int(entry["invocations"]) for name, entry in per_kernel.items()
             },
@@ -255,7 +209,5 @@ class SimulatedGPU:
 
 __all__ = [
     "SimulatedGPU",
-    "GPUTransfer",
-    "KernelLaunch",
     "DeviceMemoryPool",
 ]

@@ -902,7 +902,6 @@ class Interpreter:
         block = op.get_attr("block_size").as_tuple()  # type: ignore[union-attr]
         args = [frame.get(o) for o in op.operands]
         buffers = [a for a in args if isinstance(a, MemoryBuffer) and not a.is_scalar]
-        launch = gpu.record_launch(kernel_name, grid, block, buffers)
         self.stats["kernel_launches"] += 1
         kernel_op = self._gpu_kernels.get(kernel_name)
         if kernel_op is None:
@@ -920,7 +919,7 @@ class Interpreter:
             return []
         finally:
             seconds = _time.perf_counter() - start
-            gpu.finish_launch(launch, seconds)
+            gpu.record_launch(kernel_name, buffers, seconds)
             self.stats["gpu_seconds"] += seconds
 
     def _run_launch_scalar(self, kernel_op: Operation, args: List[object],

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..ir.operation import Operation
 from ..ir.types import FloatType, IndexType, IntegerType, TypeAttribute
-from ..dialects import fir
 
 
 def numpy_dtype_for(type: TypeAttribute) -> np.dtype:

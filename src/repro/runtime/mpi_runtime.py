@@ -2,9 +2,10 @@
 
 The real system runs one MPI process per core on ARCHER2.  Offline we simulate
 a communicator whose ranks live in the same Python process (optionally on
-separate threads): sends copy data into a mailbox, receives block until a
-matching message is available, and every message is accounted (count + bytes)
-so a distributed run reports the communication it actually performed.
+separate threads): sends copy data into a mailbox and receives block until a
+matching message is available.  Each rank's interpreter counts the messages
+and bytes it sends, so a distributed run reports the communication it
+actually performed; the communicator counts only recovery work.
 
 Every message carries a per-channel sequence number and a crc32 checksum,
 the sender keeps a pristine copy of in-flight messages in an outbox, and a
@@ -105,8 +106,6 @@ class SimulatedCommunicator:
         self._next_send_seq: Dict[Tuple[int, int, int], int] = {}
         self._next_recv_seq: Dict[Tuple[int, int, int], int] = {}
         self._lock = threading.Condition()
-        self.message_count = 0
-        self.bytes_sent = 0
         self._aborted: Optional[str] = None
         #: Recovery-mechanism counters, folded into a RecoveryReport by the
         #: distributed executor.
@@ -151,11 +150,6 @@ class SimulatedCommunicator:
             self._next_send_seq[key] = seq + 1
             checksum = _checksum(data)
             self._outbox[(key, seq)] = data
-            # Logical sends are accounted once; retransmissions and
-            # duplicates are recovery traffic tracked in self.stats so the
-            # observed communication volume matches the fault-free run.
-            self.message_count += 1
-            self.bytes_sent += int(data.nbytes)
             envelope = _Envelope(seq, data, checksum)
             queue = self._mailboxes.setdefault(key, [])
             if fault == "drop":

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..api.options import BackendOptions, OptionError, require_count, validate_timeout
-from ..api.program import CompiledProgram, source_fingerprint
+from ..api.program import CompiledProgram
 from ..api.session import Session
 from .store import ArtifactStore
 
@@ -192,14 +192,6 @@ class CompileService:
 
     # -- request admission -----------------------------------------------------
 
-    def _resolve(self, source, backend, options: Optional[BackendOptions],
-                 overrides: Dict) -> Tuple[str, object, BackendOptions, Tuple]:
-        source = getattr(source, "source", source)
-        backend_obj = self.session.registry.get(backend)
-        opts = backend_obj.make_options(options, **overrides)
-        key = (source_fingerprint(source), backend_obj.name, opts.cache_key())
-        return source, backend_obj, opts, key
-
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._lock:
             self._counters[counter] += by
@@ -252,8 +244,8 @@ class CompileService:
         """
         if self._closed:
             raise RuntimeError("CompileService is closed")
-        source, backend_obj, opts, key = self._resolve(
-            source, backend, options, overrides)
+        source, backend_obj, opts, key = self.session.resolve(
+            source, backend, options, **overrides)
         self._bump("submitted_compiles")
         with self._lock:
             flight = self._inflight.get(key)
@@ -306,8 +298,8 @@ class CompileService:
             raise OptionError(
                 f"args must be a list or tuple of the arguments of "
                 f"'{entry}', got {type(args).__name__}")
-        source, backend_obj, opts, key = self._resolve(
-            source, backend, options, overrides)
+        source, backend_obj, opts, key = self.session.resolve(
+            source, backend, options, **overrides)
         self._bump("submitted_runs")
 
         def run():

@@ -20,15 +20,15 @@ that made the initial strategy slow — where it runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..dialects import fir, gpu, memref, stencil
+from ..dialects import fir, gpu, stencil
 from ..dialects.builtin import ModuleOp, UnrealizedConversionCastOp
 from ..dialects.func import FuncOp, ReturnOp
 from ..dialects.llvm import LLVMPointerType
 from ..ir.builder import Builder
 from ..ir.context import Context
-from ..ir.operation import Block, Operation, Region
+from ..ir.operation import Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
 from ..ir.types import MemRefType

@@ -16,7 +16,7 @@ These reproduce the existing MLIR passes the paper leans on in §3:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..dialects import arith, gpu, omp, scf
 from ..dialects.builtin import ModuleOp

@@ -37,7 +37,7 @@ from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import definers, erase_and_fold
 from ..ir.ssa import OpResult, SSAValue
-from ..ir.types import FloatType, IndexType, IntegerType, index
+from ..ir.types import FloatType, IndexType, IntegerType
 from .stencil_fusion import merge_adjacent_applies
 
 

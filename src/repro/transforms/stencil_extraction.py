@@ -14,18 +14,18 @@ function per extracted stencil region and rewrites the FIR module to call it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..dialects import fir, stencil
+from ..dialects import fir
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp, ReturnOp
 from ..dialects.llvm import LLVMPointerType
 from ..ir.attributes import UnitAttr
 from ..ir.context import Context
-from ..ir.operation import Block, Operation, Region
+from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import SSAValue
-from ..ir.types import FunctionType, TypeAttribute
+from ..ir.types import TypeAttribute
 
 
 def _is_stencil_related(op: Operation, block_ops: Sequence[Operation]) -> bool:

@@ -21,7 +21,7 @@ result is written straight into the memref backing the field its
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..dialects import arith, memref, scf, stencil
 from ..dialects.builtin import UnrealizedConversionCastOp

@@ -28,10 +28,12 @@ def test_spec_replays_from_seed_and_config():
     assert GeneratorConfig.from_dict(config.to_dict()) == config
 
 
-def test_trace_records_every_decision():
+def test_a_corpus_entry_with_a_trace_key_still_loads():
+    """Corpus files written when specs carried their decision trace load
+    unchanged: ``from_dict`` reads the spec's fields and nothing else."""
     spec = generate_spec(3)
-    assert spec.trace  # non-empty (label, value) pairs
-    assert all(isinstance(label, str) for label, _ in spec.trace)
+    data = dict(spec.to_dict(), trace=[["style", 0.5]])
+    assert KernelSpec.from_dict(data) == spec
 
 
 def test_covers_every_rank_and_both_styles():

@@ -48,7 +48,6 @@ class TestCrashRecovery:
         crashed = plan.run(field, iterations=3, resilience=ResilienceOptions(
             plan=FaultPlan(rank_crashes=(RankCrash(rank=1, iteration=1),))))
         np.testing.assert_array_equal(crashed.field, baseline.field)
-        assert crashed.restarts == 1
         assert crashed.recovery.crashes_detected == 1
         assert crashed.recovery.checkpoint_restores == 1
         assert crashed.recovery.rank_respawns == 2
@@ -61,7 +60,7 @@ class TestCrashRecovery:
         crashed = plan.run(field, iterations=2, resilience=ResilienceOptions(
             plan=FaultPlan(rank_crashes=(RankCrash(rank=0, iteration=0),))))
         np.testing.assert_array_equal(crashed.field, baseline.field)
-        assert crashed.restarts == 1
+        assert crashed.recovery.checkpoint_restores == 1
 
     def test_repeated_crashes_exhaust_restart_budget(self, session):
         field = global_field(12)
@@ -82,8 +81,8 @@ class TestCrashRecovery:
         after = plan.run(field, iterations=2)
         np.testing.assert_array_equal(recovered.field, baseline.field)
         np.testing.assert_array_equal(after.field, baseline.field)
-        assert recovered.restarts == 1
-        assert after.restarts == 0
+        assert recovered.recovery.checkpoint_restores == 1
+        assert after.recovery.checkpoint_restores == 0
         assert after.recovery.checkpoint_saves == 0
 
     def test_stats_carried_across_restart(self, session):
@@ -116,7 +115,7 @@ class TestPolicyIsNotAFork:
             np.testing.assert_array_equal(run.field, runs["none"].field,
                                           err_msg=name)
             assert run.messages == runs["none"].messages, name
-            assert run.restarts == 0
+            assert run.recovery.checkpoint_restores == 0
             assert isinstance(run.recovery, RecoveryReport)
             assert run.recovery.faults_injected == 0 and run.recovery.ok
         # A checkpoint that can never be restored is not taken.
@@ -141,11 +140,8 @@ class TestPolicyIsNotAFork:
             plan=FaultPlan(rank_crashes=(
                 RankCrash(rank=1, iteration=crash_iteration),))))
         np.testing.assert_array_equal(crashed.field, baseline.field)
-        assert crashed.restarts == 1
         assert crashed.recovery.checkpoint_saves == 4
         assert crashed.recovery.checkpoint_restores == 1
-        assert f"rolled back to iteration {crash_iteration}" in " ".join(
-            crashed.recovery.events)
         assert crashed.messages >= baseline.messages
 
     def test_fail_fast_policy_does_not_survive_a_crash(self, session):
@@ -180,7 +176,7 @@ class TestCombinedAcceptance:
         assert recovery.injected.get("crash") == 1
         assert sum(recovery.injected.get(kind, 0) for kind in
                    ("drop", "delay", "duplicate", "corrupt")) >= 1
-        assert faulted.restarts == 1
+        assert faulted.recovery.checkpoint_restores == 1
 
     def test_replay_is_deterministic(self, session):
         fault_plan = FaultPlan(
@@ -194,6 +190,26 @@ class TestCombinedAcceptance:
                           resilience=ResilienceOptions(plan=fault_plan))
         np.testing.assert_array_equal(first.field, second.field)
         assert first.recovery.injected == second.recovery.injected
+
+    def test_recovery_traffic_is_not_halo_traffic(self, session):
+        """Each rank counts a halo message once, when it sends it: a
+        retransmitted, duplicated or delayed copy shows in the recovery
+        counters only, so every rank reports the fault-free traffic."""
+        fault_plan = FaultPlan(
+            comm_faults=(CommFault("drop", 1), CommFault("duplicate", 3),
+                         CommFault("corrupt", 5), CommFault("delay", 6)))
+        field = global_field(12, seed=3)
+        plan = plan_for(session, (2, 2), 12)
+        baseline = plan.run(field, iterations=3)
+        faulted = plan.run(field, iterations=3,
+                           resilience=ResilienceOptions(plan=fault_plan))
+        np.testing.assert_array_equal(faulted.field, baseline.field)
+        assert faulted.recovery.faults_injected == 4
+        assert faulted.recovery.retransmissions >= 1
+        assert ([(s.messages, s.bytes) for s in faulted.rank_stats]
+                == [(s.messages, s.bytes) for s in baseline.rank_stats])
+        assert faulted.messages == baseline.messages > 0
+        assert faulted.bytes == baseline.bytes
 
 
 class TestOptionValidation:

@@ -108,8 +108,8 @@ class TestFaultInjector:
     def test_compile_fault_window(self):
         injector = FaultInjector(FaultPlan(
             compile_faults=(CompileFault(index=0, count=1),)))
-        assert injector.on_compile("abc")
-        assert not injector.on_compile("abc")
+        assert injector.on_compile()
+        assert not injector.on_compile()
 
     def test_injections_recorded_on_the_report(self):
         report = RecoveryReport()
@@ -117,7 +117,7 @@ class TestFaultInjector:
             comm_faults=(CommFault("drop", 0),),
             alloc_faults=(AllocFault(index=0),)), report)
         injector.on_send(0, 1, 0)
-        injector.on_device_alloc("scratch")
+        injector.on_device_alloc()
         assert report.injected == {"drop": 1, "alloc": 1}
         assert report.faults_injected == 2
 
@@ -135,7 +135,8 @@ class TestRecoveryReport:
         assert a.injected == {"drop": 2, "crash": 1}
         assert a.receive_retries == 2
         assert not a.ok
-        assert "1 unrecovered" in a.summary_line()
+        assert a.faults_injected == 3
+        assert a.to_dict()["unrecovered"] == 1
 
     def test_to_dict_has_every_counter(self):
         data = RecoveryReport().to_dict()

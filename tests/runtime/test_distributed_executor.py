@@ -404,6 +404,28 @@ class TestFluentValidation:
         with pytest.raises(OptionError, match="source_builder"):
             plan.run(np.zeros((12, 12, 12), order="F"))
 
+    def test_a_later_ranks_wrong_shape_fails_before_any_send(
+            self, session, monkeypatch):
+        """11 cells over two ranks: rank 0 owns the compiled (8, 13, 13)
+        padded box, rank 1 a (7, 13, 13) one.  Every rank's interpreter is
+        built before any rank runs, so rank 1's mismatch raises while no
+        halo message has been sent."""
+        sends = []
+        real_send = SimulatedCommunicator.send
+        monkeypatch.setattr(
+            SimulatedCommunicator, "send",
+            lambda comm, *args: sends.append(args) or real_send(comm, *args))
+        plan = session.compile(
+            gauss_seidel.generate_source_shaped((8, 13, 13))
+        ).lower("dmp", grid=(2, 1), execution_mode="vectorize").distribute()
+        with pytest.raises(OptionError, match=r"rank-local arrays have shape "
+                                              r"\(7, 13, 13\)"):
+            plan.run(np.zeros((11, 11, 11), order="F"))
+        assert sends == []
+        # The spy sees the traffic of a run that does start.
+        plan.run(np.zeros((12, 11, 11), order="F"))
+        assert sends
+
     @pytest.mark.parametrize("shape", [(12, 12), (12, 12, 12, 2)])
     def test_field_of_the_wrong_rank_names_both_ranks(self, session, shape):
         plan = session.compile(gauss_seidel.generate_source(8)).lower(

@@ -470,13 +470,16 @@ class TestSimulatedGPU:
     def test_launch_on_host_buffer_records_on_demand_traffic(self):
         gpu = SimulatedGPU()
         host = MemoryBuffer.for_array((32,), f64, space="host")
-        gpu.record_launch("k", (1, 1, 1), (32, 1, 1), [host])
+        gpu.record_launch("k", [host], 0.0)
         assert gpu.transferred_bytes(reason="on_demand") == 2 * 256
+        assert gpu.transferred_bytes("h2d", "on_demand") == 256
+        assert gpu.transferred_bytes("d2h", "on_demand") == 256
+        assert gpu.transferred_bytes(reason="memcpy") == 0
 
     def test_launch_on_device_buffer_is_free_of_pcie(self):
         gpu = SimulatedGPU()
         device = gpu.alloc((32,), f64)
-        gpu.record_launch("k", (1, 1, 1), (32, 1, 1), [device])
+        gpu.record_launch("k", [device], 0.0)
         assert gpu.transferred_bytes(reason="on_demand") == 0
 
     def test_dealloc_returns_bytes_to_the_pool(self):
@@ -508,15 +511,14 @@ class TestSimulatedGPU:
     def test_summary_reports_per_kernel_invocations_and_wall_time(self):
         gpu = SimulatedGPU()
         device = gpu.alloc((32,), f64)
-        first = gpu.record_launch("k1", (1, 1, 1), (32, 1, 1), [device])
-        gpu.record_launch("k1", (1, 1, 1), (32, 1, 1), [device])
-        gpu.record_launch("k2", (1, 1, 1), (32, 1, 1), [device])
-        gpu.finish_launch(first, 0.25)
+        gpu.record_launch("k1", [device], 0.25)
+        gpu.record_launch("k1", [device], 0.0)
+        gpu.record_launch("k2", [device], 0.5)
         summary = gpu.summary()
         assert summary["launches"] == 3
         assert summary["kernel_invocations"] == {"k1": 2, "k2": 1}
-        assert summary["launch_seconds"] == pytest.approx(0.25)
-        assert first.seconds == pytest.approx(0.25)
+        assert summary["launch_seconds"] == pytest.approx(0.75)
+        assert gpu.stats["per_kernel"]["k1"]["seconds"] == pytest.approx(0.25)
         # The device reports what it accounted, nothing modelled.
         assert set(summary) == {
             "launches", "h2d_bytes", "d2h_bytes", "on_demand_bytes",
@@ -530,7 +532,6 @@ class TestSimulatedGPU:
 
         gpu = SimulatedGPU()
         device = gpu.alloc((32,), f64)
-        launch = gpu.record_launch("k1", (1, 1, 1), (32, 1, 1), [device])
-        gpu.finish_launch(launch, 0.5)
+        gpu.record_launch("k1", [device], 0.5)
         table = kernel_stats_table(gpu)
         assert "k1" in table and "0.500" in table

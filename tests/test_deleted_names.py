@@ -158,6 +158,14 @@ GUARDS = (
           r"materialise\(|GpuLaunchKernel|_SHARED_REASONS|cache_fallbacks"
           r"|ReportSink|eliminate_dead_code",
           ("src", "docs"), "after 298c47f", "                kernel.materialise()"),
+    # The runtime counts, it does not log: the device's per-event records,
+    # the communicator's second halo count, the recovery event trail and
+    # the fuzz generator's decision trace stay deleted.
+    Guard("runtime-event-logs",
+          r"GPUTransfer|KernelLaunch|finish_launch|registered_buffers"
+          r"|message_count|bytes_sent|record_event|summary_line|_TracedRandom",
+          ("src", "docs", "examples"), "after 787358b",
+          "        self.transfers.append(GPUTransfer('h2d', nbytes))"),
 )
 
 

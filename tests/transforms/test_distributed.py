@@ -101,12 +101,6 @@ class TestSimulatedCommunicator:
         assert np.array_equal(first, np.arange(4))
         assert np.array_equal(second, np.arange(4) * 2)
 
-    def test_accounting(self):
-        comm = SimulatedCommunicator(2)
-        comm.send(0, 1, 0, np.zeros(10))
-        assert comm.message_count == 1
-        assert comm.bytes_sent == 80
-
     def test_invalid_rank_rejected(self):
         comm = SimulatedCommunicator(2)
         with pytest.raises(MPIError):

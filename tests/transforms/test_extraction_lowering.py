@@ -167,7 +167,7 @@ class TestGpuLowering:
         interp = Interpreter(result.modules, gpu=gpu_device)
         interp.call("gauss_seidel", work)
         assert np.allclose(work, gauss_seidel.reference_jacobi(data, 1))
-        assert len(gpu_device.launches) == 1
+        assert gpu_device.summary()["launches"] == 1
 
 
 class TestGpuDataManagement:
@@ -222,4 +222,4 @@ class TestGpuDataManagement:
         device = SimulatedGPU()
         interp = result.interpreter(gpu=device)
         interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
-        assert len(device.launches) == 2  # niters = 2
+        assert device.summary()["launches"] == 2  # niters = 2

@@ -76,7 +76,7 @@ class TestCallSiteWithoutEnclosingLoop:
         device = SimulatedGPU()
         compiled.run("average", data, gpu=device)
         assert np.allclose(data, reference)
-        assert len(device.launches) == 1
+        assert device.summary()["launches"] == 1
 
 
 class TestMultipleCallSites:
@@ -131,7 +131,7 @@ class TestMultipleCallSites:
         interp.call("gauss_seidel", work)
         # Two call sites per time-loop iteration: 2 * niters Jacobi sweeps.
         assert np.allclose(work, gauss_seidel.reference_jacobi(init, 2 * niters))
-        assert len(device.launches) == 2 * niters
+        assert device.summary()["launches"] == 2 * niters
 
 
 class TestTileAnnotations:
