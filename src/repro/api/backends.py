@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Tuple, Type, Union
 
 from ..frontend import compile_to_fir
-from ..ir.context import Context, default_context
 from ..ir.pass_manager import PassManager
 from ..transforms import pipelines
 from ..transforms.gpu_data_management import GpuHostRegisterPass, GpuOptimisedDataPass
@@ -86,13 +85,12 @@ class Backend:
 
     # -- compilation ---------------------------------------------------------
 
-    def lower(self, source, options: Optional[BackendOptions] = None, *,
-              ctx: Optional[Context] = None, **overrides) -> CompiledArtifact:
+    def lower(self, source, options: Optional[BackendOptions] = None,
+              **overrides) -> CompiledArtifact:
         """Compile ``source`` (a string or a :class:`repro.api.Program`)
         through this backend's flow and return the compiled artifact."""
         source = getattr(source, "source", source)
         options = self.make_options(options, **overrides)
-        ctx = ctx or default_context()
         fir_module = compile_to_fir(source)
         artifact = CompiledArtifact(
             source=source, backend=self.name, options=options,
@@ -103,13 +101,13 @@ class Backend:
 
         # 1. Discover stencils in the FIR produced by "Flang".
         discovery = StencilDiscoveryPass(merge=options.fuse_stencils)
-        discovery.apply(ctx, fir_module)
+        discovery.apply(fir_module)
         artifact.discovered_stencils = dict(discovery.discovered)
         fir_module.verify()
 
         # 2. Extract the stencil portions into their own module.
         extraction = ExtractStencilsPass()
-        extraction.apply(ctx, fir_module)
+        extraction.apply(fir_module)
         artifact.stencil_module = extraction.extracted_module
         artifact.extracted_functions = list(extraction.extracted_functions)
         fir_module.verify()
@@ -120,17 +118,16 @@ class Backend:
 
         # 3. Target-specific transformation of the stencil module (and, for
         #    GPU data management / DMP, coordinated edits of the FIR module).
-        self.transform(artifact, ctx)
+        self.transform(artifact)
         return artifact
 
-    def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
+    def transform(self, artifact: CompiledArtifact) -> None:
         """Target-specific lowering of the extracted stencil module."""
         if self.pipeline:
-            self.run_pipeline(artifact, self.pipeline, ctx)
+            self.run_pipeline(artifact, self.pipeline)
 
-    def run_pipeline(self, artifact: CompiledArtifact, pipeline: str,
-                     ctx: Context) -> None:
-        pm = PassManager(ctx)
+    def run_pipeline(self, artifact: CompiledArtifact, pipeline: str) -> None:
+        pm = PassManager()
         pm.add_pipeline(pipeline)
         artifact.pass_statistics.extend(pm.run(artifact.stencil_module))
 
@@ -152,9 +149,9 @@ class CpuBackend(Backend):
     name = "cpu"
     options_cls = CpuOptions
 
-    def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
+    def transform(self, artifact: CompiledArtifact) -> None:
         if artifact.options.lower_to_scf:
-            self.run_pipeline(artifact, pipelines.CPU_PIPELINE, ctx)
+            self.run_pipeline(artifact, pipelines.CPU_PIPELINE)
 
 
 class OpenMPBackend(Backend):
@@ -177,13 +174,13 @@ class GpuBackend(Backend):
         "host_register": GpuHostRegisterPass,
     }
 
-    def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
+    def transform(self, artifact: CompiledArtifact) -> None:
         strategy_cls = self._DATA_PASSES[artifact.options.data_strategy]
         strategy = strategy_cls(stencil_module=artifact.stencil_module)
-        strategy.apply(ctx, artifact.fir_module)
+        strategy.apply(artifact.fir_module)
         artifact.fir_module.verify()
         artifact.stencil_module.verify()
-        super().transform(artifact, ctx)
+        super().transform(artifact)
 
 
 class DmpBackend(Backend):
@@ -192,10 +189,10 @@ class DmpBackend(Backend):
     name = "dmp"
     options_cls = DmpOptions
 
-    def transform(self, artifact: CompiledArtifact, ctx: Context) -> None:
+    def transform(self, artifact: CompiledArtifact) -> None:
         grid = "x".join(map(str, artifact.options.grid))
         self.run_pipeline(artifact, pipelines.DMP_PIPELINE.replace(
-            "convert-stencil-to-dmp", f"convert-stencil-to-dmp{{grid={grid}}}", 1), ctx)
+            "convert-stencil-to-dmp", f"convert-stencil-to-dmp{{grid={grid}}}", 1))
 
 
 class BackendRegistry:

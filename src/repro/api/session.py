@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from types import TracebackType
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir.context import default_context
 from ..resilience import InjectedFault
 from ..runtime.sweep import usable_cpus
 from .artifact import CompiledArtifact
@@ -53,7 +52,6 @@ class Session:
     def __init__(self, registry: Optional[BackendRegistry] = None,
                  store=None):
         self.registry = registry if registry is not None else default_registry
-        self._ctx = default_context()
         self._cache: Dict[Tuple, CompiledArtifact] = {}
         self._lock = threading.Lock()
         self._hits = 0
@@ -152,7 +150,7 @@ class Session:
                         f"injected transient compile failure for source "
                         f"{key[0][:12]} on backend '{backend.name}'"
                     )
-                artifact = backend.lower(source, options, ctx=self._ctx)
+                artifact = backend.lower(source, options)
                 break
             except BaseException as exc:
                 attempt += 1

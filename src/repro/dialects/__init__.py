@@ -1,42 +1,22 @@
-"""Dialect definitions and the convenience all-dialect registration helper."""
+"""Dialect definitions.
 
-from ..ir.context import Context
-from .arith import Arith
-from .builtin import Builtin
-from .dmp import DMP
-from .fir import FIR
-from .func import Func
-from .gpu import GPU
-from .llvm import LLVM
-from .math_dialect import Math
-from .memref import MemRef
-from .mpi import MPI
-from .omp import OMP
-from .scf import Scf
-from .stencil import Stencil
+Importing this package imports every dialect module, and defining an op or a
+dialect type enters it in ``repro.ir``'s ``OP_CLASSES`` / ``TYPE_PARSERS``:
+after this import both tables are complete.
+"""
 
-ALL_DIALECTS = [
-    Builtin,
-    Arith,
-    Math,
-    Func,
-    Scf,
-    MemRef,
-    FIR,
-    Stencil,
-    OMP,
-    GPU,
-    DMP,
-    MPI,
-    LLVM,
-]
-
-
-def register_all_dialects(ctx: Context) -> Context:
-    """Register every dialect shipped by this package into ``ctx``."""
-    for dialect in ALL_DIALECTS:
-        ctx.register_dialect(dialect)
-    return ctx
-
-
-__all__ = ["ALL_DIALECTS", "register_all_dialects"]
+from . import (  # noqa: F401
+    arith,
+    builtin,
+    dmp,
+    fir,
+    func,
+    gpu,
+    llvm,
+    math_dialect,
+    memref,
+    mpi,
+    omp,
+    scf,
+    stencil,
+)

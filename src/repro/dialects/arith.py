@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from ..ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr
-from ..ir.context import Dialect
 from ..ir.operation import Operation, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import Pure
@@ -268,38 +267,6 @@ class TruncFOp(_CastOp):
     name = "arith.truncf"
 
 
-Arith = Dialect(
-    "arith",
-    [
-        ConstantOp,
-        AddfOp,
-        SubfOp,
-        MulfOp,
-        DivfOp,
-        MaximumfOp,
-        MinimumfOp,
-        AddiOp,
-        SubiOp,
-        MuliOp,
-        DivSIOp,
-        RemSIOp,
-        MaxSIOp,
-        MinSIOp,
-        AndIOp,
-        OrIOp,
-        XOrIOp,
-        NegfOp,
-        CmpfOp,
-        CmpiOp,
-        SelectOp,
-        IndexCastOp,
-        SIToFPOp,
-        FPToSIOp,
-        ExtFOp,
-        TruncFOp,
-    ],
-)
-
 __all__ = [
     "ConstantOp",
     "AddfOp",
@@ -329,5 +296,4 @@ __all__ = [
     "TruncFOp",
     "FLOAT_PREDICATES",
     "INT_PREDICATES",
-    "Arith",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from ..ir.attributes import Attribute, StringAttr
-from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region
 from ..ir.ssa import SSAValue
 from ..ir.traits import IsolatedFromAbove, Pure, SingleBlockRegion
@@ -55,7 +54,5 @@ class UnrealizedConversionCastOp(Operation):
     def __init__(self, inputs: Sequence[SSAValue], result_types: Sequence[TypeAttribute]):
         super().__init__(operands=inputs, result_types=result_types)
 
-
-Builtin = Dialect("builtin", [ModuleOp, UnrealizedConversionCastOp])
 
 __all__ = ["ModuleOp", "UnrealizedConversionCastOp", "Builtin"]

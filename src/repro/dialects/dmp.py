@@ -11,10 +11,9 @@ from __future__ import annotations
 from typing import Any, Sequence, Tuple
 
 from ..ir.attributes import DenseArrayAttr, IntegerAttr
-from ..ir.context import Dialect
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
-from ..ir.types import TypeAttribute, i64, index
+from ..ir.types import TYPE_PARSERS, TypeAttribute, i32, i64, index
 
 
 class GridType(TypeAttribute):
@@ -94,6 +93,23 @@ class HaloSwapOp(Operation):
         return self.get_attr("halo").as_tuple()  # type: ignore[union-attr]
 
 
+class NeighbourRankOp(Operation):
+    """``dmp.neighbour_rank`` — rank of the neighbour in ``direction`` along
+    grid dimension ``dim`` (−1 when there is no neighbour)."""
+
+    name = "dmp.neighbour_rank"
+
+    def __init__(self, grid: SSAValue, dim: int, direction: int):
+        super().__init__(
+            operands=[grid],
+            result_types=[i32],
+            attributes={
+                "dim": IntegerAttr(dim, i64),
+                "direction": IntegerAttr(direction, i64),
+            },
+        )
+
+
 def _parse_grid_type(parser) -> GridType:
     parser.expect("<")
     shape = parser._parse_dims() + [parser.parse_integer()]
@@ -101,16 +117,12 @@ def _parse_grid_type(parser) -> GridType:
     return GridType(shape)
 
 
-DMP = Dialect(
-    "dmp",
-    [GridOp, RankOp, HaloSwapOp],
-    type_parsers={"grid": _parse_grid_type},
-)
+TYPE_PARSERS["dmp.grid"] = _parse_grid_type
 
 __all__ = [
     "GridType",
     "GridOp",
     "RankOp",
     "HaloSwapOp",
-    "DMP",
+    "NeighbourRankOp",
 ]

@@ -19,11 +19,10 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Tuple
 
 from ..ir.attributes import StringAttr, TypeAttr
-from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import BlockArgument, SSAValue
 from ..ir.traits import IsTerminator, Pure, ReadOnly, SingleBlockRegion
-from ..ir.types import DYNAMIC, IndexType, TypeAttribute, index
+from ..ir.types import DYNAMIC, TYPE_PARSERS, IndexType, TypeAttribute, index
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,7 @@ class CallOp(Operation):
 
 
 # ---------------------------------------------------------------------------
-# Dialect registration (including textual type parsers)
+# Textual type parsers
 # ---------------------------------------------------------------------------
 
 
@@ -456,29 +455,12 @@ def _parse_array(parser) -> SequenceType:
     return SequenceType(shape, elem)
 
 
-FIR = Dialect(
-    "fir",
-    [
-        AllocaOp,
-        AllocMemOp,
-        FreeMemOp,
-        DeclareOp,
-        LoadOp,
-        StoreOp,
-        CoordinateOfOp,
-        ResultOp,
-        DoLoopOp,
-        IfOp,
-        ConvertOp,
-        CallOp,
-    ],
-    type_parsers={
-        "ref": _parse_ref,
-        "heap": _parse_heap,
-        "llvm_ptr": _parse_llvm_ptr,
-        "array": _parse_array,
-    },
-)
+TYPE_PARSERS.update({
+    "fir.ref": _parse_ref,
+    "fir.heap": _parse_heap,
+    "fir.llvm_ptr": _parse_llvm_ptr,
+    "fir.array": _parse_array,
+})
 
 __all__ = [
     "ReferenceType",
@@ -500,5 +482,4 @@ __all__ = [
     "IfOp",
     "ConvertOp",
     "CallOp",
-    "FIR",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ir.attributes import StringAttr, TypeAttr
-from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import IsTerminator, IsolatedFromAbove, SymbolOpInterface
@@ -114,7 +113,5 @@ def enclosing_func(op: Operation) -> Optional[FuncOp]:
         parent = parent.parent_op()
     return parent
 
-
-Func = Dialect("func", [FuncOp, ReturnOp])
 
 __all__ = ["FuncOp", "ReturnOp", "Func", "enclosing_func"]

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..ir.attributes import DenseArrayAttr, StringAttr, SymbolRefAttr
-from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import (
@@ -162,23 +161,6 @@ class BlockDimOp(_IdOp):
     name = "gpu.block_dim"
 
 
-GPU = Dialect(
-    "gpu",
-    [
-        GPUModuleOp,
-        GPUFuncOp,
-        ReturnOp,
-        LaunchFuncOp,
-        AllocOp,
-        DeallocOp,
-        MemcpyOp,
-        HostRegisterOp,
-        ThreadIdOp,
-        BlockIdOp,
-        BlockDimOp,
-    ],
-)
-
 __all__ = [
     "GPUModuleOp",
     "GPUFuncOp",
@@ -191,5 +173,4 @@ __all__ = [
     "ThreadIdOp",
     "BlockIdOp",
     "BlockDimOp",
-    "GPU",
 ]

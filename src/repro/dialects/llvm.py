@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-from ..ir.context import Dialect
-from ..ir.types import TypeAttribute
+from ..ir.types import TYPE_PARSERS, TypeAttribute
 
 
 class LLVMPointerType(TypeAttribute):
@@ -45,6 +44,6 @@ def _parse_ptr(parser) -> LLVMPointerType:
     return LLVMPointerType(None)
 
 
-LLVM = Dialect("llvm", [], type_parsers={"ptr": _parse_ptr})
+TYPE_PARSERS["llvm.ptr"] = _parse_ptr
 
-__all__ = ["LLVMPointerType", "LLVM"]
+__all__ = ["LLVMPointerType"]

@@ -7,7 +7,6 @@ stencil extraction unchanged (see §3 of the paper).
 
 from __future__ import annotations
 
-from ..ir.context import Dialect
 from ..ir.operation import Operation, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import Pure
@@ -71,11 +70,6 @@ class PowFOp(Operation):
         super().__init__(operands=[base, exponent], result_types=[base.type])
 
 
-Math = Dialect(
-    "math",
-    [SqrtOp, AbsFOp, SinOp, CosOp, TanOp, TanhOp, ExpOp, LogOp, Log10Op, PowFOp],
-)
-
 __all__ = [
     "SqrtOp",
     "AbsFOp",
@@ -87,5 +81,4 @@ __all__ = [
     "LogOp",
     "Log10Op",
     "PowFOp",
-    "Math",
 ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..ir.context import Dialect
 from ..ir.operation import Operation, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import ReadOnly
@@ -80,14 +79,8 @@ class SnapshotOp(Operation):
         super().__init__(operands=[source, *written], result_types=[source.type])
 
 
-MemRef = Dialect(
-    "memref",
-    [LoadOp, StoreOp, SnapshotOp],
-)
-
 __all__ = [
     "LoadOp",
     "StoreOp",
     "SnapshotOp",
-    "MemRef",
 ]

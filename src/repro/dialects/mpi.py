@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence, Tuple
 
-from ..ir.context import Dialect
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
-from ..ir.types import TypeAttribute
+from ..ir.types import TYPE_PARSERS, TypeAttribute
 
 
 class RequestType(TypeAttribute):
@@ -64,16 +63,11 @@ def _parse_request(parser) -> RequestType:
     return RequestType()
 
 
-MPI = Dialect(
-    "mpi",
-    [ISendOp, IRecvOp, WaitAllOp],
-    type_parsers={"request": _parse_request},
-)
+TYPE_PARSERS["mpi.request"] = _parse_request
 
 __all__ = [
     "RequestType",
     "ISendOp",
     "IRecvOp",
     "WaitAllOp",
-    "MPI",
 ]

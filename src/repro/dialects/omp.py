@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ir.attributes import IntegerAttr
-from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import IsTerminator, SingleBlockRegion
@@ -88,7 +87,5 @@ class TerminatorOp(Operation):
     def __init__(self):
         super().__init__()
 
-
-OMP = Dialect("omp", [ParallelOp, WsLoopOp, YieldOp, TerminatorOp])
 
 __all__ = ["ParallelOp", "WsLoopOp", "YieldOp", "TerminatorOp", "OMP"]

@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ir.attributes import IntegerAttr
-from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import BlockArgument, SSAValue
 from ..ir.traits import IsTerminator, SingleBlockRegion
@@ -157,12 +156,9 @@ class IfOp(Operation):
         return self.regions[0].block
 
 
-Scf = Dialect("scf", [YieldOp, ForOp, ParallelOp, IfOp])
-
 __all__ = [
     "YieldOp",
     "ForOp",
     "ParallelOp",
     "IfOp",
-    "Scf",
 ]

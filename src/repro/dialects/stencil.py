@@ -19,11 +19,10 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..ir.attributes import DenseArrayAttr, IntegerAttr
-from ..ir.context import Dialect
 from ..ir.operation import Block, Operation, Region, VerifyException
 from ..ir.ssa import SSAValue
 from ..ir.traits import IsTerminator, Pure, ReadOnly, SingleBlockRegion
-from ..ir.types import TypeAttribute, i64, index
+from ..ir.types import TYPE_PARSERS, TypeAttribute, i64, index
 
 
 Bounds = Tuple[Tuple[int, int], ...]
@@ -311,19 +310,10 @@ def _parse_temp(parser) -> TempType:
     return TempType(bounds, elem)
 
 
-Stencil = Dialect(
-    "stencil",
-    [
-        ExternalLoadOp,
-        LoadOp,
-        ApplyOp,
-        AccessOp,
-        IndexOp,
-        StoreOp,
-        ReturnOp,
-    ],
-    type_parsers={"field": _parse_field, "temp": _parse_temp},
-)
+TYPE_PARSERS.update({
+    "stencil.field": _parse_field,
+    "stencil.temp": _parse_temp,
+})
 
 __all__ = [
     "FieldType",
@@ -335,5 +325,4 @@ __all__ = [
     "IndexOp",
     "StoreOp",
     "ReturnOp",
-    "Stencil",
 ]

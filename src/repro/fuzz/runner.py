@@ -369,58 +369,56 @@ class DifferentialRunner:
                 else self.run_oracle(spec, cfg.aliased)
         return known[key]
 
+    def _judge(self, spec: KernelSpec, cfg: BackendConfig,
+               oracles: Dict) -> Tuple[List[Divergence], int]:
+        """The divergences of ``spec`` run under ``cfg``, and the run's
+        fallback count.  A crash is a finding, and so is each codegen reason
+        and any output that is not bitwise equal to the oracle's."""
+        def found(kind: str, detail: str, **extra) -> Divergence:
+            return Divergence(seed=spec.seed, config_label=cfg.label,
+                              backend=cfg.backend, kind=kind, detail=detail,
+                              spec=spec, **extra)
+
+        try:
+            outputs, stats = self.run_config(spec, cfg)
+        except InterpreterError as err:
+            # Crosscheck replays every vectorized sweep through the scalar
+            # oracle and raises on mismatch — a caught miscompile.
+            return [found("crosscheck", str(err).splitlines()[0])], 0
+        except Exception as err:  # noqa: BLE001 — a crash IS a finding
+            return [found("error", f"{type(err).__name__}: {err}")], 0
+        divergences = []
+        if stats.get("codegen"):
+            divergences.append(found("codegen", "; ".join(stats["codegen"])))
+        differing, max_diff = self.compare(
+            self._expected(spec, cfg, oracles), outputs)
+        if differing:
+            divergences.append(found(
+                "bitwise", "outputs differ from the scalar oracle",
+                arrays=differing, max_abs_diff=max_diff))
+        return divergences, stats.get("fallbacks", 0)
+
     def run_case(self, spec: KernelSpec) -> CaseResult:
         result = CaseResult(spec=spec)
         oracles = {(False, False): self.run_oracle(spec)}
         for cfg in default_matrix(spec, self.backends):
             counters = result.per_backend.setdefault(cfg.backend,
                                                      _backend_counters())
+            divergences, fallbacks = self._judge(spec, cfg, oracles)
             result.configs_run += 1
+            result.divergences += divergences
             counters["runs"] += 1
-
-            def diverged(kind: str, detail: str, **found) -> None:
-                counters["divergences"] += 1
-                result.divergences.append(Divergence(
-                    seed=spec.seed, config_label=cfg.label,
-                    backend=cfg.backend, kind=kind, detail=detail, spec=spec,
-                    **found))
-
-            try:
-                outputs, stats = self.run_config(spec, cfg)
-            except InterpreterError as err:
-                # Crosscheck replays every vectorized sweep through the
-                # scalar oracle and raises on mismatch — a caught miscompile.
-                diverged("crosscheck", str(err).splitlines()[0])
-                continue
-            except Exception as err:  # noqa: BLE001 — a crash IS a finding
-                diverged("error", f"{type(err).__name__}: {err}")
-                continue
-            counters["fallbacks"] += stats.get("fallbacks", 0)
-            if stats.get("codegen"):
-                diverged("codegen", "; ".join(stats["codegen"]))
-            differing, max_diff = self.compare(
-                self._expected(spec, cfg, oracles), outputs)
-            if differing:
-                diverged("bitwise", "outputs differ from the scalar oracle",
-                         arrays=differing, max_abs_diff=max_diff)
+            counters["divergences"] += len(divergences)
+            counters["fallbacks"] += fallbacks
         return result
 
     def reproduces(self, spec: KernelSpec, config_label: str) -> bool:
         """Does ``config_label`` still diverge for ``spec``?  The minimizer's
         predicate: only the named configuration is re-run."""
-        matching = [c for c in default_matrix(spec, self.backends)
-                    if c.label == config_label]
-        if not matching:
-            return False
-        cfg = matching[0]
-        try:
-            outputs, stats = self.run_config(spec, cfg)
-        except Exception:  # noqa: BLE001 — crash still reproduces the finding
-            return True
-        if stats.get("codegen"):
-            return True
-        differing, _ = self.compare(self._expected(spec, cfg, {}), outputs)
-        return bool(differing)
+        for cfg in default_matrix(spec, self.backends):
+            if cfg.label == config_label:
+                return bool(self._judge(spec, cfg, {})[0])
+        return False
 
 
 class Farm:

@@ -2,7 +2,9 @@
 
 Exports the structural classes (values, operations, blocks, regions), the
 attribute/type system, the builder, the textual printer/parser, the dead-op
-and constant-fold worklist and the pass manager.
+and constant-fold worklist and the pass manager, and the tables the dialects
+and passes fill as they are defined: ``OP_CLASSES``, ``TYPE_PARSERS``,
+``PASSES`` and ``ACCEPTED_PASSES``.
 """
 
 from .attributes import (
@@ -17,14 +19,13 @@ from .attributes import (
     UnitAttr,
 )
 from .builder import Builder, InsertPoint
-from .context import Context, Dialect, default_context
-from .operation import Block, IRError, Operation, Region, VerifyException
+from .operation import OP_CLASSES, Block, IRError, Operation, Region, VerifyException
 from .parser import IRParser, ParseError, parse_module
 from .pass_manager import (
-    GLOBAL_PASS_REGISTRY,
+    ACCEPTED_PASSES,
+    PASSES,
     ModulePass,
     PassManager,
-    PassRegistry,
     parse_pipeline,
     register_pass,
 )
@@ -33,6 +34,7 @@ from .rewriting import erase_and_fold
 from .ssa import BlockArgument, OpResult, SSAValue, Use
 from .types import (
     DYNAMIC,
+    TYPE_PARSERS,
     FloatType,
     FunctionType,
     IndexType,
@@ -64,6 +66,7 @@ __all__ = [
     "FloatType",
     "FunctionType",
     "MemRefType",
+    "TYPE_PARSERS",
     "i1",
     "i32",
     "i64",
@@ -80,12 +83,10 @@ __all__ = [
     "Region",
     "IRError",
     "VerifyException",
+    "OP_CLASSES",
     # tooling
     "Builder",
     "InsertPoint",
-    "Context",
-    "Dialect",
-    "default_context",
     "Printer",
     "print_op",
     "print_module",
@@ -95,8 +96,8 @@ __all__ = [
     "erase_and_fold",
     "ModulePass",
     "PassManager",
-    "PassRegistry",
-    "GLOBAL_PASS_REGISTRY",
+    "PASSES",
+    "ACCEPTED_PASSES",
     "register_pass",
     "parse_pipeline",
 ]

@@ -17,6 +17,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
     Union,
 )
 
@@ -34,6 +35,10 @@ class VerifyException(IRError):
 
 _BLOCKS, _OPS = attrgetter("blocks"), attrgetter("ops")
 
+#: Operation name -> class: every subclass that sets its own :attr:`name`
+#: enters as its dialect module defines it (:meth:`Operation.__init_subclass__`).
+OP_CLASSES: Dict[str, Type["Operation"]] = {}
+
 
 def _nested_ops(op: "Operation") -> Iterator["Operation"]:
     """The operations directly inside ``op``, block after block; each block's
@@ -45,9 +50,9 @@ def _nested_ops(op: "Operation") -> Iterator["Operation"]:
 class Operation:
     """A generic SSA operation.
 
-    Concrete operations subclass this and set :attr:`name`.  Neither IR
-    decoder builds the base class: the text parser and the op table both
-    refuse an operation name no dialect registers.
+    Concrete operations subclass this and set :attr:`name`, which registers
+    them in :data:`OP_CLASSES`.  Neither IR decoder builds the base class:
+    the text parser and the op table both refuse a name no dialect defines.
     """
 
     #: Fully qualified operation name, e.g. ``"arith.addf"``.
@@ -63,6 +68,14 @@ class Operation:
     #: ``(epoch, ops walked)`` of the last successful :meth:`verify` of this
     #: root: a Python field, never an IR attribute.
     _verified: Tuple[int, int] = (-1, 0)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "name" in cls.__dict__:
+            existing = OP_CLASSES.setdefault(cls.name, cls)
+            if existing is not cls:
+                raise ValueError(f"operation '{cls.name}' defined twice: by "
+                                 f"{existing.__qualname__} and {cls.__qualname__}")
 
     def __init__(
         self,
@@ -604,4 +617,4 @@ class Region:
         return f"<Region with {len(self.blocks)} blocks>"
 
 
-__all__ = ["Operation", "Block", "Region", "IRError", "VerifyException"]
+__all__ = ["Operation", "Block", "Region", "IRError", "VerifyException", "OP_CLASSES"]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .attributes import (
     Attribute,
@@ -37,11 +37,11 @@ from .attributes import (
     TypeAttr,
     UnitAttr,
 )
-from .context import Context
-from .operation import Block, Operation, Region
+from .operation import OP_CLASSES, Block, Operation, Region
 from .ssa import SSAValue
 from .types import (
     DYNAMIC,
+    TYPE_PARSERS,
     FloatType,
     FunctionType,
     IndexType,
@@ -86,6 +86,18 @@ _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
+def registered(table: Dict[str, Any], name: str) -> Optional[Any]:
+    """``name``'s entry in :data:`OP_CLASSES` or :data:`TYPE_PARSERS`, or
+    ``None``.  A miss first imports :mod:`repro.dialects`, whose modules fill
+    both tables as they define their ops and types."""
+    found = table.get(name)
+    if found is None:
+        from .. import dialects  # noqa: F401
+
+        found = table.get(name)
+    return found
+
+
 def _token_start(text: str, index: int) -> int:
     """Offset of the ``index``-th token lexed from ``text``."""
     match = next(islice(_TOKEN_RE.finditer(text), index, None), None)
@@ -95,16 +107,11 @@ def _token_start(text: str, index: int) -> int:
 class IRParser:
     """Parses generic-syntax IR into operation objects."""
 
-    def __init__(self, text: str, context: Optional[Context] = None):
+    def __init__(self, text: str):
         self.text = text
         #: Token strings, closed by the empty end-of-input token.
         self.toks: List[str] = _TOKEN_RE.findall(text)
         self.i = 0
-        if context is None:
-            from .context import default_context
-
-            context = default_context()
-        self.context = context
         self.values: Dict[str, SSAValue] = {}
         self._types: Dict[str, TypeAttribute] = {}
 
@@ -224,10 +231,9 @@ class IRParser:
         return inputs, [self.parse_type()]
 
     def _parse_dialect_type(self, tok: str) -> TypeAttribute:
-        dialect_name, _, mnemonic = tok[1:].partition(".")
-        if not mnemonic:
+        if "." not in tok:
             raise self._error("expected '!dialect.mnemonic'")
-        parser_fn = self.context.get_type_parser(dialect_name, mnemonic)
+        parser_fn = registered(TYPE_PARSERS, tok[1:])
         if parser_fn is None:
             raise self._error(f"unknown dialect type '{tok}'")
         self.i += 1
@@ -397,7 +403,7 @@ class IRParser:
         attributes: Dict[str, Attribute],
         regions: List[Region],
     ) -> Operation:
-        op_class = self.context.get_op_class(op_name)
+        op_class = registered(OP_CLASSES, op_name)
         if op_class is None:
             raise self._error(f"unregistered operation '{op_name}'")
         op = object.__new__(op_class)
@@ -440,9 +446,9 @@ class IRParser:
         return block
 
 
-def parse_module(text: str, context: Optional[Context] = None) -> Operation:
+def parse_module(text: str) -> Operation:
     """Parse a module (or any single top-level operation) from text."""
-    return IRParser(text, context).parse_module()
+    return IRParser(text).parse_module()
 
 
 __all__ = ["IRParser", "ParseError", "parse_module"]

@@ -1,4 +1,4 @@
-"""Module passes, the pass registry and ``mlir-opt``-style pipeline strings.
+"""Module passes, the pass table and ``mlir-opt``-style pipeline strings.
 
 A pass pipeline can be described textually, e.g.::
 
@@ -18,9 +18,8 @@ from __future__ import annotations
 import inspect
 import re
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type, Union
+from typing import Dict, List, Set, Tuple, Type, Union
 
-from .context import Context
 from .operation import Operation
 
 PassOption = Union[str, int, float, bool, Tuple[int, ...]]
@@ -32,7 +31,7 @@ class ModulePass:
     #: Pipeline name of the pass, e.g. ``"convert-scf-to-openmp"``.
     name: str = "unnamed-pass"
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -59,40 +58,18 @@ class PassStatistics:
         )
 
 
-class PassRegistry:
-    """Global registry mapping pipeline names to pass classes or factories."""
+#: Pipeline name -> pass class, filled by :func:`register_pass` as each
+#: :mod:`repro.transforms` module defines its passes.
+PASSES: Dict[str, Type[ModulePass]] = {}
 
-    def __init__(self):
-        self._passes: Dict[str, Callable[..., ModulePass]] = {}
-        #: Names a pipeline may mention that have nothing to do here.
-        self.accepted: Set[str] = set()
-
-    def register(self, pass_class: Type[ModulePass], name: Optional[str] = None) -> None:
-        key = name or pass_class.name
-        self._passes[key] = pass_class
-
-    def get(self, name: str) -> Callable[..., ModulePass]:
-        if name not in self._passes:
-            raise KeyError(
-                f"unknown pass '{name}'; implemented passes: {self.names()}; "
-                f"accepted (parsed, nothing to run): {sorted(self.accepted)}"
-            )
-        return self._passes[name]
-
-    def names(self) -> List[str]:
-        return sorted(self._passes)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._passes
-
-
-#: The process-wide registry every :class:`PassManager` resolves names in.
-GLOBAL_PASS_REGISTRY = PassRegistry()
+#: Names a pipeline may mention that have nothing to do here; the module that
+#: names them (:mod:`repro.transforms.pipelines`) adds them.
+ACCEPTED_PASSES: Set[str] = set()
 
 
 def register_pass(pass_class: Type[ModulePass]) -> Type[ModulePass]:
-    """Class decorator registering a pass in the global registry."""
-    GLOBAL_PASS_REGISTRY.register(pass_class)
+    """Class decorator entering a pass in :data:`PASSES` under its name."""
+    PASSES[pass_class.name] = pass_class
     return pass_class
 
 
@@ -159,14 +136,9 @@ def parse_pipeline(pipeline: str) -> List[Tuple[str, Dict[str, PassOption]]]:
 
 class PassManager:
     """Runs a sequence of module passes, verifying the module before and
-    after each one; names resolve through :data:`GLOBAL_PASS_REGISTRY`."""
+    after each one; names resolve through :data:`PASSES`."""
 
-    def __init__(self, ctx: Optional[Context] = None):
-        if ctx is None:
-            from .context import default_context
-
-            ctx = default_context()
-        self.ctx = ctx
+    def __init__(self):
         self.passes: List[ModulePass] = []
         #: Accepted names the pipeline mentioned, in order; none is scheduled.
         self.accepted: List[str] = []
@@ -177,21 +149,34 @@ class PassManager:
     def add(self, pass_or_name: Union[ModulePass, str], **options: PassOption) -> "PassManager":
         if not isinstance(pass_or_name, str):
             self.passes.append(pass_or_name)
-        elif pass_or_name in GLOBAL_PASS_REGISTRY.accepted:
-            self.accepted.append(pass_or_name)
-        else:
-            pass_cls = GLOBAL_PASS_REGISTRY.get(pass_or_name)
-            try:
-                self.passes.append(pass_cls(**options))
-            except TypeError:
-                known = inspect.signature(pass_cls).parameters
-                unknown = sorted(set(options) - set(known))
-                if not unknown:
-                    raise
-                raise KeyError(
-                    f"pass '{pass_or_name}' has no option(s) {unknown}; "
-                    f"its options: {sorted(known)}"
-                ) from None
+            return self
+        name = pass_or_name
+        if name not in PASSES and name not in ACCEPTED_PASSES:
+            from .. import transforms  # noqa: F401  (defining a pass registers it)
+        if name in ACCEPTED_PASSES:
+            self.accepted.append(name)
+            return self
+        pass_cls = PASSES.get(name)
+        if pass_cls is None:
+            raise KeyError(
+                f"unknown pass '{name}'; implemented passes: {sorted(PASSES)}; "
+                f"accepted (parsed, nothing to run): {sorted(ACCEPTED_PASSES)}"
+            )
+        try:
+            self.passes.append(pass_cls(**options))
+        except TypeError:
+            known = inspect.signature(pass_cls).parameters
+            unknown = sorted(set(options) - set(known))
+            if not unknown:
+                raise
+            raise KeyError(
+                f"pass '{name}' has no option(s) {unknown}; "
+                f"its options: {sorted(known)}"
+            ) from None
+        except ValueError as exc:
+            given = " ".join(f"{key.replace('_', '-')}={value}"
+                             for key, value in options.items())
+            raise ValueError(f"pass '{name}' rejects {{{given}}}: {exc}") from exc
         return self
 
     def add_pipeline(self, pipeline: str) -> "PassManager":
@@ -209,7 +194,7 @@ class PassManager:
         for pass_instance in self.passes:
             ops_before = ops_after
             start = time.perf_counter()
-            pass_instance.apply(self.ctx, module)
+            pass_instance.apply(module)
             elapsed = time.perf_counter() - start
             checked = module.is_verified
             start = time.perf_counter()
@@ -223,9 +208,9 @@ class PassManager:
 __all__ = [
     "ModulePass",
     "PassManager",
-    "PassRegistry",
     "PassStatistics",
-    "GLOBAL_PASS_REGISTRY",
+    "PASSES",
+    "ACCEPTED_PASSES",
     "register_pass",
     "parse_pipeline",
 ]

@@ -22,9 +22,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List
 
 from .attributes import Attribute
-from .context import Context
-from .operation import Block, Operation, Region
-from .parser import IRParser
+from .operation import OP_CLASSES, Block, Operation, Region
+from .parser import IRParser, registered
 from .ssa import SSAValue
 
 
@@ -66,9 +65,8 @@ def encode_module(module: Operation) -> Dict[str, Any]:
     return {"types": list(types), "attrs": list(attrs), "hints": hints, "op": top}
 
 
-def _parse_leaf(spelling: str, context: Context,
-                parse: Callable[[IRParser], Attribute]) -> Attribute:
-    parser = IRParser(spelling, context)
+def _parse_leaf(spelling: str, parse: Callable[[IRParser], Attribute]) -> Attribute:
+    parser = IRParser(spelling)
     leaf = parse(parser)
     if not parser.at_end():
         raise TableError(f"trailing input after the leaf in {spelling!r}")
@@ -91,10 +89,10 @@ def _pick(items: list, indices: list, what: str) -> list:
     raise TableError(f"{what} ids {indices!r} are not all in range")
 
 
-def decode_module(table: Dict[str, Any], context: Context) -> Operation:
-    """The operation ``table`` describes, built fresh against ``context``."""
-    types = [_parse_leaf(s, context, IRParser.parse_type) for s in table["types"]]
-    attrs = [_parse_leaf(s, context, IRParser.parse_attribute) for s in table["attrs"]]
+def decode_module(table: Dict[str, Any]) -> Operation:
+    """The operation ``table`` describes, built fresh."""
+    types = [_parse_leaf(s, IRParser.parse_type) for s in table["types"]]
+    attrs = [_parse_leaf(s, IRParser.parse_attribute) for s in table["attrs"]]
     hints = table["hints"]
     #: The values defined so far: an operand id past its end is used before
     #: its definition, or never defined.
@@ -119,7 +117,7 @@ def decode_module(table: Dict[str, Any], context: Context) -> Operation:
             regions.append(region)
         result_types = _pick(types, type_ids, "type")
         attributes = {key: _at(attrs, index, "attribute") for key, index in attr_ids}
-        op_class = context.get_op_class(name)
+        op_class = registered(OP_CLASSES, name)
         if op_class is None:
             raise TableError(f"unregistered operation {name!r}")
         op = object.__new__(op_class)

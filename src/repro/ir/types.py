@@ -7,12 +7,17 @@ fields, ...) live with their dialects but follow the same conventions.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .attributes import TypeAttribute
 
 #: Sentinel used in shaped types for a dynamic (unknown at compile time) extent.
 DYNAMIC = -1
+
+#: ``"dialect.mnemonic"`` -> the function reading the rest of a
+#: ``!dialect.mnemonic<...>`` type from an ``IRParser``; each dialect module
+#: adds the types it defines.
+TYPE_PARSERS: Dict[str, Callable[[Any], TypeAttribute]] = {}
 
 
 class IntegerType(TypeAttribute):
@@ -141,4 +146,5 @@ __all__ = [
     "f32",
     "f64",
     "index",
+    "TYPE_PARSERS",
 ]

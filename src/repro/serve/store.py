@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..api.artifact import CompiledArtifact
 from ..dialects.builtin import ModuleOp
-from ..ir.context import default_context
 from ..ir.table import decode_module, encode_module
 
 #: On-disk layout version; bump on any incompatible change.  A mismatched
@@ -101,10 +100,9 @@ def deserialize_artifact(payload: bytes, meta: Dict, *, source: str,
         raise ValueError(f"expected a list of {expected} op table(s)")
     # An op a later build deleted fails to decode, as a corrupt miss, not as a
     # missing interpreter handler in the first run.
-    context = default_context()
     modules: List[ModuleOp] = []
     for table in tables:
-        module = decode_module(table, context)
+        module = decode_module(table)
         if not isinstance(module, ModuleOp):
             raise ValueError(f"payload table is not a module: {module.name}")
         module.verify()

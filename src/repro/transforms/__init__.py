@@ -5,7 +5,7 @@ from .cleanup import (
     CSEPass,
     ReconcileUnrealizedCastsPass,
 )
-from .distributed import ConvertDMPToMPIPass, ConvertStencilToDMPPass, NeighbourRankOp
+from .distributed import ConvertDMPToMPIPass, ConvertStencilToDMPPass
 from .gpu_data_management import GpuHostRegisterPass, GpuOptimisedDataPass
 from .parallel_lowering import (
     ConvertParallelLoopsToGpuPass,
@@ -37,7 +37,6 @@ __all__ = [
     "GpuOptimisedDataPass",
     "ConvertStencilToDMPPass",
     "ConvertDMPToMPIPass",
-    "NeighbourRankOp",
     "CanonicalizePass",
     "CSEPass",
     "ReconcileUnrealizedCastsPass",

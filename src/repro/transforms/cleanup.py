@@ -12,7 +12,6 @@ from typing import Dict, Optional, Tuple
 
 from ..dialects import arith
 from ..dialects.builtin import UnrealizedConversionCastOp
-from ..ir.context import Context
 from ..ir.operation import Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import erase_and_fold
@@ -48,7 +47,7 @@ class CanonicalizePass(ModulePass):
 
     name = "canonicalize"
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         erase_and_fold(module, fold=_fold_constant)
 
 
@@ -58,7 +57,7 @@ class CSEPass(ModulePass):
 
     name = "cse"
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for op in list(module.walk()):
             for region in op.regions:
                 for block in region.blocks:
@@ -91,7 +90,7 @@ class ReconcileUnrealizedCastsPass(ModulePass):
 
     name = "reconcile-unrealized-casts"
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for op in list(module.walk()):
             if not isinstance(op, UnrealizedConversionCastOp) or op.parent is None:
                 continue

@@ -17,13 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..dialects import arith, dmp, mpi, stencil
 from ..dialects.func import FuncOp
-from ..ir.attributes import DenseArrayAttr, IntegerAttr
+from ..ir.attributes import DenseArrayAttr
 from ..ir.builder import Builder
-from ..ir.context import Context
 from ..ir.operation import Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
-from ..ir.types import i32, i64
+from ..ir.types import i32
 
 
 @register_pass
@@ -38,7 +37,7 @@ class ConvertStencilToDMPPass(ModulePass):
             grid = tuple(int(p) for p in str(grid).split("x"))
         self.grid = tuple(int(p) for p in grid)
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for func_op in list(module.walk()):
             if isinstance(func_op, FuncOp) and not func_op.is_declaration:
                 self._transform_function(func_op)
@@ -88,7 +87,7 @@ class ConvertDMPToMPIPass(ModulePass):
 
     name = "convert-dmp-to-mpi"
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for swap in [op for op in module.walk() if isinstance(op, dmp.HaloSwapOp)]:
             self._lower_swap(swap)
         # Grid ops may now be dead.
@@ -123,7 +122,7 @@ class ConvertDMPToMPIPass(ModulePass):
                 tag = dim * 2 + (0 if direction < 0 else 1)
                 recv_tag = dim * 2 + (1 if direction < 0 else 0)
                 neighbour = builder.insert(
-                    _NeighbourRankOp(grid_value, dim, direction)
+                    dmp.NeighbourRankOp(grid_value, dim, direction)
                 )
                 send_lb, send_ub, recv_lb, recv_ub = self._slabs(
                     extents, dim, width, direction
@@ -170,25 +169,4 @@ class ConvertDMPToMPIPass(ModulePass):
         return send_lb, send_ub, recv_lb, recv_ub
 
 
-class _NeighbourRankOp(Operation):
-    """``dmp.neighbour_rank`` — rank of the neighbour in ``direction`` along
-    grid dimension ``dim`` (−1 when there is no neighbour)."""
-
-    name = "dmp.neighbour_rank"
-
-    def __init__(self, grid: SSAValue, dim: int, direction: int):
-        super().__init__(
-            operands=[grid],
-            result_types=[i32],
-            attributes={
-                "dim": IntegerAttr(dim, i64),
-                "direction": IntegerAttr(direction, i64),
-            },
-        )
-
-
-# Register the helper op with the DMP dialect so parsing / interpretation work.
-dmp.DMP.register_operation(_NeighbourRankOp)
-NeighbourRankOp = _NeighbourRankOp
-
-__all__ = ["ConvertStencilToDMPPass", "ConvertDMPToMPIPass", "NeighbourRankOp"]
+__all__ = ["ConvertStencilToDMPPass", "ConvertDMPToMPIPass"]

@@ -27,7 +27,6 @@ from ..dialects.builtin import ModuleOp, UnrealizedConversionCastOp
 from ..dialects.func import FuncOp, ReturnOp
 from ..dialects.llvm import LLVMPointerType
 from ..ir.builder import Builder
-from ..ir.context import Context
 from ..ir.operation import Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
@@ -72,12 +71,12 @@ class GpuDataManagementBase(ModulePass):
     def __init__(self, stencil_module: Optional[ModuleOp] = None):
         self.stencil_module = stencil_module
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         if self.stencil_module is None:
             raise ValueError(f"{self.name} requires the extracted stencil module")
-        self.apply_pair(ctx, module, self.stencil_module)
+        self.apply_pair(module, self.stencil_module)
 
-    def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
+    def apply_pair(self, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------------
@@ -122,7 +121,7 @@ class GpuHostRegisterPass(GpuDataManagementBase):
 
     name = "gpu-data-host-register"
 
-    def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
+    def apply_pair(self, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
         for func_op in _stencil_functions(stencil_module):
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:
@@ -167,7 +166,7 @@ class GpuOptimisedDataPass(GpuDataManagementBase):
 
     name = "gpu-data-optimised"
 
-    def apply_pair(self, ctx: Context, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
+    def apply_pair(self, fir_module: ModuleOp, stencil_module: ModuleOp) -> None:
         for func_op in _stencil_functions(stencil_module):
             calls = _call_sites(fir_module, func_op.sym_name)
             if not calls:

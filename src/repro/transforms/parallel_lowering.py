@@ -23,7 +23,6 @@ from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp
 from ..ir.attributes import DenseArrayAttr
 from ..ir.builder import Builder
-from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import SSAValue
@@ -48,7 +47,7 @@ class ConvertSCFToOpenMPPass(ModulePass):
 
     name = "convert-scf-to-openmp"
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for parallel in [op for op in module.walk() if isinstance(op, scf.ParallelOp)]:
             if self._enclosing_parallel(parallel) is not None:
                 continue  # only map the outermost parallel loop to threads
@@ -108,7 +107,7 @@ class ParallelLoopTilingPass(ModulePass):
             parallel_loop_tile_sizes = (parallel_loop_tile_sizes,)
         self.tile_sizes = tuple(int(t) for t in parallel_loop_tile_sizes)
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for op in module.walk():
             if isinstance(op, scf.ParallelOp):
                 sizes = list(self.tile_sizes)[: op.rank]
@@ -136,7 +135,7 @@ class ConvertParallelLoopsToGpuPass(ModulePass):
     def __init__(self):
         self.outlined: List[str] = []
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         if not isinstance(module, ModuleOp):
             return
         gpu_module = None

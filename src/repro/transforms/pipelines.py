@@ -10,22 +10,14 @@ parsed.
 
 from __future__ import annotations
 
-from ..ir.pass_manager import GLOBAL_PASS_REGISTRY
-
-# Ensure every pass referenced by the pipelines below is registered.
-from . import cleanup  # noqa: F401
-from . import distributed  # noqa: F401
-from . import gpu_data_management  # noqa: F401
+from ..ir.pass_manager import ACCEPTED_PASSES
 from .parallel_lowering import TILE_SIZES
-from . import stencil_discovery  # noqa: F401
-from . import stencil_extraction  # noqa: F401
-from . import stencil_lowering  # noqa: F401
 
 #: MLIR passes the pipelines below name that have nothing to do on this
 #: substrate: their effect is irrelevant to the simulated execution or folded
 #: into an implemented pass.  ``PassManager`` parses and records them but
 #: schedules nothing.
-GLOBAL_PASS_REGISTRY.accepted.update((
+ACCEPTED_PASSES.update((
     "scf-parallel-loop-specialization",
     "test-math-algebraic-simplification",
     "test-expand-math",

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..dialects import arith, fir, stencil
 from ..dialects.func import FuncOp
 from ..ir.builder import Builder
-from ..ir.context import Context
 from ..ir.operation import Block, Operation, Region
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import definers, erase_and_fold
@@ -333,7 +332,7 @@ class StencilDiscoveryPass(ModulePass):
         #: Filled during apply(): number of stencils found per function.
         self.discovered: Dict[str, int] = {}
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for op in list(module.walk()):
             if isinstance(op, FuncOp) and not op.is_declaration:
                 count = self._apply_to_function(op)

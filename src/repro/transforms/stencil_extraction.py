@@ -21,7 +21,6 @@ from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp, ReturnOp
 from ..dialects.llvm import LLVMPointerType
 from ..ir.attributes import UnitAttr
-from ..ir.context import Context
 from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import SSAValue
@@ -98,7 +97,7 @@ class ExtractStencilsPass(ModulePass):
         #: Names of the functions created, in extraction order.
         self.extracted_functions: List[str] = []
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         extracted_funcs: List[FuncOp] = []
         counter = 0
         for func_op in list(module.walk()):

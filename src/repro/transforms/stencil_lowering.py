@@ -27,7 +27,6 @@ from ..dialects import arith, memref, scf, stencil
 from ..dialects.builtin import UnrealizedConversionCastOp
 from ..dialects.func import FuncOp
 from ..ir.builder import Builder
-from ..ir.context import Context
 from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.rewriting import erase_and_fold
@@ -54,7 +53,7 @@ class ConvertStencilToSCFPass(ModulePass):
             raise ValueError("target must be 'cpu' or 'gpu'")
         self.target = target
 
-    def apply(self, ctx: Context, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         for func_op in list(module.walk()):
             if isinstance(func_op, FuncOp) and not func_op.is_declaration:
                 self._lower_function(func_op)

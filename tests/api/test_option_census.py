@@ -29,7 +29,7 @@ import repro.transforms  # noqa: F401 — registers every pass
 from repro.api import CompiledProgram, DistributedProgram, Session, registry
 from repro.api.options import BackendOptions
 from repro.ir import PassManager
-from repro.ir.pass_manager import GLOBAL_PASS_REGISTRY
+from repro.ir.pass_manager import PASSES
 from repro.resilience import ResilienceOptions
 from repro.runtime import SimulatedCommunicator, SimulatedGPU
 from repro.runtime.distributed_executor import DistributedExecutor
@@ -136,8 +136,6 @@ CENSUS = {
     "CompiledProgram.interpreter.decomposition": (
         "input", "the run's decomposition, from the distributed plan"),
     # -- passes --------------------------------------------------------------
-    "PassManager.ctx": (
-        "input", "the context of the module Backend.lower compiles"),
     "pass:convert-stencil-to-dmp.grid": (
         "input", "the compiled DmpOptions.grid"),
     "pass:convert-stencil-to-scf.target": (
@@ -191,8 +189,8 @@ def surface():
         names |= _keywords(owner, call)
     names |= {f"Session.{name}" for name in vars(Session())
               if not name.startswith("_")}
-    for name in GLOBAL_PASS_REGISTRY.names():
-        names |= _keywords(f"pass:{name}", GLOBAL_PASS_REGISTRY.get(name))
+    for name, pass_class in PASSES.items():
+        names |= _keywords(f"pass:{name}", pass_class)
     return names
 
 
@@ -200,7 +198,7 @@ def test_every_settable_name_is_pinned_with_a_reason():
     found = surface()
     assert sorted(found - set(CENSUS)) == [], "a knob without a reason"
     assert sorted(set(CENSUS) - found) == [], "a pinned knob no longer exists"
-    assert len(found) == 49
+    assert len(found) == 48
 
 
 def test_the_other_calls_add_no_settable_name():

@@ -83,7 +83,7 @@ class TestBackendRegistry:
             options_cls = CpuOptions
             lowered = 0
 
-            def transform(self, artifact, ctx):
+            def transform(self, artifact):
                 type(self).lowered += 1
 
         fresh = BackendRegistry()

@@ -16,7 +16,7 @@ from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import arith, fir, func, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.frontend import compile_to_fir
-from repro.ir import Builder, FloatType, Operation, default_context, f64
+from repro.ir import Builder, FloatType, Operation, f64
 from repro.ir.ssa import EPOCH, MUTATIONS, Use
 from repro.ir.traits import is_trivially_dead
 from repro.runtime import SimulatedGPU, kernel_compiler
@@ -163,7 +163,7 @@ subroutine s(a, b, c, idx)
 end subroutine s
 """)
     discovery = StencilDiscoveryPass()
-    discovery.apply(default_context(), module)
+    discovery.apply(module)
     assert discovery.discovered == {"s": 1}
     loop = next(module.walk_type(fir.DoLoopOp))
     assert not any(is_trivially_dead(op) for op in module.walk())

@@ -187,9 +187,9 @@ def test_a_pass_whose_verify_was_skipped_left_the_module_byte_identical(
     pm = PassManager().add_pipeline(PIPELINES[pipeline])
     skipped = []
     for pass_instance in pm.passes:
-        def apply(ctx, m, real=pass_instance.apply, name=pass_instance.name):
+        def apply(m, real=pass_instance.apply, name=pass_instance.name):
             before = print_module(m)
-            real(ctx, m)
+            real(m)
             if m.is_verified:
                 skipped.append(name)
                 assert print_module(m) == before, name

@@ -31,11 +31,11 @@ import pytest
 import repro
 from repro.api.distributed import detect_entry
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import ALL_DIALECTS, fir
+from repro.dialects import fir
 from repro.dialects.builtin import ModuleOp
 from repro.ir import Attribute, parse_module, print_module
 from repro.ir import traits as traits_module
-from repro.ir.operation import Operation
+from repro.ir.operation import OP_CLASSES, Operation
 from repro.runtime import Interpreter, sweep
 from repro.runtime.interpreter import InterpreterError
 from repro.runtime.memory import numpy_dtype_for
@@ -272,7 +272,7 @@ def traffic(tmp_path_factory):
 
 
 def test_every_registered_op_is_constructed(traffic):
-    registered = {op.name for dialect in ALL_DIALECTS for op in dialect.operations}
+    registered = set(OP_CLASSES)
     assert sorted(registered - traffic.constructed) == []
     assert sorted(traffic.constructed - registered) == []
 

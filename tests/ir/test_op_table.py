@@ -7,7 +7,7 @@ import pytest
 
 from repro.dialects import arith, func
 from repro.dialects.builtin import ModuleOp
-from repro.ir import Builder, ParseError, default_context, f64, print_module
+from repro.ir import Builder, ParseError, f64, print_module
 from repro.ir.table import TableError, decode_module, encode_module
 
 
@@ -30,7 +30,7 @@ def body(table):
 def test_round_trip_through_json_reprints_byte_identical():
     module = axpy_module()
     table = json.loads(json.dumps(encode_module(module)))
-    decoded = decode_module(table, default_context())
+    decoded = decode_module(table)
     decoded.verify()
     assert print_module(decoded) == print_module(module)
     assert "sum" in table["hints"] and None in table["hints"]
@@ -44,7 +44,7 @@ def test_each_spelling_is_stored_once():
 
 def test_two_decodes_share_no_values():
     table = encode_module(axpy_module())
-    first, second = (decode_module(table, default_context()) for _ in range(2))
+    first, second = (decode_module(table) for _ in range(2))
     assert not {id(op) for op in first.walk()} & {id(op) for op in second.walk()}
 
 
@@ -52,7 +52,7 @@ def refused(mutate, error=TableError, match=None):
     table = copy.deepcopy(encode_module(axpy_module()))
     mutate(table)
     with pytest.raises(error, match=match):
-        decode_module(table, default_context())
+        decode_module(table)
 
 
 def test_an_unregistered_op_is_refused():

@@ -17,14 +17,14 @@ from repro.ir import (
     index,
     parse_pipeline,
 )
-from repro.ir.pass_manager import GLOBAL_PASS_REGISTRY
+from repro.ir.pass_manager import ACCEPTED_PASSES, PASSES
 from repro.transforms import (
     DMP_PIPELINE,
     GPU_PIPELINE,
     CanonicalizePass,
     CSEPass,
 )
-from repro.ir import default_context, erase_and_fold
+from repro.ir import erase_and_fold
 
 
 def build_module_with_redundancy():
@@ -66,8 +66,8 @@ class TestPipelineParsing:
             "scf-parallel-loop-tiling", "convert-stencil-to-dmp", "convert-dmp-to-mpi",
             "canonicalize", "cse",
         ):
-            assert name in GLOBAL_PASS_REGISTRY, name
-        assert "dce" not in GLOBAL_PASS_REGISTRY  # no pipeline names it
+            assert name in PASSES, name
+        assert "dce" not in PASSES  # no pipeline names it
 
 
 class TestCleanupPasses:
@@ -81,7 +81,7 @@ class TestCleanupPasses:
 
     def test_cse_merges_duplicates(self):
         module = build_module_with_redundancy()
-        CSEPass().apply(default_context(), module)
+        CSEPass().apply(module)
         constants = [op for op in module.walk() if isinstance(op, arith.ConstantOp)]
         values = sorted(c.literal for c in constants)
         assert values == [2.0]  # duplicate and dead constants are gone
@@ -97,7 +97,7 @@ class TestCleanupPasses:
         s = b.insert(arith.AddiOp(c2.result, c3.result))
         b.insert(func.ReturnOp([s.result]))
         module = ModuleOp([f])
-        CanonicalizePass().apply(default_context(), module)
+        CanonicalizePass().apply(module)
         constants = [op.literal for op in module.walk() if isinstance(op, arith.ConstantOp)]
         assert 5 in constants
         assert not any(isinstance(op, arith.AddiOp) for op in module.walk())
@@ -138,17 +138,16 @@ class TestCleanupPasses:
 
     def test_cse_never_merges_loads_across_a_store(self):
         module = self.build_memory_module()
-        CSEPass().apply(default_context(), module)
+        CSEPass().apply(module)
         self.assert_only_the_unused_load_went(module)
         add = next(op for op in module.walk() if isinstance(op, arith.AddfOp))
         assert add.operands[0] is not add.operands[1]
 
     def test_canonicalize_idempotent(self):
         module = build_module_with_redundancy()
-        ctx = default_context()
-        CanonicalizePass().apply(ctx, module)
+        CanonicalizePass().apply(module)
         text1 = sum(1 for _ in module.walk())
-        CanonicalizePass().apply(ctx, module)
+        CanonicalizePass().apply(module)
         assert sum(1 for _ in module.walk()) == text1
 
 
@@ -183,6 +182,22 @@ class TestPassManager:
         assert "'convert-stencil-to-scf' has no option(s) ['num_threads']" in str(error.value)
         assert "'target'" in str(error.value)
 
+    @pytest.mark.parametrize("entry", [
+        "scf-parallel-loop-tiling{parallel-loop-tile-sizes=abc}",
+        "convert-stencil-to-dmp{grid=2xq}",
+        "convert-stencil-to-scf{target=fpga}",
+    ])
+    def test_a_bad_option_value_names_the_pass(self, entry):
+        """A value the pass constructor refuses is a ValueError that names
+        the pass and the option, chained to the constructor's own error."""
+        name, option = entry.rstrip("}").split("{")
+        with pytest.raises(ValueError) as error:
+            PassManager().add_pipeline(entry)
+        message = str(error.value)
+        assert message.startswith(f"pass '{name}' rejects {{{option}}}: ")
+        assert isinstance(error.value.__cause__, ValueError)
+        assert message.endswith(str(error.value.__cause__))
+
     @pytest.mark.parametrize("option", ["schedule=dynamic", "chunk_size=4",
                                         "num-threads=4"])
     def test_convert_scf_to_openmp_takes_no_options(self, option):
@@ -204,16 +219,16 @@ class TestPassManager:
             "reconcile-unrealized-casts",
         ]
         assert len(pm.accepted) == 11
-        assert set(pm.accepted) <= GLOBAL_PASS_REGISTRY.accepted
-        assert not any(name in GLOBAL_PASS_REGISTRY for name in pm.accepted)
+        assert set(pm.accepted) <= ACCEPTED_PASSES
+        assert not any(name in PASSES for name in pm.accepted)
 
     def test_listing4_pipeline_parses_and_runs(self):
         """The paper's Listing 4 mlir-opt pipeline: every name is implemented
         or accepted, only the implemented ones run, and a GPU launch comes
         out of an extracted Gauss-Seidel module."""
         names = [name for name, _ in parse_pipeline(GPU_PIPELINE)]
-        implemented = [n for n in names if n in GLOBAL_PASS_REGISTRY]
-        accepted = [n for n in names if n in GLOBAL_PASS_REGISTRY.accepted]
+        implemented = [n for n in names if n in PASSES]
+        accepted = [n for n in names if n in ACCEPTED_PASSES]
         assert sorted(implemented + accepted) == sorted(names)
         module = repro.Session().compile(
             gauss_seidel.generate_source(8, niters=1)).lower("cpu").stencil_module
@@ -247,15 +262,15 @@ class TestPassManager:
         class CorruptModule(ModulePass):
             name = "corrupt-module"
 
-            def apply(self, ctx, module):
+            def apply(self, module):
                 next(op for op in module.walk()
                      if any(r.has_uses for r in op.results)).erase(safe=False)
 
-        monkeypatch.setitem(GLOBAL_PASS_REGISTRY._passes, "corrupt-module", CorruptModule)
+        monkeypatch.setitem(PASSES, "corrupt-module", CorruptModule)
         backend = get_backend("cpu")
         artifact = backend.lower(gauss_seidel.generate_source(8, niters=1))
         with pytest.raises(VerifyException):
-            backend.run_pipeline(artifact, pipeline, default_context())
+            backend.run_pipeline(artifact, pipeline)
 
     def test_custom_pass_instance(self):
         class CountOps(ModulePass):
@@ -264,7 +279,7 @@ class TestPassManager:
             def __init__(self):
                 self.count = 0
 
-            def apply(self, ctx, module):
+            def apply(self, module):
                 self.count = sum(1 for _ in module.walk())
 
         module = build_module_with_redundancy()

@@ -12,7 +12,7 @@ from repro.dialects import arith, memref, scf
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.fuzz import DEFAULT_CONFIG, DifferentialRunner, generate_spec
-from repro.ir import Builder, MemRefType, default_context, f64, index
+from repro.ir import Builder, MemRefType, f64, index
 from repro.resilience import AllocFault, FaultInjector, FaultPlan, RecoveryReport
 from repro.runtime import Interpreter, SimulatedGPU
 from repro.runtime.gpu_runtime import DeviceMemoryPool
@@ -46,9 +46,8 @@ def build_launch_module(n=8):
     parallel.body.block.add_op(scf.YieldOp([]))
     b.insert(ReturnOp([]))
     module = ModuleOp([fn])
-    ctx = default_context()
-    ParallelLoopTilingPass((4, 4)).apply(ctx, module)
-    ConvertParallelLoopsToGpuPass().apply(ctx, module)
+    ParallelLoopTilingPass((4, 4)).apply(module)
+    ConvertParallelLoopsToGpuPass().apply(module)
     module.verify()
     return module
 

@@ -28,7 +28,7 @@ from repro.dialects import arith, memref, scf
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.harness import measured_gpu_scaling
-from repro.ir import Builder, MemRefType, default_context, f64, i1, index
+from repro.ir import Builder, MemRefType, f64, i1, index
 from repro.ir.attributes import StringAttr
 from repro.runtime import (
     Interpreter,
@@ -74,9 +74,8 @@ def build_launch_module(n=8, in_place=False, with_nested_if=False,
     b.insert(ReturnOp([]))
 
     module = ModuleOp([fn])
-    ctx = default_context()
-    ParallelLoopTilingPass(tile).apply(ctx, module)
-    ConvertParallelLoopsToGpuPass().apply(ctx, module)
+    ParallelLoopTilingPass(tile).apply(module)
+    ConvertParallelLoopsToGpuPass().apply(module)
     module.verify()
     if literal_in_prologue:
         kernel = next(op for op in module.walk() if op.name == "gpu.func")
@@ -173,7 +172,7 @@ class TestCompileGpuFunc:
         # The cpu artifact keeps the same stencil function unlowered.
         unlowered = repro.Session().compile(source).lower("cpu")
         ConvertStencilToSCFPass(target="gpu").apply(
-            default_context(), unlowered.stencil_module)
+            unlowered.stencil_module)
         [nest] = [op for op in unlowered.stencil_module.walk()
                   if op.name == "scf.parallel"]
         launch_kernel, nest_kernel = compile_gpu_func(func_op), compile_loop_nest(nest)

@@ -43,12 +43,12 @@ class GatedCpuBackend(CpuBackend):
         self.lower_count = 0
         self._count_lock = threading.Lock()
 
-    def lower(self, source, options=None, *, ctx=None, **overrides):
+    def lower(self, source, options=None, **overrides):
         self.started.set()
         self.gate.wait()
         with self._count_lock:
             self.lower_count += 1
-        return super().lower(source, options, ctx=ctx, **overrides)
+        return super().lower(source, options, **overrides)
 
 
 class FailingBackend(CpuBackend):
@@ -63,7 +63,7 @@ class FailingBackend(CpuBackend):
         self.lower_count = 0
         self._count_lock = threading.Lock()
 
-    def lower(self, source, options=None, *, ctx=None, **overrides):
+    def lower(self, source, options=None, **overrides):
         self.gate.wait()
         with self._count_lock:
             self.lower_count += 1

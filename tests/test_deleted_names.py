@@ -166,6 +166,16 @@ GUARDS = (
           r"|message_count|bytes_sent|record_event|summary_line|_TracedRandom",
           ("src", "docs", "examples"), "after 787358b",
           "        self.transfers.append(GPUTransfer('h2d', nbytes))"),
+    # The IR has one dialect set and one pass set: ops, dialect types and
+    # passes enter module tables where they are defined, so the context, the
+    # dialect objects, the pass-registry class and every pass's context
+    # parameter stay deleted.
+    Guard("context-registries",
+          r"default_context|register_all_dialects|ALL_DIALECTS|PassRegistry"
+          r"|GLOBAL_PASS_REGISTRY|register_operation\(|ir\.context"
+          r"|def apply\(self, ctx",
+          ("src", "docs", "examples"), "after 78f623a",
+          "    def apply(self, ctx: Context, module: Operation) -> None:"),
 )
 
 

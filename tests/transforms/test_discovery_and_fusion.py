@@ -12,7 +12,6 @@ from repro.dialects.func import FuncOp
 from repro.frontend import compile_to_fir
 from repro.fuzz import DEFAULT_CORPUS_DIR, CorpusEntry
 from repro.fuzz.generator import Access, Statement
-from repro.ir import default_context
 from repro.runtime import Interpreter
 from repro.transforms import StencilDiscoveryPass, merge_adjacent_applies
 from repro.transforms.stencil_discovery import (
@@ -25,7 +24,7 @@ from repro.transforms.stencil_discovery import (
 def discover(source, merge=True):
     module = compile_to_fir(source)
     discovery = StencilDiscoveryPass(merge=merge)
-    discovery.apply(default_context(), module)
+    discovery.apply(module)
     module.verify()
     return module, discovery
 

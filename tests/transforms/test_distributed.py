@@ -7,7 +7,6 @@ import repro
 from repro.apps import gauss_seidel
 from repro.dialects import dmp, mpi, stencil
 from repro.harness import measured_distributed_scaling
-from repro.ir import default_context
 from repro.runtime.mpi_runtime import CartesianDecomposition, MPIError, SimulatedCommunicator
 from repro.transforms import ConvertDMPToMPIPass, ConvertStencilToDMPPass
 
@@ -17,10 +16,9 @@ class TestStencilToDMP:
         source = gauss_seidel.generate_source(10, niters=1)
         # A private session: the passes below mutate the compiled module.
         result = repro.Session().lower(source, "cpu")
-        ctx = default_context()
-        ConvertStencilToDMPPass(grid=grid).apply(ctx, result.stencil_module)
+        ConvertStencilToDMPPass(grid=grid).apply(result.stencil_module)
         if lower_to_mpi:
-            ConvertDMPToMPIPass().apply(ctx, result.stencil_module)
+            ConvertDMPToMPIPass().apply(result.stencil_module)
         result.stencil_module.verify()
         return result
 

@@ -8,7 +8,6 @@ from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import fir, gpu, memref, omp, scf, stencil
 from repro.dialects.func import FuncOp
 from repro.dialects.llvm import LLVMPointerType
-from repro.ir import default_context
 from repro.runtime import Interpreter, SimulatedGPU
 from repro.transforms import (
     ConvertParallelLoopsToGpuPass,
@@ -57,7 +56,7 @@ class TestStencilToSCF:
     def _lowered(self, source, target):
         # A private session: the pass below mutates the compiled module.
         result = repro.Session().lower(source, "cpu")
-        ConvertStencilToSCFPass(target=target).apply(default_context(), result.stencil_module)
+        ConvertStencilToSCFPass(target=target).apply(result.stencil_module)
         result.stencil_module.verify()
         return result
 
@@ -142,11 +141,10 @@ class TestOpenMPLowering:
 class TestGpuLowering:
     def test_parallel_loops_to_gpu_outlining(self, small_gs_source):
         result = repro.Session().lower(small_gs_source, "cpu")
-        ctx = default_context()
-        ConvertStencilToSCFPass(target="gpu").apply(ctx, result.stencil_module)
-        ParallelLoopTilingPass((4, 4, 1)).apply(ctx, result.stencil_module)
+        ConvertStencilToSCFPass(target="gpu").apply(result.stencil_module)
+        ParallelLoopTilingPass((4, 4, 1)).apply(result.stencil_module)
         gpu_pass = ConvertParallelLoopsToGpuPass()
-        gpu_pass.apply(ctx, result.stencil_module)
+        gpu_pass.apply(result.stencil_module)
         result.stencil_module.verify()
         assert gpu_pass.outlined
         assert any(isinstance(op, gpu.GPUModuleOp) for op in result.stencil_module.walk())
@@ -157,10 +155,9 @@ class TestGpuLowering:
     def test_outlined_kernel_executes_correctly(self):
         source = gauss_seidel.generate_source(6, niters=1)
         result = repro.Session().lower(source, "cpu")
-        ctx = default_context()
-        ConvertStencilToSCFPass(target="gpu").apply(ctx, result.stencil_module)
-        ParallelLoopTilingPass((2, 2, 2)).apply(ctx, result.stencil_module)
-        ConvertParallelLoopsToGpuPass().apply(ctx, result.stencil_module)
+        ConvertStencilToSCFPass(target="gpu").apply(result.stencil_module)
+        ParallelLoopTilingPass((2, 2, 2)).apply(result.stencil_module)
+        ConvertParallelLoopsToGpuPass().apply(result.stencil_module)
         data = gauss_seidel.initial_condition(6)
         work = data.copy(order="F")
         gpu_device = SimulatedGPU()

@@ -16,7 +16,7 @@ import repro
 from repro.apps import gauss_seidel
 from repro.dialects import fir, gpu
 from repro.dialects.func import FuncOp
-from repro.ir import default_context, print_module
+from repro.ir import print_module
 from repro.runtime import SimulatedGPU
 from repro.transforms.gpu_data_management import GpuOptimisedDataPass
 
@@ -97,7 +97,7 @@ class TestMultipleCallSites:
     def test_all_sites_rewritten_to_device_pointers(self):
         compiled = self._artifact_with_duplicated_call()
         GpuOptimisedDataPass(stencil_module=compiled.stencil_module).apply(
-            default_context(), compiled.fir_module
+            compiled.fir_module
         )
         compiled.fir_module.verify()
         calls = _stencil_calls(compiled.fir_module,

@@ -17,7 +17,6 @@ from repro.dialects import arith, fir, stencil
 from repro.frontend import compile_to_fir
 from repro.fuzz import DifferentialRunner
 from repro.fuzz.generator import Access, expr_paths, generate_spec
-from repro.ir import default_context
 from repro.runtime import Interpreter
 from repro.transforms import StencilDiscoveryPass
 
@@ -48,7 +47,7 @@ def unshare(module):
 def discovered(module):
     """Discovery's findings: per apply its bounds and access-offset multiset."""
     discovery = StencilDiscoveryPass()
-    discovery.apply(default_context(), module)
+    discovery.apply(module)
     module.verify()
     applies = [op for op in module.walk() if isinstance(op, stencil.ApplyOp)]
     return discovery.discovered, [
