@@ -5,8 +5,9 @@ Demonstrates the ``repro.serve`` subsystem end to end:
 
 1. a :class:`CompileService` backed by an on-disk :class:`ArtifactStore`
    serves a small fleet of concurrent client threads running both benchmark
-   apps — single-flight coalescing means the whole fleet performs exactly
-   one backend lower per distinct (source, backend, options) artifact;
+   apps — the session lowers each key once, so the whole fleet performs
+   exactly one backend lower per distinct (source, backend, options)
+   artifact;
 2. the process-shared half: run the script a second time with the same
    ``--store`` directory and every compile reloads from disk (zero lowers),
    which is also how the CI cold-start smoke asserts the warm-process

@@ -10,10 +10,11 @@ through three composable layers:
 * **Fluent programs** (:mod:`repro.api.program`) — ``repro.compile(source)``
   returns an immutable :class:`Program`; ``program.lower("openmp")
   .vectorize(threads=4).run(entry, *args)`` derives and executes compiled
-  handles without mutating anything.
+  handles without mutating anything, and ``.run_batch(entry, arg_sets)``
+  runs argument batches concurrently.
 * **Sessions** (:mod:`repro.api.session`) — a :class:`Session` memoizes
-  compiled artifacts by (source hash, backend, frozen options) and runs
-  argument batches concurrently via :meth:`Session.run_batch`.
+  compiled artifacts by (source hash, backend, frozen options) and lowers
+  each key once, however many threads ask for it at the same time.
 """
 
 from __future__ import annotations

@@ -171,9 +171,7 @@ class DistributedProgram:
             raise OptionError(
                 f"entry '{entry}' is compiled for rank-{len(expected)} arrays "
                 f"but the global field has rank {np.ndim(global_field)}")
-        # One handle per distinct rank-local shape.  The executor builds
-        # every rank's interpreter on this thread before any rank starts, so
-        # no rank races a shape's first compile.
+        # One handle per distinct rank-local shape.
         handles: Dict[Tuple[int, ...], "CompiledProgram"] = {}
 
         def handle_for(local_shape: Tuple[int, ...]) -> "CompiledProgram":

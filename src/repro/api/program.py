@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..runtime.interpreter import Interpreter
+from ..runtime.sweep import usable_cpus
 from .artifact import CompiledArtifact
 from .backends import Backend
-from .options import RUNTIME_ONLY_FIELDS, BackendOptions, OptionError
+from .options import (RUNTIME_ONLY_FIELDS, BackendOptions, OptionError,
+                      require_count)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Session
@@ -239,9 +242,32 @@ class CompiledProgram:
 
     def run_batch(self, entry: str, arg_sets: Sequence[Sequence],
                   workers: Optional[int] = None) -> List[List[object]]:
-        """Run ``entry`` once per argument set, concurrently (see
-        :meth:`repro.api.Session.run_batch`)."""
-        return self._session.run_batch(self, entry, arg_sets, workers=workers)
+        """Run ``entry`` once per argument set, concurrently.
+
+        Each argument set gets its own interpreter over the shared compiled
+        modules (interpreters never mutate them), on a pool the call opens
+        and joins, so no item outlives it.  Results come back **in input
+        order** and arrays are mutated in place per Fortran by-reference
+        semantics, so each argument set should own its arrays.  ``workers``
+        defaults to one per argument set, at most one per CPU the process may
+        use now (:func:`usable_cpus`); one runs them on the calling thread.
+        """
+        if workers is not None:
+            require_count("workers", workers)
+        arg_sets = list(arg_sets)
+        if not arg_sets:
+            return []
+
+        def run_one(args: Sequence) -> List[object]:
+            return self.interpreter().call(entry, *args)
+
+        if workers is None:
+            workers = min(len(arg_sets), usable_cpus())
+        if workers == 1 or len(arg_sets) == 1:
+            return [run_one(args) for args in arg_sets]
+        with ThreadPoolExecutor(max_workers=workers,
+                                thread_name_prefix="repro-batch") as pool:
+            return list(pool.map(run_one, arg_sets))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

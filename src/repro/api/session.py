@@ -1,12 +1,13 @@
-"""Sessions: compiled-artifact caching and batch execution.
+"""Sessions: compiled-artifact caching.
 
 A :class:`Session` is the stateful half of the fluent API.  It memoizes
 :class:`repro.api.CompiledArtifact` objects by ``(source hash, backend name,
 frozen compile-time options)`` so harness sweeps, ablations and serving
 workloads that compile the same source repeatedly stop re-running
-discovery/extraction from scratch — and it offers :meth:`run_batch`, which
-fans independent argument sets of one compiled program out over a thread
-pool that lives as long as the call.
+discovery/extraction from scratch.  It lowers each key once: the first
+caller that misses owns the key's *flight* and lowers it, and every caller
+that arrives meanwhile waits for that flight and shares its outcome, the
+artifact or the exception object (``coalesced`` counts them).
 
 Runtime-only options (``execution_mode``, ``threads``) are excluded from the
 cache key, so ``compiled.vectorize(threads=4)`` is a cache *hit* on the
@@ -22,15 +23,14 @@ backend lowers only.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from types import TracebackType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..resilience import InjectedFault
-from ..runtime.sweep import usable_cpus
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
-from .options import BackendOptions, require_count
+from .options import BackendOptions
 from .program import CompiledProgram, Program, source_fingerprint
 
 #: How many times a failing compile is retried before its cache key is
@@ -53,9 +53,12 @@ class Session:
                  store=None):
         self.registry = registry if registry is not None else default_registry
         self._cache: Dict[Tuple, CompiledArtifact] = {}
+        #: Keys being read or lowered now -> the outcome their callers share.
+        self._flights: Dict[Tuple, Future] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        self._coalesced = 0
         #: Optional :class:`repro.serve.ArtifactStore`: a shared on-disk
         #: cache layer consulted on memory misses and written on compiles.
         self.store = store
@@ -122,25 +125,52 @@ class Session:
                 self._quarantine_hits += 1
                 exc, compile_tb = poisoned
                 raise exc.with_traceback(compile_tb)
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = Future()
+                owner = True
+            else:
+                self._coalesced += 1
+                owner = False
+        if not owner:
+            # Another thread is lowering this key: share its outcome, the
+            # artifact or the exception object, raised from the compile's
+            # traceback like a quarantine hit.
+            exc = flight.exception()
+            if exc is None:
+                return flight.result()
+            with self._lock:
+                _, compile_tb = self._quarantined.get(key, (exc, None))
+            raise exc.with_traceback(compile_tb)
+        try:
+            artifact = self._load_or_lower(key, source, backend, options)
+        except BaseException as exc:
+            with self._lock:
+                del self._flights[key]
+            flight.set_exception(exc)
+            raise
+        with self._lock:
+            self._cache[key] = artifact
+            del self._flights[key]
+        flight.set_result(artifact)
+        return artifact
+
+    def _load_or_lower(self, key: Tuple, source: str, backend: Backend,
+                       options: BackendOptions) -> CompiledArtifact:
+        """The artifact of a key missing from memory, read from the store or
+        lowered by the backend; run by the key's flight owner only."""
         if self.store is not None:
             # Second cache layer: another process may already have lowered
             # this key.  Store failures (corruption, truncation, version
             # mismatch) surface as None — a safe miss, never an exception.
             loaded = self.store.load(key, source=source, backend=backend.name,
                                      options=options)
-            if loaded is not None:
-                with self._lock:
-                    self._disk_hits += 1
-                    return self._cache.setdefault(key, loaded)
             with self._lock:
+                if loaded is not None:
+                    self._disk_hits += 1
+                    return loaded
                 self._disk_misses += 1
         with self._lock:
-            # Re-check under the lock: another thread may have compiled (or
-            # disk-loaded) the key while we were reading the store.
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._hits += 1
-                return cached
             self._misses += 1
         attempt = 0
         while True:
@@ -163,16 +193,15 @@ class Session:
         if self.store is not None:
             # Best-effort persist for the next process; save() never raises.
             self.store.save(key, artifact)
-        with self._lock:
-            # Two threads may race to compile the same key; the artifacts are
-            # equivalent, keep the first and let the loser's result drop.
-            return self._cache.setdefault(key, artifact)
+        return artifact
 
     # -- cache management ----------------------------------------------------
 
     @property
     def cache_stats(self) -> Dict[str, int]:
-        """Measured cache counters: ``hits``, ``misses``, ``artifacts``.
+        """Measured cache counters: ``hits``, ``misses``, ``coalesced``
+        (callers that waited for another's lower of their key) and
+        ``artifacts``.
 
         With a store attached, ``disk_hits``/``disk_misses`` count the
         on-disk layer separately and ``misses`` counts true backend lowers
@@ -182,6 +211,7 @@ class Session:
             stats = {
                 "hits": self._hits,
                 "misses": self._misses,
+                "coalesced": self._coalesced,
                 "artifacts": len(self._cache),
             }
             if self.store is not None:
@@ -230,44 +260,13 @@ class Session:
             self._cache.clear()
             self._hits = 0
             self._misses = 0
+            self._coalesced = 0
             self._disk_hits = 0
             self._disk_misses = 0
             if not keep_quarantine:
                 self._quarantined.clear()
                 self._compile_retry_count = 0
                 self._quarantine_hits = 0
-
-    # -- batch execution -----------------------------------------------------
-
-    def run_batch(self, compiled: CompiledProgram, entry: str,
-                  arg_sets: Sequence[Sequence],
-                  workers: Optional[int] = None) -> List[List[object]]:
-        """Run ``entry`` once per argument set, concurrently.
-
-        Each argument set gets its own interpreter over the shared compiled
-        modules (interpreters never mutate them), on a pool the call opens
-        and joins, so no item outlives it.  Results come back **in input
-        order** and arrays are mutated in place per Fortran by-reference
-        semantics, so each argument set should own its arrays.  ``workers``
-        defaults to one per argument set, at most one per CPU the process may
-        use now (:func:`usable_cpus`); one runs them on the calling thread.
-        """
-        if workers is not None:
-            require_count("workers", workers)
-        arg_sets = list(arg_sets)
-        if not arg_sets:
-            return []
-
-        def run_one(args: Sequence) -> List[object]:
-            return compiled.interpreter().call(entry, *args)
-
-        if workers is None:
-            workers = min(len(arg_sets), usable_cpus())
-        if workers == 1 or len(arg_sets) == 1:
-            return [run_one(args) for args in arg_sets]
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="repro-batch") as pool:
-            return list(pool.map(run_one, arg_sets))
 
     def __repr__(self) -> str:  # pragma: no cover
         stats = self.cache_stats

@@ -129,7 +129,6 @@ def service_metrics_table(metrics) -> str:
     result.add("coalesced", metrics.coalesced)
     result.add("rejected", metrics.rejected)
     result.add("timeouts", metrics.timeouts)
-    result.add("flights_claimed", metrics.flights_claimed)
     result.add("queue_depth_high_water", metrics.queue_depth_high_water)
     result.add("memory_hits", metrics.memory_hits)
     result.add("disk_hits", metrics.disk_hits)

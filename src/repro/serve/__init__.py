@@ -12,10 +12,11 @@ move):
   cap.  Attach one via ``Session(store=ArtifactStore(path))`` and warm
   processes skip every lower a previous process already did.
 * :class:`CompileService` (:mod:`repro.serve.service`) — a concurrent
-  compile/run front door: single-flight coalescing (one backend lower per
-  distinct key, fleet-wide), a bounded admission queue with typed
-  :class:`ServiceRejected` backpressure, per-request timeouts
-  (:class:`ServiceTimeout`) and a :class:`ServiceMetrics` snapshot rendered
+  compile/run front door over a session, which lowers each distinct key
+  once however many requests race it; the service itself only deduplicates
+  admitted compile requests, bounds admission with typed
+  :class:`ServiceRejected` backpressure, enforces per-request timeouts
+  (:class:`ServiceTimeout`) and snapshots a :class:`ServiceMetrics` rendered
   by :func:`repro.harness.service_metrics_table`.
 
 Quickstart::

@@ -3,12 +3,13 @@
 :class:`CompileService` turns a :class:`repro.api.Session` (optionally backed
 by an :class:`ArtifactStore`) into a bounded concurrent service:
 
-* **Single-flight coalescing.**  Duplicate in-flight compiles of the same
-  ``(source fingerprint, backend, frozen options)`` key collapse onto one
-  *flight*: the first arrival claims the flight and performs the lower, every
-  other request blocks on the winner's future and shares its outcome — result
-  or exception, so a quarantined compile poisons the whole cohort exactly
-  once instead of retry-storming the backend.
+* **Coalescing.**  The session lowers each ``(source fingerprint, backend,
+  frozen options)`` key once: a request that reaches it while another lowers
+  the key waits and shares that outcome — artifact or exception, so a
+  quarantined compile poisons the whole cohort exactly once instead of
+  retry-storming the backend.  The service only deduplicates admitted
+  compile requests: a duplicate :meth:`submit_compile` of a key already
+  admitted gets that request's future and takes no queue slot.
 * **Backpressure.**  Admission is bounded: at most ``max_queue`` accepted
   requests wait for one of the ``workers`` threads at a time; beyond that
   :meth:`submit_compile`/:meth:`submit_run` raise a typed
@@ -22,12 +23,8 @@ by an :class:`ArtifactStore`) into a bounded concurrent service:
   session memory/disk/miss counters and per-stage latency percentiles —
   rendered by :func:`repro.harness.service_metrics_table`.
 
-Deadlock-freedom of the flight protocol: a flight's winner is always a
-thread that is *running* (never a request still waiting for a worker).  A
-started request that finds its key already claimed simply waits on the
-winner's future; a started request that finds the flight unclaimed claims it
-and computes inline.  Claiming is first-come-first-served across compile and
-run tasks, so no worker ever waits on work that only it could start.
+No worker can wait on work that only it could start: a session flight
+exists only while its owner's thread is lowering the key.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..api.options import BackendOptions, OptionError, require_count, validate_timeout
@@ -68,7 +65,7 @@ class ServiceRejected(RuntimeError):
 class ServiceTimeout(TimeoutError):
     """A blocking request exceeded its per-request timeout.
 
-    The underlying flight keeps running: its artifact still lands in the
+    The underlying request keeps running: its artifact still lands in the
     session/store caches, so a retry is typically a fast hit.
     """
 
@@ -96,8 +93,9 @@ class ServiceMetrics:
     """A point-in-time snapshot of one :class:`CompileService`.
 
     ``misses`` is the count of true backend lowers the session performed —
-    the acceptance number for single-flight (one per distinct key, fleet
-    wide); ``memory_hits``/``disk_hits`` split cache reuse by layer.
+    one per distinct key, fleet wide; ``memory_hits``/``disk_hits`` split
+    cache reuse by layer.  ``coalesced`` adds the service's duplicate compile
+    requests and the session's callers that waited for another's lower.
     ``latency`` maps stage name (``queue_wait``, ``lower``, ``execute``) to
     ``{count, p50, p90, p99, max}`` in seconds.
     """
@@ -109,7 +107,6 @@ class ServiceMetrics:
     coalesced: int
     rejected: int
     timeouts: int
-    flights_claimed: int
     queue_depth_high_water: int
     memory_hits: int
     disk_hits: int
@@ -119,33 +116,7 @@ class ServiceMetrics:
     latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return {
-            "submitted_compiles": self.submitted_compiles,
-            "submitted_runs": self.submitted_runs,
-            "completed": self.completed,
-            "failed": self.failed,
-            "coalesced": self.coalesced,
-            "rejected": self.rejected,
-            "timeouts": self.timeouts,
-            "flights_claimed": self.flights_claimed,
-            "queue_depth_high_water": self.queue_depth_high_water,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "artifacts": self.artifacts,
-            "store": dict(self.store),
-            "latency": {k: dict(v) for k, v in self.latency.items()},
-        }
-
-
-class _Flight:
-    """One in-flight compile key: a future plus a claimed flag."""
-
-    __slots__ = ("future", "claimed")
-
-    def __init__(self):
-        self.future: Future = Future()
-        self.claimed = False
+        return asdict(self)
 
 
 class CompileService:
@@ -169,7 +140,8 @@ class CompileService:
         self._lock = threading.Lock()
         #: Accepted requests no worker has started yet (guarded by _lock).
         self._waiting = 0
-        self._inflight: Dict[Tuple, _Flight] = {}
+        #: Admitted compile requests not yet settled, by cache key.
+        self._inflight: Dict[Tuple, Future] = {}
         self._counters = {
             "submitted_compiles": 0,
             "submitted_runs": 0,
@@ -178,7 +150,6 @@ class CompileService:
             "coalesced": 0,
             "rejected": 0,
             "timeouts": 0,
-            "flights_claimed": 0,
             "queue_depth_high_water": 0,
         }
         self._latency: Dict[str, deque] = {
@@ -238,48 +209,38 @@ class CompileService:
         """Admit a compile; returns a future resolving to the
         :class:`CompiledProgram`.
 
-        Duplicate in-flight keys coalesce onto the existing flight's future
-        without consuming queue capacity; keys already in the session memory
-        cache resolve inline without touching the queue at all.
+        Keys already in the session memory cache resolve inline without
+        touching the queue at all; a duplicate of an admitted, unsettled
+        request shares its future without consuming queue capacity.
         """
         if self._closed:
             raise RuntimeError("CompileService is closed")
         source, backend_obj, opts, key = self.session.resolve(
             source, backend, options, **overrides)
         self._bump("submitted_compiles")
-        with self._lock:
-            flight = self._inflight.get(key)
-            if flight is not None:
-                self._counters["coalesced"] += 1
-                return flight.future
-        # Hot path: the session already holds the artifact — resolve inline
-        # (a memory hit) instead of burning queue capacity.
         if self.session.cached_key(key):
             future: Future = Future()
-            self._settle(future, lambda: self.session.lower(
-                source, backend_obj, opts))
+            self._settle(future, lambda: self._lower(source, backend_obj, opts))
             return future
         with self._lock:
-            flight = self._inflight.get(key)
-            if flight is not None:
+            future = self._inflight.get(key)
+            if future is not None:
                 self._counters["coalesced"] += 1
-                return flight.future
-            flight = _Flight()
-            self._inflight[key] = flight
-        try:
-            # The flight future doubles as the request future; the claimer
-            # resolves it inside _lower_single_flight.
-            self._admit(flight.future, lambda: self._lower_single_flight(
-                key, source, backend_obj, opts))
-        except RuntimeError as refusal:  # ServiceRejected, or closed
-            # Resolve the flight with the refusal so any waiter that
-            # coalesced between registration and this failure unblocks with
-            # the same error, then retract it.
+                return future
+            future = self._inflight[key] = Future()
+
+        def retract(_: Future) -> None:
             with self._lock:
-                self._inflight.pop(key, None)
-            flight.future.set_exception(refusal)
+                del self._inflight[key]
+
+        future.add_done_callback(retract)
+        try:
+            self._admit(future, lambda: self._lower(source, backend_obj, opts))
+        except RuntimeError as refusal:  # ServiceRejected, or closed
+            # Duplicates that joined this request before the refusal share it.
+            future.set_exception(refusal)
             raise
-        return flight.future
+        return future
 
     def submit_run(self, source, entry: str, args: Sequence = (), *,
                    backend="cpu", options: Optional[BackendOptions] = None,
@@ -288,9 +249,9 @@ class CompileService:
         :class:`repro.runtime.Interpreter` that ran ``entry`` (arrays in
         ``args`` are mutated in place per Fortran semantics).
 
-        The compile half shares the single-flight protocol with
-        :meth:`submit_compile`; the execute half always runs (runs are never
-        coalesced — every client gets its own execution).
+        The compile half is the session's, which lowers each key once; the
+        execute half always runs (runs are never coalesced — every client
+        gets its own execution, with its own runtime options).
         """
         if self._closed:
             raise RuntimeError("CompileService is closed")
@@ -298,18 +259,12 @@ class CompileService:
             raise OptionError(
                 f"args must be a list or tuple of the arguments of "
                 f"'{entry}', got {type(args).__name__}")
-        source, backend_obj, opts, key = self.session.resolve(
+        source, backend_obj, opts, _ = self.session.resolve(
             source, backend, options, **overrides)
         self._bump("submitted_runs")
 
         def run():
-            compiled = self._lower_single_flight(key, source, backend_obj,
-                                                 opts)
-            if compiled.options != opts:
-                # Coalesced onto a flight whose runtime-only options differ
-                # (the key ignores them): this request runs with its own.
-                compiled = compiled.with_options(
-                    execution_mode=opts.execution_mode, threads=opts.threads)
+            compiled = self._lower(source, backend_obj, opts)
             started = time.perf_counter()
             interp = compiled.run(entry, *args)
             with self._lock:
@@ -328,8 +283,8 @@ class CompileService:
         except _FutureTimeout:
             self._bump("timeouts")
             raise ServiceTimeout(
-                f"request did not complete within {timeout}s (the flight "
-                f"keeps running; a retry will reuse its artifact)"
+                f"request did not complete within {timeout}s (it keeps "
+                f"running; a retry will reuse its artifact)"
             ) from None
 
     def compile(self, source, backend="cpu",
@@ -357,38 +312,13 @@ class CompileService:
 
     # -- execution -------------------------------------------------------------
 
-    def _lower_single_flight(self, key: Tuple, source: str, backend,
-                             options: BackendOptions) -> CompiledProgram:
-        """Compile ``key`` exactly once fleet-wide.
-
-        The claimer computes inline; everybody else blocks on the winner's
-        future and shares its outcome (including a quarantine exception).
-        """
-        with self._lock:
-            flight = self._inflight.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._inflight[key] = flight
-            claimer = not flight.claimed
-            if claimer:
-                flight.claimed = True
-                self._counters["flights_claimed"] += 1
-            else:
-                self._counters["coalesced"] += 1
-        if not claimer:
-            return flight.future.result()
+    def _lower(self, source: str, backend,
+               options: BackendOptions) -> CompiledProgram:
+        """``session.lower``, timed into the ``lower`` latency window."""
         started = time.perf_counter()
-        try:
-            compiled = self.session.lower(source, backend, options)
-        except BaseException as exc:
-            with self._lock:
-                self._inflight.pop(key, None)
-            flight.future.set_exception(exc)
-            raise
+        compiled = self.session.lower(source, backend, options)
         with self._lock:
             self._latency["lower"].append(time.perf_counter() - started)
-            self._inflight.pop(key, None)
-        flight.future.set_result(compiled)
         return compiled
 
     # -- introspection / lifecycle ---------------------------------------------
@@ -408,10 +338,9 @@ class CompileService:
             submitted_runs=counters["submitted_runs"],
             completed=counters["completed"],
             failed=counters["failed"],
-            coalesced=counters["coalesced"],
+            coalesced=counters["coalesced"] + cache["coalesced"],
             rejected=counters["rejected"],
             timeouts=counters["timeouts"],
-            flights_claimed=counters["flights_claimed"],
             queue_depth_high_water=counters["queue_depth_high_water"],
             memory_hits=cache["hits"],
             disk_hits=cache.get("disk_hits", 0),

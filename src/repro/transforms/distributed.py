@@ -35,6 +35,8 @@ class ConvertStencilToDMPPass(ModulePass):
     def __init__(self, grid: Sequence[int] = (1, 1)):
         if isinstance(grid, (str, int)):  # pipeline text: "2x2", or 4
             grid = tuple(int(p) for p in str(grid).split("x"))
+        if any(isinstance(p, bool) or int(p) < 1 for p in grid):
+            raise ValueError(f"grid extents must be integers >= 1, got {grid}")
         self.grid = tuple(int(p) for p in grid)
 
     def apply(self, module: Operation) -> None:

@@ -105,6 +105,10 @@ class ParallelLoopTilingPass(ModulePass):
     def __init__(self, parallel_loop_tile_sizes: Sequence[int] = TILE_SIZES):
         if isinstance(parallel_loop_tile_sizes, int):
             parallel_loop_tile_sizes = (parallel_loop_tile_sizes,)
+        if any(isinstance(t, bool) or int(t) < 1
+               for t in parallel_loop_tile_sizes):
+            raise ValueError(f"tile sizes must be integers >= 1, got "
+                             f"{parallel_loop_tile_sizes}")
         self.tile_sizes = tuple(int(t) for t in parallel_loop_tile_sizes)
 
     def apply(self, module: Operation) -> None:

@@ -351,7 +351,7 @@ def test_first_run_race_in_run_batch(repeats):
         session = repro.Session()
         handle = lowered(session)
         arg_sets = [stage(pw_advection) for _ in range(8)]
-        session.run_batch(handle, "pw_advection", arg_sets, workers=4)
+        handle.run_batch("pw_advection", arg_sets, workers=4)
         assert all(bitwise(args[3:], want) for args in arg_sets)
         assert one_entry_per_sweep_op(handle.artifact)
 

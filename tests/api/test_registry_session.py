@@ -8,11 +8,14 @@ determinism and all five targets through the fluent API.
 
 import os
 import threading
+import time
+import traceback
 
 import numpy as np
 import pytest
 
 import repro
+from repro.api import session as session_module
 from repro.api import (
     Backend,
     BackendRegistry,
@@ -25,9 +28,10 @@ from repro.api import (
     UnknownBackendError,
     registry,
 )
+from repro.api.backends import CpuBackend
 from repro.apps import gauss_seidel, pw_advection
 from repro.runtime import Interpreter, InterpreterError, MPIError
-from repro.serve import CompileService
+from repro.serve import ArtifactStore, CompileService
 
 
 @pytest.fixture
@@ -197,9 +201,11 @@ class TestSessionCache:
     def test_hit_and_miss_counters(self, session, small_gs_source):
         program = session.compile(small_gs_source)
         first = program.lower("cpu")
-        assert session.cache_stats == {"hits": 0, "misses": 1, "artifacts": 1}
+        assert session.cache_stats == {
+            "hits": 0, "misses": 1, "coalesced": 0, "artifacts": 1}
         second = program.lower("cpu")
-        assert session.cache_stats == {"hits": 1, "misses": 1, "artifacts": 1}
+        assert session.cache_stats == {
+            "hits": 1, "misses": 1, "coalesced": 0, "artifacts": 1}
         assert second.artifact is first.artifact
 
     def test_a_program_lowers_under_its_source_key(self, session,
@@ -208,7 +214,8 @@ class TestSessionCache:
         first = session.lower(program, "cpu")
         assert first.source == small_gs_source
         second = session.lower(small_gs_source, "cpu")
-        assert session.cache_stats == {"hits": 1, "misses": 1, "artifacts": 1}
+        assert session.cache_stats == {
+            "hits": 1, "misses": 1, "coalesced": 0, "artifacts": 1}
         assert second.artifact is first.artifact
 
     def test_different_backend_or_options_miss(self, session, small_gs_source):
@@ -246,7 +253,8 @@ class TestSessionCache:
     def test_clear_cache_resets(self, session, small_gs_source):
         session.compile(small_gs_source).lower("cpu")
         session.clear_cache()
-        assert session.cache_stats == {"hits": 0, "misses": 0, "artifacts": 0}
+        assert session.cache_stats == {
+            "hits": 0, "misses": 0, "coalesced": 0, "artifacts": 0}
 
     def test_default_session_behind_repro_compile(self, small_gs_source):
         program = repro.compile(small_gs_source)
@@ -265,6 +273,93 @@ class TestSessionCache:
         after = harness_session().cache_stats
         assert after["hits"] >= mid["hits"] + 2        # both were cache hits
         assert after["misses"] == mid["misses"]
+
+
+class GatedBackend(CpuBackend):
+    """A cpu backend, never registered, whose lowers wait for the test to
+    open its gate, and raise when ``fail`` is set."""
+
+    name = "gated-cpu"
+
+    def __init__(self, fail=False):
+        self.fail = fail
+        self.gate = threading.Event()
+        self.lowers = 0
+
+    def lower(self, source, options=None, **overrides):
+        self.gate.wait()
+        self.lowers += 1
+        if self.fail:
+            raise ValueError("synthetic backend failure")
+        return super().lower(source, options, **overrides)
+
+
+class TestConcurrentFirstLowers:
+    """A key is lowered once, however many threads ask for it first: the
+    first caller owns the lower, the others wait and share its outcome."""
+
+    THREADS = 8
+
+    def lower_together(self, session, backend, source):
+        """Lower ``source`` on THREADS threads; a shut gate opens once every
+        thread but the owner waits.  Returns each thread's handle or
+        exception."""
+        outcomes = [None] * self.THREADS
+
+        def lower(index):
+            try:
+                outcomes[index] = session.lower(source, backend)
+            except ValueError as exc:
+                outcomes[index] = exc
+
+        threads = [threading.Thread(target=lower, args=(i,), daemon=True)
+                   for i in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 5.0
+        try:
+            while (not backend.gate.is_set()
+                   and session.cache_stats.get("coalesced", 0) < self.THREADS - 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+        finally:
+            backend.gate.set()
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        return outcomes
+
+    def test_one_lower_and_one_artifact(self, small_gs_source):
+        session, backend = Session(), GatedBackend()
+        handles = self.lower_together(session, backend, small_gs_source)
+        assert backend.lowers == 1
+        stats = session.cache_stats
+        assert (stats["misses"], stats["coalesced"]) == (1, self.THREADS - 1)
+        assert len({id(handle.artifact) for handle in handles}) == 1
+
+    def test_one_failure_is_shared_as_one_exception_object(
+            self, monkeypatch, small_gs_source):
+        monkeypatch.setattr(session_module, "COMPILE_RETRIES", 0)
+        session, backend = Session(), GatedBackend(fail=True)
+        errors = self.lower_together(session, backend, small_gs_source)
+        assert backend.lowers == 1
+        assert all(isinstance(error, ValueError) for error in errors)
+        assert len({id(error) for error in errors}) == 1
+        # Every raise, the owner's and each waiter's, starts from the
+        # compile's traceback, which ends in the backend.
+        assert traceback.extract_tb(errors[0].__traceback__)[-1].name == "lower"
+
+    def test_a_warm_store_is_read_once(self, tmp_path, small_gs_source):
+        backend = GatedBackend()
+        backend.gate.set()
+        Session(store=ArtifactStore(tmp_path)).lower(small_gs_source, backend)
+        backend.lowers = 0
+        session = Session(store=ArtifactStore(tmp_path))
+        handles = self.lower_together(session, backend, small_gs_source)
+        stats = session.cache_stats
+        assert (stats["disk_hits"], stats["misses"], backend.lowers) == (1, 0, 0)
+        assert stats["hits"] + stats["coalesced"] == self.THREADS - 1
+        assert len({id(handle.artifact) for handle in handles}) == 1
 
 
 class TestRunBatch:
@@ -290,8 +385,7 @@ class TestRunBatch:
         compiled = session.compile(source).lower("cpu")
         arg_sets = [(gauss_seidel.initial_condition(n, seed=i),)
                     for i in range(5)]
-        results = session.run_batch(compiled, "gauss_seidel", arg_sets,
-                                    workers=3)
+        results = compiled.run_batch("gauss_seidel", arg_sets, workers=3)
         assert len(results) == 5      # one (empty) return list per arg set
 
     @pytest.mark.parametrize("workers", [True, 2.5, "2", 0])
@@ -301,7 +395,7 @@ class TestRunBatch:
         compiled = session.compile(gauss_seidel.generate_source(6)).lower("cpu")
         batch = [(gauss_seidel.initial_condition(6),)]
         with pytest.raises(OptionError, match="^workers must be an integer"):
-            session.run_batch(compiled, "gauss_seidel", batch, workers=workers)
+            compiled.run_batch("gauss_seidel", batch, workers=workers)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_default_workers_follow_the_cpus_the_process_may_use(
@@ -333,7 +427,7 @@ class TestRunBatch:
 
     def test_empty_batch(self, session, small_gs_source):
         compiled = session.compile(small_gs_source).lower("cpu")
-        assert session.run_batch(compiled, "gauss_seidel", []) == []
+        assert compiled.run_batch("gauss_seidel", []) == []
 
     def test_no_deadlock_when_workers_equal_interpreter_threads(self, session):
         """Batch dispatch must not share a pool with the interpreters' tiled
@@ -527,12 +621,12 @@ class TestDmpCacheKeys:
         for grid in ((1, 1), (2, 1), (2, 2)):
             program.lower("dmp", grid=grid)
         stats = session.cache_stats
-        assert stats == {"hits": 0, "misses": 3, "artifacts": 3}
+        assert stats == {"hits": 0, "misses": 3, "coalesced": 0, "artifacts": 3}
         # Re-lowering every grid is a pure cache hit: one compile per grid.
         handles = {grid: session.compile(small_gs_source).lower("dmp", grid=grid)
                    for grid in ((1, 1), (2, 1), (2, 2))}
         stats = session.cache_stats
-        assert stats == {"hits": 3, "misses": 3, "artifacts": 3}
+        assert stats == {"hits": 3, "misses": 3, "coalesced": 0, "artifacts": 3}
         assert handles[(2, 1)].artifact is not handles[(2, 2)].artifact
 
     def test_grid_in_cache_key_and_list_normalised(self):
@@ -602,11 +696,13 @@ class TestGpuCacheKeys:
         program = session.compile(small_gs_source)
         optimised = program.lower("gpu", data_strategy="optimised")
         host_register = program.lower("gpu", data_strategy="host_register")
-        assert session.cache_stats == {"hits": 0, "misses": 2, "artifacts": 2}
+        assert session.cache_stats == {
+            "hits": 0, "misses": 2, "coalesced": 0, "artifacts": 2}
         assert optimised.artifact is not host_register.artifact
         # Re-lowering either strategy is a pure cache hit.
         again = program.lower("gpu", data_strategy="host_register")
-        assert session.cache_stats == {"hits": 1, "misses": 2, "artifacts": 2}
+        assert session.cache_stats == {
+            "hits": 1, "misses": 2, "coalesced": 0, "artifacts": 2}
         assert again.artifact is host_register.artifact
 
     def test_runtime_knobs_do_not_recompile(self, session, small_gs_source):

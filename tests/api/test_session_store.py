@@ -21,20 +21,21 @@ class TestDiskLayerCounters:
     def test_no_store_keeps_legacy_cache_stats_shape(self):
         session = Session()
         session.compile(SOURCE).lower("cpu")
-        assert session.cache_stats == {"hits": 0, "misses": 1, "artifacts": 1}
+        assert session.cache_stats == {
+            "hits": 0, "misses": 1, "coalesced": 0, "artifacts": 1}
 
     def test_disk_hits_counted_separately(self, tmp_path):
         warm = Session(store=ArtifactStore(tmp_path))
         warm.compile(SOURCE).lower("cpu")
         assert warm.cache_stats == {
-            "hits": 0, "misses": 1, "artifacts": 1,
+            "hits": 0, "misses": 1, "coalesced": 0, "artifacts": 1,
             "disk_hits": 0, "disk_misses": 1,
         }
 
         cold = Session(store=ArtifactStore(tmp_path))
         cold.compile(SOURCE).lower("cpu")
         assert cold.cache_stats == {
-            "hits": 0, "misses": 0, "artifacts": 1,
+            "hits": 0, "misses": 0, "coalesced": 0, "artifacts": 1,
             "disk_hits": 1, "disk_misses": 0,
         }
         # A second lower in the same process is a plain memory hit.
@@ -94,7 +95,8 @@ class TestClearCacheQuarantine:
         session.clear_cache(keep_quarantine=True)
 
         # Artifacts and cache counters are gone...
-        assert session.cache_stats == {"hits": 0, "misses": 0, "artifacts": 0}
+        assert session.cache_stats == {
+            "hits": 0, "misses": 0, "coalesced": 0, "artifacts": 0}
         # ...but the poison record (and its counters) survive: lowering the
         # known-bad source re-raises the original exception object without
         # touching the backend.

@@ -10,13 +10,11 @@ that resurrects an old bug fails here with the replay command attached.
 import pytest
 
 from repro.fuzz import (
-    CorpusEntry,
     DEFAULT_CORPUS_DIR,
     DifferentialRunner,
     entry_from_divergence,
     generate_spec,
     load_corpus,
-    minimize,
     minimize_and_save,
     replay_entry,
     save_entry,

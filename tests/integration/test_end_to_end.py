@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.runtime import Interpreter
 
 
 class TestGaussSeidelAllTargets:

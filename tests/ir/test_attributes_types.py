@@ -7,7 +7,6 @@ from repro.ir import (
     FloatAttr,
     FloatType,
     FunctionType,
-    IndexType,
     IntegerAttr,
     IntegerType,
     IRParser,

@@ -11,7 +11,6 @@ from repro.ir import (
     Block,
     Builder,
     IRError,
-    InsertPoint,
     Operation,
     ParseError,
     Region,

@@ -198,6 +198,23 @@ class TestPassManager:
         assert isinstance(error.value.__cause__, ValueError)
         assert message.endswith(str(error.value.__cause__))
 
+    @pytest.mark.parametrize("entry, given", [
+        ("scf-parallel-loop-tiling{parallel-loop-tile-sizes=0}",
+         "parallel-loop-tile-sizes=0"),
+        # A bare flag parses as True, which is an int but not a size.
+        ("scf-parallel-loop-tiling{parallel-loop-tile-sizes}",
+         "parallel-loop-tile-sizes=True"),
+        ("convert-stencil-to-dmp{grid=0x2}", "grid=0x2"),
+        ("convert-stencil-to-dmp{grid=-1x2}", "grid=-1x2"),
+    ])
+    def test_a_size_below_one_names_the_pass(self, entry, given):
+        """Tile sizes and grid extents are integers >= 1: anything else is
+        refused when the pipeline is parsed, not when a sweep divides by it."""
+        name = entry.split("{")[0]
+        with pytest.raises(ValueError, match=r">= 1") as error:
+            PassManager().add_pipeline(entry)
+        assert str(error.value).startswith(f"pass '{name}' rejects {{{given}}}: ")
+
     @pytest.mark.parametrize("option", ["schedule=dynamic", "chunk_size=4",
                                         "num-threads=4"])
     def test_convert_scf_to_openmp_takes_no_options(self, option):

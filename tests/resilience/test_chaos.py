@@ -5,8 +5,6 @@ scenario, zero divergences and zero unrecovered faults.  The CLI contract
 (0 clean / 1 divergence / 2 harness crash) is pinned so CI can rely on it.
 """
 
-import pytest
-
 from repro.fuzz import (
     DEFAULT_CONFIG,
     ChaosRunner,

@@ -38,7 +38,8 @@ class TestTransientRecovery:
             "compiles_quarantined": 0,
             "quarantine_hits": 0,
         }
-        assert session.cache_stats == {"hits": 0, "misses": 1, "artifacts": 1}
+        assert session.cache_stats == {
+            "hits": 0, "misses": 1, "coalesced": 0, "artifacts": 1}
 
     def test_recovered_artifact_is_cached_normally(self):
         session = session_with((CompileFault(index=0, count=1),))

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-import repro
 from repro.api import OptionError, Session
 from repro.apps import gauss_seidel
 from repro.harness import measured_distributed_scaling

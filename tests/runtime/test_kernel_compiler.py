@@ -26,7 +26,6 @@ from repro.dialects import arith, memref, scf, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.ir import Builder, MemRefType, f32, f64, i64, index
-from repro.ir.operation import Region
 from repro.runtime import (Frame, Interpreter, InterpreterError, MemoryBuffer,
                            SimulatedGPU, TempValue)
 from repro.runtime.kernel_compiler import (

@@ -34,7 +34,6 @@ class GatedCpuBackend(CpuBackend):
     """A cpu backend whose lowers block until the test opens the gate."""
 
     name = "gated"
-    aliases = ()
 
     def __init__(self):
         self.gate = threading.Event()
@@ -55,7 +54,6 @@ class FailingBackend(CpuBackend):
     """A backend whose every lower raises (for quarantine-sharing tests)."""
 
     name = "failing"
-    aliases = ()
 
     def __init__(self):
         self.gate = threading.Event()

@@ -176,6 +176,17 @@ GUARDS = (
           r"|def apply\(self, ctx",
           ("src", "docs", "examples"), "after 78f623a",
           "    def apply(self, ctx: Context, module: Operation) -> None:"),
+    # A batch run is spelled one way, on the compiled handle.
+    Guard("session-run-batch",
+          r"[Ss]ession(\(\))?\.run_batch|run_batch\(compiled",
+          ("src", "docs", "examples", "README.md"), "after 660485b",
+          "results = session.run_batch(compiled, 'average', arg_sets)"),
+    # The session lowers each key once: the service's flight-claim protocol
+    # stays deleted.
+    Guard("service-flight-claims",
+          r"_Flight|_lower_single_flight|flights_claimed",
+          ("src", "docs"), "after 660485b",
+          "            flight = _Flight()"),
 )
 
 

@@ -1,7 +1,8 @@
 """Every import a module makes is one it uses.
 
-The scan walks every module of ``src/repro`` except the package
-``__init__.py`` files, whose imports are the package's re-exports.  A name
+The scan walks every module of ``src/repro``, ``tests`` and ``examples``
+except the package ``__init__.py`` files, whose imports are the package's
+re-exports.  A name
 an import binds must be loaded somewhere in the module, listed in its
 ``__all__``, or named in a string annotation (``-> "CompiledProgram"``).
 An import line marked ``# noqa: F401`` is kept for its side effect (the
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def _annotation_strings(tree):
@@ -78,17 +80,21 @@ def unused_imports(source: str):
 
 
 def modules():
-    return sorted(path for path in SRC.rglob("*.py")
-                  if path.name != "__init__.py")
+    return [path for root in (SRC, ROOT / "tests", ROOT / "examples")
+            for path in sorted(root.rglob("*.py"))
+            if path.name != "__init__.py"]
 
 
-@pytest.mark.parametrize("path", modules(),
-                         ids=lambda p: p.relative_to(SRC).as_posix())
+def label(path):
+    """A module's path below ``src/repro``, or below the repository root."""
+    return path.relative_to(SRC if SRC in path.parents else ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", modules(), ids=label)
 def test_module_uses_every_import(path):
     found = unused_imports(path.read_text(encoding="utf-8"))
     assert not found, "unused imports: " + ", ".join(
-        f"{path.relative_to(SRC).as_posix()}:{line} {name}"
-        for line, name in found)
+        f"{label(path)}:{line} {name}" for line, name in found)
 
 
 def test_a_planted_unused_import_is_found():

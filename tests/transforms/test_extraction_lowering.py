@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps import gauss_seidel, pw_advection
+from repro.apps import gauss_seidel
 from repro.dialects import fir, gpu, memref, omp, scf, stencil
 from repro.dialects.func import FuncOp
 from repro.dialects.llvm import LLVMPointerType
 from repro.runtime import Interpreter, SimulatedGPU
 from repro.transforms import (
     ConvertParallelLoopsToGpuPass,
-    ConvertSCFToOpenMPPass,
     ConvertStencilToSCFPass,
     ParallelLoopTilingPass,
 )

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel
-from repro.dialects import fir, gpu
+from repro.dialects import fir
 from repro.dialects.func import FuncOp
 from repro.ir import print_module
 from repro.runtime import SimulatedGPU

@@ -10,7 +10,6 @@ pinned on Flang's multiplicity without a second code path in ``src/``.
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from repro.apps import gauss_seidel, pw_advection
 from repro.dialects import arith, fir, stencil
