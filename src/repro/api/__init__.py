@@ -12,9 +12,10 @@ through three composable layers:
   .vectorize(threads=4).run(entry, *args)`` derives and executes compiled
   handles without mutating anything, and ``.run_batch(entry, arg_sets)``
   runs argument batches concurrently.
-* **Sessions** (:mod:`repro.api.session`) — a :class:`Session` memoizes
-  compiled artifacts by (source hash, backend, frozen options) and lowers
-  each key once, however many threads ask for it at the same time.
+* **Sessions** (:mod:`repro.api.session`) — a :class:`Session` resolves each
+  request once into a :class:`Request` (source, backend, options, cache key),
+  memoizes compiled artifacts by that key and lowers each key once, however
+  many threads ask for it at the same time.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .options import (
 )
 from .distributed import DistributedProgram
 from .program import CompiledProgram, Program, source_fingerprint
-from .session import Session, default_session
+from .session import Request, Session, default_session
 
 
 def compile(source: str, *, session: Optional[Session] = None) -> Program:
@@ -65,6 +66,7 @@ __all__ = [
     "CompiledProgram",
     "DistributedProgram",
     "CompiledArtifact",
+    "Request",
     "Session",
     "default_session",
     "source_fingerprint",

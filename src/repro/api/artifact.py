@@ -3,11 +3,13 @@
 A :class:`CompiledArtifact` is the unit the :class:`repro.api.Session` cache
 stores — everything downstream execution needs (the FIR module, the extracted
 stencil module after the backend's lowering, discovery/extraction metadata and
-per-pass statistics), with no runtime state attached.  Interpreters built from
-one artifact never mutate its modules, so a single artifact is safely shared
-by any number of fluent handles and concurrent batch runs — and so is what
-linking those modules yields (:attr:`CompiledArtifact.linked`): derived from
-them on the first run, never compared, printed or persisted.
+per-pass statistics), and nothing of the request that produced it: source,
+backend and options belong to the :class:`repro.api.Request` each handle
+holds.  Interpreters built from one artifact never mutate its modules, so a
+single artifact is safely shared by any number of fluent handles, whatever
+their runtime options, and concurrent batch runs — and so is what linking
+those modules yields (:attr:`CompiledArtifact.linked`): derived from them on
+the first run, never compared, printed or persisted.
 """
 
 from __future__ import annotations
@@ -17,16 +19,12 @@ from typing import Dict, List, Optional
 
 from ..dialects.builtin import ModuleOp
 from ..runtime.interpreter import LinkTable
-from .options import BackendOptions
 
 
 @dataclass
 class CompiledArtifact:
     """Everything one backend's flow produced for one Fortran source."""
 
-    source: str
-    backend: str
-    options: BackendOptions
     fir_module: ModuleOp
     stencil_module: Optional[ModuleOp] = None
     discovered_stencils: Dict[str, int] = field(default_factory=dict)
@@ -50,7 +48,7 @@ class CompiledArtifact:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<CompiledArtifact backend={self.backend!r} "
+            f"<CompiledArtifact "
             f"stencils={sum(self.discovered_stencils.values())} "
             f"extracted={len(self.extracted_functions)}>"
         )

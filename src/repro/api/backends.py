@@ -92,10 +92,7 @@ class Backend:
         source = getattr(source, "source", source)
         options = self.make_options(options, **overrides)
         fir_module = compile_to_fir(source)
-        artifact = CompiledArtifact(
-            source=source, backend=self.name, options=options,
-            fir_module=fir_module,
-        )
+        artifact = CompiledArtifact(fir_module=fir_module)
         if not self.uses_stencil_flow:
             return artifact
 
@@ -118,11 +115,13 @@ class Backend:
 
         # 3. Target-specific transformation of the stencil module (and, for
         #    GPU data management / DMP, coordinated edits of the FIR module).
-        self.transform(artifact)
+        self.transform(artifact, options)
         return artifact
 
-    def transform(self, artifact: CompiledArtifact) -> None:
-        """Target-specific lowering of the extracted stencil module."""
+    def transform(self, artifact: CompiledArtifact,
+                  options: BackendOptions) -> None:
+        """Target-specific lowering of the extracted stencil module, as
+        ``options`` (the options ``artifact`` is compiled with) ask."""
         if self.pipeline:
             self.run_pipeline(artifact, self.pipeline)
 
@@ -149,8 +148,9 @@ class CpuBackend(Backend):
     name = "cpu"
     options_cls = CpuOptions
 
-    def transform(self, artifact: CompiledArtifact) -> None:
-        if artifact.options.lower_to_scf:
+    def transform(self, artifact: CompiledArtifact,
+                  options: CpuOptions) -> None:
+        if options.lower_to_scf:
             self.run_pipeline(artifact, pipelines.CPU_PIPELINE)
 
 
@@ -174,13 +174,14 @@ class GpuBackend(Backend):
         "host_register": GpuHostRegisterPass,
     }
 
-    def transform(self, artifact: CompiledArtifact) -> None:
-        strategy_cls = self._DATA_PASSES[artifact.options.data_strategy]
+    def transform(self, artifact: CompiledArtifact,
+                  options: GpuOptions) -> None:
+        strategy_cls = self._DATA_PASSES[options.data_strategy]
         strategy = strategy_cls(stencil_module=artifact.stencil_module)
         strategy.apply(artifact.fir_module)
         artifact.fir_module.verify()
         artifact.stencil_module.verify()
-        super().transform(artifact)
+        super().transform(artifact, options)
 
 
 class DmpBackend(Backend):
@@ -189,8 +190,9 @@ class DmpBackend(Backend):
     name = "dmp"
     options_cls = DmpOptions
 
-    def transform(self, artifact: CompiledArtifact) -> None:
-        grid = "x".join(map(str, artifact.options.grid))
+    def transform(self, artifact: CompiledArtifact,
+                  options: DmpOptions) -> None:
+        grid = "x".join(map(str, options.grid))
         self.run_pipeline(artifact, pipelines.DMP_PIPELINE.replace(
             "convert-stencil-to-dmp", f"convert-stencil-to-dmp{{grid={grid}}}", 1))
 

@@ -105,7 +105,6 @@ class DistributedProgram:
     """A compiled dmp program bound to a multi-rank execution plan."""
 
     def __init__(self, compiled: "CompiledProgram", *,
-                 ranks: Optional[int] = None,
                  source_builder: Optional[SourceBuilder] = None,
                  entry: Optional[str] = None,
                  timeout: float = 30.0):
@@ -118,26 +117,12 @@ class DistributedProgram:
         timeout = validate_timeout(timeout,
                                    f"the '{compiled.backend_name}' backend")
         self._compiled = compiled
-        grid = compiled.options.grid
-        num_ranks = 1
-        for extent in grid:
-            num_ranks *= extent
-        if ranks is not None and ranks != num_ranks:
-            raise OptionError(
-                f"ranks={ranks} does not match the compiled process grid "
-                f"{grid} ({num_ranks} ranks); the grid is a compile-time "
-                "option — re-lower with a different grid= to change it"
-            )
         self._source_builder = source_builder
         self._entry = entry
         self._executor = DistributedExecutor(
-            grid, halo=detect_halo(compiled), timeout=timeout)
+            compiled.options.grid, halo=detect_halo(compiled), timeout=timeout)
 
     # -- identity ------------------------------------------------------------
-
-    @property
-    def ranks(self) -> int:
-        return self._executor.num_ranks
 
     @property
     def entry(self) -> str:
@@ -207,7 +192,7 @@ class DistributedProgram:
                                   resilience=resilience)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<DistributedProgram grid={self._executor.grid} ranks={self.ranks}>"
+        return f"<DistributedProgram grid={self._executor.grid}>"
 
 
 __all__ = ["DistributedProgram", "SourceBuilder", "detect_halo",

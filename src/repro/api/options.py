@@ -55,8 +55,9 @@ def _is_count(value) -> bool:
 
 
 def require_count(name: str, value) -> None:
-    """Reject a thread, worker or queue count that is not :func:`_is_count`
-    with an :class:`OptionError` naming the parameter ``name``."""
+    """Reject a thread, worker, queue or byte count that is not
+    :func:`_is_count` with an :class:`OptionError` naming the parameter
+    ``name``."""
     if not _is_count(value):
         raise OptionError(f"{name} must be an integer >= 1, got {value!r}")
 

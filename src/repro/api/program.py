@@ -33,7 +33,7 @@ from .options import (RUNTIME_ONLY_FIELDS, BackendOptions, OptionError,
                       require_count)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .session import Session
+    from .session import Request, Session
 
 
 def source_fingerprint(source: str) -> str:
@@ -77,16 +77,17 @@ class Program:
 
 
 class CompiledProgram:
-    """A compiled artifact as a first-class value: derive, retarget, run."""
+    """A compiled artifact as a first-class value: derive, retarget, run.
 
-    __slots__ = ("_session", "_source", "_backend", "_options", "_artifact")
+    It holds its :class:`repro.api.Request` and the artifact of the request's
+    key, which every handle of that key shares."""
 
-    def __init__(self, session: "Session", source: str, backend: Backend,
-                 options: BackendOptions, artifact: CompiledArtifact):
+    __slots__ = ("_session", "_request", "_artifact")
+
+    def __init__(self, session: "Session", request: "Request",
+                 artifact: CompiledArtifact):
         self._session = session
-        self._source = source
-        self._backend = backend
-        self._options = options
+        self._request = request
         self._artifact = artifact
 
     # -- identity ------------------------------------------------------------
@@ -97,19 +98,19 @@ class CompiledProgram:
 
     @property
     def source(self) -> str:
-        return self._source
+        return self._request.source
 
     @property
     def backend(self) -> Backend:
-        return self._backend
+        return self._request.backend
 
     @property
     def backend_name(self) -> str:
-        return self._backend.name
+        return self._request.backend.name
 
     @property
     def options(self) -> BackendOptions:
-        return self._options
+        return self._request.options
 
     @property
     def artifact(self) -> CompiledArtifact:
@@ -153,7 +154,7 @@ class CompiledProgram:
         recompile (cache miss), runtime-only changes (execution mode,
         threads) re-use the cached artifact (cache hit).
         """
-        return self._session.lower(self._source, self._backend, self._options,
+        return self._session.lower(self.source, self.backend, self.options,
                                    **changes)
 
     def interpret(self) -> "CompiledProgram":
@@ -182,10 +183,9 @@ class CompiledProgram:
 
     def retarget(self, backend, **overrides) -> "CompiledProgram":
         """Compile the same source for a different backend (fresh options)."""
-        return self._session.lower(self._source, backend, None, **overrides)
+        return self._session.lower(self.source, backend, None, **overrides)
 
-    def distribute(self, ranks: Optional[int] = None, *,
-                   source_builder=None,
+    def distribute(self, *, source_builder=None,
                    entry: Optional[str] = None,
                    timeout: float = 30.0):
         """Derive a multi-rank execution plan (dmp backend only).
@@ -193,16 +193,15 @@ class CompiledProgram:
         The process grid comes from the compiled :class:`DmpOptions` (a
         compile-time cache-key field) and every rank runs with the handle's
         ``execution_mode`` and ``threads`` (derive them with
-        :meth:`with_options`, a cache hit); ``ranks`` merely asserts the
-        expected rank count.  Each ``plan.run(field, resilience=...)``
+        :meth:`with_options`, a cache hit), so the grid alone fixes the rank
+        count.  Each ``plan.run(field, resilience=...)``
         chooses its own recovery policy.  See
         :class:`repro.api.DistributedProgram`.
         """
         from .distributed import DistributedProgram
 
         return DistributedProgram(
-            self, ranks=ranks, source_builder=source_builder, entry=entry,
-            timeout=timeout)
+            self, source_builder=source_builder, entry=entry, timeout=timeout)
 
     # -- execution -----------------------------------------------------------
 
@@ -218,9 +217,10 @@ class CompiledProgram:
         running with the handle's ``execution_mode`` and ``threads`` (derive
         others with :meth:`with_options`, a cache hit).
         """
+        options = self._request.options
         return Interpreter(
-            self._artifact.linked, execution_mode=self._options.execution_mode,
-            threads=self._options.threads, gpu=gpu, comm=comm, rank=rank,
+            self._artifact.linked, execution_mode=options.execution_mode,
+            threads=options.threads, gpu=gpu, comm=comm, rank=rank,
             decomposition=decomposition)
 
     def run(self, entry: str, *args, **kwargs) -> Interpreter:
@@ -272,8 +272,8 @@ class CompiledProgram:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<CompiledProgram backend={self.backend_name!r} "
-            f"mode={self._options.execution_mode!r} "
-            f"threads={self._options.threads}>"
+            f"mode={self.options.execution_mode!r} "
+            f"threads={self.options.threads}>"
         )
 
 

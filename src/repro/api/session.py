@@ -4,10 +4,17 @@ A :class:`Session` is the stateful half of the fluent API.  It memoizes
 :class:`repro.api.CompiledArtifact` objects by ``(source hash, backend name,
 frozen compile-time options)`` so harness sweeps, ablations and serving
 workloads that compile the same source repeatedly stop re-running
-discovery/extraction from scratch.  It lowers each key once: the first
-caller that misses owns the key's *flight* and lowers it, and every caller
-that arrives meanwhile waits for that flight and shares its outcome, the
-artifact or the exception object (``coalesced`` counts them).
+discovery/extraction from scratch.
+
+:meth:`Session.resolve` turns a request into a :class:`Request` (source text,
+backend, validated options and cache key), the one value every layer passes
+along: :meth:`Session.lower` lowers a ``Request`` as is, and the compiled
+handle holds it; the shared artifact keeps none of it.
+
+The session lowers each key once: the first caller that misses owns the key's
+*flight* and lowers it, and every caller that arrives meanwhile waits for that
+flight and shares its outcome, the artifact or the exception object
+(``coalesced`` counts them).
 
 Runtime-only options (``execution_mode``, ``threads``) are excluded from the
 cache key, so ``compiled.vectorize(threads=4)`` is a cache *hit* on the
@@ -25,18 +32,29 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from types import TracebackType
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..resilience import InjectedFault
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
-from .options import BackendOptions
+from .options import BackendOptions, OptionError
 from .program import CompiledProgram, Program, source_fingerprint
 
 #: How many times a failing compile is retried before its cache key is
 #: quarantined: one retry recovers a transient failure, a second failure is
 #: final.
 COMPILE_RETRIES = 1
+
+
+class Request(NamedTuple):
+    """One compile request, resolved once: the source text, the backend, the
+    validated options and the cache key (which ignores the runtime-only
+    options)."""
+
+    source: str
+    backend: Backend
+    options: BackendOptions
+    key: Tuple
 
 
 class Session:
@@ -90,26 +108,32 @@ class Session:
 
         ``backend`` may be a registered name or a :class:`Backend` object;
         keyword ``overrides`` refine the
-        backend's option schema and are validated against it.
+        backend's option schema and are validated against it.  A
+        :class:`Request` from :meth:`resolve` is lowered as it is.
         """
-        source, backend_obj, opts, key = self.resolve(
-            source, backend, options, **overrides)
-        artifact = self._artifact_for(key, source, backend_obj, opts)
-        return CompiledProgram(self, source, backend_obj, opts, artifact)
+        if isinstance(source, Request):
+            if options is not None or overrides:
+                raise OptionError(
+                    "a resolved Request carries its own options; resolve "
+                    "the request again to change them")
+            request = source
+        else:
+            request = self.resolve(source, backend, options, **overrides)
+        return CompiledProgram(self, request, self._artifact_for(request))
 
     def resolve(self, source, backend="cpu",
-                options: Optional[BackendOptions] = None, **overrides
-                ) -> Tuple[str, Backend, BackendOptions, Tuple]:
-        """A request's ``(source text, backend, validated options, cache
-        key)``; the key ignores the runtime-only options."""
+                options: Optional[BackendOptions] = None,
+                **overrides) -> Request:
+        """The :class:`Request` naming this compile: ``backend`` looked up,
+        ``options`` and ``overrides`` validated, the cache key computed."""
         source = getattr(source, "source", source)
         backend_obj = self.registry.get(backend)
         opts = backend_obj.make_options(options, **overrides)
         key = (source_fingerprint(source), backend_obj.name, opts.cache_key())
-        return source, backend_obj, opts, key
+        return Request(source, backend_obj, opts, key)
 
-    def _artifact_for(self, key: Tuple, source: str, backend: Backend,
-                      options: BackendOptions) -> CompiledArtifact:
+    def _artifact_for(self, request: Request) -> CompiledArtifact:
+        key = request.key
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
@@ -143,7 +167,7 @@ class Session:
                 _, compile_tb = self._quarantined.get(key, (exc, None))
             raise exc.with_traceback(compile_tb)
         try:
-            artifact = self._load_or_lower(key, source, backend, options)
+            artifact = self._load_or_lower(request)
         except BaseException as exc:
             with self._lock:
                 del self._flights[key]
@@ -155,16 +179,15 @@ class Session:
         flight.set_result(artifact)
         return artifact
 
-    def _load_or_lower(self, key: Tuple, source: str, backend: Backend,
-                       options: BackendOptions) -> CompiledArtifact:
+    def _load_or_lower(self, request: Request) -> CompiledArtifact:
         """The artifact of a key missing from memory, read from the store or
         lowered by the backend; run by the key's flight owner only."""
+        source, backend, options, key = request
         if self.store is not None:
             # Second cache layer: another process may already have lowered
             # this key.  Store failures (corruption, truncation, version
             # mismatch) surface as None — a safe miss, never an exception.
-            loaded = self.store.load(key, source=source, backend=backend.name,
-                                     options=options)
+            loaded = self.store.load(key)
             with self._lock:
                 if loaded is not None:
                     self._disk_hits += 1
@@ -238,16 +261,6 @@ class Session:
                 "quarantine_hits": self._quarantine_hits,
             }
 
-    def quarantined_record(self, source, backend="cpu",
-                           options: Optional[BackendOptions] = None,
-                           **overrides) -> Optional[BaseException]:
-        """The poisoned-artifact record for a (source, backend, options)
-        triple, or None if the key is healthy."""
-        key = self.resolve(source, backend, options, **overrides)[3]
-        with self._lock:
-            exc, _ = self._quarantined.get(key, (None, None))
-            return exc
-
     def clear_cache(self, keep_quarantine: bool = False) -> None:
         """Drop every cached artifact and reset the cache counters.
 
@@ -284,4 +297,4 @@ def default_session() -> Session:
     return _default_session
 
 
-__all__ = ["Session", "default_session"]
+__all__ = ["Request", "Session", "default_session"]

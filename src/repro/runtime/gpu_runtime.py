@@ -76,7 +76,6 @@ class SimulatedGPU:
         memory_bytes: int = 16 * 1024**3,
         alloc_hook: Optional[Callable[[], bool]] = None,
     ):
-        self.memory_bytes = memory_bytes
         #: Deterministic fault injection: called before every device
         #: allocation; returning True simulates an OOM
         #: (see :class:`repro.resilience.FaultInjector.on_device_alloc`).

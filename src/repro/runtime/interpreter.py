@@ -159,6 +159,10 @@ class Interpreter:
                 f"unknown execution mode '{execution_mode}'; "
                 f"expected one of {EXECUTION_MODES}"
             )
+        if (isinstance(threads, bool) or not isinstance(threads, int)
+                or threads < 1):
+            raise InterpreterError(
+                f"threads must be an integer >= 1, got {threads!r}")
         link = modules if isinstance(modules, LinkTable) else LinkTable(
             [modules] if isinstance(modules, ModuleOp) else modules)
         self.modules: List[ModuleOp] = link.modules
@@ -177,7 +181,7 @@ class Interpreter:
         )
         #: The thread slabs each sweep is cut into (1 = one slab); the
         #: interpreter alone never tiles, so "interpret" mode uses no pool.
-        self.threads = max(1, int(threads))
+        self.threads = threads
         self.stats: Dict[str, float] = {
             "stencil_apply_executions": 0,
             "stencil_points_computed": 0,

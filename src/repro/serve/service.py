@@ -39,7 +39,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..api.options import BackendOptions, OptionError, require_count, validate_timeout
 from ..api.program import CompiledProgram
-from ..api.session import Session
+from ..api.session import Request, Session
 from .store import ArtifactStore
 
 #: Samples kept per latency stage for the percentile snapshot.
@@ -215,12 +215,12 @@ class CompileService:
         """
         if self._closed:
             raise RuntimeError("CompileService is closed")
-        source, backend_obj, opts, key = self.session.resolve(
-            source, backend, options, **overrides)
+        request = self.session.resolve(source, backend, options, **overrides)
+        key = request.key
         self._bump("submitted_compiles")
         if self.session.cached_key(key):
             future: Future = Future()
-            self._settle(future, lambda: self._lower(source, backend_obj, opts))
+            self._settle(future, lambda: self._lower(request))
             return future
         with self._lock:
             future = self._inflight.get(key)
@@ -235,7 +235,7 @@ class CompileService:
 
         future.add_done_callback(retract)
         try:
-            self._admit(future, lambda: self._lower(source, backend_obj, opts))
+            self._admit(future, lambda: self._lower(request))
         except RuntimeError as refusal:  # ServiceRejected, or closed
             # Duplicates that joined this request before the refusal share it.
             future.set_exception(refusal)
@@ -259,12 +259,11 @@ class CompileService:
             raise OptionError(
                 f"args must be a list or tuple of the arguments of "
                 f"'{entry}', got {type(args).__name__}")
-        source, backend_obj, opts, _ = self.session.resolve(
-            source, backend, options, **overrides)
+        request = self.session.resolve(source, backend, options, **overrides)
         self._bump("submitted_runs")
 
         def run():
-            compiled = self._lower(source, backend_obj, opts)
+            compiled = self._lower(request)
             started = time.perf_counter()
             interp = compiled.run(entry, *args)
             with self._lock:
@@ -312,11 +311,11 @@ class CompileService:
 
     # -- execution -------------------------------------------------------------
 
-    def _lower(self, source: str, backend,
-               options: BackendOptions) -> CompiledProgram:
-        """``session.lower``, timed into the ``lower`` latency window."""
+    def _lower(self, request: Request) -> CompiledProgram:
+        """``session.lower`` of the resolved ``request``, timed into the
+        ``lower`` latency window."""
         started = time.perf_counter()
-        compiled = self.session.lower(source, backend, options)
+        compiled = self.session.lower(request)
         with self._lock:
             self._latency["lower"].append(time.perf_counter() - started)
         return compiled

@@ -27,8 +27,8 @@ Design constraints, in order:
 * **Bounded size.**  ``max_bytes`` caps the store; eviction is LRU by
   sidecar mtime (reads touch the sidecar), oldest first.
 
-The store deliberately persists no runtime state: options and source are
-supplied by the caller at load time (the session already holds both), and
+An entry is found by its key alone and holds only what was compiled: the
+request that names it (source, backend, options) stays with the caller, and
 ``pass_statistics`` stay empty on a reloaded artifact — the passes did not
 run in this process.
 """
@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..api.artifact import CompiledArtifact
+from ..api.options import require_count
 from ..dialects.builtin import ModuleOp
 from ..ir.table import decode_module, encode_module
 
@@ -78,7 +79,6 @@ def serialize_artifact(artifact: CompiledArtifact) -> Tuple[bytes, Dict]:
     tables = [encode_module(module) for module in artifact.modules]
     payload = json.dumps(tables, separators=(",", ":")).encode("utf-8")
     meta = {
-        "backend": artifact.backend,
         "has_stencil_module": artifact.stencil_module is not None,
         "discovered_stencils": dict(artifact.discovered_stencils),
         "extracted_functions": list(artifact.extracted_functions),
@@ -86,8 +86,7 @@ def serialize_artifact(artifact: CompiledArtifact) -> Tuple[bytes, Dict]:
     return payload, meta
 
 
-def deserialize_artifact(payload: bytes, meta: Dict, *, source: str,
-                         backend: str, options) -> CompiledArtifact:
+def deserialize_artifact(payload: bytes, meta: Dict) -> CompiledArtifact:
     """Rebuild a :class:`CompiledArtifact` from its persistent form.
 
     Raises on any malformation (undecodable JSON, a table the decoder
@@ -108,9 +107,6 @@ def deserialize_artifact(payload: bytes, meta: Dict, *, source: str,
         module.verify()
         modules.append(module)
     return CompiledArtifact(
-        source=source,
-        backend=backend,
-        options=options,
         fir_module=modules[0],
         stencil_module=modules[1] if len(modules) == 2 else None,
         discovered_stencils={
@@ -137,8 +133,8 @@ class ArtifactStore:
     """
 
     def __init__(self, root, max_bytes: Optional[int] = None):
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes!r}")
+        if max_bytes is not None:
+            require_count("max_bytes", max_bytes)
         self.root = Path(root)
         self.max_bytes = max_bytes
         self._dir = self.root / f"v{STORE_FORMAT_VERSION}"
@@ -165,8 +161,7 @@ class ArtifactStore:
 
     # -- read path -------------------------------------------------------------
 
-    def load(self, key: Tuple, *, source: str, backend: str,
-             options) -> Optional[CompiledArtifact]:
+    def load(self, key: Tuple) -> Optional[CompiledArtifact]:
         """The artifact stored under ``key``, or ``None`` (a safe miss).
 
         Every failure mode — absent entry, unreadable or unparseable sidecar,
@@ -203,10 +198,7 @@ class ArtifactStore:
             self._bump("misses")
             return None
         try:
-            artifact = deserialize_artifact(
-                payload, meta["artifact"],
-                source=source, backend=backend, options=options,
-            )
+            artifact = deserialize_artifact(payload, meta["artifact"])
         except Exception:
             self._bump("corrupt_entries")
             self._delete_entry(digest)

@@ -108,8 +108,6 @@ CENSUS = {
         "input", "the compiled kernel's widest access offset (detect_halo)"),
     "DistributedExecutor.timeout": (
         "safety bound", "bounds every blocking halo receive"),
-    "CompiledProgram.distribute.ranks": (
-        "safety bound", "refuses a plan whose grid has another rank count"),
     "CompiledProgram.distribute.source_builder": (
         "two values", "the harness builds Gauss-Seidel shapes, the fuzz "
                       "farm renders its specs"),
@@ -198,7 +196,7 @@ def test_every_settable_name_is_pinned_with_a_reason():
     found = surface()
     assert sorted(found - set(CENSUS)) == [], "a knob without a reason"
     assert sorted(set(CENSUS) - found) == [], "a pinned knob no longer exists"
-    assert len(found) == 48
+    assert len(found) == 47
 
 
 def test_the_other_calls_add_no_settable_name():

@@ -87,7 +87,7 @@ class TestBackendRegistry:
             options_cls = CpuOptions
             lowered = 0
 
-            def transform(self, artifact):
+            def transform(self, artifact, options):
                 type(self).lowered += 1
 
         fresh = BackendRegistry()
@@ -634,7 +634,7 @@ class TestDmpCacheKeys:
         assert DmpOptions(grid=[2, 2]).cache_key() == DmpOptions(grid=(2, 2)).cache_key()
 
     def test_runtime_knobs_do_not_recompile(self, session):
-        """distribute(ranks=...), a handle derived with another execution
+        """distribute(...), a handle derived with another execution
         mode and thread count, and repeated runs reuse the artifacts compiled
         for the grid — zero new misses."""
         n = 8
@@ -645,7 +645,7 @@ class TestDmpCacheKeys:
         baseline = session.cache_stats["misses"]  # 1: the base compile
 
         plan = compiled.distribute(
-            ranks=4, source_builder=gauss_seidel.generate_source_shaped
+            source_builder=gauss_seidel.generate_source_shaped
         )
         rng = np.random.default_rng(0)
         # z is not decomposed by a 2-d grid, so a (2n, 2n, n) domain gives

@@ -388,13 +388,6 @@ class TestFluentValidation:
         with pytest.raises(OptionError, match="requires the 'dmp' backend"):
             compiled.distribute()
 
-    def test_rank_count_must_match_grid(self, session):
-        compiled = session.compile(
-            gauss_seidel.generate_source(8)
-        ).lower("dmp", grid=(2, 2))
-        with pytest.raises(OptionError, match="ranks=3 does not match"):
-            compiled.distribute(ranks=3)
-
     def test_shape_mismatch_diagnostic_without_source_builder(self, session):
         compiled = session.compile(
             gauss_seidel.generate_source(10)
@@ -441,7 +434,7 @@ class TestFluentValidation:
         ).lower("dmp", grid=(2, 1), execution_mode="vectorize")
         rng = np.random.default_rng(3)
         field = np.asfortranarray(rng.random((8, 8, 8)))
-        run = compiled.distribute(ranks=2).run(field, iterations=1)
+        run = compiled.distribute().run(field, iterations=1)
         reference = gauss_seidel.reference_jacobi(field, 1)
         assert run.max_interior_error(reference, margin=1) < 1e-12
 

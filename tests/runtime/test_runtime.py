@@ -1,6 +1,7 @@
 """Tests for the runtime substrates: memory, interpreter, GPU."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,14 @@ class TestInterpreterCore:
         interp = Interpreter(self._make_saxpy())
         with pytest.raises(InterpreterError):
             interp.lookup("nope")
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.7, "3", True])
+    def test_a_thread_count_is_checked_not_coerced(self, threads):
+        with pytest.raises(InterpreterError,
+                           match=rf"threads must be an integer >= 1, got "
+                                 rf"{re.escape(repr(threads))}$"):
+            Interpreter(self._make_saxpy(), execution_mode="vectorize",
+                        threads=threads)
 
     def test_two_definitions_of_one_symbol_are_a_link_error(self):
         """Not "last one wins": the error names the symbol and both modules."""

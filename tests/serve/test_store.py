@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import Session
+from repro.api import OptionError, Session
 from repro.api.backends import registry
 from repro.api.program import source_fingerprint
 from repro.apps import gauss_seidel, pw_advection
@@ -66,8 +66,7 @@ class TestRoundTrip:
         store = ArtifactStore(tmp_path)
         assert store.save(key, artifact)
 
-        loaded = store.load(key, source=source, backend="cpu",
-                            options=options)
+        loaded = store.load(key)
         assert loaded is not None
         assert loaded.discovered_stencils == artifact.discovered_stencils
         assert loaded.extracted_functions == artifact.extracted_functions
@@ -92,19 +91,36 @@ class TestRoundTrip:
                                                    **overrides)
         store = ArtifactStore(tmp_path)
         assert store.save(key, artifact)
-        loaded = store.load(key, source=source, backend=backend,
-                            options=options)
+        loaded = store.load(key)
         assert loaded is not None
         assert (loaded.stencil_module is None) == (
             artifact.stencil_module is None)
         assert store.stats["hits"] == 1
 
+    def test_an_entry_whose_sidecar_names_the_backend_still_hits(
+            self, tmp_path):
+        """Entries written before the artifact metadata dropped ``backend``
+        (the sidecar's key records it) carry it still; the payload is the
+        same, so they load."""
+        source = gauss_seidel.generate_source(6)
+        Session(store=ArtifactStore(tmp_path)).lower(source, "cpu")
+        (meta_path,) = (tmp_path / f"v{STORE_FORMAT_VERSION}").glob("*.json")
+        meta = json.loads(meta_path.read_text())
+        assert meta["key"]["backend"] == "cpu"
+        assert "backend" not in meta["artifact"]
+        meta["artifact"]["backend"] = "cpu"
+        meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True))
+        warm = Session(store=ArtifactStore(tmp_path))
+        compiled = warm.lower(source, "cpu")
+        assert warm.cache_stats["disk_hits"] == 1
+        assert warm.cache_stats["misses"] == 0
+        assert compiled.discovered_stencils == {"gauss_seidel": 1}
+
     def test_absent_key_is_a_plain_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         source = gauss_seidel.generate_source(6)
         key = (source_fingerprint(source), "cpu", ())
-        assert store.load(key, source=source, backend="cpu",
-                          options=None) is None
+        assert store.load(key) is None
         assert store.stats["misses"] == 1
         assert store.stats["corrupt_entries"] == 0
 
@@ -131,8 +147,7 @@ class TestFailurePaths:
         store, key, source, options = self._stored(tmp_path)
         ops_path, meta_path = _entry_paths(store, key)
         ops_path.write_bytes(ops_path.read_bytes()[: 100])
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is None
+        assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
         assert not ops_path.exists() and not meta_path.exists()
 
@@ -140,16 +155,14 @@ class TestFailurePaths:
         store, key, source, options = self._stored(tmp_path)
         ops_path, _ = _entry_paths(store, key)
         ops_path.write_bytes(ops_path.read_bytes() + b" ")
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is None
+        assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
 
     def test_missing_payload_file_is_a_miss(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
         ops_path, _ = _entry_paths(store, key)
         ops_path.unlink()
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is None
+        assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
 
     @pytest.mark.parametrize("garbage", ["{not json", "[1, 2]"])
@@ -157,8 +170,7 @@ class TestFailurePaths:
         store, key, source, options = self._stored(tmp_path)
         _, meta_path = _entry_paths(store, key)
         meta_path.write_text(garbage, encoding="utf-8")
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is None
+        assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
 
     @pytest.mark.parametrize("bogus", [
@@ -171,8 +183,7 @@ class TestFailurePaths:
         store, key, source, options = self._stored(tmp_path)
         ops_path, _ = _entry_paths(store, key)
         _write_payload(ops_path, bogus)
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is None
+        assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
 
     def test_version_mismatch_is_a_counted_miss_not_corruption(self, tmp_path):
@@ -181,8 +192,7 @@ class TestFailurePaths:
         meta = json.loads(meta_path.read_text())
         meta["format_version"] = STORE_FORMAT_VERSION + 1
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is None
+        assert store.load(key) is None
         stats = store.stats
         assert stats["version_mismatches"] == 1
         assert stats["corrupt_entries"] == 0
@@ -339,6 +349,11 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match="max_bytes"):
             ArtifactStore(tmp_path, max_bytes=0)
 
+    @pytest.mark.parametrize("max_bytes", [0, -1, True, 2.5, "10"])
+    def test_a_byte_cap_is_checked_not_coerced(self, tmp_path, max_bytes):
+        with pytest.raises(OptionError, match=r"max_bytes must be an integer"):
+            ArtifactStore(tmp_path, max_bytes=max_bytes)
+
 
 class TestConcurrentWriters:
     def test_racing_writers_same_key_leave_a_loadable_entry(self, tmp_path):
@@ -363,8 +378,7 @@ class TestConcurrentWriters:
             t.join()
         assert not failures
         assert len(store) == 1
-        loaded = store.load(key, source=source, backend="cpu",
-                            options=options)
+        loaded = store.load(key)
         assert loaded is not None
         # No temp files left behind by the racing writers.
         assert not list(store._dir.glob("*.tmp"))
@@ -379,8 +393,7 @@ class TestConcurrentWriters:
         def reader():
             while not stop.is_set():
                 try:
-                    store.load(key, source=source, backend="cpu",
-                               options=options)
+                    store.load(key)
                 except BaseException as exc:  # pragma: no cover
                     failures.append(exc)
                     return
@@ -412,8 +425,7 @@ class TestLRUEviction:
         for age, (key, _, _) in enumerate(keys):
             _, meta_path = _entry_paths(store, key)
             os.utime(meta_path, (1000.0 + age, 1000.0 + age))
-        store.load(keys[0][0], source=keys[0][1], backend="cpu",
-                   options=keys[0][2])
+        store.load(keys[0][0])
 
         # Cap so exactly one entry must go: keys[1] is now the LRU.
         sizes = {digest: size for digest, size, _ in store.entries()}
@@ -429,15 +441,13 @@ class TestLRUEviction:
         store = ArtifactStore(tmp_path)
         keys = self._save_n(store, 2)
         key, source, options = keys[0]
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is not None
+        assert store.load(key) is not None
         counters = store.stats
         store.clear()
         assert len(store) == 0
         assert list(store._dir.iterdir()) == []
         assert store.stats == counters
-        assert store.load(key, source=source, backend="cpu",
-                          options=options) is None
+        assert store.load(key) is None
         assert store.stats["misses"] == counters["misses"] + 1
 
     def test_eviction_after_save_respects_cap(self, tmp_path):
@@ -519,8 +529,7 @@ class TestHostilePayload:
             meta_path.write_bytes(sidecar)   # a corrupt miss deleted it
             _write_payload(ops_path, payload)
             corrupt = store.stats["corrupt_entries"]
-            artifact = store.load(key, source=source, backend="gpu",
-                                  options=options)
+            artifact = store.load(key)
             if artifact is None:
                 assert store.stats["corrupt_entries"] == corrupt + 1
                 return False

@@ -187,6 +187,17 @@ GUARDS = (
           r"_Flight|_lower_single_flight|flights_claimed",
           ("src", "docs"), "after 660485b",
           "            flight = _Flight()"),
+    # A request is resolved once and carried whole: nothing re-resolves one
+    # to read the quarantine, and an artifact keeps no copy of its request.
+    Guard("quarantined-record",
+          r"quarantined_record|artifact\.(source|backend|options)\b",
+          ("src", "docs", "examples", "README.md"), "after b041395",
+          'exc = session.quarantined_record(source, "cpu")'),
+    # ... and the store finds an entry by its key alone.
+    Guard("store-load-by-request",
+          r"load\([^)]*source=",
+          ("src", "docs", "examples", "README.md"), "after b041395",
+          "loaded = store.load(key, source=source, backend=backend.name,"),
 )
 
 
