@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import attrgetter
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -22,7 +23,15 @@ from typing import (
 )
 
 from .attributes import Attribute, TypeAttribute
-from .ssa import EPOCH, MUTATIONS, BlockArgument, OpResult, SSAValue, Use
+from .ssa import (
+    CHANGED,
+    MOVED,
+    BlockArgument,
+    OpResult,
+    SSAValue,
+    Use,
+    mark,
+)
 
 
 class IRError(Exception):
@@ -38,6 +47,72 @@ _BLOCKS, _OPS = attrgetter("blocks"), attrgetter("ops")
 #: Operation name -> class: every subclass that sets its own :attr:`name`
 #: enters as its dialect module defines it (:meth:`Operation.__init_subclass__`).
 OP_CLASSES: Dict[str, Type["Operation"]] = {}
+
+
+def _changed(op: "Operation") -> None:
+    """Mark ``op`` changed, and the last operation of each of its blocks:
+    a terminator's hook may read its parent (``func.return`` the signature)."""
+    mark(op, CHANGED)
+    for region in op.regions:
+        for block in region.blocks:
+            if block._ops:
+                mark(block._ops[-1], CHANGED)
+
+
+def _mark_users(ops: Iterable["Operation"]) -> None:
+    """Mark changed every user of a result of ``ops``: the definition moved.
+    A user marked moved is re-checked whole anyway."""
+    for op in ops:
+        for result in op.results:
+            for use in result.uses:
+                if not use.operation._dirty & MOVED:
+                    mark(use.operation, CHANGED)
+
+
+def _block_changed(block: "Block", last: Optional["Operation"] = None) -> None:
+    """``block`` gained or lost an operation: re-check its parent op and,
+    when given, ``last``, which just became or stopped being its last op.
+    Nothing to do if that parent is to be checked whole, or there is none
+    yet (a block or region joins an op new, or marks the op moved)."""
+    region = block.parent
+    parent = region.parent if region is not None else None
+    if parent is None or parent._dirty & MOVED:
+        return
+    # A marked op's ancestors are marked: no climb, and no call (hot path).
+    if parent._dirty:
+        parent._dirty |= CHANGED
+    else:
+        mark(parent, CHANGED)
+    if last is not None:
+        if last._dirty:
+            last._dirty |= CHANGED
+        else:
+            mark(last, CHANGED)
+
+
+def _left(op: "Operation") -> None:
+    """``op`` left its block: re-check all of it wherever it goes, and the
+    users of what it defines, values nested in it included.  (An op that
+    enters a block need not look for users: a use of a value from outside
+    the root stays marked, see :func:`_recheck`.)"""
+    op._dirty |= MOVED
+    if op.regions:
+        _mark_users(op.walk())
+    else:
+        for result in op.results:
+            if result.uses:
+                _mark_users((op,))
+                break
+
+
+def _entered(block: "Block", op: "Operation") -> None:
+    """``op`` was just put in ``block``."""
+    op._dirty |= MOVED
+    region = block.parent
+    if region is None or region.parent is None or region.parent._dirty & MOVED:
+        return  # the common case, building new IR: as _block_changed, sooner
+    ops = block._ops
+    _block_changed(block, ops[-2] if ops[-1] is op and len(ops) > 1 else None)
 
 
 def _nested_ops(op: "Operation") -> Iterator["Operation"]:
@@ -62,15 +137,25 @@ class Operation:
     traits: Tuple[type, ...] = ()
 
     # ``__dict__`` stays so a bare ``Operation`` can carry its own ``name``.
+    # ``_dirty`` holds the marks of :mod:`repro.ir.ssa` (0: verified, and
+    # nothing in it changed since) and ``_count`` the number of operations
+    # in it, as its last :meth:`verify` counted: Python fields, never IR
+    # attributes.
     __slots__ = ("_operands", "_uses", "results", "attributes", "regions",
-                 "parent", "__dict__")
+                 "parent", "_dirty", "_count", "__dict__")
 
-    #: ``(epoch, ops walked)`` of the last successful :meth:`verify` of this
-    #: root: a Python field, never an IR attribute.
-    _verified: Tuple[int, int] = (-1, 0)
+    #: The ``verify_trait`` functions of :attr:`traits` and whether they hold
+    #: ``IsolatedFromAbove``: looked up once per class, as it is defined.
+    _trait_verifiers: Tuple[Callable[["Operation"], None], ...] = ()
+    _isolated = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        from .traits import IsolatedFromAbove
+
+        cls._trait_verifiers = tuple(filter(None, (
+            getattr(trait, "verify_trait", None) for trait in cls.traits)))
+        cls._isolated = IsolatedFromAbove in cls.traits
         if "name" in cls.__dict__:
             existing = OP_CLASSES.setdefault(cls.name, cls)
             if existing is not cls:
@@ -93,6 +178,8 @@ class Operation:
         self.attributes: Dict[str, Attribute] = dict(attributes or {})
         self.regions: List[Region] = []
         self.parent: Optional[Block] = None
+        self._dirty = MOVED  # never verified
+        self._count = 1
 
         for operand in operands:
             self._add_operand(operand)
@@ -109,7 +196,7 @@ class Operation:
 
     def add_operand(self, value: SSAValue) -> None:
         self._add_operand(value)
-        EPOCH[0] = next(MUTATIONS)
+        _changed(self)
 
     def _add_operand(self, value: SSAValue) -> None:
         if not isinstance(value, SSAValue):
@@ -126,7 +213,8 @@ class Operation:
         self._operands[index].remove_use(use)
         self._operands[index] = value
         value.uses[use] = None
-        EPOCH[0] = next(MUTATIONS)
+        if self.regions:
+            _changed(self)
 
     def set_operands(self, values: Sequence[SSAValue]) -> None:
         """Replace the whole operand list."""
@@ -139,7 +227,7 @@ class Operation:
             operand.remove_use(use)
         self._operands = []
         self._uses = []
-        EPOCH[0] = next(MUTATIONS)
+        _changed(self)
 
     # ------------------------------------------------------------------
     # Results / attributes
@@ -167,11 +255,11 @@ class Operation:
 
     def set_attr(self, name: str, value: Attribute) -> None:
         self.attributes[name] = value
-        EPOCH[0] = next(MUTATIONS)
+        _changed(self)
 
     def remove_attr(self, name: str) -> Optional[Attribute]:
         """Drop attribute ``name``; returns its value (``None`` if absent)."""
-        EPOCH[0] = next(MUTATIONS)
+        _changed(self)
         return self.attributes.pop(name, None)
 
     # ------------------------------------------------------------------
@@ -180,7 +268,7 @@ class Operation:
 
     def add_region(self, region: "Region") -> None:
         self._add_region(region)
-        EPOCH[0] = next(MUTATIONS)
+        mark(self, MOVED)  # what the region holds was never checked here
 
     def _add_region(self, region: "Region") -> None:
         if region.parent is not None:
@@ -230,10 +318,13 @@ class Operation:
 
     def detach(self) -> "Operation":
         """Remove the operation from its parent block without destroying it."""
-        if self.parent is not None:
-            self.parent._ops.remove(self)
+        block = self.parent
+        if block is not None:
+            was_last = block._ops[-1] is self
+            block._ops.remove(self)
             self.parent = None
-            EPOCH[0] = next(MUTATIONS)
+            _left(self)
+            _block_changed(block, block._ops[-1] if was_last and block._ops else None)
         return self
 
     def erase(self, *, safe: bool = True) -> None:
@@ -250,18 +341,27 @@ class Operation:
                         f"cannot erase {self.name}: result %{res.index} still has "
                         f"{len(res.uses)} use(s)"
                     )
-        EPOCH[0] = next(MUTATIONS)
-        if self.parent is not None:
-            self.parent._ops.remove(self)
+        block = self.parent
+        if block is not None:
+            was_last = block._ops[-1] is self
+            block._ops.remove(self)
             self.parent = None
+            _block_changed(block, block._ops[-1] if was_last and block._ops else None)
+        # Each block is emptied last op first, so a use of a result left
+        # when its op goes is the use of an op that stays: it is marked.
         doomed = [self]
         try:
             while doomed:
                 op = doomed.pop()
+                op._dirty = MOVED  # verified again only as a new root
                 for operand, use in zip(op._operands, op._uses):
                     del operand.uses[use]
                 op._operands = []
                 op._uses = []
+                for result in op.results:
+                    if result.uses:
+                        _mark_users((op,))
+                        break
                 for region in op.regions:
                     for block in region.blocks:
                         for child in block._ops:
@@ -337,99 +437,271 @@ class Operation:
 
     @property
     def is_verified(self) -> bool:
-        """:meth:`verify` passed on this root and nothing was mutated since."""
-        return self._verified[0] == EPOCH[0]
+        """This top-level root passed :meth:`verify` and nothing in it
+        changed since (a nested operation is verified with its root)."""
+        return self.parent is None and not self._dirty
 
     def verify(self) -> int:
         """Verify this operation and everything nested within it; returns the
-        number of operations in it.  A root verified at the current epoch
-        (:mod:`repro.ir.ssa`) is a state already checked: it returns at once.
+        number of operations in it.
 
-        One iterative pre-order pass checks the structure of the whole
-        subtree — every operand slot's use is registered on its value, every
-        region / block / operation points at its parent — and records where
-        each value is defined; an operand whose definition the pass only
-        meets later is a use before its definition (a value defined outside
-        the subtree is never met and stays legal).  A second loop over the
-        same pre-order then checks ``IsolatedFromAbove`` (an
-        operation may only use values defined inside its innermost isolated
-        ancestor; the outermost violated ancestor is the one named) and calls
-        each operation's trait verifiers and ``verify_`` hook exactly once.
+        It checks the structure — every operand slot's use is registered on
+        its value, every region / block / operation points at its parent —
+        that no operand is used before the pass meets its definition (a
+        value defined outside the verified subtree is never met and stays
+        legal), ``IsolatedFromAbove`` (an operation may only use values
+        defined inside its innermost isolated ancestor; the outermost
+        violated ancestor is the one named), and each operation's trait
+        verifiers and ``verify_`` hook, called once, in pre-order.  One
+        pre-order pass makes each operation's checks as it meets it; if one
+        fails, :func:`_check_whole` walks the subtree again in three passes
+        (structure, then uses before definitions, then the rest) and raises
+        the first fault that order meets, so the message never depends on
+        what the fast pass met first.
+
+        A top-level root (``parent is None``) re-checks only what the marks of
+        :mod:`repro.ir.ssa` name: a changed operation, a moved one with all it
+        holds, and nothing under a clean operation, whose count it keeps; a
+        clean root returns at once.  Given a root that passed before, that
+        finds what a whole walk finds.  A nested root is walked whole every
+        time and leaves the marks to its top-level root.
         """
-        from .traits import IsolatedFromAbove
-
-        epoch = EPOCH[0]
-        if self._verified[0] == epoch:
-            return self._verified[1]
-        #: (operation, its isolated ancestors outermost first), in pre-order.
-        order: List[Tuple[Operation, Tuple[Operation, ...]]] = []
-        defined_in: Dict[int, Tuple[Operation, ...]] = {}
-        #: (operation, operand index, value) not defined when it was used.
-        not_yet_defined: List[Tuple[Operation, int, SSAValue]] = []
-        stack: List[Tuple[Operation, Tuple[Operation, ...]]] = [(self, ())]
-        while stack:
-            entry = stack.pop()
-            order.append(entry)
-            op, isolated = entry
-            for value, use in zip(op._operands, op._uses):
-                if use not in value.uses:
-                    raise VerifyException(
-                        f"{op.name}: operand {use.index} does not have a registered use"
-                    )
-                if id(value) not in defined_in:
-                    not_yet_defined.append((op, use.index, value))
-            for result in op.results:
-                defined_in[id(result)] = isolated
-            if not op.regions:
-                continue
-            if IsolatedFromAbove in op.traits:
-                isolated = isolated + (op,)
-            children: List[Tuple[Operation, Tuple[Operation, ...]]] = []
-            for region in op.regions:
-                if region.parent is not op:
-                    raise VerifyException(f"{op.name}: region has wrong parent")
-                for block in region.blocks:
-                    if block.parent is not region:
-                        raise VerifyException(f"{op.name}: block has wrong parent region")
-                    for arg in block.args:
-                        defined_in[id(arg)] = isolated
-                    for child in block._ops:
-                        if child.parent is not block:
-                            raise VerifyException(
-                                f"{op.name}: nested op {child.name} has wrong parent block"
-                            )
-                        children.append((child, isolated))
-            stack.extend(reversed(children))
-
-        for op, index, value in not_yet_defined:
-            if id(value) in defined_in:
-                raise VerifyException(
-                    f"{op.name}: operand {index} is used before its definition"
-                )
-
-        for op, isolated in order:
-            if isolated:
-                for operand in op._operands:
-                    scope = defined_in.get(id(operand), ())
-                    if scope is not isolated and scope[: len(isolated)] != isolated:
-                        violated = next(
-                            anc for k, anc in enumerate(isolated)
-                            if k >= len(scope) or scope[k] is not anc
-                        )
-                        raise VerifyException(
-                            f"{violated.name}: operation {op.name} references a value "
-                            "defined outside of an IsolatedFromAbove region"
-                        )
-            for trait in op.traits:
-                verifier = getattr(trait, "verify_trait", None)
-                if verifier is not None:
-                    verifier(op)
-            op.verify_()
-        self._verified = (epoch, len(order))
-        return len(order)
+        top = self.parent is None
+        if top and not self._dirty:
+            return self._count
+        try:
+            return _recheck(self, top)
+        except Exception as exc:
+            fault = exc
+        if top:
+            self._dirty |= MOVED  # the marks under it went with the failed pass
+        _check_whole(self)  # raises what a whole walk meets first
+        raise fault
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} '{self.name}'>"
+
+
+#: How :func:`_recheck` walks a block: each op by its marks, or all of it.
+_PATH, _WHOLE = 1, 2
+_PARENT = attrgetter("parent")
+
+
+def _recheck(root: Operation, incremental: bool) -> int:
+    """The checks of :meth:`Operation.verify` in one pre-order pass, each
+    operation's as the pass meets it; ``incremental`` follows and clears the
+    marks (a top-level root), otherwise the pass is whole.  Raises on the
+    first fault it meets, which need not be the one a whole walk names."""
+    defined_in: Dict[SSAValue, Tuple[Operation, ...]] = {}
+    #: (operation, its isolated ancestors, value) not defined when used.
+    not_yet_defined: List[Tuple[Operation, Tuple[Operation, ...], SSAValue]] = []
+    mode = _PATH if incremental and not root._dirty & MOVED else _WHOLE
+    #: Whether the pass may skip a subtree, so miss a definition in it.
+    partial = mode == _PATH
+    # One frame per open operation: (its children left, their isolated
+    # ancestors outermost first, the pass's mode there, the operation, the
+    # operations counted before it).
+    frames: list = [(iter((root,)), (), mode, None, 0)]
+    total = 0
+    while frames:
+        ops, isolated, mode, owner, start = frames[-1]
+        for op in ops:
+            whole = True
+            if mode == _PATH:
+                dirty = op._dirty
+                if not dirty:  # clean: count it, and see what it defines
+                    total += op._count
+                    for result in op.results:
+                        defined_in[result] = isolated
+                    continue
+                whole = dirty & MOVED
+            total += 1
+            if whole or op._dirty & CHANGED:
+                for value, use in zip(op._operands, op._uses):
+                    if use not in value.uses:
+                        raise VerifyException("unregistered use")
+                    scope = defined_in.get(value)
+                    if scope is None:
+                        not_yet_defined.append((op, isolated, value))
+                    elif scope is not isolated and scope[: len(isolated)] != isolated:
+                        raise VerifyException("isolation violated")
+                for verifier in op._trait_verifiers:
+                    verifier(op)
+                op.verify_()
+            for result in op.results:
+                defined_in[result] = isolated
+            if incremental:
+                op._dirty = 0
+            if not op.regions:
+                continue
+            if op._isolated:
+                isolated = isolated + (op,)
+            children: List[Operation] = []
+            for region in op.regions:
+                if region.parent is not op:
+                    raise VerifyException("region with a wrong parent")
+                for block in region.blocks:
+                    if block.parent is not region:
+                        raise VerifyException("block with a wrong parent")
+                    for arg in block.args:
+                        defined_in[arg] = isolated
+                    nested = block._ops
+                    if list(map(_PARENT, nested)).count(block) != len(nested):
+                        raise VerifyException("op with a wrong parent")
+                    children += nested
+            frames.append((iter(children), isolated, _WHOLE if whole else _PATH,
+                           op, total - 1))
+            break
+        else:
+            frames.pop()
+            if owner is not None:
+                owner._count = total - start
+
+    #: The isolated scopes of the values defined where the pass did not go.
+    unmet: Dict[SSAValue, Tuple[Operation, ...]] = {}
+    #: Users of a value defined outside the root: legal while it stays out.
+    outside: List[Operation] = []
+    for op, isolated, value in not_yet_defined:
+        if value in defined_in or (
+                partial and not _defined_before(value, op, root, unmet)):
+            raise VerifyException("use before definition")
+        scope = unmet.get(value)
+        if scope is None:
+            scope = ()
+            outside.append(op)
+        if scope is not isolated and scope[: len(isolated)] != isolated:
+            raise VerifyException("isolation violated")
+    if incremental:
+        # Where the definition lands decides such a use: it stays marked, so
+        # an insertion never has to look for the users of what it brings.
+        for op in outside:
+            mark(op, CHANGED)
+    root._count = total
+    return total
+
+
+def _check_whole(root: Operation) -> None:
+    """Walk all of ``root`` the way :meth:`Operation.verify` describes, in
+    three passes, raising the first fault that order meets: what a failed
+    :func:`_recheck` reports, so that the message never depends on marks."""
+    #: (operation, its isolated ancestors outermost first), in pre-order.
+    order: List[Tuple[Operation, Tuple[Operation, ...]]] = []
+    defined_in: Dict[SSAValue, Tuple[Operation, ...]] = {}
+    #: (operation, operand index, value) not defined when it was used.
+    not_yet_defined: List[Tuple[Operation, int, SSAValue]] = []
+    stack: List[Tuple[Operation, Tuple[Operation, ...]]] = [(root, ())]
+    while stack:
+        entry = stack.pop()
+        order.append(entry)
+        op, isolated = entry
+        for value, use in zip(op._operands, op._uses):
+            if use not in value.uses:
+                raise VerifyException(
+                    f"{op.name}: operand {use.index} does not have a registered use"
+                )
+            if value not in defined_in:
+                not_yet_defined.append((op, use.index, value))
+        for result in op.results:
+            defined_in[result] = isolated
+        if not op.regions:
+            continue
+        if op._isolated:
+            isolated = isolated + (op,)
+        children: List[Tuple[Operation, Tuple[Operation, ...]]] = []
+        for region in op.regions:
+            if region.parent is not op:
+                raise VerifyException(f"{op.name}: region has wrong parent")
+            for block in region.blocks:
+                if block.parent is not region:
+                    raise VerifyException(f"{op.name}: block has wrong parent region")
+                for arg in block.args:
+                    defined_in[arg] = isolated
+                for child in block._ops:
+                    if child.parent is not block:
+                        raise VerifyException(
+                            f"{op.name}: nested op {child.name} has wrong parent block"
+                        )
+                    children.append((child, isolated))
+        stack.extend(reversed(children))
+
+    for op, index, value in not_yet_defined:
+        if value in defined_in:
+            raise VerifyException(
+                f"{op.name}: operand {index} is used before its definition"
+            )
+
+    for op, isolated in order:
+        if isolated:
+            for operand in op._operands:
+                scope = defined_in.get(operand, ())
+                if scope is not isolated and scope[: len(isolated)] != isolated:
+                    violated = next(
+                        anc for k, anc in enumerate(isolated)
+                        if k >= len(scope) or scope[k] is not anc
+                    )
+                    raise VerifyException(
+                        f"{violated.name}: operation {op.name} references a value "
+                        "defined outside of an IsolatedFromAbove region"
+                    )
+        for verifier in op._trait_verifiers:
+            verifier(op)
+        op.verify_()
+
+
+def _position(op: Operation) -> Tuple[int, int, int]:
+    """Where ``op`` sits in its parent op: (region, block, op) indices."""
+    block = op.parent
+    region = block.parent
+    return (region.parent.regions.index(region), region.blocks.index(block),
+            block._ops.index(op))
+
+
+def _defined_before(value: SSAValue, user: Operation, root: Operation,
+                    scopes: Dict[SSAValue, Tuple[Operation, ...]]) -> bool:
+    """Whether ``value``, which an incremental walk of ``root`` did not meet,
+    is defined before ``user`` in pre-order or outside ``root``, as a whole
+    walk would find; if it is in ``root`` and before, enter its isolated
+    scope in ``scopes``.
+
+    The walk meets every definition but those nested in a clean subtree it
+    skipped and those outside ``root``: a value used out of the region
+    that defines it, or a fault."""
+    if isinstance(value, OpResult):
+        owner, scope_holder = value.op, value.op.parent_op()
+    else:
+        region = value.block.parent
+        owner = scope_holder = region.parent if region is not None else None
+    chain = []  # owner and its ancestors below ``root``
+    op = owner
+    while op is not None and op is not root:
+        chain.append(op)
+        op = op.parent_op()
+    if op is None and owner is not root:
+        return True  # outside the root: legal, and its scope stays ()
+    ancestors: Dict[Operation, Operation] = {}  # -> its child toward user
+    below, op = user, user
+    while op is not None:
+        ancestors[op] = below
+        if op is root:
+            break
+        below, op = op, op.parent_op()
+    # The first of the owner's ancestors (or itself) that is also the user's.
+    for depth, op in enumerate(chain + [root]):
+        if op in ancestors:
+            break
+    if depth == 0:  # an ancestor of the user, or the user itself
+        before = owner is not user
+    else:
+        user_side = ancestors[op]
+        before = user_side is not op and (
+            _position(chain[depth - 1]) < _position(user_side))
+    if before:
+        # As the walk builds it: the isolated ops from ``root`` down to the
+        # op whose regions define the value (a result's owner is not one).
+        scopes[value] = tuple(
+            op for op in [root] + chain[::-1]
+            if op._isolated and (op is not owner or scope_holder is owner))
+    return before
 
 
 class Block:
@@ -456,7 +728,7 @@ class Block:
     def add_arg(self, type: TypeAttribute) -> BlockArgument:
         arg = BlockArgument(type, self, len(self.args))
         self.args.append(arg)
-        EPOCH[0] = next(MUTATIONS)
+        _block_changed(self)  # the parent's hook may count its arguments
         return arg
 
     # -- op list management ----------------------------------------------
@@ -478,7 +750,7 @@ class Block:
             raise IRError(f"operation {op.name} is already attached to a block")
         op.parent = self
         self._ops.append(op)
-        EPOCH[0] = next(MUTATIONS)
+        _entered(self, op)
 
     def add_ops(self, ops: Iterable[Operation]) -> None:
         for op in ops:
@@ -495,7 +767,7 @@ class Block:
             raise IRError(f"operation {op.name} is already attached to a block")
         op.parent = self
         self._ops.insert(index, op)
-        EPOCH[0] = next(MUTATIONS)
+        _entered(self, op)
 
     def insert_op_before(self, new_op: Operation, existing: Operation) -> None:
         self.insert_op_at(self.index_of(existing), new_op)
@@ -543,10 +815,16 @@ class Block:
                     raise IRError(f"moving {op.name} would strand its use by "
                                   f"{use.operation.name}, which stays behind")
         del block._ops[start:start + len(ops)]
+        left = block._ops[-1] if block._ops and start == len(block._ops) else None
+        last = self._ops[-1] if self._ops else None
         for op in ops:
             op.parent = self
+            op._dirty |= MOVED
+            if op.regions:  # its own users are among ``ops`` (checked above)
+                _mark_users(op.walk(include_self=False))
         self._ops.extend(ops)
-        EPOCH[0] = next(MUTATIONS)
+        _block_changed(block, left)
+        _block_changed(self, last)
         if value_map:
             for inner in chain.from_iterable(
                     op.walk() if op.regions else (op,) for op in ops):
@@ -585,7 +863,8 @@ class Region:
 
     def add_block(self, block: Block) -> None:
         self._add_block(block)
-        EPOCH[0] = next(MUTATIONS)
+        if self.parent is not None:
+            mark(self.parent, MOVED)  # what the block holds was never checked here
 
     def _add_block(self, block: Block) -> None:
         if block.parent is not None:

@@ -187,8 +187,9 @@ class PassManager:
     # -- execution ----------------------------------------------------------------
 
     def run(self, module: Operation) -> List[PassStatistics]:
-        """Run the passes, verifying the module before and after each one;
-        that walk counts its ops."""
+        """Run the passes, verifying the module before and after each one
+        (``verify()`` re-checks what the pass changed and returns the
+        module's op count)."""
         self.statistics = []
         ops_after = module.verify()
         for pass_instance in self.passes:

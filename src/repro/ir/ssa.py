@@ -4,13 +4,14 @@ Every value in the IR is either the result of an operation (:class:`OpResult`)
 or a block argument (:class:`BlockArgument`).  Values track their uses so that
 rewrites can replace values globally and the verifier can detect dangling uses.
 
-Every mutation of the IR stores the next value of one process-wide counter as
-the IR's *epoch*; ``verify()`` does not walk again a root it passed at it.
+Every mutation of attached IR marks what it touched (:func:`mark`) on the
+operations themselves: ``verify()`` re-checks the marked operations of a root
+and skips its clean subtrees.  Building detached IR marks nothing: a new
+operation starts out :data:`MOVED`, as one never verified.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import TYPE_CHECKING, Dict, Optional
 
 from .attributes import TypeAttribute
@@ -19,10 +20,34 @@ if TYPE_CHECKING:  # pragma: no cover
     from .operation import Block, Operation
 
 
-#: A mutation (building a detached op is none) stores ``EPOCH[0] =
-#: next(MUTATIONS)``: no Python call, and each value is stored once, so a
-#: thread that stores late can only make a verified root look stale.
-MUTATIONS, EPOCH = count(1), [0]
+#: The bits of ``Operation._dirty``, 0 once a ``verify()`` of its top-level
+#: root passed.  ``BELOW``: some operation nested in it is marked.
+#: ``CHANGED``: its operands, attributes or block arguments changed, or a
+#: block of its gained or lost an operation; re-check the operation itself.
+#: ``MOVED``: it is new, entered or left a block, or gained a block or
+#: region; re-check it and everything nested in it.
+BELOW, CHANGED, MOVED = 1, 2, 4
+
+
+def mark(op: "Operation", kind: int) -> None:
+    """Add ``kind`` to ``op``'s marks and ``BELOW`` to its ancestors'.
+
+    An operation with a mark has marked ancestors, so the climb stops at the
+    first one already marked: O(1) amortized per mutation."""
+    if op._dirty:
+        op._dirty |= kind
+        return
+    op._dirty = kind
+    block = op.parent
+    while block is not None:
+        region = block.parent
+        if region is None:
+            return
+        op = region.parent
+        if op is None or op._dirty:
+            return
+        op._dirty = BELOW
+        block = op.parent
 
 
 class Use:
@@ -65,7 +90,11 @@ class SSAValue:
         except KeyError:
             raise ValueError(
                 "attempting to remove a use that is not registered") from None
-        EPOCH[0] = next(MUTATIONS)
+        op = use.operation
+        if op._dirty:  # its ancestors are marked: no climb, and no call
+            op._dirty |= CHANGED
+        else:
+            mark(op, CHANGED)
 
     def replace_all_uses_with(self, new_value: "SSAValue") -> None:
         """Rewrite every operand currently referencing ``self`` to ``new_value``."""
@@ -110,4 +139,4 @@ class BlockArgument(SSAValue):
         self.index = index
 
 
-__all__ = ["Use", "SSAValue", "OpResult", "BlockArgument"]
+__all__ = ["Use", "SSAValue", "OpResult", "BlockArgument", "mark"]

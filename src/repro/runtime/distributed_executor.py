@@ -18,19 +18,25 @@ that compiles through a session (one artifact per distinct rank-local
 shape, memoized) and builds vectorized interpreters.
 
 Rank tasks block inside ``comm.receive`` while they wait for neighbours, so
-they must **all** be runnable at once: each run opens its own executor of
-one worker per rank and shuts it down when the run ends.  Only a sweep's
-boxes, which never wait, run on the shared tile pools of
-:func:`repro.runtime.sweep.get_executor`; concurrent runs share
-no rank thread and never wait for each other.
+they must **all** be runnable at once: each wave of a run takes one idle rank
+worker per rank (starting a thread only when too few are idle), and a worker
+goes back to the idle set when its task ends.  A worker runs one task at a
+time, in a fresh :mod:`contextvars` context, so concurrent runs share no
+rank thread, never wait for each other, and no context state carries from
+one task to the next.  Only a sweep's boxes, which never wait, run on the
+shared tile pools of :func:`repro.runtime.sweep.get_executor`.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +127,73 @@ class DistributedRunResult:
 #: no checkpoint is ever taken.
 FAIL_FAST = ResilienceOptions(max_restarts=0)
 
+#: Rank workers no wave holds; a worker enters as its task ends.
+_IDLE: List["_RankWorker"] = []
+_IDLE_LOCK = threading.Lock()
+_WORKER_NUMBERS = itertools.count()
+
+
+def _forget_idle_workers() -> None:
+    """In a forked child: the workers' threads stayed in the parent."""
+    global _IDLE_LOCK
+    _IDLE.clear()
+    _IDLE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_idle_workers)
+
+
+class _RankWorker:
+    """A daemon thread (idle, it never holds the interpreter open at exit)
+    that runs the rank tasks it is handed one at a time."""
+
+    def __init__(self):
+        self._task: Optional[Tuple[Future, Callable[[Any], Any], Any]] = None
+        self._wake = threading.Semaphore(0)
+        threading.Thread(target=self._serve, daemon=True,
+                         name=f"repro-rank-{next(_WORKER_NUMBERS)}").start()
+
+    def start(self, fn: Callable[[Any], Any], arg: Any) -> Future:
+        future: Future = Future()
+        self._task = (future, fn, arg)
+        self._wake.release()
+        return future
+
+    def _serve(self) -> None:
+        while True:
+            self._wake.acquire()
+            future, fn, arg = self._task
+            self._task = None
+            try:
+                outcome, failed = contextvars.Context().run(fn, arg), False
+            except BaseException as exc:  # noqa: BLE001 — handed to the waiter
+                outcome, failed = exc, True
+            with _IDLE_LOCK:
+                _IDLE.append(self)
+            if failed:
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+            # Idle, the worker keeps nothing of the run it served.
+            future = fn = arg = outcome = None
+
+
+def _run_all_at_once(fn: Callable[[Any], Any], args: Sequence[Any]) -> None:
+    """``fn(arg)`` for every ``arg`` at once, each on a rank worker no other
+    task holds meanwhile; returns when all are done, then raises the first
+    failure in ``args`` order, if any."""
+    with _IDLE_LOCK:
+        split = max(0, len(_IDLE) - len(args))
+        workers = _IDLE[split:]
+        del _IDLE[split:]
+    workers += [_RankWorker() for _ in range(len(args) - len(workers))]
+    futures = [worker.start(fn, arg) for worker, arg in zip(workers, args)]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 class DistributedExecutor:
     """Orchestrates scatter → per-rank execution → halo exchange → gather.
 
@@ -128,7 +201,7 @@ class DistributedExecutor:
     global field are decomposed over (``(2, 2)`` → four ranks, dimensions 0
     and 1 split in two).  ``halo`` is the ghost-plane width every local
     array is padded with on *every* dimension (the stencil's widest access
-    offset).  Every rank runs on its own worker of the run's executor,
+    offset).  Every rank runs on a rank worker of its own for each wave,
     because a rank blocked in a halo receive must not starve the neighbour
     whose send it waits for.
     ``timeout`` bounds every blocking receive so a genuinely
@@ -329,42 +402,39 @@ class DistributedExecutor:
         comm, interps = new_generation()
         checkpoint: Optional[Dict[int, np.ndarray]] = None
         iteration = 0
-        # One worker per rank, for every wave of this run (restarts too).
-        with ThreadPoolExecutor(max_workers=self.num_ranks,
-                                thread_name_prefix="repro-rank") as pool:
-            while iteration < iterations:
-                wave_end = iterations
-                if restartable:
-                    wave_end = iteration + 1
-                    if checkpoint is None:
-                        checkpoint = {r: locals_by_rank[r].copy(order="F")
-                                      for r in ranks}
-                        report.bump("checkpoint_saves")
-                failures: Dict[int, BaseException] = {}
-                list(pool.map(run_rank, ranks))
-                if not failures:
-                    iteration = wave_end
-                    checkpoint = None
-                    continue
-                retire_generation()
-                outcomes = [failures[r] for r in sorted(failures)]
-                for exc in outcomes:
-                    if not isinstance(exc, (MPIAbort, InjectedFault)):
-                        raise exc
-                crashes = [exc for exc in outcomes
-                           if isinstance(exc, InjectedFault)]
-                report.bump("crashes_detected", len(crashes))
-                if report.checkpoint_restores >= policy.max_restarts:
-                    raise MPIError(
-                        f"distributed run gave up after "
-                        f"{report.checkpoint_restores} restarts "
-                        f"(max_restarts={policy.max_restarts}); last "
-                        f"crash: {crashes[-1]}")
-                for r in ranks:
-                    np.copyto(locals_by_rank[r], checkpoint[r])
-                comm, interps = new_generation()
-                report.bump("checkpoint_restores")
-                report.bump("rank_respawns", self.num_ranks)
+        while iteration < iterations:
+            wave_end = iterations
+            if restartable:
+                wave_end = iteration + 1
+                if checkpoint is None:
+                    checkpoint = {r: locals_by_rank[r].copy(order="F")
+                                  for r in ranks}
+                    report.bump("checkpoint_saves")
+            failures: Dict[int, BaseException] = {}
+            _run_all_at_once(run_rank, ranks)
+            if not failures:
+                iteration = wave_end
+                checkpoint = None
+                continue
+            retire_generation()
+            outcomes = [failures[r] for r in sorted(failures)]
+            for exc in outcomes:
+                if not isinstance(exc, (MPIAbort, InjectedFault)):
+                    raise exc
+            crashes = [exc for exc in outcomes
+                       if isinstance(exc, InjectedFault)]
+            report.bump("crashes_detected", len(crashes))
+            if report.checkpoint_restores >= policy.max_restarts:
+                raise MPIError(
+                    f"distributed run gave up after "
+                    f"{report.checkpoint_restores} restarts "
+                    f"(max_restarts={policy.max_restarts}); last "
+                    f"crash: {crashes[-1]}")
+            for r in ranks:
+                np.copyto(locals_by_rank[r], checkpoint[r])
+            comm, interps = new_generation()
+            report.bump("checkpoint_restores")
+            report.bump("rank_respawns", self.num_ranks)
         retire_generation()
         gathered = self.gather(locals_by_rank, decomposition)
         return DistributedRunResult(

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import gc
 import sys
 
 import numpy as np
@@ -64,18 +65,49 @@ def empty_kernel_cache():
 @pytest.fixture
 def python_calls():
     """``python_calls(fn)``: the number of Python-level function calls
-    ``fn()`` makes — a count, so the same on every machine (unlike a timing)."""
+    ``fn()`` makes — a count, so the same on every machine (unlike a timing).
+
+    The garbage collector is emptied first and paused while counting: a
+    collection inside the window would add the calls of whatever finalizers
+    the earlier tests left behind, so the count would depend on test order."""
     def count(fn):
         calls = [0]
 
         def profiler(frame, event, arg):
             calls[0] += event == "call"
 
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
         sys.setprofile(profiler)
         try:
             fn()
         finally:
             sys.setprofile(None)
+            if was_enabled:
+                gc.enable()
         return calls[0]
 
     return count
+
+
+@pytest.fixture
+def rechecked():
+    """``rechecked(fn)``: the operations ``verify()`` re-checks while
+    ``fn()`` runs — each one ``verify_`` hook call of its walk — in order."""
+    def spy(fn):
+        seen = []
+
+        def profiler(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "verify_"
+                    and frame.f_back.f_code.co_name == "_recheck"):
+                seen.append(frame.f_locals["self"])
+
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    return spy

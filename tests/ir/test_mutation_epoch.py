@@ -1,33 +1,38 @@
-"""The mutation epoch: each IR state is verified once, and no other skip.
+"""Mutation marks: each IR state is verified once, and only what changed.
 
-Every mutation primitive advances the process-wide epoch, so a module
-verified before it is walked again; constructing detached IR advances
-nothing.  Across every pass of every named pipeline on both apps, a module
-whose ``verify()`` was skipped after a pass prints exactly as it did before
-the pass.  ``Block.take_ops`` moves what a lowering keeps and refuses to
-strand a use.
+Every mutation primitive marks the operations it touched, so the next
+``verify()`` of a module re-checks them and skips its clean subtrees;
+constructing detached IR marks nothing.  A fault planted in a verified
+module through the IR's own primitives is found with the exception and
+message a whole walk of a never-verified twin raises.  Across every pass of
+every named pipeline on both apps, a module whose ``verify()`` was skipped
+after a pass prints exactly as it did before the pass, and every verify of
+a lowering agrees with a whole walk.  ``Block.take_ops`` moves what a
+lowering keeps and refuses to strand a use.
 """
 
 import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import arith, func
+from repro.dialects import arith, func, gpu
 from repro.dialects.builtin import ModuleOp
 from repro.frontend import compile_to_fir
 from repro.ir import (
     Block,
     Builder,
+    FunctionType,
     IRError,
     Operation,
     PassManager,
     Region,
+    TypeAttr,
     UnitAttr,
     VerifyException,
     f64,
+    operation,
     print_module,
 )
-from repro.ir.ssa import EPOCH
 from repro.transforms.pipelines import PIPELINES
 from repro.transforms.stencil_extraction import ExtractStencilsPass
 
@@ -53,64 +58,230 @@ class Small:
         self.inner = self.spare.regions[1].block
 
 
-#: name -> a mutation of a verified :class:`Small` through one primitive.
+#: name -> (a mutation of a verified :class:`Small` through one primitive,
+#: the operation it touched, which the next ``verify()`` must re-check).
 MUTATIONS = {
-    "add_operand": lambda s: s.spare.add_operand(s.c.result),
-    "set_operand": lambda s: s.spare.set_operand(0, s.c.result),
-    "set_operands": lambda s: s.spare.set_operands([s.x, s.x]),
-    "drop_all_operand_uses": lambda s: s.spare.drop_all_operand_uses(),
-    "set_attr": lambda s: s.spare.set_attr("k2", UnitAttr()),
-    "remove_attr": lambda s: s.spare.remove_attr("k"),
-    "add_region": lambda s: s.spare.add_region(Region([Block()])),
-    "detach": lambda s: s.neg.detach(),
-    "erase": lambda s: s.neg.erase(),
-    "erase_op": lambda s: s.entry.erase_op(s.neg),
-    "add_arg": lambda s: s.inner.add_arg(f64),
-    "add_block": lambda s: s.spare.regions[1].add_block(Block()),
-    "add_op": lambda s: s.inner.add_op(Operation()),
-    "add_ops": lambda s: s.inner.add_ops([Operation()]),
-    "insert_op_at": lambda s: s.entry.insert_op_at(0, Operation()),
-    "insert_op_before": lambda s: s.entry.insert_op_before(Operation(), s.ret),
-    "insert_op_after": lambda s: s.entry.insert_op_after(Operation(), s.neg),
-    "insert_ops_before": lambda s: s.entry.insert_ops_before([Operation()], s.ret),
-    "take_ops": lambda s: s.inner.take_ops([s.neg]),
-    "take_ops_region": lambda s: s.inner.take_ops(s.spare.regions[0]),
-    "take_ops_value_map": lambda s: s.inner.take_ops(
-        [s.neg], {s.add.result: s.x}),
-    "replace_all_uses_with": lambda s: s.c.result.replace_all_uses_with(s.x),
-    "remove_use": lambda s: s.x.remove_use(s.spare._uses[0]),
+    "add_operand": (lambda s: s.spare.add_operand(s.c.result), lambda s: s.spare),
+    "set_operand": (lambda s: s.spare.set_operand(0, s.c.result), lambda s: s.spare),
+    "set_operands": (lambda s: s.spare.set_operands([s.x, s.x]), lambda s: s.spare),
+    "drop_all_operand_uses": (lambda s: s.spare.drop_all_operand_uses(),
+                              lambda s: s.spare),
+    "set_attr": (lambda s: s.spare.set_attr("k2", UnitAttr()), lambda s: s.spare),
+    "remove_attr": (lambda s: s.spare.remove_attr("k"), lambda s: s.spare),
+    "add_region": (lambda s: s.spare.add_region(Region([Block()])), lambda s: s.spare),
+    # An op leaving a block re-checks the op that holds the block.
+    "detach": (lambda s: s.neg.detach(), lambda s: s.f),
+    "erase": (lambda s: s.neg.erase(), lambda s: s.f),
+    "erase_op": (lambda s: s.entry.erase_op(s.neg), lambda s: s.f),
+    "add_arg": (lambda s: s.inner.add_arg(f64), lambda s: s.spare),
+    "add_block": (lambda s: s.spare.regions[1].add_block(Block()), lambda s: s.spare),
+    "add_op": (lambda s: s.inner.add_op(Operation()), lambda s: s.inner.ops[-1]),
+    "add_ops": (lambda s: s.inner.add_ops([Operation()]), lambda s: s.inner.ops[-1]),
+    "insert_op_at": (lambda s: s.entry.insert_op_at(0, Operation()),
+                     lambda s: s.entry.ops[0]),
+    "insert_op_before": (lambda s: s.entry.insert_op_before(Operation(), s.ret),
+                         lambda s: s.entry.ops[-2]),
+    "insert_op_after": (lambda s: s.entry.insert_op_after(Operation(), s.neg),
+                        lambda s: s.entry.ops[3]),
+    "insert_ops_before": (lambda s: s.entry.insert_ops_before([Operation()], s.ret),
+                          lambda s: s.entry.ops[-2]),
+    "take_ops": (lambda s: s.inner.take_ops([s.neg]), lambda s: s.neg),
+    "take_ops_region": (lambda s: s.inner.take_ops(s.spare.regions[0]),
+                        lambda s: s.inner.ops[0]),
+    "take_ops_value_map": (lambda s: s.inner.take_ops([s.neg], {s.add.result: s.x}),
+                           lambda s: s.neg),
+    # The users of the value replaced are the ops touched.
+    "replace_all_uses_with": (lambda s: s.c.result.replace_all_uses_with(s.x),
+                              lambda s: s.add),
+    "remove_use": (lambda s: s.x.remove_use(s.spare._uses[0]), lambda s: s.spare),
 }
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
-def test_every_mutation_primitive_makes_the_next_verify_walk(name, monkeypatch):
+def test_every_mutation_primitive_makes_the_next_verify_walk(name, rechecked):
     small = Small()
     assert small.module.verify() == 8 and small.module.is_verified
-    walks = []
-    real = func.ReturnOp.verify_
-    monkeypatch.setattr(func.ReturnOp, "verify_",
-                        lambda op: walks.append(op) or real(op))
-    small.module.verify()
-    assert walks == []  # the state is the one already checked
+    assert rechecked(small.module.verify) == []  # the state already checked
 
-    epoch = EPOCH[0]
-    MUTATIONS[name](small)
-    assert EPOCH[0] > epoch and not small.module.is_verified
+    mutate, touched = MUTATIONS[name]
+    mutate(small)
+    assert not small.module.is_verified
     try:
-        small.module.verify()
+        walks = rechecked(small.module.verify)
     except VerifyException:
         assert name == "remove_use"  # a dangling operand: the walk caught it
     else:
-        assert walks == [small.ret] and small.module.is_verified
+        # The touched op, and not the constant nothing touched.
+        assert touched(small) in walks and small.c not in walks, walks
+        assert small.module.is_verified
+        assert small.module.verify() == sum(1 for _ in small.module.walk())
 
 
-def test_building_detached_ir_takes_no_epoch():
-    epoch = EPOCH[0]
+def test_building_detached_ir_marks_nothing(rechecked):
+    small = Small()
+    small.module.verify()
     f = func.FuncOp.build("g", [f64, f64], [])
-    Operation(operands=[f.entry_block.args[0]], attributes={"k": UnitAttr()},
+    Operation(operands=[small.x], attributes={"k": UnitAttr()},
               regions=[Region([Block([f64], [arith.ConstantOp.from_float(2.0)])])])
     arith.CmpfOp("olt", *f.entry_block.args)
-    assert EPOCH[0] == epoch
+    assert small.module.is_verified
+    assert rechecked(small.module.verify) == []
+
+
+class Nested:
+    """``builtin.module { %c; func.func @host(%a, %b) { %s = addf; %n = negf
+    %s; return %n }; gpu.module { gpu.func @kernel(%x) { %m = negf %x;
+    gpu.return } } }``."""
+
+    def __init__(self):
+        self.kernel = gpu.GPUFuncOp("kernel", [f64])
+        kb = Builder.at_end(self.kernel.entry_block)
+        self.deep = kb.insert(arith.NegfOp(self.kernel.entry_block.args[0]))
+        self.kernel_ret = kb.insert(gpu.ReturnOp())
+        self.device = gpu.GPUModuleOp([self.kernel])
+        self.host = func.FuncOp.build("host", [f64, f64], [f64])
+        hb = Builder.at_end(self.host.entry_block)
+        self.add = hb.insert(arith.AddfOp(*self.host.entry_block.args))
+        self.neg = hb.insert(arith.NegfOp(self.add.result))
+        hb.insert(func.ReturnOp([self.neg.result]))
+        self.const = arith.ConstantOp.from_float(1.0)
+        self.module = ModuleOp([self.const, self.host, self.device])
+
+
+def _failing_hook():
+    raise VerifyException("arith.negf: injected failure")
+
+
+def _move_after_its_user(n):
+    n.add.detach()
+    n.host.entry_block.insert_op_after(n.add, n.neg)
+
+
+#: name -> (one fault planted in a :class:`Nested` through the IR's own
+#: primitives, the message a whole walk of the module raises).
+FAULTS = {
+    "a use deregistered": (
+        lambda n: n.add.operands[1].remove_use(n.add._uses[1]),
+        "arith.addf: operand 1 does not have a registered use"),
+    "an op moved after its user": (
+        _move_after_its_user,
+        "arith.negf: operand 0 is used before its definition"),
+    "a value from outside an isolated op": (
+        lambda n: n.deep.set_operand(0, n.const.result),
+        "gpu.module: operation arith.negf references a value defined outside "
+        "of an IsolatedFromAbove region"),
+    "an op after the terminator": (
+        lambda n: n.kernel.entry_block.insert_op_after(
+            arith.ConstantOp.from_float(2.0), n.kernel_ret),
+        "terminator gpu.return must be the last operation in its block"),
+    "a second block in a single-block region": (
+        lambda n: n.device.regions[0].add_block(Block()),
+        "gpu.module: region 0 must contain exactly one block, found 2"),
+    "an op detached while in use": (
+        lambda n: n.add.detach(),
+        "builtin.module: operation arith.negf references a value defined outside "
+        "of an IsolatedFromAbove region"),
+    "an op erased while in use": (
+        lambda n: n.add.erase(safe=False),
+        "builtin.module: operation arith.negf references a value defined outside "
+        "of an IsolatedFromAbove region"),
+    "a signature changed under its return": (
+        lambda n: n.host.set_attr("function_type",
+                                  TypeAttr(FunctionType([f64, f64], []))),
+        "func.return: operand types ['f64'] do not match function results []"),
+    "a failing hook on a changed op deep in one function": (
+        lambda n: (setattr(n.deep, "verify_", _failing_hook),
+                   n.deep.set_attr("k", UnitAttr())),
+        "arith.negf: injected failure"),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_fault_planted_in_a_verified_module_raises_what_a_whole_walk_does(fault):
+    plant, message = FAULTS[fault]
+    verified, fresh = Nested(), Nested()
+    assert verified.module.verify() == 10 and verified.module.is_verified
+    for nested in (verified, fresh):  # re-checked by its marks; walked whole
+        plant(nested)
+        for _ in range(2):  # a failed verify keeps what it has to check
+            with pytest.raises(VerifyException) as caught:
+                nested.module.verify()
+            assert str(caught.value) == message
+            assert not nested.module.is_verified
+
+
+def test_a_definition_placed_after_a_clean_user_is_found():
+    """Under a root that isolates nothing, a use of a value from outside is
+    legal; the definition arriving after that user, built new or moved back
+    (with the use nested in it), makes the user's use come first."""
+    def definition(nested):
+        if not nested:
+            return arith.ConstantOp.from_float(3.0), None
+        inner = arith.ConstantOp.from_float(3.0)
+        return Operation(regions=[Region([Block(ops=[inner])])]), inner
+
+    for nested in (False, True):
+        for verified_before in (False, True):
+            holder, inner = definition(nested)
+            user = arith.NegfOp((inner or holder).result)
+            # Not the block's last op, which an insertion at the end re-checks.
+            root = Operation(regions=[Region([Block(ops=[user, Operation()])])])
+            if verified_before:  # the definition was in the root, before its user
+                root.regions[0].block.insert_op_at(0, holder)
+                assert root.verify() == 4 + nested
+                holder.detach()
+            assert root.verify() == 3
+            root.regions[0].block.add_op(holder)
+            with pytest.raises(VerifyException,
+                               match="arith.negf: operand 0 is used before its definition"):
+                root.verify()
+
+
+def test_take_ops_moving_a_nested_definition_after_its_user_is_found():
+    """``take_ops`` refuses to strand a use of what a moved op defines, not
+    of what is nested in it; that use may now come first."""
+    inner = arith.ConstantOp.from_float(3.0)
+    holder = Operation(regions=[Region([Block(ops=[inner])])])
+    user = arith.NegfOp(inner.result)
+    later = Operation(regions=[Region([Block()])])
+    root = Operation(regions=[Region([Block(ops=[holder, user, later])])])
+    assert root.verify() == 5
+    later.regions[0].block.take_ops([holder])
+    with pytest.raises(VerifyException,
+                       match="arith.negf: operand 0 is used before its definition"):
+        root.verify()
+
+
+def test_a_use_of_a_value_nested_in_a_clean_op_is_placed_by_pre_order():
+    """The walk skips a clean op and what is nested in it; a changed op using
+    such a value (out of the region that defines it, which pre-order allows)
+    is checked against where the definition sits and what isolates it."""
+    f = func.FuncOp.build("f", [], [])
+    inner = arith.ConstantOp.from_float(3.0)
+    b = Builder.at_end(f.entry_block)
+    holder = b.insert(Operation(regions=[Region([Block(ops=[inner])])]))
+    user = b.insert(arith.NegfOp(b.insert(arith.ConstantOp.from_float(1.0)).result))
+    b.insert(func.ReturnOp([]))
+    module = ModuleOp([f])
+    assert module.verify() == 7
+    user.set_operand(0, inner.result)
+    assert module.verify() == 7  # defined before, in the same isolated scope
+    user.detach()
+    f.entry_block.insert_op_at(0, user)
+    with pytest.raises(VerifyException,
+                       match="arith.negf: operand 0 is used before its definition"):
+        module.verify()
+
+
+def test_a_clean_function_is_not_rechecked(rechecked):
+    """A change deep in one function re-checks what it touched there; the
+    other function is counted, not walked."""
+    nested = Nested()
+    assert nested.module.verify() == 10
+    nested.deep.set_attr("k", UnitAttr())
+    walks = rechecked(nested.module.verify)
+    assert nested.deep in walks and not set(walks) & set(nested.host.walk())
+    assert nested.module.verify() == 10
 
 
 def test_take_ops_moves_without_building_and_remaps_nested_operands():
@@ -212,3 +383,27 @@ def test_the_gpu_pipeline_verifies_only_the_states_its_passes_made():
     ]
     assert statistics[2].verify_seconds == statistics[5].verify_seconds == 0.0
     assert repr(statistics[2]).endswith("194->194 ops, verify 0.00 ms>")
+
+
+@pytest.mark.parametrize("backend, options", [
+    ("cpu", {}), ("cpu", {"lower_to_scf": True}), ("openmp", {}), ("gpu", {}),
+    ("gpu", {"data_strategy": "host_register"}), ("dmp", {"grid": (2, 2)}),
+])
+@pytest.mark.parametrize("app", SOURCES)
+def test_every_verify_of_a_lower_agrees_with_a_whole_walk(app, backend, options,
+                                                          monkeypatch):
+    """Each ``verify()`` a lowering makes re-checks by marks; the state it
+    passed also passes a whole walk, and holds the ops it counted."""
+    real = Operation.verify
+    passed = []
+
+    def verify(op):
+        count = real(op)
+        operation._check_whole(op)
+        assert count == sum(1 for _ in op.walk()), op.name
+        passed.append(op)
+        return count
+
+    monkeypatch.setattr(Operation, "verify", verify)
+    repro.Session().compile(SOURCES[app]).lower(backend, **options)
+    assert len(passed) >= 3

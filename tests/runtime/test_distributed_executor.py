@@ -8,8 +8,14 @@ everywhere else — across process grids, odd non-divisible domains, pool
 sizes and repeated runs.
 """
 
+import contextvars
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,15 +178,19 @@ class TestDeterminism:
 
     def test_concurrent_runs_do_not_wait_for_each_other(self):
         """Run A's ranks wait for a rank of run B, started while A is live, on
-        the same grid: both complete, because no run holds the other back."""
+        the same grid: both complete, because no run holds the other back,
+        and no rank thread serves both."""
         a_live, b_started = threading.Event(), threading.Event()
+        threads = {"a": set(), "b": set()}
 
         def a_rank(rank, comm):
+            threads["a"].add(threading.get_ident())
             a_live.set()
             if not b_started.wait(2.0):
                 raise RuntimeError("run B never started")
 
         def b_rank(rank, comm):
+            threads["b"].add(threading.get_ident())
             b_started.set()
 
         executor = DistributedExecutor((2, 1))
@@ -204,6 +214,8 @@ class TestDeterminism:
         for tag in "ab":
             assert isinstance(outcomes[tag], DistributedRunResult), outcomes[tag]
             assert outcomes[tag].field.tobytes() == field.tobytes()
+        assert len(threads["a"]) == len(threads["b"]) == 2
+        assert not threads["a"] & threads["b"]
 
     def test_repeated_runs_identical(self, session):
         rng = np.random.default_rng(29)
@@ -211,6 +223,118 @@ class TestDeterminism:
         runs = [run_distributed(session, (2, 1), field, 2, "vectorize")
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0].field, runs[1].field)
+
+
+PROBE = contextvars.ContextVar("probe", default=None)
+
+
+class TestRankWorkers:
+    """Ranks run on idle rank workers that later runs take again."""
+
+    def test_a_second_run_starts_no_thread_and_gives_each_rank_its_own(self):
+        ran = []
+
+        def body(rank, comm):
+            ran.append((rank, threading.current_thread()))
+
+        executor = DistributedExecutor((2, 2))
+        field = np.asfortranarray(np.arange(64.0).reshape(4, 4, 4))
+        executor.run(field, fake_ranks(body), "e")
+        threads = threading.enumerate()
+        del ran[:]
+        # Restartable: one wave per iteration, each taking idle workers.
+        executor.run(field, fake_ranks(body), "e", iterations=3,
+                     resilience=ResilienceOptions(max_restarts=1))
+        assert threading.enumerate() == threads
+        assert sorted(rank for rank, _ in ran) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+        for wave in range(3):  # every rank of a wave on a thread of its own
+            workers = {thread for _, thread in ran[4 * wave:4 * wave + 4]}
+            assert len(workers) == 4 and threading.current_thread() not in workers
+        assert all(t.name.startswith("repro-rank-") and t.daemon for _, t in ran)
+
+    def test_no_context_state_carries_from_one_run_into_the_next(self):
+        def body(rank, comm):
+            assert PROBE.get() is None and np.geterr()["divide"] == "warn"
+            PROBE.set(rank)
+            np.seterr(divide="raise")
+
+        executor = DistributedExecutor((2, 1))
+        field = np.asfortranarray(np.arange(64.0).reshape(4, 4, 4))
+        for _ in range(3):  # a task per rank and run, on threads used before
+            executor.run(field, fake_ranks(body), "e")
+
+    def test_idle_rank_workers_do_not_hold_the_interpreter_open(self):
+        script = textwrap.dedent("""
+            import numpy as np
+            import repro
+            from repro.apps import gauss_seidel
+
+            n = 8
+            plan = repro.compile(gauss_seidel.generate_source_shaped(
+                (n + 2,) * 3, niters=1)).lower(
+                "dmp", grid=(2, 2), execution_mode="vectorize").distribute(
+                source_builder=gauss_seidel.generate_source_shaped)
+            field = np.asfortranarray(np.random.default_rng(0).random((n,) * 3))
+            plan.run(field, iterations=1)
+            print("ran", flush=True)
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True)
+        try:
+            assert child.stdout.readline() == "ran\n", child.stderr.read()
+            ran = time.perf_counter()
+            assert child.wait(timeout=30) == 0, child.stderr.read()
+            assert time.perf_counter() - ran < 5.0
+        finally:
+            child.kill()
+            child.wait()
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_rank_threads(self):
+        """The idle workers' threads stay in the parent: a child forked after
+        a run must not hand its ranks to them."""
+        script = textwrap.dedent("""
+            import os, sys, time
+            import numpy as np
+            from repro.runtime import DistributedExecutor
+
+            class Rank:
+                kernels = None
+                def __init__(self):
+                    self.stats = {"mpi_messages": 0, "mpi_bytes": 0,
+                                  "halo_seconds": 0.0}
+                def call(self, entry, local):
+                    pass
+
+            def run():
+                DistributedExecutor((2, 1)).run(
+                    np.zeros((4, 4, 4), order="F"), lambda *a: Rank(), "e")
+
+            run()
+            pid = os.fork()
+            if pid == 0:
+                run()
+                os._exit(0)
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    sys.exit(os.waitstatus_to_exitcode(status))
+                time.sleep(0.05)
+            os.kill(pid, 9)
+            sys.exit("the child's run hung")
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestExecutorMechanics:

@@ -90,8 +90,8 @@ GUARDS = (
           r"_parse_(or|and|not|comparison|additive|multiplicative|unary"
           r"|power)\b|DoWhile|ExitStmt|CycleStmt|StringLiteral|result_name",
           ("src",), "7c804e5", "    def _parse_additive(self):"),
-    # verify() skips only a state it already checked, so attributes change
-    # through set_attr / remove_attr, which advance the IR epoch.
+    # verify() re-checks only what the mutation primitives marked, so
+    # attributes change through set_attr / remove_attr, which mark the op.
     Guard("attribute-writes",
           r"\.attributes\[[^]]*\]\s*=[^=]"
           r"|\.attributes\.(pop|popitem|update|setdefault|clear)\("
@@ -118,8 +118,9 @@ GUARDS = (
           r"|DenseElementsAttr|allow_unregistered|\.signed\b"
           r"|register_factory|prev_op",
           ("src",), "b3584f2", "flag = BoolAttr(True)"),
-    # Only a sweep's boxes share a pool: ranks, batch items and service
-    # requests run on an executor their call or service opens and joins.
+    # Only a sweep's boxes share a pool: a rank task holds an idle rank
+    # thread alone (no pool, no gate), and batch items and service requests
+    # run on an executor their call or service opens and joins.
     Guard("second-thread-owner",
           r"get_rank_pool|_RANK_POOL|_rank_pool_gate|_batch_executors"
           r"|class ParallelExecutor|_worker_loop|queue\.Queue",
@@ -198,6 +199,12 @@ GUARDS = (
           r"load\([^)]*source=",
           ("src", "docs", "examples", "README.md"), "after b041395",
           "loaded = store.load(key, source=source, backend=backend.name,"),
+    # verify() re-checks what each mutation primitive marks on the ops it
+    # touched: the process-wide mutation epoch and the per-root record of
+    # the epoch a root was verified at stay deleted.
+    Guard("mutation-epoch",
+          r"\bEPOCH\b|\bMUTATIONS\b|\b_verified\b",
+          ("src", "docs"), "after 8f474f3", "        EPOCH[0] = next(MUTATIONS)"),
 )
 
 
