@@ -64,12 +64,14 @@ def require_count(name: str, value) -> None:
 
 def _positive_ints(name: str, value) -> Tuple[int, ...]:
     """``value`` as a non-empty tuple of positive integers, else an
-    :class:`OptionError` naming the option ``name``."""
+    :class:`OptionError` naming the option ``name`` (``True`` is not 1)."""
     try:
-        ints = tuple(operator.index(v) for v in value)
+        items = tuple(value)
+        ints = tuple(map(operator.index, items))
     except TypeError:
-        raise OptionError(
-            f"{name} must be a sequence of integers, got {value!r}") from None
+        ints = None
+    if ints is None or any(isinstance(v, bool) for v in items):
+        raise OptionError(f"{name} must be a sequence of integers, got {value!r}")
     if not ints or any(v < 1 for v in ints):
         raise OptionError(f"{name} must be positive, got {ints}")
     return ints

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr
 from ..ir.operation import Operation, VerifyException
@@ -86,26 +86,32 @@ class _BinaryOp(Operation):
     def rhs(self) -> SSAValue:
         return self.operands[1]
 
+    #: The type classes the operands must be (``()``: any), and the words
+    #: a failure says them with.
+    operand_types: Tuple[type, ...] = ()
+    operand_words = ""
+
     def verify_(self) -> None:
-        if self.operands[0].type != self.operands[1].type:
+        try:
+            lhs, rhs = self.operands
+        except ValueError:
+            raise VerifyException(f"{self.name}: expected 2 operands, "
+                                  f"got {len(self.operands)}") from None
+        lhs, rhs = lhs.type, rhs.type
+        # Equal types are nearly always one object: skip Attribute.__eq__.
+        if lhs is not rhs and lhs != rhs:
             raise VerifyException(
-                f"{self.name}: operand types differ "
-                f"({self.operands[0].type.print()} vs {self.operands[1].type.print()})"
-            )
+                f"{self.name}: operand types differ ({lhs.print()} vs {rhs.print()})")
+        if self.operand_types and not isinstance(lhs, self.operand_types):
+            raise VerifyException(f"{self.name}: operands must be {self.operand_words}")
 
 
 class _FloatBinaryOp(_BinaryOp):
-    def verify_(self) -> None:
-        super().verify_()
-        if not isinstance(self.operands[0].type, FloatType):
-            raise VerifyException(f"{self.name}: operands must be floats")
+    operand_types, operand_words = (FloatType,), "floats"
 
 
 class _IntBinaryOp(_BinaryOp):
-    def verify_(self) -> None:
-        super().verify_()
-        if not isinstance(self.operands[0].type, (IntegerType, IndexType)):
-            raise VerifyException(f"{self.name}: operands must be integers or index")
+    operand_types, operand_words = (IntegerType, IndexType), "integers or index"
 
 
 class AddfOp(_FloatBinaryOp):

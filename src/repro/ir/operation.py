@@ -447,24 +447,24 @@ class Operation:
 
         It checks the structure — every operand slot's use is registered on
         its value, every region / block / operation points at its parent —
-        that no operand is used before the pass meets its definition (a
-        value defined outside the verified subtree is never met and stays
-        legal), ``IsolatedFromAbove`` (an operation may only use values
-        defined inside its innermost isolated ancestor; the outermost
-        violated ancestor is the one named), and each operation's trait
-        verifiers and ``verify_`` hook, called once, in pre-order.  One
-        pre-order pass makes each operation's checks as it meets it; if one
-        fails, :func:`_check_whole` walks the subtree again in three passes
-        (structure, then uses before definitions, then the rest) and raises
-        the first fault that order meets, so the message never depends on
-        what the fast pass met first.
+        that each operand is visible where it is used, ``IsolatedFromAbove``
+        (an operation may only use values defined inside its innermost
+        isolated ancestor; the outermost violated ancestor is the one named),
+        and each operation's trait verifiers and ``verify_`` hook, called
+        once, in pre-order.  Visibility is MLIR's: a result is visible to the
+        operations after its definer in its block and to all nested in them,
+        a block argument to all in its block; a value defined outside the
+        verified subtree stays legal.  One pre-order pass (:func:`_recheck`)
+        makes each operation's checks as it meets it.
 
         A top-level root (``parent is None``) re-checks only what the marks of
         :mod:`repro.ir.ssa` name: a changed operation, a moved one with all it
         holds, and nothing under a clean operation, whose count it keeps; a
         clean root returns at once.  Given a root that passed before, that
-        finds what a whole walk finds.  A nested root is walked whole every
-        time and leaves the marks to its top-level root.
+        finds what a whole walk finds.  If that pass fails, the same pass runs
+        again whole and raises the first fault it meets, so the message never
+        depends on the marks.  A nested root is walked whole every time and
+        leaves the marks to its top-level root.
         """
         top = self.parent is None
         if top and not self._dirty:
@@ -472,10 +472,11 @@ class Operation:
         try:
             return _recheck(self, top)
         except Exception as exc:
-            fault = exc
-        if top:
+            if not top:
+                raise  # the pass was whole
             self._dirty |= MOVED  # the marks under it went with the failed pass
-        _check_whole(self)  # raises what a whole walk meets first
+            fault = exc
+        _recheck(self, False)  # raises the first fault a whole pass meets
         raise fault
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -489,19 +490,27 @@ _PARENT = attrgetter("parent")
 
 def _recheck(root: Operation, incremental: bool) -> int:
     """The checks of :meth:`Operation.verify` in one pre-order pass, each
-    operation's as the pass meets it; ``incremental`` follows and clears the
-    marks (a top-level root), otherwise the pass is whole.  Raises on the
-    first fault it meets, which need not be the one a whole walk names."""
-    defined_in: Dict[SSAValue, Tuple[Operation, ...]] = {}
-    #: (operation, its isolated ancestors, value) not defined when used.
-    not_yet_defined: List[Tuple[Operation, Tuple[Operation, ...], SSAValue]] = []
+    operation's as the pass meets it, raising the first fault it meets;
+    ``incremental`` follows and clears the marks (a top-level root),
+    otherwise the pass is whole.
+
+    A value is visible where its block is one the pass is inside: it keeps
+    the block of each value it met, and the blocks it is inside with the
+    isolated operations above them.  A result enters when its definer is
+    done, so its own regions do not see it; a value the pass never met is
+    judged by where it is defined (:func:`_unseen`)."""
+    #: The block of every value met so far.
+    defined_in: Dict[SSAValue, Block] = {}
+    #: The blocks the pass is inside -> their isolated ancestors, outermost
+    #: first: one tuple per isolated operation, shared below it.
+    open_blocks: Dict[Block, Tuple[Operation, ...]] = {}
     mode = _PATH if incremental and not root._dirty & MOVED else _WHOLE
-    #: Whether the pass may skip a subtree, so miss a definition in it.
-    partial = mode == _PATH
     # One frame per open operation: (its children left, their isolated
     # ancestors outermost first, the pass's mode there, the operation, the
-    # operations counted before it).
+    # operations counted before it).  ``here``: the open block of the top
+    # frame (None before its first checked child).
     frames: list = [(iter((root,)), (), mode, None, 0)]
+    here = root.parent
     total = 0
     while frames:
         ops, isolated, mode, owner, start = frames[-1]
@@ -511,197 +520,97 @@ def _recheck(root: Operation, incremental: bool) -> int:
                 dirty = op._dirty
                 if not dirty:  # clean: count it, and see what it defines
                     total += op._count
+                    block = op.parent
                     for result in op.results:
-                        defined_in[result] = isolated
+                        defined_in[result] = block
                     continue
                 whole = dirty & MOVED
             total += 1
-            if whole or op._dirty & CHANGED:
+            if incremental:
+                op._dirty = 0
+            block = op.parent
+            if block is not here:
+                open_blocks.pop(here, None)
+                open_blocks[block] = isolated
+                here = block
+            if whole or dirty & CHANGED:
                 for value, use in zip(op._operands, op._uses):
                     if use not in value.uses:
-                        raise VerifyException("unregistered use")
-                    scope = defined_in.get(value)
-                    if scope is None:
-                        not_yet_defined.append((op, isolated, value))
-                    elif scope is not isolated and scope[: len(isolated)] != isolated:
-                        raise VerifyException("isolation violated")
+                        raise VerifyException(f"{op.name}: operand {use.index} "
+                                              "does not have a registered use")
+                    if open_blocks.get(defined_in.get(value)) is not isolated \
+                            and _unseen(root, op, use.index, value, isolated,
+                                        defined_in, open_blocks) and incremental:
+                        # Legal while the definition stays out: where it
+                        # lands decides, so the use stays marked and an
+                        # insertion never looks for the users of what it brings.
+                        mark(op, CHANGED)
                 for verifier in op._trait_verifiers:
                     verifier(op)
                 op.verify_()
-            for result in op.results:
-                defined_in[result] = isolated
-            if incremental:
-                op._dirty = 0
             if not op.regions:
+                for result in op.results:
+                    defined_in[result] = block
                 continue
             if op._isolated:
                 isolated = isolated + (op,)
             children: List[Operation] = []
             for region in op.regions:
                 if region.parent is not op:
-                    raise VerifyException("region with a wrong parent")
-                for block in region.blocks:
-                    if block.parent is not region:
-                        raise VerifyException("block with a wrong parent")
-                    for arg in block.args:
-                        defined_in[arg] = isolated
-                    nested = block._ops
-                    if list(map(_PARENT, nested)).count(block) != len(nested):
-                        raise VerifyException("op with a wrong parent")
+                    raise VerifyException(f"{op.name}: region has wrong parent")
+                for inner in region.blocks:
+                    if inner.parent is not region:
+                        raise VerifyException(
+                            f"{op.name}: block has wrong parent region")
+                    for arg in inner.args:
+                        defined_in[arg] = inner
+                    nested = inner._ops
+                    if list(map(_PARENT, nested)).count(inner) != len(nested):
+                        stray = next(c for c in nested if c.parent is not inner)
+                        raise VerifyException(f"{op.name}: nested op {stray.name} "
+                                              "has wrong parent block")
                     children += nested
             frames.append((iter(children), isolated, _WHOLE if whole else _PATH,
                            op, total - 1))
+            here = None
             break
         else:
             frames.pop()
+            open_blocks.pop(here, None)
             if owner is not None:
                 owner._count = total - start
-
-    #: The isolated scopes of the values defined where the pass did not go.
-    unmet: Dict[SSAValue, Tuple[Operation, ...]] = {}
-    #: Users of a value defined outside the root: legal while it stays out.
-    outside: List[Operation] = []
-    for op, isolated, value in not_yet_defined:
-        if value in defined_in or (
-                partial and not _defined_before(value, op, root, unmet)):
-            raise VerifyException("use before definition")
-        scope = unmet.get(value)
-        if scope is None:
-            scope = ()
-            outside.append(op)
-        if scope is not isolated and scope[: len(isolated)] != isolated:
-            raise VerifyException("isolation violated")
-    if incremental:
-        # Where the definition lands decides such a use: it stays marked, so
-        # an insertion never has to look for the users of what it brings.
-        for op in outside:
-            mark(op, CHANGED)
+                here = owner.parent
+                for result in owner.results:
+                    defined_in[result] = here
     root._count = total
     return total
 
 
-def _check_whole(root: Operation) -> None:
-    """Walk all of ``root`` the way :meth:`Operation.verify` describes, in
-    three passes, raising the first fault that order meets: what a failed
-    :func:`_recheck` reports, so that the message never depends on marks."""
-    #: (operation, its isolated ancestors outermost first), in pre-order.
-    order: List[Tuple[Operation, Tuple[Operation, ...]]] = []
-    defined_in: Dict[SSAValue, Tuple[Operation, ...]] = {}
-    #: (operation, operand index, value) not defined when it was used.
-    not_yet_defined: List[Tuple[Operation, int, SSAValue]] = []
-    stack: List[Tuple[Operation, Tuple[Operation, ...]]] = [(root, ())]
-    while stack:
-        entry = stack.pop()
-        order.append(entry)
-        op, isolated = entry
-        for value, use in zip(op._operands, op._uses):
-            if use not in value.uses:
-                raise VerifyException(
-                    f"{op.name}: operand {use.index} does not have a registered use"
-                )
-            if value not in defined_in:
-                not_yet_defined.append((op, use.index, value))
-        for result in op.results:
-            defined_in[result] = isolated
-        if not op.regions:
-            continue
-        if op._isolated:
-            isolated = isolated + (op,)
-        children: List[Tuple[Operation, Tuple[Operation, ...]]] = []
-        for region in op.regions:
-            if region.parent is not op:
-                raise VerifyException(f"{op.name}: region has wrong parent")
-            for block in region.blocks:
-                if block.parent is not region:
-                    raise VerifyException(f"{op.name}: block has wrong parent region")
-                for arg in block.args:
-                    defined_in[arg] = isolated
-                for child in block._ops:
-                    if child.parent is not block:
-                        raise VerifyException(
-                            f"{op.name}: nested op {child.name} has wrong parent block"
-                        )
-                    children.append((child, isolated))
-        stack.extend(reversed(children))
-
-    for op, index, value in not_yet_defined:
-        if value in defined_in:
+def _unseen(root: Operation, user: Operation, index: int, value: SSAValue,
+            isolated: Tuple[Operation, ...], defined_in: Dict[SSAValue, Block],
+            open_blocks: Dict[Block, Tuple[Operation, ...]]) -> bool:
+    """Judge operand ``index`` of ``user``, ``value``, whose block is not open
+    below ``user``'s innermost isolated ancestor: raise the fault, or return
+    whether ``value`` is defined outside ``root`` (one climb of parents)."""
+    block = defined_in.get(value)
+    scope = open_blocks.get(block)
+    if block is None:  # never met: outside the root, or not before the user
+        result = isinstance(value, OpResult)
+        block = value.op.parent if result else value.block
+        owner = value.op if result else block.parent_op()
+        if owner is None or not root.is_ancestor_of(owner):
+            scope = ()
+        elif block in open_blocks or block is root.parent:
             raise VerifyException(
-                f"{op.name}: operand {index} is used before its definition"
-            )
-
-    for op, isolated in order:
-        if isolated:
-            for operand in op._operands:
-                scope = defined_in.get(operand, ())
-                if scope is not isolated and scope[: len(isolated)] != isolated:
-                    violated = next(
-                        anc for k, anc in enumerate(isolated)
-                        if k >= len(scope) or scope[k] is not anc
-                    )
-                    raise VerifyException(
-                        f"{violated.name}: operation {op.name} references a value "
-                        "defined outside of an IsolatedFromAbove region"
-                    )
-        for verifier in op._trait_verifiers:
-            verifier(op)
-        op.verify_()
-
-
-def _position(op: Operation) -> Tuple[int, int, int]:
-    """Where ``op`` sits in its parent op: (region, block, op) indices."""
-    block = op.parent
-    region = block.parent
-    return (region.parent.regions.index(region), region.blocks.index(block),
-            block._ops.index(op))
-
-
-def _defined_before(value: SSAValue, user: Operation, root: Operation,
-                    scopes: Dict[SSAValue, Tuple[Operation, ...]]) -> bool:
-    """Whether ``value``, which an incremental walk of ``root`` did not meet,
-    is defined before ``user`` in pre-order or outside ``root``, as a whole
-    walk would find; if it is in ``root`` and before, enter its isolated
-    scope in ``scopes``.
-
-    The walk meets every definition but those nested in a clean subtree it
-    skipped and those outside ``root``: a value used out of the region
-    that defines it, or a fault."""
-    if isinstance(value, OpResult):
-        owner, scope_holder = value.op, value.op.parent_op()
-    else:
-        region = value.block.parent
-        owner = scope_holder = region.parent if region is not None else None
-    chain = []  # owner and its ancestors below ``root``
-    op = owner
-    while op is not None and op is not root:
-        chain.append(op)
-        op = op.parent_op()
-    if op is None and owner is not root:
-        return True  # outside the root: legal, and its scope stays ()
-    ancestors: Dict[Operation, Operation] = {}  # -> its child toward user
-    below, op = user, user
-    while op is not None:
-        ancestors[op] = below
-        if op is root:
-            break
-        below, op = op, op.parent_op()
-    # The first of the owner's ancestors (or itself) that is also the user's.
-    for depth, op in enumerate(chain + [root]):
-        if op in ancestors:
-            break
-    if depth == 0:  # an ancestor of the user, or the user itself
-        before = owner is not user
-    else:
-        user_side = ancestors[op]
-        before = user_side is not op and (
-            _position(chain[depth - 1]) < _position(user_side))
-    if before:
-        # As the walk builds it: the isolated ops from ``root`` down to the
-        # op whose regions define the value (a result's owner is not one).
-        scopes[value] = tuple(
-            op for op in [root] + chain[::-1]
-            if op._isolated and (op is not owner or scope_holder is owner))
-    return before
+                f"{user.name}: operand {index} is used before its definition")
+    if scope is None:
+        raise VerifyException(f"{user.name}: operand {index} is used outside "
+                              "the region that defines it")
+    if len(scope) < len(isolated):
+        raise VerifyException(
+            f"{isolated[len(scope)].name}: operation {user.name} references a "
+            "value defined outside of an IsolatedFromAbove region")
+    return value not in defined_in
 
 
 class Block:

@@ -80,10 +80,13 @@ def _at(items: list, index: Any, what: str):
 
 
 def _pick(items: list, indices: list, what: str) -> list:
-    """``items[i]`` for every id in ``indices``, each of which must be in range."""
+    """``items[i]`` for every id in ``indices``, each of which must be an
+    ``int`` in range (a JSON ``true`` is not id 1)."""
     try:
-        if not indices or min(indices) >= 0:
-            return [items[index] for index in indices]
+        picked = [items[index] for index in indices
+                  if type(index) is int and index >= 0]
+        if len(picked) == len(indices):
+            return picked
     except (IndexError, TypeError):
         pass
     raise TableError(f"{what} ids {indices!r} are not all in range")

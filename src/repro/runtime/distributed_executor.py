@@ -36,6 +36,7 @@ import threading
 import time
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -194,6 +195,14 @@ def _run_all_at_once(fn: Callable[[Any], Any], args: Sequence[Any]) -> None:
         future.result()
 
 
+def _count(name: str, value: Any, least: int) -> int:
+    """``value`` as an ``int`` >= ``least``, else an :class:`MPIError`
+    naming ``name``: a ``bool`` is not a count and a float is not an int."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise MPIError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 class DistributedExecutor:
     """Orchestrates scatter → per-rank execution → halo exchange → gather.
 
@@ -211,15 +220,16 @@ class DistributedExecutor:
 
     def __init__(self, grid: Sequence[int], *, halo: int = 1,
                  timeout: float = 30.0):
-        self.grid = tuple(int(g) for g in grid)
-        if not self.grid or any(g < 1 for g in self.grid):
-            raise MPIError(f"process grid must be positive, got {self.grid}")
-        if halo < 0:
-            raise MPIError(f"halo width must be >= 0, got {halo}")
-        self.halo = int(halo)
+        self.grid = tuple(_count("process grid extent", g, 1) for g in grid)
+        if not self.grid:
+            raise MPIError("process grid must have at least one dimension")
+        self.halo = _count("halo width", halo, 0)
         self.num_ranks = 1
         for extent in self.grid:
             self.num_ranks *= extent
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
+                or not timeout > 0:
+            raise MPIError(f"timeout must be a positive number, got {timeout!r}")
         self.timeout = float(timeout)
 
     # ------------------------------------------------------------------

@@ -559,7 +559,7 @@ class _BodyTranslator:
         self.external_paths: List[ExternalPath] = []
         self.external_slots: Dict[int, int] = {}
         #: id of each float literal in ``source`` -> its position in walk order
-        self.literal_positions = {id(op): i for i, op in enumerate(_float_literals(source))}
+        self.literal_slots = {id(op): i for i, op in enumerate(_float_literals(source))}
         #: parameter k -> the position of the literal it stands for
         self.parameters: List[int] = []
         #: each distinct load window (slot, axes) -> the one view bound to it
@@ -734,7 +734,7 @@ class _BodyTranslator:
                 # binds each op's value, so one kernel serves every value.
                 self.values[id(op.results[0])] = _Expr(f"c{len(self.parameters)}",
                                                        is_array=False)
-                self.parameters.append(self.literal_positions[id(op)])
+                self.parameters.append(self.literal_slots[id(op)])
             elif isinstance(getattr(attr, "type", None), (IntegerType, IndexType)):
                 self.values[id(op.results[0])] = _Const(int(attr.value))
             else:

@@ -180,6 +180,10 @@ class TestOptionSchemas:
         with pytest.raises(OptionError, match="grid"):
             DmpOptions(grid=(0, 2))
 
+    def test_a_boolean_grid_extent_is_not_one_rank(self):
+        with pytest.raises(OptionError, match="^grid must be a sequence of integers"):
+            DmpOptions(grid=(True, 2))
+
     def test_options_normalise_sequences_for_hashing(self):
         assert DmpOptions(grid=[2, 2]).grid == (2, 2)
         assert hash(DmpOptions(grid=[2, 2])) == hash(DmpOptions(grid=(2, 2)))

@@ -3,19 +3,23 @@
 Every mutation primitive marks the operations it touched, so the next
 ``verify()`` of a module re-checks them and skips its clean subtrees;
 constructing detached IR marks nothing.  A fault planted in a verified
-module through the IR's own primitives is found with the exception and
-message a whole walk of a never-verified twin raises.  Across every pass of
+module through the IR's own primitives, by hand or at random in a lowered
+PW / GS module (``--fuzz-seeds`` deepens it), is found with the exception
+and message a whole walk of a never-verified twin raises.  Across every pass of
 every named pipeline on both apps, a module whose ``verify()`` was skipped
 after a pass prints exactly as it did before the pass, and every verify of
 a lowering agrees with a whole walk.  ``Block.take_ops`` moves what a
 lowering keeps and refuses to strand a use.
 """
 
+import functools
+import random
+
 import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import arith, func, gpu
+from repro.dialects import arith, func, gpu, scf
 from repro.dialects.builtin import ModuleOp
 from repro.frontend import compile_to_fir
 from repro.ir import (
@@ -30,9 +34,11 @@ from repro.ir import (
     UnitAttr,
     VerifyException,
     f64,
+    index,
     operation,
     print_module,
 )
+from repro.ir.table import decode_module, encode_module
 from repro.transforms.pipelines import PIPELINES
 from repro.transforms.stencil_extraction import ExtractStencilsPass
 
@@ -157,6 +163,28 @@ def _move_after_its_user(n):
     n.host.entry_block.insert_op_after(n.add, n.neg)
 
 
+def _use_a_loop_value_after_the_loop(n):
+    bounds = [arith.ConstantOp.from_int(v, index) for v in (0, 4, 1)]
+    loop = scf.ForOp(*(bound.result for bound in bounds))
+    body = Builder.at_end(loop.body.block)
+    inside = body.insert(arith.NegfOp(n.add.result))
+    body.insert(scf.YieldOp())
+    n.host.entry_block.insert_ops_before([*bounds, loop], n.neg)
+    n.neg.set_operand(0, inside.result)
+
+
+def _use_a_then_value_in_the_else_region(n):
+    cond = arith.CmpfOp("olt", *n.host.entry_block.args)
+    branch = scf.IfOp(cond.result, else_region=Region([Block()]))
+    then = Builder.at_end(branch.then_block)
+    taken = then.insert(arith.NegfOp(n.add.result))
+    then.insert(scf.YieldOp())
+    otherwise = Builder.at_end(branch.regions[1].block)
+    otherwise.insert(arith.NegfOp(taken.result))
+    otherwise.insert(scf.YieldOp())
+    n.host.entry_block.insert_ops_before([cond, branch], n.neg)
+
+
 #: name -> (one fault planted in a :class:`Nested` through the IR's own
 #: primitives, the message a whole walk of the module raises).
 FAULTS = {
@@ -193,6 +221,15 @@ FAULTS = {
         lambda n: (setattr(n.deep, "verify_", _failing_hook),
                    n.deep.set_attr("k", UnitAttr())),
         "arith.negf: injected failure"),
+    "a loop-body value used after the loop": (
+        _use_a_loop_value_after_the_loop,
+        "arith.negf: operand 0 is used outside the region that defines it"),
+    "a value taken from a sibling op's region": (
+        lambda n: n.deep.set_operand(0, n.add.result),
+        "arith.negf: operand 0 is used outside the region that defines it"),
+    "a region-0 value used in region 1 of the same op": (
+        _use_a_then_value_in_the_else_region,
+        "arith.negf: operand 0 is used outside the region that defines it"),
 }
 
 
@@ -210,67 +247,202 @@ def test_a_fault_planted_in_a_verified_module_raises_what_a_whole_walk_does(faul
             assert not nested.module.is_verified
 
 
+def _ancestors(op):
+    """``op`` and the operations that hold it, innermost first."""
+    while op is not None:
+        yield op
+        op = op.parent_op()
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
+def _set_operand_to(ops, rng, candidates):
+    """Set an operand of a random user to a random one of
+    ``candidates(user)``; False if no user has any."""
+    for user in _shuffled(rng, (op for op in ops if op.operands)):
+        values = candidates(user)
+        if values:
+            user.set_operand(rng.randrange(len(user.operands)), rng.choice(values))
+            return True
+    return False
+
+
+def _plant_later_value(ops, rng):
+    """A value defined at or after its user in pre-order: a later result,
+    the user's own, or an ancestor's."""
+    return _set_operand_to(ops, rng, lambda user: [
+        r for op in ops[ops.index(user):] + list(_ancestors(user)) for r in op.results])
+
+
+def _plant_escaped_value(ops, rng):
+    """A value met earlier, in a block that does not hold its user."""
+    def candidates(user):
+        around = [op.parent for op in _ancestors(user)]
+        return [r for op in ops[:ops.index(user)] if op.parent not in around
+                for r in op.results]
+    return _set_operand_to(ops, rng, candidates)
+
+
+def _plant_deregistered_use(ops, rng):
+    user = rng.choice([op for op in ops if op.operands])
+    slot = rng.randrange(len(user.operands))
+    user.operands[slot].remove_use(user._uses[slot])
+    return True
+
+
+def _used(ops):
+    return [op for op in ops[1:] if any(r.uses for r in op.results)]
+
+
+def _plant_detached_in_use(ops, rng):
+    rng.choice(_used(ops)).detach()
+    return True
+
+
+def _plant_erased_in_use(ops, rng):
+    rng.choice(_used(ops)).erase(safe=False)
+    return True
+
+
+def _plant_moved_after_its_user(ops, rng):
+    """A definition moved after the op of its block that holds a user."""
+    for definer in _shuffled(rng, _used(ops)):
+        users = [use.operation for r in definer.results for use in r.uses]
+        holder = next(op for op in _ancestors(rng.choice(users))
+                      if op.parent is definer.parent)
+        if holder is not definer:
+            definer.detach()
+            holder.parent.insert_op_after(definer, holder)
+            return True
+    return False
+
+
+PLANTS = [_plant_later_value, _plant_escaped_value, _plant_deregistered_use,
+          _plant_detached_in_use, _plant_erased_in_use, _plant_moved_after_its_user]
+
+
+def _plant(module, seed):
+    """Plant one fault in ``module``, the same for the same seed and IR:
+    the kind ``seed`` picks, or the next one the IR has room for."""
+    rng = random.Random(seed)
+    ops = list(module.walk())
+    for k in range(len(PLANTS)):
+        plant = PLANTS[(seed + k) % len(PLANTS)]
+        if plant(ops, rng):
+            return plant.__name__
+    raise AssertionError("no fault fits")
+
+
+@functools.lru_cache(maxsize=None)
+def _lowered_tables(app, backend):
+    """The op tables of ``app``'s FIR and stencil modules, lowered for
+    ``backend`` (cpu at the scf level, or gpu)."""
+    handle = repro.Session().lower(SOURCES[app], backend, lower_to_scf=True)
+    return encode_module(handle.fir_module), encode_module(handle.stencil_module)
+
+
+def _two_faults(module):
+    """What two ``verify()`` calls of ``module`` raise: (class, message)."""
+    faults = []
+    for _ in range(2):
+        with pytest.raises(Exception) as caught:
+            module.verify()
+        faults.append((type(caught.value), str(caught.value)))
+        assert not module.is_verified
+    return faults
+
+
+def test_a_random_fault_in_a_lowered_module_raises_what_a_fresh_twin_does(fuzz_seeds):
+    """One fault planted through the mutation primitives into a verified PW
+    or GS module (cpu at the scf level, or gpu), FIR or stencil, raises the
+    class and message a never-verified twin decoded from the same op table
+    raises, twice.  Ten seeds plant every kind of fault."""
+    planted = set()
+    for seed in range(fuzz_seeds):
+        rng = random.Random(-1 - seed)
+        tables = _lowered_tables(rng.choice(sorted(SOURCES)), rng.choice(("cpu", "gpu")))
+        table = rng.choice(tables)
+        verified, fresh = decode_module(table), decode_module(table)
+        verified.verify()
+        assert verified.is_verified and not fresh.is_verified
+        kind = _plant(verified, seed)
+        assert _plant(fresh, seed) == kind
+        assert _two_faults(verified) == _two_faults(fresh), (seed, kind)
+        planted.add(kind)
+    assert len(planted) == len(PLANTS) or fuzz_seeds < 10
+
+
 def test_a_definition_placed_after_a_clean_user_is_found():
     """Under a root that isolates nothing, a use of a value from outside is
-    legal; the definition arriving after that user, built new or moved back
-    (with the use nested in it), makes the user's use come first."""
-    def definition(nested):
-        if not nested:
-            return arith.ConstantOp.from_float(3.0), None
+    legal; the definition arriving after that user, built new or moved back,
+    makes the user's use come first.  A value nested in an op that arrives
+    is one from outside the region that defines it."""
+    cases = [(False, False, "used before its definition"),
+             (False, True, "used before its definition"),
+             (True, False, "used outside the region that defines it")]
+    for nested, verified_before, fault in cases:
         inner = arith.ConstantOp.from_float(3.0)
-        return Operation(regions=[Region([Block(ops=[inner])])]), inner
-
-    for nested in (False, True):
-        for verified_before in (False, True):
-            holder, inner = definition(nested)
-            user = arith.NegfOp((inner or holder).result)
-            # Not the block's last op, which an insertion at the end re-checks.
-            root = Operation(regions=[Region([Block(ops=[user, Operation()])])])
-            if verified_before:  # the definition was in the root, before its user
-                root.regions[0].block.insert_op_at(0, holder)
-                assert root.verify() == 4 + nested
-                holder.detach()
-            assert root.verify() == 3
-            root.regions[0].block.add_op(holder)
-            with pytest.raises(VerifyException,
-                               match="arith.negf: operand 0 is used before its definition"):
-                root.verify()
+        holder = Operation(regions=[Region([Block(ops=[inner])])]) if nested else inner
+        user = arith.NegfOp(inner.result)
+        # Not the block's last op, which an insertion at the end re-checks.
+        root = Operation(regions=[Region([Block(ops=[user, Operation()])])])
+        if verified_before:  # the definition was in the root, before its user
+            root.regions[0].block.insert_op_at(0, holder)
+            assert root.verify() == 4
+            holder.detach()
+        assert root.verify() == 3
+        root.regions[0].block.add_op(holder)
+        with pytest.raises(VerifyException, match=f"arith.negf: operand 0 is {fault}"):
+            root.verify()
 
 
-def test_take_ops_moving_a_nested_definition_after_its_user_is_found():
-    """``take_ops`` refuses to strand a use of what a moved op defines, not
-    of what is nested in it; that use may now come first."""
+def test_take_ops_moves_a_nested_definition_with_its_users():
+    """``take_ops`` refuses to strand a use of what a moved op defines; a
+    value nested in it is visible only inside it, so its users move with it,
+    and a user outside it is refused wherever it sits."""
     inner = arith.ConstantOp.from_float(3.0)
-    holder = Operation(regions=[Region([Block(ops=[inner])])])
-    user = arith.NegfOp(inner.result)
+    holder = Operation(regions=[Region([Block(ops=[inner, arith.NegfOp(inner.result)])])])
     later = Operation(regions=[Region([Block()])])
-    root = Operation(regions=[Region([Block(ops=[holder, user, later])])])
+    root = Operation(regions=[Region([Block(ops=[holder, later])])])
     assert root.verify() == 5
     later.regions[0].block.take_ops([holder])
-    with pytest.raises(VerifyException,
-                       match="arith.negf: operand 0 is used before its definition"):
+    assert root.verify() == 5
+    root.regions[0].block.add_op(arith.NegfOp(inner.result))
+    with pytest.raises(VerifyException, match="arith.negf: operand 0 is used "
+                                              "outside the region that defines it"):
         root.verify()
 
 
-def test_a_use_of_a_value_nested_in_a_clean_op_is_placed_by_pre_order():
+def test_a_use_of_a_value_nested_in_a_clean_op_is_refused_wherever_it_sits():
     """The walk skips a clean op and what is nested in it; a changed op using
-    such a value (out of the region that defines it, which pre-order allows)
-    is checked against where the definition sits and what isolates it."""
-    f = func.FuncOp.build("f", [], [])
-    inner = arith.ConstantOp.from_float(3.0)
-    b = Builder.at_end(f.entry_block)
-    holder = b.insert(Operation(regions=[Region([Block(ops=[inner])])]))
-    user = b.insert(arith.NegfOp(b.insert(arith.ConstantOp.from_float(1.0)).result))
-    b.insert(func.ReturnOp([]))
-    module = ModuleOp([f])
-    assert module.verify() == 7
-    user.set_operand(0, inner.result)
-    assert module.verify() == 7  # defined before, in the same isolated scope
-    user.detach()
-    f.entry_block.insert_op_at(0, user)
-    with pytest.raises(VerifyException,
-                       match="arith.negf: operand 0 is used before its definition"):
-        module.verify()
+    such a value uses it outside the region that defines it, before or after
+    the op that holds it, and a whole walk of a fresh twin says the same."""
+    def build():
+        f = func.FuncOp.build("f", [], [])
+        inner = arith.ConstantOp.from_float(3.0)
+        b = Builder.at_end(f.entry_block)
+        b.insert(Operation(regions=[Region([Block(ops=[inner])])]))
+        user = b.insert(arith.NegfOp(b.insert(arith.ConstantOp.from_float(1.0)).result))
+        b.insert(func.ReturnOp([]))
+        return ModuleOp([f]), f, inner, user
+
+    fault = "arith.negf: operand 0 is used outside the region that defines it"
+    for verified_before in (True, False):
+        module, f, inner, user = build()
+        if verified_before:
+            assert module.verify() == 7
+        user.set_operand(0, inner.result)
+        for _ in range(2):
+            with pytest.raises(VerifyException, match=fault):
+                module.verify()
+        user.detach()
+        f.entry_block.insert_op_at(0, user)
+        with pytest.raises(VerifyException, match=fault):
+            module.verify()
 
 
 def test_a_clean_function_is_not_rechecked(rechecked):
@@ -399,7 +571,7 @@ def test_every_verify_of_a_lower_agrees_with_a_whole_walk(app, backend, options,
 
     def verify(op):
         count = real(op)
-        operation._check_whole(op)
+        operation._recheck(op, False)
         assert count == sum(1 for _ in op.walk()), op.name
         passed.append(op)
         return count

@@ -66,6 +66,16 @@ def test_an_out_of_range_id_is_refused(field, index):
             match="not all in range")
 
 
+@pytest.mark.parametrize("field", [1, 2])
+def test_a_boolean_id_is_refused(field):
+    # JSON ``true`` decodes to ``True``, an ``int`` equal to 1; with a second
+    # type spelled, value 1 and type 1 both exist.
+    def mutate(table):
+        table["types"].append("f32")
+        body(table)[1][field][0] = True
+    refused(mutate, match="not all in range")
+
+
 def test_an_out_of_range_attribute_id_is_refused():
     refused(lambda t: body(t)[0][3][0].__setitem__(1, -1), match="out of range")
 

@@ -606,3 +606,16 @@ class TestCommunicatorDiagnostics:
     def test_invalid_timeout_rejected(self):
         with pytest.raises(MPIError, match="timeout"):
             SimulatedCommunicator(2, timeout=0.0)
+
+    def test_a_fractional_grid_extent_is_refused(self):
+        with pytest.raises(MPIError, match="^process grid extent .* got 2.5"):
+            DistributedExecutor((2.5, 2))
+
+    @pytest.mark.parametrize("halo", [True, 1.5])
+    def test_a_halo_that_is_not_an_int_is_refused(self, halo):
+        with pytest.raises(MPIError, match=f"^halo width .* got {halo}"):
+            DistributedExecutor((2, 2), halo=halo)
+
+    def test_a_negative_timeout_is_refused_at_construction(self):
+        with pytest.raises(MPIError, match="^timeout .* got -1"):
+            DistributedExecutor((2, 2), timeout=-1)

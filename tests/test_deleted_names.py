@@ -205,6 +205,13 @@ GUARDS = (
     Guard("mutation-epoch",
           r"\bEPOCH\b|\bMUTATIONS\b|\b_verified\b",
           ("src", "docs"), "after 8f474f3", "        EPOCH[0] = next(MUTATIONS)"),
+    # verify() is one walk under one visibility rule: the three-pass walk
+    # that worded its failures and the pre-order placement of a definition
+    # the marked walk skipped stay deleted.
+    Guard("verify-second-walk",
+          r"_check_whole|_defined_before",
+          ("src", "docs"), "after e864bf3",
+          "        _check_whole(self)  # raises what a whole walk meets first"),
 )
 
 
