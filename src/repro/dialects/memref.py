@@ -28,14 +28,15 @@ class LoadOp(Operation):
         return self.operands[1:]
 
     def verify_(self) -> None:
-        mtype = self.operands[0].type
+        operands = self.operands
+        mtype, indices = operands[0].type, operands[1:]
         if not isinstance(mtype, MemRefType):
             raise VerifyException("memref.load: first operand must be a memref")
-        if len(self.indices) != mtype.rank:
+        if len(indices) != mtype.rank:
             raise VerifyException(
-                f"memref.load: expected {mtype.rank} indices, got {len(self.indices)}"
+                f"memref.load: expected {mtype.rank} indices, got {len(indices)}"
             )
-        for idx in self.indices:
+        for idx in indices:
             if not isinstance(idx.type, IndexType):
                 raise VerifyException("memref.load: indices must be of index type")
 
@@ -53,14 +54,15 @@ class StoreOp(Operation):
         return self.operands[2:]
 
     def verify_(self) -> None:
-        mtype = self.operands[1].type
+        operands = self.operands
+        mtype, indices = operands[1].type, operands[2:]
         if not isinstance(mtype, MemRefType):
             raise VerifyException("memref.store: second operand must be a memref")
-        if len(self.indices) != mtype.rank:
+        if len(indices) != mtype.rank:
             raise VerifyException(
-                f"memref.store: expected {mtype.rank} indices, got {len(self.indices)}"
+                f"memref.store: expected {mtype.rank} indices, got {len(indices)}"
             )
-        if self.operands[0].type != mtype.element_type:
+        if operands[0].type != mtype.element_type:
             raise VerifyException(
                 "memref.store: value type must match the memref element type"
             )

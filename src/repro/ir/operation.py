@@ -59,14 +59,15 @@ def _changed(op: "Operation") -> None:
                 mark(block._ops[-1], CHANGED)
 
 
-def _mark_users(ops: Iterable["Operation"]) -> None:
-    """Mark changed every user of a result of ``ops``: the definition moved.
-    A user marked moved is re-checked whole anyway."""
-    for op in ops:
-        for result in op.results:
-            for use in result.uses:
-                if not use.operation._dirty & MOVED:
-                    mark(use.operation, CHANGED)
+def _mark_users(op: "Operation") -> None:
+    """Mark changed every user of a result of ``op``: the definition moved.
+    A user marked moved is re-checked whole anyway.  Under the visibility
+    rule every user of a value nested in ``op`` is inside ``op``, which is
+    re-checked whole, so only ``op``'s own results are looked at."""
+    for result in op.results:
+        for use in result.uses:
+            if not use.operation._dirty & MOVED:
+                mark(use.operation, CHANGED)
 
 
 def _block_changed(block: "Block", last: Optional["Operation"] = None) -> None:
@@ -92,17 +93,11 @@ def _block_changed(block: "Block", last: Optional["Operation"] = None) -> None:
 
 def _left(op: "Operation") -> None:
     """``op`` left its block: re-check all of it wherever it goes, and the
-    users of what it defines, values nested in it included.  (An op that
-    enters a block need not look for users: a use of a value from outside
-    the root stays marked, see :func:`_recheck`.)"""
+    users of its results.  (An op that enters a block need not look for
+    users: a use of a value from outside the root stays marked, see
+    :func:`_recheck`.)"""
     op._dirty |= MOVED
-    if op.regions:
-        _mark_users(op.walk())
-    else:
-        for result in op.results:
-            if result.uses:
-                _mark_users((op,))
-                break
+    _mark_users(op)
 
 
 def _entered(block: "Block", op: "Operation") -> None:
@@ -347,8 +342,9 @@ class Operation:
             block._ops.remove(self)
             self.parent = None
             _block_changed(block, block._ops[-1] if was_last and block._ops else None)
-        # Each block is emptied last op first, so a use of a result left
-        # when its op goes is the use of an op that stays: it is marked.
+        # Only the users of this op's results can stay behind (safe=False):
+        # a value nested in it is used inside it, and goes with it.
+        _mark_users(self)
         doomed = [self]
         try:
             while doomed:
@@ -358,10 +354,6 @@ class Operation:
                     del operand.uses[use]
                 op._operands = []
                 op._uses = []
-                for result in op.results:
-                    if result.uses:
-                        _mark_users((op,))
-                        break
                 for region in op.regions:
                     for block in region.blocks:
                         for child in block._ops:
@@ -726,11 +718,9 @@ class Block:
         del block._ops[start:start + len(ops)]
         left = block._ops[-1] if block._ops and start == len(block._ops) else None
         last = self._ops[-1] if self._ops else None
-        for op in ops:
+        for op in ops:  # their users are among ``ops`` (checked above)
             op.parent = self
             op._dirty |= MOVED
-            if op.regions:  # its own users are among ``ops`` (checked above)
-                _mark_users(op.walk(include_self=False))
         self._ops.extend(ops)
         _block_changed(block, left)
         _block_changed(self, last)

@@ -6,10 +6,11 @@ move):
 
 * :class:`ArtifactStore` (:mod:`repro.serve.store`) — a content-addressed
   **on-disk** artifact cache keyed by the session's own ``(source
-  fingerprint, backend, frozen options)`` triple, persisting each module as
-  a JSON op table (:mod:`repro.ir.table`) plus a JSON metadata sidecar.  Atomic writes, checksum-verified reads
-  (corruption is a miss, never a crash), a versioned format and an LRU size
-  cap.  Attach one via ``Session(store=ArtifactStore(path))`` and warm
+  fingerprint, backend, frozen options)`` triple, persisting each artifact
+  as one file: a JSON header line, then one JSON op table per module
+  (:mod:`repro.ir.table`).  One atomic write per entry, checksum-verified
+  reads (corruption is a miss, never a crash), a versioned format and an LRU
+  size cap.  Attach one via ``Session(store=ArtifactStore(path))`` and warm
   processes skip every lower a previous process already did.
 * :class:`CompileService` (:mod:`repro.serve.service`) — a concurrent
   compile/run front door over a session, which lowers each distinct key

@@ -4,28 +4,31 @@ The :class:`repro.api.Session` cache is an in-process memo dict: every fresh
 process re-runs discovery/extraction/lowering for every artifact it touches.
 The :class:`ArtifactStore` promotes that cache to disk so *processes* share
 compiles: an artifact is keyed by the same ``(source fingerprint, backend
-name, frozen-options cache key)`` triple the session uses, persisted as one
-JSON op table per module (:mod:`repro.ir.table`: each distinct type and
-attribute spelling is parsed once, the ops are built from data, and no IR text
-is re-read) plus a JSON metadata sidecar.
+name, frozen-options cache key)`` triple the session uses, and persisted as
+one file: a JSON header line, then one JSON op table per module
+(:mod:`repro.ir.table`: each distinct type and attribute spelling is parsed
+once, the ops are built from data, and no IR text is re-read).
 
 Design constraints, in order:
 
-* **Concurrent writers are safe.**  Every file lands via temp-file +
+* **Concurrent writers are safe.**  An entry lands in one temp-file +
   ``os.replace`` (atomic on POSIX), with unique temp names per
   process/thread, so a reader never observes a half-written entry and two
   processes racing the same key simply last-write-win equivalent content.
-* **Corruption is a miss, never a crash.**  The metadata sidecar records a
-  sha256 checksum of the payload; a truncated payload, a bad checksum, an
-  unparseable sidecar, a table the decoder refuses (an op this build does not
-  register, an id out of range, a use before its definition, any malformed
-  shape) or a module that fails verification all count as ``corrupt``
-  misses, the entry is deleted best-effort, and the client recompiles.
-* **The format is versioned.**  ``STORE_FORMAT_VERSION`` mismatches are
-  misses (counted separately), so a store written by another layout never
-  feeds garbage into this reader.
-* **Bounded size.**  ``max_bytes`` caps the store; eviction is LRU by
-  sidecar mtime (reads touch the sidecar), oldest first.
+  The rename is the one commit point: a failed write leaves no file behind.
+* **Corruption is a miss, never a crash.**  The header records a sha256
+  checksum sealing the body and every other header field; an unreadable
+  file, a garbage header, a checksum mismatch (truncation, a flipped byte),
+  a table the decoder refuses (an op this build does not register, an id
+  out of range, a use before its definition, any malformed shape) or a
+  module that fails verification all count as ``corrupt`` misses, the entry
+  is deleted best-effort, and the client recompiles.
+* **The format is versioned.**  Entries live under ``root/v<version>/``, and
+  a ``STORE_FORMAT_VERSION`` mismatch in a header is a miss (counted
+  separately, the file left alone), so a store written by another layout
+  never feeds garbage into this reader.
+* **Bounded size.**  ``max_bytes`` caps the store; eviction is LRU by entry
+  mtime (reads touch the entry), oldest first.
 
 An entry is found by its key alone and holds only what was compiled: the
 request that names it (source, backend, options) stays with the caller, and
@@ -35,6 +38,7 @@ run in this process.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -50,7 +54,7 @@ from ..ir.table import decode_module, encode_module
 
 #: On-disk layout version; bump on any incompatible change.  A mismatched
 #: entry is a (counted) miss, never an error.
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 
 _temp_counter = itertools.count()
 
@@ -68,14 +72,23 @@ def key_digest(key: Tuple) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _checksum(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
+def _dumps(header: Dict) -> bytes:
+    return json.dumps(header, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def _checksum(header: Dict, body: bytes) -> str:
+    """sha256 of ``body`` and of every ``header`` field but the checksum:
+    a changed byte anywhere in an entry is a mismatch."""
+    fields = {name: value for name, value in header.items()
+              if name != "checksum"}
+    return hashlib.sha256(_dumps(fields) + b"\n" + body).hexdigest()
 
 
 def serialize_artifact(artifact: CompiledArtifact) -> Tuple[bytes, Dict]:
-    """Render an artifact to its persistent form: the payload (a JSON list of
-    op tables, FIR module first) and the JSON-ready metadata dict (sans
-    checksum/size, added at write time)."""
+    """Render an artifact to its persistent form: the entry body (a JSON
+    list of op tables, FIR module first) and the JSON-ready artifact metadata
+    its header carries."""
     tables = [encode_module(module) for module in artifact.modules]
     payload = json.dumps(tables, separators=(",", ":")).encode("utf-8")
     meta = {
@@ -119,17 +132,16 @@ def deserialize_artifact(payload: bytes, meta: Dict) -> CompiledArtifact:
 class ArtifactStore:
     """A content-addressed, size-capped, crash-safe artifact store on disk.
 
-    One entry per key, two files per entry under ``root/v3/``:
+    One file per key, ``root/v4/<digest>.entry``:
 
-    * ``<digest>.ops``  — payload: a JSON list of op tables (FIR module, then
-      the stencil module if there is one);
-    * ``<digest>.json`` — metadata sidecar: format version, the human-readable
-      key components, the payload checksum and size, and artifact stats
-      (stencil counts, extracted function names).
+    * line 1, the JSON header: format version, the human-readable key
+      components, the checksum, and the artifact metadata (whether there is
+      a stencil module, stencil counts, extracted function names);
+    * after its newline, the body: a JSON list of op tables (FIR module,
+      then the stencil module if there is one).
 
-    The sidecar is the commit point: readers load it first, then the payload,
-    and accept the entry only if the checksum matches.  Its mtime doubles as
-    the LRU clock (touched on every hit).
+    A save is one atomic write and a load one read.  The file's mtime is the
+    LRU clock (touched on every hit).
     """
 
     def __init__(self, root, max_bytes: Optional[int] = None):
@@ -150,10 +162,8 @@ class ArtifactStore:
             "write_errors": 0,
         }
 
-    # -- paths ----------------------------------------------------------------
-
-    def _paths(self, digest: str) -> Tuple[Path, Path]:
-        return self._dir / f"{digest}.ops", self._dir / f"{digest}.json"
+    def _path(self, digest: str) -> Path:
+        return self._dir / f"{digest}.entry"
 
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._lock:
@@ -164,47 +174,33 @@ class ArtifactStore:
     def load(self, key: Tuple) -> Optional[CompiledArtifact]:
         """The artifact stored under ``key``, or ``None`` (a safe miss).
 
-        Every failure mode — absent entry, unreadable or unparseable sidecar,
-        version mismatch, checksum mismatch (truncation, corruption), a table
-        the decoder refuses or a failed verification — returns ``None``;
-        corrupt entries are additionally deleted best-effort so they stop
-        costing read attempts.
+        Every failure mode — absent entry, unreadable file, garbage header,
+        version mismatch, checksum mismatch, a table the decoder refuses or a
+        failed verification — returns ``None``; corrupt entries are
+        additionally deleted best-effort so they stop costing read attempts,
+        and a version-skewed one is left alone.
         """
         digest = key_digest(key)
-        ops_path, meta_path = self._paths(digest)
+        path = self._path(digest)
         try:
-            meta = json.loads(meta_path.read_bytes())
-            version = meta.get("format_version")
-        except (OSError, ValueError, AttributeError):
-            if meta_path.exists():
-                self._bump("corrupt_entries")
-                self._delete_entry(digest)
+            header, _, body = path.read_bytes().partition(b"\n")
+            meta = json.loads(header)
+            if meta["format_version"] != STORE_FORMAT_VERSION:
+                self._bump("version_mismatches")
+                self._bump("misses")
+                return None
+            if _checksum(meta, body) != meta["checksum"]:
+                raise ValueError("checksum mismatch")
+            artifact = deserialize_artifact(body, meta["artifact"])
+        except FileNotFoundError:
             self._bump("misses")
             return None
-        if version != STORE_FORMAT_VERSION:
-            self._bump("version_mismatches")
-            self._bump("misses")
-            return None
-        try:
-            payload = ops_path.read_bytes()
-        except OSError:
-            self._bump("corrupt_entries")
-            self._delete_entry(digest)
-            self._bump("misses")
-            return None
-        if _checksum(payload) != meta.get("checksum"):
-            self._bump("corrupt_entries")
-            self._delete_entry(digest)
-            self._bump("misses")
-            return None
-        try:
-            artifact = deserialize_artifact(payload, meta["artifact"])
         except Exception:
             self._bump("corrupt_entries")
             self._delete_entry(digest)
             self._bump("misses")
             return None
-        self._touch(meta_path)
+        self._touch(path)
         self._bump("hits")
         return artifact
 
@@ -214,35 +210,28 @@ class ArtifactStore:
         """Persist ``artifact`` under ``key``; returns False if it cannot
         be encoded or written.
 
-        Write order is payload-then-sidecar, each via an atomic rename, so a
-        concurrent reader either sees the complete entry or a checksum
-        mismatch (= miss).  Never raises: a store that cannot write degrades
-        the system to compile-every-process, not to broken.
+        The entry is one file written via an atomic rename, so a concurrent
+        reader sees the previous entry, the complete new one, or none.
+        Never raises: a store that cannot write degrades the system to
+        compile-every-process, not to broken.
         """
         digest = key_digest(key)
-        ops_path, meta_path = self._paths(digest)
-        try:
-            payload, artifact_meta = serialize_artifact(artifact)
-        except Exception:
-            self._bump("write_errors")
-            return False
         fingerprint, backend, options_key = key
-        meta = {
-            "format_version": STORE_FORMAT_VERSION,
-            "key": {
-                "source_fingerprint": fingerprint,
-                "backend": backend,
-                "options": repr(options_key),
-            },
-            "checksum": _checksum(payload),
-            "payload_bytes": len(payload),
-            "artifact": artifact_meta,
-        }
         try:
-            self._atomic_write(ops_path, payload)
-            self._atomic_write(meta_path, json.dumps(
-                meta, indent=1, sort_keys=True).encode("utf-8"))
-        except OSError:
+            body, artifact_meta = serialize_artifact(artifact)
+            header = {
+                "format_version": STORE_FORMAT_VERSION,
+                "key": {
+                    "source_fingerprint": fingerprint,
+                    "backend": backend,
+                    "options": repr(options_key),
+                },
+                "artifact": artifact_meta,
+            }
+            header["checksum"] = _checksum(header, body)
+            self._atomic_write(self._path(digest),
+                               _dumps(header) + b"\n" + body)
+        except Exception:
             self._bump("write_errors")
             return False
         self._bump("writes")
@@ -251,42 +240,42 @@ class ArtifactStore:
         return True
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
+        """Write ``data`` to ``path`` through a temp file and a rename; on any
+        failure the temp file is removed and the exception re-raised."""
         temp = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}"
             f".{next(_temp_counter)}.tmp"
         )
-        temp.write_bytes(data)
-        os.replace(temp, path)
+        try:
+            temp.write_bytes(data)
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+            raise
 
     @staticmethod
     def _touch(path: Path) -> None:
-        try:
+        with contextlib.suppress(OSError):
             os.utime(path)
-        except OSError:
-            pass
 
     # -- eviction / management -------------------------------------------------
 
     def entries(self) -> List[Tuple[str, int, float]]:
-        """Current entries as ``(digest, total bytes, sidecar mtime)``,
-        least-recently-used first.
+        """Current entries as ``(digest, bytes, mtime)``, least-recently-used
+        first.
 
         Coarse filesystem timestamps routinely give several entries the same
         mtime; the digest is the tiebreak, so the ordering — and therefore
         which entry an over-cap store evicts — is deterministic across runs
         and platforms instead of directory-enumeration order."""
         found = []
-        for meta_path in self._dir.glob("*.json"):
-            digest = meta_path.stem
-            ops_path = self._paths(digest)[0]
+        for path in self._dir.glob("*.entry"):
             try:
-                stat = meta_path.stat()
-                size = stat.st_size + (
-                    ops_path.stat().st_size if ops_path.exists() else 0
-                )
+                stat = path.stat()
             except OSError:
                 continue
-            found.append((digest, size, stat.st_mtime))
+            found.append((path.stem, stat.st_size, stat.st_mtime))
         found.sort(key=lambda item: (item[2], item[0]))
         return found
 
@@ -314,11 +303,8 @@ class ArtifactStore:
             total -= size
 
     def _delete_entry(self, digest: str) -> None:
-        for path in self._paths(digest):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        with contextlib.suppress(OSError):
+            self._path(digest).unlink()
 
     def clear(self) -> None:
         """Delete every entry (counters are preserved)."""

@@ -1,16 +1,19 @@
 """ArtifactStore: persistence round-trip and every failure path.
 
 The store's contract is "corruption is a miss, never a crash": truncated
-payloads, checksum mismatches, unreadable sidecars, version skew, hostile
-op tables and racing writers must all surface as ``None`` (→ recompile), with
-the failure counted, and never as an exception to the client.
+entries, checksum mismatches, garbage headers, version skew, hostile op
+tables and racing writers must all surface as ``None`` (→ recompile), with
+the failure counted, and never as an exception to the client; and a write
+that fails leaves no file behind.
 """
 
+import errno
 import hashlib
 import json
 import os
 import random
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from repro.ir import print_module
 from repro.ir.attributes import DenseArrayAttr, UnitAttr
 from repro.runtime import Interpreter, SimulatedGPU
 from repro.serve import ArtifactStore, STORE_FORMAT_VERSION, key_digest
-from repro.serve.store import serialize_artifact
+from repro.serve.store import _checksum, serialize_artifact
 
 
 def _compile_artifact(source, backend="cpu", **overrides):
@@ -34,19 +37,27 @@ def _compile_artifact(source, backend="cpu", **overrides):
     return key, artifact, options
 
 
-def _entry_paths(store, key):
-    digest = key_digest(key)
-    return (store._dir / f"{digest}.ops", store._dir / f"{digest}.json")
+def _entry_path(store, key):
+    return store._dir / f"{key_digest(key)}.entry"
 
 
-def _write_payload(ops_path, payload):
-    """Replace an entry's payload and re-seal its sidecar checksum, so the
-    decoder, not the checksum, meets ``payload``."""
-    meta_path = ops_path.with_suffix(".json")
-    meta = json.loads(meta_path.read_text())
-    meta["checksum"] = hashlib.sha256(payload).hexdigest()
-    ops_path.write_bytes(payload)
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+def _split(entry):
+    """An entry's header (a dict) and body."""
+    header, _, body = entry.partition(b"\n")
+    return json.loads(header), body
+
+
+def _sealed(header, body):
+    """The bytes of an entry of ``header`` and ``body``, its checksum
+    re-sealed, so the decoder, not the checksum, meets them."""
+    header = dict(header, checksum=_checksum(header, body))
+    return json.dumps(header).encode("utf-8") + b"\n" + body
+
+
+def _write_body(path, body):
+    """Replace an entry's body, re-sealing its header."""
+    header, _ = _split(path.read_bytes())
+    path.write_bytes(_sealed(header, body))
 
 
 def _op_entries(entry):
@@ -97,25 +108,6 @@ class TestRoundTrip:
             artifact.stencil_module is None)
         assert store.stats["hits"] == 1
 
-    def test_an_entry_whose_sidecar_names_the_backend_still_hits(
-            self, tmp_path):
-        """Entries written before the artifact metadata dropped ``backend``
-        (the sidecar's key records it) carry it still; the payload is the
-        same, so they load."""
-        source = gauss_seidel.generate_source(6)
-        Session(store=ArtifactStore(tmp_path)).lower(source, "cpu")
-        (meta_path,) = (tmp_path / f"v{STORE_FORMAT_VERSION}").glob("*.json")
-        meta = json.loads(meta_path.read_text())
-        assert meta["key"]["backend"] == "cpu"
-        assert "backend" not in meta["artifact"]
-        meta["artifact"]["backend"] = "cpu"
-        meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True))
-        warm = Session(store=ArtifactStore(tmp_path))
-        compiled = warm.lower(source, "cpu")
-        assert warm.cache_stats["disk_hits"] == 1
-        assert warm.cache_stats["misses"] == 0
-        assert compiled.discovered_stencils == {"gauss_seidel": 1}
-
     def test_absent_key_is_a_plain_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
         source = gauss_seidel.generate_source(6)
@@ -143,62 +135,104 @@ class TestFailurePaths:
         store.save(key, artifact)
         return store, key, source, options
 
-    def test_truncated_payload_is_a_miss_and_entry_is_dropped(self, tmp_path):
+    def test_truncated_entry_is_a_miss_and_entry_is_dropped(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
-        ops_path, meta_path = _entry_paths(store, key)
-        ops_path.write_bytes(ops_path.read_bytes()[: 100])
+        path = _entry_path(store, key)
+        path.write_bytes(path.read_bytes()[:-100])
         assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
-        assert not ops_path.exists() and not meta_path.exists()
+        assert not path.exists()
 
     def test_bad_checksum_is_a_miss(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
-        ops_path, _ = _entry_paths(store, key)
-        ops_path.write_bytes(ops_path.read_bytes() + b" ")
+        path = _entry_path(store, key)
+        path.write_bytes(path.read_bytes() + b" ")
         assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
 
-    def test_missing_payload_file_is_a_miss(self, tmp_path):
+    def test_a_deleted_entry_is_a_plain_miss(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
-        ops_path, _ = _entry_paths(store, key)
-        ops_path.unlink()
+        _entry_path(store, key).unlink()
         assert store.load(key) is None
-        assert store.stats["corrupt_entries"] == 1
+        assert store.stats["misses"] == 1
+        assert store.stats["corrupt_entries"] == 0
 
-    @pytest.mark.parametrize("garbage", ["{not json", "[1, 2]"])
-    def test_garbage_sidecar_is_a_miss(self, tmp_path, garbage):
+    @pytest.mark.parametrize("garbage", [b"{not json", b"[1, 2]"])
+    def test_garbage_header_is_a_miss(self, tmp_path, garbage):
         store, key, source, options = self._stored(tmp_path)
-        _, meta_path = _entry_paths(store, key)
-        meta_path.write_text(garbage, encoding="utf-8")
+        path = _entry_path(store, key)
+        _, body = _split(path.read_bytes())
+        path.write_bytes(garbage + b"\n" + body)
         assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
+        assert not path.exists()
 
     @pytest.mark.parametrize("bogus", [
         b"this is not an op table",
         b"[]",
         b'[{"types": [], "attrs": [], "hints": [], "op": 7}]',
     ])
-    def test_checksum_matches_but_payload_undecodable_is_a_miss(
+    def test_checksum_matches_but_body_undecodable_is_a_miss(
             self, tmp_path, bogus):
         store, key, source, options = self._stored(tmp_path)
-        ops_path, _ = _entry_paths(store, key)
-        _write_payload(ops_path, bogus)
+        _write_body(_entry_path(store, key), bogus)
         assert store.load(key) is None
         assert store.stats["corrupt_entries"] == 1
 
     def test_version_mismatch_is_a_counted_miss_not_corruption(self, tmp_path):
         store, key, source, options = self._stored(tmp_path)
-        _, meta_path = _entry_paths(store, key)
-        meta = json.loads(meta_path.read_text())
-        meta["format_version"] = STORE_FORMAT_VERSION + 1
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        path = _entry_path(store, key)
+        header, body = _split(path.read_bytes())
+        header["format_version"] = STORE_FORMAT_VERSION + 1
+        skewed = _sealed(header, body)
+        path.write_bytes(skewed)
         assert store.load(key) is None
         stats = store.stats
         assert stats["version_mismatches"] == 1
         assert stats["corrupt_entries"] == 0
         # A version-skewed entry is left alone (an old reader must not
         # destroy a future writer's data).
-        assert meta_path.exists()
+        assert path.read_bytes() == skewed
+
+    def test_a_full_disk_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        """A write that runs out of room fails whole: ``save`` counts a write
+        error, nothing of the entry stays on disk, and ``clear()`` empties
+        the directory.  The disk here has room for the op tables alone."""
+        store, key, source, options = self._stored(tmp_path)
+        other = gauss_seidel.generate_source(6, name="other")
+        other_key, artifact, _ = _compile_artifact(other, "cpu")
+        body, _ = serialize_artifact(artifact)
+        free = [len(body)]
+        write_bytes = Path.write_bytes
+
+        def full_disk(path, data):
+            if len(data) > free[0]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            free[0] -= len(data)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", full_disk)
+        assert store.save(other_key, artifact) is False
+        assert store.stats["write_errors"] == 1
+        assert len(store) == 1
+        # Every byte on disk is an entry's: no orphan the cap cannot see.
+        assert sum(file.stat().st_size for file in store._dir.iterdir()) == (
+            store.total_bytes())
+        store.clear()
+        assert list(store._dir.iterdir()) == []
+
+    def test_a_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        source = gauss_seidel.generate_source(6)
+        key, artifact, _ = _compile_artifact(source, "cpu")
+        store = ArtifactStore(tmp_path)
+
+        def replace(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert store.save(key, artifact) is False
+        assert store.stats["write_errors"] == 1
+        assert list(store._dir.iterdir()) == []
 
     def _run_gs_scf(self, session):
         u = gauss_seidel.initial_condition(6)
@@ -207,11 +241,10 @@ class TestFailurePaths:
         return u.tobytes() == gauss_seidel.reference_jacobi(
             gauss_seidel.initial_condition(6), 1).tobytes()
 
-    def test_a_text_entry_of_the_previous_format_is_recompiled_into_v3(
-            self, tmp_path):
+    def test_a_text_entry_of_format_2_is_recompiled_into_v4(self, tmp_path):
         """Where and how format 2 stored a lowered Gauss–Seidel: printed IR
         under ``v2/``.  This build reads no text, so the entry is a miss that
-        recompiles into ``v3/`` and is left alone."""
+        recompiles into ``v4/`` and is left alone."""
         source = gauss_seidel.generate_source(6)
         key, artifact, _ = _compile_artifact(source, "cpu", lower_to_scf=True)
         _, artifact_meta = serialize_artifact(artifact)
@@ -230,10 +263,50 @@ class TestFailurePaths:
         assert session.cache_stats["misses"] == 1
         assert session.cache_stats["disk_hits"] == 0
         assert (old / f"{digest}.ir").read_bytes() == payload   # left alone
-        assert (tmp_path / "v3" / f"{digest}.ops").exists()
+        assert (tmp_path / "v4" / f"{digest}.entry").exists()
         warm = Session(store=ArtifactStore(tmp_path))
         assert self._run_gs_scf(warm)
         assert warm.cache_stats["disk_hits"] == 1
+
+    def test_an_op_table_pair_of_format_3_is_a_plain_miss_recompiled_into_v4(
+            self, tmp_path):
+        """Where and how format 3 stored a lowered Gauss–Seidel: the op
+        tables in ``v3/<digest>.ops`` and a JSON sidecar naming their
+        checksum beside them.  This build looks only in ``v4/``: the lower
+        is a plain miss, not a corrupt entry, it recompiles into ``v4/``,
+        and the old pair is left byte-identical."""
+        source = gauss_seidel.generate_source(6)
+        key, artifact, _ = _compile_artifact(source, "cpu", lower_to_scf=True)
+        payload, artifact_meta = serialize_artifact(artifact)
+        fingerprint, backend, options_key = key
+        sidecar = json.dumps({
+            "format_version": 3,
+            "key": {"source_fingerprint": fingerprint, "backend": backend,
+                    "options": repr(options_key)},
+            "checksum": hashlib.sha256(payload).hexdigest(),
+            "payload_bytes": len(payload),
+            "artifact": artifact_meta,
+        }, indent=1, sort_keys=True).encode("utf-8")
+        old = tmp_path / "v3"
+        old.mkdir()
+        digest = key_digest(key)
+        (old / f"{digest}.ops").write_bytes(payload)
+        (old / f"{digest}.json").write_bytes(sidecar)
+        session = Session(store=ArtifactStore(tmp_path))
+        assert self._run_gs_scf(session)
+        assert session.cache_stats["misses"] == 1
+        assert session.cache_stats["disk_hits"] == 0
+        assert session.store.stats["corrupt_entries"] == 0
+        assert session.store.stats["version_mismatches"] == 0
+        assert (old / f"{digest}.ops").read_bytes() == payload
+        assert (old / f"{digest}.json").read_bytes() == sidecar
+        assert sorted(p.name for p in old.iterdir()) == [
+            f"{digest}.json", f"{digest}.ops"]
+        assert (tmp_path / "v4" / f"{digest}.entry").exists()
+        warm = Session(store=ArtifactStore(tmp_path))
+        assert self._run_gs_scf(warm)
+        assert (warm.cache_stats["disk_hits"], warm.cache_stats["misses"]) == (
+            1, 0)
 
     def test_a_gpu_entry_keyed_by_the_deleted_tile_option_is_a_counted_miss(
             self, tmp_path):
@@ -247,14 +320,14 @@ class TestFailurePaths:
         old_key = (fingerprint, backend, options_key + (("tile_sizes", None),))
         store = ArtifactStore(tmp_path)
         assert store.save(old_key, artifact)
-        old_ops, _ = _entry_paths(store, old_key)
+        old_entry = _entry_path(store, old_key)
 
         session = Session(store=ArtifactStore(tmp_path))
         session.lower(source, "gpu", lower_to_scf=True)
         assert session.cache_stats["misses"] == 1
         assert session.cache_stats["disk_hits"] == 0
         assert session.store.stats["corrupt_entries"] == 0
-        assert old_ops.exists()
+        assert old_entry.exists()
         warm = Session(store=ArtifactStore(tmp_path))
         warm.lower(source, "gpu", lower_to_scf=True)
         assert (warm.cache_stats["disk_hits"], warm.cache_stats["misses"]) == (
@@ -305,13 +378,13 @@ class TestFailurePaths:
         Session(store=ArtifactStore(tmp_path)).lower(
             gauss_seidel.generate_source(6), "cpu", lower_to_scf=True)
         store = ArtifactStore(tmp_path)
-        (ops_path,) = store._dir.glob("*.ops")
-        tables = json.loads(ops_path.read_bytes())
+        (path,) = store._dir.glob("*.entry")
+        tables = json.loads(_split(path.read_bytes())[1])
         (snapshot,) = [entry for table in tables
                        for entry in _op_entries(table["op"])
                        if entry[0] == "memref.snapshot"]
         snapshot[0] = "memref.alloc"
-        _write_payload(ops_path, json.dumps(tables).encode())
+        _write_body(path, json.dumps(tables).encode())
         session = Session(store=store)
         assert self._run_gs_scf(session)
         assert store.stats["corrupt_entries"] == 1
@@ -324,9 +397,9 @@ class TestFailurePaths:
         store = ArtifactStore(tmp_path)
         warm = Session(store=store)
         warm.lower(source, "cpu", lower_to_scf=True)
-        # Corrupt every payload on disk.
-        for ops_file in store._dir.glob("*.ops"):
-            ops_file.write_bytes(b"garbage")
+        # Corrupt every entry on disk.
+        for path in store._dir.glob("*.entry"):
+            path.write_bytes(b"garbage")
         cold = Session(store=ArtifactStore(tmp_path))
         compiled = cold.lower(source, "cpu", lower_to_scf=True)
         assert compiled.artifact is not None
@@ -423,8 +496,7 @@ class TestLRUEviction:
         # Age the entries deterministically: keys[0] oldest ... keys[2]
         # newest, then touch keys[0] by reading it (a hit is a use).
         for age, (key, _, _) in enumerate(keys):
-            _, meta_path = _entry_paths(store, key)
-            os.utime(meta_path, (1000.0 + age, 1000.0 + age))
+            os.utime(_entry_path(store, key), (1000.0 + age, 1000.0 + age))
         store.load(keys[0][0])
 
         # Cap so exactly one entry must go: keys[1] is now the LRU.
@@ -484,8 +556,7 @@ class TestLRUEviction:
             store = ArtifactStore(root)
             keys = self._save_n(store, 3)
             for key, _, _ in keys:
-                _, meta_path = _entry_paths(store, key)
-                os.utime(meta_path, (1000.0, 1000.0))
+                os.utime(_entry_path(store, key), (1000.0, 1000.0))
             return store, keys
 
         survivors = []
@@ -506,63 +577,87 @@ class TestLRUEviction:
 
 
 class TestHostilePayload:
-    """The payload is input too.  Every prefix (at a stride) of a stored PW
-    gpu-scf payload and ``--fuzz-seeds`` x 20 seeded byte mutations, each
+    """The entry is input too.  Every prefix (at a stride) of a stored PW
+    gpu-scf body and ``--fuzz-seeds`` x 20 seeded byte mutations of it, each
     re-sealed so the decoder meets it, load as a counted corrupt miss or as
-    modules that verify and reprint — never as an exception out of
-    ``ArtifactStore.load``."""
+    modules that verify and reprint; ``--fuzz-seeds`` x 20 seeded byte
+    mutations of the header line load as a counted miss.  None raises out
+    of ``ArtifactStore.load``."""
+
+    ALPHABET = b'0123456789-,[]{}":. aefilnrstu\\%!<>x'
 
     @pytest.fixture(scope="class")
     def entry(self, tmp_path_factory):
-        """The stored payload, and ``load(payload)``: True when ``payload``,
-        re-sealed into the entry, loads as modules that verify and reprint,
-        False when it is a counted corrupt miss."""
+        """The stored entry's bytes, and ``load(data)``: the store counter
+        ``data``, written as the entry, moves besides ``misses`` —
+        ``"hits"`` once its modules verify and reprint, else
+        ``"corrupt_entries"`` or ``"version_mismatches"``."""
         source = pw_advection.generate_source(8)
         key, artifact, options = _compile_artifact(source, "gpu",
                                                    lower_to_scf=True)
         store = ArtifactStore(tmp_path_factory.mktemp("hostile"))
         assert store.save(key, artifact)
-        ops_path, meta_path = _entry_paths(store, key)
-        sidecar = meta_path.read_bytes()
+        path = _entry_path(store, key)
 
-        def load(payload):
-            meta_path.write_bytes(sidecar)   # a corrupt miss deleted it
-            _write_payload(ops_path, payload)
-            corrupt = store.stats["corrupt_entries"]
+        def load(data):
+            path.write_bytes(data)   # a corrupt miss deleted it
+            before = store.stats
             artifact = store.load(key)
-            if artifact is None:
-                assert store.stats["corrupt_entries"] == corrupt + 1
-                return False
-            for module in artifact.modules:
-                module.verify()
-                print_module(module)
-            return True
+            moved = {name for name, count in store.stats.items()
+                     if count != before[name]}
+            if artifact is not None:
+                assert moved == {"hits"}
+                for module in artifact.modules:
+                    module.verify()
+                    print_module(module)
+                return "hits"
+            (counter,) = moved - {"misses"}
+            assert moved == {"misses", counter}
+            return counter
 
-        return ops_path.read_bytes(), load
+        return path.read_bytes(), load
 
-    def test_the_stored_payload_itself_loads(self, entry):
-        payload, load = entry
-        assert load(payload)
-
-    def test_every_prefix_of_the_payload(self, entry, fuzz_seeds):
-        payload, load = entry
-        stride = 7 if fuzz_seeds >= 100 else 97
-        for end in range(0, len(payload) - 1, stride):
-            assert not load(payload[:end])
-
-    def test_seeded_byte_mutations_of_the_payload(self, entry, fuzz_seeds):
-        payload, load = entry
-        alphabet = b'0123456789-,[]{}":. aefilnrstu\\%!<>x'
-        loaded = 0
+    def _mutations(self, data, fuzz_seeds):
+        """``fuzz_seeds`` x 20 seeded one-byte changes of ``data``."""
         for seed in range(fuzz_seeds):
             rng = random.Random(seed)
             for _ in range(20):
-                at = rng.randrange(len(payload))
-                byte = rng.choice(alphabet) if rng.random() < 0.9 \
-                    else rng.randrange(256)
-                loaded += load(payload[:at] + bytes([byte]) + payload[at + 1:])
+                at = rng.randrange(len(data))
+                byte = data[at]
+                while byte == data[at]:
+                    byte = rng.choice(self.ALPHABET) if rng.random() < 0.9 \
+                        else rng.randrange(256)
+                yield data[:at] + bytes([byte]) + data[at + 1:]
+
+    def test_the_stored_entry_itself_loads(self, entry):
+        stored, load = entry
+        assert load(stored) == "hits"
+
+    def test_every_prefix_of_the_body(self, entry, fuzz_seeds):
+        stored, load = entry
+        header, body = _split(stored)
+        stride = 7 if fuzz_seeds >= 100 else 97
+        for end in range(0, len(body) - 1, stride):
+            assert load(_sealed(header, body[:end])) == "corrupt_entries"
+
+    def test_seeded_byte_mutations_of_the_body(self, entry, fuzz_seeds):
+        stored, load = entry
+        header, body = _split(stored)
+        loaded = 0
+        for mutated in self._mutations(body, fuzz_seeds):
+            counter = load(_sealed(header, mutated))
+            assert counter in ("hits", "corrupt_entries")
+            loaded += counter == "hits"
         # Some mutations (a digit of an id, a letter of a hint) still decode.
         assert loaded > 0
+
+    def test_seeded_byte_mutations_of_the_header(self, entry, fuzz_seeds):
+        """The checksum seals the header too: a changed byte of the key, the
+        metadata or the checksum itself is never a hit."""
+        stored, load = entry
+        header, _, body = stored.partition(b"\n")
+        for mutated in self._mutations(header, fuzz_seeds):
+            assert load(mutated + b"\n" + body) != "hits"
 
     @staticmethod
     def _with_module_attribute(payload, spelling):
@@ -577,6 +672,9 @@ class TestHostilePayload:
     @pytest.mark.parametrize("spelling", [
         "dense<[1.0]> : tensor<1xf64>", "[1 : i64, true]", "{a = none}"])
     def test_a_leaf_no_compile_builds_is_a_corrupt_miss(self, entry, spelling):
-        payload, load = entry
-        assert load(self._with_module_attribute(payload, "1 : i64"))
-        assert not load(self._with_module_attribute(payload, spelling))
+        stored, load = entry
+        header, body = _split(stored)
+        assert load(_sealed(header, self._with_module_attribute(
+            body, "1 : i64"))) == "hits"
+        assert load(_sealed(header, self._with_module_attribute(
+            body, spelling))) == "corrupt_entries"

@@ -212,6 +212,12 @@ GUARDS = (
           r"_check_whole|_defined_before",
           ("src", "docs"), "after e864bf3",
           "        _check_whole(self)  # raises what a whole walk meets first"),
+    # A store entry is one file with one commit point: the payload file, the
+    # metadata sidecar beside it and their two-write protocol stay deleted.
+    Guard("store-sidecar",
+          r"[Ss]idecar|digest[}>]\.ops",
+          ("src", "docs", "README.md"), "after 937f014",
+          'ops_path = self._dir / f"{digest}.ops"'),
 )
 
 
