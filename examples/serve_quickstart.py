@@ -35,8 +35,7 @@ from repro.serve import ArtifactStore, CompileService
 N_CLIENTS = 8
 
 WORKLOADS = [
-    ("gauss_seidel/cpu", gauss_seidel.generate_source(16, niters=2),
-     "cpu", {"lower_to_scf": True}),
+    ("gauss_seidel/cpu", gauss_seidel.generate_source(16, niters=2), "cpu", {}),
     ("pw_advection/openmp", pw_advection.generate_source(16), "openmp", {}),
 ]
 

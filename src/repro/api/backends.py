@@ -51,8 +51,7 @@ class Backend:
 
     name: str = ""
     options_cls: Type[BackendOptions] = BackendOptions
-    #: The pass pipeline this backend runs on the extracted stencil module
-    #: (``None`` — keep the module at the stencil level).
+    #: The pass pipeline this backend runs on the extracted stencil module.
     pipeline: Optional[str] = None
     #: Whether this target runs stencil discovery/extraction at all.
     uses_stencil_flow: bool = True
@@ -143,15 +142,11 @@ class FlangOnlyBackend(Backend):
 
 
 class CpuBackend(Backend):
-    """Single-core CPU: the stencil level, or ``CPU_PIPELINE`` on request."""
+    """Single-core CPU: scf loop nests (``CPU_PIPELINE``)."""
 
     name = "cpu"
     options_cls = CpuOptions
-
-    def transform(self, artifact: CompiledArtifact,
-                  options: CpuOptions) -> None:
-        if options.lower_to_scf:
-            self.run_pipeline(artifact, pipelines.CPU_PIPELINE)
+    pipeline = pipelines.CPU_PIPELINE
 
 
 class OpenMPBackend(Backend):
@@ -185,15 +180,17 @@ class GpuBackend(Backend):
 
 
 class DmpBackend(Backend):
-    """Distributed memory: domain decomposition + halo swaps via DMP/MPI."""
+    """Distributed memory: domain decomposition + halo swaps via DMP/MPI,
+    each rank's loops lowered as on cpu."""
 
     name = "dmp"
     options_cls = DmpOptions
+    pipeline = pipelines.DMP_PIPELINE
 
     def transform(self, artifact: CompiledArtifact,
                   options: DmpOptions) -> None:
         grid = "x".join(map(str, options.grid))
-        self.run_pipeline(artifact, pipelines.DMP_PIPELINE.replace(
+        self.run_pipeline(artifact, self.pipeline.replace(
             "convert-stencil-to-dmp", f"convert-stencil-to-dmp{{grid={grid}}}", 1))
 
 

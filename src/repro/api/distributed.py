@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..dialects import fir as fir_dialect, stencil
+from ..dialects import fir as fir_dialect
 from ..dialects.func import FuncOp
 from ..runtime.distributed_executor import (
     DistributedExecutor,
@@ -55,13 +55,14 @@ SourceBuilder = Callable[[Tuple[int, ...]], str]
 
 
 def detect_halo(compiled: "CompiledProgram") -> int:
-    """The widest ``dmp.halo`` width recorded on the lowered stencil module
-    (the ghost-plane padding every rank-local array needs); 1 when the
-    module carries no distributed metadata."""
+    """The widest ``dmp.halo`` width ``convert-stencil-to-dmp`` recorded on
+    the lowered stencil module's functions (the ghost-plane padding every
+    rank-local array needs); 1 when the module carries no distributed
+    metadata."""
     module = compiled.stencil_module
     widest = 0
     if module is not None:
-        for op in module.walk_type(stencil.ApplyOp):
+        for op in module.walk_type(FuncOp):
             attr = op.get_attr_or_none("dmp.halo")
             if attr is not None:
                 widest = max(widest, *attr.as_tuple())

@@ -81,11 +81,10 @@ def _positive_ints(name: str, value) -> Tuple[int, ...]:
 class BackendOptions:
     """Options every backend understands.
 
-    ``lower_to_scf`` is a choice on cpu alone: keep the extracted stencil
-    module at the stencil level (the default, the fast vectorised execution
-    path) or lower it to scf loops.  A backend with one lowering names it in
-    :attr:`one_lowering`: the field defaults to it and refuses the other
-    value.  ``fuse_stencils`` toggles adjacent-stencil fusion (ablation E9);
+    Every backend has one lowering and names it in :attr:`one_lowering`:
+    ``lower_to_scf`` defaults to it and refuses the other value (the stencil
+    flow always lowers to scf loops, flang-only has nothing to lower).
+    ``fuse_stencils`` toggles adjacent-stencil fusion (ablation E9);
     ``execution_mode`` and ``threads`` configure the interpreter that
     eventually runs the compiled modules.
     """
@@ -95,8 +94,8 @@ class BackendOptions:
     execution_mode: str = "interpret"
     threads: int = 1
 
-    #: ``(backend, value, advice)``: the one ``lower_to_scf`` value of a
-    #: backend with one lowering (``None``: a choice, default ``False``).
+    #: ``(backend, value, advice)``: the one ``lower_to_scf`` value of the
+    #: backend (``None``: a choice, default ``False``).
     one_lowering: ClassVar[Optional[Tuple[str, bool, str]]] = None
 
     def __post_init__(self) -> None:
@@ -142,7 +141,10 @@ class FlangOnlyOptions(BackendOptions):
 
 @dataclass(frozen=True)
 class CpuOptions(BackendOptions):
-    """Single-core CPU via the stencil flow, at either lowering level."""
+    """Single-core CPU via the stencil flow: always lowered to scf loop
+    nests, run one sweep at a time."""
+
+    one_lowering = ("cpu", True, "every stencil runs as an scf loop nest")
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ class OpenMPOptions(BackendOptions):
     OpenMP's default schedule."""
 
     one_lowering = ("openmp", True,
-                    'its stencil-level run is lower("cpu", threads=N)')
+                    "every stencil runs as an omp.wsloop nest")
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,8 @@ class DmpOptions(BackendOptions):
 
     grid: Tuple[int, ...] = (1, 1)
 
-    one_lowering = ("dmp", False, "every rank runs at the stencil level")
+    one_lowering = ("dmp", True,
+                    "every rank runs its stencils as scf loop nests")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid", _positive_ints("grid", self.grid))

@@ -8,15 +8,16 @@ distinct cases must miss) and executes a configuration matrix:
 
 * **oracle** — the cpu backend in ``interpret`` mode: pure op-by-op scalar
   execution, the reference semantics every other path is judged against;
-* **cpu / openmp / gpu** — vectorized and crosscheck modes, cpu at the
-  stencil level and lowered, thread counts — each compared **bitwise**
-  (``ndarray.tobytes()``) against the oracle's output arrays;
+* **cpu / openmp / gpu** — vectorized and crosscheck modes, thread counts —
+  each compared **bitwise** (``ndarray.tobytes()``) against the oracle's
+  output arrays (every backend lowers to scf loops, so the oracle judges
+  the stencil flow at that level);
 * **flang-only** — plain-FIR in-place execution, compared only for specs
   where snapshot and in-place semantics provably coincide
   (:attr:`KernelSpec.flang_comparable`);
 * **aliased** — for specs with a read-only and a written array
-  (:attr:`KernelSpec.alias_pair`), the lowered and unlowered stencil paths
-  once more with one ndarray passed for both, against the oracle run the
+  (:attr:`KernelSpec.alias_pair`), cpu, openmp and gpu once more with one
+  ndarray passed for both, against the oracle run the
   same way (flang-only excluded: in-place semantics legitimately differ;
   gpu ``optimised`` too: the device copies of one host array are two buffers);
 * **dmp** — distributed-style specs run through ``distribute(...)`` over
@@ -110,7 +111,6 @@ def default_matrix(spec: KernelSpec,
     configs = [
         _cfg("cpu/vectorize", "cpu", "vectorize"),
         _cfg("cpu/crosscheck", "cpu", "crosscheck"),
-        _cfg("cpu-scf/vectorize", "cpu", "vectorize", lower_to_scf=True),
         _cfg("openmp-static-t2/vectorize", "openmp", "vectorize", threads=2),
         _cfg("openmp-t4/crosscheck", "openmp", "crosscheck", threads=4),
         _cfg("gpu-scf/vectorize", "gpu", "vectorize"),
@@ -120,8 +120,6 @@ def default_matrix(spec: KernelSpec,
     if spec.alias_pair is not None:
         configs.extend([
             _cfg("cpu-aliased/vectorize", "cpu", "vectorize", aliased=True),
-            _cfg("cpu-scf-aliased/vectorize", "cpu", "vectorize", aliased=True,
-                 lower_to_scf=True),
             _cfg("openmp-t2-aliased/crosscheck", "openmp", "crosscheck",
                  threads=2, aliased=True),
             _cfg("gpu-scf-host-aliased/vectorize", "gpu", "vectorize",

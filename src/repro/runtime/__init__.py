@@ -11,7 +11,7 @@ from .distributed_executor import (
 )
 from .gpu_kernel_engine import GpuKernelEngine, compile_gpu_func
 from .gpu_runtime import DeviceMemoryPool, SimulatedGPU
-from .interpreter import FieldValue, Frame, Interpreter, InterpreterError, TempValue
+from .interpreter import Frame, Interpreter, InterpreterError
 from .kernel_compiler import (
     EXECUTION_MODES,
     CompiledKernel,
@@ -37,8 +37,6 @@ __all__ = [
     "KernelUnsupported",
     "structural_hash",
     "Frame",
-    "FieldValue",
-    "TempValue",
     "MemoryBuffer",
     "ElementRef",
     "numpy_dtype_for",

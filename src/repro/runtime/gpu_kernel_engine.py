@@ -13,7 +13,7 @@ symbolically (each induction value becomes a unit-coefficient affine
 ``lattice[d] + offset``, each guard an upper bound on a lattice dimension),
 and the guarded body is translated by the same
 :class:`repro.runtime.kernel_compiler._BodyTranslator` that powers the
-loop-nest and apply kernels, producing one NumPy whole-array function per
+loop-nest kernels, producing one NumPy whole-array function per
 kernel.  At launch time the iteration domain is the lattice clipped by the
 guards — exactly the region the per-thread guard admits — so one call of the
 compiled function computes what ``grid × block`` scalar threads would.

@@ -1,10 +1,11 @@
 """IR interpreter: the scalar reference semantics of every dialect.
 
-Executes modules produced by the frontend and by every stage of the lowering
-pipeline against numpy-backed memory: FIR (the "Flang only" path), the
-stencil dialect (a ``stencil.apply`` over its whole domain by numpy slicing)
-and scf / OpenMP / GPU / MPI, with event accounting (kernel launches, PCIe
-transfers, messages) of what ran.
+Executes modules produced by the frontend and by the lowering pipelines
+against numpy-backed memory: FIR (the "Flang only" path) and scf / OpenMP /
+GPU / MPI, with event accounting (kernel launches, PCIe transfers, messages)
+of what ran.  The stencil dialect never reaches it: every backend lowers
+the extracted stencil module to loops over memrefs, so the stencil flow is
+judged at the scf level.
 
 In execution mode ``"interpret"`` everything runs op by op here: the oracle.
 In ``"vectorize"`` and ``"crosscheck"`` (see
@@ -21,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..dialects import fir as fir_dialect
-from ..dialects import stencil as stencil_dialect
 from ..dialects.builtin import ModuleOp
 from ..dialects.func import FuncOp, enclosing_func
 from ..ir.attributes import FloatAttr, IntegerAttr, StringAttr
@@ -37,18 +37,9 @@ from ..ir.types import (
 )
 from .gpu_runtime import SimulatedGPU
 from .kernel_compiler import EXECUTION_MODES, KernelCompiler
-from .memory import (DELIVERED, ElementRef, FieldValue, InterpreterError,
-                     MemoryBuffer, TempValue, numpy_dtype_for, store_window)
+from .memory import ElementRef, InterpreterError, MemoryBuffer, numpy_dtype_for
 from .mpi_runtime import CartesianDecomposition, SimulatedCommunicator
 from .sweep import Sweep
-
-
-#: Ops that may sit between a ``stencil.load`` and the last ``stencil.apply``
-#: reading its temp without making the snapshot copy observable: none of them
-#: writes memory, calls out, or holds a region that could.
-_SNAPSHOT_TRANSPARENT = frozenset({
-    "stencil.external_load", "stencil.load", "stencil.apply", "arith.constant",
-})
 
 
 class Frame:
@@ -98,8 +89,7 @@ class LinkTable:
     computed once for every interpreter over them: the function index (one
     walk, here), each sweep op's kernel binding (``bindings``, filled by
     :meth:`KernelCompiler.bound_for`), and the ``verdicts`` of the runtime:
-    whether a ``stencil.load`` must copy, how a ``memref.snapshot`` swaps,
-    where a ``stencil.apply``'s results are stored.  Entries are keyed by
+    how a ``memref.snapshot`` swaps.  Entries are keyed by
     their op and die with the table's owner — a
     :class:`repro.api.CompiledArtifact`, or the interpreter built over raw
     modules.  Nothing about a run is here.
@@ -171,8 +161,8 @@ class Interpreter:
         self.rank = rank
         self.decomposition = decomposition
         #: "interpret" executes everything op by op (the reference oracle);
-        #: "vectorize" hands stencil.apply / scf.parallel / omp.wsloop /
-        #: gpu.launch_func sweeps to ``self.sweep``'s compiled whole-array
+        #: "vectorize" hands scf.parallel / omp.wsloop / gpu.launch_func
+        #: sweeps to ``self.sweep``'s compiled whole-array
         #: kernels; "crosscheck" runs both and raises if they diverge.
         self.execution_mode = execution_mode
         self.kernels = kernel_compiler if kernel_compiler is not None else (
@@ -183,8 +173,6 @@ class Interpreter:
         #: interpreter alone never tiles, so "interpret" mode uses no pool.
         self.threads = threads
         self.stats: Dict[str, float] = {
-            "stencil_apply_executions": 0,
-            "stencil_points_computed": 0,
             "parallel_regions": 0,
             "omp_regions": 0,
             "fir_loop_iterations": 0,
@@ -213,8 +201,6 @@ class Interpreter:
         #: inside kernel-launching functions): allocated from the device
         #: pool, released when the function returns.
         self._device_scratch_stack: List[List[MemoryBuffer]] = []
-        self._apply_stack: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        self._verdicts = link.verdicts
         #: Array writes so far — every handler that stores into an array
         #: counts — so the sweep's buffer swap can tell a spare whose shell
         #: was filled since none is current.
@@ -272,7 +258,7 @@ class Interpreter:
         return results
 
     def _wrap_argument(self, arg, arg_type: TypeAttribute, label: str):
-        if isinstance(arg, (MemoryBuffer, ElementRef, FieldValue, TempValue)):
+        if isinstance(arg, (MemoryBuffer, ElementRef)):
             return arg
         declared = arg_type.element_type \
             if fir_dialect.is_reference_like(arg_type) else arg_type
@@ -440,15 +426,6 @@ class Interpreter:
         h["omp.yield"] = lambda op, f: [f.get(o) for o in op.operands]
         h["omp.terminator"] = lambda op, f: []
 
-        # stencil -----------------------------------------------------------------------------
-        h["stencil.external_load"] = self._exec_stencil_external_load
-        h["stencil.load"] = self._exec_stencil_load
-        h["stencil.apply"] = self._exec_stencil_apply
-        h["stencil.access"] = self._exec_stencil_access
-        h["stencil.index"] = self._exec_stencil_index
-        h["stencil.store"] = self._exec_stencil_store
-        h["stencil.return"] = lambda op, f: [f.get(o) for o in op.operands]
-
         # gpu ----------------------------------------------------------------------------------
         h["gpu.module"] = lambda op, f: []
         h["gpu.alloc"] = self._exec_gpu_alloc
@@ -550,7 +527,7 @@ class Interpreter:
 
     @staticmethod
     def _convert_value(value, target_type: TypeAttribute):
-        if isinstance(value, (MemoryBuffer, ElementRef, FieldValue, TempValue)):
+        if isinstance(value, (MemoryBuffer, ElementRef)):
             return value  # reference conversions are no-ops at runtime
         dtype = numpy_dtype_for(target_type)
         if isinstance(value, np.ndarray) and value.ndim > 0:
@@ -745,126 +722,6 @@ class Interpreter:
             self.sweep.nest(op, frame, scalar_runner, lowers, uppers)
         return []
 
-    def _run_apply_scalar(self, op: Operation, frame: Frame,
-                          lb: Tuple[int, ...], ub: Tuple[int, ...]) -> List[object]:
-        """The scalar apply-body protocol, shared between the interpret/
-        fallback path and the crosscheck oracle so they cannot diverge."""
-        block = op.regions[0].block
-        for arg, operand in zip(block.args, op.operands):
-            frame.set(arg, frame.get(operand))
-        self._apply_stack.append((lb, ub))
-        try:
-            return self.run_block(block, frame)
-        finally:
-            self._apply_stack.pop()
-
-    # ------------------------------------------------------------------
-    # stencil handlers (vectorised execution)
-    # ------------------------------------------------------------------
-
-    def _exec_stencil_external_load(self, op: Operation, frame: Frame):
-        buffer = frame.get(op.operands[0])
-        if isinstance(buffer, ElementRef):
-            buffer = buffer.buffer
-        if not isinstance(buffer, MemoryBuffer):
-            raise InterpreterError("stencil.external_load requires a memory buffer")
-        ftype: stencil_dialect.FieldType = op.results[0].type  # type: ignore[assignment]
-        lb = tuple(b[0] for b in ftype.bounds)
-        return [FieldValue(buffer, lb)]
-
-    def _exec_stencil_load(self, op: Operation, frame: Frame):
-        field = frame.get(op.operands[0])
-        if not isinstance(field, FieldValue):
-            raise InterpreterError("stencil.load requires a field value")
-        copies = self._verdicts[self._snapshot_is_observable, op]
-        data = field.buffer.data
-        self.stats["snapshots_copied" if copies else "snapshots_elided"] += 1
-        return [TempValue(np.array(data, copy=True) if copies else data, field.lb)]
-
-    @staticmethod
-    def _snapshot_is_observable(op: Operation) -> bool:
-        """Whether anything could tell a ``stencil.load``'s temp from the
-        field it snapshots.  Not when every user is a ``stencil.apply`` (pure,
-        with freshly allocated results) in the load's own block and only
-        :data:`_SNAPSHOT_TRANSPARENT` ops run before the last of them: the
-        field cannot change while the temp is read, so the temp may alias it.
-        """
-        block = op.parent_block()
-        users = [use.operation for use in op.results[0].uses]
-        if block is None or any(user.name != "stencil.apply"
-                                or user.parent_block() is not block
-                                for user in users):
-            return True
-        start = block.index_of(op)
-        end = max((block.index_of(user) for user in users), default=start)
-        return any(between.name not in _SNAPSHOT_TRANSPARENT
-                   for between in block.ops[start + 1:end])
-
-    def _exec_stencil_apply(self, op: Operation, frame: Frame):
-        lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
-        ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
-        domain = tuple(u - l for l, u in zip(lb, ub))
-        inputs = [temp.data for temp in map(frame.get, op.operands)
-                  if isinstance(temp, TempValue)]
-
-        def scalar_runner() -> List[object]:
-            return self._run_apply_scalar(op, frame, lb, ub)
-
-        returned = scalar_runner() if self.sweep is None else \
-            self.sweep.apply(op, frame, scalar_runner, lb, ub, inputs)
-        self.stats["stencil_apply_executions"] += 1
-        points = 1
-        for extent in domain:
-            points *= extent
-        self.stats["stencil_points_computed"] += points
-        if returned is DELIVERED:
-            return [DELIVERED] * len(op.results)
-        results = []
-        for value in returned:
-            array = np.broadcast_to(np.asarray(value, dtype=np.float64), domain).copy() \
-                if np.ndim(value) == 0 else np.asarray(value)
-            # A body returning a bare stencil.access yields a view of its
-            # input, which may itself alias a field (see stencil.load):
-            # materialise it, so no temp outlives a store to that field.
-            if any(np.may_share_memory(array, data) for data in inputs):
-                array = array.copy(order="K")
-            results.append(TempValue(array, lb))
-        return results
-
-    def _exec_stencil_access(self, op: Operation, frame: Frame):
-        temp = frame.get(op.operands[0])
-        if not isinstance(temp, TempValue):
-            raise InterpreterError("stencil.access requires a temp value")
-        if not self._apply_stack:
-            raise InterpreterError("stencil.access outside of a stencil.apply body")
-        lb, ub = self._apply_stack[-1]
-        offset = op.get_attr("offset").as_tuple()  # type: ignore[union-attr]
-        slices = tuple(
-            slice(l + o - org, u + o - org)
-            for l, u, o, org in zip(lb, ub, offset, temp.origin)
-        )
-        return [temp.data[slices]]
-
-    def _exec_stencil_index(self, op: Operation, frame: Frame):
-        if not self._apply_stack:
-            raise InterpreterError("stencil.index outside of a stencil.apply body")
-        lb, ub = self._apply_stack[-1]
-        dim = int(op.get_attr("dim").value)  # type: ignore[union-attr]
-        domain = tuple(u - l for l, u in zip(lb, ub))
-        axis_values = np.arange(lb[dim], ub[dim], dtype=np.int64)
-        shape = [1] * len(domain)
-        shape[dim] = domain[dim]
-        return [np.broadcast_to(axis_values.reshape(shape), domain)]
-
-    def _exec_stencil_store(self, op: Operation, frame: Frame):
-        temp = frame.get(op.operands[0])
-        self.array_writes += 1
-        if temp is not DELIVERED:
-            field = frame.get(op.operands[1])
-            field.buffer.data[store_window(op, field.lb)] = \
-                temp.data[store_window(op, temp.origin)]
-        return []
-
     # ------------------------------------------------------------------
     # gpu handlers
     # ------------------------------------------------------------------
@@ -1009,8 +866,6 @@ class Interpreter:
 
     def _exec_mpi_isend(self, op: Operation, frame: Frame):
         buffer = frame.get(op.operands[0])
-        if isinstance(buffer, FieldValue):
-            buffer = buffer.buffer
         peer = int(_as_python(frame.get(op.operands[1])))
         tag = int(_as_python(frame.get(op.operands[2])))
         if peer < 0:
@@ -1026,8 +881,6 @@ class Interpreter:
 
     def _exec_mpi_irecv(self, op: Operation, frame: Frame):
         buffer = frame.get(op.operands[0])
-        if isinstance(buffer, FieldValue):
-            buffer = buffer.buffer
         peer = int(_as_python(frame.get(op.operands[1])))
         tag = int(_as_python(frame.get(op.operands[2])))
         if peer < 0:
@@ -1060,6 +913,4 @@ __all__ = [
     "LinkTable",
     "InterpreterError",
     "Frame",
-    "FieldValue",
-    "TempValue",
 ]

@@ -4,10 +4,12 @@ The scalar interpreter executes the scf/omp loop nests produced by
 ``convert-stencil-to-scf`` one grid point at a time, dispatching every
 ``memref.load`` / ``arith.*`` / ``memref.store`` through a Python handler
 table.  That is the dominant cost of every lowered benchmark.  This module
-instead *compiles* the body of such a loop nest — and the body region of a
-``stencil.apply`` — into a single Python function built out of NumPy
-whole-array slice expressions, so one sweep of the stencil executes as a
-handful of vectorised array operations.
+instead *compiles* the body of such a loop nest — and of an outlined
+``gpu.func`` (:mod:`repro.runtime.gpu_kernel_engine`) — into a single Python
+function built out of NumPy whole-array slice expressions, so one sweep of
+the stencil executes as a handful of vectorised array operations.  Every
+kernel stores: there is no stencil-dialect executor, since every backend
+lowers the stencil dialect to such nests first.
 
 Architecture
 ============
@@ -27,8 +29,7 @@ values are bound per op.  A per-op identity memo (the linked artifact's
 Compilation translates IR to Python source:
 
 * loop induction variables become *affine index descriptors* ``iv[d] + c``;
-* ``memref.load`` / ``stencil.access`` with affine indices become NumPy basic
-  slices of the underlying array, e.g. ``a[lb0-1:ub0-1, lb1:ub1]`` — each
+* ``memref.load`` with affine indices becomes a NumPy basic slice of the underlying array, e.g. ``a[lb0-1:ub0-1, lb1:ub1]`` — each
   distinct window bound once and shared by every load of it;
 * element-wise ``arith`` / ``math`` ops become the corresponding NumPy
   ufunc calls over those slices, and a last-use pass over the translator's
@@ -79,7 +80,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..dialects import fir, scf, stencil
+from ..dialects import fir, scf
 from ..ir.attributes import FloatAttr
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
@@ -327,7 +328,7 @@ class CompiledKernel:
     flattened array from the box's first to its last lattice point, shifted
     by the access's offset in elements, so every ufunc sweeps contiguous
     memory; the lanes that wrap across rows are computed and left out of the
-    :func:`_box` view that is stored or returned, and the lanes kept see the
+    :func:`_box` view that is stored, and the lanes kept see the
     operands they always did, hence the same bits.
     """
 
@@ -336,7 +337,6 @@ class CompiledKernel:
         name: str,
         translator: "_BodyTranslator",
         label: str = "",
-        prologue: Sequence[str] = (),
         bound_slots: Sequence[Tuple[int, int, int]] = (),
         upper_limits: Sequence[Optional[int]] = (),
     ):
@@ -357,18 +357,10 @@ class CompiledKernel:
         self.slot_dtypes = translator.slot_dtypes
         #: Why no call can take the flat body (None: congruent arrays can).
         self.flat_refusal: Optional[str] = translator.flat_refusal()
-        #: Whether the sweep may be split into boxes that run concurrently.
-        #: A store kernel always may: every store indexes every iteration
-        #: dimension (``translate_memory_body`` refuses one that does not),
-        #: so boxes that partition the domain write disjoint regions.  A pure
-        #: kernel may when every returned value has the box's shape — not
-        #: one that broadcasts, e.g. built from ``stencil.index`` alone.
-        self.tileable = bool(self.stores) or \
-            all(expr.dims == translator.box for expr in translator.returned)
 
         def render(flat: bool, signature: str) -> str:
             lines, self.allocations = translator.render(flat)
-            body = "\n".join("    " + line for line in [*prologue, *lines]) or "    pass"
+            body = "\n".join("    " + line for line in lines) or "    pass"
             return f"def {name}({signature}):\n{body}\n"
 
         self.flat_source = None if self.flat_refusal is not None else \
@@ -445,21 +437,17 @@ class CompiledKernel:
     def guards_pass(self, externals: Sequence[object], lowers: Sequence[int],
                     uppers: Sequence[int], steps: Sequence[int] = ()) -> bool:
         """Check unit steps, in-bounds slices, and load/store aliasing against
-        the actual runtime values.  A temp's window is shifted by its origin.
-        Returning False sends the caller to the scalar interpreter."""
+        the actual runtime values.  Returning False sends the caller to the
+        scalar interpreter."""
         if any(s != 1 for s in steps):
             return False
         arrays: List[np.ndarray] = []
         for slot, axes in self.loads + self.stores:
-            value = externals[slot]
-            array = self._array_of(value)
+            array = self._array_of(externals[slot])
             if array is None or array.ndim != len(axes) or \
                     array.dtype != self.slot_dtypes[slot]:
                 return False
-            origin = getattr(value, "origin", None)
             for axis, (dim, offset) in enumerate(axes):
-                if origin is not None:
-                    offset -= origin[dim]
                 if lowers[dim] + offset < 0 or uppers[dim] + offset > array.shape[axis]:
                     return False
             arrays.append(array)
@@ -503,8 +491,7 @@ class CompiledKernel:
             return value.data
         if isinstance(value, np.ndarray):
             return value
-        data = getattr(value, "data", None)  # FieldValue / TempValue
-        return data if isinstance(data, np.ndarray) else None
+        return None
 
     def store_targets(self, externals: Sequence[object]) -> List[np.ndarray]:
         """The distinct arrays this kernel writes (for crosscheck snapshots)."""
@@ -531,16 +518,13 @@ class BoundKernel:
 
 
 # ---------------------------------------------------------------------------
-# Codegen core shared by the nest and apply translators
+# Codegen core shared by the nest and gpu.func translators
 # ---------------------------------------------------------------------------
 
 
 def _is_reference_type(value: SSAValue) -> bool:
     t = value.type
-    return (
-        isinstance(t, (MemRefType, stencil.FieldType, stencil.TempType))
-        or fir.is_reference_like(t)
-    )
+    return isinstance(t, MemRefType) or fir.is_reference_like(t)
 
 
 class _BodyTranslator:
@@ -564,14 +548,12 @@ class _BodyTranslator:
         self.parameters: List[int] = []
         #: each distinct load window (slot, axes) -> the one view bound to it
         self.windows: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], _Expr] = {}
-        #: loaded slot -> (code of its array, code of its origin or None)
-        self.bases: Dict[int, Tuple[str, Optional[str]]] = {}
+        #: the loaded slots, in first-load order
+        self.loaded: Dict[int, None] = {}
         #: an induction value is used as a number somewhere in the body
         self.index_as_data = False
         self.stores: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
         self.slot_dtypes: Dict[int, np.dtype] = {}
-        #: values the kernel returns (apply kernels): live to the end
-        self.returned: List[_Expr] = []
         self._counter = 0
         #: set by the driver before translating each body op, so scalar
         #: externals discovered mid-expression can be given a path
@@ -659,8 +641,7 @@ class _BodyTranslator:
         return tuple(axes)
 
     def emit_load(self, result: SSAValue, slot: int,
-                  axes: Sequence[Tuple[int, int]], base: Optional[str] = None,
-                  origin: Optional[str] = None) -> None:
+                  axes: Sequence[Tuple[int, int]]) -> None:
         """Record an affine load; each distinct window of a slot is sliced
         once per call and shared by every load of it (the guards keep loaded
         and stored arrays disjoint, so a view bound early reads what a later
@@ -671,11 +652,10 @@ class _BodyTranslator:
             expr = self.windows[key] = _Expr(self.fresh(), is_array=True,
                                              dims=sum(1 << dim for dim, _ in axes))
             self.slot_dtypes[slot] = numpy_dtype_for(result.type)
-            base = base or f"ext[{slot}].data"
-            self.bases[slot] = (base, origin)
-            start = " + ".join([f"b{slot}" if origin else "lo"] + [
+            self.loaded[slot] = None
+            start = " + ".join(["lo"] + [
                 f"{offset}*s[{dim}]" for dim, offset in axes if offset])
-            self.stmts.append((expr, (self.slice_code(base, axes, origin),
+            self.stmts.append((expr, (self.slice_code(f"ext[{slot}].data", axes),
                                       f"f{slot}[{start}:{start} + n]"), ()))
         self.values[id(result)] = expr
 
@@ -701,13 +681,11 @@ class _BodyTranslator:
                            (stored,)))
 
     def slice_code(self, base: str, axes: Sequence[Tuple[int, int]],
-                   origin: Optional[str] = None, align: bool = True) -> str:
-        """A whole-sweep slice of ``base`` (whose index space starts at
-        ``origin``, when given); with ``align``, transposed/expanded so its
-        axes line up with induction-variable order for broadcasting."""
+                   align: bool = True) -> str:
+        """A whole-sweep slice of ``base``; with ``align``, transposed/expanded
+        so its axes line up with induction-variable order for broadcasting."""
         def bound(which: str, dim: int, offset: int) -> str:
-            return f"{which}[{dim}]" + (f" + {offset}" if offset else "") + \
-                (f" - {origin}[{dim}]" if origin else "")
+            return f"{which}[{dim}]" + (f" + {offset}" if offset else "")
 
         code = f"{base}[" + ", ".join(
             f"{bound('lb', dim, offset)}:{bound('ub', dim, offset)}"
@@ -834,27 +812,22 @@ class _BodyTranslator:
         that died at or before its statement — one of its own operands, else
         the free-list — and allocates only when there is none; every other
         owned array is ``del``'d right after its last use.  Views, scalars,
-        inline code and values still to be returned or stored are never
-        written: they are not owned, or not dead.
+        inline code and values still to be stored are never written: they
+        are not owned, or not dead.
         """
         last_use: Dict[_Expr, int] = {}
         for index, (_, _, uses) in enumerate(self.stmts):
             for use in uses:
                 last_use[use] = index
-        last_use.update((expr, len(self.stmts)) for expr in self.returned)
         allocations = 0
         # The parameters follow the externals the paths resolve.
         lines = [f"c{k} = ext[{len(self.external_paths) + k}]"
                  for k in range(len(self.parameters))]
         free: List[_Expr] = []
         if flat:
-            # Each loaded array flattened in memory order, and the position
-            # in it of the box's first lattice point.
-            for slot, (base, origin) in self.bases.items():
-                lines.append(f"f{slot} = {base}.ravel('K')")
-                if origin:
-                    lines.append(f"b{slot} = lo - " + " - ".join(
-                        f"{origin}[{dim}]*s[{dim}]" for dim in range(self.rank)))
+            # Each loaded array flattened in memory order.
+            for slot in self.loaded:
+                lines.append(f"f{slot} = ext[{slot}].data.ravel('K')")
 
         for index, (result, template, uses) in enumerate(self.stmts):
             if isinstance(template, tuple):
@@ -883,10 +856,6 @@ class _BodyTranslator:
             dead = [use.var for use in dying if not use.reusable]
             if dead:
                 lines.append("del " + ", ".join(dead))
-        if self.returned:
-            lines.append("return [" + ", ".join(
-                f"_box({e.var}, shape, s)" if flat and e.is_array else e.var
-                for e in self.returned) + "]")
         return lines, allocations
 
 
@@ -961,71 +930,6 @@ def compile_loop_nest(op: Operation, label: str = "") -> CompiledKernel:
 
 
 # ---------------------------------------------------------------------------
-# stencil.apply compilation
-# ---------------------------------------------------------------------------
-
-
-def compile_apply(op: Operation, label: str = "") -> CompiledKernel:
-    """Compile the body region of a ``stencil.apply`` into one function that
-    computes every result over the whole ``[lb, ub)`` domain per sweep.
-
-    Externals are exactly the apply operands (``!stencil.temp`` values arrive
-    as ``TempValue`` objects; scalars as NumPy scalars).  The kernel returns
-    the list of result arrays, which the interpreter wraps into
-    ``TempValue``s just as the scalar path does.
-    """
-    if op.name != "stencil.apply":
-        raise KernelUnsupported(f"'{op.name}' is not a stencil.apply")
-    block = op.regions[0].block
-    rank = len(op.get_attr("lb").as_tuple())  # type: ignore[union-attr]
-    translator = _BodyTranslator(rank, op)
-    # Operand order fixes the external layout: slot i <-> operand i, and the
-    # body block args are aliases of those slots.
-    for i, arg in enumerate(block.args):
-        translator.external_slots[id(arg)] = i
-        translator.external_paths.append(("root", i))
-
-    returned: List[SSAValue] = []
-    accessed_slots: List[int] = []
-    for op_index, body_op in enumerate(block.ops):
-        translator.current_body_op = (body_op, op_index)
-        name = body_op.name
-        if name == "stencil.return":
-            returned = list(body_op.operands)
-            continue
-        if name == "stencil.access":
-            temp = body_op.operands[0]
-            slot = translator.external_slots.get(id(temp))
-            if slot is None or slot >= len(block.args):
-                raise KernelUnsupported("stencil.access of a non-operand temp")
-            offset = body_op.get_attr("offset").as_tuple()  # type: ignore[union-attr]
-            if len(offset) != rank:
-                raise KernelUnsupported("stencil.access offset rank mismatch")
-            if slot not in accessed_slots:
-                accessed_slots.append(slot)
-            translator.emit_load(body_op.results[0], slot,
-                                 tuple(enumerate(offset)),
-                                 base=f"arr{slot}", origin=f"org{slot}")
-            continue
-        if name == "stencil.index":
-            dim = int(body_op.get_attr("dim").value)  # type: ignore[union-attr]
-            translator.values[id(body_op.results[0])] = _Affine(dim, 0)
-            continue
-        translator.translate_op(body_op)
-
-    if not returned:
-        raise KernelUnsupported("stencil.apply body has no stencil.return")
-
-    # Prologue: unpack each accessed temp's array and origin once per sweep.
-    prologue = []
-    for slot in sorted(accessed_slots):
-        prologue.append(f"arr{slot} = ext[{slot}].data")
-        prologue.append(f"org{slot} = ext[{slot}].origin")
-    translator.returned = [translator.operand(value) for value in returned]
-    return CompiledKernel("_apply_kernel", translator, label, prologue)
-
-
-# ---------------------------------------------------------------------------
 # The compiler facade with its structural-hash kernel cache
 # ---------------------------------------------------------------------------
 
@@ -1081,8 +985,7 @@ class KernelCompiler:
     def kernel_for(self, op: Operation) -> Optional[BoundKernel]:
         """The compiled kernel bound to ``op``, or None when the op is not
         vectorizable."""
-        return self.bound_for(op, op, compile_apply if op.name == "stencil.apply"
-                              else compile_loop_nest)
+        return self.bound_for(op, op, compile_loop_nest)
 
     def bound_for(self, site: Operation, source: Operation,
                   build: Callable[[Operation, str], CompiledKernel]
@@ -1141,11 +1044,6 @@ class KernelCompiler:
                     nest = _nest_structure(op)
                 _, dim, which = path
                 values.append(nest[0][dim][which])
-            elif op.name == "stencil.apply":
-                # An apply body referencing a value from the enclosing
-                # function: locate it on the body op that uses it.
-                _, op_index, operand_index = path
-                values.append(op.regions[0].block.ops[op_index].operands[operand_index])
             else:
                 if nest is None:
                     nest = _nest_structure(op)
@@ -1165,6 +1063,5 @@ __all__ = [
     "BoundKernel",
     "KernelCompiler",
     "compile_loop_nest",
-    "compile_apply",
     "structural_hash",
 ]

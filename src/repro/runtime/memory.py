@@ -4,8 +4,9 @@ SSA values of reference-like types (``!fir.ref``, ``!fir.heap``,
 ``!fir.llvm_ptr``, ``memref``) evaluate to :class:`MemoryBuffer` objects
 wrapping numpy storage; ``fir.coordinate_of`` produces :class:`ElementRef`
 views of a single element.  Device-resident buffers used by the simulated GPU
-carry a ``space`` tag so transfers can be accounted.  A ``!stencil.field``
-is a :class:`FieldValue`, a ``!stencil.temp`` a :class:`TempValue`.
+carry a ``space`` tag so transfers can be accounted.  No stencil-dialect
+value reaches the runtime: every backend lowers the stencil module to loops
+over memrefs first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from ..ir.operation import Operation
 from ..ir.types import FloatType, IndexType, IntegerType, TypeAttribute
 
 
@@ -118,49 +118,9 @@ class InterpreterError(Exception):
     """Raised when the interpreter meets IR it cannot execute."""
 
 
-class FieldValue:
-    """Runtime value of a ``!stencil.field``: external storage plus its lower bound."""
-
-    __slots__ = ("buffer", "lb")
-
-    def __init__(self, buffer: MemoryBuffer, lb: Tuple[int, ...]):
-        self.buffer = buffer
-        self.lb = tuple(lb)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<FieldValue {self.buffer.label} lb={self.lb}>"
-
-
-class TempValue:
-    """Runtime value of a ``!stencil.temp``: a dense snapshot with an origin."""
-
-    __slots__ = ("data", "origin")
-
-    def __init__(self, data: np.ndarray, origin: Tuple[int, ...]):
-        self.data = data
-        self.origin = tuple(origin)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<TempValue shape={self.data.shape} origin={self.origin}>"
-
-
-#: Runtime value of a ``stencil.apply`` result that the sweep already wrote
-#: where its one ``stencil.store`` puts it; that store then has nothing to do.
-DELIVERED = object()
-
-
-def store_window(op: Operation, origin: Tuple[int, ...]) -> Tuple[slice, ...]:
-    """A ``stencil.store``'s ``[lb, ub)`` in an array starting at ``origin``."""
-    lb = op.get_attr("lb").as_tuple()  # type: ignore[union-attr]
-    ub = op.get_attr("ub").as_tuple()  # type: ignore[union-attr]
-    return tuple(slice(l - o, u - o) for l, u, o in zip(lb, ub, origin))
-
-
 __all__ = [
     "MemoryBuffer",
     "ElementRef",
     "numpy_dtype_for",
     "InterpreterError",
-    "FieldValue",
-    "TempValue",
 ]

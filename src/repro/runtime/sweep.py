@@ -2,8 +2,8 @@
 
 The interpreter is the scalar reference.  Outside "interpret" mode it builds
 one :class:`Sweep`, and the handlers of the ops that can vectorize — loop
-nests, ``stencil.apply``, ``gpu.launch_func`` and ``memref.snapshot`` — hand
-it the op, the frame and their scalar runner, which is both the fallback and
+nests, ``gpu.launch_func`` and ``memref.snapshot`` — hand it the op, the
+frame and their scalar runner, which is both the fallback and
 the crosscheck oracle, so the two cannot diverge.  Every sweep takes one
 path, :meth:`Sweep.run`; beside it:
 
@@ -13,11 +13,11 @@ path, :meth:`Sweep.run`; beside it:
   plan every sweep runs — near-equal thread slabs along the outermost
   dimension (OpenMP's default static partition), each cut into cache boxes;
 * :func:`run_boxes` — runs a kernel over a box plan on no more threads than
-  the process has CPUs (NumPy releases the GIL for large slice operations):
-  store kernels in place, pure kernels delivered box by box where their
-  values are stored;
+  the process has CPUs (NumPy releases the GIL for large slice operations),
+  each box storing its region in place;
 * the buffer swap — a ``memref.snapshot`` whose nest overwrites its source
-  in place swaps storage instead of copying (:class:`SwapPlan`).
+  in place swaps storage instead of copying (:class:`SwapPlan`), a dmp
+  rank's halo-exchanged field included.
 
 The pools of :func:`get_executor`, shared process-wide, run only boxes:
 leaf work that never waits, so no worker blocks on a task queued behind it.
@@ -48,7 +48,7 @@ from ..ir.operation import Operation
 from ..ir.ssa import OpResult, SSAValue, Use
 from .gpu_kernel_engine import GpuKernelEngine
 from .kernel_compiler import KernelUnsupported, _nest_structure
-from .memory import DELIVERED, InterpreterError, MemoryBuffer, store_window
+from .memory import InterpreterError, MemoryBuffer
 
 #: One box of a sweep plan: ``(lowers, uppers)``, half-open per dimension.
 Box = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -158,17 +158,6 @@ def plan_sweep(
     return boxes, len(slabs), "cache" if len(boxes) > len(slabs) else None
 
 
-def _layout(value) -> str:
-    """"F" when the fastest-varying axis of ``value`` that is longer than one
-    is its first, else "C".  Boxes never cut the unit-stride axis, so a box
-    one row thick still tells a Fortran-ordered sweep from a C-ordered one
-    (its flags say both)."""
-    value = np.asarray(value)
-    axes = [d for d, extent in enumerate(value.shape) if extent > 1]
-    return "F" if axes and min(axes, key=lambda d: abs(value.strides[d])) == 0 \
-        else "C"
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on now: its affinity mask where the
     platform has one (a pinned process has fewer than ``os.cpu_count()``)."""
@@ -177,62 +166,25 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_boxes(kernel, externals: Sequence[object], lowers: Sequence[int],
-              uppers: Sequence[int], boxes: Sequence[Box], threads: int = 1,
-              chosen: Optional[List[str]] = None,
-              destinations: Optional[List[np.ndarray]] = None,
-              deferred: bool = False) -> List[object]:
-    """Run ``kernel`` over ``boxes`` — a partition of ``[lowers, uppers)`` —
-    on the shared pool of ``min(threads, usable_cpus())`` workers, read at
-    every call; with one worker or one box, in box order on the calling
-    thread (threads that time-slice one CPU only add switches).  The first
-    box, in box order, that raises propagates its exception.  The body each
-    box ran ("flat", or why windowed) is appended to ``chosen``.
-
-    Store kernels write each box's region in place; the result is ``[]``.
-    Pure (``stencil.apply``) kernels return their values, and each box's are
-    written into its window of ``destinations`` — where the results are
-    stored: one domain-shaped array each, pairwise disjoint — which is then
-    the result: the moment the box finishes, its values dropped, or, when
-    ``deferred`` (a destination shares memory with an input), once every box
-    has read.  Without destinations one box's values are passed through and
-    several boxes' delivered into fresh whole-domain arrays (exact — a pure
-    elementwise kernel computes bit-identical values on any sub-box).  Only
-    a ``tileable`` kernel, whose values have their box's shape, is given
-    several boxes; one box's values may broadcast into its window.
+def run_boxes(kernel, externals: Sequence[object], boxes: Sequence[Box],
+              threads: int = 1, chosen: Optional[List[str]] = None) -> None:
+    """Run ``kernel`` over ``boxes`` — a partition of its domain — on the
+    shared pool of ``min(threads, usable_cpus())`` workers, read at every
+    call; with one worker or one box, in box order on the calling thread
+    (threads that time-slice one CPU only add switches).  Each box stores its
+    region in place.  The first box, in box order, that raises propagates its
+    exception.  The body each box ran ("flat", or why windowed) is appended
+    to ``chosen``.
     """
-    def deliver(outs, box: Box, values) -> None:
-        window = tuple(slice(bl - l, bu - l) for l, bl, bu in zip(lowers, *box))
-        for out, value in zip(outs, values):
-            out[window] = value
-
-    def run(box: Box):
-        values = kernel.fn(externals, box[0], box[1], chosen)
-        if kernel.stores or destinations is None:
-            return values
-        if deferred:  # keep no view of memory that a delivery overwrites
-            return [np.copy(value) if any(np.may_share_memory(value, out)
-                                          for out in destinations) else value
-                    for value in values]
-        return deliver(destinations, box, values)
+    def run(box: Box) -> None:
+        kernel.fn(externals, box[0], box[1], chosen)
 
     workers = min(threads, usable_cpus()) if threads > 1 else 1
-    partials = list(get_executor(workers).map(run, boxes)) \
-        if workers > 1 and len(boxes) > 1 else [run(box) for box in boxes]
-    if kernel.stores:
-        return []
-    if destinations is None:
-        if len(boxes) == 1:
-            return partials[0]
-        # In the partials' memory layout (Fortran order for Fortran-ordered
-        # inputs), so a tiled result is laid out exactly as an untiled one.
-        shape = tuple(u - l for l, u in zip(lowers, uppers))
-        destinations = [np.empty(shape, np.result_type(first), _layout(first))
-                        for first in partials[0]]
-    for box, values in zip(boxes, partials):
-        if values is not None:  # not delivered yet
-            deliver(destinations, box, values)
-    return destinations
+    if workers > 1 and len(boxes) > 1:
+        list(get_executor(workers).map(run, boxes))
+    else:
+        for box in boxes:
+            run(box)
 
 
 #: Process-wide box pools: interpreters asking for the same thread count
@@ -284,6 +236,21 @@ def _compares(use: Use) -> bool:
     return use.operation.name == "memref.snapshot" and use.index > 0
 
 
+def _exchanged_before(use: Use, block, position: int) -> bool:
+    """Whether ``use`` is the ``mpi.isend``/``mpi.irecv`` of a halo exchange
+    that completes in ``block`` before ``position``: a send copies its slab
+    when it runs, a receive lands at an ``mpi.waitall`` of its request."""
+    user = use.operation
+    if use.index != 0 or user.parent_block() is not block \
+            or block.index_of(user) > position:
+        return False
+    return user.name == "mpi.isend" or user.name == "mpi.irecv" and any(
+        wait.operation.name == "mpi.waitall"
+        and wait.operation.parent_block() is block
+        and block.index_of(wait.operation) < position
+        for wait in user.results[0].uses)
+
+
 def _iv_offset(value: SSAValue, ivs: Sequence[SSAValue]) -> Optional[Tuple[int, int]]:
     """``(dim, offset)`` when ``value`` is ``ivs[dim] + offset``, else None."""
     offset = 0
@@ -328,9 +295,12 @@ class SwapPlan:
         exactly once (at most under ``omp.parallel``); when besides the
         snapshot the source (and every cast it was reached through) is used
         only by that nest's stores — affine, unit-step, each indexing every
-        iteration dimension through one map — and by snapshots that name it
-        as written, which only compare memory; and when the function launches
-        no GPU kernel (its snapshots are device scratch)."""
+        iteration dimension through one map — by snapshots that name it as
+        written, which only compare memory, and by a halo exchange that
+        completes before the snapshot (:func:`_exchanged_before`: the ghost
+        planes it receives are in the displaced array, which the shell fill
+        copies from); and when the function launches no GPU kernel (its
+        snapshots are device scratch)."""
         block, func = op.parent_block(), enclosing_func(op)
         if block is None or func is None or any(
                 inner.name == "gpu.launch_func" for inner in func.walk()):
@@ -378,9 +348,11 @@ class SwapPlan:
                         return None
                     inner.append(value)
         axes = None
+        position = block.index_of(op)
         for use in source.uses:
             user = use.operation
-            if user is op or _compares(use):
+            if user is op or _compares(use) or \
+                    _exchanged_before(use, block, position):
                 continue
             if user.name != "memref.store" or use.index != 1 \
                     or user.parent_block() is not body:
@@ -440,8 +412,8 @@ def _nest_domain(kernel, externals):
 
 class Sweep:
     """One interpreter's sweeps outside "interpret" mode.  The handlers of
-    the ops that can vectorize call :meth:`nest`, :meth:`apply`,
-    :meth:`launch` and :meth:`snapshot`; each top-level call goes through
+    the ops that can vectorize call :meth:`nest`, :meth:`launch` and
+    :meth:`snapshot`; each top-level call goes through
     :meth:`call`.  The mode, kernel compiler, thread count and array-write
     count are read off ``interp`` when used; ``verdicts`` is its link
     table's memo."""
@@ -494,18 +466,6 @@ class Sweep:
             if swapped is not None:
                 self._fill_shells(swapped, frame, lowers, uppers)
 
-    def apply(self, op: Operation, frame, scalar_runner: Callable,
-              lb: Tuple[int, ...], ub: Tuple[int, ...],
-              inputs: Sequence[np.ndarray]):
-        """The results, or :data:`DELIVERED` when the sweep wrote them where
-        their stores put them (``inputs``: the arrays of the temps read)."""
-        delivery = self._delivery(op, frame, tuple(u - l for l, u in zip(lb, ub)),
-                                  inputs)
-        returned = self.run(
-            frame, self.interp.kernels.kernel_for(op),
-            lambda kernel, externals: (lb, ub), scalar_runner, delivery=delivery)
-        return DELIVERED if returned is delivery[0] is not None else returned
-
     def launch(self, op: Operation, kernel_op: Operation, frame,
                scalar_runner: Callable, grid: Sequence[int],
                block: Sequence[int]) -> None:
@@ -530,20 +490,17 @@ class Sweep:
 
     def run(self, frame, bound, domain_of: Callable, scalar_runner: Callable,
             counters: Tuple[str, str] = ("vectorized_sweeps",
-                                         "vectorize_fallbacks"),
-            delivery: Tuple[Optional[List[np.ndarray]], bool] = (None, False)):
+                                         "vectorize_fallbacks")) -> None:
         """The one execution path of every vectorizable sweep op: runtime
-        guards → box plan → :func:`run_boxes` → crosscheck → stats.  Returns
-        the kernel's results — ``scalar_runner``'s when there is no kernel
-        or a guard fails.
+        guards → box plan → :func:`run_boxes` → crosscheck → stats; the
+        scalar runner when there is no kernel or a guard fails.
 
         Callers supply only what differs per op: ``bound`` is the op's
         :class:`BoundKernel` (or None); ``domain_of(kernel, externals)`` the
         ``(lowers, uppers[, steps])`` iteration domain the runtime guards
         check; ``scalar_runner`` is the reference semantics, used as fallback
         and as crosscheck oracle so the two cannot diverge; ``counters`` the
-        (vectorized, fallback) stats keys; ``delivery`` the (destinations,
-        deferred) of :func:`run_boxes`: used destinations are what comes back.
+        (vectorized, fallback) stats keys.
         """
         interp = self.interp
         interp.array_writes += 1
@@ -556,7 +513,8 @@ class Sweep:
                 bound = None
         if bound is None:
             self.stats[fallback_key] += 1
-            return scalar_runner()
+            scalar_runner()
+            return
         lowers, uppers = tuple(domain[0]), tuple(domain[1])
         threads = interp.threads
 
@@ -567,8 +525,7 @@ class Sweep:
             if threads > 1 and slabs == 1:
                 self.stats["parallel_fallbacks"] += 1
             chosen: List[str] = []
-            results = run_boxes(kernel, externals, lowers, uppers, boxes,
-                                threads, chosen, *delivery)
+            run_boxes(kernel, externals, boxes, threads, chosen)
             if slabs > 1:
                 self.stats["parallel_sweeps"] += 1
                 self.stats["parallel_tiles"] += slabs
@@ -576,48 +533,37 @@ class Sweep:
                 self.stats[shape + "_tiles"] += len(boxes)
             interp.kernels.record_invocation(kernel.label,
                                              _time.perf_counter() - start, chosen)
-            return results
 
         if interp.execution_mode == "crosscheck":
-            results = self._crosscheck(kernel, externals, vector_runner,
-                                       scalar_runner, delivery[0])
+            self._crosscheck(kernel, externals, vector_runner, scalar_runner)
         else:
-            results = vector_runner()
+            vector_runner()
         self.stats[done_key] += 1
-        return results
 
     def _plan_sweep(self, kernel, externals, lowers, uppers):
         """One sweep's :func:`plan_sweep`, fed from the kernel (the strides
         of the first array it sweeps, the arrays it touches per point) and
-        the thread count.  A kernel whose boxes cannot run independently
-        (``tileable`` false) runs the whole domain; so does a pure kernel
-        over an empty one, which still owes its (empty) results.
-        """
-        whole = [(lowers, uppers)], 1, None
-        if not kernel.tileable:
-            return whole
-        plan = plan_sweep(lowers, uppers, self.interp.threads,
+        the thread count.  Every kernel's boxes may run independently: each
+        store indexes every iteration dimension (``translate_memory_body``
+        refuses one that does not), so boxes that partition the domain
+        write disjoint regions."""
+        return plan_sweep(lowers, uppers, self.interp.threads,
                           strides=kernel.dim_strides(externals),
                           arrays=kernel.arrays_per_point)
-        return plan if plan[0] or kernel.stores else whole
 
     def _crosscheck(self, kernel, externals, vector_runner: Callable,
-                    scalar_runner: Callable, destinations=None):
+                    scalar_runner: Callable) -> None:
         """Run the compiled kernel (tiled as planned) AND the scalar oracle
-        and require bitwise agreement on every stored array and returned
-        value.  Leaves the oracle's stores in memory: results delivered into
-        ``destinations`` are read back, the destinations restored and the
-        oracle's values returned for their stores to write."""
+        and require bitwise agreement on every stored array.  Leaves the
+        oracle's stores in memory."""
         targets = kernel.store_targets(externals)
-        saved = targets + (destinations or [])
-        before = [t.copy() for t in saved]
-        results = vector_runner()
-        vectorized = [np.copy(v) for v in targets + list(results or [])]
-        for target, copy in zip(saved, before):
+        before = [t.copy() for t in targets]
+        vector_runner()
+        vectorized = [np.copy(t) for t in targets]
+        for target, copy in zip(targets, before):
             np.copyto(target, copy)
-        oracle = list(scalar_runner() or [])
-        for ref, vec in zip(targets + oracle, vectorized):
-            ref, vec = np.broadcast_arrays(np.asarray(ref), np.asarray(vec))
+        scalar_runner()
+        for ref, vec in zip(targets, vectorized):
             if not np.array_equal(ref, vec, equal_nan=True):
                 worst = float(np.max(np.abs(ref.astype(np.float64)
                                             - vec.astype(np.float64))))
@@ -629,41 +575,6 @@ class Sweep:
                     f"--- kernel source ---\n{kernel.source}"
                     "--- parameters ---\n" + ", ".join(
                         f"c{k} = {value!r}" for k, value in enumerate(constants)))
-        return oracle if results is destinations is not None else results
-
-    @staticmethod
-    def _stores_of_results(op: Operation) -> Optional[Tuple[Operation, ...]]:
-        """The ``stencil.store`` of each result of a ``stencil.apply`` whose
-        results are simply stored — one use each, a store over the apply's
-        ``lb``/``ub``, these the next ops of its block: into fields defined
-        before it, and written by the sweep or after it nobody can tell."""
-        stores = [use.operation for result in op.results for use in result.uses]
-        block = op.parent_block()
-        if block is None or not all(
-                len(result.uses) == 1 and store.name == "stencil.store"
-                and store.operands[0] is result
-                and all(store.get_attr(k) == op.get_attr(k) for k in ("lb", "ub"))
-                for result, store in zip(op.results, stores)):
-            return None
-        following = block.ops[block.index_of(op) + 1:][:len(stores)]
-        return tuple(stores) if {id(o) for o in following} \
-            == {id(store) for store in stores} else None
-
-    def _delivery(self, op: Operation, frame, domain, inputs):
-        """``(destinations, deferred)`` of an apply sweep: the window each
-        result's store writes, if the results are simply stored and the
-        windows whole and pairwise disjoint; and whether one shares memory
-        with an input (in-place Gauss-Seidel), so all boxes must read first."""
-        windows: List[np.ndarray] = []
-        for store in self._verdicts[self._stores_of_results, op] or ():
-            field = frame.get(store.operands[1])
-            window = field.buffer.data[store_window(store, field.lb)]
-            if window.shape != domain or any(
-                    np.may_share_memory(window, other) for other in windows):
-                return None, False
-            windows.append(window)
-        return windows or None, any(np.may_share_memory(window, data)
-                                    for window in windows for data in inputs)
 
     def _swap(self, source: MemoryBuffer, plan: SwapPlan,
               frame) -> Optional[MemoryBuffer]:

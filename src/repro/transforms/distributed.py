@@ -3,23 +3,26 @@
 ``ConvertStencilToDMPPass`` decorates extracted stencil functions for execution
 on a logical process grid: it derives each rank's local sub-domain from the
 global apply bounds and inserts ``dmp.halo_swap`` operations before every
-``stencil.apply`` so neighbouring ranks exchange boundary data.
+``stencil.apply`` so neighbouring ranks exchange boundary data.  The widest
+halo per dimension is recorded as ``dmp.halo`` on the ``func.func``, which
+outlives the applies (the dmp backend lowers them to scf loops next).
 
 ``ConvertDMPToMPIPass`` then lowers each halo swap into explicit non-blocking
 ``mpi.isend``/``mpi.irecv`` pairs (one per face of each decomposed dimension)
 followed by ``mpi.waitall``, using the same neighbour/tag conventions the
-simulated communicator implements.
+simulated communicator implements; each tag constant is built once per block.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import arith, dmp, mpi, stencil
 from ..dialects.func import FuncOp
 from ..ir.attributes import DenseArrayAttr
 from ..ir.builder import Builder
-from ..ir.operation import Operation
+from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
 from ..ir.ssa import OpResult, SSAValue
 from ..ir.types import i32
@@ -53,6 +56,7 @@ class ConvertStencilToDMPPass(ModulePass):
         builder.set_insertion_point_to_start(func_op.entry_block)
         grid_op = builder.insert(dmp.GridOp(self.grid))
 
+        widest: List[int] = []
         for apply_op in applies:
             rank = apply_op.rank
             # Halo width per dimension: the widest access offset used.
@@ -61,7 +65,8 @@ class ConvertStencilToDMPPass(ModulePass):
                 if isinstance(op, stencil.AccessOp):
                     for d, offset in enumerate(op.offset):
                         halo[d] = max(halo[d], abs(int(offset)))
-            apply_op.set_attr("dmp.halo", DenseArrayAttr(halo))
+            widest = [max(pair) for pair in itertools.zip_longest(
+                widest, halo, fillvalue=0)]
             # Swap halos of every input field before its snapshot is taken
             # (stencil.load copies the field, so the exchange must precede it).
             swapped = set()
@@ -75,6 +80,7 @@ class ConvertStencilToDMPPass(ModulePass):
                 builder.insert(
                     dmp.HaloSwapOp(field, grid_op.results[0], halo)
                 )
+        func_op.set_attr("dmp.halo", DenseArrayAttr(widest))
 
     @staticmethod
     def _field_of_temp(value: SSAValue) -> Optional[SSAValue]:
@@ -90,19 +96,28 @@ class ConvertDMPToMPIPass(ModulePass):
     name = "convert-dmp-to-mpi"
 
     def apply(self, module: Operation) -> None:
+        #: (block, tag) -> the block's one i32 constant of that tag
+        tags: Dict[Tuple[Block, int], SSAValue] = {}
         for swap in [op for op in module.walk() if isinstance(op, dmp.HaloSwapOp)]:
-            self._lower_swap(swap)
+            self._lower_swap(swap, tags)
         # Grid ops may now be dead.
         for grid_op in [op for op in module.walk() if isinstance(op, dmp.GridOp)]:
             if not any(r.has_uses for r in grid_op.results):
                 grid_op.erase(safe=False)
 
-    def _lower_swap(self, swap: dmp.HaloSwapOp) -> None:
+    def _lower_swap(self, swap: dmp.HaloSwapOp,
+                    tags: Dict[Tuple[Block, int], SSAValue]) -> None:
         block = swap.parent_block()
         if block is None:
             return
         builder = Builder(None)
         builder.set_insertion_point_before(swap)
+
+        def tag_value(tag: int) -> SSAValue:
+            if (block, tag) not in tags:
+                tags[block, tag] = builder.insert(
+                    arith.ConstantOp.from_int(tag, i32)).results[0]
+            return tags[block, tag]
         field = swap.field
         grid_value = swap.grid
         grid_shape = self._grid_shape(grid_value)
@@ -129,15 +144,11 @@ class ConvertDMPToMPIPass(ModulePass):
                 send_lb, send_ub, recv_lb, recv_ub = self._slabs(
                     extents, dim, width, direction
                 )
-                tag_value = builder.insert(arith.ConstantOp.from_int(tag, i32)).results[0]
-                recv_tag_value = builder.insert(
-                    arith.ConstantOp.from_int(recv_tag, i32)
-                ).results[0]
-                isend = mpi.ISendOp(field, neighbour.results[0], tag_value)
+                isend = mpi.ISendOp(field, neighbour.results[0], tag_value(tag))
                 isend.set_attr("slice_lb", DenseArrayAttr(send_lb))
                 isend.set_attr("slice_ub", DenseArrayAttr(send_ub))
                 builder.insert(isend)
-                irecv = mpi.IRecvOp(field, neighbour.results[0], recv_tag_value)
+                irecv = mpi.IRecvOp(field, neighbour.results[0], tag_value(recv_tag))
                 irecv.set_attr("slice_lb", DenseArrayAttr(recv_lb))
                 irecv.set_attr("slice_ub", DenseArrayAttr(recv_ub))
                 builder.insert(irecv)

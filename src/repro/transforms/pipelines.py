@@ -5,7 +5,9 @@ the GPU one).  The same style works here through
 :class:`repro.ir.PassManager.add_pipeline`, and the strings below keep the
 paper's pass names verbatim as documentation of its flow.  Every pass in this
 project is a module pass; nested pass scoping (``func.func(...)``) is not
-parsed.
+parsed.  Each target's pipeline lowers the stencil dialect through
+``convert-stencil-to-scf``, as the paper's flow does, so the runtime never
+executes a ``stencil.*`` op.
 """
 
 from __future__ import annotations
@@ -35,18 +37,18 @@ ACCEPTED_PASSES.update((
 #: Discovery + extraction applied to the Flang-produced FIR (run in "xDSL").
 FIR_STENCIL_PIPELINE = "discover-stencils,extract-stencils"
 
-#: Stencil module lowering for single-core CPU execution.
+#: Stencil module lowering for single-core CPU execution.  It runs no
+#: ``canonicalize,cse``: the lowering builds each constant once, so they
+#: would find nothing to fold or merge.
 CPU_PIPELINE = (
     "convert-stencil-to-scf{target=cpu},"
-    "scf-parallel-loop-specialization,"
-    "canonicalize,cse"
+    "scf-parallel-loop-specialization"
 )
 
 #: Stencil module lowering for multi-threaded CPU execution (OpenMP).
 OPENMP_PIPELINE = (
     "convert-stencil-to-scf{target=cpu},"
-    "convert-scf-to-openmp,"
-    "canonicalize,cse"
+    "convert-scf-to-openmp"
 )
 
 #: The paper's GPU pipeline (Listing 4), flattened and run on the stencil
@@ -73,9 +75,14 @@ GPU_PIPELINE = (
     "reconcile-unrealized-casts"
 )
 
-#: Distributed-memory lowering via the DMP and MPI dialects; the dmp backend
-#: adds ``{grid=PxQ}`` from its options.
-DMP_PIPELINE = "convert-stencil-to-dmp,convert-dmp-to-mpi"
+#: Distributed-memory lowering via the DMP and MPI dialects, then each rank's
+#: loops as on a single core; the dmp backend adds ``{grid=PxQ}`` from its
+#: options.
+DMP_PIPELINE = (
+    "convert-stencil-to-dmp,"
+    "convert-dmp-to-mpi,"
+    "convert-stencil-to-scf{target=cpu}"
+)
 
 
 PIPELINES = {

@@ -9,23 +9,33 @@ Mirrors the xDSL/Open Earth stencil lowering described in §3 of the paper:
   ``scf.parallel`` nest, which ``convert-parallel-loops-to-gpu`` then maps to
   a kernel launch.
 
-``stencil.load`` becomes a ``memref.snapshot``, preserving the dialect's value
-semantics.  A field the function only reads
-(:attr:`stencil.ExternalLoadOp.read_only`) names the written fields' buffers, so
-it copies only when, at run time, it shares memory with one of them — an
-argument passed twice.  A field the function also writes (Gauss–Seidel) names
-itself, so it always copies, in one pass.  Every ``stencil.apply``
-result is written straight into the memref backing the field its
-``stencil.store`` targets.
+Every target runs this lowering, so no ``stencil.*`` op reaches the runtime.
+``stencil.external_load`` becomes a cast of its source to a memref, and every
+other user of the field — the ``mpi.isend``/``mpi.irecv`` of a dmp halo
+exchange — moves onto that memref.  ``stencil.load`` becomes a
+``memref.snapshot``, preserving the dialect's value semantics.  A field the
+function only reads (:attr:`stencil.ExternalLoadOp.read_only`) names the
+written fields' buffers, so it copies only when, at run time, it shares memory
+with one of them — an argument passed twice.  A field the function also
+writes (Gauss–Seidel, or a halo exchange) names itself, so it copies unless
+the runtime swaps it (:class:`repro.runtime.sweep.SwapPlan`).  Every
+``stencil.apply`` result is written straight into the memref backing the
+field its ``stencil.store`` targets.
+
+Each index constant is built once: the loop bounds and steps at the top of
+the function, each shift once per loop body (which the kernel compiler folds
+into its slices).  So ``canonicalize`` and ``cse`` have nothing left to do on
+the cpu flavour, and the cpu pipelines do not run them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..dialects import arith, memref, scf, stencil
 from ..dialects.builtin import UnrealizedConversionCastOp
 from ..dialects.func import FuncOp
+from ..ir.attributes import IntegerAttr
 from ..ir.builder import Builder
 from ..ir.operation import Block, Operation
 from ..ir.pass_manager import ModulePass, register_pass
@@ -35,7 +45,8 @@ from ..ir.types import MemRefType, index
 
 
 class LoweringError(Exception):
-    """Raised when stencil IR cannot be lowered (e.g. a store-less apply)."""
+    """Raised when stencil IR cannot be lowered (e.g. a store-less apply, or
+    a store over a window other than its apply's domain)."""
 
 
 def _field_memref_type(field_type: stencil.FieldType) -> MemRefType:
@@ -74,6 +85,16 @@ class ConvertStencilToSCFPass(ModulePass):
                    and value.block is func_op.entry_block for value in written):
             read_only = dict.fromkeys(read_only, False)
 
+        top = Builder.at_start(func_op.entry_block)
+        constants: Dict[int, SSAValue] = {}
+
+        def constant(value: int) -> SSAValue:
+            """The function's one ``index`` constant of ``value``."""
+            if value not in constants:
+                constants[value] = top.insert(
+                    arith.ConstantOp.from_int(value, index)).results[0]
+            return constants[value]
+
         # First sweep: materialise memrefs for fields and temp snapshots, and
         # lower every apply/store pair into loop nests.
         for block in list(self._blocks(func_op)):
@@ -86,6 +107,9 @@ class ConvertStencilToSCFPass(ModulePass):
                         [op.source], [_field_memref_type(field_type)]
                     )
                     block.insert_op_before(cast, op)
+                    for use in list(op.results[0].uses):
+                        if not use.operation.name.startswith("stencil."):
+                            use.operation.set_operand(use.index, cast.results[0])
                     memref_of[op.results[0]] = cast.results[0]
                     origin_of[op.results[0]] = tuple(b[0] for b in field_type.bounds)
                 elif isinstance(op, stencil.LoadOp):
@@ -97,10 +121,10 @@ class ConvertStencilToSCFPass(ModulePass):
                     memref_of[op.results[0]] = snapshot.results[0]
                     origin_of[op.results[0]] = tuple(b[0] for b in temp_type.bounds)
                 elif isinstance(op, stencil.ApplyOp):
-                    self._lower_apply(op, memref_of, origin_of)
+                    self._lower_apply(op, memref_of, origin_of, constant)
 
-        # The stencil loads and casts are now dead (stores/applies were
-        # erased above).
+        # The stencil loads and external loads are now dead (stores/applies
+        # were erased above).
         erase_and_fold(func_op, seeds=[
             op for op in func_op.walk() if op.name.startswith("stencil.")
         ])
@@ -115,7 +139,8 @@ class ConvertStencilToSCFPass(ModulePass):
 
     # ------------------------------------------------------------------
 
-    def _lower_apply(self, op: stencil.ApplyOp, memref_of, origin_of) -> None:
+    def _lower_apply(self, op: stencil.ApplyOp, memref_of, origin_of,
+                     constant: Callable[[int], SSAValue]) -> None:
         block = op.parent_block()
         if block is None:
             return
@@ -125,20 +150,23 @@ class ConvertStencilToSCFPass(ModulePass):
         # Each apply result must feed exactly one stencil.store.
         stores: List[stencil.StoreOp] = []
         for result in op.results:
-            store_op = None
-            for use in result.uses:
-                if isinstance(use.operation, stencil.StoreOp):
-                    store_op = use.operation
-                    break
-            if store_op is None:
-                raise LoweringError("stencil.apply result has no stencil.store consumer")
+            users = [use.operation for use in result.uses]
+            if len(users) != 1 or not isinstance(users[0], stencil.StoreOp):
+                raise LoweringError(
+                    "a stencil.apply result must feed exactly one stencil.store, "
+                    f"not {[user.name for user in users]}")
+            store_op = users[0]
+            # The loop nest writes the apply's whole domain: so must the store.
+            if any(store_op.get_attr(k) != op.get_attr(k) for k in ("lb", "ub")):
+                raise LoweringError(
+                    "stencil.store writes a window other than its apply's domain")
             stores.append(store_op)
 
         builder = Builder(None)
         builder.set_insertion_point_before(op)
-        lb_values = [builder.insert(arith.ConstantOp.from_int(v, index)).results[0] for v in lb]
-        ub_values = [builder.insert(arith.ConstantOp.from_int(v, index)).results[0] for v in ub]
-        one = builder.insert(arith.ConstantOp.from_int(1, index)).results[0]
+        lb_values = [constant(v) for v in lb]
+        ub_values = [constant(v) for v in ub]
+        one = constant(1)
 
         bodies: List[Block] = []
         ivs: List[SSAValue] = []
@@ -181,6 +209,14 @@ class ConvertStencilToSCFPass(ModulePass):
                 replacement = builder.insert(memref.LoadOp(source, indices)).results[0]
             elif isinstance(body_op, stencil.IndexOp):
                 replacement = ivs[body_op.dim]
+            elif self.target == "cpu" and isinstance(body_op, arith.ConstantOp):
+                # One constant per spelling in the body (-0.0 is not 0.0),
+                # all ``cse`` would merge; on gpu each literal stays a kernel
+                # parameter of its own.
+                replacement = shifted.setdefault(body_op.get_attr("value").print(),
+                                                 body_op.results[0])
+                if replacement is body_op.results[0]:
+                    continue
             else:
                 continue
             value_map[body_op.results[0]] = replacement
@@ -212,15 +248,18 @@ class ConvertStencilToSCFPass(ModulePass):
                        shifted: Dict[object, SSAValue]) -> SSAValue:
         """``iv + shift``, built once per loop body where ``cse`` would keep
         it: ``shifted`` holds the body's indices by ``(iv, shift)`` and its
-        constants by ``abs(shift)``.  The GPU pipeline runs no ``cse``."""
+        constants by their printed value.  No pipeline runs ``cse`` after
+        this."""
         if shift == 0:
             return iv
         if (iv, shift) not in shifted:
-            if abs(shift) not in shifted:
-                shifted[abs(shift)] = builder.insert(
-                    arith.ConstantOp.from_int(abs(shift), index)).results[0]
+            value = IntegerAttr(abs(shift), index)
+            if value.print() not in shifted:
+                shifted[value.print()] = builder.insert(
+                    arith.ConstantOp(value)).results[0]
             cls = arith.AddiOp if shift > 0 else arith.SubiOp
-            shifted[iv, shift] = builder.insert(cls(iv, shifted[abs(shift)])).results[0]
+            shifted[iv, shift] = builder.insert(
+                cls(iv, shifted[value.print()])).results[0]
         return shifted[iv, shift]
 
 

@@ -1,11 +1,12 @@
 """One lowering per backend.
 
-openmp always runs the paper's stencil → scf → ``convert-scf-to-openmp``
-pipeline and gpu its Listing 4 pipeline; dmp and flang-only never lower to
-scf.  Only cpu chooses between the stencil level and its scf loops.  On every
-other backend ``lower_to_scf`` accepts only its fixed value, and the other
-one is an :class:`OptionError` naming the backend — through ``lower``,
-``with_options`` and a :class:`CompileService` request alike.
+cpu runs the stencil → scf pipeline, openmp continues it with
+``convert-scf-to-openmp``, gpu runs its Listing 4 pipeline, and dmp lowers
+to scf after its DMP → MPI passes; flang-only never lowers.  So no
+``stencil.*`` op reaches the runtime.  ``lower_to_scf`` accepts only each
+backend's fixed value, and the other one is an :class:`OptionError` naming
+the backend — through ``lower``, ``with_options`` and a
+:class:`CompileService` request alike.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import repro
 from repro.api import OptionError
 from repro.api.backends import registry
-from repro.api.options import DmpOptions, GpuOptions, OpenMPOptions
+from repro.api.options import CpuOptions, DmpOptions, GpuOptions, OpenMPOptions
 from repro.apps import gauss_seidel, pw_advection
 from repro.ir import print_module
 from repro.runtime import SimulatedGPU
@@ -25,9 +26,10 @@ GS = gauss_seidel.generate_source(8, niters=2)
 
 #: (backend, the value lower_to_scf refuses, other options the backend needs)
 REFUSALS = [
+    ("cpu", False, {}),
     ("openmp", False, {}),
     ("gpu", False, {}),
-    ("dmp", True, {"grid": (1, 1)}),
+    ("dmp", False, {"grid": (1, 1)}),
     ("flang-only", True, {}),
 ]
 IDS = [f"{backend}-{value}" for backend, value, _ in REFUSALS]
@@ -38,6 +40,24 @@ def _op_names(module):
 
 
 class TestEachBackendRunsItsPipeline:
+    @pytest.mark.parametrize("backend,options", [
+        ("cpu", {}), ("openmp", {}), ("gpu", {}), ("dmp", {"grid": (2, 2)})])
+    def test_no_stencil_op_reaches_the_runtime(self, backend, options):
+        for source in (GS, pw_advection.generate_source(8)):
+            compiled = repro.Session().compile(source).lower(backend, **options)
+            names = _op_names(compiled.stencil_module)
+            assert not {name for name in names if name.startswith("stencil.")}
+            assert "scf.parallel" in names or "omp.wsloop" in names \
+                or "gpu.launch_func" in names
+
+    def test_dmp_halo_exchanges_move_onto_the_fields_memref(self):
+        compiled = repro.Session().compile(GS).lower("dmp", grid=(2, 2))
+        exchanges = [op for op in compiled.stencil_module.walk()
+                     if op.name in ("mpi.isend", "mpi.irecv")]
+        assert len(exchanges) == 8
+        assert {type(op.operands[0].type).__name__ for op in exchanges} \
+            == {"MemRefType"}
+
     def test_default_openmp_ir_holds_omp_wsloop(self):
         compiled = repro.Session().compile(GS).lower("openmp")
         assert "omp.wsloop" in _op_names(compiled.stencil_module)
@@ -56,17 +76,19 @@ class TestEachBackendRunsItsPipeline:
     def test_each_backend_names_its_one_pipeline(self):
         assert {backend.name: backend.pipeline for backend in registry} == {
             "flang-only": None,
-            "cpu": None,
+            "cpu": pipelines.CPU_PIPELINE,
             "openmp": pipelines.OPENMP_PIPELINE,
             "gpu": pipelines.GPU_PIPELINE,
-            "dmp": None,
+            "dmp": pipelines.DMP_PIPELINE,
         }
 
-    @pytest.mark.parametrize("backend", ["openmp", "gpu"])
-    def test_spelling_the_fixed_value_is_the_same_artifact(self, backend):
+    @pytest.mark.parametrize("backend,options", [
+        ("cpu", {}), ("openmp", {}), ("gpu", {}), ("dmp", {"grid": (1, 1)})])
+    def test_spelling_the_fixed_value_is_the_same_artifact(self, backend,
+                                                           options):
         session = repro.Session()
-        default = session.lower(GS, backend)
-        spelled = session.lower(GS, backend, lower_to_scf=True)
+        default = session.lower(GS, backend, **options)
+        spelled = session.lower(GS, backend, lower_to_scf=True, **options)
         assert spelled.artifact is default.artifact
         assert session.cache_stats["misses"] == 1
 
@@ -97,12 +119,16 @@ class TestTheOtherValueIsRefused:
             metrics = service.metrics()
             assert (metrics.submitted_runs, metrics.failed) == (0, 0)
 
-    def test_openmp_points_at_its_stencil_level_run(self):
-        with pytest.raises(OptionError, match=r'lower\("cpu", threads=N\)'):
-            OpenMPOptions(lower_to_scf=False)
+    @pytest.mark.parametrize("cls,lowering", [
+        (CpuOptions, "an scf loop nest"), (OpenMPOptions, "an omp.wsloop nest"),
+        (GpuOptions, "a gpu.launch_func"), (DmpOptions, "scf loop nests")])
+    def test_the_refusal_names_the_one_lowering(self, cls, lowering):
+        with pytest.raises(OptionError, match=lowering):
+            cls(lower_to_scf=False)
 
     @pytest.mark.parametrize("cls,value", [
-        (OpenMPOptions, False), (GpuOptions, False), (DmpOptions, True)])
+        (CpuOptions, False), (OpenMPOptions, False), (GpuOptions, False),
+        (DmpOptions, False)])
     def test_no_options_object_holds_the_other_value(self, cls, value):
         with pytest.raises(OptionError, match="has one lowering"):
             cls(lower_to_scf=value)

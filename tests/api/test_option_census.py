@@ -42,9 +42,10 @@ KINDS = {"two values", "deployment", "safety bound", "test seam", "input",
 CENSUS = {
     # -- backend options -----------------------------------------------------
     "BackendOptions.lower_to_scf": (
-        "two values", "cpu only: bench pw96_cpu runs at the apply level, "
-                      "serve_catalogue on scf; every other backend has one "
-                      "lowering and refuses the other value"),
+        "two values", "True on the four lowering backends (bench spells "
+                      "it for gs96_openmp, pw64_gpu and serve_catalogue), "
+                      "False on flang-only: each backend has one lowering "
+                      "and refuses the other value"),
     "BackendOptions.fuse_stencils": (
         "two values", "harness ablation E9 compiles fused and unfused"),
     "BackendOptions.execution_mode": (

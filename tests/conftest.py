@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from repro.apps import gauss_seidel, pw_advection
+from repro.frontend import compile_to_fir
+from repro.ir import PassManager
+from repro.transforms.pipelines import FIR_STENCIL_PIPELINE
 
 
 @pytest.fixture
@@ -111,3 +114,17 @@ def rechecked():
         return seen
 
     return spy
+
+
+@pytest.fixture
+def extract():
+    """``extract(source)``: ``(fir, stencil)``, the FIR module of ``source``
+    after stencil discovery and extraction and the extracted stencil module,
+    not lowered (every backend lowers it to loops before it runs)."""
+    def run(source):
+        fir = compile_to_fir(source)
+        extraction = PassManager().add_pipeline(FIR_STENCIL_PIPELINE)
+        extraction.run(fir)
+        return fir, extraction.passes[-1].extracted_module
+
+    return run

@@ -28,3 +28,4 @@ def test_quickstart_runs_under_each_execution_mode(mode, capsys):
     out = capsys.readouterr().out
     assert f"execution mode      : {mode}" in out
     assert "stencil.apply" in out  # the extracted module excerpt was printed
+    assert "scf.parallel" in out  # and the lowered one

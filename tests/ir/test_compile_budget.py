@@ -13,25 +13,23 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import arith, fir, func, stencil
+from repro.dialects import arith, fir, func
 from repro.dialects.builtin import ModuleOp
 from repro.frontend import compile_to_fir
-from repro.ir import Builder, FloatType, Operation, f64
+from repro.ir import Builder, Operation, PassManager, f64, print_module
 from repro.ir.ssa import Use
 from repro.ir.traits import is_trivially_dead
 from repro.runtime import SimulatedGPU, kernel_compiler
 from repro.transforms import StencilDiscoveryPass
-from repro.transforms.cleanup import CSEPass
 
 N = 8
 
 #: name -> (source, backend, lower options, Python calls one ``lower()`` with
 #: a warm kernel cache made at the parent commit 3ea93c6, where the frontend
-#: built every constant and subscript chain once per use).
+#: built every constant and subscript chain once per use; cpu's is its scf
+#: lowering's, then ``lower_to_scf=True``).
 CONFIGS = {
-    "pw-cpu": (pw_advection.generate_source(N), "cpu", {}, 68_982),
-    "pw-cpu-scf": (pw_advection.generate_source(N), "cpu",
-                   {"lower_to_scf": True}, 85_065),
+    "pw-cpu": (pw_advection.generate_source(N), "cpu", {}, 85_065),
     "pw-gpu-scf": (pw_advection.generate_source(N, niters=2), "gpu",
                    {"lower_to_scf": True}, 104_802),
     "gs-openmp-scf": (gauss_seidel.generate_source(N, niters=3), "openmp",
@@ -102,11 +100,11 @@ def test_a_gpu_lower_builds_each_op_once_and_verifies_each_state_once(monkeypatc
     assert visited <= 1_018, visited
 
 
-@pytest.mark.parametrize("name, most", [("pw-cpu-scf", 615), ("pw-gpu-scf", 700)])
+@pytest.mark.parametrize("name, most", [("pw-cpu", 615), ("pw-gpu-scf", 700)])
 def test_a_lower_builds_no_duplicate_index(monkeypatch, name, most):
     """At the parent commit 2cf6bf9 the scf lowering built every shifted
     index once per access, and ``cse`` erased the copies (the GPU pipeline
-    runs no ``cse``, so they stayed): 701 ops for pw-cpu-scf, 788 for
+    runs no ``cse``, so they stayed): 701 ops for pw-cpu, 788 for
     pw-gpu-scf."""
     built = []
     real_init = Operation.__init__
@@ -118,28 +116,26 @@ def test_a_lower_builds_no_duplicate_index(monkeypatch, name, most):
     monkeypatch.setattr(Operation, "__init__", init)
     handle = lower(name)
     assert len(built) <= most, len(built)
-    if name == "pw-cpu-scf":
+    if name == "pw-cpu":
         lowered = handle.pass_statistics[0]
         assert lowered.name == "convert-stencil-to-scf" and lowered.ops_after <= 152
 
 
-@pytest.mark.parametrize("name", ["pw-cpu-scf", "gs-openmp-scf"])
-def test_cse_merges_no_index_inside_a_lowered_loop_body(monkeypatch, name):
-    """Inside a loop body ``cse`` finds only the float literals each fused
-    statement brought along (kernels take them as parameters, by position)."""
-    merged = []
-    real = CSEPass._run_on_block
-
-    def run_on_block(self, block):
-        before = list(block.ops)
-        real(self, block)
-        if block.parent_op().name != "func.func":
-            merged.extend(op for op in before if op.parent is None)
-
-    monkeypatch.setattr(CSEPass, "_run_on_block", run_on_block)
-    lower(name)
-    assert all(isinstance(op, arith.ConstantOp) and isinstance(op.result.type, FloatType)
-               for op in merged), [op.name for op in merged]
+@pytest.mark.parametrize("backend, options", [
+    ("cpu", {}), ("openmp", {}), ("dmp", {"grid": (2, 2)})])
+@pytest.mark.parametrize("source", [
+    pw_advection.generate_source(16), gauss_seidel.generate_source(16, niters=2)],
+    ids=["pw", "gs"])
+def test_canonicalize_and_cse_find_nothing_in_a_lowered_cpu_module(
+        source, backend, options):
+    """The lowering builds each index constant once per function, each shift
+    once per loop body and, on the cpu flavour, each literal once per body:
+    so the cpu, openmp and dmp pipelines run no ``canonicalize,cse``, which
+    would print every lowered module unchanged."""
+    module = repro.Session().compile(source).lower(backend, **options).stencil_module
+    before = print_module(module)
+    PassManager().add_pipeline("canonicalize,cse").run(module)
+    assert print_module(module) == before
 
 
 def test_a_nest_keeps_no_dead_op_of_the_statement_it_lifted():
@@ -178,7 +174,7 @@ def test_the_frontend_builds_each_value_once(source, most_ops, most_constants):
     assert built.count("arith.constant") <= most_constants
 
 
-@pytest.mark.parametrize("name", ["pw-cpu", "pw-cpu-scf", "pw-gpu-scf", "gs-openmp-scf"])
+@pytest.mark.parametrize("name", ["pw-cpu", "pw-gpu-scf", "gs-openmp-scf"])
 def test_lower_compiles_no_kernel_and_the_first_run_one_per_kernel(
         name, empty_kernel_cache, compile_spy):
     handle = lower(name)
@@ -197,7 +193,7 @@ def test_lower_compiles_no_kernel_and_the_first_run_one_per_kernel(
     assert compile_spy == []
 
 
-@pytest.mark.parametrize("name", ["pw-cpu", "pw-cpu-scf", "pw-gpu-scf"])
+@pytest.mark.parametrize("name", ["pw-cpu", "pw-gpu-scf"])
 def test_a_catalogue_of_spacings_compiles_each_kernel_body_once(
         name, empty_kernel_cache, compile_spy):
     """PW sources that differ only in ``dx``/``dy``/``dz`` differ only in
@@ -221,8 +217,10 @@ def test_a_catalogue_of_spacings_compiles_each_kernel_body_once(
 
 
 @pytest.mark.parametrize("options, surviving", [({}, 1), ({"fuse_stencils": False}, 3)])
-def test_one_translation_per_apply_that_survives(monkeypatch, options, surviving,
-                                                 empty_kernel_cache):
+def test_one_translation_per_nest_that_survives(monkeypatch, options, surviving,
+                                                empty_kernel_cache):
+    """Each surviving ``stencil.apply`` is lowered to one ``scf.parallel``
+    nest, translated once, at its first run."""
     built = []
     real = kernel_compiler._BodyTranslator.__init__
 
@@ -233,31 +231,12 @@ def test_one_translation_per_apply_that_survives(monkeypatch, options, surviving
     monkeypatch.setattr(kernel_compiler._BodyTranslator, "__init__", spy)
     handle = repro.Session().compile(pw_advection.generate_source(N)).lower(
         "cpu", **options)
-    applies = [op for op in handle.stencil_module.walk()
-               if isinstance(op, stencil.ApplyOp)]
-    assert len(applies) == surviving and built == []  # lower() translates nothing
+    nests = [op for op in handle.stencil_module.walk() if op.name == "scf.parallel"]
+    assert len(nests) == surviving and built == []  # lower() translates nothing
     args = [f.copy(order="F") for f in pw_advection.initial_fields(N)]
     for _ in range(2):
         handle.with_options(execution_mode="vectorize").run("pw_advection", *args)
-    assert built == ["stencil.apply"] * surviving
-
-
-@pytest.mark.parametrize("name", ["pw-cpu-scf", "gs-openmp-scf"])
-def test_an_apply_lowered_away_is_never_translated(monkeypatch, name, empty_kernel_cache):
-    """At ``lower_to_scf`` discovery's applies become loop nests: neither the
-    compile nor the runs translate an apply body, only the nests that run."""
-    translated = []
-    real = kernel_compiler.compile_apply
-    monkeypatch.setattr(kernel_compiler, "compile_apply",
-                        lambda op, label: translated.append(op) or real(op, label))
-    handle = lower(name)
-    assert not any(isinstance(op, stencil.ApplyOp) for op in handle.stencil_module.walk())
-    for _ in range(2):
-        interp = run_vectorized(name, handle)
-    assert interp.kernels.stats["unsupported"] == 0
-    assert empty_kernel_cache and not any(
-        isinstance(k, str) for k in empty_kernel_cache.values())
-    assert translated == []
+    assert built == ["scf.parallel"] * surviving
 
 
 def test_erasing_users_in_reverse_order_compares_no_uses(monkeypatch):

@@ -24,7 +24,6 @@ SOURCES = {
 }
 CONFIGS = {
     "cpu": ("cpu", {}),
-    "cpu-scf": ("cpu", {"lower_to_scf": True}),
     "openmp-scf": ("openmp", {}),
     "gpu-scf-optimised": ("gpu", {"data_strategy": "optimised"}),
     "gpu-scf-host_register": ("gpu", {"data_strategy": "host_register"}),
@@ -34,70 +33,62 @@ CONFIGS = {
 
 #: "<app>-<config>" -> (FIR module digest, stencil module digest, passes).
 PINS = {
-    'pw-cpu': ('4e2a2f26a3841aba', '4c8c44d25934147e', []),
-    'pw-cpu-scf': ('4e2a2f26a3841aba', '73d59832ef690212', [
-        ('convert-stencil-to-scf', 134, 152),
-        ('canonicalize', 152, 152),
-        ('cse', 152, 145),
+    'pw-cpu': ('4e2a2f26a3841aba', 'aaa8866bf1d4cbc0', [
+        ('convert-stencil-to-scf', 134, 145),
     ]),
-    'pw-openmp-scf': ('4e2a2f26a3841aba', '45be77b4fc73bde6', [
-        ('convert-stencil-to-scf', 134, 152),
-        ('convert-scf-to-openmp', 152, 154),
-        ('canonicalize', 154, 154),
-        ('cse', 154, 147),
+    'pw-openmp-scf': ('4e2a2f26a3841aba', '2dfdd651e59cd26d', [
+        ('convert-stencil-to-scf', 134, 145),
+        ('convert-scf-to-openmp', 145, 147),
     ]),
     'pw-gpu-scf-optimised': ('2add514c81d852d5', 'c15812ea0ad0524d', [
-        ('convert-stencil-to-scf', 180, 194),
-        ('scf-parallel-loop-tiling', 194, 194),
-        ('canonicalize', 194, 194),
-        ('convert-parallel-loops-to-gpu', 194, 227),
-        ('canonicalize', 227, 220),
+        ('convert-stencil-to-scf', 180, 189),
+        ('scf-parallel-loop-tiling', 189, 189),
+        ('canonicalize', 189, 189),
+        ('convert-parallel-loops-to-gpu', 189, 222),
+        ('canonicalize', 222, 220),
         ('reconcile-unrealized-casts', 220, 220),
     ]),
     'pw-gpu-scf-host_register': ('f892d6a40f3e10bf', 'e8aee15298ff8d82', [
-        ('convert-stencil-to-scf', 142, 156),
-        ('scf-parallel-loop-tiling', 156, 156),
-        ('canonicalize', 156, 156),
-        ('convert-parallel-loops-to-gpu', 156, 189),
-        ('canonicalize', 189, 182),
+        ('convert-stencil-to-scf', 142, 151),
+        ('scf-parallel-loop-tiling', 151, 151),
+        ('canonicalize', 151, 151),
+        ('convert-parallel-loops-to-gpu', 151, 184),
+        ('canonicalize', 184, 182),
         ('reconcile-unrealized-casts', 182, 182),
     ]),
-    'pw-dmp-2x2': ('4e2a2f26a3841aba', '413ce2592a62f065', [
+    'pw-dmp-2x2': ('4e2a2f26a3841aba', '7b29fff22e41bc46', [
         ('convert-stencil-to-dmp', 134, 138),
-        ('convert-dmp-to-mpi', 138, 204),
+        ('convert-dmp-to-mpi', 138, 184),
+        ('convert-stencil-to-scf', 184, 195),
     ]),
     'pw-flang-only': ('2c2383fc6f74d207', None, []),
-    'gs-cpu': ('08c4138c8e683902', '868110dc73364dc1', []),
-    'gs-cpu-scf': ('08c4138c8e683902', '9f53c5d5919261d2', [
-        ('convert-stencil-to-scf', 21, 39),
-        ('canonicalize', 39, 39),
-        ('cse', 39, 34),
+    'gs-cpu': ('08c4138c8e683902', '1cca8a02903317db', [
+        ('convert-stencil-to-scf', 21, 34),
     ]),
-    'gs-openmp-scf': ('08c4138c8e683902', '76b6efc24268c5ad', [
-        ('convert-stencil-to-scf', 21, 39),
-        ('convert-scf-to-openmp', 39, 41),
-        ('canonicalize', 41, 41),
-        ('cse', 41, 36),
+    'gs-openmp-scf': ('08c4138c8e683902', '4d7b3b3a06695849', [
+        ('convert-stencil-to-scf', 21, 34),
+        ('convert-scf-to-openmp', 34, 36),
     ]),
     'gs-gpu-scf-optimised': ('65d370f4d44cced4', '9d8c7ad3bad66e79', [
-        ('convert-stencil-to-scf', 33, 47),
-        ('scf-parallel-loop-tiling', 47, 47),
-        ('canonicalize', 47, 47),
-        ('convert-parallel-loops-to-gpu', 47, 80),
-        ('canonicalize', 80, 73),
+        ('convert-stencil-to-scf', 33, 42),
+        ('scf-parallel-loop-tiling', 42, 42),
+        ('canonicalize', 42, 42),
+        ('convert-parallel-loops-to-gpu', 42, 75),
+        ('canonicalize', 75, 73),
         ('reconcile-unrealized-casts', 73, 73),
     ]),
     'gs-gpu-scf-host_register': ('9f38ebdb9fa38d59', '4a8892e2adfddcc6', [
-        ('convert-stencil-to-scf', 24, 38),
-        ('scf-parallel-loop-tiling', 38, 38),
-        ('canonicalize', 38, 38),
-        ('convert-parallel-loops-to-gpu', 38, 71),
-        ('canonicalize', 71, 64),
+        ('convert-stencil-to-scf', 24, 33),
+        ('scf-parallel-loop-tiling', 33, 33),
+        ('canonicalize', 33, 33),
+        ('convert-parallel-loops-to-gpu', 33, 66),
+        ('canonicalize', 66, 64),
         ('reconcile-unrealized-casts', 64, 64),
     ]),
-    'gs-dmp-2x2': ('08c4138c8e683902', 'baca64fe5c3b6d76', [
+    'gs-dmp-2x2': ('08c4138c8e683902', 'e4cd773bdb80feef', [
         ('convert-stencil-to-dmp', 21, 23),
-        ('convert-dmp-to-mpi', 23, 45),
+        ('convert-dmp-to-mpi', 23, 41),
+        ('convert-stencil-to-scf', 41, 54),
     ]),
     'gs-flang-only': ('b887dd412478aaa3', None, []),
 }

@@ -18,8 +18,10 @@ from repro.ir import (
     parse_pipeline,
 )
 from repro.ir.pass_manager import ACCEPTED_PASSES, PASSES
+from repro.frontend import compile_to_fir
 from repro.transforms import (
     DMP_PIPELINE,
+    FIR_STENCIL_PIPELINE,
     GPU_PIPELINE,
     CanonicalizePass,
     CSEPass,
@@ -247,8 +249,9 @@ class TestPassManager:
         implemented = [n for n in names if n in PASSES]
         accepted = [n for n in names if n in ACCEPTED_PASSES]
         assert sorted(implemented + accepted) == sorted(names)
-        module = repro.Session().compile(
-            gauss_seidel.generate_source(8, niters=1)).lower("cpu").stencil_module
+        extraction = PassManager().add_pipeline(FIR_STENCIL_PIPELINE)
+        extraction.run(compile_to_fir(gauss_seidel.generate_source(8, niters=1)))
+        module = extraction.passes[-1].extracted_module
         pm = PassManager().add_pipeline(GPU_PIPELINE)
         stats = pm.run(module)
         assert [p.name for p in pm.passes] == implemented
@@ -259,15 +262,16 @@ class TestPassManager:
     def test_pass_statistics_list_only_passes_that_ran(self):
         program = repro.Session().compile(gauss_seidel.generate_source(8, niters=1))
         assert len(program.lower("gpu").pass_statistics) == 6
-        assert [s.name for s in program.lower("cpu", lower_to_scf=True).pass_statistics] \
-            == ["convert-stencil-to-scf", "canonicalize", "cse"]
+        assert [s.name for s in program.lower("cpu").pass_statistics] \
+            == ["convert-stencil-to-scf"]
 
     @pytest.mark.parametrize("grid", [(1, 1), (2, 2), (4,)])
     def test_the_dmp_pipeline_string_is_what_runs(self, grid):
         handle = repro.Session().compile(
             gauss_seidel.generate_source(8, niters=1)).lower("dmp", grid=grid)
         assert [s.name for s in handle.pass_statistics] \
-            == DMP_PIPELINE.split(",") == ["convert-stencil-to-dmp", "convert-dmp-to-mpi"]
+            == [name for name, _ in parse_pipeline(DMP_PIPELINE)] \
+            == ["convert-stencil-to-dmp", "convert-dmp-to-mpi", "convert-stencil-to-scf"]
         grid_op = next(op for op in handle.stencil_module.walk() if op.name == "dmp.grid")
         assert grid_op.shape == grid
 

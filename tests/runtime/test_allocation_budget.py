@@ -1,18 +1,12 @@
 """What one warm run allocates, as the ``tracemalloc`` peak in units of one
 96^3 float64 field (6.75 MiB).
 
-At the ``stencil.apply`` level a sweep used to hold every box's partial, a
-whole-domain assembly buffer per result and then copy each into its field:
-5.7 fields for PW advection's three results, 1.9 for one Gauss-Seidel sweep.
-Delivered into their ``stencil.store`` windows, PW's boxes retain nothing
-and an in-place Gauss-Seidel sweep retains its partials only (deferred).
-The lowered paths store from inside the kernel and are pinned where they are
-(Gauss-Seidel's snapshot copy is one field).
+Every backend lowers to loop nests whose kernels store from inside: PW
+advection's boxes retain nothing, and an in-place Gauss-Seidel sweep holds
+the one field its snapshot swaps out.
 """
 
 import tracemalloc
-
-import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
@@ -31,24 +25,16 @@ def warm_peak(run) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("options, budget", [
-    ({}, 1.0),                        # 5.74 before, 0.16 delivered
-    ({"lower_to_scf": True}, 0.15),   # 0.11
-], ids=["apply", "lowered"])
-def test_pw_advection_peak(options, budget):
+def test_pw_advection_peak():
     compiled = repro.Session().lower(pw_advection.generate_source(N), "cpu",
-                                     execution_mode="vectorize", **options)
+                                     execution_mode="vectorize")
     fields = pw_advection.initial_fields(N)
-    assert warm_peak(lambda: compiled.run("pw_advection", *fields)) < budget
+    assert warm_peak(lambda: compiled.run("pw_advection", *fields)) < 0.15  # 0.11
 
 
-@pytest.mark.parametrize("options, budget", [
-    ({}, 1.1),                        # 1.92 before, 0.98 deferred
-    ({"lower_to_scf": True}, 1.15),   # 1.10
-], ids=["apply", "lowered"])
-def test_gauss_seidel_sweep_peak(options, budget):
+def test_gauss_seidel_sweep_peak():
     compiled = repro.Session().lower(
         gauss_seidel.generate_source(N, niters=1), "cpu",
-        execution_mode="vectorize", **options)
+        execution_mode="vectorize")
     u = gauss_seidel.initial_condition(N)
-    assert warm_peak(lambda: compiled.run("gauss_seidel", u)) < budget
+    assert warm_peak(lambda: compiled.run("gauss_seidel", u)) < 1.15  # 1.10

@@ -148,8 +148,10 @@ class TestCompileGpuFunc:
         lower bound 1 where the thread lattice starts at 0."""
         import re
 
+        from repro.frontend import compile_to_fir
+        from repro.ir import PassManager
         from repro.runtime.kernel_compiler import compile_loop_nest
-        from repro.transforms import ConvertStencilToSCFPass
+        from repro.transforms import FIR_STENCIL_PIPELINE, ConvertStencilToSCFPass
 
         def statements(kernel, lattice_shift):
             slots = {}
@@ -169,12 +171,12 @@ class TestCompileGpuFunc:
         lowered = repro.Session().compile(source).lower("gpu")
         [func_op] = [op for op in lowered.stencil_module.walk()
                      if op.name == "gpu.func"]
-        # The cpu artifact keeps the same stencil function unlowered.
-        unlowered = repro.Session().compile(source).lower("cpu")
-        ConvertStencilToSCFPass(target="gpu").apply(
-            unlowered.stencil_module)
-        [nest] = [op for op in unlowered.stencil_module.walk()
-                  if op.name == "scf.parallel"]
+        # The same stencil function, extracted and lowered by hand.
+        extraction = PassManager().add_pipeline(FIR_STENCIL_PIPELINE)
+        extraction.run(compile_to_fir(source))
+        unlowered = extraction.passes[-1].extracted_module
+        ConvertStencilToSCFPass(target="gpu").apply(unlowered)
+        [nest] = [op for op in unlowered.walk() if op.name == "scf.parallel"]
         launch_kernel, nest_kernel = compile_gpu_func(func_op), compile_loop_nest(nest)
         assert statements(launch_kernel, 0) == statements(nest_kernel, 1)
         assert launch_kernel.parameters == nest_kernel.parameters == (0, 1, 2)

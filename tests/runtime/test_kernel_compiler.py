@@ -2,8 +2,9 @@
 
 Covers the three contract areas of ``repro.runtime.kernel_compiler``:
 
-* **slice translation** — loop nests and apply bodies compile to NumPy
-  whole-array slice expressions (inspectable through ``kernel.source``);
+* **slice translation** — loop nests (every ``stencil.apply`` is lowered to
+  one before it runs) compile to NumPy whole-array slice expressions
+  (inspectable through ``kernel.source``);
 * **kernel caching** — repeated sweeps hit the identity memo and structurally
   identical ops from separate compilations share one kernel;
 * **oracle equivalence** — for both paper benchmarks the vectorized results
@@ -26,15 +27,14 @@ from repro.dialects import arith, memref, scf, stencil
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
 from repro.ir import Builder, MemRefType, f32, f64, i64, index
-from repro.runtime import (Frame, Interpreter, InterpreterError, MemoryBuffer,
-                           SimulatedGPU, TempValue)
+from repro.runtime import Interpreter, InterpreterError, MemoryBuffer, SimulatedGPU
 from repro.runtime.kernel_compiler import (
     KernelCompiler,
     KernelUnsupported,
-    compile_apply,
     compile_loop_nest,
     structural_hash,
 )
+from repro.transforms import ConvertStencilToSCFPass
 
 
 # ---------------------------------------------------------------------------
@@ -76,28 +76,58 @@ def build_shift_nest_module(n=8, shift=-1, in_place=False, row_range_args=False,
     return ModuleOp([fn]), fn
 
 
-def build_average_apply(n=8, element=f64, half=0.5):
-    """A standalone stencil.apply averaging left/right neighbours of its one
-    temp operand (fed by a detached cast so the operand list is populated);
-    ``element`` and ``half`` replace its f64 and the 0.5 it scales by."""
-    from repro.dialects.builtin import UnrealizedConversionCastOp
+def build_average_module(n=8, element=f64, half=0.5, body=None):
+    """``average(src, dst)``: ``dst`` over ``[1, n-1)²`` is ``half`` times the
+    sum of each point's left and right neighbours in ``src``, written as a
+    ``stencil.apply`` and lowered to an ``scf.parallel`` nest as every
+    backend lowers it; ``element`` and ``half`` replace its f64 and the 0.5.
+    ``body(inner, temp, outer)``, when given, builds the apply body instead
+    (``outer`` inserts before the apply) and returns the value it returns.
+    Returns the module and its nest."""
+    mtype = MemRefType((n, n), element)
+    fn = FuncOp.build("average", [mtype, mtype], [])
+    b = Builder.at_end(fn.entry_block)
+    field_type = stencil.FieldType([[0, n], [0, n]], element)
+    src, dst = (b.insert(stencil.ExternalLoadOp(arg, field_type)).results[0]
+                for arg in fn.entry_block.args)
+    temp = b.insert(stencil.LoadOp(src)).results[0]
+    apply_op = b.insert(stencil.ApplyOp(
+        [temp], [1, 1], [n - 1, n - 1],
+        [stencil.TempType([[1, n - 1], [1, n - 1]], element)]))
+    inner = Builder.at_end(apply_op.body.block)
+    arg = apply_op.body.block.args[0]
+    if body is None:
+        left = inner.insert(stencil.AccessOp(arg, [-1, 0])).results[0]
+        right = inner.insert(stencil.AccessOp(arg, [1, 0])).results[0]
+        total = inner.insert(arith.AddfOp(left, right)).results[0]
+        scale = inner.insert(arith.ConstantOp.from_float(half, element)).results[0]
+        value = inner.insert(arith.MulfOp(total, scale)).results[0]
+    else:
+        value = body(inner, arg, Builder.before(apply_op))
+    inner.insert(stencil.ReturnOp([value]))
+    b.insert(stencil.StoreOp(apply_op.results[0], dst, [1, 1], [n - 1, n - 1]))
+    b.insert(ReturnOp([]))
+    module = ModuleOp([fn])
+    ConvertStencilToSCFPass(target="cpu").apply(module)
+    module.verify()
+    return module, next(op for op in module.walk() if isinstance(op, scf.ParallelOp))
 
-    temp_type = stencil.TempType([[0, n], [0, n]], element)
-    producer = UnrealizedConversionCastOp([], [temp_type])
-    apply_op = stencil.ApplyOp(
-        [producer.results[0]], [1, 1], [n - 1, n - 1],
-        [stencil.TempType([[1, n - 1], [1, n - 1]], element)],
-    )
-    block = apply_op.body.block
-    arg = block.args[0]
-    b = Builder.at_end(block)
-    left = b.insert(stencil.AccessOp(arg, [-1, 0])).results[0]
-    right = b.insert(stencil.AccessOp(arg, [1, 0])).results[0]
-    total = b.insert(arith.AddfOp(left, right)).results[0]
-    half = b.insert(arith.ConstantOp.from_float(half, element)).results[0]
-    value = b.insert(arith.MulfOp(total, half)).results[0]
-    b.insert(stencil.ReturnOp([value]))
-    return apply_op
+
+def run_average(module, src, mode="crosscheck", threads=1):
+    """``dst`` (laid out as ``src``) after ``average(src, dst)`` in ``mode``,
+    and the interpreter (with a private kernel cache).  The arrays run where
+    they are, whatever their memory order."""
+    dst = np.zeros_like(src)
+    interp = Interpreter([module], execution_mode=mode, threads=threads,
+                         kernel_compiler=KernelCompiler(use_shared_cache=False))
+    interp.call("average", MemoryBuffer.wrap(src), MemoryBuffer.wrap(dst))
+    return dst, interp
+
+
+def average_terms(inner, arg):
+    """The left and right neighbours of ``arg`` in an apply body."""
+    return [inner.insert(stencil.AccessOp(arg, offset)).results[0]
+            for offset in ([-1, 0], [1, 0])]
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +170,14 @@ class TestSliceTranslation:
         assert np.allclose(dst.data[1:5, 1:5], src.data[0:4, 1:5] * 2.0)
         assert np.all(dst.data[0, :] == 0.0)
 
-    def test_apply_compiles_to_slices(self):
-        apply_op = build_average_apply()
-        kernel = compile_apply(apply_op)
-        assert "arr0" in kernel.source and "org0" in kernel.source
-        assert "+ -1 - org0[0]" in kernel.source
-        assert "return [" in kernel.source
-        assert kernel.loads == ((0, ((0, -1), (1, 0))), (0, ((0, 1), (1, 0))))
+    def test_a_lowered_apply_compiles_to_slices(self):
+        _, nest = build_average_module()
+        kernel = compile_loop_nest(nest)
+        assert "lb[0] + -1:ub[0] + -1" in kernel.source
+        assert "return" not in kernel.source
+        assert [axes for _, axes in kernel.loads] == [((0, -1), (1, 0)), ((0, 1), (1, 0))]
+        assert len({slot for slot, _ in kernel.loads}) == 1
+        assert [axes for _, axes in kernel.stores] == [((0, 0), (1, 0))]
 
     def test_unsupported_op_raises(self):
         _, fn = build_shift_nest_module()
@@ -180,45 +211,36 @@ def out_targets(source):
 
 def assert_out_targets_are_dead_owned_buffers(source):
     """Every ``out=`` names the result of a float ufunc — never a view, a
-    scalar, an arange, a where/astype result or a returned value — and is
-    not read again after being overwritten."""
+    scalar, an arange or a where/astype result — and is not read again
+    after being overwritten."""
     bound = bindings(source)
-    returned = re.search(r"return \[(.*)\]", source)
-    returned = re.findall(r"\w+", returned.group(1)) if returned else []
     lines = source.splitlines()
     for number, line in enumerate(lines):
         for target in re.findall(r"out=(\w+)", line):
             assert _FLOAT_UFUNC.match(bound[target]), (target, bound[target])
-            assert target not in returned
             later = "\n".join(lines[number + 1:])
             assert not re.search(rf"\b{target}\b", later), \
                 f"{target} named again after line {number} overwrote it"
 
 
-def build_mixed_apply(n):
+def build_mixed_module(n):
     """One apply body with everything the reuse pass must leave alone: a
     ``stencil.index`` cast to a number (arange), ``cmpf`` + ``select`` (bool
-    and ``np.where`` results), a scalar defined outside the body and a
+    and ``np.where`` results), a scalar defined outside the nest and a
     multiply-add, with ``fused`` read again after the select consumed it."""
-    scale = arith.ConstantOp.from_float(3.0).results[0]
-    apply_op = build_average_apply(n)
-    body = apply_op.body.block
-    for op in reversed(list(body.ops)):
-        op.erase()
-    b = Builder.at_end(body)
-    arg = body.args[0]
-    left = b.insert(stencil.AccessOp(arg, [-1, 0])).results[0]
-    right = b.insert(stencil.AccessOp(arg, [1, 0])).results[0]
-    row = b.insert(stencil.IndexOp(0)).results[0]
-    row = b.insert(arith.IndexCastOp(row, i64)).results[0]
-    row = b.insert(arith.SIToFPOp(row, f64)).results[0]
-    product = b.insert(arith.MulfOp(left, scale)).results[0]
-    fused = b.insert(arith.AddfOp(product, right)).results[0]
-    below = b.insert(arith.CmpfOp("olt", fused, row)).results[0]
-    chosen = b.insert(arith.SelectOp(below, fused, row)).results[0]
-    total = b.insert(arith.AddfOp(chosen, fused)).results[0]
-    b.insert(stencil.ReturnOp([total]))
-    return apply_op, scale
+    def body(inner, arg, outer):
+        scale = outer.insert(arith.ConstantOp.from_float(3.0)).results[0]
+        left, right = average_terms(inner, arg)
+        row = inner.insert(stencil.IndexOp(0)).results[0]
+        row = inner.insert(arith.IndexCastOp(row, i64)).results[0]
+        row = inner.insert(arith.SIToFPOp(row, f64)).results[0]
+        product = inner.insert(arith.MulfOp(left, scale)).results[0]
+        fused = inner.insert(arith.AddfOp(product, right)).results[0]
+        below = inner.insert(arith.CmpfOp("olt", fused, row)).results[0]
+        chosen = inner.insert(arith.SelectOp(below, fused, row)).results[0]
+        return inner.insert(arith.AddfOp(chosen, fused)).results[0]
+
+    return build_average_module(n, body=body)
 
 
 def build_broadcast_nest_module(n):
@@ -254,11 +276,11 @@ class TestWindowSharingAndBufferReuse:
         kernel slices 27 views and allocates a handful of arrays."""
         result = repro.Session().compile(
             pw_advection.generate_source(10)).lower("cpu")
-        [apply_op] = [op for op in result.stencil_module.walk()
-                      if isinstance(op, stencil.ApplyOp)]
-        kernel = compile_apply(apply_op)
+        [nest] = [op for op in result.stencil_module.walk()
+                  if isinstance(op, scf.ParallelOp)]
+        kernel = compile_loop_nest(nest)
         rhs = bindings(kernel.source).values()
-        assert sum(code.startswith("arr") for code in rhs) == 27
+        assert sum(bool(re.match(r"ext\[\d+\]\.data\[", code)) for code in rhs) == 27
         assert len(kernel.loads) == 27
         ufuncs = [code for code in rhs if code.startswith("np.")]
         allocating = [code for code in ufuncs if "out=" not in code]
@@ -267,26 +289,15 @@ class TestWindowSharingAndBufferReuse:
         assert len(out_targets(kernel.source)) == 60 - kernel.allocations
         assert_out_targets_are_dead_owned_buffers(kernel.source)
 
-    def test_mixed_apply_matches_the_oracle_and_spares_non_buffers(self):
+    def test_mixed_body_matches_the_oracle_and_spares_non_buffers(self):
         n = 9
-        apply_op, scale = build_mixed_apply(n)
+        module, nest = build_mixed_module(n)
         data = np.asfortranarray(np.random.default_rng(21).random((n, n)) * n)
-
-        def run(mode):
-            interp = Interpreter([ModuleOp([])], execution_mode=mode,
-                                 kernel_compiler=KernelCompiler(use_shared_cache=False))
-            frame = Frame()
-            frame.set(apply_op.operands[0], TempValue(data, (0, 0)))
-            frame.set(scale, np.float64(3.0))
-            values = interp.exec_op(apply_op, frame)
-            return [value.data for value in values], interp
-
-        oracle, _ = run("interpret")
-        checked, interp = run("crosscheck")
+        oracle, _ = run_average(module, data, "interpret")
+        checked, interp = run_average(module, data, "crosscheck")
         assert interp.stats["vectorized_sweeps"] == 1
-        for ref, vec in zip(oracle, checked):
-            assert np.asarray(ref).tobytes() == np.asarray(vec).tobytes()
-        source = interp.kernels.kernel_for(apply_op).kernel.source
+        assert oracle.tobytes() == checked.tobytes()
+        source = interp.kernels.kernel_for(nest).kernel.source
         assert "np.where" in source and "np.arange" in source
         assert_out_targets_are_dead_owned_buffers(source)
         # The add lands in the product's buffer, which dies with it;
@@ -328,20 +339,19 @@ class TestWindowSharingAndBufferReuse:
         """x = l + r; y = x * x; z = y - x: ``x`` outlives ``y``'s statement,
         so ``y`` may not be computed into it."""
         n = 8
-        apply_op = build_average_apply(n)
-        body = apply_op.body.block
-        ret = body.last_op
-        total = body.ops[2].results[0]              # left + right
-        ret.erase(safe=False)
-        b = Builder.at_end(body)
-        squared = b.insert(arith.MulfOp(total, total)).results[0]
-        b.insert(stencil.ReturnOp([b.insert(arith.SubfOp(squared, total)).results[0]]))
-        kernel = compile_apply(apply_op)
+
+        def body(inner, arg, outer):
+            total = inner.insert(arith.AddfOp(*average_terms(inner, arg))).results[0]
+            squared = inner.insert(arith.MulfOp(total, total)).results[0]
+            return inner.insert(arith.SubfOp(squared, total)).results[0]
+
+        module, nest = build_average_module(n, body=body)
         data = np.asfortranarray(np.random.default_rng(23).random((n, n)))
-        [got] = kernel.fn([TempValue(data, (0, 0)), 0.5], (1, 1), (n - 1, n - 1))
+        got, interp = run_average(module, data)
+        assert interp.stats["vectorized_sweeps"] == 1
         x = data[0:n - 2, 1:n - 1] + data[2:n, 1:n - 1]
-        assert got.tobytes() == (x * x - x).tobytes()
-        assert_out_targets_are_dead_owned_buffers(kernel.source)
+        assert got[1:n - 1, 1:n - 1].tobytes() == (x * x - x).tobytes()
+        assert_out_targets_are_dead_owned_buffers(compile_loop_nest(nest).source)
 
     def test_two_stores_through_one_buffer_keep_the_last(self):
         """dst[i,j] = src*2 then dst[i,j] = src*2 + 1: the first value dies at
@@ -439,7 +449,7 @@ class TestKernelCache:
         assert compiler.stats["cache_hits"] == 1
 
     def test_iterated_stencil_compiles_once(self):
-        """niters sweeps of the same apply = one compile + (niters-1) hits."""
+        """niters sweeps of the same nest = one compile + (niters-1) hits."""
         niters = 4
         result = repro.compile(
             gauss_seidel.generate_source(12, niters=niters)).lower("cpu")
@@ -472,9 +482,8 @@ end subroutine scale
 VECTORIZED = {
     "cpu-vectorize": ("cpu", {}, "vectorize"),
     "cpu-crosscheck": ("cpu", {}, "crosscheck"),
-    "cpu-scf": ("cpu", {"lower_to_scf": True}, "vectorize"),
-    "openmp-scf": ("openmp", {"lower_to_scf": True}, "vectorize"),
-    "gpu-scf": ("gpu", {"lower_to_scf": True}, "vectorize"),
+    "openmp-scf": ("openmp", {}, "vectorize"),
+    "gpu-scf": ("gpu", {}, "vectorize"),
 }
 
 
@@ -523,7 +532,7 @@ class TestFloatLiteralsAreParameters:
             interp.stats["gpu_launches_vectorized"] == 1
         assert interp.kernels.stats["reasons"] == {}
 
-    @pytest.mark.parametrize("config", ["cpu-vectorize", "cpu-scf", "gpu-scf"])
+    @pytest.mark.parametrize("config", ["cpu-vectorize", "gpu-scf"])
     def test_sources_differing_in_spacing_share_kernels_not_answers(self, config):
         """PW with spacings A, B, A, each a session of its own: B and the
         second A translate nothing, and each run (crosscheck too) is its own
@@ -552,22 +561,13 @@ class TestFloatLiteralsAreParameters:
         """The value binds as a Python float, as the literal in the source
         did: a NumPy float64 would promote the float32 sweep (NEP 50)."""
         n = 9
-        apply_op = build_average_apply(n, element=f32, half=0.1)
+        module, nest = build_average_module(n, element=f32, half=0.1)
         data = np.asfortranarray(np.random.default_rng(31).random((n, n)),
                                  dtype=np.float32)
-
-        def run(mode):
-            interp = Interpreter([ModuleOp([])], execution_mode=mode,
-                                 kernel_compiler=KernelCompiler(use_shared_cache=False))
-            frame = Frame()
-            frame.set(apply_op.operands[0], TempValue(data, (0, 0)))
-            [value] = interp.exec_op(apply_op, frame)
-            return value.data, interp
-
-        oracle, _ = run("interpret")
-        got, interp = run("vectorize")
+        oracle, _ = run_average(module, data, "interpret")
+        got, interp = run_average(module, data, "vectorize")
         assert interp.stats["vectorized_sweeps"] == 1
-        [tenth] = interp.kernels.kernel_for(apply_op).constants
+        [tenth] = interp.kernels.kernel_for(nest).constants
         assert type(tenth) is float and tenth == 0.1
         assert oracle.dtype == got.dtype == np.float32
         assert got.tobytes() == oracle.tobytes()
@@ -578,18 +578,16 @@ class TestFloatLiteralsAreParameters:
 # ---------------------------------------------------------------------------
 
 
-def run_gauss_seidel(mode, lower_to_scf, n=14, niters=2):
-    result = repro.compile(gauss_seidel.generate_source(n, niters=niters)).lower(
-        "cpu", lower_to_scf=lower_to_scf)
+def run_gauss_seidel(mode, n=14, niters=2):
+    result = repro.compile(gauss_seidel.generate_source(n, niters=niters)).lower("cpu")
     u = gauss_seidel.initial_condition(n)
     interp = result.with_options(execution_mode=mode).interpreter()
     interp.call("gauss_seidel", u)
     return u, interp
 
 
-def run_pw_advection(mode, lower_to_scf, n=10):
-    result = repro.compile(pw_advection.generate_source(n)).lower(
-        "cpu", lower_to_scf=lower_to_scf)
+def run_pw_advection(mode, n=10):
+    result = repro.compile(pw_advection.generate_source(n)).lower("cpu")
     fields = [f.copy(order="F") for f in pw_advection.initial_fields(n)]
     interp = result.with_options(execution_mode=mode).interpreter()
     interp.call("pw_advection", *fields)
@@ -597,28 +595,25 @@ def run_pw_advection(mode, lower_to_scf, n=10):
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("lower_to_scf", [False, True])
-    def test_gauss_seidel_matches_interpreter(self, lower_to_scf):
-        u_ref, _ = run_gauss_seidel("interpret", lower_to_scf)
-        u_vec, interp = run_gauss_seidel("vectorize", lower_to_scf)
+    def test_gauss_seidel_matches_interpreter(self):
+        u_ref, _ = run_gauss_seidel("interpret")
+        u_vec, interp = run_gauss_seidel("vectorize")
         assert interp.stats["vectorized_sweeps"] > 0
         assert np.allclose(u_ref, u_vec)
         assert np.allclose(u_vec, gauss_seidel.reference_jacobi(
             gauss_seidel.initial_condition(14), 2))
 
-    @pytest.mark.parametrize("lower_to_scf", [False, True])
-    def test_pw_advection_matches_interpreter(self, lower_to_scf):
-        ref_fields, _ = run_pw_advection("interpret", lower_to_scf)
-        vec_fields, interp = run_pw_advection("vectorize", lower_to_scf)
+    def test_pw_advection_matches_interpreter(self):
+        ref_fields, _ = run_pw_advection("interpret")
+        vec_fields, interp = run_pw_advection("vectorize")
         assert interp.stats["vectorized_sweeps"] > 0
         for ref, vec in zip(ref_fields, vec_fields):
             assert np.allclose(ref, vec)
 
-    @pytest.mark.parametrize("lower_to_scf", [False, True])
-    def test_crosscheck_mode_passes_on_both_apps(self, lower_to_scf):
-        u, interp = run_gauss_seidel("crosscheck", lower_to_scf)
+    def test_crosscheck_mode_passes_on_both_apps(self):
+        u, interp = run_gauss_seidel("crosscheck")
         assert interp.stats["vectorized_sweeps"] > 0
-        fields, interp = run_pw_advection("crosscheck", lower_to_scf)
+        fields, interp = run_pw_advection("crosscheck")
         assert interp.stats["vectorized_sweeps"] > 0
 
     def test_openmp_lowering_vectorizes(self):
@@ -657,7 +652,7 @@ def test_vectorized_mode_speedup_gauss_seidel():
     n = 20
     result = repro.compile(
         gauss_seidel.generate_source(n, niters=1)
-    ).lower("cpu", lower_to_scf=True)
+    ).lower("cpu")
     init = gauss_seidel.initial_condition(n)
     t_interp, u_interp, _ = _time_lowered_run(result, "gauss_seidel", [init], "interpret")
     t_vec, u_vec, interp = _time_lowered_run(result, "gauss_seidel", [init],
@@ -674,7 +669,7 @@ def test_vectorized_mode_speedup_pw_advection():
     n = 10
     result = repro.compile(
         pw_advection.generate_source(n)
-    ).lower("cpu", lower_to_scf=True)
+    ).lower("cpu")
     fields = pw_advection.initial_fields(n)
     t_interp, f_interp, _ = _time_lowered_run(result, "pw_advection", fields, "interpret")
     t_vec, f_vec, interp = _time_lowered_run(result, "pw_advection", fields,
@@ -830,46 +825,29 @@ class TestGuardsAndFallbacks:
         assert kernel.guards_pass(bind(disjoint_a, disjoint_a), [0], [n - 1], [1])
         assert not kernel.guards_pass(bind(shifted_a, shifted_b), [0], [n - 1], [1])
 
-    def test_apply_with_enclosing_scalar_vectorizes(self):
-        """An apply body may reference a value defined outside its region
-        (the scalar path reads it from the shared frame); the kernel binds
-        it through a body-operand external path."""
+    def test_a_scalar_from_outside_the_nest_binds_through_its_body_operand(self):
+        """A body may use a value defined outside the nest (the scalar path
+        reads it from the shared frame); the kernel binds it through a
+        body-operand external path, and its literal stays a parameter."""
         n = 8
-        temp_type = stencil.TempType([[0, n], [0, n]], f64)
-        fn = FuncOp.build("scaled", [], [])
-        b = Builder.at_end(fn.entry_block)
-        field_buf = MemoryBuffer.wrap(
-            np.asfortranarray(np.random.default_rng(3).random((n, n))))
-        # Build the apply with one temp operand and an enclosing constant.
-        scale = b.insert(arith.ConstantOp.from_float(3.0)).results[0]
-        apply_op = build_average_apply(n)
-        body = apply_op.body.block
-        ret = body.last_op
-        value = ret.operands[0]
-        ret.erase(safe=False)
-        inner = Builder.at_end(body)
-        scaled = inner.insert(arith.MulfOp(value, scale)).results[0]
-        inner.insert(stencil.ReturnOp([scaled]))
 
-        from repro.runtime import TempValue
-        from repro.runtime.kernel_compiler import KernelCompiler
+        def body(inner, arg, outer):
+            scale = outer.insert(arith.ConstantOp.from_float(3.0)).results[0]
+            total = inner.insert(arith.AddfOp(*average_terms(inner, arg))).results[0]
+            half = inner.insert(arith.ConstantOp.from_float(0.5)).results[0]
+            value = inner.insert(arith.MulfOp(total, half)).results[0]
+            return inner.insert(arith.MulfOp(value, scale)).results[0]
 
-        compiler = KernelCompiler(use_shared_cache=False)
-        bound = compiler.kernel_for(apply_op)
+        module, nest = build_average_module(n, body=body)
+        bound = KernelCompiler(use_shared_cache=False).kernel_for(nest)
         assert bound is not None
-        assert ("root", 0) in bound.kernel.external_paths
-        assert any(p[0] == "body" for p in bound.kernel.external_paths)
-        temp = TempValue(field_buf.data.copy(), (0, 0))
-        externals = []
-        for path in bound.kernel.external_paths:
-            externals.append(temp if path == ("root", 0) else np.float64(3.0))
+        assert any(path[0] == "body" for path in bound.kernel.external_paths)
         assert bound.constants == [0.5]  # the body's own literal
-        externals += bound.constants
-        lb, ub = (1, 1), (n - 1, n - 1)
-        assert bound.kernel.guards_pass(externals, lb, ub)
-        [result] = bound.kernel.fn(externals, lb, ub)
-        expected = (temp.data[0:n - 2, 1:n - 1] + temp.data[2:n, 1:n - 1]) * 0.5 * 3.0
-        assert np.allclose(result, expected)
+        data = np.asfortranarray(np.random.default_rng(3).random((n, n)))
+        got, interp = run_average(module, data)
+        assert interp.stats["vectorized_sweeps"] == 1
+        expected = (data[0:n - 2, 1:n - 1] + data[2:n, 1:n - 1]) * 0.5 * 3.0
+        assert got[1:n - 1, 1:n - 1].tobytes() == expected.tobytes()
 
     def test_guards_judge_every_run_over_one_link_table(self):
         """The binding is linked once; the alias, window, step and dtype
@@ -950,32 +928,18 @@ class TestGuardsAndFallbacks:
         assert other.kernels.stats["reasons"] == {label: why}
         assert other.kernels.stats["unsupported"] == 0      # structural None
 
-    def test_unvectorizable_apply_reports_why_at_lookup(self):
-        apply_op = build_average_apply()
-        body = apply_op.body.block
-        cond = arith.ConstantOp.from_int(1, index)
-        body.insert_op_before(cond, body.last_op)
-        body.insert_op_before(scf.IfOp(cond.results[0]), body.last_op)
-        compiler = KernelCompiler()
-        assert compiler.kernel_for(apply_op) is None
-        assert compiler.stats["reasons"] == {
-            f"stencil.apply@{structural_hash(apply_op)[:10]}":
-                "KernelUnsupported: operation 'scf.if' is not vectorizable"}
-
     def test_bind_failure_reports_the_exception_class(self):
         """A kernel whose external paths do not resolve on the op (here: a
-        nest kernel planted under an apply's hash) is a counted fallback
-        with the binder's exception as its reason."""
-        _, fn = build_shift_nest_module()
-        parallel = next(op for op in fn.walk() if isinstance(op, scf.ParallelOp))
-        apply_op = build_average_apply()
+        rank-2 nest's kernel planted under a rank-1 nest's hash) is a counted
+        fallback with the binder's exception as its reason."""
+        _, nest = build_average_module()
         compiler = KernelCompiler(use_shared_cache=False)
-        compiler._structural[structural_hash(apply_op)] = compile_loop_nest(parallel)
-        assert compiler.kernel_for(apply_op) is None
-        assert compiler.kernel_for(apply_op) is None
+        compiler._structural[structural_hash(nest)] = compile_loop_nest(shift_nest())
+        assert compiler.kernel_for(nest) is None
+        assert compiler.kernel_for(nest) is None
         assert compiler.stats["unsupported"] == 1 and compiler.stats["cache_hits"] == 2
         (label, why), = compiler.stats["reasons"].items()
-        assert label == f"stencil.apply@{structural_hash(apply_op)[:10]}"
+        assert label == f"scf.parallel@{structural_hash(nest)[:10]}"
         assert why.startswith("IndexError: ")
 
     def test_unknown_execution_mode_rejected(self):
@@ -1017,11 +981,11 @@ class TestOneStepBuild:
         real = builtins.compile
         monkeypatch.setattr(builtins, "compile", lambda source, filename, *rest:
                             compiled.append(filename) or real(source, filename, *rest))
-        kernel = compile_apply(build_average_apply(), "average")
-        assert compiled == ["<_apply_kernel>"] * 2
-        assert kernel.label == "average" and kernel.tileable and kernel.rank == 2
-        assert "def _apply_kernel(ext, lb, ub):" in kernel.source
-        assert "def _apply_kernel(ext, lb, ub, s, lo, n, shape):" in kernel.flat_source
+        kernel = compile_loop_nest(build_average_module()[1], "average")
+        assert compiled == ["<_nest_kernel>"] * 2
+        assert kernel.label == "average" and kernel.rank == 2
+        assert "def _nest_kernel(ext, lb, ub):" in kernel.source
+        assert "def _nest_kernel(ext, lb, ub, s, lo, n, shape):" in kernel.flat_source
         assert callable(kernel._windowed) and callable(kernel._flat)
         assert kernel.loads and kernel.arrays_per_point >= 2
 
@@ -1034,14 +998,14 @@ class TestOneStepBuild:
         monkeypatch.setattr(_BodyTranslator, "render",
                             lambda self, flat=False: (["def"], 0))
         handle = self.handle()
-        [apply_op] = [op for op in handle.stencil_module.walk()
-                      if isinstance(op, stencil.ApplyOp)]
+        [nest] = [op for op in handle.stencil_module.walk()
+                  if isinstance(op, scf.ParallelOp)]
         for sweep in range(2):
             interp, got = self.run(handle)
             assert got == oracle
             assert interp.stats["vectorize_fallbacks"] == 1
             (label, why), = interp.kernels.stats["reasons"].items()
-            assert label == f"stencil.apply@{structural_hash(apply_op)[:10]}"
+            assert label == f"scf.parallel@{structural_hash(nest)[:10]}"
             assert why.startswith("SyntaxError")
             # The first run fails to build the kernel and counts it once;
             # later interpreters read the verdict.
@@ -1097,8 +1061,6 @@ class TestOneStepBuild:
         _, oracle = self.run(self.handle(), mode="interpret")
         empty_kernel_cache.clear()
         handle = self.handle()
-        [apply_op] = [op for op in handle.stencil_module.walk()
-                      if isinstance(op, stencil.ApplyOp)]
         assert self.run(handle)[1] == oracle
         [parked] = empty_kernel_cache.values()
         held = dict(empty_kernel_cache)
@@ -1115,9 +1077,9 @@ class TestOneStepBuild:
         assert self.run(handle)[1] == oracle
         fresh = self.handle()
         again, got = self.run(fresh)
-        [fresh_apply] = [op for op in fresh.stencil_module.walk()
-                         if isinstance(op, stencil.ApplyOp)]
-        assert got == oracle and again.kernels.kernel_for(fresh_apply).kernel is parked
+        [fresh_nest] = [op for op in fresh.stencil_module.walk()
+                        if isinstance(op, scf.ParallelOp)]
+        assert got == oracle and again.kernels.kernel_for(fresh_nest).kernel is parked
         assert again.kernels.stats["compiled"] == 0
         assert again.kernels.stats["unsupported"] == 0
 
@@ -1148,9 +1110,7 @@ def windowed_only(monkeypatch):
 class TestFlatRendering:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("backend, options", [
-        ("cpu", {}), ("cpu", {"lower_to_scf": True}),
-        ("openmp", {"lower_to_scf": True}),
-        ("gpu", {"lower_to_scf": True})])
+        ("cpu", {}), ("openmp", {}), ("gpu", {})])
     @pytest.mark.parametrize("app", [gauss_seidel, pw_advection])
     def test_both_apps_run_flat_and_bitwise_as_windowed(
             self, app, backend, options, threads, monkeypatch):
@@ -1183,33 +1143,31 @@ class TestFlatRendering:
 
         runner = DifferentialRunner()
         specs = [spec for spec in map(generate_spec, range(60))
-                 if spec.rank == rank and spec.style == "general"][:6]
-        assert len(specs) == 6
+                 if spec.rank == rank and spec.style == "general"][:12]
+        assert len(specs) == 12
         ran_flat = 0
         for spec in specs:
             spec = spec.replace(extents=(11, 9, 8)[:rank])
             oracle = runner.run_oracle(spec)
-            for lowered in (False, True):
-                options = {"lower_to_scf": True} if lowered else {}
-                handle = runner.session.compile(spec.render()).lower(
-                    "cpu", execution_mode="vectorize", **options)
-                outputs = []
-                for flat in (True, False):
-                    with monkeypatch.context() as patched:
-                        if not flat:
-                            windowed_only(patched)
-                        arrays, scalar = runner.inputs_for(spec)
-                        work = {k: v.copy(order="F") for k, v in arrays.items()}
-                        interp = handle.interpreter()
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            interp.call(spec.entry,
-                                        *runner._call_args(spec, work, scalar))
-                        outputs.append(work)
-                        if flat:
-                            ran_flat += interp.kernels.stats["renderings"].get("flat", 0)
-                for name, want in oracle.items():
-                    assert outputs[0][name].tobytes() == want.tobytes() \
-                        == outputs[1][name].tobytes()
+            handle = runner.session.compile(spec.render()).lower(
+                "cpu", execution_mode="vectorize")
+            outputs = []
+            for flat in (True, False):
+                with monkeypatch.context() as patched:
+                    if not flat:
+                        windowed_only(patched)
+                    arrays, scalar = runner.inputs_for(spec)
+                    work = {k: v.copy(order="F") for k, v in arrays.items()}
+                    interp = handle.interpreter()
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        interp.call(spec.entry,
+                                    *runner._call_args(spec, work, scalar))
+                    outputs.append(work)
+                    if flat:
+                        ran_flat += interp.kernels.stats["renderings"].get("flat", 0)
+            for name, want in oracle.items():
+                assert outputs[0][name].tobytes() == want.tobytes() \
+                    == outputs[1][name].tobytes()
         assert ran_flat >= 6
 
     @pytest.mark.parametrize("reason, src_of, dst_of", [
@@ -1240,11 +1198,11 @@ class TestFlatRendering:
     def test_translations_with_no_flat_rendering_say_why(self):
         n = 7
         _, _, broadcast = build_broadcast_nest_module(n)
-        indexed, _ = build_mixed_apply(n)
+        _, indexed = build_mixed_module(n)
         assert compile_loop_nest(broadcast).flat_refusal == "lower-rank operand"
-        assert compile_apply(indexed).flat_refusal == "induction value as data"
-        assert compile_apply(build_average_apply()).flat_refusal is None
-        for kernel in (compile_loop_nest(broadcast), compile_apply(indexed)):
+        assert compile_loop_nest(indexed).flat_refusal == "induction value as data"
+        assert compile_loop_nest(build_average_module()[1]).flat_refusal is None
+        for kernel in (compile_loop_nest(broadcast), compile_loop_nest(indexed)):
             assert kernel.flat_source is None and "def " in kernel.source
 
         # dst[i] = extf(src[i]): one element size per flat span.
@@ -1338,17 +1296,3 @@ class TestFlatRendering:
                 kernel._windowed(shift_externals(
                     kernel, overflowing, np.zeros((n, n), order="F"), n),
                     (1, 1), (n - 1, n - 1))
-
-    def test_pure_kernel_returns_the_box_of_its_span(self):
-        n = 10
-        kernel = compile_apply(build_average_apply(n))
-        data = np.asfortranarray(np.random.default_rng(12).random((n, n)))
-        chosen = []
-        [flat] = kernel.fn([TempValue(data, (0, 0)), 0.5], (1, 1), (n - 1, n - 1), chosen)
-        [windowed] = kernel._windowed([TempValue(data, (0, 0)), 0.5], (1, 1), (n - 1, n - 1))
-        assert chosen == ["flat"] and flat.shape == windowed.shape == (n - 2, n - 2)
-        assert flat.tobytes() == windowed.tobytes()
-        assert flat.strides == data.strides and flat.base.size == (n - 3) * (n + 1) + 1
-        # An origin shifts where the span starts, not what it holds.
-        [shifted] = kernel.fn([TempValue(data, (-3, 2)), 0.5], (-2, 3), (n - 4, n + 1))
-        assert shifted.tobytes() == windowed.tobytes()

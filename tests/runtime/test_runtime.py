@@ -289,89 +289,63 @@ end subroutine scale
         assert np.isclose(out, expected)
 
 
-def load_verdicts(interp):
-    """``stencil.load`` op -> whether it copies, as linked for ``interp``."""
-    return {op: verdict for (_, op), verdict in interp._verdicts.items()
-            if op.name == "stencil.load"}
-
-
-def build_shift_chain(n, between=None):
-    """func(a, b): ``t = load(a)``; optionally one op in between; an apply
-    whose body returns ``t[i + 1]`` *unmodified*; then the result is stored
-    back into ``a`` and, after that, into ``b`` — a second use of a result
-    that, unmaterialised, would be a view of ``a`` itself."""
+@pytest.fixture(scope="class")
+def always_copied_pw():
+    """``(u, sv, sw)`` of PW n=9 with ``su`` aliasing ``u``, interpreted on
+    cpu with every field counted as written, so each snapshot copies."""
+    import repro
+    from repro.apps import pw_advection
     from repro.dialects import stencil
 
-    mtype = MemRefType((n,), f64)
-    fn = func.FuncOp.build("shift", [mtype, mtype], [])
-    b = Builder.at_end(fn.entry_block)
-    field_type = stencil.FieldType([[0, n]], f64)
-    field_a, field_b = (b.insert(stencil.ExternalLoadOp(arg, field_type)).results[0]
-                        for arg in fn.entry_block.args)
-    load = b.insert(stencil.LoadOp(field_a))
-    if between is not None:
-        b.insert(between(field_a, load.results[0]))
-    apply_op = b.insert(stencil.ApplyOp(
-        [load.results[0]], [0], [n - 1], [stencil.TempType([[0, n - 1]], f64)]))
-    body = Builder.at_end(apply_op.body.block)
-    shifted = body.insert(stencil.AccessOp(apply_op.body.block.args[0], [1]))
-    body.insert(stencil.ReturnOp([shifted.results[0]]))
-    b.insert(stencil.StoreOp(apply_op.results[0], field_a, [0], [n - 1]))
-    b.insert(stencil.StoreOp(apply_op.results[0], field_b, [0], [n - 1]))
-    b.insert(func.ReturnOp([]))
-    return ModuleOp([fn]), load
+    u, v, w = (f.copy(order="F") for f in pw_advection.initial_fields(9)[:3])
+    sv, sw = np.zeros_like(u), np.zeros_like(u)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(stencil.ExternalLoadOp, "read_only",
+                        property(lambda self: False))
+        copying = repro.Session().lower(
+            pw_advection.generate_source(9), "cpu", execution_mode="interpret").run(
+                "pw_advection", u, v, w, u, sv, sw)
+    assert copying.stats["snapshots_copied"] == 3
+    return u, sv, sw
 
 
-class TestSnapshotElision:
-    """``stencil.load`` wraps the field instead of copying it whenever no op
-    could observe the difference; stencil snapshot semantics must survive."""
+class TestSnapshotSemantics:
+    """A ``memref.snapshot`` aliases its source unless a buffer the function
+    writes may share its memory at run time; stencil snapshot semantics must
+    survive either way."""
 
-    @staticmethod
-    def _always_copy(monkeypatch):
-        monkeypatch.setattr(Interpreter, "_snapshot_is_observable",
-                            staticmethod(lambda op: True))
-
-    def test_time_loop_storing_into_the_loaded_field(self, monkeypatch):
-        """Gauss-Seidel at the apply level: load -> apply -> store to the
-        *same* field, three times over."""
+    def test_time_loop_storing_into_the_snapshotted_field(self):
+        """Gauss-Seidel: snapshot -> nest storing into the *same* field,
+        three times over; the oracle copies, a vectorized sweep swaps."""
         import repro
         from repro.apps import gauss_seidel
 
         compiled = repro.compile(gauss_seidel.generate_source(12, niters=3)).lower("cpu")
         start = gauss_seidel.initial_condition(12)
         runs = {}
-        for mode in ("vectorize", "interpret"):
+        for mode, kept in (("vectorize", "snapshots_swapped"),
+                           ("interpret", "snapshots_copied")):
             runs[mode] = start.copy(order="F")
             interp = compiled.with_options(
                 execution_mode=mode).run("gauss_seidel", runs[mode])
-            assert list(load_verdicts(interp).values()) == [False]
-        # The verdict is linked into the artifact once, so the always-copy
-        # oracle is a fresh artifact (its own session), not a later run.
-        self._always_copy(monkeypatch)
-        copied = start.copy(order="F")
-        oracle = repro.Session().lower(
-            compiled.source, "cpu", execution_mode="interpret").run(
-                "gauss_seidel", copied)
-        assert list(load_verdicts(oracle).values()) == [True]
+            assert interp.stats[kept] == 3
         assert runs["vectorize"].tobytes() == runs["interpret"].tobytes() \
-            == copied.tobytes() == gauss_seidel.reference_jacobi(start, 3).tobytes()
+            == gauss_seidel.reference_jacobi(start, 3).tobytes()
 
     @pytest.mark.parametrize("mode", ["vectorize", "crosscheck", "interpret"])
     @pytest.mark.parametrize("backend, options", [
         ("cpu", {}),
-        ("cpu", {"lower_to_scf": True}),
-        ("openmp", {"lower_to_scf": True, "threads": 2}),
-        ("gpu", {"lower_to_scf": True, "data_strategy": "host_register"}),
-        ("gpu", {"lower_to_scf": True, "data_strategy": "optimised"}),
-    ], ids=["cpu", "cpu-scf", "openmp-scf-2t", "gpu-host-register", "gpu-optimised"])
+        ("openmp", {"threads": 2}),
+        ("gpu", {"data_strategy": "host_register"}),
+        ("gpu", {"data_strategy": "optimised"}),
+    ], ids=["cpu", "openmp-2t", "gpu-host-register", "gpu-optimised"])
     def test_one_array_as_input_and_output_and_inputs_left_untouched(
-            self, backend, options, mode, monkeypatch):
-        """PW advection with ``su`` aliasing ``u``: the snapshot of ``u`` —
-        elided at the apply level because the (fused) apply reads it before
-        any store lands, taken at run time on the lowered paths because the
-        nest stores while it reads — keeps the always-copy answer.  With
-        distinct arrays nothing is copied, the inputs come back byte-identical
-        and only the written fields cross back from the device."""
+            self, backend, options, mode, always_copied_pw):
+        """PW advection with ``su`` aliasing ``u``: the snapshot of ``u`` is
+        taken at run time because the nest stores while it reads, and keeps
+        the always-copy answer.  With distinct arrays nothing is copied, the
+        inputs come back byte-identical and only the written fields cross
+        back from the device."""
         import repro
         from repro.apps import pw_advection
 
@@ -401,61 +375,12 @@ class TestSnapshotElision:
             execution_mode=mode).run("pw_advection", aliased, v, w, aliased, sv2, sw2)
         # Device buffers of one host array are distinct; host ones are not.
         on_host = options.get("data_strategy") != "optimised"
-        assert interp.stats["snapshots_copied"] == \
-            (1 if options and on_host else 0)
+        assert interp.stats["snapshots_copied"] == (1 if on_host else 0)
         if backend == "gpu":
             assert interp.gpu.allocated_bytes == 0   # the scratch copy too
-        self._always_copy(monkeypatch)
-        oracle = u.copy(order="F")
-        sv3, sw3 = np.zeros_like(sv), np.zeros_like(sw)
-        copying = repro.Session().lower(
-            compiled.source, "cpu", execution_mode="interpret").run(
-                "pw_advection", oracle, v, w, oracle, sv3, sw3)
-        assert copying.stats["snapshots_copied"] == 3
-        for got, want in ((aliased, oracle), (sv2, sv3), (sw2, sw3)):
+        for got, want in zip((aliased, sv2, sw2), always_copied_pw):
             assert got.tobytes() == want.tobytes()
         assert aliased[1:-1, 1:-1, 1:-1].tobytes() == su[1:-1, 1:-1, 1:-1].tobytes()
-
-    @pytest.mark.parametrize("mode", ["vectorize", "crosscheck", "interpret"])
-    def test_bare_access_result_is_materialised_before_the_store(self, mode):
-        n = 8
-        module, load = build_shift_chain(n)
-        a = np.arange(n, dtype=np.float64)
-        b = np.zeros(n)
-        interp = Interpreter([module], execution_mode=mode)
-        interp.call("shift", a, b)
-        assert load_verdicts(interp) == {load: False}
-        shifted = np.arange(1, n, dtype=np.float64)
-        assert np.array_equal(a[:n - 1], shifted) and a[n - 1] == n - 1
-        assert np.array_equal(b[:n - 1], shifted)   # the snapshot, not a's new contents
-
-    def test_anything_that_could_write_in_between_keeps_the_copy(self):
-        from repro.dialects import dmp, fir, stencil
-
-        observable = Interpreter._snapshot_is_observable
-        _, load = build_shift_chain(6)
-        assert not observable(load)
-        # A halo swap between the load and its apply (the dmp rank-local
-        # function before the swaps are lowered and hoisted) rewrites ghost
-        # cells of the very field the temp would alias.
-        grid = dmp.GridOp([2]).results[0]
-        for between in (
-            lambda field, temp: dmp.HaloSwapOp(field, grid, [1]),
-            lambda field, temp: fir.CallOp("elsewhere", [field]),
-            lambda field, temp: stencil.StoreOp(temp, field, [0], [1]),
-        ):
-            _, load = build_shift_chain(6, between)
-            assert observable(load)
-        # A user outside the load's own block (an apply inside a loop whose
-        # body may store) is out of the rule's sight.
-        module, load = build_shift_chain(6)
-        apply_op = next(iter(load.results[0].uses)).operation
-        loop = scf.ForOp(*(arith.ConstantOp.from_int(v, index).results[0]
-                           for v in (0, 1, 1)))
-        apply_op.parent_block().insert_op_before(loop, apply_op)
-        apply_op.detach()
-        loop.regions[0].block.add_op(apply_op)
-        assert observable(load)
 
 
 class TestSimulatedGPU:

@@ -8,8 +8,7 @@ interpreter wiring:
 * **the pool** — boxes run concurrently on the shared pool, and the first
   exception a pool worker raises propagates;
 * **dispatch and fallbacks** — tiled sweeps produce the oracle's results;
-  refused tilings (no full-rank store, broadcast apply results, extent too
-  small) fall back to the single-tile path and are counted; the dynamic
+  refused tilings (no full-rank store, extent too small) fall back to the single-tile path and are counted; the dynamic
   alias guard still catches overlapping NumPy views of one base array;
 * **the lowered benchmarks** — both apps replay through the oracle at
   several thread counts, two threads run the default cache-blocked plan
@@ -30,11 +29,9 @@ import pytest
 import repro
 from repro.api import OpenMPOptions, OptionError
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import arith, omp, stencil
+from repro.dialects import omp
 from repro.harness import measured_openmp_scaling
-from repro.dialects.builtin import ModuleOp
-from repro.ir import Builder
-from repro.runtime import Frame, Interpreter, MemoryBuffer, sweep
+from repro.runtime import Interpreter, MemoryBuffer, sweep
 from repro.runtime.sweep import (
     get_executor,
     plan_boxes,
@@ -44,7 +41,8 @@ from repro.runtime.sweep import (
 )
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
-from test_kernel_compiler import build_average_apply, build_shift_nest_module
+from test_kernel_compiler import (build_average_module, build_shift_nest_module,
+                                  run_average)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +310,11 @@ class TestThePool:
             raise RuntimeError(
                 f"box {lb} failed on {threading.current_thread().name}")
 
-        kernel = SimpleNamespace(stores=True, fn=boom)
+        kernel = SimpleNamespace(fn=boom)
         boxes = [((0,), (1,)), ((1,), (2,))]
         with pytest.raises(RuntimeError,
                            match=r"box \(0,\) failed on repro-tile"):
-            run_boxes(kernel, [], (0,), (2,), boxes, threads=2)
+            run_boxes(kernel, [], boxes, threads=2)
 
     def test_get_executor_shares_pools(self):
         assert get_executor(3) is get_executor(3)
@@ -352,7 +350,7 @@ def recording(kernel, seen, meet=1):
             with lock:
                 live[0] -= 1
 
-    return SimpleNamespace(stores=kernel.stores, fn=fn)
+    return SimpleNamespace(fn=fn)
 
 
 class TestDispatchFollowsTheCpus:
@@ -366,10 +364,10 @@ class TestDispatchFollowsTheCpus:
                                                    count, workers):
         cpus(count)
         seen = {}
-        kernel = recording(SimpleNamespace(stores=True, fn=lambda *args: []),
+        kernel = recording(SimpleNamespace(fn=lambda *args: None),
                            seen, meet=workers)
         boxes = [((i,), (i + 1,)) for i in range(8)]
-        assert run_boxes(kernel, [], (0,), (8,), boxes, threads) == []
+        run_boxes(kernel, [], boxes, threads)
         assert seen["peak"] == workers == len(seen["threads"])
         assert (seen["threads"] == {threading.get_ident()}) == (workers == 1)
 
@@ -496,93 +494,18 @@ class TestTiledNestExecution:
         assert np.allclose(dst[1:23, 1:23], src[0:22, 1:23] * 2.0)
 
 
-def exec_apply(interp, apply_op, temp):
-    """Execute a standalone one-operand stencil.apply the way the interpreter
-    meets it inside a function; returns the result arrays."""
-    frame = Frame()
-    frame.set(apply_op.operands[0], temp)
-    return [result.data for result in interp.exec_op(apply_op, frame)]
-
-
 class TestTiledApplyExecution:
-    def test_tiled_apply_matches_single_tile(self):
-        from repro.runtime import TempValue
-        from repro.runtime.kernel_compiler import KernelCompiler
-
+    def test_a_lowered_apply_tiles_on_four_threads(self):
         n = 16
-        apply_op = build_average_apply(n)
-        module = ModuleOp([])
-        compiler = KernelCompiler(use_shared_cache=False)
-        bound = compiler.kernel_for(apply_op)
-        assert bound.kernel.tileable
-
+        module, _ = build_average_module(n)
         data = np.asfortranarray(np.random.default_rng(5).random((n, n)))
-        temp = TempValue(data, (0, 0))
-        interp = Interpreter([module], execution_mode="vectorize", threads=4,
-                             kernel_compiler=compiler)
-        [tiled] = exec_apply(interp, apply_op, temp)
+        tiled, interp = run_average(module, data, "vectorize", threads=4)
         expected = (data[0:n - 2, 1:n - 1] + data[2:n, 1:n - 1]) * 0.5
         assert interp.stats["parallel_sweeps"] == 1
         assert interp.stats["parallel_tiles"] == 4
-        assert np.allclose(tiled, expected)
+        assert tiled[1:n - 1, 1:n - 1].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("order", ["F", "C"])
-    def test_tiled_result_is_laid_out_like_the_untiled_one(self, order,
-                                                           monkeypatch):
-        """Regression: slabs were gathered into a C-ordered buffer whatever
-        the inputs' layout, so every tiled result of Fortran-ordered fields
-        paid a transposing copy at the following stencil.store."""
-        from repro.runtime import TempValue
-        from repro.runtime.kernel_compiler import KernelCompiler
-
-        n = 12
-        temp = TempValue(np.array(np.random.default_rng(6).random((n, n)),
-                                  order=order), (0, 0))
-        results = []
-        # Under a 256-byte budget the 10 x 10 sweep is ten one-row boxes.
-        for budget, boxes in ((sweep.CACHE_BUDGET_BYTES, 0),
-                              (256, 10)):
-            monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", budget)
-            apply_op = build_average_apply(n)
-            interp = Interpreter([ModuleOp([])], execution_mode="vectorize",
-                                 kernel_compiler=KernelCompiler(use_shared_cache=False))
-            results.extend(exec_apply(interp, apply_op, temp))
-            assert interp.stats["cache_tiles"] == boxes
-        untiled, tiled = results
-        assert tiled.tobytes() == untiled.tobytes()
-        # The untiled result is the box of a flat span (strided, in the
-        # inputs' axis order); the gathered one is dense in that same order.
-        fastest = 0 if order == "F" else 1
-        assert np.argmin(untiled.strides) == np.argmin(tiled.strides) == fastest
-        assert tiled.flags[f"{order}_CONTIGUOUS"]
-
-    def test_scalar_result_apply_refuses_tiling(self):
-        """An apply returning a non-array value (a constant) is built
-        untileable: its sweeps run as one slab, counted."""
-        from repro.runtime import TempValue
-        from repro.runtime.kernel_compiler import KernelCompiler
-
-        n = 12
-        apply_op = build_average_apply(n)
-        body = apply_op.body.block
-        ret = body.last_op
-        ret.erase(safe=False)
-        inner = Builder.at_end(body)
-        constant = inner.insert(arith.ConstantOp.from_float(4.0)).results[0]
-        inner.insert(stencil.ReturnOp([constant]))
-
-        compiler = KernelCompiler(use_shared_cache=False)
-        bound = compiler.kernel_for(apply_op)
-        assert not bound.kernel.tileable
-        temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
-        interp = Interpreter([ModuleOp([])], execution_mode="vectorize",
-                             threads=4, kernel_compiler=compiler)
-        [value] = exec_apply(interp, apply_op, temp)
-        assert value.shape == (n - 2, n - 2) and np.all(value == 4.0)
-        assert interp.stats["parallel_sweeps"] == 0
-        assert interp.stats["parallel_fallbacks"] == 1
-
-    def test_stencil_level_crosscheck_with_threads(self):
+    def test_cpu_crosscheck_with_threads(self):
         n = 16
         result = repro.compile(gauss_seidel.generate_source(n, niters=2)).lower("cpu")
         u = gauss_seidel.initial_condition(n)
@@ -755,7 +678,7 @@ class TestKernelRuntimeStats:
         per_kernel = interp.kernels.stats["per_kernel"]
         assert len(per_kernel) == 1
         [(label, entry)] = per_kernel.items()
-        assert label.startswith("stencil.apply@")
+        assert label.startswith("scf.parallel@")
         assert entry["invocations"] == niters
         assert entry["seconds"] >= 0.0
 
@@ -767,7 +690,7 @@ class TestKernelRuntimeStats:
         interp = result.with_options(execution_mode="vectorize").interpreter()
         interp.call("gauss_seidel", gauss_seidel.initial_condition(10))
         table = kernel_stats_table(interp.kernels)
-        assert "stencil.apply@" in table
+        assert "scf.parallel@" in table
         assert "invocations" in table and "total_s" in table
 
     def test_empty_stats_table(self):

@@ -1,5 +1,5 @@
-"""The unified sweep path: loop nests, ``stencil.apply`` and GPU launches all
-run kernel lookup → guards → box plan → ``run_boxes`` → crosscheck → stats.
+"""The unified sweep path: loop nests (``scf.parallel``, ``omp.wsloop``) and
+GPU launches all run kernel lookup → guards → box plan → ``run_boxes`` → crosscheck → stats.
 
 Every op kind × every box plan must be bitwise equal to the scalar oracle
 (``execution_mode="interpret"``) and feed exactly the counters its plan names.
@@ -12,23 +12,19 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel
-from repro.dialects import arith, stencil
-from repro.dialects.builtin import ModuleOp
-from repro.ir import Builder, f64
-from repro.runtime import Interpreter, TempValue, sweep
-from repro.runtime.kernel_compiler import KernelCompiler
+from repro.runtime import Interpreter, MemoryBuffer, sweep
+from repro.runtime.kernel_compiler import compile_loop_nest
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
-from test_kernel_compiler import build_average_apply, windowed_only
-from test_sweep import exec_apply
+from test_kernel_compiler import build_average_module, run_average, windowed_only
 
 N, NITERS = 12, 2          # interior 10^3 per sweep, one sweep per iteration
 COUNTERS = ("vectorized_sweeps", "vectorize_fallbacks", "parallel_sweeps",
             "parallel_tiles", "parallel_fallbacks", "cache_tiles",
             "gpu_launches_vectorized", "gpu_launch_fallbacks")
 #: A cache budget under which the 10^3 sweeps here are cut into ten
-#: (10, 10, 1) boxes: 100 points x 8 B x the 2 (apply) or 3 (nest) arrays a
-#: Gauss-Seidel kernel touches fit, 200 points do not.
+#: (10, 10, 1) boxes: 100 points x 8 B x the 3 arrays a Gauss-Seidel nest
+#: kernel touches fit, 200 points do not.
 TINY_BUDGET = 2400
 #: A budget that also cuts the middle dimension: 10-16 points fit, so each
 #: plane is ten (10, 1, 1) rows.
@@ -36,9 +32,9 @@ ROW_BUDGET = 256
 
 #: op kind -> (backend, lowering options, the counter that counts its sweeps)
 KINDS = {
-    "nest": ("openmp", {"lower_to_scf": True}, "vectorized_sweeps"),
-    "apply": ("cpu", {}, "vectorized_sweeps"),
-    "launch": ("gpu", {"lower_to_scf": True}, "gpu_launches_vectorized"),
+    "nest": ("openmp", {}, "vectorized_sweeps"),
+    "cpu-nest": ("cpu", {}, "vectorized_sweeps"),
+    "launch": ("gpu", {}, "gpu_launches_vectorized"),
 }
 
 #: plan -> (threads, cache budget, the counters it adds per sweep)
@@ -63,6 +59,12 @@ PLANS = {
 }
 
 
+@pytest.fixture(scope="module")
+def oracles():
+    """kind -> the scalar oracle's Gauss-Seidel field, run once per kind."""
+    return {}
+
+
 def run_gauss_seidel(compiled, **runtime_options):
     """The result, the nonzero counters, and the bodies the boxes ran."""
     u = gauss_seidel.initial_condition(N)
@@ -74,7 +76,7 @@ def run_gauss_seidel(compiled, **runtime_options):
 @pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
 @pytest.mark.parametrize("kind,plan", [(kind, plan) for kind in KINDS
                                        for plan in PLANS])
-def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
+def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode, oracles,
                                                    monkeypatch):
     backend, options, sweep_counter = KINDS[kind]
     threads, budget, per_sweep = PLANS[plan]
@@ -82,7 +84,9 @@ def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
         monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", budget)
     compiled = repro.compile(
         gauss_seidel.generate_source(N, niters=NITERS)).lower(backend, **options)
-    oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
+    if kind not in oracles:
+        oracles[kind], *_ = run_gauss_seidel(compiled, execution_mode="interpret")
+    oracle = oracles[kind]
     windowed = "windowed" in plan
     if windowed:
         windowed_only(monkeypatch)
@@ -98,59 +102,19 @@ def test_every_op_kind_and_plan_matches_the_oracle(kind, plan, mode,
         assert bodies == ({"switched off"} if windowed else {"flat"}), run
 
 
-def test_apply_with_one_row_thread_tiles_is_tiled_exactly():
-    """Three threads over a dim-0 extent of 3 plan 1-row tiles; slab
-    assignment is exact at any tile extent, so the sweep tiles."""
+def test_three_threads_over_three_columns_cut_one_column_slabs():
+    """Three threads over an extent of 3 in the outermost (largest-stride)
+    dimension plan one-column slabs; slab assignment is exact at any
+    extent, so the sweep tiles."""
     n = 5
-    apply_op = build_average_apply(n)
+    module, _ = build_average_module(n)
     data = np.asfortranarray(np.random.default_rng(11).random((n, n)))
-    [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op,
-                          TempValue(data, (0, 0)))
-    interp = Interpreter([ModuleOp([])], execution_mode="crosscheck", threads=3,
-                         kernel_compiler=KernelCompiler(use_shared_cache=False))
-    [tiled] = exec_apply(interp, apply_op, TempValue(data, (0, 0)))
-    assert tiled.tobytes() == np.asarray(oracle).tobytes()
+    oracle, _ = run_average(module, data, "interpret")
+    tiled, interp = run_average(module, data, "crosscheck", threads=3)
+    assert tiled.tobytes() == oracle.tobytes()
     assert interp.stats["parallel_sweeps"] == 1
     assert interp.stats["parallel_tiles"] == 3
     assert interp.stats["parallel_fallbacks"] == 0
-
-
-def build_column_index_apply(n):
-    """An apply whose result is the dim-1 index only: the compiled kernel
-    returns it as a ``(1, extent)`` array that broadcasts along dim 0."""
-    apply_op = build_average_apply(n)
-    body = apply_op.body.block
-    body.last_op.erase(safe=False)
-    b = Builder.at_end(body)
-    column = b.insert(stencil.IndexOp(1)).results[0]
-    b.insert(stencil.ReturnOp([b.insert(arith.SIToFPOp(column, f64)).results[0]]))
-    return apply_op
-
-
-@pytest.mark.parametrize("threads", [2, 1])
-def test_a_broadcasting_apply_result_is_built_untileable(threads, monkeypatch):
-    """A returned value that is not box-shaped makes the kernel untileable
-    when it is built, so every sweep runs the whole domain — under a budget
-    that cuts the box kernel beside it — and matches the oracle bit for bit."""
-    monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 256)
-    n = 8
-    apply_op = build_column_index_apply(n)
-    temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
-    [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op, temp)
-    compiler = KernelCompiler(use_shared_cache=False)
-    interp = Interpreter([ModuleOp([])], execution_mode="crosscheck",
-                         threads=threads, kernel_compiler=compiler)
-    assert not compiler.kernel_for(apply_op).kernel.tileable
-    assert compiler.kernel_for(build_average_apply(n)).kernel.tileable
-    results = [exec_apply(interp, apply_op, temp)[0] for _ in range(2)]
-    # Only a thread count counts: a sweep that runs as one slab although
-    # threads > 1.  No plan cuts boxes.
-    assert interp.stats["parallel_fallbacks"] == 2 * int(threads > 1)
-    assert interp.stats["parallel_sweeps"] == interp.stats["cache_tiles"] == 0
-    assert interp.stats["vectorized_sweeps"] == 2
-    want = np.broadcast_to(oracle, (n - 2, n - 2)).tobytes()
-    for value in results:
-        assert np.broadcast_to(value, (n - 2, n - 2)).tobytes() == want
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
@@ -161,31 +125,29 @@ def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
     cut the largest-stride axis — which axis that is, is read off the swept
     array, not assumed."""
     n = 18
-    apply_op = build_average_apply(n)
+    module, nest = build_average_module(n)
     data = np.array(np.random.default_rng(31).random((n, n)), order=order)
-    temp = TempValue(data, (0, 0))
-    [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op, temp)
-    compiler = KernelCompiler(use_shared_cache=False)
-    interp = Interpreter([ModuleOp([])], execution_mode="crosscheck",
-                         kernel_compiler=compiler)
-    threaded = Interpreter([ModuleOp([])], execution_mode="crosscheck",
-                           threads=2, kernel_compiler=compiler)
-    kernel = compiler.kernel_for(apply_op).kernel
+    oracle, _ = run_average(module, data, "interpret")
+    kernel = compile_loop_nest(nest)
+    externals = [None] * len(kernel.external_paths)
+    for slot, _ in kernel.loads + kernel.stores:
+        externals[slot] = MemoryBuffer.wrap(data)
     lb, ub = (1, 1), (n - 1, n - 1)
     whole = 0 if order == "F" else 1
 
-    def plan(interpreter):
-        return interpreter.sweep._plan_sweep(kernel, [temp], lb, ub)
+    def plan(threads):
+        interp = Interpreter([module], execution_mode="crosscheck", threads=threads)
+        return interp.sweep._plan_sweep(kernel, externals, lb, ub)
 
-    assert plan(interp) == ([(lb, ub)], 1, None)
-    boxes, slabs, name = plan(threaded)
+    assert plan(1) == ([(lb, ub)], 1, None)
+    boxes, slabs, name = plan(2)
     assert (slabs, name) == (2, None)
     assert [(box_lb[1 - whole], box_ub[1 - whole]) for box_lb, box_ub in boxes] \
         == [(1, 9), (9, 17)]
     assert all((box_lb[whole], box_ub[whole]) == (1, 17) for box_lb, box_ub in boxes)
     monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", 1024)
-    for interpreter, slabs in ((interp, 1), (threaded, 2)):
-        boxes, planned_slabs, name = plan(interpreter)
+    for threads, slabs in ((1, 1), (2, 2)):
+        boxes, planned_slabs, name = plan(threads)
         assert (planned_slabs, name) == (slabs, "cache") and len(boxes) > slabs
         cover = np.zeros((n, n), dtype=int)
         for box_lb, box_ub in boxes:
@@ -193,44 +155,17 @@ def test_default_boxes_partition_the_domain_and_keep_unit_stride_whole(
             cover[box_lb[0]:box_ub[0], box_lb[1]:box_ub[1]] += 1
         assert (cover[1:-1, 1:-1] == 1).all() and cover.sum() == (n - 2) ** 2
 
-        [boxed] = exec_apply(interpreter, apply_op, temp)
-        assert interpreter.stats["cache_tiles"] == len(boxes)
-        assert interpreter.stats["parallel_tiles"] == (slabs if slabs > 1 else 0)
-        assert boxed.tobytes() == np.asarray(oracle).tobytes()
-        assert boxed.flags["F_CONTIGUOUS"] == \
-            np.asarray(oracle).flags["F_CONTIGUOUS"]
-
-
-def test_kernel_without_a_full_rank_window_is_sliced_along_dimension_zero():
-    """No swept array, no strides: the thread slabs cut dimension 0 and no
-    cache boxes are planned."""
-    n = 10
-    apply_op = build_average_apply(n)
-    body = apply_op.body.block
-    for op in reversed(list(body.ops)):
-        op.erase(safe=False)
-    b = Builder.at_end(body)
-    row, column = (b.insert(arith.SIToFPOp(b.insert(stencil.IndexOp(dim)).results[0],
-                                           f64)).results[0] for dim in (0, 1))
-    b.insert(stencil.ReturnOp([b.insert(arith.AddfOp(row, column)).results[0]]))
-    temp = TempValue(np.zeros((n, n), order="F"), (0, 0))
-    [oracle] = exec_apply(Interpreter([ModuleOp([])]), apply_op, temp)
-    interp = Interpreter([ModuleOp([])], execution_mode="crosscheck", threads=2,
-                         kernel_compiler=KernelCompiler(use_shared_cache=False))
-    kernel = interp.kernels.kernel_for(apply_op).kernel
-    assert kernel.dim_strides([temp]) is None
-    assert interp.sweep._plan_sweep(kernel, [temp], (1, 1), (n - 1, n - 1)) == \
-        ([((1, 1), (5, n - 1)), ((5, 1), (n - 1, n - 1))], 2, None)
-    [sliced] = exec_apply(interp, apply_op, temp)
-    assert interp.stats["parallel_tiles"] == 2
-    assert sliced.tobytes() == np.ascontiguousarray(oracle).tobytes()
+        boxed, interp = run_average(module, data, "crosscheck", threads=threads)
+        assert interp.stats["cache_tiles"] == len(boxes)
+        assert interp.stats["parallel_tiles"] == (slabs if slabs > 1 else 0)
+        assert boxed.tobytes() == oracle.tobytes()
 
 
 def test_five_threads_cut_five_slabs_of_the_outermost_loop():
     """``threads=5`` on a Fortran-ordered 10^3 sweep: five slabs two planes
     thick along dimension 2, each one box under the real budget."""
     compiled = repro.compile(gauss_seidel.generate_source(N, niters=NITERS)).lower(
-        "openmp", lower_to_scf=True)
+        "openmp")
     oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
     result, counters, _ = run_gauss_seidel(compiled, execution_mode="crosscheck",
                                         threads=5)
@@ -245,7 +180,7 @@ def test_each_thread_count_cuts_its_slabs_of_the_outermost_loop(threads):
     threads than planes cut one slab a plane. Each plan crosschecks bitwise
     against the oracle."""
     compiled = repro.compile(gauss_seidel.generate_source(N, niters=NITERS)).lower(
-        "openmp", lower_to_scf=True)
+        "openmp")
     oracle, *_ = run_gauss_seidel(compiled, execution_mode="interpret")
     result, counters, _ = run_gauss_seidel(compiled, execution_mode="crosscheck",
                                            threads=threads)

@@ -113,7 +113,7 @@ class TestSingleFlight:
         try:
             a = service.compile(SOURCE, "gated")
             b = service.compile(OTHER_SOURCE, "gated")
-            c = service.compile(SOURCE, "gated", lower_to_scf=True)
+            c = service.compile(SOURCE, "gated", fuse_stencils=False)
             assert gated.lower_count == 3
             assert len({id(h.artifact) for h in (a, b, c)}) == 3
         finally:
@@ -233,7 +233,7 @@ class TestBackpressure:
             second = service.submit_compile(OTHER_SOURCE, "gated")
             # ...and the third distinct key must be rejected, typed.
             with pytest.raises(ServiceRejected) as excinfo:
-                service.submit_compile(SOURCE, "gated", lower_to_scf=True)
+                service.submit_compile(SOURCE, "gated", fuse_stencils=False)
             assert excinfo.value.max_queue == 1
             metrics = service.metrics()
             assert metrics.rejected == 1
@@ -255,7 +255,7 @@ class TestBackpressure:
             assert gated.started.wait(5.0)
             service.submit_compile(OTHER_SOURCE, "gated")
             with pytest.raises(ServiceRejected):
-                service.submit_compile(SOURCE, "gated", lower_to_scf=True)
+                service.submit_compile(SOURCE, "gated", fuse_stencils=False)
         finally:
             gated.gate.set()
             service.close()

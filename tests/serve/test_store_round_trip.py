@@ -22,7 +22,6 @@ CONFIGS = {
     "cpu-interpret": ("cpu", {"execution_mode": "interpret"}),
     "cpu-vectorize": ("cpu", {"execution_mode": "vectorize"}),
     "cpu-crosscheck": ("cpu", {"execution_mode": "crosscheck"}),
-    "cpu-scf": ("cpu", {"lower_to_scf": True, "execution_mode": "vectorize"}),
     "openmp-scf-t2": ("openmp", {"lower_to_scf": True, "threads": 2,
                                  "execution_mode": "vectorize"}),
     "openmp-scf-t4": ("openmp", {"lower_to_scf": True, "threads": 4,

@@ -218,6 +218,15 @@ GUARDS = (
           r"[Ss]idecar|digest[}>]\.ops",
           ("src", "docs", "README.md"), "after 937f014",
           'ops_path = self._dir / f"{digest}.ops"'),
+    # One lowering per backend: cpu and dmp run at the scf level too, so the
+    # stencil-level executor — its field and temp values, its apply kernels,
+    # its delivery into stencil.store windows, its handlers and its
+    # counters — stays deleted.
+    Guard("stencil-level-executor",
+          r"TempValue|FieldValue|compile_apply|DELIVERED|store_window"
+          r"|_exec_stencil_|stencil_apply_executions",
+          ("src", "docs", "examples"), "after 6cefc59",
+          "        return [TempValue(array, lb)]"),
 )
 
 

@@ -13,7 +13,8 @@ from repro.frontend import compile_to_fir
 from repro.fuzz import DEFAULT_CORPUS_DIR, CorpusEntry
 from repro.fuzz.generator import Access, Statement
 from repro.runtime import Interpreter
-from repro.transforms import StencilDiscoveryPass, merge_adjacent_applies
+from repro.transforms import (ConvertStencilToSCFPass, StencilDiscoveryPass,
+                              merge_adjacent_applies)
 from repro.transforms.stencil_discovery import (
     gather_program_loops,
     get_array_read_data_ops,
@@ -27,6 +28,14 @@ def discover(source, merge=True):
     discovery.apply(module)
     module.verify()
     return module, discovery
+
+
+def runnable(module):
+    """``module`` with its stencils lowered in place to scf loops, as every
+    backend lowers them before they run."""
+    ConvertStencilToSCFPass(target="cpu").apply(module)
+    module.verify()
+    return module
 
 
 class TestListing2Example:
@@ -424,10 +433,9 @@ end subroutine s
     @pytest.mark.parametrize("backend,options", [
         ("cpu", {"execution_mode": "interpret"}),
         ("cpu", {"execution_mode": "vectorize"}),
-        ("cpu", {"lower_to_scf": True}),
         ("openmp", {"threads": 2, "execution_mode": "vectorize"}),
         ("gpu", {"execution_mode": "vectorize"}),
-    ], ids=["cpu-interpret", "cpu-vectorize", "cpu-scf", "openmp-t2", "gpu"])
+    ], ids=["cpu-interpret", "cpu-vectorize", "openmp-t2", "gpu"])
     @pytest.mark.parametrize("case", CASES)
     def test_equal_to_flang_only(self, case, backend, options):
         source, entry, before, after = self.CASES[case]
@@ -444,7 +452,7 @@ class TestDiscoveryPreservesSemantics:
         transformed, _ = discover(source)
         a_ref = gauss_seidel.initial_condition(n)
         a_jacobi = a_ref.copy(order="F")
-        Interpreter(transformed).call("gauss_seidel", a_jacobi)
+        Interpreter(runnable(transformed)).call("gauss_seidel", a_jacobi)
         expected = gauss_seidel.reference_jacobi(a_ref, iters)
         assert np.allclose(a_jacobi, expected)
 
@@ -453,7 +461,7 @@ class TestDiscoveryPreservesSemantics:
         source = pw_advection.generate_source(n)
         transformed, _ = discover(source)
         u, v, w, su, sv, sw = pw_advection.initial_fields(n)
-        Interpreter(transformed).call("pw_advection", u, v, w, su, sv, sw)
+        Interpreter(runnable(transformed)).call("pw_advection", u, v, w, su, sv, sw)
         rsu, rsv, rsw = pw_advection.reference(u, v, w)
         assert np.allclose(su, rsu) and np.allclose(sv, rsv) and np.allclose(sw, rsw)
 
@@ -478,7 +486,7 @@ end subroutine scaled
         rng = np.random.default_rng(0)
         a = np.asfortranarray(rng.random((10, 10)))
         b = np.zeros((10, 10), order="F")
-        Interpreter(module).call("scaled", a, b, 2.5)
+        Interpreter(runnable(module)).call("scaled", a, b, 2.5)
         expected = np.zeros_like(b)
         expected[1:-1, 1:-1] = 2.5 * (a[:-2, 1:-1] + a[2:, 1:-1])
         assert np.allclose(b, expected)

@@ -4,27 +4,34 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api.distributed import detect_halo
 from repro.apps import gauss_seidel
 from repro.dialects import dmp, mpi, stencil
 from repro.harness import measured_distributed_scaling
 from repro.runtime.mpi_runtime import CartesianDecomposition, MPIError, SimulatedCommunicator
-from repro.transforms import ConvertDMPToMPIPass, ConvertStencilToDMPPass
+from repro.transforms import (ConvertDMPToMPIPass, ConvertStencilToDMPPass,
+                              ConvertStencilToSCFPass)
 
 
 class TestStencilToDMP:
-    def _dmp_module(self, grid=(2, 2), lower_to_mpi=False):
-        source = gauss_seidel.generate_source(10, niters=1)
-        # A private session: the passes below mutate the compiled module.
-        result = repro.Session().lower(source, "cpu")
-        ConvertStencilToDMPPass(grid=grid).apply(result.stencil_module)
-        if lower_to_mpi:
-            ConvertDMPToMPIPass().apply(result.stencil_module)
-        result.stencil_module.verify()
-        return result
+    @pytest.fixture
+    def dmp_module(self, extract):
+        """``dmp_module(grid, lower_to_mpi, lower_to_scf)``: the extracted
+        Gauss-Seidel modules ``(fir, stencil)`` through the dmp passes asked."""
+        def build(grid=(2, 2), lower_to_mpi=False, lower_to_scf=False):
+            fir, module = extract(gauss_seidel.generate_source(10, niters=1))
+            ConvertStencilToDMPPass(grid=grid).apply(module)
+            if lower_to_mpi:
+                ConvertDMPToMPIPass().apply(module)
+            if lower_to_scf:
+                ConvertStencilToSCFPass(target="cpu").apply(module)
+            module.verify()
+            return fir, module
 
-    def test_halo_swap_inserted_before_snapshot(self):
-        result = self._dmp_module()
-        mod = result.stencil_module
+        return build
+
+    def test_halo_swap_inserted_before_snapshot(self, dmp_module):
+        _, mod = dmp_module()
         swaps = [op for op in mod.walk() if isinstance(op, dmp.HaloSwapOp)]
         assert len(swaps) == 1
         assert swaps[0].halo == (1, 1, 1)
@@ -35,13 +42,12 @@ class TestStencilToDMP:
         )
         assert swap_index < load_index
 
-    def test_unlowered_halo_swap_is_not_executable(self):
+    def test_unlowered_halo_swap_is_not_executable(self, dmp_module):
         """``convert-dmp-to-mpi`` is the one halo exchange: a ``dmp.halo_swap``
         that skipped it has no interpreter handler."""
         from repro.runtime import Interpreter, InterpreterError
 
-        result = self._dmp_module()
-        interp = Interpreter(result.modules,
+        interp = Interpreter(list(dmp_module(lower_to_scf=True)),
                              decomposition=CartesianDecomposition((20, 20, 10), (2, 2)))
         with pytest.raises(InterpreterError,
                            match="no interpreter handler for operation 'dmp.halo_swap'"):
@@ -51,9 +57,8 @@ class TestStencilToDMP:
         p = ConvertStencilToDMPPass(grid="4x8")
         assert p.grid == (4, 8)
 
-    def test_dmp_to_mpi_lowering(self):
-        result = self._dmp_module(lower_to_mpi=True)
-        mod = result.stencil_module
+    def test_dmp_to_mpi_lowering(self, dmp_module):
+        _, mod = dmp_module(lower_to_mpi=True)
         assert not any(isinstance(op, dmp.HaloSwapOp) for op in mod.walk())
         isends = [op for op in mod.walk() if isinstance(op, mpi.ISendOp)]
         irecvs = [op for op in mod.walk() if isinstance(op, mpi.IRecvOp)]
@@ -62,6 +67,9 @@ class TestStencilToDMP:
         assert len(isends) == 4 and len(irecvs) == 4 and len(waits) == 1
         for op in isends + irecvs:
             assert op.get_attr_or_none("slice_lb") is not None
+        # One i32 constant per tag in the block: cse would find none.
+        tags = [op.operands[2].op for op in isends + irecvs]
+        assert len({id(tag) for tag in tags}) == 4
 
 
 class TestCartesianDecomposition:
@@ -137,3 +145,59 @@ class TestDistributedExecution:
         distributed = repro.compile(source).lower("dmp", grid=(2, 2))
         assert serial.source == distributed.source
         assert distributed.stencil_module is not None
+
+
+def star2_source(shape, niters=1):
+    """A width-2 star stencil (Jacobi) over a padded local box ``shape``."""
+    n1, n2, n3 = (int(s) for s in shape)
+    return f"""
+subroutine star2(u)
+  implicit none
+  integer, parameter :: n1 = {n1}
+  integer, parameter :: n2 = {n2}
+  integer, parameter :: n3 = {n3}
+  integer, parameter :: niters = {niters}
+  real(kind=8), intent(inout) :: u(n1, n2, n3)
+  integer :: i, j, k, it
+  do it = 1, niters
+    do k = 3, n3 - 2
+      do j = 3, n2 - 2
+        do i = 3, n1 - 2
+          u(i, j, k) = (u(i-2, j, k) + u(i+2, j, k) + u(i, j-2, k) &
+                      + u(i, j+2, k) + u(i, j, k-2) + u(i, j, k+2)) / 6.0d0
+        end do
+      end do
+    end do
+  end do
+end subroutine star2
+"""
+
+
+class TestHaloWidth:
+    """The widest halo outlives the applies the dmp backend lowers away: it
+    is recorded on the function, and ``detect_halo`` reads it there."""
+
+    N = 12
+
+    def plan(self, grid, mode="vectorize"):
+        local = (self.N // grid[0] + 4, self.N // grid[1] + 4, self.N + 4)
+        handle = repro.Session().compile(star2_source(local)).lower(
+            "dmp", grid=grid, execution_mode=mode)
+        return handle, handle.distribute(source_builder=star2_source)
+
+    def test_the_function_keeps_the_widest_halo(self):
+        handle, _ = self.plan((2, 1))
+        [func_op] = [op for op in handle.stencil_module.walk()
+                     if op.name == "func.func"]
+        assert func_op.get_attr("dmp.halo").as_tuple() == (2, 2, 2)
+        assert not any(op.name.startswith("stencil.")
+                       for op in handle.stencil_module.walk())
+        assert detect_halo(handle) == 2
+
+    def test_a_width_2_stencil_on_two_ranks_is_its_one_rank_run(self):
+        field = np.asfortranarray(
+            np.random.default_rng(7).random((self.N, self.N, self.N)))
+        one = self.plan((1, 1), "interpret")[1].run(field, iterations=2)
+        two = self.plan((2, 1))[1].run(field, iterations=2)
+        assert two.messages > 0
+        assert two.field.tobytes() == one.field.tobytes()

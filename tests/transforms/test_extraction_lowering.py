@@ -9,11 +9,13 @@ from repro.dialects import fir, gpu, memref, omp, scf, stencil
 from repro.dialects.func import FuncOp
 from repro.dialects.llvm import LLVMPointerType
 from repro.runtime import Interpreter, SimulatedGPU
+from repro.ir import DenseArrayAttr
 from repro.transforms import (
     ConvertParallelLoopsToGpuPass,
     ConvertStencilToSCFPass,
     ParallelLoopTilingPass,
 )
+from repro.transforms.stencil_lowering import LoweringError
 
 
 class TestExtraction:
@@ -52,40 +54,49 @@ class TestExtraction:
 
 
 class TestStencilToSCF:
-    def _lowered(self, source, target):
-        # A private session: the pass below mutates the compiled module.
-        result = repro.Session().lower(source, "cpu")
-        ConvertStencilToSCFPass(target=target).apply(result.stencil_module)
-        result.stencil_module.verify()
-        return result
+    @pytest.fixture
+    def lowered(self, extract):
+        """``lowered(source, target)``: the extracted ``(fir, stencil)``
+        modules, the stencil one through ``convert-stencil-to-scf``."""
+        def lower(source, target):
+            fir_module, module = extract(source)
+            ConvertStencilToSCFPass(target=target).apply(module)
+            module.verify()
+            return fir_module, module
 
-    def test_cpu_lowering_structure(self, small_gs_source):
-        result = self._lowered(small_gs_source, "cpu")
-        parallels = [op for op in result.stencil_module.walk() if isinstance(op, scf.ParallelOp)]
-        fors = [op for op in result.stencil_module.walk() if isinstance(op, scf.ForOp)]
+        return lower
+
+    def test_cpu_lowering_structure(self, small_gs_source, lowered):
+        _, module = lowered(small_gs_source, "cpu")
+        parallels = [op for op in module.walk() if isinstance(op, scf.ParallelOp)]
+        fors = [op for op in module.walk() if isinstance(op, scf.ForOp)]
         assert len(parallels) == 1 and parallels[0].rank == 1
         assert len(fors) == 2  # inner two dimensions
-        assert not any(op.name.startswith("stencil.") for op in result.stencil_module.walk())
+        assert not any(op.name.startswith("stencil.") for op in module.walk())
 
-    def test_gpu_lowering_coalesces(self, small_gs_source):
-        result = self._lowered(small_gs_source, "gpu")
-        parallels = [op for op in result.stencil_module.walk() if isinstance(op, scf.ParallelOp)]
+    def test_gpu_lowering_coalesces(self, small_gs_source, lowered):
+        _, module = lowered(small_gs_source, "gpu")
+        parallels = [op for op in module.walk() if isinstance(op, scf.ParallelOp)]
         assert len(parallels) == 1 and parallels[0].rank == 3
-        assert not any(isinstance(op, scf.ForOp) for op in result.stencil_module.walk())
+        assert not any(isinstance(op, scf.ForOp) for op in module.walk())
 
-    def test_lowered_execution_matches_reference(self, small_gs_source):
-        result = self._lowered(small_gs_source, "cpu")
+    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    def test_lowered_execution_matches_reference(self, small_gs_source, lowered,
+                                                 target):
+        modules = lowered(small_gs_source, target)
         data = gauss_seidel.initial_condition(10)
         work = data.copy(order="F")
-        Interpreter(result.modules).call("gauss_seidel", work)
+        Interpreter(list(modules)).call("gauss_seidel", work)
         assert np.allclose(work, gauss_seidel.reference_jacobi(data, 2))
 
-    def test_gpu_flavour_execution_matches_reference(self, small_gs_source):
-        result = self._lowered(small_gs_source, "gpu")
-        data = gauss_seidel.initial_condition(10)
-        work = data.copy(order="F")
-        Interpreter(result.modules).call("gauss_seidel", work)
-        assert np.allclose(work, gauss_seidel.reference_jacobi(data, 2))
+    def test_a_store_off_its_apply_domain_is_refused(self, small_gs_source,
+                                                      extract):
+        _, module = extract(small_gs_source)
+        store = next(op for op in module.walk() if isinstance(op, stencil.StoreOp))
+        lb = store.get_attr("lb").as_tuple()
+        store.set_attr("lb", DenseArrayAttr((lb[0] + 1,) + lb[1:]))
+        with pytest.raises(LoweringError, match="other than its apply's domain"):
+            ConvertStencilToSCFPass(target="cpu").apply(module)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValueError):
@@ -93,14 +104,13 @@ class TestStencilToSCF:
 
     @pytest.mark.parametrize("backend", ["cpu", "openmp", "gpu"])
     def test_a_written_field_is_one_snapshot_naming_itself(
-            self, small_gs_source, backend):
+            self, small_gs_source, extract, backend):
         """Gauss–Seidel writes the field it loads: each load becomes one
         ``memref.snapshot`` that names the field as the buffer written, so it
         always copies, in one pass — no ``memref.alloc`` + ``memref.copy``."""
-        loads = [op for op in repro.compile(small_gs_source).lower(
-            "cpu").stencil_module.walk() if isinstance(op, stencil.LoadOp)]
-        lowered = repro.compile(small_gs_source).lower(
-            backend, lower_to_scf=True).stencil_module
+        loads = [op for op in extract(small_gs_source)[1].walk()
+                 if isinstance(op, stencil.LoadOp)]
+        lowered = repro.compile(small_gs_source).lower(backend).stencil_module
         snapshots = [op for op in lowered.walk()
                      if isinstance(op, memref.SnapshotOp)]
         assert len(snapshots) == len(loads) == 1
@@ -138,29 +148,28 @@ class TestOpenMPLowering:
 
 
 class TestGpuLowering:
-    def test_parallel_loops_to_gpu_outlining(self, small_gs_source):
-        result = repro.Session().lower(small_gs_source, "cpu")
-        ConvertStencilToSCFPass(target="gpu").apply(result.stencil_module)
-        ParallelLoopTilingPass((4, 4, 1)).apply(result.stencil_module)
+    def test_parallel_loops_to_gpu_outlining(self, small_gs_source, extract):
+        _, module = extract(small_gs_source)
+        ConvertStencilToSCFPass(target="gpu").apply(module)
+        ParallelLoopTilingPass((4, 4, 1)).apply(module)
         gpu_pass = ConvertParallelLoopsToGpuPass()
-        gpu_pass.apply(result.stencil_module)
-        result.stencil_module.verify()
+        gpu_pass.apply(module)
+        module.verify()
         assert gpu_pass.outlined
-        assert any(isinstance(op, gpu.GPUModuleOp) for op in result.stencil_module.walk())
-        launches = [op for op in result.stencil_module.walk() if isinstance(op, gpu.LaunchFuncOp)]
+        assert any(isinstance(op, gpu.GPUModuleOp) for op in module.walk())
+        launches = [op for op in module.walk() if isinstance(op, gpu.LaunchFuncOp)]
         assert len(launches) == 1
         assert launches[0].block_size[0] == 4
 
-    def test_outlined_kernel_executes_correctly(self):
-        source = gauss_seidel.generate_source(6, niters=1)
-        result = repro.Session().lower(source, "cpu")
-        ConvertStencilToSCFPass(target="gpu").apply(result.stencil_module)
-        ParallelLoopTilingPass((2, 2, 2)).apply(result.stencil_module)
-        ConvertParallelLoopsToGpuPass().apply(result.stencil_module)
+    def test_outlined_kernel_executes_correctly(self, extract):
+        fir_module, module = extract(gauss_seidel.generate_source(6, niters=1))
+        ConvertStencilToSCFPass(target="gpu").apply(module)
+        ParallelLoopTilingPass((2, 2, 2)).apply(module)
+        ConvertParallelLoopsToGpuPass().apply(module)
         data = gauss_seidel.initial_condition(6)
         work = data.copy(order="F")
         gpu_device = SimulatedGPU()
-        interp = Interpreter(result.modules, gpu=gpu_device)
+        interp = Interpreter([fir_module, module], gpu=gpu_device)
         interp.call("gauss_seidel", work)
         assert np.allclose(work, gauss_seidel.reference_jacobi(data, 1))
         assert gpu_device.summary()["launches"] == 1

@@ -17,7 +17,7 @@ from repro.frontend import compile_to_fir
 from repro.fuzz import DifferentialRunner
 from repro.fuzz.generator import Access, expr_paths, generate_spec
 from repro.runtime import Interpreter
-from repro.transforms import StencilDiscoveryPass
+from repro.transforms import ConvertStencilToSCFPass, StencilDiscoveryPass
 
 N = 8
 
@@ -67,6 +67,8 @@ def assert_same_discovery_and_answers(source, entry, make_args, stencils=True):
     assert (sum(found[0].values()) >= 1) == stencils
     results = []
     for module in (shared, unshared):
+        ConvertStencilToSCFPass(target="cpu").apply(module)
+        module.verify()
         args = make_args()
         with np.errstate(over="ignore", invalid="ignore"):
             Interpreter(module, execution_mode="vectorize").call(entry, *args)
