@@ -10,8 +10,8 @@ Mirrors the xDSL/Open Earth stencil lowering described in §3 of the paper:
   a kernel launch.
 
 Every target runs this lowering, so no ``stencil.*`` op reaches the runtime.
-``stencil.external_load`` becomes a cast of its source to a memref, and every
-other user of the field — the ``mpi.isend``/``mpi.irecv`` of a dmp halo
+``stencil.external_load`` becomes a cast of its source to a memref (one per
+field: unfused applies each load it), and every other user of the field — the ``mpi.isend``/``mpi.irecv`` of a dmp halo
 exchange — moves onto that memref.  ``stencil.load`` becomes a
 ``memref.snapshot``, preserving the dialect's value semantics.  A field the
 function only reads (:attr:`stencil.ExternalLoadOp.read_only`) names the
@@ -95,6 +95,10 @@ class ConvertStencilToSCFPass(ModulePass):
                     arith.ConstantOp.from_int(value, index)).results[0]
             return constants[value]
 
+        # (source, memref type) -> its cast; unfused applies each load the
+        # same field, and one cast in the entry block or this one serves all.
+        casts: Dict[Tuple[SSAValue, MemRefType], UnrealizedConversionCastOp] = {}
+
         # First sweep: materialise memrefs for fields and temp snapshots, and
         # lower every apply/store pair into loop nests.
         for block in list(self._blocks(func_op)):
@@ -103,10 +107,13 @@ class ConvertStencilToSCFPass(ModulePass):
                     continue  # already erased
                 if isinstance(op, stencil.ExternalLoadOp):
                     field_type: stencil.FieldType = op.results[0].type  # type: ignore[assignment]
-                    cast = UnrealizedConversionCastOp(
-                        [op.source], [_field_memref_type(field_type)]
-                    )
-                    block.insert_op_before(cast, op)
+                    key = (op.source, _field_memref_type(field_type))
+                    cast = casts.get(key)
+                    if cast is None or cast.parent_block() not in (
+                            block, func_op.entry_block):
+                        cast = casts[key] = UnrealizedConversionCastOp(
+                            [op.source], [key[1]])
+                        block.insert_op_before(cast, op)
                     for use in list(op.results[0].uses):
                         if not use.operation.name.startswith("stencil."):
                             use.operation.set_operand(use.index, cast.results[0])

@@ -187,8 +187,10 @@ def test_every_call_gets_its_own_interpreter_over_one_table():
     (app, backend, options)
     for app in (pw_advection, gauss_seidel)
     for backend, options in (
-        ("cpu", {}), ("openmp", {}), ("gpu", {}), ("dmp", {"grid": (2, 2)}),
-        ("flang-only", {}))
+        ("cpu", {}), ("cpu", {"fuse_stencils": False}),
+        ("openmp", {}), ("openmp", {"threads": 2}), ("gpu", {}),
+        ("gpu", {"data_strategy": "host_register"}),
+        ("dmp", {"grid": (2, 2)}), ("flang-only", {}))
     # distribute() scatters one global field: Gauss-Seidel's.
     if not (backend == "dmp" and app is pw_advection)
 ], ids=lambda value: getattr(value, "__name__", str(value)).split(".")[-1])

@@ -559,7 +559,7 @@ def test_the_gpu_pipeline_verifies_only_the_states_its_passes_made():
 
 
 @pytest.mark.parametrize("backend, options", [
-    ("cpu", {}), ("openmp", {}), ("gpu", {}),
+    ("cpu", {}), ("cpu", {"fuse_stencils": False}), ("openmp", {}), ("gpu", {}),
     ("gpu", {"data_strategy": "host_register"}), ("dmp", {"grid": (2, 2)}),
 ])
 @pytest.mark.parametrize("app", SOURCES)

@@ -8,8 +8,9 @@ interpreter wiring:
 * **the pool** — boxes run concurrently on the shared pool, and the first
   exception a pool worker raises propagates;
 * **dispatch and fallbacks** — tiled sweeps produce the oracle's results;
-  refused tilings (no full-rank store, extent too small) fall back to the single-tile path and are counted; the dynamic
-  alias guard still catches overlapping NumPy views of one base array;
+  refused tilings (no full-rank store, extent too small) fall back to the
+  single-tile path and are counted; the dynamic alias guard still catches
+  overlapping NumPy views of one base array;
 * **the lowered benchmarks** — both apps replay through the oracle at
   several thread counts, two threads run the default cache-blocked plan
   within 1.35x of one, and four cores give >= 2x;
@@ -29,8 +30,9 @@ import pytest
 import repro
 from repro.api import OpenMPOptions, OptionError
 from repro.apps import gauss_seidel, pw_advection
-from repro.dialects import omp
+from repro.dialects import arith, omp, stencil
 from repro.harness import measured_openmp_scaling
+from repro.ir import f64
 from repro.runtime import Interpreter, MemoryBuffer, sweep
 from repro.runtime.sweep import (
     get_executor,
@@ -504,6 +506,54 @@ class TestTiledApplyExecution:
         assert interp.stats["parallel_sweeps"] == 1
         assert interp.stats["parallel_tiles"] == 4
         assert tiled[1:n - 1, 1:n - 1].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_a_tiled_sweep_stores_what_the_untiled_one_does(self, order,
+                                                            monkeypatch):
+        """Every box stores in place, into a destination laid out as the
+        inputs are: under a 256-byte budget the 10 x 10 sweep is ten
+        one-row boxes along the largest-stride axis, whichever that is."""
+        n = 12
+        data = np.array(np.random.default_rng(6).random((n, n)), order=order)
+        results = []
+        for budget, boxes in ((sweep.CACHE_BUDGET_BYTES, 0), (256, 10)):
+            monkeypatch.setattr(sweep, "CACHE_BUDGET_BYTES", budget)
+            module, _ = build_average_module(n)
+            result, interp = run_average(module, data, "vectorize")
+            assert interp.stats["cache_tiles"] == boxes
+            results.append(result)
+        untiled, tiled = results
+        assert tiled.tobytes() == untiled.tobytes()
+        assert tiled.flags[f"{order}_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_a_nest_that_loads_nothing_tiles(self, threads):
+        """A constant or the point's own indices, stored over the domain: no
+        array is read, yet the store target's strides cut thread slabs and
+        every slab matches the oracle."""
+        n = 12
+
+        def constant(inner, arg, outer):
+            return inner.insert(arith.ConstantOp.from_float(4.0)).results[0]
+
+        def indices(inner, arg, outer):
+            row, column = (inner.insert(arith.SIToFPOp(
+                inner.insert(stencil.IndexOp(dim)).results[0], f64)).results[0]
+                for dim in (0, 1))
+            return inner.insert(arith.AddfOp(row, column)).results[0]
+
+        data = np.zeros((n, n), order="F")
+        for body in (constant, indices):
+            module, nest = build_average_module(n, body=body)
+            oracle, _ = run_average(module, data, "interpret")
+            tiled, interp = run_average(module, data, "crosscheck", threads=threads)
+            assert tiled.tobytes() == oracle.tobytes()
+            assert interp.kernels.kernel_for(nest).kernel.loads == ()
+            assert interp.stats["parallel_sweeps"] == 1
+            assert interp.stats["parallel_tiles"] == threads
+            assert interp.stats["parallel_fallbacks"] == 0
+        assert (tiled[1:-1, 1:-1] == np.add.outer(np.arange(1, n - 1),
+                                                  np.arange(1, n - 1))).all()
 
     def test_cpu_crosscheck_with_threads(self):
         n = 16

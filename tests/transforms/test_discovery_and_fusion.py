@@ -433,9 +433,10 @@ end subroutine s
     @pytest.mark.parametrize("backend,options", [
         ("cpu", {"execution_mode": "interpret"}),
         ("cpu", {"execution_mode": "vectorize"}),
+        ("cpu", {"execution_mode": "crosscheck"}),
         ("openmp", {"threads": 2, "execution_mode": "vectorize"}),
         ("gpu", {"execution_mode": "vectorize"}),
-    ], ids=["cpu-interpret", "cpu-vectorize", "openmp-t2", "gpu"])
+    ], ids=["cpu-interpret", "cpu-vectorize", "cpu-crosscheck", "openmp-t2", "gpu"])
     @pytest.mark.parametrize("case", CASES)
     def test_equal_to_flang_only(self, case, backend, options):
         source, entry, before, after = self.CASES[case]
