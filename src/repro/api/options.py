@@ -95,13 +95,13 @@ class BackendOptions:
     threads: int = 1
 
     #: ``(backend, value, advice)``: the one ``lower_to_scf`` value of the
-    #: backend (``None``: a choice, default ``False``).
-    one_lowering: ClassVar[Optional[Tuple[str, bool, str]]] = None
+    #: backend, which every subclass names.
+    one_lowering: ClassVar[Tuple[str, bool, str]]
 
     def __post_init__(self) -> None:
-        backend, fixed, advice = self.one_lowering or ("", None, "")
+        backend, fixed, advice = self.one_lowering
         lowered = fixed if self.lower_to_scf is None else bool(self.lower_to_scf)
-        if fixed is not None and lowered != fixed:
+        if lowered != fixed:
             raise OptionError(
                 f"backend '{backend}' has one lowering: lower_to_scf is "
                 f"always {fixed}; {advice}")

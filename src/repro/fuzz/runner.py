@@ -6,8 +6,9 @@ source through the fluent ``Program`` API of one shared :class:`repro.api.Sessio
 is exercised under churn — runtime-mode derivations of one case must hit,
 distinct cases must miss) and executes a configuration matrix:
 
-* **oracle** — the cpu backend in ``interpret`` mode: pure op-by-op scalar
-  execution, the reference semantics every other path is judged against;
+* **oracle** — the cpu backend in ``interpret`` mode with every snapshot
+  copying: pure op-by-op scalar execution, the reference semantics every
+  other path is judged against;
 * **cpu / openmp / gpu** — vectorized and crosscheck modes, thread counts —
   each compared **bitwise** (``ndarray.tobytes()``) against the oracle's
   output arrays (every backend lowers to scf loops, so the oracle judges
@@ -268,12 +269,16 @@ class DifferentialRunner:
         session = self.session if session is None else session
         compiled = session.compile(spec.render()).lower(
             backend, execution_mode=mode, threads=threads, **options)
+        return self._run_on(compiled.interpreter(gpu=gpu), spec, calls, aliased)
+
+    def _run_on(self, interp: Interpreter, spec: KernelSpec, calls: int = 1,
+                aliased: bool = False) -> Tuple[Dict[str, np.ndarray], Interpreter]:
+        """Run ``spec`` on ``interp`` on fresh inputs ``calls`` times."""
         arrays, scalar = self.inputs_for(spec)
         work = {name: arr.copy(order="F") for name, arr in arrays.items()}
         if aliased:
             read_only, written = spec.alias_pair
             work[written] = work[read_only]
-        interp = compiled.interpreter(gpu=gpu)
         # Repeated exp under a sweep loop can saturate to inf/NaN; that is
         # deterministic and bitwise-compared like any other value, so the
         # overflow warnings are noise, not findings.
@@ -309,9 +314,18 @@ class DifferentialRunner:
 
     def run_oracle(self, spec: KernelSpec,
                    aliased: bool = False) -> Dict[str, np.ndarray]:
-        """The scalar reference: cpu backend, pure interpretation."""
-        outputs, _ = self._run_plain(spec, "cpu", "interpret", 1, {},
-                                     aliased=aliased)
+        """The scalar reference: the cpu lowering, purely interpreted, with
+        every ``memref.snapshot`` copying.  The cells under test elide a
+        snapshot the lowering judged read-only (:attr:`stencil.ExternalLoadOp
+        .read_only`) and swap one their nest overwrites; the oracle uses
+        neither, so a wrong elision or swap disagrees with it."""
+        modules = [module.clone() for module in self.session.compile(
+            spec.render()).lower("cpu", execution_mode="interpret").modules]
+        for module in modules:
+            for op in module.walk():
+                if op.name == "memref.snapshot":
+                    op.set_operands([op.operands[0]] * 2)
+        outputs, _ = self._run_on(Interpreter(modules), spec, aliased=aliased)
         return outputs
 
     def run_dmp_oracle(self, spec: KernelSpec,

@@ -16,6 +16,7 @@ fallback and its crosscheck oracle.
 
 from __future__ import annotations
 
+import operator
 import time as _time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -329,8 +330,10 @@ class Interpreter:
         values = handler(op, frame)
         if values is None:
             values = []
-        for res, value in zip(op.results, values):
-            frame.set(res, value)
+        if op.results:
+            computed = frame.values
+            for res, value in zip(op.results, values):
+                computed[res] = value
         return values
 
     # ------------------------------------------------------------------
@@ -350,16 +353,18 @@ class Interpreter:
 
         # arith ---------------------------------------------------------------
         h["arith.constant"] = self._exec_constant
+        # On numpy scalars an operator runs the ufunc's own scalar loop: the
+        # same bits and dtype, without the ~0.6 us of a ufunc call.
         binary = {
-            "arith.addf": np.add,
-            "arith.subf": np.subtract,
-            "arith.mulf": np.multiply,
-            "arith.divf": np.divide,
+            "arith.addf": operator.add,
+            "arith.subf": operator.sub,
+            "arith.mulf": operator.mul,
+            "arith.divf": operator.truediv,
             "arith.maximumf": np.maximum,
             "arith.minimumf": np.minimum,
-            "arith.addi": np.add,
-            "arith.subi": np.subtract,
-            "arith.muli": np.multiply,
+            "arith.addi": operator.add,
+            "arith.subi": operator.sub,
+            "arith.muli": operator.mul,
             "arith.maxsi": np.maximum,
             "arith.minsi": np.minimum,
             "arith.andi": np.logical_and,
@@ -609,16 +614,13 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _exec_memref_load(self, op: Operation, frame: Frame):
-        buffer = frame.get(op.operands[0])
-        indices = tuple(int(_as_python(frame.get(o))) for o in op.operands[1:])
-        return [buffer.data[indices]]
+        buffer, *subscripts = [frame.get(o) for o in op.operands]
+        return [buffer.data[tuple([int(i) for i in subscripts])]]
 
     def _exec_memref_store(self, op: Operation, frame: Frame):
-        value = frame.get(op.operands[0])
-        buffer = frame.get(op.operands[1])
-        indices = tuple(int(_as_python(frame.get(o))) for o in op.operands[2:])
+        value, buffer, *subscripts = [frame.get(o) for o in op.operands]
         self.array_writes += 1
-        buffer.data[indices] = _as_python(value)
+        buffer.data[tuple([int(i) for i in subscripts])] = _as_python(value)
         return []
 
     def _exec_memref_snapshot(self, op: Operation, frame: Frame):

@@ -16,8 +16,7 @@ path, :meth:`Sweep.run`; beside it:
   the process has CPUs (NumPy releases the GIL for large slice operations),
   each box storing its region in place;
 * the buffer swap — a ``memref.snapshot`` whose nest overwrites its source
-  in place swaps storage instead of copying (:class:`SwapPlan`), a dmp
-  rank's halo-exchanged field included.
+  in place swaps storage instead of copying (:class:`SwapPlan`).
 
 The pools of :func:`get_executor`, shared process-wide, run only boxes:
 leaf work that never waits, so no worker blocks on a task queued behind it.
@@ -236,21 +235,6 @@ def _compares(use: Use) -> bool:
     return use.operation.name == "memref.snapshot" and use.index > 0
 
 
-def _exchanged_before(use: Use, block, position: int) -> bool:
-    """Whether ``use`` is the ``mpi.isend``/``mpi.irecv`` of a halo exchange
-    that completes in ``block`` before ``position``: a send copies its slab
-    when it runs, a receive lands at an ``mpi.waitall`` of its request."""
-    user = use.operation
-    if use.index != 0 or user.parent_block() is not block \
-            or block.index_of(user) > position:
-        return False
-    return user.name == "mpi.isend" or user.name == "mpi.irecv" and any(
-        wait.operation.name == "mpi.waitall"
-        and wait.operation.parent_block() is block
-        and block.index_of(wait.operation) < position
-        for wait in user.results[0].uses)
-
-
 def _iv_offset(value: SSAValue, ivs: Sequence[SSAValue]) -> Optional[Tuple[int, int]]:
     """``(dim, offset)`` when ``value`` is ``ivs[dim] + offset``, else None."""
     offset = 0
@@ -296,11 +280,8 @@ class SwapPlan:
         snapshot the source (and every cast it was reached through) is used
         only by that nest's stores — affine, unit-step, each indexing every
         iteration dimension through one map — by snapshots that name it as
-        written, which only compare memory, and by a halo exchange that
-        completes before the snapshot (:func:`_exchanged_before`: the ghost
-        planes it receives are in the displaced array, which the shell fill
-        copies from); and when the function launches no GPU kernel (its
-        snapshots are device scratch)."""
+        written, which only compare memory; and when the function launches
+        no GPU kernel (its snapshots are device scratch)."""
         block, func = op.parent_block(), enclosing_func(op)
         if block is None or func is None or any(
                 inner.name == "gpu.launch_func" for inner in func.walk()):
@@ -348,11 +329,9 @@ class SwapPlan:
                         return None
                     inner.append(value)
         axes = None
-        position = block.index_of(op)
         for use in source.uses:
             user = use.operation
-            if user is op or _compares(use) or \
-                    _exchanged_before(use, block, position):
+            if user is op or _compares(use):
                 continue
             if user.name != "memref.store" or use.index != 1 \
                     or user.parent_block() is not body:

@@ -6,8 +6,7 @@ copies only the boundary shell its stores leave unwritten
 (:class:`repro.runtime.sweep.SwapPlan`).  Every spare here comes out of
 ``spare_like`` filled with NaN, so a cell the swap forgets to fill reads as
 NaN and the bitwise comparison against ``interpret`` mode (which always
-copies) fails.  A dmp rank's field swaps too: its halo exchange completes
-before the snapshot.  ``--fuzz-seeds N`` deepens the generated in-place
+copies) fails.  ``--fuzz-seeds N`` deepens the generated in-place
 specs (CI: 100).
 """
 
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 import repro
-import repro.api
 from repro.apps import gauss_seidel
 from repro.fuzz import DifferentialRunner, generate_spec
 from repro.runtime import sweep as sweep_module
@@ -264,34 +262,3 @@ def test_generated_in_place_kernels_under_poison(fuzz_seeds, spares):
     divergences = [d for spec in specs for d in runner.run_case(spec).divergences]
     assert not divergences, "\n".join(d.describe() for d in divergences)
     assert len(spares) >= len(specs) > 0
-
-
-def test_every_dmp_rank_swaps_after_its_halo_exchange(spares, monkeypatch):
-    """A dmp rank exchanges its field's ghost planes (``mpi.isend`` /
-    ``mpi.irecv``, completed by ``mpi.waitall``) just before the snapshot:
-    the exchange is done, so the field swaps, and the shell fill restores
-    the received planes from the displaced array.  GS 24^3 over 2 x 2 ranks,
-    three sweeps: every rank swaps 3 and copies 0, and the gathered field is
-    the one-rank interpreted run's, bit for bit."""
-    n, sweeps = 24, 3
-    built = []
-    real = repro.api.CompiledProgram.interpreter
-    monkeypatch.setattr(repro.api.CompiledProgram, "interpreter",
-                        lambda self, **kwargs: built.append(real(self, **kwargs))
-                        or built[-1])
-    field = np.asfortranarray(np.random.default_rng(17).random((n, n, n)))
-    fields = {}
-    for grid, mode in (((2, 2), "vectorize"), ((1, 1), "interpret")):
-        del built[:]
-        local = (n // grid[0] + 2, n // grid[1] + 2, n + 2)
-        plan = repro.Session().compile(
-            gauss_seidel.generate_source_shaped(local)).lower(
-            "dmp", grid=grid, execution_mode=mode).distribute(
-            source_builder=gauss_seidel.generate_source_shaped)
-        fields[grid] = plan.run(field, iterations=sweeps).field
-        counts = [(interp.stats["snapshots_swapped"], interp.stats["snapshots_copied"])
-                  for interp in built]
-        assert counts == ([(sweeps, 0)] * 4 if mode == "vectorize"
-                          else [(0, sweeps)])
-    assert spares  # the swaps ran on NaN-filled spares
-    assert fields[2, 2].tobytes() == fields[1, 1].tobytes()
