@@ -13,7 +13,7 @@ from typing import Any, Sequence, Tuple
 from ..ir.attributes import DenseArrayAttr, IntegerAttr
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
-from ..ir.types import TYPE_PARSERS, TypeAttribute, i32, i64, index
+from ..ir.types import TYPE_PARSERS, TypeAttribute, i32, i64
 
 
 class GridType(TypeAttribute):
@@ -45,19 +45,6 @@ class GridOp(Operation):
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.get_attr("shape").as_tuple()  # type: ignore[union-attr]
-
-
-class RankOp(Operation):
-    """``dmp.rank`` — this process's coordinate along ``dim`` of the grid."""
-
-    name = "dmp.rank"
-
-    def __init__(self, grid: SSAValue, dim: int):
-        super().__init__(
-            operands=[grid],
-            result_types=[index],
-            attributes={"dim": IntegerAttr(dim, i64)},
-        )
 
 
 class HaloSwapOp(Operation):
@@ -122,7 +109,6 @@ TYPE_PARSERS["dmp.grid"] = _parse_grid_type
 __all__ = [
     "GridType",
     "GridOp",
-    "RankOp",
     "HaloSwapOp",
     "NeighbourRankOp",
 ]

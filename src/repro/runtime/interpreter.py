@@ -190,6 +190,7 @@ class Interpreter:
             "snapshots_copied": 0,
             "snapshots_elided": 0,
             "snapshots_swapped": 0,
+            "snapshots_deferred": 0,
             "gpu_seconds": 0.0,
             "transfer_seconds": 0.0,
             "gpu_launches_vectorized": 0,
@@ -445,7 +446,6 @@ class Interpreter:
 
         # dmp / mpi -------------------------------------------------------------------------------
         h["dmp.grid"] = self._exec_dmp_grid
-        h["dmp.rank"] = self._exec_dmp_rank
         h["dmp.neighbour_rank"] = self._exec_dmp_neighbour_rank
         h["mpi.isend"] = self._exec_mpi_isend
         h["mpi.irecv"] = self._exec_mpi_irecv
@@ -628,7 +628,8 @@ class Interpreter:
         its memory — the same array passed for an input and an output, or a
         field the function writes, which names itself.  Then, outside
         "interpret" mode, a field only its own nest overwrites may swap
-        storage (:meth:`Sweep.snapshot`); other snapshots copy."""
+        storage, or name itself while the nest defers its stores
+        (:meth:`Sweep.snapshot`); other snapshots copy."""
         if self.sweep is not None:
             swapped = self.sweep.snapshot(op, frame)
             if swapped is not None:
@@ -842,12 +843,6 @@ class Interpreter:
 
     def _exec_dmp_grid(self, op: Operation, frame: Frame):
         return [self._require_decomposition()]
-
-    def _exec_dmp_rank(self, op: Operation, frame: Frame):
-        decomposition = self._require_decomposition()
-        dim = int(op.get_attr("dim").value)  # type: ignore[union-attr]
-        coords = decomposition.coords_of(self.rank)
-        return [np.int64(coords[dim])]
 
     def _exec_dmp_neighbour_rank(self, op: Operation, frame: Frame):
         decomposition = self._require_decomposition()

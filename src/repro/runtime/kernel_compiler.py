@@ -370,6 +370,8 @@ class CompiledKernel:
         #: and, with the distinct arrays it loads and stores, the arrays it
         #: touches per point: what the default cache-box plan sizes boxes by.
         self.arrays_per_point = self.allocations + len(self.slot_dtypes)
+        #: A body writes ``out=`` a buffer it stored (see ``sweep.deferring``).
+        self.reuses_stored = translator.reuses_stored
         self._windowed = self._compile(self.source)
         self._flat = None if self.flat_source is None else \
             self._compile(self.flat_source)
@@ -435,10 +437,13 @@ class CompiledKernel:
     # -- runtime guards ----------------------------------------------------
 
     def guards_pass(self, externals: Sequence[object], lowers: Sequence[int],
-                    uppers: Sequence[int], steps: Sequence[int] = ()) -> bool:
+                    uppers: Sequence[int], steps: Sequence[int] = (),
+                    frozen: Sequence[object] = ()) -> bool:
         """Check unit steps, in-bounds slices, and load/store aliasing against
         the actual runtime values.  Returning False sends the caller to the
-        scalar interpreter."""
+        scalar interpreter.  Loads of a ``frozen`` buffer may share memory
+        with a store: the caller defers every store until every box has
+        loaded (:func:`~repro.runtime.sweep.deferring`)."""
         if any(s != 1 for s in steps):
             return False
         arrays: List[np.ndarray] = []
@@ -453,7 +458,9 @@ class CompiledKernel:
             arrays.append(array)
         # Many windows of one array: each distinct pair is compared once.
         store_arrays = arrays[len(self.loads):]
-        loaded = {id(array): array for array in arrays[:len(self.loads)]}
+        loaded = {id(array): array for (slot, _), array
+                  in zip(self.loads, arrays)
+                  if not any(externals[slot] is buffer for buffer in frozen)}
         for stored in {id(array): array for array in store_arrays}.values():
             for array in loaded.values():
                 if np.may_share_memory(stored, array):
@@ -552,6 +559,7 @@ class _BodyTranslator:
         self.loaded: Dict[int, None] = {}
         #: an induction value is used as a number somewhere in the body
         self.index_as_data = False
+        self.reuses_stored = False  # set by render
         self.stores: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
         self.slot_dtypes: Dict[int, np.dtype] = {}
         self._counter = 0
@@ -806,7 +814,8 @@ class _BodyTranslator:
     def render(self, flat: bool = False) -> Tuple[List[str], int]:
         """The statements as source lines — the windowed or the flat body,
         see :class:`CompiledKernel` — after a last-use pass over them, and
-        how many arrays those lines allocate per call.
+        how many arrays those lines allocate per call.  A line that writes
+        ``out=`` a buffer an earlier line stored sets ``reuses_stored``.
 
         A reusable result (see :class:`_Expr`) is computed ``out=`` a buffer
         that died at or before its statement — one of its own operands, else
@@ -820,6 +829,7 @@ class _BodyTranslator:
             for use in uses:
                 last_use[use] = index
         allocations = 0
+        stored: List[_Expr] = []
         # The parameters follow the externals the paths resolve.
         lines = [f"c{k} = ext[{len(self.external_paths) + k}]"
                  for k in range(len(self.parameters))]
@@ -850,9 +860,12 @@ class _BodyTranslator:
                     allocations += 1
                 else:
                     out = f", out={donor.var}"
+                    self.reuses_stored |= donor in stored
             code = template.format(*[use.var for use in uses], out=out)
             lines.append(f"{result.var} = {code}" if result is not None else code)
             free.extend(use for use in dying if use.reusable)
+            if result is None:  # a store
+                stored.extend(uses)
             dead = [use.var for use in dying if not use.reusable]
             if dead:
                 lines.append("del " + ", ".join(dead))

@@ -16,7 +16,9 @@ path, :meth:`Sweep.run`; beside it:
   the process has CPUs (NumPy releases the GIL for large slice operations),
   each box storing its region in place;
 * the buffer swap — a ``memref.snapshot`` whose nest overwrites its source
-  in place swaps storage instead of copying (:class:`SwapPlan`).
+  in place swaps storage instead of copying (:class:`SwapPlan`); when ops
+  before the snapshot use the source too (a dmp rank's halo exchange), it
+  names the source and the nest defers its stores (:func:`deferring`).
 
 The pools of :func:`get_executor`, shared process-wide, run only boxes:
 leaf work that never waits, so no worker blocks on a task queued behind it.
@@ -165,6 +167,45 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _DeferredStores:
+    """A stored array whose assignments are kept in ``writes`` — with a copy
+    of a value that shares memory with a stored array or that the kernel
+    writes again; every other attribute is the array's."""
+
+    __slots__ = ("array", "targets", "writes", "copy")
+
+    def __init__(self, array, targets, writes, copy):
+        self.array, self.targets, self.writes, self.copy = \
+            array, targets, writes, copy
+
+    def __getattr__(self, name: str):
+        return getattr(self.array, name)
+
+    def __setitem__(self, key, value) -> None:
+        if isinstance(value, np.ndarray) and (self.copy or any(
+                np.may_share_memory(value, target) for target in self.targets)):
+            value = value.copy()
+        self.writes.append((self.array, key, value))
+
+
+def deferring(kernel, externals: Sequence[object]
+              ) -> Tuple[List[object], Callable[[], None]]:
+    """``externals`` with each array ``kernel`` stores into recording the
+    assignments, and the function that then makes them in that order: over
+    boxes that partition the domain, a box may load what another stores."""
+    writes: List = []
+    targets = kernel.store_targets(externals)
+    deferred = list(externals)
+    for slot in {slot for slot, _ in kernel.stores}:
+        deferred[slot] = MemoryBuffer(_DeferredStores(
+            externals[slot].data, targets, writes, kernel.reuses_stored))
+
+    def store() -> None:
+        for array, key, value in writes:
+            array[key] = value
+    return deferred, store
+
+
 def run_boxes(kernel, externals: Sequence[object], boxes: Sequence[Box],
               threads: int = 1, chosen: Optional[List[str]] = None) -> None:
     """Run ``kernel`` over ``boxes`` — a partition of its domain — on the
@@ -258,18 +299,21 @@ class SwapPlan:
     the source's memory at run time), ``inner`` the (lower, upper) values of
     the nest's inner ``scf.for`` loops, ``axes`` the stores' ``(iteration
     dim, offset)`` per memref axis, and ``shells`` the slices the stores do
-    not write, per (domain, shape), built at first use.
+    not write, per (domain, shape), built at first use.  ``defers``: the
+    snapshot names the source and the nest defers its stores instead.
     """
 
-    __slots__ = ("nest", "others", "inner", "axes", "shells")
+    __slots__ = ("nest", "others", "inner", "axes", "shells", "defers")
 
     def __init__(self, nest: Operation, others: Tuple[SSAValue, ...],
-                 inner: Tuple[SSAValue, ...], axes: Tuple[Tuple[int, int], ...]):
+                 inner: Tuple[SSAValue, ...], axes: Tuple[Tuple[int, int], ...],
+                 defers: bool = False):
         self.nest = nest
         self.others = others
         self.inner = inner
         self.axes = axes
         self.shells: Dict[Tuple[int, ...], Tuple[Tuple[slice, ...], ...]] = {}
+        self.defers = defers
 
     @classmethod
     def of(cls, op: Operation) -> Optional["SwapPlan"]:
@@ -281,7 +325,10 @@ class SwapPlan:
         only by that nest's stores — affine, unit-step, each indexing every
         iteration dimension through one map — by snapshots that name it as
         written, which only compare memory; and when the function launches
-        no GPU kernel (its snapshots are device scratch)."""
+        no GPU kernel (its snapshots are device scratch).  A source also
+        used by ops before the snapshot in its block (a dmp rank's halo
+        exchange, whose swap would cost a copy back) ``defers`` if only
+        snapshots come between it and the nest, which nothing encloses."""
         block, func = op.parent_block(), enclosing_func(op)
         if block is None or func is None or any(
                 inner.name == "gpu.launch_func" for inner in func.walk()):
@@ -328,10 +375,14 @@ class SwapPlan:
                     if owner is not None and nest.is_ancestor_of(owner):
                         return None
                     inner.append(value)
-        axes = None
+        axes, defers = None, False
+        position = block.index_of(op)
         for use in source.uses:
             user = use.operation
             if user is op or _compares(use):
+                continue
+            if user.parent_block() is block and block.index_of(user) < position:
+                defers = True
                 continue
             if user.name != "memref.store" or use.index != 1 \
                     or user.parent_block() is not body:
@@ -341,10 +392,12 @@ class SwapPlan:
                     sorted(dim for dim, _ in mapped) != list(range(len(ivs))):
                 return None
             axes = mapped
-        if axes is None:
+        if axes is None or defers and (outer is not nest or any(
+                between.name != "memref.snapshot"
+                for between in block.ops[position + 1:block.index_of(nest)])):
             return None
         others = tuple(arg for arg in func.entry_block.args if arg is not root)
-        return cls(nest, others, tuple(inner), axes)
+        return cls(nest, others, tuple(inner), axes, defers)
 
     def shell(self, lowers: Sequence[int], uppers: Sequence[int],
               shape: Tuple[int, ...]) -> Tuple[Tuple[slice, ...], ...]:
@@ -411,6 +464,8 @@ class Sweep:
         #: nest op -> (buffer, displaced array, plan, record, shell key the
         #: spare already holds) of each swap whose nest has not run.
         self._unfilled: Dict[Operation, List[Tuple]] = {}
+        #: nest op -> the snapshots that name their source until it runs.
+        self._deferred: Dict[Operation, List[MemoryBuffer]] = {}
 
     def call(self, arguments: Sequence[object], body: Callable):
         """``body()``, a top-level call of ``arguments`` whose snapshots may
@@ -427,6 +482,7 @@ class Sweep:
                 for buffer, displaced, *_ in pending:
                     buffer.data = displaced
             self._unfilled.clear()
+            self._deferred.clear()
             for buffer, record in swaps.items():
                 if buffer.data is not record.own:
                     np.copyto(record.own, buffer.data)
@@ -438,9 +494,10 @@ class Sweep:
         sweep, however the sweep ends: the displaced array it copies from is
         only read."""
         swapped = self._unfilled.pop(op, None)
+        frozen = self._deferred.pop(op, ())
         try:
             self.run(frame, self.interp.kernels.kernel_for(op), _nest_domain,
-                     scalar_runner)
+                     scalar_runner, frozen=frozen)
         finally:
             if swapped is not None:
                 self._fill_shells(swapped, frame, lowers, uppers)
@@ -457,10 +514,15 @@ class Sweep:
 
     def snapshot(self, op: Operation, frame) -> Optional[MemoryBuffer]:
         """The swapped-out array a ``memref.snapshot`` keeps
-        (:class:`SwapPlan`); None when it copies or aliases."""
+        (:class:`SwapPlan`), or the source's own array when its nest defers
+        its stores; None when it copies or aliases."""
         if self._swaps is None:
             return None
         plan = self._verdicts[SwapPlan.of, op]
+        if plan is not None and plan.defers:
+            frozen = MemoryBuffer(frame.get(op.operands[0]).data)
+            self._deferred.setdefault(plan.nest, []).append(frozen)
+            return frozen
         swapped = None if plan is None else \
             self._swap(frame.get(op.operands[0]), plan, frame)
         if swapped is not None:
@@ -469,7 +531,8 @@ class Sweep:
 
     def run(self, frame, bound, domain_of: Callable, scalar_runner: Callable,
             counters: Tuple[str, str] = ("vectorized_sweeps",
-                                         "vectorize_fallbacks")) -> None:
+                                         "vectorize_fallbacks"),
+            frozen: Sequence[MemoryBuffer] = ()) -> None:
         """The one execution path of every vectorizable sweep op: runtime
         guards → box plan → :func:`run_boxes` → crosscheck → stats; the
         scalar runner when there is no kernel or a guard fails.
@@ -479,16 +542,24 @@ class Sweep:
         ``(lowers, uppers[, steps])`` iteration domain the runtime guards
         check; ``scalar_runner`` is the reference semantics, used as fallback
         and as crosscheck oracle so the two cannot diverge; ``counters`` the
-        (vectorized, fallback) stats keys.
+        (vectorized, fallback) stats keys.  The boxes defer their stores
+        for ``frozen`` snapshots, which name their source; the scalar runner
+        copies each first.
         """
         interp = self.interp
         interp.array_writes += 1
         done_key, fallback_key = counters
+        if frozen:
+            def scalar_runner(pointwise=scalar_runner):
+                for snapshot in frozen:
+                    snapshot.data = snapshot.data.copy(order="K")
+                    self.stats["snapshots_copied"] += 1
+                pointwise()
         if bound is not None:
             kernel = bound.kernel
             externals = [frame.get(v) for v in bound.external_values] + bound.constants
             domain = domain_of(kernel, externals)
-            if not kernel.guards_pass(externals, *domain):
+            if not kernel.guards_pass(externals, *domain, frozen=frozen):
                 bound = None
         if bound is None:
             self.stats[fallback_key] += 1
@@ -504,7 +575,13 @@ class Sweep:
             if threads > 1 and slabs == 1:
                 self.stats["parallel_fallbacks"] += 1
             chosen: List[str] = []
-            run_boxes(kernel, externals, boxes, threads, chosen)
+            if frozen:
+                deferred, store = deferring(kernel, externals)
+                run_boxes(kernel, deferred, boxes, threads, chosen)
+                store()
+                self.stats["snapshots_deferred"] += len(frozen)
+            else:
+                run_boxes(kernel, externals, boxes, threads, chosen)
             if slabs > 1:
                 self.stats["parallel_sweeps"] += 1
                 self.stats["parallel_tiles"] += slabs
@@ -626,6 +703,7 @@ __all__ = [
     "plan_sweep",
     "usable_cpus",
     "run_boxes",
+    "deferring",
     "get_executor",
     "SwapPlan",
     "Sweep",

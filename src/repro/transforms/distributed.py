@@ -134,7 +134,6 @@ class ConvertDMPToMPIPass(ModulePass):
             width = halo[dim]
             if width == 0:
                 continue
-            my_coord = builder.insert(dmp.RankOp(grid_value, dim))
             for direction in (-1, +1):
                 tag = dim * 2 + (0 if direction < 0 else 1)
                 recv_tag = dim * 2 + (1 if direction < 0 else 0)

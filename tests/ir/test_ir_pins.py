@@ -56,10 +56,10 @@ PINS = {
         ('canonicalize', 184, 182),
         ('reconcile-unrealized-casts', 182, 182),
     ]),
-    'pw-dmp-2x2': ('4e2a2f26a3841aba', '7b29fff22e41bc46', [
+    'pw-dmp-2x2': ('4e2a2f26a3841aba', '83847330b9c14f04', [
         ('convert-stencil-to-dmp', 134, 138),
-        ('convert-dmp-to-mpi', 138, 184),
-        ('convert-stencil-to-scf', 184, 195),
+        ('convert-dmp-to-mpi', 138, 178),
+        ('convert-stencil-to-scf', 178, 189),
     ]),
     'pw-flang-only': ('2c2383fc6f74d207', None, []),
     'gs-cpu': ('08c4138c8e683902', '1cca8a02903317db', [
@@ -85,10 +85,10 @@ PINS = {
         ('canonicalize', 66, 64),
         ('reconcile-unrealized-casts', 64, 64),
     ]),
-    'gs-dmp-2x2': ('08c4138c8e683902', 'e4cd773bdb80feef', [
+    'gs-dmp-2x2': ('08c4138c8e683902', '2235df7fe867fbd2', [
         ('convert-stencil-to-dmp', 21, 23),
-        ('convert-dmp-to-mpi', 23, 41),
-        ('convert-stencil-to-scf', 41, 54),
+        ('convert-dmp-to-mpi', 23, 39),
+        ('convert-stencil-to-scf', 39, 52),
     ]),
     'gs-flang-only': ('b887dd412478aaa3', None, []),
 }

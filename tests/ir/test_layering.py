@@ -72,7 +72,7 @@ def test_every_op_is_defined_by_a_dialect_and_every_pass_by_the_transforms():
     import repro.transforms  # noqa: F401
     from repro.ir import OP_CLASSES, PASSES
 
-    assert len(OP_CLASSES) == 88 and len(PASSES) == 13
+    assert len(OP_CLASSES) == 87 and len(PASSES) == 13
     assert misplaced(OP_CLASSES, "repro.dialects") == []
     assert misplaced(PASSES, "repro.transforms") == []
 

@@ -8,7 +8,9 @@ sweep here is cut into many boxes; the ``sweeps`` fixture records how many
 each ``run_boxes`` call ran.  What keeps the boxes apart is the snapshot: a
 field the function writes is read through a ``memref.snapshot`` that swaps
 or copies (``snapshots_swapped`` / ``snapshots_copied``), one it only reads
-is read where it is (``snapshots_elided``).
+is read where it is (``snapshots_elided``).  A dmp rank's field, which its
+halo exchange uses before the snapshot, is read where it is too, and the
+boxes hold their stores until every box has read (``snapshots_deferred``).
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ import pytest
 
 import repro
 from repro.apps import gauss_seidel, pw_advection
-from repro.runtime import InterpreterError
+from repro.runtime import InterpreterError, MemoryBuffer
+from repro.runtime import interpreter as interpreter_module
 from repro.runtime import sweep as sweep_module
 
 # No __init__.py in the test tree: pytest imports sibling modules top-level.
@@ -157,6 +160,114 @@ def test_every_rank_of_a_distributed_plan_cuts_boxes(sweeps, grid):
         gauss_seidel.reference_jacobi(field, iterations), iterations) < 1e-12
     assert len(sweeps) == grid[0] * grid[1] * iterations
     assert all(boxes > 1 for boxes in sweeps)
+
+
+@pytest.fixture
+def interpreters(monkeypatch):
+    """Every interpreter built while the test runs (a plan's ranks)."""
+    made = []
+    real = interpreter_module.Interpreter.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(interpreter_module.Interpreter, "__init__", recording)
+    return made
+
+
+def run_plan(source_builder, field, grid, mode, iterations):
+    """A dmp plan of ``source_builder``'s subroutine run on ``field``."""
+    shape = tuple(n // g + 2 for n, g in zip(field.shape, grid + (1,)))
+    return repro.Session().lower(source_builder(shape), "dmp", grid=grid,
+                                 execution_mode=mode).distribute(
+        source_builder=source_builder).run(field, iterations=iterations)
+
+
+@pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
+@pytest.mark.parametrize("grid", [(2, 1), (2, 2)])
+def test_every_rank_defers_its_stores_instead_of_copying(sweeps, interpreters,
+                                                         grid, mode):
+    """A rank's field is halo-exchanged before its snapshot, so it neither
+    swaps nor copies: the snapshot is the field, and the boxes store once
+    all have read.  Crosscheck's scalar oracle reads a copy."""
+    field = np.asfortranarray(np.random.default_rng(5).random((N, N, N)))
+    iterations = 3
+    alone = run_plan(gauss_seidel.generate_source_shaped, field, (1, 1),
+                     "interpret", iterations)
+    oracle = run_plan(gauss_seidel.generate_source_shaped, field, grid,
+                      "interpret", iterations)
+    del interpreters[:]
+    result = run_plan(gauss_seidel.generate_source_shaped, field, grid, mode,
+                      iterations)
+    assert result.field.tobytes() == oracle.field.tobytes() \
+        == alone.field.tobytes()
+    assert len(interpreters) == grid[0] * grid[1]
+    assert all(boxes > 1 for boxes in sweeps)
+    for rank in interpreters:
+        assert rank.stats["snapshots_deferred"] == iterations
+        assert rank.stats["snapshots_swapped"] == 0
+        assert rank.stats["snapshots_copied"] == \
+            (iterations if mode == "crosscheck" else 0)
+
+
+def shift_source(shape):
+    """``u(i, j, k) = u(i, j-1, k)`` over a local box with ghost planes."""
+    n1, n2, n3 = shape
+    return f"""
+subroutine shift(u)
+  implicit none
+  real(kind=8), intent(inout) :: u({n1}, {n2}, {n3})
+  integer :: i, j, k
+  do k = 2, {n3} - 1
+    do j = 2, {n2} - 1
+      do i = 2, {n1} - 1
+        u(i, j, k) = u(i, j-1, k)
+      end do
+    end do
+  end do
+end subroutine shift
+"""
+
+
+@pytest.mark.parametrize("mode", ["vectorize", "crosscheck"])
+def test_a_deferred_store_of_the_field_it_reads_keeps_its_value(
+        sweeps, interpreters, mode):
+    """Each box stores a view of the field itself: kept as it is, a box
+    stored earlier would change what a later one stores."""
+    field = np.asfortranarray(np.arange(N ** 3, dtype=np.float64).reshape(
+        (N, N, N)))
+    oracle = run_plan(shift_source, field, (1, 2), "interpret", 2)
+    del interpreters[:]
+    result = run_plan(shift_source, field, (1, 2), mode, 2)
+    assert result.field.tobytes() == oracle.field.tobytes()
+    assert all(boxes > 1 for boxes in sweeps)
+    assert all(rank.stats["snapshots_deferred"] == 2 for rank in interpreters)
+
+
+def test_a_deferred_store_keeps_a_buffer_its_kernel_writes_again():
+    """A kernel that computes into a buffer it stored earlier in the box
+    (``reuses_stored``) has that value copied when its store is kept."""
+    class Kernel:
+        stores = ((0, ((0, 0),)),)
+        reuses_stored = True
+
+        @staticmethod
+        def store_targets(externals):
+            return [externals[0].data]
+
+        @staticmethod
+        def fn(ext, lb, ub, chosen=None):
+            value = np.full(ub[0] - lb[0], 1.0)
+            ext[0].data[lb[0]:ub[0]] = value
+            np.add(value, 1.0, out=value)
+
+    target = np.zeros(4)
+    externals, store = sweep_module.deferring(Kernel, [MemoryBuffer(target)])
+    sweep_module.run_boxes(Kernel, externals, [((0,), (2,)), ((2,), (4,))])
+    assert not target.any()
+    store()
+    assert target.tolist() == [1.0] * 4
 
 
 # ---------------------------------------------------------------------------
