@@ -34,16 +34,10 @@ from concurrent.futures import Future
 from types import TracebackType
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from ..resilience import InjectedFault
 from .artifact import CompiledArtifact
 from .backends import Backend, BackendRegistry, registry as default_registry
 from .options import BackendOptions, OptionError
 from .program import CompiledProgram, Program, source_fingerprint
-
-#: How many times a failing compile is retried before its cache key is
-#: quarantined: one retry recovers a transient failure, a second failure is
-#: final.
-COMPILE_RETRIES = 1
 
 
 class Request(NamedTuple):
@@ -82,17 +76,12 @@ class Session:
         self.store = store
         self._disk_hits = 0
         self._disk_misses = 0
-        #: Deterministic fault injection: called before every backend
-        #: compile; returning True simulates a transient compiler crash
-        #: (see :class:`repro.resilience.FaultInjector`).
-        self.compile_hook = None
-        #: Poisoned-artifact records: cache key -> the exception that
-        #: exhausted its retries and its traceback from the compile.
-        #: Further lowers of the key re-raise it immediately instead of
-        #: retry-storming the backend.
+        #: Poisoned-artifact records: cache key -> the exception its compile
+        #: raised and its traceback from the compile.  ``Backend.lower`` is
+        #: deterministic, so further lowers of the key re-raise it at once
+        #: instead of running the backend again.
         self._quarantined: Dict[
-            Tuple, Tuple[BaseException, Optional[TracebackType]]] = {}
-        self._compile_retry_count = 0
+            Tuple, Tuple[Exception, Optional[TracebackType]]] = {}
         self._quarantine_hits = 0
 
     # -- compilation ---------------------------------------------------------
@@ -141,9 +130,9 @@ class Session:
                 return cached
             poisoned = self._quarantined.get(key)
             if poisoned is not None:
-                # A quarantined key failed its compile *and* its retry: re-
-                # raise the original exception (same object, same type) so a
-                # bad source cannot retry-storm the backend.  Each raise
+                # A quarantined key failed its compile: re-raise the original
+                # exception (same object, same type) so a bad source cannot
+                # storm the backend with recompiles.  Each raise
                 # starts again from the compile's traceback: one that grew
                 # on every hit would keep every frame it passed alive.
                 self._quarantine_hits += 1
@@ -195,24 +184,14 @@ class Session:
                 self._disk_misses += 1
         with self._lock:
             self._misses += 1
-        attempt = 0
-        while True:
-            try:
-                if self.compile_hook is not None and self.compile_hook():
-                    raise InjectedFault(
-                        f"injected transient compile failure for source "
-                        f"{key[0][:12]} on backend '{backend.name}'"
-                    )
-                artifact = backend.lower(source, options)
-                break
-            except BaseException as exc:
-                attempt += 1
-                if attempt > COMPILE_RETRIES:
-                    with self._lock:
-                        self._quarantined[key] = (exc, exc.__traceback__)
-                    raise
-                with self._lock:
-                    self._compile_retry_count += 1
+        try:
+            artifact = backend.lower(source, options)
+        except Exception as exc:
+            # A KeyboardInterrupt or SystemExit is not the source's fault:
+            # it passes through unrecorded.
+            with self._lock:
+                self._quarantined[key] = (exc, exc.__traceback__)
+            raise
         if self.store is not None:
             # Best-effort persist for the next process; save() never raises.
             self.store.save(key, artifact)
@@ -250,13 +229,11 @@ class Session:
 
     @property
     def resilience_stats(self) -> Dict[str, int]:
-        """Compile-recovery counters: ``compile_retries`` (transient
-        failures recovered by retrying), ``compiles_quarantined`` (keys whose
-        retries were exhausted) and ``quarantine_hits`` (lowers short-
-        circuited by a poisoned record)."""
+        """Compile-failure counters: ``compiles_quarantined`` (keys whose
+        compile raised) and ``quarantine_hits`` (lowers short-circuited by a
+        poisoned record)."""
         with self._lock:
             return {
-                "compile_retries": self._compile_retry_count,
                 "compiles_quarantined": len(self._quarantined),
                 "quarantine_hits": self._quarantine_hits,
             }
@@ -278,7 +255,6 @@ class Session:
             self._disk_misses = 0
             if not keep_quarantine:
                 self._quarantined.clear()
-                self._compile_retry_count = 0
                 self._quarantine_hits = 0
 
     def __repr__(self) -> str:  # pragma: no cover

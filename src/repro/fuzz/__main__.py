@@ -18,8 +18,8 @@ Examples::
     # on disk; a second run with the same DIR reloads instead of lowering:
     PYTHONPATH=src python -m repro.fuzz --seeds 50 --store /tmp/repro-store
 
-    # Chaos mode: every seed fault-free first, then under a seeded
-    # FaultPlan, demanding bitwise-identical recovered outputs:
+    # Chaos mode: every seed fault-free first, then under faults drawn
+    # from the seed, demanding bitwise-identical recovered outputs:
     PYTHONPATH=src python -m repro.fuzz --chaos --seeds 20
 
 Exit status is a contract CI pins: **0** when the run is clean, **1** when
@@ -44,13 +44,21 @@ from .generator import DEFAULT_CONFIG, generate_spec
 from .runner import DifferentialRunner, Farm, default_matrix
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
         description=("Differential fuzzing: generated kernels through every "
                      "backend and execution mode, compared bitwise against "
                      "the scalar interpreter oracle."))
-    parser.add_argument("--seeds", type=int, default=25, metavar="N",
+    parser.add_argument("--seeds", type=_positive_int, default=25,
+                        metavar="N",
                         help="number of seeds to fuzz (default: 25)")
     parser.add_argument("--start-seed", type=int, default=0, metavar="S",
                         help="first seed of the range (default: 0)")
@@ -82,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="replay every corpus entry through the full "
                              "matrix and exit")
     parser.add_argument("--chaos", action="store_true",
-                        help="chaos mode: re-run each seed under a seeded "
-                             "fault plan (message faults, rank crashes, "
-                             "device OOM, compile failures) and demand "
+                        help="chaos mode: re-run each seed under seeded "
+                             "faults (message faults and rank crashes on "
+                             "dmp, a small device on gpu) and demand "
                              "bitwise-identical recovered outputs")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-case progress output")

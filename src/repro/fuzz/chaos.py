@@ -1,20 +1,19 @@
 """Chaos mode: generated kernels under seeded fault plans.
 
-PR 6's discipline was *inject a miscompile deterministically, demand the
-farm catches it*.  Chaos mode applies the same discipline to runtime
-faults: each fuzz seed first runs **fault-free** to establish a baseline,
-then re-runs under a :class:`repro.resilience.FaultPlan` drawn from the
-same seed, and the recovered outputs must be **bitwise identical** to the
-baseline.  Three fault scenarios per case, matched to the three injectable
-runtime layers:
+The fuzz farm's discipline was *inject a miscompile deterministically,
+demand the farm catches it*.  Chaos mode applies the same discipline to
+runtime faults: each fuzz seed first runs **fault-free** to establish a
+baseline, then re-runs under faults drawn from the same seed, and the
+recovered outputs must be **bitwise identical** to the baseline.  Two fault
+scenarios per case:
 
-* ``dmp-chaos`` (distributed-style specs): a multi-rank run with
-  dropped/delayed/duplicated/corrupted halo messages plus one rank crash
-  mid-run, recovered by the retrying communicator and checkpoint/restart;
-* ``gpu-chaos``: a gpu run whose :class:`SimulatedGPU` fails chosen device
-  allocations, recovered by staging the buffers in host memory;
-* ``compile-chaos``: a throwaway session whose compile hook fails the first
-  compile transiently, recovered by the session's single retry.
+* ``dmp-chaos`` (distributed-style specs): a multi-rank run under a
+  :class:`repro.resilience.FaultPlan` of dropped/delayed/duplicated/corrupted
+  halo messages plus one rank crash mid-run, recovered by the retrying
+  communicator and checkpoint/restart;
+* ``gpu-chaos``: a gpu run on a :class:`SimulatedGPU` with room for no
+  field on even seeds and for one on odd seeds, so real pool misses are
+  recovered by staging the buffers in host memory.
 
 Every injected fault and recovery action lands in the merged
 :class:`repro.resilience.RecoveryReport` of the farm's
@@ -28,14 +27,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..api.session import Session
-from ..resilience import (
-    AllocFault,
-    CompileFault,
-    FaultInjector,
-    FaultPlan,
-    RankCrash,
-    ResilienceOptions,
-)
+from ..resilience import FaultPlan, RankCrash, ResilienceOptions
 from ..runtime.gpu_runtime import SimulatedGPU
 from .generator import KernelSpec
 from .runner import _DMP_ITERATIONS, CaseResult, DifferentialRunner, Divergence
@@ -89,38 +81,17 @@ class ChaosRunner:
 
     def _run_gpu_chaos(self, spec: KernelSpec, result: CaseResult) -> None:
         baseline, _ = self.runner._run_plain(spec, "gpu", "vectorize", 1, {})
-        report = result.recovery
-        injector = FaultInjector(
-            FaultPlan(seed=spec.seed,
-                      alloc_faults=(AllocFault(index=spec.seed % 2),)),
-            report)
-        gpu = SimulatedGPU(alloc_hook=injector.on_device_alloc)
+        arrays, _ = self.runner.inputs_for(spec)
+        field_bytes = arrays[spec.arrays[0]].nbytes
+        gpu = SimulatedGPU(memory_bytes=(spec.seed % 2) * field_bytes)
         work, interp = self.runner._run_plain(spec, "gpu", "vectorize", 1, {},
                                               gpu=gpu)
-        report.add_counters(gpu.degradation)
-        report.add_counters(
+        result.recovery.add_counters(gpu.degradation)
+        result.recovery.add_counters(
             {"scalar_fallbacks": int(interp.stats.get("gpu_launch_fallbacks",
                                                       0))})
         result.configs_run += 1
         self._compare(spec, "gpu-chaos", result, baseline, work)
-
-    def _run_compile_chaos(self, spec: KernelSpec,
-                           result: CaseResult) -> None:
-        baseline, _ = self.runner._run_plain(spec, "cpu", "vectorize", 1, {})
-        report = result.recovery
-        injector = FaultInjector(
-            FaultPlan(seed=spec.seed,
-                      compile_faults=(CompileFault(index=0, count=1),)),
-            report)
-        # A throwaway session: its compiles must actually run (no warm cache)
-        # and its quarantine records must not leak into the shared session.
-        scratch = Session(registry=self.session.registry)
-        scratch.compile_hook = injector.on_compile
-        work, _ = self.runner._run_plain(spec, "cpu", "vectorize", 1, {},
-                                         session=scratch)
-        report.add_counters(scratch.resilience_stats)
-        result.configs_run += 1
-        self._compare(spec, "compile-chaos", result, baseline, work)
 
     # -- comparison ----------------------------------------------------------
 
@@ -148,9 +119,7 @@ class ChaosRunner:
     def run_case(self, spec: KernelSpec) -> CaseResult:
         result = CaseResult(spec=spec)
         scenarios: List[Callable[[KernelSpec, CaseResult], None]] = [
-            self._run_gpu_chaos,
-            self._run_compile_chaos,
-        ]
+            self._run_gpu_chaos]
         if spec.style == "distributed":
             scenarios.insert(0, self._run_dmp_chaos)
         for scenario in scenarios:

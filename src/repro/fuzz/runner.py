@@ -261,13 +261,12 @@ class DifferentialRunner:
 
     def _run_plain(self, spec: KernelSpec, backend: str, mode: str,
                    threads: int, options: Dict[str, object], calls: int = 1,
-                   aliased: bool = False, session: Optional[Session] = None,
+                   aliased: bool = False,
                    gpu=None) -> Tuple[Dict[str, np.ndarray], Interpreter]:
-        """Compile ``spec`` on ``session`` (the runner's own by default), run
-        it on fresh inputs ``calls`` times, on ``gpu`` when one is given;
-        returns the outputs and the interpreter that ran them."""
-        session = self.session if session is None else session
-        compiled = session.compile(spec.render()).lower(
+        """Compile ``spec`` on the runner's session, run it on fresh inputs
+        ``calls`` times, on ``gpu`` when one is given; returns the outputs
+        and the interpreter that ran them."""
+        compiled = self.session.compile(spec.render()).lower(
             backend, execution_mode=mode, threads=threads, **options)
         return self._run_on(compiled.interpreter(gpu=gpu), spec, calls, aliased)
 

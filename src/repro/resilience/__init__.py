@@ -1,18 +1,16 @@
 """Deterministic fault injection and recovery.
 
-The package has three halves mirroring the tentpole: *plans* (what fails,
-when — :class:`FaultPlan` and its fault dataclasses), the *injector* that
-executes a plan against live runtime hooks, and the *report* that proves
-every injected fault was recovered.  Policy knobs live in
-:class:`ResilienceOptions`, accepted by
-:meth:`repro.api.CompiledProgram.distribute`.
+The package has three parts: *plans* (which messages and ranks fail, when —
+:class:`FaultPlan` and its fault dataclasses), the *injector* that executes
+a plan against live runtime hooks, and the *report* that proves every
+injected fault was recovered.  Policy knobs live in
+:class:`ResilienceOptions`, passed per run as
+``plan.run(..., resilience=...)``.
 """
 
 from .faults import (
     COMM_FAULT_KINDS,
-    AllocFault,
     CommFault,
-    CompileFault,
     FaultPlan,
     FaultPlanError,
     RankCrash,
@@ -23,9 +21,7 @@ from .report import RecoveryReport
 
 __all__ = [
     "COMM_FAULT_KINDS",
-    "AllocFault",
     "CommFault",
-    "CompileFault",
     "FaultPlan",
     "FaultPlanError",
     "RankCrash",

@@ -2,11 +2,10 @@
 runtime point, whether the plan says this event should fail.
 
 A :class:`FaultInjector` is handed to the components it targets (the
-communicator's ``fault_hook``, the device pool's ``alloc_hook``, the
-session's ``compile_hook``, the executor's crash schedule) and consulted
+communicator's ``fault_hook``, the executor's crash schedule) and consulted
 inline.  It is thread-safe — rank tasks fire sends concurrently — and
-stateful: each comm fault fires exactly once, alloc/compile faults count
-global attempt indices.  Everything it injects is recorded on its
+stateful: each comm fault and each rank crash fires exactly once.
+Everything it injects is recorded on its
 :class:`~repro.resilience.report.RecoveryReport` so the chaos runner can match
 injections against recoveries.
 """
@@ -31,8 +30,6 @@ class FaultInjector:
         self._match_counts: Dict[int, int] = {}
         self._fired_comm: Set[int] = set()
         self._fired_crashes: Set[int] = set()
-        self._alloc_attempts = 0
-        self._compile_attempts = 0
 
     # -- communicator ------------------------------------------------------
 
@@ -74,36 +71,10 @@ class FaultInjector:
         self.report.record_injected("crash")
         return True
 
-    # -- device memory pool ------------------------------------------------
-
-    def on_device_alloc(self) -> bool:
-        """True when the plan fails this (globally indexed) allocation."""
-        with self._lock:
-            index = self._alloc_attempts
-            self._alloc_attempts += 1
-            fail = any(f.index <= index < f.index + f.count
-                       for f in self.plan.alloc_faults)
-        if fail:
-            self.report.record_injected("alloc")
-        return fail
-
-    # -- session compiles --------------------------------------------------
-
-    def on_compile(self) -> bool:
-        """True when the plan fails this (globally indexed) compile."""
-        with self._lock:
-            index = self._compile_attempts
-            self._compile_attempts += 1
-            fail = any(f.index <= index < f.index + f.count
-                       for f in self.plan.compile_faults)
-        if fail:
-            self.report.record_injected("compile")
-        return fail
-
 
 class InjectedFault(RuntimeError):
-    """Raised by injection hooks that simulate hard failures (a transient
-    compiler crash, a simulated rank process death)."""
+    """Raised by the injection hook that simulates a hard failure: a
+    simulated rank process death."""
 
 
 __all__ = ["FaultInjector", "InjectedFault"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .faults import FaultPlan
+from .faults import FaultPlan, check_count
 
 
 class ResilienceError(ValueError):
@@ -34,9 +34,7 @@ class ResilienceOptions:
     plan: Optional[FaultPlan] = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ResilienceError(
-                f"max_restarts must be >= 0, got {self.max_restarts}")
+        check_count("max_restarts", self.max_restarts, error=ResilienceError)
         if self.plan is not None and not isinstance(self.plan, FaultPlan):
             raise ResilienceError(
                 f"plan must be a FaultPlan, got {type(self.plan).__name__}")

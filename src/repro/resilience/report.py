@@ -1,11 +1,11 @@
 """Recovery accounting: what was injected, what was survived, and how.
 
 Every recovering component keeps plain integer counters while it runs (the
-communicator's retry/retransmit counts, the device's host stagings, the
-session's compile retries); a :class:`RecoveryReport` is where
-those counters meet the injector's record of *injected* faults, so one
-object answers the chaos question: were all injected faults detected and
-recovered, and by which mechanism?  Rendered as an aligned text table by
+communicator's retry/retransmit counts, the executor's restores, the
+device's host stagings); a :class:`RecoveryReport` is where those counters
+meet the injector's record of *injected* faults, so one object answers the
+chaos question: were all injected faults detected and recovered, and by
+which mechanism?  Rendered as an aligned text table by
 :func:`repro.harness.recovery_report_table`.
 """
 
@@ -19,13 +19,14 @@ from typing import Dict
 @dataclass
 class RecoveryReport:
     """Counters for one run (or one merged chaos campaign), thread-safe to
-    record into: rank tasks, pool callbacks and the session may record
-    concurrently during one run.
+    record into: rank tasks and pool callbacks may record concurrently
+    during one run.
 
     ``injected`` counts faults by kind as the injector fires them
-    (``drop``/``delay``/``duplicate``/``corrupt``/``crash``/``alloc``/
-    ``compile``); the mechanism counters below count the recovery work the
-    runtime actually performed.  ``unrecovered`` counts faults that
+    (``drop``/``delay``/``duplicate``/``corrupt``/``crash``); the mechanism
+    counters below count the recovery work the runtime actually performed
+    (a device out-of-memory is a real pool miss, counted by
+    ``oom_detected``, not an injection).  ``unrecovered`` counts faults that
     exhausted their recovery budget — a chaos run is clean only when it is
     zero *and* no divergence was found.
     """
@@ -46,10 +47,6 @@ class RecoveryReport:
     oom_detected: int = 0
     oom_host_staged: int = 0
     scalar_fallbacks: int = 0
-    #: Session compile resilience.
-    compile_retries: int = 0
-    compiles_quarantined: int = 0
-    quarantine_hits: int = 0
     #: Faults that defeated every recovery mechanism.
     unrecovered: int = 0
     #: Held by the three recording methods; not part of the report's value.

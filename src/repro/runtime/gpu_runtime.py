@@ -13,7 +13,7 @@ bytes moved and launches run.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,17 +69,7 @@ class DeviceMemoryPool:
 class SimulatedGPU:
     """A single simulated device (capacity of an Nvidia V100-SXM2-16GB)."""
 
-    name = "V100"
-
-    def __init__(
-        self,
-        memory_bytes: int = 16 * 1024**3,
-        alloc_hook: Optional[Callable[[], bool]] = None,
-    ):
-        #: Deterministic fault injection: called before every device
-        #: allocation; returning True simulates an OOM
-        #: (see :class:`repro.resilience.FaultInjector.on_device_alloc`).
-        self.alloc_hook = alloc_hook
+    def __init__(self, memory_bytes: int = 16 * 1024**3):
         #: Graceful-degradation counters (each step of
         #: :meth:`alloc_degraded`), folded into a RecoveryReport by chaos
         #: runs.
@@ -104,15 +94,9 @@ class SimulatedGPU:
 
     def alloc(self, shape: Sequence[int], element_type: TypeAttribute,
               label: str = "") -> MemoryBuffer:
-        """Strict device allocation: a capacity miss (or an injected
-        allocation failure) raises :class:`MemoryError` — the fail-fast
-        baseline.  Callers wanting host staging on OOM use
-        :meth:`alloc_degraded`."""
-        if self.alloc_hook is not None and self.alloc_hook():
-            raise MemoryError(
-                f"injected device allocation failure for "
-                f"'{label or '<unnamed>'}' on {self.name}"
-            )
+        """Strict device allocation: a capacity miss raises
+        :class:`MemoryError` — the fail-fast baseline.  Callers wanting host
+        staging on OOM use :meth:`alloc_degraded`."""
         buffer = MemoryBuffer.for_array(shape, element_type, space="device", label=label)
         self.pool.allocate(buffer)
         return buffer
@@ -121,12 +105,12 @@ class SimulatedGPU:
                        label: str = "") -> MemoryBuffer:
         """Device allocation that degrades instead of failing.
 
-        A plain :meth:`alloc` first.  On OOM (real or injected) the buffer is
-        staged in registered host memory instead — the kernel still runs
-        (host-space arguments drag their data across PCIe on demand at every
-        launch, visible in the transfer stats), and because host staging
-        zero-fills exactly like a device allocation the computed results
-        stay bitwise identical.  Both the miss and the staging are counted
+        A plain :meth:`alloc` first.  On OOM the buffer is staged in
+        registered host memory instead — the kernel still runs (host-space
+        arguments drag their data across PCIe on demand at every launch,
+        visible in the transfer stats), and because host staging zero-fills
+        exactly like a device allocation the computed results stay bitwise
+        identical.  Both the miss and the staging are counted
         in ``self.degradation``.  Nothing frees a device buffer before its
         ``gpu.dealloc`` (or its launch function's return), so there is no
         idle buffer to evict first.

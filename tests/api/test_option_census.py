@@ -67,9 +67,6 @@ CENSUS = {
         "test seam", "tests register gated and failing backends"),
     "Session.store": (
         "deployment", "the on-disk artifact cache shared across processes"),
-    "Session.compile_hook": (
-        "two values", "the chaos runner injects compile faults, other "
-                      "sessions have no hook"),
     "CompileService.session": (
         "test seam", "tests hand in a session on a gated registry"),
     "CompileService.store": (
@@ -92,10 +89,8 @@ CENSUS = {
         "safety bound", "caps the store's disk use by eviction"),
     # -- simulated devices ---------------------------------------------------
     "SimulatedGPU.memory_bytes": (
-        "test seam", "tests shrink the device to provoke out-of-memory"),
-    "SimulatedGPU.alloc_hook": (
-        "two values", "the chaos runner injects device OOM, other devices "
-                      "have no hook"),
+        "two values", "the chaos runner shrinks the device to provoke "
+                      "out-of-memory, other devices keep the V100's 16 GiB"),
     "SimulatedCommunicator.size": (
         "input", "the rank count of the executor's grid"),
     "SimulatedCommunicator.timeout": (
@@ -197,7 +192,7 @@ def test_every_settable_name_is_pinned_with_a_reason():
     found = surface()
     assert sorted(found - set(CENSUS)) == [], "a knob without a reason"
     assert sorted(set(CENSUS) - found) == [], "a pinned knob no longer exists"
-    assert len(found) == 47
+    assert len(found) == 45
 
 
 def test_the_other_calls_add_no_settable_name():

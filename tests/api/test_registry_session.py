@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import session as session_module
 from repro.api import (
     Backend,
     BackendRegistry,
@@ -342,8 +341,7 @@ class TestConcurrentFirstLowers:
         assert len({id(handle.artifact) for handle in handles}) == 1
 
     def test_one_failure_is_shared_as_one_exception_object(
-            self, monkeypatch, small_gs_source):
-        monkeypatch.setattr(session_module, "COMPILE_RETRIES", 0)
+            self, small_gs_source):
         session, backend = Session(), GatedBackend(fail=True)
         errors = self.lower_together(session, backend, small_gs_source)
         assert backend.lowers == 1

@@ -9,12 +9,14 @@ operator drop artifacts without un-poisoning known-bad sources.
 import pytest
 
 from repro.api import Session
+from repro.frontend.parser import FortranSyntaxError
 from repro.fuzz import DEFAULT_CONFIG, generate_spec
-from repro.resilience import CompileFault, FaultInjector, FaultPlan, InjectedFault
 from repro.serve import ArtifactStore
 
 SOURCE = generate_spec(0, DEFAULT_CONFIG).render()
 OTHER_SOURCE = generate_spec(1, DEFAULT_CONFIG).render()
+#: A source the frontend refuses: the declaration's bounds never close.
+BROKEN = "subroutine broken(a)\n  real(8) :: a(4\nend subroutine broken\n"
 
 
 class TestDiskLayerCounters:
@@ -66,32 +68,29 @@ class TestDiskLayerCounters:
 
 
 class TestClearCacheQuarantine:
-    def _poisoned_session(self, store=None):
-        session = Session(store=store)
-        injector = FaultInjector(
-            FaultPlan(compile_faults=(CompileFault(index=0, count=99),)))
-        session.compile_hook = injector.on_compile
-        with pytest.raises(InjectedFault):
-            session.compile(SOURCE).lower("cpu")
-        session.compile_hook = None
+    def _poisoned_session(self):
+        session = Session()
+        with pytest.raises(FortranSyntaxError):
+            session.compile(BROKEN).lower("cpu")
         return session
 
     def test_clear_cache_default_still_wipes_everything(self):
         session = self._poisoned_session()
         session.clear_cache()
         assert session.resilience_stats == {
-            "compile_retries": 0,
             "compiles_quarantined": 0,
             "quarantine_hits": 0,
         }
-        # The source compiles again after the un-poisoning.
-        assert session.compile(SOURCE).lower("cpu") is not None
+        # Un-poisoned, the source reaches the backend again and fails anew.
+        with pytest.raises(FortranSyntaxError):
+            session.compile(BROKEN).lower("cpu")
+        assert session.cache_stats["misses"] == 1
 
     def test_keep_quarantine_preserves_poison_records(self):
         session = self._poisoned_session()
         # The poison record is the exception a quarantined lower re-raises.
-        with pytest.raises(InjectedFault) as poisoned:
-            session.compile(SOURCE).lower("cpu")
+        with pytest.raises(FortranSyntaxError) as poisoned:
+            session.compile(BROKEN).lower("cpu")
         original = poisoned.value
         assert session.resilience_stats["quarantine_hits"] == 1
 
@@ -103,13 +102,12 @@ class TestClearCacheQuarantine:
         # ...but the poison record (and its counters) survive: lowering the
         # known-bad source re-raises the original exception object without
         # touching the backend.
-        stats = session.resilience_stats
-        assert stats["compiles_quarantined"] == 1
-        assert stats["compile_retries"] == 1
-        with pytest.raises(InjectedFault) as excinfo:
-            session.compile(SOURCE).lower("cpu")
+        assert session.resilience_stats["compiles_quarantined"] == 1
+        with pytest.raises(FortranSyntaxError) as excinfo:
+            session.compile(BROKEN).lower("cpu")
         assert excinfo.value is original
         assert session.resilience_stats["quarantine_hits"] == 2
+        assert session.cache_stats["misses"] == 0
 
     def test_keep_quarantine_still_drops_artifacts(self):
         session = Session()

@@ -154,17 +154,15 @@ class TestPolicyIsNotAFork:
 
 
 class TestCombinedAcceptance:
-    def test_serialized_plan_with_comm_faults_and_crash_bitwise(self, session):
-        """The ISSUE acceptance criterion, replayed from JSON: drops,
-        delays, duplicates, corruptions *and* a rank crash, recovered to
-        the exact bits of the fault-free run."""
-        plan_json = FaultPlan(
+    def test_plan_with_comm_faults_and_crash_bitwise(self, session):
+        """Drops, delays, duplicates, corruptions *and* a rank crash,
+        recovered to the exact bits of the fault-free run."""
+        fault_plan = FaultPlan(
             seed=42,
             comm_faults=(CommFault("drop", 3), CommFault("delay", 5),
                          CommFault("duplicate", 7), CommFault("corrupt", 9)),
             rank_crashes=(RankCrash(rank=1, iteration=1),),
-        ).to_json()
-        fault_plan = FaultPlan.from_json(plan_json)
+        )
         field = global_field(12, seed=42)
         plan = plan_for(session, (2, 2), 12)
         baseline = plan.run(field, iterations=3)

@@ -1,61 +1,38 @@
-"""FaultPlan serialization, seeded generation, and injector semantics.
+"""FaultPlan construction, seeded generation, and injector semantics.
 
-The whole resilience discipline rests on one property: (seed, FaultPlan)
-is a complete replay identity.  These tests pin it — a plan survives a
-JSON round trip exactly, generation from a seed is deterministic, and the
+The whole resilience discipline rests on one property: a seed is a complete
+replay identity.  These tests pin it — generation from a seed is
+deterministic, every fault field is a typed, checked value, and the
 injector fires each fault exactly once at exactly the scheduled point.
 """
 
 import pytest
 
 from repro.resilience import (
-    AllocFault,
     CommFault,
-    CompileFault,
     FaultInjector,
     FaultPlan,
     FaultPlanError,
     RankCrash,
     RecoveryReport,
+    ResilienceError,
+    ResilienceOptions,
 )
 
 
-def full_plan():
-    return FaultPlan(
-        seed=7,
-        comm_faults=(CommFault("drop", 2),
-                     CommFault("corrupt", 0, source=1, dest=0, tag=3)),
-        rank_crashes=(RankCrash(rank=1, iteration=2),),
-        alloc_faults=(AllocFault(index=1, count=2),),
-        compile_faults=(CompileFault(index=0),),
-    )
-
-
 class TestFaultPlan:
-    def test_json_round_trip_is_exact(self):
-        plan = full_plan()
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_empty_and_size(self):
-        assert FaultPlan().empty
-        assert FaultPlan().size() == 0
-        assert not full_plan().empty
-        assert full_plan().size() == 5
-
     def test_generate_is_deterministic(self):
-        kwargs = dict(comm_faults=4, ranks=4, crash_iterations=(0, 1),
-                      alloc_faults=2, compile_faults=1)
-        assert FaultPlan.generate(11, **kwargs) == FaultPlan.generate(11, **kwargs)
+        assert FaultPlan.generate(11, 4) == FaultPlan.generate(11, 4)
 
     def test_generate_differs_across_seeds(self):
         plans = {FaultPlan.generate(seed, comm_faults=4) for seed in range(8)}
         assert len(plans) > 1
 
-    def test_generated_plan_round_trips(self):
-        plan = FaultPlan.generate(3, comm_faults=3, ranks=4,
-                                  crash_iterations=(0, 1), alloc_faults=1,
-                                  compile_faults=1)
-        assert FaultPlan.from_json(plan.to_json()) == plan
+    def test_generate_draws_message_faults_only(self):
+        plan = FaultPlan.generate(3, comm_faults=3)
+        assert plan.seed == 3
+        assert len(plan.comm_faults) == 3
+        assert plan.rank_crashes == ()
 
     def test_unknown_comm_kind_rejected(self):
         with pytest.raises(FaultPlanError, match="kind must be one of"):
@@ -66,8 +43,8 @@ class TestFaultPlan:
             CommFault("drop", -1)
         with pytest.raises(FaultPlanError, match="rank"):
             RankCrash(rank=-1, iteration=0)
-        with pytest.raises(FaultPlanError, match="count"):
-            AllocFault(index=0, count=0)
+        with pytest.raises(FaultPlanError, match="source"):
+            CommFault("drop", 0, source=-2)
 
     def test_comm_fault_wildcards(self):
         any_fault = CommFault("drop", 0)
@@ -75,6 +52,25 @@ class TestFaultPlan:
         pinned = CommFault("drop", 0, source=1, dest=0, tag=3)
         assert pinned.matches(1, 0, 3)
         assert not pinned.matches(0, 1, 3)
+
+
+@pytest.mark.parametrize("build, error, field", [
+    (lambda: ResilienceOptions(max_restarts=True), ResilienceError,
+     "max_restarts"),
+    (lambda: ResilienceOptions(max_restarts=2.5), ResilienceError,
+     "max_restarts"),
+    (lambda: ResilienceOptions(max_restarts="3"), ResilienceError,
+     "max_restarts"),
+    (lambda: RankCrash(True, 1), FaultPlanError, "rank"),
+    (lambda: RankCrash(0, 1.5), FaultPlanError, "iteration"),
+    (lambda: RankCrash("a", 1), FaultPlanError, "rank"),
+    (lambda: CommFault("drop", True), FaultPlanError, "match_index"),
+    (lambda: CommFault("drop", 0, tag="3"), FaultPlanError, "tag"),
+], ids=["restarts-bool", "restarts-float", "restarts-str", "rank-bool",
+        "iteration-float", "rank-str", "match-index-bool", "tag-str"])
+def test_non_integer_fields_are_rejected_by_name(build, error, field):
+    with pytest.raises(error, match=f"^{field} must be an int"):
+        build()
 
 
 class TestFaultInjector:
@@ -99,26 +95,14 @@ class TestFaultInjector:
         assert injector.should_crash(1, 2)
         assert not injector.should_crash(1, 2)  # respawned rank survives
 
-    def test_alloc_fault_window(self):
-        injector = FaultInjector(FaultPlan(
-            alloc_faults=(AllocFault(index=1, count=2),)))
-        assert [injector.on_device_alloc() for _ in range(4)] == [
-            False, True, True, False]
-
-    def test_compile_fault_window(self):
-        injector = FaultInjector(FaultPlan(
-            compile_faults=(CompileFault(index=0, count=1),)))
-        assert injector.on_compile()
-        assert not injector.on_compile()
-
     def test_injections_recorded_on_the_report(self):
         report = RecoveryReport()
         injector = FaultInjector(FaultPlan(
             comm_faults=(CommFault("drop", 0),),
-            alloc_faults=(AllocFault(index=0),)), report)
+            rank_crashes=(RankCrash(rank=0, iteration=0),)), report)
         injector.on_send(0, 1, 0)
-        injector.on_device_alloc()
-        assert report.injected == {"drop": 1, "alloc": 1}
+        injector.should_crash(0, 0)
+        assert report.injected == {"drop": 1, "crash": 1}
         assert report.faults_injected == 2
 
 

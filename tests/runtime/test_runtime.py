@@ -459,7 +459,7 @@ class TestSimulatedGPU:
             "allocated_bytes", "peak_allocated_bytes", "launch_seconds",
             "kernel_invocations", "degradation"}
         assert list(inspect.signature(SimulatedGPU).parameters) == [
-            "memory_bytes", "alloc_hook"]
+            "memory_bytes"]
 
     def test_kernel_stats_table_renders_device_stats(self):
         from repro.harness import kernel_stats_table

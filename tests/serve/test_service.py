@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.api import OptionError, Session
-from repro.api import session as session_module
 from repro.api.backends import (
     BackendRegistry,
     CpuBackend,
@@ -193,9 +192,7 @@ class TestSingleFlight:
         finally:
             service.close()
 
-    def test_failed_compile_shares_one_exception_with_the_cohort(
-            self, monkeypatch):
-        monkeypatch.setattr(session_module, "COMPILE_RETRIES", 0)
+    def test_failed_compile_shares_one_exception_with_the_cohort(self):
         service, _, failing = _make_service(workers=4)
         try:
             failing.gate.clear()

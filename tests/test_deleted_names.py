@@ -227,6 +227,14 @@ GUARDS = (
           r"|_exec_stencil_|stencil_apply_executions",
           ("src", "docs", "examples"), "after 6cefc59",
           "        return [TempValue(array, lb)]"),
+    # Only the faults the program cannot cause itself are injected: a
+    # deterministic compile is not retried, a device runs out of memory by
+    # its memory_bytes, and a fault plan replays by its seed, not from JSON.
+    Guard("self-caused-faults",
+          r"compile_hook|alloc_hook|CompileFault|AllocFault|COMPILE_RETRIES"
+          r"|compile_retries|on_compile|on_device_alloc|to_json|from_json",
+          ("src",), "after 6da135d",
+          "        gpu = SimulatedGPU(alloc_hook=injector.on_device_alloc)"),
 )
 
 
